@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"sensjoin/internal/zorder"
 )
@@ -55,5 +56,34 @@ func TestComputeFilterAllocs(t *testing.T) {
 	})
 	if allocs > 100 {
 		t.Errorf("computeFilter (band index): %.0f allocs/run, want <= 100", allocs)
+	}
+}
+
+// An indexed plan counts its matches before it emits, so a plain result
+// of more than one slab is exactly two allocations however large it is:
+// one row-header slice and one cell slab, the rows carved from it back
+// to back. (Growing both as rows arrive cost a slab per 4096 rows plus
+// the append doublings.)
+// The match list (combos, ranks) and the contributor set still grow by
+// doubling, so the count bound is per thousand rows, not absolute.
+func TestJoinKernelEmitAllocs(t *testing.T) {
+	x := kernelExec(t, "SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B WHERE A.temp - B.temp > 4 ONCE")
+	tuples := benchTuples(800)
+	rows, _ := exactJoin(x, tuples)
+	if len(rows) < 200000 {
+		t.Fatalf("fixture drifted: %d rows, want > 200000", len(rows))
+	}
+	if cap(rows) != len(rows) {
+		t.Errorf("row headers: capacity %d for %d rows, want exact", cap(rows), len(rows))
+	}
+	width := len(rows[0])
+	for i := 1; i < len(rows); i++ {
+		if unsafe.Add(unsafe.Pointer(&rows[i-1][0]), 8*width) != unsafe.Pointer(&rows[i][0]) {
+			t.Fatalf("row %d does not follow row %d in one slab", i, i-1)
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() { exactJoin(x, tuples) })
+	if limit := float64(len(rows)) / 1000; allocs > limit {
+		t.Errorf("%d rows: %.0f allocs/run, want <= %.0f", len(rows), allocs, limit)
 	}
 }

@@ -1,0 +1,5 @@
+//go:build !race
+
+package proto
+
+const raceEnabled = false

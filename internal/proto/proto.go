@@ -1,12 +1,12 @@
 // Package proto defines the sensjoind wire protocol: a length-prefixed
-// frame stream carrying JSON messages over any reliable byte transport
-// (TCP in practice).
+// frame stream over any reliable byte transport (TCP in practice).
 //
 // Frame layout (all integers big-endian):
 //
 //	uint32  length   // of everything after this field: kind + payload
 //	byte    kind     // message kind, see the Kind* constants
-//	[]byte  payload  // JSON encoding of the kind's message struct
+//	[]byte  payload  // KindRows: the binary layout in rows.go;
+//	                 // every other kind: JSON of the kind's message struct
 //
 // A session opens with Hello/HelloOK, then the client pipelines Query
 // frames (each with a client-chosen, session-unique positive ID) and the
@@ -25,12 +25,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Version is the protocol version spoken by this package. A server
 // answers a Hello with a different major version with an Error frame
-// (CodeProto) and closes the connection.
-const Version = 1
+// (CodeProto) and closes the connection. Version 2 replaced version 1's
+// JSON Rows payload with the binary layout in rows.go.
+const Version = 2
 
 // MaxFrame bounds one frame's kind+payload size; both sides reject
 // larger frames as malformed rather than allocating unboundedly.
@@ -131,12 +133,24 @@ type Header struct {
 	Sampled bool `json:",omitempty"`
 }
 
-// Rows carries a chunk of one epoch's result rows.
-type Rows struct {
+// RowsOf carries a chunk of one epoch's result rows. It is generic over
+// the row type so a sender whose tables are a named slice-of-float64
+// type can hand its row headers to WriteFrame as they are; receivers
+// always decode into Rows.
+type RowsOf[R ~[]float64] struct {
 	ID    int64
 	Epoch int
-	Rows  [][]float64
+	// Total is the epoch's row count over all of its chunks, so a
+	// receiver can size the table once; 0 means "not stated".
+	Total int
+	// Rows are equally wide and, in a non-empty chunk, at least one
+	// column wide. Cells travel as raw IEEE-754 bits: NaN payloads, ±Inf
+	// and -0 arrive exactly as sent.
+	Rows []R
 }
+
+// Rows is the chunk as every receiver sees it.
+type Rows = RowsOf[[]float64]
 
 // EpochEnd closes one epoch's table.
 type EpochEnd struct {
@@ -173,23 +187,67 @@ type Cancel struct {
 	ID int64
 }
 
-// WriteFrame encodes v as one frame. It issues a single Write, so
-// callers may serialize concurrent writers with just a mutex.
+// EncodeError reports a message that could not be rendered as a frame:
+// nothing was written, and the stream is still in sync. Any other
+// WriteFrame error comes from the writer.
+type EncodeError struct {
+	Kind byte
+	Err  error
+}
+
+func (e *EncodeError) Error() string {
+	return fmt.Sprintf("proto: encode kind %d: %v", e.Kind, e.Err)
+}
+
+func (e *EncodeError) Unwrap() error { return e.Err }
+
+// frameBufs recycles encode buffers. A buffer that grew past
+// maxPooledBuf is dropped instead, so one huge frame does not pin its
+// memory for the life of the process.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBuf = 256 << 10
+
+// WriteFrame encodes v as one frame: the binary layout for a RowsOf
+// value or pointer under KindRows, JSON for every other kind. It issues
+// a single Write, so callers may serialize concurrent writers with just
+// a mutex.
 func WriteFrame(w io.Writer, kind byte, v any) error {
-	payload, err := json.Marshal(v)
+	bp := frameBufs.Get().(*[]byte)
+	buf := append((*bp)[:0], 0, 0, 0, 0, kind)
+	var err error
+	rows, isRows := v.(rowsMessage)
+	switch {
+	case isRows != (kind == KindRows):
+		err = fmt.Errorf("kind does not match message type %T", v)
+	case isRows:
+		buf, err = rows.appendPayload(buf)
+	default:
+		var payload []byte
+		if payload, err = json.Marshal(v); err == nil {
+			buf = append(buf, payload...)
+		}
+	}
+	if err == nil && len(buf)-4 > MaxFrame {
+		err = fmt.Errorf("frame exceeds %d bytes", MaxFrame)
+	}
 	if err != nil {
-		return fmt.Errorf("proto: marshal kind %d: %w", kind, err)
+		err = &EncodeError{Kind: kind, Err: err}
+	} else {
+		binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+		_, err = w.Write(buf)
 	}
-	if len(payload)+1 > MaxFrame {
-		return fmt.Errorf("proto: frame kind %d exceeds %d bytes", kind, MaxFrame)
+	if cap(buf) <= maxPooledBuf {
+		*bp = buf
+		frameBufs.Put(bp)
 	}
-	buf := make([]byte, 4+1+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(1+len(payload)))
-	buf[4] = kind
-	copy(buf[5:], payload)
-	_, err = w.Write(buf)
 	return err
 }
+
+// eagerBody is the largest frame body ReadFrame allocates on the word
+// of the length prefix alone; it covers a 512-row Rows chunk of a dozen
+// columns.
+const eagerBody = 64 << 10
 
 // ReadFrame reads one frame and returns its kind and raw payload.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
@@ -201,17 +259,47 @@ func ReadFrame(r io.Reader) (byte, []byte, error) {
 	if n < 1 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("proto: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	// A length is only a claim until its bytes arrive: a body longer
+	// than eagerBody is grown by doubling as they do, so four hostile
+	// bytes cannot make the reader allocate MaxFrame.
+	body := make([]byte, min(n, eagerBody))
+	for filled := 0; ; {
+		if _, err := io.ReadFull(r, body[filled:]); err != nil {
+			if err == io.EOF && filled > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+		filled = len(body)
+		if filled == int(n) {
+			return body[0], body[1:], nil
+		}
+		body = append(body, make([]byte, min(int(n)-filled, filled))...)
 	}
-	return body[0], body[1:], nil
 }
 
-// Decode unmarshals a frame payload into v.
+// Decode parses a frame payload into v: the binary layout when v is a
+// *Rows, JSON otherwise.
 func Decode(payload []byte, v any) error {
+	if r, ok := v.(*Rows); ok {
+		return decodeRows(payload, r)
+	}
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("proto: bad payload: %w", err)
 	}
 	return nil
+}
+
+// PeekID returns the query ID a payload is addressed to (0 for a
+// session-level frame) without decoding the rest of it.
+func PeekID(kind byte, payload []byte) (int64, error) {
+	if kind == KindRows {
+		if len(payload) < rowsHeaderLen {
+			return 0, errShortRows
+		}
+		return int64(binary.BigEndian.Uint64(payload)), nil
+	}
+	var hdr struct{ ID int64 }
+	err := Decode(payload, &hdr)
+	return hdr.ID, err
 }

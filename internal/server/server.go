@@ -342,10 +342,30 @@ func refuse(conn net.Conn, code, msg string) {
 	conn.Close()
 }
 
-// outFrame is one queued response frame.
+// outFrame is one queued response frame. The write loop ends the
+// session once it has flushed a frame marked last.
 type outFrame struct {
 	kind byte
 	msg  any
+	last bool
+}
+
+// queryOf returns the ID of the query a response message answers, 0
+// for a session-level message.
+func queryOf(msg any) int64 {
+	switch m := msg.(type) {
+	case proto.Header:
+		return m.ID
+	case proto.RowsOf[core.Row]:
+		return m.ID
+	case proto.EpochEnd:
+		return m.ID
+	case proto.Done:
+		return m.ID
+	case proto.Error:
+		return m.ID
+	}
+	return 0
 }
 
 // runningQuery is the cancel handle of one in-flight query.
@@ -400,7 +420,10 @@ func (ss *session) teardown() {
 // send queues a response frame. It returns false (and on persistent
 // backpressure kills the session) when the frame cannot be delivered.
 func (ss *session) send(kind byte, msg any) bool {
-	f := outFrame{kind: kind, msg: msg}
+	return ss.enqueue(outFrame{kind: kind, msg: msg})
+}
+
+func (ss *session) enqueue(f outFrame) bool {
 	select {
 	case ss.out <- f:
 		return true
@@ -422,6 +445,29 @@ func (ss *session) send(kind byte, msg any) bool {
 	}
 }
 
+// cancelQuery stops query id if it is still in flight.
+func (ss *session) cancelQuery(id int64) {
+	ss.mu.Lock()
+	rq := ss.active[id]
+	ss.mu.Unlock()
+	if rq != nil {
+		rq.doCancel()
+	}
+}
+
+// violation answers a protocol violation with an Error frame and ends
+// the session. It returns once the write loop has flushed the answer
+// and torn the session down; the read loop returning any earlier would
+// close the connection under the frame.
+func (ss *session) violation(id int64, msg string) {
+	if ss.enqueue(outFrame{
+		kind: proto.KindError, last: true,
+		msg: proto.Error{ID: id, Code: proto.CodeProto, Msg: msg},
+	}) {
+		<-ss.quit
+	}
+}
+
 func (ss *session) sendErr(id int64, code, msg string) bool {
 	return ss.send(proto.KindError, proto.Error{ID: id, Code: code, Msg: msg})
 }
@@ -433,21 +479,38 @@ func (ss *session) writeLoop() {
 		select {
 		case f := <-ss.out:
 			ss.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-			if err := proto.WriteFrame(bw, f.kind, f.msg); err != nil {
+			err := proto.WriteFrame(bw, f.kind, f.msg)
+			if err != nil {
+				err = ss.answerEncodeFailure(bw, f.msg, err)
+			}
+			if err == nil && (f.last || len(ss.out) == 0) {
+				err = bw.Flush()
+			}
+			if err != nil || f.last {
 				ss.teardown()
 				return
-			}
-			if len(ss.out) == 0 {
-				if err := bw.Flush(); err != nil {
-					ss.teardown()
-					return
-				}
 			}
 		case <-ss.quit:
 			bw.Flush()
 			return
 		}
 	}
+}
+
+// answerEncodeFailure handles a WriteFrame error. A message the codec
+// could not render put nothing on the wire, so it costs only the query
+// it belonged to: that query is canceled and answered with an exec
+// error. Any other error (or a session-level message) is returned and
+// ends the session.
+func (ss *session) answerEncodeFailure(bw *bufio.Writer, msg any, err error) error {
+	var enc *proto.EncodeError
+	id := queryOf(msg)
+	if !errors.As(err, &enc) || id == 0 {
+		return err
+	}
+	ss.s.logf("sensjoind: session %d: query %d: %v", ss.id, id, err)
+	ss.cancelQuery(id)
+	return proto.WriteFrame(bw, proto.KindError, proto.Error{ID: id, Code: proto.CodeExec, Msg: err.Error()})
 }
 
 func (ss *session) readLoop() {
@@ -462,12 +525,11 @@ func (ss *session) readLoop() {
 	}
 	var hello proto.Hello
 	if kind != proto.KindHello || proto.Decode(payload, &hello) != nil {
-		ss.sendErr(0, proto.CodeProto, "expected Hello")
+		ss.violation(0, "expected Hello")
 		return
 	}
 	if hello.Version != proto.Version {
-		ss.sendErr(0, proto.CodeProto,
-			fmt.Sprintf("protocol version %d not supported (server speaks %d)", hello.Version, proto.Version))
+		ss.violation(0, fmt.Sprintf("protocol version %d not supported (server speaks %d)", hello.Version, proto.Version))
 		return
 	}
 	if !ss.send(proto.KindHelloOK, proto.HelloOK{
@@ -487,7 +549,7 @@ func (ss *session) readLoop() {
 		case proto.KindQuery:
 			var q proto.Query
 			if proto.Decode(payload, &q) != nil {
-				ss.sendErr(0, proto.CodeProto, "bad Query payload")
+				ss.violation(0, "bad Query payload")
 				return
 			}
 			if !ss.submit(q) {
@@ -496,19 +558,14 @@ func (ss *session) readLoop() {
 		case proto.KindCancel:
 			var c proto.Cancel
 			if proto.Decode(payload, &c) != nil {
-				ss.sendErr(0, proto.CodeProto, "bad Cancel payload")
+				ss.violation(0, "bad Cancel payload")
 				return
 			}
-			ss.mu.Lock()
-			rq := ss.active[c.ID]
-			ss.mu.Unlock()
-			if rq != nil {
-				rq.doCancel()
-			}
+			ss.cancelQuery(c.ID)
 		case proto.KindBye:
 			return
 		default:
-			ss.sendErr(0, proto.CodeProto, fmt.Sprintf("unexpected frame kind %d", kind))
+			ss.violation(0, fmt.Sprintf("unexpected frame kind %d", kind))
 			return
 		}
 	}
@@ -520,14 +577,14 @@ func (ss *session) readLoop() {
 func (ss *session) submit(q proto.Query) bool {
 	s := ss.s
 	if q.ID <= 0 {
-		ss.sendErr(q.ID, proto.CodeProto, "query ID must be positive")
+		ss.violation(q.ID, "query ID must be positive")
 		return false
 	}
 	ss.mu.Lock()
 	_, dup := ss.active[q.ID]
 	ss.mu.Unlock()
 	if dup {
-		ss.sendErr(q.ID, proto.CodeProto, fmt.Sprintf("query ID %d already in flight", q.ID))
+		ss.violation(q.ID, fmt.Sprintf("query ID %d already in flight", q.ID))
 		return false
 	}
 
@@ -780,15 +837,15 @@ func (s *Server) runBounded(r *core.Runner, prep *core.Prepared, m core.Method, 
 }
 
 // emitEpoch streams one epoch's table as Rows chunks plus an EpochEnd.
+// The chunks alias res.Rows until the write loop has encoded them; a
+// Result's rows are never written again once the kernel returns it.
 func (ss *session) emitEpoch(id int64, epoch int, t float64, res *core.Result) bool {
 	const chunk = 512
 	for i := 0; i < len(res.Rows); i += chunk {
-		j := min(i+chunk, len(res.Rows))
-		rows := make([][]float64, j-i)
-		for k, row := range res.Rows[i:j] {
-			rows[k] = row
-		}
-		if !ss.send(proto.KindRows, proto.Rows{ID: id, Epoch: epoch, Rows: rows}) {
+		if !ss.send(proto.KindRows, proto.RowsOf[core.Row]{
+			ID: id, Epoch: epoch, Total: len(res.Rows),
+			Rows: res.Rows[i:min(i+chunk, len(res.Rows))],
+		}) {
 			return false
 		}
 	}

@@ -338,8 +338,8 @@ func (c *Client) readLoop(w *wire) {
 			w.fail(err)
 			return
 		}
-		var hdr struct{ ID int64 }
-		if proto.Decode(payload, &hdr) != nil || hdr.ID == 0 {
+		id, err := proto.PeekID(kind, payload)
+		if err != nil || id == 0 {
 			// A session-level error (ID 0) poisons the connection.
 			if kind == proto.KindError {
 				var e proto.Error
@@ -351,7 +351,7 @@ func (c *Client) readLoop(w *wire) {
 			return
 		}
 		w.mu.Lock()
-		ch := w.calls[hdr.ID]
+		ch := w.calls[id]
 		w.mu.Unlock()
 		if ch == nil {
 			continue // canceled and forgotten
@@ -359,7 +359,7 @@ func (c *Client) readLoop(w *wire) {
 		ch <- frame{kind: kind, payload: payload}
 		if kind == proto.KindDone || kind == proto.KindError {
 			w.mu.Lock()
-			delete(w.calls, hdr.ID)
+			delete(w.calls, id)
 			w.mu.Unlock()
 		}
 	}
@@ -420,6 +420,11 @@ func (c *Client) Stream(src string, o Options) (*Stream, error) {
 	}
 	return &Stream{w: w, id: id, ch: ch, timeout: timeout}, nil
 }
+
+// maxPresizedRows bounds the table Next allocates on the word of a
+// Rows frame's Total alone (24 MB of row headers); a larger epoch grows
+// as its chunks arrive.
+const maxPresizedRows = 1 << 20
 
 // Stream is one query's sequence of epoch tables.
 type Stream struct {
@@ -482,10 +487,16 @@ func (s *Stream) Next() (*Table, error) {
 				return nil, err
 			}
 		case proto.KindRows:
-			var r proto.Rows
+			// Handing Decode the table's spare capacity makes it write
+			// the chunk's row headers where they belong, so the append
+			// below copies only when that capacity was missing.
+			r := proto.Rows{Rows: s.rows[len(s.rows):]}
 			if err := proto.Decode(f.payload, &r); err != nil {
 				s.err = err
 				return nil, err
+			}
+			if s.rows == nil && r.Total > len(r.Rows) && r.Total <= maxPresizedRows {
+				s.rows = make([][]float64, 0, r.Total)
 			}
 			s.rows = append(s.rows, r.Rows...)
 		case proto.KindEpochEnd:

@@ -16,11 +16,11 @@ import (
 // test can script "crash on the first connection, behave on the
 // second". Handlers run after a successful handshake.
 type fakeServer struct {
-	t  *testing.T
+	t  testing.TB
 	ln net.Listener
 }
 
-func newFakeServer(t *testing.T, handlers ...func(conn net.Conn)) *fakeServer {
+func newFakeServer(t testing.TB, handlers ...func(conn net.Conn)) *fakeServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -1,0 +1,173 @@
+package client_test
+
+import (
+	"fmt"
+	"math"
+	"net"
+	"testing"
+
+	"sensjoin/internal/proto"
+	"sensjoin/pkg/client"
+)
+
+// chunked serves one canned table for query id the way sensjoind does:
+// chunk-row Rows frames, each stating total (0 = not stated, as a
+// sender that does not know the epoch's size would).
+func chunked(conn net.Conn, id int64, rows [][]float64, chunk, total int) {
+	proto.WriteFrame(conn, proto.KindHeader, proto.Header{ID: id, Columns: []string{"v"}})
+	for i := 0; i < len(rows); i += chunk {
+		proto.WriteFrame(conn, proto.KindRows, proto.Rows{ID: id, Total: total, Rows: rows[i:min(i+chunk, len(rows))]})
+	}
+	proto.WriteFrame(conn, proto.KindEpochEnd, proto.EpochEnd{ID: id, RowCount: len(rows), Complete: true})
+	proto.WriteFrame(conn, proto.KindDone, proto.Done{ID: id, Epochs: 1})
+}
+
+func sequence(n int) [][]float64 {
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = []float64{float64(i)}
+	}
+	return rows
+}
+
+// Next sizes the epoch's table once from the first chunk's Total, and
+// assembles the same table whether Total is right, absent, too small,
+// or a hostile 2^32-1.
+func TestStreamAssemblesChunks(t *testing.T) {
+	const n = 1300
+	totals := []int{n, 0, 7, math.MaxUint32}
+	fs := newFakeServer(t, func(conn net.Conn) {
+		for _, total := range totals {
+			q, err := readQuery(conn)
+			if err != nil {
+				return
+			}
+			chunked(conn, q.ID, sequence(n), 512, total)
+		}
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, total := range totals {
+		tb, err := c.Query(`SELECT ...`)
+		if err != nil {
+			t.Fatalf("total %d: %v", total, err)
+		}
+		if len(tb.Rows) != n {
+			t.Fatalf("total %d: got %d rows, want %d", total, len(tb.Rows), n)
+		}
+		for i, row := range tb.Rows {
+			if len(row) != 1 || row[0] != float64(i) {
+				t.Fatalf("total %d: row %d = %v", total, i, row)
+			}
+		}
+		if total == n && cap(tb.Rows) != n {
+			t.Errorf("a stated Total of %d left the table with capacity %d", n, cap(tb.Rows))
+		}
+	}
+}
+
+// Non-finite cells and the sign of zero cross the client bit for bit.
+func TestStreamNonFiniteCells(t *testing.T) {
+	want := [][]float64{
+		{math.NaN(), math.Inf(1), math.Inf(-1)},
+		{math.Copysign(0, -1), math.Float64frombits(0x7ff8000000000123), 0},
+	}
+	fs := newFakeServer(t, func(conn net.Conn) {
+		q, err := readQuery(conn)
+		if err != nil {
+			return
+		}
+		chunked(conn, q.ID, want, 1, len(want))
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tb, err := c.Query(`SELECT ...`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tb.Rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(tb.Rows), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if got, w := math.Float64bits(tb.Rows[i][j]), math.Float64bits(want[i][j]); got != w {
+				t.Errorf("cell %d,%d: bits %#x, want %#x", i, j, got, w)
+			}
+		}
+	}
+}
+
+// A malformed Rows frame fails its own query with a decode error; the
+// demux loop keeps routing the connection's other queries.
+func TestStreamMalformedRows(t *testing.T) {
+	fs := newFakeServer(t, func(conn net.Conn) {
+		q, err := readQuery(conn)
+		if err != nil {
+			return
+		}
+		// A valid header claiming 2^31+2 rows of 2 cells, carrying 4.
+		var frame [4 + 1 + 24 + 32]byte
+		frame[3] = byte(len(frame) - 4)
+		frame[4] = proto.KindRows
+		frame[5+7] = byte(q.ID)
+		frame[5+16], frame[5+19], frame[5+23] = 0x80, 2, 2
+		conn.Write(frame[:])
+		serveQueries(conn)
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if tb, err := c.Query(`SELECT ...`); err == nil {
+		t.Fatalf("a Rows frame whose shape wraps in 32 bits decoded to %d rows", len(tb.Rows))
+	}
+	if _, err := c.Query(`SELECT ...`); err != nil {
+		t.Fatalf("query after the malformed frame: %v", err)
+	}
+}
+
+// One query answered with one Rows frame over loopback: what the client
+// adds to the codec (demux, channel hand-off, table assembly).
+func BenchmarkClientRoundTrip(b *testing.B) {
+	for _, s := range []struct{ nrows, ncols int }{{512, 12}, {8, 3}} {
+		b.Run(fmt.Sprintf("%dx%d", s.nrows, s.ncols), func(b *testing.B) {
+			rows := make([][]float64, s.nrows)
+			for i := range rows {
+				rows[i] = make([]float64, s.ncols)
+				for j := range rows[i] {
+					rows[i][j] = float64(i) + float64(j)/16
+				}
+			}
+			fs := newFakeServer(b, func(conn net.Conn) {
+				for {
+					q, err := readQuery(conn)
+					if err != nil {
+						return
+					}
+					chunked(conn, q.ID, rows, len(rows), len(rows))
+				}
+			})
+			c, err := client.Dial(fs.addr())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			b.SetBytes(int64(8 * s.nrows * s.ncols))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tb, err := c.Query(`SELECT ...`)
+				if err != nil || len(tb.Rows) != s.nrows {
+					b.Fatalf("%v, %v", tb, err)
+				}
+			}
+		})
+	}
+}

@@ -92,12 +92,26 @@ go test -run 'TestShardTrace|TestShardMetrics' ./internal/core
 go test -race -run 'Flight|Trace' ./internal/server
 # Serving load (X9, time-budgeted): sustained QPS through the daemon
 # with every table checked byte-for-byte against direct execution. The
-# JSON artifact is what CI uploads.
-go run ./cmd/experiments -serve-load -serve-seconds 1 -serve-load-json BENCH_serve.json > /tmp/sensjoin-serve.txt
-grep -q '"ByteIdentical": true' BENCH_serve.json
+# 1 s smoke goes to /tmp: the checked-in BENCH_serve.json is the full
+# 3 s record EXPERIMENTS.md quotes (regenerate it without -serve-seconds).
+go run ./cmd/experiments -serve-load -serve-seconds 1 -serve-load-json /tmp/sensjoin-serve.json > /tmp/sensjoin-serve.txt
+grep -q '"ByteIdentical": true' /tmp/sensjoin-serve.json
 # Serving race pass: sessions, admission, the prepared cache and shared
-# grouping under the race detector.
+# grouping, the wire codec (binary Rows frames, encode-failure and
+# protocol-violation answers) and the client's demux and table
+# assembly under the race detector.
 go test -race ./internal/server ./internal/proto ./pkg/client
+# Wire-codec fuzz smoke: 5 s per target on the frame reader and the
+# Rows decoder (never panic, never allocate beyond what the bytes that
+# arrived account for, encode and decode are exact inverses).
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/proto
+go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 5s ./internal/proto
+# Serving-path layer benchmarks, one iteration each: they still run.
+go test -run '^$' -bench 'Rows|ClientRoundTrip' -benchtime 1x -benchmem ./internal/proto ./pkg/client
+# The repository benchmark is its own module, outside `go test ./...`:
+# without this an internal/ signature change that stops it compiling is
+# only found when the pipeline's benchmark run fails.
+(cd benchmark && go vet . && go test .)
 go test -race -run 'Prepared|Fingerprint' ./internal/core ./internal/query
 # Churn smoke (X10, reduced size): the churn-resilience ladder — seeded
 # node churn & mobility with mid-round tree repair. The artifact must
