@@ -96,8 +96,8 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			Nodes: n, WallSec: time.Since(t0).Seconds(), MaxDepth: tree.MaxDepth,
 		})
 
-		// One calibration per size: the workload cache keys on the
-		// (dep, env) pair, shared by every shard count's runner.
+		// One calibration per size: the memo hangs off the environment,
+		// shared by every shard count's runner.
 		src := ""
 		for _, shards := range cfg.Shards {
 			r := core.NewRunnerFromSetup(dep, env, tree, core.SetupConfig{

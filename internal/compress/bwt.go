@@ -1,44 +1,66 @@
 package compress
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
+
+// bwtScratch is the working set of one bwt call, kept between calls:
+// every forwarding node of a BWZ-backed round transforms one small
+// block, and four fresh arrays per block were most of what the
+// compressor allocated.
+type bwtScratch struct {
+	rank, idx, tmp []int
+	// keys[i] packs rotation i's sort key of the current round,
+	// (rank[i], rank[(i+k)%n]), into one word: block sizes are far below
+	// 2^32, so comparing the words compares the pairs.
+	keys []uint64
+}
+
+var bwtPool = sync.Pool{New: func() any { return new(bwtScratch) }}
+
+func (s *bwtScratch) resize(n int) {
+	if cap(s.rank) < n {
+		s.rank, s.idx, s.tmp = make([]int, n), make([]int, n), make([]int, n)
+		s.keys = make([]uint64, n)
+	}
+	s.rank, s.idx, s.tmp, s.keys = s.rank[:n], s.idx[:n], s.tmp[:n], s.keys[:n]
+}
 
 // bwt computes the Burrows-Wheeler Transform of data: the last column of
 // the sorted matrix of all rotations, plus the row index of the original
 // string. Rotation order is computed by prefix doubling in O(n log^2 n).
+//
+// Equal rotations (periodic input, e.g. a key set repeated round-robin)
+// are ordered by whatever the sort does with ties, and that order picks
+// the primary index, which is part of the compressed size. So the sort
+// must stay sort.Slice over idx with exactly these comparison outcomes
+// (bwt_ref_test.go holds the reference); packing the pair into one word
+// only makes a comparison cheaper, it does not change its result.
 func bwt(data []byte) (last []byte, primary int) {
 	n := len(data)
 	if n == 0 {
 		return nil, 0
 	}
+	s := bwtPool.Get().(*bwtScratch)
+	defer bwtPool.Put(s)
+	s.resize(n)
 	// rank[i] is the sort key of the rotation starting at i, refined
 	// doubling the compared prefix length each round.
-	rank := make([]int, n)
+	rank, idx, tmp, keys := s.rank, s.idx, s.tmp, s.keys
 	for i, b := range data {
 		rank[i] = int(b)
-	}
-	idx := make([]int, n)
-	for i := range idx {
 		idx[i] = i
 	}
-	tmp := make([]int, n)
 	for k := 1; ; k <<= 1 {
-		key := func(i int) (int, int) {
-			return rank[i], rank[(i+k)%n]
+		for i := range keys {
+			keys[i] = uint64(rank[i])<<32 | uint64(rank[(i+k)%n])
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			r1a, r2a := key(idx[a])
-			r1b, r2b := key(idx[b])
-			if r1a != r1b {
-				return r1a < r1b
-			}
-			return r2a < r2b
-		})
+		sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
 		tmp[idx[0]] = 0
 		for i := 1; i < n; i++ {
-			r1p, r2p := key(idx[i-1])
-			r1c, r2c := key(idx[i])
 			tmp[idx[i]] = tmp[idx[i-1]]
-			if r1p != r1c || r2p != r2c {
+			if keys[idx[i-1]] != keys[idx[i]] {
 				tmp[idx[i]]++
 			}
 		}

@@ -16,6 +16,7 @@ import (
 	"compress/zlib"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Codec compresses and decompresses byte slices.
@@ -39,24 +40,50 @@ type Zlib struct {
 // Name implements Codec.
 func (Zlib) Name() string { return "zlib" }
 
+// zlibState is one reusable compressor with the buffer it writes to. A
+// fresh zlib.Writer allocates about 1.2 MB of match tables, and the
+// simulator compresses one small payload per forwarding node, so writers
+// are kept per level and Reset between payloads (Reset restores exactly
+// the state of a new writer: the output is bit-identical).
+type zlibState struct {
+	w   *zlib.Writer
+	buf bytes.Buffer
+}
+
+// zlibPools holds idle compressors, indexed by level - zlib.HuffmanOnly.
+var zlibPools [zlib.BestCompression - zlib.HuffmanOnly + 1]sync.Pool
+
 // Compress implements Codec.
 func (z Zlib) Compress(data []byte) []byte {
 	level := z.Level
 	if level == 0 {
 		level = zlib.BestCompression
 	}
-	var buf bytes.Buffer
-	w, err := zlib.NewWriterLevel(&buf, level)
-	if err != nil {
-		panic(fmt.Sprintf("compress: zlib level %d: %v", level, err))
+	if level < zlib.HuffmanOnly || level > zlib.BestCompression {
+		panic(fmt.Sprintf("compress: zlib level %d: invalid compression level", level))
 	}
-	if _, err := w.Write(data); err != nil {
+	pool := &zlibPools[level-zlib.HuffmanOnly]
+	st, _ := pool.Get().(*zlibState)
+	if st == nil {
+		st = new(zlibState)
+		w, err := zlib.NewWriterLevel(&st.buf, level)
+		if err != nil {
+			panic(fmt.Sprintf("compress: zlib level %d: %v", level, err))
+		}
+		st.w = w
+	} else {
+		st.buf.Reset()
+		st.w.Reset(&st.buf)
+	}
+	if _, err := st.w.Write(data); err != nil {
 		panic(fmt.Sprintf("compress: zlib write: %v", err))
 	}
-	if err := w.Close(); err != nil {
+	if err := st.w.Close(); err != nil {
 		panic(fmt.Sprintf("compress: zlib close: %v", err))
 	}
-	return buf.Bytes()
+	out := append([]byte(nil), st.buf.Bytes()...)
+	pool.Put(st)
+	return out
 }
 
 // Decompress implements Codec.

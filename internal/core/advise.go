@@ -37,7 +37,7 @@ func Advise(x *Exec) (*Advice, error) {
 	member := make([]bool, x.Dep.N())
 	tupleBytes := 0
 	for id, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			member[id] = true
 			if nd.tupleBytes > tupleBytes {
 				tupleBytes = nd.tupleBytes
@@ -63,17 +63,17 @@ func Advise(x *Exec) (*Advice, error) {
 		// actual filter size, actual contributing fraction.
 		var keys []zorder.Key
 		for _, nd := range p.nodes {
-			if nd != nil {
+			if nd.flags != 0 {
 				keys = append(keys, nd.key)
 			}
 		}
 		keys = quadtree.NormalizeKeys(keys)
 		if p.members > 0 && p.rawTupleBytes > 0 {
-			params.QuadFactor = float64(p.codec().Encode(keys).ByteLen()) /
+			params.QuadFactor = float64(p.codec().SizeBytes(keys)) /
 				float64(p.members*p.rawTupleBytes)
 		}
 		filter := computeFilter(p, keys, true)
-		params.FilterBytes = p.codec().Encode(filter).ByteLen()
+		params.FilterBytes = p.codec().SizeBytes(filter)
 		truth, _ := exactJoinContribution(x, p)
 		if p.members > 0 {
 			params.Fraction = float64(truth) / float64(p.members)
@@ -99,7 +99,7 @@ func Advise(x *Exec) (*Advice, error) {
 func exactJoinContribution(x *Exec, p *plan) (int, error) {
 	var tuples []finalTuple
 	for id, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}

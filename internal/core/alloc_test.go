@@ -24,7 +24,7 @@ func filterFixture(t *testing.T, src string) (*plan, []zorder.Key) {
 	}
 	var keys []zorder.Key
 	for _, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			keys = append(keys, nd.key)
 		}
 	}
@@ -68,7 +68,8 @@ func TestComputeFilterAllocs(t *testing.T) {
 // doubling, so the count bound is per thousand rows, not absolute.
 func TestJoinKernelEmitAllocs(t *testing.T) {
 	x := kernelExec(t, "SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B WHERE A.temp - B.temp > 4 ONCE")
-	tuples := benchTuples(800)
+	tuples, cols := benchTuples(800)
+	x.setColumns(cols)
 	rows, _ := exactJoin(x, tuples)
 	if len(rows) < 200000 {
 		t.Fatalf("fixture drifted: %d rows, want > 200000", len(rows))

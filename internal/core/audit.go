@@ -181,7 +181,7 @@ func groundTruthContributors(x *Exec) (map[topology.NodeID]bool, error) {
 	}
 	var tuples []finalTuple
 	for id := 1; id < x.Dep.N(); id++ {
-		if p.nodes[id] != nil {
+		if p.nodes[id].flags != 0 {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}

@@ -23,7 +23,7 @@ func filterKeysOf(t *testing.T, r *Runner, src string, useIndex bool) []zorder.K
 	}
 	var keys []zorder.Key
 	for _, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			keys = append(keys, nd.key)
 		}
 	}
@@ -167,7 +167,7 @@ func benchFilter(b *testing.B, useIndex bool) {
 	}
 	var keys []zorder.Key
 	for _, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			keys = append(keys, nd.key)
 		}
 	}

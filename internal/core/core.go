@@ -88,8 +88,14 @@ type Exec struct {
 	Query    *query.Query
 	Analysis *query.Analysis
 
-	// Time is the sampling instant of this execution's snapshot.
+	// Time is the sampling instant of this execution's snapshot. Dep, Env
+	// and Time are fixed once the execution reads its first value (see
+	// snapshot).
 	Time float64
+	// snap is the execution's snapshot, resolved on first use and held to
+	// the end: whatever other instants the environment is asked for in the
+	// meantime, this execution samples each attribute at most once.
+	snap *field.Snapshot
 
 	// Trace records protocol-level span events (phase transitions,
 	// Treecut exits, prune decisions, ...). A nil recorder is a no-op,
@@ -101,6 +107,13 @@ type Exec struct {
 	// phaseOpen pairs phase-start times with their ends for the duration
 	// histograms; per-execution state, so concurrent runs never share it.
 	phaseOpen map[string]float64
+
+	// cols, when non-nil, replaces the environment snapshot as the source
+	// of sensor values (attribute name -> values by node id; every name
+	// the query reads must be present). It is a test fake, set only by
+	// setColumns in the kernel tests to join synthetic tuples, NaN and
+	// infinities included, which no environment produces.
+	cols map[string][]float64
 
 	// Workers parallelizes the per-node setup work of buildPlan without
 	// changing its output (0/1 = sequential). Set from
@@ -134,6 +147,28 @@ func (x *Exec) span(k trace.Kind, node, peer topology.NodeID, phase string, arg 
 	at := x.Sim.NodeNow(node)
 	x.Trace.Span(at, k, node, peer, phase, arg)
 	x.Metrics.observeSpan(x, at, k, phase)
+}
+
+// snapshot returns the execution's snapshot (environment, node positions,
+// Time): shared with every other execution at the same instant while the
+// environment remembers it, and pinned here so that this execution keeps
+// it regardless. Only buildPlan (before the simulation starts) and the
+// base station's join (after the collection) read values, one at a time,
+// so the lazy assignment needs no lock.
+func (x *Exec) snapshot() *field.Snapshot {
+	if x.snap == nil {
+		x.snap = x.Env.Snapshot(x.Dep.Pos, x.Time)
+	}
+	return x.snap
+}
+
+// column returns attribute name's sampled values indexed by node id.
+// Resolve a column once per plan or kernel call, then index it.
+func (x *Exec) column(name string) []float64 {
+	if x.cols != nil {
+		return x.cols[name]
+	}
+	return x.snapshot().Column(name)
 }
 
 // NewExec validates and assembles an execution context.

@@ -27,7 +27,7 @@ func Explain(x *Exec) (string, error) {
 		members := 0
 		flag := zorder.FlagFor(i, len(x.Query.From))
 		for _, nd := range p.nodes {
-			if nd != nil && nd.flags&flag != 0 {
+			if nd.flags&flag != 0 {
 				members++
 			}
 		}
@@ -73,7 +73,7 @@ func Explain(x *Exec) (string, error) {
 	// Snapshot-dependent estimates.
 	var keys []zorder.Key
 	for _, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			keys = append(keys, nd.key)
 		}
 	}
@@ -87,7 +87,7 @@ func Explain(x *Exec) (string, error) {
 	filter := computeFilter(p, keys, true)
 	fmt.Fprintf(&b, "  join filter: %d keys (%.1f%% of distinct), %d bytes encoded\n",
 		len(filter), 100*float64(len(filter))/float64(maxInt(1, len(keys))),
-		p.codec().Encode(filter).ByteLen())
+		p.codec().SizeBytes(filter))
 	return b.String(), nil
 }
 

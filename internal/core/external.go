@@ -58,7 +58,7 @@ func (External) Run(x *Exec) (*Result, error) {
 func collectionSlot(x *Exec, p *plan) float64 {
 	maxTuple := 0
 	for _, nd := range p.nodes {
-		if nd != nil && nd.tupleBytes > maxTuple {
+		if nd.tupleBytes > maxTuple { // 0 for non-members
 			maxTuple = nd.tupleBytes
 		}
 	}

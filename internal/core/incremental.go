@@ -37,7 +37,8 @@ const (
 // filterMsg is the Filter-Dissemination payload. Wire sizes: a full
 // filter is the representation of keys; a delta is the representation of
 // adds plus dels plus a 2-byte sequence header; assume-all is a 1-byte
-// marker.
+// marker. The sender sizes a message once, when it builds it; everyone
+// downstream reads the sizes off the message.
 type filterMsg struct {
 	mode    int
 	seq     int
@@ -45,7 +46,16 @@ type filterMsg struct {
 	keys    []zorder.Key // fmFull
 	adds    []zorder.Key // fmDelta
 	dels    []zorder.Key // fmDelta
+	// size is the message's wire size.
+	size int
+	// setBytes is the representation size of the full key set the
+	// message stands for — keys, or what a receiver reconstructs from a
+	// delta — which is what a receiver holds in memory. 0 for assume-all.
+	setBytes int
 }
+
+// assumeAllMsg is the 1-byte conservative-mode marker.
+func assumeAllMsg() *filterMsg { return &filterMsg{mode: fmAssumeAll, size: 1} }
 
 // contState is the cross-round memory of the incremental mode, indexed
 // by node id.
@@ -103,38 +113,26 @@ func NewContinuousSENSJoin() *SENSJoin {
 	return &SENSJoin{cont: newContState(0)}
 }
 
-// filterMsgSize computes the wire size of a filter message under the
-// configured representation.
-func filterMsgSize(p *plan, o Options, m *filterMsg) int {
-	switch m.mode {
-	case fmDelta:
-		return o.Rep.SetBytes(p, m.adds) + o.Rep.SetBytes(p, m.dels) + 2
-	case fmAssumeAll:
-		return 1
-	default:
-		return o.Rep.SetBytes(p, m.keys)
-	}
-}
-
 // buildFilterMsg chooses between a full filter and a delta against the
-// node's previous broadcast, updating the sender-side state.
-func (s *SENSJoin) buildFilterMsg(p *plan, o Options, id topology.NodeID, sub []zorder.Key, childNeedsFull bool) *filterMsg {
+// node's previous broadcast, updating the sender-side state. subBytes is
+// Rep.SetBytes(sub), which every caller has at hand (the base station
+// needs it for the phase-B slot, a forwarding node read it off the
+// message it is pruning).
+func (s *SENSJoin) buildFilterMsg(p *plan, o Options, id topology.NodeID, sub []zorder.Key, subBytes int, childNeedsFull bool) *filterMsg {
+	msg := &filterMsg{mode: fmFull, keys: sub, size: subBytes, setBytes: subBytes}
 	if s.cont == nil {
-		return &filterMsg{mode: fmFull, keys: sub}
+		return msg
 	}
 	c := s.cont
-	full := &filterMsg{mode: fmFull, keys: sub, seq: c.seq[id] + 1}
-	msg := full
+	msg.seq = c.seq[id] + 1
 	if !childNeedsFull && c.prevSent[id] != nil {
-		delta := &filterMsg{
-			mode:    fmDelta,
-			seq:     c.seq[id] + 1,
-			baseSeq: c.seq[id],
-			adds:    c.scratch.diff(sub, c.prevSent[id]),
-			dels:    c.scratch.diff(c.prevSent[id], sub),
-		}
-		if filterMsgSize(p, o, delta) < filterMsgSize(p, o, full) {
-			msg = delta
+		adds := c.scratch.diff(sub, c.prevSent[id])
+		dels := c.scratch.diff(c.prevSent[id], sub)
+		if size := o.Rep.SetBytes(p, adds) + o.Rep.SetBytes(p, dels) + 2; size < subBytes {
+			msg = &filterMsg{
+				mode: fmDelta, seq: msg.seq, baseSeq: c.seq[id],
+				adds: adds, dels: dels, size: size, setBytes: subBytes,
+			}
 		}
 	}
 	c.seq[id]++

@@ -78,12 +78,14 @@ func TestBuildFilterMsgAllocs(t *testing.T) {
 	s.cont = s.cont.ensure(len(p.nodes))
 	// Prime the sender state so the next call takes the delta path, and
 	// drift a few keys so the delta is non-empty.
-	s.buildFilterMsg(p, o, 0, keys, false)
+	s.buildFilterMsg(p, o, 0, keys, o.Rep.SetBytes(p, keys), false)
 	drifted := append([]zorder.Key(nil), keys[:len(keys)-3]...)
+
+	driftedBytes := o.Rep.SetBytes(p, drifted)
 
 	allocs := testing.AllocsPerRun(100, func() {
 		s.cont.scratch.reset()
-		s.buildFilterMsg(p, o, 0, drifted, false)
+		s.buildFilterMsg(p, o, 0, drifted, driftedBytes, false)
 	})
 	if allocs > 8 {
 		t.Errorf("buildFilterMsg (delta): %.0f allocs/run, want <= 8", allocs)

@@ -330,17 +330,19 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 	selects := prog.selects
 	groupBy := prog.groupBy
 
-	// Extract each candidate tuple's referenced values once (one map
-	// lookup per tuple per attribute, not per combination).
+	// Extract each candidate tuple's referenced values once: one read
+	// per tuple per attribute from the snapshot column, not per
+	// combination.
 	lens := make([]int, n)
 	pre := make([][]float64, n)
 	for level, ts := range byAlias {
 		lens[level] = len(ts)
 		slots := slotsOf[level]
 		flat := make([]float64, len(ts)*len(slots))
-		for ti, t := range ts {
-			for k, s := range slots {
-				flat[ti*len(slots)+k] = t.vals[s.name]
+		for k, s := range slots {
+			col := x.column(s.name)
+			for ti, t := range ts {
+				flat[ti*len(slots)+k] = col[t.node]
 			}
 		}
 		pre[level] = flat

@@ -78,7 +78,7 @@ func exactJoinReference(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeI
 		flat := make([]float64, len(ts)*len(slots))
 		for ti, t := range ts {
 			for k, s := range slots {
-				flat[ti*len(slots)+k] = t.vals[s.name]
+				flat[ti*len(slots)+k] = x.column(s.name)[t.node]
 			}
 		}
 		pre[level] = flat
@@ -157,6 +157,11 @@ func exactJoinReference(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeI
 
 // kernelExec builds an Exec that exercises only the base-station join
 // (no simulator, no catalog).
+// setColumns makes x read sensor values from cols (attribute name ->
+// values by node id) instead of an environment snapshot: the kernel tests
+// join synthetic tuples. Every attribute the query reads must be present.
+func (x *Exec) setColumns(cols map[string][]float64) { x.cols = cols }
+
 func kernelExec(t testing.TB, src string) *Exec {
 	t.Helper()
 	q, err := query.Parse(src)
@@ -171,23 +176,28 @@ func kernelExec(t testing.TB, src string) *Exec {
 }
 
 // kernelTuples synthesizes count tuples with the standard attributes,
-// random alias membership and deterministic values.
-func kernelTuples(rng *rand.Rand, count, nAliases int) []finalTuple {
-	attrs := []string{"temp", "hum", "pres", "light", "x", "y", "bucket"}
+// random alias membership and deterministic values. Tuples carry only a
+// node id; the values come back as columns indexed by node id, for the
+// joining Exec's cols.
+func kernelTuples(rng *rand.Rand, count, nAliases int) ([]finalTuple, map[string][]float64) {
+	cols := make(map[string][]float64)
+	for _, name := range []string{"temp", "hum", "pres", "light", "x", "y", "bucket"} {
+		cols[name] = make([]float64, count+1)
+	}
 	tuples := make([]finalTuple, 0, count)
 	for i := 0; i < count; i++ {
-		vals := make(map[string]float64, len(attrs))
-		vals["temp"] = rng.Float64() * 40
-		vals["hum"] = 30 + rng.Float64()*60
-		vals["pres"] = 990 + rng.Float64()*40
-		vals["light"] = rng.Float64() * 1000
-		vals["x"] = rng.Float64() * 1000
-		vals["y"] = rng.Float64() * 1000
-		vals["bucket"] = math.Floor(vals["temp"])
+		id := i + 1
+		cols["temp"][id] = rng.Float64() * 40
+		cols["hum"][id] = 30 + rng.Float64()*60
+		cols["pres"][id] = 990 + rng.Float64()*40
+		cols["light"][id] = rng.Float64() * 1000
+		cols["x"][id] = rng.Float64() * 1000
+		cols["y"][id] = rng.Float64() * 1000
+		cols["bucket"][id] = math.Floor(cols["temp"][id])
 		flags := uint64(rng.Intn(1<<nAliases-1) + 1)
-		tuples = append(tuples, finalTuple{node: topology.NodeID(i + 1), flags: flags, vals: vals})
+		tuples = append(tuples, finalTuple{node: topology.NodeID(id), flags: flags})
 	}
-	return tuples
+	return tuples, cols
 }
 
 func rowsEqual(a, b []Row) bool {
@@ -299,7 +309,8 @@ func TestJoinKernelMatchesNestedLoop(t *testing.T) {
 		if nAliases == 3 {
 			count = 20 + rng.Intn(40)
 		}
-		tuples := kernelTuples(rng, count, nAliases)
+		tuples, cols := kernelTuples(rng, count, nAliases)
+		x.setColumns(cols)
 
 		gotRows, gotContrib := exactJoin(x, tuples)
 		wantRows, wantContrib := exactJoinReference(x, tuples)
@@ -325,19 +336,20 @@ func TestJoinKernelSpecialValues(t *testing.T) {
 	specials := []float64{0, math.Copysign(0, -1), 1, -1, 2, 1.5,
 		math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
 	var tuples []finalTuple
-	id := 1
+	temp := []float64{0} // node 0 is the base station
 	for _, v := range specials {
 		for alias := 0; alias < 2; alias++ {
 			tuples = append(tuples, finalTuple{
-				node:  topology.NodeID(id),
+				node:  topology.NodeID(len(temp)),
 				flags: zorder.FlagFor(alias, 2),
-				vals:  map[string]float64{"temp": v},
 			})
-			id++
+			temp = append(temp, v)
 		}
 	}
+	cols := map[string][]float64{"temp": temp}
 	for _, src := range queries {
 		x := kernelExec(t, src)
+		x.setColumns(cols)
 		gotRows, gotContrib := exactJoin(x, tuples)
 		wantRows, wantContrib := exactJoinReference(x, tuples)
 		if !rowsEqual(gotRows, wantRows) {
@@ -363,7 +375,7 @@ func capturePlans(fn func()) []joinPlanInfo {
 // streaming scan for residual-only joins.
 func TestJoinPlannerAccessPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tuples := kernelTuples(rng, 80, 2)
+	tuples, cols := kernelTuples(rng, 80, 2)
 	cases := []struct {
 		where    string
 		paths    []string
@@ -379,6 +391,7 @@ func TestJoinPlannerAccessPaths(t *testing.T) {
 	for _, c := range cases {
 		src := "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE " + c.where + " ONCE"
 		x := kernelExec(t, src)
+		x.setColumns(cols)
 		plans := capturePlans(func() { exactJoin(x, tuples) })
 		if len(plans) != 1 {
 			t.Fatalf("%q: %d plans, want 1", c.where, len(plans))
@@ -397,10 +410,11 @@ func TestJoinPlannerAccessPaths(t *testing.T) {
 // level, and every level after the first must be indexed.
 func TestJoinPlannerThreeWayChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	tuples := kernelTuples(rng, 40, 3)
+	tuples, cols := kernelTuples(rng, 40, 3)
 	src := "SELECT A.temp FROM Sensors A, Sensors B, Sensors C " +
 		"WHERE A.bucket = B.bucket AND abs(B.temp - C.temp) < 2 ONCE"
 	x := kernelExec(t, src)
+	x.setColumns(cols)
 	plans := capturePlans(func() { exactJoin(x, tuples) })
 	if len(plans) != 1 {
 		t.Fatalf("%d plans, want 1", len(plans))
@@ -422,19 +436,20 @@ func TestJoinPlannerThreeWayChain(t *testing.T) {
 // benchTuples builds a realistic base-station tuple set: one tuple per
 // node, all nodes in both aliases (the experiment workloads are
 // self-joins).
-func benchTuples(count int) []finalTuple {
+func benchTuples(count int) ([]finalTuple, map[string][]float64) {
 	rng := rand.New(rand.NewSource(7))
-	tuples := kernelTuples(rng, count, 2)
+	tuples, cols := kernelTuples(rng, count, 2)
 	for i := range tuples {
 		tuples[i].flags = zorder.FlagFor(0, 2) | zorder.FlagFor(1, 2)
 	}
-	return tuples
+	return tuples, cols
 }
 
 func benchmarkJoin(b *testing.B, src string, count int,
 	join func(*Exec, []finalTuple) ([]Row, map[topology.NodeID]bool)) {
 	x := kernelExec(b, src)
-	tuples := benchTuples(count)
+	tuples, cols := benchTuples(count)
+	x.setColumns(cols)
 	rows, _ := join(x, tuples)
 	b.ReportMetric(float64(len(rows)), "rows")
 	b.ResetTimer()

@@ -308,7 +308,7 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 	// bitmaps riding on a worst-case packet.
 	maxTuple := 0
 	for _, nd := range p0.nodes {
-		if nd != nil && nd.tupleBytes > maxTuple {
+		if nd.tupleBytes > maxTuple { // 0 for non-members
 			maxTuple = nd.tupleBytes
 		}
 	}
@@ -384,9 +384,9 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 		x0.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
 		x0.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
 		bs := &states[topology.BaseStation]
-		bsKeys := bs.keysIn
+		bsKeys := keySet{keys: bs.keysIn}
 		for _, tt := range bs.fullsIn {
-			bsKeys = quadtree.UnionKeys(bsKeys, []zorder.Key{p0.keyOf(tt)})
+			bsKeys.add(p0.keyOf(tt))
 		}
 		completeA = bs.coverIn+len(bs.fullsIn) == p0.members
 
@@ -394,16 +394,17 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 		// union plus per-key membership masks.
 		var union []zorder.Key
 		for j := range execs {
-			filters[j] = computeFilter(plans[j], bsKeys, !o.DisableBandIndex)
+			filters[j] = computeFilter(plans[j], bsKeys.keys, !o.DisableBandIndex)
 			union = quadtree.UnionKeys(union, filters[j])
 		}
 		masks := maskAlign(union, filters)
-		filterBytes := o.Rep.SetBytes(p0, union) + maskBytes(len(union), m)
+		unionBytes := o.Rep.SetBytes(p0, union)
+		filterBytes := unionBytes + maskBytes(len(union), m)
 		x0.Metrics.observeFilter(len(union), filterBytes)
 
 		if len(union) > 0 && bs.activeChildren > 0 {
-			fm := s.buildFilterMsg(p0, o, topology.BaseStation, union, bs.childNeedsFull)
-			g.sendGroupFilter(x0, p0, o, topology.BaseStation, &bs.sensNode, &groupFilterMsg{fm: fm, masks: masks}, m)
+			fm := s.buildFilterMsg(p0, o, topology.BaseStation, union, unionBytes, bs.childNeedsFull)
+			g.sendGroupFilter(x0, topology.BaseStation, &bs.sensNode, &groupFilterMsg{fm: fm, masks: masks}, m)
 		}
 
 		slotB := x0.Net.SlotFor(filterBytes + 32)
@@ -546,22 +547,21 @@ func (g *QueryGroup) onGroupFilter(x *Exec, p *plan, o Options, s *SENSJoin,
 		ok = false
 	}
 	if !ok {
-		if p.nodes[id] != nil {
+		if p.nodes[id].flags != 0 {
 			st.ownMask = fullMask
 		}
 		for _, tt := range st.proxied {
 			st.proxyG = append(st.proxyG, groupTuple{t: tt, mask: fullMask})
 		}
 		if st.activeChildren > 0 {
-			all := &groupFilterMsg{fm: &filterMsg{mode: fmAssumeAll}}
-			g.sendGroupFilter(x, p, o, id, &st.sensNode, all, m)
+			g.sendGroupFilter(x, id, &st.sensNode, &groupFilterMsg{fm: assumeAllMsg()}, m)
 		}
 		return
 	}
 
 	masks := gm.masks
-	st.memFilterBytes = o.Rep.SetBytes(p, filter) + maskBytes(len(filter), m)
-	if nd := p.nodes[id]; nd != nil {
+	st.memFilterBytes = gm.fm.setBytes + maskBytes(len(filter), m)
+	if nd := &p.nodes[id]; nd.flags != 0 {
 		if i := findKey(filter, nd.key); i >= 0 {
 			st.ownMask = masks[i] // present keys always carry a non-zero mask
 		} else {
@@ -589,14 +589,18 @@ func (g *QueryGroup) onGroupFilter(x *Exec, p *plan, o Options, s *SENSJoin,
 	if len(sub) == 0 {
 		return
 	}
-	out := s.buildFilterMsg(p, o, id, sub, st.childNeedsFull)
-	g.sendGroupFilter(x, p, o, id, &st.sensNode, &groupFilterMsg{fm: out, masks: subMasks}, m)
+	subBytes := gm.fm.setBytes // sub ⊆ filter: equal lengths, equal sets
+	if len(sub) != len(filter) {
+		subBytes = o.Rep.SetBytes(p, sub)
+	}
+	out := s.buildFilterMsg(p, o, id, sub, subBytes, st.childNeedsFull)
+	g.sendGroupFilter(x, id, &st.sensNode, &groupFilterMsg{fm: out, masks: subMasks}, m)
 }
 
 // sendGroupFilter transmits a merged filter message like sendFilter,
 // charging the mask bytes on top of the (possibly delta) key set.
-func (g *QueryGroup) sendGroupFilter(x *Exec, p *plan, o Options, id topology.NodeID, st *sensNode, gm *groupFilterMsg, m int) {
-	size := filterMsgSize(p, o, gm.fm)
+func (g *QueryGroup) sendGroupFilter(x *Exec, id topology.NodeID, st *sensNode, gm *groupFilterMsg, m int) {
+	size := gm.fm.size
 	bitmap := 0
 	if gm.fm.mode != fmAssumeAll {
 		bitmap = maskBytes(len(gm.masks), m)

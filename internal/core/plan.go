@@ -13,15 +13,16 @@ import (
 )
 
 // nodeData is the per-node view of one execution: which aliases the node
-// contributes to, its sensor values, its quantized join-attribute key,
-// and the wire size of its complete (shipped) tuple.
+// contributes to, its quantized join-attribute key, and the wire size of
+// its complete (shipped) tuple. Sensor values are not stored per node:
+// they are read by node id from the execution's snapshot columns
+// (Exec.column).
 type nodeData struct {
 	// flags has bit zorder.FlagFor(i, nAliases) set when the node
-	// belongs to FROM entry i and passes its local predicates.
+	// belongs to FROM entry i and passes its local predicates. Zero
+	// means the node contributes no tuple (the base station, dead nodes,
+	// non-members).
 	flags uint64
-	// vals maps attribute names to the sampled values (shipped and
-	// join attributes).
-	vals map[string]float64
 	// key is the quantized join-attribute tuple (valid when flags != 0
 	// and the query has join attributes).
 	key zorder.Key
@@ -38,9 +39,9 @@ type plan struct {
 	dims []string
 	// dimIndex maps a dimension name to its grid index.
 	dimIndex map[string]int
-	// nodes[id] is nil for the base station and for nodes that belong
-	// to no relation.
-	nodes []*nodeData
+	// nodes[id] is the zero nodeData (flags == 0) for the base station
+	// and for nodes that belong to no relation.
+	nodes []nodeData
 	// shippedByFlags caches the sorted attribute union per flag mask.
 	shippedByFlags map[uint64][]string
 	// members counts nodes with non-zero flags.
@@ -52,25 +53,106 @@ type plan struct {
 	qt *quadtree.Codec
 }
 
-// buildPlan samples the snapshot (each sensor read exactly once, §IV-D)
-// and derives every node's flags, key and tuple size.
+// planFiller derives nodeData for a range of nodes. Everything it reads
+// is shared and read-only (snapshot columns, compiled predicates, the
+// pre-warmed shipped cache); vals and coords are its own scratch, so
+// disjoint id ranges can be filled by one filler each in parallel.
+type planFiller struct {
+	p *plan
+	// preds[i] is FROM entry i's compiled local predicate (nil: none)
+	// over predCols, the columns its slots resolve to.
+	preds    []query.CompiledBool
+	predCols [][]float64
+	dimCols  [][]float64
+	vals     []float64
+	coords   []uint32
+}
+
+// fork returns a filler sharing f's read-only inputs with scratch of its
+// own.
+func (f *planFiller) fork() *planFiller {
+	c := *f
+	c.vals = make([]float64, len(f.vals))
+	c.coords = make([]uint32, len(f.coords))
+	return &c
+}
+
+// fill derives nodes [lo, hi) and returns how many are members.
+func (f *planFiller) fill(lo, hi int) int {
+	p, x := f.p, f.p.x
+	n := len(x.Query.From)
+	members := 0
+	var lastFlags uint64
+	lastBytes := 0
+	for id := lo; id < hi; id++ {
+		nid := topology.NodeID(id)
+		if x.Net != nil && !x.Net.Alive(nid) {
+			continue // a dead node contributes no tuple
+		}
+		var flags uint64
+		loaded := false
+		for i, ref := range x.Query.From {
+			if x.Member != nil && !x.Member(nid, ref.Relation) {
+				continue
+			}
+			if pred := f.preds[i]; pred != nil {
+				if !loaded {
+					for k, col := range f.predCols {
+						f.vals[k] = col[id]
+					}
+					loaded = true
+				}
+				if !pred(f.vals) {
+					continue
+				}
+			}
+			flags |= zorder.FlagFor(i, n)
+		}
+		if flags == 0 {
+			continue
+		}
+		nd := &p.nodes[id]
+		nd.flags = flags
+		if p.grid != nil {
+			for j, d := range p.grid.Dims {
+				f.coords[j] = d.Cell(f.dimCols[j][id])
+			}
+			nd.key = p.grid.Interleave(flags, f.coords)
+		}
+		if flags != lastFlags {
+			lastFlags, lastBytes = flags, relation.TupleBytes(len(p.shipped(flags)))
+		}
+		nd.tupleBytes = lastBytes
+		members++
+	}
+	return members
+}
+
+// buildPlan derives every node's flags, key and tuple size from the
+// execution's snapshot (each sensor read exactly once, §IV-D — and, the
+// snapshot being shared, once for every execution at this instant). It
+// allocates per plan, never per node.
 func buildPlan(x *Exec) (*plan, error) {
 	n := len(x.Query.From)
 	a := x.Analysis
+	for _, ref := range x.Query.From {
+		if _, err := x.Catalog.Lookup(ref.Relation); err != nil {
+			return nil, err
+		}
+	}
 
 	// Join-attribute dimensions: the union of join-attribute names over
 	// all FROM entries, quantized per the first schema defining them.
 	var dims []zorder.Dim
 	dimIndex := make(map[string]int)
 	var dimNames []string
-	nameSet := make(map[string]bool)
 	for i := range x.Query.From {
 		for _, name := range a.JoinAttrs[i] {
-			nameSet[name] = true
+			if _, seen := dimIndex[name]; !seen {
+				dimIndex[name] = -1 // placed once the names are sorted
+				dimNames = append(dimNames, name)
+			}
 		}
-	}
-	for name := range nameSet {
-		dimNames = append(dimNames, name)
 	}
 	sort.Strings(dimNames)
 	for _, name := range dimNames {
@@ -94,12 +176,13 @@ func buildPlan(x *Exec) (*plan, error) {
 		}
 	}
 
+	total := x.Dep.N()
 	p := &plan{
 		x:              x,
 		grid:           grid,
 		dims:           dimNames,
 		dimIndex:       dimIndex,
-		nodes:          make([]*nodeData, x.Dep.N()),
+		nodes:          make([]nodeData, total),
 		shippedByFlags: make(map[uint64][]string),
 		rawTupleBytes:  relation.TupleBytes(len(dimNames)),
 	}
@@ -110,126 +193,75 @@ func buildPlan(x *Exec) (*plan, error) {
 		p.codec()
 	}
 
-	// Attributes any member node may need: shipped plus join attrs.
-	needed := make(map[string]bool)
+	// Local predicates compile to closures over one slot per attribute
+	// name (a local predicate only references its own alias, so the name
+	// identifies the column).
+	var predNames []string
+	resolve := func(ref query.AttrRef) int {
+		for k, name := range predNames {
+			if name == ref.Name {
+				return k
+			}
+		}
+		predNames = append(predNames, ref.Name)
+		return len(predNames) - 1
+	}
+	f := &planFiller{p: p, preds: make([]query.CompiledBool, n)}
 	for i := range x.Query.From {
-		for _, name := range a.ShippedAttrs[i] {
-			needed[name] = true
+		if pred := a.LocalPredicate(i); pred != nil {
+			f.preds[i] = query.CompileBool(pred, resolve)
 		}
-	}
-	for _, name := range dimNames {
-		needed[name] = true
 	}
 
-	// fill samples one node; it writes only p.nodes[id] and reports
-	// whether the node is a member. All reads (environment, catalog,
-	// predicates, the pre-warmed shipped cache) are concurrency-safe, so
-	// disjoint id ranges can run in parallel.
-	fill := func(id int) (bool, error) {
-		nid := topology.NodeID(id)
-		if x.Net != nil && !x.Net.Alive(nid) {
-			return false, nil // a dead node contributes no tuple
-		}
-		var flags uint64
-		vals := make(map[string]float64, len(needed))
-		read := func(name string) float64 {
-			v, ok := vals[name]
-			if !ok {
-				v = x.Env.Read(name, x.Dep.Pos[id], x.Time)
-				vals[name] = v
-			}
-			return v
-		}
-		for i, ref := range x.Query.From {
-			if x.Member != nil && !x.Member(nid, ref.Relation) {
-				continue
-			}
-			if _, err := x.Catalog.Lookup(ref.Relation); err != nil {
-				return false, err
-			}
-			pred := a.LocalPredicate(i)
-			if pred != nil {
-				env := query.SingleEnv{Rel: i, Lookup: read}
-				if !pred.Eval(env) {
-					continue
-				}
-			}
-			flags |= zorder.FlagFor(i, n)
-		}
-		if flags == 0 {
-			return false, nil
-		}
-		for name := range needed {
-			read(name)
-		}
-		nd := &nodeData{flags: flags, vals: vals}
-		if grid != nil {
-			joinVals := make([]float64, len(dimNames))
-			for j, name := range dimNames {
-				joinVals[j] = vals[name]
-			}
-			nd.key = grid.Encode(flags, joinVals)
-		}
-		nd.tupleBytes = relation.TupleBytes(len(p.shipped(flags)))
-		p.nodes[id] = nd
-		return true, nil
-	}
-
-	total := x.Dep.N()
 	workers := x.Workers
 	// Membership callbacks are arbitrary user code with no thread-safety
 	// contract, so they force the sequential path.
-	if workers > 1 && total >= 4096 && n <= 8 && x.Member == nil {
-		// Pre-warm the shipped cache for every possible mask: the
-		// parallel workers then only read it.
+	parallel := workers > 1 && total >= 4096 && n <= 8 && x.Member == nil
+	if parallel {
+		// A cold snapshot of a large deployment is filled by the same
+		// workers, and the shipped cache is pre-warmed for every possible
+		// mask so that they only read it.
+		names := append(append([]string(nil), predNames...), dimNames...)
+		x.snapshot().Fill(workers, names...)
 		for mask := uint64(1); mask < uint64(1)<<n; mask++ {
 			p.shipped(mask)
 		}
-		chunk := (total - 1 + workers - 1) / workers
-		counts := make([]int, workers)
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := 1 + w*chunk
-			hi := lo + chunk
-			if lo > total {
-				lo = total
-			}
-			if hi > total {
-				hi = total
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				for id := lo; id < hi; id++ {
-					member, err := fill(id)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if member {
-						counts[w]++
-					}
-				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			if errs[w] != nil {
-				return nil, errs[w]
-			}
-			p.members += counts[w]
-		}
+	}
+	// Columns are resolved once per plan, not per node or per read.
+	for _, name := range predNames {
+		f.predCols = append(f.predCols, x.column(name))
+	}
+	for _, name := range dimNames {
+		f.dimCols = append(f.dimCols, x.column(name))
+	}
+	f.vals = make([]float64, len(predNames))
+	f.coords = make([]uint32, len(dimNames))
+
+	if !parallel {
+		p.members = f.fill(1, total)
 		return p, nil
 	}
-	for id := 1; id < total; id++ {
-		member, err := fill(id)
-		if err != nil {
-			return nil, err
+	chunk := (total - 1 + workers - 1) / workers
+	counts := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		lo := 1 + w*chunk
+		hi := lo + chunk
+		if lo > total {
+			lo = total
 		}
-		if member {
-			p.members++
+		if hi > total {
+			hi = total
 		}
+		wg.Add(1)
+		go func(w, lo, hi int, f *planFiller) {
+			defer wg.Done()
+			counts[w] = f.fill(lo, hi)
+		}(w, lo, hi, f.fork())
+	}
+	wg.Wait()
+	for _, c := range counts {
+		p.members += c
 	}
 	return p, nil
 }
@@ -273,19 +305,24 @@ func (p *plan) shipped(flags uint64) []string {
 	return out
 }
 
-// tuple materializes the complete (shipped) tuple of a node for the final
-// result computation.
+// tuple returns the complete (shipped) tuple of a member node for the
+// final result computation.
 func (p *plan) tuple(id topology.NodeID) finalTuple {
-	nd := p.nodes[id]
-	return finalTuple{node: id, flags: nd.flags, vals: nd.vals, bytes: nd.tupleBytes}
+	nd := &p.nodes[id]
+	return finalTuple{node: id, flags: nd.flags, bytes: nd.tupleBytes}
 }
 
+// keyOf returns the join-attribute key of a complete tuple (the
+// projection a proxy performs in Fig. 2, line 22): the key its node was
+// assigned when the plan was built.
+func (p *plan) keyOf(t finalTuple) zorder.Key { return p.nodes[t.node].key }
+
 // finalTuple is a complete tuple in flight to the base station. Only
-// bytes is wire-visible; the rest is simulator-side content.
+// bytes is wire-visible; node stands for the tuple's content, which the
+// base station reads from the snapshot columns by node id.
 type finalTuple struct {
 	node  topology.NodeID
 	flags uint64
-	vals  map[string]float64
 	bytes int
 }
 

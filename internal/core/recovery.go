@@ -31,7 +31,7 @@ const maxRecoveryRounds = 3
 func contributorSet(x *Exec, p *plan) map[topology.NodeID]bool {
 	var tuples []finalTuple
 	for id := 1; id < x.Dep.N(); id++ {
-		if p.nodes[id] != nil {
+		if p.nodes[id].flags != 0 {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
@@ -43,7 +43,7 @@ func contributorSet(x *Exec, p *plan) map[topology.NodeID]bool {
 func memberSet(p *plan) map[topology.NodeID]bool {
 	out := make(map[topology.NodeID]bool)
 	for id, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			out[topology.NodeID(id)] = true
 		}
 	}
@@ -280,7 +280,7 @@ func recoverRound(x *Exec, p *plan, roots []topology.NodeID) []finalTuple {
 				return // the re-request never made it down; retry next round
 			}
 			tuples := inbox[id]
-			if p.nodes[id] != nil {
+			if p.nodes[id].flags != 0 {
 				tuples = append(tuples, p.tuple(id))
 			}
 			if len(tuples) == 0 {

@@ -69,7 +69,7 @@ func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include fun
 		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slot
 		x.Sim.ScheduleNode(id, id, deadline, func() {
 			tuples := inbox[id]
-			if p.nodes[id] != nil && (include == nil || include(id)) {
+			if p.nodes[id].flags != 0 && (include == nil || include(id)) {
 				tuples = append(tuples, p.tuple(id))
 			}
 			if len(tuples) == 0 {
@@ -163,7 +163,7 @@ func (m Mediated) Run(x *Exec) (*Result, error) {
 
 	// Phase 1: collect every member tuple at the mediator.
 	tuples := collectWave(x, p, medTree, PhaseMediatedCollect, nil)
-	if p.nodes[mediator] != nil {
+	if p.nodes[mediator].flags != 0 {
 		tuples = append(tuples, p.tuple(mediator))
 	}
 
@@ -201,7 +201,7 @@ func memberCentroidNode(x *Exec, p *plan) topology.NodeID {
 	var cx, cy float64
 	count := 0
 	for id, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			cx += x.Dep.Pos[id].X
 			cy += x.Dep.Pos[id].Y
 			count++
@@ -214,7 +214,7 @@ func memberCentroidNode(x *Exec, p *plan) topology.NodeID {
 	best := topology.BaseStation
 	bestD := math.Inf(1)
 	for id, nd := range p.nodes {
-		if nd == nil {
+		if nd.flags == 0 {
 			continue
 		}
 		if d := geom.Dist2(x.Dep.Pos[id], c); d < bestD {
@@ -280,7 +280,7 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 		}
 	}
 	aKeys = quadtree.NormalizeKeys(aKeys)
-	floodSize := p.codec().Encode(aKeys).ByteLen()
+	floodSize := p.codec().SizeBytes(aKeys)
 
 	// Phase 2: flood A's join-attribute values over the whole network
 	// (the semi-join has no subtree knowledge to prune with).
@@ -324,7 +324,7 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 	rows, contrib := exactJoin(x, all)
 	aMembers := 0
 	for _, nd := range p.nodes {
-		if nd != nil && nd.flags&aFlag != 0 {
+		if nd.flags&aFlag != 0 {
 			aMembers++
 		}
 	}

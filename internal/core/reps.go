@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"sensjoin/internal/compress"
 	"sensjoin/internal/quadtree"
@@ -40,6 +41,10 @@ type jaPayload struct {
 	// needFull asks the parent to transmit a full filter this round
 	// (incremental mode resynchronization); it rides in the header.
 	needFull bool
+	// keysBytes is Rep.SetBytes(keys) when the sender has already
+	// computed it (0: not known), so a representation whose payload is
+	// the key set does not size the same set twice.
+	keysBytes int
 }
 
 // QuadRep is the paper's quadtree representation.
@@ -48,13 +53,17 @@ type QuadRep struct{}
 // Name implements Rep.
 func (QuadRep) Name() string { return "quadtree" }
 
-// SetBytes implements Rep.
+// SetBytes implements Rep. The size is computed, not serialized: no
+// caller of Rep wants the bitstring.
 func (QuadRep) SetBytes(p *plan, keys []zorder.Key) int {
-	return p.codec().Encode(keys).ByteLen()
+	return p.codec().SizeBytes(keys)
 }
 
 // PayloadBytes implements Rep.
 func (q QuadRep) PayloadBytes(p *plan, pl *jaPayload) int {
+	if pl.keysBytes > 0 {
+		return pl.keysBytes
+	}
 	return q.SetBytes(p, pl.keys)
 }
 
@@ -87,31 +96,54 @@ func (c CompressedRep) Name() string { return c.Codec.Name() }
 
 // SetBytes implements Rep.
 func (c CompressedRep) SetBytes(p *plan, keys []zorder.Key) int {
-	return len(c.Codec.Compress(rawKeyBytes(p, keys, len(keys))))
+	return c.compressedBytes(p, keys, len(keys))
 }
 
 // PayloadBytes implements Rep.
 func (c CompressedRep) PayloadBytes(p *plan, pl *jaPayload) int {
-	return len(c.Codec.Compress(rawKeyBytes(p, pl.keys, pl.rawCount)))
+	return c.compressedBytes(p, pl.keys, pl.rawCount)
 }
 
-// rawKeyBytes materializes the raw wire image of a tuple stream: per
-// tuple, each dimension's cell coordinate as a 2-byte little-endian
+// compressedBytes is the compressed size of the raw tuple stream. The
+// compressor needs real input bytes (unlike the quadtree, its output
+// size is not computable without running it), but the input image is
+// scratch: it is built in a pooled buffer and dropped after the call.
+func (c CompressedRep) compressedBytes(p *plan, keys []zorder.Key, count int) int {
+	raw := rawBufPool.Get().(*rawBuf)
+	raw.b = appendRawKeyBytes(raw.b[:0], &raw.coords, p, keys, count)
+	n := len(c.Codec.Compress(raw.b))
+	rawBufPool.Put(raw)
+	return n
+}
+
+// rawBuf is the scratch of one compressedBytes call.
+type rawBuf struct {
+	b      []byte
+	coords []uint32
+}
+
+var rawBufPool = sync.Pool{New: func() any { return new(rawBuf) }}
+
+// appendRawKeyBytes appends the raw wire image of a tuple stream to dst:
+// per tuple, each dimension's cell coordinate as a 2-byte little-endian
 // value (the native fixed-point form a sensor ADC reports). count >
-// len(keys) repeats keys round-robin to model duplicates.
-func rawKeyBytes(p *plan, keys []zorder.Key, count int) []byte {
+// len(keys) repeats keys round-robin to model duplicates. coords is
+// deinterleaving scratch, grown as needed.
+func appendRawKeyBytes(dst []byte, coords *[]uint32, p *plan, keys []zorder.Key, count int) []byte {
 	if len(keys) == 0 || count <= 0 {
-		return nil
+		return dst
 	}
-	out := make([]byte, 0, count*p.rawTupleBytes)
+	if cap(*coords) < len(p.grid.Dims) {
+		*coords = make([]uint32, len(p.grid.Dims))
+	}
+	buf := (*coords)[:len(p.grid.Dims)]
 	for i := 0; i < count; i++ {
-		k := keys[i%len(keys)]
-		_, coords := p.grid.Deinterleave(k)
-		for _, c := range coords {
-			out = binary.LittleEndian.AppendUint16(out, uint16(c))
+		p.grid.DeinterleaveInto(keys[i%len(keys)], buf)
+		for _, c := range buf {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(c))
 		}
 	}
-	return out
+	return dst
 }
 
 // codec returns the quadtree codec for the plan's grid, built lazily.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/quadtree"
@@ -233,18 +234,18 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 		x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
 		x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
 		bs := &states[topology.BaseStation]
-		bsKeys := bs.keysIn
+		bsKeys := keySet{keys: bs.keysIn}
 		for _, t := range bs.fullsIn {
-			bsKeys = quadtree.UnionKeys(bsKeys, []zorder.Key{p.keyOf(t)})
+			bsKeys.add(p.keyOf(t))
 		}
 		completeA := bs.coverIn+len(bs.fullsIn) == p.members
-		filter := computeFilter(p, bsKeys, !o.DisableBandIndex)
+		filter := computeFilter(p, bsKeys.keys, !o.DisableBandIndex)
 		filterBytes := o.Rep.SetBytes(p, filter)
 		x.Metrics.observeFilter(len(filter), filterBytes)
 
 		if len(filter) > 0 && bs.activeChildren > 0 {
-			msg := s.buildFilterMsg(p, o, topology.BaseStation, filter, bs.childNeedsFull)
-			s.sendFilter(x, p, o, topology.BaseStation, bs, msg)
+			msg := s.buildFilterMsg(p, o, topology.BaseStation, filter, filterBytes, bs.childNeedsFull)
+			s.sendFilter(x, topology.BaseStation, bs, msg)
 		}
 
 		// Phase C schedule: after the filter has fully propagated. tB is
@@ -331,30 +332,50 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 // reliable unicast per child when hop-by-hop reliable transport is on —
 // ACKs need a single addressee, and an unconfirmed child is exactly the
 // stand-down signal scoped recovery keys on.
-func (s *SENSJoin) sendFilter(x *Exec, p *plan, o Options, id topology.NodeID, st *sensNode, msg *filterMsg) {
-	size := filterMsgSize(p, o, msg)
+func (s *SENSJoin) sendFilter(x *Exec, id topology.NodeID, st *sensNode, msg *filterMsg) {
 	if !x.Net.Reliable() {
 		x.Net.Send(netsim.Message{
 			Kind: kindFilter, Src: id, Dst: netsim.BroadcastID,
-			Phase: PhaseFilterDissem, Size: size, Payload: msg,
+			Phase: PhaseFilterDissem, Size: msg.size, Payload: msg,
 		})
 		return
 	}
 	for _, c := range st.children {
 		x.Net.Send(netsim.Message{
 			Kind: kindFilter, Src: id, Dst: c,
-			Phase: PhaseFilterDissem, Size: size, Payload: msg,
+			Phase: PhaseFilterDissem, Size: msg.size, Payload: msg,
 		})
 	}
 }
 
+// keySet grows a sorted key set by single keys. It starts as a borrowed
+// slice that other state still references (a node's inbox, its stored
+// subtree structure), so the first key that is actually new copies it —
+// once, with room for a few more — and later ones shift in place; keys
+// already present cost a binary search and nothing else.
+type keySet struct {
+	keys  []zorder.Key
+	owned bool
+}
+
+func (s *keySet) add(k zorder.Key) {
+	i := sort.Search(len(s.keys), func(j int) bool { return s.keys[j] >= k })
+	if i < len(s.keys) && s.keys[i] == k {
+		return
+	}
+	if !s.owned {
+		s.keys = append(make([]zorder.Key, 0, len(s.keys)+4), s.keys...)
+		s.owned = true
+	}
+	s.keys = append(s.keys, 0)
+	copy(s.keys[i+1:], s.keys[i:])
+	s.keys[i] = k
+}
+
 // forwardJoinAttrValues is Fig. 2 at one node's phase-A deadline.
 func (s *SENSJoin) forwardJoinAttrValues(x *Exec, p *plan, o Options, id topology.NodeID, st *sensNode) {
-	nd := p.nodes[id]
-	ownBytes := 0
-	if nd != nil {
-		ownBytes = nd.tupleBytes
-	}
+	nd := &p.nodes[id]
+	ownBytes := nd.tupleBytes // 0 for a non-member
 	fullBytes := 0
 	for _, t := range st.fullsIn {
 		fullBytes += t.bytes
@@ -364,7 +385,7 @@ func (s *SENSJoin) forwardJoinAttrValues(x *Exec, p *plan, o Options, id topolog
 	// and entirely made of complete tuples, keep sending complete tuples.
 	if !o.DisableTreecut && st.allFull && fullBytes+ownBytes <= o.Dmax {
 		tuples := st.fullsIn
-		if nd != nil {
+		if nd.flags != 0 {
 			tuples = append(append([]finalTuple(nil), tuples...), p.tuple(id))
 		}
 		st.cut = true
@@ -386,27 +407,31 @@ func (s *SENSJoin) forwardJoinAttrValues(x *Exec, p *plan, o Options, id topolog
 		x.span(trace.KindProxy, id, -1, PhaseJACollect, len(st.proxied))
 	}
 	st.memProxyBytes = fullBytes
-	if sb := o.Rep.SetBytes(p, st.keysIn); sb <= o.FilterMemLimit {
+	inBytes := o.Rep.SetBytes(p, st.keysIn)
+	if inBytes <= o.FilterMemLimit {
 		st.subtreeKeys = st.keysIn
-		st.memSubtreeBytes = sb
+		st.memSubtreeBytes = inBytes
 	} else {
 		st.overflow = true
 	}
-	keys := st.keysIn
+	keys := keySet{keys: st.keysIn}
 	for _, t := range st.proxied {
-		keys = quadtree.UnionKeys(keys, []zorder.Key{p.keyOf(t)})
+		keys.add(p.keyOf(t))
 	}
 	raw := st.rawIn + len(st.proxied)
 	covered := st.coverIn + len(st.proxied)
-	if nd != nil {
-		keys = quadtree.UnionKeys(keys, []zorder.Key{nd.key})
+	if nd.flags != 0 {
+		keys.add(nd.key)
 		raw++
 		covered++
 	}
-	if len(keys) == 0 {
+	if len(keys.keys) == 0 {
 		return // nothing anywhere in the subtree
 	}
-	pl := &jaPayload{keys: keys, rawCount: raw, covered: covered}
+	pl := &jaPayload{keys: keys.keys, rawCount: raw, covered: covered}
+	if !keys.owned {
+		pl.keysBytes = inBytes // nothing was added: the set just sized
+	}
 	if s.cont != nil && int(id) < s.cont.n {
 		pl.needFull = s.cont.needFull[id]
 	}
@@ -431,19 +456,18 @@ func (s *SENSJoin) onFilter(x *Exec, p *plan, o Options, id topology.NodeID, st 
 	if !ok {
 		// Assume-all: ship everything this round (false positives only)
 		// and cascade the conservative mode to the subtree.
-		if p.nodes[id] != nil {
+		if p.nodes[id].flags != 0 {
 			st.ownMatch = true
 		}
 		st.matchedProxy = st.proxied
 		if st.activeChildren > 0 {
-			all := &filterMsg{mode: fmAssumeAll}
-			s.sendFilter(x, p, o, id, st, all)
+			s.sendFilter(x, id, st, assumeAllMsg())
 		}
 		return
 	}
 
-	st.memFilterBytes = o.Rep.SetBytes(p, filter)
-	if nd := p.nodes[id]; nd != nil {
+	st.memFilterBytes = msg.setBytes
+	if nd := &p.nodes[id]; nd.flags != 0 {
 		if quadtree.ContainsKey(filter, nd.key) {
 			st.ownMatch = true
 		} else {
@@ -474,8 +498,13 @@ func (s *SENSJoin) onFilter(x *Exec, p *plan, o Options, id topology.NodeID, st 
 	if len(sub) == 0 {
 		return
 	}
-	out := s.buildFilterMsg(p, o, id, sub, st.childNeedsFull)
-	s.sendFilter(x, p, o, id, st, out)
+	// sub ⊆ filter, so equal lengths mean nothing was pruned and the
+	// received size still holds.
+	subBytes := msg.setBytes
+	if len(sub) != len(filter) {
+		subBytes = o.Rep.SetBytes(p, sub)
+	}
+	s.sendFilter(x, id, st, s.buildFilterMsg(p, o, id, sub, subBytes, st.childNeedsFull))
 }
 
 // forwardCompleteTuples is the Final-Result-Computation step at one
@@ -502,16 +531,6 @@ func (s *SENSJoin) forwardCompleteTuples(x *Exec, p *plan, id topology.NodeID, s
 	})
 }
 
-// keyOf computes the join-attribute key of a complete tuple (the
-// projection a proxy performs in Fig. 2, line 22).
-func (p *plan) keyOf(t finalTuple) zorder.Key {
-	vals := make([]float64, len(p.dims))
-	for i, name := range p.dims {
-		vals[i] = t.vals[name]
-	}
-	return p.grid.Encode(t.flags, vals)
-}
-
 // finalComplete checks (with simulator omniscience) that every member
 // node whose key is in the filter delivered its tuple to the base
 // station; a false result means failures lost data and the query should
@@ -522,7 +541,7 @@ func finalComplete(p *plan, filter []zorder.Key, got []finalTuple) bool {
 		have[t.node] = true
 	}
 	for id, nd := range p.nodes {
-		if nd == nil {
+		if nd.flags == 0 {
 			continue
 		}
 		if quadtree.ContainsKey(filter, nd.key) && !have[topology.NodeID(id)] {

@@ -24,7 +24,7 @@ func TestAccountedSizesAreEncodable(t *testing.T) {
 	schema := r.Catalog["Sensors"]
 	for id := 1; id < r.Dep.N(); id++ {
 		nd := p.nodes[id]
-		if nd == nil {
+		if nd.flags == 0 {
 			continue
 		}
 		shipped := p.shipped(nd.flags)
@@ -36,7 +36,7 @@ func TestAccountedSizesAreEncodable(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.Attrs = append(tc.Attrs, wire.AttrCodec{Min: def.Min, Max: def.Max})
-			vals = append(vals, nd.vals[name])
+			vals = append(vals, x.column(name)[id])
 		}
 		b, err := tc.MarshalBatch([][]float64{vals})
 		if err != nil {
@@ -68,7 +68,7 @@ func TestAccountedSizesAreEncodable(t *testing.T) {
 func keysOfPlan(p *plan) []uint64 {
 	var keys []uint64
 	for _, nd := range p.nodes {
-		if nd != nil {
+		if nd.flags != 0 {
 			keys = append(keys, nd.key)
 		}
 	}

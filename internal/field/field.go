@@ -16,6 +16,7 @@ package field
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"sensjoin/internal/geom"
@@ -136,9 +137,13 @@ func (f *Field) termsAt(t float64) []bumpTerm {
 
 // Smooth returns the noiseless field value at p and time t.
 func (f *Field) Smooth(p geom.Point, t float64) float64 {
+	return f.smooth(f.termsAt(t), p)
+}
+
+func (f *Field) smooth(terms []bumpTerm, p geom.Point) float64 {
 	v := f.cfg.Base
 	sig2 := 2 * f.cfg.CorrLength * f.cfg.CorrLength
-	for _, b := range f.termsAt(t) {
+	for _, b := range terms {
 		d2 := (p.X-b.cx)*(p.X-b.cx) + (p.Y-b.cy)*(p.Y-b.cy)
 		v += b.amp * math.Exp(-d2/sig2)
 	}
@@ -148,7 +153,13 @@ func (f *Field) Smooth(p geom.Point, t float64) float64 {
 // At returns a sensor reading at p and time t: the smooth value plus
 // deterministic measurement noise derived from (seed, p, t).
 func (f *Field) At(p geom.Point, t float64) float64 {
-	v := f.Smooth(p, t)
+	return f.at(f.termsAt(t), p, t)
+}
+
+// at is At over already resolved bump terms; Snapshot fills whole
+// columns through it, so a column holds exactly At's bits.
+func (f *Field) at(terms []bumpTerm, p geom.Point, t float64) float64 {
+	v := f.smooth(terms, p)
 	if f.cfg.Noise > 0 {
 		n := geom.HashNorm(f.seed, math.Float64bits(p.X), math.Float64bits(p.Y), math.Float64bits(t))
 		v += f.cfg.Noise * n
@@ -179,12 +190,21 @@ func wrap(v, lo, hi float64) float64 {
 // QuietEnvironment do exactly that). After construction, Read/Has/Names
 // only read the maps, so a fully built Environment is safe to share
 // across concurrently running simulations (core's deployment cache
-// relies on it).
+// relies on it, and so does Snapshot: a column filled once stays valid
+// for the life of the environment).
 type Environment struct {
 	fields map[string]*Field
 	// Couplings derives one quantity from another:
 	// value = offset + gain*other + field component.
 	couplings map[string]coupling
+	// snaps remembers the most recent snapshots (see Snapshot), replaced
+	// round-robin at snapNext. Entries are immutable once published, so
+	// lookups are plain atomic loads.
+	snaps    [snapshotRing]atomic.Pointer[Snapshot]
+	snapNext atomic.Uint32
+	// memo holds results derived from the environment over some positions
+	// (see Memo); they live exactly as long as the environment does.
+	memo sync.Map
 }
 
 type coupling struct {

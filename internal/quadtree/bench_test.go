@@ -46,6 +46,28 @@ func BenchmarkEncode1500Uniform(b *testing.B) {
 	b.ReportMetric(float64(e.ByteLen())/float64(len(keys)), "bytes/key")
 }
 
+// sizeSink keeps the compiler from discarding the measured call.
+var sizeSink int
+
+// BenchmarkSizeBits is what the simulator pays per message: compare
+// with BenchmarkEncode1500*, which is what it paid when sizes were
+// taken from a materialized encoding.
+func BenchmarkSizeBits(b *testing.B) {
+	for _, bc := range []struct {
+		name      string
+		clustered bool
+	}{{"1500Clustered", true}, {"1500Uniform", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, keys, _ := benchSetup(b, 1500, bc.clustered)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sizeSink = c.SizeBits(keys)
+			}
+		})
+	}
+}
+
 func BenchmarkDecode1500(b *testing.B) {
 	c, keys, _ := benchSetup(b, 1500, true)
 	e := c.Encode(keys)

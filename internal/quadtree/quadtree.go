@@ -205,6 +205,57 @@ func (s *encodeState) emit(start, end, l int) {
 	s.w.WriteBit(0)
 }
 
+// SizeBits returns Encode(keys).Bits without building the encoding. The
+// simulator charges messages by size only, so the common caller never
+// needs the bitstring: the size follows from the cost recursion alone,
+// one pass over the keys per level, with no memo, no bit emission and no
+// allocation. Input that is not already a sorted set is normalized first
+// (one copy), so the answer always equals Encode's.
+func (c *Codec) SizeBits(keys []zorder.Key) int {
+	if len(keys) == 0 {
+		return 0
+	}
+	for i := 1; i < len(keys); i++ {
+		if keys[i] <= keys[i-1] {
+			keys = NormalizeKeys(keys)
+			break
+		}
+	}
+	return c.sizeBits(keys, 0)
+}
+
+// SizeBytes returns Encode(keys).ByteLen().
+func (c *Codec) SizeBytes(keys []zorder.Key) int { return (c.SizeBits(keys) + 7) / 8 }
+
+// sizeBits is encodeState.cost without the memo: every (level, run) is
+// visited once, and a subdivision is abandoned as soon as its children
+// cost as much as the point list (every child costs at least one bit).
+func (c *Codec) sizeBits(keys []zorder.Key, l int) int {
+	costList := len(keys)*(1+c.suffix[l]) + 1
+	if l == len(c.levels) || len(keys) == 1 {
+		return costList
+	}
+	costSplit := 1 + (1 << uint(c.levels[l]))
+	shift := uint(c.suffix[l+1])
+	mask := zorder.Key(1)<<uint(c.levels[l]) - 1
+	for st := 0; st < len(keys); {
+		if costSplit >= costList {
+			return costList
+		}
+		q := (keys[st] >> shift) & mask
+		en := st + 1
+		for en < len(keys) && (keys[en]>>shift)&mask == q {
+			en++
+		}
+		costSplit += c.sizeBits(keys[st:en], l+1)
+		st = en
+	}
+	if costSplit < costList {
+		return costSplit
+	}
+	return costList
+}
+
 // Decode returns the sorted key set of e.
 func (c *Codec) Decode(e Encoded) ([]zorder.Key, error) {
 	if e.Empty() {

@@ -76,13 +76,13 @@ func TestShapeOfEquality(t *testing.T) {
 
 func TestShapeOfResidualForms(t *testing.T) {
 	residuals := []string{
-		"A.temp != B.temp",                      // no contiguous window
-		"abs(A.temp - B.temp) > 1",              // anti-band
-		"distance(A.x, A.y, B.x, B.y) > 100",    // non-linear
-		"(A.temp > B.temp OR A.hum < B.hum)",    // disjunction
-		"A.temp * 2 - B.temp > 1",               // scaled attribute
-		"sqrt(A.temp) - B.temp < 1",             // function of attribute
-		"abs(A.temp - B.temp) = 1",              // two-point set
+		"A.temp != B.temp",                   // no contiguous window
+		"abs(A.temp - B.temp) > 1",           // anti-band
+		"distance(A.x, A.y, B.x, B.y) > 100", // non-linear
+		"(A.temp > B.temp OR A.hum < B.hum)", // disjunction
+		"A.temp * 2 - B.temp > 1",            // scaled attribute
+		"sqrt(A.temp) - B.temp < 1",          // function of attribute
+		"abs(A.temp - B.temp) = 1",           // two-point set
 	}
 	for _, where := range residuals {
 		s := shapeOf(t, where)

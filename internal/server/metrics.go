@@ -39,8 +39,8 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 	}
 	secs := []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 	m := &serverMetrics{
-		reg:    reg,
-		phases: make(map[string]*metrics.Histogram),
+		reg:           reg,
+		phases:        make(map[string]*metrics.Histogram),
 		sessions:      reg.Gauge("sensjoind_sessions", "currently open client sessions"),
 		sessionsTotal: reg.Counter("sensjoind_sessions_total", "client sessions accepted since start"),
 		queries:       reg.Counter("sensjoind_queries_total", "queries admitted since start"),

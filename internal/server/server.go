@@ -155,7 +155,9 @@ func (c Config) withDefaults() Config {
 
 // logfWriter adapts a printf-style log hook into an io.Writer for the
 // slog text handler.
-type logfWriter struct{ logf func(format string, args ...any) }
+type logfWriter struct {
+	logf func(format string, args ...any)
+}
 
 func (w logfWriter) Write(p []byte) (int, error) {
 	w.logf("%s", strings.TrimRight(string(p), "\n"))

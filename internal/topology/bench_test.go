@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"sensjoin/internal/geom"
 )
@@ -68,5 +69,84 @@ func TestRepairConnects(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d1.Neighbors, d4.Neighbors) {
 		t.Fatal("repaired deployment differs across worker counts")
+	}
+}
+
+func maxDegree(d *Deployment) int {
+	max := 0
+	for _, nb := range d.Neighbors {
+		if len(nb) > max {
+			max = len(nb)
+		}
+	}
+	return max
+}
+
+// TestRepairIsolatedBaseStation: placement seed 2 at 100 000 nodes puts
+// no node within range of the corner base station. Repair used to treat
+// the base station's one-node component as "the network" and relocate
+// all 100 000 nodes into a few overlapping radio disks around it, and
+// the neighbor scan of that one grid cell is quadratic (no answer after
+// 100 s). It must instead bridge the base station to the largest
+// component: connected, quickly, with an ordinary degree distribution.
+func TestRepairIsolatedBaseStation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates two 100k-node deployments")
+	}
+	gen := func(seed int64) *Deployment {
+		d, err := GenerateParallel(Config{Nodes: 100000, Area: ScaledArea(100000), Range: 50, Seed: seed, Repair: true}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	start := time.Now()
+	d := gen(2)
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("seed 2 took %v, want < 5s", el)
+	}
+	if !d.Connected() {
+		t.Fatal("seed 2: repaired deployment is not connected")
+	}
+	if got, ref := maxDegree(d), maxDegree(gen(42)); got > 2*ref {
+		t.Fatalf("seed 2: max degree %d, more than twice seed 42's %d", got, ref)
+	}
+}
+
+// TestRepairBridgesSmallBaseComponent drives the bridge on a hand-built
+// placement: a base station with one neighbor, 200 m from a 6x6 block of
+// nodes. The bridge must put relays on the segment, move nobody else,
+// and leave everything connected without piling nodes up.
+func TestRepairBridgesSmallBaseComponent(t *testing.T) {
+	pos := []geom.Point{{X: 0, Y: 0}, {X: 10, Y: 0}}
+	for i := 0; i < 6; i++ {
+		for j := 0; j < 6; j++ {
+			pos = append(pos, geom.Point{X: 200 + 40*float64(i), Y: 40 * float64(j)})
+		}
+	}
+	d := &Deployment{Pos: append([]geom.Point(nil), pos...), Range: 50, Area: geom.Rect{MaxX: 400, MaxY: 200}}
+	d.buildNeighbors()
+	if d.Connected() {
+		t.Fatal("fixture must start disconnected")
+	}
+	d.repair(1, 1)
+	if !d.Connected() {
+		t.Fatal("not connected after repair")
+	}
+	moved := 0
+	for i := range pos {
+		if d.Pos[i] != pos[i] {
+			moved++
+			if d.Pos[i].Y != 0 || d.Pos[i].X <= 0 || d.Pos[i].X >= 200 {
+				t.Errorf("node %d moved to %+v, not onto the bridge segment", i, d.Pos[i])
+			}
+		}
+	}
+	// 200 m at <= 45 m spacing: 5 segments, 4 relays.
+	if moved != 4 {
+		t.Errorf("%d nodes moved, want 4 relays", moved)
+	}
+	if got := maxDegree(d); got > 4 {
+		t.Errorf("max degree %d after repair: nodes were piled up", got)
 	}
 }

@@ -116,35 +116,38 @@ func GenerateParallel(cfg Config, workers int) (*Deployment, error) {
 		cfg.Nodes, cfg.Area.Width(), cfg.Area.Height(), retries)
 }
 
-// repair relocates every node the base station cannot reach into the
-// radio disk of a reachable node (chosen by a seeded RNG, so the result
-// is deterministic), then rebuilds the neighbor lists. One pass
-// suffices: each relocated node lands within range of an
-// already-reachable node, and may itself anchor later relocations.
+// repair makes the placement connected by moving as few nodes as it
+// can, deterministically, and rebuilds the neighbor lists.
+//
+// Normally the base station sits in the largest component and a handful
+// of stragglers are relocated into the radio disk of a reachable node
+// (chosen by a seeded RNG). One pass suffices: each relocated node lands
+// within range of an already-reachable node, and may itself anchor later
+// relocations.
+//
+// When the base station is NOT in the largest component — typically a
+// corner base station with no node in range — relocating "everything it
+// cannot reach" would pile the whole network into a few overlapping
+// radio disks around it. The base station is therefore first bridged to
+// the largest component (bridgeBase), and only what is still unreachable
+// after that is relocated.
 func (d *Deployment) repair(seed int64, workers int) {
-	reach := make([]bool, d.N())
-	queue := []NodeID{BaseStation}
-	reach[BaseStation] = true
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range d.Neighbors[u] {
-			if !reach[v] {
-				reach[v] = true
-				queue = append(queue, v)
-			}
-		}
+	label, size := d.components()
+	if d.bridgeBase(label, size) {
+		d.buildNeighborsParallel(workers)
+		label, _ = d.components()
 	}
+	base := label[BaseStation]
 	var anchors []NodeID
 	var moved bool
 	for id := 0; id < d.N(); id++ {
-		if reach[id] {
+		if label[id] == base {
 			anchors = append(anchors, NodeID(id))
 		}
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed1e55))
 	for id := 0; id < d.N(); id++ {
-		if reach[id] {
+		if label[id] == base {
 			continue
 		}
 		a := d.Pos[anchors[rng.Intn(len(anchors))]]
@@ -164,6 +167,94 @@ func (d *Deployment) repair(seed int64, workers int) {
 	if moved {
 		d.buildNeighborsParallel(workers)
 	}
+}
+
+// components labels every node with the index of its connected
+// component and returns the labels with the component sizes.
+func (d *Deployment) components() (label []int32, size []int) {
+	label = make([]int32, d.N())
+	for i := range label {
+		label[i] = -1
+	}
+	var queue []NodeID
+	for start := 0; start < d.N(); start++ {
+		if label[start] >= 0 {
+			continue
+		}
+		c := int32(len(size))
+		label[start] = c
+		queue = append(queue[:0], NodeID(start))
+		count := 0
+		for len(queue) > 0 {
+			u := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			count++
+			for _, v := range d.Neighbors[u] {
+				if label[v] < 0 {
+					label[v] = c
+					queue = append(queue, v)
+				}
+			}
+		}
+		size = append(size, count)
+	}
+	return label, size
+}
+
+// bridgeBase connects the base station to the largest component when it
+// is not already part of it: the sensor nodes nearest the base station
+// are moved onto the segment from the base station to the component's
+// nearest node, evenly spaced at most 0.9·Range apart (the margin keeps
+// the links through floating-point distance rounding). It reports
+// whether it moved anything; the caller rebuilds the neighbor lists.
+// Nodes taken out of the large component leave it at most a few
+// stragglers, which the caller's relocation pass picks up.
+func (d *Deployment) bridgeBase(label []int32, size []int) bool {
+	largest := label[BaseStation]
+	for c := range size {
+		if size[c] > size[largest] {
+			largest = int32(c)
+		}
+	}
+	if largest == label[BaseStation] {
+		return false
+	}
+	base := d.Pos[BaseStation]
+	target, best := NodeID(-1), math.Inf(1)
+	for id := 1; id < d.N(); id++ {
+		if label[id] == largest {
+			if d2 := geom.Dist2(base, d.Pos[id]); d2 < best {
+				target, best = NodeID(id), d2
+			}
+		}
+	}
+	end := d.Pos[target]
+	segments := int(math.Ceil(math.Sqrt(best) / (0.9 * d.Range)))
+	if segments < 2 {
+		segments = 2 // out of range by a rounding error: one relay still
+	}
+	// The segments-1 relays are the nodes nearest the base station
+	// (other than the target), nearest first; ties go to the lower id.
+	relays := make([]NodeID, 0, segments-1)
+	taken := make(map[NodeID]bool, segments)
+	taken[target] = true
+	for len(relays) < segments-1 && len(relays) < d.N()-2 {
+		pick, pickD2 := NodeID(-1), math.Inf(1)
+		for id := 1; id < d.N(); id++ {
+			if !taken[NodeID(id)] {
+				if d2 := geom.Dist2(base, d.Pos[id]); d2 < pickD2 {
+					pick, pickD2 = NodeID(id), d2
+				}
+			}
+		}
+		taken[pick] = true
+		relays = append(relays, pick)
+	}
+	for j, id := range relays {
+		f := float64(j+1) / float64(segments)
+		d.Pos[id] = geom.Point{X: base.X + f*(end.X-base.X), Y: base.Y + f*(end.Y-base.Y)}
+	}
+	return len(relays) > 0
 }
 
 func place(cfg Config, seed int64, workers int) *Deployment {

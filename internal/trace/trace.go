@@ -125,13 +125,13 @@ func (k Kind) Radio() bool { return k <= KindLost }
 // kind-specific (the suppressed tuple's owner for KindSuppress, -1
 // otherwise).
 type Event struct {
-	Seq   int              `json:"seq"`
-	At    float64          `json:"at"`
-	Kind  Kind             `json:"-"`
-	Node  topology.NodeID  `json:"node"`
-	Peer  topology.NodeID  `json:"peer"`
-	MsgID int64            `json:"msg,omitempty"`
-	Phase string           `json:"phase,omitempty"`
+	Seq   int             `json:"seq"`
+	At    float64         `json:"at"`
+	Kind  Kind            `json:"-"`
+	Node  topology.NodeID `json:"node"`
+	Peer  topology.NodeID `json:"peer"`
+	MsgID int64           `json:"msg,omitempty"`
+	Phase string          `json:"phase,omitempty"`
 	// Packets, Bytes and Expect are set on radio events only; Expect on
 	// tx events is the number of receivers the medium attempts delivery
 	// to.

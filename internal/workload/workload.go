@@ -20,12 +20,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"sensjoin/internal/core"
-	"sensjoin/internal/field"
 	"sensjoin/internal/geom"
-	"sensjoin/internal/topology"
 )
 
 // Preset describes one experiment query family.
@@ -133,27 +130,23 @@ type nodeSample struct {
 	pos  geom.Point
 }
 
-// snapshotKey identifies a calibration snapshot by the identity of the
-// deployment and environment it was read from. Both are immutable after
-// construction (see their type docs) and shared across runners by
-// core's deployment cache, so pointer identity is a sound cache key:
-// equal pointers imply an identical snapshot.
-type snapshotKey struct {
-	dep *topology.Deployment
-	env *field.Environment
-}
+// Calibration reads every node's temp at t = 0, and everything it
+// derives is a pure function of those readings and the preset. Both memos
+// therefore hang off the environment (Environment.Memo, keyed by the
+// deployment's position slice): they are shared by every runner over the
+// same deployment and environment, they outlast the environment's
+// snapshot ring (executions at other instants never discard a
+// calibration), and they are released with the environment — when a
+// private runner is dropped, or when core.ResetSetupCache drops a shared
+// one. A package-level map keyed by deployment or environment pointers
+// would instead keep every deployment ever calibrated reachable for the
+// life of the process.
 
-// sampleCache memoizes sampleNodes per snapshot; calibCache memoizes
-// Calibrate results. Both are concurrency-safe and only ever store
-// values that are pure functions of their key, so racing fills are
-// harmless duplicates.
-var (
-	sampleCache sync.Map // snapshotKey -> []nodeSample
-	calibCache  sync.Map // calibKey -> calibResult
-)
+// sampleKey is the memo key of the sorted calibration samples.
+type sampleKey struct{}
 
+// calibKey is the memo key of one Calibrate result.
 type calibKey struct {
-	snap   snapshotKey
 	preset string
 	target float64
 }
@@ -169,24 +162,19 @@ func (p Preset) presetKey() string {
 		p.Name, p.JoinAttrs, p.TotalAttrs, p.distance, strings.Join(p.selects, ","))
 }
 
-// sampleNodes reads the calibration snapshot (t = 0) once per
-// deployment/environment pair; repeated calls return the shared,
-// read-only sample slice.
+// sampleNodes returns the calibration samples — every sensor node's temp
+// at t = 0 with its position, sorted by temp — computed once per
+// (environment, deployment); the slice is shared and read-only.
 func sampleNodes(r *core.Runner) []nodeSample {
-	key := snapshotKey{dep: r.Dep, env: r.Env}
-	if v, ok := sampleCache.Load(key); ok {
-		return v.([]nodeSample)
-	}
-	out := make([]nodeSample, 0, r.Dep.N()-1)
-	for i := 1; i < r.Dep.N(); i++ {
-		out = append(out, nodeSample{
-			temp: r.Env.Read("temp", r.Dep.Pos[i], 0),
-			pos:  r.Dep.Pos[i],
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].temp < out[j].temp })
-	v, _ := sampleCache.LoadOrStore(key, out)
-	return v.([]nodeSample)
+	return r.Env.Memo(r.Dep.Pos, sampleKey{}, func() any {
+		temp := r.Env.Snapshot(r.Dep.Pos, 0).Column("temp")
+		out := make([]nodeSample, 0, r.Dep.N()-1)
+		for i := 1; i < r.Dep.N(); i++ {
+			out = append(out, nodeSample{temp: temp[i], pos: r.Dep.Pos[i]})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].temp < out[j].temp })
+		return out
+	}).([]nodeSample)
 }
 
 // Fraction computes, exactly and without simulating, the fraction of
@@ -244,17 +232,14 @@ func fractionOf(nodes []nodeSample, p Preset, delta float64) float64 {
 // Calibrate finds the delta whose contributing fraction is closest to
 // target, by bisection (the fraction is non-increasing in delta). It
 // returns the delta and the fraction actually achieved. Results are
-// memoized per (snapshot, preset, target): sweep cells over the same
-// deployment skip the 60-iteration search entirely.
+// memoized per (environment, deployment, preset, target): sweep cells
+// over the same deployment skip the 60-iteration search entirely.
 func Calibrate(r *core.Runner, p Preset, target float64) (delta, frac float64) {
-	ck := calibKey{snap: snapshotKey{dep: r.Dep, env: r.Env}, preset: p.presetKey(), target: target}
-	if v, ok := calibCache.Load(ck); ok {
-		res := v.(calibResult)
-		return res.delta, res.frac
-	}
-	delta, frac = calibrate(r, p, target)
-	calibCache.Store(ck, calibResult{delta: delta, frac: frac})
-	return delta, frac
+	res := r.Env.Memo(r.Dep.Pos, calibKey{preset: p.presetKey(), target: target}, func() any {
+		delta, frac := calibrate(r, p, target)
+		return calibResult{delta: delta, frac: frac}
+	}).(calibResult)
+	return res.delta, res.frac
 }
 
 func calibrate(r *core.Runner, p Preset, target float64) (delta, frac float64) {

@@ -271,12 +271,14 @@ func (c *Client) Close() error {
 	c.closed = true
 	w := c.w
 	c.mu.Unlock()
+	// Record the reason before closing the socket: closing it makes the
+	// read loop fail with "use of closed network connection", and the
+	// first recorded error is the one callers see.
+	w.fail(io.ErrClosedPipe)
 	w.wmu.Lock()
 	proto.WriteFrame(w.conn, proto.KindBye, struct{}{})
 	w.wmu.Unlock()
-	err := w.conn.Close()
-	w.fail(io.ErrClosedPipe)
-	return err
+	return w.conn.Close()
 }
 
 // healthyWire returns the current connection, re-dialing a broken one

@@ -5,6 +5,14 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# Formatting is checked, not assumed: any file gofmt would rewrite fails
+# the run and is named.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l is not clean:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...
@@ -106,8 +114,22 @@ go test -race ./internal/server ./internal/proto ./pkg/client
 # arrived account for, encode and decode are exact inverses).
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/proto
 go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 5s ./internal/proto
-# Serving-path layer benchmarks, one iteration each: they still run.
+# Quadtree size-only costing fuzz smoke: SizeBits equals Encode's bit
+# count for arbitrary level schedules and key multisets. Minimization is
+# off so the 5 s go to new inputs, not to shrinking interesting ones.
+go test -run '^$' -fuzz '^FuzzSizeBits$' -fuzztime 5s -fuzzminimizetime 0 ./internal/quadtree
+# Layer benchmarks, one iteration each: they still run. Serving path
+# (frame codec, client round trip), then the simulator round's layers:
+# size-only quadtree costing beside Encode, pooled zlib, plan building
+# on warm and cold snapshots, and one whole SENS-Join round.
 go test -run '^$' -bench 'Rows|ClientRoundTrip' -benchtime 1x -benchmem ./internal/proto ./pkg/client
+go test -run '^$' -bench 'SizeBits|Encode1500|ZlibCompress' -benchtime 1x -benchmem ./internal/quadtree ./internal/compress
+go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound' -benchtime 1x -benchmem ./internal/core
+# Shared-state race pass, repeated for more interleavings than the
+# general -race run above gives: pooled zlib writers, the snapshot ring
+# and concurrent first fill, the calibration memo and its release, and
+# the parallel plan fill over a cold snapshot.
+go test -race -count 5 -run 'ZlibPooledConcurrent|SnapshotConcurrent|SnapshotFill|CalibrateConcurrent|CalibrationDoesNotRetain|ResetSetupCacheReleases|BuildPlanParallel' ./internal/compress ./internal/field ./internal/workload ./internal/core
 # The repository benchmark is its own module, outside `go test ./...`:
 # without this an internal/ signature change that stops it compiling is
 # only found when the pipeline's benchmark run fails.
