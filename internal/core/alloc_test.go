@@ -64,13 +64,13 @@ func TestComputeFilterAllocs(t *testing.T) {
 // one row-header slice and one cell slab, the rows carved from it back
 // to back. (Growing both as rows arrive cost a slab per 4096 rows plus
 // the append doublings.)
-// The match list (combos, ranks) and the contributor set still grow by
-// doubling, so the count bound is per thousand rows, not absolute.
+// The contributor set still grows by doubling (the match list lives in
+// the kernel scratch), so the count bound is per thousand rows, not
+// absolute.
 func TestJoinKernelEmitAllocs(t *testing.T) {
 	x := kernelExec(t, "SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B WHERE A.temp - B.temp > 4 ONCE")
 	tuples, cols := benchTuples(800)
-	x.setColumns(cols)
-	rows, _ := exactJoin(x, tuples)
+	rows, _ := exactJoinOver(x, cols, tuples)
 	if len(rows) < 200000 {
 		t.Fatalf("fixture drifted: %d rows, want > 200000", len(rows))
 	}
@@ -83,7 +83,7 @@ func TestJoinKernelEmitAllocs(t *testing.T) {
 			t.Fatalf("row %d does not follow row %d in one slab", i, i-1)
 		}
 	}
-	allocs := testing.AllocsPerRun(3, func() { exactJoin(x, tuples) })
+	allocs := testing.AllocsPerRun(3, func() { exactJoinOver(x, cols, tuples) })
 	if limit := float64(len(rows)) / 1000; allocs > limit {
 		t.Errorf("%d rows: %.0f allocs/run, want <= %.0f", len(rows), allocs, limit)
 	}

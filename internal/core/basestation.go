@@ -150,15 +150,23 @@ func (emptyBounds) Range(query.AttrRef) query.Interval { return query.Everything
 // predicate-indexed kernel (joinkernel.go); output is identical to the
 // seed's nested loop, row for row and byte for byte.
 func exactJoin(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeID]bool) {
+	return exactJoinOver(x, x.snapshot(), tuples)
+}
+
+// exactJoinOver is exactJoin reading sensor values from cols.
+func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, map[topology.NodeID]bool) {
 	n := len(x.Query.From)
 	for _, c := range x.Analysis.ConstPreds {
 		if !c.Eval(query.TupleEnv{Lookup: func(int, string) float64 { return 0 }}) {
 			return nil, nil
 		}
 	}
-	byAlias := make([][]finalTuple, n)
+	sc := &x.run().kernel
+	sc.levels(n)
+	byAlias := sc.byAlias[:n]
 	for i := 0; i < n; i++ {
 		flag := zorder.FlagFor(i, n)
+		byAlias[i] = byAlias[i][:0]
 		for _, t := range tuples {
 			if t.flags&flag != 0 {
 				byAlias[i] = append(byAlias[i], t)
@@ -168,7 +176,7 @@ func exactJoin(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeID]bool) {
 			return nil, nil
 		}
 	}
-	return joinKernel(x, byAlias)
+	return joinKernel(x, cols, byAlias)
 }
 
 // groupKeyOf renders the grouping expressions' exact values as a string

@@ -108,12 +108,9 @@ type Exec struct {
 	// histograms; per-execution state, so concurrent runs never share it.
 	phaseOpen map[string]float64
 
-	// cols, when non-nil, replaces the environment snapshot as the source
-	// of sensor values (attribute name -> values by node id; every name
-	// the query reads must be present). It is a test fake, set only by
-	// setColumns in the kernel tests to join synthetic tuples, NaN and
-	// infinities included, which no environment produces.
-	cols map[string][]float64
+	// scratch is the run state and join-kernel storage lent by the owning
+	// Runner (set by Runner.Exec); see run() and runstate.go.
+	scratch *runScratch
 
 	// Workers parallelizes the per-node setup work of buildPlan without
 	// changing its output (0/1 = sequential). Set from
@@ -164,12 +161,7 @@ func (x *Exec) snapshot() *field.Snapshot {
 
 // column returns attribute name's sampled values indexed by node id.
 // Resolve a column once per plan or kernel call, then index it.
-func (x *Exec) column(name string) []float64 {
-	if x.cols != nil {
-		return x.cols[name]
-	}
-	return x.snapshot().Column(name)
-}
+func (x *Exec) column(name string) []float64 { return x.snapshot().Column(name) }
 
 // NewExec validates and assembles an execution context.
 func NewExec(sim *netsim.Sim, net *netsim.Network, tree *routing.Tree, coll *stats.Collector,
@@ -270,22 +262,17 @@ func columnsOf(q *query.Query) []string {
 func DisseminateQuery(x *Exec) {
 	size := len(x.Query.String())
 	seen := make([]bool, x.Net.N())
-	var handler func(id topology.NodeID) netsim.Handler
-	handler = func(id topology.NodeID) netsim.Handler {
-		return func(m netsim.Message) {
-			if m.Kind != kindQuery || seen[id] {
-				return
-			}
-			seen[id] = true
-			x.Net.Send(netsim.Message{
-				Kind: kindQuery, Src: id, Dst: netsim.BroadcastID,
-				Phase: PhaseQueryDissem, Size: size,
-			})
+	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
+		if m.Kind != kindQuery || seen[id] {
+			return
 		}
-	}
-	for i := 0; i < x.Net.N(); i++ {
-		x.Net.SetHandler(topology.NodeID(i), handler(topology.NodeID(i)))
-	}
+		seen[id] = true
+		x.Net.Send(netsim.Message{
+			Kind: kindQuery, Src: id, Dst: netsim.BroadcastID,
+			Phase: PhaseQueryDissem, Size: size,
+		})
+	})
+	defer x.Net.SetHandler(nil)
 	seen[topology.BaseStation] = true
 	x.Net.Send(netsim.Message{
 		Kind: kindQuery, Src: topology.BaseStation, Dst: netsim.BroadcastID,

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"sensjoin/internal/query"
@@ -31,7 +33,8 @@ import (
 // Determinism: the nested loop emitted rows in lexicographic order of
 // the per-level tuple indexes. Index probing enumerates in a different
 // order, so each match records its rank — the combination's position in
-// that lexicographic order — and matches are replayed in rank order
+// that lexicographic order, from which the combination itself can be
+// read back — and matches are replayed in rank order
 // through the identical emission code (row slab, aggregation,
 // contributing-node set). Output is therefore byte-identical to the
 // seed's, including the order of floating-point accumulation in
@@ -310,12 +313,53 @@ type kernelProbe struct {
 	probeSlot int // global slot of the bound-side attribute
 }
 
+// kernelScratch is the kernel's working storage, grow-only and owned by
+// the Runner (runScratch): the per-alias candidate lists, the extracted
+// value vectors, the band probe arrays and the match list (one rank per
+// match). None of it outlives a call — results are copied out into rows
+// — so, unlike the per-node run state, the inner slices are reused too.
+type kernelScratch struct {
+	byAlias [][]finalTuple
+	pre     [][]float64
+	entries [][]probeEntry
+	used    [][]bool // per level: the tuple appears in some emitted row
+	ranks   []uint64
+}
+
+// sized returns s with length n, reusing its storage when that is large
+// enough; the contents are unspecified.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// levels sizes the per-level lists for an n-way join.
+func (sc *kernelScratch) levels(n int) {
+	for len(sc.pre) < n {
+		sc.byAlias = append(sc.byAlias, nil)
+		sc.pre = append(sc.pre, nil)
+		sc.entries = append(sc.entries, nil)
+		sc.used = append(sc.used, nil)
+	}
+}
+
+// columnSource resolves an attribute name to its sampled values indexed
+// by node id. The execution's *field.Snapshot is the production source;
+// the kernel tests join synthetic columns (NaN and infinities included,
+// which no environment produces) through the same parameter.
+type columnSource interface {
+	Column(name string) []float64
+}
+
 // joinKernel computes the exact join over the per-alias candidate lists
-// and evaluates the SELECT clause, returning rows (ordered and limited)
-// and the contributing-node set. See the package comment above for the
-// exactness and determinism argument.
-func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]bool) {
+// and evaluates the SELECT clause over values read from cols, returning
+// rows (ordered and limited) and the contributing-node set. See the
+// package comment above for the exactness and determinism argument.
+func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]bool) {
 	n := len(byAlias)
+	sc := &x.run().kernel // sized for n levels by exactJoinOver
 
 	// The compiled program — slot layout, condition/SELECT/GROUP BY
 	// closures, join shape — depends only on the query, so prepared
@@ -331,22 +375,24 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 	groupBy := prog.groupBy
 
 	// Extract each candidate tuple's referenced values once: one read
-	// per tuple per attribute from the snapshot column, not per
-	// combination.
+	// per tuple per attribute from the column, not per combination.
 	lens := make([]int, n)
-	pre := make([][]float64, n)
+	pre := sc.pre[:n]
 	for level, ts := range byAlias {
 		lens[level] = len(ts)
 		slots := slotsOf[level]
-		flat := make([]float64, len(ts)*len(slots))
+		flat := sized(pre[level], len(ts)*len(slots))
 		for k, s := range slots {
-			col := x.column(s.name)
+			col := cols.Column(s.name)
 			for ti, t := range ts {
 				flat[ti*len(slots)+k] = col[t.node]
 			}
 		}
 		pre[level] = flat
+		sc.used[level] = sized(sc.used[level], len(ts))
+		clear(sc.used[level])
 	}
+	used := sc.used[:n]
 
 	// Locate an attribute's position within a level's slot list (it was
 	// resolved during condition compilation, so it exists).
@@ -385,7 +431,7 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 			probes[pos] = kernelProbe{hmap: m, probeSlot: slotFor(lp.other)}
 		case pathBand:
 			k := kIndexOf(level, lp.self.Name)
-			entries := make([]probeEntry, 0, lens[level])
+			entries := sc.entries[pos][:0]
 			for ti := 0; ti < lens[level]; ti++ {
 				v := flat[ti*stride+k]
 				if math.IsNaN(v) {
@@ -393,12 +439,13 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 				}
 				entries = append(entries, probeEntry{v: v, ti: int32(ti)})
 			}
-			sort.Slice(entries, func(i, j int) bool {
-				if entries[i].v != entries[j].v {
-					return entries[i].v < entries[j].v
+			slices.SortFunc(entries, func(a, b probeEntry) int {
+				if c := cmp.Compare(a.v, b.v); c != 0 {
+					return c
 				}
-				return entries[i].ti < entries[j].ti
+				return cmp.Compare(a.ti, b.ti)
 			})
+			sc.entries[pos] = entries
 			probes[pos] = kernelProbe{sorted: entries, probeSlot: slotFor(lp.other)}
 		}
 	}
@@ -419,7 +466,6 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 	}
 
 	var rows []Row
-	contrib := make(map[topology.NodeID]bool)
 	agg := newAggState(x.Query.Select)
 	aggregated := hasAggregates(x.Query.Select)
 	grouped := len(x.Query.GroupBy) > 0
@@ -442,8 +488,8 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 		for i, f := range selects {
 			row[i] = f(vals)
 		}
-		for level := range byAlias {
-			contrib[byAlias[level][assign[level]].node] = true
+		for level, ti := range assign {
+			used[level][ti] = true
 		}
 		switch {
 		case grouped:
@@ -463,18 +509,16 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 	}
 
 	// Enumerate matches. Streaming plans emit inline (enumeration order
-	// is nested-loop order); indexed plans record (combination, rank)
-	// and replay below.
+	// is nested-loop order); indexed plans record each match's rank and
+	// replay below.
 	assign := make([]int32, n)
-	var combos []int32
-	var ranks []uint64
+	ranks := sc.ranks[:0]
 	var recurse func(pos int, rank uint64)
 	recurse = func(pos int, rank uint64) {
 		if pos == n {
 			if plan.stream {
 				emit(assign)
 			} else {
-				combos = append(combos, assign...)
 				ranks = append(ranks, rank)
 			}
 			return
@@ -530,15 +574,18 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 			slab = make([]float64, len(ranks)*width)
 		}
 		// Replay in nested-loop order: ranks are distinct, so this order
-		// is total and exactly the seed's emission order.
-		perm := make([]int, len(ranks))
-		for i := range perm {
-			perm[i] = i
+		// is total and exactly the seed's emission order. A rank is the
+		// combination written in the mixed radix of the level sizes, so
+		// it is all a match needs to record: the tuple indexes come back
+		// out digit by digit.
+		slices.Sort(ranks)
+		for _, rank := range ranks {
+			for level := range assign {
+				assign[level] = int32(rank / plan.strides[level] % uint64(lens[level]))
+			}
+			emit(assign)
 		}
-		sort.Slice(perm, func(i, j int) bool { return ranks[perm[i]] < ranks[perm[j]] })
-		for _, m := range perm {
-			emit(combos[m*n : m*n+n])
-		}
+		sc.ranks = ranks
 	}
 
 	switch {
@@ -551,6 +598,16 @@ func joinKernel(x *Exec, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]boo
 		}
 	case aggregated:
 		rows = agg.rows()
+	}
+	// The contributor set, built once: a tuple marks a flag per emitted
+	// row, its node enters the map at most once per level.
+	contrib := make(map[topology.NodeID]bool)
+	for level, ts := range byAlias {
+		for ti, t := range ts {
+			if used[level][ti] {
+				contrib[t.node] = true
+			}
+		}
 	}
 	return applyOrderLimit(x.Query, rows), contrib
 }

@@ -15,7 +15,7 @@ import (
 
 // exactJoinReference is the seed's nested-loop join, kept verbatim as
 // the differential-test oracle for the predicate-indexed kernel.
-func exactJoinReference(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeID]bool) {
+func exactJoinReference(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, map[topology.NodeID]bool) {
 	n := len(x.Query.From)
 	conds := x.Analysis.JoinConds
 	for _, c := range x.Analysis.ConstPreds {
@@ -78,7 +78,7 @@ func exactJoinReference(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeI
 		flat := make([]float64, len(ts)*len(slots))
 		for ti, t := range ts {
 			for k, s := range slots {
-				flat[ti*len(slots)+k] = x.column(s.name)[t.node]
+				flat[ti*len(slots)+k] = cols.Column(s.name)[t.node]
 			}
 		}
 		pre[level] = flat
@@ -155,13 +155,15 @@ func exactJoinReference(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeI
 	return applyOrderLimit(x.Query, rows), contrib
 }
 
+// kernelCols is the kernel tests' columnSource: synthetic sensor values
+// (attribute name -> values by node id) in place of an environment
+// snapshot. Every attribute the query reads must be present.
+type kernelCols map[string][]float64
+
+func (c kernelCols) Column(name string) []float64 { return c[name] }
+
 // kernelExec builds an Exec that exercises only the base-station join
 // (no simulator, no catalog).
-// setColumns makes x read sensor values from cols (attribute name ->
-// values by node id) instead of an environment snapshot: the kernel tests
-// join synthetic tuples. Every attribute the query reads must be present.
-func (x *Exec) setColumns(cols map[string][]float64) { x.cols = cols }
-
 func kernelExec(t testing.TB, src string) *Exec {
 	t.Helper()
 	q, err := query.Parse(src)
@@ -178,9 +180,9 @@ func kernelExec(t testing.TB, src string) *Exec {
 // kernelTuples synthesizes count tuples with the standard attributes,
 // random alias membership and deterministic values. Tuples carry only a
 // node id; the values come back as columns indexed by node id, for the
-// joining Exec's cols.
-func kernelTuples(rng *rand.Rand, count, nAliases int) ([]finalTuple, map[string][]float64) {
-	cols := make(map[string][]float64)
+// join's columnSource.
+func kernelTuples(rng *rand.Rand, count, nAliases int) ([]finalTuple, kernelCols) {
+	cols := make(kernelCols)
 	for _, name := range []string{"temp", "hum", "pres", "light", "x", "y", "bucket"} {
 		cols[name] = make([]float64, count+1)
 	}
@@ -310,10 +312,9 @@ func TestJoinKernelMatchesNestedLoop(t *testing.T) {
 			count = 20 + rng.Intn(40)
 		}
 		tuples, cols := kernelTuples(rng, count, nAliases)
-		x.setColumns(cols)
 
-		gotRows, gotContrib := exactJoin(x, tuples)
-		wantRows, wantContrib := exactJoinReference(x, tuples)
+		gotRows, gotContrib := exactJoinOver(x, cols, tuples)
+		wantRows, wantContrib := exactJoinReference(x, cols, tuples)
 		if !rowsEqual(gotRows, wantRows) {
 			t.Fatalf("iter %d: %q\nkernel rows (%d) differ from nested loop (%d)",
 				i, src, len(gotRows), len(wantRows))
@@ -346,12 +347,11 @@ func TestJoinKernelSpecialValues(t *testing.T) {
 			temp = append(temp, v)
 		}
 	}
-	cols := map[string][]float64{"temp": temp}
+	cols := kernelCols{"temp": temp}
 	for _, src := range queries {
 		x := kernelExec(t, src)
-		x.setColumns(cols)
-		gotRows, gotContrib := exactJoin(x, tuples)
-		wantRows, wantContrib := exactJoinReference(x, tuples)
+		gotRows, gotContrib := exactJoinOver(x, cols, tuples)
+		wantRows, wantContrib := exactJoinReference(x, cols, tuples)
 		if !rowsEqual(gotRows, wantRows) {
 			t.Fatalf("%q: kernel %d rows, nested loop %d rows", src, len(gotRows), len(wantRows))
 		}
@@ -391,8 +391,7 @@ func TestJoinPlannerAccessPaths(t *testing.T) {
 	for _, c := range cases {
 		src := "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE " + c.where + " ONCE"
 		x := kernelExec(t, src)
-		x.setColumns(cols)
-		plans := capturePlans(func() { exactJoin(x, tuples) })
+		plans := capturePlans(func() { exactJoinOver(x, cols, tuples) })
 		if len(plans) != 1 {
 			t.Fatalf("%q: %d plans, want 1", c.where, len(plans))
 		}
@@ -414,8 +413,7 @@ func TestJoinPlannerThreeWayChain(t *testing.T) {
 	src := "SELECT A.temp FROM Sensors A, Sensors B, Sensors C " +
 		"WHERE A.bucket = B.bucket AND abs(B.temp - C.temp) < 2 ONCE"
 	x := kernelExec(t, src)
-	x.setColumns(cols)
-	plans := capturePlans(func() { exactJoin(x, tuples) })
+	plans := capturePlans(func() { exactJoinOver(x, cols, tuples) })
 	if len(plans) != 1 {
 		t.Fatalf("%d plans, want 1", len(plans))
 	}
@@ -426,8 +424,8 @@ func TestJoinPlannerThreeWayChain(t *testing.T) {
 		}
 	}
 	// Exact row agreement under the permuted join order.
-	gotRows, _ := exactJoin(x, tuples)
-	wantRows, _ := exactJoinReference(x, tuples)
+	gotRows, _ := exactJoinOver(x, cols, tuples)
+	wantRows, _ := exactJoinReference(x, cols, tuples)
 	if !rowsEqual(gotRows, wantRows) {
 		t.Fatalf("3-way chain rows differ: kernel %d, nested loop %d", len(gotRows), len(wantRows))
 	}
@@ -436,7 +434,7 @@ func TestJoinPlannerThreeWayChain(t *testing.T) {
 // benchTuples builds a realistic base-station tuple set: one tuple per
 // node, all nodes in both aliases (the experiment workloads are
 // self-joins).
-func benchTuples(count int) ([]finalTuple, map[string][]float64) {
+func benchTuples(count int) ([]finalTuple, kernelCols) {
 	rng := rand.New(rand.NewSource(7))
 	tuples, cols := kernelTuples(rng, count, 2)
 	for i := range tuples {
@@ -446,15 +444,15 @@ func benchTuples(count int) ([]finalTuple, map[string][]float64) {
 }
 
 func benchmarkJoin(b *testing.B, src string, count int,
-	join func(*Exec, []finalTuple) ([]Row, map[topology.NodeID]bool)) {
+	join func(*Exec, columnSource, []finalTuple) ([]Row, map[topology.NodeID]bool)) {
 	x := kernelExec(b, src)
 	tuples, cols := benchTuples(count)
-	x.setColumns(cols)
-	rows, _ := join(x, tuples)
+	rows, _ := join(x, cols, tuples)
 	b.ReportMetric(float64(len(rows)), "rows")
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		join(x, tuples)
+		join(x, cols, tuples)
 	}
 }
 
@@ -467,9 +465,9 @@ const qBenchBand = "SELECT A.temp, B.temp, A.hum, B.hum FROM Sensors A, Sensors 
 const qBenchEqui = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.bucket = B.bucket AND A.temp - B.temp > 0.5 ONCE"
 
 func BenchmarkExactJoin(b *testing.B) {
-	b.Run("band-1500", func(b *testing.B) { benchmarkJoin(b, qBenchBand, 1500, exactJoin) })
-	b.Run("equi-1500", func(b *testing.B) { benchmarkJoin(b, qBenchEqui, 1500, exactJoin) })
-	b.Run("band-400", func(b *testing.B) { benchmarkJoin(b, qBenchBand, 400, exactJoin) })
+	b.Run("band-1500", func(b *testing.B) { benchmarkJoin(b, qBenchBand, 1500, exactJoinOver) })
+	b.Run("equi-1500", func(b *testing.B) { benchmarkJoin(b, qBenchEqui, 1500, exactJoinOver) })
+	b.Run("band-400", func(b *testing.B) { benchmarkJoin(b, qBenchBand, 400, exactJoinOver) })
 }
 
 // BenchmarkExactJoinReference measures the seed's nested loop on the

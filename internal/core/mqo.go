@@ -317,51 +317,34 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 	s.cont.scratch.reset()
 	s.Memory = MemoryReport{}
 
-	states := make([]groupNode, n)
+	states := borrow(&x0.run().group, n)
+	defer giveBack(x0, &x0.run().group, states)
 	for i := range states {
 		states[i].allFull = true
 	}
 
 	var standDown []topology.NodeID
-	if x0.Net.Reliable() {
-		x0.Net.OnGiveUp(func(msg netsim.Message, attempts int) {
-			if msg.Kind != kindFilter {
-				return
-			}
-			standDown = append(standDown, msg.Dst)
-			x0.span(trace.KindStandDown, msg.Dst, msg.Src, PhaseFilterDissem, attempts)
-		})
-		defer x0.Net.OnGiveUp(nil)
-	}
+	defer recordStandDowns(x0, &standDown)()
 
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
+	x0.Net.SetHandler(func(id topology.NodeID, msg netsim.Message) {
 		st := &states[id]
-		x0.Net.SetHandler(id, func(msg netsim.Message) {
-			if st.cut {
-				return
+		if st.cut {
+			return
+		}
+		switch msg.Kind {
+		case kindFullTuples:
+			st.fullsIn = append(st.fullsIn, msg.Payload.([]finalTuple)...)
+		case kindJoinAttrs:
+			st.onJoinAttrs(msg)
+		case kindFilter:
+			if msg.Src == tree.Parent[id] {
+				g.onGroupFilter(x0, p0, o, s, id, st, msg.Src, msg.Payload.(*groupFilterMsg), m, fullMask)
 			}
-			switch msg.Kind {
-			case kindFullTuples:
-				st.fullsIn = append(st.fullsIn, msg.Payload.([]finalTuple)...)
-			case kindJoinAttrs:
-				pl := msg.Payload.(*jaPayload)
-				st.keysIn = quadtree.UnionKeys(st.keysIn, pl.keys)
-				st.rawIn += pl.rawCount
-				st.coverIn += pl.covered
-				st.allFull = false
-				st.activeChildren++
-				st.children = append(st.children, msg.Src)
-				st.childNeedsFull = st.childNeedsFull || pl.needFull
-			case kindFilter:
-				if msg.Src == tree.Parent[id] {
-					g.onGroupFilter(x0, p0, o, s, id, st, msg.Src, msg.Payload.(*groupFilterMsg), m, fullMask)
-				}
-			case kindFinal:
-				st.gfinals = append(st.gfinals, msg.Payload.([]groupTuple)...)
-			}
-		})
-	}
+		case kindFinal:
+			st.gfinals = append(st.gfinals, msg.Payload.([]groupTuple)...)
+		}
+	})
+	defer x0.Net.SetHandler(nil)
 
 	// Phase A: one Join-Attribute-Collection wave serves every member.
 	x0.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseJACollect, 0)
@@ -470,19 +453,7 @@ func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*R
 	x0.Sim.Run()
 
 	for i := range states {
-		st := &states[i]
-		if st.memProxyBytes > s.Memory.MaxProxyBytes {
-			s.Memory.MaxProxyBytes = st.memProxyBytes
-		}
-		if st.memSubtreeBytes > s.Memory.MaxSubtreeBytes {
-			s.Memory.MaxSubtreeBytes = st.memSubtreeBytes
-		}
-		if st.memFilterBytes > s.Memory.MaxFilterBytes {
-			s.Memory.MaxFilterBytes = st.memFilterBytes
-		}
-		if st.overflow {
-			s.Memory.OverflowNodes++
-		}
+		s.Memory.fold(&states[i].sensNode)
 	}
 
 	bsT := &states[topology.BaseStation]

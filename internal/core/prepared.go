@@ -167,7 +167,7 @@ func (r *Runner) ExecPrepared(p *Prepared, t float64) (*Exec, error) {
 		Sim: r.Sim, Net: r.Net, Tree: r.Tree, Stats: r.Stats,
 		Dep: r.Dep, Env: r.Env, Catalog: r.Catalog,
 		Query: p.query, Analysis: p.analysis, Time: t,
-		prog: p.prog,
+		prog: p.prog, scratch: &r.scratch,
 	}
 	x.Member = r.Member
 	x.Trace = r.Trace

@@ -205,40 +205,39 @@ func recoverRound(x *Exec, p *plan, roots []topology.NodeID) []finalTuple {
 	// a node cannot know to retransmit without being asked.
 	reqArrived := make([]bool, n)
 
-	inbox := make([][]finalTuple, n)
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
-		x.Net.SetHandler(id, func(m netsim.Message) {
-			switch m.Kind {
-			case kindRerequest:
-				rest := m.Payload.([]topology.NodeID)
-				if len(rest) == 0 {
-					reqArrived[id] = true
-					return
-				}
-				x.Net.Send(netsim.Message{
-					Kind: kindRerequest, Src: id, Dst: rest[0],
-					Phase: PhaseRecovery, Size: 2 + 2*len(rest[1:]), Payload: rest[1:],
-				})
-			case kindRecover:
-				tuples := m.Payload.([]finalTuple)
-				if id == topology.BaseStation || inSub[id] {
-					inbox[id] = append(inbox[id], tuples...)
-					return
-				}
-				// A relay on the path to the base station: recovery has no
-				// slot schedule above the subtree, forward immediately.
-				size := 0
-				for _, t := range tuples {
-					size += t.bytes
-				}
-				x.Net.Send(netsim.Message{
-					Kind: kindRecover, Src: id, Dst: tree.Parent[id],
-					Phase: PhaseRecovery, Size: size, Payload: tuples,
-				})
+	inbox := borrow(&x.run().inbox, n)
+	defer giveBack(x, &x.run().inbox, inbox)
+	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
+		switch m.Kind {
+		case kindRerequest:
+			rest := m.Payload.([]topology.NodeID)
+			if len(rest) == 0 {
+				reqArrived[id] = true
+				return
 			}
-		})
-	}
+			x.Net.Send(netsim.Message{
+				Kind: kindRerequest, Src: id, Dst: rest[0],
+				Phase: PhaseRecovery, Size: 2 + 2*len(rest[1:]), Payload: rest[1:],
+			})
+		case kindRecover:
+			tuples := m.Payload.([]finalTuple)
+			if id == topology.BaseStation || inSub[id] {
+				inbox[id] = append(inbox[id], tuples...)
+				return
+			}
+			// A relay on the path to the base station: recovery has no
+			// slot schedule above the subtree, forward immediately.
+			size := 0
+			for _, t := range tuples {
+				size += t.bytes
+			}
+			x.Net.Send(netsim.Message{
+				Kind: kindRecover, Src: id, Dst: tree.Parent[id],
+				Phase: PhaseRecovery, Size: size, Payload: tuples,
+			})
+		}
+	})
+	defer x.Net.SetHandler(nil)
 
 	// Re-requests: one per root, forwarded hop-by-hop along the tree path
 	// (each hop carries the remaining path, 2 bytes per id).

@@ -34,33 +34,53 @@ var MediatedPhases = []string{PhaseMediatedCollect, PhaseMediatedResult}
 // SemiJoinPhases lists the phases of the in-network semi-join.
 var SemiJoinPhases = []string{PhaseSemiCollectA, PhaseSemiFlood, PhaseSemiCollectB}
 
+// waveNode is one node's state in a collection wave. A relay does not
+// copy its subtree's tuples from message to message: it notes who it
+// heard from and how many bytes they announced, and ships that sum plus
+// its own tuple. The root lists the tuples once, from the notes (gather).
+type waveNode struct {
+	children []topology.NodeID // senders heard from, in arrival order
+	bytes    int               // wire size of what they sent
+	own      bool              // the node's own tuple went out behind theirs
+}
+
+// wave is one wave's per-node state, and the payload of its messages: a
+// delivery still in flight from an earlier wave is not one of its children.
+type wave struct{ nodes []waveNode }
+
+// gather appends the tuples node id forwarded, in the order the copying
+// relay produced them: each child's subtree in arrival order, the own
+// tuple last.
+func (w *wave) gather(out []finalTuple, p *plan, id topology.NodeID) []finalTuple {
+	nd := &w.nodes[id]
+	for _, c := range nd.children {
+		out = w.gather(out, p, c)
+	}
+	if nd.own {
+		out = append(out, p.tuple(id))
+	}
+	return out
+}
+
 // collectWave runs a TAG-style collection of complete tuples along an
 // arbitrary tree: every member node ships its tuple toward the root,
-// relays aggregate. It returns the tuples gathered at the root. Handlers
-// are installed for the wave's duration.
+// relays aggregate. It returns the tuples gathered at the root. The
+// handler is installed for the wave's duration.
 func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include func(topology.NodeID) bool) []finalTuple {
 	n := x.Net.N()
 	start := x.Sim.Now()
 	slot := collectionSlot(x, p)
-	inbox := make([][]finalTuple, n)
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
-		x.Net.SetHandler(id, func(m netsim.Message) {
-			if m.Kind != kindFinal {
-				return
-			}
-			pl := m.Payload.([]finalTuple)
-			if inbox[id] == nil {
-				// Adopt the first child's slice: the sender abandons it
-				// at Send (and its inbox reference right after), so
-				// ownership transfers without copying — near the root
-				// this saves re-copying whole subtrees.
-				inbox[id] = pl
-				return
-			}
-			inbox[id] = append(inbox[id], pl...)
-		})
-	}
+	w := &wave{nodes: borrow(&x.run().wave, n)}
+	defer giveBack(x, &x.run().wave, w.nodes)
+	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
+		if m.Kind != kindFinal || m.Payload != any(w) {
+			return
+		}
+		nd := &w.nodes[id]
+		nd.children = append(nd.children, m.Src)
+		nd.bytes += m.Size
+	})
+	defer x.Net.SetHandler(nil)
 	for i := 0; i < n; i++ {
 		id := topology.NodeID(i)
 		if id == tree.Root || !tree.Reachable(id) {
@@ -68,30 +88,24 @@ func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include fun
 		}
 		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slot
 		x.Sim.ScheduleNode(id, id, deadline, func() {
-			tuples := inbox[id]
+			nd := &w.nodes[id]
+			size := nd.bytes
 			if p.nodes[id].flags != 0 && (include == nil || include(id)) {
-				tuples = append(tuples, p.tuple(id))
+				nd.own = true
+				size += p.nodes[id].tupleBytes
 			}
-			if len(tuples) == 0 {
+			if len(nd.children) == 0 && !nd.own {
 				return
-			}
-			size := 0
-			for _, t := range tuples {
-				size += t.bytes
 			}
 			x.Net.Send(netsim.Message{
 				Kind: kindFinal, Src: id, Dst: tree.Parent[id],
-				Phase: phase, Size: size, Payload: tuples,
+				Phase: phase, Size: size, Payload: w,
 			})
-			// The subtree's tuples now live in the in-flight payload
-			// (soon adopted or copied by the parent); dropping this
-			// reference keeps the wave's live memory proportional to
-			// the frontier instead of O(nodes × depth).
-			inbox[id] = nil
 		})
 	}
 	x.Sim.RunUntil(start + float64(tree.MaxDepth+1)*slot)
-	return inbox[tree.Root]
+	// At most one tuple per member node can arrive.
+	return w.gather(make([]finalTuple, 0, p.members), p, tree.Root)
 }
 
 // shortestPath returns the hop path from a to b over live links.
@@ -286,25 +300,23 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 	// (the semi-join has no subtree knowledge to prune with).
 	if len(aKeys) > 0 {
 		seen := make([]bool, x.Net.N())
-		for i := 0; i < x.Net.N(); i++ {
-			id := topology.NodeID(i)
-			x.Net.SetHandler(id, func(m netsim.Message) {
-				if m.Kind != kindFilter || seen[id] {
-					return
-				}
-				seen[id] = true
-				x.Net.Send(netsim.Message{
-					Kind: kindFilter, Src: id, Dst: netsim.BroadcastID,
-					Phase: PhaseSemiFlood, Size: floodSize,
-				})
+		x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
+			if m.Kind != kindFilter || seen[id] {
+				return
+			}
+			seen[id] = true
+			x.Net.Send(netsim.Message{
+				Kind: kindFilter, Src: id, Dst: netsim.BroadcastID,
+				Phase: PhaseSemiFlood, Size: floodSize,
 			})
-		}
+		})
 		seen[topology.BaseStation] = true
 		x.Net.Send(netsim.Message{
 			Kind: kindFilter, Src: topology.BaseStation, Dst: netsim.BroadcastID,
 			Phase: PhaseSemiFlood, Size: floodSize,
 		})
 		x.Sim.Run()
+		x.Net.SetHandler(nil)
 	}
 
 	// Phase 3: B nodes whose key possibly matches some A key ship their

@@ -87,6 +87,9 @@ type Runner struct {
 	// reg remembers the registry EnableMetrics wired, so features
 	// enabled later (AttachChurn) can register their instruments too.
 	reg *metrics.Registry
+	// scratch is the per-node run state and join-kernel storage every
+	// execution on this runner borrows (runstate.go).
+	scratch runScratch
 }
 
 // NewRunner builds a connected deployment, its environment, the standard
@@ -199,6 +202,7 @@ func (r *Runner) Exec(q *query.Query, t float64) (*Exec, error) {
 	x.Metrics = r.Metrics
 	x.Workers = r.workers
 	x.Repair = r.repair
+	x.scratch = &r.scratch
 	x.onTreeSwap = func(t *routing.Tree) {
 		r.Tree = t
 		r.treeDepth.Set(int64(t.MaxDepth))

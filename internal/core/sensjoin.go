@@ -103,26 +103,21 @@ func (s *SENSJoin) Rounds() int {
 // Phases implements Method.
 func (*SENSJoin) Phases() []string { return SENSPhases }
 
-// sensNode is the per-node protocol state (Fig. 1's local variables).
+// sensNode is the per-node protocol state (Fig. 1's local variables);
+// the flags sit together at the end so they share one word.
 type sensNode struct {
 	// Phase A inboxes.
 	fullsIn  []finalTuple
 	keysIn   []zorder.Key
 	rawIn    int
 	coverIn  int
-	allFull  bool
 	children []topology.NodeID
 	// Outcome of phase A.
-	cut            bool
 	activeChildren int
 	subtreeKeys    []zorder.Key
-	overflow       bool
 	proxied        []finalTuple
 	// Phase B outcome.
-	gotFilter      bool
-	ownMatch       bool
-	matchedProxy   []finalTuple
-	childNeedsFull bool
+	matchedProxy []finalTuple
 	// Phase C inbox.
 	finalsIn []finalTuple
 	// Memory accounting, folded into MemoryReport after the run. Keeping
@@ -131,6 +126,35 @@ type sensNode struct {
 	memProxyBytes   int
 	memSubtreeBytes int
 	memFilterBytes  int
+
+	allFull        bool // phase A: every child sent complete tuples
+	cut            bool // phase A: the node left the query after Treecut
+	overflow       bool // phase A: subtree structure too large to keep
+	gotFilter      bool // phase B
+	ownMatch       bool // phase B
+	childNeedsFull bool // phase B (incremental mode)
+}
+
+// onJoinAttrs files a child's join-attribute message (phase A).
+func (st *sensNode) onJoinAttrs(m netsim.Message) {
+	pl := m.Payload.(*jaPayload)
+	st.keysIn = quadtree.UnionKeys(st.keysIn, pl.keys)
+	st.rawIn += pl.rawCount
+	st.coverIn += pl.covered
+	st.allFull = false
+	st.activeChildren++
+	st.children = append(st.children, m.Src)
+	st.childNeedsFull = st.childNeedsFull || pl.needFull
+}
+
+// fold raises the report's high-water marks to cover one node.
+func (r *MemoryReport) fold(st *sensNode) {
+	r.MaxProxyBytes = max(r.MaxProxyBytes, st.memProxyBytes)
+	r.MaxSubtreeBytes = max(r.MaxSubtreeBytes, st.memSubtreeBytes)
+	r.MaxFilterBytes = max(r.MaxFilterBytes, st.memFilterBytes)
+	if st.overflow {
+		r.OverflowNodes++
+	}
 }
 
 // Run implements Method.
@@ -156,61 +180,39 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 	}
 	s.Memory = MemoryReport{}
 
-	// One flat allocation instead of n small ones; at scale the per-node
-	// pointer chase and allocator traffic dominate setup.
-	states := make([]sensNode, n)
+	// Per-node state is on loan from the runner (runstate.go).
+	states := borrow(&x.run().sens, n)
+	defer giveBack(x, &x.run().sens, states)
 	for i := range states {
 		states[i].allFull = true
 	}
 
-	// Under reliable transport a filter transfer that exhausts its
-	// retransmissions means the subtree below the addressee may run
-	// phase C without a filter: record the stand-down so recovery
-	// re-collects that subtree unconditionally.
 	var standDown []topology.NodeID
-	if x.Net.Reliable() {
-		x.Net.OnGiveUp(func(m netsim.Message, attempts int) {
-			if m.Kind != kindFilter {
-				return
-			}
-			standDown = append(standDown, m.Dst)
-			x.span(trace.KindStandDown, m.Dst, m.Src, PhaseFilterDissem, attempts)
-		})
-		defer x.Net.OnGiveUp(nil)
-	}
+	defer recordStandDowns(x, &standDown)()
 
 	// Message handling is shared by all phases.
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
+	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
 		st := &states[id]
-		x.Net.SetHandler(id, func(m netsim.Message) {
-			if st.cut {
-				return // the node exited the query after Treecut
+		if st.cut {
+			return // the node exited the query after Treecut
+		}
+		switch m.Kind {
+		case kindFullTuples:
+			st.fullsIn = append(st.fullsIn, m.Payload.([]finalTuple)...)
+		case kindJoinAttrs:
+			st.onJoinAttrs(m)
+		case kindFilter:
+			// Filters travel down the tree: only the broadcast of
+			// this node's parent applies; broadcasts overheard from
+			// other neighbors concern their subtrees.
+			if m.Src == x.Tree.Parent[id] {
+				s.onFilter(x, p, o, id, st, m.Src, m.Payload.(*filterMsg))
 			}
-			switch m.Kind {
-			case kindFullTuples:
-				st.fullsIn = append(st.fullsIn, m.Payload.([]finalTuple)...)
-			case kindJoinAttrs:
-				pl := m.Payload.(*jaPayload)
-				st.keysIn = quadtree.UnionKeys(st.keysIn, pl.keys)
-				st.rawIn += pl.rawCount
-				st.coverIn += pl.covered
-				st.allFull = false
-				st.activeChildren++
-				st.children = append(st.children, m.Src)
-				st.childNeedsFull = st.childNeedsFull || pl.needFull
-			case kindFilter:
-				// Filters travel down the tree: only the broadcast of
-				// this node's parent applies; broadcasts overheard from
-				// other neighbors concern their subtrees.
-				if m.Src == x.Tree.Parent[id] {
-					s.onFilter(x, p, o, id, st, m.Src, m.Payload.(*filterMsg))
-				}
-			case kindFinal:
-				st.finalsIn = append(st.finalsIn, m.Payload.([]finalTuple)...)
-			}
-		})
-	}
+		case kindFinal:
+			st.finalsIn = append(st.finalsIn, m.Payload.([]finalTuple)...)
+		}
+	})
+	defer x.Net.SetHandler(nil)
 
 	// Phase A: Join-Attribute-Collection, leaves first (Fig. 2).
 	x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseJACollect, 0)
@@ -299,19 +301,7 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 
 	// Fold the per-node memory accounting into the report.
 	for i := range states {
-		st := &states[i]
-		if st.memProxyBytes > s.Memory.MaxProxyBytes {
-			s.Memory.MaxProxyBytes = st.memProxyBytes
-		}
-		if st.memSubtreeBytes > s.Memory.MaxSubtreeBytes {
-			s.Memory.MaxSubtreeBytes = st.memSubtreeBytes
-		}
-		if st.memFilterBytes > s.Memory.MaxFilterBytes {
-			s.Memory.MaxFilterBytes = st.memFilterBytes
-		}
-		if st.overflow {
-			s.Memory.OverflowNodes++
-		}
+		s.Memory.fold(&states[i])
 	}
 
 	// Reliable transport: the base station knows which subtrees are
@@ -325,6 +315,23 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 		annotateIncomplete(x, missingFrom(contributorSet(x, p), tupleIndex(gotTuples)), result)
 	}
 	return result, nil
+}
+
+// recordStandDowns appends to *standDown the addressee of every filter
+// transfer that exhausts its retransmissions: the subtree below it may run
+// phase C without a filter, so recovery re-collects it unconditionally.
+// Only reliable transport gives up; the returned func ends the recording.
+func recordStandDowns(x *Exec, standDown *[]topology.NodeID) (stop func()) {
+	if !x.Net.Reliable() {
+		return func() {}
+	}
+	x.Net.OnGiveUp(func(m netsim.Message, attempts int) {
+		if m.Kind == kindFilter {
+			*standDown = append(*standDown, m.Dst)
+			x.span(trace.KindStandDown, m.Dst, m.Src, PhaseFilterDissem, attempts)
+		}
+	})
+	return func() { x.Net.OnGiveUp(nil) }
 }
 
 // sendFilter disseminates a filter message to the node's active

@@ -82,8 +82,9 @@ type Accountant interface {
 	OnRx(node NodeID, phase string, packets, bytes int)
 }
 
-// Handler processes messages delivered to a node.
-type Handler func(m Message)
+// Handler processes a message delivered to node `to`. A network has one
+// handler for all nodes; protocols index their per-node state by `to`.
+type Handler func(to NodeID, m Message)
 
 // Network delivers messages between neighboring nodes over a broadcast
 // medium, charging transmissions to an Accountant.
@@ -92,10 +93,10 @@ type Network struct {
 	Radio RadioConfig
 	Dep   *topology.Deployment
 
-	handlers []Handler
-	acct     Accountant
-	down     map[linkKey]bool
-	dead     []bool
+	handler Handler
+	acct    Accountant
+	down    map[linkKey]bool
+	dead    []bool
 
 	lossRate float64
 	lossRNG  *rand.Rand
@@ -214,14 +215,13 @@ func mkLink(a, b NodeID) linkKey {
 func NewNetwork(sim *Sim, dep *topology.Deployment, radio RadioConfig, acct Accountant) *Network {
 	_ = radio.Payload() // validate
 	return &Network{
-		Sim:      sim,
-		Radio:    radio,
-		Dep:      dep,
-		handlers: make([]Handler, dep.N()),
-		acct:     acct,
-		down:     make(map[linkKey]bool),
-		dead:     make([]bool, dep.N()),
-		msgSeq:   make([]int64, dep.N()),
+		Sim:    sim,
+		Radio:  radio,
+		Dep:    dep,
+		acct:   acct,
+		down:   make(map[linkKey]bool),
+		dead:   make([]bool, dep.N()),
+		msgSeq: make([]int64, dep.N()),
 	}
 }
 
@@ -233,8 +233,10 @@ func (n *Network) nextMsgID(src NodeID) int64 {
 	return (int64(src)+1)<<32 | n.msgSeq[src]
 }
 
-// SetHandler installs the message handler for node id.
-func (n *Network) SetHandler(id NodeID, h Handler) { n.handlers[id] = h }
+// SetHandler installs the message handler (nil: deliveries are accounted
+// and dropped). Protocols clear it when a run ends, so an idle network
+// holds on to nothing of the run that used it last.
+func (n *Network) SetHandler(h Handler) { n.handler = h }
 
 // TraceEvent is one radio-level event. Timestamps are true simulated
 // times: a "tx" carries the send instant, an "rx" the instant after air
@@ -566,8 +568,8 @@ func (d *delivery) deliver() {
 	}
 	n.met.Rx.Add(int64(packets))
 	n.trace("rx", to, m, packets, msgID, 0)
-	if h := n.handlers[to]; h != nil {
-		h(m)
+	if n.handler != nil {
+		n.handler(to, m)
 	}
 }
 

@@ -304,8 +304,8 @@ func (n *Network) deliverReliable(p *pendingTx, msgID int64, arrived, arrivedB i
 	n.met.Rx.Add(int64(arrived))
 	n.traceRel("rx", m, arrived, arrivedB, msgID, 0, p.attempt, p.logical, false, false)
 	if p.remain == 0 {
-		if h := n.handlers[to]; h != nil {
-			h(m)
+		if n.handler != nil {
+			n.handler(to, m)
 		}
 	}
 	n.sendAck(p, to)

@@ -45,7 +45,7 @@ func TestReliableDeliversExactlyOnceUnderLoss(t *testing.T) {
 	sim, net := reliableNet(3, acct)
 	net.SetLossRate(0.3, 99)
 	var got []Message
-	net.SetHandler(1, func(m Message) { got = append(got, m) })
+	net.SetHandler(func(_ NodeID, m Message) { got = append(got, m) })
 	// 200 payload bytes = 5 packets at the default 40B payload.
 	net.Send(Message{Kind: 3, Src: 0, Dst: 1, Phase: "data", Size: 200, Payload: "big"})
 	sim.Run()
@@ -80,7 +80,7 @@ func TestReliableSuppressesDuplicateOnLostAck(t *testing.T) {
 	// Asymmetric loss: data direction clean, ACK direction dead.
 	net.SetLinkLossRate(1, 0, 1.0)
 	calls := 0
-	net.SetHandler(1, func(m Message) { calls++ })
+	net.SetHandler(func(_ NodeID, m Message) { calls++ })
 	net.Send(Message{Kind: 3, Src: 0, Dst: 1, Phase: "data", Size: 10})
 	sim.Run()
 	if calls != 1 {
@@ -168,8 +168,7 @@ func TestLinkLossAsymmetric(t *testing.T) {
 	net := NewNetwork(sim, lineDeployment(3), DefaultRadio(), newPhaseAcct())
 	net.SetLinkLossRate(0, 1, 1.0)
 	got := map[NodeID]int{}
-	net.SetHandler(0, func(m Message) { got[0]++ })
-	net.SetHandler(1, func(m Message) { got[1]++ })
+	net.SetHandler(func(to NodeID, m Message) { got[to]++ })
 	net.Send(Message{Kind: 1, Src: 0, Dst: 1, Phase: "p", Size: 10})
 	net.Send(Message{Kind: 1, Src: 1, Dst: 0, Phase: "p", Size: 10})
 	sim.Run()
@@ -227,7 +226,7 @@ func TestReliableByteConservation(t *testing.T) {
 	acct := newPhaseAcct()
 	sim, net := reliableNet(3, acct)
 	net.SetLossRate(0.4, 7)
-	net.SetHandler(1, func(m Message) {})
+	net.SetHandler(func(NodeID, Message) {})
 	const size = 500 // 13 packets
 	net.Send(Message{Kind: 3, Src: 0, Dst: 1, Phase: "data", Size: size})
 	sim.Run()

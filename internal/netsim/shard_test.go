@@ -20,17 +20,14 @@ func floodRun(t *testing.T, dep *topology.Deployment, shards, workers int) strin
 	n := dep.N()
 	seen := make([]bool, n)
 	log := make([][]string, n)
-	for i := 0; i < n; i++ {
-		id := NodeID(i)
-		net.SetHandler(id, func(m Message) {
-			log[id] = append(log[id], fmt.Sprintf("%d<-%d@%d", id, m.Src, m.Kind))
-			if seen[id] {
-				return
-			}
-			seen[id] = true
-			net.Send(Message{Kind: m.Kind + 1, Src: id, Dst: BroadcastID, Phase: "flood", Size: 10})
-		})
-	}
+	net.SetHandler(func(id NodeID, m Message) {
+		log[id] = append(log[id], fmt.Sprintf("%d<-%d@%d", id, m.Src, m.Kind))
+		if seen[id] {
+			return
+		}
+		seen[id] = true
+		net.Send(Message{Kind: m.Kind + 1, Src: id, Dst: BroadcastID, Phase: "flood", Size: 10})
+	})
 	seen[0] = true
 	sim.ScheduleNode(0, 0, 0.5, func() {
 		net.Send(Message{Kind: 1, Src: 0, Dst: BroadcastID, Phase: "flood", Size: 10})
@@ -72,16 +69,13 @@ func TestShardedUnicastChain(t *testing.T) {
 		net := NewNetwork(sim, dep, DefaultRadio(), nil)
 		net.BindSharding()
 		var arrived Time
-		for i := 1; i < dep.N(); i++ {
-			id := NodeID(i)
-			net.SetHandler(id, func(m Message) {
-				if int(id) == dep.N()-1 {
-					arrived = sim.sendTimeForTest(id)
-					return
-				}
-				net.Send(Message{Kind: m.Kind, Src: id, Dst: id + 1, Phase: "relay", Size: 24})
-			})
-		}
+		net.SetHandler(func(id NodeID, m Message) {
+			if int(id) == dep.N()-1 {
+				arrived = sim.sendTimeForTest(id)
+				return
+			}
+			net.Send(Message{Kind: m.Kind, Src: id, Dst: id + 1, Phase: "relay", Size: 24})
+		})
 		sim.ScheduleNode(0, 0, 0, func() {
 			net.Send(Message{Kind: 7, Src: 0, Dst: 1, Phase: "relay", Size: 24})
 		})

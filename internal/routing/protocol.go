@@ -69,16 +69,11 @@ func NewProtocol(net *netsim.Network, interval float64) *Protocol {
 	return p
 }
 
-// Reinstall re-registers the protocol's message handlers. Query engines
-// take over the per-node handlers for the duration of an execution
+// Reinstall re-registers the protocol's message handler. Query engines
+// take over the network's handler for the duration of an execution
 // (§III: queries and routing share the single radio stack); call
 // Reinstall before the next beacon round after running a query.
-func (p *Protocol) Reinstall() {
-	for i := 0; i < p.Net.N(); i++ {
-		id := topology.NodeID(i)
-		p.Net.SetHandler(id, func(m netsim.Message) { p.handle(id, m) })
-	}
-}
+func (p *Protocol) Reinstall() { p.Net.SetHandler(p.handle) }
 
 // Start schedules the first beacon round and every following one.
 func (p *Protocol) Start() {

@@ -13,8 +13,11 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"sensjoin/internal/topology"
 )
@@ -31,100 +34,139 @@ func (c *Counter) Add(packets, bytes int) {
 	c.Bytes += int64(bytes)
 }
 
+// What a collector counts per (node, phase).
+const (
+	sideTx = iota
+	sideRx
+	sideRetx
+	sideAck
+	numSides
+)
+
+// table is one immutable version of a collector's index: the interned
+// phase labels and, per side and label, a column of one Counter per node
+// (nil until first charged). Only the counters change once published.
+type table struct {
+	labels []string
+	cols   [numSides][][]Counter // cols[side][label][node]
+}
+
 // Collector implements netsim.Accountant (and its reliable-transport
 // extension netsim.ReliabilityAccountant): per-node, per-phase counters.
 // Retransmissions and ACKs are always also charged through OnTx — the
 // retx/ack counters break the reliability overhead out of the totals,
 // they never add to them.
 //
-// Concurrency: all state is strictly per node. Charges to one node only
-// ever touch that node's maps, which is what lets the sharded simulator
-// charge nodes from parallel region workers — OnTx runs on the sender's
-// worker, OnRx on the receiver's — without locks. There is deliberately
-// no collector-global mutable state (Phases derives the label set from
-// the per-node maps on demand). Per-node maps are also allocated lazily
-// on first charge: at million-node scale, eager allocation of four maps
-// per node is most of the collector's footprint.
+// Layout: phase labels are interned to small integers and each (side,
+// label) owns a dense column of n counters, allocated on its first charge
+// and cleared in place by Reset. A charge scans the handful of labels and
+// does an indexed add: no allocation once the column exists.
+//
+// Concurrency: the sharded simulator charges from parallel region
+// workers — OnTx on the sender's, OnRx on the receiver's — and a node
+// belongs to one region, so concurrent charges hit different elements of
+// a column and need no lock. The workers do share the index: it is
+// published through an atomic pointer and replaced, never edited, under
+// mu when a label or a column is new. A worker holding an older version
+// finds its column there (versions share columns) or takes the slow path
+// itself. Queries and Reset are for the coordinator, between runs.
 type Collector struct {
-	n    int
-	tx   []map[string]*Counter
-	rx   []map[string]*Counter
-	retx []map[string]*Counter
-	ack  []map[string]*Counter
+	n   int
+	tab atomic.Pointer[table]
+	mu  sync.Mutex // serializes index replacement
 }
 
 // NewCollector returns a collector for n nodes.
 func NewCollector(n int) *Collector {
-	return &Collector{
-		n:    n,
-		tx:   make([]map[string]*Counter, n),
-		rx:   make([]map[string]*Counter, n),
-		retx: make([]map[string]*Counter, n),
-		ack:  make([]map[string]*Counter, n),
-	}
+	c := &Collector{n: n}
+	c.tab.Store(&table{})
+	return c
 }
 
 // OnTx records a transmission by node.
 func (c *Collector) OnTx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.tx, node, phase).Add(packets, bytes)
+	c.charge(sideTx, node, phase, packets, bytes)
 }
 
 // OnRx records a reception at node.
 func (c *Collector) OnRx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.rx, node, phase).Add(packets, bytes)
+	c.charge(sideRx, node, phase, packets, bytes)
 }
 
 // OnRetx records a reliable-transport retransmission by node (also
 // charged through OnTx).
 func (c *Collector) OnRetx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.retx, node, phase).Add(packets, bytes)
+	c.charge(sideRetx, node, phase, packets, bytes)
 }
 
 // OnAck records a link-layer acknowledgement transmitted by node (also
 // charged through OnTx).
 func (c *Collector) OnAck(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.ack, node, phase).Add(packets, bytes)
+	c.charge(sideAck, node, phase, packets, bytes)
 }
 
-func (c *Collector) counter(side []map[string]*Counter, node topology.NodeID, phase string) *Counter {
-	m := side[node]
-	if m == nil {
-		m = make(map[string]*Counter, 4)
-		side[node] = m
-	}
-	ctr := m[phase]
-	if ctr == nil {
-		ctr = &Counter{}
-		m[phase] = ctr
-	}
-	return ctr
-}
-
-// Reset clears all counters.
-func (c *Collector) Reset() {
-	for i := range c.tx {
-		c.tx[i] = nil
-		c.rx[i] = nil
-		c.retx[i] = nil
-		c.ack[i] = nil
-	}
-}
-
-// Phases returns the phase labels seen, sorted. The set is the union
-// over every node's per-side maps; every charge creates its phase entry,
-// so nothing is missed.
-func (c *Collector) Phases() []string {
-	seen := make(map[string]struct{}, 8)
-	for _, side := range [][]map[string]*Counter{c.tx, c.rx, c.retx, c.ack} {
-		for _, m := range side {
-			for p := range m {
-				seen[p] = struct{}{}
+func (c *Collector) charge(side int, node topology.NodeID, phase string, packets, bytes int) {
+	t := c.tab.Load()
+	for i, l := range t.labels {
+		if l == phase { // callers pass constants: mostly settled by pointer
+			if col := t.cols[side][i]; col != nil {
+				col[node].Add(packets, bytes)
+				return
 			}
+			break
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
+	c.column(side, phase)[node].Add(packets, bytes)
+}
+
+// column is charge's slow path: intern phase, allocate the column and
+// publish a new index version. Labels only append, so none can alias.
+func (c *Collector) column(side int, phase string) []Counter {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.tab.Load()
+	li := slices.Index(old.labels, phase)
+	if li >= 0 && old.cols[side][li] != nil {
+		return old.cols[side][li] // another worker got here first
+	}
+	t := &table{labels: old.labels}
+	if li < 0 {
+		li = len(old.labels)
+		t.labels = append(old.labels[:li:li], phase)
+	}
+	for s := range t.cols {
+		t.cols[s] = make([][]Counter, len(t.labels))
+		copy(t.cols[s], old.cols[s])
+	}
+	col := make([]Counter, c.n)
+	t.cols[side][li] = col
+	c.tab.Store(t)
+	return col
+}
+
+// Reset clears all counters in place, keeping labels and columns.
+func (c *Collector) Reset() {
+	t := c.tab.Load()
+	for s := range t.cols {
+		for _, col := range t.cols[s] {
+			clear(col)
+		}
+	}
+}
+
+// Phases returns the sorted labels charged since the last Reset: those
+// with a non-zero counter on any side (every charge carries a packet).
+func (c *Collector) Phases() []string {
+	t := c.tab.Load()
+	nonZero := func(ctr Counter) bool { return ctr != Counter{} }
+	var out []string
+	for i, l := range t.labels {
+		for s := range t.cols {
+			if slices.ContainsFunc(t.cols[s][i], nonZero) {
+				out = append(out, l)
+				break
+			}
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -133,95 +175,82 @@ func (c *Collector) Phases() []string {
 // N returns the node count.
 func (c *Collector) N() int { return c.n }
 
-// match reports whether phase is selected by the filter: an empty filter
-// selects everything; otherwise the phase must equal one of the entries.
-func match(phase string, filter []string) bool {
-	if len(filter) == 0 {
-		return true
-	}
-	for _, f := range filter {
-		if f == phase {
-			return true
+// selected returns one side's allocated columns whose label is among
+// phases (all when none given); repeated or unknown entries change nothing.
+func (c *Collector) selected(side int, phases []string) [][]Counter {
+	t := c.tab.Load()
+	var cols [][]Counter
+	for i, l := range t.labels {
+		if col := t.cols[side][i]; col != nil && (len(phases) == 0 || slices.Contains(phases, l)) {
+			cols = append(cols, col)
 		}
 	}
-	return false
+	return cols
+}
+
+func sumNode(cols [][]Counter, node topology.NodeID) (p, b int64) {
+	for _, col := range cols {
+		p += col[node].Packets
+		b += col[node].Bytes
+	}
+	return p, b
 }
 
 // NodeTx returns the transmitted (packets, bytes) of node over the given
 // phases (all phases when none given).
 func (c *Collector) NodeTx(node topology.NodeID, phases ...string) (int64, int64) {
-	var p, b int64
-	for ph, ctr := range c.tx[node] {
-		if match(ph, phases) {
-			p += ctr.Packets
-			b += ctr.Bytes
-		}
-	}
-	return p, b
+	return sumNode(c.selected(sideTx, phases), node)
 }
 
 // NodeRx returns the received (packets, bytes) of node over the given
 // phases.
 func (c *Collector) NodeRx(node topology.NodeID, phases ...string) (int64, int64) {
-	var p, b int64
-	for ph, ctr := range c.rx[node] {
-		if match(ph, phases) {
-			p += ctr.Packets
-			b += ctr.Bytes
-		}
-	}
-	return p, b
+	return sumNode(c.selected(sideRx, phases), node)
 }
 
 // TotalRetx sums retransmitted packets over all nodes for the given
 // phases — the reliability overhead already contained in TotalTx.
 func (c *Collector) TotalRetx(phases ...string) int64 {
-	return c.totalSide(c.retx, phases)
+	p, _ := c.total(sideRetx, phases)
+	return p
 }
 
 // TotalAck sums acknowledgement packets over all nodes for the given
 // phases — like TotalRetx, a breakdown of TotalTx, not an addition.
 func (c *Collector) TotalAck(phases ...string) int64 {
-	return c.totalSide(c.ack, phases)
+	p, _ := c.total(sideAck, phases)
+	return p
 }
 
-func (c *Collector) totalSide(side []map[string]*Counter, phases []string) int64 {
-	var p int64
-	for i := 0; i < c.n; i++ {
-		for ph, ctr := range side[i] {
-			if match(ph, phases) {
-				p += ctr.Packets
-			}
+func (c *Collector) total(side int, phases []string) (p, b int64) {
+	for _, col := range c.selected(side, phases) {
+		for i := range col {
+			p += col[i].Packets
+			b += col[i].Bytes
 		}
 	}
-	return p
+	return p, b
 }
 
 // TotalTx sums transmitted packets over all nodes for the given phases.
 func (c *Collector) TotalTx(phases ...string) int64 {
-	var p int64
-	for i := 0; i < c.n; i++ {
-		pp, _ := c.NodeTx(topology.NodeID(i), phases...)
-		p += pp
-	}
+	p, _ := c.total(sideTx, phases)
 	return p
 }
 
 // TotalTxBytes sums transmitted bytes over all nodes for the given phases.
 func (c *Collector) TotalTxBytes(phases ...string) int64 {
-	var b int64
-	for i := 0; i < c.n; i++ {
-		_, bb := c.NodeTx(topology.NodeID(i), phases...)
-		b += bb
-	}
+	_, b := c.total(sideTx, phases)
 	return b
 }
 
 // PerNodeTx returns transmitted packets per node for the given phases.
 func (c *Collector) PerNodeTx(phases ...string) []int64 {
 	out := make([]int64, c.n)
-	for i := range out {
-		out[i], _ = c.NodeTx(topology.NodeID(i), phases...)
+	for _, col := range c.selected(sideTx, phases) {
+		for i := range col {
+			out[i] += col[i].Packets
+		}
 	}
 	return out
 }
@@ -231,9 +260,8 @@ func (c *Collector) PerNodeTx(phases ...string) []int64 {
 func (c *Collector) MaxTx(phases ...string) (topology.NodeID, int64) {
 	var best topology.NodeID
 	var bestP int64 = -1
-	for i := 1; i < c.n; i++ {
-		p, _ := c.NodeTx(topology.NodeID(i), phases...)
-		if p > bestP {
+	for i, p := range c.PerNodeTx(phases...) {
+		if i > 0 && p > bestP {
 			bestP, best = p, topology.NodeID(i)
 		}
 	}
@@ -243,11 +271,8 @@ func (c *Collector) MaxTx(phases ...string) (topology.NodeID, int64) {
 // TopK returns the k highest per-node transmitted packet counts in
 // descending order, excluding the base station.
 func (c *Collector) TopK(k int, phases ...string) []int64 {
-	loads := make([]int64, 0, c.n-1)
-	for i := 1; i < c.n; i++ {
-		p, _ := c.NodeTx(topology.NodeID(i), phases...)
-		loads = append(loads, p)
-	}
+	loads := c.PerNodeTx(phases...)
+	loads = loads[min(1, len(loads)):]
 	sort.Slice(loads, func(i, j int) bool { return loads[i] > loads[j] })
 	if k > len(loads) {
 		k = len(loads)
@@ -258,46 +283,45 @@ func (c *Collector) TopK(k int, phases ...string) []int64 {
 // Snapshot is a deep copy of a Collector's counters at one instant.
 // Audits snapshot before and after an execution and reconcile the delta
 // against the execution's trace journal, bit-exact.
-type Snapshot struct {
-	n      int
-	tx, rx []map[string]Counter
-	phases []string
-}
+type Snapshot struct{ c *Collector }
 
 // Snapshot deep-copies the current counters.
 func (c *Collector) Snapshot() Snapshot {
-	s := Snapshot{
-		n:      c.n,
-		tx:     make([]map[string]Counter, c.n),
-		rx:     make([]map[string]Counter, c.n),
-		phases: c.Phases(),
+	t := c.tab.Load()
+	cp := &table{labels: t.labels}
+	for s := range t.cols {
+		cp.cols[s] = make([][]Counter, len(t.cols[s]))
+		for i, col := range t.cols[s] {
+			cp.cols[s][i] = slices.Clone(col)
+		}
 	}
-	for i := 0; i < c.n; i++ {
-		s.tx[i] = copyCounters(c.tx[i])
-		s.rx[i] = copyCounters(c.rx[i])
-	}
-	return s
-}
-
-func copyCounters(m map[string]*Counter) map[string]Counter {
-	out := make(map[string]Counter, len(m))
-	for ph, ctr := range m {
-		out[ph] = *ctr
-	}
-	return out
+	frozen := &Collector{n: c.n}
+	frozen.tab.Store(cp)
+	return Snapshot{frozen}
 }
 
 // N returns the node count.
-func (s Snapshot) N() int { return s.n }
+func (s Snapshot) N() int { return s.c.n }
 
 // Phases returns the phase labels seen at snapshot time, sorted.
-func (s Snapshot) Phases() []string { return s.phases }
+func (s Snapshot) Phases() []string { return s.c.Phases() }
 
 // Tx returns node's transmitted counter for one phase.
-func (s Snapshot) Tx(node topology.NodeID, phase string) Counter { return s.tx[node][phase] }
+func (s Snapshot) Tx(node topology.NodeID, phase string) Counter { return s.c.at(sideTx, node, phase) }
 
 // Rx returns node's received counter for one phase.
-func (s Snapshot) Rx(node topology.NodeID, phase string) Counter { return s.rx[node][phase] }
+func (s Snapshot) Rx(node topology.NodeID, phase string) Counter { return s.c.at(sideRx, node, phase) }
+
+// at returns one counter; zero for a label or column never charged.
+func (c *Collector) at(side int, node topology.NodeID, phase string) Counter {
+	t := c.tab.Load()
+	for i, l := range t.labels {
+		if l == phase && t.cols[side][i] != nil {
+			return t.cols[side][i][node]
+		}
+	}
+	return Counter{}
+}
 
 // EnergyModel converts packet/byte counts to Joules with a linear model.
 type EnergyModel struct {
@@ -319,20 +343,25 @@ func CC2420Model() EnergyModel {
 	}
 }
 
-// NodeEnergy returns the energy in Joules spent by node under m.
-func (c *Collector) NodeEnergy(m EnergyModel, node topology.NodeID, phases ...string) float64 {
-	tp, tb := c.NodeTx(node, phases...)
-	rp, rb := c.NodeRx(node, phases...)
+// energy converts one node's sums over the selected tx and rx columns.
+func (m EnergyModel) energy(tx, rx [][]Counter, node topology.NodeID) float64 {
+	tp, tb := sumNode(tx, node)
+	rp, rb := sumNode(rx, node)
 	return float64(tp)*m.TxPerPacketJ + float64(tb)*m.TxPerByteJ +
 		float64(rp)*m.RxPerPacketJ + float64(rb)*m.RxPerByteJ
+}
+
+// NodeEnergy returns the energy in Joules spent by node under m.
+func (c *Collector) NodeEnergy(m EnergyModel, node topology.NodeID, phases ...string) float64 {
+	return m.energy(c.selected(sideTx, phases), c.selected(sideRx, phases), node)
 }
 
 // TotalEnergy returns the summed energy over all sensor nodes (the base
 // station is powered and excluded).
 func (c *Collector) TotalEnergy(m EnergyModel, phases ...string) float64 {
 	var e float64
-	for i := 1; i < c.n; i++ {
-		e += c.NodeEnergy(m, topology.NodeID(i), phases...)
+	for _, v := range c.PerNodeEnergy(m, phases...)[min(1, c.n):] {
+		e += v
 	}
 	return e
 }
@@ -370,9 +399,10 @@ func LifetimeRounds(perRoundJ []float64, batteryJ float64) (rounds int, firstDea
 // PerNodeEnergy returns each node's energy in Joules under m for the
 // given phases.
 func (c *Collector) PerNodeEnergy(m EnergyModel, phases ...string) []float64 {
+	tx, rx := c.selected(sideTx, phases), c.selected(sideRx, phases)
 	out := make([]float64, c.n)
 	for i := range out {
-		out[i] = c.NodeEnergy(m, topology.NodeID(i), phases...)
+		out[i] = m.energy(tx, rx, topology.NodeID(i))
 	}
 	return out
 }

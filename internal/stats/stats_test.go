@@ -1,9 +1,15 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
+
+	"sensjoin/internal/topology"
 )
 
 func TestCountersAndFilters(t *testing.T) {
@@ -261,5 +267,451 @@ func TestGini(t *testing.T) {
 	// Base station excluded: its huge load must not register.
 	if g := Gini([]float64{1e9, 5, 5}); g != 0 {
 		t.Fatalf("base station influenced Gini: %g", g)
+	}
+}
+
+// collectorReference is the map-based collector this package had before
+// the dense one — per node, per side, a lazily made map from label to
+// counter, thrown away by Reset — kept verbatim as the oracle of the
+// differential test below.
+type collectorReference struct {
+	n                 int
+	tx, rx, retx, ack []map[string]*Counter
+}
+
+func newCollectorReference(n int) *collectorReference {
+	return &collectorReference{
+		n:    n,
+		tx:   make([]map[string]*Counter, n),
+		rx:   make([]map[string]*Counter, n),
+		retx: make([]map[string]*Counter, n),
+		ack:  make([]map[string]*Counter, n),
+	}
+}
+
+func (c *collectorReference) OnTx(node topology.NodeID, phase string, packets, bytes int) {
+	c.counter(c.tx, node, phase).Add(packets, bytes)
+}
+
+func (c *collectorReference) OnRx(node topology.NodeID, phase string, packets, bytes int) {
+	c.counter(c.rx, node, phase).Add(packets, bytes)
+}
+
+func (c *collectorReference) OnRetx(node topology.NodeID, phase string, packets, bytes int) {
+	c.counter(c.retx, node, phase).Add(packets, bytes)
+}
+
+func (c *collectorReference) OnAck(node topology.NodeID, phase string, packets, bytes int) {
+	c.counter(c.ack, node, phase).Add(packets, bytes)
+}
+
+func (c *collectorReference) counter(side []map[string]*Counter, node topology.NodeID, phase string) *Counter {
+	m := side[node]
+	if m == nil {
+		m = make(map[string]*Counter, 4)
+		side[node] = m
+	}
+	ctr := m[phase]
+	if ctr == nil {
+		ctr = &Counter{}
+		m[phase] = ctr
+	}
+	return ctr
+}
+
+func (c *collectorReference) Reset() {
+	for i := range c.tx {
+		c.tx[i], c.rx[i], c.retx[i], c.ack[i] = nil, nil, nil, nil
+	}
+}
+
+func (c *collectorReference) Phases() []string {
+	seen := make(map[string]struct{}, 8)
+	for _, side := range [][]map[string]*Counter{c.tx, c.rx, c.retx, c.ack} {
+		for _, m := range side {
+			for p := range m {
+				seen[p] = struct{}{}
+			}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for p := range seen {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+func (c *collectorReference) N() int { return c.n }
+
+// match reports whether phase is selected by the filter: an empty filter
+// selects everything; otherwise the phase must equal one of the entries.
+func match(phase string, filter []string) bool {
+	if len(filter) == 0 {
+		return true
+	}
+	for _, f := range filter {
+		if f == phase {
+			return true
+		}
+	}
+	return false
+}
+
+func (c *collectorReference) nodeSide(side []map[string]*Counter, node topology.NodeID, phases []string) (int64, int64) {
+	var p, b int64
+	for ph, ctr := range side[node] {
+		if match(ph, phases) {
+			p += ctr.Packets
+			b += ctr.Bytes
+		}
+	}
+	return p, b
+}
+
+func (c *collectorReference) NodeTx(node topology.NodeID, phases ...string) (int64, int64) {
+	return c.nodeSide(c.tx, node, phases)
+}
+
+func (c *collectorReference) NodeRx(node topology.NodeID, phases ...string) (int64, int64) {
+	return c.nodeSide(c.rx, node, phases)
+}
+
+func (c *collectorReference) totalSide(side []map[string]*Counter, phases []string) int64 {
+	var p int64
+	for i := 0; i < c.n; i++ {
+		pp, _ := c.nodeSide(side, topology.NodeID(i), phases)
+		p += pp
+	}
+	return p
+}
+
+func (c *collectorReference) TotalRetx(phases ...string) int64 { return c.totalSide(c.retx, phases) }
+func (c *collectorReference) TotalAck(phases ...string) int64  { return c.totalSide(c.ack, phases) }
+func (c *collectorReference) TotalTx(phases ...string) int64   { return c.totalSide(c.tx, phases) }
+
+func (c *collectorReference) TotalTxBytes(phases ...string) int64 {
+	var b int64
+	for i := 0; i < c.n; i++ {
+		_, bb := c.NodeTx(topology.NodeID(i), phases...)
+		b += bb
+	}
+	return b
+}
+
+func (c *collectorReference) PerNodeTx(phases ...string) []int64 {
+	out := make([]int64, c.n)
+	for i := range out {
+		out[i], _ = c.NodeTx(topology.NodeID(i), phases...)
+	}
+	return out
+}
+
+func (c *collectorReference) MaxTx(phases ...string) (topology.NodeID, int64) {
+	var best topology.NodeID
+	var bestP int64 = -1
+	for i := 1; i < c.n; i++ {
+		p, _ := c.NodeTx(topology.NodeID(i), phases...)
+		if p > bestP {
+			bestP, best = p, topology.NodeID(i)
+		}
+	}
+	return best, bestP
+}
+
+func (c *collectorReference) TopK(k int, phases ...string) []int64 {
+	loads := make([]int64, 0, c.n-1)
+	for i := 1; i < c.n; i++ {
+		p, _ := c.NodeTx(topology.NodeID(i), phases...)
+		loads = append(loads, p)
+	}
+	sort.Slice(loads, func(i, j int) bool { return loads[i] > loads[j] })
+	if k > len(loads) {
+		k = len(loads)
+	}
+	return loads[:k]
+}
+
+func (c *collectorReference) NodeEnergy(m EnergyModel, node topology.NodeID, phases ...string) float64 {
+	tp, tb := c.NodeTx(node, phases...)
+	rp, rb := c.NodeRx(node, phases...)
+	return float64(tp)*m.TxPerPacketJ + float64(tb)*m.TxPerByteJ +
+		float64(rp)*m.RxPerPacketJ + float64(rb)*m.RxPerByteJ
+}
+
+func (c *collectorReference) TotalEnergy(m EnergyModel, phases ...string) float64 {
+	var e float64
+	for i := 1; i < c.n; i++ {
+		e += c.NodeEnergy(m, topology.NodeID(i), phases...)
+	}
+	return e
+}
+
+func (c *collectorReference) PerNodeEnergy(m EnergyModel, phases ...string) []float64 {
+	out := make([]float64, c.n)
+	for i := range out {
+		out[i] = c.NodeEnergy(m, topology.NodeID(i), phases...)
+	}
+	return out
+}
+
+func (c *collectorReference) PhaseTable() string {
+	var b strings.Builder
+	for _, ph := range c.Phases() {
+		fmt.Fprintf(&b, "%-24s %8d packets %10d bytes\n", ph, c.TotalTx(ph), c.TotalTxBytes(ph))
+	}
+	return b.String()
+}
+
+// snapshotReference is the old Snapshot: per-node maps, deep-copied.
+type snapshotReference struct {
+	n      int
+	tx, rx []map[string]Counter
+	phases []string
+}
+
+func (c *collectorReference) Snapshot() snapshotReference {
+	s := snapshotReference{
+		n:      c.n,
+		tx:     make([]map[string]Counter, c.n),
+		rx:     make([]map[string]Counter, c.n),
+		phases: c.Phases(),
+	}
+	for i := 0; i < c.n; i++ {
+		s.tx[i], s.rx[i] = map[string]Counter{}, map[string]Counter{}
+		for ph, ctr := range c.tx[i] {
+			s.tx[i][ph] = *ctr
+		}
+		for ph, ctr := range c.rx[i] {
+			s.rx[i][ph] = *ctr
+		}
+	}
+	return s
+}
+
+func (s snapshotReference) N() int                                        { return s.n }
+func (s snapshotReference) Phases() []string                              { return s.phases }
+func (s snapshotReference) Tx(node topology.NodeID, phase string) Counter { return s.tx[node][phase] }
+func (s snapshotReference) Rx(node topology.NodeID, phase string) Counter { return s.rx[node][phase] }
+
+// accounting is everything both collectors answer; snapshotView is what
+// trace.Reconcile reads of a snapshot (it cannot be called from here:
+// package trace imports this one).
+type accounting interface {
+	OnTx(topology.NodeID, string, int, int)
+	OnRx(topology.NodeID, string, int, int)
+	OnRetx(topology.NodeID, string, int, int)
+	OnAck(topology.NodeID, string, int, int)
+	Reset()
+	N() int
+	Phases() []string
+	NodeTx(topology.NodeID, ...string) (int64, int64)
+	NodeRx(topology.NodeID, ...string) (int64, int64)
+	TotalTx(...string) int64
+	TotalTxBytes(...string) int64
+	TotalRetx(...string) int64
+	TotalAck(...string) int64
+	PerNodeTx(...string) []int64
+	MaxTx(...string) (topology.NodeID, int64)
+	TopK(int, ...string) []int64
+	NodeEnergy(EnergyModel, topology.NodeID, ...string) float64
+	TotalEnergy(EnergyModel, ...string) float64
+	PerNodeEnergy(EnergyModel, ...string) []float64
+	PhaseTable() string
+}
+
+type snapshotView interface {
+	N() int
+	Phases() []string
+	Tx(topology.NodeID, string) Counter
+	Rx(topology.NodeID, string) Counter
+}
+
+// describe renders every answer c and its snapshot give, floats by bit
+// pattern, so two collectors agree exactly iff their descriptions do.
+func describe(c accounting, s snapshotView, labels []string, filters [][]string) string {
+	var b strings.Builder
+	m := CC2420Model()
+	bits := func(fs ...float64) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	fmt.Fprintf(&b, "n=%d phases=%q\n%s", c.N(), c.Phases(), c.PhaseTable())
+	for _, f := range filters {
+		node, load := c.MaxTx(f...)
+		fmt.Fprintf(&b, "%q: tx=%d txB=%d retx=%d ack=%d per=%v max=%d/%d top=%v E=%v perE=%v\n", f,
+			c.TotalTx(f...), c.TotalTxBytes(f...), c.TotalRetx(f...), c.TotalAck(f...),
+			c.PerNodeTx(f...), node, load, c.TopK(3, f...),
+			bits(c.TotalEnergy(m, f...)), bits(c.PerNodeEnergy(m, f...)...))
+		for i := 0; i < c.N(); i++ {
+			tp, tb := c.NodeTx(topology.NodeID(i), f...)
+			rp, rb := c.NodeRx(topology.NodeID(i), f...)
+			fmt.Fprintf(&b, " %d:%d/%d,%d/%d,%v", i, tp, tb, rp, rb, bits(c.NodeEnergy(m, topology.NodeID(i), f...)))
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "snapshot n=%d phases=%q\n", s.N(), s.Phases())
+	for i := 0; i < s.N(); i++ {
+		for _, l := range labels {
+			fmt.Fprintf(&b, " %d/%s:%v,%v", i, l, s.Tx(topology.NodeID(i), l), s.Rx(topology.NodeID(i), l))
+		}
+	}
+	return b.String()
+}
+
+// The dense collector must answer exactly what the map-based one did —
+// every query, under filters that repeat a label or name one never
+// charged, and every snapshot field the Reconcile audit reads — over
+// random charges to random nodes, labels and sides with Resets in
+// between. The label pool is larger than a round ever uses, so an index
+// that assumed a small fixed table would alias or fail here.
+func TestCollectorMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	labels := make([]string, 40)
+	for i := range labels {
+		labels[i] = fmt.Sprintf("phase-%02d", i)
+	}
+	for iter := 0; iter < 30; iter++ {
+		n := 1 + rng.Intn(12)
+		pool := labels[:1+rng.Intn(len(labels))]
+		got, want := accounting(NewCollector(n)), accounting(newCollectorReference(n))
+		filters := [][]string{nil, {pool[0]}, {pool[0], pool[0]}, {"never-charged"},
+			{pool[len(pool)-1], "never-charged", pool[rng.Intn(len(pool))]}}
+		check := func(when string) {
+			t.Helper()
+			all := append([]string{"never-charged"}, labels...)
+			g := describe(got, got.(*Collector).Snapshot(), all, filters)
+			w := describe(want, want.(*collectorReference).Snapshot(), all, filters)
+			gl, wl := strings.Split(g, "\n"), strings.Split(w, "\n")
+			for i := range gl {
+				if i >= len(wl) || gl[i] != wl[i] {
+					t.Fatalf("iter %d %s, line %d: dense collector\n%s\nreference\n%s", iter, when, i, gl[i], wl[min(i, len(wl)-1)])
+				}
+			}
+			if len(gl) != len(wl) {
+				t.Fatalf("iter %d %s: %d lines, reference has %d", iter, when, len(gl), len(wl))
+			}
+		}
+		for step, steps := 0, rng.Intn(400); step < steps; step++ {
+			if rng.Intn(60) == 0 {
+				got.Reset()
+				want.Reset()
+				if ph := got.Phases(); len(ph) != 0 {
+					t.Fatalf("iter %d: Phases() = %q right after Reset", iter, ph)
+				}
+				check("after Reset")
+				continue
+			}
+			node := topology.NodeID(rng.Intn(n))
+			label := pool[rng.Intn(len(pool))]
+			side, packets, bytes := rng.Intn(4), 1+rng.Intn(5), rng.Intn(200)
+			for _, c := range []accounting{got, want} {
+				switch side {
+				case 0:
+					c.OnTx(node, label, packets, bytes)
+				case 1:
+					c.OnRx(node, label, packets, bytes)
+				case 2:
+					c.OnRetx(node, label, packets, bytes)
+				default:
+					c.OnAck(node, label, packets, bytes)
+				}
+			}
+		}
+		check("at the end")
+	}
+}
+
+// Region workers charge disjoint node ranges without locks and may all
+// meet a label nobody has charged before in the same instant; the index
+// replacement must lose none of those charges (run under -race).
+func TestCollectorConcurrentCharge(t *testing.T) {
+	const workers, perWorker, rounds = 8, 16, 200
+	c := NewCollector(workers * perWorker)
+	c.OnTx(0, "known", 1, 1) // one label exists up front, three do not
+	labels := []string{"known", "new-a", "new-b", "new-c"}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for r := 0; r < rounds; r++ {
+				for _, l := range labels {
+					for k := 0; k < perWorker; k++ {
+						node := topology.NodeID(w*perWorker + k)
+						c.OnTx(node, l, 1, 10)
+						c.OnRx(node, l, 2, 20)
+					}
+				}
+			}
+		}(w)
+	}
+	close(start)
+	wg.Wait()
+	for _, l := range labels {
+		want := int64(workers * perWorker * rounds)
+		if l == "known" {
+			want++
+		}
+		if got := c.TotalTx(l); got != want {
+			t.Errorf("TotalTx(%s) = %d, want %d", l, got, want)
+		}
+	}
+	if got, want := c.TotalTxBytes(), int64(4*workers*perWorker*rounds*10+1); got != want {
+		t.Errorf("TotalTxBytes = %d, want %d", got, want)
+	}
+	for node := 0; node < c.N(); node++ {
+		if p, b := c.NodeRx(topology.NodeID(node)); p != 4*rounds*2 || b != 4*rounds*20 {
+			t.Fatalf("node %d rx = %d/%d, want %d/%d", node, p, b, 4*rounds*2, 4*rounds*20)
+		}
+	}
+}
+
+// Charging a warm collector — label interned, column allocated — is an
+// indexed add: no allocation, before or after a Reset.
+func TestCollectorChargeAllocs(t *testing.T) {
+	c := NewCollector(64)
+	labels := []string{"ja-collect", "filter-dissem", "final-collect"}
+	charge := func() {
+		for _, l := range labels {
+			c.OnTx(5, l, 1, 40)
+			c.OnRx(6, l, 1, 40)
+			c.OnRetx(5, l, 1, 40)
+			c.OnAck(6, l, 1, 3)
+		}
+	}
+	charge()
+	if a := testing.AllocsPerRun(100, charge); a != 0 {
+		t.Errorf("warm charge: %.0f allocs/run, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { c.Reset(); charge() }); a != 0 {
+		t.Errorf("Reset + charge: %.0f allocs/run, want 0", a)
+	}
+}
+
+// BenchmarkCollectorCharge is one round's accounting at the paper's
+// scale and at X7's: every node transmits and receives once per phase,
+// after the Reset every run starts with.
+func BenchmarkCollectorCharge(b *testing.B) {
+	for _, n := range []int{1500, 100000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			c := NewCollector(n)
+			labels := []string{"ja-collect", "filter-dissem", "final-collect"}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.Reset()
+				for _, l := range labels {
+					for node := 0; node < n; node++ {
+						c.OnTx(topology.NodeID(node), l, 1, 40)
+						c.OnRx(topology.NodeID(node), l, 1, 40)
+					}
+				}
+			}
+		})
 	}
 }

@@ -20,7 +20,6 @@ func TestReliabilityAuditAcceptsLossyRun(t *testing.T) {
 	net.SetTracer(r.Radio())
 	for i := 1; i <= 4; i++ {
 		id := topology.NodeID(i)
-		net.SetHandler(id, func(m netsim.Message) {})
 		net.Send(netsim.Message{Kind: 1, Src: id - 1, Dst: id, Phase: "p", Size: 150})
 	}
 	// A transfer on a down link must end as an accounted failure.

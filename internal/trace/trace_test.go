@@ -39,7 +39,7 @@ func TestRecorderCollectsRadioAndSpans(t *testing.T) {
 	sim, net, _ := lineNet(t, 3)
 	rec := New()
 	net.SetTracer(rec.Radio())
-	net.SetHandler(1, func(netsim.Message) {})
+	net.SetHandler(func(topology.NodeID, netsim.Message) {})
 	rec.Span(sim.Now(), KindPhaseStart, 0, -1, "p", 0)
 	net.Send(netsim.Message{Src: 0, Dst: 1, Phase: "p", Size: 10})
 	sim.Run()
@@ -86,9 +86,7 @@ func cleanJournal(t *testing.T) (*Journal, stats.Snapshot, stats.Snapshot) {
 	sim, net, coll := lineNet(t, 4)
 	rec := New()
 	net.SetTracer(rec.Radio())
-	for i := 0; i < 4; i++ {
-		net.SetHandler(topology.NodeID(i), func(netsim.Message) {})
-	}
+	net.SetHandler(func(topology.NodeID, netsim.Message) {})
 	before := coll.Snapshot()
 	net.Send(netsim.Message{Src: 1, Dst: netsim.BroadcastID, Phase: "p", Size: 30})
 	net.Send(netsim.Message{Src: 2, Dst: 3, Phase: "q", Size: 90})
@@ -110,7 +108,7 @@ func TestConservationWithLossAndDropsPasses(t *testing.T) {
 	rec := New()
 	net.SetTracer(rec.Radio())
 	net.SetLossRate(0.5, 11)
-	net.SetHandler(1, func(netsim.Message) {})
+	net.SetHandler(func(topology.NodeID, netsim.Message) {})
 	for i := 0; i < 50; i++ {
 		net.Send(netsim.Message{Src: 0, Dst: 1, Phase: "p", Size: 5})
 	}

@@ -121,15 +121,19 @@ go test -run '^$' -fuzz '^FuzzSizeBits$' -fuzztime 5s -fuzzminimizetime 0 ./inte
 # Layer benchmarks, one iteration each: they still run. Serving path
 # (frame codec, client round trip), then the simulator round's layers:
 # size-only quadtree costing beside Encode, pooled zlib, plan building
-# on warm and cold snapshots, and one whole SENS-Join round.
+# on warm and cold snapshots, one whole SENS-Join round and one external
+# round, and a round's packet accounting (with its Reset) at 1 500 and
+# 100 000 nodes.
 go test -run '^$' -bench 'Rows|ClientRoundTrip' -benchtime 1x -benchmem ./internal/proto ./pkg/client
 go test -run '^$' -bench 'SizeBits|Encode1500|ZlibCompress' -benchtime 1x -benchmem ./internal/quadtree ./internal/compress
-go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound' -benchtime 1x -benchmem ./internal/core
+go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound|ExternalRound|CollectorCharge' -benchtime 1x -benchmem ./internal/core ./internal/stats
 # Shared-state race pass, repeated for more interleavings than the
 # general -race run above gives: pooled zlib writers, the snapshot ring
 # and concurrent first fill, the calibration memo and its release, and
-# the parallel plan fill over a cold snapshot.
-go test -race -count 5 -run 'ZlibPooledConcurrent|SnapshotConcurrent|SnapshotFill|CalibrateConcurrent|CalibrationDoesNotRetain|ResetSetupCacheReleases|BuildPlanParallel' ./internal/compress ./internal/field ./internal/workload ./internal/core
+# the parallel plan fill over a cold snapshot, region workers meeting new
+# phase labels in the dense collector at the same instant, and sharded
+# SENS-Join and external rounds on runner-owned node state.
+go test -race -count 5 -run 'ZlibPooledConcurrent|SnapshotConcurrent|SnapshotFill|CalibrateConcurrent|CalibrationDoesNotRetain|ResetSetupCacheReleases|BuildPlanParallel|CollectorConcurrentCharge|ShardedRoundsReuseRunState' ./internal/compress ./internal/field ./internal/workload ./internal/core ./internal/stats
 # The repository benchmark is its own module, outside `go test ./...`:
 # without this an internal/ signature change that stops it compiling is
 # only found when the pipeline's benchmark run fails.
