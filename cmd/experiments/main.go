@@ -30,6 +30,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -37,7 +38,6 @@ import (
 	"sensjoin/internal/bench"
 	"sensjoin/internal/metrics"
 	"sensjoin/internal/trace"
-	"sensjoin/internal/workload"
 )
 
 func main() {
@@ -133,38 +133,15 @@ func run() error {
 		return runServeLoad(*serveNodes, *seed, *serveClients, *serveSeconds, *serveLoadJSON)
 	}
 
-	type entry struct {
-		id  string
-		run func() (*bench.Table, error)
+	// bench.Suite's element type, spelled out so L1 can join the list.
+	type experiment = struct {
+		ID  string
+		Run func(bench.Config) (*bench.Table, error)
 	}
-	entries := []entry{
-		{"E1a", func() (*bench.Table, error) { return bench.RunOverallSavings(cfg, workload.Ratio33()) }},
-		{"E1b", func() (*bench.Table, error) { return bench.RunOverallSavings(cfg, workload.Ratio60()) }},
-		{"E2a", func() (*bench.Table, error) { return bench.RunPerNodeSavings(cfg, workload.Ratio33()) }},
-		{"E2b", func() (*bench.Table, error) { return bench.RunPerNodeSavings(cfg, workload.Ratio60()) }},
-		{"E3", func() (*bench.Table, error) {
-			return bench.RunRatioSweep(cfg, workload.RatioSweep3JA(), "E3 / Fig. 12")
-		}},
-		{"E4", func() (*bench.Table, error) {
-			return bench.RunRatioSweep(cfg, workload.RatioSweep1JA(), "E4 / Fig. 13")
-		}},
-		{"E5", func() (*bench.Table, error) { return bench.RunNetworkSize(cfg, nil, workload.Ratio33()) }},
-		{"E6", func() (*bench.Table, error) { return bench.RunPacketSize(cfg, workload.Ratio33()) }},
-		{"E7", func() (*bench.Table, error) { return bench.RunStepBreakdown(cfg, nil, workload.Ratio60()) }},
-		{"E8", func() (*bench.Table, error) { return bench.RunCompressionComparison(cfg) }},
-		{"E9", func() (*bench.Table, error) { return bench.RunQuadInfluence(cfg) }},
-		{"A1", func() (*bench.Table, error) { return bench.RunTreecutAblation(cfg, workload.Ratio33()) }},
-		{"A2", func() (*bench.Table, error) { return bench.RunFilterLimitAblation(cfg, workload.Ratio33()) }},
-		{"X1", func() (*bench.Table, error) { return bench.RunIncrementalFilter(cfg, 0, 0) }},
-		{"X2", func() (*bench.Table, error) { return bench.RunRelatedWork(cfg) }},
-		{"X3", func() (*bench.Table, error) { return bench.RunLifetime(cfg) }},
-		{"X4", func() (*bench.Table, error) { return bench.RunResponseTime(cfg) }},
-		{"X5", func() (*bench.Table, error) { return bench.RunMemory(cfg) }},
-		{"X6", func() (*bench.Table, error) { return bench.RunEnergyLifetime(cfg) }},
-	}
+	suite := bench.Suite
 	if len(lossRates) > 0 {
-		entries = append(entries, entry{"L1", func() (*bench.Table, error) {
-			return bench.RunLossResilience(cfg, lossRates)
+		suite = append(slices.Clip(suite), experiment{"L1", func(c bench.Config) (*bench.Table, error) {
+			return bench.RunLossResilience(c, lossRates)
 		}})
 	}
 
@@ -174,9 +151,9 @@ func run() error {
 			selected[strings.TrimSpace(id)] = true
 		}
 	}
-	var active []entry
-	for _, e := range entries {
-		if len(selected) > 0 && !selected[e.id] {
+	var active []experiment
+	for _, e := range suite {
+		if len(selected) > 0 && !selected[e.ID] {
 			continue
 		}
 		active = append(active, e)
@@ -206,10 +183,10 @@ func run() error {
 	for i, e := range active {
 		jobs[i] = func() (result, error) {
 			t0 := time.Now()
-			tbl, err := e.run()
+			tbl, err := e.Run(cfg)
 			cfg.Progress.CellDone("suite", err == nil)
 			if err != nil {
-				return result{}, fmt.Errorf("%s failed: %w", e.id, err)
+				return result{}, fmt.Errorf("%s failed: %w", e.ID, err)
 			}
 			return result{tbl: tbl, elapsed: time.Since(t0)}, nil
 		}
@@ -267,7 +244,7 @@ func run() error {
 		} else {
 			fmt.Println(tbl)
 		}
-		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.id, results[i].elapsed.Seconds())
+		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.ID, results[i].elapsed.Seconds())
 	}
 	fmt.Fprintf(os.Stderr, "total: %.1fs (parallel %d)\n", total.Seconds(), *parallel)
 	if obs != nil && *hold {

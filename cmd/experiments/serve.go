@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -99,9 +100,7 @@ func startServe(addr string, reg *metrics.Registry, prog *bench.Progress) (*obsS
 	// its whole profiling window.
 	o.srv = server.Hardened(mux)
 	o.addr = ln.Addr()
-	server.ServeHTTP(o.srv, ln, func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "-serve: "+format+"\n", args...)
-	})
+	server.ServeHTTP(o.srv, ln, slog.New(slog.NewTextHandler(os.Stderr, nil)).With("flag", "-serve"))
 	fmt.Fprintf(os.Stderr, "serving observability on http://%s/ (metrics, progress, pprof)\n", o.addr)
 	return o, nil
 }

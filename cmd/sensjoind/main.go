@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -65,6 +66,7 @@ func main() {
 func run(listen, httpAddr string, cfg server.Config) error {
 	reg := metrics.New()
 	cfg.Registry = reg
+	cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	srv, err := server.Listen(listen, cfg)
 	if err != nil {
@@ -81,7 +83,7 @@ func run(listen, httpAddr string, cfg server.Config) error {
 			return err
 		}
 		metrics.PublishExpvar("sensjoind", reg)
-		obs = server.StartObsHTTP(ln, reg, srv, cfg.Logf)
+		obs = server.StartObsHTTP(ln, reg, srv, cfg.Logger)
 		fmt.Fprintf(os.Stderr, "sensjoind: observability on http://%s/ (metrics, pprof, debug/queries)\n", ln.Addr())
 	}
 

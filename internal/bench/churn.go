@@ -157,7 +157,10 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 			ch = r.AttachChurn(netsim.ChurnConfig{Seed: seed, Rate: s.rate, Epoch: cfg.Epoch})
 		}
 		delta, _ := workload.Calibrate(r, preset, cfg.Fraction)
-		src := preset.Build(delta)
+		prep, err := r.Prepare(preset.Build(delta))
+		if err != nil {
+			return ChurnPoint{}, err
+		}
 
 		p := ChurnPoint{
 			Rate: s.rate, Method: s.method.Name(), Transport: transport,
@@ -174,22 +177,18 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 				// its rounds drain the heap or run bounded windows.
 				ch.Cover(horizon)
 			}
-			x, err := r.ExecSQL(src, 0)
-			if err != nil {
-				return ChurnPoint{}, err
-			}
 			// Pre-round oracle: GroundTruth reflects aliveness at call
 			// time, and churn only acts once the round's clock advances.
-			truth, err := core.GroundTruth(x)
+			truth, err := core.GroundTruth(r.Exec(prep, 0))
 			if err != nil {
 				return ChurnPoint{}, err
 			}
-			res, violations, err := r.AuditRun(src, s.method, 0)
+			res, err := r.RunPrepared(prep, s.method, 0, core.Audited())
 			if err != nil {
 				return ChurnPoint{}, fmt.Errorf("bench: churn %s/%s rate %g round %d: %w",
 					s.method.Name(), transport, s.rate, round, err)
 			}
-			p.Violations += len(violations)
+			p.Violations += len(res.Violations)
 			if res.Complete && tableKey(res) == tableKey(truth) {
 				p.CompleteExact++
 			}

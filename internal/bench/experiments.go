@@ -103,15 +103,15 @@ func RunTraced(cfg Config) (*trace.Journal, []trace.Violation, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	r.AutoAudit = false // keep the journal; AuditRun below audits explicitly
+	r.AutoAudit = false // keep the journal; the run below audits explicitly
 	rec := r.EnableTrace()
 	preset := workload.Ratio33()
 	delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
-	_, violations, err := r.AuditRun(preset.Build(delta), core.NewSENSJoin(), 0)
+	res, err := r.Run(preset.Build(delta), core.NewSENSJoin(), 0, core.Audited())
 	if err != nil {
 		return nil, nil, err
 	}
-	return rec.Journal(), violations, nil
+	return rec.Journal(), res.Violations, nil
 }
 
 // runTotal executes one method and returns its total packet count over
@@ -931,47 +931,53 @@ func RunMemory(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// All runs every experiment at the given configuration, in paper order.
-// Whole experiments fan out over cfg.Parallel workers (on top of the
+// Suite lists the default experiments in paper order, by the short id
+// `experiments -only` selects. All and cmd/experiments both range over it.
+var Suite = []struct {
+	ID  string
+	Run func(Config) (*Table, error)
+}{
+	{"E1a", func(c Config) (*Table, error) { return RunOverallSavings(c, workload.Ratio33()) }},
+	{"E1b", func(c Config) (*Table, error) { return RunOverallSavings(c, workload.Ratio60()) }},
+	{"E2a", func(c Config) (*Table, error) { return RunPerNodeSavings(c, workload.Ratio33()) }},
+	{"E2b", func(c Config) (*Table, error) { return RunPerNodeSavings(c, workload.Ratio60()) }},
+	{"E3", func(c Config) (*Table, error) { return RunRatioSweep(c, workload.RatioSweep3JA(), "E3 / Fig. 12") }},
+	{"E4", func(c Config) (*Table, error) { return RunRatioSweep(c, workload.RatioSweep1JA(), "E4 / Fig. 13") }},
+	{"E5", func(c Config) (*Table, error) { return RunNetworkSize(c, nil, workload.Ratio33()) }},
+	{"E6", func(c Config) (*Table, error) { return RunPacketSize(c, workload.Ratio33()) }},
+	{"E7", func(c Config) (*Table, error) { return RunStepBreakdown(c, nil, workload.Ratio60()) }},
+	{"E8", RunCompressionComparison},
+	{"E9", RunQuadInfluence},
+	{"A1", func(c Config) (*Table, error) { return RunTreecutAblation(c, workload.Ratio33()) }},
+	{"A2", func(c Config) (*Table, error) { return RunFilterLimitAblation(c, workload.Ratio33()) }},
+	{"X1", func(c Config) (*Table, error) { return RunIncrementalFilter(c, 0, 0) }},
+	{"X2", RunRelatedWork},
+	{"X3", RunLifetime},
+	{"X4", RunResponseTime},
+	{"X5", RunMemory},
+	{"X6", RunEnergyLifetime},
+}
+
+// All runs every experiment of Suite at the given configuration. Whole
+// experiments fan out over cfg.Parallel workers (on top of the
 // per-experiment sweep-cell fan-out); the returned tables are in
 // declaration order and byte-identical for every worker count.
 func All(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
-	jobs := []func() (*Table, error){
-		func() (*Table, error) { return RunOverallSavings(cfg, workload.Ratio33()) },
-		func() (*Table, error) { return RunOverallSavings(cfg, workload.Ratio60()) },
-		func() (*Table, error) { return RunPerNodeSavings(cfg, workload.Ratio33()) },
-		func() (*Table, error) { return RunPerNodeSavings(cfg, workload.Ratio60()) },
-		func() (*Table, error) { return RunRatioSweep(cfg, workload.RatioSweep3JA(), "E3 / Fig. 12") },
-		func() (*Table, error) { return RunRatioSweep(cfg, workload.RatioSweep1JA(), "E4 / Fig. 13") },
-		func() (*Table, error) { return RunNetworkSize(cfg, nil, workload.Ratio33()) },
-		func() (*Table, error) { return RunPacketSize(cfg, workload.Ratio33()) },
-		func() (*Table, error) { return RunStepBreakdown(cfg, nil, workload.Ratio60()) },
-		func() (*Table, error) { return RunCompressionComparison(cfg) },
-		func() (*Table, error) { return RunQuadInfluence(cfg) },
-		func() (*Table, error) { return RunTreecutAblation(cfg, workload.Ratio33()) },
-		func() (*Table, error) { return RunFilterLimitAblation(cfg, workload.Ratio33()) },
-		func() (*Table, error) { return RunIncrementalFilter(cfg, 0, 0) },
-		func() (*Table, error) { return RunRelatedWork(cfg) },
-		func() (*Table, error) { return RunLifetime(cfg) },
-		func() (*Table, error) { return RunResponseTime(cfg) },
-		func() (*Table, error) { return RunMemory(cfg) },
-		func() (*Table, error) { return RunEnergyLifetime(cfg) },
-	}
 	// Whole-experiment completion reports under the pseudo-id
 	// "experiments"; the fanned-out sweeps inside report their own cells.
-	cfg.Progress.Begin("experiments", len(jobs))
-	wrapped := make([]func() (*Table, error), len(jobs))
-	for i, job := range jobs {
-		wrapped[i] = func() (*Table, error) {
+	cfg.Progress.Begin("experiments", len(Suite))
+	jobs := make([]func() (*Table, error), len(Suite))
+	for i, exp := range Suite {
+		jobs[i] = func() (*Table, error) {
 			cfg.hm.expInflight.Inc()
-			t, err := job()
+			t, err := exp.Run(cfg)
 			cfg.hm.expInflight.Dec()
 			cfg.Progress.CellDone("experiments", err == nil)
 			return t, err
 		}
 	}
-	return Fanout(cfg.Parallel, wrapped)
+	return Fanout(cfg.Parallel, jobs)
 }
 
 // RunLossResilience measures the robustness extension experiment L1:
@@ -1016,16 +1022,15 @@ func RunLossResilience(cfg Config, rates []float64) (*Table, error) {
 		}
 		r.Net.SetLossRate(rate, seed)
 		delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
-		src := preset.Build(delta)
-		x, err := r.ExecSQL(src, 0)
+		prep, err := r.Prepare(preset.Build(delta))
 		if err != nil {
 			return mrow{}, err
 		}
-		truth, err := core.GroundTruth(x)
+		truth, err := core.GroundTruth(r.Exec(prep, 0))
 		if err != nil {
 			return mrow{}, err
 		}
-		res, err := r.Run(src, m, 0)
+		res, err := r.RunPrepared(prep, m, 0)
 		if err != nil {
 			return mrow{}, err
 		}

@@ -167,7 +167,11 @@ func RunMQO(cfg MQOConfig) (*MQOResult, error) {
 			srcs := mqoQueries(rs, cfg, n, overlap)
 			g := core.NewQueryGroup(core.Options{})
 			for _, s := range srcs {
-				if _, err := g.Add(s); err != nil {
+				p, err := rs.Prepare(s)
+				if err == nil {
+					_, err = g.Add(p)
+				}
+				if err != nil {
 					return nil, fmt.Errorf("bench: mqo n=%d %s: %w", n, overlap, err)
 				}
 			}

@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"runtime"
 	"sort"
 	"strings"
@@ -191,7 +193,7 @@ func RunServeLoad(cfg ServeConfig) (*ServeResult, error) {
 		// in the flight recorder: it supplies PhaseLatencies below.
 		TraceSample: cfg.TraceSample,
 		FlightSize:  1 << 16,
-		Logf:        func(string, ...any) {},
+		Logger:      slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	if err != nil {
 		return nil, err

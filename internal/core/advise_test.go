@@ -14,7 +14,7 @@ func TestAdviseTracksSimulator(t *testing.T) {
 	for _, theta := range []float64{0.5, 3, 5, 7, 9} {
 		src := fmt.Sprintf(`SELECT A.temp, A.hum, B.temp, B.hum
 			FROM Sensors A, Sensors B WHERE A.temp - B.temp > %g ONCE`, theta)
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestAdviseTracksSimulator(t *testing.T) {
 
 func TestAdviseFields(t *testing.T) {
 	r := testRunner(t, 120, 603)
-	x, err := r.ExecSQL(qBand(0.2), 0)
+	x, err := execSQL(r, qBand(0.2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

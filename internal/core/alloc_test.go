@@ -14,7 +14,7 @@ func filterFixture(t *testing.T, src string) (*plan, []zorder.Key) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"sort"
 
+	"sensjoin/internal/routing"
+	"sensjoin/internal/stats"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
 )
@@ -30,54 +33,65 @@ func (r *Runner) DisableTrace() {
 	r.Net.SetTracer(nil)
 }
 
-// AuditRun executes a query like Run and then audits the execution's
-// journal segment: conservation (every delivery matches a transmission),
-// reconciliation (journal totals equal the stats collector's, bit-exact),
-// slot-schedule ordering (no parent transmits before its children in the
-// collection phases), and — for filter-based methods on loss-free runs —
-// filter soundness (no suppressed tuple contributes to the ground truth).
-// Tracing is enabled on demand. With AutoAudit set, the audited journal
-// segment is truncated afterwards so long soaks stay bounded.
-func (r *Runner) AuditRun(src string, m Method, t float64) (*Result, []trace.Violation, error) {
+// auditSegment brackets one protocol round — a single query's execution
+// or one cluster of a shared round — under the journal. close audits
+// what was recorded since openAudit: conservation (every delivery matches
+// a transmission), reconciliation (journal totals equal the stats
+// collector's, bit-exact), slot-schedule ordering (no parent transmits
+// before its children in the collection phases), reliable-transport
+// bookkeeping, churn safety when an injector is attached, and — for
+// filter-based rounds on loss-free runs — filter soundness (no suppressed
+// tuple contributes to the ground truth).
+type auditSegment struct {
+	r      *Runner
+	rec    *trace.Recorder
+	mark   int
+	before stats.Snapshot
+	// what names the round in the error a strict segment turns its
+	// violations into; a lenient one (Audited) returns them.
+	what   string
+	strict bool
+	// tree is captured before the round: mid-round repair swaps r.Tree,
+	// but the slot-scheduled phases ran on the tree the round started
+	// with (recovery traffic is not slot-audited).
+	tree *routing.Tree
+	// truth is the pre-round oracle of the churn-safety pass; the caller
+	// sets it when an injector is attached.
+	truth *Result
+}
+
+// openAudit starts a segment when the call (Audited) or the runner
+// (AutoAudit) asks for one, enabling tracing on demand; nil otherwise.
+func (r *Runner) openAudit(o runOptions, what string) *auditSegment {
+	if !o.audit && !r.AutoAudit {
+		return nil
+	}
 	rec := r.EnableTrace()
-	mark := rec.Mark()
-	before := r.Stats.Snapshot()
-
-	x, err := r.ExecSQL(src, t)
-	if err != nil {
-		return nil, nil, err
+	return &auditSegment{
+		r: r, rec: rec, mark: rec.Mark(), before: r.Stats.Snapshot(),
+		what: what, strict: !o.audit, tree: r.Tree,
 	}
-	// The churn-safety oracle must be computed before the run: churn may
-	// kill members mid-round, and GroundTruth reflects aliveness at call
-	// time — the contract is "exact w.r.t. the snapshot the round
-	// started from". The tree is captured pre-run for the same reason:
-	// mid-round repair swaps r.Tree, but the slot-scheduled phases ran
-	// on the tree the round started with (recovery traffic is not
-	// slot-audited).
-	var truth *Result
-	tree := r.Tree
-	if r.churn != nil {
-		if truth, err = GroundTruth(x); err != nil {
-			return nil, nil, err
-		}
-	}
-	res, err := m.Run(x)
-	if err != nil {
-		return nil, nil, err
-	}
+}
 
-	after := r.Stats.Snapshot()
-	j := rec.JournalSince(mark)
-
-	var violations []trace.Violation
-	violations = append(violations, trace.Conservation(j)...)
-	violations = append(violations, trace.Reconcile(j, before, after)...)
-	violations = append(violations, trace.SlotOrder(j, tree, auditPhases(m))...)
+// close runs the audit passes over the segment. slotPhases are the
+// leaves-first collection phases of the round; filtered lists the
+// executions the round's filter served (none for a method without one):
+// it may only suppress a key none of them wants, so suppress decisions
+// are checked against the union of their ground-truth contributors. res
+// is the result the churn verdict is drawn from (used only with truth).
+// Under AutoAudit the segment is truncated afterwards so soaks stay
+// bounded.
+func (a *auditSegment) close(slotPhases []string, filtered []*Exec, res *Result) ([]trace.Violation, error) {
+	r := a.r
+	j := a.rec.JournalSince(a.mark)
+	violations := trace.Conservation(j)
+	violations = append(violations, trace.Reconcile(j, a.before, r.Stats.Snapshot())...)
+	violations = append(violations, trace.SlotOrder(j, a.tree, slotPhases)...)
 	violations = append(violations, trace.Reliability(j)...)
-	if r.churn != nil {
+	if a.truth != nil {
 		violations = append(violations, trace.ChurnSafety(j, trace.ChurnVerdict{
 			Complete:        res.Complete,
-			OracleExact:     sameRowSet(truth.Rows, res.Rows),
+			OracleExact:     sameRowSet(a.truth.Rows, res.Rows),
 			Reason:          res.IncompleteReason,
 			MissingSubtrees: len(res.MissingSubtrees),
 			Repairs:         res.Repairs,
@@ -88,17 +102,27 @@ func (r *Runner) AuditRun(src string, m Method, t float64) (*Result, []trace.Vio
 	// filter legitimately misses its keys and suppressing its join
 	// partners is correct. Audit only when every node is alive; lossy
 	// runs stand down inside FilterSoundness itself.
-	if filterPhased(m) && r.allAlive() {
-		contrib, err := groundTruthContributors(x)
-		if err != nil {
-			return nil, nil, err
+	if len(filtered) > 0 && r.allAlive() {
+		contrib := make(map[topology.NodeID]bool)
+		for _, x := range filtered {
+			qc, err := groundTruthContributors(x)
+			if err != nil {
+				return nil, err
+			}
+			for id := range qc {
+				contrib[id] = true
+			}
 		}
 		violations = append(violations, trace.FilterSoundness(j, contrib)...)
 	}
 	if r.AutoAudit {
-		rec.Truncate(mark)
+		a.rec.Truncate(a.mark)
 	}
-	return res, violations, nil
+	if a.strict && len(violations) > 0 {
+		return nil, fmt.Errorf("core: %s audit: %d violation(s), first: %s",
+			a.what, len(violations), violations[0])
+	}
+	return violations, nil
 }
 
 // sameRowSet compares two results order-insensitively (ORDER BY-less

@@ -15,10 +15,11 @@ func TestAuditRunCleanMethods(t *testing.T) {
 	for _, m := range []Method{NewSENSJoin(), External{}, Mediated{}, SemiJoin{}} {
 		t.Run(m.Name(), func(t *testing.T) {
 			r := testRunner(t, 120, 42)
-			res, violations, err := r.AuditRun(qBand(0.4), m, 0)
+			res, err := r.Run(qBand(0.4), m, 0, Audited())
 			if err != nil {
 				t.Fatal(err)
 			}
+			violations := res.Violations
 			if len(violations) != 0 {
 				t.Fatalf("clean %s run: %d violation(s), first: %s", m.Name(), len(violations), violations[0])
 			}
@@ -41,10 +42,11 @@ func TestAuditRunMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, violations, err := audited.AuditRun(qBand(0.4), NewSENSJoin(), 0)
+	got, err := audited.Run(qBand(0.4), NewSENSJoin(), 0, Audited())
 	if err != nil {
 		t.Fatal(err)
 	}
+	violations := got.Violations
 	if len(violations) != 0 {
 		t.Fatalf("violations: %v", violations)
 	}
@@ -68,10 +70,11 @@ func TestAuditRunWithFaultsPasses(t *testing.T) {
 	r.Net.KillNode(17)
 	r.RebuildTree()
 	for _, m := range []Method{NewSENSJoin(), External{}} {
-		_, violations, err := r.AuditRun(qBand(0.4), m, 0)
+		res, err := r.Run(qBand(0.4), m, 0, Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
+		violations := res.Violations
 		if len(violations) != 0 {
 			t.Fatalf("faulty %s run: %d violation(s), first: %s", m.Name(), len(violations), violations[0])
 		}
@@ -170,10 +173,11 @@ func TestRunWithRecoveryEmitsRecoverySpan(t *testing.T) {
 		t.Skip("no depth-1 node")
 	}
 	r.Net.KillNode(victim)
-	res, attempts, err := r.RunWithRecovery(qBand(0.4), NewSENSJoin(), 0, 2)
+	res, err := r.Run(qBand(0.4), NewSENSJoin(), 0, WithRecovery(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	attempts := res.Attempts
 	if res.Complete && attempts == 1 {
 		t.Skip("victim's death did not make the run incomplete")
 	}

@@ -13,7 +13,7 @@ import (
 // runner's snapshot, with or without the band index.
 func filterKeysOf(t *testing.T, r *Runner, src string, useIndex bool) []zorder.Key {
 	t.Helper()
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestBandFilterEqualsGeneric(t *testing.T) {
 
 func TestBandDetectRecognizesShapes(t *testing.T) {
 	r := testRunner(t, 30, 9)
-	x, err := r.ExecSQL("SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 3 ONCE", 0)
+	x, err := execSQL(r, "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 3 ONCE", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBandDetectRejectsNonIndexable(t *testing.T) {
 	}
 	for _, cond := range cases {
 		src := fmt.Sprintf("SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE %s AND A.temp - B.temp + A.hum > -1e9 ONCE", cond)
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatalf("%q: %v", cond, err)
 		}
@@ -157,7 +157,7 @@ func benchFilter(b *testing.B, useIndex bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	x, err := r.ExecSQL("SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE abs(A.temp - B.temp) < 0.2 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE", 0)
+	x, err := execSQL(r, "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE abs(A.temp - B.temp) < 0.2 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE", 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func benchFilter(b *testing.B, useIndex bool) {
 
 func TestBandDetectAfterConstantFolding(t *testing.T) {
 	r := testRunner(t, 30, 15)
-	x, err := r.ExecSQL("SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 2 + 1 ONCE", 0)
+	x, err := execSQL(r, "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 2 + 1 ONCE", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,67 +12,94 @@ import (
 // every branch through the reliable scoped-recovery path, and sustained
 // churn rounds audit clean (no silent wrong answers).
 
+// entrySpellings are the two ways to start an execution on a Runner.
+// The repair tests run over both: what a runner has armed (Exec.Repair,
+// the tree-swap hook) must reach an execution whichever way it started.
+var entrySpellings = []struct {
+	name string
+	run  func(r *Runner, src string, m Method, t float64) (*Result, error)
+}{
+	{"Run", func(r *Runner, src string, m Method, t float64) (*Result, error) {
+		return r.Run(src, m, t)
+	}},
+	{"RunPrepared", func(r *Runner, src string, m Method, t float64) (*Result, error) {
+		p, err := r.Prepare(src)
+		if err != nil {
+			return nil, err
+		}
+		return r.RunPrepared(p, m, t)
+	}},
+}
+
 // TestRepairHealsSeveredSubtreeMidRound severs a loaded tree edge while
 // the round is in flight. With mid-round repair armed the orphaned
 // subtree is re-parented onto a surviving path and its traffic replayed
 // by the recovery wave: the round ends complete and oracle-exact, with
 // the repair visible in the result.
 func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
-	r := testRunner(t, 150, 73)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
-	r.EnableMidRoundRepair()
-	child, parent := failLink(r)
-	x, err := r.ExecSQL(qBand(0.5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := GroundTruth(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
-	res, err := r.Run(qBand(0.5), NewSENSJoin(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Repairs == 0 {
-		t.Fatal("severed tree edge did not trigger a mid-round repair")
-	}
-	if !res.Complete {
-		t.Fatalf("repair did not restore completeness (reason %q, missing %v)",
-			res.IncompleteReason, res.MissingSubtrees)
-	}
-	if res.RepairLatency <= 0 {
-		t.Fatalf("RepairLatency = %g, want > 0", res.RepairLatency)
-	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "repaired")
-	// The runner follows the swap: the repaired tree no longer routes the
-	// orphan through the severed link.
-	if r.Tree.Parent[child] == parent {
-		t.Fatalf("runner tree still parents %d on %d across the downed link", child, parent)
+	for _, entry := range entrySpellings {
+		t.Run(entry.name, func(t *testing.T) {
+			r := testRunner(t, 150, 73)
+			r.EnableReliableTransport(netsim.ReliableConfig{})
+			r.EnableMidRoundRepair()
+			child, parent := failLink(r)
+			x, err := execSQL(r, qBand(0.5), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth, err := GroundTruth(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
+			res, err := entry.run(r, qBand(0.5), NewSENSJoin(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Repairs == 0 {
+				t.Fatal("severed tree edge did not trigger a mid-round repair")
+			}
+			if !res.Complete {
+				t.Fatalf("repair did not restore completeness (reason %q, missing %v)",
+					res.IncompleteReason, res.MissingSubtrees)
+			}
+			if res.RepairLatency <= 0 {
+				t.Fatalf("RepairLatency = %g, want > 0", res.RepairLatency)
+			}
+			sameRows(t, truth.Rows, res.Rows, "truth", "repaired")
+			// The runner follows the swap: the repaired tree no longer
+			// routes the orphan through the severed link.
+			if r.Tree.Parent[child] == parent {
+				t.Fatalf("runner tree still parents %d on %d across the downed link", child, parent)
+			}
+		})
 	}
 }
 
 // TestRepairDisabledStaysIncomplete is the control: same severed edge,
 // repair off — the round must honestly report the missing subtree.
 func TestRepairDisabledStaysIncomplete(t *testing.T) {
-	r := testRunner(t, 150, 73)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
-	child, parent := failLink(r)
-	r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
-	res, err := r.Run(qBand(0.5), NewSENSJoin(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatal("severed subtree with repair disabled cannot be complete")
-	}
-	if res.Repairs != 0 {
-		t.Fatalf("Repairs = %d with repair disabled", res.Repairs)
-	}
-	if res.IncompleteReason == "" || len(res.MissingSubtrees) == 0 {
-		t.Fatalf("incomplete result lacks provenance: reason %q, missing %v",
-			res.IncompleteReason, res.MissingSubtrees)
+	for _, entry := range entrySpellings {
+		t.Run(entry.name, func(t *testing.T) {
+			r := testRunner(t, 150, 73)
+			r.EnableReliableTransport(netsim.ReliableConfig{})
+			child, parent := failLink(r)
+			r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
+			res, err := entry.run(r, qBand(0.5), NewSENSJoin(), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Complete {
+				t.Fatal("severed subtree with repair disabled cannot be complete")
+			}
+			if res.Repairs != 0 {
+				t.Fatalf("Repairs = %d with repair disabled", res.Repairs)
+			}
+			if res.IncompleteReason == "" || len(res.MissingSubtrees) == 0 {
+				t.Fatalf("incomplete result lacks provenance: reason %q, missing %v",
+					res.IncompleteReason, res.MissingSubtrees)
+			}
+		})
 	}
 }
 
@@ -158,10 +185,11 @@ func TestChurnRoundsAuditClean(t *testing.T) {
 	const rounds = 6
 	for i := 0; i < rounds; i++ {
 		ch.Cover(r.Sim.Now() + 60)
-		res, violations, err := r.AuditRun(qBand(0.5), NewSENSJoin(), 0)
+		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
+		violations := res.Violations
 		if len(violations) != 0 {
 			t.Fatalf("round %d: audit violations under churn: %v", i, violations)
 		}
@@ -201,10 +229,11 @@ func TestSoakChurn(t *testing.T) {
 	complete, repairs := 0, 0
 	for i := 0; i < rounds; i++ {
 		ch.Cover(r.Sim.Now() + 80)
-		res, violations, err := r.AuditRun(qBand(0.5), NewSENSJoin(), 0)
+		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
+		violations := res.Violations
 		if len(violations) != 0 {
 			t.Fatalf("round %d: audit violations: %v", i, violations)
 		}

@@ -72,7 +72,8 @@ const (
 	ReasonPartition = "partition"
 )
 
-// Exec bundles everything one query execution needs.
+// Exec bundles everything one query execution needs. Runner.Exec is the
+// one place that assembles it.
 type Exec struct {
 	Sim   *netsim.Sim
 	Net   *netsim.Network
@@ -109,18 +110,14 @@ type Exec struct {
 	phaseOpen map[string]float64
 
 	// scratch is the run state and join-kernel storage lent by the owning
-	// Runner (set by Runner.Exec); see run() and runstate.go.
+	// Runner; see run() and runstate.go.
 	scratch *runScratch
 
 	// Workers parallelizes the per-node setup work of buildPlan without
-	// changing its output (0/1 = sequential). Set from
-	// SetupConfig.SetupWorkers by Runner.Exec.
+	// changing its output (0/1 = sequential); SetupConfig.SetupWorkers.
 	Workers int
 
-	// prog is the pre-compiled kernel program of a prepared query; nil
-	// makes joinKernel compile on the fly (identical results — the
-	// prepared program is the same computation hoisted out of the
-	// per-execution path).
+	// prog is the query's compiled kernel program (Prepared.prog).
 	prog *kernelProg
 
 	// Repair arms mid-round incremental tree repair inside scoped
@@ -129,8 +126,8 @@ type Exec struct {
 	// re-parents only the orphaned nodes and replays their collection
 	// over the repaired tree instead of giving the subtree up.
 	Repair bool
-	// onTreeSwap propagates a mid-round tree swap to the owning Runner
-	// (set by Runner.Exec); nil-safe.
+	// onTreeSwap propagates a mid-round tree swap to the owning Runner;
+	// nil-safe.
 	onTreeSwap func(*routing.Tree)
 	// repairs / repairAt record mid-round repair activity for the Result.
 	repairs  int
@@ -162,29 +159,6 @@ func (x *Exec) snapshot() *field.Snapshot {
 // column returns attribute name's sampled values indexed by node id.
 // Resolve a column once per plan or kernel call, then index it.
 func (x *Exec) column(name string) []float64 { return x.snapshot().Column(name) }
-
-// NewExec validates and assembles an execution context.
-func NewExec(sim *netsim.Sim, net *netsim.Network, tree *routing.Tree, coll *stats.Collector,
-	dep *topology.Deployment, env *field.Environment, cat relation.Catalog,
-	q *query.Query, t float64) (*Exec, error) {
-	for _, r := range q.From {
-		if _, err := cat.Lookup(r.Relation); err != nil {
-			return nil, err
-		}
-	}
-	if err := expandStar(q, cat); err != nil {
-		return nil, err
-	}
-	a, err := query.Analyze(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Exec{
-		Sim: sim, Net: net, Tree: tree, Stats: coll,
-		Dep: dep, Env: env, Catalog: cat,
-		Query: q, Analysis: a, Time: t,
-	}, nil
-}
 
 // Row is one output row of a query result.
 type Row []float64
@@ -221,6 +195,12 @@ type Result struct {
 	RepairLatency float64
 	// ResponseTime is the simulated seconds from query start to result.
 	ResponseTime float64
+	// Attempts counts the executions behind this result: 1 unless
+	// WithRecovery re-executed after an incomplete attempt.
+	Attempts int
+	// Violations lists what the journal audit found (Audited); a correct
+	// execution has none. With WithRecovery it spans every attempt.
+	Violations []trace.Violation
 }
 
 // Fraction returns the fraction of member nodes that contribute to the

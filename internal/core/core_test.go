@@ -20,6 +20,17 @@ func testRunner(t *testing.T, nodes int, seed int64) *Runner {
 	return r
 }
 
+// execSQL prepares src on r and binds it at time t: the one way the
+// tests get an execution context for the network-free helpers
+// (GroundTruth, Explain, Advise, buildPlan) or to call a Method directly.
+func execSQL(r *Runner, src string, t float64) (*Exec, error) {
+	p, err := r.Prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	return r.Exec(p, t), nil
+}
+
 const q1 = `SELECT MIN(distance(A.x, A.y, B.x, B.y))
 FROM Sensors A, Sensors B
 WHERE A.temp - B.temp > 10.0 ONCE`
@@ -83,7 +94,7 @@ func TestMethodsAgreeWithGroundTruth(t *testing.T) {
 	}
 	for name, src := range queries {
 		r := testRunner(t, 120, 7)
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +124,7 @@ func TestMethodsAgreeWithGroundTruth(t *testing.T) {
 
 func TestCompressedRepsAgree(t *testing.T) {
 	r := testRunner(t, 80, 3)
-	x, err := r.ExecSQL(qBand(0.5), 0)
+	x, err := execSQL(r, qBand(0.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +309,7 @@ func TestLocalPredicatesFilterMembership(t *testing.T) {
 	r := testRunner(t, 100, 31)
 	src := `SELECT A.temp, B.temp FROM Sensors A, Sensors B
 		WHERE A.light > 400 AND B.light > 400 AND abs(A.temp - B.temp) < 1 ONCE`
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +335,7 @@ func TestThreeWayJoin(t *testing.T) {
 	src := `SELECT A.temp, B.temp, C.temp FROM Sensors A, Sensors B, Sensors C
 		WHERE abs(A.temp - B.temp) < 0.2 AND abs(B.temp - C.temp) < 0.2
 		AND distance(A.x, A.y, B.x, B.y) > 100 ONCE`
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +379,7 @@ func TestExternalHandlesSingleRelation(t *testing.T) {
 
 func TestQueryDissemination(t *testing.T) {
 	r := testRunner(t, 100, 53)
-	x, err := r.ExecSQL(qBand(0.5), 0)
+	x, err := execSQL(r, qBand(0.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +435,7 @@ func TestFourWayJoin(t *testing.T) {
 		FROM Sensors A, Sensors B, Sensors C, Sensors D
 		WHERE A.temp - B.temp > 2 AND abs(B.temp - C.temp) < 0.4
 		AND C.temp - D.temp > 1 ONCE`
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 func TestExplainQ2Style(t *testing.T) {
 	r := testRunner(t, 80, 501)
-	x, err := r.ExecSQL(qBand(0.3), 0)
+	x, err := execSQL(r, qBand(0.3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestExplainQ2Style(t *testing.T) {
 
 func TestExplainLocalPredicates(t *testing.T) {
 	r := testRunner(t, 60, 503)
-	x, err := r.ExecSQL(`SELECT A.temp, B.temp FROM Sensors A, Sensors B
+	x, err := execSQL(r, `SELECT A.temp, B.temp FROM Sensors A, Sensors B
 		WHERE A.light > 100 AND A.temp - B.temp > 3 ONCE`, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestExplainLocalPredicates(t *testing.T) {
 
 func TestExplainNoJoinAttrs(t *testing.T) {
 	r := testRunner(t, 40, 505)
-	x, err := r.ExecSQL("SELECT A.temp, B.temp FROM Sensors A, Sensors B ONCE", 0)
+	x, err := execSQL(r, "SELECT A.temp, B.temp FROM Sensors A, Sensors B ONCE", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

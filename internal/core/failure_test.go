@@ -41,10 +41,11 @@ func TestRecoveryReexecutesAfterRepair(t *testing.T) {
 	r := testRunner(t, 150, 73)
 	child, parent := failLink(r)
 	r.Net.LinkDown(child, parent)
-	res, attempts, err := r.RunWithRecovery(qBand(0.5), NewSENSJoin(), 0, 3)
+	res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithRecovery(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	attempts := res.Attempts
 	if attempts < 2 {
 		t.Fatalf("expected a re-execution, got %d attempt(s)", attempts)
 	}
@@ -52,7 +53,7 @@ func TestRecoveryReexecutesAfterRepair(t *testing.T) {
 		t.Fatal("result still incomplete after tree repair")
 	}
 	// After repair the result matches ground truth on the repaired tree.
-	x, err := r.ExecSQL(qBand(0.5), 0)
+	x, err := execSQL(r, qBand(0.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +81,11 @@ func TestRecoveryGivesUpWhenPartitioned(t *testing.T) {
 	for _, nb := range r.Dep.Neighbors[victim] {
 		r.Net.LinkDown(victim, nb)
 	}
-	res, attempts, err := r.RunWithRecovery(qBand(0.5), NewSENSJoin(), 0, 2)
+	res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithRecovery(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	attempts := res.Attempts
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want the maximum 2", attempts)
 	}
@@ -143,7 +145,7 @@ func TestTreecutOnLineTopology(t *testing.T) {
 	// they must never transmit in the filter or final phases.
 	r := lineRunner(t, 12)
 	src := qBand(10) // everything joins: every tuple must reach the BS
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestFullStackBeaconFloodExecute(t *testing.T) {
 
 	// 2. Query dissemination by flooding.
 	src := qBand(0.4)
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

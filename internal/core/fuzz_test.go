@@ -64,7 +64,7 @@ func TestFuzzRandomQueriesMatchOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + i)))
 		r := testRunner(t, 60+rng.Intn(60), int64(500+i))
 		src := randomQuery(rng)
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatalf("iter %d: parse %q: %v", i, src, err)
 		}
@@ -93,7 +93,7 @@ func TestFuzzVariantsMatchOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(2000 + i)))
 		r := testRunner(t, 50+rng.Intn(40), int64(700+i))
 		src := randomQuery(rng)
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func TestGroupByAcrossMethods(t *testing.T) {
 			WHERE A.temp - B.temp > 4 ORDER BY 1 DESC, 2 LIMIT 5 ONCE`,
 	}
 	for _, src := range queries {
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatalf("%q: %v", src, err)
 		}
@@ -62,7 +62,7 @@ func TestGroupByAggregation(t *testing.T) {
 		FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 5
 		GROUP BY A.temp ORDER BY 1 ONCE`
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestGroupBySQLValidation(t *testing.T) {
 	// Non-aggregate item missing from GROUP BY must be rejected.
 	src := `SELECT A.hum, COUNT(B.temp) FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 3 GROUP BY A.temp ONCE`
-	if _, err := r.ExecSQL(src, 0); err == nil {
+	if _, err := execSQL(r, src, 0); err == nil {
 		t.Fatal("ungrouped non-aggregate item must be rejected")
 	}
 	// LIMIT without ORDER BY must be rejected at parse time.
-	if _, err := r.ExecSQL(`SELECT A.temp FROM Sensors A LIMIT 3 ONCE`, 0); err == nil {
+	if _, err := execSQL(r, `SELECT A.temp FROM Sensors A LIMIT 3 ONCE`, 0); err == nil {
 		t.Fatal("LIMIT without ORDER BY must be rejected")
 	}
 }
@@ -122,7 +122,7 @@ func TestGroupByAttrsAreShipped(t *testing.T) {
 	r := testRunner(t, 60, 911)
 	src := `SELECT COUNT(A.temp) FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 4 GROUP BY A.light ONCE`
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

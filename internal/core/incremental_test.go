@@ -66,7 +66,7 @@ func TestIncrementalCorrectEveryRound(t *testing.T) {
 	src := qBand(0.4)
 	for round := 0; round < 5; round++ {
 		tm := float64(round) * 60
-		x, err := r.ExecSQL(src, tm)
+		x, err := execSQL(r, src, tm)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestIncrementalSurvivesTreeChange(t *testing.T) {
 
 	runRound := func(round int) {
 		tm := float64(round) * 30
-		x, err := r.ExecSQL(src, tm)
+		x, err := execSQL(r, src, tm)
 		if err != nil {
 			t.Fatal(err)
 		}

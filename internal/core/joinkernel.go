@@ -362,12 +362,8 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 	sc := &x.run().kernel // sized for n levels by exactJoinOver
 
 	// The compiled program — slot layout, condition/SELECT/GROUP BY
-	// closures, join shape — depends only on the query, so prepared
-	// executions reuse a cached one; ad-hoc executions compile here.
+	// closures, join shape — depends only on the query (compileKernel).
 	prog := x.prog
-	if prog == nil {
-		prog = compileKernel(x.Query, x.Analysis)
-	}
 	slotsOf := prog.slotsOf
 	compiledConds := prog.compiledConds
 	condRels := prog.condRels

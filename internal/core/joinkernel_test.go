@@ -174,7 +174,7 @@ func kernelExec(t testing.TB, src string) *Exec {
 	if err != nil {
 		t.Fatalf("analyze %q: %v", src, err)
 	}
-	return &Exec{Query: q, Analysis: a}
+	return &Exec{Query: q, Analysis: a, prog: compileKernel(q, a)}
 }
 
 // kernelTuples synthesizes count tuples with the standard attributes,

@@ -67,8 +67,7 @@ type QueryGroup struct {
 
 // groupQuery is one registered query.
 type groupQuery struct {
-	src     string
-	q       *query.Query
+	p       *Prepared
 	cluster *qgCluster
 	bit     int // index within the cluster (mask bit)
 	idx     int // index within the group (result slot)
@@ -95,27 +94,15 @@ func NewQueryGroup(o Options) *QueryGroup {
 // (the result slot in RunRound's output). Compatible queries — same
 // relations, join attributes, shipped attributes and canonically equal
 // local predicates — land in the same cluster.
-func (g *QueryGroup) Add(src string) (int, error) {
-	q, err := query.Parse(src)
-	if err != nil {
-		return 0, err
+func (g *QueryGroup) Add(p *Prepared) (int, error) {
+	if p.Relations() < 2 {
+		return 0, fmt.Errorf("core: %q has %d relation(s); shared execution needs joins", p.src, p.Relations())
 	}
-	if len(q.From) < 2 {
-		return 0, fmt.Errorf("core: %q has %d relation(s); shared execution needs joins", src, len(q.From))
+	if !p.Shareable() {
+		return 0, fmt.Errorf("core: query %q has no join attributes; SENS-Join needs join conditions", p.src)
 	}
-	a, err := query.Analyze(q)
-	if err != nil {
-		return 0, err
-	}
-	joinAttrs := 0
-	for i := range q.From {
-		joinAttrs += len(a.JoinAttrs[i])
-	}
-	if joinAttrs == 0 {
-		return 0, fmt.Errorf("core: query %q has no join attributes; SENS-Join needs join conditions", src)
-	}
-	gq := &groupQuery{src: src, q: q, idx: len(g.queries)}
-	key := compatKey(q, a)
+	gq := &groupQuery{p: p, idx: len(g.queries)}
+	key := compatKey(p.query, p.analysis)
 	for _, c := range g.clusters {
 		if c.key == key && len(c.members) < maxClusterQueries {
 			gq.cluster = c
@@ -142,7 +129,7 @@ func (g *QueryGroup) Add(src string) (int, error) {
 // carries the union.
 func compatKey(q *query.Query, a *query.Analysis) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "from=%d star=%t;", len(q.From), q.Star)
+	fmt.Fprintf(&b, "from=%d;", len(q.From))
 	for i, ref := range q.From {
 		fmt.Fprintf(&b, "[%d]rel=%s ja=%v sh=%v lp=", i, ref.Relation, a.JoinAttrs[i], a.ShippedAttrs[i])
 		preds := make([]string, 0, len(a.LocalPreds[i]))
@@ -250,18 +237,46 @@ func realignMasks(filter []zorder.Key, masks []uint64, sub []zorder.Key) []uint6
 // RunRound executes one shared epoch of every registered query at
 // snapshot time t and returns the per-query results, indexed by the
 // query indices Add returned. Incompatible clusters run sequentially;
-// within a cluster all members share one protocol round.
-func (g *QueryGroup) RunRound(r *Runner, t float64) ([]*Result, error) {
+// within a cluster all members share one protocol round, which counts
+// once in sensjoin_core_runs_total. Under Audited (or the runner's
+// AutoAudit) every cluster's journal segment is audited, and each
+// member's Result.Violations holds what its cluster's round produced.
+// Filter soundness is necessarily per cluster: the union filter only
+// suppresses a key no MEMBER of that cluster wants — a node another
+// cluster's query needs may be legitimately suppressed here.
+// WithRecovery does not apply to shared rounds.
+func (g *QueryGroup) RunRound(r *Runner, t float64, opts ...RunOption) ([]*Result, error) {
 	if len(g.queries) == 0 {
 		return nil, fmt.Errorf("core: empty query group")
 	}
+	o := gatherOptions(opts)
 	if r.Metrics != nil {
 		r.Metrics.MQOGroups.Set(int64(len(g.clusters)))
 	}
 	results := make([]*Result, len(g.queries))
 	for _, c := range g.clusters {
-		if err := g.runCluster(r, c, t, results); err != nil {
+		if r.Metrics != nil {
+			r.Metrics.Runs.Inc()
+		}
+		seg := r.openAudit(o, "shared round") // before Exec: it may switch tracing on
+		execs := make([]*Exec, len(c.members))
+		for j, gq := range c.members {
+			execs[j] = r.Exec(gq.p, t)
+		}
+		if err := g.runCluster(c, execs, results); err != nil {
 			return nil, err
+		}
+		if seg == nil {
+			continue
+		}
+		found, err := seg.close([]string{PhaseJACollect, PhaseFinalCollect}, execs, nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, gq := range c.members {
+			if res := results[gq.idx]; res != nil {
+				res.Violations = found
+			}
 		}
 	}
 	g.rounds++
@@ -272,20 +287,12 @@ func (g *QueryGroup) RunRound(r *Runner, t float64) ([]*Result, error) {
 // phase-A wave, one masked union-filter dissemination, one bitmap-
 // tagged collection wave, then a per-member exact join at the base
 // station.
-func (g *QueryGroup) runCluster(r *Runner, c *qgCluster, t float64, results []*Result) error {
+func (g *QueryGroup) runCluster(c *qgCluster, execs []*Exec, results []*Result) error {
 	m := len(c.members)
 	fullMask := maskAll(m)
 	s := c.sens
 	o := s.Options.withDefaults()
 
-	execs := make([]*Exec, m)
-	for j, gq := range c.members {
-		x, err := r.Exec(gq.q, t)
-		if err != nil {
-			return err
-		}
-		execs[j] = x
-	}
 	x0 := execs[0]
 	p0, err := buildPlan(x0)
 	if err != nil {
@@ -618,59 +625,4 @@ func (g *QueryGroup) forwardGroupTuples(x *Exec, p *plan, id topology.NodeID, st
 		Kind: kindFinal, Src: id, Dst: x.Tree.Parent[id],
 		Phase: PhaseFinalCollect, Size: size, Payload: tuples,
 	})
-}
-
-// AuditRound executes one shared epoch under the journal and audits
-// every cluster's segment with the standard passes. Filter soundness is
-// necessarily per cluster: the union filter only suppresses a key no
-// MEMBER of that cluster wants, so suppress decisions are checked
-// against the union of the cluster's own ground-truth contributors — a
-// node another cluster's query needs may be legitimately suppressed
-// here.
-func (g *QueryGroup) AuditRound(r *Runner, t float64) ([]*Result, []trace.Violation, error) {
-	if len(g.queries) == 0 {
-		return nil, nil, fmt.Errorf("core: empty query group")
-	}
-	rec := r.EnableTrace()
-	outerMark := rec.Mark()
-	if r.Metrics != nil {
-		r.Metrics.MQOGroups.Set(int64(len(g.clusters)))
-	}
-	results := make([]*Result, len(g.queries))
-	var violations []trace.Violation
-	for _, c := range g.clusters {
-		mark := rec.Mark()
-		before := r.Stats.Snapshot()
-		if err := g.runCluster(r, c, t, results); err != nil {
-			return nil, nil, err
-		}
-		after := r.Stats.Snapshot()
-		j := rec.JournalSince(mark)
-		violations = append(violations, trace.Conservation(j)...)
-		violations = append(violations, trace.Reconcile(j, before, after)...)
-		violations = append(violations, trace.SlotOrder(j, r.Tree, []string{PhaseJACollect, PhaseFinalCollect})...)
-		violations = append(violations, trace.Reliability(j)...)
-		if r.allAlive() {
-			contrib := make(map[topology.NodeID]bool)
-			for _, gq := range c.members {
-				x, err := r.Exec(gq.q, t)
-				if err != nil {
-					return nil, nil, err
-				}
-				qc, err := groundTruthContributors(x)
-				if err != nil {
-					return nil, nil, err
-				}
-				for id := range qc {
-					contrib[id] = true
-				}
-			}
-			violations = append(violations, trace.FilterSoundness(j, contrib)...)
-		}
-	}
-	g.rounds++
-	if r.AutoAudit {
-		rec.Truncate(outerMark)
-	}
-	return results, violations, nil
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"sensjoin/internal/netsim"
+	"sensjoin/internal/relation"
+	"sensjoin/internal/topology"
 )
 
 // qTempBand builds compatible Q1-style band joins: identical SELECT
@@ -16,9 +18,20 @@ func qTempBand(delta float64) string {
 		"SELECT A.temp, A.hum, B.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > %g ONCE", delta)
 }
 
+// addSrc prepares src against the standard catalog (clustering depends
+// on the query alone, not on a deployment) and registers it.
+func addSrc(g *QueryGroup, src string) (int, error) {
+	schema := relation.StandardSchema(topology.ScaledArea(150))
+	p, err := Prepare(relation.Catalog{schema.Name: schema}, src)
+	if err != nil {
+		return 0, err
+	}
+	return g.Add(p)
+}
+
 func mustAdd(t *testing.T, g *QueryGroup, src string) int {
 	t.Helper()
-	idx, err := g.Add(src)
+	idx, err := addSrc(g, src)
 	if err != nil {
 		t.Fatalf("Add(%q): %v", src, err)
 	}
@@ -54,10 +67,10 @@ func TestQueryGroupClustering(t *testing.T) {
 
 func TestQueryGroupRejectsNonJoins(t *testing.T) {
 	g := NewQueryGroup(Options{})
-	if _, err := g.Add("SELECT A.temp FROM Sensors A ONCE"); err == nil {
+	if _, err := addSrc(g, "SELECT A.temp FROM Sensors A ONCE"); err == nil {
 		t.Error("single-relation query must be rejected")
 	}
-	if _, err := g.Add("SELECT A.temp, B.temp FROM Sensors A, Sensors B ONCE"); err == nil {
+	if _, err := addSrc(g, "SELECT A.temp, B.temp FROM Sensors A, Sensors B ONCE"); err == nil {
 		t.Error("cross join without join attributes must be rejected")
 	}
 	if _, err := g.RunRound(nil, 0); err == nil {
@@ -84,7 +97,7 @@ func TestQueryGroupMatchesGroundTruth(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, s := range srcs {
-			x, err := r.ExecSQL(s, tm)
+			x, err := execSQL(r, s, tm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +231,7 @@ func TestQueryGroupSharesTraffic(t *testing.T) {
 		epochs, len(srcs), sharedTx, indepTx, 100*float64(sharedTx)/float64(indepTx))
 }
 
-// AuditRound over a mixed group: all passes clean, per cluster.
+// An audited round over a mixed group: all passes clean, per cluster.
 func TestQueryGroupAuditClean(t *testing.T) {
 	r := testRunner(t, 150, 311)
 	g := NewQueryGroup(Options{})
@@ -226,16 +239,19 @@ func TestQueryGroupAuditClean(t *testing.T) {
 		mustAdd(t, g, s)
 	}
 	for round := 0; round < 2; round++ {
-		res, violations, err := g.AuditRound(r, float64(round)*30)
+		res, err := g.RunRound(r, float64(round)*30, Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(violations) > 0 {
-			t.Fatalf("round %d: %d violation(s), first: %s", round, len(violations), violations[0])
+		if r.Trace == nil || len(r.Trace.Journal().Events) == 0 {
+			t.Fatal("audited round recorded no events")
 		}
 		for i, rr := range res {
 			if rr == nil || !rr.Complete {
 				t.Fatalf("round %d query %d incomplete", round, i)
+			}
+			if v := rr.Violations; len(v) > 0 {
+				t.Fatalf("round %d query %d: %d violation(s), first: %s", round, i, len(v), v[0])
 			}
 		}
 	}

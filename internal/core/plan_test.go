@@ -156,7 +156,7 @@ func TestBuildPlanMatchesReference(t *testing.T) {
 			}
 			label += " dead nodes"
 		}
-		x, err := r.ExecSQL(src, []float64{0, 30, 4321.5}[i%3])
+		x, err := execSQL(r, src, []float64{0, 30, 4321.5}[i%3])
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -182,7 +182,7 @@ func TestBuildPlanParallelMatchesReference(t *testing.T) {
 	var plans [2]*plan
 	for w, workers := range []int{1, 4} {
 		r := NewRunnerFromSetup(dep, field.StandardEnvironment(dep.Area, 1003), tree, SetupConfig{SetupWorkers: workers})
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func planFixture(tb testing.TB, nodes int) (*Runner, *Exec) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	x, err := r.ExecSQL("SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B "+
+	x, err := execSQL(r, "SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B "+
 		"WHERE A.temp - B.temp > 7.5 AND A.light > 100 ONCE", 0)
 	if err != nil {
 		tb.Fatal(err)
@@ -306,7 +306,7 @@ func BenchmarkBuildPlan(b *testing.B) {
 					if cold {
 						at = float64(i + 1) // a new instant: nothing is filled yet
 					}
-					x, err := r.ExecSQL(src, at)
+					x, err := execSQL(r, src, at)
 					if err != nil {
 						b.Fatal(err)
 					}

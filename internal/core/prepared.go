@@ -158,37 +158,3 @@ func (p *Prepared) Shareable() bool {
 	}
 	return false
 }
-
-// ExecPrepared assembles an execution context from an already prepared
-// query, skipping parse, star expansion, analysis and kernel
-// compilation.
-func (r *Runner) ExecPrepared(p *Prepared, t float64) (*Exec, error) {
-	x := &Exec{
-		Sim: r.Sim, Net: r.Net, Tree: r.Tree, Stats: r.Stats,
-		Dep: r.Dep, Env: r.Env, Catalog: r.Catalog,
-		Query: p.query, Analysis: p.analysis, Time: t,
-		prog: p.prog, scratch: &r.scratch,
-	}
-	x.Member = r.Member
-	x.Trace = r.Trace
-	x.Metrics = r.Metrics
-	x.Workers = r.workers
-	return x, nil
-}
-
-// RunPrepared executes a prepared query like Run. With AutoAudit set it
-// falls back to the audited source path (the audit needs the journal
-// bracketing Run provides).
-func (r *Runner) RunPrepared(p *Prepared, m Method, t float64) (*Result, error) {
-	if r.AutoAudit {
-		return r.Run(p.src, m, t)
-	}
-	if r.Metrics != nil {
-		r.Metrics.Runs.Inc()
-	}
-	x, err := r.ExecPrepared(p, t)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(x)
-}

@@ -18,7 +18,7 @@ import (
 // unconditionally (the filter stands down — a subtree in recovery may
 // never have received it), relays forward toward the base station
 // immediately, and the round repeats up to maxRecoveryRounds times.
-// Whole-query re-execution (Runner.RunWithRecovery) remains the fallback
+// Whole-query re-execution (the WithRecovery run option) remains the fallback
 // for when the tree itself changed.
 
 // maxRecoveryRounds bounds the scoped re-request rounds per execution.

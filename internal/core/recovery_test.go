@@ -19,7 +19,7 @@ func TestReliableLossExactAndComplete(t *testing.T) {
 			r.AutoAudit = true
 			r.EnableReliableTransport(netsim.ReliableConfig{})
 			r.Net.SetLossRate(loss, 424242)
-			x, err := r.ExecSQL(qBand(0.4), 0)
+			x, err := execSQL(r, qBand(0.4), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,10 +61,11 @@ func TestFilterStandDownForcesSubtreeRecovery(t *testing.T) {
 	// parent) is untouched, the filter and every re-request give up.
 	r.Net.SetLinkLossRate(1, 2, 1.0)
 	// Explicit AuditRun (not AutoAudit) keeps the journal for inspection.
-	res, violations, err := r.AuditRun(qBand(10), NewSENSJoin(), 0)
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, Audited())
 	if err != nil {
 		t.Fatal(err)
 	}
+	violations := res.Violations
 	if len(violations) != 0 {
 		t.Fatalf("audit violations on a jammed-link run: %v", violations)
 	}
@@ -116,7 +117,7 @@ func TestScopedRecoveryHealsTransientOutage(t *testing.T) {
 		r.Sim.Schedule(r.Sim.Now()+5, heal)
 	}
 	r.Sim.Schedule(5, heal)
-	x, err := r.ExecSQL(qBand(10), 0)
+	x, err := execSQL(r, qBand(10), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +165,11 @@ func TestRunWithRecoveryGiveUpSurfacesReason(t *testing.T) {
 	}
 	// qBand(10) joins everything, so the partitioned node is a needed
 	// contributor on every attempt.
-	res, attempts, err := r.RunWithRecovery(qBand(10), NewSENSJoin(), 0, 2)
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithRecovery(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	attempts := res.Attempts
 	if attempts != 2 {
 		t.Fatalf("attempts = %d, want exactly the maximum 2", attempts)
 	}

@@ -11,7 +11,7 @@ import (
 func TestRelatedMethodsAgreeWithOracle(t *testing.T) {
 	r := testRunner(t, 150, 401)
 	for _, src := range []string{qBand(0.3), qBand(2), q1} {
-		x, err := r.ExecSQL(src, 0)
+		x, err := execSQL(r, src, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func TestMediatedWinsInItsNiche(t *testing.T) {
 	}
 	src := `SELECT A.temp, B.temp FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 7 ONCE` // highly selective
-	x, err := r.ExecSQL(src, 0)
+	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestMediatedFailureDetection(t *testing.T) {
 
 func TestShortestPath(t *testing.T) {
 	r := testRunner(t, 100, 411)
-	x, err := r.ExecSQL(qBand(0.5), 0)
+	x, err := execSQL(r, qBand(0.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestMemberCentroidNode(t *testing.T) {
 	r.Member = func(id topology.NodeID, rel string) bool {
 		return geom.Dist(r.Dep.Pos[id], corner) < 150
 	}
-	x, err := r.ExecSQL(qBand(0.5), 0)
+	x, err := execSQL(r, qBand(0.5), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

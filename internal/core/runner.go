@@ -6,7 +6,6 @@ import (
 	"sensjoin/internal/field"
 	"sensjoin/internal/metrics"
 	"sensjoin/internal/netsim"
-	"sensjoin/internal/query"
 	"sensjoin/internal/relation"
 	"sensjoin/internal/routing"
 	"sensjoin/internal/stats"
@@ -73,10 +72,10 @@ type Runner struct {
 	Metrics *CoreMetrics
 	// treeDepth is the live tree-depth gauge (nil when metrics are off).
 	treeDepth *metrics.Gauge
-	// AutoAudit makes every Run audit itself: each execution's journal
-	// segment is checked (conservation, reconciliation, slot order,
-	// filter soundness, churn safety) and violations turn into errors.
-	// The journal is truncated after each run to bound memory.
+	// AutoAudit makes every execution audit itself: its journal segment
+	// is checked (see auditSegment) and then truncated to bound memory.
+	// Violations turn into errors unless the call asked for them with
+	// Audited.
 	AutoAudit bool
 	// workers is SetupConfig.SetupWorkers, forwarded to each Exec.
 	workers int
@@ -174,73 +173,123 @@ func (r *Runner) disableSharding() {
 // NewRunnerFromDeployment wraps an existing deployment (tests use
 // hand-built topologies such as lines and stars).
 func NewRunnerFromDeployment(dep *topology.Deployment, radio netsim.RadioConfig, seed int64) *Runner {
-	if radio.MaxPacket == 0 {
-		radio = netsim.DefaultRadio()
-	}
-	schema := relation.StandardSchema(dep.Area)
-	sim := netsim.NewSim()
-	coll := stats.NewCollector(dep.N())
-	return &Runner{
-		Dep:     dep,
-		Env:     field.StandardEnvironment(dep.Area, seed),
-		Catalog: relation.Catalog{schema.Name: schema},
-		Sim:     sim,
-		Net:     netsim.NewNetwork(sim, dep, radio, coll),
-		Tree:    routing.BuildTree(dep.Neighbors, topology.BaseStation),
-		Stats:   coll,
+	return NewRunnerFromSetup(dep, field.StandardEnvironment(dep.Area, seed),
+		routing.BuildTree(dep.Neighbors, topology.BaseStation), SetupConfig{Radio: radio})
+}
+
+// A Runner has four query entry points and no others (pinned by
+// TestRunnerQuerySurface): Prepare analyses a query, Exec binds the
+// analysed query to this runner at one instant, RunPrepared executes it,
+// and Run is Prepare followed by RunPrepared.
+
+// Exec assembles the execution context of p at time t. It is the only
+// place an Exec is built, so whatever the runner has armed — membership,
+// tracing, metrics, setup workers, mid-round repair — reaches every
+// execution, however it was started.
+func (r *Runner) Exec(p *Prepared, t float64) *Exec {
+	return &Exec{
+		Sim: r.Sim, Net: r.Net, Tree: r.Tree, Stats: r.Stats,
+		Dep: r.Dep, Env: r.Env, Catalog: r.Catalog, Member: r.Member,
+		Query: p.query, Analysis: p.analysis, prog: p.prog, Time: t,
+		Trace: r.Trace, Metrics: r.Metrics,
+		scratch: &r.scratch, Workers: r.workers,
+		Repair: r.repair,
+		onTreeSwap: func(t *routing.Tree) {
+			r.Tree = t
+			r.treeDepth.Set(int64(t.MaxDepth))
+		},
 	}
 }
 
-// Exec assembles an execution context for a parsed query at time t.
-func (r *Runner) Exec(q *query.Query, t float64) (*Exec, error) {
-	x, err := NewExec(r.Sim, r.Net, r.Tree, r.Stats, r.Dep, r.Env, r.Catalog, q, t)
+// RunOption adjusts one Run, RunPrepared or QueryGroup.RunRound call.
+type RunOption func(*runOptions)
+
+type runOptions struct {
+	audit    bool
+	attempts int
+}
+
+// Audited audits the execution's journal segment (see auditSegment) and
+// reports what it finds in Result.Violations instead of failing the run.
+// Tracing is enabled on demand.
+func Audited() RunOption { return func(o *runOptions) { o.audit = true } }
+
+// WithRecovery re-executes after routing-tree repair while failures leave
+// the result incomplete — the paper's error handling (§IV-F: "we rely
+// upon the tree protocol to re-establish the routing structure;
+// afterwards, we simply re-execute the query"). All attempts are charged
+// to the collector; Result.Attempts counts them. On the give-up path the
+// count is exactly maxAttempts (3 when maxAttempts <= 0) and the result
+// carries MissingSubtrees and IncompleteReason, with no trailing rebuild.
+func WithRecovery(maxAttempts int) RunOption {
+	if maxAttempts <= 0 {
+		maxAttempts = 3
+	}
+	return func(o *runOptions) { o.attempts = maxAttempts }
+}
+
+func gatherOptions(opts []RunOption) runOptions {
+	o := runOptions{attempts: 1}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// Run prepares src and executes it; see RunPrepared.
+func (r *Runner) Run(src string, m Method, t float64, opts ...RunOption) (*Result, error) {
+	p, err := r.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	x.Member = r.Member
-	x.Trace = r.Trace
-	x.Metrics = r.Metrics
-	x.Workers = r.workers
-	x.Repair = r.repair
-	x.scratch = &r.scratch
-	x.onTreeSwap = func(t *routing.Tree) {
-		r.Tree = t
-		r.treeDepth.Set(int64(t.MaxDepth))
-	}
-	return x, nil
+	return r.RunPrepared(p, m, t, opts...)
 }
 
-// ExecSQL parses src and assembles an execution context at time t.
-func (r *Runner) ExecSQL(src string, t float64) (*Exec, error) {
-	q, err := query.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return r.Exec(q, t)
-}
-
-// Run executes a query with the given method at time t. With AutoAudit
-// set, the execution's journal is audited and violations become errors.
-func (r *Runner) Run(src string, m Method, t float64) (*Result, error) {
-	if r.Metrics != nil {
-		r.Metrics.Runs.Inc()
-	}
-	if r.AutoAudit {
-		res, violations, err := r.AuditRun(src, m, t)
+// RunPrepared executes a prepared query with the given method at time t.
+// Every execution on a runner passes through here: each attempt counts
+// once in sensjoin_core_runs_total, and under Audited or AutoAudit each
+// attempt's journal segment is audited.
+func (r *Runner) RunPrepared(p *Prepared, m Method, t float64, opts ...RunOption) (*Result, error) {
+	o := gatherOptions(opts)
+	var violations []trace.Violation
+	for attempt := 1; ; attempt++ {
+		if r.Metrics != nil {
+			r.Metrics.Runs.Inc()
+		}
+		seg := r.openAudit(o, m.Name()) // before Exec: it may switch tracing on
+		x := r.Exec(p, t)
+		if seg != nil && r.churn != nil {
+			// The churn-safety oracle must be computed before the run:
+			// churn may kill members mid-round, and GroundTruth reflects
+			// aliveness at call time — the contract is "exact w.r.t. the
+			// snapshot the round started from".
+			var err error
+			if seg.truth, err = GroundTruth(x); err != nil {
+				return nil, err
+			}
+		}
+		res, err := m.Run(x)
 		if err != nil {
 			return nil, err
 		}
-		if len(violations) > 0 {
-			return nil, fmt.Errorf("core: %s audit: %d violation(s), first: %s",
-				m.Name(), len(violations), violations[0])
+		if seg != nil {
+			var filtered []*Exec
+			if filterPhased(m) {
+				filtered = []*Exec{x}
+			}
+			found, err := seg.close(auditPhases(m), filtered, res)
+			if err != nil {
+				return nil, err
+			}
+			violations = append(violations, found...)
 		}
-		return res, nil
+		if res.Complete || attempt >= o.attempts {
+			res.Attempts, res.Violations = attempt, violations
+			return res, nil
+		}
+		r.RebuildTreeAvoidingFailures()
+		r.Trace.Span(r.Sim.Now(), trace.KindRecovery, topology.BaseStation, -1, "", attempt)
 	}
-	x, err := r.ExecSQL(src, t)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(x)
 }
 
 // EnableMetrics wires the whole stack of this runner — event loop,
@@ -296,29 +345,4 @@ func (r *Runner) RebuildTreeAvoidingFailures() {
 func (r *Runner) EnableReliableTransport(cfg netsim.ReliableConfig) {
 	r.disableSharding()
 	r.Net.EnableReliable(cfg)
-}
-
-// RunWithRecovery executes the query and, when failures made the result
-// incomplete, repairs the routing tree and re-executes — the paper's
-// error handling (§IV-F: "we rely upon the tree protocol to re-establish
-// the routing structure; afterwards, we simply re-execute the query").
-// All attempts are charged to the collector. It returns the final result
-// and the number of executions; on the give-up path the count is exactly
-// maxAttempts and the result carries MissingSubtrees and
-// IncompleteReason, with no trailing tree rebuild.
-func (r *Runner) RunWithRecovery(src string, m Method, t float64, maxAttempts int) (*Result, int, error) {
-	if maxAttempts <= 0 {
-		maxAttempts = 3
-	}
-	for attempt := 1; ; attempt++ {
-		res, err := r.Run(src, m, t)
-		if err != nil {
-			return nil, attempt, err
-		}
-		if res.Complete || attempt == maxAttempts {
-			return res, attempt, nil
-		}
-		r.RebuildTreeAvoidingFailures()
-		r.Trace.Span(r.Sim.Now(), trace.KindRecovery, topology.BaseStation, -1, "", attempt)
-	}
 }

@@ -39,7 +39,7 @@ func TestRunnerReleasesFinishedRun(t *testing.T) {
 		}
 		done := make(chan struct{})
 		func() {
-			x, err := r.ExecSQL(runStateSrc, 0)
+			x, err := execSQL(r, runStateSrc, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := r.ExecSQL(runStateSrc, 0)
+	x, err := execSQL(r, runStateSrc, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

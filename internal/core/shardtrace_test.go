@@ -70,10 +70,11 @@ func TestShardTraceAuditsClean(t *testing.T) {
 		}
 		rec := r.EnableTrace()
 		mark := rec.Mark()
-		res, violations, err := r.AuditRun(shardTraceSrc, NewSENSJoin(), 0)
+		res, err := r.Run(shardTraceSrc, NewSENSJoin(), 0, Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
+		violations := res.Violations
 		if !r.Sim.Sharded() {
 			t.Fatalf("shards=%d: AuditRun fell back to the classic engine", shards)
 		}

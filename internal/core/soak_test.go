@@ -71,7 +71,7 @@ func TestSoakContinuousWithChaos(t *testing.T) {
 			completeRounds++
 			// A complete claim must be the exact oracle result for the
 			// surviving network.
-			x, err := r.ExecSQL(src, tm)
+			x, err := execSQL(r, src, tm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestSoakExternalWithLoss(t *testing.T) {
 		if res.Complete && round%4 != 0 {
 			// Loss was active; completeness is possible but must then be
 			// genuine (spot-check row count against the oracle).
-			x, _ := r.ExecSQL(qBand(0.4), float64(round)*30)
+			x, _ := execSQL(r, qBand(0.4), float64(round)*30)
 			truth, err := GroundTruth(x)
 			if err != nil {
 				t.Fatal(err)
@@ -178,7 +178,7 @@ func TestSoakReliableWithChaosLoss(t *testing.T) {
 		}
 		if res.Complete {
 			completeRounds++
-			x, err := r.ExecSQL(src, tm)
+			x, err := execSQL(r, src, tm)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,7 +13,7 @@ import (
 // literal wire bitstring.
 func TestAccountedSizesAreEncodable(t *testing.T) {
 	r := testRunner(t, 120, 801)
-	x, err := r.ExecSQL(qBand(0.4), 0)
+	x, err := execSQL(r, qBand(0.4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,7 +103,7 @@ func (h *groupHub) run(b *batch) {
 	var members []*groupSub
 	var idx []int
 	for _, sub := range b.subs {
-		i, err := qg.Add(sub.q.Src)
+		i, err := qg.Add(sub.prep)
 		if err != nil {
 			// Pre-validation (Shareable) makes this unreachable in
 			// practice, but a group must never strand a member's slot.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	httppprof "net/http/pprof"
@@ -31,10 +32,10 @@ func Hardened(h http.Handler) *http.Server {
 
 // ServeHTTP runs srv on ln in the background, logging (rather than
 // dropping) the terminal Serve error.
-func ServeHTTP(srv *http.Server, ln net.Listener, logf func(format string, args ...any)) {
+func ServeHTTP(srv *http.Server, ln net.Listener, log *slog.Logger) {
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			logf("http: serve: %v", err)
+			log.Error("http: serve", "err", err)
 		}
 	}()
 }
@@ -46,18 +47,14 @@ type ObsHTTP struct {
 
 // StartObsHTTP serves the standard observability mux on ln with the
 // hardened server configuration. A non-nil s additionally serves its
-// flight recorder at /debug/queries. A nil logf uses the standard
-// logger.
-func StartObsHTTP(ln net.Listener, reg *metrics.Registry, s *Server, logf func(format string, args ...any)) *ObsHTTP {
-	if logf == nil {
-		logf = Config{}.withDefaults().Logf
-	}
+// flight recorder at /debug/queries.
+func StartObsHTTP(ln net.Listener, reg *metrics.Registry, s *Server, log *slog.Logger) *ObsHTTP {
 	mux := ObsMux(reg)
 	if s != nil {
 		s.AttachDebug(mux)
 	}
 	srv := Hardened(mux)
-	ServeHTTP(srv, ln, logf)
+	ServeHTTP(srv, ln, log)
 	return &ObsHTTP{srv: srv}
 }
 

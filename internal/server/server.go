@@ -36,7 +36,6 @@ import (
 	"net"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,13 +91,10 @@ type Config struct {
 	// Registry receives the sensjoind_* instruments (nil = private
 	// registry, metrics effectively off).
 	Registry *metrics.Registry
-	// Logger receives structured operational logs (nil = a text handler
-	// on stderr, or one writing through Logf when that is set — so
-	// embedders that silence Logf silence everything).
+	// Logger receives the server's operational logs (nil = a text
+	// handler on stderr); embedders silence or redirect the server by
+	// passing their own.
 	Logger *slog.Logger
-	// Logf receives printf-style operational log lines (nil = derived
-	// from Logger). Kept for embedders; new code should prefer Logger.
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -136,41 +132,17 @@ func (c Config) withDefaults() Config {
 		c.FlightSize = 256
 	}
 	if c.Logger == nil {
-		if c.Logf != nil {
-			// Route structured logs through the embedder's Logf so its
-			// silencing (bench passes a no-op) covers them too.
-			c.Logger = slog.New(slog.NewTextHandler(logfWriter{c.Logf}, nil))
-		} else {
-			c.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
-		}
-	}
-	if c.Logf == nil {
-		lg := c.Logger
-		c.Logf = func(format string, args ...any) {
-			lg.Info(fmt.Sprintf(format, args...))
-		}
+		c.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	return c
 }
 
-// logfWriter adapts a printf-style log hook into an io.Writer for the
-// slog text handler.
-type logfWriter struct {
-	logf func(format string, args ...any)
-}
-
-func (w logfWriter) Write(p []byte) (int, error) {
-	w.logf("%s", strings.TrimRight(string(p), "\n"))
-	return len(p), nil
-}
-
 // Server is a running sensjoind instance.
 type Server struct {
-	cfg  Config
-	met  *serverMetrics
-	ln   net.Listener
-	logf func(format string, args ...any)
-	log  *slog.Logger
+	cfg Config
+	met *serverMetrics
+	ln  net.Listener
+	log *slog.Logger
 
 	flight   *FlightRecorder
 	traceSeq atomic.Int64
@@ -202,7 +174,6 @@ func Listen(addr string, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		met:      newServerMetrics(cfg.Registry),
-		logf:     cfg.Logf,
 		log:      cfg.Logger,
 		flight:   newFlightRecorder(cfg.FlightSize),
 		execSem:  make(chan struct{}, cfg.MaxConcurrent),
@@ -268,7 +239,7 @@ func (s *Server) Close() error {
 	select {
 	case <-done:
 	case <-time.After(s.cfg.DrainTimeout):
-		s.logf("sensjoind: drain timeout after %v; dropping in-flight queries", s.cfg.DrainTimeout)
+		s.log.Warn("drain timeout; dropping in-flight queries", "after", s.cfg.DrainTimeout)
 	}
 
 	s.mu.Lock()
@@ -301,7 +272,7 @@ func (s *Server) acceptLoop() {
 			if s.isClosing() || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			s.logf("sensjoind: accept: %v", err)
+			s.log.Error("accept", "err", err)
 			return
 		}
 		s.mu.Lock()
@@ -441,7 +412,7 @@ func (ss *session) enqueue(f outFrame) bool {
 	case <-ss.quit:
 		return false
 	case <-t.C:
-		ss.s.logf("sensjoind: session %d: client not draining responses; dropping session", ss.id)
+		ss.s.log.Warn("client not draining responses; dropping session", "session", ss.id)
 		ss.teardown()
 		return false
 	}
@@ -510,7 +481,7 @@ func (ss *session) answerEncodeFailure(bw *bufio.Writer, msg any, err error) err
 	if !errors.As(err, &enc) || id == 0 {
 		return err
 	}
-	ss.s.logf("sensjoind: session %d: query %d: %v", ss.id, id, err)
+	ss.s.log.Warn("result not encodable; failing the query", "session", ss.id, "id", id, "err", err)
 	ss.cancelQuery(id)
 	return proto.WriteFrame(bw, proto.KindError, proto.Error{ID: id, Code: proto.CodeExec, Msg: err.Error()})
 }

@@ -3,7 +3,9 @@ package server
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +20,14 @@ const (
 	testSeed  = 3
 )
 
+// testLogWriter sends the server's log lines to the test's log.
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimRight(string(p), "\n"))
+	return len(p), nil
+}
+
 // startTestServer runs an in-process sensjoind on a free port.
 func startTestServer(t *testing.T, cfg Config) (*Server, *metrics.Registry) {
 	t.Helper()
@@ -25,7 +35,7 @@ func startTestServer(t *testing.T, cfg Config) (*Server, *metrics.Registry) {
 	cfg.Nodes = testNodes
 	cfg.Seed = testSeed
 	cfg.Registry = reg
-	cfg.Logf = t.Logf
+	cfg.Logger = slog.New(slog.NewTextHandler(testLogWriter{t}, nil))
 	if cfg.BatchWindow == 0 {
 		cfg.BatchWindow = 10 * time.Millisecond
 	}

@@ -10,7 +10,7 @@ import "sensjoin/internal/topology"
 // radio-silent until its rejoin.
 
 // ChurnVerdict carries the execution-level facts the caller (core's
-// AuditRun) established: whether the result was complete, whether its
+// audit segment) established: whether the result was complete, whether its
 // rows matched the pre-run ground truth, and the incompleteness
 // annotations it shipped.
 type ChurnVerdict struct {

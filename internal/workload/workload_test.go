@@ -84,11 +84,11 @@ func TestFractionMatchesGroundTruth(t *testing.T) {
 	for _, p := range []Preset{Ratio33(), Ratio60()} {
 		for _, delta := range []float64{0.5, 2, 5} {
 			want := Fraction(r, p, delta)
-			x, err := r.ExecSQL(p.Build(delta), 0)
+			prep, err := r.Prepare(p.Build(delta))
 			if err != nil {
 				t.Fatal(err)
 			}
-			truth, err := core.GroundTruth(x)
+			truth, err := core.GroundTruth(r.Exec(prep, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,6 +13,17 @@ if [ -n "$unformatted" ]; then
   echo "$unformatted" >&2
   exit 1
 fi
+# The entry points a Runner used to have, and the printf log hook, stay
+# deleted: a Runner runs queries through Prepare/Exec/Run/RunPrepared and
+# the server logs through *slog.Logger, nothing else. (benchmark/ is its
+# own module and never used them.)
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b' \
+  --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
+if [ -n "$retired" ]; then
+  echo "retired entry points are back in non-test Go:" >&2
+  echo "$retired" >&2
+  exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...
@@ -138,7 +149,10 @@ go test -race -count 5 -run 'ZlibPooledConcurrent|SnapshotConcurrent|SnapshotFil
 # without this an internal/ signature change that stops it compiling is
 # only found when the pipeline's benchmark run fails.
 (cd benchmark && go vet . && go test .)
-go test -race -run 'Prepared|Fingerprint' ./internal/core ./internal/query
+# One-run-body race pass: the prepared form shared across executions,
+# the reflection pin on the Runner's query surface, and mid-round repair
+# through both entry spellings.
+go test -race -run 'Prepared|Fingerprint|RunnerQuerySurface|Repair' ./internal/core ./internal/query
 # Churn smoke (X10, reduced size): the churn-resilience ladder — seeded
 # node churn & mobility with mid-round tree repair. The artifact must
 # show zero churn-safety audit violations (no silent wrong answers) and

@@ -100,7 +100,7 @@ func (r *Result) Fraction() float64 {
 	return float64(r.ContributingNodes) / float64(r.MemberNodes)
 }
 
-func fromCore(res *core.Result, executions int) *Result {
+func fromCore(res *core.Result) *Result {
 	rows := make([][]float64, len(res.Rows))
 	for i, r := range res.Rows {
 		rows[i] = []float64(r)
@@ -112,7 +112,7 @@ func fromCore(res *core.Result, executions int) *Result {
 		MemberNodes:       res.MemberNodes,
 		Complete:          res.Complete,
 		ResponseTime:      res.ResponseTime,
-		Executions:        executions,
+		Executions:        res.Attempts,
 	}
 }
 
@@ -279,10 +279,19 @@ func (n *Network) AvgDegree() float64 { return n.r.Dep.AvgDegree() }
 // TreeDepth returns the routing tree's maximum depth.
 func (n *Network) TreeDepth() int { return n.r.Tree.MaxDepth }
 
+// exec analyses src and binds it to the network at the current clock.
+func (n *Network) exec(src string) (*core.Exec, error) {
+	p, err := n.r.Prepare(src)
+	if err != nil {
+		return nil, err
+	}
+	return n.r.Exec(p, n.clock), nil
+}
+
 // Validate parses the query and checks it against the catalog without
 // executing anything.
 func (n *Network) Validate(src string) error {
-	_, err := n.r.ExecSQL(src, n.clock)
+	_, err := n.r.Prepare(src)
 	return err
 }
 
@@ -290,7 +299,7 @@ func (n *Network) Validate(src string) error {
 // attributes, quantization grid, level schedule, and the pre-computation
 // estimates on the current snapshot. Nothing is transmitted.
 func (n *Network) Explain(src string) (string, error) {
-	x, err := n.r.ExecSQL(src, n.clock)
+	x, err := n.exec(src)
 	if err != nil {
 		return "", err
 	}
@@ -316,7 +325,7 @@ type Advice struct {
 // §IV-E join-location analysis turned into a planner. The underlying
 // analytical model is validated against the simulator in the tests.
 func (n *Network) Advise(src string) (*Advice, error) {
-	x, err := n.r.ExecSQL(src, n.clock)
+	x, err := n.exec(src)
 	if err != nil {
 		return nil, err
 	}
@@ -342,38 +351,38 @@ func (n *Network) Execute(src string, m Method) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromCore(res, 1), nil
+	return fromCore(res), nil
 }
 
 // ExecuteWithRecovery runs the query and re-executes after routing-tree
 // repair when failures made the result incomplete (§IV-F).
 func (n *Network) ExecuteWithRecovery(src string, m Method, maxAttempts int) (*Result, error) {
-	res, attempts, err := n.r.RunWithRecovery(src, m.m, n.clock, maxAttempts)
+	res, err := n.r.Run(src, m.m, n.clock, core.WithRecovery(maxAttempts))
 	if err != nil {
 		return nil, err
 	}
-	return fromCore(res, attempts), nil
+	return fromCore(res), nil
 }
 
 // Monitor executes a SAMPLE PERIOD query for the given number of rounds,
 // advancing the simulated clock (and the sensor fields) by the query's
 // period between rounds.
 func (n *Network) Monitor(src string, m Method, rounds int) ([]*Result, error) {
-	q, err := query.Parse(src)
+	p, err := n.r.Prepare(src)
 	if err != nil {
 		return nil, err
 	}
-	if q.Mode != query.Periodic {
+	if p.Mode() != query.Periodic {
 		return nil, fmt.Errorf("sensjoin: Monitor needs a SAMPLE PERIOD query, got %q", src)
 	}
 	var out []*Result
 	for i := 0; i < rounds; i++ {
-		res, err := n.r.Run(src, m.m, n.clock)
+		res, err := n.r.RunPrepared(p, m.m, n.clock)
 		if err != nil {
 			return out, err
 		}
-		out = append(out, fromCore(res, 1))
-		n.clock += q.Period
+		out = append(out, fromCore(res))
+		n.clock += p.Period()
 	}
 	return out, nil
 }
@@ -381,7 +390,7 @@ func (n *Network) Monitor(src string, m Method, rounds int) ([]*Result, error) {
 // DisseminateQuery floods the query through the network, charging the
 // cost under the "query-dissem" phase (identical for all methods).
 func (n *Network) DisseminateQuery(src string) error {
-	x, err := n.r.ExecSQL(src, n.clock)
+	x, err := n.exec(src)
 	if err != nil {
 		return err
 	}
@@ -392,7 +401,7 @@ func (n *Network) DisseminateQuery(src string) error {
 // GroundTruth computes the query result directly from the snapshot,
 // bypassing the network (the oracle used in tests).
 func (n *Network) GroundTruth(src string) (*Result, error) {
-	x, err := n.r.ExecSQL(src, n.clock)
+	x, err := n.exec(src)
 	if err != nil {
 		return nil, err
 	}
@@ -400,7 +409,7 @@ func (n *Network) GroundTruth(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fromCore(res, 0), nil
+	return fromCore(res), nil
 }
 
 // ResetStats clears all communication counters.
@@ -544,15 +553,15 @@ func (n *Network) Timeline(width int) string {
 // human-readable strings; a correct execution returns none. Enables the
 // journal on demand.
 func (n *Network) ExecuteAudited(src string, m Method) (*Result, []string, error) {
-	res, violations, err := n.r.AuditRun(src, m.m, n.clock)
+	res, err := n.r.Run(src, m.m, n.clock, core.Audited())
 	if err != nil {
 		return nil, nil, err
 	}
-	out := make([]string, len(violations))
-	for i, v := range violations {
+	out := make([]string, len(res.Violations))
+	for i, v := range res.Violations {
 		out[i] = v.String()
 	}
-	return fromCore(res, 1), out, nil
+	return fromCore(res), out, nil
 }
 
 // SetPacketLoss enables per-packet Bernoulli loss (rate in [0,1)): a
