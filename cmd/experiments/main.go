@@ -293,19 +293,26 @@ func runScale(sizes, shards string, seed int64, jsonPath, cpuprofile string) err
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
+	return writeJSON(jsonPath, res)
+}
+
+// writeJSON writes v as indented JSON to the artifact file path; an empty
+// path (the flag was not given) writes nothing.
+func writeJSON(path string, v any) error {
+	if path == "" {
+		return nil
 	}
-	return nil
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runMQO executes the X8 shared-execution experiment: the table goes to
@@ -320,19 +327,7 @@ func runMQO(nodes int, seed int64, packet int, nsList, jsonPath string) error {
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSON(jsonPath, res)
 }
 
 // runChurn executes the X10 churn-resilience experiment: the table goes
@@ -357,19 +352,7 @@ func runChurn(nodes int, seed int64, packet, parallel int, ratesList string, rou
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSON(jsonPath, res)
 }
 
 // runServeLoad executes the X9 serving experiment: the table goes to
@@ -383,19 +366,7 @@ func runServeLoad(nodes int, seed int64, clients int, seconds float64, jsonPath 
 		return err
 	}
 	fmt.Println(res.Table())
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeJSON(jsonPath, res)
 }
 
 // writeTrace journals one calibrated SENS-Join run, writes it as JSON

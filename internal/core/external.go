@@ -53,15 +53,17 @@ func (External) Run(x *Exec) (*Result, error) {
 	return res, nil
 }
 
-// collectionSlot returns a slot duration covering the worst-case single
-// transmission of a collection wave: all member tuples in one message.
-func collectionSlot(x *Exec, p *plan) float64 {
+// collectionBound is the worst-case single transmission of a collection
+// wave in bytes: all member tuples in one message.
+func collectionBound(p *plan) int {
 	maxTuple := 0
 	for _, nd := range p.nodes {
 		if nd.tupleBytes > maxTuple { // 0 for non-members
 			maxTuple = nd.tupleBytes
 		}
 	}
-	bound := p.members*maxTuple + 64
-	return x.Net.SlotFor(bound)
+	return p.members*maxTuple + 64
 }
+
+// collectionSlot returns a slot duration covering collectionBound.
+func collectionSlot(x *Exec, p *plan) float64 { return x.Net.SlotFor(collectionBound(p)) }

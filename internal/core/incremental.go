@@ -43,9 +43,14 @@ type filterMsg struct {
 	mode    int
 	seq     int
 	baseSeq int
-	keys    []zorder.Key // fmFull
-	adds    []zorder.Key // fmDelta
-	dels    []zorder.Key // fmDelta
+	keys    []zorder.Key // fmFull: the filter; fmDelta: the keys added since baseSeq
+	dels    []zorder.Key // fmDelta: the keys removed since baseSeq
+	// masks says which of a cluster's m queries want each key of the set
+	// the message stands for (bit j = member j), aligned with that set as
+	// the receiver reconstructs it; they ship in full every epoch, only
+	// the key set is delta-compressed. nil means every member: a single
+	// query (m = 1) never carries masks, and neither does assume-all.
+	masks []uint64
 	// size is the message's wire size.
 	size int
 	// setBytes is the representation size of the full key set the
@@ -73,9 +78,11 @@ type contState struct {
 	// needFull is raised after a detected desynchronization and carried
 	// to the parent in the next collection phase.
 	needFull []bool
-	// scratch is the arena for the per-epoch symmetric differences of
-	// buildFilterMsg; reset once per round (see SENSJoin.Run).
-	scratch diffScratch
+	// diffs[id] is the buffer node id computes its per-epoch symmetric
+	// differences in (buildFilterMsg). Like everything above it is
+	// touched only from the node's own handler, which is what lets
+	// sharded regions run a continuous round in parallel.
+	diffs []diffScratch
 	// Rounds counts completed executions.
 	Rounds int
 }
@@ -89,6 +96,7 @@ func newContState(n int) *contState {
 		cached:       make([][]zorder.Key, n),
 		cachedParent: make([]topology.NodeID, n),
 		needFull:     make([]bool, n),
+		diffs:        make([]diffScratch, n),
 	}
 	for i := range c.cachedSeq {
 		c.cachedSeq[i] = -1
@@ -126,12 +134,14 @@ func (s *SENSJoin) buildFilterMsg(p *plan, o Options, id topology.NodeID, sub []
 	c := s.cont
 	msg.seq = c.seq[id] + 1
 	if !childNeedsFull && c.prevSent[id] != nil {
-		adds := c.scratch.diff(sub, c.prevSent[id])
-		dels := c.scratch.diff(c.prevSent[id], sub)
+		d := &c.diffs[id]
+		d.reset() // last epoch's delta was consumed within its round
+		adds := d.diff(sub, c.prevSent[id])
+		dels := d.diff(c.prevSent[id], sub)
 		if size := o.Rep.SetBytes(p, adds) + o.Rep.SetBytes(p, dels) + 2; size < subBytes {
 			msg = &filterMsg{
 				mode: fmDelta, seq: msg.seq, baseSeq: c.seq[id],
-				adds: adds, dels: dels, size: size, setBytes: subBytes,
+				keys: adds, dels: dels, size: size, setBytes: subBytes,
 			}
 		}
 	}
@@ -159,7 +169,7 @@ func (s *SENSJoin) applyFilterMsg(id topology.NodeID, from topology.NodeID, m *f
 			c.needFull[id] = true
 			return nil, false
 		}
-		f := quadtree.UnionKeys(c.cached[id], m.adds)
+		f := quadtree.UnionKeys(c.cached[id], m.keys)
 		f = diffKeys(f, m.dels)
 		c.cached[id] = f
 		c.cachedSeq[id] = m.seq
@@ -197,18 +207,19 @@ func diffKeysInto(out, a, b []zorder.Key) []zorder.Key {
 }
 
 // diffScratch is a grow-only arena for the symmetric differences
-// buildFilterMsg computes every epoch at every forwarding node. Deltas
-// live only until their filterMsg is consumed within the round, so one
-// arena reset per round replaces two slice allocations per node per
-// epoch. Results are capped subslices: later diffs append past them and
-// can never alias earlier ones, even when growth reallocates the
-// backing array (the old array keeps the old subslices alive).
+// buildFilterMsg computes every epoch at a forwarding node. Deltas live
+// only until their filterMsg is consumed within the round, so a node
+// resetting its arena before it builds the next message replaces two
+// slice allocations per node per epoch. Results are capped subslices:
+// later diffs append past them and can never alias earlier ones, even
+// when growth reallocates the backing array (the old array keeps the old
+// subslices alive).
 type diffScratch struct {
 	buf []zorder.Key
 }
 
-// reset recycles the arena at the start of a round. Callers must not
-// retain diffs across a reset.
+// reset recycles the arena. Callers must not retain diffs across a
+// reset.
 func (d *diffScratch) reset() {
 	d.buf = d.buf[:0]
 }

@@ -84,7 +84,6 @@ func TestBuildFilterMsgAllocs(t *testing.T) {
 	driftedBytes := o.Rep.SetBytes(p, drifted)
 
 	allocs := testing.AllocsPerRun(100, func() {
-		s.cont.scratch.reset()
 		s.buildFilterMsg(p, o, 0, drifted, driftedBytes, false)
 	})
 	if allocs > 8 {

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"sensjoin/internal/netsim"
-	"sensjoin/internal/quadtree"
 	"sensjoin/internal/query"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
@@ -30,6 +28,16 @@ import (
 //     once, tagged with a compact query-membership bitmap, and the base
 //     station fans it back out to per-query result tables through the
 //     exact-join kernel.
+//
+// The protocol is not implemented here. A cluster's round is
+// SENSJoin.round (sensjoin.go) over the cluster's m executions — the body
+// a single query runs with m = 1. Masks, their wire bytes, the per-node
+// mask state and the sensjoin_mqo_* counters exist iff m > 1, so a
+// cluster of one is exactly an independent continuous run; what stays in
+// this file is clustering, RunRound, the mask helpers and the per-member
+// fan-out span. Whatever the round body composes with — tracing, audit,
+// reliable transport and scoped recovery, the sharded engine — a shared
+// round composes with too.
 //
 // The incremental symmetric-difference machinery of incremental.go is
 // reused unchanged for the union filter: across epochs only the union's
@@ -170,44 +178,22 @@ func (g *QueryGroup) SetMemberTag(idx int, tag string) {
 	g.queries[idx].tag = tag
 }
 
-// groupFilterMsg is the merged filter broadcast: the (possibly delta)
-// union filter plus one m-bit membership mask per key. The masks align
-// with the RECONSTRUCTED key list at the receiver — the sender's full
-// current key set — and ship fully every epoch (m bits per key; only
-// the key set itself is delta-compressed). masks is nil for assume-all.
-type groupFilterMsg struct {
-	fm    *filterMsg
-	masks []uint64
-}
-
-// groupTuple is a complete tuple in flight with its query-membership
-// bitmap; the bitmap adds perTupleMaskBytes(m) wire bytes.
-type groupTuple struct {
-	t    finalTuple
-	mask uint64
-}
-
-// groupNode extends the per-node SENS-Join state with mask bookkeeping.
-type groupNode struct {
-	sensNode
-	// ownMask marks the queries whose filter contains the node's key
-	// (full mask under assume-all); zero suppresses the tuple.
-	ownMask uint64
-	// proxyG holds the proxied tuples that matched, with their masks.
-	proxyG []groupTuple
-	// gfinals is the phase-C inbox.
-	gfinals []groupTuple
-}
-
 // maskAll returns the m-bit all-ones mask (m <= 64; at m == 64 the
 // shift wraps to 0 and the subtraction yields all ones, as intended).
 func maskAll(m int) uint64 { return uint64(1)<<uint(m) - 1 }
 
-// maskBytes is the wire size of n per-key masks of m bits each.
-func maskBytes(n, m int) int { return (n*m + 7) / 8 }
+// maskBytes is the wire size of n per-key masks of m bits each. A
+// cluster of one has nobody to tell apart: no masks, no bytes.
+func maskBytes(n, m int) int {
+	if m == 1 {
+		return 0
+	}
+	return (n*m + 7) / 8
+}
 
-// perTupleMaskBytes is the wire size of one tuple's membership bitmap.
-func perTupleMaskBytes(m int) int { return (m + 7) / 8 }
+// perTupleMaskBytes is the wire size of one tuple's membership bitmap
+// (none at m == 1).
+func perTupleMaskBytes(m int) int { return maskBytes(1, m) }
 
 // findKey locates k in the sorted key set, or -1.
 func findKey(keys []zorder.Key, k zorder.Key) int {
@@ -283,346 +269,22 @@ func (g *QueryGroup) RunRound(r *Runner, t float64, opts ...RunOption) ([]*Resul
 	return results, nil
 }
 
-// runCluster is SENSJoin.Run generalized to m cluster members: one
-// phase-A wave, one masked union-filter dissemination, one bitmap-
-// tagged collection wave, then a per-member exact join at the base
-// station.
+// runCluster runs one cluster's epoch through the one SENS-Join round
+// body (SENSJoin.round) with the cluster's m members and files the
+// results under the members' group indices. The only thing a group adds
+// is attribution: one fan-out span per member, tagged with the member's
+// own trace ID — the only shared-round events that belong to an
+// individual query rather than the group.
 func (g *QueryGroup) runCluster(c *qgCluster, execs []*Exec, results []*Result) error {
-	m := len(c.members)
-	fullMask := maskAll(m)
-	s := c.sens
-	o := s.Options.withDefaults()
-
-	x0 := execs[0]
-	p0, err := buildPlan(x0)
+	out, err := c.sens.round(execs, func(j int, at float64, rows int) {
+		execs[0].Trace.SpanTagged(at, trace.KindFanout, topology.BaseStation, -1,
+			PhaseFinalCollect, rows, c.members[j].tag)
+	})
 	if err != nil {
 		return err
 	}
-	if p0.grid == nil {
-		return fmt.Errorf("core: query %q has no join attributes; SENS-Join needs join conditions", x0.Query.String())
-	}
-	plans := make([]*plan, m)
-	plans[0] = p0
-	for j := 1; j < m; j++ {
-		plans[j] = p0.forExec(execs[j])
-	}
-
-	tree := x0.Tree
-	n := x0.Net.N()
-	start := x0.Sim.Now()
-	slotA, _ := sensSlots(x0, p0)
-	// The collection slot must also cover the per-tuple membership
-	// bitmaps riding on a worst-case packet.
-	maxTuple := 0
-	for _, nd := range p0.nodes {
-		if nd.tupleBytes > maxTuple { // 0 for non-members
-			maxTuple = nd.tupleBytes
-		}
-	}
-	slotC := x0.Net.SlotFor(p0.members*maxTuple + p0.members*perTupleMaskBytes(m) + 64)
-	s.cont = s.cont.ensure(n)
-	s.cont.scratch.reset()
-	s.Memory = MemoryReport{}
-
-	states := borrow(&x0.run().group, n)
-	defer giveBack(x0, &x0.run().group, states)
-	for i := range states {
-		states[i].allFull = true
-	}
-
-	var standDown []topology.NodeID
-	defer recordStandDowns(x0, &standDown)()
-
-	x0.Net.SetHandler(func(id topology.NodeID, msg netsim.Message) {
-		st := &states[id]
-		if st.cut {
-			return
-		}
-		switch msg.Kind {
-		case kindFullTuples:
-			st.fullsIn = append(st.fullsIn, msg.Payload.([]finalTuple)...)
-		case kindJoinAttrs:
-			st.onJoinAttrs(msg)
-		case kindFilter:
-			if msg.Src == tree.Parent[id] {
-				g.onGroupFilter(x0, p0, o, s, id, st, msg.Src, msg.Payload.(*groupFilterMsg), m, fullMask)
-			}
-		case kindFinal:
-			st.gfinals = append(st.gfinals, msg.Payload.([]groupTuple)...)
-		}
-	})
-	defer x0.Net.SetHandler(nil)
-
-	// Phase A: one Join-Attribute-Collection wave serves every member.
-	x0.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseJACollect, 0)
-	for i := 1; i < n; i++ {
-		id := topology.NodeID(i)
-		if !tree.Reachable(id) {
-			continue
-		}
-		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slotA
-		x0.Sim.ScheduleNode(id, id, deadline, func() {
-			s.forwardJoinAttrValues(x0, p0, o, id, &states[id].sensNode)
-		})
-	}
-
-	var completeA bool
-	filters := make([][]zorder.Key, m)
-	tA := start + float64(tree.MaxDepth+1)*slotA
-	var tEnd float64
-	x0.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tA, func() {
-		x0.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
-		x0.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
-		bs := &states[topology.BaseStation]
-		bsKeys := keySet{keys: bs.keysIn}
-		for _, tt := range bs.fullsIn {
-			bsKeys.add(p0.keyOf(tt))
-		}
-		completeA = bs.coverIn+len(bs.fullsIn) == p0.members
-
-		// One filter per member over the shared key collection, then the
-		// union plus per-key membership masks.
-		var union []zorder.Key
-		for j := range execs {
-			filters[j] = computeFilter(plans[j], bsKeys.keys, !o.DisableBandIndex)
-			union = quadtree.UnionKeys(union, filters[j])
-		}
-		masks := maskAlign(union, filters)
-		unionBytes := o.Rep.SetBytes(p0, union)
-		filterBytes := unionBytes + maskBytes(len(union), m)
-		x0.Metrics.observeFilter(len(union), filterBytes)
-
-		if len(union) > 0 && bs.activeChildren > 0 {
-			fm := s.buildFilterMsg(p0, o, topology.BaseStation, union, unionBytes, bs.childNeedsFull)
-			g.sendGroupFilter(x0, topology.BaseStation, &bs.sensNode, &groupFilterMsg{fm: fm, masks: masks}, m)
-		}
-
-		slotB := x0.Net.SlotFor(filterBytes + 32)
-		tB := tA + float64(tree.MaxDepth+1)*slotB
-		if x0.Trace.Enabled() || x0.Metrics != nil {
-			// Node-affine to the base station: this runs inside an event
-			// handler, where a sharded engine needs the executing region.
-			x0.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tB, func() {
-				x0.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFilterDissem, 0)
-				x0.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFinalCollect, 0)
-			})
-		}
-		for i := 1; i < n; i++ {
-			id := topology.NodeID(i)
-			if !tree.Reachable(id) {
-				continue
-			}
-			deadline := tB + float64(tree.MaxDepth-tree.Depth[id])*slotC
-			x0.Sim.ScheduleNode(topology.BaseStation, id, deadline, func() {
-				g.forwardGroupTuples(x0, p0, id, &states[id], m)
-			})
-		}
-		tEnd = tB + float64(tree.MaxDepth+1)*slotC
-		x0.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tEnd, func() {
-			x0.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFinalCollect, 0)
-			bsT := &states[topology.BaseStation]
-			dedup := 0
-			for _, gt := range bsT.gfinals {
-				if gt.mask&(gt.mask-1) != 0 {
-					dedup++ // shipped once, wanted by >= 2 queries
-				}
-			}
-			x0.Metrics.observeMQODedup(dedup)
-			// Fan the shared stream back out: member j's table is the
-			// Treecut tuples (which bypass the filter for every member)
-			// plus the collected tuples whose bitmap has bit j.
-			for j := range execs {
-				bit := uint64(1) << uint(j)
-				tuples := append([]finalTuple(nil), bsT.fullsIn...)
-				for _, gt := range bsT.gfinals {
-					if gt.mask&bit != 0 {
-						tuples = append(tuples, gt.t)
-					}
-				}
-				rows, contrib := exactJoin(execs[j], tuples)
-				// One fan-out span per member, tagged with the member's
-				// own trace ID: the only shared-round events attributed
-				// to an individual query rather than the group.
-				x0.Trace.SpanTagged(tEnd, trace.KindFanout, topology.BaseStation, -1,
-					PhaseFinalCollect, len(rows), c.members[j].tag)
-				results[c.members[j].idx] = &Result{
-					Columns:           columnsOf(execs[j].Query),
-					Rows:              rows,
-					ContributingNodes: len(contrib),
-					MemberNodes:       p0.members,
-					Complete:          completeA && finalComplete(plans[j], filters[j], tuples),
-					ResponseTime:      tEnd - start,
-				}
-			}
-			s.cont.Rounds++
-		})
-	})
-	x0.Sim.Run()
-
-	for i := range states {
-		s.Memory.fold(&states[i].sensNode)
-	}
-
-	bsT := &states[topology.BaseStation]
-	if x0.Net.Reliable() {
-		// One scoped recovery over the union of the members' needs, then
-		// a per-member exact finish from the shared (recovered) have-set:
-		// extra tuples add no rows, and the node-id sort makes the tables
-		// byte-identical to independent reliable runs.
-		needs := make([]map[topology.NodeID]bool, m)
-		unionNeed := make(map[topology.NodeID]bool)
-		for j := range execs {
-			needs[j] = contributorSet(execs[j], plans[j])
-			for id := range needs[j] {
-				unionNeed[id] = true
-			}
-		}
-		have := tupleIndex(bsT.fullsIn)
-		for _, gt := range bsT.gfinals {
-			if _, ok := have[gt.t.node]; !ok {
-				have[gt.t.node] = gt.t
-			}
-		}
-		rounds, _ := runScopedRecovery(x0, p0, unionNeed, have, standDown)
-		for j := range execs {
-			finishReliable(execs[j], plans[j], results[c.members[j].idx],
-				have, missingFrom(needs[j], have), rounds, start)
-		}
-	} else {
-		for j := range execs {
-			res := results[c.members[j].idx]
-			if res != nil && !res.Complete {
-				haveJ := tupleIndex(bsT.fullsIn)
-				bit := uint64(1) << uint(j)
-				for _, gt := range bsT.gfinals {
-					if gt.mask&bit != 0 {
-						if _, ok := haveJ[gt.t.node]; !ok {
-							haveJ[gt.t.node] = gt.t
-						}
-					}
-				}
-				annotateIncomplete(execs[j], missingFrom(contributorSet(execs[j], plans[j]), haveJ), res)
-			}
-		}
+	for j, gq := range c.members {
+		results[gq.idx] = out[j]
 	}
 	return nil
-}
-
-// onGroupFilter is SENSJoin.onFilter over the merged broadcast: the
-// union filter is reconstructed through the shared incremental state,
-// and the per-key masks replace the boolean match with a query set.
-func (g *QueryGroup) onGroupFilter(x *Exec, p *plan, o Options, s *SENSJoin,
-	id topology.NodeID, st *groupNode, from topology.NodeID, gm *groupFilterMsg, m int, fullMask uint64) {
-	if st.gotFilter {
-		return
-	}
-	st.gotFilter = true
-
-	filter, ok := s.applyFilterMsg(id, from, gm.fm)
-	if ok && len(gm.masks) != len(filter) {
-		// The masks always describe the sender's full key set; a length
-		// mismatch means the reconstruction diverged — be conservative.
-		ok = false
-	}
-	if !ok {
-		if p.nodes[id].flags != 0 {
-			st.ownMask = fullMask
-		}
-		for _, tt := range st.proxied {
-			st.proxyG = append(st.proxyG, groupTuple{t: tt, mask: fullMask})
-		}
-		if st.activeChildren > 0 {
-			g.sendGroupFilter(x, id, &st.sensNode, &groupFilterMsg{fm: assumeAllMsg()}, m)
-		}
-		return
-	}
-
-	masks := gm.masks
-	st.memFilterBytes = gm.fm.setBytes + maskBytes(len(filter), m)
-	if nd := &p.nodes[id]; nd.flags != 0 {
-		if i := findKey(filter, nd.key); i >= 0 {
-			st.ownMask = masks[i] // present keys always carry a non-zero mask
-		} else {
-			x.span(trace.KindSuppress, id, id, PhaseFilterDissem, 0)
-		}
-	}
-	for _, tt := range st.proxied {
-		if i := findKey(filter, p.keyOf(tt)); i >= 0 {
-			st.proxyG = append(st.proxyG, groupTuple{t: tt, mask: masks[i]})
-		} else {
-			x.span(trace.KindSuppress, id, tt.node, PhaseFilterDissem, 0)
-		}
-	}
-	if st.activeChildren == 0 {
-		return
-	}
-	sub, subMasks := filter, masks
-	if !o.DisableSelectiveForwarding && !st.overflow {
-		sub = quadtree.IntersectKeys(filter, st.subtreeKeys)
-		if pruned := len(filter) - len(sub); pruned > 0 {
-			x.span(trace.KindPrune, id, -1, PhaseFilterDissem, pruned)
-		}
-		subMasks = realignMasks(filter, masks, sub)
-	}
-	if len(sub) == 0 {
-		return
-	}
-	subBytes := gm.fm.setBytes // sub ⊆ filter: equal lengths, equal sets
-	if len(sub) != len(filter) {
-		subBytes = o.Rep.SetBytes(p, sub)
-	}
-	out := s.buildFilterMsg(p, o, id, sub, subBytes, st.childNeedsFull)
-	g.sendGroupFilter(x, id, &st.sensNode, &groupFilterMsg{fm: out, masks: subMasks}, m)
-}
-
-// sendGroupFilter transmits a merged filter message like sendFilter,
-// charging the mask bytes on top of the (possibly delta) key set.
-func (g *QueryGroup) sendGroupFilter(x *Exec, id topology.NodeID, st *sensNode, gm *groupFilterMsg, m int) {
-	size := gm.fm.size
-	bitmap := 0
-	if gm.fm.mode != fmAssumeAll {
-		bitmap = maskBytes(len(gm.masks), m)
-		size += bitmap
-	}
-	x.Metrics.observeMQOBroadcast(bitmap)
-	if !x.Net.Reliable() {
-		x.Net.Send(netsim.Message{
-			Kind: kindFilter, Src: id, Dst: netsim.BroadcastID,
-			Phase: PhaseFilterDissem, Size: size, Payload: gm,
-		})
-		return
-	}
-	for _, ch := range st.children {
-		x.Net.Send(netsim.Message{
-			Kind: kindFilter, Src: id, Dst: ch,
-			Phase: PhaseFilterDissem, Size: size, Payload: gm,
-		})
-	}
-}
-
-// forwardGroupTuples is the phase-C step: a tuple wanted by k >= 1
-// member queries ships once with its membership bitmap.
-func (g *QueryGroup) forwardGroupTuples(x *Exec, p *plan, id topology.NodeID, st *groupNode, m int) {
-	if st.cut {
-		return
-	}
-	tuples := st.gfinals
-	tuples = append(tuples, st.proxyG...)
-	if st.ownMask != 0 {
-		tuples = append(tuples, groupTuple{t: p.tuple(id), mask: st.ownMask})
-	}
-	if len(tuples) == 0 {
-		return
-	}
-	size := 0
-	for _, gt := range tuples {
-		size += gt.t.bytes
-	}
-	bitmap := len(tuples) * perTupleMaskBytes(m)
-	size += bitmap
-	x.Metrics.observeMQOBitmap(bitmap)
-	x.Net.Send(netsim.Message{
-		Kind: kindFinal, Src: id, Dst: x.Tree.Parent[id],
-		Phase: PhaseFinalCollect, Size: size, Payload: tuples,
-	})
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sensjoin/internal/metrics"
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/relation"
 	"sensjoin/internal/topology"
@@ -252,6 +253,82 @@ func TestQueryGroupAuditClean(t *testing.T) {
 			}
 			if v := rr.Violations; len(v) > 0 {
 				t.Fatalf("round %d query %d: %d violation(s), first: %s", round, i, len(v), v[0])
+			}
+		}
+	}
+}
+
+// There is one SENS-Join round body, and a single query is a cluster of
+// one: a QueryGroup holding one query is, epoch for epoch, exactly the
+// independent continuous run of that query — same table in the same
+// order, same verdict, response time, packets, bytes and per-node memory
+// — best-effort and under reliable transport at 5% loss, and it moves no
+// sensjoin_mqo_* counter (there is nobody to tell apart, so no mask
+// travels). Before the bodies were merged the singleton paid one mask
+// byte per eight filter keys and one per collected tuple.
+func TestSingletonClusterIsASingleQuery(t *testing.T) {
+	const epochs = 3
+	src := qTempBand(2.5)
+	for _, reliable := range []bool{false, true} {
+		twin := func() *Runner {
+			r := testRunner(t, 150, 313)
+			r.EnableMetrics(metrics.New())
+			if reliable {
+				r.EnableReliableTransport(netsim.ReliableConfig{})
+				r.Net.SetLossRate(0.05, 917)
+			}
+			return r
+		}
+		alone, grouped := twin(), twin()
+		m := NewContinuousSENSJoin()
+		g := NewQueryGroup(Options{})
+		p, err := grouped.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := g.Add(p); err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < epochs; e++ {
+			what := fmt.Sprintf("reliable=%t epoch %d", reliable, e)
+			want, err := alone.Run(src, m, float64(e)*30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := g.RunRound(grouped, float64(e)*30)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := res[0]
+			if !reflect.DeepEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s: %d rows from the singleton cluster, %d from the single query (or a byte differs)",
+					what, len(got.Rows), len(want.Rows))
+			}
+			if got.Complete != want.Complete || got.ResponseTime != want.ResponseTime ||
+				got.RecoveryRounds != want.RecoveryRounds || got.ContributingNodes != want.ContributingNodes {
+				t.Fatalf("%s: complete/response/recovery/contributors %t/%g/%d/%d, single query %t/%g/%d/%d", what,
+					got.Complete, got.ResponseTime, got.RecoveryRounds, got.ContributingNodes,
+					want.Complete, want.ResponseTime, want.RecoveryRounds, want.ContributingNodes)
+			}
+			phases := append([]string{PhaseRecovery}, SENSPhases...)
+			if gp, wp := grouped.Stats.TotalTx(phases...), alone.Stats.TotalTx(phases...); gp != wp {
+				t.Fatalf("%s: %d packets so far, single query %d", what, gp, wp)
+			}
+			if gb, wb := grouped.Stats.TotalTxBytes(phases...), alone.Stats.TotalTxBytes(phases...); gb != wb {
+				t.Fatalf("%s: %d bytes so far, single query %d", what, gb, wb)
+			}
+			if gm := g.clusters[0].sens.Memory; gm != m.Memory {
+				t.Fatalf("%s: memory report %+v, single query %+v", what, gm, m.Memory)
+			}
+		}
+		if reliable && alone.Stats.TotalRetx() == 0 {
+			t.Fatal("the 5% loss lane retransmitted nothing: it does not exercise the reliable path")
+		}
+		for _, r := range []*Runner{alone, grouped} {
+			cm := r.Metrics
+			if b, d, by := cm.MQOMergedBroadcasts.Value(), cm.MQODedupTuples.Value(), cm.MQOBitmapBytes.Value(); b != 0 || d != 0 || by != 0 {
+				t.Fatalf("reliable=%t: sensjoin_mqo_* counters moved without a second member: broadcasts %d, dedup %d, bitmap bytes %d",
+					reliable, b, d, by)
 			}
 		}
 	}

@@ -35,8 +35,9 @@ type SetupConfig struct {
 	// Shards > 1 partitions the simulator into that many spatial regions
 	// executed in parallel under conservative time-window
 	// synchronization (see netsim/shard.go). Results are bit-identical
-	// for any shard count, and tracing and live metrics compose with it
-	// (journals come out byte-identical to a classic run); enabling
+	// for any shard count; tracing and live metrics compose with it
+	// (journals come out byte-identical to a classic run), and so do
+	// continuous (incremental) SENS-Join and QueryGroup rounds; enabling
 	// reliable transport, the loss model or churn reverts the runner to
 	// the classic engine.
 	Shards int

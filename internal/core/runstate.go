@@ -23,7 +23,7 @@ package core
 // without a Runner gets a private one, so it allocates what it uses.
 type runScratch struct {
 	sens  []sensNode
-	group []groupNode
+	masks []nodeMasks // beside sens, borrowed only by a round of m > 1 queries
 	wave  []waveNode
 	inbox [][]finalTuple
 

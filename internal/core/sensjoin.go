@@ -157,12 +157,73 @@ func (r *MemoryReport) fold(st *sensNode) {
 	}
 }
 
-// Run implements Method.
+// Run implements Method: a single query is a cluster of one.
 func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 	if err := validateAliasCount(x); err != nil {
 		return nil, err
 	}
-	o := s.Options.withDefaults()
+	res, err := s.round([]*Exec{x}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// roundState is one execution of the three SENS-Join phases (Figs. 1-3)
+// for a cluster of m compatible queries: they induce the same per-node
+// plan (QueryGroup.Add), so one Join-Attribute-Collection wave, one
+// filter dissemination and one final collection serve all of them, and
+// only the base station tells them apart. m is the only input that
+// changes behaviour. With m > 1 the disseminated filter is the union of
+// the members' filters with an m-bit membership mask per key, and a
+// complete tuple travels once with the mask of the members that want it;
+// with m = 1 the union is the filter, there are no masks, no mask bytes
+// and no mask state — the round is the paper's protocol for one query.
+type roundState struct {
+	s *SENSJoin
+	o Options
+	m int
+	// x and p are the first member's execution and plan: the network,
+	// tree, clock and journal of the round, and the node data every
+	// member shares. plans[j] is p bound to execs[j]'s query.
+	x     *Exec
+	p     *plan
+	execs []*Exec
+	plans []*plan
+
+	states []sensNode
+	masks  []nodeMasks // per-node mask state; nil iff m == 1
+
+	// What the base station learns, per member.
+	completeA bool
+	filters   [][]zorder.Key
+	got       [][]finalTuple // the tuples each member's table was joined from
+	results   []*Result
+}
+
+// nodeMasks is a node's mask bookkeeping in a round of m > 1 queries,
+// kept beside sensNode so that a single query's state stays as small as
+// it is: which members want the node's own tuple, each matched proxied
+// tuple and each tuple of the phase-C inbox.
+type nodeMasks struct {
+	own    uint64   // zero: suppressed; all ones under assume-all
+	proxy  []uint64 // aligned with sensNode.matchedProxy
+	finals []uint64 // aligned with sensNode.finalsIn
+}
+
+// maskedTuples is the phase-C payload of a round of m > 1 queries: each
+// tuple with the bitmap of the members that want it (a single query
+// sends the bare tuples).
+type maskedTuples struct {
+	tuples []finalTuple
+	masks  []uint64
+}
+
+// round runs the protocol once for the cluster execs and returns one
+// result per member. joined, when set, is called at the base station for
+// every member as its table comes out of the final join.
+func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)) ([]*Result, error) {
+	x := execs[0]
 	p, err := buildPlan(x)
 	if err != nil {
 		return nil, err
@@ -170,46 +231,65 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 	if p.grid == nil {
 		return nil, fmt.Errorf("core: query %q has no join attributes; SENS-Join needs join conditions", x.Query.String())
 	}
+	m := len(execs)
+	r := &roundState{
+		s: s, o: s.Options.withDefaults(), m: m, x: x, p: p, execs: execs,
+		plans: make([]*plan, m), filters: make([][]zorder.Key, m),
+		got: make([][]finalTuple, m), results: make([]*Result, m),
+	}
+	r.plans[0] = p
+	for j := 1; j < m; j++ {
+		r.plans[j] = p.forExec(execs[j])
+	}
 	tree := x.Tree
 	n := x.Net.N()
 	start := x.Sim.Now()
-	slotA, slotC := sensSlots(x, p)
+	slotA, slotC := sensSlots(x, p, m)
 	if s.cont != nil {
 		s.cont = s.cont.ensure(n)
-		s.cont.scratch.reset()
 	}
 	s.Memory = MemoryReport{}
 
 	// Per-node state is on loan from the runner (runstate.go).
-	states := borrow(&x.run().sens, n)
-	defer giveBack(x, &x.run().sens, states)
-	for i := range states {
-		states[i].allFull = true
+	r.states = borrow(&x.run().sens, n)
+	defer giveBack(x, &x.run().sens, r.states)
+	for i := range r.states {
+		r.states[i].allFull = true
+	}
+	if m > 1 {
+		r.masks = borrow(&x.run().masks, n)
+		defer giveBack(x, &x.run().masks, r.masks)
 	}
 
 	var standDown []topology.NodeID
 	defer recordStandDowns(x, &standDown)()
 
 	// Message handling is shared by all phases.
-	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
-		st := &states[id]
+	x.Net.SetHandler(func(id topology.NodeID, msg netsim.Message) {
+		st := &r.states[id]
 		if st.cut {
 			return // the node exited the query after Treecut
 		}
-		switch m.Kind {
+		switch msg.Kind {
 		case kindFullTuples:
-			st.fullsIn = append(st.fullsIn, m.Payload.([]finalTuple)...)
+			st.fullsIn = append(st.fullsIn, msg.Payload.([]finalTuple)...)
 		case kindJoinAttrs:
-			st.onJoinAttrs(m)
+			st.onJoinAttrs(msg)
 		case kindFilter:
 			// Filters travel down the tree: only the broadcast of
 			// this node's parent applies; broadcasts overheard from
 			// other neighbors concern their subtrees.
-			if m.Src == x.Tree.Parent[id] {
-				s.onFilter(x, p, o, id, st, m.Src, m.Payload.(*filterMsg))
+			if msg.Src == x.Tree.Parent[id] {
+				r.onFilter(id, st, msg.Src, msg.Payload.(*filterMsg))
 			}
 		case kindFinal:
-			st.finalsIn = append(st.finalsIn, m.Payload.([]finalTuple)...)
+			if r.masks == nil {
+				st.finalsIn = append(st.finalsIn, msg.Payload.([]finalTuple)...)
+			} else {
+				in := msg.Payload.(*maskedTuples)
+				st.finalsIn = append(st.finalsIn, in.tuples...)
+				r.masks[id].finals = append(r.masks[id].finals, in.masks...)
+			}
 		}
 	})
 	defer x.Net.SetHandler(nil)
@@ -222,33 +302,16 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 			continue
 		}
 		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slotA
-		x.Sim.ScheduleNode(id, id, deadline, func() {
-			s.forwardJoinAttrValues(x, p, o, id, &states[id])
-		})
+		x.Sim.ScheduleNode(id, id, deadline, func() { r.forwardJoinAttrValues(id, &r.states[id]) })
 	}
 
 	// The base station closes phase A, computes the filter and starts
 	// phase B (Fig. 3); phase C deadlines are derived afterwards.
-	var result *Result
-	var gotTuples []finalTuple
 	tA := start + float64(tree.MaxDepth+1)*slotA
 	x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tA, func() {
 		x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
 		x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
-		bs := &states[topology.BaseStation]
-		bsKeys := keySet{keys: bs.keysIn}
-		for _, t := range bs.fullsIn {
-			bsKeys.add(p.keyOf(t))
-		}
-		completeA := bs.coverIn+len(bs.fullsIn) == p.members
-		filter := computeFilter(p, bsKeys.keys, !o.DisableBandIndex)
-		filterBytes := o.Rep.SetBytes(p, filter)
-		x.Metrics.observeFilter(len(filter), filterBytes)
-
-		if len(filter) > 0 && bs.activeChildren > 0 {
-			msg := s.buildFilterMsg(p, o, topology.BaseStation, filter, filterBytes, bs.childNeedsFull)
-			s.sendFilter(x, topology.BaseStation, bs, msg)
-		}
+		filterBytes := r.disseminate()
 
 		// Phase C schedule: after the filter has fully propagated. tB is
 		// computed from tA, the statically known time of this event, not
@@ -273,48 +336,146 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 				continue
 			}
 			deadline := tB + float64(tree.MaxDepth-tree.Depth[id])*slotC
-			x.Sim.ScheduleNode(topology.BaseStation, id, deadline, func() {
-				s.forwardCompleteTuples(x, p, id, &states[id])
-			})
+			x.Sim.ScheduleNode(topology.BaseStation, id, deadline, func() { r.forwardCompleteTuples(id, &r.states[id]) })
 		}
 		tEnd := tB + float64(tree.MaxDepth+1)*slotC
 		x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tEnd, func() {
 			x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFinalCollect, 0)
-			bsT := &states[topology.BaseStation]
-			tuples := append(append([]finalTuple(nil), bsT.fullsIn...), bsT.finalsIn...)
-			gotTuples = tuples
-			rows, contrib := exactJoin(x, tuples)
-			result = &Result{
-				Columns:           columnsOf(x.Query),
-				Rows:              rows,
-				ContributingNodes: len(contrib),
-				MemberNodes:       p.members,
-				Complete:          completeA && finalComplete(p, filter, tuples),
-				ResponseTime:      tEnd - start,
-			}
-			if s.cont != nil {
-				s.cont.Rounds++
-			}
+			r.joinMembers(tEnd, tEnd-start, joined)
 		})
 	})
 	x.Sim.Run()
 
 	// Fold the per-node memory accounting into the report.
-	for i := range states {
-		s.Memory.fold(&states[i])
+	for i := range r.states {
+		s.Memory.fold(&r.states[i])
 	}
+	r.settle(standDown, start)
+	return r.results, nil
+}
 
-	// Reliable transport: the base station knows which subtrees are
-	// missing; re-request only those instead of re-executing the query.
-	if x.Net.Reliable() {
-		needed := contributorSet(x, p)
-		have := tupleIndex(gotTuples)
-		rounds, missing := runScopedRecovery(x, p, needed, have, standDown)
-		finishReliable(x, p, result, have, missing, rounds, start)
-	} else if result != nil && !result.Complete {
-		annotateIncomplete(x, missingFrom(contributorSet(x, p), tupleIndex(gotTuples)), result)
+// disseminate is the base station's step between phases A and B: one
+// filter per member over the collected keys, their union (at m = 1 the
+// filter itself) with the per-key membership masks, sent to the children.
+// It returns the filter's wire size, which sizes the phase-B slot.
+func (r *roundState) disseminate() int {
+	bs := &r.states[topology.BaseStation]
+	bsKeys := keySet{keys: bs.keysIn}
+	for _, t := range bs.fullsIn {
+		bsKeys.add(r.p.keyOf(t))
 	}
-	return result, nil
+	r.completeA = bs.coverIn+len(bs.fullsIn) == r.p.members
+	for j, pj := range r.plans {
+		r.filters[j] = computeFilter(pj, bsKeys.keys, !r.o.DisableBandIndex)
+	}
+	union := r.filters[0]
+	var masks []uint64
+	if r.m > 1 {
+		for _, f := range r.filters[1:] {
+			union = quadtree.UnionKeys(union, f)
+		}
+		masks = maskAlign(union, r.filters)
+	}
+	unionBytes := r.o.Rep.SetBytes(r.p, union)
+	filterBytes := unionBytes + maskBytes(len(union), r.m)
+	r.x.Metrics.observeFilter(len(union), filterBytes)
+	if len(union) > 0 && bs.activeChildren > 0 {
+		msg := r.s.buildFilterMsg(r.p, r.o, topology.BaseStation, union, unionBytes, bs.childNeedsFull)
+		r.sendFilter(topology.BaseStation, bs, msg, masks)
+	}
+	return filterBytes
+}
+
+// tuplesOf returns what member j's table is joined from at the base
+// station: the Treecut tuples, which bypass the filter for every member,
+// and the collected tuples whose bitmap names j (all of them at m = 1).
+func (r *roundState) tuplesOf(j int) []finalTuple {
+	bs := &r.states[topology.BaseStation]
+	tuples := append([]finalTuple(nil), bs.fullsIn...)
+	if r.masks == nil {
+		return append(tuples, bs.finalsIn...)
+	}
+	bit := uint64(1) << uint(j)
+	for i, mask := range r.masks[topology.BaseStation].finals {
+		if mask&bit != 0 {
+			tuples = append(tuples, bs.finalsIn[i])
+		}
+	}
+	return tuples
+}
+
+// joinMembers ends phase C at the base station: the exact final join of
+// every member over its share of the collected tuples.
+func (r *roundState) joinMembers(at, response float64, joined func(j int, at float64, rows int)) {
+	if r.masks != nil {
+		dedup := 0
+		for _, mask := range r.masks[topology.BaseStation].finals {
+			if mask&(mask-1) != 0 {
+				dedup++ // shipped once, wanted by >= 2 queries
+			}
+		}
+		r.x.Metrics.observeMQODedup(dedup)
+	}
+	for j, xj := range r.execs {
+		tuples := r.tuplesOf(j)
+		r.got[j] = tuples
+		rows, contrib := exactJoin(xj, tuples)
+		if joined != nil {
+			joined(j, at, len(rows))
+		}
+		r.results[j] = &Result{
+			Columns:           columnsOf(xj.Query),
+			Rows:              rows,
+			ContributingNodes: len(contrib),
+			MemberNodes:       r.p.members,
+			Complete:          r.completeA && finalComplete(r.plans[j], r.filters[j], tuples),
+			ResponseTime:      response,
+		}
+	}
+	if r.s.cont != nil {
+		r.s.cont.Rounds++
+	}
+}
+
+// settle runs after the simulation drained. Under reliable transport the
+// base station knows which subtrees are missing and re-requests only
+// those instead of re-executing the query: one scoped recovery over the
+// union of the members' needs, then a per-member exact finish from the
+// shared (recovered) have-set — extra tuples add no rows, and the
+// node-id sort makes a member's table byte-identical to its independent
+// reliable run. Without it an incomplete result is only annotated.
+func (r *roundState) settle(standDown []topology.NodeID, start float64) {
+	if !r.x.Net.Reliable() {
+		for j, res := range r.results {
+			if res != nil && !res.Complete {
+				need := contributorSet(r.execs[j], r.plans[j])
+				annotateIncomplete(r.execs[j], missingFrom(need, tupleIndex(r.got[j])), res)
+			}
+		}
+		return
+	}
+	needs := make([]map[topology.NodeID]bool, r.m)
+	for j, xj := range r.execs {
+		needs[j] = contributorSet(xj, r.plans[j])
+	}
+	need, have := needs[0], tupleIndex(r.got[0])
+	if r.m > 1 {
+		need = make(map[topology.NodeID]bool)
+		for j := range needs {
+			for id := range needs[j] {
+				need[id] = true
+			}
+			for _, t := range r.got[j] {
+				if _, ok := have[t.node]; !ok {
+					have[t.node] = t
+				}
+			}
+		}
+	}
+	rounds, _ := runScopedRecovery(r.x, r.p, need, have, standDown)
+	for j, xj := range r.execs {
+		finishReliable(xj, r.plans[j], r.results[j], have, missingFrom(needs[j], have), rounds, start)
+	}
 }
 
 // recordStandDowns appends to *standDown the addressee of every filter
@@ -338,8 +499,17 @@ func recordStandDowns(x *Exec, standDown *[]topology.NodeID) (stop func()) {
 // children: one local broadcast normally (the paper's model), one
 // reliable unicast per child when hop-by-hop reliable transport is on —
 // ACKs need a single addressee, and an unconfirmed child is exactly the
-// stand-down signal scoped recovery keys on.
-func (s *SENSJoin) sendFilter(x *Exec, id topology.NodeID, st *sensNode, msg *filterMsg) {
+// stand-down signal scoped recovery keys on. masks are the per-key
+// membership masks of the key set msg stands for (nil: every member);
+// their bytes ride on top of the possibly delta-compressed set.
+func (r *roundState) sendFilter(id topology.NodeID, st *sensNode, msg *filterMsg, masks []uint64) {
+	x := r.x
+	if r.m > 1 {
+		bitmap := maskBytes(len(masks), r.m)
+		msg.masks = masks
+		msg.size += bitmap
+		x.Metrics.observeMQOBroadcast(bitmap)
+	}
 	if !x.Net.Reliable() {
 		x.Net.Send(netsim.Message{
 			Kind: kindFilter, Src: id, Dst: netsim.BroadcastID,
@@ -380,7 +550,8 @@ func (s *keySet) add(k zorder.Key) {
 }
 
 // forwardJoinAttrValues is Fig. 2 at one node's phase-A deadline.
-func (s *SENSJoin) forwardJoinAttrValues(x *Exec, p *plan, o Options, id topology.NodeID, st *sensNode) {
+func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
+	s, x, p, o := r.s, r.x, r.p, r.o
 	nd := &p.nodes[id]
 	ownBytes := nd.tupleBytes // 0 for a non-member
 	fullBytes := 0
@@ -453,37 +624,57 @@ func (s *SENSJoin) forwardJoinAttrValues(x *Exec, p *plan, o Options, id topolog
 // incremental mode the filter first has to be reconstructed from the
 // cached previous round plus the received delta; on a cache mismatch the
 // node falls back to assume-all for this round (see incremental.go).
-func (s *SENSJoin) onFilter(x *Exec, p *plan, o Options, id topology.NodeID, st *sensNode, from topology.NodeID, msg *filterMsg) {
+func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.NodeID, msg *filterMsg) {
 	if st.gotFilter {
 		return // duplicate delivery
 	}
 	st.gotFilter = true
+	x, p := r.x, r.p
+	var mk *nodeMasks // nil iff m == 1
+	if r.masks != nil {
+		mk = &r.masks[id]
+	}
 
-	filter, ok := s.applyFilterMsg(id, from, msg)
+	filter, ok := r.s.applyFilterMsg(id, from, msg)
+	if ok && mk != nil && len(msg.masks) != len(filter) {
+		// The masks always describe the sender's full key set; a length
+		// mismatch means the reconstruction diverged — be conservative.
+		ok = false
+	}
 	if !ok {
-		// Assume-all: ship everything this round (false positives only)
-		// and cascade the conservative mode to the subtree.
-		if p.nodes[id].flags != 0 {
-			st.ownMatch = true
-		}
+		// Assume-all: ship everything this round to every member (false
+		// positives only) and cascade the conservative mode to the subtree.
+		st.ownMatch = p.nodes[id].flags != 0
 		st.matchedProxy = st.proxied
+		if mk != nil {
+			mk.own = maskAll(r.m)
+			for range st.proxied {
+				mk.proxy = append(mk.proxy, mk.own)
+			}
+		}
 		if st.activeChildren > 0 {
-			s.sendFilter(x, id, st, assumeAllMsg())
+			r.sendFilter(id, st, assumeAllMsg(), nil)
 		}
 		return
 	}
 
-	st.memFilterBytes = msg.setBytes
+	st.memFilterBytes = msg.setBytes + maskBytes(len(filter), r.m)
 	if nd := &p.nodes[id]; nd.flags != 0 {
-		if quadtree.ContainsKey(filter, nd.key) {
+		if i := findKey(filter, nd.key); i >= 0 {
 			st.ownMatch = true
+			if mk != nil {
+				mk.own = msg.masks[i] // present keys always carry a non-zero mask
+			}
 		} else {
 			x.span(trace.KindSuppress, id, id, PhaseFilterDissem, 0)
 		}
 	}
 	for _, t := range st.proxied {
-		if quadtree.ContainsKey(filter, p.keyOf(t)) {
+		if i := findKey(filter, p.keyOf(t)); i >= 0 {
 			st.matchedProxy = append(st.matchedProxy, t)
+			if mk != nil {
+				mk.proxy = append(mk.proxy, msg.masks[i])
+			}
 		} else {
 			x.span(trace.KindSuppress, id, t.node, PhaseFilterDissem, 0)
 		}
@@ -491,15 +682,15 @@ func (s *SENSJoin) onFilter(x *Exec, p *plan, o Options, id topology.NodeID, st 
 	if st.activeChildren == 0 {
 		return
 	}
-	sub := filter
-	if !o.DisableSelectiveForwarding {
-		if st.overflow {
-			sub = filter // cannot prune: structure was too large to keep
-		} else {
-			sub = quadtree.IntersectKeys(filter, st.subtreeKeys)
-			if pruned := len(filter) - len(sub); pruned > 0 {
-				x.span(trace.KindPrune, id, -1, PhaseFilterDissem, pruned)
-			}
+	// An overflowed node cannot prune: its structure was too large to keep.
+	sub, subMasks := filter, msg.masks
+	if !r.o.DisableSelectiveForwarding && !st.overflow {
+		sub = quadtree.IntersectKeys(filter, st.subtreeKeys)
+		if pruned := len(filter) - len(sub); pruned > 0 {
+			x.span(trace.KindPrune, id, -1, PhaseFilterDissem, pruned)
+		}
+		if mk != nil {
+			subMasks = realignMasks(filter, msg.masks, sub)
 		}
 	}
 	if len(sub) == 0 {
@@ -509,33 +700,46 @@ func (s *SENSJoin) onFilter(x *Exec, p *plan, o Options, id topology.NodeID, st 
 	// received size still holds.
 	subBytes := msg.setBytes
 	if len(sub) != len(filter) {
-		subBytes = o.Rep.SetBytes(p, sub)
+		subBytes = r.o.Rep.SetBytes(p, sub)
 	}
-	s.sendFilter(x, id, st, s.buildFilterMsg(p, o, id, sub, subBytes, st.childNeedsFull))
+	r.sendFilter(id, st, r.s.buildFilterMsg(p, r.o, id, sub, subBytes, st.childNeedsFull), subMasks)
 }
 
 // forwardCompleteTuples is the Final-Result-Computation step at one
-// node's phase-C deadline.
-func (s *SENSJoin) forwardCompleteTuples(x *Exec, p *plan, id topology.NodeID, st *sensNode) {
+// node's phase-C deadline: a tuple wanted by k >= 1 member queries ships
+// once, in a round of m > 1 with its membership bitmap.
+func (r *roundState) forwardCompleteTuples(id topology.NodeID, st *sensNode) {
 	if st.cut {
 		return
 	}
 	tuples := st.finalsIn
 	tuples = append(tuples, st.matchedProxy...)
 	if st.ownMatch {
-		tuples = append(tuples, p.tuple(id))
+		tuples = append(tuples, r.p.tuple(id))
 	}
 	if len(tuples) == 0 {
 		return
 	}
-	size := 0
-	for _, t := range tuples {
-		size += t.bytes
+	msg := netsim.Message{
+		Kind: kindFinal, Src: id, Dst: r.x.Tree.Parent[id], Phase: PhaseFinalCollect,
 	}
-	x.Net.Send(netsim.Message{
-		Kind: kindFinal, Src: id, Dst: x.Tree.Parent[id],
-		Phase: PhaseFinalCollect, Size: size, Payload: tuples,
-	})
+	for _, t := range tuples {
+		msg.Size += t.bytes
+	}
+	if r.masks == nil {
+		msg.Payload = tuples
+	} else {
+		mk := &r.masks[id]
+		masks := append(mk.finals, mk.proxy...)
+		if st.ownMatch {
+			masks = append(masks, mk.own)
+		}
+		bitmap := len(tuples) * perTupleMaskBytes(r.m)
+		msg.Size += bitmap
+		r.x.Metrics.observeMQOBitmap(bitmap)
+		msg.Payload = &maskedTuples{tuples: tuples, masks: masks}
+	}
+	r.x.Net.Send(msg)
 }
 
 // finalComplete checks (with simulator omniscience) that every member
@@ -561,10 +765,11 @@ func finalComplete(p *plan, filter []zorder.Key, got []finalTuple) bool {
 // sensSlots sizes the TAG-style transmission slots. The phase-A slot
 // covers the pre-computation's worst case (raw join-attribute tuples,
 // with headroom for compressed representations that can expand); the
-// phase-C slot covers complete tuples, like the external join's wave.
+// phase-C slot covers complete tuples, like the external join's wave,
+// plus the membership bitmap each carries in a round of m > 1 queries.
 // This is why SENS-Join's response time stays within roughly twice the
 // external join's (paper §VII).
-func sensSlots(x *Exec, p *plan) (slotA, slotC float64) {
+func sensSlots(x *Exec, p *plan, m int) (slotA, slotC float64) {
 	boundA := p.members*p.rawTupleBytes + p.members*p.rawTupleBytes/2 + 256
-	return x.Net.SlotFor(boundA), collectionSlot(x, p)
+	return x.Net.SlotFor(boundA), x.Net.SlotFor(collectionBound(p) + p.members*perTupleMaskBytes(m))
 }

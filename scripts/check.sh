@@ -16,8 +16,9 @@ fi
 # The entry points a Runner used to have, and the printf log hook, stay
 # deleted: a Runner runs queries through Prepare/Exec/Run/RunPrepared and
 # the server logs through *slog.Logger, nothing else. (benchmark/ is its
-# own module and never used them.)
-retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b' \
+# own module and never used them.) So does QueryGroup's copy of the
+# SENS-Join protocol: a cluster runs SENSJoin.round with m members.
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -142,9 +143,11 @@ go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound|ExternalRound|Collector
 # general -race run above gives: pooled zlib writers, the snapshot ring
 # and concurrent first fill, the calibration memo and its release, and
 # the parallel plan fill over a cold snapshot, region workers meeting new
-# phase labels in the dense collector at the same instant, and sharded
-# SENS-Join and external rounds on runner-owned node state.
-go test -race -count 5 -run 'ZlibPooledConcurrent|SnapshotConcurrent|SnapshotFill|CalibrateConcurrent|CalibrationDoesNotRetain|ResetSetupCacheReleases|BuildPlanParallel|CollectorConcurrentCharge|ShardedRoundsReuseRunState' ./internal/compress ./internal/field ./internal/workload ./internal/core ./internal/stats
+# phase labels in the dense collector at the same instant, sharded
+# SENS-Join and external rounds on runner-owned node state, and sharded
+# continuous and QueryGroup rounds (per-node delta buffers) beside the
+# singleton-cluster-is-a-single-query identity.
+go test -race -count 5 -run 'ZlibPooledConcurrent|SnapshotConcurrent|SnapshotFill|CalibrateConcurrent|CalibrationDoesNotRetain|ResetSetupCacheReleases|BuildPlanParallel|CollectorConcurrentCharge|ShardedRoundsReuseRunState|ShardedContinuousAndGroupRounds|SingletonClusterIsASingleQuery' ./internal/compress ./internal/field ./internal/workload ./internal/core ./internal/stats
 # The repository benchmark is its own module, outside `go test ./...`:
 # without this an internal/ signature change that stops it compiling is
 # only found when the pipeline's benchmark run fails.
