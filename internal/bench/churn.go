@@ -130,9 +130,7 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 	}
 
 	run := func(s spec) (ChurnPoint, error) {
-		radio := netsim.DefaultRadio()
-		radio.MaxPacket = cfg.MaxPacket
-		r, err := core.NewRunner(core.SetupConfig{Nodes: cfg.Nodes, Seed: cfg.Seed, Radio: radio})
+		r, err := privateRunner(cfg.Nodes, cfg.Seed, cfg.MaxPacket)
 		if err != nil {
 			return ChurnPoint{}, err
 		}

@@ -27,25 +27,47 @@ func renderAll(t *testing.T, cfg Config) string {
 // correctness claim: the rendered tables are byte-identical whether the
 // experiments run sequentially or fanned out over many workers, and
 // across repeated runs (the shared deployment cache and the memoized
-// calibration must not leak state between runs).
+// calibration must not leak state between runs). Cells lease their
+// runners from the call's pools, so which cells share a runner, and in
+// which order, changes with the worker count: a lease that remembered
+// anything of the one before it would show here. Run under -race.
 func TestAllDeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full experiment suite three times")
+		t.Skip("runs the full experiment suite six times")
 	}
 	cfg := smallConfig()
 
 	cfg.Parallel = 1
 	seq := renderAll(t, cfg)
-
-	cfg.Parallel = 8
-	par := renderAll(t, cfg)
-	if seq != par {
-		t.Fatalf("tables differ between Parallel=1 and Parallel=8:\n--- sequential ---\n%s\n--- parallel ---\n%s", seq, par)
+	for _, workers := range []int{2, 4, 8} {
+		cfg.Parallel = workers
+		if par := renderAll(t, cfg); seq != par {
+			t.Fatalf("tables differ between Parallel=1 and Parallel=%d:\n--- sequential ---\n%s\n--- parallel ---\n%s", workers, seq, par)
+		}
 	}
-
-	again := renderAll(t, cfg)
-	if par != again {
+	if again := renderAll(t, cfg); seq != again {
 		t.Fatal("tables differ between repeated Parallel=8 runs")
+	}
+}
+
+// One All call builds a runner per deployment and radio it touches (the
+// configured one, E5's other sizes, E6's 124-byte radio) when it runs
+// sequentially, not one per experiment and sweep cell: every runner
+// construction asks the shared deployment cache, which counts.
+func TestAllLeasesRunners(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full experiment suite")
+	}
+	cfg := smallConfig()
+	cfg.Parallel = 1
+	cfg.Metrics = metrics.New()
+	if _, err := All(cfg); err != nil {
+		t.Fatal(err)
+	}
+	built := cfg.Metrics.Counter("sensjoin_core_setup_cache_hits_total", "shared deployment cache hits").Value() +
+		cfg.Metrics.Counter("sensjoin_core_setup_cache_misses_total", "shared deployment cache misses").Value()
+	if built == 0 || built > 8 {
+		t.Errorf("one sequential All built %d runners, want one per (deployment, radio): at most 8", built)
 	}
 }
 

@@ -55,10 +55,11 @@ func RunEnergyLifetime(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
 	const batteryJ = 50.0 // radio share of a small battery; scale only
 	preset := workload.Ratio33()
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 	delta, actual := workload.Calibrate(r, preset, cfg.DefaultFraction)
 	src := preset.Build(delta)
 	model := stats.CC2420Model()

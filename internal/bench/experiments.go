@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"sync"
 
 	"sensjoin/internal/compress"
 	"sensjoin/internal/core"
@@ -52,6 +53,10 @@ type Config struct {
 
 	// hm holds the harness instruments; the zero value is a no-op.
 	hm harnessMetrics
+	// leases are the runner pools of the All or Run* call this
+	// configuration was defaulted for; All hands its own to every
+	// experiment it runs.
+	leases *leases
 }
 
 func (c Config) withDefaults() Config {
@@ -70,6 +75,11 @@ func (c Config) withDefaults() Config {
 	if c.DefaultFraction == 0 {
 		c.DefaultFraction = 0.05
 	}
+	if c.leases == nil {
+		p := max(c.Parallel, 1)
+		// All runs p experiments at once, each with up to p cells.
+		c.leases = &leases{capacity: p * (p + 1), pools: make(map[core.SetupConfig]*core.RunnerPool)}
+	}
 	if c.Metrics != nil {
 		c.hm = newHarnessMetrics(c.Metrics)
 		core.SetCacheMetrics(c.Metrics)
@@ -79,18 +89,83 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-func (c Config) runner() (*core.Runner, error) {
-	radio := netsim.DefaultRadio()
-	radio.MaxPacket = c.MaxPacket
-	r, err := core.NewRunner(core.SetupConfig{Nodes: c.Nodes, Seed: c.Seed, Radio: radio})
+// leases holds the runner pools of one All or Run* call, one per
+// deployment and radio the call touches (E5 sweeps the node count, E6 the
+// packet size). Experiments and sweep cells lease from them, so a call
+// builds about as many runners as it has workers rather than one per
+// cell, and every later lease starts on warm storage.
+type leases struct {
+	capacity int
+	mu       sync.Mutex
+	pools    map[core.SetupConfig]*core.RunnerPool
+}
+
+func (l *leases) pool(cfg core.SetupConfig) (*core.RunnerPool, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if p, ok := l.pools[cfg]; ok {
+		return p, nil
+	}
+	p, err := core.NewRunnerPool(cfg, l.capacity)
 	if err != nil {
 		return nil, err
 	}
+	l.pools[cfg] = p
+	return p, nil
+}
+
+// setupFor is the deployment and radio every harness runner is built
+// from; maxPacket 0 keeps the default radio.
+func setupFor(nodes int, seed int64, maxPacket int) core.SetupConfig {
+	radio := netsim.DefaultRadio()
+	if maxPacket > 0 {
+		radio.MaxPacket = maxPacket
+	}
+	return core.SetupConfig{Nodes: nodes, Seed: seed, Radio: radio}
+}
+
+// privateRunner builds a runner no pool will see. It is the harness's
+// only door to core.NewRunner (scripts/check.sh greps for others), for
+// the callers that cannot lease: experiments that inject faults or
+// churn, which a pool would drop on return anyway (L1, X10), one that
+// hands the runner's journal to its caller (RunTraced), and the
+// artefact experiments that keep one runner for their whole run outside
+// any All call (X8, X9's oracle).
+func privateRunner(nodes int, seed int64, maxPacket int) (*core.Runner, error) {
+	return core.NewRunner(setupFor(nodes, seed, maxPacket))
+}
+
+// arm applies the configuration's per-runner switches.
+func (c Config) arm(r *core.Runner) *core.Runner {
 	r.AutoAudit = c.Audit
 	if c.Metrics != nil {
 		r.EnableMetrics(c.Metrics)
 	}
-	return r, nil
+	return r
+}
+
+// lease takes a runner for this configuration out of the call's pools;
+// done ends the lease. For experiments that only read the deployment,
+// which is all of them except the fault-injecting ones.
+func (c Config) lease() (r *core.Runner, done func(), err error) {
+	p, err := c.leases.pool(setupFor(c.Nodes, c.Seed, c.MaxPacket))
+	if err != nil {
+		return nil, nil, err
+	}
+	if r, err = p.Get(); err != nil {
+		return nil, nil, err
+	}
+	return c.arm(r), func() { p.Put(r) }, nil
+}
+
+// privateRunner is the package's privateRunner at this configuration,
+// armed like a leased one.
+func (c Config) privateRunner() (*core.Runner, error) {
+	r, err := privateRunner(c.Nodes, c.Seed, c.MaxPacket)
+	if err != nil {
+		return nil, err
+	}
+	return c.arm(r), nil
 }
 
 // RunTraced executes one calibrated SENS-Join query at the default
@@ -99,7 +174,7 @@ func (c Config) runner() (*core.Runner, error) {
 // `experiments -trace`.
 func RunTraced(cfg Config) (*trace.Journal, []trace.Violation, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.runner()
+	r, err := cfg.privateRunner() // the journal outlives the call
 	if err != nil {
 		return nil, nil, err
 	}
@@ -140,18 +215,20 @@ func RunOverallSavings(cfg Config, preset workload.Preset) (*Table, error) {
 		Title:  fmt.Sprintf("overall transmissions vs result fraction (%s, %d nodes)", preset.Name, cfg.Nodes),
 		Header: []string{"target f", "actual f", "external", "sens-join", "savings", "winner"},
 	}
-	// Each fraction is an independent sweep cell with a private runner;
-	// the shared deployment cache makes the extra runners cheap and the
-	// cells' observables identical to a sequential shared-runner sweep.
+	// Each fraction is an independent sweep cell on a leased runner: a
+	// lease starts from the state of a new runner (clock, counters and
+	// Stats at zero), so a cell's observables do not depend on which
+	// cells its runner served before, or on the worker count.
 	type cell struct {
 		actual    float64
 		ext, sens int64
 	}
 	cells, err := Fanout(cfg.Parallel, cellJobs(cfg, shortID(id), cfg.Fractions, func(f float64) (cell, error) {
-		r, err := cfg.runner()
+		r, done, err := cfg.lease()
 		if err != nil {
 			return cell{}, err
 		}
+		defer done()
 		delta, actual := workload.Calibrate(r, preset, f)
 		src := preset.Build(delta)
 		ext, _, err := runTotal(r, src, core.External{})
@@ -198,10 +275,11 @@ func RunOverallSavings(cfg Config, preset workload.Preset) (*Table, error) {
 // node's descendant count in the routing tree, at the default fraction.
 func RunPerNodeSavings(cfg Config, preset workload.Preset) (*Table, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 	id := "E2a / Fig. 11(a)"
 	if preset.Ratio() > 0.5 {
 		id = "E2b / Fig. 11(b)"
@@ -277,10 +355,11 @@ func RunRatioSweep(cfg Config, presets []workload.Preset, id string) (*Table, er
 		ext, sens int64
 	}
 	cells, err := Fanout(cfg.Parallel, cellJobs(cfg, shortID(id), presets, func(p workload.Preset) (cell, error) {
-		r, err := cfg.runner()
+		r, done, err := cfg.lease()
 		if err != nil {
 			return cell{}, err
 		}
+		defer done()
 		delta, _ := workload.Calibrate(r, p, cfg.DefaultFraction)
 		src := p.Build(delta)
 		ext, _, err := runTotal(r, src, core.External{})
@@ -334,10 +413,11 @@ func RunNetworkSize(cfg Config, sizes []int, preset workload.Preset) (*Table, er
 	cells, err := Fanout(cfg.Parallel, cellJobs(cfg, "E5", sizes, func(n int) (cell, error) {
 		c := cfg
 		c.Nodes = n
-		r, err := c.runner()
+		r, done, err := c.lease()
 		if err != nil {
 			return cell{}, err
 		}
+		defer done()
 		delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
 		src := preset.Build(delta)
 		ext, _, err := runTotal(r, src, core.External{})
@@ -383,7 +463,7 @@ func RunPacketSize(cfg Config, preset workload.Preset) (*Table, error) {
 	for _, size := range []int{48, 124} {
 		c := cfg
 		c.MaxPacket = size
-		r, err := c.runner()
+		r, done, err := c.lease()
 		if err != nil {
 			return nil, err
 		}
@@ -399,6 +479,7 @@ func RunPacketSize(cfg Config, preset workload.Preset) (*Table, error) {
 			return nil, err
 		}
 		sensPer := r.Stats.PerNodeTx(core.SENSPhases...)
+		done()
 		me, ms := maxOf(extPer), maxOf(sensPer)
 		t.AddRow(fmt.Sprintf("%dB", size), fmtInt(ext), fmtInt(sens),
 			fmtFrac(savings(ext, sens)), fmtInt(me), fmtInt(ms), fmtFactor(me, ms))
@@ -415,10 +496,11 @@ func RunStepBreakdown(cfg Config, fractions []float64, preset workload.Preset) (
 	if len(fractions) == 0 {
 		fractions = []float64{0.03, 0.05, 0.09, 0.25}
 	}
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 	t := &Table{
 		ID:     "E7 / Fig. 15",
 		Title:  fmt.Sprintf("cost per SENS-Join step (%s, %d nodes)", preset.Name, cfg.Nodes),
@@ -469,10 +551,11 @@ func RunStepBreakdown(cfg Config, fractions []float64, preset workload.Preset) (
 // three join attributes).
 func RunCompressionComparison(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 	preset := workload.Ratio60() // join attrs: temp, x, y
 	delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
 	src := preset.Build(delta)
@@ -518,10 +601,11 @@ func RunCompressionComparison(cfg Config) (*Table, error) {
 // SENS-Join at a ~4%% result fraction.
 func RunQuadInfluence(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 	preset := workload.Ratio60()
 	delta, actual := workload.Calibrate(r, preset, 0.04)
 	src := preset.Build(delta)
@@ -568,11 +652,12 @@ func RunQuadInfluence(cfg Config) (*Table, error) {
 // discussion of §IV-E; 0 disables the mechanism).
 func RunTreecutAblation(cfg Config, preset workload.Preset) (*Table, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
 	delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
+	done() // the cells lease it next
 	src := preset.Build(delta)
 	t := &Table{
 		ID:     "A1 / §IV-E Dmax",
@@ -590,10 +675,11 @@ func RunTreecutAblation(cfg Config, preset workload.Preset) (*Table, error) {
 			opt = core.Options{DisableTreecut: true}
 			label = "off"
 		}
-		cr, err := cfg.runner()
+		cr, crDone, err := cfg.lease()
 		if err != nil {
 			return cell{}, err
 		}
+		defer crDone()
 		if _, err := cr.Run(src, &core.SENSJoin{Options: opt}, 0); err != nil {
 			return cell{}, err
 		}
@@ -614,11 +700,12 @@ func RunTreecutAblation(cfg Config, preset workload.Preset) (*Table, error) {
 // limit (§IV-C; "off" disables pruning entirely).
 func RunFilterLimitAblation(cfg Config, preset workload.Preset) (*Table, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
 	delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
+	done() // the cells lease it next
 	src := preset.Build(delta)
 	t := &Table{
 		ID:     "A2 / §IV-C filter memory",
@@ -636,10 +723,11 @@ func RunFilterLimitAblation(cfg Config, preset workload.Preset) (*Table, error) 
 			opt = core.Options{DisableSelectiveForwarding: true}
 			label = "off"
 		}
-		cr, err := cfg.runner()
+		cr, crDone, err := cfg.lease()
 		if err != nil {
 			return cell{}, err
 		}
+		defer crDone()
 		if _, err := cr.Run(src, &core.SENSJoin{Options: opt}, 0); err != nil {
 			return cell{}, err
 		}
@@ -672,10 +760,11 @@ func RunIncrementalFilter(cfg Config, rounds int, period float64) (*Table, error
 	preset := workload.Ratio60()
 
 	run := func(m core.Method) ([]int64, int64, error) {
-		r, err := cfg.runner()
+		r, done, err := cfg.lease()
 		if err != nil {
 			return nil, 0, err
 		}
+		defer done()
 		r.Env = quietEnv(r, cfg.Seed)
 		delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
 		src := preset.Build(delta)
@@ -739,7 +828,7 @@ func RunRelatedWork(cfg Config) (*Table, error) {
 	methods := []core.Method{core.External{}, core.Mediated{}, core.SemiJoin{}, core.NewSENSJoin()}
 
 	// General setting: arbitrary placements, default fraction.
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
@@ -758,12 +847,14 @@ func RunRelatedWork(cfg Config) (*Table, error) {
 		t.AddRow("general", m.Name(), fmtInt(pk), fmt.Sprintf("%.0f%%", 100*float64(pk)/float64(extGeneral)))
 		t.AddTx(pk)
 	}
+	done()
 
 	// Niche setting: members clustered in a far region, selective join.
-	r2, err := cfg.runner()
+	r2, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 	far := r2.Dep.Area.Lerp(0.85, 0.85)
 	radius := r2.Dep.Area.Width() / 8
 	r2.Member = func(id topology.NodeID, rel string) bool {
@@ -804,7 +895,7 @@ func RunLifetime(cfg Config) (*Table, error) {
 	}
 	model := stats.CC2420Model()
 	for _, preset := range []workload.Preset{workload.Ratio33(), workload.Ratio60()} {
-		r, err := cfg.runner()
+		r, done, err := cfg.lease()
 		if err != nil {
 			return nil, err
 		}
@@ -834,6 +925,7 @@ func RunLifetime(cfg Config) (*Table, error) {
 			t.AddRow(preset.Name, m.Name(), fmt.Sprintf("%.4f", bottleneck), fmtInt(int64(rounds)), ext)
 			t.AddTx(r.Stats.TotalTx(m.Phases()...))
 		}
+		done()
 	}
 	t.Note("paper conclusion: the most-loaded-node savings prolong the network lifetime significantly")
 	return t, nil
@@ -858,10 +950,11 @@ func RunResponseTime(cfg Config) (*Table, error) {
 		ext, sens   int64
 	}
 	cells, err := Fanout(cfg.Parallel, cellJobs(cfg, "X4", []float64{0.01, 0.05, 0.25, 0.60}, func(f float64) (cell, error) {
-		r, err := cfg.runner()
+		r, done, err := cfg.lease()
 		if err != nil {
 			return cell{}, err
 		}
+		defer done()
 		delta, actual := workload.Calibrate(r, preset, f)
 		src := preset.Build(delta)
 		ext, extRes, err := runTotal(r, src, core.External{})
@@ -897,10 +990,11 @@ func RunResponseTime(cfg Config) (*Table, error) {
 // structure; §VII discusses the trade-off).
 func RunMemory(cfg Config) (*Table, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.runner()
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, err
 	}
+	defer done()
 	preset := workload.Ratio60()
 	delta, actual := workload.Calibrate(r, preset, cfg.DefaultFraction)
 	src := preset.Build(delta)
@@ -1009,7 +1103,7 @@ func RunLossResilience(cfg Config, rates []float64) (*Table, error) {
 	}
 	type cell struct{ ext, sens mrow }
 	run := func(rate float64, m core.Method) (mrow, error) {
-		r, err := cfg.runner()
+		r, err := cfg.privateRunner()
 		if err != nil {
 			return mrow{}, err
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"sensjoin/internal/core"
-	"sensjoin/internal/netsim"
 	"sensjoin/internal/stats"
 	"sensjoin/internal/workload"
 )
@@ -113,9 +112,7 @@ func mqoQueries(r *core.Runner, cfg MQOConfig, n int, overlap string) []string {
 // environment (temporal correlation at cell granularity is what the
 // incremental filter machinery exploits).
 func mqoRunner(cfg MQOConfig) (*core.Runner, error) {
-	radio := netsim.DefaultRadio()
-	radio.MaxPacket = cfg.MaxPacket
-	r, err := core.NewRunner(core.SetupConfig{Nodes: cfg.Nodes, Seed: cfg.Seed, Radio: radio})
+	r, err := privateRunner(cfg.Nodes, cfg.Seed, cfg.MaxPacket)
 	if err != nil {
 		return nil, err
 	}

@@ -5,13 +5,15 @@ import "sync"
 // Worker-pool scheduler for the experiment harness.
 //
 // Experiments — and the sweep cells inside them — are embarrassingly
-// parallel: every job owns a private core.Runner whose expensive
-// artifacts (deployment, environment, routing tree) come from core's
-// immutable shared cache, and all simulation observables (packet
-// counts, response times) are functions of the job's own deterministic
-// simulation only. Fanout therefore runs jobs concurrently but returns
-// results strictly in declaration order, so rendered tables are
-// byte-identical regardless of worker count or GOMAXPROCS.
+// parallel: every job runs alone on a core.Runner it leases from the
+// call's runner pools (Config.lease) and which starts the lease in the
+// state of a new one; the expensive artifacts (deployment, environment,
+// routing tree) come from core's immutable shared cache, and all
+// simulation observables (packet counts, response times) are functions
+// of the job's own deterministic simulation only. Fanout therefore runs
+// jobs concurrently but returns results strictly in declaration order,
+// so rendered tables are byte-identical regardless of worker count or
+// GOMAXPROCS.
 
 // Fanout runs jobs with at most workers goroutines and returns their
 // results in declaration order. workers <= 1 runs the jobs sequentially

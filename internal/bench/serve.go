@@ -171,7 +171,7 @@ func RunServeLoad(cfg ServeConfig) (*ServeResult, error) {
 
 	// Ground truth: every shape executed directly through the library.
 	ref := make(map[string]string, len(shapes))
-	r, err := core.NewRunner(core.SetupConfig{Nodes: cfg.Nodes, Seed: cfg.Seed})
+	r, err := privateRunner(cfg.Nodes, cfg.Seed, 0)
 	if err != nil {
 		return nil, err
 	}

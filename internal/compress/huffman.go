@@ -1,8 +1,8 @@
 package compress
 
 import (
-	"container/heap"
 	"fmt"
+	"sync"
 
 	"sensjoin/internal/bitstream"
 )
@@ -38,65 +38,114 @@ func huffCodeLengths(freq []int) []byte {
 	}
 }
 
+// huffNode is a node of the code tree, held by index in huffScratch.nodes
+// (a block's alphabet is 259 symbols, so at most 517 nodes).
 type huffNode struct {
 	weight int
-	sym    int // -1 for internal
-	l, r   *huffNode
+	sym    int32 // -1 for internal
+	l, r   int32
 }
 
-type huffHeap []*huffNode
+// huffScratch is the working set of one buildLengths call, kept between
+// calls: the tree's nodes and the heap of node indexes over them.
+type huffScratch struct {
+	nodes []huffNode
+	heap  []int32
+}
 
-func (h huffHeap) Len() int { return len(h) }
-func (h huffHeap) Less(i, j int) bool {
-	if h[i].weight != h[j].weight {
-		return h[i].weight < h[j].weight
+var huffPool = sync.Pool{New: func() any { return new(huffScratch) }}
+
+// The heap is container/heap's algorithm on a typed slice: the same
+// comparisons, swaps and sift paths in the same order. That matters
+// because the order is not total — internal nodes all carry sym -1, so
+// equal-weight subtrees tie — and which of two tied nodes surfaces first
+// decides the tree's shape, the code lengths and the compressed size.
+// huffman_ref_test.go keeps the container/heap version as the oracle.
+
+func (s *huffScratch) less(i, j int) bool {
+	a, b := &s.nodes[s.heap[i]], &s.nodes[s.heap[j]]
+	if a.weight != b.weight {
+		return a.weight < b.weight
 	}
-	return h[i].sym < h[j].sym // deterministic ties
+	return a.sym < b.sym // deterministic ties
 }
-func (h huffHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *huffHeap) Push(x any)   { *h = append(*h, x.(*huffNode)) }
-func (h *huffHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+
+// push adds a node and its heap entry (heap.Push: append, then up).
+func (s *huffScratch) push(n huffNode) {
+	s.nodes = append(s.nodes, n)
+	s.heap = append(s.heap, int32(len(s.nodes)-1))
+	j := len(s.heap) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !s.less(j, i) {
+			break
+		}
+		s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+		j = i
+	}
+}
+
+// pop removes the minimum and returns its node index (heap.Pop: swap
+// the root with the last entry, down over the rest, drop the last).
+func (s *huffScratch) pop() int32 {
+	n := len(s.heap) - 1
+	s.heap[0], s.heap[n] = s.heap[n], s.heap[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n {
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
+			j = j2
+		}
+		if !s.less(j, i) {
+			break
+		}
+		s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+		i = j
+	}
+	top := s.heap[n]
+	s.heap = s.heap[:n]
+	return top
+}
+
+// assign writes the depth of every leaf below node at into lengths.
+func (s *huffScratch) assign(lengths []byte, at int32, depth byte) {
+	n := &s.nodes[at]
+	if n.sym >= 0 {
+		lengths[n.sym] = depth
+		return
+	}
+	s.assign(lengths, n.l, depth+1)
+	s.assign(lengths, n.r, depth+1)
 }
 
 func buildLengths(freq []int, lengths []byte) {
-	for i := range lengths {
-		lengths[i] = 0
-	}
-	h := &huffHeap{}
+	clear(lengths)
+	s := huffPool.Get().(*huffScratch)
+	defer huffPool.Put(s)
+	s.nodes, s.heap = s.nodes[:0], s.heap[:0]
 	for sym, f := range freq {
 		if f > 0 {
-			heap.Push(h, &huffNode{weight: f, sym: sym})
+			s.push(huffNode{weight: f, sym: int32(sym)})
 		}
 	}
-	switch h.Len() {
+	switch len(s.heap) {
 	case 0:
 		return
 	case 1:
 		// A single symbol still needs one bit on the wire.
-		lengths[(*h)[0].sym] = 1
+		lengths[s.nodes[s.heap[0]].sym] = 1
 		return
 	}
-	for h.Len() > 1 {
-		a := heap.Pop(h).(*huffNode)
-		b := heap.Pop(h).(*huffNode)
-		heap.Push(h, &huffNode{weight: a.weight + b.weight, sym: -1, l: a, r: b})
+	for len(s.heap) > 1 {
+		a := s.pop()
+		b := s.pop()
+		s.push(huffNode{weight: s.nodes[a].weight + s.nodes[b].weight, sym: -1, l: a, r: b})
 	}
-	root := heap.Pop(h).(*huffNode)
-	var walk func(n *huffNode, depth byte)
-	walk = func(n *huffNode, depth byte) {
-		if n.sym >= 0 {
-			lengths[n.sym] = depth
-			return
-		}
-		walk(n.l, depth+1)
-		walk(n.r, depth+1)
-	}
-	walk(root, 0)
+	s.assign(lengths, s.pop(), 0)
 }
 
 // canonicalCodes assigns canonical codes (shorter codes first, then by

@@ -509,6 +509,11 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 	// replay below.
 	assign := make([]int32, n)
 	ranks := sc.ranks[:0]
+	// Level 0 has the largest stride, so a plan that starts there (a scan
+	// in index order) appends the ranks of one outer tuple after those of
+	// the tuple before it: sorting each tuple's short run as it completes
+	// leaves the whole list sorted.
+	outerSorted := !plan.stream && plan.order[0].level == 0
 	var recurse func(pos int, rank uint64)
 	recurse = func(pos int, rank uint64) {
 		if pos == n {
@@ -551,7 +556,11 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 			}
 		default:
 			for ti := 0; ti < lens[level]; ti++ {
+				from := len(ranks)
 				try(int32(ti))
+				if outerSorted && pos == 0 {
+					slices.Sort(ranks[from:])
+				}
 			}
 		}
 	}
@@ -574,7 +583,9 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 		// combination written in the mixed radix of the level sizes, so
 		// it is all a match needs to record: the tuple indexes come back
 		// out digit by digit.
-		slices.Sort(ranks)
+		if !outerSorted {
+			slices.Sort(ranks)
+		}
 		for _, rank := range ranks {
 			for level := range assign {
 				assign[level] = int32(rank / plan.strides[level] % uint64(lens[level]))

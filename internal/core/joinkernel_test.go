@@ -325,6 +325,55 @@ func TestJoinKernelMatchesNestedLoop(t *testing.T) {
 	}
 }
 
+// When the smallest relation is not the first one the plan starts at a
+// later level, the ranks of one outer tuple are scattered over the whole
+// list, and the replay needs the global sort (a plan that starts at
+// level 0 sorts each outer tuple's run instead). Both branches must
+// replay in nested-loop order: rows, SUM accumulation and contributors.
+func TestJoinKernelPlanStartingAtLaterLevel(t *testing.T) {
+	for i, where := range []string{
+		"A.temp - B.temp > 5",
+		"A.bucket = B.bucket",
+		"abs(A.hum - B.hum) < 2 AND A.light < B.light",
+		"A.bucket = B.bucket AND B.temp - C.temp > 10",
+	} {
+		rng := rand.New(rand.NewSource(int64(700 + i)))
+		nAliases := 2 + strings.Count(where, "C.")
+		tuples, cols := kernelTuples(rng, 90, nAliases)
+		for k := range tuples {
+			// Everything is in A, a third in B, a fifth in C.
+			tuples[k].flags = zorder.FlagFor(0, nAliases)
+			if k%3 == 0 {
+				tuples[k].flags |= zorder.FlagFor(1, nAliases)
+			}
+			if nAliases == 3 && k%5 == 0 {
+				tuples[k].flags |= zorder.FlagFor(2, nAliases)
+			}
+		}
+		from := "Sensors A, Sensors B, Sensors C"[:len("Sensors A, Sensors B")+(nAliases-2)*len(", Sensors C")]
+		for _, sel := range []string{"A.temp, B.hum", "SUM(A.temp - B.pres), COUNT(B.hum)"} {
+			src := "SELECT " + sel + " FROM " + from + " WHERE " + where + " ONCE"
+			x := kernelExec(t, src)
+			var gotRows []Row
+			var gotContrib map[topology.NodeID]bool
+			plans := capturePlans(func() { gotRows, gotContrib = exactJoinOver(x, cols, tuples) })
+			if len(plans) != 1 || plans[0].Order[0] == 0 || plans[0].Streamed {
+				t.Fatalf("%q: plan %+v, want an indexed plan starting after level 0", src, plans)
+			}
+			wantRows, wantContrib := exactJoinReference(x, cols, tuples)
+			if len(wantRows) == 0 {
+				t.Fatalf("%q: empty result proves nothing", src)
+			}
+			if !rowsEqual(gotRows, wantRows) {
+				t.Errorf("%q: kernel rows (%d) differ from nested loop (%d)", src, len(gotRows), len(wantRows))
+			}
+			if !contribEqual(gotContrib, wantContrib) {
+				t.Errorf("%q: contrib %d nodes, want %d", src, len(gotContrib), len(wantContrib))
+			}
+		}
+	}
+}
+
 // Adversarial values: ±0, boundary-exact matches, +Inf and NaN must not
 // change results relative to the nested loop.
 func TestJoinKernelSpecialValues(t *testing.T) {

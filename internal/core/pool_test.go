@@ -1,0 +1,257 @@
+package core
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"sensjoin/internal/metrics"
+	"sensjoin/internal/netsim"
+	"sensjoin/internal/relation"
+	"sensjoin/internal/topology"
+)
+
+const (
+	poolSrc   = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 ONCE"
+	poolOther = "SELECT A.hum, B.hum, A.temp FROM Sensors A, Sensors B WHERE A.hum - B.hum > 20 ONCE"
+)
+
+// observed is everything a run lets its caller see.
+type observed struct {
+	response   uint64 // Result.ResponseTime, bit for bit
+	rows       []Row
+	tx, steps  int64
+	now        float64
+	journalLen int
+	journal    any
+}
+
+func observe(t *testing.T, r *Runner, p *Prepared, m Method) observed {
+	t.Helper()
+	rec := r.EnableTrace()
+	res, err := r.RunPrepared(p, m, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := rec.Journal()
+	r.DisableTrace()
+	return observed{
+		response: math.Float64bits(res.ResponseTime), rows: res.Rows,
+		tx: r.Stats.TotalTx(), steps: r.Sim.Steps(), now: r.Sim.Now(),
+		journalLen: len(j.Events), journal: j.Events,
+	}
+}
+
+// A query cannot tell a pooled runner that ran other queries before from
+// a new one: the response time agrees to the last bit (it is a difference
+// of clock readings, so it used to carry the runner's history in its low
+// bits: 59.850000000000009 s after one earlier run, 59.849999999999966 s
+// after five), and so do the rows, the packet totals, the event count and
+// the whole journal, message ids included.
+func TestPooledRunnerRepeatsAFreshOne(t *testing.T) {
+	for _, cfg := range []SetupConfig{
+		{Nodes: 300, Seed: 7},
+		// Sharded: the region clocks and sequence counters rewind too.
+		{Nodes: 300, Seed: 7, Shards: 4, Private: true, SetupWorkers: 1},
+	} {
+		for _, m := range []func() Method{
+			func() Method { return NewSENSJoin() },
+			func() Method { return External{} },
+		} {
+			pooledRepeatsFresh(t, cfg, m)
+		}
+	}
+}
+
+func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
+	t.Helper()
+	fresh, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := fresh.Prepare(poolSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := fresh.Prepare(poolOther)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := observe(t, fresh, prep, m())
+
+	pool, err := NewRunnerPool(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		for _, mm := range []Method{External{}, NewSENSJoin()} {
+			if _, err := used.RunPrepared(other, mm, float64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if used.Sim.Now() == 0 || used.Stats.TotalTx() == 0 {
+		t.Fatal("the warm-up left no history to reset")
+	}
+	pool.Put(used)
+	again, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != used {
+		t.Fatal("a clean runner was not handed out again")
+	}
+	if again.Sim.Now() != 0 || again.Sim.Steps() != 0 || again.Stats.TotalTx() != 0 {
+		t.Fatalf("reset left clock %g, steps %d, %d packets", again.Sim.Now(), again.Sim.Steps(), again.Stats.TotalTx())
+	}
+	got := observe(t, again, prep, m())
+	name := m().Name()
+	if got.response != want.response {
+		t.Errorf("%s: ResponseTime %x on the pooled runner, %x on a new one", name, got.response, want.response)
+	}
+	if got.tx != want.tx || got.steps != want.steps || got.now != want.now {
+		t.Errorf("%s: (packets, events, clock) = (%d, %d, %g), want (%d, %d, %g)",
+			name, got.tx, got.steps, got.now, want.tx, want.steps, want.now)
+	}
+	if !reflect.DeepEqual(got.rows, want.rows) {
+		t.Errorf("%s: rows differ", name)
+	}
+	if got.journalLen == 0 || !reflect.DeepEqual(got.journal, want.journal) {
+		t.Errorf("%s: journals differ (%d vs %d events)", name, got.journalLen, want.journalLen)
+	}
+}
+
+// What an assignment undoes, reset undoes.
+func TestResetRestoresTheSwitches(t *testing.T) {
+	pool, err := NewRunnerPool(SetupConfig{Nodes: 150, Seed: 7}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := r.Env
+	r.Member = func(topology.NodeID, string) bool { return false }
+	r.Env = nil
+	r.AutoAudit = true
+	r.EnableMidRoundRepair()
+	r.EnableMetrics(metrics.New())
+	pool.Put(r)
+	again, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != r {
+		t.Fatal("a runner with only switches flipped was dropped")
+	}
+	if r.Member != nil || r.Env != env || r.AutoAudit || r.repair || r.Metrics != nil || r.reg != nil {
+		t.Errorf("reset left Member set: %t, Env %p (want %p), AutoAudit %t, repair %t, Metrics %p",
+			r.Member != nil, r.Env, env, r.AutoAudit, r.repair, r.Metrics)
+	}
+}
+
+// A runner that cannot be made equal to a new one is never handed out
+// again: faults and armed features leave marks in simulation state that
+// zeroing does not remove.
+func TestPoolDropsRunnersItCannotReset(t *testing.T) {
+	cfg := SetupConfig{Nodes: 150, Seed: 7}
+	for _, c := range []struct {
+		name  string
+		dirty func(r *Runner)
+	}{
+		{"killed node", func(r *Runner) { r.Net.KillNode(5) }},
+		{"downed link", func(r *Runner) { r.Net.LinkDown(1, r.Dep.Neighbors[1][0]) }},
+		{"loss model", func(r *Runner) { r.Net.SetLossRate(0.1, 1) }},
+		{"per-link loss", func(r *Runner) { r.Net.SetLinkLossRate(1, r.Dep.Neighbors[1][0], 0.5) }},
+		{"reliable transport", func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }},
+		{"churn", func(r *Runner) { r.AttachChurn(netsim.ChurnConfig{Seed: 1, Rate: 0.01}) }},
+		{"pending events", func(r *Runner) { r.Sim.Schedule(r.Sim.Now()+1, func() {}) }},
+		{"tracing on", func(r *Runner) { r.EnableTrace() }},
+		{"rebuilt tree", func(r *Runner) { r.RebuildTree() }},
+	} {
+		pool, err := NewRunnerPool(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Run(poolSrc, NewSENSJoin(), 0); err != nil {
+			t.Fatal(err)
+		}
+		c.dirty(r)
+		pool.Put(r)
+		for i := 0; i < 3; i++ {
+			next, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next == r {
+				t.Errorf("%s: the runner was handed out again", c.name)
+			}
+		}
+	}
+}
+
+// Runners of one pool are leased from many goroutines at once; each
+// lease runs alone on its runner and sees the same result. Run under
+// -race.
+func TestPoolConcurrentLeases(t *testing.T) {
+	cfg := SetupConfig{Nodes: 150, Seed: 7}
+	pool, err := NewRunnerPool(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := Prepare(mustCatalog(t, pool), poolSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, leases = 4, 6
+	got := make([][]uint64, workers)
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for i := 0; i < leases; i++ {
+				r, err := pool.Get()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				res, err := r.RunPrepared(prep, NewSENSJoin(), 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], math.Float64bits(res.ResponseTime), uint64(r.Stats.TotalTx()), uint64(len(res.Rows)))
+				pool.Put(r)
+			}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		<-done
+	}
+	for w := range got {
+		for i := 0; i+3 <= len(got[w]); i += 3 {
+			if !reflect.DeepEqual(got[w][i:i+3], got[0][:3]) {
+				t.Fatalf("worker %d lease %d saw %v, want %v", w, i/3, got[w][i:i+3], got[0][:3])
+			}
+		}
+	}
+}
+
+func mustCatalog(t *testing.T, pool *RunnerPool) relation.Catalog {
+	t.Helper()
+	r, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Put(r)
+	return r.Catalog
+}

@@ -23,7 +23,10 @@ type Rep interface {
 	SetBytes(p *plan, keys []zorder.Key) int
 	// PayloadBytes returns the wire size of a Join-Attribute-Collection
 	// payload: the key set plus, for multiset representations, the raw
-	// tuple stream it stands for.
+	// tuple stream it stands for. When that size is SetBytes of the
+	// payload's key set it is read from pl.keysBytes if the sender filled
+	// it in, and recorded there otherwise, so the receiver never sizes
+	// the same set again.
 	PayloadBytes(p *plan, pl *jaPayload) int
 }
 
@@ -41,9 +44,10 @@ type jaPayload struct {
 	// needFull asks the parent to transmit a full filter this round
 	// (incremental mode resynchronization); it rides in the header.
 	needFull bool
-	// keysBytes is Rep.SetBytes(keys) when the sender has already
-	// computed it (0: not known), so a representation whose payload is
-	// the key set does not size the same set twice.
+	// keysBytes is Rep.SetBytes(keys) when the sender knows it (0: it
+	// does not; no non-empty set has size 0): inherited with an unchanged
+	// set, or recorded by PayloadBytes. A parent with no other reporting
+	// child inherits set and size in turn.
 	keysBytes int
 }
 
@@ -61,10 +65,10 @@ func (QuadRep) SetBytes(p *plan, keys []zorder.Key) int {
 
 // PayloadBytes implements Rep.
 func (q QuadRep) PayloadBytes(p *plan, pl *jaPayload) int {
-	if pl.keysBytes > 0 {
-		return pl.keysBytes
+	if pl.keysBytes == 0 {
+		pl.keysBytes = q.SetBytes(p, pl.keys)
 	}
-	return q.SetBytes(p, pl.keys)
+	return pl.keysBytes
 }
 
 // RawRep ships join-attribute tuples as plain values, two bytes per
@@ -101,7 +105,14 @@ func (c CompressedRep) SetBytes(p *plan, keys []zorder.Key) int {
 
 // PayloadBytes implements Rep.
 func (c CompressedRep) PayloadBytes(p *plan, pl *jaPayload) int {
-	return c.compressedBytes(p, pl.keys, pl.rawCount)
+	if pl.rawCount != len(pl.keys) {
+		return c.compressedBytes(p, pl.keys, pl.rawCount)
+	}
+	// No duplicates: the tuple stream is the key set.
+	if pl.keysBytes == 0 {
+		pl.keysBytes = c.SetBytes(p, pl.keys)
+	}
+	return pl.keysBytes
 }
 
 // compressedBytes is the compressed size of the raw tuple stream. The

@@ -90,6 +90,11 @@ type Runner struct {
 	// scratch is the per-node run state and join-kernel storage every
 	// execution on this runner borrows (runstate.go).
 	scratch runScratch
+	// env0 and tree0 are the environment and routing tree the runner was
+	// built with: reset puts the first back and refuses to recycle a
+	// runner whose tree was rebuilt (pool.go).
+	env0  *field.Environment
+	tree0 *routing.Tree
 }
 
 // NewRunner builds a connected deployment, its environment, the standard
@@ -153,6 +158,8 @@ func NewRunnerFromSetup(dep *topology.Deployment, env *field.Environment, tree *
 		Tree:    tree,
 		Stats:   coll,
 		workers: cfg.SetupWorkers,
+		env0:    env,
+		tree0:   tree,
 	}
 	if cfg.Shards > 1 {
 		// Lookahead: the air time of one empty packet, the minimum

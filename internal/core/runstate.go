@@ -11,12 +11,14 @@ package core
 // reference and end up in Results and audit state, so giving a slab back
 // clears every element and the next run starts those slices from nil.
 // Clearing on the way out is also what lets an idle Runner (the daemon
-// pools them) let go of its last execution.
+// and the experiment suite pool them) let go of its last execution.
 //
 // The Runner owns the storage rather than a sync.Pool because the suite
 // allocates fast enough that the collector empties a pool between two
-// calls, and because a Runner-owned slab dies with its Runner: nothing
-// outlives the deployment it was sized for.
+// calls, and because a Runner-owned slab lives exactly as long as its
+// Runner. Runners themselves are pooled per deployment and reset on
+// return (pool.go), so the slabs stay warm for as long as that
+// deployment is being simulated and nothing outlives it.
 
 // runScratch is the storage a Runner lends to its executions. A Runner
 // executes one query at a time, so there is no locking; an Exec made

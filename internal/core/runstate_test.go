@@ -9,6 +9,7 @@ import (
 
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
+	"sensjoin/internal/zorder"
 )
 
 const runStateSrc = "SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B WHERE A.temp - B.temp > 7.5 ONCE"
@@ -137,9 +138,9 @@ func TestRoundAllocsPerNode(t *testing.T) {
 		}
 		// The same round body with m = 3: a cluster pays for the masks it
 		// sends (one list per filter broadcast and per phase-C message) and
-		// for three final joins — measured 5.9 allocations per node against
-		// 5.7 for the single query — and still nothing per node that merely
-		// exists.
+		// for three final joins — measured 5.6 allocations per node against
+		// 5.35 for the single query at 1500 nodes — and still nothing per
+		// node that merely exists.
 		g := NewQueryGroup(Options{})
 		for _, delta := range []float64{7.5, 8, 8.5} {
 			p, err := r.Prepare(fmt.Sprintf("SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B WHERE A.temp - B.temp > %g ONCE", delta))
@@ -161,9 +162,9 @@ func TestRoundAllocsPerNode(t *testing.T) {
 			round   func() error
 			perNode float64
 		}{
-			{"sens-join", single(NewSENSJoin()), 6.5},
+			{"sens-join", single(NewSENSJoin()), 5.5},
 			{"external-join", single(External{}), 2.5},
-			{"3-member cluster", func() error { _, err := g.RunRound(r, 0); return err }, 6.5},
+			{"3-member cluster", func() error { _, err := g.RunRound(r, 0); return err }, 5.8},
 		} {
 			run := func() {
 				r.Stats.Reset()
@@ -181,6 +182,66 @@ func TestRoundAllocsPerNode(t *testing.T) {
 	// Mask state lives beside sensNode (nodeMasks), not in it.
 	if size := unsafe.Sizeof(sensNode{}); size > 224 {
 		t.Errorf("sensNode is %d bytes, want <= 224", size)
+	}
+}
+
+// countingRep is the quadtree representation with its SetBytes calls
+// counted.
+type countingRep struct {
+	QuadRep
+	calls *int
+}
+
+func (c countingRep) SetBytes(p *plan, keys []zorder.Key) int {
+	*c.calls++
+	return c.QuadRep.SetBytes(p, keys)
+}
+
+func (c countingRep) PayloadBytes(p *plan, pl *jaPayload) int {
+	if pl.keysBytes == 0 {
+		pl.keysBytes = c.SetBytes(p, pl.keys)
+	}
+	return pl.keysBytes
+}
+
+// On a chain every relay has exactly one reporting child: it adopts that
+// child's key set without copying it (one allocation per relay fewer than
+// merging it into an empty set: measured 5.2 per node against 6.2) and
+// inherits the size the child computed, so phase A sizes one set per
+// relay — the one it sends, own key added — not two. The query's filter
+// is empty, so phase B sizes nothing but the empty union.
+func TestChainRelaysAdoptTheirChildsKeySet(t *testing.T) {
+	const nodes = 200
+	r := lineRunner(t, nodes)
+	// Joining on x gives every node of the line a key of its own, so every
+	// relay's set differs from the one it received.
+	prep, err := r.Prepare("SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.x - B.x > 1000000 ONCE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	// Without Treecut every node forwards a key set: the leaf sizes its
+	// empty inbox and its payload, each of the nodes-1 relays above it
+	// sizes the one set it sends, the base station sizes the empty filter.
+	m := &SENSJoin{Options: Options{Rep: countingRep{calls: &calls}, DisableTreecut: true}}
+	run := func() {
+		r.Stats.Reset()
+		if _, err := r.RunPrepared(prep, m, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if want := (nodes - 1) + 2 + 1; calls != want {
+		t.Errorf("SetBytes called %d times on a chain of %d, want %d: one per relay", calls, nodes, want)
+	}
+	if m.Memory.MaxSubtreeBytes == 0 || m.Memory.MaxSubtreeBytes > m.Options.withDefaults().FilterMemLimit {
+		t.Errorf("MaxSubtreeBytes = %d: an inherited size must still be accounted", m.Memory.MaxSubtreeBytes)
+	}
+	allocs := testing.AllocsPerRun(5, run)
+	// Per relay: two deadline closures, the payload, the copy its own key
+	// forces, the children list — and no copy of the adopted set.
+	if limit := 5.3 * nodes; allocs > limit {
+		t.Errorf("chain of %d: %.0f allocs/round, want <= %.0f", nodes, allocs, limit)
 	}
 }
 

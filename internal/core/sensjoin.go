@@ -135,10 +135,20 @@ type sensNode struct {
 	childNeedsFull bool // phase B (incremental mode)
 }
 
-// onJoinAttrs files a child's join-attribute message (phase A).
+// onJoinAttrs files a child's join-attribute message (phase A). The
+// first child's key set is adopted as it is — Fig. 2 forwards one
+// structure per hop, and nothing ever writes into a key set in place
+// (UnionKeys makes a new one, keySet copies before its first insert) —
+// and with it the size its sender computed for it, parked in
+// memSubtreeBytes until the deadline. Later children are merged in, and
+// the union's size is no longer known.
 func (st *sensNode) onJoinAttrs(m netsim.Message) {
 	pl := m.Payload.(*jaPayload)
-	st.keysIn = quadtree.UnionKeys(st.keysIn, pl.keys)
+	if st.activeChildren == 0 {
+		st.keysIn, st.memSubtreeBytes = pl.keys, pl.keysBytes
+	} else {
+		st.keysIn, st.memSubtreeBytes = quadtree.UnionKeys(st.keysIn, pl.keys), 0
+	}
 	st.rawIn += pl.rawCount
 	st.coverIn += pl.covered
 	st.allFull = false
@@ -346,8 +356,10 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	})
 	x.Sim.Run()
 
-	// Fold the per-node memory accounting into the report.
-	for i := range r.states {
+	// Fold the sensor nodes' memory accounting into the report. The base
+	// station stores no structure and runs no deadline: an only child's
+	// size parked there by onJoinAttrs is not a memory figure.
+	for i := 1; i < n; i++ {
 		s.Memory.fold(&r.states[i])
 	}
 	r.settle(standDown, start)
@@ -585,12 +597,20 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 		x.span(trace.KindProxy, id, -1, PhaseJACollect, len(st.proxied))
 	}
 	st.memProxyBytes = fullBytes
-	inBytes := o.Rep.SetBytes(p, st.keysIn)
+	// A relay with one reporting child holds that child's set and, in
+	// memSubtreeBytes, the size the child computed for it (onJoinAttrs);
+	// anything else — no child, several, a sender that did not size its
+	// set — is sized here.
+	inBytes := st.memSubtreeBytes
+	if inBytes == 0 {
+		inBytes = o.Rep.SetBytes(p, st.keysIn)
+	}
 	if inBytes <= o.FilterMemLimit {
 		st.subtreeKeys = st.keysIn
 		st.memSubtreeBytes = inBytes
 	} else {
 		st.overflow = true
+		st.memSubtreeBytes = 0
 	}
 	keys := keySet{keys: st.keysIn}
 	for _, t := range st.proxied {

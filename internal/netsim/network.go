@@ -5,6 +5,7 @@ import (
 	"log"
 	"math"
 	"math/rand"
+	"slices"
 
 	"sensjoin/internal/topology"
 )
@@ -138,9 +139,11 @@ type Network struct {
 	// at the cost of one branch per call site.
 	met NetMetrics
 
-	// fallbackLogged dedups the sharded→classic fallback log line; the
-	// counter still counts every occurrence.
-	fallbackLogged bool
+	// fellBack records that this network reverted a sharded simulator
+	// to the classic engine: it dedups the log line (the counter still
+	// counts every occurrence) and bars Reset, since the engine is no
+	// longer the one the network was built on.
+	fellBack bool
 
 	// Dropped counts unicast messages that could not be delivered
 	// because the link was down or the receiver dead.
@@ -196,8 +199,8 @@ func (n *Network) fallbackFromSharding(feature string) {
 // noteShardFallback records one sharded→classic reversion.
 func (n *Network) noteShardFallback(feature string) {
 	n.met.ShardFallback.Inc()
-	if !n.fallbackLogged {
-		n.fallbackLogged = true
+	if !n.fellBack {
+		n.fellBack = true
 		log.Printf("netsim: %s requires the classic engine; sharded simulation disabled (sensjoin_netsim_shard_fallback_total counts these)", feature)
 	}
 }
@@ -223,6 +226,25 @@ func NewNetwork(sim *Sim, dep *topology.Deployment, radio RadioConfig, acct Acco
 		dead:   make([]bool, dep.N()),
 		msgSeq: make([]int64, dep.N()),
 	}
+}
+
+// Reset returns an idle, fault-free network to the state NewNetwork left
+// it in, keeping its storage (the delivery freelists) and its
+// instruments: message-id counters and the public failure counters go to
+// zero, the handler and give-up hook are dropped. It reports false and
+// changes nothing when the network is not what a new one would be in a
+// way that cannot be undone by zeroing — a dead node or a downed link, a
+// loss model, reliable transport, a tracer still attached, a sharded
+// engine that fell back to the classic one.
+func (n *Network) Reset() bool {
+	if n.reliable || n.lossRNG != nil || len(n.linkLoss) > 0 || len(n.down) > 0 ||
+		n.tracer != nil || n.fellBack || slices.Contains(n.dead, true) {
+		return false
+	}
+	clear(n.msgSeq)
+	n.handler, n.giveUp, n.exhausted = nil, nil, nil
+	n.Dropped, n.Lost, n.Retx, n.AckTx, n.Dups, n.GiveUps = 0, 0, 0, 0, 0, 0
+	return true
 }
 
 // nextMsgID returns a fresh message id for a transmission by src: the

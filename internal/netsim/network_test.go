@@ -384,3 +384,49 @@ func TestSendDeliverZeroAllocs(t *testing.T) {
 		t.Fatalf("send/deliver with tracing disabled: %.1f allocs per cycle, want 0", allocs)
 	}
 }
+
+// Reset zeroes what a run counts and refuses a network that carries
+// marks zeroing cannot remove.
+func TestNetworkReset(t *testing.T) {
+	sim := NewSim()
+	net := NewNetwork(sim, lineDeployment(4), DefaultRadio(), newRecordingAcct())
+	net.SetHandler(func(NodeID, Message) {})
+	net.SetTracer(func(TraceEvent) {})
+	net.Send(Message{Src: 1, Dst: 3, Size: 10}) // not a neighbor: dropped
+	net.Send(Message{Src: 1, Dst: 2, Size: 10})
+	sim.Run()
+	if net.Dropped != 1 || net.msgSeq[1] != 2 {
+		t.Fatalf("setup: Dropped %d, msgSeq %v", net.Dropped, net.msgSeq)
+	}
+	if net.Reset() {
+		t.Fatal("Reset with a tracer attached")
+	}
+	net.SetTracer(nil)
+	if !net.Reset() {
+		t.Fatal("Reset of an idle, fault-free network refused")
+	}
+	if net.Dropped != 0 || net.msgSeq[1] != 0 || net.handler != nil {
+		t.Fatalf("after Reset: Dropped %d, msgSeq %v, handler set: %t", net.Dropped, net.msgSeq, net.handler != nil)
+	}
+	for name, arm := range map[string]func(*Network){
+		"dead node":     func(n *Network) { n.KillNode(2) },
+		"downed link":   func(n *Network) { n.LinkDown(1, 2) },
+		"loss model":    func(n *Network) { n.SetLossRate(0.5, 1) },
+		"per-link loss": func(n *Network) { n.SetLinkLossRate(1, 2, 0.5) },
+		"reliable":      func(n *Network) { n.EnableReliable(ReliableConfig{}) },
+	} {
+		armed := NewNetwork(NewSim(), lineDeployment(4), DefaultRadio(), nil)
+		arm(armed)
+		if armed.Reset() {
+			t.Errorf("%s: Reset accepted the network", name)
+		}
+	}
+	// A revived node and a restored link leave nothing behind.
+	net.KillNode(2)
+	net.ReviveNode(2)
+	net.LinkDown(1, 2)
+	net.LinkUp(1, 2)
+	if !net.Reset() {
+		t.Error("Reset refused a network whose faults were all undone")
+	}
+}

@@ -99,6 +99,29 @@ const simMetricsSample = 1024
 // NewSim returns a simulator at time zero.
 func NewSim() *Sim { return &Sim{} }
 
+// Reset rewinds an idle simulator to the state NewSim left it in — clock,
+// sequence and step counters at zero, in every region under sharding —
+// keeping the heap's capacity, its instruments and its sharding. Event
+// times and tie-breaking sequence numbers then repeat exactly, so a run
+// after Reset is bit-identical to the same run on a new simulator (a
+// response time is a difference of clock readings, and its last bits
+// depend on where the clock stood). It reports false and changes nothing
+// while events are pending: they were scheduled against the old clock.
+func (s *Sim) Reset() bool {
+	if s.Pending() > 0 {
+		return false
+	}
+	s.now, s.seq, s.steps, s.halted = 0, 0, 0, false
+	if sh := s.sh; sh != nil {
+		for i := range sh.regions {
+			r := &sh.regions[i]
+			r.now, r.seq, r.steps = 0, 0, 0
+		}
+		sh.crossSeq.Store(0)
+	}
+	return true
+}
+
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
 

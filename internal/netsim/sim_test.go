@@ -189,3 +189,44 @@ func BenchmarkEventLoop(b *testing.B) {
 		run(b, s)
 	})
 }
+
+// Reset rewinds an idle simulator so that the next run repeats a new
+// simulator's event times and tie order, keeps the heap's storage, and
+// refuses while events are pending.
+func TestSimReset(t *testing.T) {
+	s := NewSim()
+	var order []int
+	load := func() {
+		order = order[:0]
+		for i := 0; i < 4; i++ {
+			s.Schedule(0.25, func() { order = append(order, i) }) // equal times: seq decides
+		}
+		s.Run()
+	}
+	load()
+	first := append([]int(nil), order...)
+	s.Schedule(s.Now()+1, func() {})
+	if s.Reset() {
+		t.Fatal("Reset with an event pending")
+	}
+	if s.Now() != 0.25 || s.Steps() != 4 {
+		t.Fatalf("a refused Reset moved the clock to %g, steps to %d", s.Now(), s.Steps())
+	}
+	s.Run()
+	heapCap := cap(s.heap)
+	if !s.Reset() {
+		t.Fatal("Reset of an idle simulator refused")
+	}
+	if s.Now() != 0 || s.Steps() != 0 || s.seq != 0 || cap(s.heap) != heapCap {
+		t.Fatalf("after Reset: now %g, steps %d, seq %d, heap capacity %d (was %d)", s.Now(), s.Steps(), s.seq, cap(s.heap), heapCap)
+	}
+	load() // scheduling at 0.25 would panic had the clock stayed at 1.25
+	if s.Now() != 0.25 || len(order) != len(first) {
+		t.Fatalf("rerun ended at %g with %v", s.Now(), order)
+	}
+	for i := range first {
+		if order[i] != first[i] {
+			t.Fatalf("rerun order %v, first run %v", order, first)
+		}
+	}
+}

@@ -120,7 +120,7 @@ func (h *groupHub) run(b *batch) {
 	defer func() {
 		for _, sub := range members {
 			if !sub.dead {
-				sub.ss.send(proto.KindDone, proto.Done{ID: sub.q.ID, Epochs: sub.epochs})
+				sub.ss.sendDone(sub.q.ID, sub.epochs)
 			}
 			sub.ss.finish(sub.q.ID)
 		}
@@ -190,10 +190,10 @@ func (h *groupHub) run(b *batch) {
 		}
 	}()
 
-	// A private runner: the group's incremental filter state spans
-	// epochs, so its executions must not interleave with other queries.
-	// The shared deployment cache makes this cheap.
-	r, err := core.NewRunner(b.pool.cfg)
+	// One lease for all epochs: the group's incremental filter state
+	// spans them, so its executions must not interleave with other
+	// queries on the same runner.
+	r, err := b.pool.runners.Get()
 	if err != nil {
 		for k, sub := range members {
 			recs[k].Error = proto.CodeExec + ": " + err.Error()
@@ -251,7 +251,7 @@ func (h *groupHub) run(b *batch) {
 					sub.dead = true
 				}
 			}
-			return // the group's private runner is abandoned with the round
+			return // the group's runner is abandoned with the round, not returned
 		}
 		if err != nil {
 			for k, sub := range members {
@@ -290,6 +290,11 @@ func (h *groupHub) run(b *batch) {
 			recs[k].Complete = res.Complete
 		}
 	}
+	capture() // before the runner, and with it the recorder, changes hands
+	if sampled {
+		r.DisableTrace()
+	}
+	b.pool.runners.Put(r)
 }
 
 // maxEpochs is the largest epoch count any member streamed.
@@ -303,7 +308,7 @@ func maxEpochs(members []*groupSub) int {
 
 // runRoundBounded executes one shared round, bounded by QueryTimeout
 // exactly like runBounded; on expiry the round's goroutine and the
-// group's private runner are abandoned.
+// group's runner are abandoned.
 func (s *Server) runRoundBounded(qg *core.QueryGroup, r *core.Runner, t float64) ([]*core.Result, error, bool) {
 	type roundResult struct {
 		results []*core.Result

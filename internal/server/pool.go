@@ -8,16 +8,15 @@ import (
 	"sensjoin/internal/relation"
 )
 
-// pool owns the runners of one deployment (nodes, seed). Runners are
-// not concurrency-safe, so concurrent executions each check one out;
-// the shared deployment cache (core/cache.go) makes a fresh runner
-// cheap when the pool runs dry, and the free list just avoids paying
-// even that on the steady-state path.
+// pool is one deployment (nodes, seed) the server simulates: its catalog
+// and the core.RunnerPool concurrent executions lease their runners from.
+// A returned runner is reset (clock, counters, Stats), so a query's
+// result does not depend on what its runner ran before, and an idle
+// daemon's runners hold nothing of their last query.
 type pool struct {
-	key  poolKey
-	cfg  core.SetupConfig
-	cat  relation.Catalog
-	free chan *core.Runner
+	key     poolKey
+	cat     relation.Catalog
+	runners *core.RunnerPool
 }
 
 type poolKey struct {
@@ -37,34 +36,18 @@ func newPool(k poolKey, maxPacket, capacity int) (*pool, error) {
 	if maxPacket > 0 {
 		cfg.Radio.MaxPacket = maxPacket
 	}
-	// Build one runner eagerly: it validates the config, warms the
-	// shared deployment cache, and donates the catalog.
-	r, err := core.NewRunner(cfg)
+	runners, err := core.NewRunnerPool(cfg, capacity)
 	if err != nil {
 		return nil, err
 	}
-	p := &pool{key: k, cfg: cfg, cat: r.Catalog, free: make(chan *core.Runner, capacity)}
-	p.put(r)
-	return p, nil
-}
-
-// get checks out a runner, building a fresh one when the free list is
-// empty.
-func (p *pool) get() (*core.Runner, error) {
-	select {
-	case r := <-p.free:
-		return r, nil
-	default:
-		return core.NewRunner(p.cfg)
+	// The pool's first runner donates the catalog.
+	r, err := runners.Get()
+	if err != nil {
+		return nil, err
 	}
-}
-
-// put returns a runner; beyond capacity it is simply dropped.
-func (p *pool) put(r *core.Runner) {
-	select {
-	case p.free <- r:
-	default:
-	}
+	cat := r.Catalog
+	runners.Put(r)
+	return &pool{key: k, cat: cat, runners: runners}, nil
 }
 
 // poolFor returns (creating on first use) the pool for a deployment.

@@ -13,9 +13,9 @@
 //     error instead of letting latency and memory grow without bound; a
 //     global execution semaphore sizes the actual parallelism.
 //   - Runner pools: core.Runner is not concurrency-safe, so concurrent
-//     executions check runners out of a per-deployment free list; the
-//     shared deployment cache (core/cache.go) makes overflow runners
-//     cheap.
+//     executions lease runners from a per-deployment core.RunnerPool,
+//     which resets each one on return; the shared deployment cache
+//     (core/cache.go) makes overflow runners cheap.
 //   - Prepared-query cache: compiled plans keyed by canonical query
 //     fingerprint (and by exact source), shared by all sessions — see
 //     pool.go.
@@ -441,8 +441,19 @@ func (ss *session) violation(id int64, msg string) {
 	}
 }
 
+// sendErr and sendDone queue a query's terminal frame. The query leaves
+// admission first: a client that submits its next query the moment it
+// reads the frame must find the slot free, or a closed loop of exactly
+// MaxConcurrent+MaxQueue callers is refused now and then for no reason
+// but scheduling.
 func (ss *session) sendErr(id int64, code, msg string) bool {
+	ss.leave(id)
 	return ss.send(proto.KindError, proto.Error{ID: id, Code: code, Msg: msg})
+}
+
+func (ss *session) sendDone(id int64, epochs int) bool {
+	ss.leave(id)
+	return ss.send(proto.KindDone, proto.Done{ID: id, Epochs: epochs})
 }
 
 func (ss *session) writeLoop() {
@@ -587,13 +598,25 @@ func (ss *session) submit(q proto.Query) bool {
 	return true
 }
 
-// finish releases a query's admission slot; called exactly once per
-// admitted query.
-func (ss *session) finish(id int64) {
+// leave releases query id's admission slot, once: the terminal frame
+// does it on the way out, finish for a query that ends without one. It
+// does nothing for an id that was never admitted (a refused query is
+// answered through sendErr too).
+func (ss *session) leave(id int64) {
 	ss.mu.Lock()
+	_, admitted := ss.active[id]
 	delete(ss.active, id)
 	ss.mu.Unlock()
-	ss.s.met.queueDepth.Set(ss.s.queued.Add(-1))
+	if admitted {
+		ss.s.met.queueDepth.Set(ss.s.queued.Add(-1))
+	}
+}
+
+// finish ends an admitted query; called exactly once per admitted
+// query, after its last frame is queued (Close waits on it before it
+// tears the sessions down).
+func (ss *session) finish(id int64) {
+	ss.leave(id)
 	ss.s.queryWG.Done()
 }
 
@@ -695,7 +718,7 @@ func (s *Server) runIndependent(ss *session, q proto.Query, pl *pool,
 			"err", rec.Error, "seconds", rec.TotalSeconds)
 	}()
 
-	r, err := pl.get()
+	r, err := pl.runners.Get()
 	if err != nil {
 		rec.Error = proto.CodeExec + ": " + err.Error()
 		ss.sendErr(q.ID, proto.CodeExec, err.Error())
@@ -780,8 +803,8 @@ func (s *Server) runIndependent(ss *session, q proto.Query, pl *pool,
 		r.DisableTrace()
 		tr2.Truncate(0) // drop the retained journal before pooling
 	}
-	pl.put(r)
-	ss.send(proto.KindDone, proto.Done{ID: q.ID, Epochs: rec.Epochs})
+	pl.runners.Put(r)
+	ss.sendDone(q.ID, rec.Epochs)
 }
 
 // runBounded executes one epoch on r, bounded by QueryTimeout. On

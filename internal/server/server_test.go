@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -387,5 +388,111 @@ func TestServerGracefulClose(t *testing.T) {
 	}
 	if _, err := c.Query(testQueries[1]); err == nil {
 		t.Fatal("query against a closed server succeeded")
+	}
+}
+
+// A query's simulated response time must not depend on what its pooled
+// runner ran before: with one execution slot every query runs on the one
+// pooled runner, and the same query asked first, and again after others,
+// reports bit-equal response times — equal to a new runner's. The idle
+// runner is back at time zero with empty Stats instead of accumulating
+// them for the life of the daemon.
+func TestServerPooledRunnerIsReset(t *testing.T) {
+	s, _ := startTestServer(t, Config{MaxConcurrent: 1})
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ask := func(src string) uint64 {
+		t.Helper()
+		tb, err := c.Query(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		return math.Float64bits(tb.ResponseTime)
+	}
+	first := ask(testQueries[0])
+	for _, src := range testQueries[1:] {
+		ask(src)
+	}
+	if again := ask(testQueries[0]); again != first {
+		t.Errorf("ResponseTime %x after other queries, %x before", again, first)
+	}
+	fresh, err := core.NewRunner(core.SetupConfig{Nodes: testNodes, Seed: testSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := fresh.Run(testQueries[0], core.NewSENSJoin(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := math.Float64bits(res.ResponseTime); first != want {
+		t.Errorf("ResponseTime %x through the daemon, %x on a new runner", first, want)
+	}
+
+	pl, err := s.poolFor(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := pl.runners.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.runners.Put(r)
+	if r.Sim.Steps() != 0 || r.Sim.Now() != 0 || r.Stats.TotalTx() != 0 {
+		t.Errorf("idle pooled runner: %d events, clock %g, %d packets; want a reset runner",
+			r.Sim.Steps(), r.Sim.Now(), r.Stats.TotalTx())
+	}
+}
+
+// slowWriter stands for a log sink that takes its time.
+type slowWriter struct{}
+
+func (slowWriter) Write(p []byte) (int, error) {
+	time.Sleep(2 * time.Millisecond)
+	return len(p), nil
+}
+
+// A closed loop of exactly MaxConcurrent+MaxQueue callers is never
+// refused: a query gives its admission slot back before its terminal
+// frame goes out, so the caller's next query — submitted the moment it
+// reads Done — cannot find its own predecessor still counted, however
+// long the server spends on that one afterwards (here: a slow debug log).
+func TestServerClosedLoopAtTheAdmissionLimit(t *testing.T) {
+	reg := metrics.New()
+	s, err := Listen("127.0.0.1:0", Config{
+		Nodes: testNodes, Seed: testSeed, Registry: reg, MaxConcurrent: 1, MaxQueue: 1,
+		Logger: slog.New(slog.NewTextHandler(slowWriter{}, &slog.HandlerOptions{Level: slog.LevelDebug})),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const callers, each = 2, 50
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for k := 0; k < callers; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := 0; i < each && errs[k] == nil; i++ {
+				_, errs[k] = c.Query(testQueries[0])
+			}
+		}(k)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatalf("%d callers against an admission limit of 2: %v", callers, err)
+		}
+	}
+	if v := reg.Snapshot()["sensjoind_rejected_total"].(int64); v != 0 {
+		t.Fatalf("sensjoind_rejected_total = %d, want 0", v)
 	}
 }

@@ -25,10 +25,33 @@ if [ -n "$retired" ]; then
   echo "$retired" >&2
   exit 1
 fi
+# Runners are leased, not built: the daemon and the experiment suite get
+# theirs from a core.RunnerPool, and the harness's one door to a runner
+# of its own is bench.privateRunner (fault injection, kept journals, the
+# artefact experiments). A second construction site is a runner nobody
+# resets.
+built=$(grep -rn 'core\.NewRunner(' --include='*.go' --exclude='*_test.go' internal/bench internal/server || true)
+case "$built" in
+internal/bench/experiments.go:*"return core.NewRunner(setupFor("*) [ "$(printf '%s\n' "$built" | wc -l)" -eq 1 ] ;;
+*) false ;;
+esac || {
+  echo "core.NewRunner( outside bench.privateRunner in internal/bench or internal/server:" >&2
+  echo "$built" >&2
+  exit 1
+}
 go vet ./...
 go build ./...
 go test ./...
+# Lease determinism: which cells share a leased runner depends on the
+# worker count, the tables must not.
+go run ./cmd/experiments -nodes 400 -parallel 1 2>/dev/null > /tmp/sensjoin-tables-p1.txt
+go run ./cmd/experiments -nodes 400 -parallel 4 2>/dev/null > /tmp/sensjoin-tables-p4.txt
+cmp /tmp/sensjoin-tables-p1.txt /tmp/sensjoin-tables-p4.txt
 go test -race ./...
+# Runner-pool race pass, repeated: concurrent leases of one pool, the
+# reset on return, the daemon's one-runner pool and the suite's leased
+# cells at 1, 2, 4 and 8 workers.
+go test -race -count 3 -run 'Pool|Reset|AllDeterministicAcrossParallelism|AllLeasesRunners' ./internal/core ./internal/netsim ./internal/server ./internal/bench
 # Smoke the join-kernel benchmarks: one iteration proves the indexed
 # and reference paths still run on both band and equi shapes.
 go test -run=NONE -bench=ExactJoin -benchtime=1x ./internal/core
