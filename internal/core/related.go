@@ -81,27 +81,25 @@ func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include fun
 		nd.bytes += m.Size
 	})
 	defer x.Net.SetHandler(nil)
-	for i := 0; i < n; i++ {
-		id := topology.NodeID(i)
-		if id == tree.Root || !tree.Reachable(id) {
-			continue
+	send := func(id topology.NodeID) {
+		nd := &w.nodes[id]
+		size := nd.bytes
+		if p.nodes[id].flags != 0 && (include == nil || include(id)) {
+			nd.own = true
+			size += p.nodes[id].tupleBytes
 		}
-		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slot
-		x.Sim.ScheduleNode(id, id, deadline, func() {
-			nd := &w.nodes[id]
-			size := nd.bytes
-			if p.nodes[id].flags != 0 && (include == nil || include(id)) {
-				nd.own = true
-				size += p.nodes[id].tupleBytes
-			}
-			if len(nd.children) == 0 && !nd.own {
-				return
-			}
-			x.Net.Send(netsim.Message{
-				Kind: kindFinal, Src: id, Dst: tree.Parent[id],
-				Phase: phase, Size: size, Payload: w,
-			})
+		if len(nd.children) == 0 && !nd.own {
+			return
+		}
+		x.Net.Send(netsim.Message{
+			Kind: kindFinal, Src: id, Dst: tree.Parent[id],
+			Phase: phase, Size: size, Payload: w,
 		})
+	}
+	// Nodes at depth d transmit in slot MaxDepth-d: one queue entry per
+	// tree level.
+	for d := 1; d <= tree.MaxDepth; d++ {
+		x.Sim.ScheduleNodes(tree.Root, tree.Level(d), start+float64(tree.MaxDepth-d)*slot, send)
 	}
 	x.Sim.RunUntil(start + float64(tree.MaxDepth+1)*slot)
 	// At most one tuple per member node can arrive.

@@ -306,13 +306,11 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 
 	// Phase A: Join-Attribute-Collection, leaves first (Fig. 2).
 	x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseJACollect, 0)
-	for i := 1; i < n; i++ {
-		id := topology.NodeID(i)
-		if !tree.Reachable(id) {
-			continue
-		}
-		deadline := start + float64(tree.MaxDepth-tree.Depth[id])*slotA
-		x.Sim.ScheduleNode(id, id, deadline, func() { r.forwardJoinAttrValues(id, &r.states[id]) })
+	// A node's deadline depends on its depth alone: one queue entry per
+	// tree level, not one per node.
+	forwardA := func(id topology.NodeID) { r.forwardJoinAttrValues(id, &r.states[id]) }
+	for d := 1; d <= tree.MaxDepth; d++ {
+		x.Sim.ScheduleNodes(topology.BaseStation, tree.Level(d), start+float64(tree.MaxDepth-d)*slotA, forwardA)
 	}
 
 	// The base station closes phase A, computes the filter and starts
@@ -340,13 +338,9 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 				x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFinalCollect, 0)
 			})
 		}
-		for i := 1; i < n; i++ {
-			id := topology.NodeID(i)
-			if !tree.Reachable(id) {
-				continue
-			}
-			deadline := tB + float64(tree.MaxDepth-tree.Depth[id])*slotC
-			x.Sim.ScheduleNode(topology.BaseStation, id, deadline, func() { r.forwardCompleteTuples(id, &r.states[id]) })
+		forwardC := func(id topology.NodeID) { r.forwardCompleteTuples(id, &r.states[id]) }
+		for d := 1; d <= tree.MaxDepth; d++ {
+			x.Sim.ScheduleNodes(topology.BaseStation, tree.Level(d), tB+float64(tree.MaxDepth-d)*slotC, forwardC)
 		}
 		tEnd := tB + float64(tree.MaxDepth+1)*slotC
 		x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tEnd, func() {

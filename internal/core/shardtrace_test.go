@@ -12,9 +12,9 @@ import (
 
 const shardTraceSrc = `SELECT A.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 8.0 ONCE`
 
-// shardTraceJournal runs one traced query on a runner with the given
-// shard count and returns the run's journal plus its JSONL rendering.
-func shardTraceJournal(t *testing.T, shards int, m Method) (*trace.Journal, []byte) {
+// shardTraceJournal traces what run does on a runner with the given
+// shard count and returns the journal's JSONL rendering.
+func shardTraceJournal(t *testing.T, shards int, run func(r *Runner) error) []byte {
 	t.Helper()
 	r, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3, Shards: shards, Private: true, SetupWorkers: 1})
 	if err != nil {
@@ -22,35 +22,75 @@ func shardTraceJournal(t *testing.T, shards int, m Method) (*trace.Journal, []by
 	}
 	rec := r.EnableTrace()
 	mark := rec.Mark()
-	if _, err := r.Run(shardTraceSrc, m, 0); err != nil {
+	if err := run(r); err != nil {
 		t.Fatal(err)
 	}
 	if shards > 1 && !r.Sim.Sharded() {
 		t.Fatalf("shards=%d: simulator fell back to the classic engine under tracing", shards)
 	}
-	j := rec.JournalSince(mark)
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, j); err != nil {
+	if err := trace.WriteJSONL(&buf, rec.JournalSince(mark)); err != nil {
 		t.Fatal(err)
 	}
-	return j, buf.Bytes()
+	return buf.Bytes()
 }
 
 // The tentpole contract of sharded tracing: for any shard count the
 // recorded journal is BYTE-identical — per-sender message ids, region
 // clocks for timestamps and the canonical journal order remove every
-// trace of worker interleaving.
+// trace of worker interleaving. Every way a wave is scheduled is here:
+// the three SENS-Join phases, the external join's collection, Mediated's
+// collection along a tree rooted away from node 0, a shared round of
+// three queries, and continuous SENS-Join over several epochs. A wave's
+// deadlines are one queue entry per (tree level, region); a deadline that
+// ran out of id order, or a level handed to another region in a different
+// order, would renumber a sender's messages.
 func TestShardTraceDeterministicJournal(t *testing.T) {
-	for _, m := range []Method{NewSENSJoin(), External{}} {
-		_, ref := shardTraceJournal(t, 0, m)
+	single := func(m Method) func(r *Runner) error {
+		return func(r *Runner) error { _, err := r.Run(shardTraceSrc, m, 0); return err }
+	}
+	for _, lane := range []struct {
+		name string
+		run  func(r *Runner) error
+	}{
+		{"sens-join", single(NewSENSJoin())},
+		{"external-join", single(External{})},
+		{"mediated-join", single(Mediated{})},
+		{"3-member group round", func(r *Runner) error {
+			g := NewQueryGroup(Options{})
+			for _, delta := range []float64{7, 7.5, 8} {
+				p, err := r.Prepare(qTempBand(delta))
+				if err != nil {
+					return err
+				}
+				if _, err := g.Add(p); err != nil {
+					return err
+				}
+			}
+			if g.Clusters() != 1 {
+				return fmt.Errorf("Clusters = %d, want one three-member cluster", g.Clusters())
+			}
+			_, err := g.RunRound(r, 0)
+			return err
+		}},
+		{"continuous sens-join", func(r *Runner) error {
+			cont := NewContinuousSENSJoin()
+			for epoch := 0; epoch < 3; epoch++ {
+				if _, err := r.Run(shardTraceSrc, cont, float64(epoch)*30); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+	} {
+		ref := shardTraceJournal(t, 0, lane.run)
 		if len(ref) == 0 {
-			t.Fatalf("%s: classic journal is empty", m.Name())
+			t.Fatalf("%s: classic journal is empty", lane.name)
 		}
-		for _, shards := range []int{2, 8} {
-			_, got := shardTraceJournal(t, shards, m)
-			if !bytes.Equal(ref, got) {
+		for _, shards := range []int{2, 4, 8} {
+			if got := shardTraceJournal(t, shards, lane.run); !bytes.Equal(ref, got) {
 				t.Fatalf("%s: journal at shards=%d differs from the classic engine (%d vs %d bytes)",
-					m.Name(), shards, len(got), len(ref))
+					lane.name, shards, len(got), len(ref))
 			}
 		}
 	}

@@ -180,30 +180,7 @@ func (s *Sim) Run() {
 		s.runSharded(inf())
 		return
 	}
-	if s.met.Events == nil {
-		// Untraced hot loop: no metrics bookkeeping per event.
-		for len(s.heap) > 0 && !s.halted {
-			e := s.heap.pop()
-			s.now = e.t
-			s.steps++
-			e.fn()
-		}
-		return
-	}
-	var batch int64
-	for len(s.heap) > 0 && !s.halted {
-		e := s.heap.pop()
-		s.now = e.t
-		s.steps++
-		if batch++; batch >= simMetricsSample {
-			s.met.Events.Add(batch)
-			batch = 0
-			s.met.Queue.Set(int64(len(s.heap)))
-		}
-		e.fn()
-	}
-	s.met.Events.Add(batch)
-	s.met.Queue.Set(int64(len(s.heap)))
+	s.runClassic(inf())
 }
 
 // RunUntil executes events with time <= t, then sets the clock to t.
@@ -213,34 +190,40 @@ func (s *Sim) RunUntil(t Time) {
 		s.runSharded(t)
 		return
 	}
+	s.runClassic(t)
+	if !s.halted && s.now < t {
+		s.now = t
+	}
+}
+
+// runClassic is the single-heap loop: events with time <= until, in
+// (t, seq) order, until the heap drains or Halt is called.
+func (s *Sim) runClassic(until Time) {
 	if s.met.Events == nil {
-		for len(s.heap) > 0 && !s.halted && s.heap[0].t <= t {
+		// Untraced hot loop: no metrics bookkeeping per event.
+		for len(s.heap) > 0 && !s.halted && s.heap[0].t <= until {
 			e := s.heap.pop()
 			s.now = e.t
 			s.steps++
 			e.fn()
 		}
-		if !s.halted && s.now < t {
-			s.now = t
-		}
 		return
 	}
-	var batch int64
-	for len(s.heap) > 0 && !s.halted && s.heap[0].t <= t {
+	// The counter follows steps, not pops: a batch entry (ScheduleNodes)
+	// is one pop and as many events as it has nodes.
+	counted := s.steps
+	for len(s.heap) > 0 && !s.halted && s.heap[0].t <= until {
 		e := s.heap.pop()
 		s.now = e.t
 		s.steps++
-		if batch++; batch >= simMetricsSample {
-			s.met.Events.Add(batch)
-			batch = 0
+		if s.steps-counted >= simMetricsSample {
+			s.met.Events.Add(s.steps - counted)
+			counted = s.steps
 			s.met.Queue.Set(int64(len(s.heap)))
 		}
 		e.fn()
 	}
-	if !s.halted && s.now < t {
-		s.now = t
-	}
-	s.met.Events.Add(batch)
+	s.met.Events.Add(s.steps - counted)
 	s.met.Queue.Set(int64(len(s.heap)))
 }
 

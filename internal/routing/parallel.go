@@ -126,6 +126,6 @@ func BuildTreeParallel(neighbors [][]topology.NodeID, root topology.NodeID, work
 		frontier = next[:dst]
 		level++
 	}
-	t.computeDescendants()
+	t.finish()
 	return t
 }

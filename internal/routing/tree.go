@@ -41,6 +41,11 @@ type Tree struct {
 	MaxDepth int
 	// Root is the base station id.
 	Root topology.NodeID
+
+	// byDepth lists the reachable non-root nodes ordered by (depth, id);
+	// levelEnd[d] is where depth d ends in it. See Level.
+	byDepth  []topology.NodeID
+	levelEnd []int
 }
 
 // BuildTree constructs the minimum-hop-count tree over the neighbor lists
@@ -76,7 +81,7 @@ func BuildTree(neighbors [][]topology.NodeID, root topology.NodeID) *Tree {
 			}
 		}
 	}
-	t.computeDescendants()
+	t.finish()
 	return t
 }
 
@@ -150,7 +155,7 @@ func BuildTreeAvoiding(neighbors [][]topology.NodeID, root topology.NodeID, avoi
 	for _, ch := range t.Children {
 		sortIDs(ch)
 	}
-	t.computeDescendants()
+	t.finish()
 	return t
 }
 
@@ -199,7 +204,7 @@ func FromParents(parent []topology.NodeID, root topology.NodeID) (*Tree, error) 
 			queue = append(queue, v)
 		}
 	}
-	t.computeDescendants()
+	t.finish()
 	return t, nil
 }
 
@@ -211,7 +216,9 @@ func sortIDs(ids []topology.NodeID) {
 	}
 }
 
-func (t *Tree) computeDescendants() {
+// finish derives what every constructor owes a Tree once parents, children
+// and depths are in place: the descendant counts and the by-depth index.
+func (t *Tree) finish() {
 	for _, u := range t.PostOrder() {
 		d := 0
 		for _, c := range t.Children[u] {
@@ -219,6 +226,34 @@ func (t *Tree) computeDescendants() {
 		}
 		t.Descendants[u] = d
 	}
+	// A counting sort by depth; walking the ids upwards leaves every level
+	// ascending.
+	t.levelEnd = make([]int, t.MaxDepth+1)
+	for _, d := range t.Depth {
+		if d > 0 {
+			t.levelEnd[d]++
+		}
+	}
+	for d := 1; d <= t.MaxDepth; d++ {
+		t.levelEnd[d] += t.levelEnd[d-1]
+	}
+	t.byDepth = make([]topology.NodeID, t.levelEnd[t.MaxDepth])
+	next := append([]int{0}, t.levelEnd[:t.MaxDepth]...)
+	for i, d := range t.Depth {
+		if d > 0 {
+			t.byDepth[next[d]] = topology.NodeID(i)
+			next[d]++
+		}
+	}
+}
+
+// Level returns the nodes at depth d (1 <= d <= MaxDepth) in ascending id
+// order: the nodes that share a transmission slot in a level-synchronous
+// collection wave. Every reachable node but the root is in exactly one
+// level. The slice is part of the immutable tree; callers must not write
+// to it.
+func (t *Tree) Level(d int) []topology.NodeID {
+	return t.byDepth[t.levelEnd[d-1]:t.levelEnd[d]:t.levelEnd[d]]
 }
 
 // Reachable reports whether node id has a path to the root.

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -261,6 +262,96 @@ func TestBuildTreeAvoidingNilMatchesBuildTree(t *testing.T) {
 		if a.Parent[i] != b.Parent[i] || a.Depth[i] != b.Depth[i] {
 			t.Fatalf("node %d differs: parent %d/%d depth %d/%d",
 				i, a.Parent[i], b.Parent[i], a.Depth[i], b.Depth[i])
+		}
+	}
+}
+
+// checkLevels asserts the by-depth index: every reachable node but the
+// root is in exactly one level, the one of its depth, levels ascend by id,
+// and an unreachable node is in none.
+func checkLevels(t *testing.T, what string, tr *Tree) {
+	t.Helper()
+	listed := make([]int, len(tr.Parent))
+	for d := 1; d <= tr.MaxDepth; d++ {
+		ids := tr.Level(d)
+		if len(ids) == 0 {
+			t.Fatalf("%s: level %d of %d is empty", what, d, tr.MaxDepth)
+		}
+		for k, id := range ids {
+			if tr.Depth[id] != d {
+				t.Fatalf("%s: node %d of depth %d listed at level %d", what, id, tr.Depth[id], d)
+			}
+			if k > 0 && ids[k-1] >= id {
+				t.Fatalf("%s: level %d is not ascending: %d before %d", what, d, ids[k-1], id)
+			}
+			listed[id]++
+		}
+	}
+	for i, c := range listed {
+		id := topology.NodeID(i)
+		want := 1
+		if id == tr.Root || !tr.Reachable(id) {
+			want = 0
+		}
+		if c != want {
+			t.Fatalf("%s: node %d (depth %d, root %d) is listed %d times, want %d", what, id, tr.Depth[i], tr.Root, c, want)
+		}
+	}
+}
+
+// Every constructor leaves the level index in place: over random
+// deployments with some nodes cut off, rooted at the base station and
+// away from it.
+func TestLevelsPartitionReachableNodes(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		n := 150
+		if seed == 6 {
+			n = 5000 // above BuildTreeParallel's sequential threshold
+		}
+		d, err := topology.Generate(topology.Config{
+			Nodes: n, Area: topology.ScaledArea(n), Range: 50, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cut every 17th node off: it keeps its id and has no links.
+		nb := make([][]topology.NodeID, d.N())
+		cut := func(id topology.NodeID) bool { return id%17 == 5 }
+		for u := range nb {
+			for _, v := range d.Neighbors[u] {
+				if !cut(topology.NodeID(u)) && !cut(v) {
+					nb[u] = append(nb[u], v)
+				}
+			}
+		}
+		for _, root := range []topology.NodeID{topology.BaseStation, topology.NodeID(n / 2)} {
+			what := func(s string) string { return fmt.Sprintf("seed %d, root %d: %s", seed, root, s) }
+			tr := BuildTree(nb, root)
+			if tr.Reachable(5) || tr.ReachableCount() < n/2 {
+				t.Fatalf("%s", what("the fixture lost its shape"))
+			}
+			checkLevels(t, what("BuildTree"), tr)
+			checkLevels(t, what("BuildTreeParallel"), BuildTreeParallel(nb, root, 4))
+			odd := func(p, c topology.NodeID) bool { return (p+c)%3 == 0 }
+			checkLevels(t, what("BuildTreeAvoiding"), BuildTreeAvoiding(nb, root, odd))
+
+			parents := append([]topology.NodeID(nil), tr.Parent...)
+			for i := range parents {
+				if i%11 == 3 {
+					parents[i] = NoParent // severs the whole subtree
+				}
+			}
+			fp, err := FromParents(parents, root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLevels(t, what("FromParents"), fp)
+
+			rep, moved := Repair(tr, nb, odd, nil)
+			if len(moved) == 0 {
+				t.Fatalf("%s", what("Repair had nothing to do"))
+			}
+			checkLevels(t, what("Repair"), rep)
 		}
 	}
 }
