@@ -55,7 +55,7 @@ func TestRunnerReleasesFinishedRun(t *testing.T) {
 			t.Errorf("%s: the finished execution is still reachable from its idle Runner", m.Name())
 		}
 		for i, st := range r.scratch.sens[:cap(r.scratch.sens)] {
-			if st.fullsIn != nil || st.keysIn != nil || st.finalsIn != nil || st.children != nil || st.proxied != nil {
+			if st.fullsIn != nil || st.keysIn != nil || st.finalFrom != nil || st.children != nil || st.proxied != nil {
 				t.Fatalf("%s: node %d of the idle sensNode slab still holds a slice", m.Name(), i)
 			}
 		}
@@ -181,9 +181,11 @@ func TestRoundAllocsPerNode(t *testing.T) {
 			}
 		}
 	}
-	// Mask state lives beside sensNode (nodeMasks), not in it.
-	if size := unsafe.Sizeof(sensNode{}); size > 224 {
-		t.Errorf("sensNode is %d bytes, want <= 224", size)
+	// Mask state lives beside sensNode (nodeMasks), not in it. The phase-C
+	// inbox is a sender list and a byte count, one word more than the tuple
+	// list it replaced.
+	if size := unsafe.Sizeof(sensNode{}); size > 232 {
+		t.Errorf("sensNode is %d bytes, want <= 232", size)
 	}
 }
 

@@ -118,8 +118,11 @@ type sensNode struct {
 	proxied        []finalTuple
 	// Phase B outcome.
 	matchedProxy []finalTuple
-	// Phase C inbox.
-	finalsIn []finalTuple
+	// Phase C inbox: who sent, in arrival order, and the bytes they
+	// announced. The tuples stay with the nodes that matched them until
+	// the base station lists them (gatherFinals).
+	finalFrom  []topology.NodeID
+	finalBytes int
 	// Memory accounting, folded into MemoryReport after the run. Keeping
 	// it per node means handlers never touch method-level state, which is
 	// what lets sharded regions run them in parallel.
@@ -213,20 +216,13 @@ type roundState struct {
 
 // nodeMasks is a node's mask bookkeeping in a round of m > 1 queries,
 // kept beside sensNode so that a single query's state stays as small as
-// it is: which members want the node's own tuple, each matched proxied
-// tuple and each tuple of the phase-C inbox.
+// it is: which members want the node's own tuple and each matched proxied
+// tuple, and how many tuples — each with its bitmap on the wire — the
+// node's phase-C message stands for.
 type nodeMasks struct {
 	own    uint64   // zero: suppressed; all ones under assume-all
 	proxy  []uint64 // aligned with sensNode.matchedProxy
-	finals []uint64 // aligned with sensNode.finalsIn
-}
-
-// maskedTuples is the phase-C payload of a round of m > 1 queries: each
-// tuple with the bitmap of the members that want it (a single query
-// sends the bare tuples).
-type maskedTuples struct {
-	tuples []finalTuple
-	masks  []uint64
+	tuples int      // in the phase-C inbox; from the deadline on, in the node's message
 }
 
 // round runs the protocol once for the cluster execs and returns one
@@ -293,12 +289,16 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 				r.onFilter(id, st, msg.Src, msg.Payload.(*filterMsg))
 			}
 		case kindFinal:
-			if r.masks == nil {
-				st.finalsIn = append(st.finalsIn, msg.Payload.([]finalTuple)...)
-			} else {
-				in := msg.Payload.(*maskedTuples)
-				st.finalsIn = append(st.finalsIn, in.tuples...)
-				r.masks[id].finals = append(r.masks[id].finals, in.masks...)
+			// Nothing is copied from hop to hop: a relay notes who it heard
+			// from and the bytes they announced (and, with bitmaps on the
+			// wire, the tuple count the sender settled at its deadline).
+			if msg.Payload != any(r) {
+				return // not this round's
+			}
+			st.finalFrom = append(st.finalFrom, msg.Src)
+			st.finalBytes += msg.Size
+			if r.masks != nil {
+				r.masks[id].tuples += r.masks[msg.Src].tuples
 			}
 		}
 	})
@@ -392,30 +392,47 @@ func (r *roundState) disseminate() int {
 	return filterBytes
 }
 
-// tuplesOf returns what member j's table is joined from at the base
-// station: the Treecut tuples, which bypass the filter for every member,
-// and the collected tuples whose bitmap names j (all of them at m = 1).
-func (r *roundState) tuplesOf(j int) []finalTuple {
-	bs := &r.states[topology.BaseStation]
-	tuples := append([]finalTuple(nil), bs.fullsIn...)
-	if r.masks == nil {
-		return append(tuples, bs.finalsIn...)
+// gatherFinals appends the tuples of node id's phase-C message — and, in a
+// round of m > 1 queries, their bitmaps — in the order a relay that copied
+// its inbox would have sent them: each sender's message in arrival order,
+// then the matched proxied tuples, the own tuple last.
+func (r *roundState) gatherFinals(tuples []finalTuple, masks []uint64, id topology.NodeID) ([]finalTuple, []uint64) {
+	st := &r.states[id]
+	for _, c := range st.finalFrom {
+		tuples, masks = r.gatherFinals(tuples, masks, c)
 	}
-	bit := uint64(1) << uint(j)
-	for i, mask := range r.masks[topology.BaseStation].finals {
-		if mask&bit != 0 {
-			tuples = append(tuples, bs.finalsIn[i])
+	tuples = append(tuples, st.matchedProxy...)
+	if st.ownMatch {
+		tuples = append(tuples, r.p.tuple(id))
+	}
+	if r.masks != nil {
+		masks = append(masks, r.masks[id].proxy...)
+		if st.ownMatch {
+			masks = append(masks, r.masks[id].own)
 		}
 	}
-	return tuples
+	return tuples, masks
 }
 
 // joinMembers ends phase C at the base station: the exact final join of
 // every member over its share of the collected tuples.
 func (r *roundState) joinMembers(at, response float64, joined func(j int, at float64, rows int)) {
+	// What member j's table is joined from: the Treecut tuples, which
+	// bypass the filter for every member, and the collected tuples whose
+	// bitmap names j (all of them at m = 1). The base station sends
+	// nothing itself: its message is what it was sent.
+	bs := &r.states[topology.BaseStation]
+	var finals []finalTuple
+	var masks []uint64
+	if r.masks == nil {
+		finals = append(finals, bs.fullsIn...) // the one member's list, built in place
+	} else {
+		masks = make([]uint64, 0, r.masks[topology.BaseStation].tuples)
+	}
+	finals, masks = r.gatherFinals(finals, masks, topology.BaseStation)
 	if r.masks != nil {
 		dedup := 0
-		for _, mask := range r.masks[topology.BaseStation].finals {
+		for _, mask := range masks {
 			if mask&(mask-1) != 0 {
 				dedup++ // shipped once, wanted by >= 2 queries
 			}
@@ -423,7 +440,16 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 		r.x.Metrics.observeMQODedup(dedup)
 	}
 	for j, xj := range r.execs {
-		tuples := r.tuplesOf(j)
+		tuples := finals
+		if r.masks != nil {
+			tuples = append([]finalTuple(nil), bs.fullsIn...)
+			bit := uint64(1) << uint(j)
+			for i, mask := range masks {
+				if mask&bit != 0 {
+					tuples = append(tuples, finals[i])
+				}
+			}
+		}
 		r.got[j] = tuples
 		rows, contrib := exactJoin(xj, tuples)
 		if joined != nil {
@@ -726,34 +752,29 @@ func (r *roundState) forwardCompleteTuples(id topology.NodeID, st *sensNode) {
 	if st.cut {
 		return
 	}
-	tuples := st.finalsIn
-	tuples = append(tuples, st.matchedProxy...)
-	if st.ownMatch {
-		tuples = append(tuples, r.p.tuple(id))
+	// The node's own share of the message; the inbox's bytes already
+	// include the bitmaps their senders added.
+	tuples, size := len(st.matchedProxy), st.finalBytes
+	for _, t := range st.matchedProxy {
+		size += t.bytes
 	}
-	if len(tuples) == 0 {
+	if st.ownMatch {
+		tuples++
+		size += r.p.nodes[id].tupleBytes
+	}
+	if tuples == 0 && len(st.finalFrom) == 0 {
 		return
 	}
-	msg := netsim.Message{
-		Kind: kindFinal, Src: id, Dst: r.x.Tree.Parent[id], Phase: PhaseFinalCollect,
-	}
-	for _, t := range tuples {
-		msg.Size += t.bytes
-	}
-	if r.masks == nil {
-		msg.Payload = tuples
-	} else {
+	if r.masks != nil {
 		mk := &r.masks[id]
-		masks := append(mk.finals, mk.proxy...)
-		if st.ownMatch {
-			masks = append(masks, mk.own)
-		}
-		bitmap := len(tuples) * perTupleMaskBytes(r.m)
-		msg.Size += bitmap
-		r.x.Metrics.observeMQOBitmap(bitmap)
-		msg.Payload = &maskedTuples{tuples: tuples, masks: masks}
+		mk.tuples += tuples
+		size += tuples * perTupleMaskBytes(r.m)
+		r.x.Metrics.observeMQOBitmap(mk.tuples * perTupleMaskBytes(r.m))
 	}
-	r.x.Net.Send(msg)
+	r.x.Net.Send(netsim.Message{
+		Kind: kindFinal, Src: id, Dst: r.x.Tree.Parent[id],
+		Phase: PhaseFinalCollect, Size: size, Payload: r,
+	})
 }
 
 // finalComplete checks (with simulator omniscience) that every member
