@@ -275,8 +275,9 @@ func TestChainRelaysAdoptTheirChildsKeySet(t *testing.T) {
 		t.Errorf("MaxSubtreeBytes = %d: an inherited size must still be accounted", m.Memory.MaxSubtreeBytes)
 	}
 	allocs := testing.AllocsPerRun(5, run)
-	// Per relay: two deadline closures, the payload, the copy its own key
-	// forces, the children list — and no copy of the adopted set.
+	// Per relay: two deadline entries (a chain has one node per tree
+	// level, so every batch is a single node), the payload, the copy its
+	// own key forces, the children list — and no copy of the adopted set.
 	if limit := 5.3 * nodes; allocs > limit {
 		t.Errorf("chain of %d: %.0f allocs/round, want <= %.0f", nodes, allocs, limit)
 	}

@@ -427,7 +427,8 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 	if r.masks == nil {
 		finals = append(finals, bs.fullsIn...) // the one member's list, built in place
 	} else {
-		masks = make([]uint64, 0, r.masks[topology.BaseStation].tuples)
+		k := r.masks[topology.BaseStation].tuples
+		finals, masks = make([]finalTuple, 0, k), make([]uint64, 0, k)
 	}
 	finals, masks = r.gatherFinals(finals, masks, topology.BaseStation)
 	if r.masks != nil {

@@ -11,9 +11,12 @@ import "sensjoin/internal/metrics"
 
 // SimMetrics instruments the event loop.
 type SimMetrics struct {
-	// Events counts executed simulator events.
+	// Events counts executed simulator events: one per node of a batch
+	// (ScheduleNodes), whatever the queue held for them.
 	Events *metrics.Counter
-	// Queue tracks the event-queue depth.
+	// Queue tracks the event-queue depth in entries. A collection wave
+	// queues one entry per (tree level, region), so during a round this
+	// reads tree depth plus messages in flight, not the node count.
 	Queue *metrics.Gauge
 }
 
@@ -23,7 +26,7 @@ type SimMetrics struct {
 func NewSimMetrics(r *metrics.Registry) SimMetrics {
 	return SimMetrics{
 		Events: r.Counter("sensjoin_netsim_events_total", "simulator events executed"),
-		Queue:  r.Gauge("sensjoin_netsim_queue_depth", "pending events in the simulator queue"),
+		Queue:  r.Gauge("sensjoin_netsim_queue_depth", "pending entries in the simulator queue (a batch of node deadlines is one)"),
 	}
 }
 
@@ -41,7 +44,7 @@ type NetMetrics struct {
 	InFlight   *metrics.Gauge   // reliable transfers currently in flight
 	// ShardFallback counts reversions from the sharded to the classic
 	// engine because a feature with cross-node mutable hot-path state
-	// (tracing, reliable transport, loss models, churn) was enabled.
+	// (reliable transport, loss models, churn) was enabled.
 	ShardFallback *metrics.Counter
 }
 

@@ -82,6 +82,17 @@ func (h *eventHeap) pop() event {
 // Events at equal times run in scheduling order, so runs are
 // deterministic. With EnableSharding the single heap is replaced by
 // per-region heaps executed in parallel windows (see shard.go).
+//
+// The queue holds entries, not events. Schedule and ScheduleNode queue
+// one entry for one event. ScheduleNodes queues a schedule — "these
+// nodes, in this order, at t" — as one entry per region and counts one
+// event per node when it runs, so Steps and the event counter read what
+// per-node scheduling would have read while Pending and the queue gauge
+// read what is actually queued: for a protocol round, the routing tree's
+// depth plus the messages in flight. Steps count events because that is
+// the unit every figure derived from them uses (events per second, events
+// per node-round, the benchmark's goldens); a cheaper spelling of the
+// same deadlines must not move them.
 type Sim struct {
 	now    Time
 	heap   eventHeap
@@ -137,7 +148,8 @@ func (s *Sim) NodeNow(id NodeID) Time {
 	return s.now
 }
 
-// Steps returns the number of events executed so far.
+// Steps returns the number of events executed so far: a batch counts one
+// per node.
 func (s *Sim) Steps() int64 { return s.steps }
 
 // Schedule runs fn at absolute time t. Scheduling in the past panics:
@@ -230,7 +242,8 @@ func (s *Sim) runClassic(until Time) {
 // Halt stops Run/RunUntil after the current event returns.
 func (s *Sim) Halt() { s.halted = true }
 
-// Pending reports how many events are queued.
+// Pending reports how many entries are queued; a batch is one entry per
+// region whatever its size.
 func (s *Sim) Pending() int {
 	if s.sh != nil {
 		n := 0

@@ -373,7 +373,10 @@ func (c *Client) Query(src string) (*Table, error) {
 }
 
 // QueryOpts runs a query and returns its first (for one-shot queries,
-// only) table, discarding any further epochs.
+// only) table, discarding any further epochs. A query of one epoch is
+// read through its terminal frame, which the server sends once the query
+// has left admission: when QueryOpts returns, the caller's next query
+// does not compete with this one for a slot.
 func (c *Client) QueryOpts(src string, o Options) (*Table, error) {
 	st, err := c.Stream(src, o)
 	if err != nil {
@@ -383,7 +386,10 @@ func (c *Client) QueryOpts(src string, o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.Close()
+	if o.Rounds <= 1 {
+		st.Next() // Done; whatever comes instead, the table is already whole
+	}
+	st.Close() // cancels what is still running, nothing after Done
 	return t, nil
 }
 

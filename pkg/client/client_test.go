@@ -262,3 +262,64 @@ func TestCloseDisablesReconnect(t *testing.T) {
 		t.Fatalf("query after Close: %v, want ErrClosedPipe", err)
 	}
 }
+
+// A query of one epoch is read through its Done frame: Query returns
+// after the server let the query go, and sends nothing behind it — no
+// Cancel for a query that has already finished. Asking for the first of
+// several epochs still cancels the rest.
+func TestClosedLoopQueryReadsThroughDone(t *testing.T) {
+	kinds := make(chan byte, 16)
+	fs := newFakeServer(t, func(conn net.Conn) {
+		for {
+			kind, payload, err := proto.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			kinds <- kind
+			if kind != proto.KindQuery {
+				continue
+			}
+			var q proto.Query
+			proto.Decode(payload, &q)
+			proto.WriteFrame(conn, proto.KindHeader, proto.Header{ID: q.ID, Columns: []string{"A.temp"}})
+			proto.WriteFrame(conn, proto.KindRows, proto.Rows{ID: q.ID, Rows: [][]float64{{21.5}}})
+			proto.WriteFrame(conn, proto.KindEpochEnd, proto.EpochEnd{ID: q.ID, RowCount: 1, Complete: true})
+			if q.Rounds <= 1 {
+				// The terminal frame is late: Query must wait for it.
+				time.Sleep(20 * time.Millisecond)
+				kinds <- proto.KindDone
+				proto.WriteFrame(conn, proto.KindDone, proto.Done{ID: q.ID, Epochs: 1})
+			}
+		}
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	next := func() byte {
+		select {
+		case k := <-kinds:
+			return k
+		case <-time.After(2 * time.Second):
+			t.Fatal("the server saw no further frame")
+			return 0
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := c.Query(`SELECT ...`); err != nil {
+			t.Fatal(err)
+		}
+		// By the time Query returns the server has sent Done, and the next
+		// frame it reads is the next Query.
+		if q, d := next(), next(); q != proto.KindQuery || d != proto.KindDone {
+			t.Fatalf("query %d: the server saw frame kinds %d, %d; want Query then its own Done", i, q, d)
+		}
+	}
+	if _, err := c.QueryOpts(`SELECT ...`, client.Options{Rounds: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if q, cancel := next(), next(); q != proto.KindQuery || cancel != proto.KindCancel {
+		t.Fatalf("first of five epochs: the server saw frame kinds %d, %d; want Query, Cancel", q, cancel)
+	}
+}

@@ -25,6 +25,16 @@ if [ -n "$retired" ]; then
   echo "$retired" >&2
   exit 1
 fi
+# A collection wave is scheduled per tree level (Sim.ScheduleNodes over
+# routing.Tree.Level), never as one deadline event per node: the two
+# spellings the per-node loops used stay gone from internal/core.
+pernode=$(grep -rnE 'ScheduleNode\((id, id|topology\.BaseStation, id),' \
+  --include='*.go' --exclude='*_test.go' internal/core || true)
+if [ -n "$pernode" ]; then
+  echo "per-node deadline scheduling is back in internal/core:" >&2
+  echo "$pernode" >&2
+  exit 1
+fi
 # Runners are leased, not built: the daemon and the experiment suite get
 # theirs from a core.RunnerPool, and the harness's one door to a runner
 # of its own is bench.privateRunner (fault injection, kept journals, the
@@ -144,6 +154,11 @@ grep -q '"ByteIdentical": true' /tmp/sensjoin-serve.json
 # protocol-violation answers) and the client's demux and table
 # assembly under the race detector.
 go test -race ./internal/server ./internal/proto ./pkg/client
+# Slow lane: the closed-loop and admission tests 200 times over. A caller
+# at the admission limit is refused only when a slot outlives the frame
+# that ends its query, and that shows as a flake of a few percent, not as
+# a failure of one run.
+go test -count 200 ./internal/server ./pkg/client -run 'ClosedLoop|Admission'
 # Wire-codec fuzz smoke: 5 s per target on the frame reader and the
 # Rows decoder (never panic, never allocate beyond what the bytes that
 # arrived account for, encode and decode are exact inverses).
@@ -162,6 +177,9 @@ go test -run '^$' -fuzz '^FuzzSizeBits$' -fuzztime 5s -fuzzminimizetime 0 ./inte
 go test -run '^$' -bench 'Rows|ClientRoundTrip' -benchtime 1x -benchmem ./internal/proto ./pkg/client
 go test -run '^$' -bench 'SizeBits|Encode1500|ZlibCompress' -benchtime 1x -benchmem ./internal/quadtree ./internal/compress
 go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound|ExternalRound|CollectorCharge' -benchtime 1x -benchmem ./internal/core ./internal/stats
+# The event queue's share of a wave: every node of a 40-level tree gets a
+# deadline, at 1 500 and 100 000 nodes, on one heap and on two regions.
+go test -run '^$' -bench 'WaveSchedule' -benchtime 1x -benchmem ./internal/netsim
 # Shared-state race pass, repeated for more interleavings than the
 # general -race run above gives: pooled zlib writers, the snapshot ring
 # and concurrent first fill, the calibration memo and its release, and
