@@ -3,11 +3,20 @@
 //
 // Usage:
 //
-//	experiments [-nodes 1500] [-seed 42] [-packet 48] [-only E1a,E8]
-//	            [-parallel N] [-csv] [-json] [-audit] [-trace run.jsonl]
-//	            [-loss 0.05,0.10] [-cpuprofile cpu.out] [-memprofile mem.out]
-//	            [-serve :9137] [-progress] [-hold]
-//	            [-scale 10000,100000] [-mqo -mqo-n 1,2,4,8,16 -mqo-json BENCH_mqo.json]
+//	experiments [-only E1a,E8] [-nodes 1500] [-seed 42] [-packet 48]
+//	            [-parallel N] [-csv] [-json] [-audit] [-out result.json]
+//	            [-cpuprofile cpu.out] [-memprofile mem.out]
+//	            [-serve :9137] [-progress] [-hold] [-trace run.jsonl]
+//	experiments -only L1 -loss 0.05,0.10
+//	experiments -only X7 -scale 10000,100000 [-shards 1,8] -out BENCH_scale.json
+//	experiments -only X8 [-mqo-n 1,2,4,8,16] -out BENCH_mqo.json
+//	experiments -only X9 [-serve-seconds 3] -out BENCH_serve.json
+//	experiments -only X10 [-churn-rates 0,0.01,0.05] [-churn-rounds 20] -out BENCH_churn.json
+//
+// -only selects from bench.Suite by id; without it the experiments of
+// bench.All run. L1 and X7–X10 run only when named: each reads its
+// parameter flags, and -out writes the machine-readable result of the one
+// selected experiment that has one.
 //
 // Output is a sequence of aligned text tables, one per experiment, with
 // notes comparing the measured shape to the paper's claims; -csv and
@@ -30,7 +39,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -41,57 +49,85 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if err != flag.ErrHelp {
+			fmt.Fprintln(os.Stderr, err)
+		}
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	nodes := flag.Int("nodes", 1500, "sensor node count (paper default 1500)")
-	seed := flag.Int64("seed", 42, "placement and field seed")
-	packet := flag.Int("packet", 48, "maximum packet size in bytes")
-	only := flag.String("only", "", "comma-separated experiment ids to run (e.g. E1a,E8); empty = all")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.Bool("json", false, "emit one JSON document with tables, packet totals and timings")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "worker count for experiment/sweep-cell fan-out; 1 = sequential")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
-	audit := flag.Bool("audit", false, "self-audit every execution against its journal; violations fail the experiment")
-	traceFile := flag.String("trace", "", "instead of the suite, journal one calibrated SENS-Join run: JSONL to this file, Chrome trace alongside, breakdown to stdout")
-	loss := flag.String("loss", "", "comma-separated packet loss rates (e.g. 0.05,0.10): adds the L1 loss-resilience sweep with hop-by-hop reliable transport")
-	serveAddr := flag.String("serve", "", "serve live observability on this address (e.g. :9137 or 127.0.0.1:0): /metrics, /progress, /debug/vars, /debug/pprof/")
-	progress := flag.Bool("progress", false, "print per-cell sweep completion lines to stderr")
-	hold := flag.Bool("hold", false, "with -serve: keep serving after the suite finishes until GET /quit or interrupt")
-	scale := flag.String("scale", "", "comma-separated node counts (e.g. 10000,100000): instead of the suite, run the X7 scale experiment")
-	shards := flag.String("shards", "1,8", "with -scale: comma-separated simulator shard counts per size")
-	scaleJSON := flag.String("scale-json", "", "with -scale: also write the machine-readable result to this file")
-	mqo := flag.Bool("mqo", false, "instead of the suite, run the X8 multi-query optimization experiment")
-	mqoNs := flag.String("mqo-n", "1,2,4,8,16", "with -mqo: comma-separated concurrent query counts")
-	mqoJSON := flag.String("mqo-json", "", "with -mqo: also write the machine-readable result to this file")
-	churn := flag.Bool("churn", false, "instead of the suite, run the X10 churn-resilience experiment")
-	churnRates := flag.String("churn-rates", "0,0.01,0.05", "with -churn: comma-separated per-epoch churn rates")
-	churnRounds := flag.Int("churn-rounds", 20, "with -churn: query rounds per cell")
-	churnNodes := flag.Int("churn-nodes", 150, "with -churn: deployment node count")
-	churnJSON := flag.String("churn-json", "", "with -churn: also write the machine-readable result to this file")
-	serveLoad := flag.Bool("serve-load", false, "instead of the suite, run the X9 sensjoind serving-load experiment")
-	serveNodes := flag.Int("serve-nodes", 150, "with -serve-load: deployment node count")
-	serveClients := flag.Int("serve-clients", 0, "with -serve-load: concurrent client sessions (0 = 2x GOMAXPROCS)")
-	serveSeconds := flag.Float64("serve-seconds", 3, "with -serve-load: measured load window in seconds")
-	serveLoadJSON := flag.String("serve-load-json", "", "with -serve-load: also write the machine-readable result to this file")
-	flag.Parse()
+// suiteNodes is the node count the experiments of bench.All default to,
+// shown in the header when -nodes is not given.
+const suiteNodes = 1500
 
-	var lossRates []float64
-	if *loss != "" {
-		for _, s := range strings.Split(*loss, ",") {
-			var rate float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &rate); err != nil {
-				return fmt.Errorf("-loss: cannot parse rate %q: %w", s, err)
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a bad flag is the returned error, said once
+	nodes := fs.Int("nodes", 0, "sensor node count; 0 = each experiment's own default (the paper's 1500; 150 for X9 and X10)")
+	seed := fs.Int64("seed", 42, "placement and field seed")
+	packet := fs.Int("packet", 48, "maximum packet size in bytes")
+	only := fs.String("only", "", "comma-separated experiment ids to run (e.g. E1a,E8,X8); empty = the suite of bench.All")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	jsonOut := fs.Bool("json", false, "emit one JSON document with tables, packet totals and timings")
+	out := fs.String("out", "", "write the selected experiment's machine-readable result (X7-X10, the BENCH_*.json artefacts) to this file")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "worker count for experiment/sweep-cell fan-out; 1 = sequential")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
+	audit := fs.Bool("audit", false, "self-audit every execution against its journal; violations fail the experiment")
+	traceFile := fs.String("trace", "", "instead of the suite, journal one calibrated SENS-Join run: JSONL to this file, Chrome trace alongside, breakdown to stdout")
+	serveAddr := fs.String("serve", "", "serve live observability on this address (e.g. :9137 or 127.0.0.1:0): /metrics, /progress, /debug/vars, /debug/pprof/")
+	progress := fs.Bool("progress", false, "print per-cell sweep completion lines to stderr")
+	hold := fs.Bool("hold", false, "with -serve: keep serving after the suite finishes until GET /quit or interrupt")
+	loss := fs.String("loss", "", "L1: comma-separated packet loss rates (e.g. 0.05,0.10) to sweep with hop-by-hop reliable transport")
+	scale := fs.String("scale", "", "X7: comma-separated node counts (e.g. 10000,100000)")
+	shards := fs.String("shards", "1,8", "X7: comma-separated simulator shard counts per size")
+	mqoNs := fs.String("mqo-n", "1,2,4,8,16", "X8: comma-separated concurrent query counts")
+	churnRates := fs.String("churn-rates", "0,0.01,0.05", "X10: comma-separated per-epoch churn rates")
+	churnRounds := fs.Int("churn-rounds", 20, "X10: query rounds per cell")
+	serveSeconds := fs.Float64("serve-seconds", 3, "X9: measured load window in seconds")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			fs.SetOutput(stderr)
+			fs.Usage()
+		}
+		return err
+	}
+
+	params := bench.Params{
+		ChurnRounds: *churnRounds,
+		ServeWindow: time.Duration(*serveSeconds * float64(time.Second)),
+	}
+	var err error
+	if params.Loss, err = rateList("-loss", *loss); err != nil {
+		return err
+	}
+	if params.ChurnRates, err = rateList("-churn-rates", *churnRates); err != nil {
+		return err
+	}
+	if params.Scale, err = intList("-scale", *scale); err != nil {
+		return err
+	}
+	if params.Shards, err = intList("-shards", *shards); err != nil {
+		return err
+	}
+	if params.MQONs, err = intList("-mqo-n", *mqoNs); err != nil {
+		return err
+	}
+
+	active, err := selectExperiments(*only)
+	if err != nil {
+		return err
+	}
+	if *out != "" {
+		var with []string
+		for _, e := range active {
+			if e.Artefact != "" {
+				with = append(with, e.ID)
 			}
-			if rate < 0 || rate >= 1 {
-				return fmt.Errorf("-loss: rate %g out of range [0, 1)", rate)
-			}
-			lossRates = append(lossRates, rate)
+		}
+		if len(with) != 1 {
+			return fmt.Errorf("-out writes one JSON result: select exactly one of X7, X8, X9, X10 with -only (selected: %d %v)", len(with), with)
 		}
 	}
 
@@ -104,13 +140,12 @@ func run() error {
 	if *serveAddr != "" || *progress {
 		var progW io.Writer
 		if *progress {
-			progW = os.Stderr
+			progW = stderr
 		}
 		cfg.Progress = bench.NewProgress(progW)
 	}
 	if *serveAddr != "" {
 		cfg.Metrics = metrics.New()
-		var err error
 		if obs, err = startServe(*serveAddr, cfg.Metrics, cfg.Progress); err != nil {
 			return err
 		}
@@ -118,45 +153,7 @@ func run() error {
 	}
 
 	if *traceFile != "" {
-		return writeTrace(cfg, *traceFile)
-	}
-	if *scale != "" {
-		return runScale(*scale, *shards, *seed, *scaleJSON, *cpuprofile)
-	}
-	if *mqo {
-		return runMQO(*nodes, *seed, *packet, *mqoNs, *mqoJSON)
-	}
-	if *churn {
-		return runChurn(*churnNodes, *seed, *packet, *parallel, *churnRates, *churnRounds, *churnJSON)
-	}
-	if *serveLoad {
-		return runServeLoad(*serveNodes, *seed, *serveClients, *serveSeconds, *serveLoadJSON)
-	}
-
-	// bench.Suite's element type, spelled out so L1 can join the list.
-	type experiment = struct {
-		ID  string
-		Run func(bench.Config) (*bench.Table, error)
-	}
-	suite := bench.Suite
-	if len(lossRates) > 0 {
-		suite = append(slices.Clip(suite), experiment{"L1", func(c bench.Config) (*bench.Table, error) {
-			return bench.RunLossResilience(c, lossRates)
-		}})
-	}
-
-	selected := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(id)] = true
-		}
-	}
-	var active []experiment
-	for _, e := range suite {
-		if len(selected) > 0 && !selected[e.ID] {
-			continue
-		}
-		active = append(active, e)
+		return writeTrace(cfg, *traceFile, stdout, stderr)
 	}
 
 	if *cpuprofile != "" {
@@ -175,20 +172,21 @@ func run() error {
 	// per-experiment sweep-cell fan-out), then print in declaration
 	// order: stdout stays byte-identical for every -parallel value.
 	type result struct {
-		tbl     *bench.Table
-		elapsed time.Duration
+		tbl      *bench.Table
+		artefact any
+		elapsed  time.Duration
 	}
 	cfg.Progress.Begin("suite", len(active))
 	jobs := make([]func() (result, error), len(active))
 	for i, e := range active {
 		jobs[i] = func() (result, error) {
 			t0 := time.Now()
-			tbl, err := e.Run(cfg)
+			tbl, artefact, err := e.Run(cfg, params)
 			cfg.Progress.CellDone("suite", err == nil)
 			if err != nil {
 				return result{}, fmt.Errorf("%s failed: %w", e.ID, err)
 			}
-			return result{tbl: tbl, elapsed: time.Since(t0)}, nil
+			return result{tbl: tbl, artefact: artefact, elapsed: time.Since(t0)}, nil
 		}
 	}
 	start := time.Now()
@@ -209,23 +207,35 @@ func run() error {
 			return err
 		}
 	}
+	if *out != "" {
+		for _, r := range results {
+			if r.artefact != nil {
+				if err := writeJSON(*out, r.artefact); err != nil {
+					return err
+				}
+			}
+		}
+	}
 
+	shownNodes := *nodes
+	if shownNodes == 0 {
+		shownNodes = suiteNodes
+	}
 	if *jsonOut {
 		doc := jsonDoc{
-			Nodes: cfg.Nodes, Seed: cfg.Seed, MaxPacket: cfg.MaxPacket,
+			Nodes: shownNodes, Seed: cfg.Seed, MaxPacket: cfg.MaxPacket,
 			Parallel: *parallel, Total: total.Seconds(),
 		}
-		for i := range active {
-			tbl := results[i].tbl
+		for _, r := range results {
 			doc.Experiments = append(doc.Experiments, jsonExperiment{
-				ID: tbl.ID, Title: tbl.Title, Header: tbl.Header,
-				Rows: tbl.Rows, Notes: tbl.Notes,
-				TxPackets: tbl.TxPackets,
-				Elapsed:   results[i].elapsed.Seconds(),
+				ID: r.tbl.ID, Title: r.tbl.Title, Header: r.tbl.Header,
+				Rows: r.tbl.Rows, Notes: r.tbl.Notes,
+				TxPackets: r.tbl.TxPackets,
+				Elapsed:   r.elapsed.Seconds(),
 			})
-			doc.TxPackets += tbl.TxPackets
+			doc.TxPackets += r.tbl.TxPackets
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
 			return err
@@ -236,28 +246,66 @@ func run() error {
 		return nil
 	}
 
-	fmt.Printf("SENS-Join experiment suite — %d nodes, seed %d, %dB packets\n\n", *nodes, *seed, *packet)
+	// The header states the suite's configuration; the on-demand
+	// experiments carry theirs in their own titles.
+	for _, e := range active {
+		if !e.OnDemand {
+			fmt.Fprintf(stdout, "SENS-Join experiment suite — %d nodes, seed %d, %dB packets\n\n", shownNodes, *seed, *packet)
+			break
+		}
+	}
 	for i, e := range active {
 		tbl := results[i].tbl
 		if *csv {
-			fmt.Printf("# %s — %s\n%s\n", tbl.ID, tbl.Title, tbl.CSV())
+			fmt.Fprintf(stdout, "# %s — %s\n%s\n", tbl.ID, tbl.Title, tbl.CSV())
 		} else {
-			fmt.Println(tbl)
+			fmt.Fprintln(stdout, tbl)
 		}
-		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.ID, results[i].elapsed.Seconds())
+		fmt.Fprintf(stderr, "(%s in %.1fs)\n", e.ID, results[i].elapsed.Seconds())
 	}
-	fmt.Fprintf(os.Stderr, "total: %.1fs (parallel %d)\n", total.Seconds(), *parallel)
+	fmt.Fprintf(stderr, "total: %.1fs (parallel %d)\n", total.Seconds(), *parallel)
 	if obs != nil && *hold {
 		obs.hold()
 	}
 	return nil
 }
 
-// intList parses a comma-separated list of positive integers.
+// selectExperiments returns the experiments -only names, in Suite order;
+// an empty list selects what bench.All runs.
+func selectExperiments(only string) ([]bench.Experiment, error) {
+	var active []bench.Experiment
+	if only == "" {
+		for _, e := range bench.Suite {
+			if !e.OnDemand {
+				active = append(active, e)
+			}
+		}
+		return active, nil
+	}
+	wanted := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		wanted[strings.TrimSpace(id)] = true
+	}
+	var ids []string
+	for _, e := range bench.Suite {
+		ids = append(ids, e.ID)
+		if wanted[e.ID] {
+			active = append(active, e)
+			delete(wanted, e.ID)
+		}
+	}
+	for id := range wanted {
+		return nil, fmt.Errorf("-only: no experiment %q; the ids are %s", id, strings.Join(ids, ", "))
+	}
+	return active, nil
+}
+
+// intList parses a comma-separated list of positive integers; an empty
+// string is an empty list.
 func intList(flagName, s string) ([]int, error) {
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
+	for _, part := range splitList(s) {
+		v, err := strconv.Atoi(part)
 		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("%s: bad value %q", flagName, part)
 		}
@@ -266,42 +314,36 @@ func intList(flagName, s string) ([]int, error) {
 	return out, nil
 }
 
-// runScale executes the X7 scale experiment: the table goes to stdout,
-// per-point progress to stderr, and -scale-json writes the raw artifact.
-func runScale(sizes, shards string, seed int64, jsonPath, cpuprofile string) error {
-	ns, err := intList("-scale", sizes)
-	if err != nil {
-		return err
-	}
-	sh, err := intList("-shards", shards)
-	if err != nil {
-		return err
-	}
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
+// rateList parses a comma-separated list of probabilities in [0, 1); an
+// empty string is an empty list.
+func rateList(flagName, s string) ([]float64, error) {
+	var out []float64
+	for _, part := range splitList(s) {
+		rate, err := strconv.ParseFloat(part, 64)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("%s: cannot parse rate %q: %w", flagName, part, err)
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
+		if !(rate >= 0 && rate < 1) {
+			return nil, fmt.Errorf("%s: rate %g out of range [0, 1)", flagName, rate)
 		}
-		defer pprof.StopCPUProfile()
+		out = append(out, rate)
 	}
-	res, err := bench.RunScale(bench.ScaleConfig{Sizes: ns, Shards: sh, Seed: seed})
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Table())
-	return writeJSON(jsonPath, res)
+	return out, nil
 }
 
-// writeJSON writes v as indented JSON to the artifact file path; an empty
-// path (the flag was not given) writes nothing.
-func writeJSON(path string, v any) error {
-	if path == "" {
+func splitList(s string) []string {
+	if s == "" {
 		return nil
 	}
+	parts := strings.Split(s, ",")
+	for i := range parts {
+		parts[i] = strings.TrimSpace(parts[i])
+	}
+	return parts
+}
+
+// writeJSON writes v as indented JSON to the artefact file path.
+func writeJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -315,64 +357,10 @@ func writeJSON(path string, v any) error {
 	return f.Close()
 }
 
-// runMQO executes the X8 shared-execution experiment: the table goes to
-// stdout and -mqo-json writes the raw artifact.
-func runMQO(nodes int, seed int64, packet int, nsList, jsonPath string) error {
-	ns, err := intList("-mqo-n", nsList)
-	if err != nil {
-		return err
-	}
-	res, err := bench.RunMQO(bench.MQOConfig{Nodes: nodes, Seed: seed, MaxPacket: packet, Ns: ns})
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Table())
-	return writeJSON(jsonPath, res)
-}
-
-// runChurn executes the X10 churn-resilience experiment: the table goes
-// to stdout and -churn-json writes the raw artifact.
-func runChurn(nodes int, seed int64, packet, parallel int, ratesList string, rounds int, jsonPath string) error {
-	var rates []float64
-	for _, s := range strings.Split(ratesList, ",") {
-		var rate float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &rate); err != nil {
-			return fmt.Errorf("-churn-rates: cannot parse rate %q: %w", s, err)
-		}
-		if rate < 0 || rate >= 1 {
-			return fmt.Errorf("-churn-rates: rate %g out of range [0, 1)", rate)
-		}
-		rates = append(rates, rate)
-	}
-	res, err := bench.RunChurnResilience(bench.ChurnBenchConfig{
-		Nodes: nodes, Seed: seed, MaxPacket: packet, Parallel: parallel,
-		Rates: rates, Rounds: rounds,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Table())
-	return writeJSON(jsonPath, res)
-}
-
-// runServeLoad executes the X9 serving experiment: the table goes to
-// stdout and -serve-load-json writes the raw artifact.
-func runServeLoad(nodes int, seed int64, clients int, seconds float64, jsonPath string) error {
-	res, err := bench.RunServeLoad(bench.ServeConfig{
-		Nodes: nodes, Seed: seed, Clients: clients,
-		Duration: time.Duration(seconds * float64(time.Second)),
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Table())
-	return writeJSON(jsonPath, res)
-}
-
 // writeTrace journals one calibrated SENS-Join run, writes it as JSON
 // Lines plus a Chrome trace_event file (gzipped when path ends in
 // ".gz"), and prints the per-phase response-time breakdown.
-func writeTrace(cfg bench.Config, path string) error {
+func writeTrace(cfg bench.Config, path string, stdout, stderr io.Writer) error {
 	j, violations, err := bench.RunTraced(cfg)
 	if err != nil {
 		return err
@@ -384,10 +372,10 @@ func writeTrace(cfg bench.Config, path string) error {
 	if err := trace.ExportChrome(chrome, j); err != nil {
 		return err
 	}
-	fmt.Printf("journal: %d events -> %s (+ %s)\n\n", len(j.Events), path, chrome)
-	fmt.Println(trace.PhaseBreakdown(j))
+	fmt.Fprintf(stdout, "journal: %d events -> %s (+ %s)\n\n", len(j.Events), path, chrome)
+	fmt.Fprintln(stdout, trace.PhaseBreakdown(j))
 	for _, v := range violations {
-		fmt.Fprintf(os.Stderr, "audit violation: %s\n", v)
+		fmt.Fprintf(stderr, "audit violation: %s\n", v)
 	}
 	if len(violations) > 0 {
 		return fmt.Errorf("%d audit violation(s)", len(violations))

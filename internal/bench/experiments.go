@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"sensjoin/internal/compress"
 	"sensjoin/internal/core"
@@ -1025,52 +1027,130 @@ func RunMemory(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// Suite lists the default experiments in paper order, by the short id
-// `experiments -only` selects. All and cmd/experiments both range over it.
-var Suite = []struct {
-	ID  string
-	Run func(Config) (*Table, error)
-}{
-	{"E1a", func(c Config) (*Table, error) { return RunOverallSavings(c, workload.Ratio33()) }},
-	{"E1b", func(c Config) (*Table, error) { return RunOverallSavings(c, workload.Ratio60()) }},
-	{"E2a", func(c Config) (*Table, error) { return RunPerNodeSavings(c, workload.Ratio33()) }},
-	{"E2b", func(c Config) (*Table, error) { return RunPerNodeSavings(c, workload.Ratio60()) }},
-	{"E3", func(c Config) (*Table, error) { return RunRatioSweep(c, workload.RatioSweep3JA(), "E3 / Fig. 12") }},
-	{"E4", func(c Config) (*Table, error) { return RunRatioSweep(c, workload.RatioSweep1JA(), "E4 / Fig. 13") }},
-	{"E5", func(c Config) (*Table, error) { return RunNetworkSize(c, nil, workload.Ratio33()) }},
-	{"E6", func(c Config) (*Table, error) { return RunPacketSize(c, workload.Ratio33()) }},
-	{"E7", func(c Config) (*Table, error) { return RunStepBreakdown(c, nil, workload.Ratio60()) }},
-	{"E8", RunCompressionComparison},
-	{"E9", RunQuadInfluence},
-	{"A1", func(c Config) (*Table, error) { return RunTreecutAblation(c, workload.Ratio33()) }},
-	{"A2", func(c Config) (*Table, error) { return RunFilterLimitAblation(c, workload.Ratio33()) }},
-	{"X1", func(c Config) (*Table, error) { return RunIncrementalFilter(c, 0, 0) }},
-	{"X2", RunRelatedWork},
-	{"X3", RunLifetime},
-	{"X4", RunResponseTime},
-	{"X5", RunMemory},
-	{"X6", RunEnergyLifetime},
+// Experiment is one entry of Suite.
+type Experiment struct {
+	// ID is the short id `experiments -only` selects.
+	ID string
+	// Run executes the experiment and returns its table and, when
+	// Artefact is set, the value whose JSON `experiments -out` writes.
+	Run func(Config, Params) (*Table, any, error)
+	// OnDemand marks an experiment All leaves out: it needs a parameter
+	// (L1), or its table is wall-clock and machine-dependent (X7, X9), or
+	// it takes the suite's own time again (X8, X10).
+	OnDemand bool
+	// Artefact names the checked-in record of the experiment's JSON
+	// result; empty when the table is all there is.
+	Artefact string
 }
 
-// All runs every experiment of Suite at the given configuration. Whole
-// experiments fan out over cfg.Parallel workers (on top of the
-// per-experiment sweep-cell fan-out); the returned tables are in
-// declaration order and byte-identical for every worker count.
+// Params carries what the on-demand experiments need beyond Config; the
+// experiments of All ignore it.
+type Params struct {
+	// Loss lists L1's packet loss rates.
+	Loss []float64
+	// Scale and Shards list X7's node counts and the simulator shard
+	// counts measured at each.
+	Scale, Shards []int
+	// MQONs lists X8's concurrent query counts.
+	MQONs []int
+	// ChurnRates and ChurnRounds are X10's per-epoch churn rates and the
+	// query rounds per cell.
+	ChurnRates  []float64
+	ChurnRounds int
+	// ServeWindow is X9's measured load window.
+	ServeWindow time.Duration
+}
+
+// tableOnly adapts an experiment that reads Config alone.
+func tableOnly(run func(Config) (*Table, error)) func(Config, Params) (*Table, any, error) {
+	return func(c Config, _ Params) (*Table, any, error) {
+		t, err := run(c)
+		return t, nil, err
+	}
+}
+
+// withResult returns a machine-readable result with the table it renders.
+func withResult[R interface{ Table() *Table }](res R, err error) (*Table, any, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return res.Table(), res, nil
+}
+
+// Suite lists every experiment by the short id `experiments -only`
+// selects: the paper's evaluation and the ablations in paper order, which
+// All runs, then the on-demand ones. All and cmd/experiments both range
+// over it. A zero Nodes, Seed or MaxPacket in Config selects each
+// experiment's own default (1500 nodes; 150 for X9 and X10).
+var Suite = []Experiment{
+	{ID: "E1a", Run: tableOnly(func(c Config) (*Table, error) { return RunOverallSavings(c, workload.Ratio33()) })},
+	{ID: "E1b", Run: tableOnly(func(c Config) (*Table, error) { return RunOverallSavings(c, workload.Ratio60()) })},
+	{ID: "E2a", Run: tableOnly(func(c Config) (*Table, error) { return RunPerNodeSavings(c, workload.Ratio33()) })},
+	{ID: "E2b", Run: tableOnly(func(c Config) (*Table, error) { return RunPerNodeSavings(c, workload.Ratio60()) })},
+	{ID: "E3", Run: tableOnly(func(c Config) (*Table, error) { return RunRatioSweep(c, workload.RatioSweep3JA(), "E3 / Fig. 12") })},
+	{ID: "E4", Run: tableOnly(func(c Config) (*Table, error) { return RunRatioSweep(c, workload.RatioSweep1JA(), "E4 / Fig. 13") })},
+	{ID: "E5", Run: tableOnly(func(c Config) (*Table, error) { return RunNetworkSize(c, nil, workload.Ratio33()) })},
+	{ID: "E6", Run: tableOnly(func(c Config) (*Table, error) { return RunPacketSize(c, workload.Ratio33()) })},
+	{ID: "E7", Run: tableOnly(func(c Config) (*Table, error) { return RunStepBreakdown(c, nil, workload.Ratio60()) })},
+	{ID: "E8", Run: tableOnly(RunCompressionComparison)},
+	{ID: "E9", Run: tableOnly(RunQuadInfluence)},
+	{ID: "A1", Run: tableOnly(func(c Config) (*Table, error) { return RunTreecutAblation(c, workload.Ratio33()) })},
+	{ID: "A2", Run: tableOnly(func(c Config) (*Table, error) { return RunFilterLimitAblation(c, workload.Ratio33()) })},
+	{ID: "X1", Run: tableOnly(func(c Config) (*Table, error) { return RunIncrementalFilter(c, 0, 0) })},
+	{ID: "X2", Run: tableOnly(RunRelatedWork)},
+	{ID: "X3", Run: tableOnly(RunLifetime)},
+	{ID: "X4", Run: tableOnly(RunResponseTime)},
+	{ID: "X5", Run: tableOnly(RunMemory)},
+	{ID: "X6", Run: tableOnly(RunEnergyLifetime)},
+	{ID: "L1", OnDemand: true, Run: func(c Config, p Params) (*Table, any, error) {
+		if len(p.Loss) == 0 {
+			return nil, nil, errors.New("needs the packet loss rates to sweep (-loss 0.05,0.10)")
+		}
+		t, err := RunLossResilience(c, p.Loss)
+		return t, nil, err
+	}},
+	{ID: "X7", OnDemand: true, Artefact: "BENCH_scale.json", Run: func(c Config, p Params) (*Table, any, error) {
+		if len(p.Scale) == 0 {
+			return nil, nil, errors.New("needs the node counts to measure (-scale 10000,100000)")
+		}
+		return withResult(RunScale(ScaleConfig{Sizes: p.Scale, Shards: p.Shards, Seed: c.Seed}))
+	}},
+	{ID: "X8", OnDemand: true, Artefact: "BENCH_mqo.json", Run: func(c Config, p Params) (*Table, any, error) {
+		return withResult(RunMQO(MQOConfig{Nodes: c.Nodes, Seed: c.Seed, MaxPacket: c.MaxPacket, Ns: p.MQONs}))
+	}},
+	{ID: "X9", OnDemand: true, Artefact: "BENCH_serve.json", Run: func(c Config, p Params) (*Table, any, error) {
+		return withResult(RunServeLoad(ServeConfig{Nodes: c.Nodes, Seed: c.Seed, Duration: p.ServeWindow}))
+	}},
+	{ID: "X10", OnDemand: true, Artefact: "BENCH_churn.json", Run: func(c Config, p Params) (*Table, any, error) {
+		return withResult(RunChurnResilience(ChurnBenchConfig{
+			Nodes: c.Nodes, Seed: c.Seed, MaxPacket: c.MaxPacket, Parallel: c.Parallel,
+			Rates: p.ChurnRates, Rounds: p.ChurnRounds,
+		}))
+	}},
+}
+
+// All runs the experiments of Suite that are not on demand at the given
+// configuration. Whole experiments fan out over cfg.Parallel workers (on
+// top of the per-experiment sweep-cell fan-out); the returned tables are
+// in declaration order and byte-identical for every worker count.
 func All(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
-	// Whole-experiment completion reports under the pseudo-id
-	// "experiments"; the fanned-out sweeps inside report their own cells.
-	cfg.Progress.Begin("experiments", len(Suite))
-	jobs := make([]func() (*Table, error), len(Suite))
-	for i, exp := range Suite {
-		jobs[i] = func() (*Table, error) {
+	var jobs []func() (*Table, error)
+	for _, exp := range Suite {
+		if exp.OnDemand {
+			continue
+		}
+		jobs = append(jobs, func() (*Table, error) {
 			cfg.hm.expInflight.Inc()
-			t, err := exp.Run(cfg)
+			t, _, err := exp.Run(cfg, Params{})
 			cfg.hm.expInflight.Dec()
 			cfg.Progress.CellDone("experiments", err == nil)
 			return t, err
-		}
+		})
 	}
+	// Whole-experiment completion reports under the pseudo-id
+	// "experiments"; the fanned-out sweeps inside report their own cells.
+	cfg.Progress.Begin("experiments", len(jobs))
 	return Fanout(cfg.Parallel, jobs)
 }
 

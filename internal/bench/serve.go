@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -102,28 +101,27 @@ type PhaseQuantiles struct {
 	P99   float64
 }
 
-// Table renders the X9 result for stdout.
-func (r *ServeResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# X9 serve-load: sustained QPS through sensjoind (nodes=%d seed=%d)\n", r.Nodes, r.Seed)
-	fmt.Fprintf(&b, "%-8s %-7s %-8s %-8s %-8s %-15s %-15s %s\n",
-		"clients", "shapes", "queries", "seconds", "qps", "cache_hit_rate", "byte_identical", "rejected")
-	fmt.Fprintf(&b, "%-8d %-7d %-8d %-8.2f %-8.0f %-15.4f %-15t %d\n",
-		r.Clients, r.Shapes, r.Queries, r.Seconds, r.QPS, r.CacheHitRate, r.ByteIdentical, r.Rejected)
-	if len(r.PhaseLatencies) > 0 {
-		phases := make([]string, 0, len(r.PhaseLatencies))
-		for ph := range r.PhaseLatencies {
-			phases = append(phases, ph)
-		}
-		sort.Strings(phases)
-		fmt.Fprintf(&b, "# per-phase simulated seconds (%d sampled queries)\n", r.Traced)
-		fmt.Fprintf(&b, "%-16s %-8s %-10s %-10s %-10s\n", "phase", "count", "p50", "p95", "p99")
-		for _, ph := range phases {
-			q := r.PhaseLatencies[ph]
-			fmt.Fprintf(&b, "%-16s %-8d %-10.4f %-10.4f %-10.4f\n", ph, q.Count, q.P50, q.P95, q.P99)
-		}
+// Table renders the X9 result in the suite's table format.
+func (r *ServeResult) Table() *Table {
+	t := &Table{
+		ID:     "X9",
+		Title:  fmt.Sprintf("serve-load: sustained QPS through sensjoind (%d nodes, seed %d)", r.Nodes, r.Seed),
+		Header: []string{"clients", "shapes", "queries", "seconds", "qps", "cache_hit_rate", "byte_identical", "rejected"},
 	}
-	return b.String()
+	t.AddRow(fmtInt(int64(r.Clients)), fmtInt(int64(r.Shapes)), fmtInt(int64(r.Queries)),
+		fmt.Sprintf("%.2f", r.Seconds), fmt.Sprintf("%.0f", r.QPS), fmt.Sprintf("%.4f", r.CacheHitRate),
+		fmt.Sprintf("%t", r.ByteIdentical), fmtInt(r.Rejected))
+	phases := make([]string, 0, len(r.PhaseLatencies))
+	for ph := range r.PhaseLatencies {
+		phases = append(phases, ph)
+	}
+	sort.Strings(phases)
+	for _, ph := range phases {
+		q := r.PhaseLatencies[ph]
+		t.Note("%s: simulated seconds p50 %.4f, p95 %.4f, p99 %.4f over %d of %d sampled queries",
+			ph, q.P50, q.P95, q.P99, q.Count, r.Traced)
+	}
+	return t
 }
 
 // serveShapes builds the workload: one canonical shape per index,

@@ -85,20 +85,8 @@ func (w *Writer) writeChunk(v uint64, n int) {
 	w.nbits += n
 }
 
-// WriteBool appends 1 for true, 0 for false.
-func (w *Writer) WriteBool(b bool) {
-	if b {
-		w.WriteBit(1)
-	} else {
-		w.WriteBit(0)
-	}
-}
-
 // Len returns the number of bits written so far.
 func (w *Writer) Len() int { return w.nbits }
-
-// ByteLen returns the number of bytes needed to hold the written bits.
-func (w *Writer) ByteLen() int { return (w.nbits + 7) / 8 }
 
 // Bytes returns the packed bits; trailing bits of the last byte are zero.
 // The returned slice aliases the writer's buffer.
@@ -174,9 +162,6 @@ func (r *Reader) ReadBits(n int) uint64 {
 	}
 	return v
 }
-
-// ReadBool returns the next bit as a boolean.
-func (r *Reader) ReadBool() bool { return r.ReadBit() != 0 }
 
 // Remaining reports how many bits are left to read.
 func (r *Reader) Remaining() int { return r.nbits - r.pos }

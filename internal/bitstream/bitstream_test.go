@@ -83,16 +83,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestWriteBool(t *testing.T) {
-	w := NewWriter(2)
-	w.WriteBool(true)
-	w.WriteBool(false)
-	r := NewReader(w.Bytes(), w.Len())
-	if !r.ReadBool() || r.ReadBool() {
-		t.Fatal("bool roundtrip failed")
-	}
-}
-
 func TestWriteBitsPanicsOnBadWidth(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -133,7 +123,7 @@ func TestQuickRoundtrip(t *testing.T) {
 }
 
 // Property: bit length of the writer equals the sum of written widths and
-// ByteLen is its ceiling.
+// the packed bytes are its ceiling.
 func TestQuickLengths(t *testing.T) {
 	f := func(widths []uint8) bool {
 		w := NewWriter(0)
@@ -143,7 +133,7 @@ func TestQuickLengths(t *testing.T) {
 			w.WriteBits(0, n)
 			total += n
 		}
-		return w.Len() == total && w.ByteLen() == (total+7)/8
+		return w.Len() == total && len(w.Bytes()) == (total+7)/8
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -172,8 +162,8 @@ func TestAccumulatorBoundaries(t *testing.T) {
 			push(v, n)
 			// Materializing the tail mid-stream must not disturb
 			// subsequent writes.
-			if got := w.Bytes(); len(got) != w.ByteLen() {
-				t.Fatalf("phase %d: Bytes len %d, ByteLen %d", phase, len(got), w.ByteLen())
+			if got := w.Bytes(); len(got) != (w.Len()+7)/8 {
+				t.Fatalf("phase %d: Bytes len %d for %d bits", phase, len(got), w.Len())
 			}
 		}
 		if w.Len() != len(wantBits) {
@@ -229,8 +219,8 @@ func TestResetClearsAccumulator(t *testing.T) {
 	w.WriteBits(0x7F, 7)
 	_ = w.Bytes() // materialize the partial tail
 	w.Reset()
-	if w.Len() != 0 || w.ByteLen() != 0 || len(w.Bytes()) != 0 {
-		t.Fatalf("Reset left state: Len=%d ByteLen=%d Bytes=%d", w.Len(), w.ByteLen(), len(w.Bytes()))
+	if w.Len() != 0 || len(w.Bytes()) != 0 {
+		t.Fatalf("Reset left state: Len=%d Bytes=%d", w.Len(), len(w.Bytes()))
 	}
 	w.WriteBits(0xA5, 8)
 	if got := w.Bytes(); len(got) != 1 || got[0] != 0xA5 {

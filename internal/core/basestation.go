@@ -179,18 +179,8 @@ func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, map[
 	return joinKernel(x, cols, byAlias)
 }
 
-// groupKeyOf renders the grouping expressions' exact values as a string
-// key (round-trip float formatting keeps distinct values distinct).
-func groupKeyOf(exprs []query.NumExpr, env query.Env) string {
-	var b strings.Builder
-	for _, e := range exprs {
-		b.WriteString(strconv.FormatFloat(e.Eval(env), 'g', -1, 64))
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// groupKeyOfCompiled is groupKeyOf over compiled expressions.
+// groupKeyOfCompiled renders the grouping expressions' exact values as a
+// string key (round-trip float formatting keeps distinct values distinct).
 func groupKeyOfCompiled(exprs []query.CompiledNum, vals []float64) string {
 	var b strings.Builder
 	for _, f := range exprs {

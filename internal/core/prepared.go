@@ -128,9 +128,6 @@ func (r *Runner) Prepare(src string) (*Prepared, error) {
 	return Prepare(r.Catalog, src)
 }
 
-// Src returns the original query text.
-func (p *Prepared) Src() string { return p.src }
-
 // Fingerprint returns the canonical cache key (see query.Fingerprint):
 // two prepared queries with equal fingerprints compute identical result
 // tables on the same snapshot.

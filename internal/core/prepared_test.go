@@ -115,8 +115,8 @@ func TestPreparedLiteralsDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w1, _ := r.Run(p1.Src(), NewSENSJoin(), 0)
-	w2, _ := r.Run(p2.Src(), NewSENSJoin(), 0)
+	w1, _ := r.Run(p1.src, NewSENSJoin(), 0)
+	w2, _ := r.Run(p2.src, NewSENSJoin(), 0)
 	if fmt.Sprint(r1.Rows) != fmt.Sprint(w1.Rows) || fmt.Sprint(r2.Rows) != fmt.Sprint(w2.Rows) {
 		t.Fatal("prepared rows differ from ad-hoc rows")
 	}

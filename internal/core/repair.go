@@ -99,6 +99,3 @@ func (r *Runner) AttachChurn(cfg netsim.ChurnConfig) *netsim.Churn {
 	r.churn = ch
 	return ch
 }
-
-// Churn returns the attached churn injector, nil when none.
-func (r *Runner) Churn() *netsim.Churn { return r.churn }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"sensjoin/internal/topology"
-	"sensjoin/internal/wire"
 )
 
 // The sizes the accounting charges must be achievable byte encodings:
@@ -28,14 +27,14 @@ func TestAccountedSizesAreEncodable(t *testing.T) {
 			continue
 		}
 		shipped := p.shipped(nd.flags)
-		tc := wire.TupleCodec{}
+		tc := TupleCodec{}
 		vals := make([]float64, 0, len(shipped))
 		for _, name := range shipped {
 			def, err := schema.Attr(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.Attrs = append(tc.Attrs, wire.AttrCodec{Min: def.Min, Max: def.Max})
+			tc.Attrs = append(tc.Attrs, AttrCodec{Min: def.Min, Max: def.Max})
 			vals = append(vals, x.column(name)[id])
 		}
 		b, err := tc.MarshalBatch([][]float64{vals})

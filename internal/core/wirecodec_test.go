@@ -1,11 +1,146 @@
-package wire
+package core
+
+// The byte-level encodings behind the simulator's size accounting, kept
+// as a test helper: the rounds charge messages by size alone, and these
+// codecs are how TestAccountedSizesAreEncodable shows that every charged
+// size is one a mote could put on the air.
+//
+// The accounting follows the paper: two bytes per attribute value
+// (§IV-B), the quadtree bitstring for join-attribute sets (§V-C), and a
+// fixed per-packet header. A fixed-point codec fits any attribute into
+// exactly two bytes at its native sensor resolution, batch tuple
+// marshalling has the length of the accounted message size, and the header
+// allowance covers the per-message metadata (tuple counts, relation flags)
+// that rides in the packet headers already charged by the radio model.
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// AttrCodec encodes one attribute as an unsigned 16-bit fixed-point
+// value over [Min, Max] — the form an ADC reports.
+type AttrCodec struct {
+	Min, Max float64
+}
+
+// Step returns the codec's quantization step (the worst-case roundtrip
+// error is half a step).
+func (c AttrCodec) Step() float64 {
+	return (c.Max - c.Min) / 65535
+}
+
+// Encode clamps v into [Min, Max] and returns its fixed-point code. NaN
+// (a failed sensor reading) maps to code 0 deterministically — without
+// the explicit check it would pass both clamps and reach the float→int
+// conversion, whose result for NaN is implementation-defined in Go.
+func (c AttrCodec) Encode(v float64) uint16 {
+	if c.Max <= c.Min || math.IsNaN(v) {
+		return 0
+	}
+	f := (v - c.Min) / (c.Max - c.Min)
+	if f < 0 {
+		f = 0
+	}
+	if f > 1 {
+		f = 1
+	}
+	return uint16(math.Round(f * 65535))
+}
+
+// Decode returns the value at the center of the code's quantization
+// cell.
+func (c AttrCodec) Decode(code uint16) float64 {
+	return c.Min + float64(code)/65535*(c.Max-c.Min)
+}
+
+// TupleCodec marshals complete tuples: one AttrCodec per attribute, two
+// bytes per value, little endian.
+type TupleCodec struct {
+	Attrs []AttrCodec
+}
+
+// TupleBytes returns the wire size of one tuple.
+func (t TupleCodec) TupleBytes() int { return 2 * len(t.Attrs) }
+
+// MarshalTuple appends one tuple's encoding to dst.
+func (t TupleCodec) MarshalTuple(dst []byte, vals []float64) ([]byte, error) {
+	if len(vals) != len(t.Attrs) {
+		return nil, fmt.Errorf("wire: %d values for %d attributes", len(vals), len(t.Attrs))
+	}
+	for i, v := range vals {
+		dst = binary.LittleEndian.AppendUint16(dst, t.Attrs[i].Encode(v))
+	}
+	return dst, nil
+}
+
+// UnmarshalTuple decodes one tuple from the front of b.
+func (t TupleCodec) UnmarshalTuple(b []byte) ([]float64, []byte, error) {
+	need := t.TupleBytes()
+	if len(b) < need {
+		return nil, nil, fmt.Errorf("wire: tuple needs %d bytes, have %d", need, len(b))
+	}
+	vals := make([]float64, len(t.Attrs))
+	for i := range t.Attrs {
+		vals[i] = t.Attrs[i].Decode(binary.LittleEndian.Uint16(b[2*i:]))
+	}
+	return vals, b[need:], nil
+}
+
+// MarshalBatch encodes a batch of tuples; the result's length is exactly
+// count * TupleBytes — the size the accounting charges for a
+// complete-tuples message.
+func (t TupleCodec) MarshalBatch(tuples [][]float64) ([]byte, error) {
+	out := make([]byte, 0, len(tuples)*t.TupleBytes())
+	for _, vals := range tuples {
+		var err error
+		out, err = t.MarshalTuple(out, vals)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// UnmarshalBatch decodes count tuples.
+func (t TupleCodec) UnmarshalBatch(b []byte, count int) ([][]float64, error) {
+	out := make([][]float64, 0, count)
+	for i := 0; i < count; i++ {
+		vals, rest, err := t.UnmarshalTuple(b)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, vals)
+		b = rest
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after %d tuples", len(b), count)
+	}
+	return out, nil
+}
+
+// HeaderAllowance returns the per-message metadata bytes that ride in
+// the packet headers the radio model already charges: a tuple count per
+// message (one byte up to 255 tuples, two beyond — a single byte would
+// silently misaccount larger batches) plus the relation-membership flags
+// (nRelations bits per tuple, packed). The default 8-byte packet header
+// leaves room for this next to source, type and sequence fields on
+// messages of typical size; the allowance quantifies it for audits.
+func HeaderAllowance(tupleCount, nRelations int) int {
+	if tupleCount <= 0 {
+		return 0
+	}
+	count := 1
+	if tupleCount > 255 {
+		count = 2
+	}
+	flagBits := tupleCount * nRelations
+	return count + (flagBits+7)/8
+}
 
 func TestAttrCodecRoundtripPrecision(t *testing.T) {
 	c := AttrCodec{Min: 0, Max: 40} // the temperature attribute
@@ -54,7 +189,7 @@ func TestQuickAttrCodecMonotone(t *testing.T) {
 	}
 }
 
-func testCodec() TupleCodec {
+func testTupleCodec() TupleCodec {
 	return TupleCodec{Attrs: []AttrCodec{
 		{Min: 0, Max: 40},     // temp
 		{Min: 0, Max: 100},    // hum
@@ -66,7 +201,7 @@ func testCodec() TupleCodec {
 func TestBatchSizeMatchesAccounting(t *testing.T) {
 	// The central claim: the marshalled batch is exactly the accounted
 	// 2 bytes per attribute per tuple.
-	tc := testCodec()
+	tc := testTupleCodec()
 	rng := rand.New(rand.NewSource(3))
 	var tuples [][]float64
 	for i := 0; i < 57; i++ {
@@ -96,7 +231,7 @@ func TestBatchSizeMatchesAccounting(t *testing.T) {
 }
 
 func TestMarshalErrors(t *testing.T) {
-	tc := testCodec()
+	tc := testTupleCodec()
 	if _, err := tc.MarshalBatch([][]float64{{1, 2}}); err == nil {
 		t.Fatal("wrong arity must fail")
 	}

@@ -135,11 +135,6 @@ func (f *Field) termsAt(t float64) []bumpTerm {
 	return terms
 }
 
-// Smooth returns the noiseless field value at p and time t.
-func (f *Field) Smooth(p geom.Point, t float64) float64 {
-	return f.smooth(f.termsAt(t), p)
-}
-
 func (f *Field) smooth(terms []bumpTerm, p geom.Point) float64 {
 	v := f.cfg.Base
 	sig2 := 2 * f.cfg.CorrLength * f.cfg.CorrLength
@@ -232,15 +227,6 @@ func (e *Environment) Couple(name, other string, offset, gain float64) {
 	e.couplings[name] = coupling{other: other, offset: offset, gain: gain}
 }
 
-// Has reports whether attribute name can be read from this environment.
-func (e *Environment) Has(name string) bool {
-	if name == "x" || name == "y" {
-		return true
-	}
-	_, ok := e.fields[name]
-	return ok
-}
-
 // Read returns the value of attribute name at position p and time t.
 // Unknown attributes read as 0.
 func (e *Environment) Read(name string, p geom.Point, t float64) float64 {
@@ -258,16 +244,6 @@ func (e *Environment) Read(name string, p geom.Point, t float64) float64 {
 		v += c.offset + c.gain*e.Read(c.other, p, t)
 	}
 	return v
-}
-
-// Names returns the field attribute names (excluding x/y), in no
-// particular order.
-func (e *Environment) Names() []string {
-	names := make([]string, 0, len(e.fields))
-	for n := range e.fields {
-		names = append(names, n)
-	}
-	return names
 }
 
 // QuietEnvironment builds a low-noise, slowly drifting variant of the

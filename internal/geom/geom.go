@@ -41,11 +41,6 @@ func (r Rect) Height() float64 { return r.MaxY - r.MinY }
 // Area returns the area of r.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Contains reports whether p lies in r (boundaries inclusive).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.MinX && p.X <= r.MaxX && p.Y >= r.MinY && p.Y <= r.MaxY
-}
-
 // Center returns the midpoint of r.
 func (r Rect) Center() Point {
 	return Point{(r.MinX + r.MaxX) / 2, (r.MinY + r.MaxY) / 2}

@@ -135,55 +135,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumB.Load())
 }
 
-// Mean returns the mean observation, NaN when empty. Safe on nil.
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return math.NaN()
-	}
-	return h.Sum() / float64(n)
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts with linear interpolation inside the target bucket, the same
-// estimate Prometheus' histogram_quantile computes. It returns NaN on an
-// empty histogram and the last finite bound when the quantile falls in
-// the +Inf bucket (there is no upper edge to interpolate toward).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.count.Load() == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	total := h.count.Load()
-	rank := q * float64(total)
-	cum := int64(0)
-	for i := range h.bounds {
-		c := h.counts[i].Load()
-		if float64(cum+c) >= rank && c > 0 {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			upper := h.bounds[i]
-			frac := (rank - float64(cum)) / float64(c)
-			if frac < 0 {
-				frac = 0
-			}
-			return lower + (upper-lower)*frac
-		}
-		cum += c
-	}
-	if len(h.bounds) == 0 {
-		return math.NaN()
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // instrument is one registered time series.
 type instrument struct {
 	labels    []L

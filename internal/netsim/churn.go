@@ -113,8 +113,10 @@ type Churn struct {
 	moving []bool
 	// downed tracks the links this injector took down, so it never
 	// re-raises a link some other failure injection owns.
-	downed  map[linkKey]bool
-	covered Time
+	downed map[linkKey]bool
+	// next is the index of the first tick not yet scheduled; tick k
+	// fires at k×Epoch.
+	next int
 
 	met ChurnMetrics
 
@@ -139,6 +141,7 @@ func NewChurn(n *Network, cfg ChurnConfig) *Churn {
 		target: make([]geom.Point, n.Dep.N()),
 		moving: make([]bool, n.Dep.N()),
 		downed: make(map[linkKey]bool),
+		next:   1,
 	}
 	return c
 }
@@ -161,31 +164,22 @@ func (c *Churn) SetMetrics(m ChurnMetrics) { c.met = m }
 // Config returns the effective configuration (defaults applied).
 func (c *Churn) Config() ChurnConfig { return c.cfg }
 
-// Cover schedules churn ticks from the last covered instant up to and
-// including until. Call it before each Sim.Run window; ticks that would
-// land before the current simulated time are skipped (they cannot be
-// injected into the past), and covered time never rewinds.
+// Cover schedules the churn ticks not yet scheduled up to and including
+// until. Call it before each Sim.Run window; ticks that would land
+// before the current simulated time are skipped (they cannot be injected
+// into the past), and covered time never rewinds. Every instant is
+// computed from its integer index, so ticks stay on the fixed k×Epoch
+// grid however execution windows slice the timeline and whatever the
+// epoch's binary representation.
 func (c *Churn) Cover(until Time) {
-	if until <= c.covered {
-		return
-	}
 	now := c.net.Sim.Now()
-	for t := c.nextTick(); t <= until; t += c.cfg.Epoch {
-		if t < now {
+	for ; Time(c.next)*c.cfg.Epoch <= until; c.next++ {
+		at := Time(c.next) * c.cfg.Epoch
+		if at < now {
 			continue
 		}
-		at := t
 		c.net.Sim.Schedule(at, func() { c.tick(at) })
 	}
-	c.covered = until
-}
-
-// nextTick returns the first tick instant strictly after the covered
-// horizon, keeping ticks on the fixed k×Epoch grid regardless of how
-// execution windows slice the timeline.
-func (c *Churn) nextTick() Time {
-	k := math.Floor(c.covered/c.cfg.Epoch) + 1
-	return k * c.cfg.Epoch
 }
 
 // tick is one churn epoch: advance movers and flip the links their

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sensjoin/internal/metrics"
@@ -68,6 +69,41 @@ func TestChurnActuallyChurns(t *testing.T) {
 	}
 	if ch.Ticks != 60 {
 		t.Fatalf("expected 60 ticks over 600s at epoch 10, got %d", ch.Ticks)
+	}
+}
+
+// Ticks sit on the k×Epoch grid exactly — also for an epoch that is not
+// a binary fraction, where adding it up tick by tick drifts — and the
+// instants do not depend on how Cover calls slice the horizon.
+func TestChurnTicksOnIntegerGrid(t *testing.T) {
+	const epoch, ticks = 0.1, 1000
+	instants := func(untils ...Time) []Time {
+		sim := NewSim()
+		net := NewNetwork(sim, topology.Grid(3, 3, 35, 50), DefaultRadio(), nil)
+		ch := NewChurn(net, ChurnConfig{Seed: 1, Epoch: epoch})
+		for _, until := range untils {
+			ch.Cover(until)
+		}
+		// Nothing has run: the queue holds the scheduled ticks only.
+		var at []Time
+		for _, e := range sim.heap {
+			at = append(at, e.t)
+		}
+		slices.Sort(at)
+		return at
+	}
+	whole := instants(100.05)
+	if len(whole) != ticks {
+		t.Fatalf("%d ticks scheduled up to 100.05 at epoch %g, want %d", len(whole), epoch, ticks)
+	}
+	for i, at := range whole {
+		if want := Time(i+1) * epoch; at != want {
+			t.Fatalf("tick %d at %v, want %v exactly", i+1, at, want)
+		}
+	}
+	sliced := instants(0.37, 1, 1.05, 33.3, 33.3, 20, 77.77, 100.05)
+	if !slices.Equal(sliced, whole) {
+		t.Fatalf("uneven Cover slices moved the ticks: %d instants, want the %d of one Cover call", len(sliced), len(whole))
 	}
 }
 

@@ -442,7 +442,7 @@ func (n *Network) Send(m Message) {
 			}
 			n.trace("tx", m.Src, m, packets, msgID, expect)
 		}
-		if n.lossRNG == nil && len(n.down) == 0 {
+		if n.lossRNG == nil && len(n.linkLoss) == 0 && len(n.down) == 0 {
 			// Fast path: every v comes from the sender's neighbor list, no
 			// links are down and nothing can be lost, so LinkOK reduces to
 			// the receiver being alive — O(deg) instead of the O(deg²)

@@ -181,6 +181,17 @@ func TestLinkLossAsymmetric(t *testing.T) {
 	if got[1] != 1 {
 		t.Fatalf("removing the override should restore delivery, got %v", got)
 	}
+	// A broadcast crosses the same directed links as a unicast: with
+	// only per-link rates set (no global loss model) it is still lost.
+	net.SetLinkLossRate(1, 0, 1.0)
+	net.SetLinkLossRate(1, 2, 1.0)
+	before, lost := got[0]+got[2], net.Lost
+	net.Send(Message{Kind: 1, Src: 1, Dst: BroadcastID, Phase: "p", Size: 10})
+	sim.Run()
+	if got[0]+got[2] != before || net.Lost != lost+2 {
+		t.Fatalf("broadcast over two fully lossy links: %d deliveries, %d lost; want 0 and 2",
+			got[0]+got[2]-before, net.Lost-lost)
+	}
 }
 
 // With reliable transport on, SlotFor must cover the full worst-case

@@ -69,8 +69,6 @@ const (
 	CodeExec = "exec"
 	// CodeShutdown: the server is draining; no new queries are admitted.
 	CodeShutdown = "shutdown"
-	// CodeCanceled: the client canceled the query.
-	CodeCanceled = "canceled"
 	// CodeTimeout: the query exceeded the server's per-epoch execution
 	// deadline; its slot was reclaimed.
 	CodeTimeout = "timeout"
@@ -182,7 +180,7 @@ type Error struct {
 }
 
 // Cancel asks the server to stop a running query. The query still
-// terminates with Done (epochs so far) or Error{CodeCanceled}.
+// terminates with Done (epochs so far).
 type Cancel struct {
 	ID int64
 }

@@ -7,7 +7,7 @@ import (
 	"sensjoin/internal/zorder"
 )
 
-func benchSetup(b *testing.B, n int, clustered bool) (*Codec, []zorder.Key, []zorder.Key) {
+func benchSetup(b *testing.B, n int, clustered bool) (*Codec, []zorder.Key) {
 	b.Helper()
 	temp, _ := zorder.NewDim("temp", 0, 40, 0.1)
 	x, _ := zorder.NewDim("x", 0, 1050, 1)
@@ -21,13 +21,11 @@ func benchSetup(b *testing.B, n int, clustered bool) (*Codec, []zorder.Key, []zo
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	a := NormalizeKeys(randomKeys(g, rng, n, clustered))
-	bb := NormalizeKeys(randomKeys(g, rng, n, clustered))
-	return c, a, bb
+	return c, NormalizeKeys(randomKeys(g, rng, n, clustered))
 }
 
 func BenchmarkEncode1500Clustered(b *testing.B) {
-	c, keys, _ := benchSetup(b, 1500, true)
+	c, keys := benchSetup(b, 1500, true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Encode(keys)
@@ -37,7 +35,7 @@ func BenchmarkEncode1500Clustered(b *testing.B) {
 }
 
 func BenchmarkEncode1500Uniform(b *testing.B) {
-	c, keys, _ := benchSetup(b, 1500, false)
+	c, keys := benchSetup(b, 1500, false)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Encode(keys)
@@ -58,7 +56,7 @@ func BenchmarkSizeBits(b *testing.B) {
 		clustered bool
 	}{{"1500Clustered", true}, {"1500Uniform", false}} {
 		b.Run(bc.name, func(b *testing.B) {
-			c, keys, _ := benchSetup(b, 1500, bc.clustered)
+			c, keys := benchSetup(b, 1500, bc.clustered)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -69,44 +67,11 @@ func BenchmarkSizeBits(b *testing.B) {
 }
 
 func BenchmarkDecode1500(b *testing.B) {
-	c, keys, _ := benchSetup(b, 1500, true)
+	c, keys := benchSetup(b, 1500, true)
 	e := c.Encode(keys)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Decode(e); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUnion(b *testing.B) {
-	c, ka, kb := benchSetup(b, 750, true)
-	ea, eb := c.Encode(ka), c.Encode(kb)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Union(ea, eb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkIntersect(b *testing.B) {
-	c, ka, kb := benchSetup(b, 750, true)
-	ea, eb := c.Encode(ka), c.Encode(kb)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Intersect(ea, eb); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkContains(b *testing.B) {
-	c, keys, _ := benchSetup(b, 1500, true)
-	e := c.Encode(keys)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Contains(e, keys[i%len(keys)]); err != nil {
 			b.Fatal(err)
 		}
 	}

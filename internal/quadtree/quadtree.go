@@ -72,9 +72,6 @@ func NewCodec(levels []int) (*Codec, error) {
 	return c, nil
 }
 
-// TotalBits returns the key width the codec expects.
-func (c *Codec) TotalBits() int { return c.total }
-
 // Encode produces the canonical wire form of the given keys. The input
 // is not modified; duplicates are removed.
 func (c *Codec) Encode(keys []zorder.Key) Encoded {
@@ -320,58 +317,6 @@ func (c *Codec) decode(r *bitstream.Reader, l int, prefix zorder.Key, out *[]zor
 		}
 	}
 	return nil
-}
-
-// Count returns the number of points in e without materializing keys.
-func (c *Codec) Count(e Encoded) (int, error) {
-	keys, err := c.Decode(e)
-	return len(keys), err
-}
-
-// Contains reports whether key k is in e.
-func (c *Codec) Contains(e Encoded, k zorder.Key) (bool, error) {
-	keys, err := c.Decode(e)
-	if err != nil {
-		return false, err
-	}
-	return ContainsKey(keys, k), nil
-}
-
-// Union returns the canonical encoding of the set union of a and b.
-// Like the paper's UnionJoinAtts it is a single merge pass in key order
-// (the DFS wire order is key order), followed by re-emission.
-func (c *Codec) Union(a, b Encoded) (Encoded, error) {
-	ka, err := c.Decode(a)
-	if err != nil {
-		return Encoded{}, err
-	}
-	kb, err := c.Decode(b)
-	if err != nil {
-		return Encoded{}, err
-	}
-	return c.Encode(UnionKeys(ka, kb)), nil
-}
-
-// Intersect returns the canonical encoding of the set intersection.
-func (c *Codec) Intersect(a, b Encoded) (Encoded, error) {
-	ka, err := c.Decode(a)
-	if err != nil {
-		return Encoded{}, err
-	}
-	kb, err := c.Decode(b)
-	if err != nil {
-		return Encoded{}, err
-	}
-	return c.Encode(IntersectKeys(ka, kb)), nil
-}
-
-// Insert returns the canonical encoding of e plus key k.
-func (c *Codec) Insert(e Encoded, k zorder.Key) (Encoded, error) {
-	keys, err := c.Decode(e)
-	if err != nil {
-		return Encoded{}, err
-	}
-	return c.Encode(UnionKeys(keys, []zorder.Key{k})), nil
 }
 
 // NormalizeKeys returns a sorted, duplicate-free copy of keys.

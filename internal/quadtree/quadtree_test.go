@@ -53,8 +53,8 @@ func TestNewCodecValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.TotalBits() != 10 {
-		t.Fatalf("TotalBits = %d, want 10", c.TotalBits())
+	if c.total != 10 {
+		t.Fatalf("total key bits = %d, want 10", c.total)
 	}
 }
 
@@ -67,10 +67,6 @@ func TestEmptySet(t *testing.T) {
 	keys, err := c.Decode(e)
 	if err != nil || len(keys) != 0 {
 		t.Fatalf("decode empty: %v %v", keys, err)
-	}
-	n, err := c.Count(e)
-	if err != nil || n != 0 {
-		t.Fatal("count of empty should be 0")
 	}
 }
 
@@ -95,9 +91,9 @@ func TestDuplicatesRemoved(t *testing.T) {
 	c, g := testCodec(t)
 	k := g.Encode(0b11, []float64{20, 50, 50})
 	e := c.Encode([]zorder.Key{k, k, k})
-	n, err := c.Count(e)
-	if err != nil || n != 1 {
-		t.Fatalf("count = %d, want 1 (set semantics)", n)
+	keys, err := c.Decode(e)
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("decoded %v, %v; want one key (set semantics)", keys, err)
 	}
 }
 
@@ -166,56 +162,43 @@ func TestCanonicalEncoding(t *testing.T) {
 	}
 }
 
+// The set algebra the rounds run on sorted key slices, against map
+// references.
 func TestQuickUnionIntersect(t *testing.T) {
-	c, g := testCodec(t)
+	_, g := testCodec(t)
 	f := func(seed int64, na, nb uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		a := randomKeys(g, rng, int(na%60)+1, true)
-		b := randomKeys(g, rng, int(nb%60)+1, true)
-		ea, eb := c.Encode(a), c.Encode(b)
-		// Reference via maps.
-		setA := map[zorder.Key]bool{}
+		a := NormalizeKeys(randomKeys(g, rng, int(na%60)+1, true))
+		b := NormalizeKeys(randomKeys(g, rng, int(nb%60)+1, true))
+		if nb%4 == 0 {
+			b = append(b[:0:0], a[len(a)/2:]...) // force an overlap
+		}
+		inA := map[zorder.Key]bool{}
 		for _, k := range a {
-			setA[k] = true
+			inA[k] = true
 		}
-		set := map[zorder.Key]bool{}
-		for k := range setA {
-			set[k] = true
+		either, both := map[zorder.Key]bool{}, map[zorder.Key]bool{}
+		for _, k := range a {
+			either[k] = true
 		}
-		both := map[zorder.Key]bool{}
 		for _, k := range b {
-			if setA[k] {
+			either[k] = true
+			if inA[k] {
 				both[k] = true
 			}
-			set[k] = true
 		}
-		u, err := c.Union(ea, eb)
-		if err != nil {
-			return false
-		}
-		uk, err := c.Decode(u)
-		if err != nil || len(uk) != len(set) {
-			return false
-		}
-		for _, k := range uk {
-			if !set[k] {
+		sameSet := func(got []zorder.Key, want map[zorder.Key]bool) bool {
+			if len(got) != len(want) {
 				return false
 			}
-		}
-		iv, err := c.Intersect(ea, eb)
-		if err != nil {
-			return false
-		}
-		ik, err := c.Decode(iv)
-		if err != nil || len(ik) != len(both) {
-			return false
-		}
-		for _, k := range ik {
-			if !both[k] {
-				return false
+			for i, k := range got {
+				if !want[k] || (i > 0 && got[i-1] >= k) {
+					return false
+				}
 			}
+			return true
 		}
-		return true
+		return sameSet(UnionKeys(a, b), either) && sameSet(IntersectKeys(a, b), both)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -223,56 +206,34 @@ func TestQuickUnionIntersect(t *testing.T) {
 }
 
 func TestUnionWithEmpty(t *testing.T) {
-	c, g := testCodec(t)
-	keys := randomKeys(g, rand.New(rand.NewSource(3)), 20, false)
-	e := c.Encode(keys)
-	u, err := c.Union(e, Encoded{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(u, e) {
+	_, g := testCodec(t)
+	keys := NormalizeKeys(randomKeys(g, rand.New(rand.NewSource(3)), 20, false))
+	if !reflect.DeepEqual(UnionKeys(keys, nil), keys) || !reflect.DeepEqual(UnionKeys(nil, keys), keys) {
 		t.Fatal("union with empty must be identity")
 	}
-	iv, err := c.Intersect(e, Encoded{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Empty() {
+	if len(IntersectKeys(keys, nil)) != 0 || len(IntersectKeys(nil, keys)) != 0 {
 		t.Fatal("intersection with empty must be empty")
 	}
 }
 
 func TestContainsAndInsert(t *testing.T) {
-	c, g := testCodec(t)
-	rng := rand.New(rand.NewSource(5))
-	keys := randomKeys(g, rng, 50, true)
-	e := c.Encode(keys)
+	_, g := testCodec(t)
+	keys := NormalizeKeys(randomKeys(g, rand.New(rand.NewSource(5)), 50, true))
 	for _, k := range keys {
-		ok, err := c.Contains(e, k)
-		if err != nil || !ok {
-			t.Fatalf("Contains(%d) = %v, %v", k, ok, err)
+		if !ContainsKey(keys, k) {
+			t.Fatalf("ContainsKey(%d) = false for a member", k)
 		}
 	}
 	probe := g.Encode(0b11, []float64{39.9, 1049, 3})
-	if ContainsKey(NormalizeKeys(keys), probe) {
+	if ContainsKey(keys, probe) {
 		t.Skip("probe collided with random keys")
 	}
-	ok, err := c.Contains(e, probe)
-	if err != nil || ok {
-		t.Fatal("Contains must reject absent key")
+	with := UnionKeys(keys, []zorder.Key{probe})
+	if !ContainsKey(with, probe) || len(with) != len(keys)+1 {
+		t.Fatalf("inserting an absent key gave %d keys from %d", len(with), len(keys))
 	}
-	e2, err := c.Insert(e, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, err = c.Contains(e2, probe)
-	if err != nil || !ok {
-		t.Fatal("Insert must add the key")
-	}
-	n1, _ := c.Count(e)
-	n2, _ := c.Count(e2)
-	if n2 != n1+1 {
-		t.Fatalf("Insert changed count %d -> %d", n1, n2)
+	if again := UnionKeys(with, []zorder.Key{probe}); len(again) != len(with) {
+		t.Fatal("inserting a member must not grow the set")
 	}
 }
 
@@ -284,12 +245,12 @@ func TestCompressionBeatsRawOnClusteredData(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	keys := NormalizeKeys(randomKeys(g, rng, 1500, true))
 	e := c.Encode(keys)
-	rawListBits := len(keys) * (c.TotalBits() + 2) // '1' + suffix each, '0' once
+	rawListBits := len(keys) * (c.total + 2) // '1' + suffix each, '0' once
 	if e.Bits >= rawListBits {
 		t.Fatalf("tree (%d bits) not smaller than flat list (%d bits)", e.Bits, rawListBits)
 	}
 	// Against the raw 2-bytes-per-attribute wire format (3 attrs = 6 B):
-	rawBytes := len(keys) * zorder.RawBytes(3)
+	rawBytes := len(keys) * 2 * 3
 	if e.ByteLen()*10 > rawBytes*8 {
 		t.Fatalf("tree %d B vs raw %d B: expected clearly below 80%%", e.ByteLen(), rawBytes)
 	}
@@ -302,7 +263,7 @@ func TestUncorrelatedStillBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	keys := NormalizeKeys(randomKeys(g, rng, 500, false))
 	e := c.Encode(keys)
-	rawListBits := len(keys)*(c.TotalBits()+2) + 1
+	rawListBits := len(keys)*(c.total+2) + 1
 	if e.Bits > rawListBits {
 		t.Fatalf("tree (%d bits) exceeds flat list (%d bits)", e.Bits, rawListBits)
 	}

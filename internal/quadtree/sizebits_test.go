@@ -98,6 +98,12 @@ func TestSizeBitsAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, func() { c.SizeBits(keys) }); allocs != 0 {
 		t.Errorf("SizeBits: %.0f allocs/run, want 0", allocs)
 	}
+	// Encode is the reference: its memo and writer are pooled, so what
+	// is left is the owned result copy, not an allocation per node or key.
+	probe := keys[:50]
+	if allocs := testing.AllocsPerRun(10, func() { c.Encode(probe) }); allocs > 20 {
+		t.Errorf("Encode: %.0f allocs/run, want <= 20", allocs)
+	}
 }
 
 // fuzzInput renders a case in FuzzSizeBits's byte form.

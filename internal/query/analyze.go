@@ -161,14 +161,6 @@ func sortedKeys(m map[string]bool) []string {
 	return out
 }
 
-// HasJoin reports whether the analysis contains at least one join
-// condition between distinct FROM entries.
-func (a *Analysis) HasJoin() bool { return len(a.JoinConds) > 0 }
-
-// JoinPredicate returns the conjunction of all join conditions (nil when
-// there are none: then the join is a cross product).
-func (a *Analysis) JoinPredicate() BoolExpr { return AndAll(a.JoinConds) }
-
 // LocalPredicate returns the conjunction of the local predicates of FROM
 // entry i (nil when there are none).
 func (a *Analysis) LocalPredicate(i int) BoolExpr { return AndAll(a.LocalPreds[i]) }

@@ -14,7 +14,7 @@ func TestAnalyzeQ1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !a.HasJoin() || len(a.JoinConds) != 1 {
+	if len(a.JoinConds) != 1 {
 		t.Fatalf("JoinConds = %v", a.JoinConds)
 	}
 	// Join attributes of Q1: temp only (the distance is in SELECT, not
@@ -91,11 +91,8 @@ func TestAnalyzeNoWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.HasJoin() {
+	if len(a.JoinConds) != 0 {
 		t.Fatal("no WHERE means no join conditions")
-	}
-	if a.JoinPredicate() != nil {
-		t.Fatal("JoinPredicate should be nil")
 	}
 	if a.LocalPredicate(0) != nil {
 		t.Fatal("LocalPredicate should be nil")

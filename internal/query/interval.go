@@ -21,9 +21,6 @@ type Interval struct {
 // Exact returns the degenerate interval [v, v].
 func Exact(v float64) Interval { return Interval{v, v} }
 
-// Contains reports whether v lies in i.
-func (i Interval) Contains(v float64) bool { return v >= i.Lo && v <= i.Hi }
-
 // IsExact reports whether the interval is a single point.
 func (i Interval) IsExact() bool { return i.Lo == i.Hi }
 
@@ -126,14 +123,6 @@ func (t Tri) String() string {
 	default:
 		return "maybe"
 	}
-}
-
-// TriOf lifts a boolean to a Tri.
-func TriOf(b bool) Tri {
-	if b {
-		return True
-	}
-	return False
 }
 
 // And combines with three-valued conjunction.

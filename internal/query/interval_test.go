@@ -9,11 +9,11 @@ import (
 
 func TestIntervalBasics(t *testing.T) {
 	i := Exact(5)
-	if !i.IsExact() || !i.Contains(5) || i.Contains(5.1) {
+	if !i.IsExact() || i.Lo != 5 || i.Hi != 5 {
 		t.Fatal("Exact(5) misbehaves")
 	}
 	e := Everything()
-	if !e.Contains(1e308) || !e.Contains(-1e308) {
+	if e.Lo > -1e308 || e.Hi < 1e308 {
 		t.Fatal("Everything should contain all finite values")
 	}
 }
@@ -84,9 +84,6 @@ func TestTriLogic(t *testing.T) {
 	}
 	if !True.Possible() || !Maybe.Possible() || False.Possible() {
 		t.Fatal("Possible wrong")
-	}
-	if TriOf(true) != True || TriOf(false) != False {
-		t.Fatal("TriOf wrong")
 	}
 	if False.String() != "false" || True.String() != "true" || Maybe.String() != "maybe" {
 		t.Fatal("String wrong")

@@ -76,23 +76,7 @@ type Snapshot struct {
 	// Tuples holds one tuple per member node, ordered by node id.
 	Tuples []Tuple
 	// Time is the sampling instant.
-	Time   float64
-	byNode map[topology.NodeID]int
-}
-
-// ByNode returns the tuple of the given node, if the node is a member.
-func (s *Snapshot) ByNode(id topology.NodeID) (Tuple, bool) {
-	if s.byNode == nil {
-		s.byNode = make(map[topology.NodeID]int, len(s.Tuples))
-		for i, t := range s.Tuples {
-			s.byNode[t.Node] = i
-		}
-	}
-	i, ok := s.byNode[id]
-	if !ok {
-		return Tuple{}, false
-	}
-	return s.Tuples[i], true
+	Time float64
 }
 
 // Membership decides which relations a node belongs to. The default (nil)

@@ -115,21 +115,6 @@ func TestSampleDeterministicAndTimeDependent(t *testing.T) {
 	}
 }
 
-func TestByNode(t *testing.T) {
-	d := testDeployment(t)
-	env := field.StandardEnvironment(d.Area, 42)
-	s := StandardSchema(d.Area)
-	snap := Sample(d, env, s, nil, 0)
-	want := snap.Tuples[3]
-	got, ok := snap.ByNode(want.Node)
-	if !ok || got.Node != want.Node {
-		t.Fatalf("ByNode(%d) failed", want.Node)
-	}
-	if _, ok := snap.ByNode(topology.BaseStation); ok {
-		t.Fatal("base station must not have a tuple")
-	}
-}
-
 func TestCatalog(t *testing.T) {
 	s := StandardSchema(geom.Square(100))
 	c := Catalog{"Sensors": s}

@@ -1,7 +1,6 @@
 package routing
 
 import (
-	"sensjoin/internal/metrics"
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
 )
@@ -37,14 +36,6 @@ type Protocol struct {
 	parent   []topology.NodeID
 	sent     []int // freshest round this node has seen
 	sentHops []int // hop count last announced this round
-
-	rounds *metrics.Counter // nil-safe live beacon-round counter
-}
-
-// EnableMetrics registers a live beacon-round counter on reg (nil
-// disables it).
-func (p *Protocol) EnableMetrics(reg *metrics.Registry) {
-	p.rounds = reg.Counter("sensjoin_routing_beacon_rounds_total", "beacon rounds initiated")
 }
 
 // NewProtocol attaches a beacon protocol to net. Call Start to begin
@@ -89,7 +80,6 @@ func (p *Protocol) Start() {
 // flood itself proceeds via message events.
 func (p *Protocol) RunRound() {
 	p.round++
-	p.rounds.Inc()
 	p.hops[topology.BaseStation] = 0
 	p.sent[topology.BaseStation] = p.round
 	p.Net.Send(netsim.Message{
@@ -176,6 +166,3 @@ func (p *Protocol) rebroadcast(id topology.NodeID, round int) {
 func (p *Protocol) Snapshot() (*Tree, error) {
 	return FromParents(p.parent, topology.BaseStation)
 }
-
-// Round returns the number of beacon rounds initiated so far.
-func (p *Protocol) Round() int { return p.round }

@@ -213,7 +213,7 @@ func TestProtocolStartSchedulesRounds(t *testing.T) {
 	p := NewProtocol(net, 10)
 	p.Start()
 	sim.RunUntil(25)
-	if p.Round() < 3 {
-		t.Fatalf("after 25 s with 10 s interval, rounds = %d, want >= 3", p.Round())
+	if p.round < 3 {
+		t.Fatalf("after 25 s with 10 s interval, rounds = %d, want >= 3", p.round)
 	}
 }

@@ -152,7 +152,7 @@ func TestRepairAttachesRejoiningNode(t *testing.T) {
 	leaf := topology.NodeID(-1)
 	for i := range full.Parent {
 		id := topology.NodeID(i)
-		if id != full.Root && full.IsLeaf(id) {
+		if id != full.Root && len(full.Children[id]) == 0 {
 			leaf = id
 			break
 		}

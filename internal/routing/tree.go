@@ -287,24 +287,6 @@ func (t *Tree) PostOrder() []topology.NodeID {
 	return out
 }
 
-// PreOrder returns the reachable nodes so that every node appears before
-// its children (root first).
-func (t *Tree) PreOrder() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(t.Parent))
-	var walk func(u topology.NodeID)
-	walk = func(u topology.NodeID) {
-		out = append(out, u)
-		for _, c := range t.Children[u] {
-			walk(c)
-		}
-	}
-	walk(t.Root)
-	return out
-}
-
-// IsLeaf reports whether node id has no children.
-func (t *Tree) IsLeaf(id topology.NodeID) bool { return len(t.Children[id]) == 0 }
-
 // Validate checks structural invariants: the parent of every reachable
 // non-root node is reachable with depth one less, and descendant counts
 // are consistent. It returns the first violation found.

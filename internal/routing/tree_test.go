@@ -86,26 +86,6 @@ func TestPostOrderProperty(t *testing.T) {
 	}
 }
 
-func TestPreOrderProperty(t *testing.T) {
-	d := deployment(t, 4, 150, 350)
-	tr := BuildTree(d.Neighbors, topology.BaseStation)
-	order := tr.PreOrder()
-	if order[0] != tr.Root {
-		t.Fatal("root not first in pre-order")
-	}
-	pos := make(map[topology.NodeID]int)
-	for idx, u := range order {
-		pos[u] = idx
-	}
-	for u := range tr.Children {
-		for _, c := range tr.Children[u] {
-			if pos[c] < pos[topology.NodeID(u)] {
-				t.Fatalf("child %d before parent %d in pre-order", c, u)
-			}
-		}
-	}
-}
-
 func TestDescendantCounts(t *testing.T) {
 	d := deployment(t, 5, 150, 350)
 	tr := BuildTree(d.Neighbors, topology.BaseStation)
@@ -124,7 +104,7 @@ func TestDescendantCounts(t *testing.T) {
 	}
 	// Leaves have zero descendants.
 	for u := range tr.Children {
-		if tr.IsLeaf(topology.NodeID(u)) && tr.Descendants[u] != 0 {
+		if len(tr.Children[u]) == 0 && tr.Descendants[u] != 0 {
 			t.Fatalf("leaf %d has %d descendants", u, tr.Descendants[u])
 		}
 	}

@@ -268,18 +268,6 @@ func (c *Collector) MaxTx(phases ...string) (topology.NodeID, int64) {
 	return best, bestP
 }
 
-// TopK returns the k highest per-node transmitted packet counts in
-// descending order, excluding the base station.
-func (c *Collector) TopK(k int, phases ...string) []int64 {
-	loads := c.PerNodeTx(phases...)
-	loads = loads[min(1, len(loads)):]
-	sort.Slice(loads, func(i, j int) bool { return loads[i] > loads[j] })
-	if k > len(loads) {
-		k = len(loads)
-	}
-	return loads[:k]
-}
-
 // Snapshot is a deep copy of a Collector's counters at one instant.
 // Audits snapshot before and after an execution and reconcile the delta
 // against the execution's trace journal, bit-exact.

@@ -51,7 +51,7 @@ func TestPhases(t *testing.T) {
 
 func TestPerNodeAndMax(t *testing.T) {
 	c := NewCollector(4)
-	c.OnTx(0, "p", 100, 0) // base station: must be excluded from Max/TopK
+	c.OnTx(0, "p", 100, 0) // base station: must be excluded from Max
 	c.OnTx(1, "p", 5, 0)
 	c.OnTx(2, "p", 9, 0)
 	c.OnTx(3, "p", 1, 0)
@@ -62,13 +62,6 @@ func TestPerNodeAndMax(t *testing.T) {
 	node, load := c.MaxTx()
 	if node != 2 || load != 9 {
 		t.Fatalf("MaxTx = node %d load %d, want node 2 load 9", node, load)
-	}
-	top := c.TopK(2)
-	if len(top) != 2 || top[0] != 9 || top[1] != 5 {
-		t.Fatalf("TopK(2) = %v, want [9 5]", top)
-	}
-	if got := c.TopK(99); len(got) != 3 {
-		t.Fatalf("TopK(99) should clamp to %d sensor nodes, got %d", 3, len(got))
 	}
 }
 
@@ -419,19 +412,6 @@ func (c *collectorReference) MaxTx(phases ...string) (topology.NodeID, int64) {
 	return best, bestP
 }
 
-func (c *collectorReference) TopK(k int, phases ...string) []int64 {
-	loads := make([]int64, 0, c.n-1)
-	for i := 1; i < c.n; i++ {
-		p, _ := c.NodeTx(topology.NodeID(i), phases...)
-		loads = append(loads, p)
-	}
-	sort.Slice(loads, func(i, j int) bool { return loads[i] > loads[j] })
-	if k > len(loads) {
-		k = len(loads)
-	}
-	return loads[:k]
-}
-
 func (c *collectorReference) NodeEnergy(m EnergyModel, node topology.NodeID, phases ...string) float64 {
 	tp, tb := c.NodeTx(node, phases...)
 	rp, rb := c.NodeRx(node, phases...)
@@ -513,7 +493,6 @@ type accounting interface {
 	TotalAck(...string) int64
 	PerNodeTx(...string) []int64
 	MaxTx(...string) (topology.NodeID, int64)
-	TopK(int, ...string) []int64
 	NodeEnergy(EnergyModel, topology.NodeID, ...string) float64
 	TotalEnergy(EnergyModel, ...string) float64
 	PerNodeEnergy(EnergyModel, ...string) []float64
@@ -542,9 +521,9 @@ func describe(c accounting, s snapshotView, labels []string, filters [][]string)
 	fmt.Fprintf(&b, "n=%d phases=%q\n%s", c.N(), c.Phases(), c.PhaseTable())
 	for _, f := range filters {
 		node, load := c.MaxTx(f...)
-		fmt.Fprintf(&b, "%q: tx=%d txB=%d retx=%d ack=%d per=%v max=%d/%d top=%v E=%v perE=%v\n", f,
+		fmt.Fprintf(&b, "%q: tx=%d txB=%d retx=%d ack=%d per=%v max=%d/%d E=%v perE=%v\n", f,
 			c.TotalTx(f...), c.TotalTxBytes(f...), c.TotalRetx(f...), c.TotalAck(f...),
-			c.PerNodeTx(f...), node, load, c.TopK(3, f...),
+			c.PerNodeTx(f...), node, load,
 			bits(c.TotalEnergy(m, f...)), bits(c.PerNodeEnergy(m, f...)...))
 		for i := 0; i < c.N(); i++ {
 			tp, tb := c.NodeTx(topology.NodeID(i), f...)

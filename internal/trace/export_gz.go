@@ -93,26 +93,6 @@ func ReadJSONL(r io.Reader) (*Journal, error) {
 	return j, nil
 }
 
-// LoadJSONL reads a journal from a JSONL file, transparently gunzipping
-// a ".gz" path.
-func LoadJSONL(path string) (*Journal, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var r io.Reader = f
-	if strings.HasSuffix(path, ".gz") {
-		gz, err := gzip.NewReader(f)
-		if err != nil {
-			return nil, err
-		}
-		defer gz.Close()
-		r = gz
-	}
-	return ReadJSONL(r)
-}
-
 // kindFromName inverts Kind.String.
 func kindFromName(name string) (Kind, bool) {
 	for k, n := range kindNames {

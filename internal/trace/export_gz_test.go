@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -42,7 +44,13 @@ func TestGzipJSONLRoundTrip(t *testing.T) {
 		if want := name == "run.jsonl.gz"; gzipped != want {
 			t.Fatalf("%s: gzip magic = %v, want %v", name, gzipped, want)
 		}
-		back, err := LoadJSONL(path)
+		var r io.Reader = bytes.NewReader(raw)
+		if gzipped {
+			if r, err = gzip.NewReader(r); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		back, err := ReadJSONL(r)
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}

@@ -35,7 +35,7 @@ func calibrateAndDrop(t *testing.T, cfg core.SetupConfig) *atomic.Bool {
 	}
 	Calibrate(r, Ratio33(), 0.05)
 	Calibrate(r, Ratio60(), 0.05)
-	Fraction(r, Ratio33(), 1.5)
+	fractionOf(sampleNodes(r), Ratio33(), 1.5)
 	gone := new(atomic.Bool)
 	runtime.SetFinalizer(r.Dep, func(*topology.Deployment) { gone.Store(true) })
 	return gone

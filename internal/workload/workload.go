@@ -177,16 +177,11 @@ func sampleNodes(r *core.Runner) []nodeSample {
 	}).([]nodeSample)
 }
 
-// Fraction computes, exactly and without simulating, the fraction of
-// nodes that contribute to the result of p.Build(delta) on the runner's
-// snapshot: a node contributes as A when some node with a sufficiently
-// lower temperature (and, for distance presets, at distance > 100 m)
-// exists, symmetrically as B.
-func Fraction(r *core.Runner, p Preset, delta float64) float64 {
-	nodes := sampleNodes(r)
-	return fractionOf(nodes, p, delta)
-}
-
+// fractionOf computes, exactly and without simulating, the fraction of
+// the sampled nodes that contribute to the result of p.Build(delta): a
+// node contributes as A when some node with a sufficiently lower
+// temperature (and, for distance presets, at distance > 100 m) exists,
+// symmetrically as B.
 func fractionOf(nodes []nodeSample, p Preset, delta float64) float64 {
 	n := len(nodes)
 	if n == 0 {

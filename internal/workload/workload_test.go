@@ -77,13 +77,13 @@ func TestBuildQueryShape(t *testing.T) {
 	}
 }
 
-// Fraction must match the ground-truth contributing fraction from the
+// fractionOf must match the ground-truth contributing fraction from the
 // actual join machinery.
 func TestFractionMatchesGroundTruth(t *testing.T) {
 	r := runner(t, 120)
 	for _, p := range []Preset{Ratio33(), Ratio60()} {
 		for _, delta := range []float64{0.5, 2, 5} {
-			want := Fraction(r, p, delta)
+			want := fractionOf(sampleNodes(r), p, delta)
 			prep, err := r.Prepare(p.Build(delta))
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +93,7 @@ func TestFractionMatchesGroundTruth(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Abs(want-truth.Fraction()) > 1e-9 {
-				t.Fatalf("%s delta=%g: Fraction=%g, ground truth=%g",
+				t.Fatalf("%s delta=%g: fractionOf=%g, ground truth=%g",
 					p.Name, delta, want, truth.Fraction())
 			}
 		}
@@ -105,13 +105,13 @@ func TestFractionMonotone(t *testing.T) {
 	p := Ratio33()
 	prev := 2.0
 	for _, delta := range []float64{0, 0.5, 1, 2, 4, 8, 100} {
-		f := Fraction(r, p, delta)
+		f := fractionOf(sampleNodes(r), p, delta)
 		if f > prev+1e-12 {
 			t.Fatalf("fraction increased with delta at %g: %g > %g", delta, f, prev)
 		}
 		prev = f
 	}
-	if Fraction(r, p, 1000) != 0 {
+	if fractionOf(sampleNodes(r), p, 1000) != 0 {
 		t.Fatal("impossible delta should yield zero fraction")
 	}
 }

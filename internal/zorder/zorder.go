@@ -248,8 +248,3 @@ func (g *Grid) WithFlags(k Key, flags uint64) Key {
 func FlagFor(rel, nRel int) uint64 {
 	return 1 << uint(nRel-1-rel)
 }
-
-// RawBytes returns the wire size of one unencoded join-attribute tuple
-// with n attributes at 2 bytes per attribute, for the no-quadtree
-// baseline.
-func RawBytes(n int) int { return 2 * n }

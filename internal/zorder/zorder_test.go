@@ -286,9 +286,3 @@ func TestZOrderLocality(t *testing.T) {
 		t.Fatalf("Z-order not locality preserving: near avg %.1f, far avg %.1f bits", near/float64(n), far/float64(n))
 	}
 }
-
-func TestRawBytes(t *testing.T) {
-	if RawBytes(3) != 6 {
-		t.Fatalf("RawBytes(3) = %d, want 6", RawBytes(3))
-	}
-}

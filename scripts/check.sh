@@ -17,8 +17,10 @@ fi
 # deleted: a Runner runs queries through Prepare/Exec/Run/RunPrepared and
 # the server logs through *slog.Logger, nothing else. (benchmark/ is its
 # own module and never used them.) So does QueryGroup's copy of the
-# SENS-Join protocol: a cluster runs SENSJoin.round with m members.
-retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples' \
+# SENS-Join protocol: a cluster runs SENSJoin.round with m members. And
+# the set algebra on the encoded quadtree and the internal/wire package:
+# rounds are charged from sizes alone, nothing runs either.
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -49,6 +51,10 @@ esac || {
   echo "$built" >&2
   exit 1
 }
+# Nothing unreachable under internal/: every exported name there has a
+# non-test use, or is a fixture or observer listed with its reason in
+# scripts/deadexports/allow.txt, a list that can only shrink.
+go run ./scripts/deadexports
 go vet ./...
 go build ./...
 go test ./...
@@ -71,7 +77,7 @@ go test -run=NONE -bench=ExactJoin -benchtime=1x ./internal/core
 go run ./cmd/experiments -nodes 400 -only E1a -audit > /dev/null
 # Loss smoke: the reliable-transport sweep at two loss rates, audited —
 # both methods must stay oracle-exact under packet loss.
-go run ./cmd/experiments -nodes 400 -loss 0.05,0.10 -only L1 -audit > /dev/null
+go run ./cmd/experiments -only L1 -loss 0.05,0.10 -nodes 400 -audit > /dev/null
 # Reliable-transport race pass: the ARQ, scoped recovery and the loss
 # sweep under the race detector, beyond the general -race run above.
 go test -race -run 'Reliable|Recovery|StandDown|Loss' ./internal/netsim ./internal/core ./internal/bench
@@ -82,12 +88,12 @@ go test -race -run 'Shard|Parallel' ./internal/netsim ./internal/bench ./interna
 # Scale smoke (X7, time-budgeted): a 50k-node run of both join methods
 # on the classic and the sharded engine, plus a reduced-scale run under
 # the race detector. The JSON artifact is what CI uploads.
-go run ./cmd/experiments -scale 50000 -shards 1,4 -scale-json BENCH_scale.json > /dev/null
-go run -race ./cmd/experiments -scale 10000 -shards 4 > /dev/null
+go run ./cmd/experiments -only X7 -scale 50000 -shards 1,4 -out BENCH_scale.json > /dev/null
+go run -race ./cmd/experiments -only X7 -scale 10000 -shards 4 > /dev/null
 # MQO smoke (X8, reduced size): N concurrent continuous queries shared
 # vs independent — every per-query table must match its independent
 # counterpart. The JSON artifact is what CI uploads.
-go run ./cmd/experiments -mqo -nodes 400 -mqo-n 1,2,4 -mqo-json BENCH_mqo.json > /tmp/sensjoin-mqo.txt
+go run ./cmd/experiments -only X8 -nodes 400 -mqo-n 1,2,4 -out BENCH_mqo.json > /tmp/sensjoin-mqo.txt
 ! grep -q DIFFER /tmp/sensjoin-mqo.txt
 # MQO race pass: query-group clustering, the shared round, filter
 # canonicalization and the diff scratch arena under the race detector.
@@ -147,7 +153,7 @@ go test -race -run 'Flight|Trace' ./internal/server
 # with every table checked byte-for-byte against direct execution. The
 # 1 s smoke goes to /tmp: the checked-in BENCH_serve.json is the full
 # 3 s record EXPERIMENTS.md quotes (regenerate it without -serve-seconds).
-go run ./cmd/experiments -serve-load -serve-seconds 1 -serve-load-json /tmp/sensjoin-serve.json > /tmp/sensjoin-serve.txt
+go run ./cmd/experiments -only X9 -serve-seconds 1 -out /tmp/sensjoin-serve.json > /tmp/sensjoin-serve.txt
 grep -q '"ByteIdentical": true' /tmp/sensjoin-serve.json
 # Serving race pass: sessions, admission, the prepared cache and shared
 # grouping, the wire codec (binary Rows frames, encode-failure and
@@ -201,7 +207,7 @@ go test -race -run 'Prepared|Fingerprint|RunnerQuerySurface|Repair' ./internal/c
 # node churn & mobility with mid-round tree repair. The artifact must
 # show zero churn-safety audit violations (no silent wrong answers) and
 # at least one mid-round repair actually exercised.
-go run ./cmd/experiments -churn -churn-nodes 120 -churn-rounds 6 -churn-rates 0,0.01 -churn-json BENCH_churn.json > /dev/null
+go run ./cmd/experiments -only X10 -nodes 120 -churn-rounds 6 -churn-rates 0,0.01 -out BENCH_churn.json > /dev/null
 grep -q '"violations_total": 0' BENCH_churn.json
 ! grep -q '"repairs_total": 0' BENCH_churn.json
 # Churn race pass: the injector, mid-round repair, the soak test and
