@@ -446,25 +446,38 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 		}
 	}
 
-	// Result rows are carved from grow-only slabs: one allocation per
-	// slabRows rows instead of one per row. Carved rows stay valid
-	// because full slabs are abandoned, never reused.
-	const slabRows = 4096
-	var slab []float64
+	// One sizing rule: a result is allocated once, at its size. A query
+	// that aggregates or groups folds every combination into its aggState
+	// through one scratch row. A plain result's rows are carved from a
+	// slab: an indexed plan knows its match count before it emits and
+	// sizes the row headers and one slab exactly (below, at the replay);
+	// a streaming plan learns its size only by emitting, so each slab it
+	// fills is followed by one twice as long, up to streamSlabCap rows.
+	// Carved rows stay valid because full slabs are abandoned, never
+	// reused.
+	const streamSlabCap = 4096
 	width := len(selects)
+	aggregated := hasAggregates(x.Query.Select)
+	grouped := len(x.Query.GroupBy) > 0
+	folds := grouped || aggregated
+	var slab []float64
+	nextSlab := 1
 	newRow := func() Row {
 		if len(slab) < width {
-			slab = make([]float64, slabRows*max(width, 1))
+			slab = make([]float64, nextSlab*width)
+			nextSlab = min(2*nextSlab, streamSlabCap)
 		}
 		row := Row(slab[:width:width])
 		slab = slab[width:]
 		return row
 	}
+	var scratch Row
+	if folds {
+		scratch = make(Row, width)
+	}
 
 	var rows []Row
 	agg := newAggState(x.Query.Select)
-	aggregated := hasAggregates(x.Query.Select)
-	grouped := len(x.Query.GroupBy) > 0
 	groups := make(map[string]*aggState)
 	var groupKeys []string
 	vals := make([]float64, prog.nslots)
@@ -480,7 +493,10 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 				vals[s.slot] = flat[base+k]
 			}
 		}
-		row := newRow()
+		row := scratch
+		if !folds {
+			row = newRow()
+		}
 		for i, f := range selects {
 			row[i] = f(vals)
 		}
@@ -567,14 +583,7 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 	recurse(0, 0)
 
 	if !plan.stream {
-		// The match count is known here, so a plain result that would
-		// span several slabs gets its row headers and one slab sized
-		// exactly. A result within one slab keeps the slab path: sizing
-		// it exactly too measured 15-20% slower on the small-query
-		// serving workload, whose retained tables each pin their slab
-		// and so, as accidental heap ballast, space the collector's
-		// cycles five times further apart (CHANGES.md, ISSUE 14).
-		if !grouped && !aggregated && len(ranks) > slabRows {
+		if !folds && len(ranks) > 0 {
 			rows = make([]Row, 0, len(ranks))
 			slab = make([]float64, len(ranks)*width)
 		}

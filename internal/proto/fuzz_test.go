@@ -3,8 +3,10 @@ package proto
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -50,7 +52,10 @@ func realFrames(tb testing.TB) [][]byte {
 
 // FuzzReadFrame: the frame reader never panics, returns only what the
 // stream held, and does not take a length prefix's word for how much
-// memory to set aside.
+// memory to set aside. The reader a connection keeps (a FrameReader that
+// has already read a longer frame) agrees with the one-frame entry point
+// on every input, shows nothing of the longer frame, and never holds
+// more than twice the bytes that arrived (or eagerBody).
 func FuzzReadFrame(f *testing.F) {
 	for _, frame := range realFrames(f) {
 		f.Add(frame)
@@ -59,6 +64,13 @@ func FuzzReadFrame(f *testing.F) {
 	hostile := make([]byte, 16)
 	binary.BigEndian.PutUint32(hostile, MaxFrame)
 	f.Add(hostile)
+
+	// The frame the reused reader saw last: longer than most inputs, and
+	// of bytes no input of the corpus starts with.
+	var long bytes.Buffer
+	if err := WriteFrame(&long, KindError, Error{ID: 9, Msg: strings.Repeat("\xa5", 300)}); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var kind byte
 		var payload []byte
@@ -66,6 +78,22 @@ func FuzzReadFrame(f *testing.F) {
 		got := allocated(func() { kind, payload, err = ReadFrame(bytes.NewReader(data)) })
 		if limit := uint64(4*len(data) + eagerBody + allocSlack); got > limit {
 			t.Fatalf("ReadFrame allocated %d bytes for %d bytes of input (limit %d)", got, len(data), limit)
+		}
+
+		fr := NewFrameReader(io.MultiReader(bytes.NewReader(long.Bytes()), bytes.NewReader(data)))
+		if _, _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		kind2, payload2, err2 := fr.Next()
+		if kind2 != kind || !bytes.Equal(payload2, payload) || (err2 == nil) != (err == nil) {
+			t.Fatalf("ReadFrame returned kind %d, %d bytes, %v; a reused FrameReader kind %d, %d bytes, %v",
+				kind, len(payload), err, kind2, len(payload2), err2)
+		}
+		if cap(payload2) != len(payload2) {
+			t.Fatalf("a %d-byte payload has capacity %d: the bytes behind it belong to an earlier frame", len(payload2), cap(payload2))
+		}
+		if limit := max(eagerBody, 2*len(data)); cap(fr.body) > limit {
+			t.Fatalf("the reader holds %d bytes after %d arrived (limit %d)", cap(fr.body), len(data), limit)
 		}
 		if err != nil {
 			return

@@ -242,37 +242,68 @@ func WriteFrame(w io.Writer, kind byte, v any) error {
 	return err
 }
 
-// eagerBody is the largest frame body ReadFrame allocates on the word
-// of the length prefix alone; it covers a 512-row Rows chunk of a dozen
+// eagerBody is the largest frame body a reader allocates on the word of
+// the length prefix alone; it covers a 512-row Rows chunk of a dozen
 // columns.
 const eagerBody = 64 << 10
 
-// ReadFrame reads one frame and returns its kind and raw payload.
+// FrameReader reads one connection's frames into one body it owns and
+// grows, so a stream of frames costs no allocation once the body fits
+// them. A returned payload is valid only until the next call of Next, as
+// with bufio.Scanner.Bytes: decode it, or copy what must outlive it.
+type FrameReader struct {
+	r    io.Reader
+	hdr  [4]byte
+	body []byte
+}
+
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r: r} }
+
+// ReadFrame reads one frame and returns its kind and raw payload, which
+// the caller owns. A connection's read loop uses a FrameReader instead.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	return NewFrameReader(r).Next()
+}
+
+// Next reads one frame and returns its kind and raw payload.
+func (fr *FrameReader) Next() (byte, []byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(fr.hdr[:]))
 	if n < 1 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("proto: frame length %d out of range", n)
 	}
-	// A length is only a claim until its bytes arrive: a body longer
-	// than eagerBody is grown by doubling as they do, so four hostile
-	// bytes cannot make the reader allocate MaxFrame.
-	body := make([]byte, min(n, eagerBody))
+	// Like an encode buffer, a body that one huge frame grew past
+	// maxPooledBuf is not kept for the life of the connection.
+	if cap(fr.body) > maxPooledBuf {
+		fr.body = nil
+	}
+	// A length is only a claim until its bytes arrive: beyond what the
+	// body already holds (or eagerBody), it grows by doubling as they do,
+	// so four hostile bytes cannot make the reader allocate MaxFrame: it
+	// never holds more than eagerBody or twice what arrived.
+	if cap(fr.body) < min(n, eagerBody) {
+		fr.body = make([]byte, min(n, eagerBody))
+	}
+	body := fr.body[:min(n, cap(fr.body))]
 	for filled := 0; ; {
-		if _, err := io.ReadFull(r, body[filled:]); err != nil {
+		if _, err := io.ReadFull(fr.r, body[filled:]); err != nil {
 			if err == io.EOF && filled > 0 {
 				err = io.ErrUnexpectedEOF
 			}
 			return 0, nil, err
 		}
 		filled = len(body)
-		if filled == int(n) {
-			return body[0], body[1:], nil
+		if filled == n {
+			// The capacity stops at the payload: what an earlier, longer
+			// frame left behind it is out of the caller's reach.
+			return body[0], body[1:n:n], nil
 		}
-		body = append(body, make([]byte, min(int(n)-filled, filled))...)
+		fr.body = make([]byte, min(n, 2*filled))
+		copy(fr.body, body)
+		body = fr.body
 	}
 }
 

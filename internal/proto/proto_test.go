@@ -215,6 +215,28 @@ func TestMaxFrameBoundary(t *testing.T) {
 	}
 }
 
+// A connection's reader keeps its body between frames, but not one that
+// a single huge frame grew: the next read lets it go, as WriteFrame does
+// with its pooled buffers.
+func TestFrameReaderReleasesHugeBody(t *testing.T) {
+	var buf bytes.Buffer
+	for _, n := range []int{2 * maxPooledBuf, 100, 100} {
+		if err := WriteFrame(&buf, KindError, errorFrameOfSize(t, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(&buf)
+	for i, want := range []int{2 * maxPooledBuf, 100, 100} {
+		_, payload, err := fr.Next()
+		if err != nil || len(payload) != want-1 {
+			t.Fatalf("frame %d: %d payload bytes, err %v", i, len(payload), err)
+		}
+		if i > 0 && cap(fr.body) > maxPooledBuf {
+			t.Errorf("after frame %d the reader still holds %d bytes", i, cap(fr.body))
+		}
+	}
+}
+
 // rowsPayload hand-builds a KindRows payload with an arbitrary header.
 func rowsPayload(id int64, epoch, total, nrows, ncols uint32, cells int) []byte {
 	p := make([]byte, rowsHeaderLen+8*cells)
@@ -301,8 +323,9 @@ func table(nrows, ncols int) [][]float64 {
 }
 
 // The steady-state cost of a Rows frame is pinned: the encoder works in
-// a pooled buffer, the decoder makes one cell slab and one row-header
-// slice, and routing a frame reads eight bytes.
+// a pooled buffer, a connection's reader in the body it owns, the
+// decoder makes one cell slab and one row-header slice, and routing a
+// frame reads eight bytes.
 func TestRowsFrameAllocs(t *testing.T) {
 	var msg any = &Rows{ID: 1, Total: 512, Rows: table(512, 12)}
 	var buf bytes.Buffer
@@ -310,6 +333,17 @@ func TestRowsFrameAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := buf.Bytes()[5:]
+
+	rd := bytes.NewReader(buf.Bytes())
+	fr := NewFrameReader(rd)
+	if n := testing.AllocsPerRun(100, func() { // the warm-up call sizes the body
+		rd.Reset(buf.Bytes())
+		if kind, got, err := fr.Next(); kind != KindRows || len(got) != len(payload) || err != nil {
+			t.Fatal(kind, len(got), err)
+		}
+	}); n != 0 {
+		t.Errorf("reading a 512×12 Rows frame into a warm FrameReader: %.0f allocs, want 0", n)
+	}
 
 	if n := testing.AllocsPerRun(100, func() {
 		if err := WriteFrame(io.Discard, KindRows, msg); err != nil {
@@ -368,12 +402,13 @@ func BenchmarkRowsDecode(b *testing.B) {
 			}
 			frame := buf.Bytes()
 			rd := bytes.NewReader(frame)
+			fr := NewFrameReader(rd)
 			b.SetBytes(int64(len(frame)))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rd.Reset(frame)
-				_, payload, err := ReadFrame(rd)
+				_, payload, err := fr.Next()
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -235,7 +235,9 @@ func (h *groupHub) run(b *batch) {
 		}
 		t := b.at + float64(e)*b.period
 		start := time.Now()
-		results, err, timedOut := s.runRoundBounded(qg, r, t)
+		results, err, timedOut := bounded(s.cfg.QueryTimeout, func() ([]*core.Result, error) {
+			return qg.RunRound(r, t)
+		})
 		s.release()
 		s.met.querySeconds.Observe(time.Since(start).Seconds())
 		s.met.sharedRounds.Inc()
@@ -304,27 +306,4 @@ func maxEpochs(members []*groupSub) int {
 		n = max(n, sub.epochs)
 	}
 	return n
-}
-
-// runRoundBounded executes one shared round, bounded by QueryTimeout
-// exactly like runBounded; on expiry the round's goroutine and the
-// group's runner are abandoned.
-func (s *Server) runRoundBounded(qg *core.QueryGroup, r *core.Runner, t float64) ([]*core.Result, error, bool) {
-	type roundResult struct {
-		results []*core.Result
-		err     error
-	}
-	done := make(chan roundResult, 1)
-	go func() {
-		results, err := qg.RunRound(r, t)
-		done <- roundResult{results: results, err: err}
-	}()
-	timer := time.NewTimer(s.cfg.QueryTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-done:
-		return out.results, out.err, false
-	case <-timer.C:
-		return nil, nil, true
-	}
 }

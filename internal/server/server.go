@@ -500,10 +500,12 @@ func (ss *session) answerEncodeFailure(bw *bufio.Writer, msg any, err error) err
 func (ss *session) readLoop() {
 	defer ss.s.sessWG.Done()
 	defer ss.teardown()
-	br := bufio.NewReader(ss.conn)
+	// One body for the connection's frames: each payload is decoded
+	// (JSON copies what it keeps) before the next is read over it.
+	fr := proto.NewFrameReader(bufio.NewReader(ss.conn))
 
 	ss.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
-	kind, payload, err := proto.ReadFrame(br)
+	kind, payload, err := fr.Next()
 	if err != nil {
 		return
 	}
@@ -525,7 +527,7 @@ func (ss *session) readLoop() {
 
 	for {
 		ss.conn.SetReadDeadline(time.Now().Add(ss.s.cfg.IdleTimeout))
-		kind, payload, err := proto.ReadFrame(br)
+		kind, payload, err := fr.Next()
 		if err != nil {
 			return
 		}
@@ -759,7 +761,9 @@ func (s *Server) runIndependent(ss *session, q proto.Query, pl *pool,
 		}
 		t := q.At + float64(e)*prep.Period()
 		start := time.Now()
-		res, err, timedOut := s.runBounded(r, prep, m, t)
+		res, err, timedOut := bounded(s.cfg.QueryTimeout, func() (*core.Result, error) {
+			return r.RunPrepared(prep, m, t)
+		})
 		s.release()
 		s.met.querySeconds.Observe(time.Since(start).Seconds())
 		if timedOut {
@@ -807,29 +811,35 @@ func (s *Server) runIndependent(ss *session, q proto.Query, pl *pool,
 	ss.sendDone(q.ID, rec.Epochs)
 }
 
-// runBounded executes one epoch on r, bounded by QueryTimeout. On
-// expiry the execution goroutine cannot be killed — it is abandoned
-// together with its runner, and the caller must not return r to the
+// bounded runs one epoch or shared round, bounded by timeout. On expiry
+// the execution goroutine cannot be killed — it is abandoned together
+// with its runner, and the caller must not return the runner to the
 // pool; what the deadline reclaims is the execution slot and the
-// client's query.
-func (s *Server) runBounded(r *core.Runner, prep *core.Prepared, m core.Method, t float64) (*core.Result, error, bool) {
-	type epochResult struct {
-		res *core.Result
+// client's query. The deadline is authoritative: a result that arrives
+// after it is a timeout too, so which of two ready select arms Go picks
+// does not decide a query's outcome.
+func bounded[T any](timeout time.Duration, run func() (T, error)) (res T, err error, timedOut bool) {
+	type outcome struct {
+		res T
 		err error
 	}
-	done := make(chan epochResult, 1) // buffered: an abandoned epoch still exits
+	done := make(chan outcome, 1) // buffered: an abandoned execution still exits
+	start := time.Now()
 	go func() {
-		res, err := r.RunPrepared(prep, m, t)
-		done <- epochResult{res: res, err: err}
+		var out outcome
+		out.res, out.err = run()
+		done <- out
 	}()
-	timer := time.NewTimer(s.cfg.QueryTimeout)
+	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	select {
 	case out := <-done:
-		return out.res, out.err, false
+		if time.Since(start) < timeout {
+			return out.res, out.err, false
+		}
 	case <-timer.C:
-		return nil, nil, true
 	}
+	return res, nil, true
 }
 
 // emitEpoch streams one epoch's table as Rows chunks plus an EpochEnd.

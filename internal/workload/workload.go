@@ -187,10 +187,6 @@ func fractionOf(nodes []nodeSample, p Preset, delta float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	contributes := make([]bool, n)
-	// Sorted by temperature: node i can act as A against any j with
-	// temps[j] < temps[i] - delta, i.e. a prefix; and as B against a
-	// suffix.
 	hasPartner := func(i int, lo, hi int) bool {
 		for j := lo; j < hi; j++ {
 			if !p.distance || geom.Dist(nodes[i].pos, nodes[j].pos) > 100 {
@@ -199,25 +195,20 @@ func fractionOf(nodes []nodeSample, p Preset, delta float64) float64 {
 		}
 		return false
 	}
-	// upTo[i]: number of nodes with temp < temps[i] - delta.
-	for i := 0; i < n; i++ {
-		cut := sort.Search(n, func(j int) bool { return nodes[j].temp >= nodes[i].temp-delta })
-		if cut > 0 && hasPartner(i, 0, cut) {
-			contributes[i] = true
+	// Sorted by temperature: node i can act as A against any j with
+	// temps[j] < temps[i] - delta, the prefix below, and as B against any
+	// j with temps[j] > temps[i] + delta, the suffix from above on. Both
+	// thresholds rise with i (rounding is monotone), so the two cuts only
+	// ever move forward: one pass, no search per node.
+	c, below, above := 0, 0, 0
+	for i := range nodes {
+		for below < n && nodes[below].temp < nodes[i].temp-delta {
+			below++
 		}
-	}
-	for i := 0; i < n; i++ {
-		if contributes[i] {
-			continue
+		for above < n && nodes[above].temp <= nodes[i].temp+delta {
+			above++
 		}
-		cut := sort.Search(n, func(j int) bool { return nodes[j].temp > nodes[i].temp+delta })
-		if cut < n && hasPartner(i, cut, n) {
-			contributes[i] = true
-		}
-	}
-	c := 0
-	for _, b := range contributes {
-		if b {
+		if hasPartner(i, 0, below) || hasPartner(i, above, n) {
 			c++
 		}
 	}

@@ -2,10 +2,12 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
 	"sensjoin/internal/core"
+	"sensjoin/internal/geom"
 	"sensjoin/internal/query"
 )
 
@@ -144,5 +146,91 @@ func TestCalibratedQueryRunsAtTargetFraction(t *testing.T) {
 	}
 	if math.Abs(res.Fraction()-want) > 1e-9 {
 		t.Fatalf("simulated fraction %.3f != calibrated %.3f", res.Fraction(), want)
+	}
+}
+
+// fractionOfSearch is fractionOf as it was first written, one binary
+// search per node and side: the reference the cursor version must agree
+// with exactly, because a fraction that differs by one node moves a
+// calibrated δ and with it every table downstream.
+func fractionOfSearch(nodes []nodeSample, p Preset, delta float64) float64 {
+	n := len(nodes)
+	if n == 0 {
+		return 0
+	}
+	contributes := make([]bool, n)
+	hasPartner := func(i int, lo, hi int) bool {
+		for j := lo; j < hi; j++ {
+			if !p.distance || geom.Dist(nodes[i].pos, nodes[j].pos) > 100 {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; i < n; i++ {
+		cut := sort.Search(n, func(j int) bool { return nodes[j].temp >= nodes[i].temp-delta })
+		if cut > 0 && hasPartner(i, 0, cut) {
+			contributes[i] = true
+		}
+	}
+	for i := 0; i < n; i++ {
+		if contributes[i] {
+			continue
+		}
+		cut := sort.Search(n, func(j int) bool { return nodes[j].temp > nodes[i].temp+delta })
+		if cut < n && hasPartner(i, cut, n) {
+			contributes[i] = true
+		}
+	}
+	c := 0
+	for _, b := range contributes {
+		if b {
+			c++
+		}
+	}
+	return float64(c) / float64(n)
+}
+
+// Seeds × presets × every δ a calibration probes (the bisection's own
+// midpoints for three targets), plus the δs where a cut sits on a tie:
+// zero, exact differences of two readings, and readings made equal.
+func TestFractionOfMatchesBinarySearch(t *testing.T) {
+	presets := []Preset{Ratio33(), Ratio60()}
+	presets = append(presets, RatioSweep3JA()...)
+	presets = append(presets, RatioSweep1JA()...)
+	for _, seed := range []int64{1, 7, 42, 101} {
+		r, err := core.NewRunner(core.SetupConfig{Nodes: 300, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := append([]nodeSample(nil), sampleNodes(r)...)
+		for i := 10; i < len(nodes); i += 10 {
+			nodes[i].temp = nodes[i-1].temp // ties
+		}
+		span := nodes[len(nodes)-1].temp - nodes[0].temp
+		deltas := []float64{0, span, span + 1, nodes[20].temp - nodes[3].temp, nodes[len(nodes)-1].temp - nodes[150].temp}
+		for _, p := range presets {
+			check := func(delta float64) float64 {
+				got, want := fractionOf(nodes, p, delta), fractionOfSearch(nodes, p, delta)
+				if got != want {
+					t.Fatalf("seed %d, %s, δ=%v: fraction %v, binary search says %v", seed, p.Name, delta, got, want)
+				}
+				return got
+			}
+			for _, d := range deltas {
+				check(d)
+			}
+			for _, target := range []float64{0.01, 0.05, 0.3} {
+				lo, hi := 0.0, span+1
+				for iter := 0; iter < 60; iter++ {
+					mid := (lo + hi) / 2
+					if check(mid) > target {
+						lo = mid
+					} else {
+						hi = mid
+					}
+				}
+			}
+		}
 	}
 }

@@ -29,6 +29,7 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -150,9 +151,15 @@ func (e *TimeoutError) Error() string {
 // Timeout reports true; the error is a deadline expiry.
 func (e *TimeoutError) Timeout() bool { return true }
 
+// frame is what the read loop hands a stream. The loop reads every
+// frame into the connection's one body, so nothing in a frame may alias
+// it: a Rows chunk arrives decoded (or with the error that stopped its
+// decoding), every other kind as a copy of its JSON payload.
 type frame struct {
 	kind    byte
 	payload []byte
+	chunk   proto.Rows
+	err     error
 }
 
 // wire is one live connection: its demux table and terminal error are
@@ -333,9 +340,9 @@ func backoff(base, max time.Duration, attempt int) time.Duration {
 // readLoop demultiplexes one connection's server frames to their
 // query's channel.
 func (c *Client) readLoop(w *wire) {
-	br := bufio.NewReader(w.conn)
+	fr := proto.NewFrameReader(bufio.NewReader(w.conn))
 	for {
-		kind, payload, err := proto.ReadFrame(br)
+		kind, payload, err := fr.Next()
 		if err != nil {
 			w.fail(err)
 			return
@@ -358,7 +365,13 @@ func (c *Client) readLoop(w *wire) {
 		if ch == nil {
 			continue // canceled and forgotten
 		}
-		ch <- frame{kind: kind, payload: payload}
+		f := frame{kind: kind}
+		if kind == proto.KindRows {
+			f.err = proto.Decode(payload, &f.chunk)
+		} else {
+			f.payload = bytes.Clone(payload)
+		}
+		ch <- f
 		if kind == proto.KindDone || kind == proto.KindError {
 			w.mu.Lock()
 			delete(w.calls, id)
@@ -403,7 +416,7 @@ func (c *Client) Stream(src string, o Options) (*Stream, error) {
 	c.nextID++
 	id := c.nextID
 	c.mu.Unlock()
-	ch := make(chan frame, 256)
+	ch := make(chan frame, streamBuffer)
 	w.mu.Lock()
 	w.calls[id] = ch
 	w.mu.Unlock()
@@ -429,6 +442,14 @@ func (c *Client) Stream(src string, o Options) (*Stream, error) {
 	return &Stream{w: w, id: id, ch: ch, timeout: timeout}, nil
 }
 
+// streamBuffer is how many frames the read loop may run ahead of one
+// stream's Next before it waits for it (and with it every other stream
+// of the connection: the bound on what an idle consumer makes the client
+// hold). 32 covers a whole epoch of the tables sensjoind is measured on,
+// 18 chunks of 512 rows and three JSON frames, so reading one never
+// stalls the loop.
+const streamBuffer = 32
+
 // maxPresizedRows bounds the table Next allocates on the word of a
 // Rows frame's Total alone (24 MB of row headers); a larger epoch grows
 // as its chunks arrive.
@@ -444,16 +465,30 @@ type Stream struct {
 	timeout time.Duration
 
 	header proto.Header
+	epoch  int // the epoch being assembled: tables returned so far
 	rows   [][]float64
 	done   bool
 	err    error
 }
 
+// fail ends the stream on a response the client cannot use: every later
+// Next returns err, and the query is canceled server-side so that what it
+// still sends is drained off the demux loop.
+func (s *Stream) fail(err error) (*Table, error) {
+	s.err = err
+	s.cancel()
+	return nil, err
+}
+
 // Next returns the next epoch's table, io.EOF after the final epoch, or
-// the error that terminated the query. When the stream has a deadline
-// and no epoch arrives in time, Next cancels the query server-side and
-// returns a *TimeoutError — later frames of the canceled query are
-// drained off the demux loop in the background, never blocking it.
+// the error that terminated the query. A response stream that disagrees
+// with itself is such an error, not a short or ragged table: a Rows chunk
+// of another epoch than the one being assembled or of another width than
+// the epoch's first, and an EpochEnd whose RowCount is not the number of
+// rows that arrived. When the stream has a deadline and no epoch arrives
+// in time, Next cancels the query server-side and returns a
+// *TimeoutError — later frames of the canceled query are drained off the
+// demux loop in the background, never blocking it.
 func (s *Stream) Next() (*Table, error) {
 	if s.err != nil {
 		return nil, s.err
@@ -483,35 +518,43 @@ func (s *Stream) Next() (*Table, error) {
 				}
 				return nil, s.err
 			case <-expired:
-				s.err = &TimeoutError{After: s.timeout}
-				s.cancel()
-				return nil, s.err
+				return s.fail(&TimeoutError{After: s.timeout})
 			}
 		}
 		switch f.kind {
 		case proto.KindHeader:
 			if err := proto.Decode(f.payload, &s.header); err != nil {
-				s.err = err
-				return nil, err
+				return s.fail(err)
 			}
 		case proto.KindRows:
-			// Handing Decode the table's spare capacity makes it write
-			// the chunk's row headers where they belong, so the append
-			// below copies only when that capacity was missing.
-			r := proto.Rows{Rows: s.rows[len(s.rows):]}
-			if err := proto.Decode(f.payload, &r); err != nil {
-				s.err = err
-				return nil, err
+			r := f.chunk
+			switch {
+			case f.err != nil:
+				return s.fail(f.err)
+			case r.Epoch != s.epoch:
+				return s.fail(fmt.Errorf("client: Rows chunk of epoch %d while assembling epoch %d", r.Epoch, s.epoch))
+			case len(s.rows) > 0 && len(r.Rows) > 0 && len(r.Rows[0]) != len(s.rows[0]):
+				return s.fail(fmt.Errorf("client: Rows chunk %d cells wide in an epoch %d cells wide", len(r.Rows[0]), len(s.rows[0])))
 			}
-			if s.rows == nil && r.Total > len(r.Rows) && r.Total <= maxPresizedRows {
-				s.rows = make([][]float64, 0, r.Total)
+			// The first chunk's row headers become the table, which is all
+			// of it when the epoch is one chunk; a larger stated Total
+			// sizes the table once for the chunks to come.
+			switch {
+			case s.rows == nil && r.Total > len(r.Rows) && r.Total <= maxPresizedRows:
+				s.rows = append(make([][]float64, 0, r.Total), r.Rows...)
+			case s.rows == nil:
+				s.rows = r.Rows
+			default:
+				s.rows = append(s.rows, r.Rows...)
 			}
-			s.rows = append(s.rows, r.Rows...)
 		case proto.KindEpochEnd:
 			var e proto.EpochEnd
 			if err := proto.Decode(f.payload, &e); err != nil {
-				s.err = err
-				return nil, err
+				return s.fail(err)
+			}
+			if e.Epoch != s.epoch || e.RowCount != len(s.rows) {
+				return s.fail(fmt.Errorf("client: EpochEnd of epoch %d states %d rows; epoch %d arrived with %d",
+					e.Epoch, e.RowCount, s.epoch, len(s.rows)))
 			}
 			t := &Table{
 				Columns: s.header.Columns, Rows: s.rows,
@@ -526,6 +569,7 @@ func (s *Stream) Next() (*Table, error) {
 				t.Rows = [][]float64{}
 			}
 			s.rows = nil
+			s.epoch++
 			return t, nil
 		case proto.KindDone:
 			s.done = true

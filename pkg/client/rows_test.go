@@ -1,10 +1,13 @@
 package client_test
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"testing"
+	"time"
 
 	"sensjoin/internal/proto"
 	"sensjoin/pkg/client"
@@ -130,6 +133,97 @@ func TestStreamMalformedRows(t *testing.T) {
 	}
 	if _, err := c.Query(`SELECT ...`); err != nil {
 		t.Fatalf("query after the malformed frame: %v", err)
+	}
+}
+
+// A response stream that disagrees with itself is an error, never a
+// short or ragged table: each script is one epoch the way sensjoind frames
+// it, with one defect. The stream stays failed, the client cancels the
+// query, and the connection keeps serving.
+func TestStreamRejectsInconsistentEpoch(t *testing.T) {
+	rows := sequence(1024)
+	chunk := func(id int64, epoch int, rows [][]float64) proto.Rows {
+		return proto.Rows{ID: id, Epoch: epoch, Total: 1024, Rows: rows}
+	}
+	scripts := []struct {
+		name   string
+		chunks func(id int64) []proto.Rows
+		end    proto.EpochEnd
+	}{
+		{"dropped chunk", func(id int64) []proto.Rows {
+			return []proto.Rows{chunk(id, 0, rows[:512])}
+		}, proto.EpochEnd{RowCount: 1024}},
+		{"RowCount below the rows sent", func(id int64) []proto.Rows {
+			return []proto.Rows{chunk(id, 0, rows[:512]), chunk(id, 0, rows[512:])}
+		}, proto.EpochEnd{RowCount: 1000}},
+		{"chunk of another width", func(id int64) []proto.Rows {
+			return []proto.Rows{chunk(id, 0, rows[:512]), chunk(id, 0, [][]float64{{1, 2}, {3, 4}})}
+		}, proto.EpochEnd{RowCount: 514}},
+		{"chunk of another epoch", func(id int64) []proto.Rows {
+			return []proto.Rows{chunk(id, 0, rows[:512]), chunk(id, 1, rows[512:])}
+		}, proto.EpochEnd{RowCount: 1024}},
+		{"EpochEnd of another epoch", func(id int64) []proto.Rows {
+			return []proto.Rows{chunk(id, 0, rows[:512]), chunk(id, 0, rows[512:])}
+		}, proto.EpochEnd{Epoch: 1, RowCount: 1024}},
+	}
+	canceled := make(chan int64, len(scripts))
+	fs := newFakeServer(t, func(conn net.Conn) {
+		for _, sc := range scripts {
+			q, err := readQuery(conn)
+			if err != nil {
+				return
+			}
+			proto.WriteFrame(conn, proto.KindHeader, proto.Header{ID: q.ID, Columns: []string{"v"}})
+			for _, c := range sc.chunks(q.ID) {
+				proto.WriteFrame(conn, proto.KindRows, c)
+			}
+			sc.end.ID, sc.end.Complete = q.ID, true
+			proto.WriteFrame(conn, proto.KindEpochEnd, sc.end)
+			for {
+				kind, payload, err := proto.ReadFrame(conn)
+				if err != nil {
+					return
+				}
+				if kind == proto.KindCancel {
+					var c proto.Cancel
+					proto.Decode(payload, &c)
+					canceled <- c.ID
+					break
+				}
+			}
+			proto.WriteFrame(conn, proto.KindDone, proto.Done{ID: q.ID})
+		}
+		serveQueries(conn)
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sc := range scripts {
+		st, err := c.Stream(`SELECT ...`, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := st.Next()
+		if err == nil {
+			t.Fatalf("%s: Next returned a table of %d rows and no error", sc.name, len(tb.Rows))
+		}
+		var se *client.ServerError
+		if errors.As(err, &se) || err == io.EOF {
+			t.Fatalf("%s: got %v, want the client's own consistency error", sc.name, err)
+		}
+		if _, again := st.Next(); again != err {
+			t.Errorf("%s: second Next returned %v, want the same %v", sc.name, again, err)
+		}
+		select {
+		case <-canceled:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: the server never saw a Cancel for the failed query", sc.name)
+		}
+	}
+	if tb, err := c.Query(`SELECT ...`); err != nil || len(tb.Rows) != 1 {
+		t.Fatalf("query after the inconsistent streams: %v, %v", tb, err)
 	}
 }
 

@@ -19,8 +19,9 @@ fi
 # own module and never used them.) So does QueryGroup's copy of the
 # SENS-Join protocol: a cluster runs SENSJoin.round with m members. And
 # the set algebra on the encoded quadtree and the internal/wire package:
-# rounds are charged from sizes alone, nothing runs either.
-retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire' \
+# rounds are charged from sizes alone, nothing runs either. And the join
+# kernel's 4096-row slab threshold: a result is allocated at its size.
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -160,11 +161,16 @@ grep -q '"ByteIdentical": true' /tmp/sensjoin-serve.json
 # protocol-violation answers) and the client's demux and table
 # assembly under the race detector.
 go test -race ./internal/server ./internal/proto ./pkg/client
-# Slow lane: the closed-loop and admission tests 200 times over. A caller
-# at the admission limit is refused only when a slot outlives the frame
-# that ends its query, and that shows as a flake of a few percent, not as
-# a failure of one run.
-go test -count 200 ./internal/server ./pkg/client -run 'ClosedLoop|Admission'
+# Slow lane: the closed-loop, admission and timeout tests 200 times over.
+# A caller at the admission limit is refused only when a slot outlives the
+# frame that ends its query, and a 1 ns deadline is missed only when the
+# round finishes while its caller is descheduled: each shows as a flake of
+# a few percent, not as a failure of one run.
+go test -count 200 ./internal/server ./pkg/client -run 'ClosedLoop|Admission|Timeout'
+# The client's read loop decodes Rows chunks in place, out of the one
+# body its connection's FrameReader reuses: more interleavings than the
+# single -race run above gives.
+go test -race -count 3 ./internal/proto ./pkg/client
 # Wire-codec fuzz smoke: 5 s per target on the frame reader and the
 # Rows decoder (never panic, never allocate beyond what the bytes that
 # arrived account for, encode and decode are exact inverses).
