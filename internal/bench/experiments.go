@@ -128,11 +128,12 @@ func setupFor(nodes int, seed int64, maxPacket int) core.SetupConfig {
 
 // privateRunner builds a runner no pool will see. It is the harness's
 // only door to core.NewRunner (scripts/check.sh greps for others), for
-// the callers that cannot lease: experiments that inject faults or
-// churn, which a pool would drop on return anyway (L1, X10), one that
+// the callers that cannot lease: the experiment that attaches churn and
+// repairs trees, which a pool would drop on return anyway (X10), one that
 // hands the runner's journal to its caller (RunTraced), and the
 // artefact experiments that keep one runner for their whole run outside
-// any All call (X8, X9's oracle).
+// any All call (X8, X9's oracle). Loss and reliable transport are not a
+// reason: a returned runner is reset out of both.
 func privateRunner(nodes int, seed int64, maxPacket int) (*core.Runner, error) {
 	return core.NewRunner(setupFor(nodes, seed, maxPacket))
 }
@@ -147,8 +148,8 @@ func (c Config) arm(r *core.Runner) *core.Runner {
 }
 
 // lease takes a runner for this configuration out of the call's pools;
-// done ends the lease. For experiments that only read the deployment,
-// which is all of them except the fault-injecting ones.
+// done ends the lease. For every experiment that neither keeps the
+// runner's journal nor attaches churn.
 func (c Config) lease() (r *core.Runner, done func(), err error) {
 	p, err := c.leases.pool(setupFor(c.Nodes, c.Seed, c.MaxPacket))
 	if err != nil {
@@ -1183,10 +1184,11 @@ func RunLossResilience(cfg Config, rates []float64) (*Table, error) {
 	}
 	type cell struct{ ext, sens mrow }
 	run := func(rate float64, m core.Method) (mrow, error) {
-		r, err := cfg.privateRunner()
+		r, done, err := cfg.lease()
 		if err != nil {
 			return mrow{}, err
 		}
+		defer done()
 		r.EnableReliableTransport(netsim.ReliableConfig{})
 		// One loss stream per (rate, method): draws never depend on what
 		// ran before, which keeps cells order- and worker-independent.

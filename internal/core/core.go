@@ -138,7 +138,11 @@ type Exec struct {
 // under sharding that is the node's region clock, so spans emitted from
 // parallel region workers carry their true simulated timestamps.
 func (x *Exec) span(k trace.Kind, node, peer topology.NodeID, phase string, arg int) {
-	at := x.Sim.NodeNow(node)
+	x.spanAt(x.Sim.NodeNow(node), k, node, peer, phase, arg)
+}
+
+// spanAt appends a protocol event at time at.
+func (x *Exec) spanAt(at float64, k trace.Kind, node, peer topology.NodeID, phase string, arg int) {
 	x.Trace.Span(at, k, node, peer, phase, arg)
 	x.Metrics.observeSpan(x, at, k, phase)
 }

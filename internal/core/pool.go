@@ -64,11 +64,12 @@ func (p *RunnerPool) Put(r *Runner) {
 // order, message ids and with them Result.ResponseTime to the last bit
 // repeat), Stats is cleared in place, Member, Env, AutoAudit, mid-round
 // repair and the metrics wiring return to their defaults. The run
-// scratch, the event heap's capacity and the delivery freelists stay.
-// What has left marks in simulation state it does not try to undo: with
-// events still pending, a dead node or downed link, a loss model,
-// reliable transport or churn armed, a rebuilt tree, or tracing still on
-// it reports false and the runner must not be reused.
+// scratch, the event heap's capacity and the delivery freelists stay; the
+// network clears what fault injection armed — dead nodes, downed links,
+// the loss models, reliable transport (netsim.Network.Reset). What it does
+// not try to undo: with events still pending, churn attached, a rebuilt
+// tree, or tracing still on it reports false and the runner must not be
+// reused.
 func (r *Runner) reset() bool {
 	if r.Tree != r.tree0 || r.churn != nil || r.Trace != nil {
 		return false

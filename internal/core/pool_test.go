@@ -47,7 +47,9 @@ func observe(t *testing.T, r *Runner, p *Prepared, m Method) observed {
 // of clock readings, so it used to carry the runner's history in its low
 // bits: 59.850000000000009 s after one earlier run, 59.849999999999966 s
 // after five), and so do the rows, the packet totals, the event count and
-// the whole journal, message ids included.
+// the whole journal, message ids included — also after the runner's last
+// round ran under 5% loss with reliable transport, a lossy link, a dead
+// node and a downed link.
 func TestPooledRunnerRepeatsAFreshOne(t *testing.T) {
 	for _, cfg := range []SetupConfig{
 		{Nodes: 300, Seed: 7},
@@ -94,7 +96,15 @@ func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
 			}
 		}
 	}
-	if used.Sim.Now() == 0 || used.Stats.TotalTx() == 0 {
+	used.EnableReliableTransport(netsim.ReliableConfig{})
+	used.Net.SetLossRate(0.05, 3)
+	used.Net.SetLinkLossRate(1, used.Dep.Neighbors[1][0], 0.5)
+	if _, err := used.RunPrepared(other, NewSENSJoin(), 5); err != nil {
+		t.Fatal(err)
+	}
+	used.Net.KillNode(5)
+	used.Net.LinkDown(2, used.Dep.Neighbors[2][0])
+	if used.Sim.Now() == 0 || used.Stats.TotalTx() == 0 || used.Net.Retx == 0 {
 		t.Fatal("the warm-up left no history to reset")
 	}
 	pool.Put(used)
@@ -156,19 +166,14 @@ func TestResetRestoresTheSwitches(t *testing.T) {
 }
 
 // A runner that cannot be made equal to a new one is never handed out
-// again: faults and armed features leave marks in simulation state that
-// zeroing does not remove.
+// again: churn, pending events, a journal and a rebuilt tree leave marks
+// that reset does not undo.
 func TestPoolDropsRunnersItCannotReset(t *testing.T) {
 	cfg := SetupConfig{Nodes: 150, Seed: 7}
 	for _, c := range []struct {
 		name  string
 		dirty func(r *Runner)
 	}{
-		{"killed node", func(r *Runner) { r.Net.KillNode(5) }},
-		{"downed link", func(r *Runner) { r.Net.LinkDown(1, r.Dep.Neighbors[1][0]) }},
-		{"loss model", func(r *Runner) { r.Net.SetLossRate(0.1, 1) }},
-		{"per-link loss", func(r *Runner) { r.Net.SetLinkLossRate(1, r.Dep.Neighbors[1][0], 0.5) }},
-		{"reliable transport", func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }},
 		{"churn", func(r *Runner) { r.AttachChurn(netsim.ChurnConfig{Seed: 1, Rate: 0.01}) }},
 		{"pending events", func(r *Runner) { r.Sim.Schedule(r.Sim.Now()+1, func() {}) }},
 		{"tracing on", func(r *Runner) { r.EnableTrace() }},

@@ -268,32 +268,35 @@ func recoverRound(x *Exec, p *plan, roots []topology.NodeID) []finalTuple {
 	reqSlot := x.Net.SlotFor(2 + 2*tree.MaxDepth)
 	waveStart := x.Sim.Now() + float64(maxHops+1)*reqSlot
 	slot := collectionSlot(x, p)
+	levels := make([][]topology.NodeID, tree.MaxDepth+1)
 	for i := 1; i < n; i++ {
-		id := topology.NodeID(i)
-		if !inSub[id] {
-			continue
+		if inSub[i] {
+			levels[tree.Depth[i]] = append(levels[tree.Depth[i]], topology.NodeID(i))
 		}
-		deadline := waveStart + float64(tree.MaxDepth-tree.Depth[id])*slot
-		x.Sim.Schedule(deadline, func() {
-			if !reqArrived[rootOf[id]] {
-				return // the re-request never made it down; retry next round
-			}
-			tuples := inbox[id]
-			if p.nodes[id].flags != 0 {
-				tuples = append(tuples, p.tuple(id))
-			}
-			if len(tuples) == 0 {
-				return
-			}
-			size := 0
-			for _, t := range tuples {
-				size += t.bytes
-			}
-			x.Net.Send(netsim.Message{
-				Kind: kindRecover, Src: id, Dst: tree.Parent[id],
-				Phase: PhaseRecovery, Size: size, Payload: tuples,
-			})
+	}
+	ship := func(id topology.NodeID) {
+		if !reqArrived[rootOf[id]] {
+			return // the re-request never made it down; retry next round
+		}
+		tuples := inbox[id]
+		if p.nodes[id].flags != 0 {
+			tuples = append(tuples, p.tuple(id))
+		}
+		if len(tuples) == 0 {
+			return
+		}
+		size := 0
+		for _, t := range tuples {
+			size += t.bytes
+		}
+		x.Net.Send(netsim.Message{
+			Kind: kindRecover, Src: id, Dst: tree.Parent[id],
+			Phase: PhaseRecovery, Size: size, Payload: tuples,
 		})
+	}
+	// One deadline per subtree level, like every collection wave.
+	for d, ids := range levels {
+		x.Sim.ScheduleNodes(topology.BaseStation, ids, waveStart+float64(tree.MaxDepth-d)*slot, ship)
 	}
 	x.Sim.Run()
 	return inbox[topology.BaseStation]

@@ -180,31 +180,40 @@ func (m Mediated) Run(x *Exec) (*Result, error) {
 	}
 
 	// Phase 2: join at the mediator; ship the result rows to the base
-	// station hop by hop.
+	// station hop by hop. A mediator cut off from the base station (churn)
+	// holds rows that never arrive: every member's data is missing there.
 	rows, contrib := exactJoin(x, tuples)
+	partitioned := false
 	if len(rows) > 0 && mediator != topology.BaseStation {
-		path, err := shortestPath(x, mediator, topology.BaseStation)
-		if err != nil {
-			return nil, err
-		}
-		rowBytes := len(x.Query.Select) * 2
-		size := len(rows) * rowBytes
-		for i := 0; i+1 < len(path); i++ {
-			x.Net.Send(netsim.Message{
-				Kind: kindResult, Src: path[i], Dst: path[i+1],
-				Phase: PhaseMediatedResult, Size: size, Payload: nil,
-			})
+		if path, err := shortestPath(x, mediator, topology.BaseStation); err != nil {
+			rows, contrib, tuples, partitioned = nil, nil, nil, true
+		} else {
+			rowBytes := len(x.Query.Select) * 2
+			size := len(rows) * rowBytes
+			for i := 0; i+1 < len(path); i++ {
+				x.Net.Send(netsim.Message{
+					Kind: kindResult, Src: path[i], Dst: path[i+1],
+					Phase: PhaseMediatedResult, Size: size, Payload: nil,
+				})
+			}
 		}
 	}
 	x.Sim.Run()
-	return &Result{
+	res := &Result{
 		Columns:           columnsOf(x.Query),
 		Rows:              rows,
 		ContributingNodes: len(contrib),
 		MemberNodes:       p.members,
 		Complete:          len(tuples) == p.members,
 		ResponseTime:      x.Sim.Now() - start,
-	}, nil
+	}
+	if !res.Complete {
+		annotateIncomplete(x, missingFrom(memberSet(p), tupleIndex(tuples)), res)
+		if partitioned {
+			res.IncompleteReason = ReasonPartition
+		}
+	}
+	return res, nil
 }
 
 // memberCentroidNode picks the member node nearest to the centroid of
@@ -332,20 +341,27 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 
 	all := append(append([]finalTuple(nil), aTuples...), bTuples...)
 	rows, contrib := exactJoin(x, all)
-	aMembers := 0
-	for _, nd := range p.nodes {
-		if nd.flags&aFlag != 0 {
-			aMembers++
+	// Complete means every tuple the method set out to collect arrived:
+	// all of A, and every B tuple that matches an A key.
+	needed := make(map[topology.NodeID]bool)
+	for i, nd := range p.nodes {
+		if id := topology.NodeID(i); nd.flags&aFlag != 0 || matches(id) {
+			needed[id] = true
 		}
 	}
-	return &Result{
+	missing := missingFrom(needed, tupleIndex(all))
+	res := &Result{
 		Columns:           columnsOf(x.Query),
 		Rows:              rows,
 		ContributingNodes: len(contrib),
 		MemberNodes:       p.members,
-		Complete:          len(aTuples) == aMembers,
+		Complete:          len(missing) == 0,
 		ResponseTime:      x.Sim.Now() - start,
-	}, nil
+	}
+	if !res.Complete {
+		annotateIncomplete(x, missing, res)
+	}
+	return res, nil
 }
 
 // semiMatches checks whether a B-side key possibly joins any A-side key

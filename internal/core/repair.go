@@ -70,10 +70,10 @@ func (r *Runner) EnableMidRoundRepair() { r.repair = true }
 // AttachChurn wires a churn & mobility injector to this runner's
 // network and, when tracing or metrics are enabled, into the journal and
 // the sensjoin_churn_* instrument family. Call Cover on the returned
-// injector before each execution window. Attaching churn reverts a
-// sharded runner to the classic engine (netsim.NewChurn does), which is
-// what makes same-seed churn runs replay bit-identically at any
-// shard/worker count.
+// injector before each execution window. Churn ticks are coordinator
+// events (netsim.Sim.Schedule): they run with every region stopped, so a
+// sharded runner stays sharded and same-seed churn runs replay
+// bit-identically at any shard or worker count.
 func (r *Runner) AttachChurn(cfg netsim.ChurnConfig) *netsim.Churn {
 	ch := netsim.NewChurn(r.Net, cfg)
 	if r.reg != nil {

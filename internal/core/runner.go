@@ -34,12 +34,11 @@ type SetupConfig struct {
 	Private bool
 	// Shards > 1 partitions the simulator into that many spatial regions
 	// executed in parallel under conservative time-window
-	// synchronization (see netsim/shard.go). Results are bit-identical
-	// for any shard count; tracing and live metrics compose with it
-	// (journals come out byte-identical to a classic run), and so do
-	// continuous (incremental) SENS-Join and QueryGroup rounds; enabling
-	// reliable transport, the loss model or churn reverts the runner to
-	// the classic engine.
+	// synchronization (see netsim/shard.go); 0 and 1 mean one region,
+	// which is the same engine. A run is the same run at every shard
+	// count — rows, packets, response times and the recorded journal —
+	// with every feature on: tracing, metrics, loss, reliable transport,
+	// churn and mid-round repair, continuous and QueryGroup rounds.
 	Shards int
 	// ShardWorkers bounds the goroutines running one synchronization
 	// window (0 = one per shard, capped by GOMAXPROCS).
@@ -169,13 +168,6 @@ func NewRunnerFromSetup(dep *topology.Deployment, env *field.Environment, tree *
 		net.BindSharding()
 	}
 	return r
-}
-
-// disableSharding reverts this runner to the classic engine; called by
-// every feature whose hot path is incompatible with parallel regions.
-func (r *Runner) disableSharding() {
-	r.Sim.DisableSharding()
-	r.Net.BindSharding()
 }
 
 // NewRunnerFromDeployment wraps an existing deployment (tests use
@@ -351,6 +343,5 @@ func (r *Runner) RebuildTreeAvoidingFailures() {
 // reliable delivery (ACKs, bounded retransmissions, duplicate
 // suppression; see netsim) and arms scoped recovery in the join methods.
 func (r *Runner) EnableReliableTransport(cfg netsim.ReliableConfig) {
-	r.disableSharding()
 	r.Net.EnableReliable(cfg)
 }

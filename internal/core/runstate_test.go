@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -303,9 +304,8 @@ func TestJoinKernelWarmScratchAllocs(t *testing.T) {
 
 // A sharded runner's region workers index the borrowed slabs and charge
 // the dense collector concurrently; round after round on the same
-// runner must repeat the first round exactly and agree with the classic
-// engine (row order aside: same-time arrivals at the base station tie
-// differently between the engines). Run under -race.
+// runner must repeat the first round exactly and agree with a one-region
+// runner. Run under -race.
 func TestShardedRoundsReuseRunState(t *testing.T) {
 	classic, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3})
 	if err != nil {
@@ -329,10 +329,10 @@ func TestShardedRoundsReuseRunState(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sharded.Sim.Sharded() {
-				t.Fatal("the sharded runner fell back to the classic engine")
+				t.Fatal("the runner is no longer sharded")
 			}
-			if !equalStrings(sortedRows(got.Rows), sortedRows(want.Rows)) || got.Complete != want.Complete || got.ResponseTime != want.ResponseTime {
-				t.Fatalf("round %d %s: sharded result differs from classic", round, m.Name())
+			if !slices.Equal(sortedRows(got.Rows), sortedRows(want.Rows)) || got.Complete != want.Complete || got.ResponseTime != want.ResponseTime {
+				t.Fatalf("round %d %s: sharded result differs from one region", round, m.Name())
 			}
 			if round == 0 {
 				firstRows[m.Name()] = got.Rows
@@ -362,7 +362,7 @@ func sameNodeTx(t *testing.T, what string, classic, sharded *Runner) {
 // computed in — is touched from the node's own region worker, and a
 // shared QueryGroup round is the same body with m members. So on a
 // sharded runner an independent continuous query, a three-member cluster
-// and a singleton cluster must each agree with the classic engine in
+// and a singleton cluster must each agree with a one-region runner in
 // every epoch while the snapshot advances: rows (order aside), Complete,
 // ResponseTime and every node's transmissions. Run under -race: a buffer
 // shared across regions loses rows without it and is reported with it.
@@ -419,11 +419,11 @@ func TestShardedContinuousAndGroupRounds(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !sharded.Sim.Sharded() {
-				t.Fatal("the sharded runner fell back to the classic engine")
+				t.Fatal("the runner is no longer sharded")
 			}
 			what := fmt.Sprintf("epoch %d %s", epoch, wantLanes[l].name)
 			for q := range want {
-				if !equalStrings(sortedRows(got[q].Rows), sortedRows(want[q].Rows)) ||
+				if !slices.Equal(sortedRows(got[q].Rows), sortedRows(want[q].Rows)) ||
 					got[q].Complete != want[q].Complete || got[q].ResponseTime != want[q].ResponseTime {
 					t.Fatalf("%s query %d: sharded result differs from classic (%d vs %d rows, complete %t vs %t)",
 						what, q, len(got[q].Rows), len(want[q].Rows), got[q].Complete, want[q].Complete)

@@ -323,9 +323,8 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 
 		// Phase C schedule: after the filter has fully propagated. tB is
 		// computed from tA, the statically known time of this event, not
-		// from the clock — under sharding there is no global "now" inside
-		// a run (the values are identical: the classic engine sets the
-		// clock to exactly tA here).
+		// from a clock: inside a node event only the region's clock
+		// advances, and it reads exactly tA here.
 		slotB := x.Net.SlotFor(filterBytes + 32)
 		tB := tA + float64(tree.MaxDepth+1)*slotB
 		if x.Trace.Enabled() || x.Metrics != nil {
@@ -514,15 +513,17 @@ func (r *roundState) settle(standDown []topology.NodeID, start float64) {
 // recordStandDowns appends to *standDown the addressee of every filter
 // transfer that exhausts its retransmissions: the subtree below it may run
 // phase C without a filter, so recovery re-collects it unconditionally.
-// Only reliable transport gives up; the returned func ends the recording.
+// Only reliable transport gives up, and it reports give-ups
+// single-threaded, between node events; the returned func ends the
+// recording.
 func recordStandDowns(x *Exec, standDown *[]topology.NodeID) (stop func()) {
 	if !x.Net.Reliable() {
 		return func() {}
 	}
-	x.Net.OnGiveUp(func(m netsim.Message, attempts int) {
+	x.Net.OnGiveUp(func(m netsim.Message, attempts int, at float64) {
 		if m.Kind == kindFilter {
 			*standDown = append(*standDown, m.Dst)
-			x.span(trace.KindStandDown, m.Dst, m.Src, PhaseFilterDissem, attempts)
+			x.spanAt(at, trace.KindStandDown, m.Dst, m.Src, PhaseFilterDissem, attempts)
 		}
 	})
 	return func() { x.Net.OnGiveUp(nil) }

@@ -7,134 +7,273 @@ import (
 	"testing"
 
 	"sensjoin/internal/metrics"
+	"sensjoin/internal/netsim"
 	"sensjoin/internal/trace"
 )
 
 const shardTraceSrc = `SELECT A.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 8.0 ONCE`
 
-// shardTraceJournal traces what run does on a runner with the given
-// shard count and returns the journal's JSONL rendering.
-func shardTraceJournal(t *testing.T, shards int, run func(r *Runner) error) []byte {
+// shardLane is one configuration the sharded engine must run exactly like
+// one region: arm switches features on a new runner, in the lane's order;
+// run executes and returns every result.
+type shardLane struct {
+	name string
+	arm  func(r *Runner)
+	run  func(r *Runner, opts ...RunOption) ([]*Result, error)
+}
+
+// once runs shardTraceSrc with m.
+func once(m Method) func(r *Runner, opts ...RunOption) ([]*Result, error) {
+	return func(r *Runner, opts ...RunOption) ([]*Result, error) {
+		res, err := r.Run(shardTraceSrc, m, 0, opts...)
+		return []*Result{res}, err
+	}
+}
+
+// epochs runs shardTraceSrc with SENS-Join once per 30 s epoch, k times,
+// covering each epoch with the runner's churn (when attached) and idling
+// to its end, as the X10 harness does.
+func epochs(k int) func(r *Runner, opts ...RunOption) ([]*Result, error) {
+	return func(r *Runner, opts ...RunOption) ([]*Result, error) {
+		var out []*Result
+		for e := 0; e < k; e++ {
+			horizon := r.Sim.Now() + 30
+			if r.churn != nil {
+				r.churn.Cover(horizon)
+			}
+			res, err := r.Run(shardTraceSrc, NewSENSJoin(), 0, opts...)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, res)
+			r.Sim.RunUntil(horizon)
+		}
+		return out, nil
+	}
+}
+
+// faultLanes are loss, reliable transport and churn, alone and together.
+func faultLanes() []shardLane {
+	reliable := func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }
+	churn := func(r *Runner) {
+		reliable(r)
+		r.EnableMidRoundRepair()
+		r.AttachChurn(netsim.ChurnConfig{Seed: 5, Rate: 0.01, Epoch: 30})
+	}
+	// A tree edge that drops every packet forces a give-up and scoped
+	// recovery; two more lose some.
+	linkLoss := func(r *Runner) {
+		child, parent := failLink(r)
+		r.Net.SetLinkLossRate(child, parent, 1)
+		r.Net.SetLinkLossRate(parent, child, 0.3)
+		r.Net.SetLinkLossRate(7, r.Tree.Parent[7], 0.5)
+	}
+	return []shardLane{
+		{"5% loss", func(r *Runner) { r.Net.SetLossRate(0.05, 11) }, once(NewSENSJoin())},
+		{"reliable, 5% loss", func(r *Runner) {
+			reliable(r)
+			r.Net.SetLossRate(0.05, 12)
+		}, once(NewSENSJoin())},
+		{"reliable, per-link loss", func(r *Runner) {
+			reliable(r)
+			linkLoss(r)
+		}, once(NewSENSJoin())},
+		{"reliable, 1% churn, repair", churn, epochs(4)},
+		{"everything", func(r *Runner) {
+			r.Net.SetLossRate(0.05, 13)
+			linkLoss(r)
+			churn(r)
+		}, epochs(4)},
+	}
+}
+
+// shardLanes is every lane of the journal test: each way a wave is
+// scheduled, the fault lanes, and the orders features can be switched on
+// in — through the runner or straight on the network — each of which
+// once reverted a sharded runner to a second engine.
+func shardLanes() []shardLane {
+	none := func(*Runner) {}
+	trace := func(r *Runner) { r.EnableTrace() }
+	reliable := func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }
+	loss := func(r *Runner) { r.Net.SetLossRate(0.05, 1) }
+	then := func(arms ...func(*Runner)) func(*Runner) {
+		return func(r *Runner) {
+			for _, arm := range arms {
+				arm(r)
+			}
+		}
+	}
+	lanes := []shardLane{
+		{"sens-join", none, once(NewSENSJoin())},
+		{"external-join", none, once(External{})},
+		{"mediated-join", none, once(Mediated{})},
+		{"3-member group round", none, func(r *Runner, opts ...RunOption) ([]*Result, error) {
+			g := NewQueryGroup(Options{})
+			for _, delta := range []float64{7, 7.5, 8} {
+				p, err := r.Prepare(qTempBand(delta))
+				if err != nil {
+					return nil, err
+				}
+				if _, err := g.Add(p); err != nil {
+					return nil, err
+				}
+			}
+			if g.Clusters() != 1 {
+				return nil, fmt.Errorf("Clusters = %d, want one three-member cluster", g.Clusters())
+			}
+			return g.RunRound(r, 0, opts...)
+		}},
+		{"continuous sens-join", none, func(r *Runner, opts ...RunOption) ([]*Result, error) {
+			cont := NewContinuousSENSJoin()
+			var out []*Result
+			for epoch := 0; epoch < 3; epoch++ {
+				res, err := r.Run(shardTraceSrc, cont, float64(epoch)*30, opts...)
+				if err != nil {
+					return nil, err
+				}
+				out = append(out, res)
+			}
+			return out, nil
+		}},
+	}
+	lanes = append(lanes, faultLanes()...)
+	for _, o := range []struct {
+		name string
+		arm  func(*Runner)
+	}{
+		{"trace", trace},
+		{"reliable", reliable},
+		{"loss", loss},
+		{"link-loss", func(r *Runner) { r.Net.SetLinkLossRate(1, 2, 0.5) }},
+		{"trace-then-reliable", then(trace, reliable)},
+		{"reliable-then-trace", then(reliable, trace)},
+		{"loss-then-trace-then-reliable", then(loss, trace, reliable)},
+		{"netsim-reliable-direct", func(r *Runner) { r.Net.EnableReliable(netsim.ReliableConfig{}) }},
+		{"netsim-tracer-direct", func(r *Runner) { r.Net.SetTracer(func(netsim.TraceEvent) {}) }},
+		{"netsim-linkloss-direct", func(r *Runner) { r.Net.SetLinkLossRate(3, 4, 1.0) }},
+	} {
+		lanes = append(lanes, shardLane{o.name, o.arm, once(NewSENSJoin())})
+	}
+	return lanes
+}
+
+// shardTraceRun arms and traces a lane on a runner with the given shard
+// count and returns the journal's JSONL rendering and every result's rows.
+func shardTraceRun(t *testing.T, shards int, lane shardLane) (journal []byte, rows string) {
 	t.Helper()
 	r, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3, Shards: shards, Private: true, SetupWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	lane.arm(r)
 	rec := r.EnableTrace()
 	mark := rec.Mark()
-	if err := run(r); err != nil {
+	results, err := lane.run(r)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if shards > 1 && !r.Sim.Sharded() {
-		t.Fatalf("shards=%d: simulator fell back to the classic engine under tracing", shards)
+		t.Fatalf("shards=%d: the runner is no longer sharded", shards)
 	}
 	var buf bytes.Buffer
 	if err := trace.WriteJSONL(&buf, rec.JournalSince(mark)); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	for _, res := range results {
+		rows += fmt.Sprintf("%v complete=%t\n", res.Rows, res.Complete)
+	}
+	return buf.Bytes(), rows
 }
 
-// The tentpole contract of sharded tracing: for any shard count the
-// recorded journal is BYTE-identical — per-sender message ids, region
-// clocks for timestamps and the canonical journal order remove every
-// trace of worker interleaving. Every way a wave is scheduled is here:
-// the three SENS-Join phases, the external join's collection, Mediated's
-// collection along a tree rooted away from node 0, a shared round of
-// three queries, and continuous SENS-Join over several epochs. A wave's
-// deadlines are one queue entry per (tree level, region); a deadline that
-// ran out of id order, or a level handed to another region in a different
-// order, would renumber a sender's messages.
+// The tentpole contract of the one engine: for any shard count the
+// recorded journal is BYTE-identical and the rows are identical — event
+// keys that name the scheduling node instead of a region, per-sender
+// message ids, a stateless loss draw, region clocks for timestamps and
+// the canonical journal order remove every trace of the partition and of
+// worker interleaving. Every way a wave is scheduled is here — the three
+// SENS-Join phases, the external join's collection, Mediated's collection
+// along a tree rooted away from node 0, a shared round of three queries,
+// continuous SENS-Join over several epochs — and so are loss, reliable
+// transport, churn with repair, all of them at once, and every order of
+// switching features on.
 func TestShardTraceDeterministicJournal(t *testing.T) {
-	single := func(m Method) func(r *Runner) error {
-		return func(r *Runner) error { _, err := r.Run(shardTraceSrc, m, 0); return err }
-	}
-	for _, lane := range []struct {
-		name string
-		run  func(r *Runner) error
-	}{
-		{"sens-join", single(NewSENSJoin())},
-		{"external-join", single(External{})},
-		{"mediated-join", single(Mediated{})},
-		{"3-member group round", func(r *Runner) error {
-			g := NewQueryGroup(Options{})
-			for _, delta := range []float64{7, 7.5, 8} {
-				p, err := r.Prepare(qTempBand(delta))
-				if err != nil {
-					return err
+	for _, lane := range shardLanes() {
+		t.Run(lane.name, func(t *testing.T) {
+			ref, refRows := shardTraceRun(t, 0, lane)
+			if len(ref) == 0 {
+				t.Fatal("the one-region journal is empty")
+			}
+			for _, shards := range []int{2, 8} {
+				got, rows := shardTraceRun(t, shards, lane)
+				if !bytes.Equal(ref, got) {
+					t.Fatalf("journal at shards=%d differs from one region (%d vs %d bytes)", shards, len(got), len(ref))
 				}
-				if _, err := g.Add(p); err != nil {
-					return err
+				if rows != refRows {
+					t.Fatalf("rows at shards=%d differ from one region:\n%s\nvs\n%s", shards, rows, refRows)
 				}
 			}
-			if g.Clusters() != 1 {
-				return fmt.Errorf("Clusters = %d, want one three-member cluster", g.Clusters())
-			}
-			_, err := g.RunRound(r, 0)
-			return err
-		}},
-		{"continuous sens-join", func(r *Runner) error {
-			cont := NewContinuousSENSJoin()
-			for epoch := 0; epoch < 3; epoch++ {
-				if _, err := r.Run(shardTraceSrc, cont, float64(epoch)*30); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
-	} {
-		ref := shardTraceJournal(t, 0, lane.run)
-		if len(ref) == 0 {
-			t.Fatalf("%s: classic journal is empty", lane.name)
-		}
-		for _, shards := range []int{2, 4, 8} {
-			if got := shardTraceJournal(t, shards, lane.run); !bytes.Equal(ref, got) {
-				t.Fatalf("%s: journal at shards=%d differs from the classic engine (%d vs %d bytes)",
-					lane.name, shards, len(got), len(ref))
-			}
-		}
+		})
 	}
 }
 
-// A sharded, traced execution must pass every audit pass. AuditRun
-// covers conservation, reconciliation, slot order, reliability and
-// filter soundness; churn safety — sixth — runs directly on the merged
-// journal with the run's own verdict (churn itself forces the classic
-// engine, so this is the only way to exercise the pass on a sharded
-// journal).
+// A sharded, traced execution must pass every audit pass, faults
+// included. Audited covers conservation, reconciliation, slot order,
+// reliability and filter soundness, and churn safety — sixth — wherever
+// churn is attached; without churn the pass runs here, on the merged
+// journal, against the ground truth taken before the run.
 func TestShardTraceAuditsClean(t *testing.T) {
-	for _, shards := range []int{2, 8} {
-		r, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3, Shards: shards, Private: true, SetupWorkers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := r.EnableTrace()
-		mark := rec.Mark()
-		res, err := r.Run(shardTraceSrc, NewSENSJoin(), 0, Audited())
-		if err != nil {
-			t.Fatal(err)
-		}
-		violations := res.Violations
-		if !r.Sim.Sharded() {
-			t.Fatalf("shards=%d: AuditRun fell back to the classic engine", shards)
-		}
-		j := rec.JournalSince(mark)
-		violations = append(violations, trace.ChurnSafety(j, trace.ChurnVerdict{
-			Complete:    res.Complete,
-			OracleExact: true,
-		})...)
-		if len(violations) > 0 {
-			t.Fatalf("shards=%d: %d violation(s), first: %s", shards, len(violations), violations[0])
-		}
-		if !res.Complete {
-			t.Fatalf("shards=%d: run incomplete: %s", shards, res.IncompleteReason)
-		}
+	lanes := append([]shardLane{{"sens-join", func(*Runner) {}, once(NewSENSJoin())}}, faultLanes()...)
+	for _, lane := range lanes {
+		t.Run(lane.name, func(t *testing.T) {
+			for _, shards := range []int{2, 8} {
+				r, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3, Shards: shards, Private: true, SetupWorkers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lane.arm(r)
+				rec := r.EnableTrace()
+				mark := rec.Mark()
+				var truth *Result
+				if r.churn == nil {
+					x, err := execSQL(r, shardTraceSrc, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if truth, err = GroundTruth(x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				results, err := lane.run(r, Audited())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !r.Sim.Sharded() {
+					t.Fatalf("shards=%d: the runner is no longer sharded", shards)
+				}
+				var violations []trace.Violation
+				for _, res := range results {
+					violations = append(violations, res.Violations...)
+				}
+				if truth != nil {
+					res := results[0]
+					violations = append(violations, trace.ChurnSafety(rec.JournalSince(mark), trace.ChurnVerdict{
+						Complete:        res.Complete,
+						OracleExact:     sameRowSet(truth.Rows, res.Rows),
+						Reason:          res.IncompleteReason,
+						MissingSubtrees: len(res.MissingSubtrees),
+					})...)
+				}
+				if len(violations) > 0 {
+					t.Fatalf("shards=%d: %d violation(s), first: %s", shards, len(violations), violations[0])
+				}
+			}
+		})
 	}
 }
 
-// Metrics, like tracing, must compose with the sharded engine rather
-// than force a fallback: a metered sharded run stays sharded, counts
-// real traffic, and returns the same rows as the classic engine.
+// Metrics, like tracing, must compose with the sharded engine: a metered
+// sharded run stays sharded, counts real traffic, and returns the rows of
+// one region.
 func TestShardMetricsStaysSharded(t *testing.T) {
 	classic, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3, Private: true, SetupWorkers: 1})
 	if err != nil {
@@ -152,19 +291,17 @@ func TestShardMetricsStaysSharded(t *testing.T) {
 	}
 	r.EnableMetrics(reg)
 	if !r.Sim.Sharded() {
-		t.Fatal("EnableMetrics reverted the sharded engine")
+		t.Fatal("EnableMetrics changed the engine")
 	}
 	res, err := r.Run(shardTraceSrc, NewSENSJoin(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.Sim.Sharded() {
-		t.Fatal("simulator fell back to the classic engine during a metered run")
+		t.Fatal("a metered run changed the engine")
 	}
-	// Row ORDER may differ between engines (same-time arrival ties at
-	// the base station resolve differently); the row multiset may not.
-	if got, want := sortedRows(res.Rows), sortedRows(ref.Rows); !equalStrings(got, want) {
-		t.Fatalf("metered sharded rows differ from classic: %d vs %d rows", len(res.Rows), len(ref.Rows))
+	if got, want := fmt.Sprint(res.Rows), fmt.Sprint(ref.Rows); got != want {
+		t.Fatalf("metered sharded rows differ from one region: %d vs %d rows", len(res.Rows), len(ref.Rows))
 	}
 	snap := reg.Snapshot()
 	tx, _ := snap["sensjoin_netsim_tx_packets_total"].(int64)
@@ -180,16 +317,4 @@ func sortedRows(rows []Row) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -10,20 +10,21 @@ import (
 // Churn & mobility fault injection.
 //
 // A Churn drives scheduled node deaths, rejoins and random-waypoint
-// mobility through the simulator's event heap: every tick is a regular
-// heap event and every random draw comes from one seeded stream consumed
-// in tick order, so a run with churn replays bit-identically for the
-// same seed. Mobility never mutates the shared topology.Deployment —
+// mobility through the simulator's coordinator queue: every tick is a
+// coordinator event and every random draw comes from one seeded stream
+// consumed in tick order, so a run with churn replays bit-identically for
+// the same seed. Mobility never mutates the shared topology.Deployment —
 // the injector keeps its own position copy and expresses reachability
 // changes by toggling original neighbor-graph links via LinkDown/LinkUp
 // as nodes drift out of and back into radio range (links can only
 // disappear and reappear; no new links form, so neighbor lists, slot
 // schedules and audits keep their meaning).
 //
-// The injector's tick handlers mutate cross-node state (the dead flags
-// and the down-link map), so attaching churn reverts a sharded simulator
-// to the classic engine — which is also what makes "bit-identical at any
-// shard/worker count" hold by construction.
+// The ticks mutate cross-node state (the dead flags and the down-link
+// map), which node events only read. A coordinator event runs with every
+// region stopped, before the node events of its instant, so a tick lands
+// at the same point of every node's event order under any partition, and
+// churn runs sharded, bit-identical at any shard or worker count.
 
 // ChurnEventKind classifies an injector event.
 type ChurnEventKind uint8
@@ -96,9 +97,9 @@ func (c ChurnConfig) withDefaults() ChurnConfig {
 
 // Churn is the fault injector. Create with NewChurn, then call
 // Cover(until) before each execution window so ticks are scheduled
-// exactly as far as the simulation is about to run (the event heap
-// drains completely on Sim.Run, so pre-scheduling ticks to a far
-// horizon would make all of them fire during the first round).
+// exactly as far as the simulation is about to run (Sim.Run drains every
+// queue, so pre-scheduling ticks to a far horizon would make all of them
+// fire during the first round).
 type Churn struct {
 	cfg ChurnConfig
 	net *Network
@@ -127,15 +128,13 @@ type Churn struct {
 	Deaths, Rejoins, Moves, LinkFlaps, Ticks int
 }
 
-// NewChurn attaches a churn injector to the network. Sharded simulation
-// reverts to the classic engine (see package comment).
+// NewChurn attaches a churn injector to the network.
 func NewChurn(n *Network, cfg ChurnConfig) *Churn {
 	cfg = cfg.withDefaults()
-	n.fallbackFromSharding("churn injection")
 	c := &Churn{
 		cfg:    cfg,
 		net:    n,
-		rng:    rand.New(rand.NewSource(churnSeed(cfg.Seed))),
+		rng:    rand.New(rand.NewSource(int64(splitmix(uint64(cfg.Seed)) & (1<<63 - 1)))),
 		pos:    append([]geom.Point(nil), n.Dep.Pos...),
 		home:   append([]geom.Point(nil), n.Dep.Pos...),
 		target: make([]geom.Point, n.Dep.N()),
@@ -144,18 +143,6 @@ func NewChurn(n *Network, cfg ChurnConfig) *Churn {
 		next:   1,
 	}
 	return c
-}
-
-// churnSeed mixes the config seed through the splitmix64 finalizer so
-// adjacent experiment seeds get well-separated draw streams.
-func churnSeed(seed int64) int64 {
-	z := uint64(seed) + 0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & (1<<63 - 1))
 }
 
 // SetMetrics installs live instruments (zero value disables).

@@ -5,15 +5,16 @@ import (
 	"slices"
 	"testing"
 
-	"sensjoin/internal/metrics"
 	"sensjoin/internal/topology"
 )
 
-// churnRun drives one injector over a grid deployment for several
-// Cover/Run windows and returns every observable: event log, counters,
-// aliveness and live-degree vector after each window.
-func churnRun(dep *topology.Deployment, cfg ChurnConfig, windows int, window Time) string {
+// churnRun drives one injector over a deployment for several Cover/Run
+// windows on the given number of regions and returns every observable:
+// event log, counters, aliveness and live-degree vector after each
+// window.
+func churnRun(dep *topology.Deployment, cfg ChurnConfig, windows int, window Time, shards int) string {
 	sim := NewSim()
+	sim.EnableSharding(PartitionStrips(dep, shards), shards, DefaultRadio().AirTime(1, 0), 2)
 	net := NewNetwork(sim, dep, DefaultRadio(), nil)
 	ch := NewChurn(net, cfg)
 	out := ""
@@ -43,12 +44,12 @@ func churnRun(dep *topology.Deployment, cfg ChurnConfig, windows int, window Tim
 func TestChurnDeterministicReplay(t *testing.T) {
 	dep := topology.Grid(8, 8, 35, 50)
 	cfg := ChurnConfig{Seed: 7, Rate: 0.10, Epoch: 10, Speed: 4}
-	a := churnRun(dep, cfg, 5, 60)
-	b := churnRun(dep, cfg, 5, 60)
+	a := churnRun(dep, cfg, 5, 60, 1)
+	b := churnRun(dep, cfg, 5, 60, 1)
 	if a != b {
 		t.Fatalf("same-seed churn runs diverged:\n%s\nvs\n%s", a, b)
 	}
-	if c := churnRun(dep, ChurnConfig{Seed: 8, Rate: 0.10, Epoch: 10, Speed: 4}, 5, 60); c == a {
+	if c := churnRun(dep, ChurnConfig{Seed: 8, Rate: 0.10, Epoch: 10, Speed: 4}, 5, 60, 1); c == a {
 		t.Fatalf("different seeds produced identical churn")
 	}
 }
@@ -86,7 +87,7 @@ func TestChurnTicksOnIntegerGrid(t *testing.T) {
 		}
 		// Nothing has run: the queue holds the scheduled ticks only.
 		var at []Time
-		for _, e := range sim.heap {
+		for _, e := range sim.coord {
 			at = append(at, e.t)
 		}
 		slices.Sort(at)
@@ -158,48 +159,21 @@ func TestChurnMobilityLinksRecover(t *testing.T) {
 	}
 }
 
-func TestChurnShardFallbackCountedAndLogged(t *testing.T) {
-	dep := topology.Line(40, 30, 50)
+// Churn runs on the sharded engine: ticks are coordinator events, so the
+// engine stays sharded and every observable replays the one-region run.
+func TestChurnKeepsShardedEngine(t *testing.T) {
+	dep := topology.Grid(8, 8, 35, 50)
+	cfg := ChurnConfig{Seed: 7, Rate: 0.10, Epoch: 10, Speed: 4}
+	want := churnRun(dep, cfg, 5, 60, 1)
+	for _, shards := range []int{2, 4} {
+		if got := churnRun(dep, cfg, 5, 60, shards); got != want {
+			t.Fatalf("%d regions diverged from one:\n%s\nvs\n%s", shards, got, want)
+		}
+	}
 	sim := NewSim()
 	sim.EnableSharding(PartitionStrips(dep, 4), 4, DefaultRadio().AirTime(1, 0), 2)
-	net := NewNetwork(sim, dep, DefaultRadio(), nil)
-	net.BindSharding()
-	reg := metrics.New()
-	net.SetMetrics(NewNetMetrics(reg))
-	fallback := NewNetMetrics(reg).ShardFallback // registry dedups: same counter
-	if got := fallback.Value(); got != 0 {
-		t.Fatalf("fallback counter starts at %d", got)
-	}
-	NewChurn(net, ChurnConfig{Seed: 1, Rate: 0.01})
-	if sim.Sharded() {
-		t.Fatalf("churn did not revert the sharded engine")
-	}
-	if got := fallback.Value(); got != 1 {
-		t.Fatalf("fallback counter = %d after churn attach, want 1", got)
-	}
-	// Further fallback-triggering features count again (the log line is
-	// deduped, the counter is not) — but only when sharding is active.
-	net.SetTracer(func(TraceEvent) {})
-	if got := fallback.Value(); got != 1 {
-		t.Fatalf("fallback counter = %d after tracer on classic engine, want still 1", got)
-	}
-}
-
-func TestShardFallbackCounterOnBind(t *testing.T) {
-	dep := topology.Line(20, 30, 50)
-	sim := NewSim()
-	net := NewNetwork(sim, dep, DefaultRadio(), nil)
-	reg := metrics.New()
-	net.SetMetrics(NewNetMetrics(reg))
-	net.EnableReliable(ReliableConfig{})
-	// Enabling sharding after the fact: BindSharding must refuse, revert
-	// and count.
-	sim.EnableSharding(PartitionStrips(dep, 2), 2, DefaultRadio().AirTime(1, 0), 1)
-	net.BindSharding()
-	if sim.Sharded() {
-		t.Fatalf("BindSharding kept sharding despite reliable transport")
-	}
-	if got := NewNetMetrics(reg).ShardFallback.Value(); got != 1 {
-		t.Fatalf("fallback counter = %d, want 1", got)
+	NewChurn(NewNetwork(sim, dep, DefaultRadio(), nil), cfg)
+	if !sim.Sharded() {
+		t.Fatal("attaching churn changed the engine")
 	}
 }

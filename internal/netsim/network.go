@@ -1,10 +1,9 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
-	"log"
 	"math"
-	"math/rand"
 	"slices"
 
 	"sensjoin/internal/topology"
@@ -89,6 +88,10 @@ type Handler func(to NodeID, m Message)
 
 // Network delivers messages between neighboring nodes over a broadcast
 // medium, charging transmissions to an Accountant.
+//
+// Node events only read what the network shares — the dead flags, the
+// downed links, the loss rates — and fault injection writes it between
+// them: outside a run or in a coordinator event (Sim.Schedule).
 type Network struct {
 	Sim   *Sim
 	Radio RadioConfig
@@ -99,52 +102,41 @@ type Network struct {
 	down    map[linkKey]bool
 	dead    []bool
 
+	// The loss model: a packet is lost when its lossDraw falls below the
+	// rate of its directed link, linkLoss's entry or else lossRate.
 	lossRate float64
-	lossRNG  *rand.Rand
-	linkLoss map[Link]*linkLossState
+	lossSeed int64
+	linkLoss map[Link]float64
 	tracer   Tracer
 
 	// Reliable-unicast mode (see reliable.go).
 	reliable  bool
 	rcfg      ReliableConfig
 	exhausted map[Link]int
-	giveUp    func(m Message, attempts int)
-	// msgSeq numbers transmissions per sender; trace events of one
+	giveUp    func(m Message, attempts int, at Time)
+	// msgSeq numbers every transmission per sender; trace events of one
 	// logical message share its MsgID, which is what lets an audit match
 	// each reception, drop or loss back to the transmission that caused
-	// it. The counters are per sender — and the sender is packed into
-	// the id — so id assignment needs no synchronization under sharding
-	// (each node's sends execute on its own region's worker) and the id
-	// sequence is identical for every shard count.
+	// it, and the loss draw is keyed by it. The counters are per sender —
+	// and the sender is packed into the id — so id assignment needs no
+	// synchronization under sharding (each node's sends execute on its own
+	// region's worker) and the id sequence is identical for every shard
+	// count.
 	msgSeq []int64
-	// free is the delivery freelist: in-flight message state is pooled
-	// so that the send/deliver path performs zero allocations per event
-	// once warm (guarded by TestSendDeliverZeroAllocs).
-	free []*delivery
-	// freeR replaces free under sharded execution: one freelist per
-	// region, so pool objects are acquired by the sender's worker and
-	// released by the receiver's without shared mutable state.
-	freeR [][]*delivery
-	// traceR replaces synchronous tracer calls under sharded execution:
-	// each region's worker appends its radio events lock-free to its own
-	// buffer, flushed through the tracer at drain time (shardDrain). The
-	// canonical journal order in internal/trace makes the flush order
-	// invisible to the recorded journal.
-	traceR [][]TraceEvent
-	// dropR/lostR shadow the Dropped/Lost fields per region during a
-	// sharded run (plain fields would race); folded back at drain.
-	dropR, lostR []int64
+	// reg is the network's state per simulator region (netRegion).
+	reg []netRegion
 
 	// met holds nil-safe live instruments; the zero value disables them
 	// at the cost of one branch per call site.
 	met NetMetrics
 
-	// fellBack records that this network reverted a sharded simulator
-	// to the classic engine: it dedups the log line (the counter still
-	// counts every occurrence) and bars Reset, since the engine is no
-	// longer the one the network was built on.
-	fellBack bool
+	counters
+}
 
+// counters are the radio layer's public tallies. Node events bump their
+// region's shadow copy (tally) and drain folds it in: coordinator events
+// and callers between runs read exact values.
+type counters struct {
 	// Dropped counts unicast messages that could not be delivered
 	// because the link was down or the receiver dead.
 	Dropped int
@@ -161,48 +153,73 @@ type Network struct {
 	GiveUps int
 }
 
+// netRegion is what one region's worker writes during a run: the
+// delivery freelist (an object is acquired by the sender's worker and
+// released to the receiver's, so no pool is shared), the trace events
+// and counters it would otherwise hand to shared state, and the reliable
+// transfers that gave up. drain folds the last three back.
+type netRegion struct {
+	free    []*delivery
+	trace   []TraceEvent
+	tally   counters
+	giveUps []giveUp
+}
+
+// giveUp is one exhausted reliable transfer, buffered until drain.
+type giveUp struct {
+	at       Time
+	m        Message
+	attempts int
+	logical  int64
+}
+
 // SetLossRate enables per-packet Bernoulli loss: each packet of a
 // message is lost independently with the given probability, and a
 // message is delivered only if all its packets survive (there is no
 // link-layer ARQ; the paper's §IV-F recovery re-executes the query
 // instead). Transmissions are still charged in full — the sender cannot
-// know. Loss draws are deterministic for the seed.
+// know. A rate <= 0 disables it. Draws are deterministic for the seed.
 func (n *Network) SetLossRate(rate float64, seed int64) {
-	if rate <= 0 {
-		n.lossRate, n.lossRNG = 0, nil
-		return
-	}
-	// The loss model draws from one RNG stream; fall back to the
-	// classic engine so draws stay ordered and deterministic.
-	n.fallbackFromSharding("the loss model")
-	n.lossRate = rate
-	n.lossRNG = rand.New(rand.NewSource(seed))
+	n.lossRate, n.lossSeed = max(rate, 0), seed
 }
 
-// fallbackFromSharding reverts the simulator to the classic single-heap
-// engine. Every feature whose hot path carries cross-node mutable state
-// or a single RNG stream (reliable transport, the loss models, churn)
-// calls it on enable, so the fallback DESIGN.md promises holds
-// regardless of the order features and sharding were configured in.
-// Tracing and live metrics no longer fall back: they buffer or shadow
-// per region and fold at drain. The reversion is never silent: it logs
-// once per network and counts every occurrence in
-// sensjoin_netsim_shard_fallback_total.
-func (n *Network) fallbackFromSharding(feature string) {
-	if n.Sim.Sharded() {
-		n.Sim.DisableSharding()
-		n.BindSharding()
-		n.noteShardFallback(feature)
-	}
+// lossDraw is the loss model's one draw: a uniform value in [0, 1) that
+// is a pure function of the seed, the directed link, the transmission's
+// message id and the packet's index in it (splitmix64 rounds). No stream
+// is consumed, so outcomes do not depend on the order transmissions
+// happen in — not across links, not across regions.
+func lossDraw(seed int64, from, to NodeID, msgID int64, packet int) float64 {
+	z := splitmix(uint64(seed))
+	z = splitmix(z ^ uint64(uint32(from))<<32 ^ uint64(uint32(to)))
+	z = splitmix(z ^ uint64(msgID))
+	z = splitmix(z + uint64(packet))
+	return float64(z>>11) / (1 << 53)
 }
 
-// noteShardFallback records one sharded→classic reversion.
-func (n *Network) noteShardFallback(feature string) {
-	n.met.ShardFallback.Inc()
-	if !n.fellBack {
-		n.fellBack = true
-		log.Printf("netsim: %s requires the classic engine; sharded simulation disabled (sensjoin_netsim_shard_fallback_total counts these)", feature)
+// splitmix is the splitmix64 generator: one step and its finalizer.
+func splitmix(z uint64) uint64 {
+	z += 0x9E3779B97F4A7C15
+	z ^= z >> 30
+	z *= 0xBF58476D1CE4E5B9
+	z ^= z >> 27
+	z *= 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// lostPackets returns how many of the packets of transmission msgID on
+// the directed link from→to the loss model removes.
+func (n *Network) lostPackets(from, to NodeID, msgID int64, packets int) int {
+	rate, ok := n.linkLoss[Link{From: from, To: to}]
+	if !ok {
+		rate = n.lossRate
 	}
+	lost := 0
+	for i := 0; rate > 0 && i < packets; i++ {
+		if lossDraw(n.lossSeed, from, to, msgID, i) < rate {
+			lost++
+		}
+	}
+	return lost
 }
 
 type linkKey struct{ a, b NodeID }
@@ -217,7 +234,7 @@ func mkLink(a, b NodeID) linkKey {
 // NewNetwork wires a deployment to a simulator.
 func NewNetwork(sim *Sim, dep *topology.Deployment, radio RadioConfig, acct Accountant) *Network {
 	_ = radio.Payload() // validate
-	return &Network{
+	n := &Network{
 		Sim:    sim,
 		Radio:  radio,
 		Dep:    dep,
@@ -226,30 +243,33 @@ func NewNetwork(sim *Sim, dep *topology.Deployment, radio RadioConfig, acct Acco
 		dead:   make([]bool, dep.N()),
 		msgSeq: make([]int64, dep.N()),
 	}
+	n.BindSharding()
+	return n
 }
 
-// Reset returns an idle, fault-free network to the state NewNetwork left
-// it in, keeping its storage (the delivery freelists) and its
-// instruments: message-id counters and the public failure counters go to
-// zero, the handler and give-up hook are dropped. It reports false and
-// changes nothing when the network is not what a new one would be in a
-// way that cannot be undone by zeroing — a dead node or a downed link, a
-// loss model, reliable transport, a tracer still attached, a sharded
-// engine that fell back to the classic one.
+// Reset returns an idle network to the state NewNetwork left it in,
+// keeping its storage (the delivery freelists) and its instruments: it
+// revives dead nodes, raises downed links, clears both loss models,
+// reliable transport and its exhausted links, zeroes the message-id
+// counters and the public counters, and drops the handler and give-up
+// hook. It reports false and changes nothing while a tracer is attached:
+// the journal it feeds belongs to whoever attached it.
 func (n *Network) Reset() bool {
-	if n.reliable || n.lossRNG != nil || len(n.linkLoss) > 0 || len(n.down) > 0 ||
-		n.tracer != nil || n.fellBack || slices.Contains(n.dead, true) {
+	if n.tracer != nil {
 		return false
 	}
+	clear(n.dead)
+	clear(n.down)
 	clear(n.msgSeq)
-	n.handler, n.giveUp, n.exhausted = nil, nil, nil
-	n.Dropped, n.Lost, n.Retx, n.AckTx, n.Dups, n.GiveUps = 0, 0, 0, 0, 0, 0
+	n.lossRate, n.lossSeed, n.linkLoss = 0, 0, nil
+	n.reliable, n.rcfg, n.exhausted = false, ReliableConfig{}, nil
+	n.handler, n.giveUp = nil, nil
+	n.counters = counters{}
 	return true
 }
 
 // nextMsgID returns a fresh message id for a transmission by src: the
-// sender packed with its per-sender counter. Zero never occurs, so zero
-// still means "untraced".
+// sender packed with its per-sender counter. Zero never occurs.
 func (n *Network) nextMsgID(src NodeID) int64 {
 	n.msgSeq[src]++
 	return (int64(src)+1)<<32 | n.msgSeq[src]
@@ -306,76 +326,99 @@ type TraceEvent struct {
 type Tracer func(ev TraceEvent)
 
 // SetTracer installs a radio observer; nil disables tracing. The
-// zero-trace send/deliver path stays allocation-free. Tracing composes
-// with the sharded engine: events are buffered per region during a run
-// and flushed through the tracer at drain time.
+// zero-trace send/deliver path stays allocation-free. Events of a run
+// are buffered per region and reach the tracer when the run ends.
 func (n *Network) SetTracer(t Tracer) { n.tracer = t }
 
-// trace records a radio event. `by` is the acting node — the sender on
-// tx/lost/send-side drops, the receiver on rx/delivery drops — whose
-// clock stamps the event and whose region buffers it during a sharded
-// run (the acting node's handler executes on that region's worker, so
-// the append is race-free).
+// trace records a best-effort radio event. `by` is the acting node — the
+// sender on tx/lost/send-side drops, the receiver on rx/delivery drops.
 func (n *Network) trace(event string, by NodeID, m Message, packets int, msgID int64, expect int) {
 	if n.tracer == nil {
 		return
 	}
-	ev := TraceEvent{
-		Event: event, At: n.Sim.NodeNow(by), MsgID: msgID,
+	n.emit(by, TraceEvent{
+		Event: event, MsgID: msgID,
 		Src: m.Src, Dst: m.Dst, Kind: m.Kind, Phase: m.Phase,
 		Bytes: m.Size, Packets: packets, Expect: expect,
-	}
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		reg := sh.regionOf[by]
-		n.traceR[reg] = append(n.traceR[reg], ev)
+	})
+}
+
+// emit stamps ev with the acting node's clock and hands it to the
+// tracer: through the node's region buffer inside a node event (the
+// acting node's handler runs on that region's worker, so the append is
+// race-free), directly otherwise.
+func (n *Network) emit(by NodeID, ev TraceEvent) {
+	ev.At = n.Sim.NodeNow(by)
+	if n.Sim.running.Load() {
+		r := &n.reg[n.Sim.region(by)]
+		r.trace = append(r.trace, ev)
 		return
 	}
 	n.tracer(ev)
 }
 
-// countDrop and countLost bump the public failure counters, through the
-// per-region shadows while a sharded run is in flight.
+// tally returns the counters an event acting for node by may bump: its
+// region's shadow inside a node event (a plain field would race), the
+// public fields otherwise.
+func (n *Network) tally(by NodeID) *counters {
+	if n.Sim.running.Load() {
+		return &n.reg[n.Sim.region(by)].tally
+	}
+	return &n.counters
+}
+
+// countDrop and countLost record a failed delivery and a loss-model
+// removal acting for node by.
 func (n *Network) countDrop(by NodeID) {
 	n.met.Drop.Inc()
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		n.dropR[sh.regionOf[by]]++
-		return
-	}
-	n.Dropped++
+	n.tally(by).Dropped++
 }
 
 func (n *Network) countLost(by NodeID) {
 	n.met.Lost.Inc()
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		n.lostR[sh.regionOf[by]]++
-		return
-	}
-	n.Lost++
+	n.tally(by).Lost++
 }
 
-// shardDrain folds per-region buffers back into the global view: trace
-// events flush through the tracer in region order (canonical journal
-// ordering makes the flush order invisible) and the shadow failure
-// counters fold into the public fields. The engine calls it
-// single-threaded after every sharded run and on DisableSharding.
-func (n *Network) shardDrain() {
-	for ri := range n.traceR {
-		buf := n.traceR[ri]
-		for i := range buf {
-			if n.tracer != nil {
-				n.tracer(buf[i])
+// drain folds the regions' buffers back into the global view before a
+// coordinator event and after a run: trace events flush through the tracer in region order (canonical
+// journal ordering makes the flush order invisible), the counter shadows
+// fold into the public fields, and the transfers that gave up reach
+// ExhaustedLinks and the OnGiveUp hook in (t, sender, MsgID) order.
+func (n *Network) drain() {
+	var gs []giveUp
+	for i := range n.reg {
+		r := &n.reg[i]
+		if n.tracer != nil {
+			for _, ev := range r.trace {
+				n.tracer(ev)
 			}
-			buf[i] = TraceEvent{}
 		}
-		n.traceR[ri] = buf[:0]
+		clear(r.trace)
+		r.trace = r.trace[:0]
+		c, t := &n.counters, r.tally
+		c.Dropped += t.Dropped
+		c.Lost += t.Lost
+		c.Retx += t.Retx
+		c.AckTx += t.AckTx
+		c.Dups += t.Dups
+		r.tally = counters{}
+		gs = append(gs, r.giveUps...)
+		clear(r.giveUps)
+		r.giveUps = r.giveUps[:0]
 	}
-	for ri := range n.dropR {
-		n.Dropped += int(n.dropR[ri])
-		n.dropR[ri] = 0
-	}
-	for ri := range n.lostR {
-		n.Lost += int(n.lostR[ri])
-		n.lostR[ri] = 0
+	slices.SortFunc(gs, func(a, b giveUp) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.m.Src, b.m.Src), cmp.Compare(a.logical, b.logical))
+	})
+	for _, g := range gs {
+		n.GiveUps++
+		n.met.GiveUp.Inc()
+		if n.exhausted == nil {
+			n.exhausted = make(map[Link]int)
+		}
+		n.exhausted[Link{From: g.m.Src, To: g.m.Dst}]++
+		if n.giveUp != nil {
+			n.giveUp(g.m, g.attempts, g.at)
+		}
 	}
 }
 
@@ -425,13 +468,8 @@ func (n *Network) Send(m Message) {
 		n.acct.OnTx(m.Src, m.Phase, packets, m.Size)
 	}
 	n.met.Tx.Add(int64(packets))
-	// Message ids exist for the tracer; untraced runs skip the counter so
-	// the send path stays branch-cheap.
-	var msgID int64
-	if n.tracer != nil {
-		msgID = n.nextMsgID(m.Src)
-	}
-	at := n.sendTime(m.Src) + n.Radio.AirTime(packets, m.Size)
+	msgID := n.nextMsgID(m.Src)
+	at := n.Sim.NodeNow(m.Src) + n.Radio.AirTime(packets, m.Size)
 	if m.Dst == BroadcastID {
 		if n.tracer != nil {
 			expect := 0
@@ -442,7 +480,7 @@ func (n *Network) Send(m Message) {
 			}
 			n.trace("tx", m.Src, m, packets, msgID, expect)
 		}
-		if n.lossRNG == nil && len(n.linkLoss) == 0 && len(n.down) == 0 {
+		if n.lossRate == 0 && len(n.linkLoss) == 0 && len(n.down) == 0 {
 			// Fast path: every v comes from the sender's neighbor list, no
 			// links are down and nothing can be lost, so LinkOK reduces to
 			// the receiver being alive — O(deg) instead of the O(deg²)
@@ -459,7 +497,7 @@ func (n *Network) Send(m Message) {
 			if !n.LinkOK(m.Src, v) {
 				continue
 			}
-			if n.lostOn(m.Src, v, packets) {
+			if n.lostPackets(m.Src, v, msgID, packets) > 0 {
 				n.countLost(m.Src)
 				mm := m
 				mm.Dst = v
@@ -476,7 +514,7 @@ func (n *Network) Send(m Message) {
 		n.trace("drop", m.Src, m, packets, msgID, 0)
 		return
 	}
-	if n.lostOn(m.Src, m.Dst, packets) {
+	if n.lostPackets(m.Src, m.Dst, msgID, packets) > 0 {
 		n.countLost(m.Src)
 		n.trace("lost", m.Src, m, packets, msgID, 0)
 		return
@@ -484,58 +522,15 @@ func (n *Network) Send(m Message) {
 	n.deliver(m, m.Dst, packets, at, msgID)
 }
 
-// sendTime returns the sender's current clock: its region clock during a
-// sharded run (written only by the region's own worker), the global
-// clock otherwise.
-func (n *Network) sendTime(src NodeID) Time {
-	if sh := n.Sim.sh; sh != nil && sh.running.Load() {
-		return sh.regions[sh.regionOf[src]].now
-	}
-	return n.Sim.now
-}
-
 // BindSharding sizes the per-region state (delivery freelists, trace
-// buffers, shadow counters) for the simulator's current sharding — or
-// reverts to the shared state when sharding is off — and installs the
-// network's drain hook. It refuses configurations whose hot path
-// carries cross-node mutable state; core.Runner guarantees those
-// features disable sharding first.
+// buffers, counter shadows, give-ups) for the simulator's regions and
+// installs the network's drain hook. NewNetwork binds; call it again
+// after Sim.EnableSharding.
 func (n *Network) BindSharding() {
-	sh := n.Sim.sh
-	if sh == nil {
-		n.freeR = nil
-		n.traceR = nil
-		n.dropR, n.lostR = nil, nil
-		return
-	}
-	if n.reliable || n.lossRNG != nil || n.linkLoss != nil {
-		// A feature with cross-node mutable hot-path state is already on:
-		// fall back to the classic engine deterministically instead of
-		// refusing — the promise is that fallback works regardless of the
-		// order features and sharding were enabled in.
-		n.Sim.DisableSharding()
-		n.freeR = nil
-		n.noteShardFallback(shardBlocker(n))
-		return
-	}
-	n.freeR = make([][]*delivery, len(sh.regions))
-	n.traceR = make([][]TraceEvent, len(sh.regions))
-	n.dropR = make([]int64, len(sh.regions))
-	n.lostR = make([]int64, len(sh.regions))
-	sh.drain = n.shardDrain
-}
-
-// shardBlocker names the already-enabled feature that keeps the network
-// on the classic engine, for the fallback log line.
-func shardBlocker(n *Network) string {
-	switch {
-	case n.reliable:
-		return "reliable transport"
-	case n.lossRNG != nil:
-		return "the loss model"
-	default:
-		return "per-link loss"
-	}
+	n.reg = make([]netRegion, len(n.Sim.regions))
+	n.Sim.drain = n.drain
+	n.Sim.growNodes(n.N())
+	n.checkLookahead()
 }
 
 // delivery is pooled in-flight message state. Binding run to the
@@ -550,10 +545,7 @@ type delivery struct {
 }
 
 func (n *Network) getDelivery(src NodeID) *delivery {
-	free := &n.free
-	if n.freeR != nil {
-		free = &n.freeR[n.Sim.sh.regionOf[src]]
-	}
+	free := &n.reg[n.Sim.region(src)].free
 	if k := len(*free); k > 0 {
 		d := (*free)[k-1]
 		(*free)[k-1] = nil
@@ -571,15 +563,10 @@ func (n *Network) getDelivery(src NodeID) *delivery {
 func (d *delivery) deliver() {
 	n, m, packets, msgID := d.n, d.m, d.packets, d.msgID
 	d.m = Message{} // release the payload reference
-	if n.freeR != nil {
-		// Sharded: this runs on the receiver's worker, so the object goes
-		// to the receiver's region pool.
-		reg := n.Sim.sh.regionOf[m.Dst]
-		n.freeR[reg] = append(n.freeR[reg], d)
-	} else {
-		n.free = append(n.free, d)
-	}
 	to := m.Dst
+	// This runs on the receiver's worker: the object goes to its pool.
+	r := &n.reg[n.Sim.region(to)]
+	r.free = append(r.free, d)
 	if n.dead[to] {
 		n.countDrop(to)
 		n.trace("drop", to, m, packets, msgID, 0)
@@ -639,7 +626,7 @@ func (n *Network) MaxAirTime(size int) Time {
 func (n *Network) SlotFor(size int) Time {
 	t := n.MaxAirTime(size)
 	if n.reliable {
-		ackAir := n.Radio.AirTime(n.Radio.Packets(n.rcfg.AckBytes), n.rcfg.AckBytes) + 1e-6
+		ackAir := n.ackAir() + 1e-6
 		total := Time(0)
 		for a := 0; a <= n.rcfg.MaxRetries; a++ {
 			total += t + ackAir + n.rcfg.backoff(a)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"sensjoin/internal/topology"
@@ -385,8 +386,9 @@ func TestSendDeliverZeroAllocs(t *testing.T) {
 	}
 }
 
-// Reset zeroes what a run counts and refuses a network that carries
-// marks zeroing cannot remove.
+// Reset zeroes what a run counts and clears every fault and feature it
+// armed — dead nodes, downed links, both loss models, reliable transport
+// and its exhausted links — but refuses a network with a tracer attached.
 func TestNetworkReset(t *testing.T) {
 	sim := NewSim()
 	net := NewNetwork(sim, lineDeployment(4), DefaultRadio(), newRecordingAcct())
@@ -403,30 +405,47 @@ func TestNetworkReset(t *testing.T) {
 	}
 	net.SetTracer(nil)
 	if !net.Reset() {
-		t.Fatal("Reset of an idle, fault-free network refused")
+		t.Fatal("Reset of an idle network refused")
 	}
 	if net.Dropped != 0 || net.msgSeq[1] != 0 || net.handler != nil {
 		t.Fatalf("after Reset: Dropped %d, msgSeq %v, handler set: %t", net.Dropped, net.msgSeq, net.handler != nil)
 	}
-	for name, arm := range map[string]func(*Network){
-		"dead node":     func(n *Network) { n.KillNode(2) },
-		"downed link":   func(n *Network) { n.LinkDown(1, 2) },
-		"loss model":    func(n *Network) { n.SetLossRate(0.5, 1) },
-		"per-link loss": func(n *Network) { n.SetLinkLossRate(1, 2, 0.5) },
-		"reliable":      func(n *Network) { n.EnableReliable(ReliableConfig{}) },
-	} {
-		armed := NewNetwork(NewSim(), lineDeployment(4), DefaultRadio(), nil)
-		arm(armed)
-		if armed.Reset() {
-			t.Errorf("%s: Reset accepted the network", name)
-		}
+
+	// A network that ran a lossy reliable exchange under every fault, once
+	// reset, repeats a new network's lossless run event for event.
+	lossless := func(net *Network) string {
+		var evs []string
+		net.SetTracer(func(ev TraceEvent) { evs = append(evs, fmt.Sprintf("%+v", ev)) })
+		net.SetHandler(func(NodeID, Message) {})
+		net.Send(Message{Src: 1, Dst: 2, Phase: "p", Size: 90})
+		net.Send(Message{Src: 2, Dst: BroadcastID, Phase: "p", Size: 10})
+		net.Sim.Run()
+		net.SetTracer(nil)
+		return fmt.Sprintf("%v %+v %v", evs, net.counters, net.ExhaustedLinks())
 	}
-	// A revived node and a restored link leave nothing behind.
-	net.KillNode(2)
-	net.ReviveNode(2)
-	net.LinkDown(1, 2)
-	net.LinkUp(1, 2)
-	if !net.Reset() {
-		t.Error("Reset refused a network whose faults were all undone")
+	want := lossless(NewNetwork(NewSim(), lineDeployment(4), DefaultRadio(), nil))
+	used := NewNetwork(NewSim(), lineDeployment(4), DefaultRadio(), nil)
+	used.EnableReliable(ReliableConfig{})
+	used.SetLossRate(0.05, 9)
+	used.SetLinkLossRate(2, 3, 1)
+	used.SetHandler(func(NodeID, Message) {})
+	for i := 0; i < 20; i++ {
+		used.Send(Message{Src: 1, Dst: 2, Phase: "p", Size: 200})
+	}
+	used.Send(Message{Src: 2, Dst: 3, Phase: "p", Size: 10}) // gives up
+	used.Sim.Run()
+	used.KillNode(3)
+	used.LinkDown(0, 1)
+	if used.Retx == 0 || used.GiveUps != 1 || len(used.ExhaustedLinks()) != 1 {
+		t.Fatalf("the lossy run exercised nothing: %+v", used.counters)
+	}
+	if !used.Sim.Reset() || !used.Reset() {
+		t.Fatal("Reset refused a network that ran with loss, ARQ and faults")
+	}
+	if used.Reliable() || !used.Alive(3) || !used.LinkOK(0, 1) {
+		t.Fatal("Reset left reliable transport, a dead node or a downed link behind")
+	}
+	if got := lossless(used); got != want {
+		t.Fatalf("reset network's lossless run:\n%s\nnew network's:\n%s", got, want)
 	}
 }

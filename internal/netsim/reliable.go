@@ -1,8 +1,8 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
 )
 
 // Reliable hop-by-hop unicast transport.
@@ -24,6 +24,15 @@ import (
 // id (the first attempt's MsgID), which is what lets the audit passes
 // check that a retransmitted message converges to exactly one effective
 // delivery or an accounted failure.
+//
+// Under sharding a transfer's state is touched by two regions only: the
+// sender's (attempts, timeouts, the ACK's arrival) and the receiver's
+// delivery events (the packet ledger). A delivery and the sender's next
+// look at the ledger — the timeout it acknowledges — lie ACK air time
+// plus backoff apart, which checkLookahead holds at or above the window
+// width, so the two never share a window and the barrier orders them.
+// Counters and give-ups go through the region buffers like every other
+// shared write (network.go).
 
 // AckKind is the reserved message kind of link-layer acknowledgements.
 // ACKs terminate at the radio layer; they are never passed to node
@@ -79,22 +88,44 @@ type ReliabilityAccountant interface {
 	OnAck(node NodeID, phase string, packets, bytes int)
 }
 
-// EnableReliable switches every unicast to reliable transport. The ARQ
-// state machine mutates per-link maps from delivery handlers, so enabling
-// it reverts a sharded simulator to the classic engine.
+// EnableReliable switches every unicast to reliable transport. It panics
+// on a sharded simulator whose lookahead the configuration's ACK air time
+// plus backoff falls below (see checkLookahead).
 func (n *Network) EnableReliable(cfg ReliableConfig) {
-	n.fallbackFromSharding("reliable transport")
 	n.reliable = true
 	n.rcfg = cfg.withDefaults()
+	n.checkLookahead()
+}
+
+// checkLookahead asserts what lets a reliable transfer's two regions
+// share its state without a lock: between a delivery and the timeout that
+// next reads the ledger there is ACK air time plus the attempt's backoff,
+// and that must be no shorter than a window.
+func (n *Network) checkLookahead() {
+	if !n.reliable || !n.Sim.Sharded() {
+		return
+	}
+	for a := 0; a <= n.rcfg.MaxRetries; a++ {
+		if gap := n.ackAir() + n.rcfg.backoff(a); gap < n.Sim.lookahead {
+			panic(fmt.Sprintf("netsim: ACK air time plus backoff %g s (attempt %d) is below the sharded lookahead %g s", gap, a, n.Sim.lookahead))
+		}
+	}
+}
+
+// ackAir is the air time of one acknowledgement.
+func (n *Network) ackAir() Time {
+	return n.Radio.AirTime(n.Radio.Packets(n.rcfg.AckBytes), n.rcfg.AckBytes)
 }
 
 // Reliable reports whether reliable unicast transport is enabled.
 func (n *Network) Reliable() bool { return n.reliable }
 
 // OnGiveUp installs a callback invoked when a reliable unicast exhausts
-// its retransmission budget; attempts is the total transmissions spent.
-// nil removes the callback.
-func (n *Network) OnGiveUp(fn func(m Message, attempts int)) { n.giveUp = fn }
+// its retransmission budget; attempts is the total transmissions spent
+// and at the instant the sender gave up. It runs single-threaded at the
+// next drain — before the next coordinator event or when the run ends —
+// in (at, sender, transfer) order. nil removes the callback.
+func (n *Network) OnGiveUp(fn func(m Message, attempts int, at Time)) { n.giveUp = fn }
 
 // ExhaustedLinks returns a copy of the per-directed-link counts of
 // transfers that exhausted their retransmissions — the signal routing
@@ -111,88 +142,22 @@ func (n *Network) ExhaustedLinks() map[Link]int {
 // rebuild consumed them).
 func (n *Network) ClearExhaustedLinks() { n.exhausted = nil }
 
-// linkLossState is the loss model of one directed link: its rate and a
-// private deterministic draw stream.
-type linkLossState struct {
-	rate float64
-	rng  *rand.Rand
-}
-
 // SetLinkLossRate overrides the per-packet loss rate of the directed
 // link a→b (set the reverse direction separately for asymmetric links).
 // A rate <= 0 removes the override, falling back to the global
-// SetLossRate model. Each directed link draws from its own stream,
-// seeded from the link endpoints, so outcomes are reproducible
-// regardless of how transmissions on different links interleave.
+// SetLossRate model. The link draws the global model's stateless draw
+// (lossDraw), so its outcomes do not depend on how transmissions on
+// different links interleave.
 func (n *Network) SetLinkLossRate(a, b NodeID, rate float64) {
 	l := Link{From: a, To: b}
 	if rate <= 0 {
 		delete(n.linkLoss, l)
 		return
 	}
-	// Per-link RNG draws mutate shared state from delivery handlers;
-	// revert a sharded simulator to the classic engine.
-	n.fallbackFromSharding("per-link loss")
 	if n.linkLoss == nil {
-		n.linkLoss = make(map[Link]*linkLossState)
+		n.linkLoss = make(map[Link]float64)
 	}
-	s := n.linkLoss[l]
-	if s == nil {
-		s = &linkLossState{rng: rand.New(rand.NewSource(linkSeed(a, b)))}
-		n.linkLoss[l] = s
-	}
-	s.rate = rate
-}
-
-// linkSeed mixes a directed link into a seed (splitmix64 finalizer).
-func linkSeed(a, b NodeID) int64 {
-	z := uint64(a)*0x9E3779B97F4A7C15 + uint64(b) + 0xD1B54A32D192ED03
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z & (1<<63 - 1))
-}
-
-// lossStream selects the draw stream for the directed link from→to:
-// the link override when set, the global model otherwise.
-func (n *Network) lossStream(from, to NodeID) (*rand.Rand, float64) {
-	if s := n.linkLoss[Link{From: from, To: to}]; s != nil {
-		return s.rng, s.rate
-	}
-	return n.lossRNG, n.lossRate
-}
-
-// lostOn is the best-effort loss draw: the message is lost when any of
-// its packets is (there is no ARQ to repair a partial reception).
-func (n *Network) lostOn(from, to NodeID, packets int) bool {
-	rng, rate := n.lossStream(from, to)
-	if rng == nil {
-		return false
-	}
-	for i := 0; i < packets; i++ {
-		if rng.Float64() < rate {
-			return true
-		}
-	}
-	return false
-}
-
-// lostCountOn draws per-packet losses for a reliable attempt and
-// returns how many of the packets are lost.
-func (n *Network) lostCountOn(from, to NodeID, packets int) int {
-	rng, rate := n.lossStream(from, to)
-	if rng == nil {
-		return 0
-	}
-	lost := 0
-	for i := 0; i < packets; i++ {
-		if rng.Float64() < rate {
-			lost++
-		}
-	}
-	return lost
+	n.linkLoss[l] = rate
 }
 
 // pendingTx tracks one reliable unicast across its transmission
@@ -236,7 +201,7 @@ func (n *Network) transmit(p *pendingTx) {
 	if p.attempt == 0 {
 		p.logical = msgID
 	} else {
-		n.Retx++
+		n.tally(m.Src).Retx++
 		n.met.Retx.Inc()
 	}
 	n.met.Tx.Add(int64(send))
@@ -248,40 +213,37 @@ func (n *Network) transmit(p *pendingTx) {
 			}
 		}
 	}
-	n.traceRel("tx", m, send, sendB, msgID, 1, p.attempt, p.logical, false, false)
+	n.traceRel("tx", m.Src, m, send, sendB, msgID, 1, p.attempt, p.logical, false, false)
+	now := n.Sim.NodeNow(m.Src)
 	air := n.Radio.AirTime(send, sendB)
 	switch {
 	case !n.LinkOK(m.Src, m.Dst):
-		n.Dropped++
-		n.met.Drop.Inc()
-		n.traceRel("drop", m, send, sendB, msgID, 0, p.attempt, p.logical, false, false)
+		n.countDrop(m.Src)
+		n.traceRel("drop", m.Src, m, send, sendB, msgID, 0, p.attempt, p.logical, false, false)
 	case probe:
-		if n.lostCountOn(m.Src, m.Dst, send) > 0 {
-			n.Lost++
-			n.met.Lost.Inc()
-			n.traceRel("lost", m, send, sendB, msgID, 0, p.attempt, p.logical, false, false)
+		if n.lostPackets(m.Src, m.Dst, msgID, send) > 0 {
+			n.countLost(m.Src)
+			n.traceRel("lost", m.Src, m, send, sendB, msgID, 0, p.attempt, p.logical, false, false)
 		} else {
-			n.Sim.Schedule(n.Sim.Now()+air, func() { n.deliverProbe(p, msgID) })
+			n.Sim.ScheduleNode(m.Src, m.Dst, now+air, func() { n.deliverProbe(p, msgID) })
 		}
 	default:
-		lost := n.lostCountOn(m.Src, m.Dst, send)
+		lost := n.lostPackets(m.Src, m.Dst, msgID, send)
 		arrived := send - lost
 		arrivedB := sendB
 		if lost > 0 {
 			// The byte split follows the packet payload capacity; the
 			// ledger invariant Packets(remB) == remain holds throughout.
 			arrivedB = min(sendB, arrived*n.Radio.Payload())
-			n.Lost++
-			n.met.Lost.Inc()
-			n.traceRel("lost", m, lost, sendB-arrivedB, msgID, 0, p.attempt, p.logical, false, false)
+			n.countLost(m.Src)
+			n.traceRel("lost", m.Src, m, lost, sendB-arrivedB, msgID, 0, p.attempt, p.logical, false, false)
 		}
 		if arrived > 0 {
-			n.Sim.Schedule(n.Sim.Now()+air, func() { n.deliverReliable(p, msgID, arrived, arrivedB) })
+			n.Sim.ScheduleNode(m.Src, m.Dst, now+air, func() { n.deliverReliable(p, msgID, arrived, arrivedB) })
 		}
 	}
 	attempt := p.attempt
-	ackAir := n.Radio.AirTime(n.Radio.Packets(n.rcfg.AckBytes), n.rcfg.AckBytes)
-	n.Sim.Schedule(n.Sim.Now()+air+ackAir+n.rcfg.backoff(attempt), func() { n.onTimeout(p, attempt) })
+	n.Sim.ScheduleNode(m.Src, m.Src, now+air+n.ackAir()+n.rcfg.backoff(attempt), func() { n.onTimeout(p, attempt) })
 }
 
 // deliverReliable fires when an attempt's surviving packets reach the
@@ -291,9 +253,8 @@ func (n *Network) deliverReliable(p *pendingTx, msgID int64, arrived, arrivedB i
 	m := p.m
 	to := m.Dst
 	if n.dead[to] {
-		n.Dropped++
-		n.met.Drop.Inc()
-		n.traceRel("drop", m, arrived, arrivedB, msgID, 0, p.attempt, p.logical, false, false)
+		n.countDrop(to)
+		n.traceRel("drop", to, m, arrived, arrivedB, msgID, 0, p.attempt, p.logical, false, false)
 		return
 	}
 	p.remain -= arrived
@@ -302,7 +263,7 @@ func (n *Network) deliverReliable(p *pendingTx, msgID int64, arrived, arrivedB i
 		n.acct.OnRx(to, m.Phase, arrived, arrivedB)
 	}
 	n.met.Rx.Add(int64(arrived))
-	n.traceRel("rx", m, arrived, arrivedB, msgID, 0, p.attempt, p.logical, false, false)
+	n.traceRel("rx", to, m, arrived, arrivedB, msgID, 0, p.attempt, p.logical, false, false)
 	if p.remain == 0 {
 		if n.handler != nil {
 			n.handler(to, m)
@@ -318,18 +279,17 @@ func (n *Network) deliverProbe(p *pendingTx, msgID int64) {
 	m := p.m
 	to := m.Dst
 	if n.dead[to] {
-		n.Dropped++
-		n.met.Drop.Inc()
-		n.traceRel("drop", m, 1, 0, msgID, 0, p.attempt, p.logical, false, false)
+		n.countDrop(to)
+		n.traceRel("drop", to, m, 1, 0, msgID, 0, p.attempt, p.logical, false, false)
 		return
 	}
-	n.Dups++
+	n.tally(to).Dups++
 	n.met.Dup.Inc()
 	if n.acct != nil {
 		n.acct.OnRx(to, m.Phase, 1, 0)
 	}
 	n.met.Rx.Inc()
-	n.traceRel("rx", m, 1, 0, msgID, 0, p.attempt, p.logical, true, false)
+	n.traceRel("rx", to, m, 1, 0, msgID, 0, p.attempt, p.logical, true, false)
 	n.sendAck(p, to)
 }
 
@@ -342,7 +302,7 @@ func (n *Network) sendAck(p *pendingTx, from NodeID) {
 	size := n.rcfg.AckBytes
 	packets := n.Radio.Packets(size)
 	msgID := n.nextMsgID(from)
-	n.AckTx++
+	n.tally(from).AckTx++
 	n.met.Ack.Inc()
 	n.met.Tx.Add(int64(packets))
 	if n.acct != nil {
@@ -352,29 +312,26 @@ func (n *Network) sendAck(p *pendingTx, from NodeID) {
 		}
 	}
 	am := Message{Kind: AckKind, Src: from, Dst: dst, Phase: p.m.Phase, Size: size}
-	n.traceRel("tx", am, packets, size, msgID, 1, 0, p.logical, false, true)
+	n.traceRel("tx", from, am, packets, size, msgID, 1, 0, p.logical, false, true)
 	switch {
 	case !n.LinkOK(from, dst):
-		n.Dropped++
-		n.met.Drop.Inc()
-		n.traceRel("drop", am, packets, size, msgID, 0, 0, p.logical, false, true)
-	case n.lostCountOn(from, dst, packets) > 0:
-		n.Lost++
-		n.met.Lost.Inc()
-		n.traceRel("lost", am, packets, size, msgID, 0, 0, p.logical, false, true)
+		n.countDrop(from)
+		n.traceRel("drop", from, am, packets, size, msgID, 0, 0, p.logical, false, true)
+	case n.lostPackets(from, dst, msgID, packets) > 0:
+		n.countLost(from)
+		n.traceRel("lost", from, am, packets, size, msgID, 0, 0, p.logical, false, true)
 	default:
 		final := p.remain == 0
-		n.Sim.Schedule(n.Sim.Now()+n.Radio.AirTime(packets, size), func() {
+		n.Sim.ScheduleNode(from, dst, n.Sim.NodeNow(from)+n.Radio.AirTime(packets, size), func() {
 			if n.dead[dst] {
-				n.Dropped++
-				n.met.Drop.Inc()
-				n.traceRel("drop", am, packets, size, msgID, 0, 0, p.logical, false, true)
+				n.countDrop(dst)
+				n.traceRel("drop", dst, am, packets, size, msgID, 0, 0, p.logical, false, true)
 				return
 			}
 			if n.acct != nil {
 				n.acct.OnRx(dst, am.Phase, packets, size)
 			}
-			n.traceRel("rx", am, packets, size, msgID, 0, 0, p.logical, false, true)
+			n.traceRel("rx", dst, am, packets, size, msgID, 0, 0, p.logical, false, true)
 			if final {
 				p.acked = true
 			}
@@ -384,48 +341,43 @@ func (n *Network) sendAck(p *pendingTx, from NodeID) {
 
 // onTimeout fires after an attempt's retransmission window: a transfer
 // that is not acknowledged retransmits until the budget is exhausted,
-// then records the failed directed link and reports the give-up.
+// then gives up — buffered in the sender's region until drain records
+// the failed directed link and reports it.
 func (n *Network) onTimeout(p *pendingTx, attempt int) {
 	if p.done || p.attempt != attempt {
 		return
 	}
-	if p.acked || n.dead[p.m.Src] {
+	src := p.m.Src
+	if p.acked || n.dead[src] {
 		p.done = true
 		n.met.InFlight.Dec()
 		if !p.acked {
 			// Sender died mid-transfer: account the failure for audits.
-			n.traceRel("giveup", p.m, p.remain, p.remB, 0, 0, attempt, p.logical, false, false)
+			n.traceRel("giveup", src, p.m, p.remain, p.remB, 0, 0, attempt, p.logical, false, false)
 		}
 		return
 	}
 	if attempt >= n.rcfg.MaxRetries {
 		p.done = true
 		n.met.InFlight.Dec()
-		n.traceRel("giveup", p.m, p.remain, p.remB, 0, 0, attempt, p.logical, false, false)
-		n.GiveUps++
-		n.met.GiveUp.Inc()
-		if n.exhausted == nil {
-			n.exhausted = make(map[Link]int)
-		}
-		n.exhausted[Link{From: p.m.Src, To: p.m.Dst}]++
-		if n.giveUp != nil {
-			n.giveUp(p.m, attempt+1)
-		}
+		n.traceRel("giveup", src, p.m, p.remain, p.remB, 0, 0, attempt, p.logical, false, false)
+		r := &n.reg[n.Sim.region(src)]
+		r.giveUps = append(r.giveUps, giveUp{at: n.Sim.NodeNow(src), m: p.m, attempts: attempt + 1, logical: p.logical})
 		return
 	}
 	p.attempt++
 	n.transmit(p)
 }
 
-// traceRel emits a radio event of the reliable transport; unlike the
-// best-effort trace helper it carries per-attempt packet/byte counts and
-// the reliability fields.
-func (n *Network) traceRel(event string, m Message, packets, bytes int, msgID int64, expect, attempt int, logical int64, dup, ack bool) {
+// traceRel emits a radio event of the reliable transport acting for node
+// by; unlike the best-effort trace helper it carries per-attempt
+// packet/byte counts and the reliability fields.
+func (n *Network) traceRel(event string, by NodeID, m Message, packets, bytes int, msgID int64, expect, attempt int, logical int64, dup, ack bool) {
 	if n.tracer == nil {
 		return
 	}
-	n.tracer(TraceEvent{
-		Event: event, At: n.Sim.Now(), MsgID: msgID,
+	n.emit(by, TraceEvent{
+		Event: event, MsgID: msgID,
 		Src: m.Src, Dst: m.Dst, Kind: m.Kind, Phase: m.Phase,
 		Bytes: bytes, Packets: packets, Expect: expect,
 		Attempt: attempt, Logical: logical, Dup: dup, Ack: ack,

@@ -1,6 +1,13 @@
 package netsim
 
-import "testing"
+import (
+	"fmt"
+	"sort"
+	"strings"
+	"testing"
+
+	"sensjoin/internal/topology"
+)
 
 // phaseAcct records per-node, per-phase traffic including the reliable
 // transport's retransmission/ACK breakdown.
@@ -103,7 +110,8 @@ func TestReliableExhaustionRecordsLink(t *testing.T) {
 	net.LinkDown(0, 1)
 	var gaveUp Message
 	attempts := 0
-	net.OnGiveUp(func(m Message, a int) { gaveUp = m; attempts = a })
+	var at Time
+	net.OnGiveUp(func(m Message, a int, when Time) { gaveUp = m; attempts = a; at = when })
 	net.Send(Message{Kind: 3, Src: 0, Dst: 1, Phase: "data", Size: 10})
 	sim.Run()
 	cfg := ReliableConfig{}.withDefaults()
@@ -112,6 +120,9 @@ func TestReliableExhaustionRecordsLink(t *testing.T) {
 	}
 	if gaveUp.Dst != 1 {
 		t.Fatalf("give-up message = %+v", gaveUp)
+	}
+	if at <= 0 || at > sim.Now() {
+		t.Fatalf("gave up at %g, run ended at %g", at, sim.Now())
 	}
 	ex := net.ExhaustedLinks()
 	if ex[Link{From: 0, To: 1}] != 1 {
@@ -259,6 +270,91 @@ func TestDeadSenderSendsNothingReliable(t *testing.T) {
 	if net.Retx != 0 || net.GiveUps != 0 {
 		t.Fatal("dead sender should transmit nothing")
 	}
+}
+
+// reliableLineRun relays one reliable message down a lossy line, with a
+// link the last hop gives up on, and renders every observable: the sorted
+// trace, the counters, the give-ups and the clock.
+func reliableLineRun(t *testing.T, shards int) string {
+	t.Helper()
+	dep := topology.Line(12, 30, 50)
+	sim := NewSim()
+	net := NewNetwork(sim, dep, DefaultRadio(), nil) // the map-backed test accountants are not for parallel regions
+	net.EnableReliable(ReliableConfig{})
+	// Sharding enabled after reliable transport: binding keeps both.
+	sim.EnableSharding(PartitionStrips(dep, shards), shards, DefaultRadio().AirTime(1, 0), shards)
+	net.BindSharding()
+	net.SetLossRate(0.2, 5)
+	net.SetLinkLossRate(10, 11, 1)
+	var evs []string
+	net.SetTracer(func(ev TraceEvent) { evs = append(evs, fmt.Sprintf("%+v", ev)) })
+	var gave []string
+	net.OnGiveUp(func(m Message, a int, at Time) {
+		gave = append(gave, fmt.Sprintf("%d->%d %d @%.9f", m.Src, m.Dst, a, at))
+	})
+	net.SetHandler(func(id NodeID, m Message) {
+		if int(id) < dep.N()-1 {
+			net.Send(Message{Kind: m.Kind, Src: id, Dst: id + 1, Phase: "relay", Size: 90})
+		}
+	})
+	sim.ScheduleNode(0, 0, 0, func() {
+		net.Send(Message{Kind: 1, Src: 0, Dst: 1, Phase: "relay", Size: 90})
+	})
+	sim.Run()
+	if shards > 1 && !sim.Sharded() {
+		t.Fatal("reliable transport changed the engine")
+	}
+	sort.Strings(evs)
+	return fmt.Sprintf("now=%.9f steps=%d counters=%+v exhausted=%v gave=%v\n%s",
+		sim.Now(), sim.Steps(), net.counters, net.ExhaustedLinks(), gave, strings.Join(evs, "\n"))
+}
+
+// Reliable transport and the loss models run sharded: every observable of
+// a lossy reliable relay — retransmissions, ACKs, the give-up and its
+// hook — is the one-region run's at any region count.
+func TestBindShardingKeepsReliable(t *testing.T) {
+	want := reliableLineRun(t, 1)
+	if !strings.Contains(want, "10->11") {
+		t.Fatalf("the fixture never gave up:\n%s", want)
+	}
+	for _, shards := range []int{2, 4} {
+		if got := reliableLineRun(t, shards); got != want {
+			t.Fatalf("%d regions diverged from one:\n%s\nvs\n%s", shards, got, want)
+		}
+	}
+}
+
+// A transfer's sender and receiver share its ledger across regions only
+// because they touch it a window apart: a configuration whose ACK air
+// time plus backoff undercuts the lookahead is refused, in either order.
+func TestReliableLookaheadAssertion(t *testing.T) {
+	dep := topology.Line(4, 30, 50)
+	short := ReliableConfig{BackoffBase: -DefaultRadio().AirTime(1, 0)}
+	for name, arm := range map[string]func(*Sim, *Network){
+		"sharding first": func(sim *Sim, net *Network) {
+			sim.EnableSharding(PartitionStrips(dep, 2), 2, DefaultRadio().AirTime(1, 0), 2)
+			net.BindSharding()
+			net.EnableReliable(short)
+		},
+		"reliable first": func(sim *Sim, net *Network) {
+			net.EnableReliable(short)
+			sim.EnableSharding(PartitionStrips(dep, 2), 2, DefaultRadio().AirTime(1, 0), 2)
+			net.BindSharding()
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: a lookahead wider than ACK air time plus backoff was accepted", name)
+				}
+			}()
+			sim := NewSim()
+			arm(sim, NewNetwork(sim, dep, DefaultRadio(), nil))
+		}()
+	}
+	// One region has no windows to undercut.
+	sim := NewSim()
+	NewNetwork(sim, dep, DefaultRadio(), nil).EnableReliable(short)
 }
 
 var _ ReliabilityAccountant = (*phaseAcct)(nil)

@@ -3,101 +3,63 @@ package netsim
 // Sharded event execution: conservative time-window parallelism.
 //
 // The deployment is partitioned into regions (PartitionStrips); each
-// region owns an event heap, a clock and a delivery freelist. The
-// coordinator repeatedly picks the global minimum event time T and lets
-// every region execute its events with t < T + lookahead concurrently —
-// the classic conservative synchronization window. The lookahead is the
-// minimum cross-region latency: the air time of a single empty packet,
-// because every interaction between nodes travels over the radio and no
-// message arrives earlier than that. Events a region schedules for
-// itself go straight into its own heap; events it schedules for another
-// region are appended to the destination's inbox and merged at the next
-// window barrier, where the lookahead guarantees their timestamps lie at
-// or beyond the window end — the merge can never reorder causality.
+// region owns an event heap, a clock and the network's per-region radio
+// state. The loop repeatedly picks the global minimum event time T and
+// lets every region execute its events with t < T + lookahead
+// concurrently — the classic conservative synchronization window. The
+// lookahead is the minimum cross-region latency: the air time of a single
+// empty packet, because every interaction between nodes travels over the
+// radio and no message arrives earlier than that. Events a region
+// schedules for itself go straight into its own heap; events it schedules
+// for another region are appended to the destination's inbox and merged
+// at the next window barrier, where the lookahead guarantees their
+// timestamps lie at or beyond the window end — the merge can never
+// reorder causality. A coordinator event closes the window before it:
+// regions stop, it runs alone, they resume. One region is the same loop
+// with an infinite lookahead: a window runs until the queue drains or a
+// coordinator event is due.
 //
-// Determinism contract: for a fixed shard count, runs are bit-identical.
-// Within a region the (t, seq) total order of the classic engine applies
-// unchanged. Cross-region events are merged in (t, source node,
-// generation order) order: all events with equal (t, source node) are
-// generated by one region's worker sequentially, so the monotone values
-// a shared atomic counter hands that worker reproduce the generation
-// order regardless of how the other workers interleave. Across *shard
-// counts*, the experiment tables also agree, because every protocol
-// observable (per-node packet counts, response times, result sets) is a
-// function of per-node event multisets, never of the interleaving of
-// same-time events at different nodes; the shard determinism test in
-// internal/bench checks exactly this for shards ∈ {1, 2, 4, 8}.
-//
-// Sharding composes with the best-effort radio, tracing and live
-// metrics, and with any protocol whose handlers touch only the state of
-// the node they run for. In package core that now includes continuous
-// SENS-Join (the incremental mode keeps its cross-round memory and its
-// delta buffers per node) and the shared rounds of a QueryGroup, which
-// are the same round body with m members
-// (TestShardedContinuousAndGroupRounds, under -race). Tracing buffers
-// radio events per region (appended lock-free by each region's worker)
-// and flushes them through the tracer at drain time — the canonical
-// journal order in internal/trace makes the flush order invisible.
-// Reliable transport, the loss models and churn keep cross-node mutable
-// state (and single RNG streams) on the hot path, so enabling any of
-// them still falls back to the classic engine (DisableSharding merges
-// the region heaps back deterministically).
+// Determinism contract: a run is the same run at every region count. An
+// event's tie-break key is (scheduling node, that node's call count), not
+// an arrival order, so every heap orders the events it holds the way one
+// heap holding all of them would, and each node executes the same events
+// in the same order under any partition. What differs between partitions
+// is only the interleaving of different nodes' events inside a window,
+// which the sharding contract makes invisible: a node event touches the
+// state of the node it runs for, and whatever is shared is written
+// between windows. The network keeps that contract for everything it
+// offers (network.go, reliable.go) — shadow counters, trace buffers and
+// give-ups per region, folded at drain; a stateless loss draw; ARQ state
+// that the sender's region and the receiver's delivery event touch at
+// instants a lookahead apart — and churn mutates topology only in
+// coordinator events. So the best-effort radio, the loss models, reliable
+// transport, churn, tracing and live metrics all run sharded, and so do
+// continuous SENS-Join and QueryGroup rounds (their per-node state lives
+// in runner-owned slabs). The journals internal/core records are
+// byte-identical across region counts (TestShardTraceDeterministicJournal).
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
-	"sync/atomic"
 
 	"sensjoin/internal/topology"
 )
 
-func inf() Time { return math.Inf(1) }
-
-// crossEvent is an event scheduled into another region during a window.
-type crossEvent struct {
-	t   Time
-	src NodeID // scheduling node: deterministic merge tie-break
-	seq int64  // generation order within (t, src)
-	fn  func()
-}
-
 // shardRegion is one region's private execution state. During a window
-// only the region's worker touches heap, seq, now and steps; the inbox
-// is the one mutex-guarded hand-off point.
+// only the region's worker touches heap, now and steps; the inbox is the
+// one mutex-guarded hand-off point.
 type shardRegion struct {
 	heap  eventHeap
-	seq   int64
 	now   Time
 	steps int64
 
 	inMu  sync.Mutex
-	inbox []crossEvent
+	inbox []event
 
 	// pad keeps concurrently written regions off each other's cache
 	// lines.
 	_ [64]byte
-}
-
-// shardEngine hangs off a Sim when sharding is enabled.
-type shardEngine struct {
-	regions  []shardRegion
-	regionOf []int32
-	// lookahead is the conservative window width: the minimum latency of
-	// any cross-node interaction (air time of one empty packet).
-	lookahead Time
-	// workers bounds the goroutines running one window.
-	workers  int
-	running  atomic.Bool
-	crossSeq atomic.Int64
-	runnable []int32 // scratch for the window loop
-	// drain flushes per-region buffers (trace events, shadow counters)
-	// back into the global view; it runs single-threaded after every
-	// sharded run and on DisableSharding. The network installs it in
-	// BindSharding.
-	drain func()
 }
 
 // PartitionStrips assigns every node of the deployment to one of shards
@@ -139,15 +101,16 @@ func PartitionStrips(dep *topology.Deployment, shards int) []int32 {
 	return out
 }
 
-// EnableSharding switches the simulator to sharded execution with the
+// EnableSharding partitions the simulator into shards regions with the
 // given node-to-region assignment. lookahead is the conservative window
 // width; workers bounds the parallel goroutines per window (0 means one
-// per region). It must be called while the event queue is empty.
+// per region). It must be called while the event queue is empty, and a
+// network on this simulator must be bound again (Network.BindSharding).
 func (s *Sim) EnableSharding(regionOf []int32, shards int, lookahead Time, workers int) {
-	if len(s.heap) > 0 {
+	if s.Pending() > 0 {
 		panic("netsim: EnableSharding with events pending")
 	}
-	if s.sh != nil {
+	if s.Sharded() {
 		panic("netsim: sharding already enabled")
 	}
 	if shards <= 1 {
@@ -159,155 +122,118 @@ func (s *Sim) EnableSharding(regionOf []int32, shards int, lookahead Time, worke
 	if workers <= 0 || workers > shards {
 		workers = shards
 	}
-	s.sh = &shardEngine{
-		regions:   make([]shardRegion, shards),
-		regionOf:  regionOf,
-		lookahead: lookahead,
-		workers:   workers,
-		runnable:  make([]int32, 0, shards),
+	s.steps = s.Steps()
+	s.regions = make([]shardRegion, shards)
+	for i := range s.regions {
+		s.regions[i].now = s.now
 	}
-	for i := range s.sh.regions {
-		s.sh.regions[i].now = s.now
-	}
+	s.regionOf, s.lookahead, s.workers = regionOf, lookahead, workers
+	s.runnable = make([]int32, 0, shards)
+	s.growNodes(len(regionOf))
 }
 
-// DisableSharding reverts to the classic single-heap engine, merging any
-// pending region events back in deterministic (t, region, seq) order.
-// Callers enabling features that are incompatible with parallel regions
-// (reliable transport, the loss models, churn) use this to fall back.
-func (s *Sim) DisableSharding() {
-	sh := s.sh
-	if sh == nil {
-		return
-	}
-	if sh.running.Load() {
-		panic("netsim: DisableSharding during a run")
-	}
-	if sh.drain != nil {
-		sh.drain()
-	}
-	s.sh = nil
-	type pending struct {
-		t      Time
-		region int
-		seq    int64
-		fn     func()
-	}
-	var all []pending
-	for ri := range sh.regions {
-		r := &sh.regions[ri]
-		for len(r.heap) > 0 {
-			e := r.heap.pop()
-			all = append(all, pending{t: e.t, region: ri, seq: e.seq, fn: e.fn})
-		}
-	}
-	slices.SortFunc(all, func(a, b pending) int {
-		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.region, b.region), cmp.Compare(a.seq, b.seq))
-	})
-	for _, p := range all {
-		s.Schedule(p.t, p.fn)
-	}
-}
+// Sharded reports whether the simulator runs more than one region.
+func (s *Sim) Sharded() bool { return len(s.regions) > 1 }
 
-// Sharded reports whether sharded execution is enabled.
-func (s *Sim) Sharded() bool { return s.sh != nil }
-
-// ScheduleNode runs fn at absolute time t, affine to node `to`: under
-// sharding the event executes on the worker of to's region. `from` is
-// the scheduling node; cross-region events with equal timestamps merge
-// in (t, from, generation order), which is what keeps sharded runs
-// deterministic. Without sharding this is exactly Schedule.
-func (s *Sim) ScheduleNode(from, to NodeID, t Time, fn func()) {
-	sh := s.sh
-	if sh == nil {
-		s.Schedule(t, fn)
-		return
-	}
-	s.scheduleRegion(from, sh.regionOf[to], t, fn)
-}
-
-// scheduleRegion queues fn at t on region dst of a sharded simulator, on
-// behalf of node from.
-func (s *Sim) scheduleRegion(from NodeID, dst int32, t Time, fn func()) {
-	sh := s.sh
-	r := &sh.regions[dst]
-	if !sh.running.Load() {
-		// Coordinator context (before Run / between runs): direct push.
-		if t < s.now {
-			panic(fmt.Sprintf("netsim: scheduling event at %.6f before now %.6f", t, s.now))
-		}
-		r.seq++
-		r.heap.push(event{t: t, seq: r.seq, fn: fn})
-		return
-	}
-	if sh.regionOf[from] == dst {
-		// Intra-region: the caller is this region's worker.
-		if t < r.now {
-			panic(fmt.Sprintf("netsim: scheduling event at %.6f before now %.6f", t, r.now))
-		}
-		r.seq++
-		r.heap.push(event{t: t, seq: r.seq, fn: fn})
-		return
-	}
-	// Cross-region: hand off through the destination inbox; merged at
-	// the window barrier. The causality check happens at the merge.
-	ev := crossEvent{t: t, src: from, seq: sh.crossSeq.Add(1), fn: fn}
-	r.inMu.Lock()
-	r.inbox = append(r.inbox, ev)
-	r.inMu.Unlock()
-}
-
-// ScheduleNodes runs fn(id) at absolute time t for every id of ids, in
-// slice order, as if ScheduleNode(from, id, t, ...) had been called for
-// each of them back to back — same execution order, same Steps — at the
-// cost of one queue entry, not len(ids): a level of a collection wave is
-// one deadline, not one per node. Under sharding there is one entry per
-// region the ids live in, each running its region's ids on that region's
-// worker. The equivalence rests on the calls being back to back: the
-// per-node events would hold consecutive sequence numbers (consecutive
-// (t, from, generation) keys across a region boundary), so nothing can
-// sort between them and one entry in their place keeps every other
-// event's relative order. ids must stay unchanged until the batch ran.
-func (s *Sim) ScheduleNodes(from NodeID, ids []NodeID, t Time, fn func(NodeID)) {
-	if len(ids) == 0 {
-		return
-	}
-	sh := s.sh
-	if sh == nil {
-		s.Schedule(t, func() {
-			s.steps += int64(len(ids)) - 1 // the pop counted one
-			for _, id := range ids {
-				fn(id)
+// run is the event loop: execute the coordinator's head when nothing
+// precedes it, otherwise a window of region events up to min+lookahead
+// (never past the coordinator's head), merge the cross-region inboxes,
+// repeat. until bounds execution like RunUntil (+Inf for Run).
+func (s *Sim) run(until Time) {
+	counted := s.Steps()
+	for {
+		T := inf()
+		for i := range s.regions {
+			if h := s.regions[i].heap; len(h) > 0 && h[0].t < T {
+				T = h[0].t
 			}
-		})
-		return
-	}
-	resident := make([]bool, len(sh.regions))
-	for _, id := range ids {
-		resident[sh.regionOf[id]] = true
-	}
-	for ri, ok := range resident {
-		if !ok {
-			continue
 		}
-		ri := int32(ri)
-		s.scheduleRegion(from, ri, t, func() {
-			ran := int64(0)
-			for _, id := range ids {
-				if sh.regionOf[id] == ri {
-					ran++
-					fn(id)
+		end := T + s.lookahead
+		if len(s.coord) > 0 {
+			if c := s.coord[0].t; c <= T {
+				if c > until {
+					break
 				}
+				s.drain() // a coordinator event sees the global view
+				e := s.coord.pop()
+				s.now = e.t
+				s.steps++
+				e.fn()
+				counted = s.meter(counted)
+				continue
+			} else if c < end {
+				end = c
 			}
-			// The pop counted one. DisableSharding may have moved the
-			// entry to the single heap since it was scheduled.
-			if s.sh == sh {
-				sh.regions[ri].steps += ran - 1
-			} else {
-				s.steps += ran - 1
-			}
-		})
+		}
+		if math.IsInf(T, 1) || T > until {
+			break
+		}
+		s.window(end, until)
+		counted = s.meter(counted)
 	}
+	// Every clock ends where the run ended.
+	now := s.now
+	for i := range s.regions {
+		now = max(now, s.regions[i].now)
+	}
+	if !math.IsInf(until, 1) && now < until {
+		now = until
+	}
+	s.now = now
+	for i := range s.regions {
+		s.regions[i].now = now
+	}
+	if s.met.Events != nil {
+		s.met.Events.Add(s.Steps() - counted)
+		s.met.Queue.Set(int64(s.Pending()))
+	}
+	s.drain()
+}
+
+// window runs every region's events with t < end (and t <= until), in
+// parallel when more than one region has work, then merges the inboxes.
+func (s *Sim) window(end, until Time) {
+	runnable := s.runnable[:0]
+	for i := range s.regions {
+		if h := s.regions[i].heap; len(h) > 0 && h[0].t < end && h[0].t <= until {
+			runnable = append(runnable, int32(i))
+		}
+	}
+	s.runnable = runnable
+	s.running.Store(true)
+	if len(runnable) > 1 && s.workers > 1 {
+		var wg sync.WaitGroup
+		wg.Add(len(runnable))
+		for _, ri := range runnable {
+			r := &s.regions[ri]
+			go func() {
+				defer wg.Done()
+				r.runWindow(end, until)
+			}()
+		}
+		wg.Wait()
+	} else {
+		for _, ri := range runnable {
+			s.regions[ri].runWindow(end, until)
+		}
+	}
+	s.running.Store(false)
+	s.mergeInboxes(end)
+}
+
+// meter adds the events executed since counted to the live counter once
+// a sample's worth accumulated, and returns the new mark.
+func (s *Sim) meter(counted int64) int64 {
+	if s.met.Events == nil {
+		return counted
+	}
+	n := s.Steps()
+	if n-counted < simMetricsSample {
+		return counted
+	}
+	s.met.Events.Add(n - counted)
+	s.met.Queue.Set(int64(s.Pending()))
+	return n
 }
 
 // runWindow executes this region's events with t < end (and t <= until),
@@ -325,124 +251,22 @@ func (r *shardRegion) runWindow(end, until Time) {
 	}
 }
 
-// runSharded is the window loop: pick the global minimum time, run every
-// region up to min+lookahead in parallel, merge cross-region inboxes,
-// repeat. until bounds execution like RunUntil (+Inf for Run).
-func (s *Sim) runSharded(until Time) {
-	sh := s.sh
-	sh.running.Store(true)
-	defer sh.running.Store(false)
-	var prevSteps, metBatch int64
-	for !s.halted {
-		T := math.Inf(1)
-		for i := range sh.regions {
-			r := &sh.regions[i]
-			if len(r.heap) > 0 && r.heap[0].t < T {
-				T = r.heap[0].t
-			}
-		}
-		if math.IsInf(T, 1) || T > until {
-			break
-		}
-		end := T + sh.lookahead
-		runnable := sh.runnable[:0]
-		for i := range sh.regions {
-			r := &sh.regions[i]
-			if len(r.heap) > 0 && r.heap[0].t < end && r.heap[0].t <= until {
-				runnable = append(runnable, int32(i))
-			}
-		}
-		sh.runnable = runnable
-		if len(runnable) > 1 && sh.workers > 1 {
-			var wg sync.WaitGroup
-			wg.Add(len(runnable))
-			for _, ri := range runnable {
-				r := &sh.regions[ri]
-				go func() {
-					defer wg.Done()
-					r.runWindow(end, until)
-				}()
-			}
-			wg.Wait()
-		} else {
-			for _, ri := range runnable {
-				sh.regions[ri].runWindow(end, until)
-			}
-		}
-		s.mergeInboxes(end)
-		if s.met.Events != nil {
-			var total int64
-			for i := range sh.regions {
-				total += sh.regions[i].steps
-			}
-			metBatch += total - prevSteps
-			prevSteps = total
-			if metBatch >= simMetricsSample {
-				s.met.Events.Add(metBatch)
-				metBatch = 0
-				s.met.Queue.Set(int64(s.Pending()))
-			}
-		}
-	}
-	// Fold region state back into the global view.
-	var total int64
-	now := s.now
-	for i := range sh.regions {
-		r := &sh.regions[i]
-		total += r.steps
-		r.steps = 0
-		if r.now > now {
-			now = r.now
-		}
-	}
-	s.steps += total
-	if !s.halted && !math.IsInf(until, 1) && now < until {
-		now = until
-	}
-	s.now = now
-	for i := range sh.regions {
-		sh.regions[i].now = now
-	}
-	if s.met.Events != nil {
-		s.met.Events.Add(total - prevSteps + metBatch)
-		s.met.Queue.Set(int64(s.Pending()))
-	}
-	if sh.drain != nil {
-		sh.drain()
-	}
-}
-
-// mergeInboxes moves cross-region events into their destination heaps in
-// deterministic (t, src, seq) order, assigning fresh local sequence
-// numbers. The conservative window guarantees every handed-off event
-// lies at or beyond the window end; anything earlier would have to
-// reorder causality, so it panics.
+// mergeInboxes moves cross-region events into their destination heaps.
+// Their keys came with them, so the heap orders them exactly as if they
+// had been pushed directly: the merge order is immaterial. The
+// conservative window guarantees every handed-off event lies at or
+// beyond the window end; anything earlier would have to reorder
+// causality, so it panics.
 func (s *Sim) mergeInboxes(end Time) {
-	for i := range s.sh.regions {
-		r := &s.sh.regions[i]
-		if len(r.inbox) == 0 {
-			continue
-		}
-		in := r.inbox
-		slices.SortFunc(in, func(a, b crossEvent) int {
-			if a.t != b.t {
-				return cmp.Compare(a.t, b.t)
+	for i := range s.regions {
+		r := &s.regions[i]
+		for _, e := range r.inbox {
+			if e.t < end {
+				panic(fmt.Sprintf("netsim: cross-region event at %.6f inside window ending %.6f (latency below lookahead)", e.t, end))
 			}
-			if a.src != b.src {
-				return cmp.Compare(a.src, b.src)
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		for _, ev := range in {
-			if ev.t < end {
-				panic(fmt.Sprintf("netsim: cross-region event at %.6f inside window ending %.6f (latency below lookahead)", ev.t, end))
-			}
-			r.seq++
-			r.heap.push(event{t: ev.t, seq: r.seq, fn: ev.fn})
+			r.heap.push(e)
 		}
-		for k := range in {
-			in[k].fn = nil
-		}
-		r.inbox = in[:0]
+		clear(r.inbox)
+		r.inbox = r.inbox[:0]
 	}
 }

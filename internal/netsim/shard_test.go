@@ -43,7 +43,7 @@ func floodRun(t *testing.T, dep *topology.Deployment, shards, workers int) strin
 // TestShardedFloodMatchesClassic floods a broadcast wave through a line
 // deployment — every hop crosses time windows, and with several shards
 // the wave repeatedly crosses region boundaries. Every per-node
-// observable must be byte-identical to the classic engine for any shard
+// observable must be byte-identical to one region's for any shard
 // and worker count.
 func TestShardedFloodMatchesClassic(t *testing.T) {
 	dep := topology.Line(40, 30, 50)
@@ -71,7 +71,7 @@ func TestShardedUnicastChain(t *testing.T) {
 		var arrived Time
 		net.SetHandler(func(id NodeID, m Message) {
 			if int(id) == dep.N()-1 {
-				arrived = sim.sendTimeForTest(id)
+				arrived = sim.NodeNow(id)
 				return
 			}
 			net.Send(Message{Kind: m.Kind, Src: id, Dst: id + 1, Phase: "relay", Size: 24})
@@ -90,59 +90,26 @@ func TestShardedUnicastChain(t *testing.T) {
 	}
 }
 
-// sendTimeForTest exposes the executing node's clock to tests.
-func (s *Sim) sendTimeForTest(id NodeID) Time {
-	if sh := s.sh; sh != nil && sh.running.Load() {
-		return sh.regions[sh.regionOf[id]].now
-	}
-	return s.now
-}
-
-// TestPlainSchedulePanicsDuringShardedRun pins the contract: event
-// handlers must use ScheduleNode under sharding.
+// TestPlainSchedulePanicsDuringShardedRun pins the contract: a node
+// event schedules node work (ScheduleNode), never a coordinator event —
+// on one region as on many.
 func TestPlainSchedulePanicsDuringShardedRun(t *testing.T) {
 	dep := topology.Line(4, 30, 50)
-	sim := NewSim()
-	sim.EnableSharding(PartitionStrips(dep, 2), 2, 0.001, 1)
-	panicked := false
-	sim.ScheduleNode(0, 0, 0, func() {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		sim.Schedule(1, func() {})
-	})
-	sim.Run()
-	if !panicked {
-		t.Fatal("plain Schedule during a sharded run did not panic")
-	}
-}
-
-// TestDisableShardingMergesPending checks that events scheduled before
-// the fallback survive it in deterministic order.
-func TestDisableShardingMergesPending(t *testing.T) {
-	dep := topology.Line(8, 30, 50)
-	sim := NewSim()
-	sim.EnableSharding(PartitionStrips(dep, 4), 4, 0.001, 1)
-	var order []int
-	for i := 0; i < 8; i++ {
-		id := NodeID(i + 1)
-		i := i
-		sim.ScheduleNode(id, id, 1.0, func() { order = append(order, i) })
-	}
-	sim.DisableSharding()
-	if sim.Sharded() {
-		t.Fatal("still sharded after DisableSharding")
-	}
-	sim.Run()
-	if len(order) != 8 {
-		t.Fatalf("ran %d of 8 events", len(order))
-	}
-	// Equal times merge by (region, seq): node order along the line.
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("order %v not deterministic by region", order)
+	for _, shards := range []int{1, 2} {
+		sim := NewSim()
+		sim.EnableSharding(PartitionStrips(dep, shards), shards, 0.001, 1)
+		panicked := false
+		sim.ScheduleNode(0, 0, 0, func() {
+			defer func() {
+				if recover() != nil {
+					panicked = true
+				}
+			}()
+			sim.Schedule(1, func() {})
+		})
+		sim.Run()
+		if !panicked {
+			t.Fatalf("%d regions: plain Schedule from a node event did not panic", shards)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"slices"
 	"testing"
 
 	"sensjoin/internal/metrics"
@@ -88,41 +89,66 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
+// A coordinator event runs before the node events of its instant,
+// whenever either was scheduled, and node events of one instant run in
+// (scheduling node, its scheduling order) order.
+func TestCoordinatorEventsRunBeforeNodeEvents(t *testing.T) {
 	s := NewSim()
-	count := 0
-	s.Schedule(1, func() { count++; s.Halt() })
-	s.Schedule(2, func() { count++ })
+	var order []string
+	note := func(tag string) func() { return func() { order = append(order, tag) } }
+	s.ScheduleNode(3, 1, 1, note("3a"))
+	s.ScheduleNode(2, 1, 1, note("2a"))
+	s.ScheduleNode(3, 1, 1, note("3b"))
+	s.Schedule(1, note("c1"))
+	s.Schedule(0.5, func() {
+		order = append(order, "c0")
+		s.Schedule(1, note("c2"))
+		s.ScheduleNode(0, 1, 1, note("0a"))
+	})
 	s.Run()
-	if count != 1 {
-		t.Fatalf("Halt did not stop the loop; count = %d", count)
-	}
-	s.Run() // resumes
-	if count != 2 {
-		t.Fatalf("Run after Halt should resume; count = %d", count)
+	want := []string{"c0", "c1", "c2", "0a", "2a", "3a", "3b"}
+	if !slices.Equal(order, want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }
 
 // The event loop is the simulator's hottest path; the typed heap must
 // not box events through interface{} (container/heap cost one
-// allocation per Push). With the backing array pre-grown and a shared
-// callback, a schedule/run cycle performs zero allocations.
+// allocation per Push). With the backing arrays pre-grown and a shared
+// callback, a schedule/run cycle of node and coordinator events performs
+// zero allocations.
 func TestEventLoopAllocs(t *testing.T) {
 	s := NewSim()
 	fn := func() {}
-	// Warm-up grows the heap's backing array to its steady-state size.
-	for i := 0; i < 256; i++ {
-		s.After(float64(i%7), fn)
-	}
-	s.Run()
-	allocs := testing.AllocsPerRun(50, func() {
+	cycle := func() {
 		for i := 0; i < 256; i++ {
-			s.After(float64(i%7), fn)
+			s.ScheduleNode(NodeID(i%5), NodeID(i%3), s.Now()+float64(i%7), fn)
+			if i%16 == 0 {
+				s.After(float64(i%7), fn)
+			}
 		}
 		s.Run()
-	})
-	if allocs > 0 {
+	}
+	cycle() // warm-up grows the queues' backing arrays to steady state
+	if allocs := testing.AllocsPerRun(50, cycle); allocs > 0 {
 		t.Fatalf("event loop: %.1f allocs per schedule/run cycle, want 0", allocs)
+	}
+}
+
+// A batch on one region is one closure: the per-call allocation pin of
+// ScheduleNodes.
+func TestScheduleNodesAllocsOneRegion(t *testing.T) {
+	s := NewSim()
+	ids := []NodeID{1, 2, 3, 4}
+	fn := func(NodeID) {}
+	s.ScheduleNodes(0, ids, 1, fn)
+	s.Run()
+	allocs := testing.AllocsPerRun(50, func() {
+		s.ScheduleNodes(0, ids, s.Now()+1, fn)
+		s.Run()
+	})
+	if allocs > 1 {
+		t.Fatalf("ScheduleNodes on one region: %.1f allocs per call, want <= 1", allocs)
 	}
 }
 
@@ -164,10 +190,10 @@ func TestMeteredEventCountExact(t *testing.T) {
 	}
 }
 
-// BenchmarkEventLoop guards the hot loop in both configurations: the
-// unmetered path must stay allocation-free and untouched by the
-// observability layer, and the metered path must amortize its counter
-// updates over simMetricsSample events.
+// BenchmarkEventLoop guards the hot loop (node events on one region) in
+// both configurations: the unmetered path must stay allocation-free and
+// untouched by the observability layer, and the metered path must
+// amortize its counter updates over simMetricsSample events.
 func BenchmarkEventLoop(b *testing.B) {
 	run := func(b *testing.B, s *Sim) {
 		fn := func() {}
@@ -175,7 +201,7 @@ func BenchmarkEventLoop(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < 256; j++ {
-				s.After(float64(j%7), fn)
+				s.ScheduleNode(NodeID(j%5), NodeID(j%3), s.Now()+float64(j%7), fn)
 			}
 			s.Run()
 		}
@@ -213,12 +239,12 @@ func TestSimReset(t *testing.T) {
 		t.Fatalf("a refused Reset moved the clock to %g, steps to %d", s.Now(), s.Steps())
 	}
 	s.Run()
-	heapCap := cap(s.heap)
+	heapCap := cap(s.coord)
 	if !s.Reset() {
 		t.Fatal("Reset of an idle simulator refused")
 	}
-	if s.Now() != 0 || s.Steps() != 0 || s.seq != 0 || cap(s.heap) != heapCap {
-		t.Fatalf("after Reset: now %g, steps %d, seq %d, heap capacity %d (was %d)", s.Now(), s.Steps(), s.seq, cap(s.heap), heapCap)
+	if s.Now() != 0 || s.Steps() != 0 || s.coordSeq != 0 || cap(s.coord) != heapCap {
+		t.Fatalf("after Reset: now %g, steps %d, seq %d, queue capacity %d (was %d)", s.Now(), s.Steps(), s.coordSeq, cap(s.coord), heapCap)
 	}
 	load() // scheduling at 0.25 would panic had the clock stayed at 1.25
 	if s.Now() != 0.25 || len(order) != len(first) {

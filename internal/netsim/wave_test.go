@@ -89,7 +89,7 @@ func waveRun(seed int64, shards int, batch bool) ([][]string, int64) {
 }
 
 // The contract of ScheduleNodes: the (t, id) execution log and the step
-// count of the per-node spelling, on the classic engine and under any
+// count of the per-node spelling, on one region and under any
 // region count — with unrelated events at equal times before and after
 // the batch, and with batches scheduled from inside a handler into other
 // regions.
@@ -113,7 +113,7 @@ func TestScheduleNodesMatchesPerNodeScheduling(t *testing.T) {
 					t.Fatalf("seed %d: the program ran only %d handlers", seed, len(got[0]))
 				}
 			} else if gotSteps != classicSteps {
-				t.Fatalf("seed %d: %d steps at %d regions, %d on the classic engine", seed, gotSteps, shards, classicSteps)
+				t.Fatalf("seed %d: %d steps at %d regions, %d on one", seed, gotSteps, shards, classicSteps)
 			}
 		}
 	}
@@ -121,8 +121,8 @@ func TestScheduleNodesMatchesPerNodeScheduling(t *testing.T) {
 
 // A batch is one queue entry per region and as many steps as it has
 // nodes; RunUntil(t) includes a batch exactly at t, an empty batch is
-// nothing at all, Reset refuses while one is pending, Halt takes effect
-// after the whole batch, and the live event counter follows the steps.
+// nothing at all, Reset refuses while one is pending, and the live event
+// counter follows the steps.
 func TestScheduleNodesIsOneEntryAndManySteps(t *testing.T) {
 	ids := []NodeID{1, 2, 3, 4, 5, 6, 7}
 	for _, shards := range []int{1, 2} {
@@ -140,33 +140,22 @@ func TestScheduleNodesIsOneEntryAndManySteps(t *testing.T) {
 			t.Fatalf("%d regions: an empty batch left %d entries", shards, sim.Pending())
 		}
 
-		ran := 0
-		sim.ScheduleNodes(0, ids, 1, func(NodeID) { ran++ })
+		hits := make([]int, 8) // per node: the regions' workers run side by side
+		sim.ScheduleNodes(0, ids, 1, func(id NodeID) { hits[id]++ })
 		if got := sim.Pending(); got != len(regions) {
 			t.Fatalf("%d regions: Pending = %d with one batch queued, want %d", shards, got, len(regions))
 		}
 		if sim.Reset() {
 			t.Fatalf("%d regions: Reset with a batch pending", shards)
 		}
-		sim.DisableSharding() // a pending batch moves to the single heap with its count
 		sim.RunUntil(0.5)
-		if ran != 0 {
+		if slices.Max(hits) != 0 {
 			t.Fatalf("%d regions: RunUntil(0.5) ran a batch due at 1", shards)
 		}
 		sim.RunUntil(1)
-		if ran != len(ids) || sim.Steps() != int64(len(ids)) || sim.Now() != 1 {
-			t.Fatalf("%d regions, then none: ran %d of %d, %d steps, now %g", shards, ran, len(ids), sim.Steps(), sim.Now())
+		if !slices.Equal(hits, []int{0, 1, 1, 1, 1, 1, 1, 1}) || sim.Steps() != int64(len(ids)) || sim.Now() != 1 {
+			t.Fatalf("%d regions: ran %v, %d steps, now %g", shards, hits, sim.Steps(), sim.Now())
 		}
-	}
-
-	// Halt is the single heap's contract: the batch is one event.
-	sim := NewSim()
-	ran := 0
-	sim.ScheduleNodes(0, ids, 1, func(NodeID) { ran++; sim.Halt() })
-	sim.Schedule(1, func() { t.Error("the event behind a halting batch ran") })
-	sim.RunUntil(1)
-	if ran != len(ids) || sim.Steps() != int64(len(ids)) || sim.Pending() != 1 {
-		t.Fatalf("halting batch: ran %d of %d, %d steps, %d pending", ran, len(ids), sim.Steps(), sim.Pending())
 	}
 
 	for _, shards := range []int{1, 2, 4} {

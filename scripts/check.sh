@@ -21,7 +21,9 @@ fi
 # the set algebra on the encoded quadtree and the internal/wire package:
 # rounds are charged from sizes alone, nothing runs either. And the join
 # kernel's 4096-row slab threshold: a result is allocated at its size.
-retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows' \
+# And the simulator's second engine: loss, reliable transport and churn
+# run on the one (sharded) engine, nothing falls back to a classic loop.
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -38,11 +40,20 @@ if [ -n "$pernode" ]; then
   echo "$pernode" >&2
   exit 1
 fi
+# Node work goes through Sim.ScheduleNode(s); a plain Sim.Schedule is a
+# coordinator event (every region stopped), which only netsim's fault
+# injection schedules.
+coord=$(grep -rn 'Sim\.Schedule(' --include='*.go' --exclude='*_test.go' internal/core || true)
+if [ -n "$coord" ]; then
+  echo "internal/core schedules coordinator events:" >&2
+  echo "$coord" >&2
+  exit 1
+fi
 # Runners are leased, not built: the daemon and the experiment suite get
 # theirs from a core.RunnerPool, and the harness's one door to a runner
-# of its own is bench.privateRunner (fault injection, kept journals, the
-# artefact experiments). A second construction site is a runner nobody
-# resets.
+# of its own is bench.privateRunner (churn, kept journals, the artefact
+# experiments). Loss and reliable transport lease: reset clears them. A
+# second construction site is a runner nobody resets.
 built=$(grep -rn 'core\.NewRunner(' --include='*.go' --exclude='*_test.go' internal/bench internal/server || true)
 case "$built" in
 internal/bench/experiments.go:*"return core.NewRunner(setupFor("*) [ "$(printf '%s\n' "$built" | wc -l)" -eq 1 ] ;;
@@ -80,21 +91,24 @@ go run ./cmd/experiments -nodes 400 -only E1a -audit > /dev/null
 # both methods must stay oracle-exact under packet loss.
 go run ./cmd/experiments -only L1 -loss 0.05,0.10 -nodes 400 -audit > /dev/null
 # Reliable-transport race pass: the ARQ, scoped recovery and the loss
-# sweep under the race detector, beyond the general -race run above.
-go test -race -run 'Reliable|Recovery|StandDown|Loss' ./internal/netsim ./internal/core ./internal/bench
+# sweep under the race detector, beyond the general -race run above —
+# sharded too: the sharded-journal lanes with loss and ARQ, and the
+# round fuzzer's corpus across the feature matrix.
+go test -race -run 'Reliable|Recovery|StandDown|Loss|ShardTrace|FuzzRoundIsExact' ./internal/netsim ./internal/core ./internal/bench
 # Sharded-simulator race pass: window workers, cross-region inboxes,
 # per-region freelists and the parallel setup paths (neighbor grid,
 # BFS tree, plan building) under the race detector.
 go test -race -run 'Shard|Parallel' ./internal/netsim ./internal/bench ./internal/routing ./internal/topology
 # Scale smoke (X7, time-budgeted): a 50k-node run of both join methods
-# on the classic and the sharded engine, plus a reduced-scale run under
-# the race detector. The JSON artifact is what CI uploads.
-go run ./cmd/experiments -only X7 -scale 50000 -shards 1,4 -out BENCH_scale.json > /dev/null
+# on one region and on four, plus a reduced-scale run under the race
+# detector. The JSON goes to /tmp: the checked-in BENCH_scale.json is the
+# record EXPERIMENTS.md quotes.
+go run ./cmd/experiments -only X7 -scale 50000 -shards 1,4 -out /tmp/sensjoin-scale.json > /dev/null
 go run -race ./cmd/experiments -only X7 -scale 10000 -shards 4 > /dev/null
 # MQO smoke (X8, reduced size): N concurrent continuous queries shared
 # vs independent — every per-query table must match its independent
-# counterpart. The JSON artifact is what CI uploads.
-go run ./cmd/experiments -only X8 -nodes 400 -mqo-n 1,2,4 -out BENCH_mqo.json > /tmp/sensjoin-mqo.txt
+# counterpart. The JSON goes to /tmp, beside the checked-in record.
+go run ./cmd/experiments -only X8 -nodes 400 -mqo-n 1,2,4 -out /tmp/sensjoin-mqo.json > /tmp/sensjoin-mqo.txt
 ! grep -q DIFFER /tmp/sensjoin-mqo.txt
 # MQO race pass: query-group clustering, the shared round, filter
 # canonicalization and the diff scratch arena under the race detector.
@@ -143,8 +157,8 @@ kill -TERM $SJD_PID
 wait $SJD_PID
 trap - EXIT
 # Sharded-trace determinism: the journal a sharded engine records must
-# be byte-identical to the classic engine's, and six audit passes must
-# stay clean on it; sharded metrics must not fall back to classic.
+# be byte-identical to one region's, with every fault on, and six audit
+# passes must stay clean on it; metrics keep the engine sharded.
 go test -run 'TestShardTrace|TestShardMetrics' ./internal/core
 # Flight-recorder & trace-propagation race pass (beyond the general
 # server race run): the bounded ring under concurrent writers/readers,
@@ -212,10 +226,16 @@ go test -race -run 'Prepared|Fingerprint|RunnerQuerySurface|Repair' ./internal/c
 # Churn smoke (X10, reduced size): the churn-resilience ladder — seeded
 # node churn & mobility with mid-round tree repair. The artifact must
 # show zero churn-safety audit violations (no silent wrong answers) and
-# at least one mid-round repair actually exercised.
-go run ./cmd/experiments -only X10 -nodes 120 -churn-rounds 6 -churn-rates 0,0.01 -out BENCH_churn.json > /dev/null
-grep -q '"violations_total": 0' BENCH_churn.json
-! grep -q '"repairs_total": 0' BENCH_churn.json
+# at least one mid-round repair actually exercised. It goes to /tmp: the
+# checked-in BENCH_churn.json is the 150-node, 20-round record.
+go run ./cmd/experiments -only X10 -nodes 120 -churn-rounds 6 -churn-rates 0,0.01 -out /tmp/sensjoin-churn.json > /dev/null
+grep -q '"violations_total": 0' /tmp/sensjoin-churn.json
+! grep -q '"repairs_total": 0' /tmp/sensjoin-churn.json
 # Churn race pass: the injector, mid-round repair, the soak test and
-# the X10 harness under the race detector.
-go test -race -run 'Churn|Repair' ./internal/netsim ./internal/core ./internal/routing ./internal/bench ./internal/trace
+# the X10 harness under the race detector, and the sharded-journal lanes
+# with churn.
+go test -race -run 'Churn|Repair|ShardTrace' ./internal/netsim ./internal/core ./internal/routing ./internal/bench ./internal/trace
+# Round fuzz smoke: 10 s of FuzzRoundIsExact over method × shards × loss
+# × reliable × churn × epochs (exact or flagged, six audits clean, sharded
+# equals one region).
+go test -run '^$' -fuzz '^FuzzRoundIsExact$' -fuzztime 10s ./internal/core
