@@ -88,21 +88,9 @@ func faultLanes() []shardLane {
 }
 
 // shardLanes is every lane of the journal test: each way a wave is
-// scheduled, the fault lanes, and the orders features can be switched on
-// in — through the runner or straight on the network — each of which
-// once reverted a sharded runner to a second engine.
+// scheduled, and the fault lanes.
 func shardLanes() []shardLane {
 	none := func(*Runner) {}
-	trace := func(r *Runner) { r.EnableTrace() }
-	reliable := func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }
-	loss := func(r *Runner) { r.Net.SetLossRate(0.05, 1) }
-	then := func(arms ...func(*Runner)) func(*Runner) {
-		return func(r *Runner) {
-			for _, arm := range arms {
-				arm(r)
-			}
-		}
-	}
 	lanes := []shardLane{
 		{"sens-join", none, once(NewSENSJoin())},
 		{"external-join", none, once(External{})},
@@ -136,7 +124,24 @@ func shardLanes() []shardLane {
 			return out, nil
 		}},
 	}
-	lanes = append(lanes, faultLanes()...)
+	return append(lanes, faultLanes()...)
+}
+
+// orderingLanes are the orders features can be switched on in — through
+// the runner or straight on the network — each of which once reverted a
+// sharded runner to a second engine.
+func orderingLanes() []shardLane {
+	trace := func(r *Runner) { r.EnableTrace() }
+	reliable := func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }
+	loss := func(r *Runner) { r.Net.SetLossRate(0.05, 1) }
+	then := func(arms ...func(*Runner)) func(*Runner) {
+		return func(r *Runner) {
+			for _, arm := range arms {
+				arm(r)
+			}
+		}
+	}
+	var lanes []shardLane
 	for _, o := range []struct {
 		name string
 		arm  func(*Runner)
@@ -194,25 +199,73 @@ func shardTraceRun(t *testing.T, shards int, lane shardLane) (journal []byte, ro
 // SENS-Join phases, the external join's collection, Mediated's collection
 // along a tree rooted away from node 0, a shared round of three queries,
 // continuous SENS-Join over several epochs — and so are loss, reliable
-// transport, churn with repair, all of them at once, and every order of
-// switching features on.
+// transport, churn with repair, and all of them at once.
 func TestShardTraceDeterministicJournal(t *testing.T) {
 	for _, lane := range shardLanes() {
-		t.Run(lane.name, func(t *testing.T) {
-			ref, refRows := shardTraceRun(t, 0, lane)
-			if len(ref) == 0 {
-				t.Fatal("the one-region journal is empty")
-			}
-			for _, shards := range []int{2, 8} {
-				got, rows := shardTraceRun(t, shards, lane)
-				if !bytes.Equal(ref, got) {
-					t.Fatalf("journal at shards=%d differs from one region (%d vs %d bytes)", shards, len(got), len(ref))
-				}
-				if rows != refRows {
-					t.Fatalf("rows at shards=%d differ from one region:\n%s\nvs\n%s", shards, rows, refRows)
-				}
-			}
-		})
+		t.Run(lane.name, func(t *testing.T) { assertLaneMatchesOneRegion(t, lane) })
+	}
+}
+
+// assertLaneMatchesOneRegion runs lane on one region and on 2 and 8, and
+// fails unless the journals are byte-identical and the rows equal.
+func assertLaneMatchesOneRegion(t *testing.T, lane shardLane) {
+	t.Helper()
+	ref, refRows := shardTraceRun(t, 0, lane)
+	if len(ref) == 0 {
+		t.Fatal("the one-region journal is empty")
+	}
+	for _, shards := range []int{2, 8} {
+		got, rows := shardTraceRun(t, shards, lane)
+		if !bytes.Equal(ref, got) {
+			t.Fatalf("journal at shards=%d differs from one region (%d vs %d bytes)", shards, len(got), len(ref))
+		}
+		if rows != refRows {
+			t.Fatalf("rows at shards=%d differ from one region:\n%s\nvs\n%s", shards, rows, refRows)
+		}
+	}
+}
+
+// Every order of switching features on, through the runner or straight on
+// the network, once made a sharded runner fall back to a second engine.
+// Each now keeps the runner sharded (shardTraceRun checks it), and its
+// journal and rows are those of one region.
+func TestShardFeatureFallbackOrderings(t *testing.T) {
+	for _, lane := range orderingLanes() {
+		t.Run(lane.name, func(t *testing.T) { assertLaneMatchesOneRegion(t, lane) })
+	}
+}
+
+// Reliable transport switched on before sharding, the construction-time
+// order, once made BindSharding fall back. The runner stays sharded and
+// returns the rows of one region.
+func TestShardBindAfterFeatureFallsBack(t *testing.T) {
+	mk := func() *Runner {
+		r, err := NewRunner(SetupConfig{Nodes: 150, Seed: 7, Private: true, SetupWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Net.EnableReliable(netsim.ReliableConfig{})
+		return r
+	}
+	ref, err := mk().Run(shardTraceSrc, NewSENSJoin(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mk()
+	r.Sim.EnableSharding(make([]int32, r.Dep.N()), 2, 1e-3, 2)
+	r.Net.BindSharding()
+	if !r.Sim.Sharded() {
+		t.Fatal("BindSharding after reliable transport changed the engine")
+	}
+	res, err := r.Run(shardTraceSrc, NewSENSJoin(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Sim.Sharded() {
+		t.Fatal("a reliable run changed the engine")
+	}
+	if got, want := fmt.Sprint(res.Rows), fmt.Sprint(ref.Rows); got != want {
+		t.Fatalf("sharded rows differ from one region: %d vs %d rows", len(res.Rows), len(ref.Rows))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"sensjoin/internal/metrics"
 	"sensjoin/internal/topology"
 )
 
@@ -175,5 +176,42 @@ func TestChurnKeepsShardedEngine(t *testing.T) {
 	NewChurn(NewNetwork(sim, dep, DefaultRadio(), nil), cfg)
 	if !sim.Sharded() {
 		t.Fatal("attaching churn changed the engine")
+	}
+}
+
+// Binding sharding after reliable transport once reverted the engine and
+// counted a fallback. The engine now stays sharded, and the radio counters
+// of a metered, lossy reliable relay are the one-region run's.
+func TestShardFallbackCounterOnBind(t *testing.T) {
+	dep := topology.Line(20, 30, 50)
+	counts := func(shards int) string {
+		sim := NewSim()
+		net := NewNetwork(sim, dep, DefaultRadio(), nil)
+		m := NewNetMetrics(metrics.New())
+		net.SetMetrics(m)
+		net.EnableReliable(ReliableConfig{})
+		sim.EnableSharding(PartitionStrips(dep, shards), shards, DefaultRadio().AirTime(1, 0), shards)
+		net.BindSharding()
+		if shards > 1 && !sim.Sharded() {
+			t.Fatalf("shards=%d: BindSharding after reliable transport changed the engine", shards)
+		}
+		net.SetLossRate(0.2, 9)
+		net.SetHandler(func(id NodeID, msg Message) {
+			if int(id) < dep.N()-1 {
+				net.Send(Message{Kind: msg.Kind, Src: id, Dst: id + 1, Phase: "relay", Size: 90})
+			}
+		})
+		sim.ScheduleNode(0, 0, 0, func() {
+			net.Send(Message{Kind: 1, Src: 0, Dst: 1, Phase: "relay", Size: 90})
+		})
+		sim.Run()
+		return fmt.Sprintf("tx=%d rx=%d lost=%d retx=%d ack=%d dup=%d giveup=%d",
+			m.Tx.Value(), m.Rx.Value(), m.Lost.Value(), m.Retx.Value(), m.Ack.Value(), m.Dup.Value(), m.GiveUp.Value())
+	}
+	want := counts(1)
+	for _, shards := range []int{2, 4} {
+		if got := counts(shards); got != want {
+			t.Fatalf("counters at %d regions differ from one: %s vs %s", shards, got, want)
+		}
 	}
 }
