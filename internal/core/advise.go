@@ -72,7 +72,7 @@ func Advise(x *Exec) (*Advice, error) {
 			params.QuadFactor = float64(p.codec().SizeBytes(keys)) /
 				float64(p.members*p.rawTupleBytes)
 		}
-		filter := computeFilter(p, keys, true)
+		filter := computeFilter(p, keys)
 		params.FilterBytes = p.codec().SizeBytes(filter)
 		truth, _ := exactJoinContribution(x, p)
 		if p.members > 0 {

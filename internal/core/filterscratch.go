@@ -1,27 +1,31 @@
 package core
 
 import (
+	"cmp"
 	"slices"
+	"sort"
 	"sync"
 
 	"sensjoin/internal/query"
 	"sensjoin/internal/zorder"
 )
 
-// filterScratch holds the reusable buffers of the base station's filter
-// computation (computeFilter / computeFilterBand). The hot loop of the
-// pre-computation join visits O(pairs · conds) cell lookups; with the
-// seed implementation every lookup deinterleaved a key and allocated
-// fresh bound slices, and marking went through a map[Key]bool. The
-// scratch replaces all of that with index-based buffers over a sorted,
-// duplicate-free key universe:
+// filterScratch holds the reusable buffers of the base station's cell
+// join (cellJoin), the pre-computation join run on the exact-join
+// planner's cell domain. The hot loop visits O(candidates · conds) cell
+// lookups; the scratch makes each one an index into buffers over a
+// sorted, duplicate-free key universe instead of a deinterleave, a
+// fresh bound slice or a map probe:
 //
 //   - uniq is the sorted unique key set; all other buffers are indexed
 //     by position in uniq, so "marked" is a []bool and alias partitions
 //     are []int32 index lists.
 //   - bounds caches the per-dimension cell interval of every unique key,
-//     computed once per filter call (O(m·d) deinterleaves) instead of
-//     once per visited pair per referenced attribute.
+//     computed once per call (O(m·d) deinterleaves) instead of once per
+//     visited candidate per referenced attribute.
+//   - probes[pos] is the window index of the plan position pos: its
+//     level's keys sorted by cell in the dimension of the conjunct that
+//     backs the window.
 //
 // Scratches are pooled; a scratch must not be shared between goroutines
 // while in use.
@@ -32,15 +36,18 @@ type filterScratch struct {
 	assign   []int32
 	bounds   []query.Interval // len(uniq) × len(dims), row-major by key
 	coords   []uint32
-	checks   [][]int32
-	rights   []bandEntry
+	lens     []int
+	probes   []cellProbe
 }
 
-// bandEntry pairs a right-hand key (by uniq index) with its cell
-// coordinate in the band dimension.
-type bandEntry struct {
-	idx   int32
-	coord int
+// cellProbe is one plan position's window index: the self level's keys
+// sorted by (Lo, Hi) of their cell in dimension self. Zorder cell
+// bounds are monotone in cell order — the edge cells reach ±Inf — so
+// both Lo and Hi are non-decreasing along sorted and the keys whose
+// cell meets a value window are one contiguous run.
+type cellProbe struct {
+	sorted      []int32
+	self, other int // dimension indexes of the self and bound-side attribute
 }
 
 var filterPool = sync.Pool{New: func() any { return new(filterScratch) }}
@@ -58,11 +65,13 @@ func (s *filterScratch) setUniq(keys []zorder.Key) []zorder.Key {
 }
 
 // fillAliases partitions uniq into per-alias index lists by relation
-// flag. It reports false when some alias has no keys (nothing joins).
+// flag and records their sizes in s.lens. It reports false when some
+// alias has no keys (nothing joins).
 func (s *filterScratch) fillAliases(p *plan, uniq []zorder.Key, n int) bool {
 	for len(s.aliasIdx) < n {
 		s.aliasIdx = append(s.aliasIdx, nil)
 	}
+	s.lens = sized(s.lens, n)
 	ok := true
 	for i := 0; i < n; i++ {
 		buf := s.aliasIdx[i][:0]
@@ -73,6 +82,7 @@ func (s *filterScratch) fillAliases(p *plan, uniq []zorder.Key, n int) bool {
 			}
 		}
 		s.aliasIdx[i] = buf
+		s.lens[i] = len(buf)
 		if len(buf) == 0 {
 			ok = false
 		}
@@ -84,17 +94,8 @@ func (s *filterScratch) fillAliases(p *plan, uniq []zorder.Key, n int) bool {
 // uniq into s.bounds (row-major: bounds[i*nd+di] is key i, dimension di).
 func (s *filterScratch) fillBounds(p *plan, uniq []zorder.Key) {
 	nd := len(p.grid.Dims)
-	need := len(uniq) * nd
-	if cap(s.bounds) < need {
-		s.bounds = make([]query.Interval, need)
-	} else {
-		s.bounds = s.bounds[:need]
-	}
-	if cap(s.coords) < nd {
-		s.coords = make([]uint32, nd)
-	} else {
-		s.coords = s.coords[:nd]
-	}
+	s.bounds = sized(s.bounds, len(uniq)*nd)
+	s.coords = sized(s.coords, nd)
 	for i, k := range uniq {
 		_, coords := p.grid.DeinterleaveInto(k, s.coords)
 		for di, d := range p.grid.Dims {
@@ -107,7 +108,7 @@ func (s *filterScratch) fillBounds(p *plan, uniq []zorder.Key) {
 // boundsEnv returns a tri-state evaluation environment resolving
 // attribute references through the precomputed bounds of the keys
 // currently assigned per alias in assign. The environment is built (and
-// boxed) once per filter call, not once per visited pair.
+// boxed) once per call, not once per visited candidate.
 func (s *filterScratch) boundsEnv(p *plan, assign []int32) query.BoundsEnv {
 	nd := len(p.grid.Dims)
 	return query.CellEnv{Lookup: func(rel int, name string) query.Interval {
@@ -124,46 +125,48 @@ func (s *filterScratch) boundsEnv(p *plan, assign []int32) query.BoundsEnv {
 
 // markedBuf returns a zeroed m-entry marking buffer.
 func (s *filterScratch) markedBuf(m int) []bool {
-	if cap(s.marked) < m {
-		s.marked = make([]bool, m)
-	} else {
-		s.marked = s.marked[:m]
-		clear(s.marked)
-	}
+	s.marked = sized(s.marked, m)
+	clear(s.marked)
 	return s.marked
 }
 
-// assignBuf returns an n-entry assignment buffer.
-func (s *filterScratch) assignBuf(n int) []int32 {
-	if cap(s.assign) < n {
-		s.assign = make([]int32, n)
-	} else {
-		s.assign = s.assign[:n]
+// fillProbes builds the window index of every windowed plan position.
+// Analyze makes every attribute of a join condition a join attribute,
+// so both sides of a window are grid dimensions.
+func (s *filterScratch) fillProbes(p *plan, order []levelPlan) []cellProbe {
+	for len(s.probes) < len(order) {
+		s.probes = append(s.probes, cellProbe{})
 	}
-	return s.assign
+	nd := len(p.grid.Dims)
+	for pos, lp := range order {
+		if lp.path == pathScan {
+			continue
+		}
+		pr := &s.probes[pos]
+		self := p.dimIndex[lp.self.Name]
+		pr.self, pr.other = self, p.dimIndex[lp.other.Name]
+		pr.sorted = append(pr.sorted[:0], s.aliasIdx[lp.level]...)
+		slices.SortFunc(pr.sorted, func(a, b int32) int {
+			ca, cb := s.bounds[int(a)*nd+self], s.bounds[int(b)*nd+self]
+			if c := cmp.Compare(ca.Lo, cb.Lo); c != 0 {
+				return c
+			}
+			return cmp.Compare(ca.Hi, cb.Hi)
+		})
+	}
+	return s.probes[:len(order)]
 }
 
-// fillChecks groups join conditions by the highest alias they reference:
-// checks[l] lists the conditions that become checkable once alias l is
-// bound (early pruning in the backtracking join).
-func (s *filterScratch) fillChecks(conds []query.BoolExpr, n int) [][]int32 {
-	for len(s.checks) < n {
-		s.checks = append(s.checks, nil)
+// window returns the keys of pr whose cell meets [lo, hi] in the self
+// dimension: two binary searches, one per monotone bound.
+func (s *filterScratch) window(pr *cellProbe, nd int, lo, hi float64) []int32 {
+	keys := pr.sorted
+	i := sort.Search(len(keys), func(i int) bool { return s.bounds[int(keys[i])*nd+pr.self].Hi >= lo })
+	j := sort.Search(len(keys), func(j int) bool { return s.bounds[int(keys[j])*nd+pr.self].Lo > hi })
+	if j < i {
+		return nil
 	}
-	checks := s.checks[:n]
-	for l := range checks {
-		checks[l] = checks[l][:0]
-	}
-	for ci, c := range conds {
-		max := 0
-		c.VisitNums(func(e query.NumExpr) {
-			if at, ok := e.(query.Attr); ok && at.Ref.Rel > max {
-				max = at.Ref.Rel
-			}
-		})
-		checks[max] = append(checks[max], int32(ci))
-	}
-	return checks
+	return keys[i:j]
 }
 
 // collectMarked materializes the marked subset of uniq. uniq is sorted

@@ -114,17 +114,19 @@ func (p joinPlan) info() joinPlanInfo {
 	return in
 }
 
-// planJoin decides join order and per-level access paths. lens holds
-// the candidate tuple count per FROM index; condRels the referenced
-// relations per conjunct. The order heuristic is a deterministic greedy
+// planJoin decides join order and per-level access paths for both of
+// the base station's joins: the exact join over tuples (joinKernel) and
+// the filter join over cells (cellJoin). lens holds the candidate count
+// per FROM index, tuples or keys; condRels the referenced relations per
+// conjunct. The order heuristic is a deterministic greedy
 // selectivity estimate: start at the smallest relation, then prefer a
 // level reachable through an equality (assumed most selective), then a
 // band, then the smallest remaining relation; all ties break toward the
-// lower FROM index.
+// lower FROM index. Ranks are the exact join's concern: the plan leaves
+// strides unset.
 func planJoin(n int, lens []int, shape query.JoinShape, condRels [][]int) joinPlan {
-	strides, ok := rankStrides(n, lens)
-	if !ok || !shape.Indexable() || n < 2 {
-		return scanPlan(n, strides, condRels)
+	if !shape.Indexable() || n < 2 {
+		return scanPlan(n, condRels)
 	}
 
 	chosen := make([]bool, n)
@@ -154,7 +156,7 @@ func planJoin(n int, lens []int, shape query.JoinShape, condRels [][]int) joinPl
 		chosen[best.level] = true
 	}
 
-	plan := joinPlan{order: order, strides: strides}
+	plan := joinPlan{order: order}
 	assignConds(plan.order, condRels)
 	plan.stream = pureScan(plan.order)
 	return plan
@@ -162,8 +164,8 @@ func planJoin(n int, lens []int, shape query.JoinShape, condRels [][]int) joinPl
 
 // scanPlan is the seed-equivalent fallback: original level order, scans
 // everywhere, rows streamed in enumeration order.
-func scanPlan(n int, strides []uint64, condRels [][]int) joinPlan {
-	plan := joinPlan{order: make([]levelPlan, n), strides: strides, stream: true}
+func scanPlan(n int, condRels [][]int) joinPlan {
+	plan := joinPlan{order: make([]levelPlan, n), stream: true}
 	for i := range plan.order {
 		plan.order[i] = levelPlan{level: i, path: pathScan}
 	}
@@ -300,6 +302,24 @@ func (lp *levelPlan) bandWindow(o float64) (lo, hi float64) {
 	return lo, hi
 }
 
+// cellWindow is bandWindow on the cell domain: the conservative window
+// of self values that possibly satisfy this level's index conjunct for
+// some bound-side value in the cell o. A hash level carries lo = hi = 0
+// and neither orientation flag, so an equality is the band [0, 0]:
+// self ∈ o, the overlapping cells. Arithmetic on an edge cell's ±Inf
+// can give NaN, which nextDown and nextUp turn into an unbounded side.
+func (lp *levelPlan) cellWindow(o query.Interval) (lo, hi float64) {
+	switch {
+	case lp.sum: // self ∈ [Lo - o.Hi, Hi - o.Lo]
+		lo, hi = lp.lo-o.Hi, lp.hi-o.Lo
+	case lp.selfIsL: // self - o ∈ [Lo, Hi]
+		lo, hi = o.Lo+lp.lo, o.Hi+lp.hi
+	default: // o - self ∈ [Lo, Hi]
+		lo, hi = o.Lo-lp.hi, o.Hi-lp.lo
+	}
+	return nextDown(lo), nextUp(hi)
+}
+
 // probeEntry is one tuple of a band-sorted level.
 type probeEntry struct {
 	v  float64
@@ -404,7 +424,16 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 		return slotsOf[ref.Rel][kIndexOf(ref.Rel, ref.Name)].slot
 	}
 
-	plan := planJoin(n, lens, prog.shape, condRels)
+	// An indexed plan replays its matches by rank, so it needs rank
+	// arithmetic that cannot overflow; otherwise the scan order streams.
+	strides, ok := rankStrides(n, lens)
+	var plan joinPlan
+	if ok {
+		plan = planJoin(n, lens, prog.shape, condRels)
+	} else {
+		plan = scanPlan(n, condRels)
+	}
+	plan.strides = strides
 	if joinPlanHook != nil {
 		joinPlanHook(plan.info())
 	}

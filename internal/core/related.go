@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"sensjoin/internal/geom"
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/quadtree"
-	"sensjoin/internal/query"
 	"sensjoin/internal/routing"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/zorder"
@@ -328,14 +328,17 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 
 	// Phase 3: B nodes whose key possibly matches some A key ship their
 	// tuples. Nodes that already shipped as members of A (self-joins)
-	// are excluded: their tuples sit at the base station. The match
-	// check mirrors the base station's tri-state join.
+	// are excluded: their tuples sit at the base station. The match is
+	// the base station's cell join of the B keys against the A keys, run
+	// once; each node then looks its key up.
+	matched := semiFilter(p, aKeys, aFlag, bFlag)
 	matches := func(id topology.NodeID) bool {
 		nd := p.nodes[id]
 		if nd.flags&bFlag == 0 || nd.flags&aFlag != 0 {
 			return false
 		}
-		return semiMatches(p, nd.key, aKeys, aSide, bSide)
+		_, ok := slices.BinarySearch(matched, p.grid.WithFlags(nd.key, bFlag))
+		return ok
 	}
 	bTuples := collectWave(x, p, x.Tree, PhaseSemiCollectB, matches)
 
@@ -364,27 +367,16 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 	return res, nil
 }
 
-// semiMatches checks whether a B-side key possibly joins any A-side key
-// under the query's join conditions (tri-state, like the base station).
-func semiMatches(p *plan, bKey zorder.Key, aKeys []zorder.Key, aSide, bSide int) bool {
-	x := p.x
-	assignment := make([]zorder.Key, len(x.Query.From))
-	benv := query.CellEnv{Lookup: func(rel int, name string) query.Interval {
-		return p.cellOf(assignment[rel], name)
-	}}
-	assignment[bSide] = bKey
-	for _, ak := range aKeys {
-		assignment[aSide] = ak
-		ok := true
-		for _, c := range x.Analysis.JoinConds {
-			if !c.Truth(benv).Possible() {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return true
+// semiFilter joins the cells of the B-side nodes that are not A members
+// against aKeys under the query's join conditions (tri-state, like the
+// base station's filter). A node matches iff its key, flagged bFlag
+// only, is in the sorted result.
+func semiFilter(p *plan, aKeys []zorder.Key, aFlag, bFlag uint64) []zorder.Key {
+	keys := slices.Clone(aKeys)
+	for _, nd := range p.nodes {
+		if nd.flags&bFlag != 0 && nd.flags&aFlag == 0 {
+			keys = append(keys, p.grid.WithFlags(nd.key, bFlag))
 		}
 	}
-	return false
+	return cellJoin(p, keys)
 }

@@ -27,9 +27,6 @@ type Options struct {
 	// DisableSelectiveForwarding makes every node forward the whole
 	// filter (ablation).
 	DisableSelectiveForwarding bool
-	// DisableBandIndex forces the generic pairwise filter computation
-	// at the base station instead of the band-join fast path.
-	DisableBandIndex bool
 }
 
 func (o Options) withDefaults() Options {
@@ -359,6 +356,11 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	return r.results, nil
 }
 
+// filterHook, when non-nil, computes the filters in place of
+// computeFilter. Tests use it to run the protocol on a reference filter;
+// it must stay nil outside tests.
+var filterHook func(*plan, []zorder.Key) []zorder.Key
+
 // disseminate is the base station's step between phases A and B: one
 // filter per member over the collected keys, their union (at m = 1 the
 // filter itself) with the per-key membership masks, sent to the children.
@@ -370,8 +372,12 @@ func (r *roundState) disseminate() int {
 		bsKeys.add(r.p.keyOf(t))
 	}
 	r.completeA = bs.coverIn+len(bs.fullsIn) == r.p.members
+	filter := computeFilter
+	if filterHook != nil {
+		filter = filterHook
+	}
 	for j, pj := range r.plans {
-		r.filters[j] = computeFilter(pj, bsKeys.keys, !r.o.DisableBandIndex)
+		r.filters[j] = filter(pj, bsKeys.keys)
 	}
 	union := r.filters[0]
 	var masks []uint64

@@ -471,26 +471,6 @@ func Grid(cols, rows int, spacing, rng float64) *Deployment {
 	return d
 }
 
-// Star builds a hub-and-spokes deployment: the base station at the
-// center with n nodes on a circle of the given radius (all within range
-// of the hub, none of each other when the radius exceeds half the
-// range... depending on n).
-func Star(n int, radius, rng float64) *Deployment {
-	pos := make([]geom.Point, n+1)
-	pos[0] = geom.Point{X: 0, Y: 0}
-	for i := 1; i <= n; i++ {
-		ang := 2 * math.Pi * float64(i-1) / float64(n)
-		pos[i] = geom.Point{X: radius * math.Cos(ang), Y: radius * math.Sin(ang)}
-	}
-	d := &Deployment{
-		Pos:   pos,
-		Range: rng,
-		Area:  geom.Rect{MinX: -radius, MinY: -radius, MaxX: radius, MaxY: radius},
-	}
-	d.buildNeighbors()
-	return d
-}
-
 // ScaledArea returns a square area for n nodes that keeps the node density
 // of the paper's default setting (1500 nodes on 1050x1050 m).
 func ScaledArea(n int) geom.Rect {

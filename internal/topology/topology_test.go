@@ -225,19 +225,3 @@ func TestGridTopology(t *testing.T) {
 		t.Fatalf("corner has %d neighbors, want 2", len(d.Neighbors[0]))
 	}
 }
-
-func TestStarTopology(t *testing.T) {
-	d := Star(8, 40, 50)
-	if d.N() != 9 {
-		t.Fatalf("N = %d, want 9", d.N())
-	}
-	// Every spoke sees the hub.
-	for i := 1; i <= 8; i++ {
-		if !d.IsNeighbor(NodeID(i), BaseStation) {
-			t.Fatalf("spoke %d cannot reach the hub", i)
-		}
-	}
-	if !d.Connected() {
-		t.Fatal("star must be connected")
-	}
-}

@@ -34,19 +34,10 @@ func BenchmarkEncode(b *testing.B) {
 func BenchmarkDeinterleave(b *testing.B) {
 	g := benchGrid(b)
 	k := g.Encode(0b10, []float64{23.2, 512, 700})
+	buf := make([]uint32, len(g.Dims))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Deinterleave(k)
-	}
-}
-
-func BenchmarkCellBounds(b *testing.B) {
-	g := benchGrid(b)
-	k := g.Encode(0b01, []float64{17.9, 40, 1020})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.CellBounds(k)
+		g.DeinterleaveInto(k, buf)
 	}
 }

@@ -184,16 +184,11 @@ func (g *Grid) Interleave(flags uint64, coords []uint32) Key {
 	return k
 }
 
-// Deinterleave splits a key back into relation flags and cell
-// coordinates.
-func (g *Grid) Deinterleave(k Key) (flags uint64, coords []uint32) {
-	return g.DeinterleaveInto(k, make([]uint32, len(g.Dims)))
-}
-
-// DeinterleaveInto is Deinterleave writing into a caller-provided
-// buffer, which must have len(g.Dims) entries; it allocates nothing,
-// for hot paths that deinterleave many keys. The filled buffer is also
-// returned as coords.
+// DeinterleaveInto splits a key back into relation flags and cell
+// coordinates, writing the coordinates into a caller-provided buffer,
+// which must have len(g.Dims) entries; it allocates nothing, for hot
+// paths that deinterleave many keys. The filled buffer is also returned
+// as coords.
 func (g *Grid) DeinterleaveInto(k Key, buf []uint32) (flags uint64, coords []uint32) {
 	coords = buf
 	for i := range coords {
@@ -216,18 +211,6 @@ func (g *Grid) DeinterleaveInto(k Key, buf []uint32) (flags uint64, coords []uin
 		}
 	}
 	return flags, coords
-}
-
-// CellBounds returns the per-dimension value intervals of a key's cell,
-// for tri-state join evaluation at the base station.
-func (g *Grid) CellBounds(k Key) (flags uint64, lo, hi []float64) {
-	flags, coords := g.Deinterleave(k)
-	lo = make([]float64, len(g.Dims))
-	hi = make([]float64, len(g.Dims))
-	for i, d := range g.Dims {
-		lo[i], hi[i] = d.Bounds(coords[i])
-	}
-	return flags, lo, hi
 }
 
 // Flags extracts just the relation flags of a key.

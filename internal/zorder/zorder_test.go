@@ -160,7 +160,7 @@ func TestInterleaveKnownPattern(t *testing.T) {
 	if k != 0b100111 {
 		t.Fatalf("key = %06b, want 100111", k)
 	}
-	flags, coords := g.Deinterleave(k)
+	flags, coords := deinterleave(g, k)
 	if flags != 0b10 || coords[0] != 0b01 || coords[1] != 0b11 {
 		t.Fatalf("deinterleave = %b %v", flags, coords)
 	}
@@ -191,7 +191,7 @@ func TestQuickInterleaveRoundtrip(t *testing.T) {
 		fl := uint64(flags % 4)
 		coords := []uint32{c0 % 512, c1 % 2048, c2 % 2048}
 		k := g.Interleave(fl, coords)
-		gotFl, gotCo := g.Deinterleave(k)
+		gotFl, gotCo := deinterleave(g, k)
 		if gotFl != fl {
 			return false
 		}
@@ -207,19 +207,25 @@ func TestQuickInterleaveRoundtrip(t *testing.T) {
 	}
 }
 
+// deinterleave is DeinterleaveInto with a fresh buffer.
+func deinterleave(g *Grid, k Key) (uint64, []uint32) {
+	return g.DeinterleaveInto(k, make([]uint32, len(g.Dims)))
+}
+
 func TestEncodeCellBounds(t *testing.T) {
 	g := paperGrid(t)
 	vals := []float64{23.27, 514.9, 17.2}
 	k := g.Encode(0b11, vals)
-	flags, lo, hi := g.CellBounds(k)
+	flags, coords := deinterleave(g, k)
 	if flags != 0b11 {
 		t.Fatalf("flags = %b", flags)
 	}
 	for i := range vals {
-		if vals[i] < lo[i] || vals[i] > hi[i] {
-			t.Fatalf("dim %d: value %g outside cell [%g, %g]", i, vals[i], lo[i], hi[i])
+		lo, hi := g.Dims[i].Bounds(coords[i])
+		if vals[i] < lo || vals[i] > hi {
+			t.Fatalf("dim %d: value %g outside cell [%g, %g]", i, vals[i], lo, hi)
 		}
-		if !math.IsInf(lo[i], 0) && !math.IsInf(hi[i], 0) && hi[i]-lo[i] > g.Dims[i].Res+1e-9 {
+		if !math.IsInf(lo, 0) && !math.IsInf(hi, 0) && hi-lo > g.Dims[i].Res+1e-9 {
 			t.Fatalf("dim %d: cell wider than resolution", i)
 		}
 	}
@@ -236,8 +242,8 @@ func TestFlagsHelpers(t *testing.T) {
 		t.Fatalf("WithFlags = %b", g.Flags(k2))
 	}
 	// Coordinates untouched.
-	_, c1 := g.Deinterleave(k)
-	_, c2 := g.Deinterleave(k2)
+	_, c1 := deinterleave(g, k)
+	_, c2 := deinterleave(g, k2)
 	for i := range c1 {
 		if c1[i] != c2[i] {
 			t.Fatal("WithFlags must not disturb coordinates")

@@ -1,7 +1,8 @@
 // Command deadexports enforces the rule that every exported package-level
-// object and method under internal/ is used by non-test code somewhere in
-// the module (a cmd/ binary, the root package, pkg/, examples/, another
-// internal package, its own package) or by benchmark/.
+// object, method and struct field under internal/ is used by non-test
+// code somewhere in the module (a cmd/ binary, the root package, pkg/,
+// examples/, another internal package, its own package) or by
+// benchmark/. A field is used when non-test code sets or reads it.
 //
 // Run from the module root:
 //
@@ -12,8 +13,8 @@
 // own module, so not type-checked here) as a use of every object with that
 // name, and skips methods that satisfy an interface declared in the module
 // or in a standard-library package the module imports. What is left must
-// be in allow.txt, one "path.Name — reason" line each: names tests use as a
-// fixture or an observer. The check fails on an unused name that is not
+// be in allow.txt, one "path.Name — reason" line each (path.Type.Field for
+// a field): names tests use as a fixture or an observer. The check fails on an unused name that is not
 // listed, and on a listed name that is used, that no longer exists or that
 // no test file mentions, so the list only shrinks.
 package main
@@ -257,6 +258,16 @@ func check(root string) ([]string, error) {
 			named, ok := tn.Type().(*types.Named)
 			if !ok {
 				continue
+			}
+			// A field counts as used when non-test code names it: a
+			// selector reads or sets it, a keyed literal sets it.
+			// Embedded fields are a composition, not a knob.
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						report(f, rel+"."+name+"."+f.Name(), f.Name())
+					}
+				}
 			}
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)

@@ -17,7 +17,12 @@ func TestCheck(t *testing.T) {
 
 import "example/internal/a"
 
-func main() { a.Used(); a.T{}.Called() }
+func main() {
+	a.Used()
+	a.T{}.Called()
+	o := a.Options{Set: 1}
+	_ = o.Read
+}
 `,
 		"internal/a/a.go": `package a
 
@@ -37,6 +42,15 @@ func (T) String() string { return fmt.Sprint(1) } // fmt.Stringer
 
 type E struct{ err error }
 
+// Options has a field set by a keyed literal, one only read, one only
+// tests turn, one nothing names, and an embedded one.
+type Options struct {
+	T
+	Set, Read int
+	TestKnob  bool
+	Unnamed   bool
+}
+
 func (e E) Error() string { return "e" }
 func (e E) Unwrap() error { return e.err } // found by errors.Is
 
@@ -47,7 +61,7 @@ func Forgotten()     {}
 
 import "testing"
 
-func TestFixture(t *testing.T) { Fixture(); GainedCaller() }
+func TestFixture(t *testing.T) { Fixture(); GainedCaller(); _ = Options{TestKnob: true} }
 `,
 		"benchmark/main.go": `package main
 
@@ -58,6 +72,7 @@ func main() { a.FromBenchmark() }
 		allowFile: `# fixtures
 internal/a.Fixture — fixture: tests build on it
 internal/a.GainedCaller — observer: once only tests read it
+internal/a.Options.TestKnob — fixture: a test turns it
 internal/a.Forgotten — fixture: no test uses it any more
 internal/a.Gone — fixture: deleted since
 `,
@@ -80,6 +95,7 @@ internal/a.Gone — fixture: deleted since
 		"internal/a.Dead has no non-test use",
 		"internal/a.Recursive has no non-test use",
 		"internal/a.T.Uncalled has no non-test use",
+		"internal/a.Options.Unnamed has no non-test use",
 		"internal/a.GainedCaller is listed in " + allowFile + " but has a non-test use",
 		"internal/a.Forgotten is listed in " + allowFile + " but no test mentions it",
 		"internal/a.Gone names nothing the check looks at",
