@@ -19,9 +19,14 @@
 //   - Prepared-query cache: compiled plans keyed by canonical query
 //     fingerprint (and by exact source), shared by all sessions — see
 //     pool.go.
-//   - Shared execution: compatible continuous queries arriving within a
-//     batch window run as one core.QueryGroup protocol round per epoch —
-//     see group.go.
+//   - One execution loop: every admitted query runs in an execution — a
+//     query alone is an execution of one member, a shared batch of
+//     compatible continuous queries (group.go) an execution of many
+//     whose round is a core.QueryGroup's. execute leases the runner,
+//     traces, runs the epochs, files the flight records and answers
+//     every member.
+//   - Drain: Close runs epoch 0 of every admitted query and delivers
+//     what ran before it ends each session.
 //
 // Everything is instrumented through the sensjoind_* families of the
 // metrics registry (see metrics.go).
@@ -64,8 +69,6 @@ type Config struct {
 	// excess submissions are rejected with CodeOverCapacity (default
 	// 4*MaxConcurrent).
 	MaxQueue int
-	// MaxRounds caps one periodic query's epochs (default 1000).
-	MaxRounds int
 	// IdleTimeout closes sessions with no inbound frame for this long
 	// (default 5m).
 	IdleTimeout time.Duration
@@ -77,9 +80,6 @@ type Config struct {
 	// BatchWindow is how long the first compatible continuous query
 	// waits for companions before its group starts (default 25ms).
 	BatchWindow time.Duration
-	// DrainTimeout bounds how long Close waits for in-flight queries
-	// (default 10s).
-	DrainTimeout time.Duration
 	// TraceSample is the fraction of queries (0..1) whose full span
 	// tree is captured into the flight recorder; 0 disables span
 	// capture (the flight recorder still records every query's
@@ -113,9 +113,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 4 * c.MaxConcurrent
 	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 1000
-	}
 	if c.IdleTimeout <= 0 {
 		c.IdleTimeout = 5 * time.Minute
 	}
@@ -124,9 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchWindow <= 0 {
 		c.BatchWindow = 25 * time.Millisecond
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 10 * time.Second
 	}
 	if c.FlightSize <= 0 {
 		c.FlightSize = 256
@@ -203,23 +197,29 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 // query executions behind /debug/queries.
 func (s *Server) Flight() *FlightRecorder { return s.flight }
 
-// assignTrace returns the query's trace ID (client-supplied or
-// server-assigned) and whether this execution is sampled for full span
-// capture.
-func (s *Server) assignTrace(ss *session, q proto.Query) (string, bool) {
-	id := q.TraceID
-	if id == "" {
-		id = fmt.Sprintf("q-%d-%d-%d", ss.id, q.ID, s.traceSeq.Add(1))
+const (
+	// maxRounds caps one periodic query's epochs.
+	maxRounds = 1000
+	// drainTimeout bounds how long Close waits for admitted queries.
+	drainTimeout = 10 * time.Second
+)
+
+// traceID returns the query's trace ID: client-supplied or
+// server-assigned.
+func (s *Server) traceID(ss *session, q proto.Query) string {
+	if q.TraceID != "" {
+		return q.TraceID
 	}
-	sampled := s.cfg.TraceSample >= 1 ||
-		(s.cfg.TraceSample > 0 && rand.Float64() < s.cfg.TraceSample)
-	return id, sampled
+	return fmt.Sprintf("q-%d-%d-%d", ss.id, q.ID, s.traceSeq.Add(1))
 }
 
-// Close drains and stops the server: no new sessions or queries are
-// admitted, in-flight queries get up to DrainTimeout to finish (the
-// epoch loops of continuous queries end early), then every session is
-// torn down.
+// Close drains and stops the server. No new session or query is
+// admitted. Every admitted query runs epoch 0, however early Close
+// comes, and a continuous one stops after the epoch it is in. Once they
+// are all answered, each session gets a last, session-level
+// Error{Code: shutdown} behind everything already queued for it, and
+// closes when its write loop has flushed that. Queries still running
+// after 10 s are dropped and their sessions torn down at once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -236,10 +236,12 @@ func (s *Server) Close() error {
 		s.queryWG.Wait()
 		close(done)
 	}()
+	drained := true
 	select {
 	case <-done:
-	case <-time.After(s.cfg.DrainTimeout):
-		s.log.Warn("drain timeout; dropping in-flight queries", "after", s.cfg.DrainTimeout)
+	case <-time.After(drainTimeout):
+		drained = false
+		s.log.Warn("drain timeout; dropping in-flight queries", "after", drainTimeout)
 	}
 
 	s.mu.Lock()
@@ -248,8 +250,18 @@ func (s *Server) Close() error {
 		open = append(open, ss)
 	}
 	s.mu.Unlock()
+	bye := outFrame{kind: proto.KindError, last: true,
+		msg: proto.Error{Code: proto.CodeShutdown, Msg: "server is shutting down"}}
 	for _, ss := range open {
-		ss.teardown()
+		// One goroutine a session: a client that stops reading holds up
+		// its own goodbye (enqueue's backpressure timeout), not the others.
+		s.sessWG.Add(1)
+		go func() {
+			defer s.sessWG.Done()
+			if !drained || !ss.enqueue(bye) {
+				ss.teardown()
+			}
+		}()
 	}
 	s.sessWG.Wait()
 	return err
@@ -622,16 +634,20 @@ func (ss *session) finish(id int64) {
 	ss.s.queryWG.Done()
 }
 
-// acquire takes an execution slot, giving up on cancel or session
-// death. Server drain does NOT abort it: admitted queries run.
-func (s *Server) acquire(ss *session, rq *runningQuery) bool {
+// acquire takes an execution slot for x's next epoch. A query that runs
+// alone gives up when it is canceled (a session teardown cancels its
+// queries); a shared batch outlives any one member's cancelation and
+// waits. Drain does not abort it: admitted queries run.
+func (s *Server) acquire(x *execution) bool {
+	var cancel <-chan struct{} // nil: never ready
+	if len(x.members) == 1 {
+		cancel = x.members[0].rq.cancel
+	}
 	select {
 	case s.execSem <- struct{}{}:
 		s.met.activeQueries.Inc()
 		return true
-	case <-rq.cancel:
-		return false
-	case <-ss.quit:
+	case <-cancel:
 		return false
 	}
 }
@@ -641,8 +657,9 @@ func (s *Server) release() {
 	s.met.activeQueries.Dec()
 }
 
-// runQuery plans one admitted query and routes it to independent or
-// shared execution.
+// runQuery plans one admitted query and hands it to an execution: a
+// shareable continuous SENS-Join query to the group hub's batch, any
+// other query to an execution of its own.
 func (s *Server) runQuery(ss *session, q proto.Query, rq *runningQuery) {
 	handedOff := false
 	defer func() {
@@ -670,23 +687,28 @@ func (s *Server) runQuery(ss *session, q proto.Query, rq *runningQuery) {
 		ss.sendErr(q.ID, proto.CodeParse, err.Error())
 		return
 	}
-	rounds := 1
-	if prep.Mode() == query.Periodic {
-		rounds = q.Rounds
-		if rounds <= 0 {
-			rounds = 1
-		}
-		rounds = min(rounds, s.cfg.MaxRounds)
+	continuous := prep.Mode() == query.Periodic
+	m := &member{ss: ss, prep: prep, rq: rq, rounds: 1, rec: QueryRecord{
+		TraceID: s.traceID(ss, q), Session: ss.id, ID: q.ID, Src: q.Src, Method: method,
+		ClusterSize: 1, CacheHit: hit,
+	}}
+	if continuous {
+		m.rounds = min(max(q.Rounds, 1), maxRounds)
 	}
 
-	if prep.Mode() == query.Periodic && method == "sens" && prep.Shareable() {
-		handedOff = true
-		s.hub.enqueue(&groupSub{
-			ss: ss, q: q, prep: prep, hit: hit, rq: rq, rounds: rounds,
-		}, pl)
+	handedOff = true
+	if continuous && method == "sens" && prep.Shareable() {
+		s.hub.enqueue(m, pl, q.At)
 		return
 	}
-	s.runIndependent(ss, q, pl, prep, hit, rq, rounds, method)
+	meth := methodInstance(method, continuous)
+	s.execute(&execution{
+		pool: pl, at: q.At, period: prep.Period(), members: []*member{m},
+		round: func(r *core.Runner, t float64) ([]*core.Result, error) {
+			res, err := r.RunPrepared(prep, meth, t)
+			return []*core.Result{res}, err
+		},
+	})
 }
 
 // methodInstance builds a fresh method value for one query.
@@ -700,115 +722,194 @@ func methodInstance(name string, continuous bool) core.Method {
 	return core.NewSENSJoin()
 }
 
-// runIndependent executes a query on its own runner: the one-shot path
-// and any continuous query shared execution cannot take.
-func (s *Server) runIndependent(ss *session, q proto.Query, pl *pool,
-	prep *core.Prepared, hit bool, rq *runningQuery, rounds int, method string) {
-	traceID, sampled := s.assignTrace(ss, q)
-	rec := QueryRecord{
-		TraceID: traceID, Session: ss.id, ID: q.ID, Src: q.Src, Method: method,
-		ClusterSize: 1, CacheHit: hit, Sampled: sampled,
-	}
-	var spans []trace.Event
-	wallStart := time.Now()
-	defer func() {
-		rec.TotalSeconds = time.Since(wallStart).Seconds()
-		s.flight.Record(rec, spans)
-		s.log.Debug("query finished",
-			"trace", traceID, "session", ss.id, "id", q.ID,
-			"epochs", rec.Epochs, "rows", rec.Rows, "complete", rec.Complete,
-			"err", rec.Error, "seconds", rec.TotalSeconds)
-	}()
+// member is one admitted query inside an execution.
+type member struct {
+	ss     *session
+	prep   *core.Prepared
+	rq     *runningQuery
+	rounds int // epochs the client asked for, at most maxRounds
 
-	r, err := pl.runners.Get()
-	if err != nil {
-		rec.Error = proto.CodeExec + ": " + err.Error()
-		ss.sendErr(q.ID, proto.CodeExec, err.Error())
+	rec    QueryRecord // its flight record, filled in as it runs
+	dead   bool        // a frame could not be queued: send nothing more
+	failed proto.Error // the error that ended the execution, if one did
+}
+
+// wants reports whether the member takes epoch e's table.
+func (m *member) wants(e int) bool {
+	return !m.dead && !m.rq.canceled() && e < m.rounds
+}
+
+// emit queues epoch e's table, after the Header on the first.
+func (m *member) emit(e int, t float64, res *core.Result) {
+	if m.rec.Epochs == 0 && !m.ss.send(proto.KindHeader, proto.Header{
+		ID: m.rec.ID, Columns: res.Columns, CacheHit: m.rec.CacheHit,
+		Shared: m.rec.Shared, ClusterSize: m.rec.ClusterSize,
+		TraceID: m.rec.TraceID, Sampled: m.rec.Sampled,
+	}) || !m.ss.emitEpoch(m.rec.ID, e, t, res) {
+		m.dead = true
 		return
+	}
+	m.rec.Epochs++
+	m.rec.Rows += len(res.Rows)
+	m.rec.Complete = res.Complete
+	m.rec.IncompleteReason = ""
+	if !res.Complete && len(res.MissingSubtrees) > 0 {
+		m.rec.IncompleteReason = fmt.Sprintf("%d missing subtree(s)", len(res.MissingSubtrees))
+	}
+}
+
+// execution is one run of the epoch loop: a query on its own, or a
+// shared batch of continuous queries. Its round runs one epoch for all
+// members at once and returns their results in member order.
+type execution struct {
+	pool    *pool
+	at      float64 // epoch 0's snapshot time
+	period  float64
+	members []*member
+	round   func(r *core.Runner, t float64) ([]*core.Result, error)
+	// shared marks a round that is a core.QueryGroup's, which the
+	// sensjoind_shared_* counters count.
+	shared bool
+}
+
+// wanted reports whether any member takes epoch e's table.
+func (x *execution) wanted(e int) bool {
+	for _, m := range x.members {
+		if m.wants(e) {
+			return true
+		}
+	}
+	return false
+}
+
+// fail ends the execution with an error for every member still reachable.
+func (x *execution) fail(code, msg string) {
+	for _, m := range x.members {
+		if !m.dead {
+			m.failed = proto.Error{Code: code, Msg: msg}
+			m.rec.Error = code + ": " + msg
+		}
+	}
+}
+
+// execute runs an execution and answers its members. The execution's
+// trace ID is its member's own, or g-N for a batch of several, whose
+// own record then holds the shared radio timeline; each member's span
+// tree is its own slice of the journal. Records are filed before the
+// terminal frames (Done, or the error that ended the execution) are
+// queued, so a client that has read Done finds its record.
+func (s *Server) execute(x *execution) {
+	start := time.Now()
+	tag := x.members[0].rec.TraceID
+	if len(x.members) > 1 {
+		tag = fmt.Sprintf("g-%d", s.traceSeq.Add(1))
+	}
+	sampled := s.cfg.TraceSample >= 1 ||
+		(s.cfg.TraceSample > 0 && rand.Float64() < s.cfg.TraceSample)
+	for _, m := range x.members {
+		m.rec.Sampled = sampled
+		if len(x.members) > 1 {
+			m.rec.Group = tag
+		}
+	}
+	if x.shared {
+		s.met.sharedQueries.Add(int64(len(x.members)))
+	}
+	epochs, spans := s.runEpochs(x, tag, sampled)
+
+	var phases []PhaseLatency
+	if spans != nil {
+		phases = phaseBreakdown(spans)
+		s.met.observePhases(phases)
+	}
+	total := time.Since(start).Seconds()
+	if sampled && len(x.members) > 1 {
+		s.flight.Record(QueryRecord{
+			TraceID: tag, Src: fmt.Sprintf("<shared group of %d>", len(x.members)),
+			Method: "sens", Shared: true, ClusterSize: len(x.members),
+			Epochs: epochs, Complete: true,
+			Phases: phases, TotalSeconds: total, Sampled: true,
+		}, spans)
+	}
+	for _, m := range x.members {
+		m.rec.Phases, m.rec.TotalSeconds = phases, total
+		s.flight.Record(m.rec, filterByTrace(spans, m.rec.TraceID))
+		s.log.Debug("query finished",
+			"trace", m.rec.TraceID, "session", m.ss.id, "id", m.rec.ID,
+			"epochs", m.rec.Epochs, "rows", m.rec.Rows, "complete", m.rec.Complete,
+			"err", m.rec.Error, "seconds", total)
+	}
+	for _, m := range x.members {
+		switch {
+		case m.failed.Code != "":
+			m.ss.sendErr(m.rec.ID, m.failed.Code, m.failed.Msg)
+		case !m.dead:
+			m.ss.sendDone(m.rec.ID, m.rec.Epochs)
+		}
+		m.ss.finish(m.rec.ID)
+	}
+}
+
+// runEpochs runs x's epochs on one leased runner — the incremental
+// filter state of a continuous query or a group spans them — and
+// returns how many ran and, when sampled, the journal they wrote under
+// tag. An epoch runs while some member wants it; drain stops every
+// epoch but the first, so an admitted query always runs epoch 0.
+func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace.Event) {
+	r, err := x.pool.runners.Get()
+	if err != nil {
+		x.fail(proto.CodeExec, err.Error())
+		return 0, nil
 	}
 	var tr *trace.Recorder
 	var mark int
 	if sampled {
-		s.met.tracedQueries.Inc()
+		s.met.tracedQueries.Add(int64(len(x.members)))
 		tr = r.EnableTrace()
-		tr.SetTag(traceID)
+		tr.SetTag(tag)
 		mark = tr.Mark()
 	}
-	// capture copies the sampled span tree out of the runner's recorder
-	// and feeds the per-phase histograms. It must NOT run while the
-	// runner is still executing (the timeout path abandons one
-	// mid-flight), so that path nils tr first.
-	capture := func() {
-		if tr == nil {
-			return
-		}
-		j := tr.JournalSince(mark)
-		spans = append([]trace.Event(nil), j.Events...)
-		rec.Phases = phaseBreakdown(spans)
-		s.met.observePhases(rec.Phases)
-		tr = nil
-	}
-	defer capture()
-
-	m := methodInstance(method, prep.Mode() == query.Periodic)
-	headerSent := false
-	for e := 0; e < rounds; e++ {
-		if rq.canceled() || (e > 0 && s.isClosing()) {
-			break
-		}
-		if !s.acquire(ss, rq) {
-			break
-		}
-		t := q.At + float64(e)*prep.Period()
-		start := time.Now()
-		res, err, timedOut := bounded(s.cfg.QueryTimeout, func() (*core.Result, error) {
-			return r.RunPrepared(prep, m, t)
+	e, reusable := 0, true
+	for ; x.wanted(e) && (e == 0 || !s.isClosing()) && s.acquire(x); e++ {
+		t := x.at + float64(e)*x.period
+		began := time.Now()
+		results, err, timedOut := bounded(s.cfg.QueryTimeout, func() ([]*core.Result, error) {
+			return x.round(r, t)
 		})
 		s.release()
-		s.met.querySeconds.Observe(time.Since(start).Seconds())
+		s.met.querySeconds.Observe(time.Since(began).Seconds())
+		if x.shared {
+			s.met.sharedRounds.Inc()
+		}
 		if timedOut {
 			s.met.queryTimeouts.Inc()
-			tr = nil // the abandoned epoch still writes the recorder
-			rec.Error = proto.CodeTimeout
-			rec.IncompleteReason = "execution deadline exceeded"
-			ss.sendErr(q.ID, proto.CodeTimeout,
-				fmt.Sprintf("epoch %d exceeded the %v execution deadline", e, s.cfg.QueryTimeout))
-			return // runner abandoned mid-execution: do not return it to the pool
+			x.fail(proto.CodeTimeout, fmt.Sprintf("epoch %d exceeded the %v execution deadline", e, s.cfg.QueryTimeout))
+			// The abandoned epoch still writes the runner and its
+			// recorder: neither is read again.
+			return e, nil
 		}
 		if err != nil {
-			rec.Error = proto.CodeExec + ": " + err.Error()
-			capture()
-			ss.sendErr(q.ID, proto.CodeExec, err.Error())
-			return // runner possibly mid-execution: do not return it to the pool
+			x.fail(proto.CodeExec, err.Error())
+			reusable = false // possibly mid-execution: not back to the pool
+			break
 		}
-		if !headerSent {
-			if !ss.send(proto.KindHeader, proto.Header{
-				ID: q.ID, Columns: res.Columns, CacheHit: hit, ClusterSize: 1,
-				TraceID: traceID, Sampled: sampled,
-			}) {
-				return
+		for k, m := range x.members {
+			if m.wants(e) {
+				m.emit(e, t, results[k])
 			}
-			headerSent = true
-		}
-		if !ss.emitEpoch(q.ID, e, t, res) {
-			return
-		}
-		rec.Epochs++
-		rec.Rows += len(res.Rows)
-		rec.Complete = res.Complete
-		rec.IncompleteReason = ""
-		if !res.Complete && len(res.MissingSubtrees) > 0 {
-			rec.IncompleteReason = fmt.Sprintf("%d missing subtree(s)", len(res.MissingSubtrees))
 		}
 	}
-	capture()
+	var spans []trace.Event
 	if sampled {
-		tr2 := r.Trace
+		// The recorder leaves with the runner's trace switched off, so
+		// nothing writes the journal it holds again.
+		spans = tr.JournalSince(mark).Events
 		r.DisableTrace()
-		tr2.Truncate(0) // drop the retained journal before pooling
 	}
-	pl.runners.Put(r)
-	ss.sendDone(q.ID, rec.Epochs)
+	if reusable {
+		x.pool.runners.Put(r)
+	}
+	return e, spans
 }
 
 // bounded runs one epoch or shared round, bounded by timeout. On expiry

@@ -367,7 +367,7 @@ func TestServerOverCapacity(t *testing.T) {
 
 // Close must drain promptly and leave no session behind.
 func TestServerGracefulClose(t *testing.T) {
-	s, reg := startTestServer(t, Config{DrainTimeout: 5 * time.Second})
+	s, reg := startTestServer(t, Config{})
 	c, err := client.Dial(s.Addr().String())
 	if err != nil {
 		t.Fatal(err)

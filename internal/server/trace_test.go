@@ -87,18 +87,9 @@ func TestServerTraceEndToEnd(t *testing.T) {
 		t.Fatal("Table.Sampled = false under TraceSample 1")
 	}
 
-	// The flight recorder has the record, with a phase breakdown. The
-	// server files it when the query's goroutine ends, which can be a
-	// moment after the client has its table.
-	var rec *QueryRecord
-	for deadline := time.Now().Add(5 * time.Second); rec == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		for _, r := range s.Flight().Records() {
-			if r.TraceID == traceID {
-				rec = &r
-				break
-			}
-		}
-	}
+	// The flight recorder has the record, with a phase breakdown: the
+	// server files it before it queues Done, which the client has read.
+	rec := flightRecord(s, traceID)
 	if rec == nil {
 		t.Fatal("query not in the flight recorder")
 	}
