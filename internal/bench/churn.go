@@ -138,7 +138,6 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 		transport := churnBestEffort
 		if s.reliable {
 			r.EnableReliableTransport(netsim.ReliableConfig{})
-			r.EnableMidRoundRepair()
 			transport = churnReliable
 		}
 		var ch *netsim.Churn

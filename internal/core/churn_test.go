@@ -13,8 +13,8 @@ import (
 // churn rounds audit clean (no silent wrong answers).
 
 // entrySpellings are the two ways to start an execution on a Runner.
-// The repair tests run over both: what a runner has armed (Exec.Repair,
-// the tree-swap hook) must reach an execution whichever way it started.
+// The repair tests run over both: the tree-swap hook a repair reports
+// through must reach an execution whichever way it started.
 var entrySpellings = []struct {
 	name string
 	run  func(r *Runner, src string, m Method, t float64) (*Result, error)
@@ -32,16 +32,15 @@ var entrySpellings = []struct {
 }
 
 // TestRepairHealsSeveredSubtreeMidRound severs a loaded tree edge while
-// the round is in flight. With mid-round repair armed the orphaned
-// subtree is re-parented onto a surviving path and its traffic replayed
-// by the recovery wave: the round ends complete and oracle-exact, with
-// the repair visible in the result.
+// the round is in flight. Under reliable transport scoped recovery
+// re-parents the orphaned subtree onto a surviving path and its recovery
+// wave replays the subtree's traffic: the round ends complete and
+// oracle-exact, with the repair visible in the result.
 func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
 	for _, entry := range entrySpellings {
 		t.Run(entry.name, func(t *testing.T) {
 			r := testRunner(t, 150, 73)
 			r.EnableReliableTransport(netsim.ReliableConfig{})
-			r.EnableMidRoundRepair()
 			child, parent := failLink(r)
 			x, err := execSQL(r, qBand(0.5), 0)
 			if err != nil {
@@ -76,13 +75,13 @@ func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
 	}
 }
 
-// TestRepairDisabledStaysIncomplete is the control: same severed edge,
-// repair off — the round must honestly report the missing subtree.
+// TestRepairDisabledStaysIncomplete is the control: same severed edge
+// without reliable transport, which is without scoped recovery and so
+// without repair — the round must honestly report the missing subtree.
 func TestRepairDisabledStaysIncomplete(t *testing.T) {
 	for _, entry := range entrySpellings {
 		t.Run(entry.name, func(t *testing.T) {
 			r := testRunner(t, 150, 73)
-			r.EnableReliableTransport(netsim.ReliableConfig{})
 			child, parent := failLink(r)
 			r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
 			res, err := entry.run(r, qBand(0.5), NewSENSJoin(), 0)
@@ -172,14 +171,14 @@ func TestRecoveryReasonLoss(t *testing.T) {
 }
 
 // TestChurnRoundsAuditClean drives several query rounds under live
-// churn with repair armed, auditing every round (including the
-// churn-safety pass): zero violations, and every incomplete round must
-// carry a reason and name its missing subtrees.
+// churn with reliable transport (and so mid-round repair), auditing
+// every round (including the churn-safety pass): zero violations, and
+// every incomplete round must carry a reason and name its missing
+// subtrees.
 func TestChurnRoundsAuditClean(t *testing.T) {
 	r := testRunner(t, 150, 101)
 	r.AutoAudit = true
 	r.EnableReliableTransport(netsim.ReliableConfig{})
-	r.EnableMidRoundRepair()
 	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
 	complete := 0
 	const rounds = 6
@@ -220,7 +219,6 @@ func TestSoakChurn(t *testing.T) {
 	r := testRunner(t, 200, 131)
 	r.AutoAudit = true
 	r.EnableReliableTransport(netsim.ReliableConfig{})
-	r.EnableMidRoundRepair()
 	// Churn budget leans toward mobility (small DeathShare): moved nodes
 	// sever links mid-round but their data is recoverable over repaired
 	// paths, which is exactly the behaviour the soak wants to prove.

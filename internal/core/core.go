@@ -120,13 +120,7 @@ type Exec struct {
 	// prog is the query's compiled kernel program (Prepared.prog).
 	prog *kernelProg
 
-	// Repair arms mid-round incremental tree repair inside scoped
-	// recovery (opt-in via Runner.EnableMidRoundRepair): when churn
-	// severs a subtree while a phase is in flight, the recovery loop
-	// re-parents only the orphaned nodes and replays their collection
-	// over the repaired tree instead of giving the subtree up.
-	Repair bool
-	// onTreeSwap propagates a mid-round tree swap to the owning Runner;
+	// onTreeSwap propagates a mid-round tree repair to the owning Runner;
 	// nil-safe.
 	onTreeSwap func(*routing.Tree)
 	// repairs / repairAt record mid-round repair activity for the Result.
@@ -192,7 +186,7 @@ type Result struct {
 	// ran (reliable transport only).
 	RecoveryRounds int
 	// Repairs counts the mid-round incremental tree repairs this
-	// execution performed (Runner.EnableMidRoundRepair).
+	// execution's scoped recovery performed (reliable transport only).
 	Repairs int
 	// RepairLatency is the simulated seconds from query start to the
 	// first mid-round repair; 0 when Repairs is 0.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sensjoin/internal/netsim"
+	"sensjoin/internal/routing"
 	"sensjoin/internal/topology"
 )
 
@@ -126,6 +127,46 @@ func TestNodeDeathDuringExecution(t *testing.T) {
 	}
 	if !res2.Complete {
 		t.Fatal("re-execution after revival should be complete")
+	}
+}
+
+// The runner's one rebuild steers around a link whose reliable transfers
+// gave up, consumes that record, and trusts the link again afterwards.
+func TestRebuildTreeSteersAroundExhaustedLinks(t *testing.T) {
+	r := testRunner(t, 150, 73)
+	r.EnableReliableTransport(netsim.ReliableConfig{})
+	var child, parent topology.NodeID = -1, -1
+	for i := 1; i < r.Dep.N() && child < 0; i++ {
+		id := topology.NodeID(i)
+		for _, nb := range r.Dep.Neighbors[id] {
+			if p := r.Tree.Parent[id]; p != routing.NoParent && nb != p && r.Tree.Depth[nb] == r.Tree.Depth[p] {
+				child, parent = id, p
+			}
+		}
+	}
+	if child < 0 {
+		t.Fatal("no tree edge with an equal-depth alternative")
+	}
+	r.Net.SetLinkLossRate(child, parent, 1)
+	r.Net.SetHandler(func(topology.NodeID, netsim.Message) {})
+	r.Sim.ScheduleNode(child, child, r.Sim.Now(), func() {
+		r.Net.Send(netsim.Message{Kind: 1, Src: child, Dst: parent, Phase: "probe", Size: 8})
+	})
+	r.Sim.Run()
+	r.Net.SetHandler(nil)
+	if len(r.Net.ExhaustedLinks()) == 0 {
+		t.Fatal("a fully jammed link did not exhaust the transfer")
+	}
+	r.RebuildTree()
+	if r.Tree.Parent[child] == parent {
+		t.Fatalf("rebuild kept %d under %d across the exhausted link", child, parent)
+	}
+	if len(r.Net.ExhaustedLinks()) != 0 {
+		t.Fatal("rebuild did not consume the exhaustion record")
+	}
+	r.RebuildTree()
+	if r.Tree.Parent[child] != parent {
+		t.Fatalf("second rebuild still avoids the link: parent %d, want %d", r.Tree.Parent[child], parent)
 	}
 }
 

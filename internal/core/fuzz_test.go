@@ -203,7 +203,6 @@ func (c fuzzRound) run(t *testing.T, shards int) (out fuzzOutcome, skip bool) {
 	}
 	if c.reliable {
 		r.EnableReliableTransport(netsim.ReliableConfig{})
-		r.EnableMidRoundRepair()
 	}
 	if c.loss {
 		r.Net.SetLossRate(0.05, c.seed)

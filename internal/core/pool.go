@@ -62,8 +62,8 @@ func (p *RunnerPool) Put(r *Runner) {
 // it managed to. What an assignment undoes, it undoes: the simulated
 // clock and every sequence counter go back to zero (so event times, tie
 // order, message ids and with them Result.ResponseTime to the last bit
-// repeat), Stats is cleared in place, Member, Env, AutoAudit, mid-round
-// repair and the metrics wiring return to their defaults. The run
+// repeat), Stats is cleared in place, Member, Env, AutoAudit and the
+// metrics wiring return to their defaults. The run
 // scratch, the event heap's capacity and the delivery freelists stay; the
 // network clears what fault injection armed — dead nodes, downed links,
 // the loss models, reliable transport (netsim.Network.Reset). What it does
@@ -78,7 +78,7 @@ func (r *Runner) reset() bool {
 		return false
 	}
 	r.Stats.Reset()
-	r.Env, r.Member, r.AutoAudit, r.repair = r.env0, nil, false, false
+	r.Env, r.Member, r.AutoAudit = r.env0, nil, false
 	if r.reg != nil {
 		r.EnableMetrics(nil)
 	}

@@ -149,7 +149,6 @@ func TestResetRestoresTheSwitches(t *testing.T) {
 	r.Member = func(topology.NodeID, string) bool { return false }
 	r.Env = nil
 	r.AutoAudit = true
-	r.EnableMidRoundRepair()
 	r.EnableMetrics(metrics.New())
 	pool.Put(r)
 	again, err := pool.Get()
@@ -159,9 +158,9 @@ func TestResetRestoresTheSwitches(t *testing.T) {
 	if again != r {
 		t.Fatal("a runner with only switches flipped was dropped")
 	}
-	if r.Member != nil || r.Env != env || r.AutoAudit || r.repair || r.Metrics != nil || r.reg != nil {
-		t.Errorf("reset left Member set: %t, Env %p (want %p), AutoAudit %t, repair %t, Metrics %p",
-			r.Member != nil, r.Env, env, r.AutoAudit, r.repair, r.Metrics)
+	if r.Member != nil || r.Env != env || r.AutoAudit || r.Metrics != nil || r.reg != nil {
+		t.Errorf("reset left Member set: %t, Env %p (want %p), AutoAudit %t, Metrics %p",
+			r.Member != nil, r.Env, env, r.AutoAudit, r.Metrics)
 	}
 }
 

@@ -17,9 +17,11 @@ import (
 // missing subtree's root, the subtree ships its complete tuples
 // unconditionally (the filter stands down — a subtree in recovery may
 // never have received it), relays forward toward the base station
-// immediately, and the round repeats up to maxRecoveryRounds times.
-// Whole-query re-execution (the WithRecovery run option) remains the fallback
-// for when the tree itself changed.
+// immediately, and the round repeats up to maxRecoveryRounds times. Each
+// round begins with a mid-round tree repair (repair.go), so a subtree
+// whose tree edge broke is re-requested over a live path. Whole-query
+// re-execution after a full rebuild (the WithRecovery run option) is the
+// paper's path and the one without reliable transport.
 
 // maxRecoveryRounds bounds the scoped re-request rounds per execution.
 const maxRecoveryRounds = 3
@@ -78,13 +80,14 @@ func classifyMissing(x *Exec, missing []topology.NodeID) string {
 	if len(missing) == 0 {
 		return ReasonLoss
 	}
-	reach := liveReach(x.Net)
+	// Reachable over any live path, not just over tree edges.
+	live := routing.BuildTree(x.Net.LiveNeighbors(), topology.BaseStation)
 	reason := ReasonLoss
 	for _, v := range missing {
 		if !x.Net.Alive(v) {
 			return ReasonDeadSubtree
 		}
-		if !reach[v] {
+		if !live.Reachable(v) {
 			for u := x.Tree.Parent[v]; u != routing.NoParent; u = x.Tree.Parent[u] {
 				if !x.Net.Alive(u) {
 					return ReasonDeadSubtree
@@ -94,26 +97,6 @@ func classifyMissing(x *Exec, missing []topology.NodeID) string {
 		}
 	}
 	return reason
-}
-
-// liveReach marks the nodes reachable from the base station over live
-// links (any path, not just tree edges).
-func liveReach(net *netsim.Network) []bool {
-	nb := net.LiveNeighbors()
-	reach := make([]bool, len(nb))
-	reach[topology.BaseStation] = true
-	queue := []topology.NodeID{topology.BaseStation}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range nb[u] {
-			if !reach[v] {
-				reach[v] = true
-				queue = append(queue, v)
-			}
-		}
-	}
-	return reach
 }
 
 // runScopedRecovery drives the recovery rounds: needed lists the nodes
@@ -136,13 +119,11 @@ func runScopedRecovery(x *Exec, p *plan, needed map[topology.NodeID]bool,
 	rounds := 0
 	for len(missing) > 0 && rounds < maxRecoveryRounds {
 		rounds++
-		if x.Repair {
-			// Mid-round repair: re-parent severed subtrees onto the
-			// surviving tree first, so the re-requests below travel live
-			// paths and the recovery wave IS the replay of the affected
-			// phase traffic for the re-attached subtrees.
-			repairExec(x)
-		}
+		// Mid-round repair: re-parent severed subtrees onto the surviving
+		// tree first, so the re-requests below travel live paths and the
+		// recovery wave IS the replay of the affected phase traffic for
+		// the re-attached subtrees.
+		repairExec(x)
 		roots := minimalRoots(x.Tree, missing)
 		for _, r := range roots {
 			x.span(trace.KindRerequest, r, -1, PhaseRecovery, rounds)
@@ -164,7 +145,7 @@ func runScopedRecovery(x *Exec, p *plan, needed map[topology.NodeID]bool,
 		left = append(left, id)
 	}
 	sort.Slice(left, func(i, k int) bool { return left[i] < left[k] })
-	if x.Repair && x.repairs > 0 && len(left) > 0 && x.Metrics != nil {
+	if x.repairs > 0 && len(left) > 0 && x.Metrics != nil {
 		// Repair ran but could not restore completeness before the retry
 		// budget drained; the result carries the per-subtree provenance.
 		x.Metrics.RepairFailures.Inc()

@@ -106,30 +106,15 @@ func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include fun
 	return w.gather(make([]finalTuple, 0, p.members), p, tree.Root)
 }
 
-// shortestPath returns the hop path from a to b over live links.
+// shortestPath returns the hop path from a to b over live links: b's
+// path to the root of the minimum-hop tree rooted at a.
 func shortestPath(x *Exec, a, b topology.NodeID) ([]topology.NodeID, error) {
-	nb := x.Net.LiveNeighbors()
-	prev := make([]topology.NodeID, len(nb))
-	for i := range prev {
-		prev[i] = -2
-	}
-	prev[a] = -1
-	queue := []topology.NodeID{a}
-	for len(queue) > 0 && prev[b] == -2 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range nb[u] {
-			if prev[v] == -2 {
-				prev[v] = u
-				queue = append(queue, v)
-			}
-		}
-	}
-	if prev[b] == -2 {
+	tree := routing.BuildTree(x.Net.LiveNeighbors(), a)
+	if !tree.Reachable(b) {
 		return nil, fmt.Errorf("core: no path from %d to %d", a, b)
 	}
 	var path []topology.NodeID
-	for v := b; v != -1; v = prev[v] {
+	for v := b; v != routing.NoParent; v = tree.Parent[v] {
 		path = append(path, v)
 	}
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {

@@ -7,37 +7,29 @@ import (
 	"sensjoin/internal/trace"
 )
 
-// Mid-round tree repair. Scoped recovery (recovery.go) alone can
-// re-request a missing subtree, but when churn severed the subtree's
-// tree edge the re-request travels into a void: the old path no longer
-// exists. With Exec.Repair armed, every recovery round first re-parents
-// the orphaned nodes onto the surviving tree (routing.Repair — the
-// incremental generalization of RebuildTreeAvoidingFailures) and then
-// replays the collection for exactly those subtrees over the repaired
-// paths. Detection rides on the reliable transport's give-up signal:
-// exhausted directed links mark tree edges as broken alongside links the
-// simulator itself reports down or dead.
+// Mid-round tree repair is the first step of every scoped-recovery round
+// (recovery.go). A re-request alone travels into a void when churn
+// severed the missing subtree's tree edge: the old path no longer exists.
+// So each round first re-parents the orphaned nodes onto the surviving
+// tree (routing.Repair, the incremental form of Runner.RebuildTree) and
+// then replays the collection for exactly the missing subtrees over the
+// repaired paths. Detection rides on the reliable transport's give-up
+// signal: exhausted directed links mark tree edges as broken alongside
+// links the simulator itself reports down or dead.
 
 // repairExec probes for damage and, when any tree edge is broken or a
 // rejoined node is attachable, swaps in an incrementally repaired tree.
-// Returns whether a repair happened. The swap is propagated to the
-// owning Runner (x.onTreeSwap) so everything that re-reads the tree —
-// recovery rounds, audits of later runs, the depth gauge — follows.
-func repairExec(x *Exec) bool {
-	bad := x.Net.ExhaustedLinks()
-	exhausted := func(a, b topology.NodeID) bool {
-		return bad[netsim.Link{From: a, To: b}] > 0 || bad[netsim.Link{From: b, To: a}] > 0
-	}
+// The swap is propagated to the owning Runner (x.onTreeSwap) so
+// everything that re-reads the tree — recovery rounds, audits of later
+// runs, the depth gauge — follows.
+func repairExec(x *Exec) {
+	exhausted := exhaustedLinks(x.Net)
 	broken := func(parent, child topology.NodeID) bool {
-		return !x.Net.LinkOK(parent, child) || exhausted(parent, child)
+		return !x.Net.LinkOK(parent, child) || exhausted != nil && exhausted(parent, child)
 	}
-	var avoid func(parent, child topology.NodeID) bool
-	if len(bad) > 0 {
-		avoid = exhausted
-	}
-	nt, reattached := routing.Repair(x.Tree, x.Net.LiveNeighbors(), broken, avoid)
+	nt, reattached := routing.Repair(x.Tree, x.Net.LiveNeighbors(), broken)
 	if nt == x.Tree {
-		return false
+		return
 	}
 	if x.repairs == 0 {
 		x.repairAt = x.Sim.Now()
@@ -47,25 +39,30 @@ func repairExec(x *Exec) bool {
 	if x.onTreeSwap != nil {
 		x.onTreeSwap(nt)
 	}
-	// The exhaustion record is consumed, exactly like
-	// RebuildTreeAvoidingFailures: the next probe trusts the links again
-	// unless they fail again.
 	x.Net.ClearExhaustedLinks()
 	x.span(trace.KindRepair, topology.BaseStation, -1, PhaseRecovery, len(reattached))
 	if x.Metrics != nil {
 		x.Metrics.Repairs.Inc()
 		x.Metrics.Reattached.Add(int64(len(reattached)))
 	}
-	return true
 }
 
-// EnableMidRoundRepair arms mid-round incremental tree repair for every
-// execution this runner starts: scoped recovery re-parents severed
-// subtrees and replays their traffic instead of reporting them missing.
-// Requires reliable transport to matter (recovery only runs there).
-// Off by default — the paper's loss tables and the plain recovery tests
-// keep their re-execute-everything semantics.
-func (r *Runner) EnableMidRoundRepair() { r.repair = true }
+// exhaustedLinks reports the links on which a reliable transfer, in
+// either direction, exhausted its retransmissions since the record was
+// last consumed; nil when there are none (always, without reliable
+// transport). Both ways of healing the tree — Runner.RebuildTree between
+// executions and repairExec inside one — steer around these links and
+// then consume the record, so the next heal trusts them again unless
+// they fail again.
+func exhaustedLinks(net *netsim.Network) func(a, b topology.NodeID) bool {
+	bad := net.ExhaustedLinks()
+	if len(bad) == 0 {
+		return nil
+	}
+	return func(a, b topology.NodeID) bool {
+		return bad[netsim.Link{From: a, To: b}] > 0 || bad[netsim.Link{From: b, To: a}] > 0
+	}
+}
 
 // AttachChurn wires a churn & mobility injector to this runner's
 // network and, when tracing or metrics are enabled, into the journal and

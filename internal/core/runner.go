@@ -37,8 +37,8 @@ type SetupConfig struct {
 	// synchronization (see netsim/shard.go); 0 and 1 mean one region,
 	// which is the same engine. A run is the same run at every shard
 	// count — rows, packets, response times and the recorded journal —
-	// with every feature on: tracing, metrics, loss, reliable transport,
-	// churn and mid-round repair, continuous and QueryGroup rounds.
+	// with every feature on: tracing, metrics, loss, reliable transport
+	// with its mid-round repair, churn, continuous and QueryGroup rounds.
 	Shards int
 	// ShardWorkers bounds the goroutines running one synchronization
 	// window (0 = one per shard, capped by GOMAXPROCS).
@@ -79,8 +79,6 @@ type Runner struct {
 	AutoAudit bool
 	// workers is SetupConfig.SetupWorkers, forwarded to each Exec.
 	workers int
-	// repair arms mid-round tree repair (EnableMidRoundRepair).
-	repair bool
 	// churn is the attached fault injector, nil without AttachChurn.
 	churn *netsim.Churn
 	// reg remembers the registry EnableMetrics wired, so features
@@ -91,7 +89,7 @@ type Runner struct {
 	scratch runScratch
 	// env0 and tree0 are the environment and routing tree the runner was
 	// built with: reset puts the first back and refuses to recycle a
-	// runner whose tree was rebuilt (pool.go).
+	// runner whose tree was rebuilt or repaired (pool.go).
 	env0  *field.Environment
 	tree0 *routing.Tree
 }
@@ -184,8 +182,8 @@ func NewRunnerFromDeployment(dep *topology.Deployment, radio netsim.RadioConfig,
 
 // Exec assembles the execution context of p at time t. It is the only
 // place an Exec is built, so whatever the runner has armed — membership,
-// tracing, metrics, setup workers, mid-round repair — reaches every
-// execution, however it was started.
+// tracing, metrics, setup workers, the tree-swap hook mid-round repair
+// reports through — reaches every execution, however it was started.
 func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 	return &Exec{
 		Sim: r.Sim, Net: r.Net, Tree: r.Tree, Stats: r.Stats,
@@ -193,11 +191,7 @@ func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 		Query: p.query, Analysis: p.analysis, prog: p.prog, Time: t,
 		Trace: r.Trace, Metrics: r.Metrics,
 		scratch: &r.scratch, Workers: r.workers,
-		Repair: r.repair,
-		onTreeSwap: func(t *routing.Tree) {
-			r.Tree = t
-			r.treeDepth.Set(int64(t.MaxDepth))
-		},
+		onTreeSwap: r.setTree,
 	}
 }
 
@@ -287,7 +281,7 @@ func (r *Runner) RunPrepared(p *Prepared, m Method, t float64, opts ...RunOption
 			res.Attempts, res.Violations = attempt, violations
 			return res, nil
 		}
-		r.RebuildTreeAvoidingFailures()
+		r.RebuildTree()
 		r.Trace.Span(r.Sim.Now(), trace.KindRecovery, topology.BaseStation, -1, "", attempt)
 	}
 }
@@ -312,36 +306,27 @@ func (r *Runner) EnableMetrics(reg *metrics.Registry) {
 // RebuildTree re-forms the routing tree over the currently live links,
 // standing in for the collection-tree protocol's repair (§IV-F). The
 // equivalent beaconing protocol is in package routing; the experiment
-// harness uses the instant rebuild for determinism.
+// harness uses the instant rebuild for determinism. The new tree steers
+// around links whose reliable transfers exhausted their retransmissions
+// since the tree was last healed — persistent link failure the transport
+// itself detected — and consumes that record (see exhaustedLinks).
 func (r *Runner) RebuildTree() {
-	r.Tree = routing.BuildTree(r.Net.LiveNeighbors(), topology.BaseStation)
-	r.treeDepth.Set(int64(r.Tree.MaxDepth))
+	r.setTree(routing.BuildTreeAvoiding(r.Net.LiveNeighbors(), topology.BaseStation, exhaustedLinks(r.Net)))
+	r.Net.ClearExhaustedLinks()
 }
 
-// RebuildTreeAvoidingFailures re-forms the tree like RebuildTree, but
-// steers around directed links whose reliable-transport retransmissions
-// exhausted since the last rebuild — persistent link failure detected by
-// the transport itself. The exhaustion record is consumed: the next
-// rebuild trusts the links again unless they fail again. Without
-// reliable transport (no exhaustion records) it is plain RebuildTree.
-func (r *Runner) RebuildTreeAvoidingFailures() {
-	bad := r.Net.ExhaustedLinks()
-	if len(bad) == 0 {
-		r.RebuildTree()
-		return
-	}
-	avoid := func(parent, child topology.NodeID) bool {
-		return bad[netsim.Link{From: parent, To: child}] > 0 ||
-			bad[netsim.Link{From: child, To: parent}] > 0
-	}
-	r.Tree = routing.BuildTreeAvoiding(r.Net.LiveNeighbors(), topology.BaseStation, avoid)
-	r.treeDepth.Set(int64(r.Tree.MaxDepth))
-	r.Net.ClearExhaustedLinks()
+// setTree makes t the runner's routing tree, whether a rebuild or a
+// mid-round repair produced it.
+func (r *Runner) setTree(t *routing.Tree) {
+	r.Tree = t
+	r.treeDepth.Set(int64(t.MaxDepth))
 }
 
 // EnableReliableTransport switches all unicast traffic to hop-by-hop
 // reliable delivery (ACKs, bounded retransmissions, duplicate
-// suppression; see netsim) and arms scoped recovery in the join methods.
+// suppression; see netsim) and arms scoped recovery in the join methods:
+// the base station re-requests only the missing subtrees, and each
+// recovery round first repairs the tree around broken links (repair.go).
 func (r *Runner) EnableReliableTransport(cfg netsim.ReliableConfig) {
 	r.Net.EnableReliable(cfg)
 }

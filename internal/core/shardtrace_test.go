@@ -57,7 +57,6 @@ func faultLanes() []shardLane {
 	reliable := func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }
 	churn := func(r *Runner) {
 		reliable(r)
-		r.EnableMidRoundRepair()
 		r.AttachChurn(netsim.ChurnConfig{Seed: 5, Rate: 0.01, Epoch: 30})
 	}
 	// A tree edge that drops every packet forces a give-up and scoped

@@ -170,7 +170,7 @@ func TestSoakReliableWithChaosLoss(t *testing.T) {
 			r.Net.ReviveNode(deadNodes[len(deadNodes)-1])
 			deadNodes = deadNodes[:len(deadNodes)-1]
 		}
-		r.RebuildTreeAvoidingFailures()
+		r.RebuildTree()
 
 		res, err := r.Run(src, m, tm)
 		if err != nil {

@@ -24,18 +24,13 @@ func BuildTreeParallel(neighbors [][]topology.NodeID, root topology.NodeID, work
 	if workers <= 1 || n < 4096 {
 		return BuildTree(neighbors, root)
 	}
-	t := &Tree{
-		Parent:      make([]topology.NodeID, n),
-		Children:    make([][]topology.NodeID, n),
-		Depth:       make([]int, n),
-		Descendants: make([]int, n),
-		Root:        root,
+	parent := make([]topology.NodeID, n)
+	depth := make([]int, n)
+	for i := range parent {
+		parent[i] = NoParent
+		depth[i] = -1
 	}
-	for i := range t.Parent {
-		t.Parent[i] = NoParent
-		t.Depth[i] = -1
-	}
-	t.Depth[root] = 0
+	depth[root] = 0
 	// claim[v] is the minimum frontier rank that reached v this level;
 	// stale values from earlier levels are harmless because a claimed
 	// node's depth is set before the next level starts.
@@ -47,13 +42,12 @@ func BuildTreeParallel(neighbors [][]topology.NodeID, root topology.NodeID, work
 	cands := make([][]topology.NodeID, workers)
 	level := 0
 	for len(frontier) > 0 {
-		t.MaxDepth = level
 		expand := func(w, lo, hi int) {
 			out := cands[w][:0]
 			for r := lo; r < hi; r++ {
 				u := frontier[r]
 				for _, v := range neighbors[u] {
-					if t.Depth[v] != -1 {
+					if depth[v] != -1 {
 						continue
 					}
 					for {
@@ -115,10 +109,8 @@ func BuildTreeParallel(neighbors [][]topology.NodeID, root topology.NodeID, work
 			if dst > 0 && v == next[dst-1] {
 				continue
 			}
-			u := frontier[claim[v]]
-			t.Depth[v] = level + 1
-			t.Parent[v] = u
-			t.Children[u] = append(t.Children[u], v)
+			depth[v] = level + 1
+			parent[v] = frontier[claim[v]]
 			claim[v] = math.MaxInt64
 			next[dst] = v
 			dst++
@@ -126,6 +118,5 @@ func BuildTreeParallel(neighbors [][]topology.NodeID, root topology.NodeID, work
 		frontier = next[:dst]
 		level++
 	}
-	t.finish()
-	return t
+	return assemble(parent, depth, root)
 }

@@ -1,25 +1,19 @@
 package routing
 
-import (
-	"sort"
-
-	"sensjoin/internal/topology"
-)
+import "sensjoin/internal/topology"
 
 // Repair re-parents only the damaged part of a tree instead of
-// rebuilding it from scratch (the generalization of
-// RebuildTreeAvoidingFailures that mid-round repair needs: a full
-// rebuild would re-shuffle healthy subtrees and invalidate the slot
-// schedule of traffic already in flight).
+// rebuilding it from scratch: a full rebuild would re-shuffle healthy
+// subtrees and invalidate the slot schedule of traffic already in
+// flight.
 //
 // It finds the orphaned set — every descendant of a tree edge that
 // broken reports unusable, plus alive nodes the old tree never reached
 // (rejoins) — and re-attaches exactly those nodes onto the surviving
-// tree by a multi-source BFS over the live neighbor lists, preferring
-// shallow parents and steering around avoided links (the reliable
-// transport's exhausted links) unless they are the only way in, exactly
-// like BuildTreeAvoiding's two-pass construction. Every node outside
-// the orphaned set keeps its parent, children order and depth.
+// tree with the two-pass BFS every tree of this package is built by
+// (grow): shallow parents first, broken links only as a last resort (an
+// exhausted link is up, just untrustworthy). Every node outside the
+// orphaned set keeps its parent, children order and depth.
 //
 // t is never mutated (the package's immutability contract); the repaired
 // tree is a fresh value. When no tree edge is broken and no rejoined
@@ -27,7 +21,7 @@ import (
 // so callers can cheaply probe "is repair needed". Orphans with no live
 // path to the survivors stay unreachable (Depth -1) in the repaired
 // tree — scoped recovery reports them as missing subtrees.
-func Repair(t *Tree, neighbors [][]topology.NodeID, broken, avoid func(parent, child topology.NodeID) bool) (*Tree, []topology.NodeID) {
+func Repair(t *Tree, neighbors [][]topology.NodeID, broken func(parent, child topology.NodeID) bool) (*Tree, []topology.NodeID) {
 	n := len(t.Parent)
 	orphan := make([]bool, n)
 	var mark func(v topology.NodeID)
@@ -66,75 +60,18 @@ func Repair(t *Tree, neighbors [][]topology.NodeID, broken, avoid func(parent, c
 	}
 
 	parent := append([]topology.NodeID(nil), t.Parent...)
-	depth := make([]int, n)
-	var queue []topology.NodeID
-	for i := 0; i < n; i++ {
-		if orphan[i] {
-			parent[i] = NoParent
-			depth[i] = -1
-			continue
-		}
-		depth[i] = t.Depth[i]
-		if t.Depth[i] >= 0 {
-			queue = append(queue, topology.NodeID(i))
+	depth := append([]int(nil), t.Depth...)
+	for i, o := range orphan {
+		if o {
+			parent[i], depth[i] = NoParent, -1
 		}
 	}
-	byDepth := func(q []topology.NodeID) {
-		sort.Slice(q, func(i, k int) bool {
-			if depth[q[i]] != depth[q[k]] {
-				return depth[q[i]] < depth[q[k]]
-			}
-			return q[i] < q[k]
-		})
-	}
-	attach := func(u, v topology.NodeID) {
-		parent[v] = u
-		depth[v] = depth[u] + 1
-	}
-	// Pass 1: attach orphans over links that are neither broken nor
-	// avoided, expanding from the surviving tree in depth order. Broken
-	// links may still appear in the live neighbor lists (an exhausted
-	// link is up, just untrustworthy) — they are last-resort only.
-	prefer := func(u, v topology.NodeID) bool {
-		return !broken(u, v) && (avoid == nil || !avoid(u, v))
-	}
-	byDepth(queue)
-	reached := append([]topology.NodeID(nil), queue...)
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range neighbors[u] {
-			if orphan[v] && parent[v] == NoParent && v != t.Root && prefer(u, v) {
-				attach(u, v)
-				queue = append(queue, v)
-				reached = append(reached, v)
-			}
-		}
-	}
-	// Pass 2: stragglers through avoided links — connectivity beats link
-	// quality, exactly as in BuildTreeAvoiding.
-	byDepth(reached)
-	queue = reached
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range neighbors[u] {
-			if orphan[v] && parent[v] == NoParent && v != t.Root {
-				attach(u, v)
-				queue = append(queue, v)
-			}
-		}
-	}
+	grow(parent, depth, neighbors, broken)
 	var reattached []topology.NodeID
-	for i := 0; i < n; i++ {
-		if orphan[i] && parent[i] != NoParent {
+	for i, o := range orphan {
+		if o && parent[i] != NoParent {
 			reattached = append(reattached, topology.NodeID(i))
 		}
 	}
-	nt, err := FromParents(parent, t.Root)
-	if err != nil {
-		// Unreachable: every parent we wrote is an in-range node id.
-		panic("routing: repair produced an invalid parent vector: " + err.Error())
-	}
-	return nt, reattached
+	return assemble(parent, depth, t.Root), reattached
 }

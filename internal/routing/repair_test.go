@@ -18,7 +18,7 @@ func neverBroken(parent, child topology.NodeID) bool { return false }
 func TestRepairNoDamageReturnsSameTree(t *testing.T) {
 	_, nb := gridNeighbors(t)
 	tree := BuildTree(nb, topology.BaseStation)
-	nt, re := Repair(tree, nb, neverBroken, nil)
+	nt, re := Repair(tree, nb, neverBroken)
 	if nt != tree {
 		t.Fatalf("repair of an undamaged tree built a new tree")
 	}
@@ -43,7 +43,7 @@ func TestRepairReattachesOnlyOrphans(t *testing.T) {
 	}
 	p := tree.Parent[victim]
 	broken := func(a, b topology.NodeID) bool { return a == p && b == victim }
-	nt, re := Repair(tree, nb, broken, nil)
+	nt, re := Repair(tree, nb, broken)
 	if nt == tree {
 		t.Fatalf("severed uplink did not trigger repair")
 	}
@@ -94,15 +94,14 @@ func TestRepairReattachesOnlyOrphans(t *testing.T) {
 }
 
 func TestRepairAvoidsBadLinksUnlessOnlyPath(t *testing.T) {
-	// Line 0-1-2-3: break 1->2; the only way back for {2,3} is via the
-	// avoided link 1->2 (or 2's own broken uplink). Avoidance must lose
-	// to connectivity.
+	// Line 0-1-2-3: break 1->2; the only way back for {2,3} is the broken
+	// link itself (an exhausted link is up, just untrustworthy).
+	// Avoidance must lose to connectivity.
 	dep := topology.Line(3, 40, 50)
 	nb := dep.Neighbors
 	tree := BuildTree(nb, topology.BaseStation)
 	broken := func(a, b topology.NodeID) bool { return a == 1 && b == 2 }
-	avoid := func(a, b topology.NodeID) bool { return (a == 1 && b == 2) || (a == 2 && b == 1) }
-	nt, re := Repair(tree, nb, broken, avoid)
+	nt, re := Repair(tree, nb, broken)
 	if err := nt.Validate(nb); err != nil {
 		t.Fatalf("repaired tree invalid: %v", err)
 	}
@@ -132,7 +131,7 @@ func TestRepairLeavesUnreachableOrphans(t *testing.T) {
 		}
 	}
 	broken := func(a, b topology.NodeID) bool { return a == 1 || b == 1 }
-	nt, re := Repair(tree, nb, broken, nil)
+	nt, re := Repair(tree, nb, broken)
 	if len(re) != 0 {
 		t.Fatalf("re-attached %v across a true partition", re)
 	}
@@ -163,7 +162,7 @@ func TestRepairAttachesRejoiningNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt, re := Repair(tree, nb, neverBroken, nil)
+	nt, re := Repair(tree, nb, neverBroken)
 	if !nt.Reachable(leaf) {
 		t.Fatalf("rejoining node %d not adopted", leaf)
 	}

@@ -52,108 +52,113 @@ type Tree struct {
 // by breadth-first search. Ties are broken toward the lowest parent id,
 // matching the deterministic outcome of the beacon protocol.
 func BuildTree(neighbors [][]topology.NodeID, root topology.NodeID) *Tree {
-	n := len(neighbors)
-	t := &Tree{
-		Parent:      make([]topology.NodeID, n),
-		Children:    make([][]topology.NodeID, n),
-		Depth:       make([]int, n),
-		Descendants: make([]int, n),
-		Root:        root,
-	}
-	for i := range t.Parent {
-		t.Parent[i] = NoParent
-		t.Depth[i] = -1
-	}
-	t.Depth[root] = 0
-	queue := []topology.NodeID{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if t.Depth[u] > t.MaxDepth {
-			t.MaxDepth = t.Depth[u]
-		}
-		for _, v := range neighbors[u] {
-			if t.Depth[v] == -1 {
-				t.Depth[v] = t.Depth[u] + 1
-				t.Parent[v] = u
-				t.Children[u] = append(t.Children[u], v)
-				queue = append(queue, v)
-			}
-		}
-	}
-	t.finish()
-	return t
+	return BuildTreeAvoiding(neighbors, root, nil)
 }
 
 // BuildTreeAvoiding constructs a minimum-hop tree like BuildTree but
 // steers around avoided links: the reliable transport reports directed
-// links whose retransmissions exhausted, and the repair prefers parents
+// links whose retransmissions exhausted, and the rebuild prefers parents
 // reachable without them. Avoided links are used only as a last resort,
 // to attach nodes that have no other path — connectivity beats link
-// quality. A nil avoid is equivalent to BuildTree.
+// quality. A nil avoid is BuildTree.
 func BuildTreeAvoiding(neighbors [][]topology.NodeID, root topology.NodeID, avoid func(parent, child topology.NodeID) bool) *Tree {
-	if avoid == nil {
-		return BuildTree(neighbors, root)
-	}
 	n := len(neighbors)
+	parent := make([]topology.NodeID, n)
+	depth := make([]int, n)
+	for i := range parent {
+		parent[i] = NoParent
+		depth[i] = -1
+	}
+	depth[root] = 0
+	grow(parent, depth, neighbors, avoid)
+	return assemble(parent, depth, root)
+}
+
+// grow is the one breadth-first construction behind every tree this
+// package builds or repairs. The nodes that have a depth are the tree so
+// far; grow gives every other node it can reach over the neighbor lists a
+// parent and the depth parent+1, in two passes. Pass 1 expands from the
+// tree in (depth, id) order over the links avoid does not refuse. Pass 2
+// continues from everything reached, again in (depth, id) order, over any
+// link: a node whose only way in is a refused link is still attached,
+// because connectivity beats link quality. A nil avoid refuses nothing,
+// which leaves pass 2 nothing to do. Neighbor lists are symmetric, so a
+// node with no neighbors of its own is never attached.
+func grow(parent []topology.NodeID, depth []int, neighbors [][]topology.NodeID, avoid func(parent, child topology.NodeID) bool) {
+	queue := make([]topology.NodeID, 0, len(depth))
+	for i, d := range depth {
+		if d >= 0 {
+			queue = append(queue, topology.NodeID(i))
+		}
+	}
+	byDepth := func() {
+		sort.Slice(queue, func(i, k int) bool {
+			if depth[queue[i]] != depth[queue[k]] {
+				return depth[queue[i]] < depth[queue[k]]
+			}
+			return queue[i] < queue[k]
+		})
+	}
+	// expand is a FIFO over queue that appends what it attaches, so on
+	// return queue holds every node reached so far.
+	expand := func(refuse func(parent, child topology.NodeID) bool) {
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range neighbors[u] {
+				if depth[v] == -1 && (refuse == nil || !refuse(u, v)) {
+					parent[v] = u
+					depth[v] = depth[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	byDepth()
+	expand(avoid)
+	if avoid == nil {
+		return
+	}
+	byDepth()
+	expand(nil)
+}
+
+// assemble completes a Tree around its parent vector: ascending children
+// lists, the maximum depth, descendant counts and the level index. A nil
+// depth is derived by walking down from the root, so nodes on a parent
+// cycle or below an unreachable node keep depth -1.
+func assemble(parent []topology.NodeID, depth []int, root topology.NodeID) *Tree {
+	n := len(parent)
 	t := &Tree{
-		Parent:      make([]topology.NodeID, n),
+		Parent:      parent,
 		Children:    make([][]topology.NodeID, n),
-		Depth:       make([]int, n),
+		Depth:       depth,
 		Descendants: make([]int, n),
 		Root:        root,
 	}
-	for i := range t.Parent {
-		t.Parent[i] = NoParent
-		t.Depth[i] = -1
+	for i, p := range parent {
+		if topology.NodeID(i) != root && p != NoParent {
+			t.Children[p] = append(t.Children[p], topology.NodeID(i))
+		}
 	}
-	attach := func(u, v topology.NodeID) {
-		t.Depth[v] = t.Depth[u] + 1
-		t.Parent[v] = u
-		t.Children[u] = append(t.Children[u], v)
-	}
-	// Pass 1: BFS over non-avoided links only.
-	t.Depth[root] = 0
-	queue := []topology.NodeID{root}
-	var reached []topology.NodeID
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		reached = append(reached, u)
-		for _, v := range neighbors[u] {
-			if t.Depth[v] == -1 && !avoid(u, v) {
-				attach(u, v)
+	if t.Depth == nil {
+		t.Depth = make([]int, n)
+		for i := range t.Depth {
+			t.Depth[i] = -1
+		}
+		t.Depth[root] = 0
+		queue := []topology.NodeID{root}
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range t.Children[u] {
+				t.Depth[v] = t.Depth[u] + 1
 				queue = append(queue, v)
 			}
 		}
 	}
-	// Pass 2: attach stragglers through avoided links; BFS continues from
-	// the pass-1 tree in depth order, so every node still gets a
-	// shallowest available parent and Depth stays parent-consistent.
-	sort.Slice(reached, func(i, k int) bool {
-		if t.Depth[reached[i]] != t.Depth[reached[k]] {
-			return t.Depth[reached[i]] < t.Depth[reached[k]]
+	for _, d := range t.Depth {
+		if d > t.MaxDepth {
+			t.MaxDepth = d
 		}
-		return reached[i] < reached[k]
-	})
-	queue = reached
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range neighbors[u] {
-			if t.Depth[v] == -1 {
-				attach(u, v)
-				queue = append(queue, v)
-			}
-		}
-	}
-	for i := range t.Depth {
-		if t.Depth[i] > t.MaxDepth {
-			t.MaxDepth = t.Depth[i]
-		}
-	}
-	for _, ch := range t.Children {
-		sortIDs(ch)
 	}
 	t.finish()
 	return t
@@ -162,58 +167,12 @@ func BuildTreeAvoiding(neighbors [][]topology.NodeID, root topology.NodeID, avoi
 // FromParents builds a Tree from a parent vector (used to snapshot the
 // beacon protocol's state). Unreachable nodes keep Depth -1.
 func FromParents(parent []topology.NodeID, root topology.NodeID) (*Tree, error) {
-	n := len(parent)
-	t := &Tree{
-		Parent:      append([]topology.NodeID(nil), parent...),
-		Children:    make([][]topology.NodeID, n),
-		Depth:       make([]int, n),
-		Descendants: make([]int, n),
-		Root:        root,
-	}
-	for i := range t.Depth {
-		t.Depth[i] = -1
-	}
-	for i := 0; i < n; i++ {
-		p := parent[i]
-		if topology.NodeID(i) == root {
-			continue
-		}
-		if p == NoParent {
-			continue
-		}
-		if p < 0 || int(p) >= n {
+	for i, p := range parent {
+		if topology.NodeID(i) != root && p != NoParent && (p < 0 || int(p) >= len(parent)) {
 			return nil, fmt.Errorf("routing: node %d has out-of-range parent %d", i, p)
 		}
-		t.Children[p] = append(t.Children[p], topology.NodeID(i))
 	}
-	for _, ch := range t.Children {
-		sortIDs(ch)
-	}
-	// Depths by walking from the root; also detects cycles (nodes in a
-	// cycle never get a depth and stay unreachable).
-	t.Depth[root] = 0
-	queue := []topology.NodeID{root}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if t.Depth[u] > t.MaxDepth {
-			t.MaxDepth = t.Depth[u]
-		}
-		for _, v := range t.Children[u] {
-			t.Depth[v] = t.Depth[u] + 1
-			queue = append(queue, v)
-		}
-	}
-	t.finish()
-	return t, nil
-}
-
-func sortIDs(ids []topology.NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	return assemble(append([]topology.NodeID(nil), parent...), nil, root), nil
 }
 
 // finish derives what every constructor owes a Tree once parents, children

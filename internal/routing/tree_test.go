@@ -327,7 +327,7 @@ func TestLevelsPartitionReachableNodes(t *testing.T) {
 			}
 			checkLevels(t, what("FromParents"), fp)
 
-			rep, moved := Repair(tr, nb, odd, nil)
+			rep, moved := Repair(tr, nb, odd)
 			if len(moved) == 0 {
 				t.Fatalf("%s", what("Repair had nothing to do"))
 			}
