@@ -6,6 +6,7 @@ import (
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/routing"
 	"sensjoin/internal/topology"
+	"sensjoin/internal/trace"
 )
 
 // failLink finds a link whose loss affects the execution: the tree edge
@@ -218,6 +219,73 @@ func TestTreecutOnLineTopology(t *testing.T) {
 	proxy := topology.NodeID(n - 3)
 	if p, _ := r.Stats.NodeTx(proxy, PhaseFinalCollect); p == 0 {
 		t.Fatalf("proxy %d sent nothing in the final phase", proxy)
+	}
+}
+
+// A Treecut message that reaches a cut node after the node's deadline is
+// left out: the node has already sent its own message, and whoever
+// gathers the Treecut tuples above it never sees the late ones. On the
+// line of TestTreecutOnLineTopology, node 9 proxies the tuples of 12, 11
+// and 10. Here the link 12-11 is down when node 12 sends, and its
+// retransmission is held back past node 11's deadline; 11, 10 and 9 are
+// then cut, and node 8 gathers their three tuples, not node 12's.
+func TestLateTreecutMessageIsLeftOut(t *testing.T) {
+	r := lineRunner(t, 12)
+	src := qBand(10)
+	r.EnableReliableTransport(netsim.ReliableConfig{})
+	x, err := execSQL(r, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := buildPlan(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Node 12 sends at the round's start and node 11 at start + slotA; a
+	// slot covers every retransmission the round started with. Once the
+	// first attempt is out, the backoff grows past the slot, so the second
+	// retransmission goes out at about start + 2·slotA, after the link is
+	// back up.
+	slotA, _ := sensSlots(x, p, 1)
+	rec := r.EnableTrace()
+	start := r.Sim.Now()
+	r.Net.LinkDown(12, 11)
+	r.Sim.Schedule(start+slotA/1000, func() { r.EnableReliableTransport(netsim.ReliableConfig{BackoffBase: slotA}) })
+	r.Sim.Schedule(start+1.5*slotA, func() { r.Net.LinkUp(12, 11) })
+	if _, err := r.Run(src, NewSENSJoin(), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	cut := map[topology.NodeID]int{}
+	proxied := map[topology.NodeID]int{}
+	var deadline11, late float64
+	for _, ev := range rec.Journal().Events {
+		switch {
+		case ev.Kind == trace.KindTreecut:
+			cut[ev.Node] = ev.Arg
+			if ev.Node == 11 {
+				deadline11 = ev.At
+			}
+		case ev.Kind == trace.KindProxy:
+			proxied[ev.Node] = ev.Arg
+		case ev.Kind == trace.KindRx && !ev.Ack && ev.Node == 12 && ev.Peer == 11 && ev.Phase == PhaseJACollect:
+			late = ev.At
+		}
+	}
+	if late <= deadline11 {
+		t.Fatalf("node 12's Treecut message reached node 11 at %g, not after its deadline %g", late, deadline11)
+	}
+	wantCut := map[topology.NodeID]int{12: 1, 11: 1, 10: 2, 9: 3}
+	for id, n := range wantCut {
+		if cut[id] != n {
+			t.Errorf("node %d sent %d Treecut tuples, want %d", id, cut[id], n)
+		}
+	}
+	if len(cut) != len(wantCut) {
+		t.Errorf("Treecut nodes %v, want %v", cut, wantCut)
+	}
+	if len(proxied) != 1 || proxied[8] != 3 {
+		t.Errorf("proxies gathered %v, want node 8 with the tuples of 11, 10 and 9", proxied)
 	}
 }
 

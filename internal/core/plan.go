@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -316,6 +317,19 @@ func (p *plan) tuple(id topology.NodeID) finalTuple {
 // projection a proxy performs in Fig. 2, line 22): the key its node was
 // assigned when the plan was built.
 func (p *plan) keyOf(t finalTuple) zorder.Key { return p.nodes[t.node].key }
+
+// heldKeys appends to keys (empty) the sorted key set of tuples and, if
+// node id is a member, of its own tuple.
+func (p *plan) heldKeys(keys []zorder.Key, tuples []finalTuple, id topology.NodeID) []zorder.Key {
+	for _, t := range tuples {
+		keys = append(keys, p.keyOf(t))
+	}
+	if p.nodes[id].flags != 0 {
+		keys = append(keys, p.nodes[id].key)
+	}
+	slices.Sort(keys)
+	return slices.Compact(keys)
+}
 
 // finalTuple is a complete tuple in flight to the base station. Only
 // bytes is wire-visible; node stands for the tuple's content, which the

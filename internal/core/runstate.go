@@ -1,24 +1,20 @@
 package core
 
 // Run state. What a protocol round needs per node — its sensNode, its
-// collection inbox — lives in slabs the Runner owns: an execution borrows
-// a slab, indexes it by node id from the network's one handler, and gives
-// it back cleared, so a round allocates for what it sends and nothing for
-// the nodes that merely exist.
+// collection-wave state — lives in slabs the Runner owns: an execution
+// borrows a slab, indexes it by node id from the network's one handler,
+// and gives it back cleared, so a round allocates for what it sends and
+// nothing for the nodes that merely exist.
 //
-// Only the slabs are reused, never the slices inside their elements:
-// fullsIn, finalsIn and adopted inboxes travel on as message payloads by
-// reference and end up in Results and audit state, so giving a slab back
-// clears every element and the next run starts those slices from nil.
-// Clearing on the way out is also what lets an idle Runner (the daemon
-// and the experiment suite pool them) let go of its last execution.
-//
-// The Runner owns the storage rather than a sync.Pool because the suite
-// allocates fast enough that the collector empties a pool between two
-// calls, and because a Runner-owned slab lives exactly as long as its
-// Runner. Runners themselves are pooled per deployment and reset on
-// return (pool.go), so the slabs stay warm for as long as that
-// deployment is being simulated and nothing outlives it.
+// Only the slabs are reused, never the slices inside their elements,
+// which may be shared (a relay adopts its only child's key set, phase C
+// reads a proxy's tuples), so giving a slab back clears every element and
+// the next run starts those slices from nil. Clearing on the way out also
+// lets an idle Runner (the daemon and the experiment suite pool them) let
+// go of its last execution. The Runner owns the storage rather than a
+// sync.Pool because the suite allocates fast enough that the collector
+// empties a pool between two calls; Runners themselves are pooled per
+// deployment and reset on return (pool.go).
 
 // runScratch is the storage a Runner lends to its executions. A Runner
 // executes one query at a time, so there is no locking; an Exec made

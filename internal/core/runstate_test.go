@@ -56,7 +56,7 @@ func TestRunnerReleasesFinishedRun(t *testing.T) {
 			t.Errorf("%s: the finished execution is still reachable from its idle Runner", m.Name())
 		}
 		for i, st := range r.scratch.sens[:cap(r.scratch.sens)] {
-			if st.fullsIn != nil || st.keysIn != nil || st.finalFrom != nil || st.children != nil || st.proxied != nil {
+			if st.cutFrom != nil || st.finalFrom != nil || st.children != nil || st.proxied != nil {
 				t.Fatalf("%s: node %d of the idle sensNode slab still holds a slice", m.Name(), i)
 			}
 		}
@@ -91,7 +91,7 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 		t.Fatal("with nothing queued the slab should be reused")
 	}
 	// The run ends with an event of its own still in the heap.
-	r.Sim.Schedule(r.Sim.Now()+1e6, func() { again[1].rawIn = 99 })
+	r.Sim.Schedule(r.Sim.Now()+1e6, func() { again[1].cutBytes = 99 })
 	giveBack(x, &x.run().sens, again)
 
 	next := borrow(&x.run().sens, n)
@@ -100,7 +100,7 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 	}
 	r.Sim.Run() // the stale event fires during the next run
 	for i := range next {
-		if next[i].rawIn != 0 {
+		if next[i].cutBytes != 0 {
 			t.Fatalf("the stale event wrote into the next run's node %d", i)
 		}
 	}
@@ -132,6 +132,11 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 // So the per-node ceiling is the same at 150 and at 1500 nodes; a handler
 // closure or counter map per node would add several allocations per node
 // (11 per node for SENS-Join and 9 for the external join with both).
+//
+// Phase A forwards by reference: a Treecut message names its sender and a
+// relay merges its children's key sets once at its deadline. Copying the
+// tuples and key sets at every hop cost SENS-Join 3.4 allocations and 202
+// bytes per node at 1500 nodes; by reference it is 2.0 and 129.
 func TestRoundAllocsPerNode(t *testing.T) {
 	for _, nodes := range []int{150, 1500} {
 		r, _ := planFixture(t, nodes)
@@ -141,9 +146,9 @@ func TestRoundAllocsPerNode(t *testing.T) {
 		}
 		// The same round body with m = 3: a cluster pays for the masks it
 		// sends (one list per filter broadcast and per phase-C message) and
-		// for three final joins — measured 3.7 allocations per node against
-		// 3.5 for the single query at 1500 nodes — and still nothing per
-		// node that merely exists.
+		// for three final joins — measured 2.2 allocations and 138 bytes
+		// per node against 2.0 and 129 for the single query at 1500 nodes —
+		// and still nothing per node that merely exists.
 		g := NewQueryGroup(Options{})
 		for _, delta := range []float64{7.5, 8, 8.5} {
 			p, err := r.Prepare(fmt.Sprintf("SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B WHERE A.temp - B.temp > %g ONCE", delta))
@@ -161,13 +166,14 @@ func TestRoundAllocsPerNode(t *testing.T) {
 			return func() error { _, err := r.RunPrepared(prep, m, 0); return err }
 		}
 		for _, c := range []struct {
-			name    string
-			round   func() error
-			perNode float64
+			name         string
+			round        func() error
+			perNode      float64 // allocations
+			bytesPerNode float64
 		}{
-			{"sens-join", single(NewSENSJoin()), 3.7},
-			{"external-join", single(External{}), 1.2},
-			{"3-member cluster", func() error { _, err := g.RunRound(r, 0); return err }, 4.0},
+			{"sens-join", single(NewSENSJoin()), 2.2, 145},
+			{"external-join", single(External{}), 1.2, 135},
+			{"3-member cluster", func() error { _, err := g.RunRound(r, 0); return err }, 2.4, 155},
 		} {
 			run := func() {
 				r.Stats.Reset()
@@ -180,14 +186,31 @@ func TestRoundAllocsPerNode(t *testing.T) {
 			if limit := c.perNode*float64(nodes) + 100; allocs > limit {
 				t.Errorf("%s at %d nodes: %.0f allocs/round, want <= %.0f", c.name, nodes, allocs, limit)
 			}
+			if bytes, limit := bytesPerRun(5, run), c.bytesPerNode*float64(nodes)+8192; bytes > limit {
+				t.Errorf("%s at %d nodes: %.0f bytes/round, want <= %.0f", c.name, nodes, bytes, limit)
+			}
 		}
 	}
 	// Mask state lives beside sensNode (nodeMasks), not in it. The phase-C
-	// inbox is a sender list and a byte count, one word more than the tuple
-	// list it replaced.
+	// inbox is a sender list and a byte count, the phase-A inbox a sender
+	// list, two counts and the children's reports: 200 bytes in all.
 	if size := unsafe.Sizeof(sensNode{}); size > 232 {
 		t.Errorf("sensNode is %d bytes, want <= 232", size)
 	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates on average over runs calls, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // queueProbe samples the event queue at every reception — the one place
@@ -469,6 +492,25 @@ func TestSingleHandlerSeesReceiver(t *testing.T) {
 // BenchmarkExternalRound is one whole external-join execution at the
 // paper's scale, beside BenchmarkSENSJoinRound: plan, one collection
 // wave on the simulator, base-station join.
+// BenchmarkPhaseA times a round that is almost all phase A: two shipped
+// attributes make tuples small enough that 1266 of 1500 nodes leave by
+// Treecut, and an unsatisfiable predicate leaves phases B and C empty.
+func BenchmarkPhaseA(b *testing.B) {
+	r, _ := planFixture(b, 1500)
+	const src = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 500 ONCE"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := r.Run(src, NewSENSJoin(), 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Complete || len(res.Rows) != 0 {
+			b.Fatal("the round should be complete and empty")
+		}
+	}
+}
+
 func BenchmarkExternalRound(b *testing.B) {
 	r, _ := planFixture(b, 1500)
 	b.ReportAllocs()

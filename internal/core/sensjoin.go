@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/quadtree"
@@ -103,16 +102,16 @@ func (*SENSJoin) Phases() []string { return SENSPhases }
 // sensNode is the per-node protocol state (Fig. 1's local variables);
 // the flags sit together at the end so they share one word.
 type sensNode struct {
-	// Phase A inboxes.
-	fullsIn  []finalTuple
-	keysIn   []zorder.Key
-	rawIn    int
-	coverIn  int
-	children []topology.NodeID
+	// Phase A inbox, read at the deadline: the Treecut senders in arrival
+	// order, the bytes and tuples they announced, the reporting children.
+	// A Treecut node adds its own tuple to cutTuples before it sends.
+	cutFrom   []topology.NodeID
+	cutBytes  int
+	cutTuples int
+	children  []childReport
 	// Outcome of phase A.
-	activeChildren int
-	subtreeKeys    []zorder.Key
-	proxied        []finalTuple
+	subtreeKeys []zorder.Key
+	proxied     []finalTuple
 	// Phase B outcome.
 	matchedProxy []finalTuple
 	// Phase C inbox: who sent, in arrival order, and the bytes they
@@ -127,7 +126,6 @@ type sensNode struct {
 	memSubtreeBytes int
 	memFilterBytes  int
 
-	allFull        bool // phase A: every child sent complete tuples
 	cut            bool // phase A: the node left the query after Treecut
 	overflow       bool // phase A: subtree structure too large to keep
 	gotFilter      bool // phase B
@@ -135,26 +133,29 @@ type sensNode struct {
 	childNeedsFull bool // phase B (incremental mode)
 }
 
-// onJoinAttrs files a child's join-attribute message (phase A). The
-// first child's key set is adopted as it is — Fig. 2 forwards one
-// structure per hop, and nothing ever writes into a key set in place
-// (UnionKeys makes a new one, keySet copies before its first insert) —
-// and with it the size its sender computed for it, parked in
-// memSubtreeBytes until the deadline. Later children are merged in, and
-// the union's size is no longer known.
-func (st *sensNode) onJoinAttrs(m netsim.Message) {
-	pl := m.Payload.(*jaPayload)
-	if st.activeChildren == 0 {
-		st.keysIn, st.memSubtreeBytes = pl.keys, pl.keysBytes
-	} else {
-		st.keysIn, st.memSubtreeBytes = quadtree.UnionKeys(st.keysIn, pl.keys), 0
+// childReport is a reporting child in a node's phase-A inbox.
+type childReport struct {
+	id topology.NodeID
+	pl *jaPayload
+}
+
+// childUnion returns the union of the reporting children's key sets and
+// its size if known: an only child's set is adopted with the size its
+// sender computed (nothing writes into a key set in place), several are
+// merged once into an exactly sized set of unknown size.
+func (st *sensNode) childUnion() ([]zorder.Key, int) {
+	switch len(st.children) {
+	case 0:
+		return nil, 0
+	case 1:
+		return st.children[0].pl.keys, st.children[0].pl.keysBytes
 	}
-	st.rawIn += pl.rawCount
-	st.coverIn += pl.covered
-	st.allFull = false
-	st.activeChildren++
-	st.children = append(st.children, m.Src)
-	st.childNeedsFull = st.childNeedsFull || pl.needFull
+	var buf [8][]zorder.Key
+	more := buf[:0]
+	for _, c := range st.children[1:] {
+		more = append(more, c.pl.keys)
+	}
+	return quadtree.UnionAll(st.children[0].pl.keys, more...), 0
 }
 
 // fold raises the report's high-water marks to cover one node.
@@ -204,11 +205,14 @@ type roundState struct {
 	states []sensNode
 	masks  []nodeMasks // per-node mask state; nil iff m == 1
 
-	// What the base station learns, per member.
-	completeA bool
-	filters   [][]zorder.Key
-	got       [][]finalTuple // the tuples each member's table was joined from
-	results   []*Result
+	// What the base station learns: the Treecut tuples of its first
+	// cutSenders senders, gathered at tA, and per member.
+	cut        []finalTuple
+	cutSenders int
+	completeA  bool
+	filters    [][]zorder.Key
+	got        [][]finalTuple // the tuples each member's table was joined from
+	results    []*Result
 }
 
 // nodeMasks is a node's mask bookkeeping in a round of m > 1 queries,
@@ -256,9 +260,6 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	// Per-node state is on loan from the runner (runstate.go).
 	r.states = borrow(&x.run().sens, n)
 	defer giveBack(x, &x.run().sens, r.states)
-	for i := range r.states {
-		r.states[i].allFull = true
-	}
 	if m > 1 {
 		r.masks = borrow(&x.run().masks, n)
 		defer giveBack(x, &x.run().masks, r.masks)
@@ -275,9 +276,16 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 		}
 		switch msg.Kind {
 		case kindFullTuples:
-			st.fullsIn = append(st.fullsIn, msg.Payload.([]finalTuple)...)
+			// As in phase C, the tuples stay put until read (gatherCut).
+			if msg.Payload == any(r) {
+				st.cutFrom = append(st.cutFrom, msg.Src)
+				st.cutBytes += msg.Size
+				st.cutTuples += r.states[msg.Src].cutTuples
+			}
 		case kindJoinAttrs:
-			st.onJoinAttrs(msg)
+			pl := msg.Payload.(*jaPayload)
+			st.children = append(st.children, childReport{msg.Src, pl})
+			st.childNeedsFull = st.childNeedsFull || pl.needFull
 		case kindFilter:
 			// Filters travel down the tree: only the broadcast of
 			// this node's parent applies; broadcasts overheard from
@@ -346,10 +354,9 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	})
 	x.Sim.Run()
 
-	// Fold the sensor nodes' memory accounting into the report. The base
-	// station stores no structure and runs no deadline: an only child's
-	// size parked there by onJoinAttrs is not a memory figure.
-	for i := 1; i < n; i++ {
+	// Fold the nodes' memory accounting into the report; the base
+	// station's is zero, for it stores nothing.
+	for i := range r.states {
 		s.Memory.fold(&r.states[i])
 	}
 	r.settle(standDown, start)
@@ -367,34 +374,51 @@ var filterHook func(*plan, []zorder.Key) []zorder.Key
 // It returns the filter's wire size, which sizes the phase-B slot.
 func (r *roundState) disseminate() int {
 	bs := &r.states[topology.BaseStation]
-	bsKeys := keySet{keys: bs.keysIn}
-	for _, t := range bs.fullsIn {
-		bsKeys.add(r.p.keyOf(t))
+	r.cutSenders = len(bs.cutFrom)
+	r.cut = r.gatherCut(make([]finalTuple, 0, bs.cutTuples), bs.cutFrom)
+	sub, _ := bs.childUnion()
+	keys := quadtree.UnionAll(sub, r.p.heldKeys(nil, r.cut, topology.BaseStation))
+	covered := len(r.cut)
+	for _, c := range bs.children {
+		covered += c.pl.covered
 	}
-	r.completeA = bs.coverIn+len(bs.fullsIn) == r.p.members
+	r.completeA = covered == r.p.members
 	filter := computeFilter
 	if filterHook != nil {
 		filter = filterHook
 	}
 	for j, pj := range r.plans {
-		r.filters[j] = filter(pj, bsKeys.keys)
+		r.filters[j] = filter(pj, keys)
 	}
 	union := r.filters[0]
 	var masks []uint64
 	if r.m > 1 {
-		for _, f := range r.filters[1:] {
-			union = quadtree.UnionKeys(union, f)
-		}
+		union = quadtree.UnionAll(union, r.filters[1:]...)
 		masks = maskAlign(union, r.filters)
 	}
 	unionBytes := r.o.Rep.SetBytes(r.p, union)
 	filterBytes := unionBytes + maskBytes(len(union), r.m)
 	r.x.Metrics.observeFilter(len(union), filterBytes)
-	if len(union) > 0 && bs.activeChildren > 0 {
+	if len(union) > 0 && len(bs.children) > 0 {
 		msg := r.s.buildFilterMsg(r.p, r.o, topology.BaseStation, union, unionBytes, bs.childNeedsFull)
 		r.sendFilter(topology.BaseStation, bs, msg, masks)
 	}
 	return filterBytes
+}
+
+// gatherCut appends the tuples of the senders' Treecut messages in the
+// order a receiver that copied each message on arrival would hold them:
+// senders in arrival order, each message its sender's gathered tuples
+// with its own tuple last. A Treecut node hears nothing after its
+// deadline, so its list reads the same whenever it is gathered.
+func (r *roundState) gatherCut(tuples []finalTuple, senders []topology.NodeID) []finalTuple {
+	for _, c := range senders {
+		tuples = r.gatherCut(tuples, r.states[c].cutFrom)
+		if r.p.nodes[c].flags != 0 {
+			tuples = append(tuples, r.p.tuple(c))
+		}
+	}
+	return tuples
 }
 
 // gatherFinals appends the tuples of node id's phase-C message — and, in a
@@ -426,11 +450,13 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 	// bypass the filter for every member, and the collected tuples whose
 	// bitmap names j (all of them at m = 1). The base station sends
 	// nothing itself: its message is what it was sent.
+	// A Treecut sender heard after tA still counts here.
 	bs := &r.states[topology.BaseStation]
+	cut := r.gatherCut(r.cut, bs.cutFrom[r.cutSenders:])
 	var finals []finalTuple
 	var masks []uint64
 	if r.masks == nil {
-		finals = append(finals, bs.fullsIn...) // the one member's list, built in place
+		finals = cut // the one member's list, built in place
 	} else {
 		k := r.masks[topology.BaseStation].tuples
 		finals, masks = make([]finalTuple, 0, k), make([]uint64, 0, k)
@@ -448,7 +474,7 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 	for j, xj := range r.execs {
 		tuples := finals
 		if r.masks != nil {
-			tuples = append([]finalTuple(nil), bs.fullsIn...)
+			tuples = append([]finalTuple(nil), cut...)
 			bit := uint64(1) << uint(j)
 			for i, mask := range masks {
 				if mask&bit != 0 {
@@ -559,34 +585,10 @@ func (r *roundState) sendFilter(id topology.NodeID, st *sensNode, msg *filterMsg
 	}
 	for _, c := range st.children {
 		x.Net.Send(netsim.Message{
-			Kind: kindFilter, Src: id, Dst: c,
+			Kind: kindFilter, Src: id, Dst: c.id,
 			Phase: PhaseFilterDissem, Size: msg.size, Payload: msg,
 		})
 	}
-}
-
-// keySet grows a sorted key set by single keys. It starts as a borrowed
-// slice that other state still references (a node's inbox, its stored
-// subtree structure), so the first key that is actually new copies it —
-// once, with room for a few more — and later ones shift in place; keys
-// already present cost a binary search and nothing else.
-type keySet struct {
-	keys  []zorder.Key
-	owned bool
-}
-
-func (s *keySet) add(k zorder.Key) {
-	i := sort.Search(len(s.keys), func(j int) bool { return s.keys[j] >= k })
-	if i < len(s.keys) && s.keys[i] == k {
-		return
-	}
-	if !s.owned {
-		s.keys = append(make([]zorder.Key, 0, len(s.keys)+4), s.keys...)
-		s.owned = true
-	}
-	s.keys = append(s.keys, 0)
-	copy(s.keys[i+1:], s.keys[i:])
-	s.keys[i] = k
 }
 
 // forwardJoinAttrValues is Fig. 2 at one node's phase-A deadline.
@@ -594,69 +596,59 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 	s, x, p, o := r.s, r.x, r.p, r.o
 	nd := &p.nodes[id]
 	ownBytes := nd.tupleBytes // 0 for a non-member
-	fullBytes := 0
-	for _, t := range st.fullsIn {
-		fullBytes += t.bytes
-	}
 
 	// Treecut (Fig. 2, lines 12-18): while the subtree's data is small
 	// and entirely made of complete tuples, keep sending complete tuples.
-	if !o.DisableTreecut && st.allFull && fullBytes+ownBytes <= o.Dmax {
-		tuples := st.fullsIn
-		if nd.flags != 0 {
-			tuples = append(append([]finalTuple(nil), tuples...), p.tuple(id))
-		}
+	if !o.DisableTreecut && len(st.children) == 0 && st.cutBytes+ownBytes <= o.Dmax {
 		st.cut = true
-		x.span(trace.KindTreecut, id, x.Tree.Parent[id], PhaseJACollect, len(tuples))
-		if len(tuples) == 0 {
+		if nd.flags != 0 {
+			st.cutTuples++
+		}
+		x.span(trace.KindTreecut, id, x.Tree.Parent[id], PhaseJACollect, st.cutTuples)
+		if st.cutTuples == 0 {
 			return
 		}
 		x.Net.Send(netsim.Message{
 			Kind: kindFullTuples, Src: id, Dst: x.Tree.Parent[id],
-			Phase: PhaseJACollect, Size: fullBytes + ownBytes, Payload: tuples,
+			Phase: PhaseJACollect, Size: st.cutBytes + ownBytes, Payload: r,
 		})
 		return
 	}
 
 	// Act as proxy (lines 20-27): store complete tuples and the
 	// subtree's join-attribute structure, forward join-attribute tuples.
-	st.proxied = st.fullsIn
-	if len(st.proxied) > 0 {
+	if st.cutTuples > 0 {
+		st.proxied = r.gatherCut(make([]finalTuple, 0, st.cutTuples), st.cutFrom)
 		x.span(trace.KindProxy, id, -1, PhaseJACollect, len(st.proxied))
 	}
-	st.memProxyBytes = fullBytes
-	// A relay with one reporting child holds that child's set and, in
-	// memSubtreeBytes, the size the child computed for it (onJoinAttrs);
-	// anything else — no child, several, a sender that did not size its
-	// set — is sized here.
-	inBytes := st.memSubtreeBytes
+	st.memProxyBytes = st.cutBytes
+	union, inBytes := st.childUnion()
 	if inBytes == 0 {
-		inBytes = o.Rep.SetBytes(p, st.keysIn)
+		inBytes = o.Rep.SetBytes(p, union)
 	}
 	if inBytes <= o.FilterMemLimit {
-		st.subtreeKeys = st.keysIn
+		st.subtreeKeys = union
 		st.memSubtreeBytes = inBytes
 	} else {
 		st.overflow = true
-		st.memSubtreeBytes = 0
 	}
-	keys := keySet{keys: st.keysIn}
-	for _, t := range st.proxied {
-		keys.add(p.keyOf(t))
-	}
-	raw := st.rawIn + len(st.proxied)
-	covered := st.coverIn + len(st.proxied)
-	if nd.flags != 0 {
-		keys.add(nd.key)
-		raw++
-		covered++
-	}
-	if len(keys.keys) == 0 {
+	// The held keys join the union in one merge (scratch on the stack).
+	var buf [4]zorder.Key
+	keys := quadtree.UnionAll(union, p.heldKeys(buf[:0], st.proxied, id))
+	if len(keys) == 0 {
 		return // nothing anywhere in the subtree
 	}
-	pl := &jaPayload{keys: keys.keys, rawCount: raw, covered: covered}
-	if !keys.owned {
-		pl.keysBytes = inBytes // nothing was added: the set just sized
+	raw := len(st.proxied)
+	if nd.flags != 0 {
+		raw++
+	}
+	pl := &jaPayload{keys: keys, rawCount: raw, covered: raw}
+	for _, c := range st.children {
+		pl.rawCount += c.pl.rawCount
+		pl.covered += c.pl.covered
+	}
+	if len(keys) == len(union) {
+		pl.keysBytes = inBytes
 	}
 	if s.cont != nil && int(id) < s.cont.n {
 		pl.needFull = s.cont.needFull[id]
@@ -700,7 +692,7 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 				mk.proxy = append(mk.proxy, mk.own)
 			}
 		}
-		if st.activeChildren > 0 {
+		if len(st.children) > 0 {
 			r.sendFilter(id, st, assumeAllMsg(), nil)
 		}
 		return
@@ -727,7 +719,7 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 			x.span(trace.KindSuppress, id, t.node, PhaseFilterDissem, 0)
 		}
 	}
-	if st.activeChildren == 0 {
+	if len(st.children) == 0 {
 		return
 	}
 	// An overflowed node cannot prune: its structure was too large to keep.
@@ -790,15 +782,12 @@ func (r *roundState) forwardCompleteTuples(id topology.NodeID, st *sensNode) {
 // station; a false result means failures lost data and the query should
 // be re-executed (§IV-F).
 func finalComplete(p *plan, filter []zorder.Key, got []finalTuple) bool {
-	have := make(map[topology.NodeID]bool, len(got))
+	have := make([]uint64, (len(p.nodes)+63)/64)
 	for _, t := range got {
-		have[t.node] = true
+		have[t.node/64] |= 1 << (t.node % 64)
 	}
 	for id, nd := range p.nodes {
-		if nd.flags == 0 {
-			continue
-		}
-		if quadtree.ContainsKey(filter, nd.key) && !have[topology.NodeID(id)] {
+		if nd.flags != 0 && have[id/64]&(1<<(id%64)) == 0 && quadtree.ContainsKey(filter, nd.key) {
 			return false
 		}
 	}

@@ -20,6 +20,7 @@ package quadtree
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -300,16 +301,28 @@ func (c *Codec) decode(r *bitstream.Reader, l int, prefix zorder.Key, out *[]zor
 	if l >= len(c.levels) {
 		return fmt.Errorf("quadtree: index node below the deepest level")
 	}
+	// The presence mask has one bit per quadrant, 2 to 65536 of them: read
+	// in words of up to 64 bits, most significant first.
 	fanout := 1 << uint(c.levels[l])
-	mask := r.ReadBits(fanout)
+	width := min(fanout, 64)
+	var one [1]uint64
+	mask := one[:]
+	if fanout > 64 {
+		mask = make([]uint64, fanout/64)
+	}
+	empty := true
+	for i := range mask {
+		mask[i] = r.ReadBits(width)
+		empty = empty && mask[i] == 0
+	}
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if mask == 0 {
+	if empty {
 		return fmt.Errorf("quadtree: index node with empty presence mask")
 	}
 	for q := 0; q < fanout; q++ {
-		if mask&(1<<uint(fanout-1-q)) == 0 {
+		if mask[q/64]&(1<<uint(width-1-q%64)) == 0 {
 			continue
 		}
 		if err := c.decode(r, l+1, prefix<<uint(c.levels[l])|zorder.Key(q), out); err != nil {
@@ -336,27 +349,87 @@ func NormalizeKeys(keys []zorder.Key) []zorder.Key {
 	return out[:w]
 }
 
-// UnionKeys merges two sorted key sets.
+// UnionAll merges sorted key sets into one exactly sized set: one k-way
+// merge, or UnionKeys for two sets. A first pass only counts the union,
+// so when the other sets add nothing to base, base itself is returned and
+// nothing is allocated; callers never write into a key set in place. The other sets are only read, so they may live in
+// the caller's scratch.
+func UnionAll(base []zorder.Key, more ...[]zorder.Key) []zorder.Key {
+	if len(more) == 1 {
+		return UnionKeys(base, more[0])
+	}
+	var buf [8]int
+	pos := buf[:0]
+	for range len(more) + 1 {
+		pos = append(pos, 0)
+	}
+	_, n := mergeSets(base, more, pos, nil)
+	if n == len(base) {
+		return base
+	}
+	clear(pos)
+	out, _ := mergeSets(base, more, pos, make([]zorder.Key, 0, n))
+	return out
+}
+
+// UnionKeys merges two sorted key sets. b's keys are placed in a by
+// binary search and the runs of a between them are copied whole, so a
+// few keys added to a large set cost little more than one copy of it.
+// When b adds nothing, a itself is returned; otherwise the result is
+// fresh and exactly sized.
 func UnionKeys(a, b []zorder.Key) []zorder.Key {
-	out := make([]zorder.Key, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+	n, rest := len(a), a
+	for _, k := range b {
+		i, found := slices.BinarySearch(rest, k)
+		if !found {
+			n++
+		}
+		rest = rest[i:]
+	}
+	if n == len(a) {
+		return a
+	}
+	out := make([]zorder.Key, 0, n)
+	for _, k := range b {
+		i, found := slices.BinarySearch(a, k)
+		out = append(out, a[:i]...)
+		if !found {
+			out = append(out, k)
+		}
+		a = a[i:]
+	}
+	return append(out, a...)
+}
+
+// mergeSets appends the union of base and more to out (nil: only counts
+// it) and returns its size; pos[i] is where set i, base first, resumes.
+func mergeSets(base []zorder.Key, more [][]zorder.Key, pos []int, out []zorder.Key) ([]zorder.Key, int) {
+	set := func(i int) []zorder.Key {
+		if i == 0 {
+			return base
+		}
+		return more[i-1]
+	}
+	for n := 0; ; n++ {
+		var least zorder.Key
+		found := false
+		for i := range pos {
+			if s := set(i); pos[i] < len(s) && (!found || s[pos[i]] < least) {
+				least, found = s[pos[i]], true
+			}
+		}
+		if !found {
+			return out, n
+		}
+		for i := range pos {
+			if s := set(i); pos[i] < len(s) && s[pos[i]] == least {
+				pos[i]++
+			}
+		}
+		if out != nil {
+			out = append(out, least)
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // IntersectKeys intersects two sorted key sets.

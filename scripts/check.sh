@@ -26,8 +26,10 @@ fi
 # And the daemon's second epoch loop and its two fixed knobs: every
 # query, alone or in a shared batch, runs through execute. And the
 # repair switch and the second rebuild: mid-round repair is part of
-# reliable recovery, and the runner heals its tree one way.
-retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures' \
+# reliable recovery, and the runner heals its tree one way. And phase
+# A's copying inboxes and the radio hook that bypassed the journal:
+# Treecut tuples and key sets forward by reference, tracing is the journal.
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -201,15 +203,19 @@ go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 5s ./internal/proto
 # count for arbitrary level schedules and key multisets. Minimization is
 # off so the 5 s go to new inputs, not to shrinking interesting ones.
 go test -run '^$' -fuzz '^FuzzSizeBits$' -fuzztime 5s -fuzzminimizetime 0 ./internal/quadtree
+# Decode never panics and rejects cut-short or over-long input; the k-way
+# UnionAll equals a plain merge applied set by set.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s -fuzzminimizetime 0 ./internal/quadtree
+go test -run '^$' -fuzz '^FuzzUnionAll$' -fuzztime 5s -fuzzminimizetime 0 ./internal/quadtree
 # Layer benchmarks, one iteration each: they still run. Serving path
 # (frame codec, client round trip), then the simulator round's layers:
 # size-only quadtree costing beside Encode, pooled zlib, plan building
-# on warm and cold snapshots, one whole SENS-Join round and one external
-# round, and a round's packet accounting (with its Reset) at 1 500 and
-# 100 000 nodes.
+# on warm and cold snapshots, one whole SENS-Join round, a Treecut-heavy
+# round that is almost all phase A, one external round, and a round's
+# packet accounting (with its Reset) at 1 500 and 100 000 nodes.
 go test -run '^$' -bench 'Rows|ClientRoundTrip' -benchtime 1x -benchmem ./internal/proto ./pkg/client
 go test -run '^$' -bench 'SizeBits|Encode1500|ZlibCompress' -benchtime 1x -benchmem ./internal/quadtree ./internal/compress
-go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound|ExternalRound|CollectorCharge' -benchtime 1x -benchmem ./internal/core ./internal/stats
+go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound|PhaseA|ExternalRound|CollectorCharge' -benchtime 1x -benchmem ./internal/core ./internal/stats
 # The event queue's share of a wave: every node of a 40-level tree gets a
 # deadline, at 1 500 and 100 000 nodes, on one heap and on two regions.
 go test -run '^$' -bench 'WaveSchedule' -benchtime 1x -benchmem ./internal/netsim

@@ -449,35 +449,6 @@ func (n *Network) TotalEnergy() float64 {
 	return n.r.Stats.TotalEnergy(stats.CC2420Model())
 }
 
-// TraceEvent is one radio-level event: "tx" (transmission), "rx"
-// (delivery to one receiver, stamped at its arrival time), "drop" (link
-// down / dead receiver) or "lost" (probabilistic loss). Events of one
-// logical message share MsgID.
-type TraceEvent struct {
-	Event    string
-	At       float64 // simulated seconds
-	MsgID    int64
-	Phase    string
-	Src, Dst int
-	Bytes    int
-	Packets  int
-}
-
-// SetTrace installs a radio-level observer (nil disables). Useful for
-// debugging protocol behaviour; see `sensjoin -trace`.
-func (n *Network) SetTrace(fn func(TraceEvent)) {
-	if fn == nil {
-		n.r.Net.SetTracer(nil)
-		return
-	}
-	n.r.Net.SetTracer(func(ev netsim.TraceEvent) {
-		fn(TraceEvent{
-			Event: ev.Event, At: ev.At, MsgID: ev.MsgID, Phase: ev.Phase,
-			Src: int(ev.Src), Dst: int(ev.Dst), Bytes: ev.Bytes, Packets: ev.Packets,
-		})
-	})
-}
-
 // EnableMetrics attaches the network's whole stack — event loop, radio,
 // reliable transport, protocol phases — to live instruments (counters,
 // gauges, histograms). Render them with WriteMetrics. Metrics observe
