@@ -109,7 +109,7 @@ func (a *auditSegment) close(slotPhases []string, filtered []*Exec, res *Result)
 			if err != nil {
 				return nil, err
 			}
-			for id := range qc {
+			for _, id := range qc {
 				contrib[id] = true
 			}
 		}
@@ -195,10 +195,11 @@ func filterPhased(m Method) bool {
 	return false
 }
 
-// groundTruthContributors computes, network-free, the set of nodes whose
-// tuple appears in the exact query result — the oracle the filter
-// soundness audit checks suppress decisions against.
-func groundTruthContributors(x *Exec) (map[topology.NodeID]bool, error) {
+// groundTruthContributors computes, network-free, the nodes whose tuple
+// appears in the exact query result, ascending — the oracle the filter
+// soundness audit checks suppress decisions against. The list is valid
+// until the execution's next join.
+func groundTruthContributors(x *Exec) ([]topology.NodeID, error) {
 	p, err := buildPlan(x)
 	if err != nil {
 		return nil, err

@@ -113,16 +113,16 @@ func (emptyBounds) Range(query.AttrRef) query.Interval { return query.Everything
 
 // exactJoin computes the final result (paper §IV-D): an exact n-way
 // join over the complete tuples at the base station, followed by SELECT
-// evaluation and optional aggregation. It returns the rows and the set
-// of contributing nodes. Candidate enumeration runs on the
+// evaluation and optional aggregation. It returns the rows and the
+// contributing nodes, ascending (valid until the execution's next join). Candidate enumeration runs on the
 // predicate-indexed kernel (joinkernel.go); output is identical to the
 // seed's nested loop, row for row and byte for byte.
-func exactJoin(x *Exec, tuples []finalTuple) ([]Row, map[topology.NodeID]bool) {
+func exactJoin(x *Exec, tuples []finalTuple) ([]Row, []topology.NodeID) {
 	return exactJoinOver(x, x.snapshot(), tuples)
 }
 
 // exactJoinOver is exactJoin reading sensor values from cols.
-func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, map[topology.NodeID]bool) {
+func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, []topology.NodeID) {
 	n := len(x.Query.From)
 	for _, c := range x.Analysis.ConstPreds {
 		if !c.Eval(query.TupleEnv{Lookup: func(int, string) float64 { return 0 }}) {

@@ -59,8 +59,12 @@ type filterMsg struct {
 	setBytes int
 }
 
-// assumeAllMsg is the 1-byte conservative-mode marker.
-func assumeAllMsg() *filterMsg { return &filterMsg{mode: fmAssumeAll, size: 1} }
+// assumeAllMsg is the 1-byte conservative-mode marker, carved from a.
+func assumeAllMsg(a *roundArena) *filterMsg {
+	msg := a.filters.one()
+	*msg = filterMsg{mode: fmAssumeAll, size: 1}
+	return msg
+}
 
 // contState is the cross-round memory of the incremental mode, indexed
 // by node id.
@@ -76,13 +80,10 @@ type contState struct {
 	cached       [][]zorder.Key
 	cachedParent []topology.NodeID
 	// needFull is raised after a detected desynchronization and carried
-	// to the parent in the next collection phase.
-	needFull []bool
-	// diffs[id] is the buffer node id computes its per-epoch symmetric
-	// differences in (buildFilterMsg). Like everything above it is
+	// to the parent in the next collection phase. Everything above is
 	// touched only from the node's own handler, which is what lets
 	// sharded regions run a continuous round in parallel.
-	diffs []diffScratch
+	needFull []bool
 	// Rounds counts completed executions.
 	Rounds int
 }
@@ -96,7 +97,6 @@ func newContState(n int) *contState {
 		cached:       make([][]zorder.Key, n),
 		cachedParent: make([]topology.NodeID, n),
 		needFull:     make([]bool, n),
-		diffs:        make([]diffScratch, n),
 	}
 	for i := range c.cachedSeq {
 		c.cachedSeq[i] = -1
@@ -125,24 +125,24 @@ func NewContinuousSENSJoin() *SENSJoin {
 // node's previous broadcast, updating the sender-side state. subBytes is
 // Rep.SetBytes(sub), which every caller has at hand (the base station
 // needs it for the phase-B slot, a forwarding node read it off the
-// message it is pruning).
-func (s *SENSJoin) buildFilterMsg(p *plan, o Options, id topology.NodeID, sub []zorder.Key, subBytes int, childNeedsFull bool) *filterMsg {
-	msg := &filterMsg{mode: fmFull, keys: sub, size: subBytes, setBytes: subBytes}
+// message it is pruning). The message and a delta's adds and dels are
+// carved from a, node id's round arena: they are consumed within the
+// round. sub is not: a continuous query's sender keeps it for the next
+// epoch's delta.
+func (s *SENSJoin) buildFilterMsg(a *roundArena, p *plan, o Options, id topology.NodeID, sub []zorder.Key, subBytes int, childNeedsFull bool) *filterMsg {
+	msg := a.filters.one()
+	*msg = filterMsg{mode: fmFull, keys: sub, size: subBytes, setBytes: subBytes}
 	if s.cont == nil {
 		return msg
 	}
 	c := s.cont
 	msg.seq = c.seq[id] + 1
-	if !childNeedsFull && c.prevSent[id] != nil {
-		d := &c.diffs[id]
-		d.reset() // last epoch's delta was consumed within its round
-		adds := d.diff(sub, c.prevSent[id])
-		dels := d.diff(c.prevSent[id], sub)
+	if prev := c.prevSent[id]; !childNeedsFull && prev != nil {
+		adds := a.keys.keep(diffKeysInto(a.keys.rest(), sub, prev))
+		dels := a.keys.keep(diffKeysInto(a.keys.rest(), prev, sub))
 		if size := o.Rep.SetBytes(p, adds) + o.Rep.SetBytes(p, dels) + 2; size < subBytes {
-			msg = &filterMsg{
-				mode: fmDelta, seq: msg.seq, baseSeq: c.seq[id],
-				keys: adds, dels: dels, size: size, setBytes: subBytes,
-			}
+			msg.mode, msg.baseSeq = fmDelta, c.seq[id]
+			msg.keys, msg.dels, msg.size = adds, dels, size
 		}
 	}
 	c.seq[id]++
@@ -169,7 +169,7 @@ func (s *SENSJoin) applyFilterMsg(id topology.NodeID, from topology.NodeID, m *f
 			c.needFull[id] = true
 			return nil, false
 		}
-		f := quadtree.UnionKeys(c.cached[id], m.keys)
+		f := quadtree.UnionKeys(nil, c.cached[id], m.keys)
 		f = diffKeys(f, m.dels)
 		c.cached[id] = f
 		c.cachedSeq[id] = m.seq
@@ -183,12 +183,13 @@ func (s *SENSJoin) applyFilterMsg(id topology.NodeID, from topology.NodeID, m *f
 
 // diffKeys returns a \ b over sorted key sets in a freshly allocated
 // slice. Use it when the result outlives the round (applyFilterMsg
-// caches its reconstruction across epochs); transient per-epoch
-// differences go through diffScratch.diff instead.
+// caches its reconstruction across epochs); a per-epoch delta is built
+// in the round arena through diffKeysInto instead.
 func diffKeys(a, b []zorder.Key) []zorder.Key {
 	return diffKeysInto(make([]zorder.Key, 0, len(a)), a, b)
 }
 
+// diffKeysInto appends a \ b over sorted key sets to out.
 func diffKeysInto(out, a, b []zorder.Key) []zorder.Key {
 	i, j := 0, 0
 	for i < len(a) {
@@ -204,29 +205,4 @@ func diffKeysInto(out, a, b []zorder.Key) []zorder.Key {
 		}
 	}
 	return out
-}
-
-// diffScratch is a grow-only arena for the symmetric differences
-// buildFilterMsg computes every epoch at a forwarding node. Deltas live
-// only until their filterMsg is consumed within the round, so a node
-// resetting its arena before it builds the next message replaces two
-// slice allocations per node per epoch. Results are capped subslices:
-// later diffs append past them and can never alias earlier ones, even
-// when growth reallocates the backing array (the old array keeps the old
-// subslices alive).
-type diffScratch struct {
-	buf []zorder.Key
-}
-
-// reset recycles the arena. Callers must not retain diffs across a
-// reset.
-func (d *diffScratch) reset() {
-	d.buf = d.buf[:0]
-}
-
-// diff returns a \ b over sorted key sets, backed by the arena.
-func (d *diffScratch) diff(a, b []zorder.Key) []zorder.Key {
-	start := len(d.buf)
-	d.buf = diffKeysInto(d.buf, a, b)
-	return d.buf[start:len(d.buf):len(d.buf)]
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -335,15 +336,19 @@ type kernelProbe struct {
 
 // kernelScratch is the kernel's working storage, grow-only and owned by
 // the Runner (runScratch): the per-alias candidate lists, the extracted
-// value vectors, the band probe arrays and the match list (one rank per
-// match). None of it outlives a call — results are copied out into rows
-// — so, unlike the per-node run state, the inner slices are reused too.
+// value vectors, the band probe arrays, the match list (one rank per
+// match) and the contributor list with the node bitset it is read from.
+// Nothing but the contributor list outlives a call — results are copied
+// out into rows — and that list only until the next call, so the inner
+// slices are reused too.
 type kernelScratch struct {
 	byAlias [][]finalTuple
 	pre     [][]float64
 	entries [][]probeEntry
 	used    [][]bool // per level: the tuple appears in some emitted row
 	ranks   []uint64
+	nodes   []uint64 // node bitset, all zero between calls
+	contrib []topology.NodeID
 }
 
 // sized returns s with length n, reusing its storage when that is large
@@ -375,9 +380,11 @@ type columnSource interface {
 
 // joinKernel computes the exact join over the per-alias candidate lists
 // and evaluates the SELECT clause over values read from cols, returning
-// rows (ordered and limited) and the contributing-node set. See the
-// package comment above for the exactness and determinism argument.
-func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[topology.NodeID]bool) {
+// rows (ordered and limited) and the contributing nodes, ascending and
+// once each; the list is the scratch's and valid until the next join on
+// it. See the package comment above for the exactness and determinism
+// argument.
+func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, []topology.NodeID) {
 	n := len(byAlias)
 	sc := &x.run().kernel // sized for n levels by exactJoinOver
 
@@ -644,15 +651,32 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, map[
 	case aggregated:
 		rows = agg.rows()
 	}
-	// The contributor set, built once: a tuple marks a flag per emitted
-	// row, its node enters the map at most once per level.
-	contrib := make(map[topology.NodeID]bool)
+	return applyOrderLimit(x.Query, rows), sc.contributors(byAlias, used)
+}
+
+// contributors lists the nodes of the tuples used marks, built once: a
+// tuple marks a flag per emitted row, its node a bit in the node bitset,
+// and the set bits read in order are the distinct ids, sorted.
+func (sc *kernelScratch) contributors(byAlias [][]finalTuple, used [][]bool) []topology.NodeID {
+	set := sc.nodes
 	for level, ts := range byAlias {
 		for ti, t := range ts {
 			if used[level][ti] {
-				contrib[t.node] = true
+				w := int(t.node) / 64
+				if w >= len(set) {
+					set = append(set, make([]uint64, w+1-len(set))...)
+				}
+				set[w] |= 1 << (uint(t.node) % 64)
 			}
 		}
 	}
-	return applyOrderLimit(x.Query, rows), contrib
+	ids := sc.contrib[:0]
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			ids = append(ids, topology.NodeID(w*64+bits.TrailingZeros64(word)))
+		}
+		set[w] = 0
+	}
+	sc.nodes, sc.contrib = set, ids
+	return ids
 }

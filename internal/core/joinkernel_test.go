@@ -219,12 +219,14 @@ func rowsEqual(a, b []Row) bool {
 	return true
 }
 
-func contribEqual(a, b map[topology.NodeID]bool) bool {
-	if len(a) != len(b) {
+// contribEqual reports whether the kernel's contributor list is the
+// reference's set: ascending, once each, nothing missing.
+func contribEqual(got []topology.NodeID, want map[topology.NodeID]bool) bool {
+	if len(got) != len(want) {
 		return false
 	}
-	for k := range a {
-		if !b[k] {
+	for i, id := range got {
+		if !want[id] || (i > 0 && got[i-1] >= id) {
 			return false
 		}
 	}
@@ -355,7 +357,7 @@ func TestJoinKernelPlanStartingAtLaterLevel(t *testing.T) {
 			src := "SELECT " + sel + " FROM " + from + " WHERE " + where + " ONCE"
 			x := kernelExec(t, src)
 			var gotRows []Row
-			var gotContrib map[topology.NodeID]bool
+			var gotContrib []topology.NodeID
 			plans := capturePlans(func() { gotRows, gotContrib = exactJoinOver(x, cols, tuples) })
 			if len(plans) != 1 || plans[0].Order[0] == 0 || plans[0].Streamed {
 				t.Fatalf("%q: plan %+v, want an indexed plan starting after level 0", src, plans)
@@ -492,8 +494,10 @@ func benchTuples(count int) ([]finalTuple, kernelCols) {
 	return tuples, cols
 }
 
-func benchmarkJoin(b *testing.B, src string, count int,
-	join func(*Exec, columnSource, []finalTuple) ([]Row, map[topology.NodeID]bool)) {
+// benchmarkJoin times join, the kernel or the reference, whichever form
+// its contributors come in (C).
+func benchmarkJoin[C any](b *testing.B, src string, count int,
+	join func(*Exec, columnSource, []finalTuple) ([]Row, C)) {
 	x := kernelExec(b, src)
 	tuples, cols := benchTuples(count)
 	rows, _ := join(x, cols, tuples)

@@ -38,7 +38,11 @@ func contributorSet(x *Exec, p *plan) map[topology.NodeID]bool {
 		}
 	}
 	_, contrib := exactJoin(x, tuples)
-	return contrib
+	set := make(map[topology.NodeID]bool, len(contrib))
+	for _, id := range contrib {
+		set[id] = true
+	}
+	return set
 }
 
 // memberSet returns every member node — what the external join needs.

@@ -1,20 +1,37 @@
 package core
 
+import (
+	"sensjoin/internal/topology"
+	"sensjoin/internal/zorder"
+)
+
 // Run state. What a protocol round needs per node — its sensNode, its
 // collection-wave state — lives in slabs the Runner owns: an execution
 // borrows a slab, indexes it by node id from the network's one handler,
 // and gives it back cleared, so a round allocates for what it sends and
 // nothing for the nodes that merely exist.
 //
-// Only the slabs are reused, never the slices inside their elements,
-// which may be shared (a relay adopts its only child's key set, phase C
-// reads a proxy's tuples), so giving a slab back clears every element and
-// the next run starts those slices from nil. Clearing on the way out also
-// lets an idle Runner (the daemon and the experiment suite pool them) let
-// go of its last execution. The Runner owns the storage rather than a
-// sync.Pool because the suite allocates fast enough that the collector
-// empties a pool between two calls; Runners themselves are pooled per
-// deployment and reset on return (pool.go).
+// What a SENS-Join round sends and keeps per hop — sender lists, Treecut
+// lists, key sets, payloads, filter messages, the base station's final
+// list — is carved from round arenas the Runner owns, one per simulator
+// region: a node carves only from the arena of its own region, and two
+// nodes of one region never run at the same time, so parallel region
+// workers never share an arena. Everything carved lives until the round
+// returns, which is why the slices inside the slab's elements may be
+// shared (a relay adopts its only child's key set, phase C reads a
+// proxy's tuples): nothing reuses their storage before the round is
+// over, and nothing that outlives the round points into it. What crosses
+// rounds — a continuous query's last broadcast and reconstructed filter —
+// stays on the heap. Slabs and arenas follow one rule (giveBack,
+// closeArenas): while events are still queued they may point into the
+// finished round's storage, so it is abandoned to them.
+//
+// Giving a slab back clears every element, and closing an arena clears
+// what it handed out, so an idle Runner (the daemon and the experiment
+// suite pool them) lets go of its last execution. The Runner owns the
+// storage rather than a sync.Pool because the suite allocates fast enough
+// that the collector empties a pool between two calls; Runners themselves
+// are pooled per deployment and reset on return (pool.go).
 
 // runScratch is the storage a Runner lends to its executions. A Runner
 // executes one query at a time, so there is no locking; an Exec made
@@ -24,6 +41,9 @@ type runScratch struct {
 	masks []nodeMasks // beside sens, borrowed only by a round of m > 1 queries
 	wave  []waveNode
 	inbox [][]finalTuple
+	// arenas are the round arenas, one per simulator region, lent to a
+	// SENS-Join round by openArenas.
+	arenas []roundArena
 
 	kernel kernelScratch
 }
@@ -59,4 +79,141 @@ func giveBack[T any](x *Exec, slab *[]T, s []T) {
 	}
 	clear(s)
 	*slab = s
+}
+
+// roundArena is one region's storage for a SENS-Join round: typed bump
+// storage for what the round carves per hop. Its capacity is the previous
+// round's demand, so a warm runner's round carves everything without
+// allocating; a carve that does not fit is made on the heap and raises
+// the next round's size, and a fresh runner's first round allocates as if
+// there were no arena.
+type roundArena struct {
+	keys     bump[zorder.Key]
+	tuples   bump[finalTuple]
+	ids      bump[topology.NodeID]
+	reports  bump[childReport]
+	payloads bump[jaPayload]
+	filters  bump[filterMsg]
+}
+
+// bump is bump storage for one element type.
+type bump[T any] struct {
+	buf    []T // len(buf) == cap(buf): the round's storage
+	used   int
+	demand int // what this round asked for, carved or made
+}
+
+// take carves an empty slice of capacity n. An append past n moves the
+// slice to the heap, never into a neighbour's storage.
+func (b *bump[T]) take(n int) []T {
+	b.demand += n
+	if b.used+n > len(b.buf) {
+		return make([]T, 0, n)
+	}
+	s := b.buf[b.used : b.used : b.used+n]
+	b.used += n
+	return s
+}
+
+// push appends v to a sender list, carving the list with capacity n on
+// its first sender.
+func (b *bump[T]) push(list []T, n int, v T) []T {
+	if list == nil {
+		list = b.take(n)
+	}
+	return append(list, v)
+}
+
+// one carves a zeroed element.
+func (b *bump[T]) one() *T {
+	b.demand++
+	if b.used == len(b.buf) {
+		return new(T)
+	}
+	b.used++
+	return &b.buf[b.used-1]
+}
+
+// rest returns the free storage as an empty destination for a result of
+// unknown size; keep claims what the result used. No carve may come
+// between the two.
+func (b *bump[T]) rest() []T { return b.buf[b.used:b.used] }
+
+// keep records s, a result built in rest's storage or made on the heap
+// because it did not fit, as carved; in the storage it is capped at its
+// length.
+func (b *bump[T]) keep(s []T) []T {
+	n := len(s)
+	b.demand += n
+	if n > 0 && b.used < len(b.buf) && &s[0] == &b.buf[b.used] {
+		b.used += n
+		return s[:n:n]
+	}
+	return s
+}
+
+// open sizes the storage for a round from the last round's demand. It
+// grows to the demand and shrinks only when the demand fell below a
+// quarter, so rounds of alternating size do not reallocate.
+func (b *bump[T]) open() {
+	if len(b.buf) < b.demand || len(b.buf) > 4*b.demand {
+		b.buf = make([]T, b.demand)
+	}
+	b.used, b.demand = 0, 0
+}
+
+// close ends a round: the carved storage is cleared for the next one or,
+// when stale, dropped and left to whoever still points into it.
+func (b *bump[T]) close(stale bool) {
+	if stale {
+		b.buf = nil
+		return
+	}
+	clear(b.buf[:b.used])
+}
+
+func (a *roundArena) open() {
+	a.keys.open()
+	a.tuples.open()
+	a.ids.open()
+	a.reports.open()
+	a.payloads.open()
+	a.filters.open()
+}
+
+func (a *roundArena) close(stale bool) {
+	a.keys.close(stale)
+	a.tuples.close(stale)
+	a.ids.close(stale)
+	a.reports.close(stale)
+	a.payloads.close(stale)
+	a.filters.close(stale)
+}
+
+// openArenas lends the execution's round arenas, one per simulator
+// region, to a round. Like a borrowed slab they leave the scratch until
+// closeArenas.
+func openArenas(x *Exec) []roundArena {
+	rs := x.run()
+	a := rs.arenas
+	rs.arenas = nil
+	if len(a) != x.Sim.Regions() {
+		a = make([]roundArena, x.Sim.Regions())
+	}
+	for i := range a {
+		a[i].open()
+	}
+	return a
+}
+
+// closeArenas returns the arenas after the round under giveBack's rule:
+// while events are still queued they may point into the carved storage,
+// so it is abandoned to them — only the demand is kept — and the next
+// round carves from storage of its own.
+func closeArenas(x *Exec, a []roundArena) {
+	stale := x.Sim.Pending() > 0
+	for i := range a {
+		a[i].close(stale)
+	}
+	x.run().arenas = a
 }

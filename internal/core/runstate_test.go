@@ -1,15 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
+	"sensjoin/internal/trace"
 	"sensjoin/internal/zorder"
 )
 
@@ -71,8 +74,8 @@ func TestRunnerReleasesFinishedRun(t *testing.T) {
 
 // An event a run leaves queued — a reliable-transport timer, a delivery
 // beyond a collection wave's deadline — may hold pointers into the run's
-// slab. Such a slab is not handed to the next run: when the event fires
-// it writes into memory nobody else was given.
+// slab or its round arenas. Neither is handed to the next run: when the
+// event fires it reads or writes memory nobody else was given.
 func TestStaleEventCannotReachNextRun(t *testing.T) {
 	r, err := NewRunner(SetupConfig{Nodes: 150, Seed: 42})
 	if err != nil {
@@ -122,6 +125,48 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 			t.Fatalf("round %d: result differs from the ground truth", round)
 		}
 	}
+
+	// The round arenas follow the same rule. A reliable transfer's
+	// retransmission timer is queued beyond the delivery it guards, and
+	// its message may point into an arena (payloads are carved there), so
+	// arenas closed while it is pending are abandoned: the next round
+	// carves from storage of its own.
+	r.EnableReliableTransport(netsim.ReliableConfig{})
+	arenas := openArenas(x)
+	if arenas[0].payloads.buf == nil {
+		t.Fatal("the warm runner's arena has no payload storage")
+	}
+	stale := arenas[0].payloads.one()
+	child := r.Tree.Children[topology.BaseStation][0]
+	r.Net.Send(netsim.Message{
+		Kind: kindJoinAttrs, Src: child, Dst: topology.BaseStation,
+		Phase: PhaseJACollect, Size: 8, Payload: stale,
+	})
+	if r.Sim.Pending() == 0 {
+		t.Fatal("the reliable transfer left nothing queued")
+	}
+	closeArenas(x, arenas)
+	if r.scratch.arenas[0].payloads.buf != nil {
+		t.Fatal("arenas closed with a reliable timer pending kept their storage")
+	}
+	arenas = openArenas(x)
+	if fresh := arenas[0].payloads.one(); fresh == stale {
+		t.Fatal("an arena with a reliable timer pending was handed to the next round")
+	}
+	r.Sim.Run() // the stale transfer and its timer
+	closeArenas(x, arenas)
+	for round := 0; round < 2; round++ {
+		res, err := r.Run(runStateSrc, NewSENSJoin(), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Complete || !rowsEqual(res.Rows, truth.Rows) {
+			t.Fatalf("reliable round %d: result differs from the ground truth", round)
+		}
+	}
+	if r.scratch.arenas[0].payloads.buf == nil {
+		t.Fatal("the rounds after the stale timer drained do not reuse their arena")
+	}
 }
 
 // The per-node cost of a warm round is what it sends — its messages and
@@ -133,10 +178,15 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 // closure or counter map per node would add several allocations per node
 // (11 per node for SENS-Join and 9 for the external join with both).
 //
-// Phase A forwards by reference: a Treecut message names its sender and a
-// relay merges its children's key sets once at its deadline. Copying the
-// tuples and key sets at every hop cost SENS-Join 3.4 allocations and 202
-// bytes per node at 1500 nodes; by reference it is 2.0 and 129.
+// A SENS-Join round carves its sender lists, Treecut lists, key sets,
+// payloads and filter messages from the runner's round arenas, so on a
+// warm runner what is left per node is the external join's share of the
+// radio: measured at 1500 nodes, SENS-Join fell from 2.0 allocations and
+// 129 bytes per node (every hop allocating) to 0.09 and 32. The same holds
+// on a sharded runner, where every region carves from its own arena, and
+// for a 3-member cluster, which also pays for the masks it sends. A
+// continuous epoch adds what crosses rounds: every forwarding node's new
+// filter and every receiver's reconstructed one stay on the heap.
 func TestRoundAllocsPerNode(t *testing.T) {
 	for _, nodes := range []int{150, 1500} {
 		r, _ := planFixture(t, nodes)
@@ -144,11 +194,6 @@ func TestRoundAllocsPerNode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The same round body with m = 3: a cluster pays for the masks it
-		// sends (one list per filter broadcast and per phase-C message) and
-		// for three final joins — measured 2.2 allocations and 138 bytes
-		// per node against 2.0 and 129 for the single query at 1500 nodes —
-		// and still nothing per node that merely exists.
 		g := NewQueryGroup(Options{})
 		for _, delta := range []float64{7.5, 8, 8.5} {
 			p, err := r.Prepare(fmt.Sprintf("SELECT A.temp, B.temp, A.hum, B.hum, A.pres, B.pres FROM Sensors A, Sensors B WHERE A.temp - B.temp > %g ONCE", delta))
@@ -162,38 +207,62 @@ func TestRoundAllocsPerNode(t *testing.T) {
 		if g.Clusters() != 1 {
 			t.Fatalf("Clusters = %d, want one three-member cluster", g.Clusters())
 		}
-		single := func(m Method) func() error {
-			return func() error { _, err := r.RunPrepared(prep, m, 0); return err }
+		sharded, err := NewRunner(SetupConfig{Nodes: nodes, Seed: 42, Shards: 2, Private: true, SetupWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		contSrc, err := r.Prepare(strings.Replace(runStateSrc, "ONCE", "SAMPLE PERIOD 30", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cont, epoch := NewContinuousSENSJoin(), 0
+		on := func(r *Runner, p *Prepared, m Method) func() error {
+			return func() error { _, err := r.RunPrepared(p, m, 0); return err }
 		}
 		for _, c := range []struct {
 			name         string
+			r            *Runner
 			round        func() error
 			perNode      float64 // allocations
 			bytesPerNode float64
 		}{
-			{"sens-join", single(NewSENSJoin()), 2.2, 145},
-			{"external-join", single(External{}), 1.2, 135},
-			{"3-member cluster", func() error { _, err := g.RunRound(r, 0); return err }, 2.4, 155},
+			{"sens-join", r, on(r, prep, NewSENSJoin()), 0.15, 36},
+			{"sens-join, 2 shards", sharded, on(sharded, prep, NewSENSJoin()), 0.5, 45},
+			{"external-join", r, on(r, prep, External{}), 1.1, 135},
+			{"3-member cluster", r, func() error { _, err := g.RunRound(r, 0); return err }, 0.3, 45},
+			{"continuous epoch", r, func() error {
+				// Two instants, alternating: both snapshots stay warm and
+				// every epoch's filter differs from the last.
+				epoch++
+				_, err := r.RunPrepared(contSrc, cont, float64(epoch%2)*30)
+				return err
+			}, 0.4, 110},
 		} {
 			run := func() {
-				r.Stats.Reset()
+				c.r.Stats.Reset()
 				if err := c.round(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			run() // warm: slabs, kernel scratch, counter columns, cross-round state
+			run() // warm: slabs, arenas, kernel scratch, counter columns, cross-round state
+			run()
 			allocs := testing.AllocsPerRun(5, run)
+			bytes := bytesPerRun(5, run)
+			t.Logf("%s at %d nodes: %.2f allocs and %.1f bytes per node", c.name, nodes, allocs/float64(nodes), bytes/float64(nodes))
 			if limit := c.perNode*float64(nodes) + 100; allocs > limit {
 				t.Errorf("%s at %d nodes: %.0f allocs/round, want <= %.0f", c.name, nodes, allocs, limit)
 			}
-			if bytes, limit := bytesPerRun(5, run), c.bytesPerNode*float64(nodes)+8192; bytes > limit {
+			if limit := c.bytesPerNode*float64(nodes) + 8192; bytes > limit {
 				t.Errorf("%s at %d nodes: %.0f bytes/round, want <= %.0f", c.name, nodes, bytes, limit)
 			}
 		}
+		if !sharded.Sim.Sharded() || len(sharded.scratch.arenas) != 2 {
+			t.Fatalf("the sharded runner has %d round arenas, want one per region", len(sharded.scratch.arenas))
+		}
 	}
 	// Mask state lives beside sensNode (nodeMasks), not in it. The phase-C
-	// inbox is a sender list and a byte count, the phase-A inbox a sender
-	// list, two counts and the children's reports: 200 bytes in all.
+	// inbox is a sender list and two counts, the phase-A inbox a sender
+	// list, two counts and the children's reports: 208 bytes in all.
 	if size := unsafe.Sizeof(sensNode{}); size > 232 {
 		t.Errorf("sensNode is %d bytes, want <= 232", size)
 	}
@@ -381,14 +450,16 @@ func sameNodeTx(t *testing.T, what string, classic, sharded *Runner) {
 }
 
 // What a continuous SENS-Join keeps between epochs — every node's last
-// broadcast, its reconstructed filter, the buffers its deltas are
-// computed in — is touched from the node's own region worker, and a
-// shared QueryGroup round is the same body with m members. So on a
-// sharded runner an independent continuous query, a three-member cluster
-// and a singleton cluster must each agree with a one-region runner in
-// every epoch while the snapshot advances: rows (order aside), Complete,
-// ResponseTime and every node's transmissions. Run under -race: a buffer
-// shared across regions loses rows without it and is reported with it.
+// broadcast, its reconstructed filter — is touched from the node's own
+// region worker, its deltas are carved from the round arena of the node's
+// region, and a shared QueryGroup round is the same body with m members.
+// So on a sharded runner an independent continuous query, a three-member
+// cluster and a singleton cluster must each agree with a one-region
+// runner in every epoch while the snapshot advances: rows (order aside),
+// Complete, ResponseTime and every node's transmissions. From the second
+// epoch on every round carves from arenas an earlier round used. Run
+// under -race: a buffer shared across regions loses rows without it and
+// is reported with it.
 func TestShardedContinuousAndGroupRounds(t *testing.T) {
 	const nodes, epochs = 600, 4
 	groupSrcs := []string{qTempBand(7), qTempBand(7.5), qTempBand(8), qBand(0.3)}
@@ -457,6 +528,13 @@ func TestShardedContinuousAndGroupRounds(t *testing.T) {
 			}
 			sameNodeTx(t, what, classic, sharded)
 		}
+		if epoch == 0 {
+			for i, a := range sharded.scratch.arenas {
+				if a.keys.buf == nil {
+					t.Fatalf("region %d's arena kept no storage for the next epoch", i)
+				}
+			}
+		}
 	}
 }
 
@@ -489,9 +567,6 @@ func TestSingleHandlerSeesReceiver(t *testing.T) {
 	}
 }
 
-// BenchmarkExternalRound is one whole external-join execution at the
-// paper's scale, beside BenchmarkSENSJoinRound: plan, one collection
-// wave on the simulator, base-station join.
 // BenchmarkPhaseA times a round that is almost all phase A: two shipped
 // attributes make tuples small enough that 1266 of 1500 nodes leave by
 // Treecut, and an unsatisfiable predicate leaves phases B and C empty.
@@ -511,6 +586,9 @@ func BenchmarkPhaseA(b *testing.B) {
 	}
 }
 
+// BenchmarkExternalRound is one whole external-join execution at the
+// paper's scale, beside BenchmarkSENSJoinRound: plan, one collection
+// wave on the simulator, base-station join.
 func BenchmarkExternalRound(b *testing.B) {
 	r, _ := planFixture(b, 1500)
 	b.ReportAllocs()
@@ -524,4 +602,116 @@ func BenchmarkExternalRound(b *testing.B) {
 			b.Fatal("incomplete round")
 		}
 	}
+}
+
+// poisonArenas overwrites all of every region's round arena on r, carved
+// or not, with a sentinel no round writes.
+func poisonArenas(r *Runner) {
+	for i := range r.scratch.arenas {
+		a := &r.scratch.arenas[i]
+		for j := range a.keys.buf {
+			a.keys.buf[j] = ^zorder.Key(0)
+		}
+		for j := range a.tuples.buf {
+			a.tuples.buf[j] = finalTuple{node: -1, flags: ^uint64(0), bytes: -1}
+		}
+		for j := range a.ids.buf {
+			a.ids.buf[j] = -1
+		}
+		for j := range a.reports.buf {
+			a.reports.buf[j] = childReport{id: -1, pl: &jaPayload{rawCount: -1}}
+		}
+		for j := range a.payloads.buf {
+			a.payloads.buf[j] = jaPayload{keys: []zorder.Key{^zorder.Key(0)}, rawCount: -1, covered: -1, needFull: true, keysBytes: -1}
+		}
+		for j := range a.filters.buf {
+			a.filters.buf[j] = filterMsg{mode: -1, seq: -1, baseSeq: -1, keys: []zorder.Key{^zorder.Key(0)}, size: -1, setBytes: -1}
+		}
+	}
+}
+
+// Everything a round carves lives until the round returns, and nothing
+// that outlives it — a Result, a continuous query's last broadcast and
+// reconstructed filter — points into a round arena. So overwriting every
+// region's arenas after each round changes neither the results already
+// returned nor any later round: a continuous query's epochs and a
+// three-member cluster's rounds give the tables, journals and filter
+// state of a runner whose arenas are left alone, on one region and on
+// four.
+func TestRoundArenaLifetime(t *testing.T) {
+	const nodes, epochs = 300, 4
+	type lanes struct {
+		r     *Runner
+		rec   *trace.Recorder
+		cont  *SENSJoin
+		group *QueryGroup
+	}
+	setup := func(shards int) lanes {
+		r, err := NewRunner(SetupConfig{Nodes: nodes, Seed: 3, Shards: shards, Private: true, SetupWorkers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := NewQueryGroup(Options{})
+		for _, src := range []string{qTempBand(7), qTempBand(7.5), qTempBand(8)} {
+			mustAdd(t, g, src)
+		}
+		if g.Clusters() != 1 {
+			t.Fatalf("Clusters = %d, want one three-member cluster", g.Clusters())
+		}
+		return lanes{r: r, rec: r.EnableTrace(), cont: NewContinuousSENSJoin(), group: g}
+	}
+	// epoch runs one round of each lane and returns the digests of its
+	// results, journal and continuous filter state, and the results.
+	epoch := func(l lanes, tm float64) (string, []*Result) {
+		mark := l.rec.Mark()
+		res, err := l.r.Run(strings.Replace(shardTraceSrc, "ONCE", "SAMPLE PERIOD 30", 1), l.cont, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		members, err := l.group.RunRound(l.r, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := append([]*Result{res}, members...)
+		var buf bytes.Buffer
+		if err := trace.WriteJSONL(&buf, l.rec.JournalSince(mark)); err != nil {
+			t.Fatal(err)
+		}
+		c := l.cont.cont
+		return fmt.Sprintf("%s\njournal %x\nsent %v %v\ncached %v %v %v\nneedFull %v",
+			digestResults(all), buf.Bytes(), c.seq, c.prevSent, c.cachedSeq, c.cached, c.cachedParent, c.needFull), all
+	}
+	for _, shards := range []int{1, 4} {
+		clean, poisoned := setup(1), setup(shards)
+		for e := 0; e < epochs; e++ {
+			tm := float64(e) * 30
+			want, _ := epoch(clean, tm)
+			got, results := epoch(poisoned, tm)
+			before := digestResults(results)
+			poisonArenas(poisoned.r)
+			if after := digestResults(results); after != before {
+				t.Fatalf("shards=%d epoch %d: poisoning the arenas changed the returned results", shards, e)
+			}
+			if got != want {
+				t.Fatalf("shards=%d epoch %d: the round after poisoned arenas differs from a clean runner's", shards, e)
+			}
+		}
+		if n := len(poisoned.r.scratch.arenas); n != shards {
+			t.Fatalf("shards=%d: %d round arenas, want one per region", shards, n)
+		}
+		for i, a := range poisoned.r.scratch.arenas {
+			if a.keys.buf == nil || a.payloads.buf == nil {
+				t.Fatalf("shards=%d: region %d's arena kept no storage, so nothing was reused", shards, i)
+			}
+		}
+	}
+}
+
+// digestResults renders results completely.
+func digestResults(results []*Result) string {
+	var b strings.Builder
+	for _, res := range results {
+		fmt.Fprintf(&b, "%+v\n", *res)
+	}
+	return b.String()
 }

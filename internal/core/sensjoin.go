@@ -114,11 +114,13 @@ type sensNode struct {
 	proxied     []finalTuple
 	// Phase B outcome.
 	matchedProxy []finalTuple
-	// Phase C inbox: who sent, in arrival order, and the bytes they
-	// announced. The tuples stay with the nodes that matched them until
-	// the base station lists them (gatherFinals).
-	finalFrom  []topology.NodeID
-	finalBytes int
+	// Phase C inbox: who sent, in arrival order, and the bytes and tuples
+	// they announced; from the deadline on, finalTuples counts the node's
+	// whole message. The tuples stay with the nodes that matched them
+	// until the base station lists them (gatherFinals).
+	finalFrom   []topology.NodeID
+	finalBytes  int
+	finalTuples int
 	// Memory accounting, folded into MemoryReport after the run. Keeping
 	// it per node means handlers never touch method-level state, which is
 	// what lets sharded regions run them in parallel.
@@ -142,8 +144,8 @@ type childReport struct {
 // childUnion returns the union of the reporting children's key sets and
 // its size if known: an only child's set is adopted with the size its
 // sender computed (nothing writes into a key set in place), several are
-// merged once into an exactly sized set of unknown size.
-func (st *sensNode) childUnion() ([]zorder.Key, int) {
+// merged once, into the node's arena, into a set of unknown size.
+func (st *sensNode) childUnion(a *roundArena) ([]zorder.Key, int) {
 	switch len(st.children) {
 	case 0:
 		return nil, 0
@@ -155,7 +157,17 @@ func (st *sensNode) childUnion() ([]zorder.Key, int) {
 	for _, c := range st.children[1:] {
 		more = append(more, c.pl.keys)
 	}
-	return quadtree.UnionAll(st.children[0].pl.keys, more...), 0
+	return a.union(st.children[0].pl.keys, more...), 0
+}
+
+// union is quadtree.UnionAll carved from the arena: base itself when the
+// other sets add nothing to it.
+func (a *roundArena) union(base []zorder.Key, more ...[]zorder.Key) []zorder.Key {
+	u := quadtree.UnionAll(a.keys.rest(), base, more...)
+	if len(u) == len(base) {
+		return u
+	}
+	return a.keys.keep(u)
 }
 
 // fold raises the report's high-water marks to cover one node.
@@ -204,6 +216,9 @@ type roundState struct {
 
 	states []sensNode
 	masks  []nodeMasks // per-node mask state; nil iff m == 1
+	// arenas are the runner's round arenas, one per simulator region
+	// (runstate.go): everything the round carves per hop.
+	arenas []roundArena
 
 	// What the base station learns: the Treecut tuples of its first
 	// cutSenders senders, gathered at tA, and per member.
@@ -218,13 +233,24 @@ type roundState struct {
 // nodeMasks is a node's mask bookkeeping in a round of m > 1 queries,
 // kept beside sensNode so that a single query's state stays as small as
 // it is: which members want the node's own tuple and each matched proxied
-// tuple, and how many tuples — each with its bitmap on the wire — the
-// node's phase-C message stands for.
+// tuple.
 type nodeMasks struct {
-	own    uint64   // zero: suppressed; all ones under assume-all
-	proxy  []uint64 // aligned with sensNode.matchedProxy
-	tuples int      // in the phase-C inbox; from the deadline on, in the node's message
+	own   uint64   // zero: suppressed; all ones under assume-all
+	proxy []uint64 // aligned with sensNode.matchedProxy
 }
+
+// arena returns the round arena of node id's region: the only one id's
+// events may carve from.
+func (r *roundState) arena(id topology.NodeID) *roundArena {
+	if len(r.arenas) == 1 {
+		return &r.arenas[0]
+	}
+	return &r.arenas[r.x.Sim.Region(id)]
+}
+
+// fanout is how many senders a node's inbox lists are carved for: its
+// tree children. A sender beyond them moves the list to the heap.
+func (r *roundState) fanout(id topology.NodeID) int { return len(r.x.Tree.Children[id]) }
 
 // round runs the protocol once for the cluster execs and returns one
 // result per member. joined, when set, is called at the base station for
@@ -257,13 +283,16 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	}
 	s.Memory = MemoryReport{}
 
-	// Per-node state is on loan from the runner (runstate.go).
+	// Per-node state and the round arenas are on loan from the runner
+	// (runstate.go).
 	r.states = borrow(&x.run().sens, n)
 	defer giveBack(x, &x.run().sens, r.states)
 	if m > 1 {
 		r.masks = borrow(&x.run().masks, n)
 		defer giveBack(x, &x.run().masks, r.masks)
 	}
+	r.arenas = openArenas(x)
+	defer closeArenas(x, r.arenas)
 
 	var standDown []topology.NodeID
 	defer recordStandDowns(x, &standDown)()
@@ -278,13 +307,13 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 		case kindFullTuples:
 			// As in phase C, the tuples stay put until read (gatherCut).
 			if msg.Payload == any(r) {
-				st.cutFrom = append(st.cutFrom, msg.Src)
+				st.cutFrom = r.arena(id).ids.push(st.cutFrom, r.fanout(id), msg.Src)
 				st.cutBytes += msg.Size
 				st.cutTuples += r.states[msg.Src].cutTuples
 			}
 		case kindJoinAttrs:
 			pl := msg.Payload.(*jaPayload)
-			st.children = append(st.children, childReport{msg.Src, pl})
+			st.children = r.arena(id).reports.push(st.children, r.fanout(id), childReport{msg.Src, pl})
 			st.childNeedsFull = st.childNeedsFull || pl.needFull
 		case kindFilter:
 			// Filters travel down the tree: only the broadcast of
@@ -300,11 +329,9 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 			if msg.Payload != any(r) {
 				return // not this round's
 			}
-			st.finalFrom = append(st.finalFrom, msg.Src)
+			st.finalFrom = r.arena(id).ids.push(st.finalFrom, r.fanout(id), msg.Src)
 			st.finalBytes += msg.Size
-			if r.masks != nil {
-				r.masks[id].tuples += r.masks[msg.Src].tuples
-			}
+			st.finalTuples += r.states[msg.Src].finalTuples
 		}
 	})
 	defer x.Net.SetHandler(nil)
@@ -374,10 +401,11 @@ var filterHook func(*plan, []zorder.Key) []zorder.Key
 // It returns the filter's wire size, which sizes the phase-B slot.
 func (r *roundState) disseminate() int {
 	bs := &r.states[topology.BaseStation]
+	a := r.arena(topology.BaseStation)
 	r.cutSenders = len(bs.cutFrom)
-	r.cut = r.gatherCut(make([]finalTuple, 0, bs.cutTuples), bs.cutFrom)
-	sub, _ := bs.childUnion()
-	keys := quadtree.UnionAll(sub, r.p.heldKeys(nil, r.cut, topology.BaseStation))
+	r.cut = r.gatherCut(a.tuples.take(bs.cutTuples), bs.cutFrom)
+	sub, _ := bs.childUnion(a)
+	keys := a.union(sub, r.p.heldKeys(a.keys.take(len(r.cut)+1), r.cut, topology.BaseStation))
 	covered := len(r.cut)
 	for _, c := range bs.children {
 		covered += c.pl.covered
@@ -393,14 +421,14 @@ func (r *roundState) disseminate() int {
 	union := r.filters[0]
 	var masks []uint64
 	if r.m > 1 {
-		union = quadtree.UnionAll(union, r.filters[1:]...)
+		union = quadtree.UnionAll(nil, union, r.filters[1:]...)
 		masks = maskAlign(union, r.filters)
 	}
 	unionBytes := r.o.Rep.SetBytes(r.p, union)
 	filterBytes := unionBytes + maskBytes(len(union), r.m)
 	r.x.Metrics.observeFilter(len(union), filterBytes)
 	if len(union) > 0 && len(bs.children) > 0 {
-		msg := r.s.buildFilterMsg(r.p, r.o, topology.BaseStation, union, unionBytes, bs.childNeedsFull)
+		msg := r.s.buildFilterMsg(a, r.p, r.o, topology.BaseStation, union, unionBytes, bs.childNeedsFull)
 		r.sendFilter(topology.BaseStation, bs, msg, masks)
 	}
 	return filterBytes
@@ -452,14 +480,15 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 	// nothing itself: its message is what it was sent.
 	// A Treecut sender heard after tA still counts here.
 	bs := &r.states[topology.BaseStation]
+	a := r.arena(topology.BaseStation)
 	cut := r.gatherCut(r.cut, bs.cutFrom[r.cutSenders:])
 	var finals []finalTuple
 	var masks []uint64
 	if r.masks == nil {
-		finals = cut // the one member's list, built in place
+		// The one member's list: the Treecut tuples, then the collected.
+		finals = append(a.tuples.take(len(cut)+bs.finalTuples), cut...)
 	} else {
-		k := r.masks[topology.BaseStation].tuples
-		finals, masks = make([]finalTuple, 0, k), make([]uint64, 0, k)
+		finals, masks = a.tuples.take(bs.finalTuples), make([]uint64, 0, bs.finalTuples)
 	}
 	finals, masks = r.gatherFinals(finals, masks, topology.BaseStation)
 	if r.masks != nil {
@@ -474,8 +503,8 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 	for j, xj := range r.execs {
 		tuples := finals
 		if r.masks != nil {
-			tuples = append([]finalTuple(nil), cut...)
 			bit := uint64(1) << uint(j)
+			tuples = append(a.tuples.take(len(cut)+len(finals)), cut...)
 			for i, mask := range masks {
 				if mask&bit != 0 {
 					tuples = append(tuples, finals[i])
@@ -594,6 +623,7 @@ func (r *roundState) sendFilter(id topology.NodeID, st *sensNode, msg *filterMsg
 // forwardJoinAttrValues is Fig. 2 at one node's phase-A deadline.
 func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 	s, x, p, o := r.s, r.x, r.p, r.o
+	a := r.arena(id)
 	nd := &p.nodes[id]
 	ownBytes := nd.tupleBytes // 0 for a non-member
 
@@ -618,11 +648,11 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 	// Act as proxy (lines 20-27): store complete tuples and the
 	// subtree's join-attribute structure, forward join-attribute tuples.
 	if st.cutTuples > 0 {
-		st.proxied = r.gatherCut(make([]finalTuple, 0, st.cutTuples), st.cutFrom)
+		st.proxied = r.gatherCut(a.tuples.take(st.cutTuples), st.cutFrom)
 		x.span(trace.KindProxy, id, -1, PhaseJACollect, len(st.proxied))
 	}
 	st.memProxyBytes = st.cutBytes
-	union, inBytes := st.childUnion()
+	union, inBytes := st.childUnion(a)
 	if inBytes == 0 {
 		inBytes = o.Rep.SetBytes(p, union)
 	}
@@ -632,9 +662,8 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 	} else {
 		st.overflow = true
 	}
-	// The held keys join the union in one merge (scratch on the stack).
-	var buf [4]zorder.Key
-	keys := quadtree.UnionAll(union, p.heldKeys(buf[:0], st.proxied, id))
+	// The held keys join the union in one merge.
+	keys := a.union(union, p.heldKeys(a.keys.take(len(st.proxied)+1), st.proxied, id))
 	if len(keys) == 0 {
 		return // nothing anywhere in the subtree
 	}
@@ -642,7 +671,8 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 	if nd.flags != 0 {
 		raw++
 	}
-	pl := &jaPayload{keys: keys, rawCount: raw, covered: raw}
+	pl := a.payloads.one()
+	*pl = jaPayload{keys: keys, rawCount: raw, covered: raw}
 	for _, c := range st.children {
 		pl.rawCount += c.pl.rawCount
 		pl.covered += c.pl.covered
@@ -669,7 +699,7 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 		return // duplicate delivery
 	}
 	st.gotFilter = true
-	x, p := r.x, r.p
+	x, p, a := r.x, r.p, r.arena(id)
 	var mk *nodeMasks // nil iff m == 1
 	if r.masks != nil {
 		mk = &r.masks[id]
@@ -693,7 +723,7 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 			}
 		}
 		if len(st.children) > 0 {
-			r.sendFilter(id, st, assumeAllMsg(), nil)
+			r.sendFilter(id, st, assumeAllMsg(a), nil)
 		}
 		return
 	}
@@ -709,9 +739,12 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 			x.span(trace.KindSuppress, id, id, PhaseFilterDissem, 0)
 		}
 	}
+	// The matched tuples are compacted in place over proxied, which
+	// nothing reads after this.
+	matched := st.proxied[:0]
 	for _, t := range st.proxied {
 		if i := findKey(filter, p.keyOf(t)); i >= 0 {
-			st.matchedProxy = append(st.matchedProxy, t)
+			matched = append(matched, t)
 			if mk != nil {
 				mk.proxy = append(mk.proxy, msg.masks[i])
 			}
@@ -719,13 +752,20 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 			x.span(trace.KindSuppress, id, t.node, PhaseFilterDissem, 0)
 		}
 	}
+	st.matchedProxy = matched
 	if len(st.children) == 0 {
 		return
 	}
 	// An overflowed node cannot prune: its structure was too large to keep.
 	sub, subMasks := filter, msg.masks
 	if !r.o.DisableSelectiveForwarding && !st.overflow {
-		sub = quadtree.IntersectKeys(filter, st.subtreeKeys)
+		// A continuous query's sender remembers what it sent (prevSent)
+		// across rounds, so only a one-shot intersection is carved.
+		if r.s.cont == nil {
+			sub = a.keys.keep(quadtree.IntersectKeys(a.keys.rest(), filter, st.subtreeKeys))
+		} else {
+			sub = quadtree.IntersectKeys(nil, filter, st.subtreeKeys)
+		}
 		if pruned := len(filter) - len(sub); pruned > 0 {
 			x.span(trace.KindPrune, id, -1, PhaseFilterDissem, pruned)
 		}
@@ -742,7 +782,7 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 	if len(sub) != len(filter) {
 		subBytes = r.o.Rep.SetBytes(p, sub)
 	}
-	r.sendFilter(id, st, r.s.buildFilterMsg(p, r.o, id, sub, subBytes, st.childNeedsFull), subMasks)
+	r.sendFilter(id, st, r.s.buildFilterMsg(a, p, r.o, id, sub, subBytes, st.childNeedsFull), subMasks)
 }
 
 // forwardCompleteTuples is the Final-Result-Computation step at one
@@ -765,11 +805,10 @@ func (r *roundState) forwardCompleteTuples(id topology.NodeID, st *sensNode) {
 	if tuples == 0 && len(st.finalFrom) == 0 {
 		return
 	}
+	st.finalTuples += tuples
 	if r.masks != nil {
-		mk := &r.masks[id]
-		mk.tuples += tuples
 		size += tuples * perTupleMaskBytes(r.m)
-		r.x.Metrics.observeMQOBitmap(mk.tuples * perTupleMaskBytes(r.m))
+		r.x.Metrics.observeMQOBitmap(st.finalTuples * perTupleMaskBytes(r.m))
 	}
 	r.x.Net.Send(netsim.Message{
 		Kind: kindFinal, Src: id, Dst: r.x.Tree.Parent[id],

@@ -135,6 +135,15 @@ func (s *Sim) EnableSharding(regionOf []int32, shards int, lookahead Time, worke
 // Sharded reports whether the simulator runs more than one region.
 func (s *Sim) Sharded() bool { return len(s.regions) > 1 }
 
+// Regions reports how many regions the simulator runs: one unless
+// EnableSharding asked for more.
+func (s *Sim) Regions() int { return len(s.regions) }
+
+// Region returns the region node id's events run on, in [0, Regions()).
+// Two nodes of different regions may run at the same time; two of one
+// region never do.
+func (s *Sim) Region(id NodeID) int { return int(s.region(id)) }
+
 // run is the event loop: execute the coordinator's head when nothing
 // precedes it, otherwise a window of region events up to min+lookahead
 // (never past the coordinator's head), merge the cross-region inboxes,

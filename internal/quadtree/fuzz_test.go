@@ -98,8 +98,9 @@ func mergeUnion(a, b []zorder.Key) []zorder.Key {
 }
 
 // UnionAll equals a plain merge applied set by set, returns base itself
-// exactly when the other sets add nothing to it (and a fresh, exactly
-// sized set otherwise), and leaves its inputs alone.
+// exactly when the other sets add nothing to it (and otherwise a fresh,
+// exactly sized set, or the destination it was given room in), and
+// leaves its inputs alone.
 func FuzzUnionAll(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(3), []byte{0, 5, 1, 5, 2, 7, 0, 1, 1, 9})
@@ -121,7 +122,7 @@ func FuzzUnionAll(f *testing.F) {
 		for _, s := range sets[1:] {
 			want = mergeUnion(want, s)
 		}
-		got := UnionAll(sets[0], sets[1:]...)
+		got := UnionAll(nil, sets[0], sets[1:]...)
 		if !slices.Equal(got, want) {
 			t.Fatalf("UnionAll(%v) = %v, want %v", sets, got, want)
 		}
@@ -132,6 +133,15 @@ func FuzzUnionAll(f *testing.F) {
 			}
 		case cap(got) != len(got):
 			t.Fatalf("union of %d keys has capacity %d", len(got), cap(got))
+		}
+		// With a destination that has room the union is built in it.
+		dst := make([]zorder.Key, 1, len(want)+1)
+		into := UnionAll(dst, sets[0], sets[1:]...)
+		if !slices.Equal(into, want) {
+			t.Fatalf("UnionAll into a destination = %v, want %v", into, want)
+		}
+		if len(into) != len(sets[0]) && &into[0] != &dst[0] {
+			t.Fatal("the union was not built in the destination that holds it")
 		}
 		for i := range sets {
 			if !slices.Equal(sets[i], before[i]) {

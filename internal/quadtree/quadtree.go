@@ -349,14 +349,16 @@ func NormalizeKeys(keys []zorder.Key) []zorder.Key {
 	return out[:w]
 }
 
-// UnionAll merges sorted key sets into one exactly sized set: one k-way
-// merge, or UnionKeys for two sets. A first pass only counts the union,
-// so when the other sets add nothing to base, base itself is returned and
-// nothing is allocated; callers never write into a key set in place. The other sets are only read, so they may live in
-// the caller's scratch.
-func UnionAll(base []zorder.Key, more ...[]zorder.Key) []zorder.Key {
+// UnionAll merges sorted key sets into one set: one k-way merge, or
+// UnionKeys for two sets. A first pass only counts the union, so when the
+// other sets add nothing to base, base itself is returned and nothing is
+// written; callers never write into a key set in place. Otherwise the
+// union is written into dst's storage when its capacity holds it, and
+// into a fresh, exactly sized slice when it does not (dst nil: always).
+// The other sets are only read, so they may live in the caller's scratch.
+func UnionAll(dst, base []zorder.Key, more ...[]zorder.Key) []zorder.Key {
 	if len(more) == 1 {
-		return UnionKeys(base, more[0])
+		return UnionKeys(dst, base, more[0])
 	}
 	var buf [8]int
 	pos := buf[:0]
@@ -368,16 +370,17 @@ func UnionAll(base []zorder.Key, more ...[]zorder.Key) []zorder.Key {
 		return base
 	}
 	clear(pos)
-	out, _ := mergeSets(base, more, pos, make([]zorder.Key, 0, n))
+	out, _ := mergeSets(base, more, pos, sizedFor(dst, n))
 	return out
 }
 
 // UnionKeys merges two sorted key sets. b's keys are placed in a by
 // binary search and the runs of a between them are copied whole, so a
 // few keys added to a large set cost little more than one copy of it.
-// When b adds nothing, a itself is returned; otherwise the result is
-// fresh and exactly sized.
-func UnionKeys(a, b []zorder.Key) []zorder.Key {
+// When b adds nothing, a itself is returned; otherwise the result goes
+// where UnionAll puts it: into dst's storage if it fits, else into a
+// fresh, exactly sized slice.
+func UnionKeys(dst, a, b []zorder.Key) []zorder.Key {
 	n, rest := len(a), a
 	for _, k := range b {
 		i, found := slices.BinarySearch(rest, k)
@@ -389,7 +392,7 @@ func UnionKeys(a, b []zorder.Key) []zorder.Key {
 	if n == len(a) {
 		return a
 	}
-	out := make([]zorder.Key, 0, n)
+	out := sizedFor(dst, n)
 	for _, k := range b {
 		i, found := slices.BinarySearch(a, k)
 		out = append(out, a[:i]...)
@@ -399,6 +402,15 @@ func UnionKeys(a, b []zorder.Key) []zorder.Key {
 		a = a[i:]
 	}
 	return append(out, a...)
+}
+
+// sizedFor returns dst emptied when it can hold n keys, else a fresh
+// slice of capacity n.
+func sizedFor(dst []zorder.Key, n int) []zorder.Key {
+	if cap(dst) < n {
+		return make([]zorder.Key, 0, n)
+	}
+	return dst[:0]
 }
 
 // mergeSets appends the union of base and more to out (nil: only counts
@@ -432,9 +444,10 @@ func mergeSets(base []zorder.Key, more [][]zorder.Key, pos []int, out []zorder.K
 	}
 }
 
-// IntersectKeys intersects two sorted key sets.
-func IntersectKeys(a, b []zorder.Key) []zorder.Key {
-	var out []zorder.Key
+// IntersectKeys intersects two sorted key sets, appending to dst's
+// storage (emptied first; nil: a fresh slice).
+func IntersectKeys(dst, a, b []zorder.Key) []zorder.Key {
+	out := dst[:0]
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {

@@ -198,7 +198,7 @@ func TestQuickUnionIntersect(t *testing.T) {
 			}
 			return true
 		}
-		return sameSet(UnionKeys(a, b), either) && sameSet(IntersectKeys(a, b), both)
+		return sameSet(UnionKeys(nil, a, b), either) && sameSet(IntersectKeys(nil, a, b), both)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -208,10 +208,10 @@ func TestQuickUnionIntersect(t *testing.T) {
 func TestUnionWithEmpty(t *testing.T) {
 	_, g := testCodec(t)
 	keys := NormalizeKeys(randomKeys(g, rand.New(rand.NewSource(3)), 20, false))
-	if !reflect.DeepEqual(UnionKeys(keys, nil), keys) || !reflect.DeepEqual(UnionKeys(nil, keys), keys) {
+	if !reflect.DeepEqual(UnionKeys(nil, keys, nil), keys) || !reflect.DeepEqual(UnionKeys(nil, nil, keys), keys) {
 		t.Fatal("union with empty must be identity")
 	}
-	if len(IntersectKeys(keys, nil)) != 0 || len(IntersectKeys(nil, keys)) != 0 {
+	if len(IntersectKeys(nil, keys, nil)) != 0 || len(IntersectKeys(nil, nil, keys)) != 0 {
 		t.Fatal("intersection with empty must be empty")
 	}
 }
@@ -228,11 +228,11 @@ func TestContainsAndInsert(t *testing.T) {
 	if ContainsKey(keys, probe) {
 		t.Skip("probe collided with random keys")
 	}
-	with := UnionKeys(keys, []zorder.Key{probe})
+	with := UnionKeys(nil, keys, []zorder.Key{probe})
 	if !ContainsKey(with, probe) || len(with) != len(keys)+1 {
 		t.Fatalf("inserting an absent key gave %d keys from %d", len(with), len(keys))
 	}
-	if again := UnionKeys(with, []zorder.Key{probe}); len(again) != len(with) {
+	if again := UnionKeys(nil, with, []zorder.Key{probe}); len(again) != len(with) {
 		t.Fatal("inserting a member must not grow the set")
 	}
 }
@@ -286,10 +286,10 @@ func TestDecodeErrors(t *testing.T) {
 func TestKeySetHelpers(t *testing.T) {
 	a := []zorder.Key{1, 3, 5, 7}
 	b := []zorder.Key{3, 4, 7, 9}
-	if got := UnionKeys(a, b); !reflect.DeepEqual(got, []zorder.Key{1, 3, 4, 5, 7, 9}) {
+	if got := UnionKeys(nil, a, b); !reflect.DeepEqual(got, []zorder.Key{1, 3, 4, 5, 7, 9}) {
 		t.Fatalf("UnionKeys = %v", got)
 	}
-	if got := IntersectKeys(a, b); !reflect.DeepEqual(got, []zorder.Key{3, 7}) {
+	if got := IntersectKeys(nil, a, b); !reflect.DeepEqual(got, []zorder.Key{3, 7}) {
 		t.Fatalf("IntersectKeys = %v", got)
 	}
 	if !ContainsKey(a, 5) || ContainsKey(a, 6) {

@@ -173,6 +173,9 @@ type wire struct {
 	mu    sync.Mutex
 	calls map[int64]chan frame
 	err   error // terminal connection error, set once
+	// free holds the demux channels of finished streams for the next
+	// ones (register); at most maxFreeStreams.
+	free []chan frame
 
 	// done closes when the connection dies; it unblocks every stream
 	// without the races of closing the per-call channels.
@@ -194,6 +197,36 @@ func (w *wire) error() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.err
+}
+
+// maxFreeStreams bounds the finished streams' channels a connection
+// keeps: as many as a client commonly has queries outstanding.
+const maxFreeStreams = 16
+
+// register gives a new call id a demux channel, a finished stream's when
+// one is free.
+func (w *wire) register(id int64) chan frame {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var ch chan frame
+	if k := len(w.free); k > 0 {
+		ch, w.free = w.free[k-1], w.free[:k-1]
+	} else {
+		ch = make(chan frame, streamBuffer)
+	}
+	w.calls[id] = ch
+	return ch
+}
+
+// release takes back the channel of a stream whose Next received the
+// terminal Done or Error frame: the read loop never sends on a channel
+// after that frame, so the channel is empty and nobody else holds it.
+func (w *wire) release(ch chan frame) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if len(w.free) < maxFreeStreams {
+		w.free = append(w.free, ch)
+	}
 }
 
 // Client is a connection to sensjoind. It is safe for concurrent use.
@@ -416,10 +449,7 @@ func (c *Client) Stream(src string, o Options) (*Stream, error) {
 	c.nextID++
 	id := c.nextID
 	c.mu.Unlock()
-	ch := make(chan frame, streamBuffer)
-	w.mu.Lock()
-	w.calls[id] = ch
-	w.mu.Unlock()
+	ch := w.register(id)
 
 	q := proto.Query{
 		ID: id, Src: src, Method: o.Method, At: o.At,
@@ -573,14 +603,24 @@ func (s *Stream) Next() (*Table, error) {
 			return t, nil
 		case proto.KindDone:
 			s.done = true
+			s.finish()
 			return nil, io.EOF
 		case proto.KindError:
 			var e proto.Error
 			proto.Decode(f.payload, &e)
 			s.err = &ServerError{Code: e.Code, Msg: e.Msg}
+			s.finish()
 			return nil, s.err
 		}
 	}
+}
+
+// finish hands the stream's channel back to its connection once the
+// terminal frame is in. A stream that ends any other way — closed early,
+// failed, timed out — keeps it: a drain may still read from it.
+func (s *Stream) finish() {
+	s.w.release(s.ch)
+	s.ch = nil
 }
 
 // cancel asks the server to stop the query and drains the stream's

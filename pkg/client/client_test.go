@@ -323,3 +323,52 @@ func TestClosedLoopQueryReadsThroughDone(t *testing.T) {
 		t.Fatalf("first of five epochs: the server saw frame kinds %d, %d; want Query, Cancel", q, cancel)
 	}
 }
+
+// A finished stream hands its demux channel to the next one; a stream
+// closed before its terminal frame keeps it, because the drain of its
+// late frames still reads from it. Either way every query gets exactly
+// its own table: here each answer carries its query's ID, the first query
+// is abandoned after one of its three epochs, and the queries after it
+// run on recycled channels while its late frames are still arriving.
+func TestStreamChannelReuse(t *testing.T) {
+	fs := newFakeServer(t, func(conn net.Conn) {
+		for {
+			q, err := readQuery(conn)
+			if err != nil {
+				return
+			}
+			epochs := max(q.Rounds, 1)
+			proto.WriteFrame(conn, proto.KindHeader, proto.Header{ID: q.ID, Columns: []string{"id"}})
+			for e := 0; e < epochs; e++ {
+				if e > 0 {
+					time.Sleep(5 * time.Millisecond)
+				}
+				proto.WriteFrame(conn, proto.KindRows, proto.Rows{ID: q.ID, Epoch: e, Rows: [][]float64{{float64(q.ID)}}})
+				proto.WriteFrame(conn, proto.KindEpochEnd, proto.EpochEnd{ID: q.ID, Epoch: e, RowCount: 1, Complete: true})
+			}
+			proto.WriteFrame(conn, proto.KindDone, proto.Done{ID: q.ID, Epochs: epochs})
+		}
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Stream(`SELECT ...`, client.Options{Rounds: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Next(); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	for i := 0; i < 20; i++ {
+		tb, err := c.QueryOpts(`SELECT ...`, client.Options{Timeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := float64(i + 2); len(tb.Rows) != 1 || tb.Rows[0][0] != want {
+			t.Fatalf("query %d got rows %v, want [[%g]]", i+2, tb.Rows, want)
+		}
+	}
+}

@@ -29,7 +29,9 @@ fi
 # reliable recovery, and the runner heals its tree one way. And phase
 # A's copying inboxes and the radio hook that bypassed the journal:
 # Treecut tuples and key sets forward by reference, tracing is the journal.
-retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b' \
+# And the per-node delta buffers: a round's deltas are carved from the
+# round arena of the sending node's region.
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -119,8 +121,9 @@ go run -race ./cmd/experiments -only X7 -scale 10000 -shards 4 > /dev/null
 go run ./cmd/experiments -only X8 -nodes 400 -mqo-n 1,2,4 -out /tmp/sensjoin-mqo.json > /tmp/sensjoin-mqo.txt
 ! grep -q DIFFER /tmp/sensjoin-mqo.txt
 # MQO race pass: query-group clustering, the shared round, filter
-# canonicalization and the diff scratch arena under the race detector.
-go test -race -run 'QueryGroup|Canonical|DiffScratch|BuildFilterMsg|MQO' ./internal/core ./internal/query ./internal/bench
+# canonicalization and the round arenas (poisoned after every round, one
+# region and four) under the race detector.
+go test -race -run 'QueryGroup|Canonical|RoundArena|BuildFilterMsg|MQO' ./internal/core ./internal/query ./internal/bench
 # Observability smoke: run an audited experiment with the live server
 # holding, validate the Prometheus exposition (in-repo validator, no
 # external deps), check /progress, pull a 1 s CPU profile, then release
