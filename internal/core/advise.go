@@ -103,6 +103,7 @@ func exactJoinContribution(x *Exec, p *plan) (int, error) {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	_, contrib := exactJoin(x, tuples)
+	_, block, contrib := exactJoin(x, tuples)
+	block.release()
 	return len(contrib), nil
 }

@@ -109,7 +109,7 @@ func TestJoinKernelEmitAllocs(t *testing.T) {
 			x := kernelExec(t, c.src)
 			tuples, cols := benchTuples(c.tuples)
 			var rows []Row
-			plans := capturePlans(func() { rows, _ = exactJoinOver(x, cols, tuples) })
+			plans := capturePlans(func() { rows, _, _ = exactJoinOver(x, cols, tuples) })
 			if len(rows) < c.minRows || len(rows) > c.maxRows {
 				t.Fatalf("fixture drifted: %d rows, want %d..%d", len(rows), c.minRows, c.maxRows)
 			}

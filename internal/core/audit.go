@@ -210,6 +210,7 @@ func groundTruthContributors(x *Exec) ([]topology.NodeID, error) {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	_, contrib := exactJoin(x, tuples)
+	_, block, contrib := exactJoin(x, tuples)
+	block.release()
 	return contrib, nil
 }

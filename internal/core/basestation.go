@@ -113,20 +113,23 @@ func (emptyBounds) Range(query.AttrRef) query.Interval { return query.Everything
 
 // exactJoin computes the final result (paper §IV-D): an exact n-way
 // join over the complete tuples at the base station, followed by SELECT
-// evaluation and optional aggregation. It returns the rows and the
-// contributing nodes, ascending (valid until the execution's next join). Candidate enumeration runs on the
-// predicate-indexed kernel (joinkernel.go); output is identical to the
-// seed's nested loop, row for row and byte for byte.
-func exactJoin(x *Exec, tuples []finalTuple) ([]Row, []topology.NodeID) {
+// evaluation and optional aggregation. It returns the rows, the result
+// block they are carved from (nil when they are on the heap: a Result
+// keeps it for Release, a caller that drops the rows releases it) and the
+// contributing nodes, ascending (valid until the execution's next join).
+// Candidate enumeration runs on the predicate-indexed kernel
+// (joinkernel.go); output is identical to the seed's nested loop, row for
+// row and byte for byte.
+func exactJoin(x *Exec, tuples []finalTuple) ([]Row, *resultBlock, []topology.NodeID) {
 	return exactJoinOver(x, x.snapshot(), tuples)
 }
 
 // exactJoinOver is exactJoin reading sensor values from cols.
-func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, []topology.NodeID) {
+func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, *resultBlock, []topology.NodeID) {
 	n := len(x.Query.From)
 	for _, c := range x.Analysis.ConstPreds {
 		if !c.Eval(query.TupleEnv{Lookup: func(int, string) float64 { return 0 }}) {
-			return nil, nil
+			return nil, nil, nil
 		}
 	}
 	sc := &x.run().kernel
@@ -141,7 +144,7 @@ func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, []to
 			}
 		}
 		if len(byAlias[i]) == 0 {
-			return nil, nil
+			return nil, nil, nil
 		}
 	}
 	return joinKernel(x, cols, byAlias)
@@ -202,13 +205,14 @@ func GroundTruth(x *Exec) (*Result, error) {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	rows, contrib := exactJoin(x, tuples)
+	rows, block, contrib := exactJoin(x, tuples)
 	return &Result{
 		Columns:           columnsOf(x.Query),
 		Rows:              rows,
 		ContributingNodes: len(contrib),
 		MemberNodes:       p.members,
 		Complete:          true,
+		block:             block,
 	}, nil
 }
 

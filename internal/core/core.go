@@ -199,6 +199,10 @@ type Result struct {
 	// Violations lists what the journal audit found (Audited); a correct
 	// execution has none. With WithRecovery it spans every attempt.
 	Violations []trace.Violation
+
+	// block is the storage Rows are carved from, nil when the rows are
+	// on the heap; Release hands it back (runstate.go).
+	block *resultBlock
 }
 
 // Fraction returns the fraction of member nodes that contribute to the

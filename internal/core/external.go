@@ -31,7 +31,7 @@ func (External) Run(x *Exec) (*Result, error) {
 	x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseExternal, 0)
 	tuples := collectWave(x, p, x.Tree, PhaseExternal, nil)
 	x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseExternal, 0)
-	rows, contrib := exactJoin(x, tuples)
+	rows, block, contrib := exactJoin(x, tuples)
 	res := &Result{
 		Columns:           columnsOf(x.Query),
 		Rows:              rows,
@@ -39,6 +39,7 @@ func (External) Run(x *Exec) (*Result, error) {
 		MemberNodes:       p.members,
 		Complete:          len(tuples) == p.members,
 		ResponseTime:      x.Sim.Now() - start,
+		block:             block,
 	}
 	// The external join needs every member tuple, so scoped recovery
 	// targets members rather than contributors.

@@ -37,7 +37,8 @@ func contributorSet(x *Exec, p *plan) map[topology.NodeID]bool {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	_, contrib := exactJoin(x, tuples)
+	_, block, contrib := exactJoin(x, tuples)
+	block.release()
 	set := make(map[topology.NodeID]bool, len(contrib))
 	for _, id := range contrib {
 		set[id] = true
@@ -301,8 +302,9 @@ func finishReliable(x *Exec, p *plan, res *Result,
 	for _, id := range ids {
 		tuples = append(tuples, have[id])
 	}
-	rows, contrib := exactJoin(x, tuples)
-	res.Rows = rows
+	rows, block, contrib := exactJoin(x, tuples)
+	res.Release() // the rows before recovery
+	res.Rows, res.block = rows, block
 	res.ContributingNodes = len(contrib)
 	res.Complete = len(missing) == 0
 	res.RecoveryRounds = rounds

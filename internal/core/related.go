@@ -167,11 +167,12 @@ func (m Mediated) Run(x *Exec) (*Result, error) {
 	// Phase 2: join at the mediator; ship the result rows to the base
 	// station hop by hop. A mediator cut off from the base station (churn)
 	// holds rows that never arrive: every member's data is missing there.
-	rows, contrib := exactJoin(x, tuples)
+	rows, block, contrib := exactJoin(x, tuples)
 	partitioned := false
 	if len(rows) > 0 && mediator != topology.BaseStation {
 		if path, err := shortestPath(x, mediator, topology.BaseStation); err != nil {
-			rows, contrib, tuples, partitioned = nil, nil, nil, true
+			block.release()
+			rows, block, contrib, tuples, partitioned = nil, nil, nil, nil, true
 		} else {
 			rowBytes := len(x.Query.Select) * 2
 			size := len(rows) * rowBytes
@@ -191,6 +192,7 @@ func (m Mediated) Run(x *Exec) (*Result, error) {
 		MemberNodes:       p.members,
 		Complete:          len(tuples) == p.members,
 		ResponseTime:      x.Sim.Now() - start,
+		block:             block,
 	}
 	if !res.Complete {
 		annotateIncomplete(x, missingFrom(memberSet(p), tupleIndex(tuples)), res)
@@ -328,7 +330,7 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 	bTuples := collectWave(x, p, x.Tree, PhaseSemiCollectB, matches)
 
 	all := append(append([]finalTuple(nil), aTuples...), bTuples...)
-	rows, contrib := exactJoin(x, all)
+	rows, block, contrib := exactJoin(x, all)
 	// Complete means every tuple the method set out to collect arrived:
 	// all of A, and every B tuple that matches an A key.
 	needed := make(map[topology.NodeID]bool)
@@ -345,6 +347,7 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 		MemberNodes:       p.members,
 		Complete:          len(missing) == 0,
 		ResponseTime:      x.Sim.Now() - start,
+		block:             block,
 	}
 	if !res.Complete {
 		annotateIncomplete(x, missing, res)

@@ -512,7 +512,7 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 			}
 		}
 		r.got[j] = tuples
-		rows, contrib := exactJoin(xj, tuples)
+		rows, block, contrib := exactJoin(xj, tuples)
 		if joined != nil {
 			joined(j, at, len(rows))
 		}
@@ -523,6 +523,7 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 			MemberNodes:       r.p.members,
 			Complete:          r.completeA && finalComplete(r.plans[j], r.filters[j], tuples),
 			ResponseTime:      response,
+			block:             block,
 		}
 	}
 	if r.s.cont != nil {

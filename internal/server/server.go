@@ -328,11 +328,13 @@ func refuse(conn net.Conn, code, msg string) {
 }
 
 // outFrame is one queued response frame. The write loop ends the
-// session once it has flushed a frame marked last.
+// session once it has flushed a frame marked last, and releases the
+// result of an epoch once it has written the epoch's EpochEnd.
 type outFrame struct {
-	kind byte
-	msg  any
-	last bool
+	kind    byte
+	msg     any
+	last    bool
+	release *core.Result
 }
 
 // queryOf returns the ID of the query a response message answers, 0
@@ -479,6 +481,9 @@ func (ss *session) writeLoop() {
 			if err != nil {
 				err = ss.answerEncodeFailure(bw, f.msg, err)
 			}
+			// Every chunk of the epoch was queued before its EpochEnd and
+			// is encoded by now: nothing reads the result's rows again.
+			f.release.Release()
 			if err == nil && (f.last || len(ss.out) == 0) {
 				err = bw.Flush()
 			}
@@ -896,6 +901,8 @@ func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace
 		for k, m := range x.members {
 			if m.wants(e) {
 				m.emit(e, t, results[k])
+			} else {
+				results[k].Release()
 			}
 		}
 	}
@@ -944,8 +951,11 @@ func bounded[T any](timeout time.Duration, run func() (T, error)) (res T, err er
 }
 
 // emitEpoch streams one epoch's table as Rows chunks plus an EpochEnd.
-// The chunks alias res.Rows until the write loop has encoded them; a
-// Result's rows are never written again once the kernel returns it.
+// The chunks alias res.Rows until the write loop has encoded them, so
+// the result is released by the write loop, at its EpochEnd: the session
+// queue is FIFO and has one reader, so by then every chunk is encoded. A
+// session torn down before that never releases the result; the collector
+// takes it.
 func (ss *session) emitEpoch(id int64, epoch int, t float64, res *core.Result) bool {
 	const chunk = 512
 	for i := 0; i < len(res.Rows); i += chunk {
@@ -956,10 +966,10 @@ func (ss *session) emitEpoch(id int64, epoch int, t float64, res *core.Result) b
 			return false
 		}
 	}
-	return ss.send(proto.KindEpochEnd, proto.EpochEnd{
+	return ss.enqueue(outFrame{kind: proto.KindEpochEnd, release: res, msg: proto.EpochEnd{
 		ID: id, Epoch: epoch, Time: t,
 		RowCount: len(res.Rows), Complete: res.Complete,
 		Contributing: res.ContributingNodes, Members: res.MemberNodes,
 		ResponseTime: res.ResponseTime,
-	})
+	}})
 }

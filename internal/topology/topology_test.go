@@ -3,6 +3,7 @@ package topology
 import (
 	"testing"
 	"testing/quick"
+	"time"
 
 	"sensjoin/internal/geom"
 )
@@ -223,5 +224,53 @@ func TestGridTopology(t *testing.T) {
 	// Corner has 2.
 	if len(d.Neighbors[0]) != 2 {
 		t.Fatalf("corner has %d neighbors, want 2", len(d.Neighbors[0]))
+	}
+}
+
+// Over seeds 1–10 and 42 at 150, 1500 and 10,000 nodes, at the density
+// every runner uses (ScaledArea, 50 m range: about 10.7 neighbours per
+// node), Generate returns a connected deployment whose largest degree
+// stays under maxDegree, and each set-up finishes within setupLimit —
+// by re-sampling (NewRunner) and by repair (the scale experiment) alike.
+// Neither bound is tight: the largest degree seen is 29 and the slowest
+// 10,000-node set-up about 0.1 s. They catch a repair that piles
+// relocated nodes into a few radio disks, and a hostile seed that never
+// finishes (seed 2 once hung a 100,000-node set-up).
+func TestGenerateProperties(t *testing.T) {
+	const maxDegree, setupLimit = 40, 5 * time.Second
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 42}
+	for _, repair := range []bool{false, true} {
+		for _, nodes := range []int{150, 1500, 10000} {
+			for _, seed := range seeds {
+				cfg := Config{Nodes: nodes, Area: ScaledArea(nodes), Range: 50, Seed: seed, Repair: repair}
+				type outcome struct {
+					d   *Deployment
+					err error
+				}
+				done := make(chan outcome, 1)
+				go func() {
+					d, err := Generate(cfg)
+					done <- outcome{d, err}
+				}()
+				var out outcome
+				select {
+				case out = <-done:
+				case <-time.After(setupLimit):
+					t.Fatalf("repair=%t, %d nodes, seed %d: set-up still running after %v", repair, nodes, seed, setupLimit)
+				}
+				if out.err != nil {
+					t.Fatalf("repair=%t, %d nodes, seed %d: %v", repair, nodes, seed, out.err)
+				}
+				d := out.d
+				if d.N() != nodes+1 || !d.Connected() {
+					t.Fatalf("repair=%t, %d nodes, seed %d: %d nodes, connected=%t", repair, nodes, seed, d.N(), d.Connected())
+				}
+				for id, nb := range d.Neighbors {
+					if len(nb) >= maxDegree {
+						t.Fatalf("repair=%t, %d nodes, seed %d: node %d has %d neighbours, want < %d", repair, nodes, seed, id, len(nb), maxDegree)
+					}
+				}
+			}
+		}
 	}
 }
