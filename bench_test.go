@@ -1,12 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§VI), one testing.B benchmark per experiment. Run with:
+// evaluation (§VI): BenchmarkSuite runs one sub-benchmark per experiment
+// of bench.Suite that bench.All runs, named by its id. Run with:
 //
 //	go test -bench=. -benchmem
+//	go test -bench=Suite/E1a     # one experiment
 //
 // Each iteration executes the complete experiment (topology, snapshot,
 // protocol simulation, base-station join) at a reduced scale so the
 // default benchtime stays reasonable; cmd/experiments runs the paper's
-// full 1500-node setting. Besides ns/op, every benchmark reports the
+// full 1500-node setting. Besides ns/op, a sub-benchmark reports the
 // headline quantity of its figure (packets, savings, reduction factors)
 // via b.ReportMetric, so the benchmark output doubles as a compact
 // reproduction table.
@@ -18,7 +20,6 @@ import (
 	"testing"
 
 	"sensjoin/internal/bench"
-	"sensjoin/internal/workload"
 )
 
 // benchConfig is the reduced-scale default for benchmarks.
@@ -40,208 +41,85 @@ func lastFloat(cell string) float64 {
 	return v
 }
 
-func reportSavings(b *testing.B, tbl *bench.Table, fracCol, savingsCol int) {
-	b.Helper()
+// metric reports the number in one cell of tbl; a negative row counts
+// from the end.
+func metric(b *testing.B, tbl *bench.Table, row, col int, unit string) {
+	if row < 0 {
+		row += len(tbl.Rows)
+	}
+	b.ReportMetric(lastFloat(tbl.Rows[row][col]), unit)
+}
+
+func reportSavings(b *testing.B, tbl *bench.Table) {
 	for _, row := range tbl.Rows {
-		frac := lastFloat(row[fracCol])
-		if frac == 5.0 || len(tbl.Rows) == 1 {
-			b.ReportMetric(lastFloat(row[savingsCol]), "savings@5%")
+		if lastFloat(row[1]) == 5.0 || len(tbl.Rows) == 1 {
+			b.ReportMetric(lastFloat(row[4]), "savings@5%")
 		}
 	}
 }
 
-func BenchmarkFig10aOverall33(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunOverallSavings(benchConfig(), workload.Ratio33())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSavings(b, tbl, 1, 4)
+// The last bin holds the most loaded (near-root) nodes.
+func reportRootLoad(b *testing.B, tbl *bench.Table) {
+	metric(b, tbl, -1, 4, "rootload-reduction-x")
 }
 
-func BenchmarkFig10bOverall60(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunOverallSavings(benchConfig(), workload.Ratio60())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportSavings(b, tbl, 1, 4)
-}
-
-func BenchmarkFig11aPerNode33(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunPerNodeSavings(benchConfig(), workload.Ratio33())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// The last bin holds the most loaded (near-root) nodes.
-	last := tbl.Rows[len(tbl.Rows)-1]
-	b.ReportMetric(lastFloat(last[4]), "rootload-reduction-x")
-}
-
-func BenchmarkFig11bPerNode60(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunPerNodeSavings(benchConfig(), workload.Ratio60())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := tbl.Rows[len(tbl.Rows)-1]
-	b.ReportMetric(lastFloat(last[4]), "rootload-reduction-x")
-}
-
-func BenchmarkFig12Ratio3JA(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunRatioSweep(benchConfig(), workload.RatioSweep3JA(), "E3 / Fig. 12")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Savings at the lowest ratio (3/5) and the highest (3/3 = 100%).
-	b.ReportMetric(lastFloat(tbl.Rows[len(tbl.Rows)-1][3]), "savings@60%-ratio")
-	b.ReportMetric(lastFloat(tbl.Rows[0][3]), "savings@100%-ratio")
-}
-
-func BenchmarkFig13Ratio1JA(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunRatioSweep(benchConfig(), workload.RatioSweep1JA(), "E4 / Fig. 13")
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(lastFloat(tbl.Rows[len(tbl.Rows)-1][3]), "savings@20%-ratio")
-	b.ReportMetric(lastFloat(tbl.Rows[0][3]), "savings@100%-ratio")
-}
-
-func BenchmarkFig14NetworkSize(b *testing.B) {
-	sizes := []int{200, 300, 400}
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunNetworkSize(benchConfig(), sizes, workload.Ratio33())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(lastFloat(tbl.Rows[0][3]), "savings@small")
-	b.ReportMetric(lastFloat(tbl.Rows[len(tbl.Rows)-1][3]), "savings@large")
-}
-
-func BenchmarkPacketSize124(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunPacketSize(benchConfig(), workload.Ratio33())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+// headline maps an experiment id to the figure quantities its
+// sub-benchmark reports; an id without an entry reports ns/op only.
+var headline = map[string]func(*testing.B, *bench.Table){
+	"E1a": reportSavings,
+	"E1b": reportSavings,
+	"E2a": reportRootLoad,
+	"E2b": reportRootLoad,
+	// Savings at the lowest ratio (last row) and the highest (100%).
+	"E3": func(b *testing.B, tbl *bench.Table) {
+		metric(b, tbl, -1, 3, "savings@60%-ratio")
+		metric(b, tbl, 0, 3, "savings@100%-ratio")
+	},
+	"E4": func(b *testing.B, tbl *bench.Table) {
+		metric(b, tbl, -1, 3, "savings@20%-ratio")
+		metric(b, tbl, 0, 3, "savings@100%-ratio")
+	},
+	"E5": func(b *testing.B, tbl *bench.Table) {
+		metric(b, tbl, 0, 3, "savings@small")
+		metric(b, tbl, -1, 3, "savings@large")
+	},
 	// Row 1 is the 124-byte setting; column 6 is the max-node reduction.
-	b.ReportMetric(lastFloat(tbl.Rows[1][6]), "rootload-reduction-x@124B")
-}
-
-func BenchmarkFig15Breakdown(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunStepBreakdown(benchConfig(), nil, workload.Ratio60())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	"E6": func(b *testing.B, tbl *bench.Table) { metric(b, tbl, 1, 6, "rootload-reduction-x@124B") },
 	// Fixed collection cost (row 1, column 1 — first sens run).
-	b.ReportMetric(lastFloat(tbl.Rows[1][1]), "ja-collect-packets")
-}
-
-func BenchmarkCompressionComparison(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunCompressionComparison(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Quadtree packets relative to raw (last row, "vs raw" column).
-	b.ReportMetric(lastFloat(tbl.Rows[3][2]), "quadtree-vs-raw-%")
-	b.ReportMetric(lastFloat(tbl.Rows[2][2]), "zlib-vs-raw-%")
-	b.ReportMetric(lastFloat(tbl.Rows[1][2]), "bwz-vs-raw-%")
-}
-
-func BenchmarkFig16QuadInfluence(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunQuadInfluence(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(lastFloat(tbl.Rows[1][2]), "noquad-total-packets")
-	b.ReportMetric(lastFloat(tbl.Rows[2][2]), "sens-total-packets")
-}
-
-func BenchmarkAblationTreecutDmax(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunTreecutAblation(benchConfig(), workload.Ratio33()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationFilterMemLimit(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunFilterLimitAblation(benchConfig(), workload.Ratio33()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkX1IncrementalFilter(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunIncrementalFilter(benchConfig(), 6, 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	"E7": func(b *testing.B, tbl *bench.Table) { metric(b, tbl, 1, 1, "ja-collect-packets") },
+	// Each compressor's packets relative to raw ("vs raw" column).
+	"E8": func(b *testing.B, tbl *bench.Table) {
+		metric(b, tbl, 3, 2, "quadtree-vs-raw-%")
+		metric(b, tbl, 2, 2, "zlib-vs-raw-%")
+		metric(b, tbl, 1, 2, "bwz-vs-raw-%")
+	},
+	"E9": func(b *testing.B, tbl *bench.Table) {
+		metric(b, tbl, 1, 2, "noquad-total-packets")
+		metric(b, tbl, 2, 2, "sens-total-packets")
+	},
 	// Steady-state saving of the last round.
-	last := tbl.Rows[len(tbl.Rows)-1]
-	b.ReportMetric(lastFloat(last[3]), "filter-bytes-saved-%")
+	"X1": func(b *testing.B, tbl *bench.Table) { metric(b, tbl, -1, 3, "filter-bytes-saved-%") },
+	"X3": func(b *testing.B, tbl *bench.Table) { metric(b, tbl, 1, 4, "lifetime-extension-x@33%") },
 }
 
-func BenchmarkX2RelatedWork(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.RunRelatedWork(benchConfig()); err != nil {
-			b.Fatal(err)
+// BenchmarkSuite runs every experiment bench.All runs, one
+// sub-benchmark per id, at benchConfig.
+func BenchmarkSuite(b *testing.B) {
+	for _, e := range bench.Suite {
+		if e.OnDemand {
+			continue
 		}
+		b.Run(e.ID, func(b *testing.B) {
+			var tbl *bench.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tbl, _, err = e.Run(benchConfig(), bench.Params{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if report := headline[e.ID]; report != nil {
+				report(b, tbl)
+			}
+		})
 	}
-}
-
-func BenchmarkX3Lifetime(b *testing.B) {
-	var tbl *bench.Table
-	var err error
-	for i := 0; i < b.N; i++ {
-		tbl, err = bench.RunLifetime(benchConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(lastFloat(tbl.Rows[1][4]), "lifetime-extension-x@33%")
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,7 +138,13 @@ func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, *res
 	byAlias := sc.byAlias[:n]
 	for i := 0; i < n; i++ {
 		flag := zorder.FlagFor(i, n)
-		byAlias[i] = byAlias[i][:0]
+		size := 0
+		for _, t := range tuples {
+			if t.flags&flag != 0 {
+				size++
+			}
+		}
+		byAlias[i] = slices.Grow(byAlias[i][:0], size)
 		for _, t := range tuples {
 			if t.flags&flag != 0 {
 				byAlias[i] = append(byAlias[i], t)

@@ -43,13 +43,12 @@ func (External) Run(x *Exec) (*Result, error) {
 	}
 	// The external join needs every member tuple, so scoped recovery
 	// targets members rather than contributors.
-	needed := memberSet(p)
 	if x.Net.Reliable() {
 		have := tupleIndex(tuples)
-		rounds, missing := runScopedRecovery(x, p, needed, have, nil)
+		rounds, missing := runScopedRecovery(x, p, memberSet(p), have, nil)
 		finishReliable(x, p, res, have, missing, rounds, start)
 	} else if !res.Complete {
-		annotateIncomplete(x, missingFrom(needed, tupleIndex(tuples)), res)
+		annotateIncomplete(x, missingFrom(memberSet(p), tupleIndex(tuples)), res)
 	}
 	return res, nil
 }

@@ -487,7 +487,7 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, *res
 			pr.probeSlot = slotFor(lp.other)
 		case pathBand:
 			k := kIndexOf(level, lp.self.Name)
-			entries := pr.sorted[:0]
+			entries := slices.Grow(pr.sorted[:0], lens[level])
 			for ti := 0; ti < lens[level]; ti++ {
 				v := flat[ti*stride+k]
 				if math.IsNaN(v) {

@@ -31,7 +31,10 @@ type Tree struct {
 	// Parent[i] is the parent of node i, NoParent for the root and for
 	// unreachable nodes.
 	Parent []topology.NodeID
-	// Children[i] lists the children of node i, ascending.
+	// Children[i] lists the children of node i, ascending; nil for a
+	// leaf. All lists are sub-slices of one shared array with cap == len,
+	// so an append to one copies instead of writing into the next node's
+	// list.
 	Children [][]topology.NodeID
 	// Depth[i] is the hop count of node i to the root; -1 if unreachable.
 	Depth []int
@@ -135,9 +138,32 @@ func assemble(parent []topology.NodeID, depth []int, root topology.NodeID) *Tree
 		Descendants: make([]int, n),
 		Root:        root,
 	}
+	// A count per parent, a prefix sum and one flat array, like byDepth in
+	// finish; walking the ids upwards leaves every list ascending.
+	off := make([]int32, n+1)
 	for i, p := range parent {
 		if topology.NodeID(i) != root && p != NoParent {
-			t.Children[p] = append(t.Children[p], topology.NodeID(i))
+			off[p+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	flat := make([]topology.NodeID, off[n])
+	for i, p := range parent {
+		if topology.NodeID(i) != root && p != NoParent {
+			flat[off[p]] = topology.NodeID(i)
+			off[p]++
+		}
+	}
+	// off[u] now ends u's list and off[u-1] starts it.
+	for u := n - 1; u >= 0; u-- {
+		a := int32(0)
+		if u > 0 {
+			a = off[u-1]
+		}
+		if b := off[u]; a < b {
+			t.Children[u] = flat[a:b:b]
 		}
 	}
 	if t.Depth == nil {

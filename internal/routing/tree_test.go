@@ -2,6 +2,8 @@ package routing
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -147,6 +149,43 @@ func TestFromParentsCycleUnreachable(t *testing.T) {
 	}
 	if !tr.Reachable(3) {
 		t.Fatal("node 3 hangs off the root and must be reachable")
+	}
+}
+
+// TestChildrenMatchReference: over random parent vectors — cycles,
+// orphans, self-parents and the root anywhere — Children equals lists
+// appended per node in id order (nil for a leaf), and no list has spare
+// capacity an append could write into the next node's list through.
+func TestChildrenMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 200; iter++ {
+		n := 1 + rng.Intn(300)
+		root := topology.NodeID(rng.Intn(n))
+		parent := make([]topology.NodeID, n)
+		for i := range parent {
+			parent[i] = topology.NodeID(rng.Intn(n + n/4)) // past n-1 means NoParent
+			if int(parent[i]) >= n || topology.NodeID(i) == root {
+				parent[i] = NoParent
+			}
+		}
+		tr, err := FromParents(parent, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]topology.NodeID, n)
+		for i, p := range parent {
+			if topology.NodeID(i) != root && p != NoParent {
+				want[p] = append(want[p], topology.NodeID(i))
+			}
+		}
+		if !reflect.DeepEqual(tr.Children, want) {
+			t.Fatalf("iteration %d: children %v, want %v", iter, tr.Children, want)
+		}
+		for u, c := range tr.Children {
+			if cap(c) != len(c) {
+				t.Fatalf("iteration %d: node %d's children have cap %d, len %d", iter, u, cap(c), len(c))
+			}
+		}
 	}
 }
 

@@ -35,8 +35,8 @@ func TestBuildNeighborsParallelMatches(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildNeighbors measures the flat counting-sort grid at the
-// issue's reference sizes.
+// BenchmarkBuildNeighbors measures the flat counting-sort grid at 10k
+// and 100k nodes.
 func BenchmarkBuildNeighbors(b *testing.B) {
 	for _, n := range []int{10_000, 100_000} {
 		d := randomDeployment(n, 42)
@@ -46,6 +46,23 @@ func BenchmarkBuildNeighbors(b *testing.B) {
 				d.buildNeighborsParallel(1)
 			}
 		})
+	}
+}
+
+// TestBuildNeighborsAllocs pins the build's allocations: a fixed set of
+// index arrays and one flat array for every list, however many nodes
+// there are, plus on the parallel path each pass's goroutines.
+func TestBuildNeighborsAllocs(t *testing.T) {
+	d := randomDeployment(10_000, 42)
+	for _, workers := range []int{1, 4} {
+		limit := 16
+		if workers > 1 {
+			limit += 2 * 2 * workers // two passes, two per goroutine
+		}
+		got := testing.AllocsPerRun(5, func() { d.buildNeighborsParallel(workers) })
+		if got > float64(limit) {
+			t.Errorf("%d workers: %.0f allocations per build, want <= %d", workers, got, limit)
+		}
 	}
 }
 

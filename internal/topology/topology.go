@@ -74,7 +74,9 @@ type Deployment struct {
 	// Area is the deployment region.
 	Area geom.Rect
 	// Neighbors lists, per node, the ids within communication range,
-	// sorted ascending.
+	// sorted ascending; nil for an isolated node. All lists are
+	// sub-slices of one shared array with cap == len, so an append to one
+	// copies instead of writing into the next node's list.
 	Neighbors [][]NodeID
 }
 
@@ -138,7 +140,9 @@ func (d *Deployment) repair(seed int64, workers int) {
 		label, _ = d.components()
 	}
 	base := label[BaseStation]
-	var anchors []NodeID
+	// Every node ends up an anchor: the reachable ones now, each
+	// relocated one as it lands.
+	anchors := make([]NodeID, 0, d.N())
 	var moved bool
 	for id := 0; id < d.N(); id++ {
 		if label[id] == base {
@@ -280,12 +284,18 @@ func (d *Deployment) buildNeighbors() { d.buildNeighborsParallel(1) }
 
 // buildNeighborsParallel builds the grid as a flat counting-sort bucket
 // layout — cell index per node, prefix sums, one contiguous node array —
-// instead of a map of slices: two passes over the nodes and three fixed
-// allocations, independent of the cell count. The 3×3 scan then runs
-// over node chunks on the given workers; every worker writes only its
-// own nodes' neighbor lists, and each list is insertion-sorted the same
-// way regardless of worker count, so the result is bit-identical to the
-// sequential build.
+// instead of a map of slices: two passes over the nodes and a fixed
+// number of allocations, independent of the cell count. Because the
+// three cells of one grid row are adjacent in that layout, a node's 3×3
+// neighbourhood is three contiguous ranges of a cell-ordered copy of the
+// positions, and the scan walks those instead of nine buckets.
+//
+// The scan runs twice over node chunks on the given workers: a count
+// pass (the node's own match discounted), then, after a prefix sum, a
+// fill pass into one flat array that every list is a capped sub-slice
+// of. Every worker writes only its own nodes' counts and list ranges,
+// and each list is insertion-sorted the same way regardless of worker
+// count, so the result is bit-identical to the sequential build.
 func (d *Deployment) buildNeighborsParallel(workers int) {
 	n := len(d.Pos)
 	d.Neighbors = make([][]NodeID, n)
@@ -318,61 +328,97 @@ func (d *Deployment) buildNeighborsParallel(workers int) {
 		starts[c+1] += starts[c]
 	}
 	cellNodes := make([]NodeID, n)
+	cellPos := make([]geom.Point, n)
 	cursor := make([]int32, ncells)
 	copy(cursor, starts[:ncells])
 	// Ascending node order here means every cell's bucket lists ids
 	// ascending, like the append order of the old map grid.
-	for i := range d.Pos {
+	for i, p := range d.Pos {
 		ci := cellOf[i]
 		cellNodes[cursor[ci]] = NodeID(i)
+		cellPos[cursor[ci]] = p
 		cursor[ci]++
 	}
 	r2 := d.Range * d.Range
-	scan := func(lo, hi int) {
+	// rowsOf returns node i's position and the bucket ranges of the
+	// (up to) three grid rows around its cell, each spanning up to three
+	// adjacent cells.
+	rowsOf := func(i int) (p geom.Point, lo, hi [3]int32, nr int) {
+		ci := int(cellOf[i])
+		cx, cy := ci%cols, ci/cols
+		x0, x1 := max(cx-1, 0), min(cx+1, cols-1)
+		for gy := max(cy-1, 0); gy <= min(cy+1, rows-1); gy++ {
+			lo[nr], hi[nr] = starts[gy*cols+x0], starts[gy*cols+x1+1]
+			nr++
+		}
+		return d.Pos[i], lo, hi, nr
+	}
+	// off[i+1] first holds node i's count, then the prefix sum makes
+	// flat[off[i]:off[i+1]] its list.
+	off := make([]int32, n+1)
+	count := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p := d.Pos[i]
-			ci := int(cellOf[i])
-			cx, cy := ci%cols, ci/cols
-			for dy := -1; dy <= 1; dy++ {
-				gy := cy + dy
-				if gy < 0 || gy >= rows {
-					continue
-				}
-				for dx := -1; dx <= 1; dx++ {
-					gx := cx + dx
-					if gx < 0 || gx >= cols {
-						continue
-					}
-					c := gy*cols + gx
-					for _, j := range cellNodes[starts[c]:starts[c+1]] {
-						if int(j) == i {
-							continue
-						}
-						if geom.Dist2(p, d.Pos[j]) <= r2 {
-							d.Neighbors[i] = append(d.Neighbors[i], j)
-						}
+			p, from, to, nr := rowsOf(i)
+			c := int32(-1) // the node itself is always in range
+			for r := 0; r < nr; r++ {
+				for _, q := range cellPos[from[r]:to[r]] {
+					if geom.Dist2(p, q) <= r2 {
+						c++
 					}
 				}
 			}
-			sortIDs(d.Neighbors[i])
+			off[i+1] = c
 		}
 	}
-	if workers <= 1 || n < 4096 {
-		scan(0, n)
+	var flat []NodeID
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a, b := off[i], off[i+1]
+			if a == b {
+				continue // an isolated node keeps a nil list
+			}
+			p, from, to, nr := rowsOf(i)
+			w := a
+			for r := 0; r < nr; r++ {
+				for k := from[r]; k < to[r]; k++ {
+					if geom.Dist2(p, cellPos[k]) <= r2 && int(cellNodes[k]) != i {
+						flat[w] = cellNodes[k]
+						w++
+					}
+				}
+			}
+			nb := flat[a:b:b]
+			sortIDs(nb)
+			d.Neighbors[i] = nb
+		}
+	}
+	if n < 4096 {
+		workers = 1
+	}
+	chunked(n, workers, count)
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	flat = make([]NodeID, off[n])
+	chunked(n, workers, fill)
+}
+
+// chunked runs body over [0, n) split into one contiguous chunk per
+// worker and waits for all of them; one worker runs it in place.
+func chunked(n, workers int, body func(lo, hi int)) {
+	if workers <= 1 {
+		body(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+chunk, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			scan(lo, hi)
-		}(lo, hi)
+			body(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

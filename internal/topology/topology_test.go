@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -131,34 +133,83 @@ func TestDeterministicPlacement(t *testing.T) {
 	}
 }
 
+// bruteNeighbors is the O(n^2) definition of the neighbor lists: every
+// other node within Range, ascending, and nil for an isolated node.
+func bruteNeighbors(d *Deployment) [][]NodeID {
+	r2 := d.Range * d.Range
+	out := make([][]NodeID, d.N())
+	for i := range out {
+		for j := range out {
+			if i != j && geom.Dist2(d.Pos[i], d.Pos[j]) <= r2 {
+				out[i] = append(out[i], NodeID(j))
+			}
+		}
+	}
+	return out
+}
+
+// checkNeighbors compares d's lists with the O(n^2) definition, nil for
+// nil, and checks that no list has spare capacity an append could write
+// into the next node's list through.
+func checkNeighbors(t *testing.T, what string, d *Deployment) {
+	t.Helper()
+	want := bruteNeighbors(d)
+	for i, got := range d.Neighbors {
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("%s: node %d has neighbors %v, want %v", what, i, got, want[i])
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("%s: node %d's list has cap %d, len %d", what, i, cap(got), len(got))
+		}
+	}
+}
+
+// TestGridNeighborMatchesBruteForce: the grid-accelerated neighbor
+// construction must agree exactly with the O(n^2) definition, on the
+// parallel path and at the grid's edge cases: ties at exactly Range on
+// cell edges, coincident nodes, the clamped edge cells and a repaired
+// placement.
 func TestGridNeighborMatchesBruteForce(t *testing.T) {
-	// The grid-accelerated neighbor construction must agree exactly with
-	// the O(n^2) definition.
 	f := func(seed int64) bool {
 		cfg := Config{Nodes: 60, Area: geom.Square(250), Range: 50, Seed: seed % 1000}
 		d := place(cfg, cfg.Seed, 1)
-		r2 := d.Range * d.Range
-		for i := 0; i < d.N(); i++ {
-			want := []NodeID{}
-			for j := 0; j < d.N(); j++ {
-				if i != j && geom.Dist2(d.Pos[i], d.Pos[j]) <= r2 {
-					want = append(want, NodeID(j))
-				}
-			}
-			got := d.Neighbors[i]
-			if len(got) != len(want) {
-				return false
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					return false
-				}
-			}
-		}
-		return true
+		return reflect.DeepEqual(d.Neighbors, bruteNeighbors(d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+	// Above the sequential threshold of 4096 nodes, so the workers split
+	// both passes.
+	for _, workers := range []int{1, 2, 4} {
+		d := randomDeployment(5000, 7)
+		d.buildNeighborsParallel(workers)
+		checkNeighbors(t, fmt.Sprintf("5000 random nodes, %d workers", workers), d)
+	}
+	// Spacing exactly Range: every lattice neighbor is at distance² == r2
+	// and every node sits on a cell edge.
+	checkNeighbors(t, "grid at spacing Range", Grid(30, 30, 50, 50))
+	checkNeighbors(t, "grid at spacing Range/2", Grid(30, 30, 25, 50))
+	// Three coincident nodes, an isolated one, and four outside the area
+	// that the grid clamps into its first and last column.
+	pos := []geom.Point{
+		{X: 0, Y: 0}, {X: 10, Y: 10}, {X: 10, Y: 10}, {X: 10, Y: 10}, {X: 60, Y: 10}, {X: 150, Y: 150},
+		{X: -30, Y: 10}, {X: -70, Y: -20}, {X: 290, Y: 230}, {X: 330, Y: 230},
+	}
+	d := &Deployment{Pos: pos, Range: 50, Area: geom.Rect{MaxX: 200, MaxY: 200}}
+	d.buildNeighbors()
+	checkNeighbors(t, "coincident and clamped nodes", d)
+	if d.Neighbors[5] != nil {
+		t.Fatalf("isolated node has list %v, want nil", d.Neighbors[5])
+	}
+	checkNeighbors(t, "line", Line(300, 40, 50))
+	checkNeighbors(t, "line at spacing Range", Line(300, 50, 50))
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Nodes: 5000, Area: ScaledArea(15000), Range: 50, Seed: 3, Repair: true}
+		d, err := GenerateParallel(cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkNeighbors(t, fmt.Sprintf("repaired placement, %d workers", workers), d)
 	}
 }
 

@@ -88,11 +88,13 @@ go test -race ./...
 # reset on return, the daemon's one-runner pool and the suite's leased
 # cells at 1, 2, 4 and 8 workers.
 go test -race -count 3 -run 'Pool|Reset|AllDeterministicAcrossParallelism|AllLeasesRunners' ./internal/core ./internal/netsim ./internal/server ./internal/bench
-# Smoke the base station's join benchmarks: one iteration proves the
-# exact join's indexed and reference paths and the filter join's shapes
-# (diff, abs, eq, sum, three-way, reference) still run.
+# Smoke the base station's join benchmarks and the neighbour build: one
+# iteration proves the exact join's indexed and reference paths, the
+# filter join's shapes (diff, abs, eq, sum, three-way, reference) and the
+# count-and-fill neighbour grid at 10k and 100k nodes still run.
 go test -run=NONE -bench=ExactJoin -benchtime=1x ./internal/core
 go test -run=NONE -bench Filter -benchtime 1x ./internal/core
+go test -run=NONE -bench=BuildNeighbors -benchtime=1x ./internal/topology
 # Audit smoke: one experiment with every execution self-auditing its
 # journal (conservation, reconciliation, slot order, filter soundness,
 # reliability).
