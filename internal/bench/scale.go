@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"sensjoin/internal/core"
@@ -41,6 +42,14 @@ type ScalePoint struct {
 	Rows         int     `json:"rows"`
 	Complete     bool    `json:"complete"`
 	PeakRSSMB    float64 `json:"peak_rss_mb"`
+	// LiveBytesPerNode is the live heap the run adds per node: the heap
+	// after a forced collection once the run returned (its result still
+	// held) minus the same before it. Unlike PeakRSSMB it belongs to this
+	// cell alone.
+	LiveBytesPerNode float64 `json:"live_bytes_per_node"`
+	// PhaseBytesPerNode splits BytesPerNode by protocol phase for a
+	// method of more than one (SENS-Join).
+	PhaseBytesPerNode map[string]float64 `json:"phase_bytes_per_node,omitempty"`
 }
 
 // ScaleSetup records the per-size setup cost (placement + neighbor
@@ -60,11 +69,12 @@ type ScaleResult struct {
 }
 
 // RunScale measures X7: wall-clock, simulator event throughput, radio
-// bytes per node and peak RSS for both join methods as the deployment
-// grows, at each configured shard count. Timings are wall-clock and
-// machine-dependent, so X7 is deliberately not part of All(): its table
-// is not byte-reproducible, only its protocol observables are (and
-// TestShardCountDeterminism pins those).
+// bytes per node (per phase for SENS-Join), live heap per node and peak
+// RSS for both join methods as the deployment grows, at each configured
+// shard count. Timings are wall-clock and machine-dependent, so X7 is
+// deliberately not part of All(): its table is not byte-reproducible,
+// only its protocol observables are (and TestShardCountDeterminism pins
+// those).
 func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	if len(cfg.Sizes) == 0 {
 		return nil, fmt.Errorf("bench: scale run needs at least one size")
@@ -81,17 +91,10 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	res := &ScaleResult{GOMAXPROCS: runtime.GOMAXPROCS(0), Seed: cfg.Seed}
 	for _, n := range cfg.Sizes {
 		t0 := time.Now()
-		// Repair instead of rejection sampling: at constant density the
-		// probability that every boundary node connects vanishes with n.
-		dep, err := topology.GenerateParallel(topology.Config{
-			Nodes: n, Area: topology.ScaledArea(n), Range: 50, Seed: cfg.Seed,
-			Repair: true,
-		}, cfg.SetupWorkers)
+		dep, env, tree, err := scaleSetup(n, cfg.Seed, cfg.SetupWorkers)
 		if err != nil {
-			return nil, fmt.Errorf("bench: scale setup at n=%d: %w", n, err)
+			return nil, err
 		}
-		env := field.StandardEnvironment(dep.Area, cfg.Seed+1000)
-		tree := routing.BuildTreeParallel(dep.Neighbors, topology.BaseStation, cfg.SetupWorkers)
 		res.Setup = append(res.Setup, ScaleSetup{
 			Nodes: n, WallSec: time.Since(t0).Seconds(), MaxDepth: tree.MaxDepth,
 		})
@@ -112,6 +115,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 			}
 			for _, m := range []core.Method{core.External{}, core.NewSENSJoin()} {
 				r.Stats.Reset()
+				live0 := liveHeap()
 				steps0 := r.Sim.Steps()
 				t1 := time.Now()
 				out, err := r.Run(src, m, 0)
@@ -129,6 +133,14 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 					Complete:     out.Complete,
 					PeakRSSMB:    peakRSSMB(),
 				}
+				if phases := m.Phases(); len(phases) > 1 {
+					p.PhaseBytesPerNode = make(map[string]float64, len(phases))
+					for _, ph := range phases {
+						p.PhaseBytesPerNode[ph] = float64(r.Stats.TotalTxBytes(ph)) / float64(n)
+					}
+				}
+				p.LiveBytesPerNode = float64(int64(liveHeap())-int64(live0)) / float64(n)
+				runtime.KeepAlive(out)
 				if wall > 0 {
 					p.EventsPerSec = float64(events) / wall
 				}
@@ -139,20 +151,53 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	return res, nil
 }
 
+// scaleSetup builds X7's deployment, field and routing tree at n nodes.
+// Repair instead of rejection sampling: at constant density the
+// probability that every boundary node connects vanishes with n.
+func scaleSetup(n int, seed int64, workers int) (*topology.Deployment, *field.Environment, *routing.Tree, error) {
+	dep, err := topology.GenerateParallel(topology.Config{
+		Nodes: n, Area: topology.ScaledArea(n), Range: 50, Seed: seed,
+		Repair: true,
+	}, workers)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("bench: scale setup at n=%d: %w", n, err)
+	}
+	env := field.StandardEnvironment(dep.Area, seed+1000)
+	return dep, env, routing.BuildTreeParallel(dep.Neighbors, topology.BaseStation, workers), nil
+}
+
+// liveHeap is the heap still reachable after a forced collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
 // Table renders the scale result in the suite's table format.
 func (r *ScaleResult) Table() *Table {
 	t := &Table{
 		ID:     "X7",
 		Title:  "scale: wall-clock, event throughput and memory vs network size",
-		Header: []string{"nodes", "shards", "method", "wall(s)", "events", "events/s", "B/node", "resp(s)", "peakRSS(MB)"},
+		Header: []string{"nodes", "shards", "method", "wall(s)", "events", "events/s", "B/node", "B/node by phase", "resp(s)", "live B/node", "peakRSS(MB)"},
 	}
 	for _, p := range r.Points {
+		phases := "-"
+		if p.PhaseBytesPerNode != nil {
+			parts := make([]string, 0, len(core.SENSPhases))
+			for _, ph := range core.SENSPhases {
+				parts = append(parts, fmt.Sprintf("%.1f", p.PhaseBytesPerNode[ph]))
+			}
+			phases = strings.Join(parts, " / ")
+		}
 		t.AddRow(
 			fmtInt(int64(p.Nodes)), fmtInt(int64(p.Shards)), p.Method,
 			fmt.Sprintf("%.2f", p.WallSec), fmtInt(p.Events),
 			fmt.Sprintf("%.0f", p.EventsPerSec),
 			fmt.Sprintf("%.1f", p.BytesPerNode),
+			phases,
 			fmt.Sprintf("%.2f", p.ResponseTime),
+			fmt.Sprintf("%.0f", p.LiveBytesPerNode),
 			fmt.Sprintf("%.0f", p.PeakRSSMB),
 		)
 	}
@@ -160,6 +205,7 @@ func (r *ScaleResult) Table() *Table {
 		t.Note("setup n=%d: %.2fs (placement + neighbor grid + tree, depth %d)", s.Nodes, s.WallSec, s.MaxDepth)
 	}
 	t.Note("GOMAXPROCS=%d; wall-clock cells are machine-dependent, protocol observables are not", r.GOMAXPROCS)
+	t.Note("B/node by phase is %s; live B/node is the heap a run adds, after a forced GC", strings.Join(core.SENSPhases, " / "))
 	t.Note("peak RSS is the process high-water mark (monotone across rows)")
 	return t
 }

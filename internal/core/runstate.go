@@ -100,6 +100,7 @@ type roundArena struct {
 	reports  bump[childReport]
 	payloads bump[jaPayload]
 	filters  bump[filterMsg]
+	tails    bump[sensTail]
 }
 
 // bump is bump storage for one element type.
@@ -185,6 +186,7 @@ func (a *roundArena) open() {
 	a.reports.open()
 	a.payloads.open()
 	a.filters.open()
+	a.tails.open()
 }
 
 func (a *roundArena) close(stale bool) {
@@ -194,6 +196,7 @@ func (a *roundArena) close(stale bool) {
 	a.reports.close(stale)
 	a.payloads.close(stale)
 	a.filters.close(stale)
+	a.tails.close(stale)
 }
 
 // openArenas lends the execution's round arenas, one per simulator

@@ -59,7 +59,7 @@ func TestRunnerReleasesFinishedRun(t *testing.T) {
 			t.Errorf("%s: the finished execution is still reachable from its idle Runner", m.Name())
 		}
 		for i, st := range r.scratch.sens[:cap(r.scratch.sens)] {
-			if st.cutFrom != nil || st.finalFrom != nil || st.children != nil || st.proxied != nil {
+			if st.cutFrom != nil || st.tail != nil {
 				t.Fatalf("%s: node %d of the idle sensNode slab still holds a slice", m.Name(), i)
 			}
 		}
@@ -279,11 +279,12 @@ func TestRoundAllocsPerNode(t *testing.T) {
 			t.Fatalf("the sharded runner has %d round arenas, want one per region", len(sharded.scratch.arenas))
 		}
 	}
-	// Mask state lives beside sensNode (nodeMasks), not in it. The phase-C
-	// inbox is a sender list and two counts, the phase-A inbox a sender
-	// list, two counts and the children's reports: 208 bytes in all.
-	if size := unsafe.Sizeof(sensNode{}); size > 232 {
-		t.Errorf("sensNode is %d bytes, want <= 232", size)
+	// Mask state lives beside sensNode (nodeMasks), and everything a node
+	// needs only past Treecut in its tail (sensTail). What every node
+	// carries is the Treecut inbox — a sender list and two counts — the
+	// tail pointer and the two phase-A flags: 56 bytes.
+	if size := unsafe.Sizeof(sensNode{}); size > 56 {
+		t.Errorf("sensNode is %d bytes, want <= 56", size)
 	}
 }
 

@@ -99,16 +99,32 @@ func (s *SENSJoin) Rounds() int {
 // Phases implements Method.
 func (*SENSJoin) Phases() []string { return SENSPhases }
 
-// sensNode is the per-node protocol state (Fig. 1's local variables);
-// the flags sit together at the end so they share one word.
+// sensNode is the per-node protocol state (Fig. 1's local variables),
+// split at Treecut. The dense part is what every node writes in phase A:
+// its Treecut inbox and outcome. Most nodes leave the round there (at
+// 100k nodes, 82% of them), so everything a node needs only if it stays
+// — its reporting children, what it proxies, phases B and C and its
+// memory accounting — is a tail carved on first need (roundState.tail).
 type sensNode struct {
-	// Phase A inbox, read at the deadline: the Treecut senders in arrival
-	// order, the bytes and tuples they announced, the reporting children.
-	// A Treecut node adds its own tuple to cutTuples before it sends.
+	// Phase A Treecut inbox, read at the deadline: the senders in arrival
+	// order, the bytes and tuples they announced. A Treecut node adds its
+	// own tuple to cutTuples before it sends.
 	cutFrom   []topology.NodeID
 	cutBytes  int
 	cutTuples int
-	children  []childReport
+	tail      *sensTail // nil until the node needs it
+
+	cut      bool // phase A: the node left the query after Treecut
+	overflow bool // phase A: subtree structure too large to keep
+}
+
+// sensTail is the state of a node that stays in the round past Treecut,
+// and of the base station. It is carved from the round arena of the
+// node's own region, so sharded workers never share one; the flags sit
+// together at the end so they share one word.
+type sensTail struct {
+	// Phase A inbox: the reporting children.
+	children []childReport
 	// Outcome of phase A.
 	subtreeKeys []zorder.Key
 	proxied     []finalTuple
@@ -128,8 +144,6 @@ type sensNode struct {
 	memSubtreeBytes int
 	memFilterBytes  int
 
-	cut            bool // phase A: the node left the query after Treecut
-	overflow       bool // phase A: subtree structure too large to keep
 	gotFilter      bool // phase B
 	ownMatch       bool // phase B
 	childNeedsFull bool // phase B (incremental mode)
@@ -145,7 +159,7 @@ type childReport struct {
 // its size if known: an only child's set is adopted with the size its
 // sender computed (nothing writes into a key set in place), several are
 // merged once, into the node's arena, into a set of unknown size.
-func (st *sensNode) childUnion(a *roundArena) ([]zorder.Key, int) {
+func (st *sensTail) childUnion(a *roundArena) ([]zorder.Key, int) {
 	switch len(st.children) {
 	case 0:
 		return nil, 0
@@ -170,11 +184,14 @@ func (a *roundArena) union(base []zorder.Key, more ...[]zorder.Key) []zorder.Key
 	return a.keys.keep(u)
 }
 
-// fold raises the report's high-water marks to cover one node.
+// fold raises the report's high-water marks to cover one node; a node
+// without a tail stored nothing.
 func (r *MemoryReport) fold(st *sensNode) {
-	r.MaxProxyBytes = max(r.MaxProxyBytes, st.memProxyBytes)
-	r.MaxSubtreeBytes = max(r.MaxSubtreeBytes, st.memSubtreeBytes)
-	r.MaxFilterBytes = max(r.MaxFilterBytes, st.memFilterBytes)
+	if t := st.tail; t != nil {
+		r.MaxProxyBytes = max(r.MaxProxyBytes, t.memProxyBytes)
+		r.MaxSubtreeBytes = max(r.MaxSubtreeBytes, t.memSubtreeBytes)
+		r.MaxFilterBytes = max(r.MaxFilterBytes, t.memFilterBytes)
+	}
 	if st.overflow {
 		r.OverflowNodes++
 	}
@@ -236,7 +253,7 @@ type roundState struct {
 // tuple.
 type nodeMasks struct {
 	own   uint64   // zero: suppressed; all ones under assume-all
-	proxy []uint64 // aligned with sensNode.matchedProxy
+	proxy []uint64 // aligned with sensTail.matchedProxy
 }
 
 // arena returns the round arena of node id's region: the only one id's
@@ -246,6 +263,16 @@ func (r *roundState) arena(id topology.NodeID) *roundArena {
 		return &r.arenas[0]
 	}
 	return &r.arenas[r.x.Sim.Region(id)]
+}
+
+// tail returns node id's tail, carving it from the node's region arena
+// the first time. Only id's own events may call it.
+func (r *roundState) tail(id topology.NodeID) *sensTail {
+	st := &r.states[id]
+	if st.tail == nil {
+		st.tail = r.arena(id).tails.one()
+	}
+	return st.tail
 }
 
 // fanout is how many senders a node's inbox lists are carved for: its
@@ -313,14 +340,15 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 			}
 		case kindJoinAttrs:
 			pl := msg.Payload.(*jaPayload)
-			st.children = r.arena(id).reports.push(st.children, r.fanout(id), childReport{msg.Src, pl})
-			st.childNeedsFull = st.childNeedsFull || pl.needFull
+			t := r.tail(id)
+			t.children = r.arena(id).reports.push(t.children, r.fanout(id), childReport{msg.Src, pl})
+			t.childNeedsFull = t.childNeedsFull || pl.needFull
 		case kindFilter:
 			// Filters travel down the tree: only the broadcast of
 			// this node's parent applies; broadcasts overheard from
 			// other neighbors concern their subtrees.
 			if msg.Src == x.Tree.Parent[id] {
-				r.onFilter(id, st, msg.Src, msg.Payload.(*filterMsg))
+				r.onFilter(id, r.tail(id), msg.Src, msg.Payload.(*filterMsg))
 			}
 		case kindFinal:
 			// Nothing is copied from hop to hop: a relay notes who it heard
@@ -329,9 +357,11 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 			if msg.Payload != any(r) {
 				return // not this round's
 			}
-			st.finalFrom = r.arena(id).ids.push(st.finalFrom, r.fanout(id), msg.Src)
-			st.finalBytes += msg.Size
-			st.finalTuples += r.states[msg.Src].finalTuples
+			// The sender has a tail: it kept what it sent.
+			t := r.tail(id)
+			t.finalFrom = r.arena(id).ids.push(t.finalFrom, r.fanout(id), msg.Src)
+			t.finalBytes += msg.Size
+			t.finalTuples += r.states[msg.Src].tail.finalTuples
 		}
 	})
 	defer x.Net.SetHandler(nil)
@@ -369,7 +399,7 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 				x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFinalCollect, 0)
 			})
 		}
-		forwardC := func(id topology.NodeID) { r.forwardCompleteTuples(id, &r.states[id]) }
+		forwardC := func(id topology.NodeID) { r.forwardCompleteTuples(id, r.states[id].tail) }
 		for d := 1; d <= tree.MaxDepth; d++ {
 			x.Sim.ScheduleNodes(topology.BaseStation, tree.Level(d), tB+float64(tree.MaxDepth-d)*slotC, forwardC)
 		}
@@ -400,14 +430,14 @@ var filterHook func(*plan, []zorder.Key) []zorder.Key
 // filter itself) with the per-key membership masks, sent to the children.
 // It returns the filter's wire size, which sizes the phase-B slot.
 func (r *roundState) disseminate() int {
-	bs := &r.states[topology.BaseStation]
+	bs, bt := &r.states[topology.BaseStation], r.tail(topology.BaseStation)
 	a := r.arena(topology.BaseStation)
 	r.cutSenders = len(bs.cutFrom)
 	r.cut = r.gatherCut(a.tuples.take(bs.cutTuples), bs.cutFrom)
-	sub, _ := bs.childUnion(a)
+	sub, _ := bt.childUnion(a)
 	keys := a.union(sub, r.p.heldKeys(a.keys.take(len(r.cut)+1), r.cut, topology.BaseStation))
 	covered := len(r.cut)
-	for _, c := range bs.children {
+	for _, c := range bt.children {
 		covered += c.pl.covered
 	}
 	r.completeA = covered == r.p.members
@@ -427,9 +457,9 @@ func (r *roundState) disseminate() int {
 	unionBytes := r.o.Rep.SetBytes(r.p, union)
 	filterBytes := unionBytes + maskBytes(len(union), r.m)
 	r.x.Metrics.observeFilter(len(union), filterBytes)
-	if len(union) > 0 && len(bs.children) > 0 {
-		msg := r.s.buildFilterMsg(a, r.p, r.o, topology.BaseStation, union, unionBytes, bs.childNeedsFull)
-		r.sendFilter(topology.BaseStation, bs, msg, masks)
+	if len(union) > 0 && len(bt.children) > 0 {
+		msg := r.s.buildFilterMsg(a, r.p, r.o, topology.BaseStation, union, unionBytes, bt.childNeedsFull)
+		r.sendFilter(topology.BaseStation, bt, msg, masks)
 	}
 	return filterBytes
 }
@@ -452,9 +482,10 @@ func (r *roundState) gatherCut(tuples []finalTuple, senders []topology.NodeID) [
 // gatherFinals appends the tuples of node id's phase-C message — and, in a
 // round of m > 1 queries, their bitmaps — in the order a relay that copied
 // its inbox would have sent them: each sender's message in arrival order,
-// then the matched proxied tuples, the own tuple last.
+// then the matched proxied tuples, the own tuple last. id is the base
+// station or a phase-C sender, so it has a tail.
 func (r *roundState) gatherFinals(tuples []finalTuple, masks []uint64, id topology.NodeID) ([]finalTuple, []uint64) {
-	st := &r.states[id]
+	st := r.states[id].tail
 	for _, c := range st.finalFrom {
 		tuples, masks = r.gatherFinals(tuples, masks, c)
 	}
@@ -479,16 +510,16 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 	// bitmap names j (all of them at m = 1). The base station sends
 	// nothing itself: its message is what it was sent.
 	// A Treecut sender heard after tA still counts here.
-	bs := &r.states[topology.BaseStation]
+	bs, bt := &r.states[topology.BaseStation], r.tail(topology.BaseStation)
 	a := r.arena(topology.BaseStation)
 	cut := r.gatherCut(r.cut, bs.cutFrom[r.cutSenders:])
 	var finals []finalTuple
 	var masks []uint64
 	if r.masks == nil {
 		// The one member's list: the Treecut tuples, then the collected.
-		finals = append(a.tuples.take(len(cut)+bs.finalTuples), cut...)
+		finals = append(a.tuples.take(len(cut)+bt.finalTuples), cut...)
 	} else {
-		finals, masks = a.tuples.take(bs.finalTuples), make([]uint64, 0, bs.finalTuples)
+		finals, masks = a.tuples.take(bt.finalTuples), make([]uint64, 0, bt.finalTuples)
 	}
 	finals, masks = r.gatherFinals(finals, masks, topology.BaseStation)
 	if r.masks != nil {
@@ -598,7 +629,7 @@ func recordStandDowns(x *Exec, standDown *[]topology.NodeID) (stop func()) {
 // stand-down signal scoped recovery keys on. masks are the per-key
 // membership masks of the key set msg stands for (nil: every member);
 // their bytes ride on top of the possibly delta-compressed set.
-func (r *roundState) sendFilter(id topology.NodeID, st *sensNode, msg *filterMsg, masks []uint64) {
+func (r *roundState) sendFilter(id topology.NodeID, st *sensTail, msg *filterMsg, masks []uint64) {
 	x := r.x
 	if r.m > 1 {
 		bitmap := maskBytes(len(masks), r.m)
@@ -630,7 +661,9 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 
 	// Treecut (Fig. 2, lines 12-18): while the subtree's data is small
 	// and entirely made of complete tuples, keep sending complete tuples.
-	if !o.DisableTreecut && len(st.children) == 0 && st.cutBytes+ownBytes <= o.Dmax {
+	// A node that heard a child's key set has a tail, so one without has
+	// no reporting children.
+	if !o.DisableTreecut && (st.tail == nil || len(st.tail.children) == 0) && st.cutBytes+ownBytes <= o.Dmax {
 		st.cut = true
 		if nd.flags != 0 {
 			st.cutTuples++
@@ -648,33 +681,34 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 
 	// Act as proxy (lines 20-27): store complete tuples and the
 	// subtree's join-attribute structure, forward join-attribute tuples.
+	t := r.tail(id)
 	if st.cutTuples > 0 {
-		st.proxied = r.gatherCut(a.tuples.take(st.cutTuples), st.cutFrom)
-		x.span(trace.KindProxy, id, -1, PhaseJACollect, len(st.proxied))
+		t.proxied = r.gatherCut(a.tuples.take(st.cutTuples), st.cutFrom)
+		x.span(trace.KindProxy, id, -1, PhaseJACollect, len(t.proxied))
 	}
-	st.memProxyBytes = st.cutBytes
-	union, inBytes := st.childUnion(a)
+	t.memProxyBytes = st.cutBytes
+	union, inBytes := t.childUnion(a)
 	if inBytes == 0 {
 		inBytes = o.Rep.SetBytes(p, union)
 	}
 	if inBytes <= o.FilterMemLimit {
-		st.subtreeKeys = union
-		st.memSubtreeBytes = inBytes
+		t.subtreeKeys = union
+		t.memSubtreeBytes = inBytes
 	} else {
 		st.overflow = true
 	}
 	// The held keys join the union in one merge.
-	keys := a.union(union, p.heldKeys(a.keys.take(len(st.proxied)+1), st.proxied, id))
+	keys := a.union(union, p.heldKeys(a.keys.take(len(t.proxied)+1), t.proxied, id))
 	if len(keys) == 0 {
 		return // nothing anywhere in the subtree
 	}
-	raw := len(st.proxied)
+	raw := len(t.proxied)
 	if nd.flags != 0 {
 		raw++
 	}
 	pl := a.payloads.one()
 	*pl = jaPayload{keys: keys, rawCount: raw, covered: raw}
-	for _, c := range st.children {
+	for _, c := range t.children {
 		pl.rawCount += c.pl.rawCount
 		pl.covered += c.pl.covered
 	}
@@ -695,7 +729,7 @@ func (r *roundState) forwardJoinAttrValues(id topology.NodeID, st *sensNode) {
 // incremental mode the filter first has to be reconstructed from the
 // cached previous round plus the received delta; on a cache mismatch the
 // node falls back to assume-all for this round (see incremental.go).
-func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.NodeID, msg *filterMsg) {
+func (r *roundState) onFilter(id topology.NodeID, st *sensTail, from topology.NodeID, msg *filterMsg) {
 	if st.gotFilter {
 		return // duplicate delivery
 	}
@@ -759,7 +793,7 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 	}
 	// An overflowed node cannot prune: its structure was too large to keep.
 	sub, subMasks := filter, msg.masks
-	if !r.o.DisableSelectiveForwarding && !st.overflow {
+	if !r.o.DisableSelectiveForwarding && !r.states[id].overflow {
 		// A continuous query's sender remembers what it sent (prevSent)
 		// across rounds, so only a one-shot intersection is carved.
 		if r.s.cont == nil {
@@ -789,9 +823,9 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensNode, from topology.No
 // forwardCompleteTuples is the Final-Result-Computation step at one
 // node's phase-C deadline: a tuple wanted by k >= 1 member queries ships
 // once, in a round of m > 1 with its membership bitmap.
-func (r *roundState) forwardCompleteTuples(id topology.NodeID, st *sensNode) {
-	if st.cut {
-		return
+func (r *roundState) forwardCompleteTuples(id topology.NodeID, st *sensTail) {
+	if st == nil || r.states[id].cut {
+		return // without a tail the node has nothing to send
 	}
 	// The node's own share of the message; the inbox's bytes already
 	// include the bitmaps their senders added.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -66,6 +67,55 @@ func TestBuildNeighborsAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate measures a whole repaired set-up at 100k nodes:
+// placement, connectivity on the grid, repair and the one list build.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := Config{Nodes: 100_000, Area: ScaledArea(100_000), Range: 50, Seed: 42, Repair: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := GenerateParallel(cfg, 2); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestGenerateAllocs pins what a repaired set-up allocates: one set of
+// neighbor lists, the positions and O(n) grid scratch, in a fixed number
+// of allocations. Building the lists a second time, as a set-up that
+// decided connectivity on them did after repair, breaks the byte bound.
+func TestGenerateAllocs(t *testing.T) {
+	const nodes = 20_000
+	// Seed 1 places four components, so repair moves stragglers and
+	// re-indexes its grid.
+	cfg := Config{Nodes: nodes, Area: ScaledArea(nodes), Range: 50, Seed: 1, Repair: true}
+	for _, workers := range []int{1, 2} {
+		var d *Deployment
+		run := func() {
+			var err error
+			if d, err = GenerateParallel(cfg, workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(3, run)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		lists := 24 * len(d.Neighbors)
+		for _, nb := range d.Neighbors {
+			lists += 8 * len(nb)
+		}
+		scratch := int(after.TotalAlloc-before.TotalAlloc) - lists
+		t.Logf("%d workers: %.0f allocations, lists %d B, everything else %.1f B per node", workers, allocs, lists, float64(scratch)/float64(d.N()))
+		if limit := 40.0 + 4*float64(workers); allocs > limit {
+			t.Errorf("%d workers: %.0f allocations per set-up, want <= %.0f", workers, allocs, limit)
+		}
+		if limit := 100 * d.N(); scratch > limit {
+			t.Errorf("%d workers: %d bytes besides the lists, want <= %d (100 per node)", workers, scratch, limit)
+		}
+	}
+}
+
 // TestRepairConnects: a sparse placement that rejection sampling would
 // reject must come back fully connected under Repair, with the same
 // result for any worker count.
@@ -77,7 +127,7 @@ func TestRepairConnects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d1.Connected() {
+	if !connected(d1) {
 		t.Fatal("repaired deployment is not connected")
 	}
 	d4, err := GenerateParallel(cfg, 4)
@@ -122,7 +172,7 @@ func TestRepairIsolatedBaseStation(t *testing.T) {
 	if el := time.Since(start); el > 5*time.Second {
 		t.Fatalf("seed 2 took %v, want < 5s", el)
 	}
-	if !d.Connected() {
+	if !connected(d) {
 		t.Fatal("seed 2: repaired deployment is not connected")
 	}
 	if got, ref := maxDegree(d), maxDegree(gen(42)); got > 2*ref {
@@ -143,11 +193,13 @@ func TestRepairBridgesSmallBaseComponent(t *testing.T) {
 	}
 	d := &Deployment{Pos: append([]geom.Point(nil), pos...), Range: 50, Area: geom.Rect{MaxX: 400, MaxY: 200}}
 	d.buildNeighbors()
-	if d.Connected() {
+	if connected(d) {
 		t.Fatal("fixture must start disconnected")
 	}
-	d.repair(1, 1)
-	if !d.Connected() {
+	var g grid
+	d.repair(&g, 1)
+	d.link(&g, 1)
+	if !connected(d) {
 		t.Fatal("not connected after repair")
 	}
 	moved := 0

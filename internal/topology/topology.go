@@ -92,6 +92,11 @@ func Generate(cfg Config) (*Deployment, error) {
 // callers may pick the count freely without affecting reproducibility.
 // The worker count is deliberately not part of Config: configs act as
 // cache keys for shared deployments.
+//
+// Connectivity is decided on the grid index alone (grid.flood), so the
+// neighbor lists are built exactly once, after the last node has moved:
+// a rejected placement and the positions repair moves away from never
+// get lists.
 func GenerateParallel(cfg Config, workers int) (*Deployment, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("topology: need at least one node, got %d", cfg.Nodes)
@@ -103,14 +108,17 @@ func GenerateParallel(cfg Config, workers int) (*Deployment, error) {
 	if retries == 0 {
 		retries = 50
 	}
+	var g grid
 	if cfg.Repair {
-		d := place(cfg, cfg.Seed, workers)
-		d.repair(cfg.Seed, workers)
+		d := place(cfg, cfg.Seed)
+		d.repair(&g, cfg.Seed)
+		d.link(&g, workers)
 		return d, nil
 	}
 	for attempt := 0; attempt < retries; attempt++ {
-		d := place(cfg, cfg.Seed+int64(attempt)*1_000_003, workers)
-		if d.Connected() {
+		d := place(cfg, cfg.Seed+int64(attempt)*1_000_003)
+		if g.connected(d) {
+			d.link(&g, workers)
 			return d, nil
 		}
 	}
@@ -119,7 +127,8 @@ func GenerateParallel(cfg Config, workers int) (*Deployment, error) {
 }
 
 // repair makes the placement connected by moving as few nodes as it
-// can, deterministically, and rebuilds the neighbor lists.
+// can, deterministically, and leaves g indexing the final positions for
+// the caller to build the neighbor lists from.
 //
 // Normally the base station sits in the largest component and a handful
 // of stragglers are relocated into the radio disk of a reachable node
@@ -133,11 +142,12 @@ func GenerateParallel(cfg Config, workers int) (*Deployment, error) {
 // radio disks around it. The base station is therefore first bridged to
 // the largest component (bridgeBase), and only what is still unreachable
 // after that is relocated.
-func (d *Deployment) repair(seed int64, workers int) {
-	label, size := d.components()
+func (d *Deployment) repair(g *grid, seed int64) {
+	g.index(d)
+	label, size := g.components(d)
 	if d.bridgeBase(label, size) {
-		d.buildNeighborsParallel(workers)
-		label, _ = d.components()
+		g.index(d)
+		label, _ = g.components(d)
 	}
 	base := label[BaseStation]
 	// Every node ends up an anchor: the reachable ones now, each
@@ -169,40 +179,8 @@ func (d *Deployment) repair(seed int64, workers int) {
 		moved = true
 	}
 	if moved {
-		d.buildNeighborsParallel(workers)
+		g.index(d)
 	}
-}
-
-// components labels every node with the index of its connected
-// component and returns the labels with the component sizes.
-func (d *Deployment) components() (label []int32, size []int) {
-	label = make([]int32, d.N())
-	for i := range label {
-		label[i] = -1
-	}
-	var queue []NodeID
-	for start := 0; start < d.N(); start++ {
-		if label[start] >= 0 {
-			continue
-		}
-		c := int32(len(size))
-		label[start] = c
-		queue = append(queue[:0], NodeID(start))
-		count := 0
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			count++
-			for _, v := range d.Neighbors[u] {
-				if label[v] < 0 {
-					label[v] = c
-					queue = append(queue, v)
-				}
-			}
-		}
-		size = append(size, count)
-	}
-	return label, size
 }
 
 // bridgeBase connects the base station to the largest component when it
@@ -210,7 +188,7 @@ func (d *Deployment) components() (label []int32, size []int) {
 // are moved onto the segment from the base station to the component's
 // nearest node, evenly spaced at most 0.9·Range apart (the margin keeps
 // the links through floating-point distance rounding). It reports
-// whether it moved anything; the caller rebuilds the neighbor lists.
+// whether it moved anything; the caller re-indexes the grid.
 // Nodes taken out of the large component leave it at most a few
 // stragglers, which the caller's relocation pass picks up.
 func (d *Deployment) bridgeBase(label []int32, size []int) bool {
@@ -261,7 +239,9 @@ func (d *Deployment) bridgeBase(label []int32, size []int) bool {
 	return len(relays) > 0
 }
 
-func place(cfg Config, seed int64, workers int) *Deployment {
+// place draws the positions of a placement; the caller decides
+// connectivity and builds the neighbor lists.
+func place(cfg Config, seed int64) *Deployment {
 	rng := rand.New(rand.NewSource(seed))
 	pos := make([]geom.Point, cfg.Nodes+1)
 	switch cfg.Base {
@@ -273,38 +253,48 @@ func place(cfg Config, seed int64, workers int) *Deployment {
 	for i := 1; i <= cfg.Nodes; i++ {
 		pos[i] = cfg.Area.Lerp(rng.Float64(), rng.Float64())
 	}
-	d := &Deployment{Pos: pos, Range: cfg.Range, Area: cfg.Area}
-	d.buildNeighborsParallel(workers)
-	return d
+	return &Deployment{Pos: pos, Range: cfg.Range, Area: cfg.Area}
 }
 
-// buildNeighbors fills the neighbor lists using a uniform grid so that
-// construction is O(n) at constant density rather than O(n^2).
-func (d *Deployment) buildNeighbors() { d.buildNeighborsParallel(1) }
+// grid is the uniform-grid index of a placement as a flat counting-sort
+// bucket layout — cell index per node, prefix sums, one contiguous node
+// array and a cell-ordered copy of the positions — instead of a map of
+// slices: two passes over the nodes, no distance test, and a fixed
+// number of allocations independent of the cell count. Cells are Range
+// wide, so a node's neighbours all lie in its 3×3 block of cells; the
+// three cells of one grid row are adjacent in the layout, so that block
+// is three contiguous ranges (rowsOf). Connectivity (flood) and the
+// neighbor lists (link) are both read off it. Re-indexing after nodes
+// move reuses the storage, as does the scratch flood labels with.
+type grid struct {
+	cols, rows int
+	cellOf     []int32
+	starts     []int32
+	cursor     []int32
+	cellNodes  []NodeID
+	cellPos    []geom.Point
+	label      []int32
+	stack      []NodeID
+}
 
-// buildNeighborsParallel builds the grid as a flat counting-sort bucket
-// layout — cell index per node, prefix sums, one contiguous node array —
-// instead of a map of slices: two passes over the nodes and a fixed
-// number of allocations, independent of the cell count. Because the
-// three cells of one grid row are adjacent in that layout, a node's 3×3
-// neighbourhood is three contiguous ranges of a cell-ordered copy of the
-// positions, and the scan walks those instead of nine buckets.
-//
-// The scan runs twice over node chunks on the given workers: a count
-// pass (the node's own match discounted), then, after a prefix sum, a
-// fill pass into one flat array that every list is a capped sub-slice
-// of. Every worker writes only its own nodes' counts and list ranges,
-// and each list is insertion-sorted the same way regardless of worker
-// count, so the result is bit-identical to the sequential build.
-func (d *Deployment) buildNeighborsParallel(workers int) {
+// sized returns s resliced to n, or a new slice when s is too short.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// index (re)builds the grid over d's current positions.
+func (g *grid) index(d *Deployment) {
 	n := len(d.Pos)
-	d.Neighbors = make([][]NodeID, n)
 	cell := d.Range
-	cols := int(d.Area.Width()/cell) + 2
-	rows := int(d.Area.Height()/cell) + 2
-	ncells := cols * rows
-	cellOf := make([]int32, n)
-	starts := make([]int32, ncells+1)
+	g.cols = int(d.Area.Width()/cell) + 2
+	g.rows = int(d.Area.Height()/cell) + 2
+	ncells := g.cols * g.rows
+	g.cellOf = sized(g.cellOf, n)
+	g.starts = sized(g.starts, ncells+1)
+	clear(g.starts)
 	for i, p := range d.Pos {
 		cx := int((p.X - d.Area.MinX) / cell)
 		cy := int((p.Y - d.Area.MinY) / cell)
@@ -314,54 +304,139 @@ func (d *Deployment) buildNeighborsParallel(workers int) {
 		if cy < 0 {
 			cy = 0
 		}
-		if cx >= cols {
-			cx = cols - 1
+		if cx >= g.cols {
+			cx = g.cols - 1
 		}
-		if cy >= rows {
-			cy = rows - 1
+		if cy >= g.rows {
+			cy = g.rows - 1
 		}
-		ci := int32(cy*cols + cx)
-		cellOf[i] = ci
-		starts[ci+1]++
+		ci := int32(cy*g.cols + cx)
+		g.cellOf[i] = ci
+		g.starts[ci+1]++
 	}
 	for c := 0; c < ncells; c++ {
-		starts[c+1] += starts[c]
+		g.starts[c+1] += g.starts[c]
 	}
-	cellNodes := make([]NodeID, n)
-	cellPos := make([]geom.Point, n)
-	cursor := make([]int32, ncells)
-	copy(cursor, starts[:ncells])
+	g.cellNodes = sized(g.cellNodes, n)
+	g.cellPos = sized(g.cellPos, n)
+	g.cursor = sized(g.cursor, ncells)
+	copy(g.cursor, g.starts[:ncells])
 	// Ascending node order here means every cell's bucket lists ids
 	// ascending, like the append order of the old map grid.
 	for i, p := range d.Pos {
-		ci := cellOf[i]
-		cellNodes[cursor[ci]] = NodeID(i)
-		cellPos[cursor[ci]] = p
-		cursor[ci]++
+		ci := g.cellOf[i]
+		g.cellNodes[g.cursor[ci]] = NodeID(i)
+		g.cellPos[g.cursor[ci]] = p
+		g.cursor[ci]++
 	}
+}
+
+// rowsOf returns the bucket ranges of the (up to) three grid rows around
+// node i's cell, each spanning up to three adjacent cells.
+func (g *grid) rowsOf(i int) (lo, hi [3]int32, nr int) {
+	ci := int(g.cellOf[i])
+	cx, cy := ci%g.cols, ci/g.cols
+	x0, x1 := max(cx-1, 0), min(cx+1, g.cols-1)
+	for gy := max(cy-1, 0); gy <= min(cy+1, g.rows-1); gy++ {
+		lo[nr], hi[nr] = g.starts[gy*g.cols+x0], g.starts[gy*g.cols+x1+1]
+		nr++
+	}
+	return lo, hi, nr
+}
+
+// flood gives label c to every unlabelled node reachable from start and
+// returns how many it labelled. It tests exactly the pairs the neighbor
+// lists are built from, so it reaches what a search over them would.
+func (g *grid) flood(d *Deployment, start NodeID, c int32) int {
 	r2 := d.Range * d.Range
-	// rowsOf returns node i's position and the bucket ranges of the
-	// (up to) three grid rows around its cell, each spanning up to three
-	// adjacent cells.
-	rowsOf := func(i int) (p geom.Point, lo, hi [3]int32, nr int) {
-		ci := int(cellOf[i])
-		cx, cy := ci%cols, ci/cols
-		x0, x1 := max(cx-1, 0), min(cx+1, cols-1)
-		for gy := max(cy-1, 0); gy <= min(cy+1, rows-1); gy++ {
-			lo[nr], hi[nr] = starts[gy*cols+x0], starts[gy*cols+x1+1]
-			nr++
+	label := g.label
+	label[start] = c
+	stack := append(g.stack[:0], start)
+	count := 0
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		count++
+		p := d.Pos[u]
+		lo, hi, nr := g.rowsOf(int(u))
+		for r := 0; r < nr; r++ {
+			for k := lo[r]; k < hi[r]; k++ {
+				if v := g.cellNodes[k]; label[v] < 0 && geom.Dist2(p, g.cellPos[k]) <= r2 {
+					label[v] = c
+					stack = append(stack, v)
+				}
+			}
 		}
-		return d.Pos[i], lo, hi, nr
 	}
+	g.stack = stack
+	return count
+}
+
+// resetFlood resets the flood labels for d's nodes and sizes the stack for
+// the largest flood.
+func (g *grid) resetFlood(d *Deployment) {
+	g.label = sized(g.label, d.N())
+	for i := range g.label {
+		g.label[i] = -1
+	}
+	g.stack = sized(g.stack, d.N())
+}
+
+// components labels every node of the indexed placement with its
+// connected component, numbered in the order of each component's lowest
+// id, and returns the labels with the component sizes. The labels are
+// the grid's scratch: valid until its next flood.
+func (g *grid) components(d *Deployment) (label []int32, size []int) {
+	g.resetFlood(d)
+	for start := 0; start < d.N(); start++ {
+		if g.label[start] < 0 {
+			size = append(size, g.flood(d, NodeID(start), int32(len(size))))
+		}
+	}
+	return g.label, size
+}
+
+// connected indexes d and reports whether every node reaches the base
+// station.
+func (g *grid) connected(d *Deployment) bool {
+	g.index(d)
+	g.resetFlood(d)
+	return g.flood(d, BaseStation, 0) == d.N()
+}
+
+// buildNeighbors fills the neighbor lists using a uniform grid so that
+// construction is O(n) at constant density rather than O(n^2).
+func (d *Deployment) buildNeighbors() { d.buildNeighborsParallel(1) }
+
+// buildNeighborsParallel indexes the current positions and builds the
+// neighbor lists from them on the given workers.
+func (d *Deployment) buildNeighborsParallel(workers int) {
+	var g grid
+	g.index(d)
+	d.link(&g, workers)
+}
+
+// link builds the neighbor lists from g, which indexes d's positions.
+// The scan runs twice over node chunks on the given workers: a count
+// pass (the node's own match discounted), then, after a prefix sum, a
+// fill pass into one flat array that every list is a capped sub-slice
+// of. Every worker writes only its own nodes' counts and list ranges,
+// and each list is insertion-sorted the same way regardless of worker
+// count, so the result is bit-identical to the sequential build.
+func (d *Deployment) link(g *grid, workers int) {
+	n := len(d.Pos)
+	d.Neighbors = make([][]NodeID, n)
+	r2 := d.Range * d.Range
 	// off[i+1] first holds node i's count, then the prefix sum makes
 	// flat[off[i]:off[i+1]] its list.
 	off := make([]int32, n+1)
 	count := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p, from, to, nr := rowsOf(i)
+			p := d.Pos[i]
+			from, to, nr := g.rowsOf(i)
 			c := int32(-1) // the node itself is always in range
 			for r := 0; r < nr; r++ {
-				for _, q := range cellPos[from[r]:to[r]] {
+				for _, q := range g.cellPos[from[r]:to[r]] {
 					if geom.Dist2(p, q) <= r2 {
 						c++
 					}
@@ -377,12 +452,13 @@ func (d *Deployment) buildNeighborsParallel(workers int) {
 			if a == b {
 				continue // an isolated node keeps a nil list
 			}
-			p, from, to, nr := rowsOf(i)
+			p := d.Pos[i]
+			from, to, nr := g.rowsOf(i)
 			w := a
 			for r := 0; r < nr; r++ {
 				for k := from[r]; k < to[r]; k++ {
-					if geom.Dist2(p, cellPos[k]) <= r2 && int(cellNodes[k]) != i {
-						flat[w] = cellNodes[k]
+					if geom.Dist2(p, g.cellPos[k]) <= r2 && int(g.cellNodes[k]) != i {
+						flat[w] = g.cellNodes[k]
 						w++
 					}
 				}
@@ -435,26 +511,6 @@ func sortIDs(ids []NodeID) {
 // N returns the total number of nodes including the base station.
 func (d *Deployment) N() int { return len(d.Pos) }
 
-// Connected reports whether every node can reach the base station.
-func (d *Deployment) Connected() bool {
-	seen := make([]bool, d.N())
-	queue := []NodeID{BaseStation}
-	seen[BaseStation] = true
-	count := 1
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range d.Neighbors[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				queue = append(queue, v)
-			}
-		}
-	}
-	return count == d.N()
-}
-
 // AvgDegree returns the mean neighborhood size over all nodes.
 func (d *Deployment) AvgDegree() float64 {
 	var sum int
@@ -464,17 +520,11 @@ func (d *Deployment) AvgDegree() float64 {
 	return float64(sum) / float64(d.N())
 }
 
-// IsNeighbor reports whether a and b are within communication range.
+// IsNeighbor reports whether a and b are within communication range. It
+// is the test every neighbor list is built from, so it answers exactly
+// what a search of a's list would, without the scan.
 func (d *Deployment) IsNeighbor(a, b NodeID) bool {
-	for _, v := range d.Neighbors[a] {
-		if v == b {
-			return true
-		}
-		if v > b {
-			return false
-		}
-	}
-	return false
+	return a != b && geom.Dist2(d.Pos[a], d.Pos[b]) <= d.Range*d.Range
 }
 
 // Line builds a path deployment: the base station at one end and n

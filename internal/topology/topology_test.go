@@ -19,6 +19,83 @@ func smallConfig(seed int64) Config {
 	}
 }
 
+// connected reports whether every node of d reaches the base station
+// over its neighbor lists: what a reader of the deployment sees,
+// independent of the grid that Generate decides connectivity on.
+func connected(d *Deployment) bool {
+	label, _ := listComponents(d)
+	for _, c := range label {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// listComponents labels the components of d's neighbor lists, numbered
+// in the order of each one's lowest id, and returns their sizes.
+func listComponents(d *Deployment) (label []int32, size []int) {
+	label = make([]int32, d.N())
+	for i := range label {
+		label[i] = -1
+	}
+	for start := range label {
+		if label[start] >= 0 {
+			continue
+		}
+		c := int32(len(size))
+		label[start] = c
+		queue := []NodeID{NodeID(start)}
+		for len(queue) > 0 {
+			u := queue[0]
+			queue = queue[1:]
+			for _, v := range d.Neighbors[u] {
+				if label[v] < 0 {
+					label[v] = c
+					queue = append(queue, v)
+				}
+			}
+		}
+		size = append(size, 0)
+	}
+	for _, c := range label {
+		size[c]++
+	}
+	return label, size
+}
+
+// TestGridComponentsMatchLists: repair decides on the grid what it used
+// to decide on the neighbor lists, so the grid's labels and sizes must
+// be the lists' exactly, on placements of many components.
+func TestGridComponentsMatchLists(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, nodes := range []int{300, 2000} {
+			d := place(Config{Nodes: nodes, Area: ScaledArea(3 * nodes), Range: 50}, seed)
+			d.buildNeighbors()
+			var g grid
+			g.index(d)
+			label, size := g.components(d)
+			wantLabel, wantSize := listComponents(d)
+			if !reflect.DeepEqual(label, wantLabel) || !reflect.DeepEqual(size, wantSize) {
+				t.Fatalf("seed %d, %d nodes: grid components differ from the lists'", seed, nodes)
+			}
+			if len(size) < 2 {
+				t.Fatalf("seed %d, %d nodes: fixture is connected, want several components", seed, nodes)
+			}
+			if g.connected(d) != connected(d) {
+				t.Fatalf("seed %d, %d nodes: grid and lists disagree on connectivity", seed, nodes)
+			}
+		}
+	}
+	// Every lattice link is at distance² == Range² exactly.
+	d := Grid(20, 20, 50, 50)
+	var g grid
+	g.index(d)
+	if label, size := g.components(d); len(size) != 1 || !reflect.DeepEqual(label, make([]int32, d.N())) || !g.connected(d) {
+		t.Fatalf("lattice at spacing Range: %d components on the grid, want the one its lists form", len(size))
+	}
+}
+
 func TestGenerateConnected(t *testing.T) {
 	d, err := Generate(smallConfig(1))
 	if err != nil {
@@ -27,7 +104,7 @@ func TestGenerateConnected(t *testing.T) {
 	if d.N() != 201 {
 		t.Fatalf("N = %d, want 201", d.N())
 	}
-	if !d.Connected() {
+	if !connected(d) {
 		t.Fatal("Generate returned a disconnected deployment")
 	}
 }
@@ -172,7 +249,8 @@ func checkNeighbors(t *testing.T, what string, d *Deployment) {
 func TestGridNeighborMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		cfg := Config{Nodes: 60, Area: geom.Square(250), Range: 50, Seed: seed % 1000}
-		d := place(cfg, cfg.Seed, 1)
+		d := place(cfg, cfg.Seed)
+		d.buildNeighbors()
 		return reflect.DeepEqual(d.Neighbors, bruteNeighbors(d))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
@@ -210,6 +288,48 @@ func TestGridNeighborMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkNeighbors(t, fmt.Sprintf("repaired placement, %d workers", workers), d)
+	}
+}
+
+// TestIsNeighborMatchesLists: IsNeighbor decides on positions, and must
+// agree with membership in the built lists over every ordered pair,
+// including a node with itself, at the grid's edge cases.
+func TestIsNeighborMatchesLists(t *testing.T) {
+	pos := []geom.Point{
+		{X: 0, Y: 0}, {X: 10, Y: 10}, {X: 10, Y: 10}, {X: 10, Y: 10}, {X: 60, Y: 10}, {X: 150, Y: 150},
+		{X: -30, Y: 10}, {X: -70, Y: -20}, {X: 290, Y: 230}, {X: 330, Y: 230},
+	}
+	clamped := &Deployment{Pos: pos, Range: 50, Area: geom.Rect{MaxX: 200, MaxY: 200}}
+	clamped.buildNeighbors()
+	repaired, err := GenerateParallel(Config{Nodes: 5000, Area: ScaledArea(15000), Range: 50, Seed: 3, Repair: true}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		d    *Deployment
+	}{
+		{"line", Line(300, 40, 50)},
+		{"line at spacing Range", Line(300, 50, 50)},
+		{"grid at spacing Range", Grid(30, 30, 50, 50)},
+		{"grid at spacing Range/2", Grid(30, 30, 25, 50)},
+		{"coincident and clamped nodes", clamped},
+		{"repaired 5000-node placement", repaired},
+	} {
+		listed := make([]bool, c.d.N())
+		for a, nb := range c.d.Neighbors {
+			for _, v := range nb {
+				listed[v] = true
+			}
+			for b := range listed {
+				if got := c.d.IsNeighbor(NodeID(a), NodeID(b)); got != listed[b] {
+					t.Fatalf("%s: IsNeighbor(%d, %d) = %t, list membership %t", c.name, a, b, got, listed[b])
+				}
+			}
+			for _, v := range nb {
+				listed[v] = false
+			}
+		}
 	}
 }
 
@@ -254,7 +374,7 @@ func TestLineTopology(t *testing.T) {
 			t.Fatalf("node %d has %d neighbors, want %d", i, len(d.Neighbors[i]), want)
 		}
 	}
-	if !d.Connected() {
+	if !connected(d) {
 		t.Fatal("line must be connected")
 	}
 }
@@ -264,7 +384,7 @@ func TestGridTopology(t *testing.T) {
 	if d.N() != 12 {
 		t.Fatalf("N = %d, want 12", d.N())
 	}
-	if !d.Connected() {
+	if !connected(d) {
 		t.Fatal("grid must be connected")
 	}
 	// Interior node (1,1) = index 5 has 4 lattice neighbors at spacing
@@ -313,8 +433,8 @@ func TestGenerateProperties(t *testing.T) {
 					t.Fatalf("repair=%t, %d nodes, seed %d: %v", repair, nodes, seed, out.err)
 				}
 				d := out.d
-				if d.N() != nodes+1 || !d.Connected() {
-					t.Fatalf("repair=%t, %d nodes, seed %d: %d nodes, connected=%t", repair, nodes, seed, d.N(), d.Connected())
+				if d.N() != nodes+1 || !connected(d) {
+					t.Fatalf("repair=%t, %d nodes, seed %d: %d nodes, connected=%t", repair, nodes, seed, d.N(), connected(d))
 				}
 				for id, nb := range d.Neighbors {
 					if len(nb) >= maxDegree {

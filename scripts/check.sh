@@ -91,10 +91,12 @@ go test -race -count 3 -run 'Pool|Reset|AllDeterministicAcrossParallelism|AllLea
 # Smoke the base station's join benchmarks and the neighbour build: one
 # iteration proves the exact join's indexed and reference paths, the
 # filter join's shapes (diff, abs, eq, sum, three-way, reference) and the
-# count-and-fill neighbour grid at 10k and 100k nodes still run.
+# count-and-fill neighbour grid at 10k and 100k nodes, and a repaired
+# 100k set-up that builds its lists once, still run.
 go test -run=NONE -bench=ExactJoin -benchtime=1x ./internal/core
 go test -run=NONE -bench Filter -benchtime 1x ./internal/core
 go test -run=NONE -bench=BuildNeighbors -benchtime=1x ./internal/topology
+go test -run=NONE -bench='Generate$' -benchtime=1x ./internal/topology
 # Audit smoke: one experiment with every execution self-auditing its
 # journal (conservation, reconciliation, slot order, filter soundness,
 # reliability).
