@@ -55,9 +55,9 @@ type auditSegment struct {
 	// but the slot-scheduled phases ran on the tree the round started
 	// with (recovery traffic is not slot-audited).
 	tree *routing.Tree
-	// truth is the pre-round oracle of the churn-safety pass; the caller
-	// sets it when an injector is attached.
-	truth *Result
+	// truths are the round's pre-round oracles of the churn-safety pass,
+	// one per execution, set when an injector is attached.
+	truths []*Result
 }
 
 // openAudit starts a segment when the call (Audited) or the runner
@@ -73,38 +73,52 @@ func (r *Runner) openAudit(o runOptions, what string) *auditSegment {
 	}
 }
 
-// close runs the audit passes over the segment. slotPhases are the
-// leaves-first collection phases of the round; filtered lists the
-// executions the round's filter served (none for a method without one):
-// it may only suppress a key none of them wants, so suppress decisions
-// are checked against the union of their ground-truth contributors. res
-// is the result the churn verdict is drawn from (used only with truth).
-// Under AutoAudit the segment is truncated afterwards so soaks stay
-// bounded.
-func (a *auditSegment) close(slotPhases []string, filtered []*Exec, res *Result) ([]trace.Violation, error) {
+// close runs the audit passes over the segment of a round of method m
+// whose executions are execs, results their results in order. The slot
+// order covers m's leaves-first collection phases (dissemination floods
+// downstream and is not slot-ordered). When m disseminates a filter, it
+// may only suppress a key none of execs wants, so suppress decisions are
+// checked against the union of their ground-truth contributors. Each
+// result's churn verdict is drawn against its own truth. Under AutoAudit
+// the segment is truncated afterwards so soaks stay bounded.
+func (a *auditSegment) close(m Method, execs []*Exec, results []*Result) ([]trace.Violation, error) {
 	r := a.r
+	var slotPhases []string
+	filtered := false
+	for _, p := range m.Phases() {
+		switch p {
+		case PhaseJACollect, PhaseFinalCollect, PhaseExternal:
+			slotPhases = append(slotPhases, p)
+		case PhaseFilterDissem:
+			filtered = true
+		}
+	}
 	j := a.rec.JournalSince(a.mark)
 	violations := trace.Conservation(j)
 	violations = append(violations, trace.Reconcile(j, a.before, r.Stats.Snapshot())...)
 	violations = append(violations, trace.SlotOrder(j, a.tree, slotPhases)...)
 	violations = append(violations, trace.Reliability(j)...)
-	if a.truth != nil {
-		violations = append(violations, trace.ChurnSafety(j, trace.ChurnVerdict{
-			Complete:        res.Complete,
-			OracleExact:     sameRowSet(a.truth.Rows, res.Rows),
-			Reason:          res.IncompleteReason,
-			MissingSubtrees: len(res.MissingSubtrees),
-			Repairs:         res.Repairs,
-		})...)
+	if a.truths != nil {
+		verdicts := make([]trace.ChurnVerdict, len(results))
+		for i, res := range results {
+			verdicts[i] = trace.ChurnVerdict{
+				Complete:        res.Complete,
+				OracleExact:     sameRowSet(a.truths[i].Rows, res.Rows),
+				Reason:          res.IncompleteReason,
+				MissingSubtrees: len(res.MissingSubtrees),
+				Repairs:         res.Repairs,
+			}
+		}
+		violations = append(violations, trace.ChurnSafety(j, verdicts...)...)
 	}
 	// Filter soundness needs the ground truth to be reachable: a dead
 	// member transmits nothing (silently — no drop/lost events), so the
 	// filter legitimately misses its keys and suppressing its join
 	// partners is correct. Audit only when every node is alive; lossy
 	// runs stand down inside FilterSoundness itself.
-	if len(filtered) > 0 && r.allAlive() {
+	if filtered && r.allAlive() {
 		contrib := make(map[topology.NodeID]bool)
-		for _, x := range filtered {
+		for _, x := range execs {
 			qc, err := groundTruthContributors(x)
 			if err != nil {
 				return nil, err
@@ -168,31 +182,6 @@ func (r *Runner) allAlive() bool {
 		}
 	}
 	return true
-}
-
-// auditPhases selects the method's phases that follow the leaves-first
-// TAG slot schedule; dissemination phases flood downstream and are not
-// slot-ordered.
-func auditPhases(m Method) []string {
-	var out []string
-	for _, p := range m.Phases() {
-		switch p {
-		case PhaseJACollect, PhaseFinalCollect, PhaseExternal:
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// filterPhased reports whether the method disseminates a join filter
-// (and so emits suppress/prune decisions worth auditing).
-func filterPhased(m Method) bool {
-	for _, p := range m.Phases() {
-		if p == PhaseFilterDissem {
-			return true
-		}
-	}
-	return false
 }
 
 // groundTruthContributors computes, network-free, the nodes whose tuple

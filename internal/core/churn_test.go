@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
+	"sensjoin/internal/zorder"
 )
 
 // Churn & mid-round repair tests: the repair path heals severed
@@ -17,55 +19,118 @@ import (
 // through must reach an execution whichever way it started.
 var entrySpellings = []struct {
 	name string
-	run  func(r *Runner, src string, m Method, t float64) (*Result, error)
+	run  func(r *Runner, src string, m Method, t float64, opts ...RunOption) (*Result, error)
 }{
-	{"Run", func(r *Runner, src string, m Method, t float64) (*Result, error) {
-		return r.Run(src, m, t)
+	{"Run", func(r *Runner, src string, m Method, t float64, opts ...RunOption) (*Result, error) {
+		return r.Run(src, m, t, opts...)
 	}},
-	{"RunPrepared", func(r *Runner, src string, m Method, t float64) (*Result, error) {
+	{"RunPrepared", func(r *Runner, src string, m Method, t float64, opts ...RunOption) (*Result, error) {
 		p, err := r.Prepare(src)
 		if err != nil {
 			return nil, err
 		}
-		return r.RunPrepared(p, m, t)
+		return r.RunPrepared(p, m, t, opts...)
 	}},
+}
+
+// roundSpelling is one kind of round the attempt loop runs: run executes
+// the first members of srcs with SENS-Join at time 0 and returns one
+// result per member.
+type roundSpelling struct {
+	name    string
+	members int
+	run     func(r *Runner, srcs []string, opts ...RunOption) ([]*Result, error)
+}
+
+// roundSpellings are a lone query, started each way entrySpellings
+// lists, and a QueryGroup cluster of two compatible members. Recovery,
+// repair and the audits belong to the round, so each test of them runs
+// over all three.
+func roundSpellings() []roundSpelling {
+	var out []roundSpelling
+	for _, entry := range entrySpellings {
+		out = append(out, roundSpelling{entry.name, 1, func(r *Runner, srcs []string, opts ...RunOption) ([]*Result, error) {
+			res, err := entry.run(r, srcs[0], NewSENSJoin(), 0, opts...)
+			return []*Result{res}, err
+		}})
+	}
+	return append(out, roundSpelling{"QueryGroup", 2, func(r *Runner, srcs []string, opts ...RunOption) ([]*Result, error) {
+		g, err := clusterOf(r, srcs[:2])
+		if err != nil {
+			return nil, err
+		}
+		return g.RunRound(r, 0, opts...)
+	}})
+}
+
+// clusterOf returns a query group of srcs prepared on r, refusing
+// queries that do not share one cluster.
+func clusterOf(r *Runner, srcs []string) (*QueryGroup, error) {
+	g := NewQueryGroup(Options{})
+	for _, src := range srcs {
+		p, err := r.Prepare(src)
+		if err != nil {
+			return nil, err
+		}
+		if _, err := g.Add(p); err != nil {
+			return nil, err
+		}
+	}
+	if g.Clusters() != 1 {
+		return nil, fmt.Errorf("%d clusters, want the members in one", g.Clusters())
+	}
+	return g, nil
+}
+
+// groundTruths returns the oracle of each of srcs at time t on r as it
+// stands.
+func groundTruths(t *testing.T, r *Runner, srcs []string, at float64) []*Result {
+	t.Helper()
+	out := make([]*Result, len(srcs))
+	for j, src := range srcs {
+		x, err := execSQL(r, src, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out[j], err = GroundTruth(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestRepairHealsSeveredSubtreeMidRound severs a loaded tree edge while
 // the round is in flight. Under reliable transport scoped recovery
 // re-parents the orphaned subtree onto a surviving path and its recovery
 // wave replays the subtree's traffic: the round ends complete and
-// oracle-exact, with the repair visible in the result.
+// oracle-exact, with the repair visible in every member's result — the
+// repair is the round's, not its first member's.
 func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
-	for _, entry := range entrySpellings {
-		t.Run(entry.name, func(t *testing.T) {
+	for _, lane := range roundSpellings() {
+		t.Run(lane.name, func(t *testing.T) {
 			r := testRunner(t, 150, 73)
 			r.EnableReliableTransport(netsim.ReliableConfig{})
 			child, parent := failLink(r)
-			x, err := execSQL(r, qBand(0.5), 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			truth, err := GroundTruth(x)
-			if err != nil {
-				t.Fatal(err)
-			}
+			srcs := []string{qBand(0.5), qBand(0.6)}[:lane.members]
+			truths := groundTruths(t, r, srcs, 0)
 			r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
-			res, err := entry.run(r, qBand(0.5), NewSENSJoin(), 0)
+			results, err := lane.run(r, srcs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Repairs == 0 {
-				t.Fatal("severed tree edge did not trigger a mid-round repair")
+			for j, res := range results {
+				if res.Repairs == 0 {
+					t.Fatalf("member %d: severed tree edge did not trigger a mid-round repair", j)
+				}
+				if !res.Complete {
+					t.Fatalf("member %d: repair did not restore completeness (reason %q, missing %v)",
+						j, res.IncompleteReason, res.MissingSubtrees)
+				}
+				if res.RepairLatency <= 0 {
+					t.Fatalf("member %d: RepairLatency = %g, want > 0", j, res.RepairLatency)
+				}
+				sameRows(t, truths[j].Rows, res.Rows, "truth", fmt.Sprintf("repaired member %d", j))
 			}
-			if !res.Complete {
-				t.Fatalf("repair did not restore completeness (reason %q, missing %v)",
-					res.IncompleteReason, res.MissingSubtrees)
-			}
-			if res.RepairLatency <= 0 {
-				t.Fatalf("RepairLatency = %g, want > 0", res.RepairLatency)
-			}
-			sameRows(t, truth.Rows, res.Rows, "truth", "repaired")
 			// The runner follows the swap: the repaired tree no longer
 			// routes the orphan through the severed link.
 			if r.Tree.Parent[child] == parent {
@@ -77,26 +142,29 @@ func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
 
 // TestRepairDisabledStaysIncomplete is the control: same severed edge
 // without reliable transport, which is without scoped recovery and so
-// without repair — the round must honestly report the missing subtree.
+// without repair — every member of the round must honestly report the
+// missing subtree.
 func TestRepairDisabledStaysIncomplete(t *testing.T) {
-	for _, entry := range entrySpellings {
-		t.Run(entry.name, func(t *testing.T) {
+	for _, lane := range roundSpellings() {
+		t.Run(lane.name, func(t *testing.T) {
 			r := testRunner(t, 150, 73)
 			child, parent := failLink(r)
 			r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
-			res, err := entry.run(r, qBand(0.5), NewSENSJoin(), 0)
+			results, err := lane.run(r, []string{qBand(0.5), qBand(0.6)}[:lane.members])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Complete {
-				t.Fatal("severed subtree with repair disabled cannot be complete")
-			}
-			if res.Repairs != 0 {
-				t.Fatalf("Repairs = %d with repair disabled", res.Repairs)
-			}
-			if res.IncompleteReason == "" || len(res.MissingSubtrees) == 0 {
-				t.Fatalf("incomplete result lacks provenance: reason %q, missing %v",
-					res.IncompleteReason, res.MissingSubtrees)
+			for j, res := range results {
+				if res.Complete {
+					t.Fatalf("member %d: severed subtree with repair disabled cannot be complete", j)
+				}
+				if res.Repairs != 0 {
+					t.Fatalf("member %d: Repairs = %d with repair disabled", j, res.Repairs)
+				}
+				if res.IncompleteReason == "" || len(res.MissingSubtrees) == 0 {
+					t.Fatalf("member %d: incomplete result lacks provenance: reason %q, missing %v",
+						j, res.IncompleteReason, res.MissingSubtrees)
+				}
 			}
 		})
 	}
@@ -204,6 +272,102 @@ func TestChurnRoundsAuditClean(t *testing.T) {
 	}
 	if ch.Deaths == 0 {
 		t.Fatal("churn produced no deaths; the test exercised nothing")
+	}
+}
+
+// TestQueryGroupChurnAuditRuns plants a silent wrong answer in a shared
+// round under churn: an empty filter suppresses every tuple outside
+// Treecut, and since no key is filtered in, every member claims to be
+// complete with rows short of the oracle. The churn-safety pass must
+// catch it for each member — which proves a QueryGroup round runs all six
+// audit passes, as FuzzRoundIsExact's cluster lane assumes.
+func TestQueryGroupChurnAuditRuns(t *testing.T) {
+	r := testRunner(t, 150, 101)
+	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
+	ch.Cover(r.Sim.Now() + 60)
+	srcs := []string{qBand(0.5), qBand(0.6)}
+	truths := groundTruths(t, r, srcs, 0)
+	filterHook = func(*plan, []zorder.Key) []zorder.Key { return nil }
+	defer func() { filterHook = nil }()
+	g, err := clusterOf(r, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := g.RunRound(r, 0, Audited())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, res := range results {
+		if !res.Complete || len(res.Rows) >= len(truths[j].Rows) {
+			t.Fatalf("member %d: the planted filter did not plant a wrong answer (complete=%t, %d rows, oracle %d)",
+				j, res.Complete, len(res.Rows), len(truths[j].Rows))
+		}
+	}
+	churn := 0
+	for _, v := range results[0].Violations {
+		if v.Audit == "churn-safety" {
+			churn++
+		}
+	}
+	if churn != len(results) {
+		t.Fatalf("%d churn-safety violation(s) for %d wrong members; violations: %v", churn, len(results), results[0].Violations)
+	}
+}
+
+// TestQueryGroupUnderChurnAndLoss drives a QueryGroup through several
+// epochs of 1% churn and 5% loss with reliable transport, auditing every
+// round: each member is oracle-exact or flagged with provenance, and
+// carries the repairs its round made.
+func TestQueryGroupUnderChurnAndLoss(t *testing.T) {
+	r := testRunner(t, 150, 101)
+	r.Net.SetLossRate(0.05, 7)
+	r.EnableReliableTransport(netsim.ReliableConfig{})
+	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
+	srcs := []string{qBand(0.5), qBand(0.6), qBand(0.7)}
+	g, err := clusterOf(r, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const epochs = 6
+	complete, repairs := 0, 0
+	for e := 0; e < epochs; e++ {
+		at := float64(e) * 30
+		ch.Cover(r.Sim.Now() + 60)
+		truths := groundTruths(t, r, srcs, at)
+		results, err := g.RunRound(r, at, Audited())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, res := range results {
+			if v := res.Violations; len(v) > 0 {
+				t.Fatalf("epoch %d member %d: %d audit violation(s), first: %s", e, j, len(v), v[0])
+			}
+			if res.Repairs != results[0].Repairs || res.RepairLatency != results[0].RepairLatency {
+				t.Fatalf("epoch %d member %d: repairs %d after %gs, the round made %d after %gs",
+					e, j, res.Repairs, res.RepairLatency, results[0].Repairs, results[0].RepairLatency)
+			}
+			switch {
+			case res.Complete:
+				sameRows(t, truths[j].Rows, res.Rows, "truth", fmt.Sprintf("epoch %d member %d", e, j))
+				complete++
+			case res.IncompleteReason == "" || len(res.MissingSubtrees) == 0:
+				t.Fatalf("epoch %d member %d: incomplete without provenance: reason %q, missing %v",
+					e, j, res.IncompleteReason, res.MissingSubtrees)
+			}
+		}
+		repairs += results[0].Repairs
+		r.Sim.RunUntil(r.Sim.Now() + 30)
+	}
+	t.Logf("%d/%d member results complete, %d repairs, %d deaths, %d moves",
+		complete, epochs*len(srcs), repairs, ch.Deaths, ch.Moves)
+	if complete == 0 {
+		t.Fatal("no member result completed")
+	}
+	if repairs == 0 {
+		t.Fatal("no round repaired its tree; the repair attribution went unchecked")
+	}
+	if ch.Deaths+ch.Moves == 0 {
+		t.Fatal("churn changed nothing; the test exercised nothing")
 	}
 }
 

@@ -45,8 +45,8 @@ func (External) Run(x *Exec) (*Result, error) {
 	// targets members rather than contributors.
 	if x.Net.Reliable() {
 		have := tupleIndex(tuples)
-		rounds, missing := runScopedRecovery(x, p, memberSet(p), have, nil)
-		finishReliable(x, p, res, have, missing, rounds, start)
+		rounds, missing := runScopedRecovery(x, p, memberSet(p), have, nil, start)
+		finishReliable(x, x, p, res, have, missing, rounds, start)
 	} else if !res.Complete {
 		annotateIncomplete(x, missingFrom(memberSet(p), tupleIndex(tuples)), res)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"sensjoin/internal/netsim"
@@ -39,31 +40,34 @@ func TestLinkFailureDetected(t *testing.T) {
 	}
 }
 
+// TestRecoveryReexecutesAfterRepair: without reliable transport a severed
+// tree edge leaves the round incomplete, and WithRecovery rebuilds the
+// tree and re-runs it. A QueryGroup cluster is a round like a lone query:
+// every member ends complete and oracle-exact after the same two attempts
+// the lone query takes.
 func TestRecoveryReexecutesAfterRepair(t *testing.T) {
-	r := testRunner(t, 150, 73)
-	child, parent := failLink(r)
-	r.Net.LinkDown(child, parent)
-	res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithRecovery(3))
-	if err != nil {
-		t.Fatal(err)
+	for _, lane := range roundSpellings() {
+		t.Run(lane.name, func(t *testing.T) {
+			r := testRunner(t, 150, 73)
+			child, parent := failLink(r)
+			r.Net.LinkDown(child, parent)
+			srcs := []string{qBand(0.5), qBand(0.6)}[:lane.members]
+			truths := groundTruths(t, r, srcs, 0)
+			results, err := lane.run(r, srcs, WithRecovery(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, res := range results {
+				if res.Attempts != 2 {
+					t.Fatalf("member %d: Attempts = %d, want 2", j, res.Attempts)
+				}
+				if !res.Complete {
+					t.Fatalf("member %d: still incomplete after the rebuild (reason %q)", j, res.IncompleteReason)
+				}
+				sameRows(t, truths[j].Rows, res.Rows, "truth", fmt.Sprintf("recovered member %d", j))
+			}
+		})
 	}
-	attempts := res.Attempts
-	if attempts < 2 {
-		t.Fatalf("expected a re-execution, got %d attempt(s)", attempts)
-	}
-	if !res.Complete {
-		t.Fatal("result still incomplete after tree repair")
-	}
-	// After repair the result matches ground truth on the repaired tree.
-	x, err := execSQL(r, qBand(0.5), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := GroundTruth(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "recovered")
 }
 
 func TestRecoveryGivesUpWhenPartitioned(t *testing.T) {

@@ -35,9 +35,10 @@ import (
 // mask state and the sensjoin_mqo_* counters exist iff m > 1, so a
 // cluster of one is exactly an independent continuous run; what stays in
 // this file is clustering, RunRound, the mask helpers and the per-member
-// fan-out span. Whatever the round body composes with — tracing, audit,
-// reliable transport and scoped recovery, the sharded engine — a shared
-// round composes with too.
+// fan-out span. A cluster's round runs through the attempt loop a lone
+// query runs through (Runner.attempts), so whatever a lone round composes
+// with — tracing, the six audits, scoped recovery and repair,
+// WithRecovery, the sharded engine — a shared round does too.
 //
 // The incremental symmetric-difference machinery of incremental.go is
 // reused unchanged for the union filter: across epochs only the union's
@@ -223,14 +224,14 @@ func realignMasks(filter []zorder.Key, masks []uint64, sub []zorder.Key) []uint6
 // RunRound executes one shared epoch of every registered query at
 // snapshot time t and returns the per-query results, indexed by the
 // query indices Add returned. Incompatible clusters run sequentially;
-// within a cluster all members share one protocol round, which counts
-// once in sensjoin_core_runs_total. Under Audited (or the runner's
-// AutoAudit) every cluster's journal segment is audited, and each
-// member's Result.Violations holds what its cluster's round produced.
-// Filter soundness is necessarily per cluster: the union filter only
-// suppresses a key no MEMBER of that cluster wants — a node another
-// cluster's query needs may be legitimately suppressed here.
-// WithRecovery does not apply to shared rounds.
+// within a cluster all members share one protocol round, run like a lone
+// query's (Runner.attempts): counted once per attempt, re-run by
+// WithRecovery while any member is incomplete, and audited with every
+// member's result; each member's Result.Violations holds what its
+// cluster's round produced. Filter
+// soundness is necessarily per cluster: the union filter only suppresses
+// a key no MEMBER of that cluster wants — a node another cluster's query
+// needs may be legitimately suppressed here.
 func (g *QueryGroup) RunRound(r *Runner, t float64, opts ...RunOption) ([]*Result, error) {
 	if len(g.queries) == 0 {
 		return nil, fmt.Errorf("core: empty query group")
@@ -241,50 +242,26 @@ func (g *QueryGroup) RunRound(r *Runner, t float64, opts ...RunOption) ([]*Resul
 	}
 	results := make([]*Result, len(g.queries))
 	for _, c := range g.clusters {
-		if r.Metrics != nil {
-			r.Metrics.Runs.Inc()
-		}
-		seg := r.openAudit(o, "shared round") // before Exec: it may switch tracing on
-		execs := make([]*Exec, len(c.members))
+		ps := make([]*Prepared, len(c.members))
 		for j, gq := range c.members {
-			execs[j] = r.Exec(gq.p, t)
+			ps[j] = gq.p
 		}
-		if err := g.runCluster(c, execs, results); err != nil {
-			return nil, err
-		}
-		if seg == nil {
-			continue
-		}
-		found, err := seg.close([]string{PhaseJACollect, PhaseFinalCollect}, execs, nil)
+		// A group adds attribution to the round body: each member's fan-out
+		// span carries the member's own trace ID, the one event of the
+		// round that is not the group's.
+		out, err := r.attempts(ps, c.sens, t, o, func(execs []*Exec) ([]*Result, error) {
+			return c.sens.round(execs, func(j int, at float64, rows int) {
+				execs[0].Trace.SpanTagged(at, trace.KindFanout, topology.BaseStation, -1,
+					PhaseFinalCollect, rows, c.members[j].tag)
+			})
+		})
 		if err != nil {
 			return nil, err
 		}
-		for _, gq := range c.members {
-			if res := results[gq.idx]; res != nil {
-				res.Violations = found
-			}
+		for j, gq := range c.members {
+			results[gq.idx] = out[j]
 		}
 	}
 	g.rounds++
 	return results, nil
-}
-
-// runCluster runs one cluster's epoch through the one SENS-Join round
-// body (SENSJoin.round) with the cluster's m members and files the
-// results under the members' group indices. The only thing a group adds
-// is attribution: one fan-out span per member, tagged with the member's
-// own trace ID — the only shared-round events that belong to an
-// individual query rather than the group.
-func (g *QueryGroup) runCluster(c *qgCluster, execs []*Exec, results []*Result) error {
-	out, err := c.sens.round(execs, func(j int, at float64, rows int) {
-		execs[0].Trace.SpanTagged(at, trace.KindFanout, topology.BaseStation, -1,
-			PhaseFinalCollect, rows, c.members[j].tag)
-	})
-	if err != nil {
-		return err
-	}
-	for j, gq := range c.members {
-		results[gq.idx] = out[j]
-	}
-	return nil
 }

@@ -19,9 +19,12 @@ import (
 // never have received it), relays forward toward the base station
 // immediately, and the round repeats up to maxRecoveryRounds times. Each
 // round begins with a mid-round tree repair (repair.go), so a subtree
-// whose tree edge broke is re-requested over a live path. Whole-query
-// re-execution after a full rebuild (the WithRecovery run option) is the
-// paper's path and the one without reliable transport.
+// whose tree edge broke is re-requested over a live path. Recovery and
+// repair are the round's, not one query's: every member of a shared round
+// reports its repairs and missing subtrees on the tree it ended with.
+// Whole-query re-execution after a full rebuild (WithRecovery, for a lone
+// query and a shared round alike) is the paper's path and the one
+// without reliable transport.
 
 // maxRecoveryRounds bounds the scoped re-request rounds per execution.
 const maxRecoveryRounds = 3
@@ -59,12 +62,16 @@ func memberSet(p *plan) map[topology.NodeID]bool {
 
 // minimalRoots returns the missing nodes with no missing proper ancestor
 // — the subtree roots recovery re-requests — in ascending order.
-func minimalRoots(tree *routing.Tree, missing map[topology.NodeID]bool) []topology.NodeID {
+func minimalRoots(tree *routing.Tree, missing []topology.NodeID) []topology.NodeID {
+	set := make(map[topology.NodeID]bool, len(missing))
+	for _, id := range missing {
+		set[id] = true
+	}
 	var roots []topology.NodeID
-	for v := range missing {
+	for v := range set {
 		above := false
 		for u := tree.Parent[v]; u != routing.NoParent; u = tree.Parent[u] {
-			if missing[u] {
+			if set[u] {
 				above = true
 				break
 			}
@@ -104,23 +111,15 @@ func classifyMissing(x *Exec, missing []topology.NodeID) string {
 	return reason
 }
 
-// runScopedRecovery drives the recovery rounds: needed lists the nodes
-// whose tuples the result requires, have the tuples that already
-// arrived (mutated in place as rounds recover data), standDown extra
-// subtree roots that must ship everything because filter dissemination
-// to them was never confirmed. Returns the rounds run and the nodes
-// still missing afterwards (ascending).
+// runScopedRecovery drives the recovery rounds of round x, begun at
+// start: needed lists the nodes whose tuples the result requires, have
+// the tuples that already arrived (mutated in place as rounds recover
+// data), standDown extra subtree roots that must ship everything because
+// filter dissemination to them was never confirmed. Returns the rounds
+// run and the nodes still missing afterwards (ascending).
 func runScopedRecovery(x *Exec, p *plan, needed map[topology.NodeID]bool,
-	have map[topology.NodeID]finalTuple, standDown []topology.NodeID) (int, []topology.NodeID) {
-	missing := make(map[topology.NodeID]bool)
-	for id := range needed {
-		if _, ok := have[id]; !ok {
-			missing[id] = true
-		}
-	}
-	for _, r := range standDown {
-		missing[r] = true
-	}
+	have map[topology.NodeID]finalTuple, standDown []topology.NodeID, start float64) (int, []topology.NodeID) {
+	missing := append(missingFrom(needed, have), standDown...)
 	rounds := 0
 	for len(missing) > 0 && rounds < maxRecoveryRounds {
 		rounds++
@@ -138,24 +137,18 @@ func runScopedRecovery(x *Exec, p *plan, needed map[topology.NodeID]bool,
 				have[t.node] = t
 			}
 		}
-		missing = make(map[topology.NodeID]bool)
-		for id := range needed {
-			if _, ok := have[id]; !ok {
-				missing[id] = true
-			}
+		missing = missingFrom(needed, have)
+	}
+	if x.repairs > 0 && x.Metrics != nil {
+		x.Metrics.RepairSeconds.Observe(x.repairAt - start)
+		if len(missing) > 0 {
+			// Repair ran but could not restore completeness before the
+			// retry budget drained; the result carries the per-subtree
+			// provenance.
+			x.Metrics.RepairFailures.Inc()
 		}
 	}
-	left := make([]topology.NodeID, 0, len(missing))
-	for id := range missing {
-		left = append(left, id)
-	}
-	sort.Slice(left, func(i, k int) bool { return left[i] < left[k] })
-	if x.repairs > 0 && len(left) > 0 && x.Metrics != nil {
-		// Repair ran but could not restore completeness before the retry
-		// budget drained; the result carries the per-subtree provenance.
-		x.Metrics.RepairFailures.Inc()
-	}
-	return rounds, left
+	return rounds, missing
 }
 
 // recoverRound executes one scoped re-collection: re-requests travel
@@ -288,10 +281,11 @@ func recoverRound(x *Exec, p *plan, roots []topology.NodeID) []finalTuple {
 	return inbox[topology.BaseStation]
 }
 
-// finishReliable recomputes the result from the (possibly recovered)
-// tuple set and fills the completeness fields. start is the execution's
-// begin time; the response time includes recovery.
-func finishReliable(x *Exec, p *plan, res *Result,
+// finishReliable recomputes member's result from the (possibly
+// recovered) tuple set and fills the completeness fields. x is the round
+// the member ran in: its tree, clock and repair record are every member's.
+// start is the round's begin time; the response time includes recovery.
+func finishReliable(x, member *Exec, p *plan, res *Result,
 	have map[topology.NodeID]finalTuple, missing []topology.NodeID, rounds int, start float64) {
 	ids := make([]topology.NodeID, 0, len(have))
 	for id := range have {
@@ -302,7 +296,7 @@ func finishReliable(x *Exec, p *plan, res *Result,
 	for _, id := range ids {
 		tuples = append(tuples, have[id])
 	}
-	rows, block, contrib := exactJoin(x, tuples)
+	rows, block, contrib := exactJoin(member, tuples)
 	res.Release() // the rows before recovery
 	res.Rows, res.block = rows, block
 	res.ContributingNodes = len(contrib)
@@ -313,9 +307,6 @@ func finishReliable(x *Exec, p *plan, res *Result,
 	res.Repairs = x.repairs
 	if x.repairs > 0 {
 		res.RepairLatency = x.repairAt - start
-		if x.Metrics != nil {
-			x.Metrics.RepairSeconds.Observe(res.RepairLatency)
-		}
 	}
 	if len(missing) > 0 {
 		annotateIncomplete(x, missing, res)
@@ -324,16 +315,12 @@ func finishReliable(x *Exec, p *plan, res *Result,
 }
 
 // annotateIncomplete surfaces which subtrees are missing and why on an
-// incomplete result. The non-reliable path calls it without recovering
-// anything — completeness verdicts keep the paper's re-execute-everything
-// semantics there.
+// incomplete result, on the tree round x ended with. The non-reliable
+// path calls it without recovering anything — completeness verdicts keep
+// the paper's re-execute-everything semantics there.
 func annotateIncomplete(x *Exec, missing []topology.NodeID, res *Result) {
 	if len(missing) > 0 {
-		set := make(map[topology.NodeID]bool, len(missing))
-		for _, id := range missing {
-			set[id] = true
-		}
-		res.MissingSubtrees = minimalRoots(x.Tree, set)
+		res.MissingSubtrees = minimalRoots(x.Tree, missing)
 	}
 	res.IncompleteReason = classifyMissing(x, missing)
 }

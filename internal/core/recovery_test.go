@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"sensjoin/internal/netsim"
@@ -145,48 +146,48 @@ func TestScopedRecoveryHealsTransientOutage(t *testing.T) {
 	}
 }
 
-// Satellite (b): the give-up path of RunWithRecovery must report the
-// attempt count consistently and surface why the result stayed
-// incomplete.
-func TestRunWithRecoveryGiveUpSurfacesReason(t *testing.T) {
-	r := testRunner(t, 100, 79)
-	var victim topology.NodeID = -1
-	for i := 1; i < r.Dep.N(); i++ {
-		if r.Tree.Depth[i] >= 2 && r.Tree.Descendants[i] == 0 {
-			victim = topology.NodeID(i)
-			break
-		}
-	}
-	if victim < 0 {
-		t.Skip("no leaf victim found")
-	}
-	for _, nb := range r.Dep.Neighbors[victim] {
-		r.Net.LinkDown(victim, nb)
-	}
-	// qBand(10) joins everything, so the partitioned node is a needed
-	// contributor on every attempt.
-	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithRecovery(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	attempts := res.Attempts
-	if attempts != 2 {
-		t.Fatalf("attempts = %d, want exactly the maximum 2", attempts)
-	}
-	if res == nil || res.Complete {
-		t.Fatal("partitioned contributor cannot yield a complete result")
-	}
-	if res.IncompleteReason != ReasonPartition {
-		t.Fatalf("IncompleteReason = %q, want %q", res.IncompleteReason, ReasonPartition)
-	}
-	found := false
-	for _, id := range res.MissingSubtrees {
-		if id == victim {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("MissingSubtrees = %v does not name the victim %d", res.MissingSubtrees, victim)
+// TestWithRecoveryGiveUpSurfacesReason: when no rebuild can reach a
+// partitioned contributor, WithRecovery stops after exactly its maximum
+// number of attempts, and every member of the round says why it is
+// incomplete and names the partitioned node as a missing subtree.
+func TestWithRecoveryGiveUpSurfacesReason(t *testing.T) {
+	for _, lane := range roundSpellings() {
+		t.Run(lane.name, func(t *testing.T) {
+			r := testRunner(t, 100, 79)
+			var victim topology.NodeID = -1
+			for i := 1; i < r.Dep.N(); i++ {
+				if r.Tree.Depth[i] >= 2 && r.Tree.Descendants[i] == 0 {
+					victim = topology.NodeID(i)
+					break
+				}
+			}
+			if victim < 0 {
+				t.Skip("no leaf victim found")
+			}
+			for _, nb := range r.Dep.Neighbors[victim] {
+				r.Net.LinkDown(victim, nb)
+			}
+			// qBand(10) and qBand(11) join everything, so the partitioned
+			// node is a needed contributor on every attempt.
+			results, err := lane.run(r, []string{qBand(10), qBand(11)}[:lane.members], WithRecovery(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, res := range results {
+				if res.Attempts != 2 {
+					t.Fatalf("member %d: Attempts = %d, want exactly the maximum 2", j, res.Attempts)
+				}
+				if res.Complete {
+					t.Fatalf("member %d: partitioned contributor cannot yield a complete result", j)
+				}
+				if res.IncompleteReason != ReasonPartition {
+					t.Fatalf("member %d: IncompleteReason = %q, want %q", j, res.IncompleteReason, ReasonPartition)
+				}
+				if !slices.Contains(res.MissingSubtrees, victim) {
+					t.Fatalf("member %d: MissingSubtrees = %v does not name the victim %d", j, res.MissingSubtrees, victim)
+				}
+			}
+		})
 	}
 }
 

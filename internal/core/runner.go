@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"sensjoin/internal/field"
 	"sensjoin/internal/metrics"
@@ -239,49 +240,72 @@ func (r *Runner) Run(src string, m Method, t float64, opts ...RunOption) (*Resul
 	return r.RunPrepared(p, m, t, opts...)
 }
 
-// RunPrepared executes a prepared query with the given method at time t.
-// Every execution on a runner passes through here: each attempt counts
-// once in sensjoin_core_runs_total, and under Audited or AutoAudit each
-// attempt's journal segment is audited.
+// RunPrepared executes a prepared query with the given method at time t:
+// a round of one execution (see attempts).
 func (r *Runner) RunPrepared(p *Prepared, m Method, t float64, opts ...RunOption) (*Result, error) {
-	o := gatherOptions(opts)
+	results, err := r.attempts([]*Prepared{p}, m, t, gatherOptions(opts), func(execs []*Exec) ([]*Result, error) {
+		res, err := m.Run(execs[0])
+		return []*Result{res}, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// attempts is the one attempt loop every execution passes through:
+// RunPrepared runs a lone query as a round of one, QueryGroup.RunRound
+// each cluster as a round of its members. round runs method m once per
+// prepared query at time t. Each attempt counts once in
+// sensjoin_core_runs_total and, under Audited or AutoAudit, is audited
+// with every result; while any result is incomplete and WithRecovery
+// allows, the tree is rebuilt and the round re-run. Every result carries
+// the attempt count and what the round's audits found.
+func (r *Runner) attempts(ps []*Prepared, m Method, t float64, o runOptions,
+	round func(execs []*Exec) ([]*Result, error)) ([]*Result, error) {
+	execs := make([]*Exec, len(ps))
 	var violations []trace.Violation
 	for attempt := 1; ; attempt++ {
 		if r.Metrics != nil {
 			r.Metrics.Runs.Inc()
 		}
 		seg := r.openAudit(o, m.Name()) // before Exec: it may switch tracing on
-		x := r.Exec(p, t)
+		for j, p := range ps {
+			execs[j] = r.Exec(p, t)
+		}
 		if seg != nil && r.churn != nil {
-			// The churn-safety oracle must be computed before the run:
+			// The churn-safety oracles must be computed before the run:
 			// churn may kill members mid-round, and GroundTruth reflects
 			// aliveness at call time — the contract is "exact w.r.t. the
 			// snapshot the round started from".
-			var err error
-			if seg.truth, err = GroundTruth(x); err != nil {
-				return nil, err
+			seg.truths = make([]*Result, len(execs))
+			for j, x := range execs {
+				var err error
+				if seg.truths[j], err = GroundTruth(x); err != nil {
+					return nil, err
+				}
 			}
 		}
-		res, err := m.Run(x)
+		results, err := round(execs)
 		if err != nil {
 			return nil, err
 		}
 		if seg != nil {
-			var filtered []*Exec
-			if filterPhased(m) {
-				filtered = []*Exec{x}
-			}
-			found, err := seg.close(auditPhases(m), filtered, res)
+			found, err := seg.close(m, execs, results)
 			if err != nil {
 				return nil, err
 			}
 			violations = append(violations, found...)
 		}
-		if res.Complete || attempt >= o.attempts {
-			res.Attempts, res.Violations = attempt, violations
-			return res, nil
+		if attempt >= o.attempts || !slices.ContainsFunc(results, func(res *Result) bool { return !res.Complete }) {
+			for _, res := range results {
+				res.Attempts, res.Violations = attempt, violations
+			}
+			return results, nil
 		}
-		res.Release() // re-executed: nothing reads this attempt's rows
+		for _, res := range results {
+			res.Release() // re-executed: nothing reads this attempt's rows
+		}
 		r.RebuildTree()
 		r.Trace.Span(r.Sim.Now(), trace.KindRecovery, topology.BaseStation, -1, "", attempt)
 	}

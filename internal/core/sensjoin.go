@@ -568,13 +568,15 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 // union of the members' needs, then a per-member exact finish from the
 // shared (recovered) have-set — extra tuples add no rows, and the
 // node-id sort makes a member's table byte-identical to its independent
-// reliable run. Without it an incomplete result is only annotated.
+// reliable run. Without it an incomplete result is only annotated. The
+// round runs on r.x: its tree, repairs and repair latency are every
+// member's.
 func (r *roundState) settle(standDown []topology.NodeID, start float64) {
 	if !r.x.Net.Reliable() {
 		for j, res := range r.results {
 			if res != nil && !res.Complete {
 				need := contributorSet(r.execs[j], r.plans[j])
-				annotateIncomplete(r.execs[j], missingFrom(need, tupleIndex(r.got[j])), res)
+				annotateIncomplete(r.x, missingFrom(need, tupleIndex(r.got[j])), res)
 			}
 		}
 		return
@@ -597,9 +599,9 @@ func (r *roundState) settle(standDown []topology.NodeID, start float64) {
 			}
 		}
 	}
-	rounds, _ := runScopedRecovery(r.x, r.p, need, have, standDown)
+	rounds, _ := runScopedRecovery(r.x, r.p, need, have, standDown, start)
 	for j, xj := range r.execs {
-		finishReliable(xj, r.plans[j], r.results[j], have, missingFrom(needs[j], have), rounds, start)
+		finishReliable(r.x, xj, r.plans[j], r.results[j], have, missingFrom(needs[j], have), rounds, start)
 	}
 }
 

@@ -27,7 +27,8 @@ type ChurnVerdict struct {
 	Repairs int
 }
 
-// ChurnSafety audits one execution under churn:
+// ChurnSafety audits one round under churn, given the verdict of each
+// of its executions (a shared round has one per member query):
 //
 //  1. No silent wrong answers: a result claiming completeness must be
 //     oracle-exact.
@@ -38,18 +39,21 @@ type ChurnVerdict struct {
 //     with the rows all present — e.g. lost phase-A coverage reports —
 //     and then there is no subtree to blame.)
 //  3. Radio silence of the dead: after a node's churn-death event it
-//     transmits nothing until a churn-rejoin event revives it.
-func ChurnSafety(j *Journal, v ChurnVerdict) []Violation {
+//     transmits nothing until a churn-rejoin event revives it. This is
+//     the round's, checked once whatever the number of verdicts.
+func ChurnSafety(j *Journal, verdicts ...ChurnVerdict) []Violation {
 	var out []Violation
-	if v.Complete && !v.OracleExact {
-		out = violate(out, "churn-safety", "result claims completeness but differs from the ground truth (repairs=%d)", v.Repairs)
-	}
-	if !v.Complete {
-		if v.Reason == "" {
-			out = violate(out, "churn-safety", "incomplete result carries no IncompleteReason")
+	for _, v := range verdicts {
+		if v.Complete && !v.OracleExact {
+			out = violate(out, "churn-safety", "result claims completeness but differs from the ground truth (repairs=%d)", v.Repairs)
 		}
-		if !v.OracleExact && v.MissingSubtrees == 0 {
-			out = violate(out, "churn-safety", "incomplete result misses ground-truth rows but names no missing subtree")
+		if !v.Complete {
+			if v.Reason == "" {
+				out = violate(out, "churn-safety", "incomplete result carries no IncompleteReason")
+			}
+			if !v.OracleExact && v.MissingSubtrees == 0 {
+				out = violate(out, "churn-safety", "incomplete result misses ground-truth rows but names no missing subtree")
+			}
 		}
 	}
 	dead := make(map[topology.NodeID]bool)

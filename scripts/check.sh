@@ -106,9 +106,10 @@ go run ./cmd/experiments -nodes 400 -only E1a -audit > /dev/null
 go run ./cmd/experiments -only L1 -loss 0.05,0.10 -nodes 400 -audit > /dev/null
 # Reliable-transport race pass: the ARQ, scoped recovery and the loss
 # sweep under the race detector, beyond the general -race run above —
-# sharded too: the sharded-journal lanes with loss and ARQ, and the
-# round fuzzer's corpus across the feature matrix.
-go test -race -run 'Reliable|Recovery|StandDown|Loss|ShardTrace|FuzzRoundIsExact' ./internal/netsim ./internal/core ./internal/bench
+# sharded too: the sharded-journal lanes with loss and ARQ, the round
+# fuzzer's corpus across the feature matrix, and the shared rounds of a
+# QueryGroup under recovery, churn and loss.
+go test -race -run 'Reliable|Recovery|StandDown|Loss|ShardTrace|FuzzRoundIsExact|QueryGroup' ./internal/netsim ./internal/core ./internal/bench
 # Sharded-simulator race pass: window workers, cross-region inboxes,
 # per-region freelists and the parallel setup paths (neighbor grid,
 # BFS tree, plan building) under the race detector.
