@@ -56,7 +56,6 @@ const (
 	kindResult
 	kindQuery
 	kindRerequest
-	kindRecover
 )
 
 // Incompleteness reasons surfaced in Result.IncompleteReason.

@@ -16,7 +16,8 @@ import (
 // only those: a re-request travels hop-by-hop down the tree path to each
 // missing subtree's root, the subtree ships its complete tuples
 // unconditionally (the filter stands down — a subtree in recovery may
-// never have received it), relays forward toward the base station
+// never have received it) in the collection wave of collectWave, relays
+// above the subtrees forward each arrival toward the base station
 // immediately, and the round repeats up to maxRecoveryRounds times. Each
 // round begins with a mid-round tree repair (repair.go), so a subtree
 // whose tree edge broke is re-requested over a live path. Recovery and
@@ -153,30 +154,32 @@ func runScopedRecovery(x *Exec, p *plan, needed map[topology.NodeID]bool,
 
 // recoverRound executes one scoped re-collection: re-requests travel
 // hop-by-hop down the tree path to every root, the missing subtrees run
-// a leaves-first collection wave shipping complete tuples
-// unconditionally, and nodes on the return paths outside the subtrees
-// relay upward immediately. All traffic is charged under PhaseRecovery;
-// it returns the tuples that reached the base station.
+// the leaves-first collection wave of collectWave, shipping complete
+// tuples unconditionally, and nodes on the return paths outside the
+// subtrees relay each arrival upward at once. Nothing is copied from hop
+// to hop. All traffic is charged under PhaseRecovery; it returns the
+// tuples that reached the base station.
 func recoverRound(x *Exec, p *plan, roots []topology.NodeID) []finalTuple {
 	tree := x.Tree
 	n := x.Net.N()
-	isRoot := make([]bool, n)
+	// rootOf[v] is the root of the missing subtree v is in, 0 outside
+	// every subtree (a root is never the base station). Roots are minimal,
+	// so it is unique: top-down, a node inherits its parent's. levels
+	// lists the subtree nodes by depth, ascending.
+	rootOf := make([]topology.NodeID, n)
 	for _, r := range roots {
-		if r > 0 && int(r) < n {
-			isRoot[r] = true
+		if r != topology.BaseStation && tree.Reachable(r) {
+			rootOf[r] = r
 		}
 	}
-	inSub := make([]bool, n)
-	rootOf := make([]topology.NodeID, n)
-	for i := 1; i < n; i++ {
-		if !tree.Reachable(topology.NodeID(i)) {
-			continue
-		}
-		for v := topology.NodeID(i); v != routing.NoParent; v = tree.Parent[v] {
-			if isRoot[v] {
-				inSub[i] = true
-				rootOf[i] = v // the nearest missing root above (roots are minimal, so unique)
-				break
+	levels := make([][]topology.NodeID, tree.MaxDepth+1)
+	for d := 1; d <= tree.MaxDepth; d++ {
+		for _, v := range tree.Level(d) {
+			if rootOf[v] == 0 {
+				rootOf[v] = rootOf[tree.Parent[v]]
+			}
+			if rootOf[v] != 0 {
+				levels[d] = append(levels[d], v)
 			}
 		}
 	}
@@ -184,101 +187,75 @@ func recoverRound(x *Exec, p *plan, roots []topology.NodeID) []finalTuple {
 	// a node cannot know to retransmit without being asked.
 	reqArrived := make([]bool, n)
 
-	inbox := borrow(&x.run().inbox, n)
-	defer giveBack(x, &x.run().inbox, inbox)
+	// A re-request travels hop-by-hop along its path, each hop carrying
+	// the rest of it (2 bytes per id).
+	request := func(from topology.NodeID, path []topology.NodeID) {
+		x.Net.Send(netsim.Message{
+			Kind: kindRerequest, Src: from, Dst: path[0],
+			Phase: PhaseRecovery, Size: 2 + 2*len(path[1:]), Payload: path[1:],
+		})
+	}
+	w := &wave{nodes: borrow(&x.run().wave, n), x: x, p: p, tree: tree, phase: PhaseRecovery}
+	defer giveBack(x, &x.run().wave, w.nodes)
 	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
 		switch m.Kind {
 		case kindRerequest:
-			rest := m.Payload.([]topology.NodeID)
-			if len(rest) == 0 {
+			if rest := m.Payload.([]topology.NodeID); len(rest) > 0 {
+				request(id, rest)
+			} else {
 				reqArrived[id] = true
-				return
 			}
-			x.Net.Send(netsim.Message{
-				Kind: kindRerequest, Src: id, Dst: rest[0],
-				Phase: PhaseRecovery, Size: 2 + 2*len(rest[1:]), Payload: rest[1:],
-			})
-		case kindRecover:
-			tuples := m.Payload.([]finalTuple)
-			if id == topology.BaseStation || inSub[id] {
-				inbox[id] = append(inbox[id], tuples...)
+		case kindFinal:
+			// A relay's forward names the subtree whose tuples it carries
+			// (&rootOf[r] for root r), so the base station notes exactly
+			// the subtrees whose delivery reached it.
+			from := m.Src
+			if r, ok := m.Payload.(*topology.NodeID); ok && r == &rootOf[*r] {
+				from = *r
+			} else if m.Payload != any(w) {
+				return // not this wave's
+			}
+			if id == topology.BaseStation || rootOf[id] != 0 {
+				w.heard(id, from, m.Size)
 				return
 			}
 			// A relay on the path to the base station: recovery has no
-			// slot schedule above the subtree, forward immediately.
-			size := 0
-			for _, t := range tuples {
-				size += t.bytes
-			}
+			// slot schedule above the subtrees, forward immediately.
 			x.Net.Send(netsim.Message{
-				Kind: kindRecover, Src: id, Dst: tree.Parent[id],
-				Phase: PhaseRecovery, Size: size, Payload: tuples,
+				Kind: kindFinal, Src: id, Dst: tree.Parent[id],
+				Phase: PhaseRecovery, Size: m.Size, Payload: &rootOf[from],
 			})
 		}
 	})
 	defer x.Net.SetHandler(nil)
 
-	// Re-requests: one per root, forwarded hop-by-hop along the tree path
-	// (each hop carries the remaining path, 2 bytes per id).
+	// One re-request per root reachable from the base station, along its
+	// tree path.
 	maxHops := 0
 	for _, r := range roots {
-		if r == topology.BaseStation || !tree.Reachable(r) {
-			continue
+		if rootOf[r] != 0 {
+			path := tree.Path(r)[1:] // without the base station
+			maxHops = max(maxHops, len(path))
+			request(topology.BaseStation, path)
 		}
-		var path []topology.NodeID // base station → root, excluding the base station
-		for v := r; v != topology.BaseStation && v != routing.NoParent; v = tree.Parent[v] {
-			path = append(path, v)
-		}
-		for i, k := 0, len(path)-1; i < k; i, k = i+1, k-1 {
-			path[i], path[k] = path[k], path[i]
-		}
-		if len(path) > maxHops {
-			maxHops = len(path)
-		}
-		x.Net.Send(netsim.Message{
-			Kind: kindRerequest, Src: topology.BaseStation, Dst: path[0],
-			Phase: PhaseRecovery, Size: 2 + 2*len(path[1:]), Payload: path[1:],
-		})
 	}
 
 	// The collection wave starts once the deepest re-request had time to
 	// arrive; inside the subtrees the usual leaves-first slot schedule
-	// applies.
+	// applies, one deadline per subtree level.
 	reqSlot := x.Net.SlotFor(2 + 2*tree.MaxDepth)
 	waveStart := x.Sim.Now() + float64(maxHops+1)*reqSlot
 	slot := collectionSlot(x, p)
-	levels := make([][]topology.NodeID, tree.MaxDepth+1)
-	for i := 1; i < n; i++ {
-		if inSub[i] {
-			levels[tree.Depth[i]] = append(levels[tree.Depth[i]], topology.NodeID(i))
-		}
-	}
 	ship := func(id topology.NodeID) {
-		if !reqArrived[rootOf[id]] {
-			return // the re-request never made it down; retry next round
+		if reqArrived[rootOf[id]] { // else the re-request never made it down; retry next round
+			w.ship(id, p.nodes[id].flags != 0)
 		}
-		tuples := inbox[id]
-		if p.nodes[id].flags != 0 {
-			tuples = append(tuples, p.tuple(id))
-		}
-		if len(tuples) == 0 {
-			return
-		}
-		size := 0
-		for _, t := range tuples {
-			size += t.bytes
-		}
-		x.Net.Send(netsim.Message{
-			Kind: kindRecover, Src: id, Dst: tree.Parent[id],
-			Phase: PhaseRecovery, Size: size, Payload: tuples,
-		})
 	}
-	// One deadline per subtree level, like every collection wave.
 	for d, ids := range levels {
 		x.Sim.ScheduleNodes(topology.BaseStation, ids, waveStart+float64(tree.MaxDepth-d)*slot, ship)
 	}
 	x.Sim.Run()
-	return inbox[topology.BaseStation]
+	return w.gather(nil, topology.BaseStation)
 }
 
 // finishReliable recomputes member's result from the (possibly

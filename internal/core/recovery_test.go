@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
+	"time"
 
+	"sensjoin/internal/geom"
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
@@ -215,5 +218,129 @@ func TestIncompleteReasonDeadSubtree(t *testing.T) {
 	}
 	if res.IncompleteReason != ReasonDeadSubtree {
 		t.Fatalf("IncompleteReason = %q, want %q", res.IncompleteReason, ReasonDeadSubtree)
+	}
+}
+
+// chainFan is a chain of relays 1..relays 40 m apart from the base
+// station, ending in a fan of branches: branch b's nodes run outward from
+// the last relay, each 40 m past the one before. Links reach 50 m and the
+// branches fan 60° apart, so a branch's first node hears the last relay,
+// its neighbours in the fan and its own successor, and nothing else.
+func chainFan(relays, branches, length int) *topology.Deployment {
+	pos := make([]geom.Point, 0, 1+relays+branches*length)
+	for i := 0; i <= relays; i++ {
+		pos = append(pos, geom.Point{X: 40 * float64(i)})
+	}
+	end := pos[relays]
+	for b := 0; b < branches; b++ {
+		angle := (float64(b) - float64(branches-1)/2) * math.Pi / 3
+		for j := 1; j <= length; j++ {
+			pos = append(pos, geom.Point{X: end.X + 40*float64(j)*math.Cos(angle), Y: 40 * float64(j) * math.Sin(angle)})
+		}
+	}
+	d := &topology.Deployment{Pos: pos, Range: 50, Area: geom.Rect{MinX: -1, MinY: -200, MaxX: end.X + 200, MaxY: 200}}
+	d.Neighbors = make([][]topology.NodeID, len(pos))
+	for i := range pos {
+		for k := range pos {
+			if i != k && geom.Dist2(pos[i], pos[k]) <= d.Range*d.Range {
+				d.Neighbors[i] = append(d.Neighbors[i], topology.NodeID(k))
+			}
+		}
+	}
+	return d
+}
+
+// chainFanRound sets up a reliable-transport round on chainFan(20, 4, 3)
+// whose every node is a member. Branch b's nodes are 21+3b, 22+3b, 23+3b.
+func chainFanRound(t *testing.T) (*Runner, *Exec, *plan) {
+	t.Helper()
+	r := NewRunnerFromDeployment(chainFan(20, 4, 3), netsim.RadioConfig{}, 5)
+	r.EnableReliableTransport(netsim.ReliableConfig{})
+	x, err := execSQL(r, qBand(10), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := buildPlan(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 21; id < x.Dep.N(); id++ {
+		if p.nodes[id].flags == 0 || x.Tree.Depth[id] != 20+(id-21)%3+1 {
+			t.Fatalf("node %d: flags %b at depth %d, want a member at the end of the chain", id, p.nodes[id].flags, x.Tree.Depth[id])
+		}
+	}
+	return r, x, p
+}
+
+// recoveredIDs returns the owners of tuples, ascending, failing on a
+// tuple listed twice.
+func recoveredIDs(t *testing.T, tuples []finalTuple) []topology.NodeID {
+	t.Helper()
+	var ids []topology.NodeID
+	for _, tu := range tuples {
+		ids = append(ids, tu.node)
+	}
+	slices.Sort(ids)
+	if len(slices.Compact(slices.Clone(ids))) != len(ids) {
+		t.Fatalf("a tuple is listed more than once: %v", ids)
+	}
+	return ids
+}
+
+// Four branches re-requested as four subtrees share one 20-relay path to
+// the base station: every relay forwards four deliveries. Recovery lists
+// each branch tuple exactly once and nothing else, and does it at once —
+// a gather that walked a relay once per delivery it forwarded would visit
+// 4^20 nodes.
+func TestRecoveryListsEachTupleOnceThroughSharedRelays(t *testing.T) {
+	_, x, p := chainFanRound(t)
+	roots := []topology.NodeID{21, 24, 27, 30}
+	began := time.Now()
+	got := recoveredIDs(t, recoverRound(x, p, roots))
+	if took := time.Since(began); took > time.Second {
+		t.Fatalf("recovery took %v", took)
+	}
+	var want []topology.NodeID
+	for id := 21; id < x.Dep.N(); id++ {
+		want = append(want, topology.NodeID(id))
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("recovered %v, want the branch nodes %v", got, want)
+	}
+}
+
+// A relay above the subtrees forwards each delivery on its own, so one
+// forward can be lost while the next arrives. Only the subtree whose
+// forward reached the base station is recovered: here the last relay's
+// forward of subtree 25 (which ships a slot earlier, one level deeper)
+// gives up on a jammed link, the link heals, and its forward of subtree
+// 21 gets through.
+func TestRecoveryCountsOnlyDeliveredForwards(t *testing.T) {
+	r, x, p := chainFanRound(t)
+	roots := []topology.NodeID{21, 25}
+	// recoverRound's wave begins once the deepest re-request (22 hops)
+	// had time to arrive; the jam starts there, after every re-request.
+	waveStart := r.Sim.Now() + 23*r.Net.SlotFor(2+2*x.Tree.MaxDepth)
+	deadline := waveStart + float64(x.Tree.MaxDepth+1)*collectionSlot(x, p)
+	healed := false
+	var heal func()
+	heal = func() {
+		if r.Net.GiveUps > 0 {
+			r.Net.SetLinkLossRate(20, 19, 0)
+			healed = true
+		} else if r.Sim.Now() < deadline {
+			r.Sim.Schedule(r.Sim.Now()+1e-3, heal)
+		}
+	}
+	r.Sim.Schedule(waveStart, func() {
+		r.Net.SetLinkLossRate(20, 19, 1)
+		heal()
+	})
+	got := recoveredIDs(t, recoverRound(x, p, roots))
+	if !healed {
+		t.Fatal("no forward gave up on the jammed link")
+	}
+	if want := []topology.NodeID{21, 22, 23}; !slices.Equal(got, want) {
+		t.Fatalf("recovered %v, want subtree 21 only %v", got, want)
 	}
 }

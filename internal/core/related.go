@@ -44,20 +44,53 @@ type waveNode struct {
 	own      bool              // the node's own tuple went out behind theirs
 }
 
-// wave is one wave's per-node state, and the payload of its messages: a
-// delivery still in flight from an earlier wave is not one of its children.
-type wave struct{ nodes []waveNode }
+// wave is one leaves-first collection of complete tuples toward tree's
+// root, and the payload of its messages: a delivery still in flight from
+// an earlier wave is not one of its children.
+type wave struct {
+	nodes []waveNode
+	x     *Exec
+	p     *plan
+	tree  *routing.Tree
+	phase string
+}
 
-// gather appends the tuples node id forwarded, in the order the copying
-// relay produced them: each child's subtree in arrival order, the own
-// tuple last.
-func (w *wave) gather(out []finalTuple, p *plan, id topology.NodeID) []finalTuple {
+// heard notes at id a delivery of size bytes that carries from's subtree.
+func (w *wave) heard(id, from topology.NodeID, size int) {
+	nd := &w.nodes[id]
+	nd.children = append(nd.children, from)
+	nd.bytes += size
+}
+
+// ship sends what id heard, and its own tuple when own, to its parent; a
+// node with nothing to send stays silent.
+func (w *wave) ship(id topology.NodeID, own bool) {
+	nd := &w.nodes[id]
+	size := nd.bytes
+	if own {
+		nd.own = true
+		size += w.p.nodes[id].tupleBytes
+	}
+	if len(nd.children) == 0 && !nd.own {
+		return
+	}
+	w.x.Net.Send(netsim.Message{
+		Kind: kindFinal, Src: id, Dst: w.tree.Parent[id],
+		Phase: w.phase, Size: size, Payload: w,
+	})
+}
+
+// gather appends the tuples node id forwarded, in the order a copying
+// relay would have produced them: each child's subtree in arrival order,
+// the own tuple last. Every node ships once and duplicate deliveries are
+// suppressed, so each node's notes are listed once.
+func (w *wave) gather(out []finalTuple, id topology.NodeID) []finalTuple {
 	nd := &w.nodes[id]
 	for _, c := range nd.children {
-		out = w.gather(out, p, c)
+		out = w.gather(out, c)
 	}
 	if nd.own {
-		out = append(out, p.tuple(id))
+		out = append(out, w.p.tuple(id))
 	}
 	return out
 }
@@ -67,34 +100,18 @@ func (w *wave) gather(out []finalTuple, p *plan, id topology.NodeID) []finalTupl
 // relays aggregate. It returns the tuples gathered at the root. The
 // handler is installed for the wave's duration.
 func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include func(topology.NodeID) bool) []finalTuple {
-	n := x.Net.N()
 	start := x.Sim.Now()
 	slot := collectionSlot(x, p)
-	w := &wave{nodes: borrow(&x.run().wave, n)}
+	w := &wave{nodes: borrow(&x.run().wave, x.Net.N()), x: x, p: p, tree: tree, phase: phase}
 	defer giveBack(x, &x.run().wave, w.nodes)
 	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {
-		if m.Kind != kindFinal || m.Payload != any(w) {
-			return
+		if m.Kind == kindFinal && m.Payload == any(w) {
+			w.heard(id, m.Src, m.Size)
 		}
-		nd := &w.nodes[id]
-		nd.children = append(nd.children, m.Src)
-		nd.bytes += m.Size
 	})
 	defer x.Net.SetHandler(nil)
 	send := func(id topology.NodeID) {
-		nd := &w.nodes[id]
-		size := nd.bytes
-		if p.nodes[id].flags != 0 && (include == nil || include(id)) {
-			nd.own = true
-			size += p.nodes[id].tupleBytes
-		}
-		if len(nd.children) == 0 && !nd.own {
-			return
-		}
-		x.Net.Send(netsim.Message{
-			Kind: kindFinal, Src: id, Dst: tree.Parent[id],
-			Phase: phase, Size: size, Payload: w,
-		})
+		w.ship(id, p.nodes[id].flags != 0 && (include == nil || include(id)))
 	}
 	// Nodes at depth d transmit in slot MaxDepth-d: one queue entry per
 	// tree level.
@@ -103,22 +120,15 @@ func collectWave(x *Exec, p *plan, tree *routing.Tree, phase string, include fun
 	}
 	x.Sim.RunUntil(start + float64(tree.MaxDepth+1)*slot)
 	// At most one tuple per member node can arrive.
-	return w.gather(make([]finalTuple, 0, p.members), p, tree.Root)
+	return w.gather(make([]finalTuple, 0, p.members), tree.Root)
 }
 
 // shortestPath returns the hop path from a to b over live links: b's
-// path to the root of the minimum-hop tree rooted at a.
+// path in the minimum-hop tree rooted at a.
 func shortestPath(x *Exec, a, b topology.NodeID) ([]topology.NodeID, error) {
-	tree := routing.BuildTree(x.Net.LiveNeighbors(), a)
-	if !tree.Reachable(b) {
+	path := routing.BuildTree(x.Net.LiveNeighbors(), a).Path(b)
+	if path == nil {
 		return nil, fmt.Errorf("core: no path from %d to %d", a, b)
-	}
-	var path []topology.NodeID
-	for v := b; v != routing.NoParent; v = tree.Parent[v] {
-		path = append(path, v)
-	}
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
 	}
 	return path, nil
 }

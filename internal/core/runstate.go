@@ -44,7 +44,6 @@ type runScratch struct {
 	sens  []sensNode
 	masks []nodeMasks // beside sens, borrowed only by a round of m > 1 queries
 	wave  []waveNode
-	inbox [][]finalTuple
 	// arenas are the round arenas, one per simulator region, lent to a
 	// SENS-Join round by openArenas.
 	arenas []roundArena

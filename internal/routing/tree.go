@@ -246,6 +246,19 @@ func (t *Tree) Reachable(id topology.NodeID) bool {
 	return id == t.Root || t.Depth[id] >= 0
 }
 
+// Path returns the tree path from the root to id, both included; nil when
+// id is unreachable.
+func (t *Tree) Path(id topology.NodeID) []topology.NodeID {
+	if !t.Reachable(id) {
+		return nil
+	}
+	path := make([]topology.NodeID, t.Depth[id]+1)
+	for i, v := len(path)-1, id; i >= 0; i, v = i-1, t.Parent[v] {
+		path[i] = v
+	}
+	return path
+}
+
 // ReachableCount returns the number of reachable nodes, including the root.
 func (t *Tree) ReachableCount() int {
 	c := 0

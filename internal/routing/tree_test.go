@@ -374,3 +374,45 @@ func TestLevelsPartitionReachableNodes(t *testing.T) {
 		}
 	}
 }
+
+// Path is the root-to-node walk both scoped recovery's re-requests and
+// the mediated join's result shipping follow: the root alone for the
+// root, each node's parent before it, and nil off the tree.
+func TestTreePath(t *testing.T) {
+	d := deployment(t, 1, 300, 500)
+	for _, root := range []topology.NodeID{topology.BaseStation, 17} {
+		tr := BuildTree(d.Neighbors, root)
+		if got := tr.Path(root); !reflect.DeepEqual(got, []topology.NodeID{root}) {
+			t.Fatalf("root %d: Path(root) = %v", root, got)
+		}
+		deep := root
+		for i := range tr.Depth {
+			if tr.Depth[i] > tr.Depth[deep] {
+				deep = topology.NodeID(i)
+			}
+		}
+		path := tr.Path(deep)
+		if len(path) != tr.Depth[deep]+1 || path[0] != root || path[len(path)-1] != deep {
+			t.Fatalf("root %d: Path(%d) = %v at depth %d", root, deep, path, tr.Depth[deep])
+		}
+		for i := 1; i < len(path); i++ {
+			if tr.Parent[path[i]] != path[i-1] {
+				t.Fatalf("root %d: Path(%d)[%d] = %d, whose parent is %d, not %d",
+					root, deep, i, path[i], tr.Parent[path[i]], path[i-1])
+			}
+		}
+	}
+	// Node 3 hangs off nothing, nodes 4 and 5 are each other's parent.
+	tr, err := FromParents([]topology.NodeID{NoParent, 0, 1, NoParent, 5, 4}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Path(2); !reflect.DeepEqual(got, []topology.NodeID{0, 1, 2}) {
+		t.Fatalf("Path(2) = %v, want [0 1 2]", got)
+	}
+	for _, id := range []topology.NodeID{3, 4, 5} {
+		if got := tr.Path(id); got != nil {
+			t.Fatalf("unreachable node %d: Path = %v, want nil", id, got)
+		}
+	}
+}
