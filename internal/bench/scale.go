@@ -53,11 +53,15 @@ type ScalePoint struct {
 }
 
 // ScaleSetup records the per-size setup cost (placement + neighbor
-// grid + routing tree), which the parallel setup path targets.
+// grid + routing tree), which the parallel setup path targets, and the
+// cost of the δ calibration that follows it.
 type ScaleSetup struct {
 	Nodes    int     `json:"nodes"`
 	WallSec  float64 `json:"wall_sec"`
 	MaxDepth int     `json:"max_depth"`
+	// CalibrateSec is the wall-clock of the size's one cold
+	// workload.Calibrate: column fill, sort and search.
+	CalibrateSec float64 `json:"calibrate_sec"`
 }
 
 // ScaleResult is the machine-readable X7 artifact (BENCH_scale.json).
@@ -107,7 +111,9 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 				Shards: shards, ShardWorkers: 0, SetupWorkers: cfg.SetupWorkers,
 			})
 			if src == "" {
+				t1 := time.Now()
 				delta, _ := workload.Calibrate(r, workload.Ratio33(), cfg.Fraction)
+				res.Setup[len(res.Setup)-1].CalibrateSec = time.Since(t1).Seconds()
 				// An aggregate COUNT folds matches inline at the base
 				// station: the result computation stays O(matches)
 				// without materializing rows, which matters at 1M nodes.
@@ -202,7 +208,7 @@ func (r *ScaleResult) Table() *Table {
 		)
 	}
 	for _, s := range r.Setup {
-		t.Note("setup n=%d: %.2fs (placement + neighbor grid + tree, depth %d)", s.Nodes, s.WallSec, s.MaxDepth)
+		t.Note("setup n=%d: %.2fs (placement + neighbor grid + tree, depth %d), calibrate %.2fs", s.Nodes, s.WallSec, s.MaxDepth, s.CalibrateSec)
 	}
 	t.Note("GOMAXPROCS=%d; wall-clock cells are machine-dependent, protocol observables are not", r.GOMAXPROCS)
 	t.Note("B/node by phase is %s; live B/node is the heap a run adds, after a forced GC", strings.Join(core.SENSPhases, " / "))

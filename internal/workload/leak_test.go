@@ -22,8 +22,8 @@ func collected(flag *atomic.Bool) bool {
 	return flag.Load()
 }
 
-// calibrateAndDrop builds a runner, calibrates on it (filling both
-// calibration memos), arms a finalizer on its deployment and lets go of
+// calibrateAndDrop builds a runner, calibrates on it (filling every
+// calibration memo), arms a finalizer on its deployment and lets go of
 // everything. It must not be inlined into the caller, or the runner
 // could stay live in the caller's frame.
 //
@@ -35,7 +35,6 @@ func calibrateAndDrop(t *testing.T, cfg core.SetupConfig) *atomic.Bool {
 	}
 	Calibrate(r, Ratio33(), 0.05)
 	Calibrate(r, Ratio60(), 0.05)
-	fractionOf(sampleNodes(r), Ratio33(), 1.5)
 	gone := new(atomic.Bool)
 	runtime.SetFinalizer(r.Dep, func(*topology.Deployment) { gone.Store(true) })
 	return gone
@@ -87,16 +86,16 @@ func TestCalibrateConcurrent(t *testing.T) {
 
 // A calibration outlives the environment's snapshot ring: executions at
 // other instants between two Calibrate calls must not discard the sorted
-// samples or the search results.
+// readings or the search results.
 func TestCalibrationSurvivesSnapshotTraffic(t *testing.T) {
 	r := runner(t, 300)
-	before := sampleNodes(r)
+	before := sortedTemps(r)
 	wantDelta, wantFrac := Calibrate(r, Ratio33(), 0.05)
 	for i := 1; i <= 16; i++ {
 		r.Env.Snapshot(r.Dep.Pos, float64(i)).Column("temp")
 	}
-	if after := sampleNodes(r); &after[0] != &before[0] {
-		t.Fatal("the calibration samples were recomputed after snapshot traffic")
+	if after := sortedTemps(r); &after[0] != &before[0] {
+		t.Fatal("the sorted readings were recomputed after snapshot traffic")
 	}
 	if d, f := Calibrate(r, Ratio33(), 0.05); d != wantDelta || f != wantFrac {
 		t.Fatalf("Calibrate = (%v, %v), want (%v, %v)", d, f, wantDelta, wantFrac)

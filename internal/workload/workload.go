@@ -16,10 +16,14 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"sensjoin/internal/core"
 	"sensjoin/internal/geom"
@@ -124,14 +128,14 @@ func RatioSweep1JA() []Preset {
 	return out
 }
 
-// nodeSample is one node's calibration view.
+// nodeSample is one node's calibration view under a distance condition.
 type nodeSample struct {
 	temp float64
 	pos  geom.Point
 }
 
 // Calibration reads every node's temp at t = 0, and everything it
-// derives is a pure function of those readings and the preset. Both memos
+// derives is a pure function of those readings and the preset. The memos
 // therefore hang off the environment (Environment.Memo, keyed by the
 // deployment's position slice): they are shared by every runner over the
 // same deployment and environment, they outlast the environment's
@@ -142,54 +146,102 @@ type nodeSample struct {
 // would instead keep every deployment ever calibrated reachable for the
 // life of the process.
 
-// sampleKey is the memo key of the sorted calibration samples.
-type sampleKey struct{}
+// tempsKey is the memo key of the sorted readings.
+type tempsKey struct{}
 
-// calibKey is the memo key of one Calibrate result.
-type calibKey struct {
-	preset string
-	target float64
+// samplesKey is the memo key of the position-carrying samples.
+type samplesKey struct{}
+
+// calibKey is the memo key of the calibrations of the presets with
+// (true) or without (false) the distance condition. The contributing
+// fraction reads nothing else of a preset, so such presets share their
+// results; and a one-byte key is boxed without allocating.
+type calibKey bool
+
+// calibrations holds one fraction function's Calibrate results by target.
+type calibrations struct {
+	mu       sync.Mutex
+	byTarget map[float64]calibResult
 }
 
 type calibResult struct {
 	delta, frac float64
 }
 
-// presetKey renders every field that influences calibration, so distinct
-// presets never collide.
-func (p Preset) presetKey() string {
-	return fmt.Sprintf("%s|%d|%d|%t|%s",
-		p.Name, p.JoinAttrs, p.TotalAttrs, p.distance, strings.Join(p.selects, ","))
+// readings returns every node's temp at t = 0, base station included
+// (index 0). A cold column of a large deployment is filled with one
+// worker per CPU, by buildPlan's rule; the values are those a serial
+// fill computes.
+func readings(r *core.Runner) []float64 {
+	snap := r.Env.Snapshot(r.Dep.Pos, 0)
+	if workers := runtime.GOMAXPROCS(0); workers > 1 && r.Dep.N() >= 4096 {
+		snap.Fill(workers, "temp")
+	}
+	return snap.Column("temp")
 }
 
-// sampleNodes returns the calibration samples — every sensor node's temp
-// at t = 0 with its position, sorted by temp — computed once per
+// sortedTemps returns every sensor node's temp at t = 0 in ascending
+// order — 8 bytes per node, all a preset without the distance condition
+// needs — computed once per (environment, deployment); the slice is
+// shared and read-only.
+func sortedTemps(r *core.Runner) []float64 {
+	return r.Env.Memo(r.Dep.Pos, tempsKey{}, func() any {
+		temps := slices.Clone(readings(r)[1:])
+		slices.Sort(temps)
+		return temps
+	}).([]float64)
+}
+
+// sampleNodes returns every sensor node's temp at t = 0 with its
+// position, sorted by temp, for the distance condition — 24 bytes per
+// node, kept only once a distance preset calibrates — computed once per
 // (environment, deployment); the slice is shared and read-only.
 func sampleNodes(r *core.Runner) []nodeSample {
-	return r.Env.Memo(r.Dep.Pos, sampleKey{}, func() any {
-		temp := r.Env.Snapshot(r.Dep.Pos, 0).Column("temp")
+	return r.Env.Memo(r.Dep.Pos, samplesKey{}, func() any {
+		temp := readings(r)
 		out := make([]nodeSample, 0, r.Dep.N()-1)
 		for i := 1; i < r.Dep.N(); i++ {
 			out = append(out, nodeSample{temp: temp[i], pos: r.Dep.Pos[i]})
 		}
-		sort.Slice(out, func(i, j int) bool { return out[i].temp < out[j].temp })
+		slices.SortFunc(out, func(a, b nodeSample) int { return cmp.Compare(a.temp, b.temp) })
 		return out
 	}).([]nodeSample)
 }
 
+// bandFraction computes, exactly and without simulating, the fraction of
+// the sorted readings that contribute to the result of a preset without
+// the distance condition at delta. Node i contributes as A when some
+// reading is below temps[i]-delta — the lowest one is, exactly when
+// temps[0] < temps[i]-delta — and as B when temps[i]+delta < temps[n-1].
+// Rounding is monotone, so the first holds on a suffix of the sorted
+// readings and the second on a prefix: two binary searches, and the
+// contributors are their union.
+func bandFraction(temps []float64, delta float64) float64 {
+	n := len(temps)
+	if n == 0 {
+		return 0
+	}
+	lo, hi := temps[0], temps[n-1]
+	asA := sort.Search(n, func(i int) bool { return lo < temps[i]-delta })
+	asB := sort.Search(n, func(i int) bool { return !(temps[i]+delta < hi) })
+	if asB > asA {
+		return 1 // the prefix reaches into the suffix: every node
+	}
+	return float64(n-asA+asB) / float64(n)
+}
+
 // fractionOf computes, exactly and without simulating, the fraction of
-// the sampled nodes that contribute to the result of p.Build(delta): a
-// node contributes as A when some node with a sufficiently lower
-// temperature (and, for distance presets, at distance > 100 m) exists,
-// symmetrically as B.
-func fractionOf(nodes []nodeSample, p Preset, delta float64) float64 {
+// the sampled nodes that contribute to the result of a distance preset
+// at delta: a node contributes as A when some node with a sufficiently
+// lower temperature exists at distance > 100 m, symmetrically as B.
+func fractionOf(nodes []nodeSample, delta float64) float64 {
 	n := len(nodes)
 	if n == 0 {
 		return 0
 	}
 	hasPartner := func(i int, lo, hi int) bool {
 		for j := lo; j < hi; j++ {
-			if !p.distance || geom.Dist(nodes[i].pos, nodes[j].pos) > 100 {
+			if geom.Dist(nodes[i].pos, nodes[j].pos) > 100 {
 				return true
 			}
 		}
@@ -217,36 +269,60 @@ func fractionOf(nodes []nodeSample, p Preset, delta float64) float64 {
 
 // Calibrate finds the delta whose contributing fraction is closest to
 // target, by bisection (the fraction is non-increasing in delta). It
-// returns the delta and the fraction actually achieved. Results are
-// memoized per (environment, deployment, preset, target): sweep cells
-// over the same deployment skip the 60-iteration search entirely.
+// returns the delta and the fraction actually achieved. A search sorts
+// the readings once and then probes 63 deltas: each in O(log n) without
+// the distance condition, in one pass over the samples with it. Results
+// are memoized per (environment, deployment, distance condition,
+// target): sweep cells over the same deployment skip the search
+// entirely, and a repeated call allocates nothing.
 func Calibrate(r *core.Runner, p Preset, target float64) (delta, frac float64) {
-	res := r.Env.Memo(r.Dep.Pos, calibKey{preset: p.presetKey(), target: target}, func() any {
-		delta, frac := calibrate(r, p, target)
-		return calibResult{delta: delta, frac: frac}
-	}).(calibResult)
+	c := r.Env.Memo(r.Dep.Pos, calibKey(p.distance), func() any {
+		return &calibrations{byTarget: make(map[float64]calibResult)}
+	}).(*calibrations)
+	c.mu.Lock()
+	res, ok := c.byTarget[target]
+	c.mu.Unlock()
+	if !ok {
+		// Racing first requests each search and store the same bits.
+		f, span := fraction(r, p.distance)
+		res.delta, res.frac = bisect(f, span, target)
+		c.mu.Lock()
+		c.byTarget[target] = res
+		c.mu.Unlock()
+	}
 	return res.delta, res.frac
 }
 
-func calibrate(r *core.Runner, p Preset, target float64) (delta, frac float64) {
-	nodes := sampleNodes(r)
-	lo, hi := 0.0, 0.0
-	// Find an upper bound with fraction below target.
-	span := nodes[len(nodes)-1].temp - nodes[0].temp
-	hi = span + 1
-	if fractionOf(nodes, p, hi) > target {
-		return hi, fractionOf(nodes, p, hi) // cannot go lower
+// fraction returns the exact contributing fraction, as a function of
+// delta, of the presets with or without the distance condition over r's
+// readings, and the span of those readings.
+func fraction(r *core.Runner, distance bool) (f func(delta float64) float64, span float64) {
+	if distance {
+		nodes := sampleNodes(r)
+		return func(d float64) float64 { return fractionOf(nodes, d) }, nodes[len(nodes)-1].temp - nodes[0].temp
+	}
+	temps := sortedTemps(r)
+	return func(d float64) float64 { return bandFraction(temps, d) }, temps[len(temps)-1] - temps[0]
+}
+
+// bisect searches [0, span+1] for the delta whose fraction f(delta) is
+// closest to target; f must be non-increasing.
+func bisect(f func(delta float64) float64, span, target float64) (delta, frac float64) {
+	lo, hi := 0.0, span+1
+	// The upper bound has a fraction below target unless none does.
+	if fHi := f(hi); fHi > target {
+		return hi, fHi // cannot go lower
 	}
 	for iter := 0; iter < 60; iter++ {
 		mid := (lo + hi) / 2
-		if fractionOf(nodes, p, mid) > target {
+		if f(mid) > target {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
 	// Prefer the boundary whose fraction is closest to the target.
-	fLo, fHi := fractionOf(nodes, p, lo), fractionOf(nodes, p, hi)
+	fLo, fHi := f(lo), f(hi)
 	if target-fHi <= fLo-target {
 		return hi, fHi
 	}

@@ -2,13 +2,16 @@ package workload
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"sensjoin/internal/core"
+	"sensjoin/internal/field"
 	"sensjoin/internal/geom"
 	"sensjoin/internal/query"
+	"sensjoin/internal/topology"
 )
 
 func runner(t *testing.T, nodes int) *core.Runner {
@@ -79,13 +82,14 @@ func TestBuildQueryShape(t *testing.T) {
 	}
 }
 
-// fractionOf must match the ground-truth contributing fraction from the
-// actual join machinery.
+// The fraction calibration probes must match the ground-truth
+// contributing fraction from the actual join machinery.
 func TestFractionMatchesGroundTruth(t *testing.T) {
 	r := runner(t, 120)
 	for _, p := range []Preset{Ratio33(), Ratio60()} {
+		f, _ := fraction(r, p.distance)
 		for _, delta := range []float64{0.5, 2, 5} {
-			want := fractionOf(sampleNodes(r), p, delta)
+			want := f(delta)
 			prep, err := r.Prepare(p.Build(delta))
 			if err != nil {
 				t.Fatal(err)
@@ -95,7 +99,7 @@ func TestFractionMatchesGroundTruth(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Abs(want-truth.Fraction()) > 1e-9 {
-				t.Fatalf("%s delta=%g: fractionOf=%g, ground truth=%g",
+				t.Fatalf("%s delta=%g: fraction=%g, ground truth=%g",
 					p.Name, delta, want, truth.Fraction())
 			}
 		}
@@ -104,17 +108,19 @@ func TestFractionMatchesGroundTruth(t *testing.T) {
 
 func TestFractionMonotone(t *testing.T) {
 	r := runner(t, 150)
-	p := Ratio33()
-	prev := 2.0
-	for _, delta := range []float64{0, 0.5, 1, 2, 4, 8, 100} {
-		f := fractionOf(sampleNodes(r), p, delta)
-		if f > prev+1e-12 {
-			t.Fatalf("fraction increased with delta at %g: %g > %g", delta, f, prev)
+	for _, distance := range []bool{false, true} {
+		frac, _ := fraction(r, distance)
+		prev := 2.0
+		for _, delta := range []float64{0, 0.5, 1, 2, 4, 8, 100} {
+			f := frac(delta)
+			if f > prev+1e-12 {
+				t.Fatalf("distance %t: fraction increased with delta at %g: %g > %g", distance, delta, f, prev)
+			}
+			prev = f
 		}
-		prev = f
-	}
-	if fractionOf(sampleNodes(r), p, 1000) != 0 {
-		t.Fatal("impossible delta should yield zero fraction")
+		if frac(1000) != 0 {
+			t.Fatalf("distance %t: impossible delta should yield zero fraction", distance)
+		}
 	}
 }
 
@@ -149,9 +155,10 @@ func TestCalibratedQueryRunsAtTargetFraction(t *testing.T) {
 	}
 }
 
-// fractionOfSearch is fractionOf as it was first written, one binary
-// search per node and side: the reference the cursor version must agree
-// with exactly, because a fraction that differs by one node moves a
+// fractionOfSearch is the contributing fraction as it was first written,
+// one binary search per node and side: the reference the two-search count
+// (bandFraction) and the cursor walk (fractionOf) must agree with
+// exactly, because a fraction that differs by one node moves a
 // calibrated δ and with it every table downstream.
 func fractionOfSearch(nodes []nodeSample, p Preset, delta float64) float64 {
 	n := len(nodes)
@@ -195,23 +202,29 @@ func fractionOfSearch(nodes []nodeSample, p Preset, delta float64) float64 {
 // midpoints for three targets), plus the δs where a cut sits on a tie:
 // zero, exact differences of two readings, and readings made equal.
 func TestFractionOfMatchesBinarySearch(t *testing.T) {
-	presets := []Preset{Ratio33(), Ratio60()}
-	presets = append(presets, RatioSweep3JA()...)
-	presets = append(presets, RatioSweep1JA()...)
+	presets := allPresets()
 	for _, seed := range []int64{1, 7, 42, 101} {
 		r, err := core.NewRunner(core.SetupConfig{Nodes: 300, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes := append([]nodeSample(nil), sampleNodes(r)...)
+		nodes := refSampleNodes(r)
 		for i := 10; i < len(nodes); i += 10 {
 			nodes[i].temp = nodes[i-1].temp // ties
+		}
+		temps := make([]float64, len(nodes))
+		for i := range nodes {
+			temps[i] = nodes[i].temp
 		}
 		span := nodes[len(nodes)-1].temp - nodes[0].temp
 		deltas := []float64{0, span, span + 1, nodes[20].temp - nodes[3].temp, nodes[len(nodes)-1].temp - nodes[150].temp}
 		for _, p := range presets {
 			check := func(delta float64) float64 {
-				got, want := fractionOf(nodes, p, delta), fractionOfSearch(nodes, p, delta)
+				got := bandFraction(temps, delta)
+				if p.distance {
+					got = fractionOf(nodes, delta)
+				}
+				want := fractionOfSearch(nodes, p, delta)
 				if got != want {
 					t.Fatalf("seed %d, %s, δ=%v: fraction %v, binary search says %v", seed, p.Name, delta, got, want)
 				}
@@ -232,5 +245,24 @@ func TestFractionOfMatchesBinarySearch(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkCalibrate times a cold Ratio33 calibration of a repaired
+// 100k-node deployment, as X7 and sim_scale run it: every iteration gets
+// a fresh environment, so the column fill, the sort and the search all
+// run.
+func BenchmarkCalibrate(b *testing.B) {
+	const n = 100000
+	dep, err := topology.GenerateParallel(topology.Config{
+		Nodes: n, Area: topology.ScaledArea(n), Range: 50, Seed: 42, Repair: true,
+	}, runtime.GOMAXPROCS(0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &core.Runner{Dep: dep, Env: field.StandardEnvironment(dep.Area, 1042)}
+		Calibrate(r, Ratio33(), 0.01)
 	}
 }

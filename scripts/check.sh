@@ -91,12 +91,14 @@ go test -race -count 3 -run 'Pool|Reset|AllDeterministicAcrossParallelism|AllLea
 # Smoke the base station's join benchmarks and the neighbour build: one
 # iteration proves the exact join's indexed and reference paths, the
 # filter join's shapes (diff, abs, eq, sum, three-way, reference) and the
-# count-and-fill neighbour grid at 10k and 100k nodes, and a repaired
-# 100k set-up that builds its lists once, still run.
+# count-and-fill neighbour grid at 10k and 100k nodes, a repaired 100k
+# set-up that builds its lists once, and a cold 100k δ calibration still
+# run.
 go test -run=NONE -bench=ExactJoin -benchtime=1x ./internal/core
 go test -run=NONE -bench Filter -benchtime 1x ./internal/core
 go test -run=NONE -bench=BuildNeighbors -benchtime=1x ./internal/topology
 go test -run=NONE -bench='Generate$' -benchtime=1x ./internal/topology
+go test -run=NONE -bench=Calibrate -benchtime=1x ./internal/workload
 # Audit smoke: one experiment with every execution self-auditing its
 # journal (conservation, reconciliation, slot order, filter soundness,
 # reliability).
@@ -207,6 +209,10 @@ go test -race -count 3 ./internal/proto ./pkg/client
 # arrived account for, encode and decode are exact inverses).
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/proto
 go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 5s ./internal/proto
+# Query parser fuzz smoke: Parse, Analyze and Fingerprint never panic,
+# and a parsed WHERE prints to text that re-parses to the same
+# canonical predicate.
+go test -run '^$' -fuzz '^FuzzParse$' -fuzztime 5s ./internal/query
 # Quadtree size-only costing fuzz smoke: SizeBits equals Encode's bit
 # count for arbitrary level schedules and key multisets. Minimization is
 # off so the 5 s go to new inputs, not to shrinking interesting ones.
