@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
+	"strings"
 
 	"sensjoin/internal/core"
 	"sensjoin/internal/stats"
@@ -120,24 +123,42 @@ func mqoRunner(cfg MQOConfig) (*core.Runner, error) {
 	return r, nil
 }
 
-// tableKey order-normalizes one result table: rows render with exact
-// round-trip float formatting and sort lexicographically, so two tables
-// compare equal iff their row SETS are identical byte for byte.
+// tableKey is the rowSetKey of a library result.
 func tableKey(res *core.Result) string {
-	rows := make([]string, len(res.Rows))
-	for i, row := range res.Rows {
-		s := ""
+	return rowSetKey(res.Columns, res.Rows, res.ContributingNodes, res.MemberNodes, res.Complete)
+}
+
+// rowSetKey order-normalizes one result table, the library's or a
+// client's: rows render with exact round-trip float formatting (%x) and
+// sort lexicographically, so two tables compare equal iff their row SETS
+// are identical byte for byte. Every row renders once into one buffer,
+// and the key is written in one pass over the sorted rows: linear in the
+// table's size, not quadratic in its rows.
+func rowSetKey[R ~[]float64](cols []string, rows []R, contrib, members int, complete bool) string {
+	var buf []byte
+	offs := make([]int, 1, len(rows)+1) // row i is buf[offs[i]:offs[i+1]]
+	for _, row := range rows {
 		for _, v := range row {
-			s += fmt.Sprintf("%x|", v)
+			buf = strconv.AppendFloat(buf, v, 'x', -1, 64)
+			buf = append(buf, '|')
 		}
-		rows[i] = s
+		offs = append(offs, len(buf))
 	}
-	sort.Strings(rows)
-	key := fmt.Sprintf("cols=%v contrib=%d members=%d complete=%t;", res.Columns, res.ContributingNodes, res.MemberNodes, res.Complete)
-	for _, s := range rows {
-		key += s + "\n"
+	rendered := func(i int) []byte { return buf[offs[i]:offs[i+1]] }
+	order := make([]int, len(rows))
+	for i := range order {
+		order[i] = i
 	}
-	return key
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(rendered(a), rendered(b)) })
+	header := fmt.Sprintf("cols=%v contrib=%d members=%d complete=%t;", cols, contrib, members, complete)
+	var key strings.Builder
+	key.Grow(len(header) + len(buf) + len(rows))
+	key.WriteString(header)
+	for _, i := range order {
+		key.Write(rendered(i))
+		key.WriteByte('\n')
+	}
+	return key.String()
 }
 
 // RunMQO measures X8.

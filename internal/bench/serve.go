@@ -143,25 +143,6 @@ func serveShapes(n int) []string {
 	return out
 }
 
-// clientTableKey order-normalizes a client-side table with the exact
-// rendering of tableKey, so equal keys mean byte-identical row sets.
-func clientTableKey(tb *client.Table) string {
-	rows := make([]string, len(tb.Rows))
-	for i, row := range tb.Rows {
-		s := ""
-		for _, v := range row {
-			s += fmt.Sprintf("%x|", v)
-		}
-		rows[i] = s
-	}
-	sort.Strings(rows)
-	key := fmt.Sprintf("cols=%v contrib=%d members=%d complete=%t;", tb.Columns, tb.Contributing, tb.Members, tb.Complete)
-	for _, s := range rows {
-		key += s + "\n"
-	}
-	return key
-}
-
 // RunServeLoad measures X9.
 func RunServeLoad(cfg ServeConfig) (*ServeResult, error) {
 	cfg = cfg.withDefaults()
@@ -233,7 +214,7 @@ func RunServeLoad(cfg ServeConfig) (*ServeResult, error) {
 					return
 				}
 				n++
-				if clientTableKey(tb) != ref[src] {
+				if rowSetKey(tb.Columns, tb.Rows, tb.Contributing, tb.Members, tb.Complete) != ref[src] {
 					bad++
 				}
 			}

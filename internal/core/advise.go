@@ -30,10 +30,8 @@ type Advice struct {
 // (tuple sizes, actual filter size, actual contributing fraction) into
 // the analytical model.
 func Advise(x *Exec) (*Advice, error) {
-	p, err := buildPlan(x)
-	if err != nil {
-		return nil, err
-	}
+	p := buildPlan(x)
+	defer p.release()
 	member := make([]bool, x.Dep.N())
 	tupleBytes := 0
 	for id, nd := range p.nodes {
@@ -69,11 +67,11 @@ func Advise(x *Exec) (*Advice, error) {
 		}
 		keys = quadtree.NormalizeKeys(keys)
 		if p.members > 0 && p.rawTupleBytes > 0 {
-			params.QuadFactor = float64(p.codec().SizeBytes(keys)) /
+			params.QuadFactor = float64(p.codec.SizeBytes(keys)) /
 				float64(p.members*p.rawTupleBytes)
 		}
 		filter := computeFilter(p, keys)
-		params.FilterBytes = p.codec().SizeBytes(filter)
+		params.FilterBytes = p.codec.SizeBytes(filter)
 		truth, _ := exactJoinContribution(x, p)
 		if p.members > 0 {
 			params.Fraction = float64(truth) / float64(p.members)

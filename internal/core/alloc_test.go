@@ -19,10 +19,7 @@ func filterFixture(t *testing.T, src string) (*plan, []zorder.Key) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPlan(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := buildPlan(x)
 	var keys []zorder.Key
 	for _, nd := range p.nodes {
 		if nd.flags != 0 {

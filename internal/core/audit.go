@@ -189,10 +189,8 @@ func (r *Runner) allAlive() bool {
 // soundness audit checks suppress decisions against. The list is valid
 // until the execution's next join.
 func groundTruthContributors(x *Exec) ([]topology.NodeID, error) {
-	p, err := buildPlan(x)
-	if err != nil {
-		return nil, err
-	}
+	p := buildPlan(x)
+	defer p.release()
 	var tuples []finalTuple
 	for id := 1; id < x.Dep.N(); id++ {
 		if p.nodes[id].flags != 0 {

@@ -202,10 +202,8 @@ func applyOrderLimit(q *query.Query, rows []Row) []Row {
 // bypassing the network entirely. It is the oracle for correctness tests
 // and for calibrating workload selectivity.
 func GroundTruth(x *Exec) (*Result, error) {
-	p, err := buildPlan(x)
-	if err != nil {
-		return nil, err
-	}
+	p := buildPlan(x)
+	defer p.release()
 	var tuples []finalTuple
 	for id := 1; id < x.Dep.N(); id++ {
 		if p.nodes[id].flags != 0 {

@@ -79,9 +79,8 @@ type Exec struct {
 	Tree  *routing.Tree
 	Stats *stats.Collector
 
-	Dep     *topology.Deployment
-	Env     *field.Environment
-	Catalog relation.Catalog
+	Dep *topology.Deployment
+	Env *field.Environment
 	// Member decides relation membership (nil = homogeneous).
 	Member relation.Membership
 
@@ -116,8 +115,10 @@ type Exec struct {
 	// changing its output (0/1 = sequential); SetupConfig.SetupWorkers.
 	Workers int
 
-	// prog is the query's compiled kernel program (Prepared.prog).
-	prog *kernelProg
+	// prog is the query's compiled kernel program and shape its plan
+	// shape (Prepared.prog, Prepared.shape).
+	prog  *kernelProg
+	shape *planShape
 
 	// onTreeSwap propagates a mid-round tree repair to the owning Runner;
 	// nil-safe.

@@ -15,10 +15,8 @@ import (
 // level schedule look, what the pre-computation will transport, and the
 // filter the base station would compute on the current snapshot.
 func Explain(x *Exec) (string, error) {
-	p, err := buildPlan(x)
-	if err != nil {
-		return "", err
-	}
+	p := buildPlan(x)
+	defer p.release()
 	a := x.Analysis
 	var b strings.Builder
 
@@ -70,7 +68,7 @@ func Explain(x *Exec) (string, error) {
 		}
 	}
 	keys = quadtree.NormalizeKeys(keys)
-	enc := p.codec().Encode(keys)
+	enc := p.codec.Encode(keys)
 	fmt.Fprintf(&b, "\npre-computation on the current snapshot:\n")
 	fmt.Fprintf(&b, "  members: %d nodes, %d distinct join-attribute keys\n", p.members, len(keys))
 	fmt.Fprintf(&b, "  raw join-attribute tuples: %d bytes; quadtree: %d bytes (%.0f%%)\n",
@@ -79,7 +77,7 @@ func Explain(x *Exec) (string, error) {
 	filter := computeFilter(p, keys)
 	fmt.Fprintf(&b, "  join filter: %d keys (%.1f%% of distinct), %d bytes encoded\n",
 		len(filter), 100*float64(len(filter))/float64(maxInt(1, len(keys))),
-		p.codec().SizeBytes(filter))
+		p.codec.SizeBytes(filter))
 	return b.String(), nil
 }
 

@@ -20,10 +20,8 @@ func (External) Phases() []string { return ExternalPhases }
 
 // Run implements Method.
 func (External) Run(x *Exec) (*Result, error) {
-	p, err := buildPlan(x)
-	if err != nil {
-		return nil, err
-	}
+	p := buildPlan(x)
+	defer p.release()
 	start := x.Sim.Now()
 	// One TAG-style collection wave gathers every member tuple at the
 	// base station (nodes at depth d transmit in slot maxDepth-d, so

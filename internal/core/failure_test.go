@@ -241,10 +241,7 @@ func TestLateTreecutMessageIsLeftOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPlan(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := buildPlan(x)
 	// Node 12 sends at the round's start and node 11 at start + slotA; a
 	// slot covers every retransmission the round started with. Once the
 	// first attempt is out, the backoff grows past the slot, so the second

@@ -132,10 +132,7 @@ func planOf(t testing.TB, r *Runner, src string) (*plan, []zorder.Key) {
 	if err != nil {
 		t.Fatalf("%q: %v", src, err)
 	}
-	p, err := buildPlan(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := buildPlan(x)
 	var keys []zorder.Key
 	for _, nd := range p.nodes {
 		if nd.flags != 0 {
@@ -230,7 +227,7 @@ func TestFilterMatchesReference(t *testing.T) {
 func semiMatchesReference(p *plan, bKey zorder.Key, aKeys []zorder.Key, aSide, bSide int) bool {
 	x := p.x
 	cellOf := func(k zorder.Key, name string) query.Interval {
-		di, ok := p.dimIndex[name]
+		di, ok := p.dimOf(name)
 		if !ok {
 			return query.Everything()
 		}

@@ -112,7 +112,7 @@ func (s *filterScratch) fillBounds(p *plan, uniq []zorder.Key) {
 func (s *filterScratch) boundsEnv(p *plan, assign []int32) query.BoundsEnv {
 	nd := len(p.grid.Dims)
 	return query.CellEnv{Lookup: func(rel int, name string) query.Interval {
-		di, ok := p.dimIndex[name]
+		di, ok := p.dimOf(name)
 		if !ok {
 			// A join condition referencing a non-join attribute cannot
 			// happen (Analyze defines join attrs from join conditions),
@@ -143,8 +143,9 @@ func (s *filterScratch) fillProbes(p *plan, order []levelPlan) []cellProbe {
 			continue
 		}
 		pr := &s.probes[pos]
-		self := p.dimIndex[lp.self.Name]
-		pr.self, pr.other = self, p.dimIndex[lp.other.Name]
+		self, _ := p.dimOf(lp.self.Name)
+		other, _ := p.dimOf(lp.other.Name)
+		pr.self, pr.other = self, other
 		pr.sorted = append(pr.sorted[:0], s.aliasIdx[lp.level]...)
 		slices.SortFunc(pr.sorted, func(a, b int32) int {
 			ca, cb := s.bounds[int(a)*nd+self], s.bounds[int(b)*nd+self]

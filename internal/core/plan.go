@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -32,37 +33,164 @@ type nodeData struct {
 	tupleBytes int
 }
 
-// plan is the global, per-execution view shared by the join engines.
-type plan struct {
-	x    *Exec
-	grid *zorder.Grid
-	// dims lists the join-attribute dimension names in grid order.
+// planShape is the part of a plan the prepared query and its catalog fix:
+// the grid, the quadtree codec, the compiled local predicates and the
+// tuple sizes. Prepare compiles it once (compileShape); it is read-only
+// afterwards and shared by every execution of the query, concurrent ones
+// included.
+type planShape struct {
+	// dims lists the join-attribute names, sorted: the grid's order.
 	dims []string
-	// dimIndex maps a dimension name to its grid index.
-	dimIndex map[string]int
-	// nodes[id] is the zero nodeData (flags == 0) for the base station
-	// and for nodes that belong to no relation.
-	nodes []nodeData
-	// shippedByFlags caches the sorted attribute union per flag mask.
-	shippedByFlags map[uint64][]string
-	// members counts nodes with non-zero flags.
-	members int
+	// grid and codec are nil when the query has no join attributes.
+	grid  *zorder.Grid
+	codec *quadtree.Codec
+	// preds[i] is FROM entry i's compiled local predicate (nil: none)
+	// over slot k = predNames[k].
+	preds     []query.CompiledBool
+	predNames []string
+	// shipped[i*words : (i+1)*words] is FROM entry i's bitset over the
+	// query's shipped attribute names.
+	shipped []uint64
+	words   int
 	// rawTupleBytes is the wire size of one raw (unquantized)
 	// join-attribute tuple: 2 bytes per dimension.
 	rawTupleBytes int
-	// qt is the lazily built quadtree codec for grid.
-	qt *quadtree.Codec
+}
+
+// compileShape builds the plan shape of an analysed query against cat.
+// The grid's errors (more than 8 relations, a key wider than 64 bits)
+// surface here, at Prepare.
+func compileShape(q *query.Query, a *query.Analysis, cat relation.Catalog) (*planShape, error) {
+	n := len(q.From)
+	s := &planShape{preds: make([]query.CompiledBool, n)}
+
+	// Join-attribute dimensions: the union of join-attribute names over
+	// all FROM entries, quantized per the first schema defining them.
+	for i := range q.From {
+		for _, name := range a.JoinAttrs[i] {
+			if !slices.Contains(s.dims, name) {
+				s.dims = append(s.dims, name)
+			}
+		}
+	}
+	sort.Strings(s.dims)
+	s.rawTupleBytes = relation.TupleBytes(len(s.dims))
+	if len(s.dims) > 0 {
+		dims := make([]zorder.Dim, len(s.dims))
+		for j, name := range s.dims {
+			def, err := findAttrDef(q, cat, name)
+			if err != nil {
+				return nil, err
+			}
+			if dims[j], err = zorder.NewDim(name, def.Min, def.Max, def.Res); err != nil {
+				return nil, err
+			}
+		}
+		var err error
+		if s.grid, err = zorder.NewGrid(n, dims); err != nil {
+			return nil, err
+		}
+		if s.codec, err = quadtree.NewCodec(s.grid.Levels()); err != nil {
+			return nil, fmt.Errorf("core: grid produced an invalid level schedule: %v", err)
+		}
+	}
+
+	// Local predicates compile to closures over one slot per attribute
+	// name (a local predicate only references its own alias, so the name
+	// identifies the column).
+	resolve := func(ref query.AttrRef) int {
+		if k := slices.Index(s.predNames, ref.Name); k >= 0 {
+			return k
+		}
+		s.predNames = append(s.predNames, ref.Name)
+		return len(s.predNames) - 1
+	}
+	for i := range q.From {
+		if pred := a.LocalPredicate(i); pred != nil {
+			s.preds[i] = query.CompileBool(pred, resolve)
+		}
+	}
+
+	var names []string
+	for i := range q.From {
+		for _, name := range a.ShippedAttrs[i] {
+			if !slices.Contains(names, name) {
+				names = append(names, name)
+			}
+		}
+	}
+	s.words = (len(names) + 63) / 64
+	s.shipped = make([]uint64, n*s.words)
+	for i := range q.From {
+		for _, name := range a.ShippedAttrs[i] {
+			k := slices.Index(names, name)
+			s.shipped[i*s.words+k/64] |= 1 << (k % 64)
+		}
+	}
+	return s, nil
+}
+
+// tupleBytes is the wire size of a tuple of the aliases set in flags:
+// the union of their shipped attributes.
+func (s *planShape) tupleBytes(flags uint64) int {
+	n := len(s.preds)
+	count := 0
+	for w := 0; w < s.words; w++ {
+		var union uint64
+		for i := 0; i < n; i++ {
+			if flags&zorder.FlagFor(i, n) != 0 {
+				union |= s.shipped[i*s.words+w]
+			}
+		}
+		count += bits.OnesCount64(union)
+	}
+	return relation.TupleBytes(count)
+}
+
+// dimOf returns the grid index of join attribute name: a scan, the
+// cheapest lookup over a handful of names.
+func (s *planShape) dimOf(name string) (int, bool) {
+	j := slices.Index(s.dims, name)
+	return j, j >= 0
+}
+
+// findAttrDef locates the quantization of an attribute among the query's
+// relations.
+func findAttrDef(q *query.Query, cat relation.Catalog, name string) (relation.AttrDef, error) {
+	for _, ref := range q.From {
+		s, err := cat.Lookup(ref.Relation)
+		if err != nil {
+			continue
+		}
+		if def, err := s.Attr(name); err == nil {
+			return def, nil
+		}
+	}
+	return relation.AttrDef{}, fmt.Errorf("core: no relation of the query defines attribute %q", name)
+}
+
+// plan is the global, per-execution view shared by the join engines: the
+// prepared query's shape and what every node contributes at the
+// execution's instant.
+type plan struct {
+	*planShape
+	x *Exec
+	// nodes[id] is the zero nodeData (flags == 0) for the base station
+	// and for nodes that belong to no relation. The slab is on loan from
+	// the runner until release.
+	nodes []nodeData
+	// members counts nodes with non-zero flags.
+	members int
 }
 
 // planFiller derives nodeData for a range of nodes. Everything it reads
-// is shared and read-only (snapshot columns, compiled predicates, the
-// pre-warmed shipped cache); vals and coords are its own scratch, so
-// disjoint id ranges can be filled by one filler each in parallel.
+// is shared and read-only (snapshot columns, the shape); vals and coords
+// are its own scratch, so disjoint id ranges can be filled by one filler
+// each in parallel.
 type planFiller struct {
 	p *plan
-	// preds[i] is FROM entry i's compiled local predicate (nil: none)
-	// over predCols, the columns its slots resolve to.
-	preds    []query.CompiledBool
+	// predCols[k] is the column of the shape's predNames[k]; dimCols[j]
+	// that of dims[j].
 	predCols [][]float64
 	dimCols  [][]float64
 	vals     []float64
@@ -96,7 +224,7 @@ func (f *planFiller) fill(lo, hi int) int {
 			if x.Member != nil && !x.Member(nid, ref.Relation) {
 				continue
 			}
-			if pred := f.preds[i]; pred != nil {
+			if pred := p.preds[i]; pred != nil {
 				if !loaded {
 					for k, col := range f.predCols {
 						f.vals[k] = col[id]
@@ -121,7 +249,7 @@ func (f *planFiller) fill(lo, hi int) int {
 			nd.key = p.grid.Interleave(flags, f.coords)
 		}
 		if flags != lastFlags {
-			lastFlags, lastBytes = flags, relation.TupleBytes(len(p.shipped(flags)))
+			lastFlags, lastBytes = flags, p.tupleBytes(flags)
 		}
 		nd.tupleBytes = lastBytes
 		members++
@@ -129,118 +257,44 @@ func (f *planFiller) fill(lo, hi int) int {
 	return members
 }
 
-// buildPlan derives every node's flags, key and tuple size from the
+// buildPlan fills every node's flags, key and tuple size from the
 // execution's snapshot (each sensor read exactly once, §IV-D — and, the
-// snapshot being shared, once for every execution at this instant). It
-// allocates per plan, never per node.
-func buildPlan(x *Exec) (*plan, error) {
-	n := len(x.Query.From)
-	a := x.Analysis
-	for _, ref := range x.Query.From {
-		if _, err := x.Catalog.Lookup(ref.Relation); err != nil {
-			return nil, err
-		}
-	}
-
-	// Join-attribute dimensions: the union of join-attribute names over
-	// all FROM entries, quantized per the first schema defining them.
-	var dims []zorder.Dim
-	dimIndex := make(map[string]int)
-	var dimNames []string
-	for i := range x.Query.From {
-		for _, name := range a.JoinAttrs[i] {
-			if _, seen := dimIndex[name]; !seen {
-				dimIndex[name] = -1 // placed once the names are sorted
-				dimNames = append(dimNames, name)
-			}
-		}
-	}
-	sort.Strings(dimNames)
-	for _, name := range dimNames {
-		def, err := findAttrDef(x, name)
-		if err != nil {
-			return nil, err
-		}
-		d, err := zorder.NewDim(name, def.Min, def.Max, def.Res)
-		if err != nil {
-			return nil, err
-		}
-		dimIndex[name] = len(dims)
-		dims = append(dims, d)
-	}
-	var grid *zorder.Grid
-	if len(dims) > 0 {
-		var err error
-		grid, err = zorder.NewGrid(n, dims)
-		if err != nil {
-			return nil, err
-		}
-	}
-
+// snapshot being shared, once for every execution at this instant) into
+// the query's shape, which Prepare compiled. The node slab is borrowed
+// from the runner: the caller hands it back with release once nothing
+// reads the plan, so a warm runner's plan allocates a few small buffers
+// and nothing per node.
+func buildPlan(x *Exec) *plan {
 	total := x.Dep.N()
-	p := &plan{
-		x:              x,
-		grid:           grid,
-		dims:           dimNames,
-		dimIndex:       dimIndex,
-		nodes:          make([]nodeData, total),
-		shippedByFlags: make(map[uint64][]string),
-		rawTupleBytes:  relation.TupleBytes(len(dimNames)),
-	}
-	if grid != nil {
-		// Build the quadtree codec up front: under the sharded simulator
-		// region workers reach it concurrently, so the lazy init in
-		// codec() must never fire during a run.
-		p.codec()
-	}
-
-	// Local predicates compile to closures over one slot per attribute
-	// name (a local predicate only references its own alias, so the name
-	// identifies the column).
-	var predNames []string
-	resolve := func(ref query.AttrRef) int {
-		for k, name := range predNames {
-			if name == ref.Name {
-				return k
-			}
-		}
-		predNames = append(predNames, ref.Name)
-		return len(predNames) - 1
-	}
-	f := &planFiller{p: p, preds: make([]query.CompiledBool, n)}
-	for i := range x.Query.From {
-		if pred := a.LocalPredicate(i); pred != nil {
-			f.preds[i] = query.CompileBool(pred, resolve)
-		}
+	s := x.shape
+	p := &plan{planShape: s, x: x, nodes: borrow(&x.run().nodes, total)}
+	f := &planFiller{
+		p:      p,
+		vals:   make([]float64, len(s.predNames)),
+		coords: make([]uint32, len(s.dims)),
 	}
 
 	workers := x.Workers
 	// Membership callbacks are arbitrary user code with no thread-safety
 	// contract, so they force the sequential path.
-	parallel := workers > 1 && total >= 4096 && n <= 8 && x.Member == nil
+	parallel := workers > 1 && total >= 4096 && x.Member == nil
 	if parallel {
 		// A cold snapshot of a large deployment is filled by the same
-		// workers, and the shipped cache is pre-warmed for every possible
-		// mask so that they only read it.
-		names := append(append([]string(nil), predNames...), dimNames...)
-		x.snapshot().Fill(workers, names...)
-		for mask := uint64(1); mask < uint64(1)<<n; mask++ {
-			p.shipped(mask)
-		}
+		// workers.
+		x.snapshot().Fill(workers, s.predNames...)
+		x.snapshot().Fill(workers, s.dims...)
 	}
 	// Columns are resolved once per plan, not per node or per read.
-	for _, name := range predNames {
+	for _, name := range s.predNames {
 		f.predCols = append(f.predCols, x.column(name))
 	}
-	for _, name := range dimNames {
+	for _, name := range s.dims {
 		f.dimCols = append(f.dimCols, x.column(name))
 	}
-	f.vals = make([]float64, len(predNames))
-	f.coords = make([]uint32, len(dimNames))
 
 	if !parallel {
 		p.members = f.fill(1, total)
-		return p, nil
+		return p
 	}
 	chunk := (total - 1 + workers - 1) / workers
 	counts := make([]int, workers)
@@ -264,47 +318,12 @@ func buildPlan(x *Exec) (*plan, error) {
 	for _, c := range counts {
 		p.members += c
 	}
-	return p, nil
+	return p
 }
 
-// findAttrDef locates the quantization of an attribute among the query's
-// relations.
-func findAttrDef(x *Exec, name string) (relation.AttrDef, error) {
-	for _, ref := range x.Query.From {
-		s, err := x.Catalog.Lookup(ref.Relation)
-		if err != nil {
-			continue
-		}
-		if def, err := s.Attr(name); err == nil {
-			return def, nil
-		}
-	}
-	return relation.AttrDef{}, fmt.Errorf("core: no relation of the query defines attribute %q", name)
-}
-
-// shipped returns the sorted union of shipped attributes over the aliases
-// set in flags.
-func (p *plan) shipped(flags uint64) []string {
-	if s, ok := p.shippedByFlags[flags]; ok {
-		return s
-	}
-	n := len(p.x.Query.From)
-	set := make(map[string]bool)
-	for i := 0; i < n; i++ {
-		if flags&zorder.FlagFor(i, n) != 0 {
-			for _, name := range p.x.Analysis.ShippedAttrs[i] {
-				set[name] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for name := range set {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	p.shippedByFlags[flags] = out
-	return out
-}
+// release hands the node slab back to the runner under giveBack's rule.
+// Only the plan buildPlan returned releases, not a forExec copy.
+func (p *plan) release() { giveBack(p.x, &p.x.run().nodes, p.nodes) }
 
 // tuple returns the complete (shipped) tuple of a member node for the
 // final result computation.

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -84,10 +87,24 @@ func referencePlan(t *testing.T, x *Exec, p *plan) []*refNode {
 			}
 			nd.key = p.grid.Encode(flags, joinVals)
 		}
-		nd.tupleBytes = relation.TupleBytes(len(p.shipped(flags)))
+		nd.tupleBytes = relation.TupleBytes(len(shippedUnion(x, flags)))
 		out[id] = nd
 	}
 	return out
+}
+
+// shippedUnion is the sorted union of the shipped attributes of the
+// aliases set in flags: what a node with these flags ships.
+func shippedUnion(x *Exec, flags uint64) []string {
+	n := len(x.Query.From)
+	var out []string
+	for i := 0; i < n; i++ {
+		if flags&zorder.FlagFor(i, n) != 0 {
+			out = append(out, x.Analysis.ShippedAttrs[i]...)
+		}
+	}
+	sort.Strings(out)
+	return slices.Compact(out)
 }
 
 func comparePlan(t *testing.T, label string, x *Exec, p *plan) {
@@ -160,11 +177,40 @@ func TestBuildPlanMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		p, err := buildPlan(x)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
+		comparePlan(t, label, x, buildPlan(x))
+	}
+}
+
+// A query may ship more attribute names than one 64-bit word of the
+// shape's per-alias bitsets holds (the analyzer does not limit them, and
+// the environment samples any name): the tuple sizes still count the
+// union of what the node's aliases ship.
+func TestBuildPlanShipsMoreThan64Attributes(t *testing.T) {
+	var a, b []string
+	for i := 0; i < 70; i++ {
+		a = append(a, fmt.Sprintf("A.a%d", i))
+		if i%3 == 0 {
+			b = append(b, fmt.Sprintf("B.a%d", i+40))
 		}
-		comparePlan(t, label, x, p)
+	}
+	src := "SELECT " + strings.Join(append(a, b...), ", ") +
+		" FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1 AND A.temp > 21.5 ONCE"
+	r := testRunner(t, 120, 11)
+	x, err := execSQL(r, src, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if words := x.shape.words; words != 2 {
+		t.Fatalf("%d bitset words, want 2 for 85 shipped names", words)
+	}
+	p := buildPlan(x)
+	comparePlan(t, "85 shipped names", x, p)
+	masks := map[uint64]bool{}
+	for _, nd := range p.nodes {
+		masks[nd.flags] = true
+	}
+	if !masks[0b01] || !masks[0b11] {
+		t.Fatalf("masks %v: the fixture no longer has nodes of B alone and of both aliases", masks)
 	}
 }
 
@@ -186,9 +232,7 @@ func TestBuildPlanParallelMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plans[w], err = buildPlan(x); err != nil {
-			t.Fatal(err)
-		}
+		plans[w] = buildPlan(x)
 		comparePlan(t, fmt.Sprintf("%d workers", workers), x, plans[w])
 	}
 	if plans[0].members != plans[1].members {
@@ -209,27 +253,42 @@ func planFixture(tb testing.TB, nodes int) (*Runner, *Exec) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := buildPlan(x); err != nil { // fill the snapshot columns
-		tb.Fatal(err)
-	}
+	buildPlan(x).release() // fill the snapshot columns and the runner's slab
 	return r, x
 }
 
-// On a warm snapshot buildPlan allocates per plan, never per node: the
-// same small ceiling holds at 150 and at 1500 nodes.
+// On a warm runner and snapshot buildPlan allocates per plan, never per
+// node: the same few allocations at 150 and at 1500 nodes, and the same
+// bytes within a small constant (the node slab is the runner's).
 func TestBuildPlanAllocsIndependentOfNodes(t *testing.T) {
-	const ceiling = 40
-	for _, nodes := range []int{150, 1500} {
+	const ceiling, slack = 12, 64
+	var bytes [2]float64
+	for i, nodes := range []int{150, 1500} {
 		_, x := planFixture(t, nodes)
-		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := buildPlan(x); err != nil {
-				t.Fatal(err)
-			}
-		})
+		allocs := testing.AllocsPerRun(20, func() { buildPlan(x).release() })
 		if allocs > ceiling {
 			t.Errorf("%d nodes: buildPlan %.0f allocs/run, want <= %d", nodes, allocs, ceiling)
 		}
+		bytes[i] = planBytes(x)
 	}
+	if d := bytes[1] - bytes[0]; d > slack || d < -slack {
+		t.Errorf("buildPlan allocates %.0f B at 150 nodes and %.0f B at 1500, want within %d B", bytes[0], bytes[1], slack)
+	}
+}
+
+// planBytes is the mean heap bytes one warm buildPlan and release
+// allocate.
+func planBytes(x *Exec) float64 {
+	const runs = 200
+	buildPlan(x).release()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		buildPlan(x).release()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
 }
 
 // An execution pins its snapshot: however many other instants the
@@ -248,16 +307,7 @@ func TestExecPinsItsSnapshot(t *testing.T) {
 	if again := x.column("temp"); &again[0] != &temp[0] {
 		t.Fatal("the execution re-sampled a column after its snapshot left the environment's ring")
 	}
-	comparePlan(t, "after eviction", x, mustPlan(t, x))
-}
-
-func mustPlan(t *testing.T, x *Exec) *plan {
-	t.Helper()
-	p, err := buildPlan(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	comparePlan(t, "after eviction", x, buildPlan(x))
 }
 
 // Sizing a key set under the default representation allocates nothing.
@@ -265,7 +315,7 @@ func TestQuadRepSetBytesAllocs(t *testing.T) {
 	p, keys := filterFixture(t, "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1.5 ONCE")
 	keys = quadtree.NormalizeKeys(keys)
 	rep := QuadRep{}
-	want := p.codec().Encode(keys).ByteLen()
+	want := p.codec.Encode(keys).ByteLen()
 	if got := rep.SetBytes(p, keys); got != want {
 		t.Fatalf("SetBytes = %d, encoded length = %d", got, want)
 	}
@@ -298,7 +348,10 @@ func BenchmarkBuildPlan(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				env := field.StandardEnvironment(dep.Area, 1042)
 				r := NewRunnerFromSetup(dep, env, tree, SetupConfig{})
-				const src = "SELECT A.temp, B.temp, A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 7.5 ONCE"
+				prep, err := r.Prepare("SELECT A.temp, B.temp, A.hum, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 7.5 ONCE")
+				if err != nil {
+					b.Fatal(err)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -306,13 +359,7 @@ func BenchmarkBuildPlan(b *testing.B) {
 					if cold {
 						at = float64(i + 1) // a new instant: nothing is filled yet
 					}
-					x, err := execSQL(r, src, at)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := buildPlan(x); err != nil {
-						b.Fatal(err)
-					}
+					buildPlan(r.Exec(prep, at)).release()
 				}
 			})
 		}

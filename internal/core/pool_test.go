@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"sensjoin/internal/metrics"
@@ -258,4 +260,110 @@ func mustCatalog(t *testing.T, pool *RunnerPool) relation.Catalog {
 	}
 	defer pool.Put(r)
 	return r.Catalog
+}
+
+// One Prepared — and with it one plan shape: grid, codec, compiled local
+// predicates — serves executions on every runner of a pool at once, lone
+// rounds and shared QueryGroup rounds alike, and each table is the one a
+// fresh Prepare computes alone on a fresh runner. Run under -race.
+func TestPoolSharesPreparedPlanShape(t *testing.T) {
+	const (
+		lone  = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 AND A.hum < 60 ONCE"
+		buddy = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 5 AND A.hum < 60 ONCE"
+	)
+	cfg := SetupConfig{Nodes: 150, Seed: 7}
+	runs := []struct {
+		name string
+		run  func(r *Runner, preps []*Prepared) ([]*Result, error)
+	}{
+		{"sens-join", func(r *Runner, preps []*Prepared) ([]*Result, error) {
+			res, err := r.RunPrepared(preps[0], NewSENSJoin(), 0)
+			return []*Result{res}, err
+		}},
+		{"external-join", func(r *Runner, preps []*Prepared) ([]*Result, error) {
+			res, err := r.RunPrepared(preps[0], External{}, 0)
+			return []*Result{res}, err
+		}},
+		{"group", func(r *Runner, preps []*Prepared) ([]*Result, error) {
+			g := NewQueryGroup(Options{})
+			for _, p := range preps {
+				if _, err := g.Add(p); err != nil {
+					return nil, err
+				}
+			}
+			if g.Clusters() != 1 {
+				return nil, fmt.Errorf("%d clusters, want the two queries to share one round", g.Clusters())
+			}
+			return g.RunRound(r, 0)
+		}},
+	}
+	tables := func(results []*Result) [][]string {
+		out := make([][]string, len(results))
+		for i, res := range results {
+			out[i] = append(canonRows(res.Rows), fmt.Sprintf("members=%d contrib=%d complete=%t response=%x",
+				res.MemberNodes, res.ContributingNodes, res.Complete, math.Float64bits(res.ResponseTime)))
+			res.Release()
+		}
+		return out
+	}
+
+	want := make([][][]string, len(runs))
+	for i, c := range runs {
+		r, err := NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var preps []*Prepared
+		for _, src := range []string{lone, buddy} {
+			p, err := r.Prepare(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preps = append(preps, p)
+		}
+		results, err := c.run(r, preps)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want[i] = tables(results)
+	}
+
+	pool, err := NewRunnerPool(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var shared []*Prepared
+	for _, src := range []string{lone, buddy} {
+		p, err := Prepare(mustCatalog(t, pool), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared = append(shared, p)
+	}
+	const workers, leases = 4, 6
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < leases; i++ {
+				k := (w + i) % len(runs)
+				r, err := pool.Get()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				results, err := runs[k].run(r, shared)
+				pool.Put(r)
+				if err != nil {
+					t.Errorf("worker %d %s: %v", w, runs[k].name, err)
+					return
+				}
+				if got := tables(results); !reflect.DeepEqual(got, want[k]) {
+					t.Errorf("worker %d lease %d %s: the shared Prepared's tables differ from a fresh one's", w, i, runs[k].name)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -7,7 +7,8 @@ import (
 
 // Prepared-query support: the analysis and compilation work of a query
 // — parse, star expansion, Analyze, the join-kernel's expression
-// compilation and shape classification — depends only on the query text
+// compilation and shape classification, the plan shape (grid, quadtree
+// codec, local predicates, tuple sizes) — depends only on the query text
 // and the catalog, not on the snapshot being joined. A Prepared hoists
 // all of it out of the per-execution path so a serving layer can pay it
 // once per distinct query shape and reuse it across every execution and
@@ -87,13 +88,17 @@ func compileKernel(q *query.Query, a *query.Analysis) *kernelProg {
 
 // Prepared is a fully analyzed and compiled query, bound to a catalog.
 // It is immutable and safe for concurrent use by any number of
-// executions.
+// executions. It is bound to the catalog's schemas as they were at
+// Prepare: the plan shape quantizes each join attribute by the schema
+// that defined it then, so a relation added to the catalog afterwards
+// needs a new Prepare.
 type Prepared struct {
 	src         string
 	fingerprint string
 	query       *query.Query
 	analysis    *query.Analysis
 	prog        *kernelProg
+	shape       *planShape
 }
 
 // Prepare parses, binds and compiles src against cat.
@@ -114,12 +119,17 @@ func Prepare(cat relation.Catalog, src string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
+	shape, err := compileShape(q, a, cat)
+	if err != nil {
+		return nil, err
+	}
 	return &Prepared{
 		src:         src,
 		fingerprint: query.Fingerprint(q),
 		query:       q,
 		analysis:    a,
 		prog:        compileKernel(q, a),
+		shape:       shape,
 	}, nil
 }
 

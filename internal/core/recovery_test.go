@@ -260,10 +260,7 @@ func chainFanRound(t *testing.T) (*Runner, *Exec, *plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPlan(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := buildPlan(x)
 	for id := 21; id < x.Dep.N(); id++ {
 		if p.nodes[id].flags == 0 || x.Tree.Depth[id] != 20+(id-21)%3+1 {
 			t.Fatalf("node %d: flags %b at depth %d, want a member at the end of the chain", id, p.nodes[id].flags, x.Tree.Depth[id])

@@ -156,10 +156,8 @@ func (m Mediated) Run(x *Exec) (*Result, error) {
 	if err := validateAliasCount(x); err != nil {
 		return nil, err
 	}
-	p, err := buildPlan(x)
-	if err != nil {
-		return nil, err
-	}
+	p := buildPlan(x)
+	defer p.release()
 	start := x.Sim.Now()
 
 	mediator := m.Mediator
@@ -269,13 +267,11 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 	if len(x.Query.From) != 2 {
 		return nil, fmt.Errorf("core: semi-join handles exactly two relations, got %d", len(x.Query.From))
 	}
-	p, err := buildPlan(x)
-	if err != nil {
-		return nil, err
-	}
-	if p.grid == nil {
+	if x.shape.grid == nil {
 		return nil, fmt.Errorf("core: query has no join attributes; semi-join needs join conditions")
 	}
+	p := buildPlan(x)
+	defer p.release()
 	start := x.Sim.Now()
 	n := len(x.Query.From)
 	aSide := s.FilterSide
@@ -298,7 +294,7 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 		}
 	}
 	aKeys = quadtree.NormalizeKeys(aKeys)
-	floodSize := p.codec().SizeBytes(aKeys)
+	floodSize := p.codec.SizeBytes(aKeys)
 
 	// Phase 2: flood A's join-attribute values over the whole network
 	// (the semi-join has no subtree knowledge to prune with).

@@ -2,11 +2,9 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 
 	"sensjoin/internal/compress"
-	"sensjoin/internal/quadtree"
 	"sensjoin/internal/zorder"
 )
 
@@ -60,7 +58,7 @@ func (QuadRep) Name() string { return "quadtree" }
 // SetBytes implements Rep. The size is computed, not serialized: no
 // caller of Rep wants the bitstring.
 func (QuadRep) SetBytes(p *plan, keys []zorder.Key) int {
-	return p.codec().SizeBytes(keys)
+	return p.codec.SizeBytes(keys)
 }
 
 // PayloadBytes implements Rep.
@@ -155,16 +153,4 @@ func appendRawKeyBytes(dst []byte, coords *[]uint32, p *plan, keys []zorder.Key,
 		}
 	}
 	return dst
-}
-
-// codec returns the quadtree codec for the plan's grid, built lazily.
-func (p *plan) codec() *quadtree.Codec {
-	if p.qt == nil {
-		c, err := quadtree.NewCodec(p.grid.Levels())
-		if err != nil {
-			panic(fmt.Sprintf("core: grid produced an invalid level schedule: %v", err))
-		}
-		p.qt = c
-	}
-	return p.qt
 }

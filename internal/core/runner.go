@@ -188,8 +188,8 @@ func NewRunnerFromDeployment(dep *topology.Deployment, radio netsim.RadioConfig,
 func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 	return &Exec{
 		Sim: r.Sim, Net: r.Net, Tree: r.Tree, Stats: r.Stats,
-		Dep: r.Dep, Env: r.Env, Catalog: r.Catalog, Member: r.Member,
-		Query: p.query, Analysis: p.analysis, prog: p.prog, Time: t,
+		Dep: r.Dep, Env: r.Env, Member: r.Member,
+		Query: p.query, Analysis: p.analysis, prog: p.prog, shape: p.shape, Time: t,
 		Trace: r.Trace, Metrics: r.Metrics,
 		scratch: &r.scratch, Workers: r.workers,
 		onTreeSwap: r.setTree,

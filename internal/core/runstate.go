@@ -9,11 +9,11 @@ import (
 	"sensjoin/internal/zorder"
 )
 
-// Run state. What a protocol round needs per node — its sensNode, its
-// collection-wave state — lives in slabs the Runner owns: an execution
-// borrows a slab, indexes it by node id from the network's one handler,
-// and gives it back cleared, so a round allocates for what it sends and
-// nothing for the nodes that merely exist.
+// Run state. What a protocol round needs per node — its plan entry, its
+// sensNode, its collection-wave state — lives in slabs the Runner owns:
+// an execution borrows a slab, indexes it by node id from the network's
+// one handler, and gives it back cleared, so a round allocates for what
+// it sends and nothing for the nodes that merely exist.
 //
 // What a SENS-Join round sends and keeps per hop — sender lists, Treecut
 // lists, key sets, payloads, filter messages, the base station's final
@@ -41,6 +41,7 @@ import (
 // executes one query at a time, so there is no locking; an Exec made
 // without a Runner gets a private one, so it allocates what it uses.
 type runScratch struct {
+	nodes []nodeData // the plan's, borrowed by buildPlan
 	sens  []sensNode
 	masks []nodeMasks // beside sens, borrowed only by a round of m > 1 queries
 	wave  []waveNode

@@ -158,7 +158,8 @@ type childReport struct {
 // childUnion returns the union of the reporting children's key sets and
 // its size if known: an only child's set is adopted with the size its
 // sender computed (nothing writes into a key set in place), several are
-// merged once, into the node's arena, into a set of unknown size.
+// merged once, into the node's arena. The union holds every child's set,
+// so a union as long as one of them is that set, and has its size.
 func (st *sensTail) childUnion(a *roundArena) ([]zorder.Key, int) {
 	switch len(st.children) {
 	case 0:
@@ -171,7 +172,13 @@ func (st *sensTail) childUnion(a *roundArena) ([]zorder.Key, int) {
 	for _, c := range st.children[1:] {
 		more = append(more, c.pl.keys)
 	}
-	return a.union(st.children[0].pl.keys, more...), 0
+	union := a.union(st.children[0].pl.keys, more...)
+	for _, c := range st.children {
+		if len(c.pl.keys) == len(union) {
+			return union, c.pl.keysBytes
+		}
+	}
+	return union, 0
 }
 
 // union is quadtree.UnionAll carved from the arena: base itself when the
@@ -284,13 +291,11 @@ func (r *roundState) fanout(id topology.NodeID) int { return len(r.x.Tree.Childr
 // every member as its table comes out of the final join.
 func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)) ([]*Result, error) {
 	x := execs[0]
-	p, err := buildPlan(x)
-	if err != nil {
-		return nil, err
-	}
-	if p.grid == nil {
+	if x.shape.grid == nil {
 		return nil, fmt.Errorf("core: query %q has no join attributes; SENS-Join needs join conditions", x.Query.String())
 	}
+	p := buildPlan(x)
+	defer p.release()
 	m := len(execs)
 	r := &roundState{
 		s: s, o: s.Options.withDefaults(), m: m, x: x, p: p, execs: execs,
@@ -814,9 +819,14 @@ func (r *roundState) onFilter(id topology.NodeID, st *sensTail, from topology.No
 		return
 	}
 	// sub ⊆ filter, so equal lengths mean nothing was pruned and the
-	// received size still holds.
+	// received size still holds; a pruned sub ⊆ subtreeKeys as long as
+	// the subtree's set is that set, sized when the node stored it.
 	subBytes := msg.setBytes
-	if len(sub) != len(filter) {
+	switch {
+	case len(sub) == len(filter):
+	case len(sub) == len(st.subtreeKeys):
+		subBytes = st.memSubtreeBytes
+	default:
 		subBytes = r.o.Rep.SetBytes(p, sub)
 	}
 	r.sendFilter(id, st, r.s.buildFilterMsg(a, p, r.o, id, sub, subBytes, st.childNeedsFull), subMasks)

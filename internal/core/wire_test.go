@@ -16,17 +16,14 @@ func TestAccountedSizesAreEncodable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := buildPlan(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := buildPlan(x)
 	schema := r.Catalog["Sensors"]
 	for id := 1; id < r.Dep.N(); id++ {
 		nd := p.nodes[id]
 		if nd.flags == 0 {
 			continue
 		}
-		shipped := p.shipped(nd.flags)
+		shipped := shippedUnion(x, nd.flags)
 		tc := TupleCodec{}
 		vals := make([]float64, 0, len(shipped))
 		for _, name := range shipped {
@@ -57,7 +54,7 @@ func TestAccountedSizesAreEncodable(t *testing.T) {
 		}
 	}
 	// Quadtree payloads: the accounted size IS the bitstring length.
-	encoded := p.codec().Encode(keysOfPlan(p))
+	encoded := p.codec.Encode(keysOfPlan(p))
 	if encoded.ByteLen() != (QuadRep{}).SetBytes(p, keysOfPlan(p)) {
 		t.Fatal("quad accounting does not equal the literal encoding")
 	}

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"sensjoin/internal/geom"
+	"sensjoin/internal/relation"
 	"sensjoin/pkg/client"
 )
 
@@ -11,10 +13,12 @@ import (
 // admission, prepared cache, leased runner, simulation, base-station join —
 // is pinned in bytes: the daemon's common query is an answer of a few
 // rows, and nothing on its path may allocate by the thousand rows (a
-// 4096-row result slab alone was 64 KB a column). Measured: about 14.5 KB
-// (the round carves what it sends from the runner's round arenas, the
-// client reuses a finished stream's channel); the ceiling is that plus
-// 25%.
+// 4096-row result slab alone was 64 KB a column). Measured: about 9.4 KB
+// (the round carves what it sends from the runner's round arenas and
+// fills its plan into the runner's node slab, the plan's shape comes
+// with the cached Prepared, the client reuses a finished stream's
+// channel), 12 KB under the race detector; the ceiling is the latter
+// plus 15%.
 func TestSmallQueryAllocBytes(t *testing.T) {
 	s, _ := startTestServer(t, Config{})
 	c, err := client.Dial(s.Addr().String())
@@ -47,7 +51,27 @@ func TestSmallQueryAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perQuery := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d bytes per query", perQuery)
-	if perQuery > 18<<10 {
-		t.Errorf("a small query allocates %d bytes, want under %d", perQuery, 18<<10)
+	if perQuery > 14<<10 {
+		t.Errorf("a small query allocates %d bytes, want under %d", perQuery, 14<<10)
+	}
+}
+
+// A prepared-cache hit allocates nothing: the deployment-scoped key is a
+// struct, not a concatenated string.
+func TestPreparedCacheHitAllocs(t *testing.T) {
+	c := newPreparedCache(newServerMetrics(nil))
+	p := &pool{key: poolKey{nodes: 150, seed: 42}, cat: relation.Catalog{"Sensors": relation.StandardSchema(geom.Square(300))}}
+	const src = `SELECT A.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 5.0 ONCE`
+	first, hit, err := c.lookup(p, src)
+	if err != nil || hit {
+		t.Fatalf("first lookup: hit %t, err %v", hit, err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if prep, hit, err := c.lookup(p, src); err != nil || !hit || prep != first {
+			t.Fatalf("repeated lookup: hit %t, err %v, same Prepared %t", hit, err, prep == first)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a prepared-cache hit allocates %.0f times, want 0", allocs)
 	}
 }

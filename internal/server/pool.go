@@ -82,9 +82,16 @@ func (s *Server) poolFor(nodes int, seed int64) (*pool, error) {
 // are scoped by deployment, since a Prepared binds a catalog.
 type preparedCache struct {
 	mu    sync.Mutex
-	bySrc map[string]*core.Prepared
-	byFP  map[string]*core.Prepared
+	bySrc map[cacheKey]*core.Prepared
+	byFP  map[cacheKey]*core.Prepared
 	met   *serverMetrics
+}
+
+// cacheKey scopes a source text or a fingerprint by deployment. A struct
+// key, unlike a concatenated string, costs a hit no allocation.
+type cacheKey struct {
+	pool poolKey
+	s    string
 }
 
 // maxCacheEntries bounds the cache; overflowing resets it wholesale (a
@@ -95,8 +102,8 @@ const maxCacheEntries = 4096
 
 func newPreparedCache(met *serverMetrics) *preparedCache {
 	return &preparedCache{
-		bySrc: make(map[string]*core.Prepared),
-		byFP:  make(map[string]*core.Prepared),
+		bySrc: make(map[cacheKey]*core.Prepared),
+		byFP:  make(map[cacheKey]*core.Prepared),
 		met:   met,
 	}
 }
@@ -104,7 +111,7 @@ func newPreparedCache(met *serverMetrics) *preparedCache {
 // lookup returns the prepared form of src for pool p, preparing and
 // caching it on miss. The second return reports a cache hit.
 func (c *preparedCache) lookup(p *pool, src string) (*core.Prepared, bool, error) {
-	srcKey := p.key.String() + "\x00" + src
+	srcKey := cacheKey{p.key, src}
 	c.mu.Lock()
 	if prep, ok := c.bySrc[srcKey]; ok {
 		c.mu.Unlock()
@@ -117,13 +124,13 @@ func (c *preparedCache) lookup(p *pool, src string) (*core.Prepared, bool, error
 	if err != nil {
 		return nil, false, err
 	}
-	fpKey := p.key.String() + "\x00" + prep.Fingerprint()
+	fpKey := cacheKey{p.key, prep.Fingerprint()}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.bySrc) >= maxCacheEntries || len(c.byFP) >= maxCacheEntries {
-		c.bySrc = make(map[string]*core.Prepared)
-		c.byFP = make(map[string]*core.Prepared)
+		c.bySrc = make(map[cacheKey]*core.Prepared)
+		c.byFP = make(map[cacheKey]*core.Prepared)
 	}
 	hit := false
 	if canon, ok := c.byFP[fpKey]; ok {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -13,6 +14,7 @@ import (
 
 	"sensjoin/internal/core"
 	"sensjoin/internal/metrics"
+	"sensjoin/internal/proto"
 	"sensjoin/pkg/client"
 )
 
@@ -257,6 +259,30 @@ func TestServerPreparedCache(t *testing.T) {
 	}
 	if misses := snap["sensjoind_prepared_cache_misses_total"].(int64); misses != 2 {
 		t.Fatalf("cache misses = %d, want exactly 2 (two distinct canonical shapes)", misses)
+	}
+}
+
+// A query whose quantization grid cannot be built — here a join of nine
+// relations, one more than a key's flags can name — fails in Prepare: the
+// daemon answers it with an Error frame carrying the grid's message, and
+// the session goes on serving.
+func TestServerReportsGridErrorAtPrepare(t *testing.T) {
+	s, _ := startTestServer(t, Config{})
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const nine = `SELECT A.temp FROM Sensors A, Sensors B, Sensors C, Sensors D, Sensors E, Sensors F, Sensors G, Sensors H, Sensors I
+		WHERE A.temp = B.temp AND B.temp = C.temp AND C.temp = D.temp AND D.temp = E.temp AND E.temp = F.temp
+		AND F.temp = G.temp AND G.temp = H.temp AND H.temp = I.temp ONCE`
+	_, err = c.Query(nine)
+	var se *client.ServerError
+	if !errors.As(err, &se) || se.Code != proto.CodeParse || se.Msg != "zorder: flag bits 9 out of range [1, 8]" {
+		t.Fatalf("nine-way join: %v, want a %q Error frame with the grid's message", err, proto.CodeParse)
+	}
+	if _, err := c.Query(testQueries[0]); err != nil {
+		t.Fatalf("the session after the refused query: %v", err)
 	}
 }
 

@@ -31,7 +31,7 @@ fi
 # Treecut tuples and key sets forward by reference, tracing is the journal.
 # And the per-node delta buffers: a round's deltas are carved from the
 # round arena of the sending node's region.
-retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover' \
+retired=$(grep -rnE 'ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover|shippedByFlags' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -87,7 +87,7 @@ go test -race ./...
 # Runner-pool race pass, repeated: concurrent leases of one pool, the
 # reset on return, the daemon's one-runner pool and the suite's leased
 # cells at 1, 2, 4 and 8 workers.
-go test -race -count 3 -run 'Pool|Reset|AllDeterministicAcrossParallelism|AllLeasesRunners' ./internal/core ./internal/netsim ./internal/server ./internal/bench
+go test -race -count 3 -run 'Pool|PlanShape|Reset|AllDeterministicAcrossParallelism|AllLeasesRunners' ./internal/core ./internal/netsim ./internal/server ./internal/bench
 # Smoke the base station's join benchmarks and the neighbour build: one
 # iteration proves the exact join's indexed and reference paths, the
 # filter join's shapes (diff, abs, eq, sum, three-way, reference) and the

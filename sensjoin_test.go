@@ -81,6 +81,33 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// A join whose quantization grid cannot be built — more than 8 relations,
+// or a key wider than 64 bits — fails validation with the grid's own
+// message, before anything runs.
+func TestValidateReportsGridErrors(t *testing.T) {
+	// A 40 km square makes x and y 16 bits each: with the four other
+	// attributes and two flag bits, 68 bits.
+	net, err := sensjoin.NewNetwork(sensjoin.Config{Nodes: 30, Seed: 7, AreaSideM: 40000, RangeM: 60000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ src, want string }{
+		{nineWayJoin, "zorder: flag bits 9 out of range [1, 8]"},
+		{`SELECT A.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp AND A.hum = B.hum AND A.pres = B.pres
+			AND A.light = B.light AND A.x = B.x AND A.y = B.y ONCE`, "zorder: 68 total bits exceed the 64-bit key budget"},
+	} {
+		if err := net.Validate(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Validate = %v, want %q", err, c.want)
+		}
+	}
+}
+
+// nineWayJoin is an equi-join chain over nine relations, one more than a
+// key's relation flags can name.
+const nineWayJoin = `SELECT A.temp FROM Sensors A, Sensors B, Sensors C, Sensors D, Sensors E, Sensors F, Sensors G, Sensors H, Sensors I
+	WHERE A.temp = B.temp AND B.temp = C.temp AND C.temp = D.temp AND D.temp = E.temp AND E.temp = F.temp
+	AND F.temp = G.temp AND G.temp = H.temp AND H.temp = I.temp ONCE`
+
 func TestStatsAccessors(t *testing.T) {
 	net := testNet(t, 150, 9)
 	if _, err := net.Execute(apiQuery, sensjoin.SENSJoin()); err != nil {
