@@ -183,8 +183,8 @@ func TestBuildPlanMatchesReference(t *testing.T) {
 
 // A query may ship more attribute names than one 64-bit word of the
 // shape's per-alias bitsets holds (the analyzer does not limit them, and
-// the environment samples any name): the tuple sizes still count the
-// union of what the node's aliases ship.
+// a schema may define that many; the environment samples any name): the
+// tuple sizes still count the union of what the node's aliases ship.
 func TestBuildPlanShipsMoreThan64Attributes(t *testing.T) {
 	var a, b []string
 	for i := 0; i < 70; i++ {
@@ -196,6 +196,12 @@ func TestBuildPlanShipsMoreThan64Attributes(t *testing.T) {
 	src := "SELECT " + strings.Join(append(a, b...), ", ") +
 		" FROM Sensors A, Sensors B WHERE A.temp - B.temp > 1 AND A.temp > 21.5 ONCE"
 	r := testRunner(t, 120, 11)
+	wide := *r.Catalog["Sensors"]
+	wide.Attrs = slices.Clone(wide.Attrs)
+	for i := 0; i < 110; i++ {
+		wide.Attrs = append(wide.Attrs, relation.AttrDef{Name: fmt.Sprintf("a%d", i), Min: 0, Max: 40, Res: 0.1})
+	}
+	r.Catalog = relation.Catalog{"Sensors": &wide}
 	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"sensjoin/internal/query"
 	"sensjoin/internal/relation"
 )
@@ -115,6 +117,9 @@ func Prepare(cat relation.Catalog, src string) (*Prepared, error) {
 	if err := expandStar(q, cat); err != nil {
 		return nil, err
 	}
+	if err := checkAttrs(q, cat); err != nil {
+		return nil, err
+	}
 	a, err := query.Analyze(q)
 	if err != nil {
 		return nil, err
@@ -131,6 +136,38 @@ func Prepare(cat relation.Catalog, src string) (*Prepared, error) {
 		prog:        compileKernel(q, a),
 		shape:       shape,
 	}, nil
+}
+
+// checkAttrs refuses a reference to an attribute that its own FROM
+// entry's relation does not define, in SELECT, WHERE and GROUP BY (ORDER
+// BY names output columns by position, which the parser bounds).
+// Another relation of the query defining the name does not make it
+// valid.
+func checkAttrs(q *query.Query, cat relation.Catalog) error {
+	var err error
+	check := func(e query.NumExpr) {
+		at, ok := e.(query.Attr)
+		if !ok || err != nil {
+			return
+		}
+		s, lerr := cat.Lookup(q.From[at.Ref.Rel].Relation)
+		if lerr == nil {
+			_, lerr = s.Attr(at.Ref.Name)
+		}
+		if lerr != nil {
+			err = fmt.Errorf("core: %s: %w", at.Ref, lerr)
+		}
+	}
+	for _, it := range q.Select {
+		it.Expr.Visit(check)
+	}
+	if q.Where != nil {
+		q.Where.VisitNums(check)
+	}
+	for _, g := range q.GroupBy {
+		g.Visit(check)
+	}
+	return err
 }
 
 // Prepare compiles src against this runner's catalog.

@@ -2,8 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+
+	"sensjoin/internal/geom"
+	"sensjoin/internal/relation"
 )
 
 // A prepared execution is the same computation with the per-shape work
@@ -122,5 +127,40 @@ func TestPreparedLiteralsDistinct(t *testing.T) {
 	}
 	if len(r1.Rows) == len(r2.Rows) {
 		t.Logf("note: both thresholds yield %d rows (legal, but weakens the test)", len(r1.Rows))
+	}
+}
+
+// Every attribute reference is checked against its own FROM entry's
+// schema: another relation of the query defining the name does not make
+// it valid, and neither does the environment, which would sample any
+// name.
+func TestPrepareRefusesUndefinedAttrs(t *testing.T) {
+	sensors := relation.StandardSchema(geom.Square(300))
+	tagged := &relation.Schema{Name: "Tagged", Attrs: append(slices.Clone(sensors.Attrs), relation.AttrDef{Name: "tag", Min: 0, Max: 16, Res: 1})}
+	cat := relation.Catalog{"Sensors": sensors, "Tagged": tagged}
+	refused := []struct{ clause, src, name string }{
+		{"SELECT", `SELECT A.a0, B.zz FROM Sensors A, Sensors B WHERE A.temp > B.temp ONCE`, "A.a0"},
+		{"SELECT aggregate", `SELECT MAX(B.zz) FROM Sensors A, Sensors B WHERE A.temp > B.temp ONCE`, "B.zz"},
+		{"WHERE, local", `SELECT A.temp FROM Sensors A, Sensors B WHERE A.zz > 1 AND A.temp > B.temp ONCE`, "A.zz"},
+		{"WHERE, join", `SELECT A.temp FROM Sensors A, Sensors B WHERE A.temp - B.zz > 1 ONCE`, "B.zz"},
+		{"GROUP BY", `SELECT A.zz, COUNT(B.temp) FROM Sensors A, Sensors B WHERE A.temp > B.temp GROUP BY A.zz ONCE`, "A.zz"},
+		{"the other relation's name, in SELECT", `SELECT A.tag FROM Sensors A, Tagged B WHERE A.temp > B.temp ONCE`, "A.tag"},
+		{"the other relation's name, in a join", `SELECT A.temp FROM Sensors A, Tagged B WHERE A.tag = B.tag ONCE`, "A.tag"},
+	}
+	for _, c := range refused {
+		_, err := Prepare(cat, c.src)
+		if err == nil || !strings.Contains(err.Error(), c.name) {
+			t.Errorf("%s: Prepare = %v, want an error naming %s", c.clause, err, c.name)
+		}
+	}
+	accepted := []string{
+		`SELECT B.tag, A.temp FROM Sensors A, Tagged B WHERE B.tag > 3 AND A.temp - B.temp > 1 ORDER BY 1 ONCE`,
+		`SELECT B.tag, COUNT(A.temp) FROM Sensors A, Tagged B WHERE A.temp > B.temp GROUP BY B.tag ONCE`,
+		`SELECT * FROM Sensors A, Tagged B WHERE A.temp > B.temp ONCE`,
+	}
+	for _, src := range accepted {
+		if _, err := Prepare(cat, src); err != nil {
+			t.Errorf("%q: %v", src, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,8 +26,8 @@ func allocated(fn func()) uint64 {
 // and its message, plus whatever the fuzz worker did meanwhile.
 const allocSlack = 32 << 10
 
-// realFrames renders one query's response stream the way sensjoind
-// does, as the seed corpus of both fuzz targets.
+// realFrames renders one session the way the client and sensjoind do,
+// as the seed corpus of every fuzz target.
 func realFrames(tb testing.TB) [][]byte {
 	var frames [][]byte
 	add := func(kind byte, msg any) {
@@ -47,6 +48,10 @@ func realFrames(tb testing.TB) [][]byte {
 	add(KindEpochEnd, EpochEnd{ID: 1, RowCount: 520, Complete: true, Contributing: 31, Members: 40, ResponseTime: 3.648})
 	add(KindDone, Done{ID: 1, Epochs: 1})
 	add(KindError, Error{ID: 4, Code: CodeParse, Msg: "unknown attribute"})
+	add(KindCancel, Cancel{ID: 5})
+	add(KindEpochEnd, EpochEnd{ID: 2, Epoch: 3, Time: math.Inf(1), ResponseTime: math.NaN()})
+	add(KindQuery, Query{ID: 6, Src: "SELECT A.temp FROM Sensors A SAMPLE PERIOD 10", Method: "external", At: math.NaN(), Rounds: 4, Nodes: 400, Seed: 9, TraceID: "t"})
+	add(KindBye, Bye{})
 	return frames
 }
 
@@ -105,7 +110,74 @@ func FuzzReadFrame(f *testing.F) {
 		// Whatever the payload is, routing and decoding it must not panic.
 		PeekID(kind, payload)
 		Decode(payload, new(Rows))
-		Decode(payload, new(Header))
+		for _, c := range controlKinds {
+			Decode(payload, c.fresh())
+		}
+	})
+}
+
+// controlKinds lists every kind but Rows with a fresh destination for
+// its message.
+var controlKinds = []struct {
+	kind  byte
+	fresh func() any
+}{
+	{KindHello, func() any { return new(Hello) }},
+	{KindHelloOK, func() any { return new(HelloOK) }},
+	{KindQuery, func() any { return new(Query) }},
+	{KindCancel, func() any { return new(Cancel) }},
+	{KindBye, func() any { return new(Bye) }},
+	{KindHeader, func() any { return new(Header) }},
+	{KindEpochEnd, func() any { return new(EpochEnd) }},
+	{KindDone, func() any { return new(Done) }},
+	{KindError, func() any { return new(Error) }},
+}
+
+// FuzzDecodeControl: every control decoder never panics, rejects a
+// payload (a hostile string or column count included) without
+// allocating for it, and accepts only payloads that re-encode to the
+// same bytes, which makes the layouts exact inverses of the encoder.
+// Each input is tried as every control kind.
+func FuzzDecodeControl(f *testing.F) {
+	for _, frame := range realFrames(f) {
+		if frame[4] != KindRows {
+			f.Add(frame[5:])
+			f.Add(frame[5 : 5+len(frame[5:])/2])
+		}
+	}
+	f.Add([]byte(`{"Version":2}`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		for _, c := range controlKinds {
+			msg := c.fresh()
+			var err error
+			got := allocated(func() { err = Decode(payload, msg) })
+			if err != nil {
+				if got > allocSlack {
+					t.Fatalf("kind %d: rejecting %d bytes allocated %d", c.kind, len(payload), got)
+				}
+				continue
+			}
+			// A Header's strings take a column header (16 bytes) for each
+			// of their length prefixes (4 bytes), and one copy of the
+			// payload they are sliced from.
+			if limit := uint64(5*len(payload) + allocSlack); got > limit {
+				t.Fatalf("kind %d: decoding %d bytes allocated %d (limit %d)", c.kind, len(payload), got, limit)
+			}
+			var buf bytes.Buffer
+			if err := WriteFrame(&buf, c.kind, msg); err != nil {
+				t.Fatalf("kind %d: re-encoding a decoded payload: %v", c.kind, err)
+			}
+			if !bytes.Equal(buf.Bytes()[5:], payload) {
+				t.Fatalf("kind %d: encode∘decode changed the payload:\n got %x\nwant %x", c.kind, buf.Bytes()[5:], payload)
+			}
+			var want int64 // the session kinds have no ID
+			if f := reflect.ValueOf(msg).Elem().FieldByName("ID"); f.IsValid() {
+				want = f.Int()
+			}
+			if id, err := PeekID(c.kind, payload); err != nil || id != want {
+				t.Fatalf("kind %d: PeekID = %d, %v; Decode read ID %d", c.kind, id, err, want)
+			}
+		}
 	})
 }
 

@@ -5,8 +5,8 @@
 //
 //	uint32  length   // of everything after this field: kind + payload
 //	byte    kind     // message kind, see the Kind* constants
-//	[]byte  payload  // KindRows: the binary layout in rows.go;
-//	                 // every other kind: JSON of the kind's message struct
+//	[]byte  payload  // KindRows: the layout in rows.go; every other
+//	                 // kind: its message's layout in control.go
 //
 // A session opens with Hello/HelloOK, then the client pipelines Query
 // frames (each with a client-chosen, session-unique positive ID) and the
@@ -22,7 +22,7 @@ package proto
 
 import (
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -31,8 +31,9 @@ import (
 // Version is the protocol version spoken by this package. A server
 // answers a Hello with a different major version with an Error frame
 // (CodeProto) and closes the connection. Version 2 replaced version 1's
-// JSON Rows payload with the binary layout in rows.go.
-const Version = 2
+// JSON Rows payload with the binary layout in rows.go; version 3 gave
+// every other kind a binary layout too (control.go).
+const Version = 3
 
 // MaxFrame bounds one frame's kind+payload size; both sides reject
 // larger frames as malformed rather than allocating unboundedly.
@@ -95,19 +96,19 @@ type Query struct {
 	// Src is the query text in the sensjoin query language.
 	Src string
 	// Method selects the join method: "sens" (default) or "external".
-	Method string `json:",omitempty"`
+	Method string
 	// At is the snapshot time of the first (or only) epoch.
-	At float64 `json:",omitempty"`
+	At float64
 	// Rounds caps the epochs of a periodic query (default 1; one-shot
 	// queries always run exactly one epoch).
-	Rounds int `json:",omitempty"`
+	Rounds int
 	// Nodes/Seed override the server's default deployment (0 = default).
-	Nodes int   `json:",omitempty"`
-	Seed  int64 `json:",omitempty"`
+	Nodes int
+	Seed  int64
 	// TraceID optionally names this query in the server's flight
 	// recorder and trace exports. Empty lets the server assign one; the
 	// assigned (or echoed) ID comes back on the Header.
-	TraceID string `json:",omitempty"`
+	TraceID string
 }
 
 // Header precedes a query's rows.
@@ -119,16 +120,16 @@ type Header struct {
 	CacheHit bool
 	// Shared reports shared (grouped) execution; ClusterSize is the
 	// number of queries sharing the protocol round (1 when not shared).
-	Shared      bool `json:",omitempty"`
-	ClusterSize int  `json:",omitempty"`
+	Shared      bool
+	ClusterSize int
 	// TraceID identifies this query in the server's flight recorder
 	// (/debug/queries on the observability port). It echoes the client's
 	// Query.TraceID when one was supplied, else it is server-assigned.
-	TraceID string `json:",omitempty"`
+	TraceID string
 	// Sampled reports that the server captured a full span tree for this
 	// query (per its -trace-sample rate); the tree is served at
 	// /debug/queries?trace=<TraceID>.
-	Sampled bool `json:",omitempty"`
+	Sampled bool
 }
 
 // RowsOf carries a chunk of one epoch's result rows. It is generic over
@@ -206,25 +207,17 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledBuf = 256 << 10
 
-// WriteFrame encodes v as one frame: the binary layout for a RowsOf
-// value or pointer under KindRows, JSON for every other kind. It issues
-// a single Write, so callers may serialize concurrent writers with just
-// a mutex.
+// WriteFrame encodes v, a message by value or by pointer, as one frame
+// of kind, which must be the message's own. It issues a single Write, so
+// callers may serialize concurrent writers with just a mutex.
 func WriteFrame(w io.Writer, kind byte, v any) error {
 	bp := frameBufs.Get().(*[]byte)
 	buf := append((*bp)[:0], 0, 0, 0, 0, kind)
 	var err error
-	rows, isRows := v.(rowsMessage)
-	switch {
-	case isRows != (kind == KindRows):
+	if m, ok := v.(message); !ok || m.kind() != kind {
 		err = fmt.Errorf("kind does not match message type %T", v)
-	case isRows:
-		buf, err = rows.appendPayload(buf)
-	default:
-		var payload []byte
-		if payload, err = json.Marshal(v); err == nil {
-			buf = append(buf, payload...)
-		}
+	} else {
+		buf, err = m.appendPayload(buf)
 	}
 	if err == nil && len(buf)-4 > MaxFrame {
 		err = fmt.Errorf("frame exceeds %d bytes", MaxFrame)
@@ -307,28 +300,42 @@ func (fr *FrameReader) Next() (byte, []byte, error) {
 	}
 }
 
-// Decode parses a frame payload into v: the binary layout when v is a
-// *Rows, JSON otherwise.
+// Decode parses a frame payload into v, a pointer to the message type
+// of the frame's kind. A payload that does not match the layout exactly
+// is an error. A control payload is read dry first, so a rejected one
+// leaves *v as it was and allocates nothing but its error.
 func Decode(payload []byte, v any) error {
 	if r, ok := v.(*Rows); ok {
 		return decodeRows(payload, r)
 	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return fmt.Errorf("proto: bad payload: %w", err)
+	dry := reader{p: payload, dry: true}
+	if !readInto(&dry, v) {
+		return errNotMessage
 	}
+	if err := dry.end(); err != nil {
+		return err
+	}
+	r := reader{p: payload}
+	readInto(&r, v)
 	return nil
 }
 
-// PeekID returns the query ID a payload is addressed to (0 for a
-// session-level frame) without decoding the rest of it.
+// errNotMessage is a constant error so that Decode's v does not escape:
+// a caller's destination can live on its stack.
+var errNotMessage = errors.New("proto: Decode needs a pointer to a message type")
+
+// PeekID returns the query ID a payload is addressed to, 0 for the
+// session kinds (Hello, HelloOK, Bye) and for a session-level Error. It
+// reads the first eight bytes and decodes nothing.
 func PeekID(kind byte, payload []byte) (int64, error) {
-	if kind == KindRows {
-		if len(payload) < rowsHeaderLen {
-			return 0, errShortRows
+	switch kind {
+	case KindHello, KindHelloOK, KindBye:
+		return 0, nil
+	case KindQuery, KindCancel, KindHeader, KindRows, KindEpochEnd, KindDone, KindError:
+		if len(payload) < 8 {
+			return 0, errShortControl
 		}
 		return int64(binary.BigEndian.Uint64(payload)), nil
 	}
-	var hdr struct{ ID int64 }
-	err := Decode(payload, &hdr)
-	return hdr.ID, err
+	return 0, fmt.Errorf("proto: unknown frame kind %d", kind)
 }

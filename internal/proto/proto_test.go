@@ -33,7 +33,7 @@ func roundTrip(t *testing.T, kind byte, in, out any) {
 	}
 }
 
-func TestRoundTripJSONKinds(t *testing.T) {
+func TestRoundTripControlKinds(t *testing.T) {
 	cases := []struct {
 		kind byte
 		in   any
@@ -41,18 +41,39 @@ func TestRoundTripJSONKinds(t *testing.T) {
 	}{
 		{KindHello, Hello{Version: Version}, new(Hello)},
 		{KindQuery, Query{ID: 7, Src: "SELECT A.temp FROM Sensors A ONCE", Method: "external", At: 1.5, Rounds: 3, Nodes: 400, Seed: 9, TraceID: "t-1"}, new(Query)},
+		{KindQuery, Query{ID: 1<<62 + 1, Src: "SELECT Ä.temp FROM Sensors Ä ONCE", Rounds: -1, Seed: -5}, new(Query)},
 		{KindCancel, Cancel{ID: 7}, new(Cancel)},
-		{KindBye, struct{}{}, new(struct{})},
+		{KindBye, Bye{}, new(Bye)},
 		{KindHelloOK, HelloOK{Version: Version, Session: 3, Nodes: 150, Seed: 1}, new(HelloOK)},
 		{KindHeader, Header{ID: 7, Columns: []string{"A.temp", "B.hum"}, CacheHit: true, Shared: true, ClusterSize: 4, TraceID: "q-1-7-1", Sampled: true}, new(Header)},
+		{KindHeader, Header{ID: 8, Columns: []string{"", "x"}}, new(Header)},
+		{KindHeader, Header{ID: 9}, new(Header)},
 		{KindEpochEnd, EpochEnd{ID: 7, Epoch: 2, Time: 20, RowCount: 513, Complete: true, Contributing: 31, Members: 40, ResponseTime: 3.648}, new(EpochEnd)},
 		{KindDone, Done{ID: 7, Epochs: 3}, new(Done)},
 		{KindError, Error{ID: 7, Code: CodeExec, Msg: "boom"}, new(Error)},
+		{KindError, Error{Code: CodeProto}, new(Error)},
 	}
 	for _, c := range cases {
 		roundTrip(t, c.kind, c.in, c.out)
 		if got := reflect.ValueOf(c.out).Elem().Interface(); !reflect.DeepEqual(got, c.in) {
 			t.Errorf("kind %d: got %+v, want %+v", c.kind, got, c.in)
+		}
+	}
+}
+
+// Floats travel as their IEEE-754 bits: NaN (payload included), ±Inf
+// and -0 arrive exactly as sent, which JSON could not carry at all.
+func TestRoundTripSpecialFloats(t *testing.T) {
+	payloadNaN := math.Float64frombits(0x7ff8dead0000beef)
+	for _, x := range []float64{math.NaN(), payloadNaN, math.Inf(1), math.Inf(-1), math.Copysign(0, -1)} {
+		var q Query
+		roundTrip(t, KindQuery, &Query{ID: 1, Src: "s", At: x}, &q)
+		var e EpochEnd
+		roundTrip(t, KindEpochEnd, &EpochEnd{ID: 1, Time: x, ResponseTime: -x}, &e)
+		want, neg := math.Float64bits(x), math.Float64bits(-x)
+		if math.Float64bits(q.At) != want || math.Float64bits(e.Time) != want || math.Float64bits(e.ResponseTime) != neg {
+			t.Errorf("%v: Query.At %#x, EpochEnd.Time %#x, ResponseTime %#x; want %#x, %#x, %#x",
+				x, math.Float64bits(q.At), math.Float64bits(e.Time), math.Float64bits(e.ResponseTime), want, want, neg)
 		}
 	}
 }
@@ -150,7 +171,9 @@ func TestEncodeRejects(t *testing.T) {
 		{"rows over MaxFrame", KindRows, Rows{ID: 1, Rows: [][]float64{wide}}},
 		{"Rows under another kind", KindHeader, Rows{ID: 1}},
 		{"another message under KindRows", KindRows, Header{ID: 1}},
-		{"JSON cannot render NaN", KindEpochEnd, EpochEnd{ID: 1, Time: math.NaN()}},
+		{"a message under a kind not its own", KindDone, Header{ID: 1}},
+		{"a pointer under a kind not its own", KindCancel, &Done{ID: 1}},
+		{"a value that is no message", KindBye, struct{}{}},
 	}
 	for _, c := range cases {
 		var buf bytes.Buffer
@@ -284,6 +307,8 @@ func TestPeekID(t *testing.T) {
 		msg  any
 		want int64
 	}{
+		{KindQuery, Query{ID: 10, Src: "q"}, 10},
+		{KindCancel, Cancel{ID: 1 << 50}, 1 << 50},
 		{KindHeader, Header{ID: 11, Columns: []string{"a"}}, 11},
 		{KindRows, Rows{ID: 1<<40 + 3, Rows: [][]float64{{1, 2}}}, 1<<40 + 3},
 		{KindRows, Rows{ID: 12}, 12},
@@ -291,6 +316,9 @@ func TestPeekID(t *testing.T) {
 		{KindDone, Done{ID: 14}, 14},
 		{KindError, Error{ID: 15, Code: CodeExec}, 15},
 		{KindError, Error{Code: CodeProto}, 0}, // session-level
+		{KindHello, Hello{Version: Version}, 0},
+		{KindHelloOK, HelloOK{Version: Version, Session: 16}, 0},
+		{KindBye, Bye{}, 0},
 	}
 	for _, f := range frames {
 		var buf bytes.Buffer
@@ -301,12 +329,128 @@ func TestPeekID(t *testing.T) {
 		if id, err := PeekID(kind, payload); err != nil || id != f.want {
 			t.Errorf("kind %d: PeekID = %d, %v; want %d", f.kind, id, err, f.want)
 		}
+		if n := testing.AllocsPerRun(10, func() { PeekID(kind, payload) }); n != 0 {
+			t.Errorf("kind %d: PeekID allocates %.0f times", f.kind, n)
+		}
 	}
-	if _, err := PeekID(KindRows, make([]byte, 7)); err == nil {
-		t.Error("PeekID accepted a Rows payload shorter than its header")
+	// The session kinds carry no ID: PeekID does not look at their bytes.
+	if id, err := PeekID(KindHelloOK, nil); id != 0 || err != nil {
+		t.Errorf("PeekID on an empty HelloOK payload = %d, %v; want 0, nil", id, err)
 	}
-	if _, err := PeekID(KindDone, []byte("{")); err == nil {
-		t.Error("PeekID accepted malformed JSON")
+	for _, kind := range []byte{KindRows, KindDone, KindError} {
+		if _, err := PeekID(kind, make([]byte, 7)); err == nil {
+			t.Errorf("kind %d: PeekID accepted a payload shorter than its ID", kind)
+		}
+	}
+	if _, err := PeekID(99, make([]byte, 8)); err == nil {
+		t.Error("PeekID accepted an unknown kind")
+	}
+}
+
+// controlPayload encodes msg and returns its payload.
+func controlPayload(t *testing.T, msg any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, msg.(message).kind(), msg); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()[5:]
+}
+
+func TestDecodeControlRejects(t *testing.T) {
+	header := controlPayload(t, Header{ID: 1, Columns: []string{"A.temp", "B.temp"}, TraceID: "q"})
+	epochEnd := controlPayload(t, EpochEnd{ID: 1, Complete: true})
+	boolAt := 8 + 8 + 8 + 8 // Complete follows ID, Epoch, Time, RowCount
+	badBool := bytes.Clone(epochEnd)
+	badBool[boolAt] = 2
+	hugeColumns := bytes.Clone(header)
+	binary.BigEndian.PutUint32(hugeColumns[8:], math.MaxUint32)
+	quarterColumns := bytes.Clone(header)
+	binary.BigEndian.PutUint32(quarterColumns[8:], uint32(len(header)-12)/4+1)
+	longString := bytes.Clone(header)
+	binary.BigEndian.PutUint32(longString[12:], uint32(len(header)))
+	cases := []struct {
+		name    string
+		payload []byte
+		into    any
+	}{
+		{"empty Done", nil, new(Done)},
+		{"Done one byte short", controlPayload(t, Done{ID: 1})[:15], new(Done)},
+		{"Done with a trailing byte", append(controlPayload(t, Done{ID: 1}), 0), new(Done)},
+		{"bool byte 2", badBool, new(EpochEnd)},
+		{"bool byte 255", append(badBool[:boolAt:boolAt], append([]byte{255}, epochEnd[boolAt+1:]...)...), new(EpochEnd)},
+		{"column count beyond the payload", hugeColumns, new(Header)},
+		{"more columns than length prefixes fit", quarterColumns, new(Header)},
+		{"string longer than the payload", longString, new(Header)},
+		{"Header cut inside a string", header[:len(header)-3], new(Header)},
+		{"Bye with a byte", []byte{0}, new(Bye)},
+		{"a version-2 JSON Hello", []byte(`{"Version":2}`), new(Hello)},
+		{"a JSON Query", []byte(`{"ID":1,"Src":"SELECT A.temp FROM Sensors A ONCE"}`), new(Query)},
+		{"a destination that is no message", controlPayload(t, Done{ID: 1}), new(int)},
+	}
+	for _, c := range cases {
+		before := reflect.ValueOf(c.into).Elem().Interface()
+		var err error
+		got := allocated(func() { err = Decode(c.payload, c.into) })
+		if err == nil {
+			t.Errorf("%s: decoded to %+v", c.name, c.into)
+		}
+		if after := reflect.ValueOf(c.into).Elem().Interface(); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: a rejected payload changed the destination to %+v", c.name, after)
+		}
+		if got > allocSlack {
+			t.Errorf("%s: rejecting %d bytes allocated %d", c.name, len(c.payload), got)
+		}
+	}
+}
+
+// Control frames cost no allocation on the way out beyond the pooled
+// buffer, and on the way in only the strings they carry.
+func TestControlFrameAllocs(t *testing.T) {
+	msgs := []any{
+		&Hello{Version: Version}, &HelloOK{Version: Version, Session: 1, Nodes: 150, Seed: 42},
+		&Query{ID: 1, Src: "SELECT A.temp FROM Sensors A ONCE", Method: "external", TraceID: "t"},
+		&Cancel{ID: 1}, &Bye{},
+		&Header{ID: 1, Columns: []string{"A.temp", "B.temp"}, CacheHit: true, ClusterSize: 1, TraceID: "q-1-1-1"},
+		&EpochEnd{ID: 1, Epoch: 2, Time: 20, RowCount: 7, Complete: true, Contributing: 3, Members: 9, ResponseTime: 1.5},
+		&Done{ID: 1, Epochs: 1}, &Error{ID: 1, Code: CodeExec, Msg: "boom"},
+	}
+	for _, msg := range msgs {
+		kind := msg.(message).kind()
+		if n := testing.AllocsPerRun(100, func() {
+			if err := WriteFrame(io.Discard, kind, msg); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 && !raceEnabled {
+			t.Errorf("encoding kind %d: %.0f allocs, want 0", kind, n)
+		}
+	}
+
+	decodes := []struct {
+		msg  any
+		into any
+		want float64
+	}{
+		{msgs[3], new(Cancel), 0},
+		{msgs[6], new(EpochEnd), 0},
+		{msgs[7], new(Done), 0},
+		{msgs[0], new(Hello), 0},
+		{msgs[4], new(Bye), 0},
+		// The column slice, and one string every column name and the
+		// trace ID are sliced from.
+		{msgs[5], new(Header), 2},
+		{msgs[2], new(Query), 1},
+		{msgs[8], new(Error), 1},
+	}
+	for _, d := range decodes {
+		payload := controlPayload(t, d.msg)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := Decode(payload, d.into); err != nil {
+				t.Fatal(err)
+			}
+		}); n != d.want {
+			t.Errorf("decoding %T: %.0f allocs, want %.0f", d.into, n, d.want)
+		}
 	}
 }
 

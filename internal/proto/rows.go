@@ -22,12 +22,6 @@ const rowsHeaderLen = 8 + 4*4
 
 var errShortRows = errors.New("proto: Rows payload shorter than its header")
 
-// rowsMessage is what WriteFrame recognises as a Rows message: every
-// RowsOf instantiation, by value or by pointer.
-type rowsMessage interface {
-	appendPayload(buf []byte) ([]byte, error)
-}
-
 func (r RowsOf[R]) appendPayload(buf []byte) ([]byte, error) {
 	nrows, ncols := len(r.Rows), 0
 	if nrows > 0 {

@@ -13,12 +13,13 @@ import (
 // admission, prepared cache, leased runner, simulation, base-station join —
 // is pinned in bytes: the daemon's common query is an answer of a few
 // rows, and nothing on its path may allocate by the thousand rows (a
-// 4096-row result slab alone was 64 KB a column). Measured: about 9.4 KB
+// 4096-row result slab alone was 64 KB a column). Measured: about 6.7 KB
 // (the round carves what it sends from the runner's round arenas and
 // fills its plan into the runner's node slab, the plan's shape comes
 // with the cached Prepared, the client reuses a finished stream's
-// channel), 12 KB under the race detector; the ceiling is the latter
-// plus 15%.
+// channel, control frames are binary and the client decodes each once),
+// 8.5–8.7 KB under the race detector; the ceiling is the latter plus
+// 15%.
 func TestSmallQueryAllocBytes(t *testing.T) {
 	s, _ := startTestServer(t, Config{})
 	c, err := client.Dial(s.Addr().String())
@@ -51,8 +52,8 @@ func TestSmallQueryAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perQuery := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d bytes per query", perQuery)
-	if perQuery > 14<<10 {
-		t.Errorf("a small query allocates %d bytes, want under %d", perQuery, 14<<10)
+	if perQuery > 10<<10 {
+		t.Errorf("a small query allocates %d bytes, want under %d", perQuery, 10<<10)
 	}
 }
 

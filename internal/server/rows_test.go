@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"net"
 	"testing"
@@ -104,8 +106,8 @@ func TestServerEncodeFailureSparesSession(t *testing.T) {
 	}
 	s.mu.Unlock()
 
-	// JSON has no NaN, so this EpochEnd cannot be encoded.
-	if !ss.send(proto.KindEpochEnd, proto.EpochEnd{ID: 7, Time: math.NaN()}) {
+	// A ragged chunk has no Rows layout, so it cannot be encoded.
+	if !ss.send(proto.KindRows, proto.RowsOf[core.Row]{ID: 7, Rows: []core.Row{{1, 2}, {3}}}) {
 		t.Fatal("send refused")
 	}
 	kind, payload, err := proto.ReadFrame(conn)
@@ -128,8 +130,11 @@ func TestServerEncodeFailureSparesSession(t *testing.T) {
 	}
 }
 
-// A version-1 client (JSON Rows) is refused at the handshake.
-func TestServerRefusesVersion1(t *testing.T) {
+// refusedAtHello sends one Hello frame of the given payload and checks
+// that the server answers with a session-level proto Error and closes
+// the connection.
+func refusedAtHello(t *testing.T, payload []byte) {
+	t.Helper()
 	s, _ := startTestServer(t, Config{})
 	conn, err := net.Dial("tcp", s.Addr().String())
 	if err != nil {
@@ -137,15 +142,31 @@ func TestServerRefusesVersion1(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := proto.WriteFrame(conn, proto.KindHello, proto.Hello{Version: 1}); err != nil {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(1+len(payload)))
+	if _, err := conn.Write(append(append(frame, proto.KindHello), payload...)); err != nil {
 		t.Fatal(err)
 	}
-	kind, payload, err := proto.ReadFrame(conn)
+	kind, reply, err := proto.ReadFrame(conn)
 	var e proto.Error
-	if err != nil || kind != proto.KindError || proto.Decode(payload, &e) != nil || e.ID != 0 || e.Code != proto.CodeProto {
+	if err != nil || kind != proto.KindError || proto.Decode(reply, &e) != nil || e.ID != 0 || e.Code != proto.CodeProto {
 		t.Fatalf("got kind %d, %+v, err %v; want a session-level Error{Code: proto}", kind, e, err)
 	}
 	if _, _, err := proto.ReadFrame(conn); err == nil {
 		t.Error("the server kept the connection open after refusing the version")
 	}
+}
+
+// A Hello that states version 1 (JSON Rows) is refused at the handshake.
+func TestServerRefusesVersion1(t *testing.T) {
+	var buf bytes.Buffer
+	if err := proto.WriteFrame(&buf, proto.KindHello, proto.Hello{Version: 1}); err != nil {
+		t.Fatal(err)
+	}
+	refusedAtHello(t, buf.Bytes()[5:])
+}
+
+// A version-2 client sends its Hello as JSON, which no version-3
+// layout reads: it is refused at the handshake too, with no fallback.
+func TestServerRefusesVersion2(t *testing.T) {
+	refusedAtHello(t, []byte(`{"Version":2}`))
 }

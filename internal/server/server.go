@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -518,7 +519,7 @@ func (ss *session) readLoop() {
 	defer ss.s.sessWG.Done()
 	defer ss.teardown()
 	// One body for the connection's frames: each payload is decoded
-	// (JSON copies what it keeps) before the next is read over it.
+	// (the decoder copies what it keeps) before the next is read over it.
 	fr := proto.NewFrameReader(bufio.NewReader(ss.conn))
 
 	ss.conn.SetReadDeadline(time.Now().Add(30 * time.Second))
@@ -528,7 +529,8 @@ func (ss *session) readLoop() {
 	}
 	var hello proto.Hello
 	if kind != proto.KindHello || proto.Decode(payload, &hello) != nil {
-		ss.violation(0, "expected Hello")
+		// An older client's Hello is JSON, which the layout refuses.
+		ss.violation(0, fmt.Sprintf("expected a protocol version %d Hello", proto.Version))
 		return
 	}
 	if hello.Version != proto.Version {
@@ -679,6 +681,11 @@ func (s *Server) runQuery(ss *session, q proto.Query, rq *runningQuery) {
 	}
 	if method != "sens" && method != "external" {
 		ss.sendErr(q.ID, proto.CodeParse, fmt.Sprintf("unknown method %q (want sens or external)", method))
+		return
+	}
+	if math.IsNaN(q.At) || math.IsInf(q.At, 0) {
+		// The wire carries any float; a snapshot time must be a time.
+		ss.sendErr(q.ID, proto.CodeParse, fmt.Sprintf("snapshot time %v is not finite", q.At))
 		return
 	}
 	pl, err := s.poolFor(q.Nodes, q.Seed)

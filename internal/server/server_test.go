@@ -286,6 +286,39 @@ func TestServerReportsGridErrorAtPrepare(t *testing.T) {
 	}
 }
 
+// A query naming an attribute its relation does not define, and a
+// query at a snapshot time that is no time, are refused with a parse
+// Error frame, and the session goes on serving.
+func TestServerRefusesUnboundQueries(t *testing.T) {
+	s, _ := startTestServer(t, Config{})
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const undefined = `SELECT A.a0, B.zz FROM Sensors A, Sensors B WHERE A.temp > B.temp ONCE`
+	cases := []struct {
+		src  string
+		at   float64
+		want string
+	}{
+		{undefined, 0, `relation: Sensors has no attribute "a0"`},
+		{testQueries[0], math.NaN(), "not finite"},
+		{testQueries[0], math.Inf(1), "not finite"},
+		{testQueries[0], math.Inf(-1), "not finite"},
+	}
+	for _, tc := range cases {
+		_, err := c.QueryOpts(tc.src, client.Options{At: tc.at})
+		var se *client.ServerError
+		if !errors.As(err, &se) || se.Code != proto.CodeParse || !strings.Contains(se.Msg, tc.want) {
+			t.Errorf("%q at %v: %v, want a %q Error frame saying %q", tc.src, tc.at, err, proto.CodeParse, tc.want)
+		}
+	}
+	if _, err := c.Query(testQueries[0]); err != nil {
+		t.Fatalf("the session after the refused queries: %v", err)
+	}
+}
+
 // Compatible continuous queries submitted within one batch window must
 // share execution and still each get their own correct table stream.
 func TestServerSharedContinuous(t *testing.T) {

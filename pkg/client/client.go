@@ -29,7 +29,6 @@ package client
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
@@ -151,15 +150,17 @@ func (e *TimeoutError) Error() string {
 // Timeout reports true; the error is a deadline expiry.
 func (e *TimeoutError) Timeout() bool { return true }
 
-// frame is what the read loop hands a stream. The loop reads every
-// frame into the connection's one body, so nothing in a frame may alias
-// it: a Rows chunk arrives decoded (or with the error that stopped its
-// decoding), every other kind as a copy of its JSON payload.
+// frame is what the read loop hands a stream: one server frame,
+// decoded once, into the field of its kind (or with the error that
+// stopped its decoding). The loop reads every frame into the
+// connection's one body, and nothing decoded aliases it.
 type frame struct {
-	kind    byte
-	payload []byte
-	chunk   proto.Rows
-	err     error
+	kind   byte
+	err    error
+	header proto.Header
+	chunk  proto.Rows
+	end    proto.EpochEnd
+	fail   proto.Error
 }
 
 // wire is one live connection: its demux table and terminal error are
@@ -169,6 +170,9 @@ type frame struct {
 type wire struct {
 	conn net.Conn
 	wmu  sync.Mutex // serializes WriteFrame
+	// query is the Query being written, under wmu: handed to WriteFrame
+	// by pointer, it costs no boxing per submission.
+	query proto.Query
 
 	mu    sync.Mutex
 	calls map[int64]chan frame
@@ -328,8 +332,13 @@ func connect(addr string, timeout time.Duration) (*wire, proto.HelloOK, error) {
 		}
 	case proto.KindError:
 		var e proto.Error
-		proto.Decode(payload, &e)
+		err := proto.Decode(payload, &e)
 		conn.Close()
+		if err != nil {
+			// A server of another protocol version answers in a layout
+			// this client cannot read.
+			return nil, hello, fmt.Errorf("client: handshake refused with an unreadable Error frame: %w", err)
+		}
 		return nil, hello, &ServerError{Code: e.Code, Msg: e.Msg}
 	default:
 		conn.Close()
@@ -351,7 +360,7 @@ func (c *Client) Close() error {
 	// first recorded error is the one callers see.
 	w.fail(io.ErrClosedPipe)
 	w.wmu.Lock()
-	proto.WriteFrame(w.conn, proto.KindBye, struct{}{})
+	proto.WriteFrame(w.conn, proto.KindBye, proto.Bye{})
 	w.wmu.Unlock()
 	return w.conn.Close()
 }
@@ -406,7 +415,7 @@ func backoff(base, max time.Duration, attempt int) time.Duration {
 }
 
 // readLoop demultiplexes one connection's server frames to their
-// query's channel.
+// query's channel, decoding each routed frame once.
 func (c *Client) readLoop(w *wire) {
 	fr := proto.NewFrameReader(bufio.NewReader(w.conn))
 	for {
@@ -415,16 +424,25 @@ func (c *Client) readLoop(w *wire) {
 			w.fail(err)
 			return
 		}
-		id, err := proto.PeekID(kind, payload)
-		if err != nil || id == 0 {
+		var id int64
+		switch kind {
+		case proto.KindHeader, proto.KindRows, proto.KindEpochEnd, proto.KindDone, proto.KindError:
+			id, err = proto.PeekID(kind, payload)
+		default:
+			err = fmt.Errorf("client: unexpected frame kind %d", kind)
+		}
+		if err == nil && id == 0 {
 			// A session-level error (ID 0) poisons the connection.
+			err = fmt.Errorf("client: unroutable frame kind %d", kind)
 			if kind == proto.KindError {
 				var e proto.Error
-				proto.Decode(payload, &e)
-				w.fail(&ServerError{Code: e.Code, Msg: e.Msg})
-			} else {
-				w.fail(fmt.Errorf("client: unroutable frame kind %d", kind))
+				if err = proto.Decode(payload, &e); err == nil {
+					err = &ServerError{Code: e.Code, Msg: e.Msg}
+				}
 			}
+		}
+		if err != nil {
+			w.fail(err)
 			return
 		}
 		w.mu.Lock()
@@ -434,11 +452,19 @@ func (c *Client) readLoop(w *wire) {
 			continue // canceled and forgotten
 		}
 		f := frame{kind: kind}
-		if kind == proto.KindRows {
+		switch kind {
+		case proto.KindHeader:
+			f.err = proto.Decode(payload, &f.header)
+		case proto.KindRows:
 			f.chunk.Rows = w.chunkHeaders() // Decode reuses it when large enough
 			f.err = proto.Decode(payload, &f.chunk)
-		} else {
-			f.payload = bytes.Clone(payload)
+		case proto.KindEpochEnd:
+			f.err = proto.Decode(payload, &f.end)
+		case proto.KindDone:
+			var d proto.Done
+			f.err = proto.Decode(payload, &d)
+		case proto.KindError:
+			f.err = proto.Decode(payload, &f.fail)
 		}
 		ch <- f
 		if kind == proto.KindDone || kind == proto.KindError {
@@ -487,13 +513,13 @@ func (c *Client) Stream(src string, o Options) (*Stream, error) {
 	c.mu.Unlock()
 	ch := w.register(id)
 
-	q := proto.Query{
+	w.wmu.Lock()
+	w.query = proto.Query{
 		ID: id, Src: src, Method: o.Method, At: o.At,
 		Rounds: o.Rounds, Nodes: o.Nodes, Seed: o.Seed,
 		TraceID: o.TraceID,
 	}
-	w.wmu.Lock()
-	werr := proto.WriteFrame(w.conn, proto.KindQuery, q)
+	werr := proto.WriteFrame(w.conn, proto.KindQuery, &w.query)
 	w.wmu.Unlock()
 	if werr != nil {
 		w.mu.Lock()
@@ -512,7 +538,7 @@ func (c *Client) Stream(src string, o Options) (*Stream, error) {
 // stream's Next before it waits for it (and with it every other stream
 // of the connection: the bound on what an idle consumer makes the client
 // hold). 32 covers a whole epoch of the tables sensjoind is measured on,
-// 18 chunks of 512 rows and three JSON frames, so reading one never
+// 18 chunks of 512 rows and three control frames, so reading one never
 // stalls the loop.
 const streamBuffer = 32
 
@@ -587,16 +613,20 @@ func (s *Stream) Next() (*Table, error) {
 				return s.fail(&TimeoutError{After: s.timeout})
 			}
 		}
+		if f.err != nil {
+			if f.kind == proto.KindDone || f.kind == proto.KindError {
+				s.finish() // the query's last frame: nothing follows to drain
+				s.err = f.err
+				return nil, s.err
+			}
+			return s.fail(f.err)
+		}
 		switch f.kind {
 		case proto.KindHeader:
-			if err := proto.Decode(f.payload, &s.header); err != nil {
-				return s.fail(err)
-			}
+			s.header = f.header
 		case proto.KindRows:
 			r := f.chunk
 			switch {
-			case f.err != nil:
-				return s.fail(f.err)
 			case r.Epoch != s.epoch:
 				return s.fail(fmt.Errorf("client: Rows chunk of epoch %d while assembling epoch %d", r.Epoch, s.epoch))
 			case len(s.rows) > 0 && len(r.Rows) > 0 && len(r.Rows[0]) != len(s.rows[0]):
@@ -623,10 +653,7 @@ func (s *Stream) Next() (*Table, error) {
 				s.w.recycleChunk(r.Rows)
 			}
 		case proto.KindEpochEnd:
-			var e proto.EpochEnd
-			if err := proto.Decode(f.payload, &e); err != nil {
-				return s.fail(err)
-			}
+			e := &f.end
 			if e.Epoch != s.epoch || e.RowCount != len(s.rows) {
 				return s.fail(fmt.Errorf("client: EpochEnd of epoch %d states %d rows; epoch %d arrived with %d",
 					e.Epoch, e.RowCount, s.epoch, len(s.rows)))
@@ -651,9 +678,7 @@ func (s *Stream) Next() (*Table, error) {
 			s.finish()
 			return nil, io.EOF
 		case proto.KindError:
-			var e proto.Error
-			proto.Decode(f.payload, &e)
-			s.err = &ServerError{Code: e.Code, Msg: e.Msg}
+			s.err = &ServerError{Code: f.fail.Code, Msg: f.fail.Msg}
 			s.finish()
 			return nil, s.err
 		}

@@ -2,6 +2,7 @@ package client_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -325,5 +326,73 @@ func BenchmarkClientRoundTrip(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// A control frame whose payload does not match its layout fails its
+// query and nothing else. A malformed Header ends the stream with the
+// decode error and cancels the query; a malformed terminal frame (Error
+// here) still ends it, with nothing left to drain.
+func TestStreamRejectsMalformedControlFrames(t *testing.T) {
+	raw := func(conn net.Conn, kind byte, payload []byte) {
+		frame := binary.BigEndian.AppendUint32(nil, uint32(1+len(payload)))
+		conn.Write(append(append(frame, kind), payload...))
+	}
+	canceled := make(chan int64, 1)
+	fs := newFakeServer(t, func(conn net.Conn) {
+		q, err := readQuery(conn)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		proto.WriteFrame(&buf, proto.KindHeader, proto.Header{ID: q.ID, Columns: []string{"v"}})
+		header := buf.Bytes()[5:]
+		header[len(header)-1] = 2 // Sampled: neither 0 nor 1
+		raw(conn, proto.KindHeader, header)
+		for {
+			kind, payload, err := proto.ReadFrame(conn)
+			if err != nil {
+				return
+			}
+			if kind == proto.KindCancel {
+				var c proto.Cancel
+				proto.Decode(payload, &c)
+				canceled <- c.ID
+				break
+			}
+		}
+		proto.WriteFrame(conn, proto.KindDone, proto.Done{ID: q.ID})
+
+		if q, err = readQuery(conn); err != nil {
+			return
+		}
+		raw(conn, proto.KindError, binary.BigEndian.AppendUint64(nil, uint64(q.ID))) // no Code, no Msg
+		serveQueries(conn)
+	})
+	c, err := client.Dial(fs.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, name := range []string{"malformed Header", "malformed Error"} {
+		st, err := c.Stream(`SELECT ...`, client.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = st.Next()
+		var se *client.ServerError
+		if err == nil || err == io.EOF || errors.As(err, &se) {
+			t.Fatalf("%s: Next returned %v, want the decode error", name, err)
+		}
+		if name == "malformed Header" {
+			select {
+			case <-canceled:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s: the server never saw a Cancel for the failed query", name)
+			}
+		}
+	}
+	if tb, err := c.Query(`SELECT ...`); err != nil || len(tb.Rows) != 1 {
+		t.Fatalf("query after the malformed frames: %v, %v", tb, err)
 	}
 }

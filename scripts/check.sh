@@ -48,6 +48,14 @@ if [ -n "$pernode" ]; then
   echo "$pernode" >&2
   exit 1
 fi
+# Every frame of the daemon's protocol has a binary layout: the codec
+# does not import encoding/json.
+jsonproto=$(grep -rn '"encoding/json"' --include='*.go' --exclude='*_test.go' internal/proto || true)
+if [ -n "$jsonproto" ]; then
+  echo "internal/proto imports encoding/json; every frame has a binary layout:" >&2
+  echo "$jsonproto" >&2
+  exit 1
+fi
 # Node work goes through Sim.ScheduleNode(s); a plain Sim.Schedule is a
 # coordinator event (every region stopped), which only netsim's fault
 # injection schedules.
@@ -204,11 +212,13 @@ go test -count 200 ./internal/server ./pkg/client
 # body its connection's FrameReader reuses: more interleavings than the
 # single -race run above gives.
 go test -race -count 3 ./internal/proto ./pkg/client
-# Wire-codec fuzz smoke: 5 s per target on the frame reader and the
-# Rows decoder (never panic, never allocate beyond what the bytes that
-# arrived account for, encode and decode are exact inverses).
+# Wire-codec fuzz smoke: 5 s per target on the frame reader, the Rows
+# decoder and the control decoders (never panic, never allocate beyond
+# what the bytes that arrived account for, encode and decode are exact
+# inverses).
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 5s ./internal/proto
 go test -run '^$' -fuzz '^FuzzDecodeRows$' -fuzztime 5s ./internal/proto
+go test -run '^$' -fuzz '^FuzzDecodeControl$' -fuzztime 5s ./internal/proto
 # Query parser fuzz smoke: Parse, Analyze and Fingerprint never panic,
 # and a parsed WHERE prints to text that re-parses to the same
 # canonical predicate.
