@@ -60,7 +60,7 @@ func cellJoin(p *plan, keys []zorder.Key) []zorder.Key {
 	benv := s.boundsEnv(p, assign)
 	nd := len(p.grid.Dims)
 
-	order := planJoin(n, s.lens[:n], x.prog.shape, x.prog.condRels).order
+	order := planJoin(&x.run().kernel.plan, n, s.lens[:n], x.prog.shape, x.prog.condRels).order
 	probes := s.fillProbes(p, order)
 
 	var recurse func(pos int)

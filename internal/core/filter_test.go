@@ -205,7 +205,8 @@ func TestFilterShapesEqualReference(t *testing.T) {
 }
 
 // The differential: random two- and three-way joins (randomJoin, the
-// fuzz tests' generator) over seeds and network sizes.
+// fuzz tests' generator) over seeds and network sizes. Each runner's
+// cases are a parallel subtest.
 func TestFilterMatchesReference(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -213,11 +214,14 @@ func TestFilterMatchesReference(t *testing.T) {
 	}
 	for _, nodes := range []int{150, 400} {
 		for seed := 0; seed < seeds; seed++ {
-			r := testRunner(t, nodes, int64(900+seed))
-			for _, ways := range []int{2, 3} {
-				rng := rand.New(rand.NewSource(int64(7000 + 10*seed + ways)))
-				sameFilter(t, r, randomJoin(rng, ways, 1))
-			}
+			t.Run(fmt.Sprintf("n%d/seed%d", nodes, seed), func(t *testing.T) {
+				t.Parallel()
+				r := testRunner(t, nodes, int64(900+seed))
+				for _, ways := range []int{2, 3} {
+					rng := rand.New(rand.NewSource(int64(7000 + 10*seed + ways)))
+					sameFilter(t, r, randomJoin(rng, ways, 1))
+				}
+			})
 		}
 	}
 }
@@ -347,9 +351,10 @@ func filterSQL(from, where string) string {
 }
 
 // The filter runs once per round at the base station; every shape stays
-// on pooled scratch. The bound is far above the steady-state count (tens
-// of allocations, mostly the plan) and far below one per candidate, so
-// a reintroduced per-candidate allocation trips it immediately.
+// on pooled scratch. The bound is far above the steady-state count (one
+// or two allocations; the plan is filled into the kernel scratch) and far
+// below one per candidate, so a reintroduced per-candidate allocation
+// trips it immediately.
 func TestComputeFilterAllocs(t *testing.T) {
 	r := testRunner(t, 400, 3)
 	for _, sh := range filterShapes {

@@ -121,3 +121,35 @@ func TestBuildFilterMsgDeltaMatchesDiffKeys(t *testing.T) {
 		t.Fatal("the arena kept no storage for the next round")
 	}
 }
+
+// An arena sized by the largest demand of its window does not reallocate
+// while rounds alternate between a small and a large demand more than
+// four times apart — the last round's demand alone would remake it every
+// other round — and once the large rounds stop it shrinks within two
+// spans, to at most four times what the window still asks for.
+func TestArenaKeepsTheWindowPeak(t *testing.T) {
+	var b bump[zorder.Key]
+	round := func(n int) {
+		b.open()
+		b.take(n)
+		b.close(false)
+	}
+	for i := 0; i < 4*arenaSpan; i++ {
+		round(10 + 990*(i%2))
+	}
+	warm := &b.buf[0]
+	for i := 0; i < 8*arenaSpan; i++ {
+		round(10 + 990*(i%3/2))
+		if &b.buf[0] != warm {
+			t.Fatalf("round %d of alternating demands reallocated the arena", i)
+		}
+	}
+	for i := 0; i < 2*arenaSpan+1; i++ {
+		round(10)
+	}
+	b.open()
+	if len(b.buf) > 4*10 {
+		t.Errorf("after %d rounds of demand 10 the arena holds %d, want at most 40", 2*arenaSpan+1, len(b.buf))
+	}
+	b.close(false)
+}

@@ -115,6 +115,18 @@ func (p joinPlan) info() joinPlanInfo {
 	return in
 }
 
+// planStore is the storage a join plan is filled into, grow-only and
+// kept in the kernel scratch: the plan planJoin or scanPlan returns is
+// valid until the next plan on the same store.
+type planStore struct {
+	order   []levelPlan
+	chosen  []bool
+	posOf   []int // per FROM index: its position in order
+	at      []int // per conjunct: the position it is evaluated at
+	conds   []int // every position's conds, one after the other
+	strides []uint64
+}
+
 // planJoin decides join order and per-level access paths for both of
 // the base station's joins: the exact join over tuples (joinKernel) and
 // the filter join over cells (cellJoin). lens holds the candidate count
@@ -124,14 +136,16 @@ func (p joinPlan) info() joinPlanInfo {
 // level reachable through an equality (assumed most selective), then a
 // band, then the smallest remaining relation; all ties break toward the
 // lower FROM index. Ranks are the exact join's concern: the plan leaves
-// strides unset.
-func planJoin(n int, lens []int, shape query.JoinShape, condRels [][]int) joinPlan {
+// strides unset. The plan is filled into ps.
+func planJoin(ps *planStore, n int, lens []int, shape query.JoinShape, condRels [][]int) joinPlan {
 	if !shape.Indexable() || n < 2 {
-		return scanPlan(n, condRels)
+		return scanPlan(ps, n, condRels)
 	}
 
-	chosen := make([]bool, n)
-	order := make([]levelPlan, 0, n)
+	chosen := sized(ps.chosen, n)
+	clear(chosen)
+	ps.chosen = chosen
+	order := sized(ps.order, n)[:0]
 	// Start level: smallest relation (scan — nothing is bound yet).
 	start := 0
 	for i := 1; i < n; i++ {
@@ -156,28 +170,31 @@ func planJoin(n int, lens []int, shape query.JoinShape, condRels [][]int) joinPl
 		order = append(order, best)
 		chosen[best.level] = true
 	}
+	ps.order = order
 
 	plan := joinPlan{order: order}
-	assignConds(plan.order, condRels)
+	ps.assignConds(condRels)
 	plan.stream = pureScan(plan.order)
 	return plan
 }
 
 // scanPlan is the seed-equivalent fallback: original level order, scans
-// everywhere, rows streamed in enumeration order.
-func scanPlan(n int, condRels [][]int) joinPlan {
-	plan := joinPlan{order: make([]levelPlan, n), stream: true}
-	for i := range plan.order {
-		plan.order[i] = levelPlan{level: i, path: pathScan}
+// everywhere, rows streamed in enumeration order. The plan is filled
+// into ps.
+func scanPlan(ps *planStore, n int, condRels [][]int) joinPlan {
+	ps.order = sized(ps.order, n)
+	for i := range ps.order {
+		ps.order[i] = levelPlan{level: i, path: pathScan}
 	}
-	assignConds(plan.order, condRels)
-	return plan
+	ps.assignConds(condRels)
+	return joinPlan{order: ps.order, stream: true}
 }
 
-// rankStrides computes the lexicographic rank weights, refusing (ok
-// false) when the cross-product size would overflow rank arithmetic.
-func rankStrides(n int, lens []int) ([]uint64, bool) {
-	strides := make([]uint64, n)
+// rankStrides computes the lexicographic rank weights into ps, refusing
+// (ok false) when the cross-product size would overflow rank arithmetic.
+func (ps *planStore) rankStrides(n int, lens []int) ([]uint64, bool) {
+	ps.strides = sized(ps.strides, n)
+	strides := ps.strides
 	total := uint64(1)
 	for i := n - 1; i >= 0; i-- {
 		strides[i] = total
@@ -242,23 +259,35 @@ func betterAccess(a, b levelPlan, lens []int) bool {
 	return a.level < b.level
 }
 
-// assignConds attaches each conjunct to the first position where all its
-// relations are bound (identical pruning to the seed's max-rel rule when
-// the order is the identity).
-func assignConds(order []levelPlan, condRels [][]int) {
-	posOf := make(map[int]int, len(order))
+// assignConds attaches each conjunct to the first position of ps.order
+// where all its relations are bound (identical pruning to the seed's
+// max-rel rule when the order is the identity). Each position's list is
+// a capped slice of ps.conds, in conjunct order.
+func (ps *planStore) assignConds(condRels [][]int) {
+	order := ps.order
+	ps.posOf = sized(ps.posOf, len(order))
 	for pos, lp := range order {
-		posOf[lp.level] = pos
+		ps.posOf[lp.level] = pos
 	}
+	ps.at = sized(ps.at, len(condRels))
 	for ci, rels := range condRels {
 		at := 0
 		for _, r := range rels {
-			if p := posOf[r]; p > at {
-				at = p
+			at = max(at, ps.posOf[r])
+		}
+		ps.at[ci] = at
+	}
+	conds := sized(ps.conds, len(condRels))[:0]
+	for pos := range order {
+		from := len(conds)
+		for ci, at := range ps.at {
+			if at == pos {
+				conds = append(conds, ci)
 			}
 		}
-		order[at].conds = append(order[at].conds, ci)
+		order[pos].conds = conds[from:len(conds):len(conds)]
 	}
+	ps.conds = conds
 }
 
 func pureScan(order []levelPlan) bool {
@@ -359,6 +388,7 @@ type kernelScratch struct {
 	ranks   []uint64
 	nodes   []uint64 // node bitset, all zero between calls
 	contrib []topology.NodeID
+	plan    planStore // the exact join's plan, and the cell join's
 }
 
 // sized returns s with length n, reusing its storage when that is large
@@ -445,12 +475,12 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, *res
 
 	// An indexed plan replays its matches by rank, so it needs rank
 	// arithmetic that cannot overflow; otherwise the scan order streams.
-	strides, ok := rankStrides(n, lens)
+	strides, ok := sc.plan.rankStrides(n, lens)
 	var plan joinPlan
 	if ok {
-		plan = planJoin(n, lens, prog.shape, condRels)
+		plan = planJoin(&sc.plan, n, lens, prog.shape, condRels)
 	} else {
-		plan = scanPlan(n, condRels)
+		plan = scanPlan(&sc.plan, n, condRels)
 	}
 	plan.strides = strides
 	if joinPlanHook != nil {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -576,4 +577,33 @@ func BenchmarkExactJoinReference(b *testing.B) {
 	b.Run("band-1500", func(b *testing.B) { benchmarkJoin(b, qBenchBand, 1500, exactJoinReference) })
 	b.Run("equi-1500", func(b *testing.B) { benchmarkJoin(b, qBenchEqui, 1500, exactJoinReference) })
 	b.Run("band-400", func(b *testing.B) { benchmarkJoin(b, qBenchBand, 400, exactJoinReference) })
+}
+
+// A plan is filled into a plan store: on a warm store a two-way plan —
+// its order, bound set, positions, conjunct lists and rank strides —
+// allocates nothing, and it is the plan a fresh store gets.
+func TestPlanJoinWarmAllocs(t *testing.T) {
+	x := kernelExec(t, "SELECT A.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 3 AND A.hum < B.hum AND B.pres > 1000 ONCE")
+	lens := []int{40, 30}
+	plan := func(ps *planStore) joinPlan {
+		if _, ok := ps.rankStrides(2, lens); !ok {
+			t.Fatal("rank strides overflow two small levels")
+		}
+		return planJoin(ps, 2, lens, x.prog.shape, x.prog.condRels)
+	}
+	var warm planStore
+	plan(&warm)
+	if allocs := testing.AllocsPerRun(100, func() { plan(&warm) }); allocs != 0 {
+		t.Errorf("a warm two-way plan allocates %.0f times, want 0", allocs)
+	}
+	got, want := plan(&warm), plan(new(planStore))
+	if got.order[1].path != pathBand {
+		t.Fatalf("fixture drifted: second level is a %v, want band", got.order[1].path)
+	}
+	for pos := range want.order {
+		g, w := got.order[pos], want.order[pos]
+		if g.level != w.level || g.path != w.path || !slices.Equal(g.conds, w.conds) {
+			t.Errorf("position %d: warm store plans %+v, a fresh one %+v", pos, g, w)
+		}
+	}
 }

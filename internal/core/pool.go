@@ -1,5 +1,7 @@
 package core
 
+import "sensjoin/internal/metrics"
+
 // RunnerPool hands out the runners of one deployment. A Runner executes
 // one query at a time, so concurrent executions each lease one; a runner
 // that comes back is reset and kept, and the next lease starts on warm
@@ -16,6 +18,9 @@ package core
 type RunnerPool struct {
 	cfg  SetupConfig
 	free chan *Runner
+	// built counts the runners Get built because none was idle; nil
+	// counts nothing (CountBuilt).
+	built *metrics.Counter
 }
 
 // NewRunnerPool returns a pool that keeps at most capacity idle runners
@@ -31,14 +36,20 @@ func NewRunnerPool(cfg SetupConfig, capacity int) (*RunnerPool, error) {
 	return p, nil
 }
 
+// CountBuilt makes c count the runners Get builds because none is idle,
+// so runner churn — a lease that starts on cold storage — shows without
+// a profiler. Call it before the pool is shared.
+func (p *RunnerPool) CountBuilt(c *metrics.Counter) { p.built = c }
+
 // Get leases a runner: an idle one if there is one, a new one otherwise
-// (cheap, since the deployment comes from the shared cache). The two are
-// indistinguishable to the caller.
+// (cheap, since the deployment comes from the shared cache, but its
+// storage starts empty). The two are indistinguishable to the caller.
 func (p *RunnerPool) Get() (*Runner, error) {
 	select {
 	case r := <-p.free:
 		return r, nil
 	default:
+		p.built.Inc()
 		return NewRunner(p.cfg)
 	}
 }

@@ -88,11 +88,11 @@ func giveBack[T any](x *Exec, slab *[]T, s []T) {
 }
 
 // roundArena is one region's storage for a SENS-Join round: typed bump
-// storage for what the round carves per hop. Its capacity is the previous
-// round's demand, so a warm runner's round carves everything without
-// allocating; a carve that does not fit is made on the heap and raises
-// the next round's size, and a fresh runner's first round allocates as if
-// there were no arena.
+// storage for what the round carves per hop. Its capacity is the largest
+// demand of the recent rounds (bump.open), so a warm runner's round
+// carves everything without allocating; a carve that does not fit is
+// made on the heap and raises the next round's size, and a fresh
+// runner's first round allocates as if there were no arena.
 type roundArena struct {
 	keys     bump[zorder.Key]
 	tuples   bump[finalTuple]
@@ -108,7 +108,15 @@ type bump[T any] struct {
 	buf    []T // len(buf) == cap(buf): the round's storage
 	used   int
 	demand int // what this round asked for, carved or made
+	// peak and prev are the largest demands of the current span of
+	// arenaSpan rounds and of the one before it; rounds counts the
+	// current span's.
+	peak, prev, rounds int
 }
+
+// arenaSpan is the length, in rounds, of the spans whose largest demands
+// size an arena: its window is the last arenaSpan to 2·arenaSpan rounds.
+const arenaSpan = 8
 
 // take carves an empty slice of capacity n. An append past n moves the
 // slice to the heap, never into a neighbour's storage.
@@ -159,12 +167,22 @@ func (b *bump[T]) keep(s []T) []T {
 	return s
 }
 
-// open sizes the storage for a round from the last round's demand. It
-// grows to the demand and shrinks only when the demand fell below a
-// quarter, so rounds of alternating size do not reallocate.
+// open sizes the storage for a round from the recent rounds' demand.
+// Let hi be the largest demand of the window (the last arenaSpan to
+// 2·arenaSpan rounds, the last one included). The storage is made at hi
+// when the last round did not fit in it, or when it holds more than four
+// times hi; otherwise it stays. So traffic that mixes shapes of very
+// different size reallocates only when no round of the window came
+// within a quarter of the storage, and a runner never keeps more than
+// four times what its largest recent round asked for.
 func (b *bump[T]) open() {
-	if len(b.buf) < b.demand || len(b.buf) > 4*b.demand {
-		b.buf = make([]T, b.demand)
+	b.peak = max(b.peak, b.demand)
+	hi := max(b.peak, b.prev)
+	if len(b.buf) < b.demand || len(b.buf) > 4*hi {
+		b.buf = make([]T, hi)
+	}
+	if b.rounds++; b.rounds == arenaSpan {
+		b.prev, b.peak, b.rounds = b.peak, 0, 0
 	}
 	b.used, b.demand = 0, 0
 }

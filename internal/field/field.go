@@ -162,10 +162,25 @@ func (f *Field) at(terms []bumpTerm, p geom.Point, t float64) float64 {
 	return v
 }
 
+// wrapWidths is how many area widths outside the area wrap still walks
+// back one width at a time. A centre further out is first brought within
+// a width of the area with math.Mod: the walk would take a step per width,
+// and past 2^53 widths a step no longer changes the value at all.
+const wrapWidths = 1 << 10
+
+// wrap brings v back into [lo, hi] by whole widths hi - lo. Within
+// wrapWidths widths of the area it walks one width a step, so the field
+// values a run reads keep the bits of that walk; it ends in a bounded
+// number of steps for every input, and a non-finite one comes back NaN.
 func wrap(v, lo, hi float64) float64 {
 	w := hi - lo
 	if w <= 0 {
 		return v
+	}
+	if v < lo-wrapWidths*w || v > hi+wrapWidths*w {
+		if v = lo + math.Mod(v-lo, w); v < lo {
+			v += w
+		}
 	}
 	for v < lo {
 		v += w

@@ -1,8 +1,11 @@
 package field
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
+	"time"
 
 	"sensjoin/internal/geom"
 )
@@ -185,6 +188,79 @@ func TestWrap(t *testing.T) {
 	}
 	if v := wrap(7, 5, 5); v != 7 {
 		t.Fatalf("wrap with empty range = %g, want unchanged 7", v)
+	}
+	// Far outside the area, where a walk of one width a step takes hours
+	// or, past 2^53 widths, never ends, and for non-finite input.
+	for _, v := range []float64{1e15, -1e15, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64} {
+		if got := wrap(v, 0, 1050); !(got >= 0 && got <= 1050) {
+			t.Errorf("wrap(%v, 0, 1050) = %v, want a value in the area", v, got)
+		}
+	}
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if got := wrap(v, 0, 1050); !math.IsNaN(got) {
+			t.Errorf("wrap(%v, 0, 1050) = %v, want NaN", v, got)
+		}
+	}
+}
+
+// walkWrap is the reference walk: one width per step, however far out v
+// is.
+func walkWrap(v, lo, hi float64) float64 {
+	w := hi - lo
+	if w <= 0 {
+		return v
+	}
+	for v < lo {
+		v += w
+	}
+	for v > hi {
+		v -= w
+	}
+	return v
+}
+
+// Within wrapWidths widths of the area, wrap is the walk bit for bit, so
+// every field reading at the times a run reaches keeps its value.
+func TestWrapKeepsTheWalksBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, area := range []geom.Rect{testArea(), {MinX: -37.5, MinY: 12.25, MaxX: 1012.5, MaxY: 13.5}} {
+		for _, span := range [][2]float64{{area.MinX, area.MaxX}, {area.MinY, area.MaxY}} {
+			lo, hi := span[0], span[1]
+			w := hi - lo
+			for i := 0; i < 20000; i++ {
+				v := lo + (2*rng.Float64()-1)*wrapWidths*w
+				if got, want := wrap(v, lo, hi), walkWrap(v, lo, hi); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("wrap(%v, %v, %v) = %v, the walk gives %v", v, lo, hi, got, want)
+				}
+			}
+		}
+	}
+}
+
+// A drifting field answers at any finite time: its bump centres wrap
+// back into the area in bounded steps.
+func TestAtFarInTime(t *testing.T) {
+	e := StandardEnvironment(testArea(), 42)
+	p := geom.Point{X: 500, Y: 500}
+	done := make(chan error, 1)
+	go func() {
+		for _, at := range []float64{1e15, -1e15, 1e300, -1e300} {
+			for _, name := range []string{"temp", "hum", "pres", "light"} {
+				if v := e.fields[name].At(p, at); math.IsNaN(v) || math.IsInf(v, 0) {
+					done <- fmt.Errorf("%s at t = %v is %v, want a reading", name, at, v)
+					return
+				}
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Field.At far in time did not return within 10 s")
 	}
 }
 

@@ -13,12 +13,14 @@ import (
 // admission, prepared cache, leased runner, simulation, base-station join —
 // is pinned in bytes: the daemon's common query is an answer of a few
 // rows, and nothing on its path may allocate by the thousand rows (a
-// 4096-row result slab alone was 64 KB a column). Measured: about 6.7 KB
-// (the round carves what it sends from the runner's round arenas and
-// fills its plan into the runner's node slab, the plan's shape comes
+// 4096-row result slab alone was 64 KB a column). Measured: about 6.1 KB
+// (the round carves what it sends from the runner's round arenas, sized
+// by the window's largest round so the four shapes' alternating demand
+// does not remake them, and fills its plan into the runner's node slab
+// and its join plans into the kernel scratch, the plan's shape comes
 // with the cached Prepared, the client reuses a finished stream's
 // channel, control frames are binary and the client decodes each once),
-// 8.5–8.7 KB under the race detector; the ceiling is the latter plus
+// 8.1–8.2 KB under the race detector; the ceiling is the latter plus
 // 15%.
 func TestSmallQueryAllocBytes(t *testing.T) {
 	s, _ := startTestServer(t, Config{})
@@ -52,8 +54,9 @@ func TestSmallQueryAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perQuery := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d bytes per query", perQuery)
-	if perQuery > 10<<10 {
-		t.Errorf("a small query allocates %d bytes, want under %d", perQuery, 10<<10)
+	const ceiling = 9450
+	if perQuery > ceiling {
+		t.Errorf("a small query allocates %d bytes, want under %d", perQuery, ceiling)
 	}
 }
 

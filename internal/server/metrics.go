@@ -24,6 +24,7 @@ type serverMetrics struct {
 	sharedQueries *metrics.Counter
 	sharedRounds  *metrics.Counter
 	tracedQueries *metrics.Counter
+	runnersBuilt  *metrics.Counter
 
 	// phaseSeconds holds one sensjoind_query_phase_seconds instrument
 	// per protocol phase label, created lazily for phases beyond the
@@ -54,6 +55,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		sharedQueries: reg.Counter("sensjoind_shared_queries_total", "continuous queries routed into shared (grouped) execution"),
 		sharedRounds:  reg.Counter("sensjoind_shared_rounds_total", "shared protocol rounds executed by query groups"),
 		tracedQueries: reg.Counter("sensjoind_traced_queries_total", "queries whose span tree was sampled into the flight recorder"),
+		runnersBuilt:  reg.Counter("sensjoind_runners_built_total", "runners a deployment's pool built because none was idle"),
 	}
 	// Pre-register the standard phase labels so the family is complete
 	// on the exposition before the first sampled query.

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"sensjoin/internal/core"
+	"sensjoin/internal/metrics"
 	"sensjoin/internal/relation"
 )
 
@@ -31,7 +32,7 @@ func (k poolKey) String() string { return fmt.Sprintf("%d/%d", k.nodes, k.seed) 
 // would let clients exhaust memory.
 const maxPools = 8
 
-func newPool(k poolKey, maxPacket, capacity int) (*pool, error) {
+func newPool(k poolKey, maxPacket, capacity int, built *metrics.Counter) (*pool, error) {
 	cfg := core.SetupConfig{Nodes: k.nodes, Seed: k.seed}
 	if maxPacket > 0 {
 		cfg.Radio.MaxPacket = maxPacket
@@ -40,6 +41,7 @@ func newPool(k poolKey, maxPacket, capacity int) (*pool, error) {
 	if err != nil {
 		return nil, err
 	}
+	runners.CountBuilt(built)
 	// The pool's first runner donates the catalog.
 	r, err := runners.Get()
 	if err != nil {
@@ -67,7 +69,7 @@ func (s *Server) poolFor(nodes int, seed int64) (*pool, error) {
 	if len(s.pools) >= maxPools {
 		return nil, fmt.Errorf("server: %d distinct deployments already simulated; not adding %v", len(s.pools), k)
 	}
-	p, err := newPool(k, s.cfg.MaxPacket, s.cfg.MaxConcurrent)
+	p, err := newPool(k, s.cfg.MaxPacket, s.cfg.MaxConcurrent, s.met.runnersBuilt)
 	if err != nil {
 		return nil, err
 	}

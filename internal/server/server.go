@@ -827,6 +827,9 @@ func (s *Server) execute(x *execution) {
 	if x.shared {
 		s.met.sharedQueries.Add(int64(len(x.members)))
 	}
+	if sampled {
+		s.met.tracedQueries.Add(int64(len(x.members)))
+	}
 	epochs, spans := s.runEpochs(x, tag, sampled)
 
 	var phases []PhaseLatency
@@ -867,29 +870,59 @@ func (s *Server) execute(x *execution) {
 // returns how many ran and, when sampled, the journal they wrote under
 // tag. An epoch runs while some member wants it; drain stops every
 // epoch but the first, so an admitted query always runs epoch 0.
+//
+// The runner is leased inside epoch 0's execution slot and handed back
+// inside the last epoch's, before the slot is released: a query queued
+// for a slot holds no runner, and the one that takes the slot next finds
+// its predecessor's runner idle. So one-shot executions never lease more
+// runners than there are slots, which is what the pool keeps, and a
+// closed loop with more queries outstanding than slots runs on warm
+// runners instead of building ones the pool then drops.
 func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace.Event) {
+	if !x.wanted(0) || !s.acquire(x) {
+		return 0, nil
+	}
 	r, err := x.pool.runners.Get()
 	if err != nil {
+		s.release()
 		x.fail(proto.CodeExec, err.Error())
 		return 0, nil
 	}
 	var tr *trace.Recorder
 	var mark int
 	if sampled {
-		s.met.tracedQueries.Add(int64(len(x.members)))
 		tr = r.EnableTrace()
 		tr.SetTag(tag)
 		mark = tr.Mark()
 	}
-	e, reusable := 0, true
-	for ; x.wanted(e) && (e == 0 || !s.isClosing()) && s.acquire(x); e++ {
+	var spans []trace.Event
+	// endLease reads the journal and, unless the runner may be
+	// mid-execution, puts it back. The recorder leaves with the runner's
+	// trace switched off, so nothing writes the journal it holds again.
+	endLease := func(reusable bool) {
+		if sampled {
+			spans = tr.JournalSince(mark).Events
+			r.DisableTrace()
+		}
+		if reusable {
+			x.pool.runners.Put(r)
+		}
+	}
+	for e := 0; ; e++ {
 		t := x.at + float64(e)*x.period
 		began := time.Now()
 		results, err, timedOut := bounded(s.cfg.QueryTimeout, func() ([]*core.Result, error) {
 			return x.round(r, t)
 		})
+		took := time.Since(began)
+		last := timedOut || err != nil || !x.wanted(e+1) || s.isClosing()
+		if last && !timedOut {
+			// An error may leave the runner mid-execution: it does not
+			// go back to the pool.
+			endLease(err == nil)
+		}
 		s.release()
-		s.met.querySeconds.Observe(time.Since(began).Seconds())
+		s.met.querySeconds.Observe(took.Seconds())
 		if x.shared {
 			s.met.sharedRounds.Inc()
 		}
@@ -902,8 +935,7 @@ func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace
 		}
 		if err != nil {
 			x.fail(proto.CodeExec, err.Error())
-			reusable = false // possibly mid-execution: not back to the pool
-			break
+			return e, spans
 		}
 		for k, m := range x.members {
 			if m.wants(e) {
@@ -912,18 +944,14 @@ func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace
 				results[k].Release()
 			}
 		}
+		if last {
+			return e + 1, spans
+		}
+		if !x.wanted(e+1) || s.isClosing() || !s.acquire(x) {
+			endLease(true)
+			return e + 1, spans
+		}
 	}
-	var spans []trace.Event
-	if sampled {
-		// The recorder leaves with the runner's trace switched off, so
-		// nothing writes the journal it holds again.
-		spans = tr.JournalSince(mark).Events
-		r.DisableTrace()
-	}
-	if reusable {
-		x.pool.runners.Put(r)
-	}
-	return e, spans
 }
 
 // bounded runs one epoch or shared round, bounded by timeout. On expiry

@@ -319,6 +319,26 @@ func TestServerRefusesUnboundQueries(t *testing.T) {
 	}
 }
 
+// A snapshot time far out — 1e15 s, where the fields' drifting bump
+// centres lie billions of area widths away — is a time: the query answers,
+// with the table the library computes at that time.
+func TestServerAnswersFarInTime(t *testing.T) {
+	s, _ := startTestServer(t, Config{})
+	c, err := client.Dial(s.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const at = 1e15
+	tb, err := c.QueryOpts(testQueries[0], client.Options{At: at})
+	if err != nil {
+		t.Fatalf("query at t = %g: %v", at, err)
+	}
+	if got, want := clientKey(tb), reference(t, testQueries[0], at); got != want {
+		t.Errorf("query at t = %g differs from the library's table:\n%s\nwant\n%s", at, got, want)
+	}
+}
+
 // Compatible continuous queries submitted within one batch window must
 // share execution and still each get their own correct table stream.
 func TestServerSharedContinuous(t *testing.T) {

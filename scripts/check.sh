@@ -95,7 +95,7 @@ go test -race ./...
 # Runner-pool race pass, repeated: concurrent leases of one pool, the
 # reset on return, the daemon's one-runner pool and the suite's leased
 # cells at 1, 2, 4 and 8 workers.
-go test -race -count 3 -run 'Pool|PlanShape|Reset|AllDeterministicAcrossParallelism|AllLeasesRunners' ./internal/core ./internal/netsim ./internal/server ./internal/bench
+go test -race -count 3 -run 'Pool|PlanShape|Reset|AllDeterministicAcrossParallelism|AllLeasesRunners|ClosedLoopKeepsRunnersWarm' ./internal/core ./internal/netsim ./internal/server ./internal/bench
 # Smoke the base station's join benchmarks and the neighbour build: one
 # iteration proves the exact join's indexed and reference paths, the
 # filter join's shapes (diff, abs, eq, sum, three-way, reference) and the
@@ -176,7 +176,7 @@ done
 /tmp/sensjoinctl -addr 127.0.0.1:39415 'SELECT MIN(distance(A.x, A.y, B.x, B.y)) FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6.0 ONCE' > /dev/null 2>&1 & C2=$!
 /tmp/sensjoinctl -addr 127.0.0.1:39415 -rounds 2 'SELECT A.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp SAMPLE PERIOD 30' > /dev/null 2>&1 & C3=$!
 wait $C1; wait $C2; wait $C3
-/tmp/sensjoin-promcheck -require sensjoind_sessions,sensjoind_sessions_total,sensjoind_queries_total,sensjoind_rejected_total,sensjoind_prepared_cache_hits_total,sensjoind_prepared_cache_misses_total,sensjoind_queue_depth,sensjoind_active_queries,sensjoind_query_seconds,sensjoind_shared_queries_total,sensjoind_shared_rounds_total,sensjoind_traced_queries_total,sensjoind_query_phase_seconds http://127.0.0.1:39416/metrics
+/tmp/sensjoin-promcheck -require sensjoind_sessions,sensjoind_sessions_total,sensjoind_queries_total,sensjoind_rejected_total,sensjoind_prepared_cache_hits_total,sensjoind_prepared_cache_misses_total,sensjoind_queue_depth,sensjoind_active_queries,sensjoind_query_seconds,sensjoind_shared_queries_total,sensjoind_shared_rounds_total,sensjoind_traced_queries_total,sensjoind_runners_built_total,sensjoind_query_phase_seconds http://127.0.0.1:39416/metrics
 /tmp/sensjoin-promcheck -raw -contains '"TraceID": "ci-smoke-1"' http://127.0.0.1:39416/debug/queries
 /tmp/sensjoin-promcheck -raw -contains '"ev"' 'http://127.0.0.1:39416/debug/queries?trace=ci-smoke-1'
 kill -TERM $SJD_PID
