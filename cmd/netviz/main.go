@@ -106,7 +106,7 @@ func emitTimeline(r *core.Runner) {
 	const src = `SELECT A.hum, B.hum FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 6 ONCE`
 	rec := r.EnableTrace()
-	if _, err := r.Run(src, core.NewSENSJoin(), 0); err != nil {
+	if _, err := r.Run(src, core.NewSENSJoin(), 0, core.WithoutRows()); err != nil {
 		fmt.Fprintln(os.Stderr, "netviz:", err)
 		os.Exit(1)
 	}
@@ -122,7 +122,7 @@ func emitLoads(r *core.Runner) {
 		WHERE A.temp - B.temp > 6 ONCE`
 	show := func(name string, m core.Method) {
 		r.Stats.Reset()
-		if _, err := r.Run(src, m, 0); err != nil {
+		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
 			fmt.Fprintln(os.Stderr, "netviz:", err)
 			os.Exit(1)
 		}
@@ -168,7 +168,7 @@ func emitHeatmap(r *core.Runner) {
 	area := r.Dep.Area
 	show := func(name string, m core.Method) {
 		r.Stats.Reset()
-		if _, err := r.Run(src, m, 0); err != nil {
+		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
 			fmt.Fprintln(os.Stderr, "netviz:", err)
 			os.Exit(1)
 		}

@@ -82,7 +82,7 @@ func RunEnergyLifetime(cfg Config) (*Table, error) {
 	var counts []int
 	for _, m := range []core.Method{core.External{}, core.NewSENSJoin()} {
 		r.Stats.Reset()
-		if err := discard(r.Run(src, m, 0)); err != nil {
+		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		energy := r.Stats.PerNodeEnergy(model, m.Phases()...)

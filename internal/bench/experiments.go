@@ -193,23 +193,15 @@ func RunTraced(cfg Config) (*trace.Journal, []trace.Violation, error) {
 }
 
 // runTotal executes one method and returns its total packet count over
-// its own phases and its result, whose rows it has released: the suite
-// reads a result's figures, not its table.
+// its own phases and its result, run WithoutRows: the suite reads a
+// result's figures, not its table.
 func runTotal(r *core.Runner, src string, m core.Method) (int64, *core.Result, error) {
 	r.Stats.Reset()
-	res, err := r.Run(src, m, 0)
+	res, err := r.Run(src, m, 0, core.WithoutRows())
 	if err != nil {
 		return 0, nil, err
 	}
-	res.Release()
 	return r.Stats.TotalTx(m.Phases()...), res, nil
-}
-
-// discard releases the rows of a result the suite does not read and
-// passes on the error of the run that made it.
-func discard(res *core.Result, err error) error {
-	res.Release()
-	return err
 }
 
 // RunOverallSavings reproduces Fig. 10: overall transmissions of the
@@ -532,7 +524,7 @@ func RunStepBreakdown(cfg Config, fractions []float64, preset workload.Preset) (
 		delta, actual := workload.Calibrate(r, preset, f)
 		src := preset.Build(delta)
 		r.Stats.Reset()
-		if err := discard(r.Run(src, core.NewSENSJoin(), 0)); err != nil {
+		if _, err := r.Run(src, core.NewSENSJoin(), 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		ja := r.Stats.TotalTx(core.PhaseJACollect)
@@ -587,7 +579,7 @@ func RunCompressionComparison(cfg Config) (*Table, error) {
 	for _, rep := range reps {
 		r.Stats.Reset()
 		m := &core.SENSJoin{Options: core.Options{Rep: rep}}
-		if err := discard(r.Run(src, m, 0)); err != nil {
+		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		ja := r.Stats.TotalTx(core.PhaseJACollect)
@@ -640,7 +632,7 @@ func RunQuadInfluence(cfg Config) (*Table, error) {
 		core.NewSENSJoin(),
 	} {
 		r.Stats.Reset()
-		if err := discard(r.Run(src, m, 0)); err != nil {
+		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		ja := r.Stats.TotalTx(core.PhaseJACollect)
@@ -692,7 +684,7 @@ func RunTreecutAblation(cfg Config, preset workload.Preset) (*Table, error) {
 			return cell{}, err
 		}
 		defer crDone()
-		if err := discard(cr.Run(src, &core.SENSJoin{Options: opt}, 0)); err != nil {
+		if _, err := cr.Run(src, &core.SENSJoin{Options: opt}, 0, core.WithoutRows()); err != nil {
 			return cell{}, err
 		}
 		return cell{label: label, ja: cr.Stats.TotalTx(core.PhaseJACollect), total: cr.Stats.TotalTx(core.SENSPhases...)}, nil
@@ -740,7 +732,7 @@ func RunFilterLimitAblation(cfg Config, preset workload.Preset) (*Table, error) 
 			return cell{}, err
 		}
 		defer crDone()
-		if err := discard(cr.Run(src, &core.SENSJoin{Options: opt}, 0)); err != nil {
+		if _, err := cr.Run(src, &core.SENSJoin{Options: opt}, 0, core.WithoutRows()); err != nil {
 			return cell{}, err
 		}
 		return cell{label: label, fd: cr.Stats.TotalTx(core.PhaseFilterDissem), total: cr.Stats.TotalTx(core.SENSPhases...)}, nil
@@ -783,7 +775,7 @@ func RunIncrementalFilter(cfg Config, rounds int, period float64) (*Table, error
 		var perRound []int64
 		var prev int64
 		for round := 0; round < rounds; round++ {
-			if err := discard(r.Run(src, m, float64(round)*period)); err != nil {
+			if _, err := r.Run(src, m, float64(round)*period, core.WithoutRows()); err != nil {
 				return nil, 0, err
 			}
 			cur := r.Stats.TotalTxBytes(core.PhaseFilterDissem)
@@ -876,7 +868,7 @@ func RunRelatedWork(cfg Config) (*Table, error) {
 	var extNiche int64
 	for _, m := range methods {
 		r2.Stats.Reset()
-		if err := discard(r2.Run(nicheSrc, m, 0)); err != nil {
+		if _, err := r2.Run(nicheSrc, m, 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		pk := r2.Stats.TotalTx(m.Phases()...)
@@ -916,7 +908,7 @@ func RunLifetime(cfg Config) (*Table, error) {
 		var extRounds int
 		for _, m := range []core.Method{core.External{}, core.NewSENSJoin()} {
 			r.Stats.Reset()
-			if err := discard(r.Run(src, m, 0)); err != nil {
+			if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
 				return nil, err
 			}
 			energy := r.Stats.PerNodeEnergy(model, m.Phases()...)
@@ -1012,7 +1004,7 @@ func RunMemory(cfg Config) (*Table, error) {
 	src := preset.Build(delta)
 	m := core.NewSENSJoin()
 	r.Stats.Reset()
-	if err := discard(r.Run(src, m, 0)); err != nil {
+	if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
 		return nil, err
 	}
 	maxChildren := 0

@@ -25,10 +25,14 @@ func shardSummary(t *testing.T, nodes int, shards int) string {
 	src := "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 3 ONCE"
 	var b strings.Builder
 	for _, m := range []core.Method{core.External{}, core.NewSENSJoin()} {
-		total, res, err := runTotal(r, src, m)
+		// Run with rows (not runTotal, which drops them) so the row count
+		// is compared across shard counts too.
+		r.Stats.Reset()
+		res, err := r.Run(src, m, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		total := r.Stats.TotalTx(m.Phases()...)
 		h := fnv.New64a()
 		for _, v := range r.Stats.PerNodeTx(m.Phases()...) {
 			fmt.Fprintf(h, "%d,", v)
@@ -36,6 +40,7 @@ func shardSummary(t *testing.T, nodes int, shards int) string {
 		fmt.Fprintf(&b, "%s total=%d pernode=%x rt=%.9f rows=%d contrib=%d complete=%v\n",
 			m.Name(), total, h.Sum64(), res.ResponseTime, len(res.Rows),
 			res.ContributingNodes, res.Complete)
+		res.Release()
 		for _, ph := range m.Phases() {
 			fmt.Fprintf(&b, "  %s=%d\n", ph, r.Stats.TotalTx(ph))
 		}

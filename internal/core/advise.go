@@ -101,7 +101,5 @@ func exactJoinContribution(x *Exec, p *plan) (int, error) {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	_, block, contrib := exactJoin(x, tuples)
-	block.release()
-	return len(contrib), nil
+	return len(joinContributors(x, tuples)), nil
 }

@@ -106,7 +106,7 @@ func TestJoinKernelEmitAllocs(t *testing.T) {
 			x := kernelExec(t, c.src)
 			tuples, cols := benchTuples(c.tuples)
 			var rows []Row
-			plans := capturePlans(func() { rows, _, _ = exactJoinOver(x, cols, tuples) })
+			plans := capturePlans(func() { rows = exactJoinOver(x, cols, tuples, true).rows })
 			if len(rows) < c.minRows || len(rows) > c.maxRows {
 				t.Fatalf("fixture drifted: %d rows, want %d..%d", len(rows), c.minRows, c.maxRows)
 			}
@@ -116,7 +116,7 @@ func TestJoinKernelEmitAllocs(t *testing.T) {
 			if c.slab && !oneSlab(rows) {
 				t.Errorf("%d rows are not one exact row-header slice over one slab", len(rows))
 			}
-			allocs := testing.AllocsPerRun(3, func() { exactJoinOver(x, cols, tuples) })
+			allocs := testing.AllocsPerRun(3, func() { exactJoinOver(x, cols, tuples, true) })
 			if limit := c.allocs(len(rows)); allocs > limit {
 				t.Errorf("%d rows: %.0f allocs/run, want <= %.0f", len(rows), allocs, limit)
 			}
@@ -124,7 +124,7 @@ func TestJoinKernelEmitAllocs(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < runs; i++ {
-				exactJoinOver(x, cols, tuples)
+				exactJoinOver(x, cols, tuples, true)
 			}
 			runtime.ReadMemStats(&after)
 			got := (after.TotalAlloc - before.TotalAlloc) / runs

@@ -197,7 +197,5 @@ func groundTruthContributors(x *Exec) ([]topology.NodeID, error) {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	_, block, contrib := exactJoin(x, tuples)
-	block.release()
-	return contrib, nil
+	return joinContributors(x, tuples), nil
 }

@@ -114,23 +114,31 @@ func (emptyBounds) Range(query.AttrRef) query.Interval { return query.Everything
 
 // exactJoin computes the final result (paper §IV-D): an exact n-way
 // join over the complete tuples at the base station, followed by SELECT
-// evaluation and optional aggregation. It returns the rows, the result
-// block they are carved from (nil when they are on the heap: a Result
-// keeps it for Release, a caller that drops the rows releases it) and the
-// contributing nodes, ascending (valid until the execution's next join).
-// Candidate enumeration runs on the predicate-indexed kernel
-// (joinkernel.go); output is identical to the seed's nested loop, row for
-// row and byte for byte.
-func exactJoin(x *Exec, tuples []finalTuple) ([]Row, *resultBlock, []topology.NodeID) {
-	return exactJoinOver(x, x.snapshot(), tuples)
+// evaluation and optional aggregation. A Result keeps the returned block
+// for Release; a caller that drops the rows releases it. A plain query
+// run WithoutRows builds no rows: the join returns their count. Candidate
+// enumeration runs on the predicate-indexed kernel (joinkernel.go);
+// output is identical to the seed's nested loop, row for row and byte
+// for byte.
+func exactJoin(x *Exec, tuples []finalTuple) joinOut {
+	folds := len(x.Query.GroupBy) > 0 || hasAggregates(x.Query.Select)
+	return exactJoinOver(x, x.snapshot(), tuples, folds || !x.withoutRows)
 }
 
-// exactJoinOver is exactJoin reading sensor values from cols.
-func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, *resultBlock, []topology.NodeID) {
+// joinContributors returns the nodes whose tuples appear in the exact
+// join of tuples, ascending (valid until the execution's next join). It
+// builds no rows, so it takes no result block.
+func joinContributors(x *Exec, tuples []finalTuple) []topology.NodeID {
+	return exactJoinOver(x, x.snapshot(), tuples, false).contrib
+}
+
+// exactJoinOver is the exact join reading sensor values from cols; build
+// selects whether rows are built or only counted (joinKernel).
+func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple, build bool) joinOut {
 	n := len(x.Query.From)
 	for _, c := range x.Analysis.ConstPreds {
 		if !c.Eval(query.TupleEnv{Lookup: func(int, string) float64 { return 0 }}) {
-			return nil, nil, nil
+			return joinOut{}
 		}
 	}
 	sc := &x.run().kernel
@@ -151,10 +159,10 @@ func exactJoinOver(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, *res
 			}
 		}
 		if len(byAlias[i]) == 0 {
-			return nil, nil, nil
+			return joinOut{}
 		}
 	}
-	return joinKernel(x, cols, byAlias)
+	return joinKernel(x, cols, byAlias, build)
 }
 
 // groupKeyOfCompiled renders the grouping expressions' exact values as a
@@ -210,14 +218,14 @@ func GroundTruth(x *Exec) (*Result, error) {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	rows, block, contrib := exactJoin(x, tuples)
+	out := exactJoinOver(x, x.snapshot(), tuples, true) // an oracle's rows are always built
 	return &Result{
 		Columns:           columnsOf(x.Query),
-		Rows:              rows,
-		ContributingNodes: len(contrib),
+		Rows:              out.rows,
+		ContributingNodes: len(out.contrib),
 		MemberNodes:       p.members,
 		Complete:          true,
-		block:             block,
+		block:             out.block,
 	}, nil
 }
 

@@ -126,6 +126,9 @@ type Exec struct {
 	// repairs / repairAt record mid-round repair activity for the Result.
 	repairs  int
 	repairAt float64
+	// withoutRows makes the exact join of a plain query count its rows
+	// instead of building them (WithoutRows).
+	withoutRows bool
 }
 
 // span appends a protocol event at the acting node's current time —
@@ -166,6 +169,7 @@ type Result struct {
 	// Columns names the output columns.
 	Columns []string
 	// Rows holds the result; for aggregate queries it is a single row.
+	// It is nil for a plain query run WithoutRows.
 	Rows []Row
 	// ContributingNodes counts distinct nodes whose tuple appears in at
 	// least one (pre-aggregation) result row.

@@ -29,15 +29,15 @@ func (External) Run(x *Exec) (*Result, error) {
 	x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseExternal, 0)
 	tuples := collectWave(x, p, x.Tree, PhaseExternal, nil)
 	x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseExternal, 0)
-	rows, block, contrib := exactJoin(x, tuples)
+	out := exactJoin(x, tuples)
 	res := &Result{
 		Columns:           columnsOf(x.Query),
-		Rows:              rows,
-		ContributingNodes: len(contrib),
+		Rows:              out.rows,
+		ContributingNodes: len(out.contrib),
 		MemberNodes:       p.members,
 		Complete:          len(tuples) == p.members,
 		ResponseTime:      x.Sim.Now() - start,
-		block:             block,
+		block:             out.block,
 	}
 	// The external join needs every member tuple, so scoped recovery
 	// targets members rather than contributors.

@@ -143,6 +143,8 @@ type fuzzRound struct {
 	reliable bool
 	churn    bool
 	epochs   int
+	// withoutRows adds a leg run WithoutRows at the round's shard count.
+	withoutRows bool
 }
 
 // fuzzMethods are the methods a round can use; SemiJoin joins two
@@ -161,7 +163,7 @@ var fuzzMethods = []func(epochs int) Method{
 
 // decodeFuzzRound maps the fuzz inputs onto a round. knobs' bits: 0 three
 // relations, 1-3 method (mod 5), 4-5 shards (mod 3: 0, 2, 4), 6 5% loss,
-// 7 reliable transport, 8 1% churn, 9-10 epochs - 1.
+// 7 reliable transport, 8 1% churn, 9-10 epochs - 1, 11 a WithoutRows leg.
 func decodeFuzzRound(seed int64, nodes, knobs uint16) fuzzRound {
 	c := fuzzRound{
 		seed:     seed,
@@ -173,6 +175,8 @@ func decodeFuzzRound(seed int64, nodes, knobs uint16) fuzzRound {
 		reliable: knobs>>7&1 == 1,
 		churn:    knobs>>8&1 == 1,
 		epochs:   1 + int(knobs>>9&3),
+
+		withoutRows: knobs>>11&1 == 1,
 	}
 	if c.ways == 3 {
 		c.nodes = min(c.nodes, 60) // a three-way result grows with n³: 150 nodes took 1.1 GB
@@ -184,18 +188,21 @@ func decodeFuzzRound(seed int64, nodes, knobs uint16) fuzzRound {
 }
 
 // fuzzOutcome is what a round lets its caller see, per epoch and member:
-// sorted rows and completeness, then every node's packets.
+// sorted rows and completeness, every other result field, then every
+// node's packets.
 type fuzzOutcome struct {
 	rows    []string
+	fields  []string
 	packets []string
 }
 
 // run executes the round on a runner with the given shard count and
 // checks the round invariant on every result: rows equal the ground
 // truth taken before the round, or the result is flagged incomplete with
-// a reason — and the six audit passes are clean. It reports skip when the
-// method refuses the query.
-func (c fuzzRound) run(t *testing.T, shards int) (out fuzzOutcome, skip bool) {
+// a reason — and the six audit passes are clean. withoutRows runs the
+// round WithoutRows and unaudited instead, and checks only that no rows
+// come back. It reports skip when the method refuses the query.
+func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutcome, skip bool) {
 	t.Helper()
 	r, err := NewRunner(SetupConfig{Nodes: c.nodes, Seed: c.seed, Shards: shards, Private: true, SetupWorkers: 1})
 	if err != nil {
@@ -232,6 +239,10 @@ func (c fuzzRound) run(t *testing.T, shards int) (out fuzzOutcome, skip bool) {
 			}
 		}
 	}
+	opts := []RunOption{Audited()}
+	if withoutRows {
+		opts = []RunOption{WithoutRows()}
+	}
 	rec := r.EnableTrace()
 	for e := 0; e < c.epochs; e++ {
 		at := float64(e) * 30
@@ -250,10 +261,10 @@ func (c fuzzRound) run(t *testing.T, shards int) (out fuzzOutcome, skip bool) {
 		mark := rec.Mark()
 		var results []*Result
 		if g != nil {
-			results, err = g.RunRound(r, at, Audited())
+			results, err = g.RunRound(r, at, opts...)
 		} else {
 			var res *Result
-			res, err = r.RunPrepared(preps[0], m, at, Audited())
+			res, err = r.RunPrepared(preps[0], m, at, opts...)
 			results = []*Result{res}
 		}
 		if err != nil {
@@ -263,6 +274,15 @@ func (c fuzzRound) run(t *testing.T, shards int) (out fuzzOutcome, skip bool) {
 			t.Fatalf("shards=%d epoch %d: %v", shards, e, err)
 		}
 		for j, res := range results {
+			out.fields = append(out.fields, fmt.Sprintf("epoch %d member %d complete=%t %q missing=%v contributing=%d members=%d attempts=%d recovery=%d repairs=%d at %g response=%g",
+				e, j, res.Complete, res.IncompleteReason, res.MissingSubtrees, res.ContributingNodes, res.MemberNodes,
+				res.Attempts, res.RecoveryRounds, res.Repairs, res.RepairLatency, res.ResponseTime))
+			if withoutRows {
+				if res.Rows != nil {
+					t.Fatalf("shards=%d epoch %d member %d: %d rows WithoutRows", shards, e, j, len(res.Rows))
+				}
+				continue
+			}
 			exact := sameRowSet(truths[j].Rows, res.Rows)
 			if res.Complete && !exact {
 				t.Fatalf("shards=%d epoch %d member %d: complete but %d rows, ground truth %d", shards, e, j, len(res.Rows), len(truths[j].Rows))
@@ -295,9 +315,11 @@ func (c fuzzRound) run(t *testing.T, shards int) (out fuzzOutcome, skip bool) {
 
 // FuzzRoundIsExact owns the round invariant across the whole feature
 // matrix — method or shared cluster × shard count × loss × reliable
-// transport × churn × epochs: every result is oracle-exact or flagged
-// incomplete with a reason, the six audits are clean, and a sharded round
-// is the one-region round (sorted rows, every node's packets). Failing
+// transport × churn × epochs × WithoutRows: every result is oracle-exact
+// or flagged incomplete with a reason, the six audits are clean, a
+// sharded round is the one-region round (sorted rows, every node's
+// packets), and a round run WithoutRows is the one-region round but for
+// its rows (every other result field, every node's packets). Failing
 // inputs found by the fuzzer are kept under testdata/fuzz as regression
 // tests.
 func FuzzRoundIsExact(f *testing.F) {
@@ -309,11 +331,23 @@ func FuzzRoundIsExact(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, nodes, knobs uint16) {
 		c := decodeFuzzRound(seed, nodes, knobs)
-		want, skip := c.run(t, 0)
-		if skip || c.shards == 0 {
+		want, skip := c.run(t, 0, false)
+		if skip {
 			return
 		}
-		got, _ := c.run(t, c.shards)
+		if c.withoutRows {
+			got, _ := c.run(t, c.shards, true)
+			if !slices.Equal(got.fields, want.fields) {
+				t.Fatalf("%+v: results WithoutRows at shards=%d differ from one region:\n%v\nvs\n%v", c, c.shards, got.fields, want.fields)
+			}
+			if !slices.Equal(got.packets, want.packets) {
+				t.Fatalf("%+v: per-node packets WithoutRows at shards=%d differ from one region", c, c.shards)
+			}
+		}
+		if c.shards == 0 {
+			return
+		}
+		got, _ := c.run(t, c.shards, false)
 		if !slices.Equal(got.rows, want.rows) {
 			t.Fatalf("%+v: rows at shards=%d differ from one region:\n%v\nvs\n%v", c, c.shards, got.rows, want.rows)
 		}

@@ -418,14 +418,26 @@ type columnSource interface {
 	Column(name string) []float64
 }
 
-// joinKernel computes the exact join over the per-alias candidate lists
-// and evaluates the SELECT clause over values read from cols, returning
-// rows (ordered and limited), the result block they are carved from (nil
-// when they are on the heap) and the contributing nodes, ascending and
-// once each; the list is the scratch's and valid until the next join on
-// it. See the package comment above for the exactness and determinism
-// argument.
-func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, *resultBlock, []topology.NodeID) {
+// joinOut is what the exact join hands back: the rows, ordered and
+// limited (nil when none were built), how many rows the result holds
+// (len(rows) when they were built), the result block they are carved
+// from (nil when they are on the heap or were not built) and the
+// contributing nodes, ascending and once each; the list is the kernel
+// scratch's and valid until the next join on it.
+type joinOut struct {
+	rows    []Row
+	n       int
+	block   *resultBlock
+	contrib []topology.NodeID
+}
+
+// joinKernel computes the exact join over the per-alias candidate lists.
+// With build it evaluates the SELECT clause over values read from cols
+// and returns the rows; without, it only enumerates the matches, marking
+// the contributors and counting the rows a plain result would hold (LIMIT
+// applied) — no SELECT evaluation, rank list, replay or result block. See
+// the package comment above for the exactness and determinism argument.
+func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple, build bool) joinOut {
 	n := len(byAlias)
 	sc := &x.run().kernel // sized for n levels by exactJoinOver
 
@@ -562,13 +574,14 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, *res
 		return row
 	}
 	var scratch Row
-	if folds {
+	var agg *aggState
+	if folds && build {
 		scratch = make(Row, width)
+		agg = newAggState(x.Query.Select)
 	}
 
 	var rows []Row
 	var block *resultBlock
-	agg := newAggState(x.Query.Select)
 	groups := make(map[string]*aggState)
 	var groupKeys []string
 	sc.vals = sized(sc.vals, prog.nslots)
@@ -623,12 +636,19 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, *res
 	// the tuple before it: sorting each tuple's short run as it completes
 	// leaves the whole list sorted.
 	outerSorted := !plan.stream && plan.order[0].level == 0
+	matches := 0
 	var recurse func(pos int, rank uint64)
 	recurse = func(pos int, rank uint64) {
 		if pos == n {
-			if plan.stream {
+			switch {
+			case !build:
+				for level, ti := range assign {
+					used[level][ti] = true
+				}
+				matches++
+			case plan.stream:
 				emit(assign)
-			} else {
+			default:
 				ranks = append(ranks, rank)
 			}
 			return
@@ -676,6 +696,12 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, *res
 	}
 	recurse(0, 0)
 
+	if !build {
+		if x.Query.Limit > 0 {
+			matches = min(matches, x.Query.Limit)
+		}
+		return joinOut{n: matches, contrib: sc.contributors(byAlias, used)}
+	}
 	if !plan.stream {
 		if !folds && len(ranks) > 0 {
 			block = x.run().results.take(len(ranks), len(ranks)*width)
@@ -710,7 +736,8 @@ func joinKernel(x *Exec, cols columnSource, byAlias [][]finalTuple) ([]Row, *res
 	case aggregated:
 		rows = agg.rows()
 	}
-	return applyOrderLimit(x.Query, rows), block, sc.contributors(byAlias, used)
+	rows = applyOrderLimit(x.Query, rows)
+	return joinOut{rows: rows, n: len(rows), block: block, contrib: sc.contributors(byAlias, used)}
 }
 
 // contributors lists the nodes of the tuples used marks, built once: a

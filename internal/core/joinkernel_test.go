@@ -317,7 +317,8 @@ func TestJoinKernelMatchesNestedLoop(t *testing.T) {
 		}
 		tuples, cols := kernelTuples(rng, count, nAliases)
 
-		gotRows, _, gotContrib := exactJoinOver(x, cols, tuples)
+		got := exactJoinOver(x, cols, tuples, true)
+		gotRows, gotContrib := got.rows, got.contrib
 		wantRows, wantContrib := exactJoinReference(x, cols, tuples)
 		if !rowsEqual(gotRows, wantRows) {
 			t.Fatalf("iter %d: %q\nkernel rows (%d) differ from nested loop (%d)",
@@ -360,7 +361,10 @@ func TestJoinKernelPlanStartingAtLaterLevel(t *testing.T) {
 			x := kernelExec(t, src)
 			var gotRows []Row
 			var gotContrib []topology.NodeID
-			plans := capturePlans(func() { gotRows, _, gotContrib = exactJoinOver(x, cols, tuples) })
+			plans := capturePlans(func() {
+				got := exactJoinOver(x, cols, tuples, true)
+				gotRows, gotContrib = got.rows, got.contrib
+			})
 			if len(plans) != 1 || plans[0].Order[0] == 0 || plans[0].Streamed {
 				t.Fatalf("%q: plan %+v, want an indexed plan starting after level 0", src, plans)
 			}
@@ -403,7 +407,8 @@ func TestJoinKernelSpecialValues(t *testing.T) {
 	cols := kernelCols{"temp": temp}
 	for _, src := range queries {
 		x := kernelExec(t, src)
-		gotRows, _, gotContrib := exactJoinOver(x, cols, tuples)
+		got := exactJoinOver(x, cols, tuples, true)
+		gotRows, gotContrib := got.rows, got.contrib
 		wantRows, wantContrib := exactJoinReference(x, cols, tuples)
 		if !rowsEqual(gotRows, wantRows) {
 			t.Fatalf("%q: kernel %d rows, nested loop %d rows", src, len(gotRows), len(wantRows))
@@ -423,12 +428,12 @@ func TestJoinKernelHashIndexShrinks(t *testing.T) {
 	index := func(count int) (map[float64]int32, int) {
 		t.Helper()
 		tuples, cols := kernelTuples(rand.New(rand.NewSource(int64(count))), count, 2)
-		gotRows, block, _ := exactJoinOver(x, cols, tuples)
+		got := exactJoinOver(x, cols, tuples, true)
 		wantRows, _ := exactJoinReference(x, cols, tuples)
-		if !rowsEqual(gotRows, wantRows) {
-			t.Fatalf("%d tuples: kernel %d rows, nested loop %d rows", count, len(gotRows), len(wantRows))
+		if !rowsEqual(got.rows, wantRows) {
+			t.Fatalf("%d tuples: kernel %d rows, nested loop %d rows", count, len(got.rows), len(wantRows))
 		}
-		block.release()
+		got.block.release()
 		for _, pr := range x.run().kernel.probes {
 			if pr.head != nil {
 				return pr.head, pr.headPeak
@@ -481,7 +486,7 @@ func TestJoinPlannerAccessPaths(t *testing.T) {
 	for _, c := range cases {
 		src := "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE " + c.where + " ONCE"
 		x := kernelExec(t, src)
-		plans := capturePlans(func() { exactJoinOver(x, cols, tuples) })
+		plans := capturePlans(func() { exactJoinOver(x, cols, tuples, true) })
 		if len(plans) != 1 {
 			t.Fatalf("%q: %d plans, want 1", c.where, len(plans))
 		}
@@ -503,7 +508,7 @@ func TestJoinPlannerThreeWayChain(t *testing.T) {
 	src := "SELECT A.temp FROM Sensors A, Sensors B, Sensors C " +
 		"WHERE A.bucket = B.bucket AND abs(B.temp - C.temp) < 2 ONCE"
 	x := kernelExec(t, src)
-	plans := capturePlans(func() { exactJoinOver(x, cols, tuples) })
+	plans := capturePlans(func() { exactJoinOver(x, cols, tuples, true) })
 	if len(plans) != 1 {
 		t.Fatalf("%d plans, want 1", len(plans))
 	}
@@ -514,7 +519,7 @@ func TestJoinPlannerThreeWayChain(t *testing.T) {
 		}
 	}
 	// Exact row agreement under the permuted join order.
-	gotRows, _, _ := exactJoinOver(x, cols, tuples)
+	gotRows := exactJoinOver(x, cols, tuples, true).rows
 	wantRows, _ := exactJoinReference(x, cols, tuples)
 	if !rowsEqual(gotRows, wantRows) {
 		t.Fatalf("3-way chain rows differ: kernel %d, nested loop %d", len(gotRows), len(wantRows))
@@ -560,9 +565,9 @@ const qBenchEqui = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.buck
 // their block goes back to the runner, so a warm join allocates nothing
 // for its result (the rows returned must not be read).
 func releasedJoin(x *Exec, cols columnSource, tuples []finalTuple) ([]Row, []topology.NodeID) {
-	rows, block, contrib := exactJoinOver(x, cols, tuples)
-	block.release()
-	return rows, contrib
+	out := exactJoinOver(x, cols, tuples, true)
+	out.block.release()
+	return out.rows, out.contrib
 }
 
 func BenchmarkExactJoin(b *testing.B) {

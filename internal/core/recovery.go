@@ -41,8 +41,7 @@ func contributorSet(x *Exec, p *plan) map[topology.NodeID]bool {
 			tuples = append(tuples, p.tuple(topology.NodeID(id)))
 		}
 	}
-	_, block, contrib := exactJoin(x, tuples)
-	block.release()
+	contrib := joinContributors(x, tuples)
 	set := make(map[topology.NodeID]bool, len(contrib))
 	for _, id := range contrib {
 		set[id] = true
@@ -273,10 +272,10 @@ func finishReliable(x, member *Exec, p *plan, res *Result,
 	for _, id := range ids {
 		tuples = append(tuples, have[id])
 	}
-	rows, block, contrib := exactJoin(member, tuples)
+	out := exactJoin(member, tuples)
 	res.Release() // the rows before recovery
-	res.Rows, res.block = rows, block
-	res.ContributingNodes = len(contrib)
+	res.Rows, res.block = out.rows, out.block
+	res.ContributingNodes = len(out.contrib)
 	res.Complete = len(missing) == 0
 	res.RecoveryRounds = rounds
 	res.MissingSubtrees = nil

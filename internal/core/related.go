@@ -175,15 +175,16 @@ func (m Mediated) Run(x *Exec) (*Result, error) {
 	// Phase 2: join at the mediator; ship the result rows to the base
 	// station hop by hop. A mediator cut off from the base station (churn)
 	// holds rows that never arrive: every member's data is missing there.
-	rows, block, contrib := exactJoin(x, tuples)
+	// Under WithoutRows the row count sizes the shipment: the same packets.
+	out := exactJoin(x, tuples)
 	partitioned := false
-	if len(rows) > 0 && mediator != topology.BaseStation {
+	if out.n > 0 && mediator != topology.BaseStation {
 		if path, err := shortestPath(x, mediator, topology.BaseStation); err != nil {
-			block.release()
-			rows, block, contrib, tuples, partitioned = nil, nil, nil, nil, true
+			out.block.release()
+			out, tuples, partitioned = joinOut{}, nil, true
 		} else {
 			rowBytes := len(x.Query.Select) * 2
-			size := len(rows) * rowBytes
+			size := out.n * rowBytes
 			for i := 0; i+1 < len(path); i++ {
 				x.Net.Send(netsim.Message{
 					Kind: kindResult, Src: path[i], Dst: path[i+1],
@@ -195,12 +196,12 @@ func (m Mediated) Run(x *Exec) (*Result, error) {
 	x.Sim.Run()
 	res := &Result{
 		Columns:           columnsOf(x.Query),
-		Rows:              rows,
-		ContributingNodes: len(contrib),
+		Rows:              out.rows,
+		ContributingNodes: len(out.contrib),
 		MemberNodes:       p.members,
 		Complete:          len(tuples) == p.members,
 		ResponseTime:      x.Sim.Now() - start,
-		block:             block,
+		block:             out.block,
 	}
 	if !res.Complete {
 		annotateIncomplete(x, missingFrom(memberSet(p), tupleIndex(tuples)), res)
@@ -336,7 +337,7 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 	bTuples := collectWave(x, p, x.Tree, PhaseSemiCollectB, matches)
 
 	all := append(append([]finalTuple(nil), aTuples...), bTuples...)
-	rows, block, contrib := exactJoin(x, all)
+	out := exactJoin(x, all)
 	// Complete means every tuple the method set out to collect arrived:
 	// all of A, and every B tuple that matches an A key.
 	needed := make(map[topology.NodeID]bool)
@@ -348,12 +349,12 @@ func (s SemiJoin) Run(x *Exec) (*Result, error) {
 	missing := missingFrom(needed, tupleIndex(all))
 	res := &Result{
 		Columns:           columnsOf(x.Query),
-		Rows:              rows,
-		ContributingNodes: len(contrib),
+		Rows:              out.rows,
+		ContributingNodes: len(out.contrib),
 		MemberNodes:       p.members,
 		Complete:          len(missing) == 0,
 		ResponseTime:      x.Sim.Now() - start,
-		block:             block,
+		block:             out.block,
 	}
 	if !res.Complete {
 		annotateIncomplete(x, missing, res)

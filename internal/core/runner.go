@@ -200,8 +200,9 @@ func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	audit    bool
-	attempts int
+	audit       bool
+	attempts    int
+	withoutRows bool
 }
 
 // Audited audits the execution's journal segment (see auditSegment) and
@@ -222,6 +223,17 @@ func WithRecovery(maxAttempts int) RunOption {
 	}
 	return func(o *runOptions) { o.attempts = maxAttempts }
 }
+
+// WithoutRows runs a plain query (no aggregate, no GROUP BY) without
+// building its rows: the base station enumerates the matches once, marks
+// the contributing nodes and counts the rows, and Result.Rows is nil.
+// Every other field of the Result, every packet, event and simulated
+// time, and the journal are those of the same run with rows: where a
+// method's traffic depends on the result (the mediated join ships it),
+// the row count, LIMIT applied, sizes it. An aggregate or grouped query
+// keeps its rows. Under Audited or AutoAudit the option is ignored: the
+// churn-safety audit compares every result's rows with its oracle's.
+func WithoutRows() RunOption { return func(o *runOptions) { o.withoutRows = true } }
 
 func gatherOptions(opts []RunOption) runOptions {
 	o := runOptions{attempts: 1}
@@ -260,7 +272,8 @@ func (r *Runner) RunPrepared(p *Prepared, m Method, t float64, opts ...RunOption
 // sensjoin_core_runs_total and, under Audited or AutoAudit, is audited
 // with every result; while any result is incomplete and WithRecovery
 // allows, the tree is rebuilt and the round re-run. Every result carries
-// the attempt count and what the round's audits found.
+// the attempt count and what the round's audits found. Under WithoutRows
+// every execution of an unaudited round builds no plain rows.
 func (r *Runner) attempts(ps []*Prepared, m Method, t float64, o runOptions,
 	round func(execs []*Exec) ([]*Result, error)) ([]*Result, error) {
 	execs := make([]*Exec, len(ps))
@@ -272,6 +285,7 @@ func (r *Runner) attempts(ps []*Prepared, m Method, t float64, o runOptions,
 		seg := r.openAudit(o, m.Name()) // before Exec: it may switch tracing on
 		for j, p := range ps {
 			execs[j] = r.Exec(p, t)
+			execs[j].withoutRows = o.withoutRows && seg == nil // an audit compares rows
 		}
 		if seg != nil && r.churn != nil {
 			// The churn-safety oracles must be computed before the run:

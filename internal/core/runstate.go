@@ -250,9 +250,11 @@ func closeArenas(x *Exec, a []roundArena) {
 // The Result keeps a handle to its block, and Release hands it back for a
 // later query's rows. The rule is the caller's: release a result once
 // nothing reads its rows any more. Inside core, rows that are dropped at
-// once go straight back (contributor-only joins, the attempt WithRecovery
-// re-executes, rows a reliable finish recomputes); sensjoind releases a
-// result once its write loop has encoded the epoch's last Rows chunk. A
+// once go straight back (the attempt WithRecovery re-executes, rows a
+// reliable finish recomputes, a partitioned mediator's rows); sensjoind
+// releases a result once its write loop has encoded the epoch's last Rows
+// chunk. Rows nobody reads are better never built: the contributor-only
+// joins and a run WithoutRows only count them, and take no block. A
 // result nobody releases is collected like any other value, so a caller
 // that ignores Release is as correct as before and only allocates more.
 //
@@ -263,10 +265,12 @@ func closeArenas(x *Exec, a []roundArena) {
 // flight. A free block is live heap the collector paces itself by, and a
 // second one on every runner of the daemon cost serve_rows an eighth of
 // its peak resident set. A block serves a result only if it holds the
-// result and is at most four times its size, the round arena's
-// hysteresis; a result that the free block does not fit gets a block
-// made at its size. Release may run on another goroutine than the
-// Runner's (the daemon's write loop), so the free slot takes a mutex.
+// result and is at most four times its size — the store's own rule: it
+// keeps one block and no history, unlike a round arena, whose size
+// follows the largest demand of its recent rounds — and a result that
+// the free block does not fit gets a block made at its size. Release may
+// run on another goroutine than the Runner's (the daemon's write loop),
+// so the free slot takes a mutex.
 
 // resultStore is a Runner's free result block.
 type resultStore struct {
@@ -339,7 +343,8 @@ var poisonCell = math.Float64frombits(0x7ff8_dead_0000_beef)
 // computed it, for a later query's rows: afterwards Rows must not be read.
 // It is nil-safe, and a second call is a no-op; it must not run
 // concurrently with itself. A result that is never released is garbage
-// collected.
+// collected. A caller that will not read the rows at all runs the query
+// WithoutRows instead: nothing is built, so there is nothing to release.
 func (r *Result) Release() {
 	if r == nil {
 		return

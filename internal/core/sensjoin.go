@@ -548,18 +548,18 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 			}
 		}
 		r.got[j] = tuples
-		rows, block, contrib := exactJoin(xj, tuples)
+		out := exactJoin(xj, tuples)
 		if joined != nil {
-			joined(j, at, len(rows))
+			joined(j, at, out.n)
 		}
 		r.results[j] = &Result{
 			Columns:           columnsOf(xj.Query),
-			Rows:              rows,
-			ContributingNodes: len(contrib),
+			Rows:              out.rows,
+			ContributingNodes: len(out.contrib),
 			MemberNodes:       r.p.members,
 			Complete:          r.completeA && finalComplete(r.plans[j], r.filters[j], tuples),
 			ResponseTime:      response,
-			block:             block,
+			block:             out.block,
 		}
 	}
 	if r.s.cont != nil {

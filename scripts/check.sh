@@ -119,7 +119,7 @@ go run ./cmd/experiments -only L1 -loss 0.05,0.10 -nodes 400 -audit > /dev/null
 # sharded too: the sharded-journal lanes with loss and ARQ, the round
 # fuzzer's corpus across the feature matrix, and the shared rounds of a
 # QueryGroup under recovery, churn and loss.
-go test -race -run 'Reliable|Recovery|StandDown|Loss|ShardTrace|FuzzRoundIsExact|QueryGroup' ./internal/netsim ./internal/core ./internal/bench
+go test -race -run 'Reliable|Recovery|StandDown|Loss|ShardTrace|FuzzRoundIsExact|QueryGroup|WithoutRows|ContributorJoin' ./internal/netsim ./internal/core ./internal/bench
 # Sharded-simulator race pass: window workers, cross-region inboxes,
 # per-region freelists and the parallel setup paths (neighbor grid,
 # BFS tree, plan building) under the race detector.
