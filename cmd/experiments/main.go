@@ -146,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *serveAddr != "" {
 		cfg.Metrics = metrics.New()
-		if obs, err = startServe(*serveAddr, cfg.Metrics, cfg.Progress); err != nil {
+		if obs, err = startServe(*serveAddr, cfg.Metrics, cfg.Progress, stderr); err != nil {
 			return err
 		}
 		defer obs.stop()

@@ -8,8 +8,8 @@
 //	/debug/pprof/ CPU/heap/goroutine profiles
 //	/quit         with -hold: release the server and exit
 //
-// Everything the server prints goes to stderr; stdout stays reserved
-// for the byte-identical experiment tables.
+// Everything the server prints goes to run's stderr writer; stdout stays
+// reserved for the byte-identical experiment tables.
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -37,19 +38,20 @@ import (
 type obsServer struct {
 	srv      *http.Server
 	addr     net.Addr
+	stderr   io.Writer
 	quit     chan struct{}
 	quitOnce sync.Once
 }
 
-// startServe listens on addr and serves reg and prog. The returned
-// server is already running; call stop when done (hold first to wait
-// for /quit or an interrupt).
-func startServe(addr string, reg *metrics.Registry, prog *bench.Progress) (*obsServer, error) {
+// startServe listens on addr and serves reg and prog, announcing the
+// bound address on stderr. The returned server is already running; call
+// stop when done (hold first to wait for /quit or an interrupt).
+func startServe(addr string, reg *metrics.Registry, prog *bench.Progress, stderr io.Writer) (*obsServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("-serve: %w", err)
 	}
-	o := &obsServer{quit: make(chan struct{})}
+	o := &obsServer{stderr: stderr, quit: make(chan struct{})}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -69,7 +71,7 @@ func startServe(addr string, reg *metrics.Registry, prog *bench.Progress) (*obsS
 		if err := enc.Encode(map[string]any{"experiments": snap}); err != nil {
 			// Headers are gone; all we can do is log instead of
 			// silently truncating the response.
-			fmt.Fprintf(os.Stderr, "-serve: /progress: %v\n", err)
+			fmt.Fprintf(stderr, "-serve: /progress: %v\n", err)
 		}
 	})
 	mux.HandleFunc("/quit", func(w http.ResponseWriter, _ *http.Request) {
@@ -100,14 +102,14 @@ func startServe(addr string, reg *metrics.Registry, prog *bench.Progress) (*obsS
 	// its whole profiling window.
 	o.srv = server.Hardened(mux)
 	o.addr = ln.Addr()
-	server.ServeHTTP(o.srv, ln, slog.New(slog.NewTextHandler(os.Stderr, nil)).With("flag", "-serve"))
-	fmt.Fprintf(os.Stderr, "serving observability on http://%s/ (metrics, progress, pprof)\n", o.addr)
+	server.ServeHTTP(o.srv, ln, slog.New(slog.NewTextHandler(stderr, nil)).With("flag", "-serve"))
+	fmt.Fprintf(stderr, "serving observability on http://%s/ (metrics, progress, pprof)\n", o.addr)
 	return o, nil
 }
 
 // hold blocks until /quit is hit or the process is interrupted.
 func (o *obsServer) hold() {
-	fmt.Fprintf(os.Stderr, "holding: GET http://%s/quit (or interrupt) to exit\n", o.addr)
+	fmt.Fprintf(o.stderr, "holding: GET http://%s/quit (or interrupt) to exit\n", o.addr)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -21,41 +22,62 @@ import (
 )
 
 func main() {
-	nodes := flag.Int("nodes", 300, "sensor node count")
-	seed := flag.Int64("seed", 1, "placement seed")
-	dot := flag.Bool("dot", false, "emit graphviz DOT of the routing tree")
-	loads := flag.Bool("loads", false, "run a default join with both methods and show the per-node load distribution")
-	timeline := flag.Bool("timeline", false, "run a default join and render its execution timeline from the journal")
-	heatmap := flag.Bool("heatmap", false, "run a default join with both methods and render a spatial per-node radio-energy heatmap")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, prints the selected view and
+// returns the exit status (2 for a usage error, 1 for a failure).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("netviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 300, "sensor node count")
+	seed := fs.Int64("seed", 1, "placement seed")
+	dot := fs.Bool("dot", false, "emit graphviz DOT of the routing tree")
+	loads := fs.Bool("loads", false, "run a default join with both methods and show the per-node load distribution")
+	timeline := fs.Bool("timeline", false, "run a default join and render its execution timeline from the journal")
+	heatmap := fs.Bool("heatmap", false, "run a default join with both methods and render a spatial per-node radio-energy heatmap")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintln(stderr, "netviz takes no positional arguments")
+		fs.Usage()
+		return 2
+	}
 
 	r, err := core.NewRunner(core.SetupConfig{Nodes: *nodes, Seed: *seed})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "netviz:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "netviz:", err)
+		return 1
 	}
-	dep, tree := r.Dep, r.Tree
+	switch {
+	case *dot:
+		emitDot(stdout, r.Dep, r.Tree)
+	case *loads:
+		err = emitLoads(stdout, r)
+	case *timeline:
+		err = emitTimeline(stdout, r)
+	case *heatmap:
+		err = emitHeatmap(stdout, r)
+	default:
+		emitSummary(stdout, r.Dep, r.Tree)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "netviz:", err)
+		return 1
+	}
+	return 0
+}
 
-	if *dot {
-		emitDot(dep, tree)
-		return
-	}
-	if *loads {
-		emitLoads(r)
-		return
-	}
-	if *timeline {
-		emitTimeline(r)
-		return
-	}
-	if *heatmap {
-		emitHeatmap(r)
-		return
-	}
-
-	fmt.Printf("deployment: %d nodes on %.0fx%.0f m, range %.0f m, avg degree %.1f\n",
+// emitSummary prints the deployment, the tree's depth histogram and the
+// first nodes' placement and tree links.
+func emitSummary(w io.Writer, dep *topology.Deployment, tree *routing.Tree) {
+	fmt.Fprintf(w, "deployment: %d nodes on %.0fx%.0f m, range %.0f m, avg degree %.1f\n",
 		dep.N(), dep.Area.Width(), dep.Area.Height(), dep.Range, dep.AvgDegree())
-	fmt.Printf("routing tree: max depth %d, root descendants %d\n\n",
+	fmt.Fprintf(w, "routing tree: max depth %d, root descendants %d\n\n",
 		tree.MaxDepth, tree.Descendants[topology.BaseStation])
 
 	depthCount := make([]int, tree.MaxDepth+1)
@@ -64,67 +86,66 @@ func main() {
 			depthCount[tree.Depth[i]]++
 		}
 	}
-	fmt.Println("depth  nodes  histogram")
+	fmt.Fprintln(w, "depth  nodes  histogram")
 	for d, c := range depthCount {
 		bar := ""
 		for i := 0; i < c*60/dep.N()+1 && i < 60; i++ {
 			bar += "#"
 		}
-		fmt.Printf("%5d  %5d  %s\n", d, c, bar)
+		fmt.Fprintf(w, "%5d  %5d  %s\n", d, c, bar)
 	}
 
-	fmt.Println("\nnode   pos(x,y)        depth  parent  children  descendants")
+	fmt.Fprintln(w, "\nnode   pos(x,y)        depth  parent  children  descendants")
 	limit := dep.N()
 	if limit > 25 {
 		limit = 25
 	}
 	for i := 0; i < limit; i++ {
-		fmt.Printf("%4d   (%6.1f,%6.1f)  %5d  %6d  %8d  %11d\n",
+		fmt.Fprintf(w, "%4d   (%6.1f,%6.1f)  %5d  %6d  %8d  %11d\n",
 			i, dep.Pos[i].X, dep.Pos[i].Y, tree.Depth[i], tree.Parent[i],
 			len(tree.Children[i]), tree.Descendants[i])
 	}
 	if dep.N() > limit {
-		fmt.Printf("... (%d more nodes)\n", dep.N()-limit)
+		fmt.Fprintf(w, "... (%d more nodes)\n", dep.N()-limit)
 	}
 }
 
-func emitDot(dep *topology.Deployment, tree *routing.Tree) {
-	fmt.Println("digraph routing {")
-	fmt.Println("  node [shape=point];")
+func emitDot(w io.Writer, dep *topology.Deployment, tree *routing.Tree) {
+	fmt.Fprintln(w, "digraph routing {")
+	fmt.Fprintln(w, "  node [shape=point];")
 	for i := 0; i < dep.N(); i++ {
-		fmt.Printf("  n%d [pos=\"%.1f,%.1f!\"];\n", i, dep.Pos[i].X, dep.Pos[i].Y)
+		fmt.Fprintf(w, "  n%d [pos=\"%.1f,%.1f!\"];\n", i, dep.Pos[i].X, dep.Pos[i].Y)
 		if p := tree.Parent[i]; p != routing.NoParent {
-			fmt.Printf("  n%d -> n%d;\n", i, p)
+			fmt.Fprintf(w, "  n%d -> n%d;\n", i, p)
 		}
 	}
-	fmt.Println("}")
+	fmt.Fprintln(w, "}")
 }
 
 // emitTimeline journals a default SENS-Join execution and renders the
 // phase timeline with transmission density.
-func emitTimeline(r *core.Runner) {
+func emitTimeline(w io.Writer, r *core.Runner) error {
 	const src = `SELECT A.hum, B.hum FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 6 ONCE`
 	rec := r.EnableTrace()
 	if _, err := r.Run(src, core.NewSENSJoin(), 0, core.WithoutRows()); err != nil {
-		fmt.Fprintln(os.Stderr, "netviz:", err)
-		os.Exit(1)
+		return err
 	}
 	j := rec.Journal()
-	fmt.Println(trace.Timeline(j, 72))
-	fmt.Println(trace.PhaseBreakdown(j))
+	fmt.Fprintln(w, trace.Timeline(j, 72))
+	fmt.Fprintln(w, trace.PhaseBreakdown(j))
+	return nil
 }
 
 // emitLoads races both methods on a default selective join and prints
 // the per-node packet distribution by tree depth — the Fig. 11 view.
-func emitLoads(r *core.Runner) {
+func emitLoads(w io.Writer, r *core.Runner) error {
 	const src = `SELECT A.hum, B.hum FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 6 ONCE`
-	show := func(name string, m core.Method) {
+	show := func(name string, m core.Method) error {
 		r.Stats.Reset()
 		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
-			fmt.Fprintln(os.Stderr, "netviz:", err)
-			os.Exit(1)
+			return err
 		}
 		per := r.Stats.PerNodeTx(m.Phases()...)
 		byDepth := make(map[int][]int64)
@@ -132,7 +153,7 @@ func emitLoads(r *core.Runner) {
 			d := r.Tree.Depth[i]
 			byDepth[d] = append(byDepth[d], per[i])
 		}
-		fmt.Printf("\n%s — packets per node by depth (avg [max]):\n", name)
+		fmt.Fprintf(w, "\n%s — packets per node by depth (avg [max]):\n", name)
 		for d := 1; d <= r.Tree.MaxDepth; d++ {
 			nodes := byDepth[d]
 			if len(nodes) == 0 {
@@ -147,11 +168,14 @@ func emitLoads(r *core.Runner) {
 			}
 			avg := float64(sum) / float64(len(nodes))
 			bar := strings.Repeat("#", int(avg)+1)
-			fmt.Printf("depth %2d (%3d nodes): %6.1f [%4d] %s\n", d, len(nodes), avg, max, bar)
+			fmt.Fprintf(w, "depth %2d (%3d nodes): %6.1f [%4d] %s\n", d, len(nodes), avg, max, bar)
 		}
+		return nil
 	}
-	show("external-join", core.External{})
-	show("sens-join", core.NewSENSJoin())
+	if err := show("external-join", core.External{}); err != nil {
+		return err
+	}
+	return show("sens-join", core.NewSENSJoin())
 }
 
 // emitHeatmap races both methods on the default join and renders each
@@ -159,18 +183,17 @@ func emitLoads(r *core.Runner) {
 // ASCII heatmap — the geographic view of the Fig. 11 hotspot story: the
 // external join concentrates energy drain around the base station,
 // SENS-Join flattens it.
-func emitHeatmap(r *core.Runner) {
+func emitHeatmap(w io.Writer, r *core.Runner) error {
 	const src = `SELECT A.hum, B.hum FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 6 ONCE`
 	const gw, gh = 60, 20
 	ramp := []byte(" .:-=+*#%@")
 	model := stats.CC2420Model()
 	area := r.Dep.Area
-	show := func(name string, m core.Method) {
+	show := func(name string, m core.Method) error {
 		r.Stats.Reset()
 		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
-			fmt.Fprintln(os.Stderr, "netviz:", err)
-			os.Exit(1)
+			return err
 		}
 		energy := r.Stats.PerNodeEnergy(model, m.Phases()...)
 		var sum [gh][gw]float64
@@ -201,7 +224,7 @@ func emitHeatmap(r *core.Runner) {
 		}
 		node, peak := stats.MaxLoadNode(energy)
 		p := stats.Percentiles(energy, 0.5, 0.99)
-		fmt.Printf("\n%s — mean radio energy per grid cell (peak cell %.2f mJ; B = base station):\n",
+		fmt.Fprintf(w, "\n%s — mean radio energy per grid cell (peak cell %.2f mJ; B = base station):\n",
 			name, 1000*max)
 		bx, by := cell(int(topology.BaseStation))
 		for y := 0; y < gh; y++ {
@@ -220,11 +243,14 @@ func emitHeatmap(r *core.Runner) {
 					row[x] = 'B'
 				}
 			}
-			fmt.Println(string(row))
+			fmt.Fprintln(w, string(row))
 		}
-		fmt.Printf("hotspot node %d: %.2f mJ (%d descendants); p50 %.3f mJ, p99 %.3f mJ, gini %.2f\n",
+		fmt.Fprintf(w, "hotspot node %d: %.2f mJ (%d descendants); p50 %.3f mJ, p99 %.3f mJ, gini %.2f\n",
 			node, 1000*peak, r.Tree.Descendants[node], 1000*p[0], 1000*p[1], stats.Gini(energy))
+		return nil
 	}
-	show("external-join", core.External{})
-	show("sens-join", core.NewSENSJoin())
+	if err := show("external-join", core.External{}); err != nil {
+		return err
+	}
+	return show("sens-join", core.NewSENSJoin())
 }

@@ -22,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"os"
@@ -34,45 +35,67 @@ import (
 )
 
 func main() {
-	listen := flag.String("listen", "127.0.0.1:7077", "query protocol listen address")
-	httpAddr := flag.String("http", "", "observability HTTP listen address (e.g. 127.0.0.1:7078; empty = off)")
-	nodes := flag.Int("nodes", 150, "default deployment: sensor node count")
-	seed := flag.Int64("seed", 1, "default deployment: placement and field seed")
-	packet := flag.Int("packet", 0, "radio maximum packet size in bytes (0 = paper default)")
-	maxSessions := flag.Int("max-sessions", 256, "maximum concurrently open client sessions")
-	maxConcurrent := flag.Int("max-concurrent", 0, "maximum concurrently executing queries (0 = GOMAXPROCS)")
-	maxQueue := flag.Int("max-queue", 0, "admitted-but-waiting query bound beyond -max-concurrent (0 = 4x)")
-	batchWindow := flag.Duration("batch-window", 25*time.Millisecond, "grouping window for compatible continuous queries")
-	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "close sessions idle for this long")
-	queryTimeout := flag.Duration("query-timeout", 5*time.Minute, "per-epoch execution deadline; expiry answers a timeout error and frees the slot")
-	traceSample := flag.Float64("trace-sample", 0, "fraction of queries (0..1) whose span tree is captured into /debug/queries")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "sensjoind takes no positional arguments")
-		flag.Usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, serves until SIGINT or SIGTERM and
+// returns the exit status (2 for a usage error, 1 for a failure). It
+// prints only to stderr.
+func run(args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sensjoind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	listen := fs.String("listen", "127.0.0.1:7077", "query protocol listen address")
+	httpAddr := fs.String("http", "", "observability HTTP listen address (e.g. 127.0.0.1:7078; empty = off)")
+	nodes := fs.Int("nodes", 150, "default deployment: sensor node count")
+	seed := fs.Int64("seed", 1, "default deployment: placement and field seed")
+	packet := fs.Int("packet", 0, "radio maximum packet size in bytes (0 = paper default)")
+	maxSessions := fs.Int("max-sessions", 256, "maximum concurrently open client sessions")
+	maxConcurrent := fs.Int("max-concurrent", 0, "maximum concurrently executing queries (0 = GOMAXPROCS)")
+	maxQueue := fs.Int("max-queue", 0, "admitted-but-waiting query bound beyond -max-concurrent (0 = 4x)")
+	batchWindow := fs.Duration("batch-window", 25*time.Millisecond, "grouping window for compatible continuous queries")
+	idleTimeout := fs.Duration("idle-timeout", 5*time.Minute, "close sessions idle for this long")
+	queryTimeout := fs.Duration("query-timeout", 5*time.Minute, "per-epoch execution deadline; expiry answers a timeout error and frees the slot")
+	traceSample := fs.Float64("trace-sample", 0, "fraction of queries (0..1) whose span tree is captured into /debug/queries")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	if err := run(*listen, *httpAddr, server.Config{
+	if fs.NArg() != 0 {
+		fmt.Fprintln(stderr, "sensjoind takes no positional arguments")
+		fs.Usage()
+		return 2
+	}
+	if err := serve(*listen, *httpAddr, server.Config{
 		Nodes: *nodes, Seed: *seed, MaxPacket: *packet,
 		MaxSessions: *maxSessions, MaxConcurrent: *maxConcurrent, MaxQueue: *maxQueue,
 		BatchWindow: *batchWindow, IdleTimeout: *idleTimeout, QueryTimeout: *queryTimeout,
 		TraceSample: *traceSample,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "sensjoind:", err)
-		os.Exit(1)
+	}, stderr); err != nil {
+		fmt.Fprintln(stderr, "sensjoind:", err)
+		return 1
 	}
+	return 0
 }
 
-func run(listen, httpAddr string, cfg server.Config) error {
+// serve runs the daemon until SIGINT or SIGTERM, then drains it. The
+// signals are caught before the listen addresses are printed, so a
+// caller that has read them can stop the daemon with either.
+func serve(listen, httpAddr string, cfg server.Config, stderr io.Writer) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	reg := metrics.New()
 	cfg.Registry = reg
-	cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	cfg.Logger = slog.New(slog.NewTextHandler(stderr, nil))
 
 	srv, err := server.Listen(listen, cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "sensjoind: serving queries on %s (nodes=%d seed=%d)\n",
+	fmt.Fprintf(stderr, "sensjoind: serving queries on %s (nodes=%d seed=%d)\n",
 		srv.Addr(), cfg.Nodes, cfg.Seed)
 
 	var obs *server.ObsHTTP
@@ -84,17 +107,15 @@ func run(listen, httpAddr string, cfg server.Config) error {
 		}
 		metrics.PublishExpvar("sensjoind", reg)
 		obs = server.StartObsHTTP(ln, reg, srv, cfg.Logger)
-		fmt.Fprintf(os.Stderr, "sensjoind: observability on http://%s/ (metrics, pprof, debug/queries)\n", ln.Addr())
+		fmt.Fprintf(stderr, "sensjoind: observability on http://%s/ (metrics, pprof, debug/queries)\n", ln.Addr())
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
-	fmt.Fprintf(os.Stderr, "sensjoind: %v: draining\n", got)
+	fmt.Fprintf(stderr, "sensjoind: %v: draining\n", got)
 	err = srv.Close()
 	if obs != nil {
 		obs.Stop()
 	}
-	fmt.Fprintln(os.Stderr, "sensjoind: bye")
+	fmt.Fprintln(stderr, "sensjoind: bye")
 	return err
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // serverMetrics holds the sensjoind_* instruments. All families are
-// registered eagerly at server start so the exposition is complete (and
-// promcheck -require passes) before the first query arrives.
+// registered eagerly at server start so the exposition is complete
+// before the first query arrives.
 type serverMetrics struct {
 	sessions      *metrics.Gauge
 	sessionsTotal *metrics.Counter
