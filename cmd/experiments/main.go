@@ -33,6 +33,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,21 +50,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		if err != flag.ErrHelp {
-			fmt.Fprintln(os.Stderr, err)
-		}
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // suiteNodes is the node count the experiments of bench.All default to,
 // shown in the header when -nodes is not given.
 const suiteNodes = 1500
 
-func run(args []string, stdout, stderr io.Writer) error {
+// run is the command: it parses args, runs the selected experiments and
+// returns the exit status (2 for a usage error, 1 for a failure).
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	fs.SetOutput(io.Discard) // a bad flag is the returned error, said once
+	fs.SetOutput(stderr)
 	nodes := fs.Int("nodes", 0, "sensor node count; 0 = each experiment's own default (the paper's 1500; 150 for X9 and X10)")
 	seed := fs.Int64("seed", 42, "placement and field seed")
 	packet := fs.Int("packet", 48, "maximum packet size in bytes")
@@ -88,36 +86,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 	serveSeconds := fs.Float64("serve-seconds", 3, "X9: measured load window in seconds")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
-			fs.SetOutput(stderr)
-			fs.Usage()
+			return 0
 		}
-		return err
+		return 2
+	}
+	// exit says err and returns code: 2 for a usage error, 1 for a failure.
+	exit := func(code int, err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return code
 	}
 
 	params := bench.Params{
 		ChurnRounds: *churnRounds,
 		ServeWindow: time.Duration(*serveSeconds * float64(time.Second)),
 	}
-	var err error
-	if params.Loss, err = rateList("-loss", *loss); err != nil {
-		return err
-	}
-	if params.ChurnRates, err = rateList("-churn-rates", *churnRates); err != nil {
-		return err
-	}
-	if params.Scale, err = intList("-scale", *scale); err != nil {
-		return err
-	}
-	if params.Shards, err = intList("-shards", *shards); err != nil {
-		return err
-	}
-	if params.MQONs, err = intList("-mqo-n", *mqoNs); err != nil {
-		return err
+	var bad [5]error // one per list flag; every bad list is named
+	params.Loss, bad[0] = rateList("-loss", *loss)
+	params.ChurnRates, bad[1] = rateList("-churn-rates", *churnRates)
+	params.Scale, bad[2] = intList("-scale", *scale)
+	params.Shards, bad[3] = intList("-shards", *shards)
+	params.MQONs, bad[4] = intList("-mqo-n", *mqoNs)
+	err := errors.Join(bad[:]...)
+	if err != nil {
+		return exit(2, err)
 	}
 
 	active, err := selectExperiments(*only)
 	if err != nil {
-		return err
+		return exit(2, err)
 	}
 	if *out != "" {
 		var with []string
@@ -127,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		if len(with) != 1 {
-			return fmt.Errorf("-out writes one JSON result: select exactly one of X7, X8, X9, X10 with -only (selected: %d %v)", len(with), with)
+			return exit(2, fmt.Errorf("-out writes one JSON result: select exactly one of X7, X8, X9, X10 with -only (selected: %d %v)", len(with), with))
 		}
 	}
 
@@ -147,23 +143,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *serveAddr != "" {
 		cfg.Metrics = metrics.New()
 		if obs, err = startServe(*serveAddr, cfg.Metrics, cfg.Progress, stderr); err != nil {
-			return err
+			return exit(1, err)
 		}
 		defer obs.stop()
 	}
 
 	if *traceFile != "" {
-		return writeTrace(cfg, *traceFile, stdout, stderr)
+		if err := writeTrace(cfg, *traceFile, stdout, stderr); err != nil {
+			return exit(1, err)
+		}
+		return 0
 	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			return err
+			return exit(1, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
+			return exit(1, err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -192,26 +191,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	start := time.Now()
 	results, err := bench.Fanout(*parallel, jobs)
 	if err != nil {
-		return err
+		return exit(1, err)
 	}
 	total := time.Since(start)
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			return err
+			return exit(1, err)
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
+			return exit(1, err)
 		}
 	}
 	if *out != "" {
 		for _, r := range results {
 			if r.artefact != nil {
 				if err := writeJSON(*out, r.artefact); err != nil {
-					return err
+					return exit(1, err)
 				}
 			}
 		}
@@ -238,12 +237,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			return err
+			return exit(1, err)
 		}
 		if obs != nil && *hold {
 			obs.hold()
 		}
-		return nil
+		return 0
 	}
 
 	// The header states the suite's configuration; the on-demand
@@ -267,7 +266,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if obs != nil && *hold {
 		obs.hold()
 	}
-	return nil
+	return 0
 }
 
 // selectExperiments returns the experiments -only names, in Suite order;

@@ -13,13 +13,15 @@ import (
 )
 
 // runCLI is one invocation of the binary's run with captured streams.
-func runCLI(args ...string) (stdout string, err error) {
+func runCLI(args ...string) (stdout, stderr string, code int) {
 	var out, errOut bytes.Buffer
-	err = run(args, &out, &errOut)
-	return out.String(), err
+	code = run(args, &out, &errOut)
+	return out.String(), errOut.String(), code
 }
 
-// What the command line refuses, and that the refusal says what to do.
+// What the command line refuses, with which exit status (2 for a usage
+// error, 1 for an experiment that fails), and that the refusal says what
+// to do; -h prints the usage and exits 0.
 func TestRunRefuses(t *testing.T) {
 	kept := filepath.Join(t.TempDir(), "kept.json")
 	if err := os.WriteFile(kept, []byte("kept"), 0o644); err != nil {
@@ -28,33 +30,35 @@ func TestRunRefuses(t *testing.T) {
 	type refusal struct {
 		name string
 		args []string
-		want []string // substrings of the error
+		code int
+		want []string // substrings of stderr
 	}
 	cases := []refusal{
-		{"unknown id", []string{"-only", "E1a,E99"}, []string{`"E99"`, "E1a", "A2", "X6", "L1", "X7", "X10"}},
-		{"L1 without rates", []string{"-only", "L1", "-nodes", "150"}, []string{"L1", "-loss"}},
-		{"X7 without sizes", []string{"-only", "X7"}, []string{"X7", "-scale"}},
-		{"two results, one file", []string{"-only", "X8,X10", "-out", kept}, []string{"-out", "X8", "X10"}},
-		{"no result to write", []string{"-only", "E1a", "-out", kept}, []string{"-out"}},
-		{"bad rate", []string{"-only", "L1", "-loss", "1.5"}, []string{"-loss", "1.5"}},
-		{"bad count", []string{"-only", "X8", "-mqo-n", "2,zero"}, []string{"-mqo-n", "zero"}},
+		{"unknown id", []string{"-only", "E1a,E99"}, 2, []string{`"E99"`, "E1a", "A2", "X6", "L1", "X7", "X10"}},
+		{"L1 without rates", []string{"-only", "L1", "-nodes", "150"}, 1, []string{"L1", "-loss"}},
+		{"X7 without sizes", []string{"-only", "X7"}, 1, []string{"X7", "-scale"}},
+		{"two results, one file", []string{"-only", "X8,X10", "-out", kept}, 2, []string{"-out", "X8", "X10"}},
+		{"no result to write", []string{"-only", "E1a", "-out", kept}, 2, []string{"-out"}},
+		{"bad rate", []string{"-only", "L1", "-loss", "1.5"}, 2, []string{"-loss", "1.5"}},
+		{"bad count", []string{"-only", "X8", "-mqo-n", "2,zero"}, 2, []string{"-mqo-n", "zero"}},
+		{"help", []string{"-h"}, 0, []string{"Usage of experiments", "-only", "-mqo-n"}},
 	}
 	// The mode and artefact flags the experiment ids and -out replaced.
 	for _, name := range []string{"mqo", "churn", "serve-load"} {
-		cases = append(cases, refusal{"retired -" + name, []string{"-" + name}, []string{"-" + name}})
+		cases = append(cases, refusal{"retired -" + name, []string{"-" + name}, 2, []string{"-" + name}})
 	}
 	for _, name := range []string{"scale-json", "mqo-json", "churn-json", "serve-load-json", "churn-nodes", "serve-nodes", "serve-clients"} {
-		cases = append(cases, refusal{"retired -" + name, []string{"-" + name, "1"}, []string{"-" + name}})
+		cases = append(cases, refusal{"retired -" + name, []string{"-" + name, "1"}, 2, []string{"-" + name}})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			stdout, err := runCLI(tc.args...)
-			if err == nil {
-				t.Fatalf("%v: accepted", tc.args)
+			stdout, stderr, code := runCLI(tc.args...)
+			if code != tc.code {
+				t.Fatalf("%v: exit %d, want %d; stderr:\n%s", tc.args, code, tc.code, stderr)
 			}
 			for _, w := range tc.want {
-				if !strings.Contains(err.Error(), w) {
-					t.Errorf("%v: error %q does not mention %q", tc.args, err, w)
+				if !strings.Contains(stderr, w) {
+					t.Errorf("%v: stderr %q does not mention %q", tc.args, stderr, w)
 				}
 			}
 			if stdout != "" {
@@ -80,9 +84,9 @@ func TestRunOnlyPrintsTheSuiteEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := "SENS-Join experiment suite — 150 nodes, seed 42, 48B packets\n\n" + fmt.Sprintln(tbl)
-	got, err := runCLI("-only", "E1a", "-nodes", "150")
-	if err != nil {
-		t.Fatal(err)
+	got, stderr, code := runCLI("-only", "E1a", "-nodes", "150")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	if got != want {
 		t.Fatalf("-only E1a -nodes 150 printed\n%s\nwant\n%s", got, want)
@@ -93,9 +97,9 @@ func TestRunOnlyPrintsTheSuiteEntry(t *testing.T) {
 // flag and writes its JSON result where -out says.
 func TestRunOutWritesTheResult(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mqo.json")
-	stdout, err := runCLI("-only", "X8", "-nodes", "400", "-mqo-n", "1,2", "-out", path)
-	if err != nil {
-		t.Fatal(err)
+	stdout, stderr, code := runCLI("-only", "X8", "-nodes", "400", "-mqo-n", "1,2", "-out", path)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	if !strings.HasPrefix(stdout, "== X8 ") || strings.Contains(stdout, "DIFFER") {
 		t.Fatalf("X8 table:\n%s", stdout)

@@ -35,18 +35,18 @@ var suiteFamilies = []string{
 // tables as a plain run, byte for byte.
 func TestServeKeepsTheTables(t *testing.T) {
 	args := []string{"-nodes", "400", "-only", "E1a,X6", "-audit"}
-	plain, err := runCLI(args...)
-	if err != nil {
-		t.Fatal(err)
+	plain, msg, code := runCLI(args...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, msg)
 	}
 
 	var served bytes.Buffer
 	stderr, w := io.Pipe()
-	done := make(chan error, 1)
+	done := make(chan int, 1)
 	go func() {
-		err := run(append(args, "-serve", "127.0.0.1:0", "-progress", "-hold"), &served, w)
+		code := run(append(args, "-serve", "127.0.0.1:0", "-progress", "-hold"), &served, w)
 		w.Close()
-		done <- err
+		done <- code
 	}()
 	lines := scanLines(stderr)
 	base := strings.Fields(awaitLine(t, lines, "serving observability on "))[3]
@@ -74,8 +74,8 @@ func TestServeKeepsTheTables(t *testing.T) {
 		t.Error("empty CPU profile")
 	}
 	get(t, base+"quit")
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	if code := <-done; code != 0 {
+		t.Fatalf("the served run exited %d", code)
 	}
 	if served.String() != plain {
 		t.Fatalf("served tables differ from the plain run's:\n%s\nwant\n%s", served.String(), plain)

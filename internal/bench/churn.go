@@ -5,6 +5,7 @@ import (
 
 	"sensjoin/internal/core"
 	"sensjoin/internal/netsim"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/workload"
 )
 
@@ -186,7 +187,7 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 					s.method.Name(), transport, s.rate, round, err)
 			}
 			p.Violations += len(res.Violations)
-			if res.Complete && tableKey(res) == tableKey(truth) {
+			if res.Complete && tabledigest.Diff(res.Table(), truth.Table()) == "" {
 				p.CompleteExact++
 			}
 			if !res.Complete {

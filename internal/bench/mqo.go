@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"slices"
-	"strconv"
-	"strings"
 
 	"sensjoin/internal/core"
 	"sensjoin/internal/stats"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/workload"
 )
 
@@ -85,6 +82,7 @@ type MQOPoint struct {
 	SharedEnergyJ   float64 `json:"shared_energy_j"`
 	IndepEnergyJ    float64 `json:"indep_energy_j"`
 	TablesIdentical bool    `json:"tables_identical"`
+	diff            string  // the first table that differs, and how; "" when none does
 }
 
 // MQOResult is the machine-readable X8 artifact (BENCH_mqo.json).
@@ -123,44 +121,6 @@ func mqoRunner(cfg MQOConfig) (*core.Runner, error) {
 	return r, nil
 }
 
-// tableKey is the rowSetKey of a library result.
-func tableKey(res *core.Result) string {
-	return rowSetKey(res.Columns, res.Rows, res.ContributingNodes, res.MemberNodes, res.Complete)
-}
-
-// rowSetKey order-normalizes one result table, the library's or a
-// client's: rows render with exact round-trip float formatting (%x) and
-// sort lexicographically, so two tables compare equal iff their row SETS
-// are identical byte for byte. Every row renders once into one buffer,
-// and the key is written in one pass over the sorted rows: linear in the
-// table's size, not quadratic in its rows.
-func rowSetKey[R ~[]float64](cols []string, rows []R, contrib, members int, complete bool) string {
-	var buf []byte
-	offs := make([]int, 1, len(rows)+1) // row i is buf[offs[i]:offs[i+1]]
-	for _, row := range rows {
-		for _, v := range row {
-			buf = strconv.AppendFloat(buf, v, 'x', -1, 64)
-			buf = append(buf, '|')
-		}
-		offs = append(offs, len(buf))
-	}
-	rendered := func(i int) []byte { return buf[offs[i]:offs[i+1]] }
-	order := make([]int, len(rows))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(rendered(a), rendered(b)) })
-	header := fmt.Sprintf("cols=%v contrib=%d members=%d complete=%t;", cols, contrib, members, complete)
-	var key strings.Builder
-	key.Grow(len(header) + len(buf) + len(rows))
-	key.WriteString(header)
-	for _, i := range order {
-		key.Write(rendered(i))
-		key.WriteByte('\n')
-	}
-	return key.String()
-}
-
 // RunMQO measures X8.
 func RunMQO(cfg MQOConfig) (*MQOResult, error) {
 	cfg = cfg.withDefaults()
@@ -193,14 +153,14 @@ func RunMQO(cfg MQOConfig) (*MQOResult, error) {
 					return nil, fmt.Errorf("bench: mqo n=%d %s: %w", n, overlap, err)
 				}
 			}
-			sharedKeys := make(map[[2]int]string)
+			shared := make(map[[2]int]*core.Result)
 			for e := 0; e < cfg.Epochs; e++ {
 				out, err := g.RunRound(rs, float64(e)*cfg.Period)
 				if err != nil {
 					return nil, fmt.Errorf("bench: mqo shared n=%d %s epoch %d: %w", n, overlap, e, err)
 				}
 				for q, rr := range out {
-					sharedKeys[[2]int{e, q}] = tableKey(rr)
+					shared[[2]int{e, q}] = rr
 				}
 			}
 			p := MQOPoint{
@@ -212,7 +172,6 @@ func RunMQO(cfg MQOConfig) (*MQOResult, error) {
 
 			// Independent leg: one fresh runner + continuous SENS-Join per
 			// query, same deployment/environment/epochs.
-			identical := true
 			for q, s := range srcs {
 				ri, err := mqoRunner(cfg)
 				if err != nil {
@@ -224,15 +183,15 @@ func RunMQO(cfg MQOConfig) (*MQOResult, error) {
 					if err != nil {
 						return nil, fmt.Errorf("bench: mqo independent n=%d %s q=%d epoch %d: %w", n, overlap, q, e, err)
 					}
-					if tableKey(out) != sharedKeys[[2]int{e, q}] {
-						identical = false
+					if d := tabledigest.Diff(shared[[2]int{e, q}].Table(), out.Table()); d != "" && p.diff == "" {
+						p.diff = fmt.Sprintf("query %d epoch %d, shared vs independent: %s", q, e, d)
 					}
 				}
 				p.IndepTx += ri.Stats.TotalTx(core.SENSPhases...)
 				p.IndepBytes += ri.Stats.TotalTxBytes(core.SENSPhases...)
 				p.IndepEnergyJ += energyOf(ri)
 			}
-			p.TablesIdentical = identical
+			p.TablesIdentical = p.diff == ""
 			if p.IndepTx > 0 {
 				p.TxRatio = float64(p.SharedTx) / float64(p.IndepTx)
 			}
@@ -252,7 +211,7 @@ func (r *MQOResult) Table() *Table {
 	for _, p := range r.Points {
 		tables := "identical"
 		if !p.TablesIdentical {
-			tables = "DIFFER"
+			tables = "DIFFER (" + p.diff + ")"
 		}
 		t.AddRow(
 			fmtInt(int64(p.N)), p.Overlap, fmtInt(int64(p.Clusters)),

@@ -12,6 +12,7 @@ import (
 	"sensjoin/internal/core"
 	"sensjoin/internal/metrics"
 	"sensjoin/internal/server"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/pkg/client"
 )
 
@@ -149,7 +150,7 @@ func RunServeLoad(cfg ServeConfig) (*ServeResult, error) {
 	shapes := serveShapes(cfg.Shapes)
 
 	// Ground truth: every shape executed directly through the library.
-	ref := make(map[string]string, len(shapes))
+	ref := make(map[string]tabledigest.Digest, len(shapes))
 	r, err := privateRunner(cfg.Nodes, cfg.Seed, 0)
 	if err != nil {
 		return nil, err
@@ -159,7 +160,7 @@ func RunServeLoad(cfg ServeConfig) (*ServeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ref[src] = tableKey(res)
+		ref[src] = res.Table().Digest()
 	}
 
 	reg := metrics.New()
@@ -214,7 +215,9 @@ func RunServeLoad(cfg ServeConfig) (*ServeResult, error) {
 					return
 				}
 				n++
-				if rowSetKey(tb.Columns, tb.Rows, tb.Contributing, tb.Members, tb.Complete) != ref[src] {
+				got := tabledigest.Table[[]float64]{Columns: tb.Columns, Rows: tb.Rows,
+					Contributing: tb.Contributing, Members: tb.Members, Complete: tb.Complete}
+				if got.Digest() != ref[src] {
 					bad++
 				}
 			}

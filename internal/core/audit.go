@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"sensjoin/internal/routing"
 	"sensjoin/internal/stats"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
 )
@@ -139,39 +139,11 @@ func (a *auditSegment) close(m Method, execs []*Exec, results []*Result) ([]trac
 	return violations, nil
 }
 
-// sameRowSet compares two results order-insensitively (ORDER BY-less
-// queries return rows in collection order, which recovery can permute).
+// sameRowSet reports whether a and b hold the same rows, bit for bit,
+// in any order (ORDER BY-less queries return rows in collection order,
+// which recovery can permute).
 func sameRowSet(a, b []Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ca, cb := canonRowOrder(a), canonRowOrder(b)
-	for i := range ca {
-		ra, rb := ca[i], cb[i]
-		if len(ra) != len(rb) {
-			return false
-		}
-		for c := range ra {
-			if ra[c] != rb[c] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func canonRowOrder(rows []Row) []Row {
-	out := append([]Row(nil), rows...)
-	sort.Slice(out, func(i, k int) bool {
-		a, b := out[i], out[k]
-		for c := 0; c < len(a) && c < len(b); c++ {
-			if a[c] != b[c] {
-				return a[c] < b[c]
-			}
-		}
-		return len(a) < len(b)
-	})
-	return out
+	return tabledigest.Table[Row]{Rows: a}.Digest() == tabledigest.Table[Row]{Rows: b}.Digest()
 }
 
 // allAlive reports whether every node in the deployment is live.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math"
 	"testing"
 
+	"sensjoin/internal/netsim"
 	"sensjoin/internal/stats"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
@@ -50,7 +52,7 @@ func TestAuditRunMatchesPlainRun(t *testing.T) {
 	if len(violations) != 0 {
 		t.Fatalf("violations: %v", violations)
 	}
-	sameRows(t, want.Rows, got.Rows, "plain", "audited")
+	sameTable(t, want, got, "audited")
 	if want.ResponseTime != got.ResponseTime {
 		t.Fatalf("ResponseTime %g != %g — tracing changed timing", got.ResponseTime, want.ResponseTime)
 	}
@@ -94,6 +96,25 @@ func TestAutoAuditContinuousRoundsBounded(t *testing.T) {
 	}
 	if n := r.Trace.Mark(); n != 0 {
 		t.Fatalf("journal holds %d events after auto-audited rounds; want 0 (truncated)", n)
+	}
+}
+
+// The churn-safety pass compares a result with its oracle through the
+// table digest, over the cells' bits: a NaN equals the same NaN, and -0
+// is not +0. A strict (AutoAudit) round of a query whose cells are NaN,
+// ±Inf and -0 therefore stays clean; under == every NaN row failed it.
+func TestAutoAuditNonFiniteCellsClean(t *testing.T) {
+	r := testRunner(t, 100, 3)
+	r.AutoAudit = true
+	r.AttachChurn(netsim.ChurnConfig{Rate: 0}) // gives the round its oracles
+	res, err := r.Run(`SELECT A.temp / (B.temp - B.temp), (B.temp - B.temp) / (B.temp - B.temp),
+		(B.temp - B.temp) * -1, -A.temp / (B.temp - B.temp), A.temp
+		FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 ONCE`, NewSENSJoin(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete || len(res.Rows) == 0 || !math.IsNaN(res.Rows[0][1]) {
+		t.Fatalf("complete=%t, %d rows: the round did not produce the non-finite cells", res.Complete, len(res.Rows))
 	}
 }
 

@@ -129,7 +129,7 @@ func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
 				if res.RepairLatency <= 0 {
 					t.Fatalf("member %d: RepairLatency = %g, want > 0", j, res.RepairLatency)
 				}
-				sameRows(t, truths[j].Rows, res.Rows, "truth", fmt.Sprintf("repaired member %d", j))
+				sameTable(t, truths[j], res, fmt.Sprintf("repaired member %d", j))
 			}
 			// The runner follows the swap: the repaired tree no longer
 			// routes the orphan through the severed link.
@@ -348,7 +348,7 @@ func TestQueryGroupUnderChurnAndLoss(t *testing.T) {
 			}
 			switch {
 			case res.Complete:
-				sameRows(t, truths[j].Rows, res.Rows, "truth", fmt.Sprintf("epoch %d member %d", e, j))
+				sameTable(t, truths[j], res, fmt.Sprintf("epoch %d member %d", e, j))
 				complete++
 			case res.IncompleteReason == "" || len(res.MissingSubtrees) == 0:
 				t.Fatalf("epoch %d member %d: incomplete without provenance: reason %q, missing %v",

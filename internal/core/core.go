@@ -19,6 +19,7 @@ import (
 	"sensjoin/internal/relation"
 	"sensjoin/internal/routing"
 	"sensjoin/internal/stats"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
 )
@@ -216,6 +217,13 @@ func (r *Result) Fraction() float64 {
 		return 0
 	}
 	return float64(r.ContributingNodes) / float64(r.MemberNodes)
+}
+
+// Table is the result as table comparisons see it: two results are the
+// same table when tabledigest.Diff of their Tables is "".
+func (r *Result) Table() tabledigest.Table[Row] {
+	return tabledigest.Table[Row]{Columns: r.Columns, Rows: r.Rows,
+		Contributing: r.ContributingNodes, Members: r.MemberNodes, Complete: r.Complete}
 }
 
 // Method is a join execution strategy.

@@ -3,10 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 
 	"sensjoin/internal/compress"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/topology"
 )
 
@@ -47,32 +48,32 @@ FROM Sensors A, Sensors B
 WHERE abs(A.temp - B.temp) < %g AND distance(A.x, A.y, B.x, B.y) > 50 ONCE`, theta)
 }
 
-// canonRows sorts rows lexicographically for order-independent
-// comparison, rounding to tolerate float noise.
-func canonRows(rows []Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		s := ""
-		for _, v := range r {
-			s += fmt.Sprintf("%.9g|", v)
-		}
-		out[i] = s
+// sameTable fails the test unless got is want's table, bit for bit with
+// rows in any order, and says what differs, want's side first.
+func sameTable(t *testing.T, want, got *Result, label string) {
+	t.Helper()
+	if d := tabledigest.Diff(want.Table(), got.Table()); d != "" {
+		t.Fatalf("%s: %s", label, d)
 	}
-	sort.Strings(out)
-	return out
 }
 
-func sameRows(t *testing.T, a, b []Row, labelA, labelB string) {
+// sameOrder is sameTable for a test whose property includes row order
+// (the same computation run twice): got's rows must also come in want's
+// order.
+func sameOrder(t *testing.T, want, got *Result, label string) {
 	t.Helper()
-	ca, cb := canonRows(a), canonRows(b)
-	if len(ca) != len(cb) {
-		t.Fatalf("%s has %d rows, %s has %d", labelA, len(ca), labelB, len(cb))
+	sameTable(t, want, got, label)
+	if !rowsEqual(want.Rows, got.Rows) {
+		t.Fatalf("%s: the same rows in a different order", label)
 	}
-	for i := range ca {
-		if ca[i] != cb[i] {
-			t.Fatalf("row %d differs:\n  %s: %s\n  %s: %s", i, labelA, ca[i], labelB, cb[i])
-		}
-	}
+}
+
+// rowsEqual reports whether a and b are the same rows, bit for bit, in
+// the same order.
+func rowsEqual(a, b []Row) bool {
+	return slices.EqualFunc(a, b, func(x, y Row) bool {
+		return slices.EqualFunc(x, y, func(u, v float64) bool { return math.Float64bits(u) == math.Float64bits(v) })
+	})
 }
 
 // The central correctness property: SENS-Join, every representation
@@ -107,17 +108,7 @@ func TestMethodsAgreeWithGroundTruth(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s / %s: %v", name, m.Name(), err)
 			}
-			if !res.Complete {
-				t.Fatalf("%s / %s: incomplete without failures", name, m.Name())
-			}
-			sameRows(t, truth.Rows, res.Rows, "truth", name+"/"+m.Name())
-			if res.ContributingNodes != truth.ContributingNodes {
-				t.Fatalf("%s / %s: contributing %d, truth %d",
-					name, m.Name(), res.ContributingNodes, truth.ContributingNodes)
-			}
-			if res.MemberNodes != truth.MemberNodes {
-				t.Fatalf("%s / %s: members %d, truth %d", name, m.Name(), res.MemberNodes, truth.MemberNodes)
-			}
+			sameTable(t, truth, res, name+"/"+m.Name())
 		}
 	}
 }
@@ -140,7 +131,7 @@ func TestCompressedRepsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRows(t, truth.Rows, res.Rows, "truth", m.Name())
+		sameTable(t, truth, res, m.Name())
 	}
 }
 
@@ -324,10 +315,7 @@ func TestLocalPredicatesFilterMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "sens")
-	if res.MemberNodes != truth.MemberNodes {
-		t.Fatalf("members %d != truth %d", res.MemberNodes, truth.MemberNodes)
-	}
+	sameTable(t, truth, res, "sens")
 }
 
 func TestThreeWayJoin(t *testing.T) {
@@ -348,7 +336,7 @@ func TestThreeWayJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRows(t, truth.Rows, res.Rows, "truth", m.Name())
+		sameTable(t, truth, res, m.Name())
 	}
 }
 
@@ -448,6 +436,6 @@ func TestFourWayJoin(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		sameRows(t, truth.Rows, res.Rows, "truth", m.Name())
+		sameTable(t, truth, res, m.Name())
 	}
 }

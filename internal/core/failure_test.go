@@ -64,7 +64,7 @@ func TestRecoveryReexecutesAfterRepair(t *testing.T) {
 				if !res.Complete {
 					t.Fatalf("member %d: still incomplete after the rebuild (reason %q)", j, res.IncompleteReason)
 				}
-				sameRows(t, truths[j].Rows, res.Rows, "truth", fmt.Sprintf("recovered member %d", j))
+				sameTable(t, truths[j], res, fmt.Sprintf("recovered member %d", j))
 			}
 		})
 	}
@@ -203,7 +203,7 @@ func TestTreecutOnLineTopology(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "sens-line")
+	sameTable(t, truth, res, "sens-line")
 
 	// The three deepest nodes (12, 11, 10) are cut: each sends exactly
 	// one phase-A message and nothing afterwards.

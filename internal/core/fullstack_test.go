@@ -52,10 +52,7 @@ func TestFullStackBeaconFloodExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "full-stack")
-	if !res.Complete {
-		t.Fatal("full-stack run incomplete")
-	}
+	sameTable(t, truth, res, "full-stack")
 
 	// 4. Tree maintenance is common-mode: method comparisons exclude
 	// beacon and flood phases by construction.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"sensjoin/internal/netsim"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
 )
@@ -95,13 +96,7 @@ func TestFuzzRandomQueriesMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: run %q: %v", i, src, err)
 		}
-		if !res.Complete {
-			t.Fatalf("iter %d: incomplete without failures (%q)", i, src)
-		}
-		if len(res.Rows) != len(truth.Rows) {
-			t.Fatalf("iter %d: %d rows vs oracle %d for %q", i, len(res.Rows), len(truth.Rows), src)
-		}
-		sameRows(t, truth.Rows, res.Rows, "oracle", "sens")
+		sameTable(t, truth, res, fmt.Sprintf("iter %d %q", i, src))
 	}
 }
 
@@ -125,7 +120,7 @@ func TestFuzzVariantsMatchOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("iter %d %s: %v", i, m.Name(), err)
 			}
-			sameRows(t, truth.Rows, res.Rows, "oracle", m.Name())
+			sameTable(t, truth, res, m.Name())
 		}
 	}
 }
@@ -188,10 +183,9 @@ func decodeFuzzRound(seed int64, nodes, knobs uint16) fuzzRound {
 }
 
 // fuzzOutcome is what a round lets its caller see, per epoch and member:
-// sorted rows and completeness, every other result field, then every
-// node's packets.
+// the result table, every other result field, then every node's packets.
 type fuzzOutcome struct {
-	rows    []string
+	tables  []tabledigest.Table[Row]
 	fields  []string
 	packets []string
 }
@@ -300,7 +294,7 @@ func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutc
 			if len(violations) > 0 {
 				t.Fatalf("shards=%d epoch %d member %d: %d audit violation(s), first: %s", shards, e, j, len(violations), violations[0])
 			}
-			out.rows = append(out.rows, fmt.Sprintf("epoch %d member %d complete=%t %v", e, j, res.Complete, sortedRows(res.Rows)))
+			out.tables = append(out.tables, res.Table())
 		}
 		rec.Truncate(mark)
 		r.Sim.RunUntil(horizon)
@@ -317,8 +311,8 @@ func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutc
 // matrix — method or shared cluster × shard count × loss × reliable
 // transport × churn × epochs × WithoutRows: every result is oracle-exact
 // or flagged incomplete with a reason, the six audits are clean, a
-// sharded round is the one-region round (sorted rows, every node's
-// packets), and a round run WithoutRows is the one-region round but for
+// sharded round is the one-region round (each result table, rows in any
+// order, and every node's packets), and a round run WithoutRows is the one-region round but for
 // its rows (every other result field, every node's packets). Failing
 // inputs found by the fuzzer are kept under testdata/fuzz as regression
 // tests.
@@ -348,8 +342,13 @@ func FuzzRoundIsExact(f *testing.F) {
 			return
 		}
 		got, _ := c.run(t, c.shards, false)
-		if !slices.Equal(got.rows, want.rows) {
-			t.Fatalf("%+v: rows at shards=%d differ from one region:\n%v\nvs\n%v", c, c.shards, got.rows, want.rows)
+		if len(got.tables) != len(want.tables) {
+			t.Fatalf("%+v: %d results at shards=%d, %d in one region", c, len(got.tables), c.shards, len(want.tables))
+		}
+		for i := range want.tables {
+			if d := tabledigest.Diff(want.tables[i], got.tables[i]); d != "" {
+				t.Fatalf("%+v: result %d at shards=%d differs from one region: %s", c, i, c.shards, d)
+			}
 		}
 		if !slices.Equal(got.packets, want.packets) {
 			t.Fatalf("%+v: per-node packets at shards=%d differ from one region", c, c.shards)

@@ -43,7 +43,11 @@ func TestGroupByAcrossMethods(t *testing.T) {
 			if len(res.Rows) != len(truth.Rows) {
 				t.Fatalf("%s: %d rows, oracle %d (%q)", m.Name(), len(res.Rows), len(truth.Rows), src)
 			}
-			// Ordered queries must match row for row, in order.
+			// Ordered queries must match row for row, in order. Not bit for
+			// bit: SUM and AVG add a group's values in the order the tuples
+			// reach the base station, which is not the oracle's order, so
+			// the last bits of a sum may differ (the external join's AVG
+			// does here).
 			for i := range res.Rows {
 				for j := range res.Rows[i] {
 					if math.Abs(res.Rows[i][j]-truth.Rows[i][j]) > 1e-9 {
@@ -143,5 +147,5 @@ func TestGroupByAttrsAreShipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "grouped-sens")
+	sameTable(t, truth, res, "grouped-sens")
 }

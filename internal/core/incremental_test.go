@@ -78,10 +78,7 @@ func TestIncrementalCorrectEveryRound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRows(t, truth.Rows, res.Rows, "truth", "incremental")
-		if !res.Complete {
-			t.Fatalf("round %d incomplete", round)
-		}
+		sameTable(t, truth, res, "incremental")
 	}
 	if m.Rounds() != 5 {
 		t.Fatalf("Rounds = %d, want 5", m.Rounds())
@@ -141,7 +138,7 @@ func TestIncrementalSurvivesTreeChange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameRows(t, truth.Rows, res.Rows, "truth", "round")
+		sameTable(t, truth, res, "round")
 	}
 
 	runRound(0)

@@ -204,23 +204,6 @@ func kernelTuples(rng *rand.Rand, count, nAliases int) ([]finalTuple, kernelCols
 	return tuples, cols
 }
 
-func rowsEqual(a, b []Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if math.Float64bits(a[i][j]) != math.Float64bits(b[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // contribEqual reports whether the kernel's contributor list is the
 // reference's set: ascending, once each, nothing missing.
 func contribEqual(got []topology.NodeID, want map[topology.NodeID]bool) bool {

@@ -9,6 +9,7 @@ import (
 
 	"sensjoin/internal/geom"
 	"sensjoin/internal/relation"
+	"sensjoin/internal/tabledigest"
 )
 
 // A prepared execution is the same computation with the per-shape work
@@ -36,11 +37,7 @@ func TestPreparedMatchesAdHoc(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run prepared %s: %v", src, err)
 		}
-		if fmt.Sprint(got.Columns) != fmt.Sprint(want.Columns) ||
-			fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) ||
-			got.ContributingNodes != want.ContributingNodes {
-			t.Fatalf("prepared result differs for %s", src)
-		}
+		sameOrder(t, want, got, "prepared "+src)
 	}
 }
 
@@ -79,8 +76,8 @@ func TestPreparedConcurrentSharing(t *testing.T) {
 					errs[i] = err
 					return
 				}
-				if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
-					errs[i] = fmt.Errorf("worker %d iteration %d: rows differ", i, k)
+				if d := tabledigest.Diff(want.Table(), got.Table()); d != "" || !rowsEqual(want.Rows, got.Rows) {
+					errs[i] = fmt.Errorf("worker %d iteration %d: rows differ from the ad-hoc run's in content or order: %s", i, k, d)
 					return
 				}
 			}
@@ -122,9 +119,8 @@ func TestPreparedLiteralsDistinct(t *testing.T) {
 	}
 	w1, _ := r.Run(p1.src, NewSENSJoin(), 0)
 	w2, _ := r.Run(p2.src, NewSENSJoin(), 0)
-	if fmt.Sprint(r1.Rows) != fmt.Sprint(w1.Rows) || fmt.Sprint(r2.Rows) != fmt.Sprint(w2.Rows) {
-		t.Fatal("prepared rows differ from ad-hoc rows")
-	}
+	sameOrder(t, w1, r1, "prepared "+p1.src)
+	sameOrder(t, w2, r2, "prepared "+p2.src)
 	if len(r1.Rows) == len(r2.Rows) {
 		t.Logf("note: both thresholds yield %d rows (legal, but weakens the test)", len(r1.Rows))
 	}

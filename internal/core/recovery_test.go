@@ -39,7 +39,7 @@ func TestReliableLossExactAndComplete(t *testing.T) {
 				t.Fatalf("%s at loss %g: incomplete (reason %q, missing %v)",
 					m.Name(), loss, res.IncompleteReason, res.MissingSubtrees)
 			}
-			sameRows(t, truth.Rows, res.Rows, "truth", m.Name())
+			sameTable(t, truth, res, m.Name())
 			if r.Stats.TotalRetx() == 0 {
 				t.Fatalf("%s at loss %g: no retransmissions recorded", m.Name(), loss)
 			}
@@ -143,7 +143,7 @@ func TestScopedRecoveryHealsTransientOutage(t *testing.T) {
 		t.Fatalf("recovery did not complete the result (reason %q, missing %v)",
 			res.IncompleteReason, res.MissingSubtrees)
 	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "recovered")
+	sameTable(t, truth, res, "recovered")
 	if r.Stats.TotalTx(PhaseRecovery) == 0 {
 		t.Fatal("recovery traffic was not charged under its phase")
 	}

@@ -24,10 +24,7 @@ func TestRelatedMethodsAgreeWithOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", m.Name(), err)
 			}
-			sameRows(t, truth.Rows, res.Rows, "truth", m.Name())
-			if !res.Complete {
-				t.Fatalf("%s: incomplete on healthy network", m.Name())
-			}
+			sameTable(t, truth, res, m.Name())
 		}
 	}
 }
@@ -95,7 +92,7 @@ func TestMediatedWinsInItsNiche(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRows(t, truth.Rows, res.Rows, "truth", "mediated-niche")
+	sameTable(t, truth, res, "mediated-niche")
 	if med >= ext {
 		t.Fatalf("mediated (%d) should beat external (%d) on clustered members with a selective join", med, ext)
 	}

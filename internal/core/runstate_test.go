@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"sensjoin/internal/netsim"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
 	"sensjoin/internal/zorder"
@@ -509,8 +510,8 @@ func TestShardedRoundsReuseRunState(t *testing.T) {
 			if !sharded.Sim.Sharded() {
 				t.Fatal("the runner is no longer sharded")
 			}
-			if !slices.Equal(sortedRows(got.Rows), sortedRows(want.Rows)) || got.Complete != want.Complete || got.ResponseTime != want.ResponseTime {
-				t.Fatalf("round %d %s: sharded result differs from one region", round, m.Name())
+			if d := tabledigest.Diff(got.Table(), want.Table()); d != "" || got.ResponseTime != want.ResponseTime {
+				t.Fatalf("round %d %s: sharded result differs from one region: %q, response %g vs %g", round, m.Name(), d, got.ResponseTime, want.ResponseTime)
 			}
 			if round == 0 {
 				firstRows[m.Name()] = got.Rows
@@ -603,10 +604,9 @@ func TestShardedContinuousAndGroupRounds(t *testing.T) {
 			}
 			what := fmt.Sprintf("epoch %d %s", epoch, wantLanes[l].name)
 			for q := range want {
-				if !slices.Equal(sortedRows(got[q].Rows), sortedRows(want[q].Rows)) ||
-					got[q].Complete != want[q].Complete || got[q].ResponseTime != want[q].ResponseTime {
-					t.Fatalf("%s query %d: sharded result differs from classic (%d vs %d rows, complete %t vs %t)",
-						what, q, len(got[q].Rows), len(want[q].Rows), got[q].Complete, want[q].Complete)
+				if d := tabledigest.Diff(got[q].Table(), want[q].Table()); d != "" || got[q].ResponseTime != want[q].ResponseTime {
+					t.Fatalf("%s query %d: sharded result differs from classic: %q, response %g vs %g",
+						what, q, d, got[q].ResponseTime, want[q].ResponseTime)
 				}
 				if !want[q].Complete {
 					t.Fatalf("%s query %d: the lossless classic round is incomplete", what, q)

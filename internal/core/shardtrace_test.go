@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"testing"
 
 	"sensjoin/internal/metrics"
@@ -263,9 +262,7 @@ func TestShardBindAfterFeatureFallsBack(t *testing.T) {
 	if !r.Sim.Sharded() {
 		t.Fatal("a reliable run changed the engine")
 	}
-	if got, want := fmt.Sprint(res.Rows), fmt.Sprint(ref.Rows); got != want {
-		t.Fatalf("sharded rows differ from one region: %d vs %d rows", len(res.Rows), len(ref.Rows))
-	}
+	sameOrder(t, ref, res, "sharded vs one region")
 }
 
 // A sharded, traced execution must pass every audit pass, faults
@@ -352,21 +349,10 @@ func TestShardMetricsStaysSharded(t *testing.T) {
 	if !r.Sim.Sharded() {
 		t.Fatal("a metered run changed the engine")
 	}
-	if got, want := fmt.Sprint(res.Rows), fmt.Sprint(ref.Rows); got != want {
-		t.Fatalf("metered sharded rows differ from one region: %d vs %d rows", len(res.Rows), len(ref.Rows))
-	}
+	sameOrder(t, ref, res, "metered sharded vs one region")
 	snap := reg.Snapshot()
 	tx, _ := snap["sensjoin_netsim_tx_packets_total"].(int64)
 	if tx <= 0 {
 		t.Fatalf("sensjoin_netsim_tx_packets_total = %d, want > 0", tx)
 	}
-}
-
-func sortedRows(rows []Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = fmt.Sprint(r)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -79,7 +79,7 @@ func TestSoakContinuousWithChaos(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRows(t, truth.Rows, res.Rows, "oracle", "soak-round")
+			sameTable(t, truth, res, "soak-round")
 		}
 	}
 	if completeRounds < rounds/3 {
@@ -107,15 +107,13 @@ func TestSoakExternalWithLoss(t *testing.T) {
 		}
 		if res.Complete && round%4 != 0 {
 			// Loss was active; completeness is possible but must then be
-			// genuine (spot-check row count against the oracle).
+			// genuine: the oracle's table.
 			x, _ := execSQL(r, qBand(0.4), float64(round)*30)
 			truth, err := GroundTruth(x)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(res.Rows) != len(truth.Rows) {
-				t.Fatalf("round %d: complete but %d rows vs oracle %d", round, len(res.Rows), len(truth.Rows))
-			}
+			sameTable(t, truth, res, "complete lossy round")
 		}
 	}
 }
@@ -186,7 +184,7 @@ func TestSoakReliableWithChaosLoss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameRows(t, truth.Rows, res.Rows, "oracle", "reliable-soak-round")
+			sameTable(t, truth, res, "reliable-soak-round")
 		}
 	}
 	if completeRounds < rounds/2 {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sensjoin/internal/core"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/pkg/client"
 )
 
@@ -26,22 +27,22 @@ const pipelinedSrc = `SELECT A.temp, B.temp, A.hum FROM Sensors A, Sensors B WHE
 
 // continuousReference runs src's first epochs directly through the
 // library, on one runner as the daemon does.
-func continuousReference(t *testing.T, src string, epochs int) []string {
+func continuousReference(t *testing.T, src string, epochs int) []tabledigest.Table[core.Row] {
 	t.Helper()
 	r, err := core.NewRunner(core.SetupConfig{Nodes: testNodes, Seed: testSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := core.NewContinuousSENSJoin()
-	var keys []string
+	var tables []tabledigest.Table[core.Row]
 	for e := 0; e < epochs; e++ {
 		res, err := r.Run(src, m, float64(e)*30)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys = append(keys, referenceKey(res))
+		tables = append(tables, res.Table())
 	}
-	return keys
+	return tables
 }
 
 // streamAll reads every epoch of src, the first only after delay.
@@ -90,8 +91,8 @@ func TestResultReleasePoisoned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", src, err)
 			}
-			if clientKey(tb) != reference(t, src, 0) {
-				t.Fatalf("table differs from direct execution for %s", src)
+			if d := tabledigest.Diff(clientTable(tb), reference(t, src, 0)); d != "" {
+				t.Fatalf("table differs from direct execution for %s: %s", src, d)
 			}
 		}
 		// Three of the four are plain indexed joins; the aggregate's one
@@ -121,8 +122,8 @@ func TestResultReleasePoisoned(t *testing.T) {
 			if len(tb.Rows) <= 512 {
 				t.Fatalf("epoch %d has %d rows: one chunk, nothing to pipeline", e, len(tb.Rows))
 			}
-			if clientKey(tb) != want[e] {
-				t.Fatalf("epoch %d differs from direct execution", e)
+			if d := tabledigest.Diff(clientTable(tb), want[e]); d != "" {
+				t.Fatalf("epoch %d differs from direct execution: %s", e, d)
 			}
 		}
 		if got := core.Poisoned.Load() - before; got < epochs {
@@ -160,8 +161,8 @@ func TestResultReleasePoisoned(t *testing.T) {
 				t.Fatalf("member %d: %d epochs, want %d of a shared cluster of %d", i, len(tables[i]), epochs, members)
 			}
 			for e, tb := range tables[i] {
-				if clientKey(tb) != want[e] {
-					t.Fatalf("member %d epoch %d differs from direct execution", i, e)
+				if d := tabledigest.Diff(clientTable(tb), want[e]); d != "" {
+					t.Fatalf("member %d epoch %d differs from direct execution: %s", i, e, d)
 				}
 			}
 		}
@@ -200,8 +201,8 @@ func TestResultReleasePoisoned(t *testing.T) {
 			t.Error("the storage released twice served two live results")
 		}
 		for name, res := range map[string]*core.Result{"second": second, "third": third} {
-			if referenceKey(res) != want {
-				t.Errorf("the %s result differs from direct execution", name)
+			if d := tabledigest.Diff(res.Table(), want); d != "" {
+				t.Errorf("the %s result differs from direct execution: %s", name, d)
 			}
 		}
 		var none *core.Result

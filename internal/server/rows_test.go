@@ -10,6 +10,7 @@ import (
 
 	"sensjoin/internal/core"
 	"sensjoin/internal/proto"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/pkg/client"
 )
 
@@ -46,8 +47,8 @@ func TestServerNonFiniteCellsBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sibling query on the same connection: %v", err)
 	}
-	if got, want := clientKey(sib), reference(t, testQueries[0], 0); got != want {
-		t.Errorf("sibling table differs from direct execution")
+	if d := tabledigest.Diff(clientTable(sib), reference(t, testQueries[0], 0)); d != "" {
+		t.Errorf("sibling table differs from direct execution: %s", d)
 	}
 
 	r, err := core.NewRunner(core.SetupConfig{Nodes: testNodes, Seed: testSeed})
@@ -58,8 +59,8 @@ func TestServerNonFiniteCellsBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != len(want.Rows) || len(want.Rows) == 0 {
-		t.Fatalf("got %d rows, direct execution has %d", len(tb.Rows), len(want.Rows))
+	if d := tabledigest.Diff(clientTable(tb), want.Table()); d != "" || len(want.Rows) == 0 {
+		t.Fatalf("the table differs from direct execution (%d rows): %s", len(want.Rows), d)
 	}
 	seen := map[string]bool{}
 	for i, row := range want.Rows {

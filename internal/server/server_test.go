@@ -3,10 +3,8 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +13,7 @@ import (
 	"sensjoin/internal/core"
 	"sensjoin/internal/metrics"
 	"sensjoin/internal/proto"
+	"sensjoin/internal/tabledigest"
 	"sensjoin/pkg/client"
 )
 
@@ -50,44 +49,14 @@ func startTestServer(t *testing.T, cfg Config) (*Server, *metrics.Registry) {
 	return s, reg
 }
 
-// clientKey order-normalizes a client-side table exactly like the
-// server-side referenceKey, so equal keys mean byte-identical row sets.
-func clientKey(tb *client.Table) string {
-	rows := make([]string, len(tb.Rows))
-	for i, row := range tb.Rows {
-		s := ""
-		for _, v := range row {
-			s += fmt.Sprintf("%x|", v)
-		}
-		rows[i] = s
-	}
-	sort.Strings(rows)
-	key := fmt.Sprintf("cols=%v contrib=%d members=%d complete=%t;", tb.Columns, tb.Contributing, tb.Members, tb.Complete)
-	for _, s := range rows {
-		key += s + "\n"
-	}
-	return key
-}
-
-func referenceKey(res *core.Result) string {
-	rows := make([]string, len(res.Rows))
-	for i, row := range res.Rows {
-		s := ""
-		for _, v := range row {
-			s += fmt.Sprintf("%x|", v)
-		}
-		rows[i] = s
-	}
-	sort.Strings(rows)
-	key := fmt.Sprintf("cols=%v contrib=%d members=%d complete=%t;", res.Columns, res.ContributingNodes, res.MemberNodes, res.Complete)
-	for _, s := range rows {
-		key += s + "\n"
-	}
-	return key
+// clientTable is a table a client received, as the comparisons see it.
+func clientTable(tb *client.Table) tabledigest.Table[[]float64] {
+	return tabledigest.Table[[]float64]{Columns: tb.Columns, Rows: tb.Rows,
+		Contributing: tb.Contributing, Members: tb.Members, Complete: tb.Complete}
 }
 
 // reference executes src directly through the library at time t.
-func reference(t *testing.T, src string, at float64) string {
+func reference(t *testing.T, src string, at float64) tabledigest.Table[core.Row] {
 	t.Helper()
 	r, err := core.NewRunner(core.SetupConfig{Nodes: testNodes, Seed: testSeed})
 	if err != nil {
@@ -97,7 +66,7 @@ func reference(t *testing.T, src string, at float64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return referenceKey(res)
+	return res.Table()
 }
 
 var testQueries = []string{
@@ -121,8 +90,8 @@ func TestServerMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", src, err)
 		}
-		if got, want := clientKey(tb), reference(t, src, 0); got != want {
-			t.Fatalf("table differs from direct execution for %s:\nserver: %s\ndirect: %s", src, got, want)
+		if d := tabledigest.Diff(clientTable(tb), reference(t, src, 0)); d != "" {
+			t.Fatalf("table differs from direct execution for %s: server vs direct: %s", src, d)
 		}
 	}
 }
@@ -132,7 +101,7 @@ func TestServerMatchesDirect(t *testing.T) {
 // gauge must return to zero.
 func TestServerConcurrentSessions(t *testing.T) {
 	s, reg := startTestServer(t, Config{})
-	wantOnce := make([]string, len(testQueries))
+	wantOnce := make([]tabledigest.Table[core.Row], len(testQueries))
 	for i, src := range testQueries {
 		wantOnce[i] = reference(t, src, 0)
 	}
@@ -157,34 +126,24 @@ func TestServerConcurrentSessions(t *testing.T) {
 					errs[i] = fmt.Errorf("session %d: %s: %w", i, src, err)
 					return
 				}
-				if clientKey(tb) != wantOnce[k] {
-					errs[i] = fmt.Errorf("session %d: table differs for %s", i, src)
+				if d := tabledigest.Diff(clientTable(tb), wantOnce[k]); d != "" {
+					errs[i] = fmt.Errorf("session %d: table differs for %s: %s", i, src, d)
 					return
 				}
 			}
-			st, err := c.Stream(contSrc, client.Options{Rounds: 3})
+			tables, err := streamAll(c, contSrc, 3, 0)
 			if err != nil {
-				errs[i] = err
+				errs[i] = fmt.Errorf("session %d: continuous: %w", i, err)
 				return
 			}
-			epochs := 0
-			for {
-				tb, err := st.Next()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("session %d: continuous: %w", i, err)
+			for e, tb := range tables {
+				if tb.Epoch != e {
+					errs[i] = fmt.Errorf("session %d: epoch %d out of order (want %d)", i, tb.Epoch, e)
 					return
 				}
-				if tb.Epoch != epochs {
-					errs[i] = fmt.Errorf("session %d: epoch %d out of order (want %d)", i, tb.Epoch, epochs)
-					return
-				}
-				epochs++
 			}
-			if epochs != 3 {
-				errs[i] = fmt.Errorf("session %d: got %d epochs, want 3", i, epochs)
+			if len(tables) != 3 {
+				errs[i] = fmt.Errorf("session %d: got %d epochs, want 3", i, len(tables))
 			}
 		}(i)
 	}
@@ -226,8 +185,10 @@ func TestServerPreparedCache(t *testing.T) {
 	if t5.CacheHit || t7.CacheHit {
 		t.Fatal("first submission of each literal variant must miss the cache")
 	}
-	if clientKey(t5) != reference(t, q5, 0) || clientKey(t7) != reference(t, q7, 0) {
-		t.Fatal("cached-shape tables differ from direct execution")
+	for src, tb := range map[string]*client.Table{q5: t5, q7: t7} {
+		if d := tabledigest.Diff(clientTable(tb), reference(t, src, 0)); d != "" {
+			t.Fatalf("cached-shape table differs from direct execution for %s: %s", src, d)
+		}
 	}
 	if len(t5.Rows) == len(t7.Rows) {
 		t.Logf("note: both thresholds yield %d rows (legal, but weakens the test)", len(t5.Rows))
@@ -249,8 +210,8 @@ func TestServerPreparedCache(t *testing.T) {
 	if !flipped.CacheHit {
 		t.Fatal("canonically equal spelling must hit the prepared cache")
 	}
-	if clientKey(flipped) != clientKey(t5) {
-		t.Fatal("canonically equal spelling computed a different table")
+	if d := tabledigest.Diff(clientTable(flipped), clientTable(t5)); d != "" {
+		t.Fatalf("canonically equal spelling computed a different table: %s", d)
 	}
 
 	snap := reg.Snapshot()
@@ -334,8 +295,8 @@ func TestServerAnswersFarInTime(t *testing.T) {
 	if err != nil {
 		t.Fatalf("query at t = %g: %v", at, err)
 	}
-	if got, want := clientKey(tb), reference(t, testQueries[0], at); got != want {
-		t.Errorf("query at t = %g differs from the library's table:\n%s\nwant\n%s", at, got, want)
+	if d := tabledigest.Diff(clientTable(tb), reference(t, testQueries[0], at)); d != "" {
+		t.Errorf("query at t = %g differs from the library's table: %s", at, d)
 	}
 }
 
@@ -359,22 +320,7 @@ func TestServerSharedContinuous(t *testing.T) {
 				return
 			}
 			defer c.Close()
-			st, err := c.Stream(src, client.Options{Rounds: 2})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			for {
-				tb, err := st.Next()
-				if err == io.EOF {
-					return
-				}
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				tables[i] = append(tables[i], tb)
-			}
+			tables[i], errs[i] = streamAll(c, src, 2, 0)
 		}(i)
 	}
 	wg.Wait()
@@ -392,8 +338,8 @@ func TestServerSharedContinuous(t *testing.T) {
 				i, tables[i][0].Shared, tables[i][0].ClusterSize, n)
 		}
 		for e := 0; e < 2; e++ {
-			if clientKey(tables[i][e]) != clientKey(tables[0][e]) {
-				t.Fatalf("client %d epoch %d: table differs across cluster members", i, e)
+			if d := tabledigest.Diff(clientTable(tables[i][e]), clientTable(tables[0][e])); d != "" {
+				t.Fatalf("client %d epoch %d: table differs across cluster members: %s", i, e, d)
 			}
 		}
 	}

@@ -1,7 +1,17 @@
 #!/usr/bin/env sh
 # Full local check: what CI runs. The race pass covers the packages
 # with concurrency (the experiment fan-out and the shared caches).
-set -eux
+set -eu
+
+# Every traced command is stamped on stderr with the seconds the command
+# traced above it took and the seconds since the start, so a slow step
+# shows by name in the log: in "+ [35s above, t=312s] go build ./..." the
+# 35 s are the step on the line above. The script ends in a traced no-op
+# that stamps the last step. (dash has no clock of its own: PS4 asks date.)
+check_start=$(date +%s)
+step_start=$check_start
+PS4='+ [$(( $(date +%s) - step_start ))s above, t=$(( (step_start = $(date +%s)) - check_start ))s] '
+set -x
 
 cd "$(dirname "$0")/.."
 
@@ -32,8 +42,10 @@ fi
 # And the per-node delta buffers: a round's deltas are carved from the
 # round arena of the sending node's region. And the binary that fetched
 # and validated expositions for the shell smokes: the binaries' smokes are
-# Go tests that validate what they scrape in-process.
-retired=$(grep -rnE 'promcheck|ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover|shippedByFlags' \
+# Go tests that validate what they scrape in-process. And the hex string
+# key X8-X10 compared result tables by: a table comparison is a
+# tabledigest Digest or Diff.
+retired=$(grep -rnE 'rowSetKey|promcheck|ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover|shippedByFlags' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -169,13 +181,16 @@ grep -q '"ByteIdentical": true' /tmp/sensjoin-serve.json
 # protocol-violation answers) and the client's demux and table
 # assembly under the race detector.
 go test -race ./internal/server ./internal/proto ./pkg/client
-# Slow lane: the whole serving path 200 times over (about 1.5 s a pass).
-# A caller at the admission limit is refused only when a slot outlives the
-# frame that ends its query, a 1 ns deadline is missed only when the
-# round finishes while its caller is descheduled, and a drain loses an
-# epoch only when Close races a batch window or a write loop: each shows
-# as a flake of a few percent, not as a failure of one run.
-go test -count 200 ./internal/server ./pkg/client
+# Slow lane: the whole serving path 200 times over. A caller at the
+# admission limit is refused only when a slot outlives the frame that ends
+# its query, a 1 ns deadline is missed only when the round finishes while
+# its caller is descheduled, and a drain loses an epoch only when Close
+# races a batch window or a write loop: each shows as a flake of a few
+# percent, not as a failure of one run. On a 2-CPU VM the 200 passes take
+# 377 s for internal/server (1.9 s a pass) and 66 s for pkg/client, run
+# in parallel on 2.6 min of CPU: the lane mostly waits. The default
+# 10-minute timeout left too little room, so the lane states its own.
+go test -count 200 -timeout 15m ./internal/server ./pkg/client
 # The client's read loop decodes Rows chunks in place, out of the one
 # body its connection's FrameReader reuses: more interleavings than the
 # single -race run above gives.
@@ -248,3 +263,5 @@ go test -race -run 'Churn|Repair|ShardTrace' ./internal/netsim ./internal/core .
 # × reliable × churn × epochs (exact or flagged, six audits clean, sharded
 # equals one region).
 go test -run '^$' -fuzz '^FuzzRoundIsExact$' -fuzztime 10s ./internal/core
+# Stamps the last step's time and the total.
+: all checks passed

@@ -6,7 +6,22 @@ import (
 	"testing"
 
 	"sensjoin"
+	"sensjoin/internal/tabledigest"
 )
+
+// sameTable fails the test unless got is the oracle's table: the same
+// columns, counts and completeness, and the same rows bit for bit in any
+// order.
+func sameTable(t *testing.T, truth, got *sensjoin.Result, label string) {
+	t.Helper()
+	table := func(r *sensjoin.Result) tabledigest.Table[[]float64] {
+		return tabledigest.Table[[]float64]{Columns: r.Columns, Rows: r.Rows,
+			Contributing: r.ContributingNodes, Members: r.MemberNodes, Complete: r.Complete}
+	}
+	if d := tabledigest.Diff(table(truth), table(got)); d != "" {
+		t.Fatalf("%s: oracle vs result: %s", label, d)
+	}
+}
 
 func testNet(t *testing.T, nodes int, seed int64) *sensjoin.Network {
 	t.Helper()
@@ -59,12 +74,7 @@ func TestExecuteMatchesGroundTruth(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		if len(res.Rows) != len(truth.Rows) {
-			t.Fatalf("%s: %d rows, oracle %d", m.Name(), len(res.Rows), len(truth.Rows))
-		}
-		if !res.Complete {
-			t.Fatalf("%s: incomplete on healthy network", m.Name())
-		}
+		sameTable(t, truth, res, m.Name())
 	}
 }
 
@@ -316,9 +326,7 @@ func TestPacketLossDetectedAndRecoverable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.Rows) != len(truth.Rows) {
-			t.Fatalf("complete result has %d rows, oracle %d", len(rec.Rows), len(truth.Rows))
-		}
+		sameTable(t, truth, rec, "recovered")
 	}
 	net.SetPacketLoss(0, 0)
 	res, err = net.Execute(apiQuery, sensjoin.SENSJoin())
