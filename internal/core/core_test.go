@@ -90,6 +90,7 @@ func TestMethodsAgreeWithGroundTruth(t *testing.T) {
 		External{},
 		NewSENSJoin(),
 		&SENSJoin{Options: Options{Rep: RawRep{}}},
+		&SENSJoin{Options: Options{Dmax: 60}},
 		&SENSJoin{Options: Options{DisableTreecut: true}},
 		&SENSJoin{Options: Options{DisableSelectiveForwarding: true}},
 	}

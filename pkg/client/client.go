@@ -290,11 +290,6 @@ func Dial(addr string) (*Client, error) {
 	return DialWith(DialConfig{Addr: addr})
 }
 
-// DialTimeout is Dial with a bound on connect + handshake.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return DialWith(DialConfig{Addr: addr, Timeout: timeout})
-}
-
 // DialWith connects with explicit configuration.
 func DialWith(cfg DialConfig) (*Client, error) {
 	cfg = cfg.withDefaults()

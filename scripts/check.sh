@@ -93,8 +93,9 @@ esac || {
   echo "$built" >&2
   exit 1
 }
-# Nothing unreachable under internal/: every exported name there has a
-# non-test use, or is a fixture or observer listed with its reason in
+# Nothing unreachable in the root package, pkg/ or internal/: every
+# exported name there has a non-test use or an Example of its package
+# that names it, or is a fixture or observer listed with its reason in
 # scripts/deadexports/allow.txt, a list that can only shrink.
 go run ./scripts/deadexports
 go vet ./...

@@ -1,8 +1,9 @@
 // Command deadexports enforces the rule that every exported package-level
-// object, method and struct field under internal/ is used by non-test
-// code somewhere in the module (a cmd/ binary, the root package, pkg/,
-// examples/, another internal package, its own package) or by
-// benchmark/. A field is used when non-test code sets or reads it.
+// object, method and struct field of an importable package of the module
+// (the root package, pkg/ and internal/) is used by non-test code
+// somewhere in the module (a cmd/ binary, the root package, pkg/, another
+// internal package, its own package), by an Example of its own package or
+// by benchmark/. A field is used when non-test code sets or reads it.
 //
 // Run from the module root:
 //
@@ -11,10 +12,13 @@
 // It type-checks every package of the module from its non-test files,
 // collects the uses, counts every selector name in benchmark/*.go (its
 // own module, so not type-checked here) as a use of every object with that
-// name, and skips methods that satisfy an interface declared in the module
-// or in a standard-library package the module imports. What is left must
-// be in allow.txt, one "path.Name — reason" line each (path.Type.Field for
-// a field): names tests use as a fixture or an observer. The check fails on an unused name that is not
+// name, counts every identifier in the body of an Example function (a
+// documented call whose output go test pins) as a use of every object of
+// that name in the Example's package, and skips methods that satisfy an
+// interface declared in the module or in a standard-library package the
+// module imports. What is left must be in allow.txt, one "path.Name —
+// reason" line each (path.Type.Field for a field): names tests use as a
+// fixture or an observer. The check fails on an unused name that is not
 // listed, and on a listed name that is used, that no longer exists or that
 // no test file mentions, so the list only shrinks.
 package main
@@ -116,8 +120,18 @@ func check(root string) ([]string, error) {
 	l.std = importer.ForCompiler(l.fset, "source", nil)
 
 	// Every directory of the module with non-test Go files; benchmark/
-	// is a module of its own and is read by name below.
+	// is a module of its own and is read by name below. Test files are
+	// read by name: all of them for the allowlist, and the bodies of
+	// Example functions, by the import path of their directory, as uses.
 	testNames := map[string]bool{}
+	exampleNames := map[string]map[string]bool{}
+	importPath := func(dir string) string {
+		rel, _ := filepath.Rel(root, dir)
+		if rel == "." {
+			return module
+		}
+		return module + "/" + filepath.ToSlash(rel)
+	}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -126,19 +140,28 @@ func check(root string) ([]string, error) {
 			if name := d.Name(); path != root && (name[0] == '.' || name == "testdata" || name == "benchmark") {
 				return filepath.SkipDir
 			}
-			rel, _ := filepath.Rel(root, path)
-			ip := module
-			if rel != "." {
-				ip += "/" + filepath.ToSlash(rel)
-			}
-			_, err = l.Import(ip)
+			_, err = l.Import(importPath(path))
 			if noGo := (*build.NoGoError)(nil); errors.As(err, &noGo) {
 				return nil
 			}
 			return err
 		}
-		if strings.HasSuffix(path, "_test.go") {
-			return identNames(path, testNames, false)
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		identNames(f, testNames, false)
+		ip := importPath(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && strings.HasPrefix(fd.Name.Name, "Example") {
+				if exampleNames[ip] == nil {
+					exampleNames[ip] = map[string]bool{}
+				}
+				identNames(fd.Body, exampleNames[ip], false)
+			}
 		}
 		return nil
 	})
@@ -148,9 +171,11 @@ func check(root string) ([]string, error) {
 	benchNames := map[string]bool{}
 	benchFiles, _ := filepath.Glob(filepath.Join(root, "benchmark", "*.go"))
 	for _, path := range benchFiles {
-		if err := identNames(path, benchNames, true); err != nil {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
 			return nil, err
 		}
+		identNames(f, benchNames, true)
 	}
 
 	// A use inside the object's own declaration (a recursive function) is
@@ -228,10 +253,11 @@ func check(root string) ([]string, error) {
 		return nil, err
 	}
 	var out []string
+	var examples map[string]bool // the names the current package's Examples use
 	report := func(obj types.Object, key, name string) {
 		listed := allow[key]
 		delete(allow, key)
-		isUsed := used[obj] || benchNames[name]
+		isUsed := used[obj] || benchNames[name] || examples[name]
 		switch {
 		case isUsed && listed:
 			out = append(out, fmt.Sprintf("%s: %s is listed in %s but has a non-test use; delete the line", l.fset.Position(obj.Pos()), key, allowFile))
@@ -242,10 +268,11 @@ func check(root string) ([]string, error) {
 		}
 	}
 	for path, p := range l.pkgs {
-		rel := strings.TrimPrefix(path, module+"/")
-		if !strings.HasPrefix(rel, "internal/") {
+		if p.Name() == "main" {
 			continue
 		}
+		rel := strings.TrimPrefix(path, module+"/")
+		examples = exampleNames[path]
 		for _, name := range p.Scope().Names() {
 			obj := p.Scope().Lookup(name)
 			if obj.Exported() {
@@ -284,14 +311,10 @@ func check(root string) ([]string, error) {
 	return out, nil
 }
 
-// identNames adds to set the identifiers of one Go file: every identifier,
-// or only the selected names (x.Name) when selectorsOnly.
-func identNames(path string, set map[string]bool, selectorsOnly bool) error {
-	f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-	if err != nil {
-		return err
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
+// identNames adds to set the identifiers under node: every identifier, or
+// only the selected names (x.Name) when selectorsOnly.
+func identNames(node ast.Node, set map[string]bool, selectorsOnly bool) {
+	ast.Inspect(node, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
 			set[n.Sel.Name] = true
@@ -302,7 +325,6 @@ func identNames(path string, set map[string]bool, selectorsOnly bool) error {
 		}
 		return true
 	})
-	return nil
 }
 
 // readAllow parses "path.Name — reason" lines; blank lines and lines

@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// A throwaway module with one internal package: check must pass what has
-// a caller, what an interface needs and what the allowlist explains, and
-// name everything else — in both directions of the allowlist.
+// A throwaway module with a root package, one internal and one pkg/
+// package: check must pass what has a caller, what an Example of its own
+// package names, what an interface needs and what the allowlist explains,
+// and name everything else — in both directions of the allowlist.
 func TestCheck(t *testing.T) {
 	files := map[string]string{
 		"go.mod": "module example\n\ngo 1.22\n",
@@ -63,6 +64,34 @@ import "testing"
 
 func TestFixture(t *testing.T) { Fixture(); GainedCaller(); _ = Options{TestKnob: true} }
 `,
+		"root.go": `package example
+
+func OnlyExample() {}
+func OnlyTest()    {}
+`,
+		"root_test.go": `package example_test
+
+import (
+	"testing"
+
+	"example"
+)
+
+func TestOnlyTest(t *testing.T) { example.OnlyTest() }
+
+// Dead is a use of internal/a.Dead by name in an Example of another
+// package, which does not count.
+func Dead() {}
+
+func ExampleOnlyExample() {
+	example.OnlyExample()
+	Dead()
+}
+`,
+		"pkg/p/p.go": `package p
+
+func NoCaller() {}
+`,
 		"benchmark/main.go": `package main
 
 import "example/internal/a"
@@ -93,6 +122,8 @@ internal/a.Gone — fixture: deleted since
 	}
 	want := []string{
 		"internal/a.Dead has no non-test use",
+		"example.OnlyTest has no non-test use",
+		"pkg/p.NoCaller has no non-test use",
 		"internal/a.Recursive has no non-test use",
 		"internal/a.T.Uncalled has no non-test use",
 		"internal/a.Options.Unnamed has no non-test use",

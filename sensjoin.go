@@ -17,15 +17,15 @@
 //	    FROM Sensors A, Sensors B
 //	    WHERE A.temp - B.temp > 10.0 ONCE`, sensjoin.SENSJoin())
 //
-// See examples/ for complete programs and cmd/experiments for the
-// reproduction of every figure in the paper.
+// The package's Examples (go test -run Example -v .) are complete
+// programs with their output pinned, and cmd/experiments reproduces every
+// figure in the paper.
 package sensjoin
 
 import (
 	"fmt"
 	"io"
 
-	"sensjoin/internal/compress"
 	"sensjoin/internal/core"
 	"sensjoin/internal/field"
 	"sensjoin/internal/metrics"
@@ -162,43 +162,10 @@ func MediatedJoin() Method { return Method{core.Mediated{}} }
 // A's tuples ship in full. Two-relation queries only.
 func SemiJoinMethod() Method { return Method{core.SemiJoin{}} }
 
-// SENSJoinZlib returns SENS-Join with zlib-compressed raw tuples (§VI-B).
-func SENSJoinZlib() Method {
-	return Method{&core.SENSJoin{Options: core.Options{Rep: core.CompressedRep{Codec: compress.Zlib{}}}}}
-}
-
-// SENSJoinBWZ returns SENS-Join with the bzip2-style BWZ compressor
-// (§VI-B).
-func SENSJoinBWZ() Method {
-	return Method{&core.SENSJoin{Options: core.Options{Rep: core.CompressedRep{Codec: compress.BWZ{}}}}}
-}
-
-// Options tunes SENS-Join; see SENSJoinWithOptions.
-type Options struct {
-	// Dmax is the Treecut threshold in bytes (default 30).
-	Dmax int
-	// FilterMemLimit bounds the stored subtree structure (default 500).
-	FilterMemLimit int
-	// DisableTreecut switches the Treecut mechanism off.
-	DisableTreecut bool
-	// DisableSelectiveForwarding forwards the unpruned filter.
-	DisableSelectiveForwarding bool
-}
-
-// SENSJoinWithOptions returns SENS-Join with custom parameters.
-func SENSJoinWithOptions(o Options) Method {
-	return Method{&core.SENSJoin{Options: core.Options{
-		Dmax:                       o.Dmax,
-		FilterMemLimit:             o.FilterMemLimit,
-		DisableTreecut:             o.DisableTreecut,
-		DisableSelectiveForwarding: o.DisableSelectiveForwarding,
-	}}}
-}
-
 // Network is a simulated sensor network ready to execute queries.
 type Network struct {
 	r       *core.Runner
-	clock   float64
+	clock   float64 // sampling time of every execution; Monitor moves it on
 	members map[string]func(int) bool
 	reg     *metrics.Registry
 }
@@ -288,13 +255,6 @@ func (n *Network) exec(src string) (*core.Exec, error) {
 	return n.r.Exec(p, n.clock), nil
 }
 
-// Validate parses the query and checks it against the catalog without
-// executing anything.
-func (n *Network) Validate(src string) error {
-	_, err := n.r.Prepare(src)
-	return err
-}
-
 // Explain renders the query's execution plan: predicate split, join
 // attributes, quantization grid, level schedule, and the pre-computation
 // estimates on the current snapshot. Nothing is transmitted.
@@ -366,7 +326,9 @@ func (n *Network) ExecuteWithRecovery(src string, m Method, maxAttempts int) (*R
 
 // Monitor executes a SAMPLE PERIOD query for the given number of rounds,
 // advancing the simulated clock (and the sensor fields) by the query's
-// period between rounds.
+// period after each round. The clock carries over from one call to the
+// next, so calling it one round at a time, with ResetStats in between,
+// gives each round's costs.
 func (n *Network) Monitor(src string, m Method, rounds int) ([]*Result, error) {
 	p, err := n.r.Prepare(src)
 	if err != nil {
@@ -430,12 +392,6 @@ func (n *Network) TotalPackets(m Method) int64 {
 	return n.r.Stats.TotalTx(m.m.Phases()...)
 }
 
-// PerNodePackets returns transmitted packets per node over the method's
-// phases; index 0 is the base station.
-func (n *Network) PerNodePackets(m Method) []int64 {
-	return n.r.Stats.PerNodeTx(m.m.Phases()...)
-}
-
 // MaxLoadedNode returns the most loaded sensor node and its packet count
 // over the method's phases.
 func (n *Network) MaxLoadedNode(m Method) (node int, packets int64) {
@@ -474,8 +430,8 @@ func (n *Network) WriteMetrics(w io.Writer) error {
 // radio event plus the protocol-level span events (phase transitions,
 // Treecut exits, proxy takeovers, prune and suppress decisions, recovery
 // attempts). The journal grows across executions; export it with
-// WriteTrace / WriteChromeTrace, summarize it with PhaseBreakdown /
-// Timeline, or audit executions with ExecuteAudited. Idempotent.
+// WriteTrace / WriteChromeTrace, summarize it with PhaseBreakdown, or
+// audit executions with ExecuteAudited. Idempotent.
 func (n *Network) EnableJournal() { n.r.EnableTrace() }
 
 // WriteTrace writes the recorded journal as JSON Lines, one event per
@@ -505,15 +461,6 @@ func (n *Network) PhaseBreakdown() string {
 	return trace.PhaseBreakdown(n.r.Trace.Journal())
 }
 
-// Timeline renders the journal as an ASCII phase timeline of the given
-// width (empty without a journal).
-func (n *Network) Timeline(width int) string {
-	if n.r.Trace == nil {
-		return ""
-	}
-	return trace.Timeline(n.r.Trace.Journal(), width)
-}
-
 // ExecuteAudited runs the query like Execute and then audits the
 // execution's journal segment: conservation (every delivery traces back
 // to a transmission; drops and losses explain the gaps), reconciliation
@@ -535,14 +482,6 @@ func (n *Network) ExecuteAudited(src string, m Method) (*Result, []string, error
 	return fromCore(res), out, nil
 }
 
-// SetPacketLoss enables per-packet Bernoulli loss (rate in [0,1)): a
-// message is lost when any of its packets is. Executions under loss
-// report Complete=false when result tuples went missing; recover with
-// ExecuteWithRecovery. Rate 0 disables the model.
-func (n *Network) SetPacketLoss(rate float64, seed int64) {
-	n.r.Net.SetLossRate(rate, seed)
-}
-
 // FailLink forces the link between nodes a and b down (both directions).
 func (n *Network) FailLink(a, b int) {
 	n.r.Net.LinkDown(topology.NodeID(a), topology.NodeID(b))
@@ -556,9 +495,6 @@ func (n *Network) RestoreLink(a, b int) {
 // KillNode takes a node offline.
 func (n *Network) KillNode(id int) { n.r.Net.KillNode(topology.NodeID(id)) }
 
-// ReviveNode brings a node back online.
-func (n *Network) ReviveNode(id int) { n.r.Net.ReviveNode(topology.NodeID(id)) }
-
 // RepairRouting re-forms the routing tree over the live links, standing
 // in for the collection-tree protocol's self-repair.
 func (n *Network) RepairRouting() { n.r.RebuildTree() }
@@ -566,10 +502,3 @@ func (n *Network) RepairRouting() { n.r.RebuildTree() }
 // RoutingParent returns node id's parent in the routing tree (-1 for the
 // base station and unreachable nodes).
 func (n *Network) RoutingParent(id int) int { return int(n.r.Tree.Parent[id]) }
-
-// Clock returns the simulated sampling time used for the next Execute.
-func (n *Network) Clock() float64 { return n.clock }
-
-// AdvanceClock moves the sampling time forward by dt seconds; drifting
-// sensor fields change accordingly.
-func (n *Network) AdvanceClock(dt float64) { n.clock += dt }

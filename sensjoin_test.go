@@ -1,6 +1,7 @@
 package sensjoin_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -66,9 +67,6 @@ func TestExecuteMatchesGroundTruth(t *testing.T) {
 		sensjoin.SENSJoin(),
 		sensjoin.ExternalJoin(),
 		sensjoin.SENSJoinNoQuad(),
-		sensjoin.SENSJoinZlib(),
-		sensjoin.SENSJoinBWZ(),
-		sensjoin.SENSJoinWithOptions(sensjoin.Options{Dmax: 60}),
 	} {
 		res, err := net.Execute(apiQuery, m)
 		if err != nil {
@@ -78,23 +76,27 @@ func TestExecuteMatchesGroundTruth(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
+// Explain checks the query against the catalog before it plans anything.
+func TestExplainRejectsBadQueries(t *testing.T) {
 	net := testNet(t, 50, 7)
-	if err := net.Validate(apiQuery); err != nil {
-		t.Fatal(err)
+	if plan, err := net.Explain(apiQuery); err != nil || !strings.Contains(plan, "join conditions (1)") {
+		t.Fatalf("Explain = %v\n%s", err, plan)
 	}
-	if err := net.Validate("SELECT garbage FROM"); err == nil {
-		t.Fatal("bad syntax must fail validation")
+	if _, err := net.Explain("SELECT garbage FROM"); err == nil {
+		t.Fatal("bad syntax must fail")
 	}
-	if err := net.Validate("SELECT A.temp FROM Unknown A ONCE"); err == nil {
-		t.Fatal("unknown relation must fail validation")
+	if _, err := net.Explain("SELECT A.temp FROM Unknown A ONCE"); err == nil {
+		t.Fatal("unknown relation must fail")
+	}
+	if net.TotalPackets(sensjoin.ExternalJoin()) != 0 {
+		t.Fatal("Explain transmitted")
 	}
 }
 
 // A join whose quantization grid cannot be built — more than 8 relations,
-// or a key wider than 64 bits — fails validation with the grid's own
+// or a key wider than 64 bits — fails Explain with the grid's own
 // message, before anything runs.
-func TestValidateReportsGridErrors(t *testing.T) {
+func TestExplainReportsGridErrors(t *testing.T) {
 	// A 40 km square makes x and y 16 bits each: with the four other
 	// attributes and two flag bits, 68 bits.
 	net, err := sensjoin.NewNetwork(sensjoin.Config{Nodes: 30, Seed: 7, AreaSideM: 40000, RangeM: 60000})
@@ -106,8 +108,8 @@ func TestValidateReportsGridErrors(t *testing.T) {
 		{`SELECT A.temp FROM Sensors A, Sensors B WHERE A.temp = B.temp AND A.hum = B.hum AND A.pres = B.pres
 			AND A.light = B.light AND A.x = B.x AND A.y = B.y ONCE`, "zorder: 68 total bits exceed the 64-bit key budget"},
 	} {
-		if err := net.Validate(c.src); err == nil || err.Error() != c.want {
-			t.Errorf("Validate = %v, want %q", err, c.want)
+		if _, err := net.Explain(c.src); err == nil || err.Error() != c.want {
+			t.Errorf("Explain = %v, want %q", err, c.want)
 		}
 	}
 }
@@ -127,20 +129,9 @@ func TestStatsAccessors(t *testing.T) {
 	if total <= 0 {
 		t.Fatal("no packets counted")
 	}
-	per := net.PerNodePackets(sensjoin.SENSJoin())
-	if len(per) != 151 {
-		t.Fatalf("PerNodePackets len %d", len(per))
-	}
-	var sum int64
-	for _, p := range per {
-		sum += p
-	}
-	if sum != total {
-		t.Fatalf("per-node sum %d != total %d", sum, total)
-	}
 	node, load := net.MaxLoadedNode(sensjoin.SENSJoin())
-	if node <= 0 || load <= 0 || load != maxI(per[1:]) {
-		t.Fatalf("MaxLoadedNode = %d/%d", node, load)
+	if node <= 0 || node > 150 || load <= 0 || load > total {
+		t.Fatalf("MaxLoadedNode = %d/%d of %d packets", node, load, total)
 	}
 	if net.TotalEnergy() <= 0 {
 		t.Fatal("no energy accounted")
@@ -152,16 +143,6 @@ func TestStatsAccessors(t *testing.T) {
 	if net.TotalPackets(sensjoin.SENSJoin()) != 0 {
 		t.Fatal("ResetStats did not clear")
 	}
-}
-
-func maxI(v []int64) int64 {
-	var m int64
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 func TestFailureInjectionAndRecovery(t *testing.T) {
@@ -190,38 +171,34 @@ func TestFailureInjectionAndRecovery(t *testing.T) {
 	net.RepairRouting()
 }
 
+// Monitor moves the clock on by the period after each round, and the
+// clock carries over from one call to the next: three one-round calls see
+// the snapshots of one three-round call, and the fields drift between them.
 func TestMonitorAdvancesClock(t *testing.T) {
-	net := testNet(t, 100, 13)
-	results, err := net.Monitor(`
-		SELECT COUNT(A.temp) FROM Sensors A, Sensors B
-		WHERE A.temp - B.temp > 4 SAMPLE PERIOD 120`, sensjoin.SENSJoin(), 3)
+	const q = `SELECT COUNT(A.temp) FROM Sensors A, Sensors B
+		WHERE A.temp - B.temp > 4 SAMPLE PERIOD 120`
+	rounds, err := testNet(t, 100, 13).Monitor(q, sensjoin.SENSJoin(), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("rounds = %d", len(results))
+	if len(rounds) != 3 {
+		t.Fatalf("rounds = %d", len(rounds))
 	}
-	if net.Clock() != 360 {
-		t.Fatalf("clock = %g, want 360", net.Clock())
+	if rounds[0].Rows[0][0] == rounds[2].Rows[0][0] {
+		t.Fatalf("rounds 1 and 3 both count %g: the fields did not drift", rounds[0].Rows[0][0])
 	}
-	if err := checkMonitorRejectsOnce(net); err != nil {
-		t.Fatal(err)
+	net := testNet(t, 100, 13)
+	for i, want := range rounds {
+		got, err := net.Monitor(q, sensjoin.SENSJoin(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTable(t, want, got[0], fmt.Sprintf("round %d", i+1))
+	}
+	if _, err := net.Monitor("SELECT A.temp FROM Sensors A ONCE", sensjoin.SENSJoin(), 1); err == nil {
+		t.Fatal("Monitor accepted a ONCE query")
 	}
 }
-
-func checkMonitorRejectsOnce(net *sensjoin.Network) error {
-	_, err := net.Monitor("SELECT A.temp FROM Sensors A ONCE", sensjoin.SENSJoin(), 1)
-	if err == nil {
-		return errOnceAccepted
-	}
-	return nil
-}
-
-var errOnceAccepted = errString("Monitor accepted a ONCE query")
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
 
 func TestFractionHelper(t *testing.T) {
 	r := &sensjoin.Result{ContributingNodes: 25, MemberNodes: 100}
@@ -231,32 +208,6 @@ func TestFractionHelper(t *testing.T) {
 	empty := &sensjoin.Result{}
 	if empty.Fraction() != 0 || math.IsNaN(empty.Fraction()) {
 		t.Fatal("empty fraction should be 0")
-	}
-}
-
-func TestKillAndReviveNode(t *testing.T) {
-	net := testNet(t, 100, 17)
-	base, err := net.Execute(apiQuery, sensjoin.ExternalJoin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	net.KillNode(40)
-	net.RepairRouting()
-	res, err := net.Execute(apiQuery, sensjoin.ExternalJoin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemberNodes != base.MemberNodes-1 {
-		t.Fatalf("members %d, want %d", res.MemberNodes, base.MemberNodes-1)
-	}
-	net.ReviveNode(40)
-	net.RepairRouting()
-	res, err = net.Execute(apiQuery, sensjoin.ExternalJoin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MemberNodes != base.MemberNodes {
-		t.Fatal("revived node did not rejoin")
 	}
 }
 
@@ -299,41 +250,5 @@ func TestBaseAtCenterShortensTree(t *testing.T) {
 	if center.TreeDepth() >= corner.TreeDepth() {
 		t.Fatalf("center depth %d should be below corner depth %d",
 			center.TreeDepth(), corner.TreeDepth())
-	}
-}
-
-func TestPacketLossDetectedAndRecoverable(t *testing.T) {
-	net := testNet(t, 150, 51)
-	net.SetPacketLoss(0.05, 99)
-	res, err := net.Execute(apiQuery, sensjoin.SENSJoin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Skip("lucky run: no result-relevant packet lost") // seed-dependent but stable
-	}
-	// Recovery keeps re-executing; with 5% loss a few attempts usually
-	// succeed. If not, the result must still honestly say incomplete.
-	rec, err := net.ExecuteWithRecovery(apiQuery, sensjoin.SENSJoin(), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Executions < 1 {
-		t.Fatal("no executions recorded")
-	}
-	if rec.Complete {
-		truth, err := net.GroundTruth(apiQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTable(t, truth, rec, "recovered")
-	}
-	net.SetPacketLoss(0, 0)
-	res, err = net.Execute(apiQuery, sensjoin.SENSJoin())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete {
-		t.Fatal("disabling loss should restore completeness")
 	}
 }
