@@ -364,11 +364,11 @@ func writeTrace(cfg bench.Config, path string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if err := trace.ExportJSONL(path, j); err != nil {
+	if err := trace.WriteFile(path, func(w io.Writer) error { return trace.WriteJSONL(w, j) }); err != nil {
 		return err
 	}
 	chrome := trace.ChromePathFor(path)
-	if err := trace.ExportChrome(chrome, j); err != nil {
+	if err := trace.WriteFile(chrome, func(w io.Writer) error { return trace.WriteChrome(w, j) }); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "journal: %d events -> %s (+ %s)\n\n", len(j.Events), path, chrome)

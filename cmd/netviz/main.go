@@ -127,8 +127,8 @@ func emitDot(w io.Writer, dep *topology.Deployment, tree *routing.Tree) {
 func emitTimeline(w io.Writer, r *core.Runner) error {
 	const src = `SELECT A.hum, B.hum FROM Sensors A, Sensors B
 		WHERE A.temp - B.temp > 6 ONCE`
-	rec := r.EnableTrace()
-	if _, err := r.Run(src, core.NewSENSJoin(), 0, core.WithoutRows()); err != nil {
+	rec := trace.New()
+	if _, err := r.Run(src, core.NewSENSJoin(), 0, core.WithoutRows(), core.Traced(rec)); err != nil {
 		return err
 	}
 	j := rec.Journal()

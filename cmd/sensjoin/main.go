@@ -16,7 +16,6 @@
 package main
 
 import (
-	"compress/gzip"
 	"flag"
 	"fmt"
 	"io"
@@ -24,6 +23,7 @@ import (
 	"strings"
 
 	"sensjoin"
+	"sensjoin/internal/trace"
 )
 
 func main() {
@@ -182,64 +182,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // writeMetricsOut dumps the live instruments in Prometheus text format
-// to path ("-" = stderr).
+// to path ("-" = stderr; gzipped when path ends in ".gz").
 func writeMetricsOut(net *sensjoin.Network, path string, stderr io.Writer) error {
 	if path == "-" {
 		return net.WriteMetrics(stderr)
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := net.WriteMetrics(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return trace.WriteFile(path, net.WriteMetrics)
 }
 
 // writeJournal exports the execution journal as JSON Lines plus a Chrome
 // trace_event file (gzipped when path ends in ".gz") and prints the
 // per-phase breakdown to stdout.
 func writeJournal(net *sensjoin.Network, path string, stdout io.Writer) error {
-	if err := writeMaybeGz(path, net.WriteTrace); err != nil {
+	chrome := trace.ChromePathFor(path)
+	if err := trace.WriteFile(path, net.WriteTrace); err != nil {
 		return err
 	}
-	chrome := strings.TrimSuffix(path, ".gz")
-	if strings.HasSuffix(path, ".gz") {
-		chrome += ".chrome.json.gz"
-	} else {
-		chrome += ".chrome.json"
-	}
-	if err := writeMaybeGz(chrome, net.WriteChromeTrace); err != nil {
+	if err := trace.WriteFile(chrome, net.WriteChromeTrace); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "\njournal -> %s (+ %s)\n%s", path, chrome, net.PhaseBreakdown())
 	return nil
-}
-
-// writeMaybeGz creates path and streams write into it, through gzip
-// when the path ends in ".gz".
-func writeMaybeGz(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	var w io.Writer = f
-	var gz *gzip.Writer
-	if strings.HasSuffix(path, ".gz") {
-		gz = gzip.NewWriter(f)
-		w = gz
-	}
-	if err := write(w); err != nil {
-		f.Close()
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	return f.Close()
 }

@@ -283,7 +283,9 @@ func ExampleNetwork_ExecuteWithRecovery() {
 
 	victim := 42
 	parent := net.RoutingParent(victim)
-	net.FailLink(victim, parent)
+	if err := net.FailLink(victim, parent); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\ncutting routing link %d -> %d\n", victim, parent)
 	res, err = net.Execute(q, sensjoin.SENSJoin())
 	if err != nil {
@@ -303,9 +305,13 @@ func ExampleNetwork_ExecuteWithRecovery() {
 	}
 	fmt.Printf("oracle agrees: %d rows (match=%v)\n", len(truth.Rows), len(truth.Rows) == len(rec.Rows))
 
-	net.RestoreLink(victim, parent)
+	if err := net.RestoreLink(victim, parent); err != nil {
+		log.Fatal(err)
+	}
 	net.RepairRouting()
-	net.KillNode(victim)
+	if err := net.KillNode(victim); err != nil {
+		log.Fatal(err)
+	}
 	net.RepairRouting()
 	res, err = net.Execute(q, sensjoin.SENSJoin())
 	if err != nil {

@@ -135,10 +135,10 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 		if err != nil {
 			return ChurnPoint{}, err
 		}
-		r.AutoAudit = true // bound the journal across rounds
+		opts := []core.RunOption{core.Audited()} // violations are counted, not fatal
 		transport := churnBestEffort
 		if s.reliable {
-			r.EnableReliableTransport(netsim.ReliableConfig{})
+			opts = append(opts, core.WithReliable(netsim.ReliableConfig{}))
 			transport = churnReliable
 		}
 		var ch *netsim.Churn
@@ -181,7 +181,7 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 			if err != nil {
 				return ChurnPoint{}, err
 			}
-			res, err := r.RunPrepared(prep, s.method, 0, core.Audited())
+			res, err := r.RunPrepared(prep, s.method, 0, opts...)
 			if err != nil {
 				return ChurnPoint{}, fmt.Errorf("bench: churn %s/%s rate %g round %d: %w",
 					s.method.Name(), transport, s.rate, round, err)

@@ -129,27 +129,16 @@ func setupFor(nodes int, seed int64, maxPacket int) core.SetupConfig {
 // privateRunner builds a runner no pool will see. It is the harness's
 // only door to core.NewRunner (scripts/check.sh greps for others), for
 // the callers that cannot lease: the experiment that attaches churn and
-// repairs trees, which a pool would drop on return anyway (X10), one that
-// hands the runner's journal to its caller (RunTraced), and the
+// repairs trees, which a pool would drop on return anyway (X10), and the
 // artefact experiments that keep one runner for their whole run outside
-// any All call (X8, X9's oracle). Loss and reliable transport are not a
-// reason: a returned runner is reset out of both.
+// any All call (X8, X9's oracle). Loss, reliable transport and a journal
+// are not a reason: they are an execution's options, gone when it ends.
 func privateRunner(nodes int, seed int64, maxPacket int) (*core.Runner, error) {
 	return core.NewRunner(setupFor(nodes, seed, maxPacket))
 }
 
-// arm applies the configuration's per-runner switches.
-func (c Config) arm(r *core.Runner) *core.Runner {
-	r.AutoAudit = c.Audit
-	if c.Metrics != nil {
-		r.EnableMetrics(c.Metrics)
-	}
-	return r
-}
-
 // lease takes a runner for this configuration out of the call's pools;
-// done ends the lease. For every experiment that neither keeps the
-// runner's journal nor attaches churn.
+// done ends the lease. For every experiment that attaches no churn.
 func (c Config) lease() (r *core.Runner, done func(), err error) {
 	p, err := c.leases.pool(setupFor(c.Nodes, c.Seed, c.MaxPacket))
 	if err != nil {
@@ -158,17 +147,10 @@ func (c Config) lease() (r *core.Runner, done func(), err error) {
 	if r, err = p.Get(); err != nil {
 		return nil, nil, err
 	}
-	return c.arm(r), func() { p.Put(r) }, nil
-}
-
-// privateRunner is the package's privateRunner at this configuration,
-// armed like a leased one.
-func (c Config) privateRunner() (*core.Runner, error) {
-	r, err := privateRunner(c.Nodes, c.Seed, c.MaxPacket)
-	if err != nil {
-		return nil, err
+	if c.Metrics != nil {
+		r.EnableMetrics(c.Metrics)
 	}
-	return c.arm(r), nil
+	return r, func() { p.Put(r) }, nil
 }
 
 // RunTraced executes one calibrated SENS-Join query at the default
@@ -177,31 +159,55 @@ func (c Config) privateRunner() (*core.Runner, error) {
 // `experiments -trace`.
 func RunTraced(cfg Config) (*trace.Journal, []trace.Violation, error) {
 	cfg = cfg.withDefaults()
-	r, err := cfg.privateRunner() // the journal outlives the call
+	r, done, err := cfg.lease()
 	if err != nil {
 		return nil, nil, err
 	}
-	r.AutoAudit = false // keep the journal; the run below audits explicitly
-	rec := r.EnableTrace()
+	defer done()
+	rec := trace.New()
 	preset := workload.Ratio33()
 	delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
-	res, err := r.Run(preset.Build(delta), core.NewSENSJoin(), 0, core.Audited())
+	res, err := r.Run(preset.Build(delta), core.NewSENSJoin(), 0, core.Traced(rec), core.Audited())
 	if err != nil {
 		return nil, nil, err
 	}
 	return rec.Journal(), res.Violations, nil
 }
 
+// run executes src on r with method m at time t. It is the harness's
+// one way to execute a query, so that under Audit every execution is
+// audited and its first violation fails the experiment.
+func (c Config) run(r *core.Runner, src string, m core.Method, t float64, opts ...core.RunOption) (*core.Result, error) {
+	if c.Audit {
+		opts = append(opts, core.Audited())
+	}
+	res, err := r.Run(src, m, t, opts...)
+	if err == nil && len(res.Violations) > 0 {
+		err = fmt.Errorf("bench: %s audit: %d violation(s), first: %s", m.Name(), len(res.Violations), res.Violations[0])
+	}
+	return res, err
+}
+
 // runTotal executes one method and returns its total packet count over
 // its own phases and its result, run WithoutRows: the suite reads a
 // result's figures, not its table.
-func runTotal(r *core.Runner, src string, m core.Method) (int64, *core.Result, error) {
+func (c Config) runTotal(r *core.Runner, src string, m core.Method) (int64, *core.Result, error) {
 	r.Stats.Reset()
-	res, err := r.Run(src, m, 0, core.WithoutRows())
+	res, err := c.run(r, src, m, 0, core.WithoutRows())
 	if err != nil {
 		return 0, nil, err
 	}
 	return r.Stats.TotalTx(m.Phases()...), res, nil
+}
+
+// pair runs src on r with the external join, then SENS-Join, and returns
+// their packet totals.
+func (c Config) pair(r *core.Runner, src string) (ext, sens int64, err error) {
+	if ext, _, err = c.runTotal(r, src, core.External{}); err != nil {
+		return 0, 0, err
+	}
+	sens, _, err = c.runTotal(r, src, core.NewSENSJoin())
+	return ext, sens, err
 }
 
 // RunOverallSavings reproduces Fig. 10: overall transmissions of the
@@ -235,11 +241,7 @@ func RunOverallSavings(cfg Config, preset workload.Preset) (*Table, error) {
 		defer done()
 		delta, actual := workload.Calibrate(r, preset, f)
 		src := preset.Build(delta)
-		ext, _, err := runTotal(r, src, core.External{})
-		if err != nil {
-			return cell{}, err
-		}
-		sens, _, err := runTotal(r, src, core.NewSENSJoin())
+		ext, sens, err := cfg.pair(r, src)
 		if err != nil {
 			return cell{}, err
 		}
@@ -291,12 +293,12 @@ func RunPerNodeSavings(cfg Config, preset workload.Preset) (*Table, error) {
 	delta, actual := workload.Calibrate(r, preset, cfg.DefaultFraction)
 	src := preset.Build(delta)
 
-	extTotal, _, err := runTotal(r, src, core.External{})
+	extTotal, _, err := cfg.runTotal(r, src, core.External{})
 	if err != nil {
 		return nil, err
 	}
 	extPer := r.Stats.PerNodeTx(core.ExternalPhases...)
-	sensTotal, _, err := runTotal(r, src, core.NewSENSJoin())
+	sensTotal, _, err := cfg.runTotal(r, src, core.NewSENSJoin())
 	if err != nil {
 		return nil, err
 	}
@@ -366,11 +368,7 @@ func RunRatioSweep(cfg Config, presets []workload.Preset, id string) (*Table, er
 		defer done()
 		delta, _ := workload.Calibrate(r, p, cfg.DefaultFraction)
 		src := p.Build(delta)
-		ext, _, err := runTotal(r, src, core.External{})
-		if err != nil {
-			return cell{}, err
-		}
-		sens, _, err := runTotal(r, src, core.NewSENSJoin())
+		ext, sens, err := cfg.pair(r, src)
 		if err != nil {
 			return cell{}, err
 		}
@@ -424,11 +422,7 @@ func RunNetworkSize(cfg Config, sizes []int, preset workload.Preset) (*Table, er
 		defer done()
 		delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
 		src := preset.Build(delta)
-		ext, _, err := runTotal(r, src, core.External{})
-		if err != nil {
-			return cell{}, err
-		}
-		sens, _, err := runTotal(r, src, core.NewSENSJoin())
+		ext, sens, err := c.pair(r, src)
 		if err != nil {
 			return cell{}, err
 		}
@@ -473,12 +467,12 @@ func RunPacketSize(cfg Config, preset workload.Preset) (*Table, error) {
 		}
 		delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
 		src := preset.Build(delta)
-		ext, _, err := runTotal(r, src, core.External{})
+		ext, _, err := c.runTotal(r, src, core.External{})
 		if err != nil {
 			return nil, err
 		}
 		extPer := r.Stats.PerNodeTx(core.ExternalPhases...)
-		sens, _, err := runTotal(r, src, core.NewSENSJoin())
+		sens, _, err := c.runTotal(r, src, core.NewSENSJoin())
 		if err != nil {
 			return nil, err
 		}
@@ -512,7 +506,7 @@ func RunStepBreakdown(cfg Config, fractions []float64, preset workload.Preset) (
 	}
 	// External reference at the default fraction.
 	delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
-	ext, _, err := runTotal(r, preset.Build(delta), core.External{})
+	ext, _, err := cfg.runTotal(r, preset.Build(delta), core.External{})
 	if err != nil {
 		return nil, err
 	}
@@ -524,7 +518,7 @@ func RunStepBreakdown(cfg Config, fractions []float64, preset workload.Preset) (
 		delta, actual := workload.Calibrate(r, preset, f)
 		src := preset.Build(delta)
 		r.Stats.Reset()
-		if _, err := r.Run(src, core.NewSENSJoin(), 0, core.WithoutRows()); err != nil {
+		if _, err := cfg.run(r, src, core.NewSENSJoin(), 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		ja := r.Stats.TotalTx(core.PhaseJACollect)
@@ -579,7 +573,7 @@ func RunCompressionComparison(cfg Config) (*Table, error) {
 	for _, rep := range reps {
 		r.Stats.Reset()
 		m := &core.SENSJoin{Options: core.Options{Rep: rep}}
-		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
+		if _, err := cfg.run(r, src, m, 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		ja := r.Stats.TotalTx(core.PhaseJACollect)
@@ -619,7 +613,7 @@ func RunQuadInfluence(cfg Config) (*Table, error) {
 		Title:  fmt.Sprintf("influence of the quadtree representation (f=%.1f%%, %d nodes)", 100*actual, cfg.Nodes),
 		Header: []string{"method", "ja-collect", "total"},
 	}
-	ext, _, err := runTotal(r, src, core.External{})
+	ext, _, err := cfg.runTotal(r, src, core.External{})
 	if err != nil {
 		return nil, err
 	}
@@ -632,7 +626,7 @@ func RunQuadInfluence(cfg Config) (*Table, error) {
 		core.NewSENSJoin(),
 	} {
 		r.Stats.Reset()
-		if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
+		if _, err := cfg.run(r, src, m, 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		ja := r.Stats.TotalTx(core.PhaseJACollect)
@@ -684,7 +678,7 @@ func RunTreecutAblation(cfg Config, preset workload.Preset) (*Table, error) {
 			return cell{}, err
 		}
 		defer crDone()
-		if _, err := cr.Run(src, &core.SENSJoin{Options: opt}, 0, core.WithoutRows()); err != nil {
+		if _, err := cfg.run(cr, src, &core.SENSJoin{Options: opt}, 0, core.WithoutRows()); err != nil {
 			return cell{}, err
 		}
 		return cell{label: label, ja: cr.Stats.TotalTx(core.PhaseJACollect), total: cr.Stats.TotalTx(core.SENSPhases...)}, nil
@@ -732,7 +726,7 @@ func RunFilterLimitAblation(cfg Config, preset workload.Preset) (*Table, error) 
 			return cell{}, err
 		}
 		defer crDone()
-		if _, err := cr.Run(src, &core.SENSJoin{Options: opt}, 0, core.WithoutRows()); err != nil {
+		if _, err := cfg.run(cr, src, &core.SENSJoin{Options: opt}, 0, core.WithoutRows()); err != nil {
 			return cell{}, err
 		}
 		return cell{label: label, fd: cr.Stats.TotalTx(core.PhaseFilterDissem), total: cr.Stats.TotalTx(core.SENSPhases...)}, nil
@@ -775,7 +769,7 @@ func RunIncrementalFilter(cfg Config, rounds int, period float64) (*Table, error
 		var perRound []int64
 		var prev int64
 		for round := 0; round < rounds; round++ {
-			if _, err := r.Run(src, m, float64(round)*period, core.WithoutRows()); err != nil {
+			if _, err := cfg.run(r, src, m, float64(round)*period, core.WithoutRows()); err != nil {
 				return nil, 0, err
 			}
 			cur := r.Stats.TotalTxBytes(core.PhaseFilterDissem)
@@ -841,7 +835,7 @@ func RunRelatedWork(cfg Config) (*Table, error) {
 	src := preset.Build(delta)
 	var extGeneral int64
 	for _, m := range methods {
-		pk, _, err := runTotal(r, src, m)
+		pk, _, err := cfg.runTotal(r, src, m)
 		if err != nil {
 			return nil, err
 		}
@@ -868,7 +862,7 @@ func RunRelatedWork(cfg Config) (*Table, error) {
 	var extNiche int64
 	for _, m := range methods {
 		r2.Stats.Reset()
-		if _, err := r2.Run(nicheSrc, m, 0, core.WithoutRows()); err != nil {
+		if _, err := cfg.run(r2, nicheSrc, m, 0, core.WithoutRows()); err != nil {
 			return nil, err
 		}
 		pk := r2.Stats.TotalTx(m.Phases()...)
@@ -908,7 +902,7 @@ func RunLifetime(cfg Config) (*Table, error) {
 		var extRounds int
 		for _, m := range []core.Method{core.External{}, core.NewSENSJoin()} {
 			r.Stats.Reset()
-			if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
+			if _, err := cfg.run(r, src, m, 0, core.WithoutRows()); err != nil {
 				return nil, err
 			}
 			energy := r.Stats.PerNodeEnergy(model, m.Phases()...)
@@ -961,11 +955,11 @@ func RunResponseTime(cfg Config) (*Table, error) {
 		defer done()
 		delta, actual := workload.Calibrate(r, preset, f)
 		src := preset.Build(delta)
-		ext, extRes, err := runTotal(r, src, core.External{})
+		ext, extRes, err := cfg.runTotal(r, src, core.External{})
 		if err != nil {
 			return cell{}, err
 		}
-		sens, sensRes, err := runTotal(r, src, core.NewSENSJoin())
+		sens, sensRes, err := cfg.runTotal(r, src, core.NewSENSJoin())
 		if err != nil {
 			return cell{}, err
 		}
@@ -1004,7 +998,7 @@ func RunMemory(cfg Config) (*Table, error) {
 	src := preset.Build(delta)
 	m := core.NewSENSJoin()
 	r.Stats.Reset()
-	if _, err := r.Run(src, m, 0, core.WithoutRows()); err != nil {
+	if _, err := cfg.run(r, src, m, 0, core.WithoutRows()); err != nil {
 		return nil, err
 	}
 	maxChildren := 0
@@ -1190,16 +1184,15 @@ func RunLossResilience(cfg Config, rates []float64) (*Table, error) {
 			return mrow{}, err
 		}
 		defer done()
-		r.EnableReliableTransport(netsim.ReliableConfig{})
 		// One loss stream per (rate, method): draws never depend on what
 		// ran before, which keeps cells order- and worker-independent.
 		seed := cfg.Seed + int64(rate*100000)
 		if m.Name() != "external-join" {
 			seed += 7
 		}
-		r.Net.SetLossRate(rate, seed)
 		delta, _ := workload.Calibrate(r, preset, cfg.DefaultFraction)
-		prep, err := r.Prepare(preset.Build(delta))
+		src := preset.Build(delta)
+		prep, err := r.Prepare(src)
 		if err != nil {
 			return mrow{}, err
 		}
@@ -1207,7 +1200,7 @@ func RunLossResilience(cfg Config, rates []float64) (*Table, error) {
 		if err != nil {
 			return mrow{}, err
 		}
-		res, err := r.RunPrepared(prep, m, 0)
+		res, err := cfg.run(r, src, m, 0, core.WithReliable(netsim.ReliableConfig{}), core.WithLoss(rate, seed))
 		if err != nil {
 			return mrow{}, err
 		}

@@ -1,37 +1,12 @@
 package core
 
 import (
-	"fmt"
-
 	"sensjoin/internal/routing"
 	"sensjoin/internal/stats"
 	"sensjoin/internal/tabledigest"
 	"sensjoin/internal/topology"
 	"sensjoin/internal/trace"
 )
-
-// EnableTrace attaches a journal recorder to the runner (idempotent):
-// radio events flow in through the network tracer and protocol spans
-// through Exec.Trace. Returns the recorder for export/audit calls.
-// Tracing composes with the sharded engine: the recorder goes
-// concurrent (region workers emit spans in parallel) and the network
-// buffers radio events per region, flushed at drain; the canonical
-// journal order makes the result byte-identical to a classic run.
-func (r *Runner) EnableTrace() *trace.Recorder {
-	if r.Trace == nil {
-		r.Trace = trace.New()
-		r.Trace.SetConcurrent(r.Sim.Sharded())
-		r.Net.SetTracer(r.Trace.Radio())
-	}
-	return r.Trace
-}
-
-// DisableTrace detaches the runner's recorder and tracer entirely, so a
-// pooled runner stops paying journal cost once a sampled query is done.
-func (r *Runner) DisableTrace() {
-	r.Trace = nil
-	r.Net.SetTracer(nil)
-}
 
 // auditSegment brackets one protocol round — a single query's execution
 // or one cluster of a shared round — under the journal. close audits
@@ -44,13 +19,8 @@ func (r *Runner) DisableTrace() {
 // tuple contributes to the ground truth).
 type auditSegment struct {
 	r      *Runner
-	rec    *trace.Recorder
 	mark   int
 	before stats.Snapshot
-	// what names the round in the error a strict segment turns its
-	// violations into; a lenient one (Audited) returns them.
-	what   string
-	strict bool
 	// tree is captured before the round: mid-round repair swaps r.Tree,
 	// but the slot-scheduled phases ran on the tree the round started
 	// with (recovery traffic is not slot-audited).
@@ -60,17 +30,13 @@ type auditSegment struct {
 	truths []*Result
 }
 
-// openAudit starts a segment when the call (Audited) or the runner
-// (AutoAudit) asks for one, enabling tracing on demand; nil otherwise.
-func (r *Runner) openAudit(o runOptions, what string) *auditSegment {
-	if !o.audit && !r.AutoAudit {
+// openAudit starts a segment in the execution's recorder when the call
+// asks for one (Audited); nil otherwise.
+func (r *Runner) openAudit(o runOptions) *auditSegment {
+	if !o.audit {
 		return nil
 	}
-	rec := r.EnableTrace()
-	return &auditSegment{
-		r: r, rec: rec, mark: rec.Mark(), before: r.Stats.Snapshot(),
-		what: what, strict: !o.audit, tree: r.Tree,
-	}
+	return &auditSegment{r: r, mark: r.rec.Mark(), before: r.Stats.Snapshot(), tree: r.Tree}
 }
 
 // close runs the audit passes over the segment of a round of method m
@@ -79,8 +45,8 @@ func (r *Runner) openAudit(o runOptions, what string) *auditSegment {
 // downstream and is not slot-ordered). When m disseminates a filter, it
 // may only suppress a key none of execs wants, so suppress decisions are
 // checked against the union of their ground-truth contributors. Each
-// result's churn verdict is drawn against its own truth. Under AutoAudit
-// the segment is truncated afterwards so soaks stay bounded.
+// result's churn verdict is drawn against its own truth. The runner's
+// own recorder is emptied afterwards, so audited soaks stay bounded.
 func (a *auditSegment) close(m Method, execs []*Exec, results []*Result) ([]trace.Violation, error) {
 	r := a.r
 	var slotPhases []string
@@ -93,7 +59,7 @@ func (a *auditSegment) close(m Method, execs []*Exec, results []*Result) ([]trac
 			filtered = true
 		}
 	}
-	j := a.rec.JournalSince(a.mark)
+	j := r.rec.JournalSince(a.mark)
 	violations := trace.Conservation(j)
 	violations = append(violations, trace.Reconcile(j, a.before, r.Stats.Snapshot())...)
 	violations = append(violations, trace.SlotOrder(j, a.tree, slotPhases)...)
@@ -129,12 +95,8 @@ func (a *auditSegment) close(m Method, execs []*Exec, results []*Result) ([]trac
 		}
 		violations = append(violations, trace.FilterSoundness(j, contrib)...)
 	}
-	if r.AutoAudit {
-		a.rec.Truncate(a.mark)
-	}
-	if a.strict && len(violations) > 0 {
-		return nil, fmt.Errorf("core: %s audit: %d violation(s), first: %s",
-			a.what, len(violations), violations[0])
+	if r.rec == r.auditRec {
+		r.rec.Truncate(0)
 	}
 	return violations, nil
 }

@@ -17,7 +17,8 @@ func TestAuditRunCleanMethods(t *testing.T) {
 	for _, m := range []Method{NewSENSJoin(), External{}, Mediated{}, SemiJoin{}} {
 		t.Run(m.Name(), func(t *testing.T) {
 			r := testRunner(t, 120, 42)
-			res, err := r.Run(qBand(0.4), m, 0, Audited())
+			rec := trace.New()
+			res, err := r.Run(qBand(0.4), m, 0, Traced(rec), Audited())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -28,7 +29,7 @@ func TestAuditRunCleanMethods(t *testing.T) {
 			if res == nil || !res.Complete {
 				t.Fatalf("clean %s run incomplete", m.Name())
 			}
-			if len(r.Trace.Journal().Events) == 0 {
+			if len(rec.Journal().Events) == 0 {
 				t.Fatal("audited run recorded no events")
 			}
 		})
@@ -67,12 +68,11 @@ func TestAuditRunMatchesPlainRun(t *testing.T) {
 // explain gaps instead of raising violations.
 func TestAuditRunWithFaultsPasses(t *testing.T) {
 	r := testRunner(t, 120, 43)
-	r.Net.SetLossRate(0.05, 7)
 	r.Net.LinkDown(5, r.Tree.Parent[5])
 	r.Net.KillNode(17)
 	r.RebuildTree()
 	for _, m := range []Method{NewSENSJoin(), External{}} {
-		res, err := r.Run(qBand(0.4), m, 0, Audited())
+		res, err := r.Run(qBand(0.4), m, 0, WithLoss(0.05, 7), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,35 +83,46 @@ func TestAuditRunWithFaultsPasses(t *testing.T) {
 	}
 }
 
-// AutoAudit routes Run through the audited path and truncates each
-// journal segment afterwards, so continuous soaks stay bounded.
-func TestAutoAuditContinuousRoundsBounded(t *testing.T) {
+// An audit no caller keeps the journal of runs in the runner's own
+// recorder, emptied after every audit, so audited soaks stay bounded.
+func TestAuditedContinuousRoundsBounded(t *testing.T) {
 	r := testRunner(t, 100, 44)
-	r.AutoAudit = true
 	m := NewContinuousSENSJoin()
 	for round := 0; round < 3; round++ {
-		if _, err := r.Run(qBand(0.4), m, float64(round)*30); err != nil {
+		res, err := r.Run(qBand(0.4), m, float64(round)*30, Audited())
+		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		if len(res.Violations) != 0 {
+			t.Fatalf("round %d: %v", round, res.Violations)
+		}
 	}
-	if n := r.Trace.Mark(); n != 0 {
-		t.Fatalf("journal holds %d events after auto-audited rounds; want 0 (truncated)", n)
+	if r.auditRec == nil {
+		t.Fatal("the audits journaled nowhere")
+	}
+	if n := r.auditRec.Mark(); n != 0 {
+		t.Fatalf("the runner's recorder holds %d events after audited rounds; want 0 (truncated)", n)
+	}
+	if r.rec != nil {
+		t.Fatal("a recorder is still armed between executions")
 	}
 }
 
 // The churn-safety pass compares a result with its oracle through the
 // table digest, over the cells' bits: a NaN equals the same NaN, and -0
-// is not +0. A strict (AutoAudit) round of a query whose cells are NaN,
-// ±Inf and -0 therefore stays clean; under == every NaN row failed it.
-func TestAutoAuditNonFiniteCellsClean(t *testing.T) {
+// is not +0. An audited round of a query whose cells are NaN, ±Inf and
+// -0 therefore stays clean; under == every NaN row failed it.
+func TestAuditedNonFiniteCellsClean(t *testing.T) {
 	r := testRunner(t, 100, 3)
-	r.AutoAudit = true
 	r.AttachChurn(netsim.ChurnConfig{Rate: 0}) // gives the round its oracles
 	res, err := r.Run(`SELECT A.temp / (B.temp - B.temp), (B.temp - B.temp) / (B.temp - B.temp),
 		(B.temp - B.temp) * -1, -A.temp / (B.temp - B.temp), A.temp
-		FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 ONCE`, NewSENSJoin(), 0)
+		FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 ONCE`, NewSENSJoin(), 0, Audited())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %v", res.Violations)
 	}
 	if !res.Complete || len(res.Rows) == 0 || !math.IsNaN(res.Rows[0][1]) {
 		t.Fatalf("complete=%t, %d rows: the round did not produce the non-finite cells", res.Complete, len(res.Rows))
@@ -122,9 +133,9 @@ func TestAutoAuditNonFiniteCellsClean(t *testing.T) {
 // the auditors work end-to-end, not just on synthetic event lists.
 func TestAuditFlagsPlantedViolations(t *testing.T) {
 	r := testRunner(t, 100, 45)
-	rec := r.EnableTrace()
+	rec := trace.New()
 	before := r.Stats.Snapshot()
-	if _, err := r.Run(qBand(0.4), NewSENSJoin(), 0); err != nil {
+	if _, err := r.Run(qBand(0.4), NewSENSJoin(), 0, Traced(rec)); err != nil {
 		t.Fatal(err)
 	}
 	after := r.Stats.Snapshot()
@@ -181,7 +192,7 @@ func TestAuditFlagsPlantedViolations(t *testing.T) {
 // in the journal.
 func TestRunWithRecoveryEmitsRecoverySpan(t *testing.T) {
 	r := testRunner(t, 100, 46)
-	rec := r.EnableTrace()
+	rec := trace.New()
 	// Kill a mid-tree node so the first attempt is incomplete.
 	var victim topology.NodeID = -1
 	for id := 1; id < r.Dep.N(); id++ {
@@ -194,7 +205,7 @@ func TestRunWithRecoveryEmitsRecoverySpan(t *testing.T) {
 		t.Skip("no depth-1 node")
 	}
 	r.Net.KillNode(victim)
-	res, err := r.Run(qBand(0.4), NewSENSJoin(), 0, WithRecovery(2))
+	res, err := r.Run(qBand(0.4), NewSENSJoin(), 0, WithRecovery(2), Traced(rec))
 	if err != nil {
 		t.Fatal(err)
 	}

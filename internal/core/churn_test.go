@@ -109,12 +109,11 @@ func TestRepairHealsSeveredSubtreeMidRound(t *testing.T) {
 	for _, lane := range roundSpellings() {
 		t.Run(lane.name, func(t *testing.T) {
 			r := testRunner(t, 150, 73)
-			r.EnableReliableTransport(netsim.ReliableConfig{})
 			child, parent := failLink(r)
 			srcs := []string{qBand(0.5), qBand(0.6)}[:lane.members]
 			truths := groundTruths(t, r, srcs, 0)
 			r.Sim.Schedule(0.5, func() { r.Net.LinkDown(child, parent) })
-			results, err := lane.run(r, srcs)
+			results, err := lane.run(r, srcs, WithReliable(netsim.ReliableConfig{}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,10 +174,9 @@ func TestRepairDisabledStaysIncomplete(t *testing.T) {
 // a partition, not loss.
 func TestRecoveryReasonPartition(t *testing.T) {
 	r := lineRunner(t, 4) // chain 0-1-2-3-4
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	victim := topology.NodeID(4)
 	r.Net.LinkDown(victim, r.Tree.Parent[victim])
-	res, err := r.Run(qBand(10), NewSENSJoin(), 0)
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +195,9 @@ func TestRecoveryReasonPartition(t *testing.T) {
 // missing because it is dead, and the verdict must say so.
 func TestRecoveryReasonDeadSubtree(t *testing.T) {
 	r := lineRunner(t, 4)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	victim := topology.NodeID(2)
 	r.Sim.Schedule(0.5, func() { r.Net.KillNode(victim) })
-	res, err := r.Run(qBand(10), NewSENSJoin(), 0)
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +217,9 @@ func TestRecoveryReasonDeadSubtree(t *testing.T) {
 // connected, so the only honest classification is loss.
 func TestRecoveryReasonLoss(t *testing.T) {
 	r := lineRunner(t, 4)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	r.Net.SetLinkLossRate(1, 2, 1.0)
 	r.Net.SetLinkLossRate(2, 1, 1.0)
-	res, err := r.Run(qBand(10), NewSENSJoin(), 0)
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,14 +241,12 @@ func TestRecoveryReasonLoss(t *testing.T) {
 // subtrees.
 func TestChurnRoundsAuditClean(t *testing.T) {
 	r := testRunner(t, 150, 101)
-	r.AutoAudit = true
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
 	complete := 0
 	const rounds = 6
 	for i := 0; i < rounds; i++ {
 		ch.Cover(r.Sim.Now() + 60)
-		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, Audited())
+		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,8 +314,6 @@ func TestQueryGroupChurnAuditRuns(t *testing.T) {
 // carries the repairs its round made.
 func TestQueryGroupUnderChurnAndLoss(t *testing.T) {
 	r := testRunner(t, 150, 101)
-	r.Net.SetLossRate(0.05, 7)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
 	srcs := []string{qBand(0.5), qBand(0.6), qBand(0.7)}
 	g, err := clusterOf(r, srcs)
@@ -334,7 +326,7 @@ func TestQueryGroupUnderChurnAndLoss(t *testing.T) {
 		at := float64(e) * 30
 		ch.Cover(r.Sim.Now() + 60)
 		truths := groundTruths(t, r, srcs, at)
-		results, err := g.RunRound(r, at, Audited())
+		results, err := g.RunRound(r, at, WithLoss(0.05, 7), WithReliable(netsim.ReliableConfig{}), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,8 +373,6 @@ func TestSoakChurn(t *testing.T) {
 		t.Skip("chaos soak skipped in -short mode")
 	}
 	r := testRunner(t, 200, 131)
-	r.AutoAudit = true
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	// Churn budget leans toward mobility (small DeathShare): moved nodes
 	// sever links mid-round but their data is recoverable over repaired
 	// paths, which is exactly the behaviour the soak wants to prove.
@@ -391,7 +381,7 @@ func TestSoakChurn(t *testing.T) {
 	complete, repairs := 0, 0
 	for i := 0; i < rounds; i++ {
 		ch.Cover(r.Sim.Now() + 80)
-		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, Audited())
+		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}

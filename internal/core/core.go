@@ -253,7 +253,12 @@ func columnsOf(q *query.Query) []string {
 // DisseminateQuery floods the query through the network: the base
 // station broadcasts it, every node rebroadcasts once. The cost is
 // charged under PhaseQueryDissem; it is identical for every join method.
+// With x.Trace set the flood's radio events are journaled there.
 func DisseminateQuery(x *Exec) {
+	if x.Trace != nil {
+		journal(x.Net, x.Trace)
+		defer journal(x.Net, nil)
+	}
 	size := len(x.Query.String())
 	seen := make([]bool, x.Net.N())
 	x.Net.SetHandler(func(id topology.NodeID, m netsim.Message) {

@@ -139,7 +139,7 @@ func TestNodeDeathDuringExecution(t *testing.T) {
 // gave up, consumes that record, and trusts the link again afterwards.
 func TestRebuildTreeSteersAroundExhaustedLinks(t *testing.T) {
 	r := testRunner(t, 150, 73)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
+	r.Net.EnableReliable(netsim.ReliableConfig{})
 	var child, parent topology.NodeID = -1, -1
 	for i := 1; i < r.Dep.N() && child < 0; i++ {
 		id := topology.NodeID(i)
@@ -236,7 +236,7 @@ func TestTreecutOnLineTopology(t *testing.T) {
 func TestLateTreecutMessageIsLeftOut(t *testing.T) {
 	r := lineRunner(t, 12)
 	src := qBand(10)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
+	r.Net.EnableReliable(netsim.ReliableConfig{}) // sizes the slots below as the run will
 	x, err := execSQL(r, src, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -248,12 +248,12 @@ func TestLateTreecutMessageIsLeftOut(t *testing.T) {
 	// retransmission goes out at about start + 2·slotA, after the link is
 	// back up.
 	slotA, _ := sensSlots(x, p, 1)
-	rec := r.EnableTrace()
+	rec := trace.New()
 	start := r.Sim.Now()
 	r.Net.LinkDown(12, 11)
-	r.Sim.Schedule(start+slotA/1000, func() { r.EnableReliableTransport(netsim.ReliableConfig{BackoffBase: slotA}) })
+	r.Sim.Schedule(start+slotA/1000, func() { r.Net.EnableReliable(netsim.ReliableConfig{BackoffBase: slotA}) })
 	r.Sim.Schedule(start+1.5*slotA, func() { r.Net.LinkUp(12, 11) })
-	if _, err := r.Run(src, NewSENSJoin(), 0); err != nil {
+	if _, err := r.Run(src, NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Traced(rec)); err != nil {
 		t.Fatal(err)
 	}
 

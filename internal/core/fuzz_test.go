@@ -202,12 +202,6 @@ func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutc
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.reliable {
-		r.EnableReliableTransport(netsim.ReliableConfig{})
-	}
-	if c.loss {
-		r.Net.SetLossRate(0.05, c.seed)
-	}
 	if c.churn {
 		r.AttachChurn(netsim.ChurnConfig{Seed: c.seed, Rate: 0.01, Epoch: 30})
 	}
@@ -233,11 +227,17 @@ func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutc
 			}
 		}
 	}
-	opts := []RunOption{Audited()}
+	rec := trace.New()
+	opts := []RunOption{Traced(rec), Audited()}
 	if withoutRows {
-		opts = []RunOption{WithoutRows()}
+		opts = []RunOption{Traced(rec), WithoutRows()}
 	}
-	rec := r.EnableTrace()
+	if c.reliable {
+		opts = append(opts, WithReliable(netsim.ReliableConfig{}))
+	}
+	if c.loss {
+		opts = append(opts, WithLoss(0.05, c.seed))
+	}
 	for e := 0; e < c.epochs; e++ {
 		at := float64(e) * 30
 		horizon := r.Sim.Now() + 30

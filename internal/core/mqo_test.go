@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sensjoin/internal/trace"
 	"testing"
 
 	"sensjoin/internal/metrics"
@@ -126,17 +127,13 @@ func TestQueryGroupByteIdenticalToIndependent(t *testing.T) {
 	type key struct{ epoch, q int }
 	runShared := func(loss float64) map[key]*Result {
 		r := testRunner(t, nodes, 307)
-		r.EnableReliableTransport(netsim.ReliableConfig{})
-		if loss > 0 {
-			r.Net.SetLossRate(loss, 911)
-		}
 		g := NewQueryGroup(Options{})
 		for _, s := range srcs {
 			mustAdd(t, g, s)
 		}
 		out := make(map[key]*Result)
 		for e := 0; e < epochs; e++ {
-			res, err := g.RunRound(r, float64(e)*30)
+			res, err := g.RunRound(r, float64(e)*30, WithReliable(netsim.ReliableConfig{}), WithLoss(loss, 911))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,13 +147,9 @@ func TestQueryGroupByteIdenticalToIndependent(t *testing.T) {
 		out := make(map[key]*Result)
 		for q, s := range srcs {
 			r := testRunner(t, nodes, 307)
-			r.EnableReliableTransport(netsim.ReliableConfig{})
-			if loss > 0 {
-				r.Net.SetLossRate(loss, 911+int64(q))
-			}
 			m := NewContinuousSENSJoin()
 			for e := 0; e < epochs; e++ {
-				res, err := r.Run(s, m, float64(e)*30)
+				res, err := r.Run(s, m, float64(e)*30, WithReliable(netsim.ReliableConfig{}), WithLoss(loss, 911+int64(q)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -223,11 +216,12 @@ func TestQueryGroupAuditClean(t *testing.T) {
 		mustAdd(t, g, s)
 	}
 	for round := 0; round < 2; round++ {
-		res, err := g.RunRound(r, float64(round)*30, Audited())
+		rec := trace.New()
+		res, err := g.RunRound(r, float64(round)*30, Traced(rec), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Trace == nil || len(r.Trace.Journal().Events) == 0 {
+		if len(rec.Journal().Events) == 0 {
 			t.Fatal("audited round recorded no events")
 		}
 		for i, rr := range res {
@@ -256,11 +250,11 @@ func TestSingletonClusterIsASingleQuery(t *testing.T) {
 		twin := func() *Runner {
 			r := testRunner(t, 150, 313)
 			r.EnableMetrics(metrics.New())
-			if reliable {
-				r.EnableReliableTransport(netsim.ReliableConfig{})
-				r.Net.SetLossRate(0.05, 917)
-			}
 			return r
+		}
+		var opts []RunOption
+		if reliable {
+			opts = []RunOption{WithReliable(netsim.ReliableConfig{}), WithLoss(0.05, 917)}
 		}
 		alone, grouped := twin(), twin()
 		m := NewContinuousSENSJoin()
@@ -274,11 +268,11 @@ func TestSingletonClusterIsASingleQuery(t *testing.T) {
 		}
 		for e := 0; e < epochs; e++ {
 			what := fmt.Sprintf("reliable=%t epoch %d", reliable, e)
-			want, err := alone.Run(src, m, float64(e)*30)
+			want, err := alone.Run(src, m, float64(e)*30, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := g.RunRound(grouped, float64(e)*30)
+			res, err := g.RunRound(grouped, float64(e)*30, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

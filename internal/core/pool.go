@@ -10,11 +10,10 @@ import "sensjoin/internal/metrics"
 // keeps one pool per deployment for its lifetime; the experiment suite
 // keeps one for the length of a bench.All or bench.Run* call.
 //
-// A lessee may run queries, read anything, and flip the runner's
-// switches (Member, Env, AutoAudit, metrics, tracing, fault injection).
-// It must not write into what the runner shares with others — Dep,
-// Catalog, the cached Environment and Tree — and must not use the runner
-// after Put.
+// A lessee may run queries with any RunOption, read anything, set Member
+// and Env, enable metrics and break nodes and links. It must not write
+// into what the runner shares with others — Dep, Catalog, the cached
+// Environment and Tree — and must not use the runner after Put.
 type RunnerPool struct {
 	cfg  SetupConfig
 	free chan *Runner
@@ -70,26 +69,21 @@ func (p *RunnerPool) Put(r *Runner) {
 
 // reset makes an idle runner indistinguishable from the one
 // NewRunnerFromSetup returned, keeping its storage, and reports whether
-// it managed to. What an assignment undoes, it undoes: the simulated
-// clock and every sequence counter go back to zero (so event times, tie
-// order, message ids and with them Result.ResponseTime to the last bit
-// repeat), Stats is cleared in place, Member, Env, AutoAudit and the
-// metrics wiring return to their defaults. The run
-// scratch, the event heap's capacity and the delivery freelists stay; the
-// network clears what fault injection armed — dead nodes, downed links,
-// the loss models, reliable transport (netsim.Network.Reset). What it does
-// not try to undo: with events still pending, churn attached, a rebuilt
-// tree, or tracing still on it reports false and the runner must not be
-// reused.
+// it managed to. The simulated clock and every sequence counter go back
+// to zero (so event times, tie order, message ids and with them
+// Result.ResponseTime to the last bit repeat), Stats is cleared in place,
+// Member, Env and the metrics wiring return to their defaults, and the
+// network forgets every fault (netsim.Network.Reset). An execution's
+// transport, loss and journal were disarmed when it ended. With events
+// still pending, churn attached or a rebuilt tree it reports false and
+// the runner must not be reused.
 func (r *Runner) reset() bool {
-	if r.Tree != r.tree0 || r.churn != nil || r.Trace != nil {
+	if r.Tree != r.tree0 || r.churn != nil || !r.Sim.Reset() {
 		return false
 	}
-	if !r.Sim.Reset() || !r.Net.Reset() {
-		return false
-	}
+	r.Net.Reset()
 	r.Stats.Reset()
-	r.Env, r.Member, r.AutoAudit = r.env0, nil, false
+	r.Env, r.Member = r.env0, nil
 	if r.reg != nil {
 		r.EnableMetrics(nil)
 	}

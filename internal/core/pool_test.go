@@ -11,6 +11,7 @@ import (
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/relation"
 	"sensjoin/internal/topology"
+	"sensjoin/internal/trace"
 )
 
 const (
@@ -30,13 +31,12 @@ type observed struct {
 
 func observe(t *testing.T, r *Runner, p *Prepared, m Method) observed {
 	t.Helper()
-	rec := r.EnableTrace()
-	res, err := r.RunPrepared(p, m, 0)
+	rec := trace.New()
+	res, err := r.RunPrepared(p, m, 0, Traced(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := rec.Journal()
-	r.DisableTrace()
 	return observed{
 		response: math.Float64bits(res.ResponseTime), rows: res.Rows,
 		tx: r.Stats.TotalTx(), steps: r.Sim.Steps(), now: r.Sim.Now(),
@@ -49,9 +49,10 @@ func observe(t *testing.T, r *Runner, p *Prepared, m Method) observed {
 // of clock readings, so it used to carry the runner's history in its low
 // bits: 59.850000000000009 s after one earlier run, 59.849999999999966 s
 // after five), and so do the rows, the packet totals, the event count and
-// the whole journal, message ids included — also after the runner's last
-// round ran under 5% loss with reliable transport, a lossy link, a dead
-// node and a downed link.
+// the whole journal, message ids included — also after the runner ran a
+// round under 5% loss with reliable transport and a lossy link, a traced
+// round and an audited one, and was left with a dead node and a downed
+// link.
 func TestPooledRunnerRepeatsAFreshOne(t *testing.T) {
 	for _, cfg := range []SetupConfig{
 		{Nodes: 300, Seed: 7},
@@ -98,11 +99,15 @@ func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
 			}
 		}
 	}
-	used.EnableReliableTransport(netsim.ReliableConfig{})
-	used.Net.SetLossRate(0.05, 3)
 	used.Net.SetLinkLossRate(1, used.Dep.Neighbors[1][0], 0.5)
-	if _, err := used.RunPrepared(other, NewSENSJoin(), 5); err != nil {
-		t.Fatal(err)
+	for i, opts := range [][]RunOption{
+		{WithReliable(netsim.ReliableConfig{}), WithLoss(0.05, 3)},
+		{Traced(trace.New())},
+		{Audited()},
+	} {
+		if _, err := used.RunPrepared(other, NewSENSJoin(), float64(5+i), opts...); err != nil {
+			t.Fatal(err)
+		}
 	}
 	used.Net.KillNode(5)
 	used.Net.LinkDown(2, used.Dep.Neighbors[2][0])
@@ -150,7 +155,6 @@ func TestResetRestoresTheSwitches(t *testing.T) {
 	env := r.Env
 	r.Member = func(topology.NodeID, string) bool { return false }
 	r.Env = nil
-	r.AutoAudit = true
 	r.EnableMetrics(metrics.New())
 	pool.Put(r)
 	again, err := pool.Get()
@@ -160,15 +164,15 @@ func TestResetRestoresTheSwitches(t *testing.T) {
 	if again != r {
 		t.Fatal("a runner with only switches flipped was dropped")
 	}
-	if r.Member != nil || r.Env != env || r.AutoAudit || r.Metrics != nil || r.reg != nil {
-		t.Errorf("reset left Member set: %t, Env %p (want %p), AutoAudit %t, Metrics %p",
-			r.Member != nil, r.Env, env, r.AutoAudit, r.Metrics)
+	if r.Member != nil || r.Env != env || r.Metrics != nil || r.reg != nil {
+		t.Errorf("reset left Member set: %t, Env %p (want %p), Metrics %p",
+			r.Member != nil, r.Env, env, r.Metrics)
 	}
 }
 
 // A runner that cannot be made equal to a new one is never handed out
-// again: churn, pending events, a journal and a rebuilt tree leave marks
-// that reset does not undo.
+// again: churn, pending events and a rebuilt tree leave marks that reset
+// does not undo.
 func TestPoolDropsRunnersItCannotReset(t *testing.T) {
 	cfg := SetupConfig{Nodes: 150, Seed: 7}
 	for _, c := range []struct {
@@ -177,7 +181,6 @@ func TestPoolDropsRunnersItCannotReset(t *testing.T) {
 	}{
 		{"churn", func(r *Runner) { r.AttachChurn(netsim.ChurnConfig{Seed: 1, Rate: 0.01}) }},
 		{"pending events", func(r *Runner) { r.Sim.Schedule(r.Sim.Now()+1, func() {}) }},
-		{"tracing on", func(r *Runner) { r.EnableTrace() }},
 		{"rebuilt tree", func(r *Runner) { r.RebuildTree() }},
 	} {
 		pool, err := NewRunnerPool(cfg, 2)

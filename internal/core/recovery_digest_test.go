@@ -28,10 +28,10 @@ var recoveryDigests = map[string]string{
 // recoveryDigest hashes what a recovering run shows its readers: the JSONL
 // journal, and per result its rows and every completeness and recovery
 // field, then the simulator's step count and final clock.
-func recoveryDigest(t *testing.T, r *Runner, rec *trace.Recorder, mark int, results []*Result) string {
+func recoveryDigest(t *testing.T, r *Runner, rec *trace.Recorder, results []*Result) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, rec.JournalSince(mark)); err != nil {
+	if err := trace.WriteJSONL(&buf, rec.Journal()); err != nil {
 		t.Fatal(err)
 	}
 	for _, res := range results {
@@ -64,9 +64,8 @@ func TestRecoveryDigests(t *testing.T) {
 				t.Fatal(err)
 			}
 			lane.arm(r)
-			rec := r.EnableTrace()
-			mark := rec.Mark()
-			results, err := lane.run(r)
+			rec := trace.New()
+			results, err := lane.run(r, lane.opts(Traced(rec))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -77,18 +76,16 @@ func TestRecoveryDigests(t *testing.T) {
 			if rounds == 0 {
 				t.Fatalf("%s: no recovery round ran", lane.name)
 			}
-			check(fmt.Sprintf("%s/%d", lane.name, shards), recoveryDigest(t, r, rec, mark, results))
+			check(fmt.Sprintf("%s/%d", lane.name, shards), recoveryDigest(t, r, rec, results))
 		}
 	}
 
 	r := NewRunnerFromDeployment(topology.Line(12, 40, 50), netsim.RadioConfig{}, 5)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
-	rec := r.EnableTrace()
+	rec := trace.New()
 	r.Net.SetLinkLossRate(1, 2, 1.0)
-	mark := rec.Mark()
-	res, err := r.Run(qBand(10), NewSENSJoin(), 0, Audited())
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Traced(rec), Audited())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("stand-down chain", recoveryDigest(t, r, rec, mark, []*Result{res}))
+	check("stand-down chain", recoveryDigest(t, r, rec, []*Result{res}))
 }

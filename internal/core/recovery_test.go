@@ -15,14 +15,11 @@ import (
 // Under reliable transport and substantial loss, both methods must
 // deliver the exact ground truth with a complete verdict, with the
 // retransmissions visible in the per-phase accounting and every audit
-// pass clean (AutoAudit turns violations into errors).
+// pass clean.
 func TestReliableLossExactAndComplete(t *testing.T) {
 	for _, loss := range []float64{0.05, 0.10} {
 		for _, m := range []Method{NewSENSJoin(), External{}} {
 			r := testRunner(t, 300, 91)
-			r.AutoAudit = true
-			r.EnableReliableTransport(netsim.ReliableConfig{})
-			r.Net.SetLossRate(loss, 424242)
 			x, err := execSQL(r, qBand(0.4), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -31,9 +28,12 @@ func TestReliableLossExactAndComplete(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := r.Run(qBand(0.4), m, 0)
+			res, err := r.Run(qBand(0.4), m, 0, WithReliable(netsim.ReliableConfig{}), WithLoss(loss, 424242), Audited())
 			if err != nil {
 				t.Fatalf("%s at loss %g: %v", m.Name(), loss, err)
+			}
+			if v := res.Violations; len(v) > 0 {
+				t.Fatalf("%s at loss %g: %d audit violation(s), first: %s", m.Name(), loss, len(v), v[0])
 			}
 			if !res.Complete {
 				t.Fatalf("%s at loss %g: incomplete (reason %q, missing %v)",
@@ -59,13 +59,12 @@ func TestFilterStandDownForcesSubtreeRecovery(t *testing.T) {
 	// 12-node chain: long enough that only the tail is Treecut and a real
 	// filter travels down through nodes 1..9.
 	r := NewRunnerFromDeployment(topology.Line(12, 40, 50), netsim.RadioConfig{}, 5)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
-	rec := r.EnableTrace()
+	rec := trace.New()
 	// Jam the down-direction of the 1→2 tree edge only: phase A (child to
 	// parent) is untouched, the filter and every re-request give up.
 	r.Net.SetLinkLossRate(1, 2, 1.0)
-	// Explicit AuditRun (not AutoAudit) keeps the journal for inspection.
-	res, err := r.Run(qBand(10), NewSENSJoin(), 0, Audited())
+	// The audit journals into rec, which keeps the journal for inspection.
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Traced(rec), Audited())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,8 +100,6 @@ func TestFilterStandDownForcesSubtreeRecovery(t *testing.T) {
 // re-request path works and the round recovers exactly the missing data.
 func TestScopedRecoveryHealsTransientOutage(t *testing.T) {
 	r := testRunner(t, 150, 95)
-	r.AutoAudit = true
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	child, parent := failLink(r)
 	// The up-link dies at query start and heals shortly after: the
 	// subtree misses its collection slots, recovery re-requests it.
@@ -129,9 +126,12 @@ func TestScopedRecoveryHealsTransientOutage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(qBand(10), NewSENSJoin(), 0)
+	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Audited())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v := res.Violations; len(v) > 0 {
+		t.Fatalf("%d audit violation(s), first: %s", len(v), v[0])
 	}
 	if !healed {
 		t.Fatal("link never exhausted a transfer; outage did not bite")
@@ -255,7 +255,7 @@ func chainFan(relays, branches, length int) *topology.Deployment {
 func chainFanRound(t *testing.T) (*Runner, *Exec, *plan) {
 	t.Helper()
 	r := NewRunnerFromDeployment(chainFan(20, 4, 3), netsim.RadioConfig{}, 5)
-	r.EnableReliableTransport(netsim.ReliableConfig{})
+	r.Net.EnableReliable(netsim.ReliableConfig{})
 	x, err := execSQL(r, qBand(10), 0)
 	if err != nil {
 		t.Fatal(err)

@@ -65,8 +65,9 @@ func exhaustedLinks(net *netsim.Network) func(a, b topology.NodeID) bool {
 }
 
 // AttachChurn wires a churn & mobility injector to this runner's
-// network and, when tracing or metrics are enabled, into the journal and
-// the sensjoin_churn_* instrument family. Call Cover on the returned
+// network and into the sensjoin_churn_* instrument family when metrics
+// are enabled; a tick that fires inside a traced execution is journaled
+// there. Call Cover on the returned
 // injector before each execution window. Churn ticks are coordinator
 // events (netsim.Sim.Schedule): they run with every region stopped, so a
 // sharded runner stays sharded and same-seed churn runs replay
@@ -76,10 +77,10 @@ func (r *Runner) AttachChurn(cfg netsim.ChurnConfig) *netsim.Churn {
 	if r.reg != nil {
 		ch.SetMetrics(netsim.NewChurnMetrics(r.reg))
 	}
-	// The journal hook reads r.Trace at event time, so AttachChurn and
-	// EnableTrace compose in either order.
+	// The journal hook reads the running execution's recorder at event
+	// time; a tick between executions is journaled nowhere.
 	ch.OnEvent = func(ev netsim.ChurnEvent) {
-		if r.Trace == nil {
+		if r.rec == nil {
 			return
 		}
 		var k trace.Kind
@@ -91,7 +92,7 @@ func (r *Runner) AttachChurn(cfg netsim.ChurnConfig) *netsim.Churn {
 		default:
 			k = trace.KindChurnMove
 		}
-		r.Trace.Span(ev.At, k, ev.Node, -1, "", ev.Arg)
+		r.rec.Span(ev.At, k, ev.Node, -1, "", ev.Arg)
 	}
 	r.churn = ch
 	return ch

@@ -65,19 +65,16 @@ type Runner struct {
 	// Member decides relation membership (nil = homogeneous).
 	Member relation.Membership
 
-	// Trace records execution journals once EnableTrace is called; nil
-	// keeps the radio hot path allocation-free.
-	Trace *trace.Recorder
 	// Metrics holds the protocol instruments once EnableMetrics is
 	// called; nil keeps every hook a no-op.
 	Metrics *CoreMetrics
 	// treeDepth is the live tree-depth gauge (nil when metrics are off).
 	treeDepth *metrics.Gauge
-	// AutoAudit makes every execution audit itself: its journal segment
-	// is checked (see auditSegment) and then truncated to bound memory.
-	// Violations turn into errors unless the call asked for them with
-	// Audited.
-	AutoAudit bool
+	// rec is the running execution's recorder (Traced, or auditRec under
+	// Audited alone); nil between executions.
+	rec *trace.Recorder
+	// auditRec is the runner's own audit recorder, emptied after each use.
+	auditRec *trace.Recorder
 	// workers is SetupConfig.SetupWorkers, forwarded to each Exec.
 	workers int
 	// churn is the attached fault injector, nil without AttachChurn.
@@ -182,32 +179,41 @@ func NewRunnerFromDeployment(dep *topology.Deployment, radio netsim.RadioConfig,
 // and Run is Prepare followed by RunPrepared.
 
 // Exec assembles the execution context of p at time t. It is the only
-// place an Exec is built, so whatever the runner has armed — membership,
-// tracing, metrics, setup workers, the tree-swap hook mid-round repair
-// reports through — reaches every execution, however it was started.
+// place an Exec is built, so whatever the runner holds — membership,
+// the execution's recorder, metrics, setup workers, the tree-swap hook
+// mid-round repair reports through — reaches every execution.
 func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 	return &Exec{
 		Sim: r.Sim, Net: r.Net, Tree: r.Tree, Stats: r.Stats,
 		Dep: r.Dep, Env: r.Env, Member: r.Member,
 		Query: p.query, Analysis: p.analysis, prog: p.prog, shape: p.shape, Time: t,
-		Trace: r.Trace, Metrics: r.Metrics,
+		Trace: r.rec, Metrics: r.Metrics,
 		scratch: &r.scratch, Workers: r.workers,
 		onTreeSwap: r.setTree,
 	}
 }
 
-// RunOption adjusts one Run, RunPrepared or QueryGroup.RunRound call.
+// RunOption adjusts one Run, RunPrepared or QueryGroup.RunRound call. It
+// is the one way to say how an execution runs — transport, loss, journal,
+// audit, recovery, rows — and lasts exactly as long as the execution
+// (see Runner.arm). Dead nodes, downed links, per-link loss and the
+// exhausted-link record are the network's state until its Reset.
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	audit       bool
 	attempts    int
+	lossRate    float64
+	lossSeed    int64
+	reliable    *netsim.ReliableConfig
+	rec         *trace.Recorder
+	audit       bool
 	withoutRows bool
 }
 
 // Audited audits the execution's journal segment (see auditSegment) and
-// reports what it finds in Result.Violations instead of failing the run.
-// Tracing is enabled on demand.
+// reports what it finds in Result.Violations, for the caller to judge.
+// Without Traced the segment goes to a recorder of the runner's own,
+// emptied after every audit.
 func Audited() RunOption { return func(o *runOptions) { o.audit = true } }
 
 // WithRecovery re-executes after routing-tree repair while failures leave
@@ -231,11 +237,33 @@ func WithRecovery(maxAttempts int) RunOption {
 // time, and the journal are those of the same run with rows: where a
 // method's traffic depends on the result (the mediated join ships it),
 // the row count, LIMIT applied, sizes it. An aggregate or grouped query
-// keeps its rows. Under Audited or AutoAudit the option is ignored: the
-// churn-safety audit compares every result's rows with its oracle's.
+// keeps its rows. Under Audited the option is ignored: the churn-safety
+// audit compares every result's rows with its oracle's.
 func WithoutRows() RunOption { return func(o *runOptions) { o.withoutRows = true } }
 
+// WithReliable sends every unicast hop by hop reliably (ACKs, bounded
+// retransmissions, duplicate suppression; see netsim) and arms scoped
+// recovery: the base station re-requests only the missing subtrees,
+// each recovery round first repairing the tree (repair.go).
+func WithReliable(cfg netsim.ReliableConfig) RunOption {
+	return func(o *runOptions) { o.reliable = &cfg }
+}
+
+// WithLoss loses each packet with probability rate, drawn from seed
+// (netsim.Network.SetLossRate); a link's own rate overrides it.
+func WithLoss(rate float64, seed int64) RunOption {
+	return func(o *runOptions) { o.lossRate, o.lossSeed = rate, seed }
+}
+
+// Traced journals the execution's radio events and protocol spans into
+// rec, which the caller owns: the runner writes it only meanwhile. A nil
+// rec journals nothing.
+func Traced(rec *trace.Recorder) RunOption { return func(o *runOptions) { o.rec = rec } }
+
 func gatherOptions(opts []RunOption) runOptions {
+	if len(opts) == 0 {
+		return runOptions{attempts: 1} // o below escapes: options are calls
+	}
 	o := runOptions{attempts: 1}
 	for _, opt := range opts {
 		opt(&o)
@@ -268,21 +296,24 @@ func (r *Runner) RunPrepared(p *Prepared, m Method, t float64, opts ...RunOption
 // attempts is the one attempt loop every execution passes through:
 // RunPrepared runs a lone query as a round of one, QueryGroup.RunRound
 // each cluster as a round of its members. round runs method m once per
-// prepared query at time t. Each attempt counts once in
-// sensjoin_core_runs_total and, under Audited or AutoAudit, is audited
+// prepared query at time t. The options' transport, loss and journal are
+// armed for the whole loop and disarmed when it ends. Each attempt
+// counts once in sensjoin_core_runs_total and, under Audited, is audited
 // with every result; while any result is incomplete and WithRecovery
 // allows, the tree is rebuilt and the round re-run. Every result carries
 // the attempt count and what the round's audits found. Under WithoutRows
 // every execution of an unaudited round builds no plain rows.
 func (r *Runner) attempts(ps []*Prepared, m Method, t float64, o runOptions,
 	round func(execs []*Exec) ([]*Result, error)) ([]*Result, error) {
+	r.arm(&o)
+	defer r.disarm(&o)
 	execs := make([]*Exec, len(ps))
 	var violations []trace.Violation
 	for attempt := 1; ; attempt++ {
 		if r.Metrics != nil {
 			r.Metrics.Runs.Inc()
 		}
-		seg := r.openAudit(o, m.Name()) // before Exec: it may switch tracing on
+		seg := r.openAudit(o)
 		for j, p := range ps {
 			execs[j] = r.Exec(p, t)
 			execs[j].withoutRows = o.withoutRows && seg == nil // an audit compares rows
@@ -321,7 +352,7 @@ func (r *Runner) attempts(ps []*Prepared, m Method, t float64, o runOptions,
 			res.Release() // re-executed: nothing reads this attempt's rows
 		}
 		r.RebuildTree()
-		r.Trace.Span(r.Sim.Now(), trace.KindRecovery, topology.BaseStation, -1, "", attempt)
+		r.rec.Span(r.Sim.Now(), trace.KindRecovery, topology.BaseStation, -1, "", attempt)
 	}
 }
 
@@ -359,13 +390,4 @@ func (r *Runner) RebuildTree() {
 func (r *Runner) setTree(t *routing.Tree) {
 	r.Tree = t
 	r.treeDepth.Set(int64(t.MaxDepth))
-}
-
-// EnableReliableTransport switches all unicast traffic to hop-by-hop
-// reliable delivery (ACKs, bounded retransmissions, duplicate
-// suppression; see netsim) and arms scoped recovery in the join methods:
-// the base station re-requests only the missing subtrees, and each
-// recovery round first repairs the tree around broken links (repair.go).
-func (r *Runner) EnableReliableTransport(cfg netsim.ReliableConfig) {
-	r.Net.EnableReliable(cfg)
 }

@@ -132,7 +132,7 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 	// its message may point into an arena (payloads are carved there), so
 	// arenas closed while it is pending are abandoned: the next round
 	// carves from storage of its own.
-	r.EnableReliableTransport(netsim.ReliableConfig{})
+	r.Net.EnableReliable(netsim.ReliableConfig{})
 	arenas := openArenas(x)
 	if arenas[0].payloads.buf == nil {
 		t.Fatal("the warm runner's arena has no payload storage")
@@ -251,15 +251,14 @@ func TestRoundAllocsPerNode(t *testing.T) {
 		// and each round jams a fresh one, because the round before
 		// repaired the tree around its own.
 		lossy, _ := planFixture(t, nodes)
-		lossy.EnableReliableTransport(netsim.ReliableConfig{})
-		lossy.Net.SetLossRate(0.05, 1)
+		lossyOpts := []RunOption{WithReliable(netsim.ReliableConfig{}), WithLoss(0.05, 1)}
 		var jammed [2]topology.NodeID
 		recovering := func() error {
 			lossy.Net.SetLinkLossRate(jammed[0], jammed[1], 0)
 			child, parent := failLink(lossy)
 			lossy.Net.SetLinkLossRate(child, parent, 1)
 			jammed = [2]topology.NodeID{child, parent}
-			res, err := lossy.RunPrepared(prep, External{}, 0)
+			res, err := lossy.RunPrepared(prep, External{}, 0, lossyOpts...)
 			if err == nil && res.RecoveryRounds != 1 {
 				t.Fatalf("recovering round: %d recovery rounds, want 1", res.RecoveryRounds)
 			}
@@ -744,17 +743,17 @@ func TestRoundArenaLifetime(t *testing.T) {
 		if g.Clusters() != 1 {
 			t.Fatalf("Clusters = %d, want one three-member cluster", g.Clusters())
 		}
-		return lanes{r: r, rec: r.EnableTrace(), cont: NewContinuousSENSJoin(), group: g}
+		return lanes{r: r, rec: trace.New(), cont: NewContinuousSENSJoin(), group: g}
 	}
 	// epoch runs one round of each lane and returns the digests of its
 	// results, journal and continuous filter state, and the results.
 	epoch := func(l lanes, tm float64) (string, []*Result) {
 		mark := l.rec.Mark()
-		res, err := l.r.Run(strings.Replace(shardTraceSrc, "ONCE", "SAMPLE PERIOD 30", 1), l.cont, tm)
+		res, err := l.r.Run(strings.Replace(shardTraceSrc, "ONCE", "SAMPLE PERIOD 30", 1), l.cont, tm, Traced(l.rec))
 		if err != nil {
 			t.Fatal(err)
 		}
-		members, err := l.group.RunRound(l.r, tm)
+		members, err := l.group.RunRound(l.r, tm, Traced(l.rec))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,12 +13,23 @@ import (
 const shardTraceSrc = `SELECT A.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 8.0 ONCE`
 
 // shardLane is one configuration the sharded engine must run exactly like
-// one region: arm switches features on a new runner, in the lane's order;
-// run executes and returns every result.
+// one region: arm breaks a new runner's network (per-link loss, churn);
+// opts are the options every execution runs with, in the lane's order,
+// given the option that journals it; run executes with them and returns
+// every result.
 type shardLane struct {
 	name string
 	arm  func(r *Runner)
+	opts func(traced RunOption) []RunOption
 	run  func(r *Runner, opts ...RunOption) ([]*Result, error)
+}
+
+// noFault leaves a runner's network as built.
+func noFault(*Runner) {}
+
+// with returns the journal followed by opts.
+func with(opts ...RunOption) func(RunOption) []RunOption {
+	return func(traced RunOption) []RunOption { return append([]RunOption{traced}, opts...) }
 }
 
 // once runs shardTraceSrc with m.
@@ -53,11 +64,8 @@ func epochs(k int) func(r *Runner, opts ...RunOption) ([]*Result, error) {
 
 // faultLanes are loss, reliable transport and churn, alone and together.
 func faultLanes() []shardLane {
-	reliable := func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }
-	churn := func(r *Runner) {
-		reliable(r)
-		r.AttachChurn(netsim.ChurnConfig{Seed: 5, Rate: 0.01, Epoch: 30})
-	}
+	reliable := WithReliable(netsim.ReliableConfig{})
+	churn := func(r *Runner) { r.AttachChurn(netsim.ChurnConfig{Seed: 5, Rate: 0.01, Epoch: 30}) }
 	// A tree edge that drops every packet forces a give-up and scoped
 	// recovery; two more lose some.
 	linkLoss := func(r *Runner) {
@@ -67,33 +75,25 @@ func faultLanes() []shardLane {
 		r.Net.SetLinkLossRate(7, r.Tree.Parent[7], 0.5)
 	}
 	return []shardLane{
-		{"5% loss", func(r *Runner) { r.Net.SetLossRate(0.05, 11) }, once(NewSENSJoin())},
-		{"reliable, 5% loss", func(r *Runner) {
-			reliable(r)
-			r.Net.SetLossRate(0.05, 12)
-		}, once(NewSENSJoin())},
-		{"reliable, per-link loss", func(r *Runner) {
-			reliable(r)
-			linkLoss(r)
-		}, once(NewSENSJoin())},
-		{"reliable, 1% churn, repair", churn, epochs(4)},
+		{"5% loss", noFault, with(WithLoss(0.05, 11)), once(NewSENSJoin())},
+		{"reliable, 5% loss", noFault, with(reliable, WithLoss(0.05, 12)), once(NewSENSJoin())},
+		{"reliable, per-link loss", linkLoss, with(reliable), once(NewSENSJoin())},
+		{"reliable, 1% churn, repair", churn, with(reliable), epochs(4)},
 		{"everything", func(r *Runner) {
-			r.Net.SetLossRate(0.05, 13)
 			linkLoss(r)
 			churn(r)
-		}, epochs(4)},
+		}, with(WithLoss(0.05, 13), reliable), epochs(4)},
 	}
 }
 
 // shardLanes is every lane of the journal test: each way a wave is
 // scheduled, and the fault lanes.
 func shardLanes() []shardLane {
-	none := func(*Runner) {}
 	lanes := []shardLane{
-		{"sens-join", none, once(NewSENSJoin())},
-		{"external-join", none, once(External{})},
-		{"mediated-join", none, once(Mediated{})},
-		{"3-member group round", none, func(r *Runner, opts ...RunOption) ([]*Result, error) {
+		{"sens-join", noFault, with(), once(NewSENSJoin())},
+		{"external-join", noFault, with(), once(External{})},
+		{"mediated-join", noFault, with(), once(Mediated{})},
+		{"3-member group round", noFault, with(), func(r *Runner, opts ...RunOption) ([]*Result, error) {
 			g := NewQueryGroup(Options{})
 			for _, delta := range []float64{7, 7.5, 8} {
 				p, err := r.Prepare(qTempBand(delta))
@@ -109,7 +109,7 @@ func shardLanes() []shardLane {
 			}
 			return g.RunRound(r, 0, opts...)
 		}},
-		{"continuous sens-join", none, func(r *Runner, opts ...RunOption) ([]*Result, error) {
+		{"continuous sens-join", noFault, with(), func(r *Runner, opts ...RunOption) ([]*Result, error) {
 			cont := NewContinuousSENSJoin()
 			var out []*Result
 			for epoch := 0; epoch < 3; epoch++ {
@@ -125,37 +125,33 @@ func shardLanes() []shardLane {
 	return append(lanes, faultLanes()...)
 }
 
-// orderingLanes are the orders features can be switched on in — through
-// the runner or straight on the network — each of which once reverted a
-// sharded runner to a second engine.
+// orderingLanes are the orders features can be switched on in — as an
+// execution's options or straight on the network beforehand — each of
+// which once reverted a sharded runner to a second engine.
 func orderingLanes() []shardLane {
-	trace := func(r *Runner) { r.EnableTrace() }
-	reliable := func(r *Runner) { r.EnableReliableTransport(netsim.ReliableConfig{}) }
-	loss := func(r *Runner) { r.Net.SetLossRate(0.05, 1) }
-	then := func(arms ...func(*Runner)) func(*Runner) {
-		return func(r *Runner) {
-			for _, arm := range arms {
-				arm(r)
-			}
-		}
-	}
+	reliable := WithReliable(netsim.ReliableConfig{})
+	loss := WithLoss(0.05, 1)
 	var lanes []shardLane
 	for _, o := range []struct {
 		name string
 		arm  func(*Runner)
+		opts func(RunOption) []RunOption
 	}{
-		{"trace", trace},
-		{"reliable", reliable},
-		{"loss", loss},
-		{"link-loss", func(r *Runner) { r.Net.SetLinkLossRate(1, 2, 0.5) }},
-		{"trace-then-reliable", then(trace, reliable)},
-		{"reliable-then-trace", then(reliable, trace)},
-		{"loss-then-trace-then-reliable", then(loss, trace, reliable)},
-		{"netsim-reliable-direct", func(r *Runner) { r.Net.EnableReliable(netsim.ReliableConfig{}) }},
-		{"netsim-tracer-direct", func(r *Runner) { r.Net.SetTracer(func(netsim.TraceEvent) {}) }},
-		{"netsim-linkloss-direct", func(r *Runner) { r.Net.SetLinkLossRate(3, 4, 1.0) }},
+		{"trace", noFault, with()},
+		{"reliable", noFault, with(reliable)},
+		{"loss", noFault, with(loss)},
+		{"link-loss", func(r *Runner) { r.Net.SetLinkLossRate(1, 2, 0.5) }, with()},
+		{"trace-then-reliable", noFault, with(reliable)},
+		{"reliable-then-trace", noFault, func(traced RunOption) []RunOption { return []RunOption{reliable, traced} }},
+		{"loss-then-trace-then-reliable", noFault, func(traced RunOption) []RunOption {
+			return []RunOption{loss, traced, reliable}
+		}},
+		{"netsim-reliable-direct", func(r *Runner) { r.Net.EnableReliable(netsim.ReliableConfig{}) }, with()},
+		// The execution's journal replaces a tracer set on the network.
+		{"netsim-tracer-direct", func(r *Runner) { r.Net.SetTracer(func(netsim.TraceEvent) {}) }, with()},
+		{"netsim-linkloss-direct", func(r *Runner) { r.Net.SetLinkLossRate(3, 4, 1.0) }, with()},
 	} {
-		lanes = append(lanes, shardLane{o.name, o.arm, once(NewSENSJoin())})
+		lanes = append(lanes, shardLane{o.name, o.arm, o.opts, once(NewSENSJoin())})
 	}
 	return lanes
 }
@@ -169,9 +165,8 @@ func shardTraceRun(t *testing.T, shards int, lane shardLane) (journal []byte, ro
 		t.Fatal(err)
 	}
 	lane.arm(r)
-	rec := r.EnableTrace()
-	mark := rec.Mark()
-	results, err := lane.run(r)
+	rec := trace.New()
+	results, err := lane.run(r, lane.opts(Traced(rec))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +174,7 @@ func shardTraceRun(t *testing.T, shards int, lane shardLane) (journal []byte, ro
 		t.Fatalf("shards=%d: the runner is no longer sharded", shards)
 	}
 	var buf bytes.Buffer
-	if err := trace.WriteJSONL(&buf, rec.JournalSince(mark)); err != nil {
+	if err := trace.WriteJSONL(&buf, rec.Journal()); err != nil {
 		t.Fatal(err)
 	}
 	for _, res := range results {
@@ -223,8 +218,8 @@ func assertLaneMatchesOneRegion(t *testing.T, lane shardLane) {
 	}
 }
 
-// Every order of switching features on, through the runner or straight on
-// the network, once made a sharded runner fall back to a second engine.
+// Every order of switching features on, as options or straight on the
+// network, once made a sharded runner fall back to a second engine.
 // Each now keeps the runner sharded (shardTraceRun checks it), and its
 // journal and rows are those of one region.
 func TestShardFeatureFallbackOrderings(t *testing.T) {
@@ -271,7 +266,7 @@ func TestShardBindAfterFeatureFallsBack(t *testing.T) {
 // churn is attached; without churn the pass runs here, on the merged
 // journal, against the ground truth taken before the run.
 func TestShardTraceAuditsClean(t *testing.T) {
-	lanes := append([]shardLane{{"sens-join", func(*Runner) {}, once(NewSENSJoin())}}, faultLanes()...)
+	lanes := append([]shardLane{{"sens-join", noFault, with(), once(NewSENSJoin())}}, faultLanes()...)
 	for _, lane := range lanes {
 		t.Run(lane.name, func(t *testing.T) {
 			for _, shards := range []int{2, 8} {
@@ -280,8 +275,7 @@ func TestShardTraceAuditsClean(t *testing.T) {
 					t.Fatal(err)
 				}
 				lane.arm(r)
-				rec := r.EnableTrace()
-				mark := rec.Mark()
+				rec := trace.New()
 				var truth *Result
 				if r.churn == nil {
 					x, err := execSQL(r, shardTraceSrc, 0)
@@ -292,7 +286,7 @@ func TestShardTraceAuditsClean(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				results, err := lane.run(r, Audited())
+				results, err := lane.run(r, append(lane.opts(Traced(rec)), Audited())...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -305,7 +299,7 @@ func TestShardTraceAuditsClean(t *testing.T) {
 				}
 				if truth != nil {
 					res := results[0]
-					violations = append(violations, trace.ChurnSafety(rec.JournalSince(mark), trace.ChurnVerdict{
+					violations = append(violations, trace.ChurnSafety(rec.Journal(), trace.ChurnVerdict{
 						Complete:        res.Complete,
 						OracleExact:     sameRowSet(truth.Rows, res.Rows),
 						Reason:          res.IncompleteReason,

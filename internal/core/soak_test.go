@@ -19,7 +19,6 @@ func TestSoakContinuousWithChaos(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	r := testRunner(t, 200, 1001)
-	r.AutoAudit = true // every round self-audits; violations fail the round
 	rng := rand.New(rand.NewSource(77))
 	m := NewContinuousSENSJoin()
 	src := qBand(0.4)
@@ -30,6 +29,9 @@ func TestSoakContinuousWithChaos(t *testing.T) {
 
 	const rounds = 30
 	completeRounds := 0
+	// Every round self-audits, and a violation fails it; transient loss
+	// lasts until a calm round.
+	opts := []RunOption{Audited()}
 	for round := 0; round < rounds; round++ {
 		tm := float64(round) * 45
 
@@ -57,15 +59,18 @@ func TestSoakContinuousWithChaos(t *testing.T) {
 				deadNodes = deadNodes[:len(deadNodes)-1]
 			}
 		case 4: // transient packet loss
-			r.Net.SetLossRate(0.02, int64(round))
+			opts = []RunOption{Audited(), WithLoss(0.02, int64(round))}
 		default: // calm round
-			r.Net.SetLossRate(0, 0)
+			opts = []RunOption{Audited()}
 		}
 		r.RebuildTree() // the tree protocol heals between rounds
 
-		res, err := r.Run(src, m, tm)
+		res, err := r.Run(src, m, tm, opts...)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if v := res.Violations; len(v) > 0 {
+			t.Fatalf("round %d: %d audit violation(s), first: %s", round, len(v), v[0])
 		}
 		if res.Complete {
 			completeRounds++
@@ -98,12 +103,14 @@ func TestSoakExternalWithLoss(t *testing.T) {
 		t.Skip("soak test skipped in -short mode")
 	}
 	r := testRunner(t, 150, 1003)
-	r.AutoAudit = true
 	for round := 0; round < 15; round++ {
-		r.Net.SetLossRate(0.01*float64(round%4), int64(round))
-		res, err := r.Run(qBand(0.4), External{}, float64(round)*30)
+		res, err := r.Run(qBand(0.4), External{}, float64(round)*30,
+			WithLoss(0.01*float64(round%4), int64(round)), Audited())
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if v := res.Violations; len(v) > 0 {
+			t.Fatalf("round %d: %d audit violation(s), first: %s", round, len(v), v[0])
 		}
 		if res.Complete && round%4 != 0 {
 			// Loss was active; completeness is possible but must then be
@@ -122,14 +129,12 @@ func TestSoakExternalWithLoss(t *testing.T) {
 // rounds (global rate changes and per-link bursts scheduled mid-round).
 // Reliable delivery and scoped recovery must keep most rounds complete,
 // every complete round must be oracle-exact, and every round must pass
-// all audit passes (AutoAudit turns violations into errors).
+// all audit passes.
 func TestSoakReliableWithChaosLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
 	r := testRunner(t, 150, 1005)
-	r.AutoAudit = true
-	r.EnableReliableTransport(netsim.ReliableConfig{})
 	rng := rand.New(rand.NewSource(79))
 	m := NewContinuousSENSJoin()
 	src := qBand(0.4)
@@ -139,7 +144,7 @@ func TestSoakReliableWithChaosLoss(t *testing.T) {
 	completeRounds := 0
 	for round := 0; round < rounds; round++ {
 		tm := float64(round) * 60
-		r.Net.SetLossRate(0.02+0.02*float64(rng.Intn(4)), int64(1000+round))
+		loss := WithLoss(0.02+0.02*float64(rng.Intn(4)), int64(1000+round))
 
 		// Mid-round chaos: schedule loss changes to hit while the round's
 		// phases are in flight, not just between rounds.
@@ -170,9 +175,12 @@ func TestSoakReliableWithChaosLoss(t *testing.T) {
 		}
 		r.RebuildTree()
 
-		res, err := r.Run(src, m, tm)
+		res, err := r.Run(src, m, tm, WithReliable(netsim.ReliableConfig{}), loss, Audited())
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
+		}
+		if v := res.Violations; len(v) > 0 {
+			t.Fatalf("round %d: %d audit violation(s), first: %s", round, len(v), v[0])
 		}
 		if res.Complete {
 			completeRounds++

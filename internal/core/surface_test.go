@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"sensjoin/internal/metrics"
+	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
+	"sensjoin/internal/trace"
 )
 
 // entryMethods lists the exported methods of typ (a pointer type) that
@@ -30,10 +32,12 @@ func entryMethods(typ reflect.Type, markers ...reflect.Type) []string {
 	return out // reflect lists methods sorted by name
 }
 
-// The sequencing "analyse, bind, count, audit, execute, re-execute" exists
-// once because a Runner has exactly four ways in and a QueryGroup two.
-// Another way in is another copy of that sequence to keep in step: add
-// a RunOption instead.
+// The sequencing "analyse, bind, count, arm, audit, execute, re-execute,
+// disarm" exists once because a Runner has exactly four ways in and a
+// QueryGroup two. Another way in is another copy of that sequence to keep
+// in step: add a RunOption instead. RunOption is also the one way to say
+// how an execution runs — its transport, loss, journal and audit — so the
+// Runner has no switch or field that says it between executions.
 func TestRunnerQuerySurface(t *testing.T) {
 	var (
 		method   = reflect.TypeOf((*Method)(nil)).Elem()
@@ -50,6 +54,16 @@ func TestRunnerQuerySurface(t *testing.T) {
 	got = entryMethods(reflect.TypeOf((*QueryGroup)(nil)), runner, prepared, result, results)
 	if want := []string{"Add", "RunRound"}; !slices.Equal(got, want) {
 		t.Errorf("QueryGroup round entry points = %v, want %v", got, want)
+	}
+	for _, name := range []string{"EnableTrace", "DisableTrace", "EnableReliableTransport"} {
+		if _, ok := runner.MethodByName(name); ok {
+			t.Errorf("Runner has a %s method: an execution's journal and transport are its RunOptions", name)
+		}
+	}
+	for _, name := range []string{"Trace", "AutoAudit"} {
+		if _, ok := runner.Elem().FieldByName(name); ok {
+			t.Errorf("Runner has a %s field: an execution's journal and audit are its RunOptions", name)
+		}
 	}
 }
 
@@ -85,10 +99,8 @@ func TestEveryExecutionCountsOnce(t *testing.T) {
 	expect("audited Run", 3)
 	must(r.RunPrepared(p, m, 0, Audited()))
 	expect("audited RunPrepared", 4)
-	r.AutoAudit = true
-	must(r.Run(src, m, 0))
-	expect("auto-audited Run", 5)
-	r.AutoAudit = false
+	must(r.Run(src, m, 0, Traced(trace.New()), WithReliable(netsim.ReliableConfig{}), WithLoss(0.05, 1)))
+	expect("traced, reliable, lossy Run", 5)
 
 	g := NewQueryGroup(Options{})
 	for _, s := range []string{qTempBand(2), qTempBand(3), qBand(0.4)} {

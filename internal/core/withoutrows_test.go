@@ -42,10 +42,8 @@ const rowlessSrc = "SELECT A.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp 
 func rowlessConditions() []rowlessCondition {
 	return []rowlessCondition{
 		{name: "fault-free", arm: func(*Runner) {}, epochs: 1},
-		{name: "5% loss, reliable", arm: func(r *Runner) {
-			r.EnableReliableTransport(netsim.ReliableConfig{})
-			r.Net.SetLossRate(0.05, 11)
-		}, epochs: 1},
+		{name: "5% loss, reliable", arm: func(*Runner) {},
+			opts: []RunOption{WithReliable(netsim.ReliableConfig{}), WithLoss(0.05, 11)}, epochs: 1},
 		// A severed tree edge makes the first attempt incomplete, so
 		// WithRecovery rebuilds the tree and re-executes.
 		{name: "churn, WithRecovery", arm: func(r *Runner) {
@@ -66,14 +64,14 @@ func rowlessTrace(t *testing.T, shards int, c rowlessCondition,
 		t.Fatal(err)
 	}
 	c.arm(r)
-	rec := r.EnableTrace()
+	rec := trace.New()
 	var out rowlessRun
 	for e := 0; e < c.epochs; e++ {
 		horizon := r.Sim.Now() + 30
 		if r.churn != nil {
 			r.churn.Cover(horizon)
 		}
-		res, err := round(r, float64(e)*30, append(append([]RunOption(nil), c.opts...), opts...)...)
+		res, err := round(r, float64(e)*30, append(append([]RunOption{Traced(rec)}, c.opts...), opts...)...)
 		if err != nil {
 			out.err = err
 			break

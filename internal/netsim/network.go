@@ -251,21 +251,17 @@ func NewNetwork(sim *Sim, dep *topology.Deployment, radio RadioConfig, acct Acco
 // keeping its storage (the delivery freelists) and its instruments: it
 // revives dead nodes, raises downed links, clears both loss models,
 // reliable transport and its exhausted links, zeroes the message-id
-// counters and the public counters, and drops the handler and give-up
-// hook. It reports false and changes nothing while a tracer is attached:
-// the journal it feeds belongs to whoever attached it.
-func (n *Network) Reset() bool {
-	if n.tracer != nil {
-		return false
-	}
+// counters and the public counters, and drops the handler, the give-up
+// hook and the tracer (not the journal the tracer fed, which belongs to
+// whoever attached it).
+func (n *Network) Reset() {
 	clear(n.dead)
 	clear(n.down)
 	clear(n.msgSeq)
 	n.lossRate, n.lossSeed, n.linkLoss = 0, 0, nil
 	n.reliable, n.rcfg, n.exhausted = false, ReliableConfig{}, nil
-	n.handler, n.giveUp = nil, nil
+	n.handler, n.giveUp, n.tracer = nil, nil, nil
 	n.counters = counters{}
-	return true
 }
 
 // nextMsgID returns a fresh message id for a transmission by src: the

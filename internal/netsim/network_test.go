@@ -388,7 +388,7 @@ func TestSendDeliverZeroAllocs(t *testing.T) {
 
 // Reset zeroes what a run counts and clears every fault and feature it
 // armed — dead nodes, downed links, both loss models, reliable transport
-// and its exhausted links — but refuses a network with a tracer attached.
+// and its exhausted links — and detaches the tracer.
 func TestNetworkReset(t *testing.T) {
 	sim := NewSim()
 	net := NewNetwork(sim, lineDeployment(4), DefaultRadio(), newRecordingAcct())
@@ -400,15 +400,10 @@ func TestNetworkReset(t *testing.T) {
 	if net.Dropped != 1 || net.msgSeq[1] != 2 {
 		t.Fatalf("setup: Dropped %d, msgSeq %v", net.Dropped, net.msgSeq)
 	}
-	if net.Reset() {
-		t.Fatal("Reset with a tracer attached")
-	}
-	net.SetTracer(nil)
-	if !net.Reset() {
-		t.Fatal("Reset of an idle network refused")
-	}
-	if net.Dropped != 0 || net.msgSeq[1] != 0 || net.handler != nil {
-		t.Fatalf("after Reset: Dropped %d, msgSeq %v, handler set: %t", net.Dropped, net.msgSeq, net.handler != nil)
+	net.Reset()
+	if net.Dropped != 0 || net.msgSeq[1] != 0 || net.handler != nil || net.tracer != nil {
+		t.Fatalf("after Reset: Dropped %d, msgSeq %v, handler set: %t, tracer set: %t",
+			net.Dropped, net.msgSeq, net.handler != nil, net.tracer != nil)
 	}
 
 	// A network that ran a lossy reliable exchange under every fault, once
@@ -439,8 +434,9 @@ func TestNetworkReset(t *testing.T) {
 	if used.Retx == 0 || used.GiveUps != 1 || len(used.ExhaustedLinks()) != 1 {
 		t.Fatalf("the lossy run exercised nothing: %+v", used.counters)
 	}
-	if !used.Sim.Reset() || !used.Reset() {
-		t.Fatal("Reset refused a network that ran with loss, ARQ and faults")
+	used.Reset()
+	if !used.Sim.Reset() {
+		t.Fatal("Sim.Reset refused a network that ran with loss, ARQ and faults")
 	}
 	if used.Reliable() || !used.Alive(3) || !used.LinkOK(0, 1) {
 		t.Fatal("Reset left reliable transport, a dead node or a downed link behind")

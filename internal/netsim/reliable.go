@@ -97,6 +97,10 @@ func (n *Network) EnableReliable(cfg ReliableConfig) {
 	n.checkLookahead()
 }
 
+// DisableReliable switches unicast back to best-effort delivery. The
+// exhausted-link record stays until ClearExhaustedLinks consumes it.
+func (n *Network) DisableReliable() { n.reliable, n.rcfg = false, ReliableConfig{} }
+
 // checkLookahead asserts what lets a reliable transfer's two regions
 // share its state without a lock: between a delivery and the timeout that
 // next reads the ledger there is ACK air time plus the attempt's backoff,

@@ -88,6 +88,8 @@ func (h *groupHub) run(b *execution) {
 		m.rec.Shared = m.rec.ClusterSize > 1
 	}
 	b.members = members
-	b.round = func(r *core.Runner, t float64) ([]*core.Result, error) { return qg.RunRound(r, t) }
+	b.round = func(r *core.Runner, t float64, opts ...core.RunOption) ([]*core.Result, error) {
+		return qg.RunRound(r, t, opts...)
+	}
 	h.s.execute(b)
 }

@@ -716,8 +716,8 @@ func (s *Server) runQuery(ss *session, q proto.Query, rq *runningQuery) {
 	meth := methodInstance(method, continuous)
 	s.execute(&execution{
 		pool: pl, at: q.At, period: prep.Period(), members: []*member{m},
-		round: func(r *core.Runner, t float64) ([]*core.Result, error) {
-			res, err := r.RunPrepared(prep, meth, t)
+		round: func(r *core.Runner, t float64, opts ...core.RunOption) ([]*core.Result, error) {
+			res, err := r.RunPrepared(prep, meth, t, opts...)
 			return []*core.Result{res}, err
 		},
 	})
@@ -778,7 +778,8 @@ type execution struct {
 	at      float64 // epoch 0's snapshot time
 	period  float64
 	members []*member
-	round   func(r *core.Runner, t float64) ([]*core.Result, error)
+	round   func(r *core.Runner, t float64, opts ...core.RunOption) ([]*core.Result, error)
+	opts    []core.RunOption // every round's options: Traced when sampled
 	// shared marks a round that is a core.QueryGroup's, which the
 	// sensjoind_shared_* counters count.
 	shared bool
@@ -888,38 +889,32 @@ func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace
 		x.fail(proto.CodeExec, err.Error())
 		return 0, nil
 	}
+	// A sampled execution journals every epoch into its own recorder,
+	// which the runner no longer writes once an epoch has returned.
 	var tr *trace.Recorder
-	var mark int
 	if sampled {
-		tr = r.EnableTrace()
+		tr = trace.New()
 		tr.SetTag(tag)
-		mark = tr.Mark()
+		x.opts = []core.RunOption{core.Traced(tr)}
 	}
-	var spans []trace.Event
-	// endLease reads the journal and, unless the runner may be
-	// mid-execution, puts it back. The recorder leaves with the runner's
-	// trace switched off, so nothing writes the journal it holds again.
-	endLease := func(reusable bool) {
-		if sampled {
-			spans = tr.JournalSince(mark).Events
-			r.DisableTrace()
+	spans := func() []trace.Event {
+		if tr == nil {
+			return nil
 		}
-		if reusable {
-			x.pool.runners.Put(r)
-		}
+		return tr.Journal().Events
 	}
 	for e := 0; ; e++ {
 		t := x.at + float64(e)*x.period
 		began := time.Now()
 		results, err, timedOut := bounded(s.cfg.QueryTimeout, func() ([]*core.Result, error) {
-			return x.round(r, t)
+			return x.round(r, t, x.opts...)
 		})
 		took := time.Since(began)
 		last := timedOut || err != nil || !x.wanted(e+1) || s.isClosing()
-		if last && !timedOut {
+		if last && !timedOut && err == nil {
 			// An error may leave the runner mid-execution: it does not
 			// go back to the pool.
-			endLease(err == nil)
+			x.pool.runners.Put(r)
 		}
 		s.release()
 		s.met.querySeconds.Observe(took.Seconds())
@@ -935,7 +930,7 @@ func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace
 		}
 		if err != nil {
 			x.fail(proto.CodeExec, err.Error())
-			return e, spans
+			return e, spans()
 		}
 		for k, m := range x.members {
 			if m.wants(e) {
@@ -945,11 +940,11 @@ func (s *Server) runEpochs(x *execution, tag string, sampled bool) (int, []trace
 			}
 		}
 		if last {
-			return e + 1, spans
+			return e + 1, spans()
 		}
 		if !x.wanted(e+1) || s.isClosing() || !s.acquire(x) {
-			endLease(true)
-			return e + 1, spans
+			x.pool.runners.Put(r)
+			return e + 1, spans()
 		}
 	}
 }

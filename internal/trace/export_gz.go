@@ -10,25 +10,10 @@ import (
 	"strings"
 )
 
-// File-level export with optional gzip: paper-scale journals run to
-// millions of events, and the JSONL form compresses roughly 10:1. A
-// ".gz" path suffix (run.jsonl.gz, run.chrome.json.gz) selects
-// compression; anything else writes plain text, so existing call sites
-// keep their behaviour.
-
-// ExportJSONL writes the journal as JSON Lines to path, gzipped when
-// the path ends in ".gz".
-func ExportJSONL(path string, j *Journal) error {
-	return exportTo(path, j, WriteJSONL)
-}
-
-// ExportChrome writes the journal in Chrome trace_event format to path,
-// gzipped when the path ends in ".gz".
-func ExportChrome(path string, j *Journal) error {
-	return exportTo(path, j, WriteChrome)
-}
-
-func exportTo(path string, j *Journal, write func(io.Writer, *Journal) error) error {
+// WriteFile creates path and streams write into it, through gzip when
+// the path ends in ".gz" (run.jsonl.gz, run.chrome.json.gz): paper-scale
+// journals run to millions of events, and JSONL compresses about 10:1.
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -39,7 +24,7 @@ func exportTo(path string, j *Journal, write func(io.Writer, *Journal) error) er
 		gz = gzip.NewWriter(f)
 		w = gz
 	}
-	if err := write(w, j); err != nil {
+	if err := write(w); err != nil {
 		f.Close()
 		return err
 	}

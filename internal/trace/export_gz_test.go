@@ -33,7 +33,7 @@ func TestGzipJSONLRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"run.jsonl", "run.jsonl.gz"} {
 		path := filepath.Join(dir, name)
-		if err := ExportJSONL(path, j); err != nil {
+		if err := WriteFile(path, func(w io.Writer) error { return WriteJSONL(w, j) }); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		raw, err := os.ReadFile(path)
@@ -66,7 +66,7 @@ func TestGzipJSONLRoundTrip(t *testing.T) {
 func TestGzipChromeExport(t *testing.T) {
 	j, _, _ := cleanJournal(t)
 	path := filepath.Join(t.TempDir(), "run.chrome.json.gz")
-	if err := ExportChrome(path, j); err != nil {
+	if err := WriteFile(path, func(w io.Writer) error { return WriteChrome(w, j) }); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

@@ -221,8 +221,11 @@ func (r *Recorder) append(ev Event) {
 }
 
 // Radio returns a netsim tracer that appends radio events to the
-// journal. Install it with Network.SetTracer.
+// journal (nil for a nil recorder). Install it with Network.SetTracer.
 func (r *Recorder) Radio() netsim.Tracer {
+	if r == nil {
+		return nil
+	}
 	return func(ev netsim.TraceEvent) {
 		var k Kind
 		switch ev.Event {

@@ -44,12 +44,24 @@ fi
 # and validated expositions for the shell smokes: the binaries' smokes are
 # Go tests that validate what they scrape in-process. And the hex string
 # key X8-X10 compared result tables by: a table comparison is a
-# tabledigest Digest or Diff.
-retired=$(grep -rnE 'rowSetKey|promcheck|ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover|shippedByFlags' \
+# tabledigest Digest or Diff. And the runner's trace and transport
+# switches and its strict audit field: an execution's transport, loss,
+# journal and audit are its run options.
+retired=$(grep -rnE 'EnableReliableTransport|EnableTrace|DisableTrace|AutoAudit|rowSetKey|promcheck|ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover|shippedByFlags' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
   echo "$retired" >&2
+  exit 1
+fi
+# The global loss model and the radio tracer are an execution's: only
+# core's arming code (internal/core/arm.go) switches them, for the length
+# of one execution, outside package netsim itself.
+armed=$(grep -rnE '\.(SetLossRate|SetTracer)\(' --include='*.go' --exclude='*_test.go' \
+  --exclude-dir=benchmark --exclude-dir=.bench_build --exclude-dir=netsim . | grep -v '^\./internal/core/arm\.go:' || true)
+if [ -n "$armed" ]; then
+  echo "loss or a radio tracer switched outside an execution's options:" >&2
+  echo "$armed" >&2
   exit 1
 fi
 # A collection wave is scheduled per tree level (Sim.ScheduleNodes over
@@ -81,9 +93,10 @@ if [ -n "$coord" ]; then
 fi
 # Runners are leased, not built: the daemon and the experiment suite get
 # theirs from a core.RunnerPool, and the harness's one door to a runner
-# of its own is bench.privateRunner (churn, kept journals, the artefact
-# experiments). Loss and reliable transport lease: reset clears them. A
-# second construction site is a runner nobody resets.
+# of its own is bench.privateRunner (churn, the artefact experiments).
+# Loss, reliable transport and journals lease: they are an execution's
+# options, gone when it ends. A second construction site is a runner
+# nobody resets.
 built=$(grep -rn 'core\.NewRunner(' --include='*.go' --exclude='*_test.go' internal/bench internal/server || true)
 case "$built" in
 internal/bench/experiments.go:*"return core.NewRunner(setupFor("*) [ "$(printf '%s\n' "$built" | wc -l)" -eq 1 ] ;;

@@ -168,6 +168,7 @@ type Network struct {
 	clock   float64 // sampling time of every execution; Monitor moves it on
 	members map[string]func(int) bool
 	reg     *metrics.Registry
+	rec     *trace.Recorder // the journal every execution is Traced into; nil until enabled
 }
 
 // NewNetwork builds a connected random deployment with the standard
@@ -307,7 +308,7 @@ func (n *Network) Advise(src string) (*Advice, error) {
 // (see PhaseTable, TotalPackets); call ResetStats between runs to
 // compare methods.
 func (n *Network) Execute(src string, m Method) (*Result, error) {
-	res, err := n.r.Run(src, m.m, n.clock)
+	res, err := n.r.Run(src, m.m, n.clock, core.Traced(n.rec))
 	if err != nil {
 		return nil, err
 	}
@@ -317,7 +318,7 @@ func (n *Network) Execute(src string, m Method) (*Result, error) {
 // ExecuteWithRecovery runs the query and re-executes after routing-tree
 // repair when failures made the result incomplete (§IV-F).
 func (n *Network) ExecuteWithRecovery(src string, m Method, maxAttempts int) (*Result, error) {
-	res, err := n.r.Run(src, m.m, n.clock, core.WithRecovery(maxAttempts))
+	res, err := n.r.Run(src, m.m, n.clock, core.WithRecovery(maxAttempts), core.Traced(n.rec))
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +340,7 @@ func (n *Network) Monitor(src string, m Method, rounds int) ([]*Result, error) {
 	}
 	var out []*Result
 	for i := 0; i < rounds; i++ {
-		res, err := n.r.RunPrepared(p, m.m, n.clock)
+		res, err := n.r.RunPrepared(p, m.m, n.clock, core.Traced(n.rec))
 		if err != nil {
 			return out, err
 		}
@@ -356,6 +357,7 @@ func (n *Network) DisseminateQuery(src string) error {
 	if err != nil {
 		return err
 	}
+	x.Trace = n.rec
 	core.DisseminateQuery(x)
 	return nil
 }
@@ -432,33 +434,37 @@ func (n *Network) WriteMetrics(w io.Writer) error {
 // attempts). The journal grows across executions; export it with
 // WriteTrace / WriteChromeTrace, summarize it with PhaseBreakdown, or
 // audit executions with ExecuteAudited. Idempotent.
-func (n *Network) EnableJournal() { n.r.EnableTrace() }
+func (n *Network) EnableJournal() {
+	if n.rec == nil {
+		n.rec = trace.New()
+	}
+}
 
 // WriteTrace writes the recorded journal as JSON Lines, one event per
 // line. Requires EnableJournal (or a prior ExecuteAudited).
 func (n *Network) WriteTrace(w io.Writer) error {
-	if n.r.Trace == nil {
+	if n.rec == nil {
 		return fmt.Errorf("sensjoin: no journal; call EnableJournal before executing")
 	}
-	return trace.WriteJSONL(w, n.r.Trace.Journal())
+	return trace.WriteJSONL(w, n.rec.Journal())
 }
 
 // WriteChromeTrace writes the journal in Chrome trace_event format;
 // open the file at chrome://tracing or https://ui.perfetto.dev.
 func (n *Network) WriteChromeTrace(w io.Writer) error {
-	if n.r.Trace == nil {
+	if n.rec == nil {
 		return fmt.Errorf("sensjoin: no journal; call EnableJournal before executing")
 	}
-	return trace.WriteChrome(w, n.r.Trace.Journal())
+	return trace.WriteChrome(w, n.rec.Journal())
 }
 
 // PhaseBreakdown formats the journal's per-phase response-time and
 // traffic table (empty without a journal).
 func (n *Network) PhaseBreakdown() string {
-	if n.r.Trace == nil {
+	if n.rec == nil {
 		return ""
 	}
-	return trace.PhaseBreakdown(n.r.Trace.Journal())
+	return trace.PhaseBreakdown(n.rec.Journal())
 }
 
 // ExecuteAudited runs the query like Execute and then audits the
@@ -471,7 +477,8 @@ func (n *Network) PhaseBreakdown() string {
 // human-readable strings; a correct execution returns none. Enables the
 // journal on demand.
 func (n *Network) ExecuteAudited(src string, m Method) (*Result, []string, error) {
-	res, err := n.r.Run(src, m.m, n.clock, core.Audited())
+	n.EnableJournal()
+	res, err := n.r.Run(src, m.m, n.clock, core.Audited(), core.Traced(n.rec))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -482,23 +489,45 @@ func (n *Network) ExecuteAudited(src string, m Method) (*Result, []string, error
 	return fromCore(res), out, nil
 }
 
-// FailLink forces the link between nodes a and b down (both directions).
-func (n *Network) FailLink(a, b int) {
-	n.r.Net.LinkDown(topology.NodeID(a), topology.NodeID(b))
+// FailLink forces the link between nodes a and b down (both directions);
+// an id that is not a node of the network is an error.
+func (n *Network) FailLink(a, b int) error { return n.link(a, b, n.r.Net.LinkDown) }
+
+// RestoreLink brings a failed link back up; an id that is not a node of
+// the network is an error.
+func (n *Network) RestoreLink(a, b int) error { return n.link(a, b, n.r.Net.LinkUp) }
+
+// KillNode takes sensor node id (1..Nodes()) offline. The base station,
+// node 0, cannot be killed: every query starts and ends there.
+func (n *Network) KillNode(id int) error {
+	if id == int(topology.BaseStation) || !n.isNode(id) {
+		return fmt.Errorf("sensjoin: %d is not a sensor node of this network (1..%d)", id, n.Nodes())
+	}
+	n.r.Net.KillNode(topology.NodeID(id))
+	return nil
 }
 
-// RestoreLink brings a failed link back up.
-func (n *Network) RestoreLink(a, b int) {
-	n.r.Net.LinkUp(topology.NodeID(a), topology.NodeID(b))
+// link applies f to the link a-b.
+func (n *Network) link(a, b int, f func(a, b topology.NodeID)) error {
+	if !n.isNode(a) || !n.isNode(b) {
+		return fmt.Errorf("sensjoin: link %d-%d: not two nodes of this network (0..%d)", a, b, n.Nodes())
+	}
+	f(topology.NodeID(a), topology.NodeID(b))
+	return nil
 }
 
-// KillNode takes a node offline.
-func (n *Network) KillNode(id int) { n.r.Net.KillNode(topology.NodeID(id)) }
+// isNode reports whether id is the base station (0) or a sensor.
+func (n *Network) isNode(id int) bool { return id >= 0 && id < n.r.Dep.N() }
 
 // RepairRouting re-forms the routing tree over the live links, standing
 // in for the collection-tree protocol's self-repair.
 func (n *Network) RepairRouting() { n.r.RebuildTree() }
 
 // RoutingParent returns node id's parent in the routing tree (-1 for the
-// base station and unreachable nodes).
-func (n *Network) RoutingParent(id int) int { return int(n.r.Tree.Parent[id]) }
+// base station, unreachable nodes and an id that is not a node).
+func (n *Network) RoutingParent(id int) int {
+	if !n.isNode(id) {
+		return -1
+	}
+	return int(n.r.Tree.Parent[id])
+}

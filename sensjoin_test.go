@@ -152,7 +152,9 @@ func TestFailureInjectionAndRecovery(t *testing.T) {
 	if parent < 0 {
 		t.Skip("node 23 unreachable in this draw")
 	}
-	net.FailLink(victim, parent)
+	if err := net.FailLink(victim, parent); err != nil {
+		t.Fatal(err)
+	}
 	res, err := net.Execute(apiQuery, sensjoin.SENSJoin())
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +169,39 @@ func TestFailureInjectionAndRecovery(t *testing.T) {
 	if !rec.Complete || rec.Executions < 2 {
 		t.Fatalf("recovery failed: complete=%v executions=%d", rec.Complete, rec.Executions)
 	}
-	net.RestoreLink(victim, parent)
+	if err := net.RestoreLink(victim, parent); err != nil {
+		t.Fatal(err)
+	}
 	net.RepairRouting()
+}
+
+// The node-id methods refuse an id that is not a node of the network
+// instead of indexing with it, and the base station cannot be killed.
+func TestNodeIDsOutsideTheNetwork(t *testing.T) {
+	net := testNet(t, 50, 11)
+	for _, id := range []int{-1, 51, 500} {
+		if err := net.KillNode(id); err == nil {
+			t.Errorf("KillNode(%d) on a 50-node network: no error", id)
+		}
+		if err := net.FailLink(id, 1); err == nil {
+			t.Errorf("FailLink(%d, 1): no error", id)
+		}
+		if err := net.FailLink(1, id); err == nil {
+			t.Errorf("FailLink(1, %d): no error", id)
+		}
+		if err := net.RestoreLink(id, 1); err == nil {
+			t.Errorf("RestoreLink(%d, 1): no error", id)
+		}
+		if p := net.RoutingParent(id); p != -1 {
+			t.Errorf("RoutingParent(%d) = %d, want -1", id, p)
+		}
+	}
+	if err := net.KillNode(0); err == nil {
+		t.Error("KillNode(0) killed the base station")
+	}
+	if err := net.KillNode(50); err != nil {
+		t.Errorf("KillNode(50), the last sensor: %v", err)
+	}
 }
 
 // Monitor moves the clock on by the period after each round, and the
