@@ -3,6 +3,7 @@ package compress
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -30,14 +31,14 @@ func benchCodec(b *testing.B, c Codec, size int) {
 	b.ResetTimer()
 	var compressed []byte
 	for i := 0; i < b.N; i++ {
-		compressed = c.Compress(data)
+		compressed = c.Compress(compressed[:0], data)
 	}
 	b.ReportMetric(float64(len(compressed))/float64(len(data)), "ratio")
 }
 
 // BenchmarkZlibCompress is the steady state a forwarding node pays: the
-// writer comes from the per-level pool, so B/op is the returned bytes,
-// not a 1.2 MB compressor.
+// writer comes from the per-level pool and the output is appended to the
+// last iteration's buffer, so B/op is 0, not a 1.2 MB compressor.
 func BenchmarkZlibCompress(b *testing.B) {
 	for _, size := range []int{64, 256, 4096} {
 		b.Run(fmt.Sprintf("%dB", size), func(b *testing.B) { benchCodec(b, Zlib{}, size) })
@@ -49,7 +50,7 @@ func BenchmarkBWZMedium(b *testing.B) { benchCodec(b, BWZ{}, 4096) }
 
 func BenchmarkBWZDecompress(b *testing.B) {
 	z := BWZ{}
-	c := z.Compress(sensorPayload(4096))
+	c := z.Compress(nil, sensorPayload(4096))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,10 +60,26 @@ func BenchmarkBWZDecompress(b *testing.B) {
 	}
 }
 
+// BenchmarkBWT times the transform on the synthetic payload and on the
+// raw image of a 1500-node E8 round's largest subtree (written by
+// internal/core's TestE8RawImageFixture).
 func BenchmarkBWT(b *testing.B) {
-	data := sensorPayload(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bwt(data)
+	e8, err := os.ReadFile("testdata/e8_raw_1500.bin")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, in := range []struct {
+		name string
+		data []byte
+	}{{"sensor-4096B", sensorPayload(4096)}, {"e8-1500", e8}} {
+		b.Run(in.name, func(b *testing.B) {
+			s := getBWZScratch()
+			defer bwzPool.put(s)
+			last := make([]byte, len(in.data))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.bwt.transform(in.data, last)
+			}
+		})
 	}
 }

@@ -61,6 +61,32 @@ func bwtReference(data []byte) (last []byte, primary int) {
 	return last, primary
 }
 
+// bwt is the transform as the tests compare it: computed in a pooled
+// bwzScratch, so successive calls share arrays as Compress's blocks do,
+// and copied out of it.
+func bwt(data []byte) (last []byte, primary int) {
+	if len(data) == 0 {
+		return nil, 0
+	}
+	s := getBWZScratch()
+	defer bwzPool.put(s)
+	last = make([]byte, len(data))
+	return last, s.bwt.transform(data, last)
+}
+
+// hasProperPeriod reports whether data repeats a unit shorter than
+// itself whose length divides len(data): exactly when two of its
+// rotations are equal.
+func hasProperPeriod(data []byte) bool {
+	n := len(data)
+	for p := 1; p < n; p++ {
+		if n%p == 0 && bytes.Equal(data[p:], data[:n-p]) {
+			return true
+		}
+	}
+	return false
+}
+
 // The pooled transform returns the reference's last column AND primary
 // index, including on periodic input (equal rotations) and across calls
 // of different sizes sharing one scratch.
@@ -89,4 +115,60 @@ func TestBWTMatchesReference(t *testing.T) {
 				len(data), gotPrimary, wantPrimary, bytes.Equal(gotLast, wantLast))
 		}
 	}
+}
+
+// The counting sort reports ties exactly on periodic blocks, the only
+// ones that take the comparison oracle.
+func TestSortRotationsReportsTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var s bwtScratch
+	check := func(data []byte) {
+		t.Helper()
+		if distinct, periodic := s.sortRotations(data), hasProperPeriod(data); distinct == periodic {
+			t.Fatalf("%d B input %x: sortRotations reports distinct rotations %t, periodic %t",
+				len(data), data[:min(len(data), 32)], distinct, periodic)
+		}
+	}
+	for n := 1; n <= 64; n++ {
+		for trial := 0; trial < 20; trial++ {
+			data := make([]byte, n)
+			for i := range data {
+				data[i] = byte(rng.Intn(1 + trial%3)) // tiny alphabets repeat
+			}
+			check(data)
+			if unit := 1 + rng.Intn(n); n%unit == 0 {
+				check(bytes.Repeat(data[:unit], n/unit))
+			}
+		}
+	}
+	for _, unit := range []int{1, 6, 34, 300} {
+		check(bytes.Repeat(sensorPayload(unit), 5))
+		check(append(bytes.Repeat(sensorPayload(unit), 5), 1)) // one byte breaks the period
+	}
+}
+
+// FuzzBWT checks the transform against the reference on any block, and
+// the tie report against the definition of a period.
+func FuzzBWT(f *testing.F) {
+	f.Add([]byte("banana"))
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{1, 1, 2}, 20))
+	f.Add(bytes.Repeat(sensorPayload(12), 4))
+	f.Add(sensorPayload(300))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gotLast, gotPrimary := bwt(data)
+		wantLast, wantPrimary := bwtReference(data)
+		if !bytes.Equal(gotLast, wantLast) || gotPrimary != wantPrimary {
+			t.Fatalf("%d B input: primary %d, want %d; last column equal: %t",
+				len(data), gotPrimary, wantPrimary, bytes.Equal(gotLast, wantLast))
+		}
+		if len(data) == 0 {
+			return
+		}
+		var s bwtScratch
+		if distinct, periodic := s.sortRotations(data), hasProperPeriod(data); distinct == periodic {
+			t.Fatalf("%d B input: sortRotations reports distinct rotations %t, periodic %t",
+				len(data), distinct, periodic)
+		}
+	})
 }

@@ -14,7 +14,7 @@ import (
 // compression" on the small payloads sensor nodes forward (paper §VI-B).
 type BWZ struct {
 	// BlockSize bounds the bytes per BWT block; 0 means the 16 KiB
-	// default.
+	// default. Decompress refuses a block longer than it.
 	BlockSize int
 }
 
@@ -25,49 +25,76 @@ var bwzMagic = [4]byte{'B', 'W', 'Z', '1'}
 // Name implements Codec.
 func (BWZ) Name() string { return "bwz(bzip2-like)" }
 
-// Compress implements Codec.
-func (z BWZ) Compress(data []byte) []byte {
-	block := z.BlockSize
-	if block <= 0 {
-		block = bwzDefaultBlock
-	}
-	out := append([]byte(nil), bwzMagic[:]...)
-	out = binary.AppendUvarint(out, uint64(len(data)))
-	for start := 0; start < len(data); start += block {
-		end := start + block
-		if end > len(data) {
-			end = len(data)
-		}
-		out = appendBlock(out, data[start:end])
-	}
-	return out
+// bwzScratch is the working set of one Compress call, pooled between
+// calls (one is kept across collections, see keptPool) and grown
+// geometrically: every forwarding node of a BWZ-backed round compresses
+// one small payload.
+type bwzScratch struct {
+	bwt bwtScratch
+	// last is a block's BWT last column, then its MTF code in place.
+	last []byte
+	syms []uint16
+	freq [alphabetLen]int
+	enc  huffEncoder
+	// w writes the length table, then the symbol stream.
+	w bitstream.Writer
 }
 
-func appendBlock(out, data []byte) []byte {
-	last, primary := bwt(data)
-	syms := rle0Encode(mtfEncode(last))
-	freq := make([]int, alphabetLen)
-	for _, s := range syms {
-		freq[s]++
+var bwzPool keptPool[bwzScratch]
+
+func getBWZScratch() *bwzScratch {
+	if s := bwzPool.get(); s != nil {
+		return s
 	}
-	lengths := huffCodeLengths(freq)
-	enc := newHuffEncoder(lengths)
-	w := bitstream.NewWriter(len(syms) * 8)
-	for _, s := range syms {
-		enc.encode(w, int(s))
+	return new(bwzScratch)
+}
+
+func (z BWZ) blockSize() int {
+	if z.BlockSize <= 0 {
+		return bwzDefaultBlock
 	}
+	return z.BlockSize
+}
+
+// Compress implements Codec.
+func (z BWZ) Compress(dst, data []byte) []byte {
+	block := z.blockSize()
+	s := getBWZScratch()
+	dst = append(dst, bwzMagic[:]...)
+	dst = binary.AppendUvarint(dst, uint64(len(data)))
+	for start := 0; start < len(data); start += block {
+		dst = s.appendBlock(dst, data[start:min(start+block, len(data))])
+	}
+	bwzPool.put(s)
+	return dst
+}
+
+func (s *bwzScratch) appendBlock(out, data []byte) []byte {
+	s.last = grow(s.last, len(data))
+	primary := s.bwt.transform(data, s.last)
+	mtfEncode(s.last)
+	s.syms = rle0Encode(s.syms[:0], s.last)
+	clear(s.freq[:])
+	for _, sym := range s.syms {
+		s.freq[sym]++
+	}
+	s.enc.build(s.freq[:])
 	out = binary.AppendUvarint(out, uint64(len(data)))
 	out = binary.AppendUvarint(out, uint64(primary))
-	out = appendLengthTable(out, lengths)
-	out = binary.AppendUvarint(out, uint64(w.Len()))
-	return append(out, w.Bytes()...)
+	out = appendLengthTable(out, &s.w, s.enc.lengths[:])
+	s.w.Reset()
+	for _, sym := range s.syms {
+		s.enc.encode(&s.w, int(sym))
+	}
+	out = binary.AppendUvarint(out, uint64(s.w.Len()))
+	return append(out, s.w.Bytes()...)
 }
 
-// appendLengthTable serializes the code-length table: lengths are 4-bit
-// values; a zero nibble is followed by a byte-sized run count of zero
-// lengths, which keeps sparse alphabets cheap.
-func appendLengthTable(out []byte, lengths []byte) []byte {
-	w := bitstream.NewWriter(len(lengths) * 4)
+// appendLengthTable serializes the code-length table through w: lengths
+// are 4-bit values; a zero nibble is followed by a byte-sized run count
+// of zero lengths, which keeps sparse alphabets cheap.
+func appendLengthTable(out []byte, w *bitstream.Writer, lengths []byte) []byte {
+	w.Reset()
 	for i := 0; i < len(lengths); {
 		if lengths[i] == 0 {
 			run := 0
@@ -86,17 +113,27 @@ func appendLengthTable(out []byte, lengths []byte) []byte {
 	return append(out, w.Bytes()...)
 }
 
-func readLengthTable(data []byte, pos int) (lengths []byte, next int, err error) {
-	bits, n := binary.Uvarint(data[pos:])
+// readBitCount reads a uvarint bit count at pos and checks that its
+// bytes fit in data: it returns the count, the position after the
+// uvarint and the byte length.
+func readBitCount(data []byte, pos int, what string) (bits, next, byteLen int, err error) {
+	v, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
-		return nil, 0, fmt.Errorf("compress: bwz bad length-table size")
+		return 0, 0, 0, fmt.Errorf("compress: bwz bad %s size", what)
 	}
 	pos += n
-	byteLen := (int(bits) + 7) / 8
-	if pos+byteLen > len(data) {
-		return nil, 0, fmt.Errorf("compress: bwz truncated length table")
+	if v > uint64(8*(len(data)-pos)) {
+		return 0, 0, 0, fmt.Errorf("compress: bwz truncated %s", what)
 	}
-	r := bitstream.NewReader(data[pos:pos+byteLen], int(bits))
+	return int(v), pos, (int(v) + 7) / 8, nil
+}
+
+func readLengthTable(data []byte, pos int) (lengths []byte, next int, err error) {
+	bits, pos, byteLen, err := readBitCount(data, pos, "length table")
+	if err != nil {
+		return nil, 0, err
+	}
+	r := bitstream.NewReader(data[pos:pos+byteLen], bits)
 	lengths = make([]byte, 0, alphabetLen)
 	for r.Remaining() >= 4 && len(lengths) < alphabetLen {
 		v := byte(r.ReadBits(4))
@@ -121,47 +158,68 @@ func readLengthTable(data []byte, pos int) (lengths []byte, next int, err error)
 	return lengths, pos + byteLen, nil
 }
 
-// Decompress implements Codec.
+// bwzMinBlockBytes is the least input a block takes: one byte each for
+// its length, primary index, length-table size and stream size, and at
+// least one byte of length table and of stream.
+const bwzMinBlockBytes = 6
+
+// Decompress implements Codec. It trusts no header: the stream's length
+// must fit in as many blocks of at most the block size as the rest of
+// the input can hold, each block's length must fit in the block size and
+// in what is left of the stream, and every zero run in what is left of
+// its block. So what Decompress allocates is bounded by what the input
+// accounts for.
 func (z BWZ) Decompress(data []byte) ([]byte, error) {
 	if len(data) < 4 || [4]byte(data[:4]) != bwzMagic {
 		return nil, fmt.Errorf("compress: not a bwz stream")
 	}
+	block := uint64(z.blockSize())
 	pos := 4
 	origLen, n := binary.Uvarint(data[pos:])
 	if n <= 0 {
 		return nil, fmt.Errorf("compress: bwz bad length header")
 	}
 	pos += n
-	out := make([]byte, 0, origLen)
+	blocks := origLen / block
+	if origLen%block != 0 {
+		blocks++
+	}
+	if blocks > uint64(len(data)-pos)/bwzMinBlockBytes {
+		return nil, fmt.Errorf("compress: bwz length %d exceeds what %d bytes of blocks hold", origLen, len(data)-pos)
+	}
+	// out grows with the blocks decoded, not with the header's claim.
+	out := make([]byte, 0, min(origLen, block))
+	var syms []uint16
+	var mtf []byte
 	for uint64(len(out)) < origLen {
 		blockLen, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
 			return nil, fmt.Errorf("compress: bwz bad block length")
+		}
+		if blockLen == 0 || blockLen > block || blockLen > origLen-uint64(len(out)) {
+			return nil, fmt.Errorf("compress: bwz block length %d out of range", blockLen)
 		}
 		pos += n
 		primary, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
 			return nil, fmt.Errorf("compress: bwz bad primary index")
 		}
+		if primary >= blockLen {
+			return nil, fmt.Errorf("compress: bwz primary index out of range")
+		}
 		pos += n
 		lengths, next, err := readLengthTable(data, pos)
 		if err != nil {
 			return nil, err
 		}
-		pos = next
-		bits, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return nil, fmt.Errorf("compress: bwz bad stream size")
-		}
-		pos += n
-		byteLen := (int(bits) + 7) / 8
-		if pos+byteLen > len(data) {
-			return nil, fmt.Errorf("compress: bwz truncated block")
+		var bits, byteLen int
+		if bits, pos, byteLen, err = readBitCount(data, next, "block"); err != nil {
+			return nil, err
 		}
 		dec := newHuffDecoder(lengths)
-		r := bitstream.NewReader(data[pos:pos+byteLen], int(bits))
+		r := bitstream.NewReader(data[pos:pos+byteLen], bits)
 		pos += byteLen
-		var syms []uint16
+		syms = syms[:0]
 		for {
 			s, err := dec.decode(r)
 			if err != nil {
@@ -172,17 +230,14 @@ func (z BWZ) Decompress(data []byte) ([]byte, error) {
 				break
 			}
 		}
-		mtf := rle0Decode(syms)
+		if mtf, err = rle0Decode(mtf[:0], syms, int(blockLen)); err != nil {
+			return nil, err
+		}
 		if uint64(len(mtf)) != blockLen {
 			return nil, fmt.Errorf("compress: bwz block length mismatch: %d vs %d", len(mtf), blockLen)
 		}
-		if primary >= uint64(len(mtf)) && len(mtf) > 0 {
-			return nil, fmt.Errorf("compress: bwz primary index out of range")
-		}
-		out = append(out, unbwt(mtfDecode(mtf), int(primary))...)
-	}
-	if uint64(len(out)) != origLen {
-		return nil, fmt.Errorf("compress: bwz decompressed %d bytes, want %d", len(out), origLen)
+		mtfDecode(mtf)
+		out = append(out, unbwt(mtf, int(primary))...)
 	}
 	return out, nil
 }

@@ -9,6 +9,13 @@
 // as bzip2, with the same characteristic per-block table overhead that
 // makes it lose on small payloads (exactly the behaviour the experiment
 // demonstrates).
+//
+// The simulator compresses one payload per forwarding node, so the
+// codecs are built for many small calls: Compress appends to a buffer
+// the caller keeps, zlib writers and BWZ's working arrays are pooled,
+// and BWZ sorts a block's rotations with counting-sort prefix doubling
+// in O(n log n). Only a periodic block, whose equal rotations need the
+// reference transform's tie order, goes through comparison doubling.
 package compress
 
 import (
@@ -17,14 +24,16 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 )
 
 // Codec compresses and decompresses byte slices.
 type Codec interface {
 	// Name identifies the codec in experiment output.
 	Name() string
-	// Compress returns the compressed form of data.
-	Compress(data []byte) []byte
+	// Compress appends the compressed form of data to dst and returns
+	// the extended slice, as the append built-in does.
+	Compress(dst, data []byte) []byte
 	// Decompress inverts Compress.
 	Decompress(data []byte) ([]byte, error)
 }
@@ -51,10 +60,35 @@ type zlibState struct {
 }
 
 // zlibPools holds idle compressors, indexed by level - zlib.HuffmanOnly.
-var zlibPools [zlib.BestCompression - zlib.HuffmanOnly + 1]sync.Pool
+var zlibPools [zlib.BestCompression - zlib.HuffmanOnly + 1]keptPool[zlibState]
+
+// keptPool is a sync.Pool that keeps one idle item beyond the garbage
+// collector's reach. A sync.Pool empties over two collections, and the
+// experiment suite collects many times between two E8 runs, so each run
+// rebuilt its zlib writer (≈1.2 MB) and its BWZ arrays; the kept item
+// costs one writer per level used and one BWZ working set. get returns
+// nil when both are empty.
+type keptPool[T any] struct {
+	kept atomic.Pointer[T]
+	pool sync.Pool
+}
+
+func (p *keptPool[T]) get() *T {
+	if it := p.kept.Swap(nil); it != nil {
+		return it
+	}
+	it, _ := p.pool.Get().(*T)
+	return it
+}
+
+func (p *keptPool[T]) put(it *T) {
+	if !p.kept.CompareAndSwap(nil, it) {
+		p.pool.Put(it)
+	}
+}
 
 // Compress implements Codec.
-func (z Zlib) Compress(data []byte) []byte {
+func (z Zlib) Compress(dst, data []byte) []byte {
 	level := z.Level
 	if level == 0 {
 		level = zlib.BestCompression
@@ -63,7 +97,7 @@ func (z Zlib) Compress(data []byte) []byte {
 		panic(fmt.Sprintf("compress: zlib level %d: invalid compression level", level))
 	}
 	pool := &zlibPools[level-zlib.HuffmanOnly]
-	st, _ := pool.Get().(*zlibState)
+	st := pool.get()
 	if st == nil {
 		st = new(zlibState)
 		w, err := zlib.NewWriterLevel(&st.buf, level)
@@ -81,9 +115,9 @@ func (z Zlib) Compress(data []byte) []byte {
 	if err := st.w.Close(); err != nil {
 		panic(fmt.Sprintf("compress: zlib close: %v", err))
 	}
-	out := append([]byte(nil), st.buf.Bytes()...)
-	pool.Put(st)
-	return out
+	dst = append(dst, st.buf.Bytes()...)
+	pool.put(st)
+	return dst
 }
 
 // Decompress implements Codec.
@@ -107,8 +141,8 @@ type Identity struct{}
 func (Identity) Name() string { return "none" }
 
 // Compress implements Codec.
-func (Identity) Compress(data []byte) []byte {
-	return append([]byte(nil), data...)
+func (Identity) Compress(dst, data []byte) []byte {
+	return append(dst, data...)
 }
 
 // Decompress implements Codec.

@@ -2,7 +2,9 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -63,18 +65,22 @@ func TestQuickBWTRoundtrip(t *testing.T) {
 func TestMTFKnown(t *testing.T) {
 	// After MTF, a run of equal bytes becomes 0s.
 	in := []byte{5, 5, 5, 5}
-	out := mtfEncode(in)
+	out := bytes.Clone(in)
+	mtfEncode(out)
 	if out[0] != 5 || out[1] != 0 || out[2] != 0 || out[3] != 0 {
 		t.Fatalf("mtf = %v", out)
 	}
-	if got := mtfDecode(out); !bytes.Equal(got, in) {
-		t.Fatalf("mtf roundtrip = %v", got)
+	if mtfDecode(out); !bytes.Equal(out, in) {
+		t.Fatalf("mtf roundtrip = %v", out)
 	}
 }
 
 func TestQuickMTFRoundtrip(t *testing.T) {
 	f := func(data []byte) bool {
-		return bytes.Equal(mtfDecode(mtfEncode(data)), data)
+		code := bytes.Clone(data)
+		mtfEncode(code)
+		mtfDecode(code)
+		return bytes.Equal(code, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -83,12 +89,12 @@ func TestQuickMTFRoundtrip(t *testing.T) {
 
 func TestRLE0Known(t *testing.T) {
 	// 3 zeros = bijective base-2 "11" = RUNA RUNA.
-	syms := rle0Encode([]byte{0, 0, 0})
+	syms := rle0Encode(nil, []byte{0, 0, 0})
 	if len(syms) != 3 || syms[0] != symRunA || syms[1] != symRunA || syms[2] != symEOB {
 		t.Fatalf("rle0(000) = %v", syms)
 	}
 	// A literal byte b becomes b+2.
-	syms = rle0Encode([]byte{9})
+	syms = rle0Encode(nil, []byte{9})
 	if len(syms) != 2 || syms[0] != 11 || syms[1] != symEOB {
 		t.Fatalf("rle0(9) = %v", syms)
 	}
@@ -101,7 +107,8 @@ func TestQuickRLE0Roundtrip(t *testing.T) {
 		for i := 0; i < int(zeroRuns); i++ {
 			in = append(in, 0)
 		}
-		return bytes.Equal(rle0Decode(rle0Encode(in)), in)
+		out, err := rle0Decode(nil, rle0Encode(nil, in), len(in))
+		return err == nil && bytes.Equal(out, in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -114,15 +121,16 @@ func TestHuffmanRoundtrip(t *testing.T) {
 	freq[10] = 100
 	freq[11] = 50
 	freq[200] = 1
-	lengths := huffCodeLengths(freq)
+	var enc huffEncoder
+	enc.build(freq)
+	lengths := enc.lengths
 	if lengths[10] > lengths[200] {
 		t.Fatal("frequent symbol must not have a longer code")
 	}
 	if lengths[12] != 0 {
 		t.Fatal("unused symbol must have no code")
 	}
-	enc := newHuffEncoder(lengths)
-	dec := newHuffDecoder(lengths)
+	dec := newHuffDecoder(lengths[:])
 	syms := []int{10, 11, 10, 200, 10, symEOB}
 	w := newTestWriter()
 	for _, s := range syms {
@@ -143,12 +151,13 @@ func TestHuffmanRoundtrip(t *testing.T) {
 func TestHuffmanSingleSymbol(t *testing.T) {
 	freq := make([]int, alphabetLen)
 	freq[symEOB] = 5
-	lengths := huffCodeLengths(freq)
+	var enc huffEncoder
+	enc.build(freq)
+	lengths := enc.lengths
 	if lengths[symEOB] != 1 {
 		t.Fatalf("single symbol length = %d, want 1", lengths[symEOB])
 	}
-	enc := newHuffEncoder(lengths)
-	dec := newHuffDecoder(lengths)
+	dec := newHuffDecoder(lengths[:])
 	w := newTestWriter()
 	enc.encode(w.w, symEOB)
 	got, err := dec.decode(w.reader())
@@ -169,15 +178,16 @@ func TestHuffmanLengthLimit(t *testing.T) {
 			break
 		}
 	}
-	lengths := huffCodeLengths(freq)
+	var enc huffEncoder
+	enc.build(freq)
+	lengths := enc.lengths
 	for sym, l := range lengths {
 		if l > maxCodeLen {
 			t.Fatalf("symbol %d has length %d > %d", sym, l, maxCodeLen)
 		}
 	}
 	// Codes must still decode correctly.
-	enc := newHuffEncoder(lengths)
-	dec := newHuffDecoder(lengths)
+	dec := newHuffDecoder(lengths[:])
 	w := newTestWriter()
 	for sym := 0; sym < 30; sym++ {
 		if lengths[sym] > 0 {
@@ -198,7 +208,7 @@ func TestHuffmanLengthLimit(t *testing.T) {
 func TestZlibRoundtrip(t *testing.T) {
 	z := Zlib{}
 	data := bytes.Repeat([]byte("sensor reading 23.4C "), 50)
-	c := z.Compress(data)
+	c := z.Compress(nil, data)
 	if len(c) >= len(data) {
 		t.Fatal("zlib should compress repetitive text")
 	}
@@ -214,7 +224,7 @@ func TestZlibRoundtrip(t *testing.T) {
 func TestIdentity(t *testing.T) {
 	id := Identity{}
 	data := []byte{1, 2, 3}
-	c := id.Compress(data)
+	c := id.Compress(nil, data)
 	if !bytes.Equal(c, data) {
 		t.Fatal("identity changed data")
 	}
@@ -231,7 +241,7 @@ func TestIdentity(t *testing.T) {
 func TestBWZRoundtripStructured(t *testing.T) {
 	z := BWZ{}
 	data := bytes.Repeat([]byte{0x17, 0x18, 0x17, 0x19, 0x17, 0x18}, 400)
-	c := z.Compress(data)
+	c := z.Compress(nil, data)
 	if len(c) >= len(data) {
 		t.Fatalf("bwz should compress structured data: %d -> %d", len(data), len(c))
 	}
@@ -246,7 +256,7 @@ func TestBWZSmallPayloadOverhead(t *testing.T) {
 	// the output larger than the input.
 	z := BWZ{}
 	data := []byte{0x12, 0x34, 0x56, 0x78, 0x9a, 0xbc}
-	c := z.Compress(data)
+	c := z.Compress(nil, data)
 	if len(c) <= len(data) {
 		t.Fatalf("bwz on 6 bytes should expand, got %d bytes", len(c))
 	}
@@ -258,7 +268,7 @@ func TestBWZSmallPayloadOverhead(t *testing.T) {
 
 func TestBWZEmpty(t *testing.T) {
 	z := BWZ{}
-	c := z.Compress(nil)
+	c := z.Compress(nil, nil)
 	got, err := z.Decompress(c)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty roundtrip: %v %v", got, err)
@@ -272,7 +282,7 @@ func TestBWZMultiBlock(t *testing.T) {
 	for i := range data {
 		data[i] = byte(rng.Intn(8) * 16)
 	}
-	c := z.Compress(data)
+	c := z.Compress(nil, data)
 	got, err := z.Decompress(c)
 	if err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("multi-block roundtrip failed: %v", err)
@@ -288,7 +298,7 @@ func TestBWZRejectsGarbage(t *testing.T) {
 		t.Fatal("empty input must fail")
 	}
 	// Truncated valid stream.
-	c := z.Compress(bytes.Repeat([]byte{1, 2, 3}, 100))
+	c := z.Compress(nil, bytes.Repeat([]byte{1, 2, 3}, 100))
 	if _, err := z.Decompress(c[:len(c)/2]); err == nil {
 		t.Fatal("truncated stream must fail")
 	}
@@ -297,7 +307,7 @@ func TestBWZRejectsGarbage(t *testing.T) {
 func TestQuickBWZRoundtrip(t *testing.T) {
 	z := BWZ{BlockSize: 256}
 	f := func(data []byte) bool {
-		got, err := z.Decompress(z.Compress(data))
+		got, err := z.Decompress(z.Compress(nil, data))
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -320,4 +330,69 @@ func newTestWriter() *testWriter { return &testWriter{w: bitstream.NewWriter(256
 
 func (t *testWriter) reader() *bitstream.Reader {
 	return bitstream.NewReader(t.w.Bytes(), t.w.Len())
+}
+
+// A header claiming a terabyte, a block longer than the block size and
+// a zero run doubling past its block are refused before anything is
+// allocated for them.
+func TestBWZDecompressBoundsHeaders(t *testing.T) {
+	huge := binary.AppendUvarint(append([]byte(nil), bwzMagic[:]...), 1<<40)
+	huge = append(huge, 0, 0, 0)
+	if _, err := (BWZ{}).Decompress(huge); err == nil {
+		t.Fatal("a 2^40-byte length over 3 bytes of blocks must fail")
+	}
+	huge = binary.AppendUvarint(append([]byte(nil), bwzMagic[:]...), 1<<62)
+	if _, err := (BWZ{}).Decompress(huge); err == nil {
+		t.Fatal("a 2^62-byte length must fail")
+	}
+	long := (BWZ{BlockSize: 200}).Compress(nil, sensorPayload(150))
+	if _, err := (BWZ{BlockSize: 100}).Decompress(long); err == nil {
+		t.Fatal("a 150-byte block must fail under a 100-byte block size")
+	}
+	// 64 runB digits ask for 2^65 - 2 zeros.
+	runs := make([]uint16, 64, 65)
+	for i := range runs {
+		runs[i] = symRunB
+	}
+	if _, err := rle0Decode(nil, append(runs, symEOB), 16384); err == nil {
+		t.Fatal("a zero run past the block must fail")
+	}
+	if out, err := rle0Decode(nil, []uint16{symRunB, symRunA, symEOB}, 4); err != nil || len(out) != 4 {
+		t.Fatalf("a run filling the block exactly: %v, %v", out, err)
+	}
+}
+
+// FuzzBWZDecompress: no input panics, the allocation stays within what
+// the input accounts for, and an accepted stream's output round-trips.
+func FuzzBWZDecompress(f *testing.F) {
+	for _, z := range []BWZ{{}, {BlockSize: 64}} {
+		f.Add(z.Compress(nil, sensorPayload(300)))
+		f.Add(z.Compress(nil, bytes.Repeat([]byte{0}, 200)))
+		f.Add(z.Compress(nil, nil))
+	}
+	f.Add(binary.AppendUvarint(append([]byte(nil), bwzMagic[:]...), 1<<40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, z := range []BWZ{{}, {BlockSize: 64}} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			out, err := z.Decompress(data)
+			runtime.ReadMemStats(&after)
+			// Each block of at least bwzMinBlockBytes holds at most a
+			// block size: out's doublings, the block's MTF buffer and
+			// its inverse (a byte and an int per byte) per block byte,
+			// and 16 B of symbols per input byte.
+			blocks := uint64(len(data)/bwzMinBlockBytes + 1)
+			bound := 64<<10 + 16*uint64(len(data)) + 16*blocks*uint64(z.blockSize())
+			if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+				t.Fatalf("block %d: %d B input allocated %d B, bound %d", z.blockSize(), len(data), got, bound)
+			}
+			if err != nil {
+				continue
+			}
+			again, err := z.Decompress(z.Compress(nil, out))
+			if err != nil || !bytes.Equal(again, out) {
+				t.Fatalf("block %d: accepted output of %d B does not round-trip: %v", z.blockSize(), len(out), err)
+			}
+		}
+	})
 }

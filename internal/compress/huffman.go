@@ -11,14 +11,13 @@ import (
 // bits on the wire.
 const maxCodeLen = 15
 
-// huffCodeLengths computes code lengths for the given symbol frequencies
-// (zero-frequency symbols get length 0). Lengths exceeding maxCodeLen are
-// avoided by flattening the frequency distribution and rebuilding.
-func huffCodeLengths(freq []int) []byte {
-	lengths := make([]byte, len(freq))
-	f := append([]int(nil), freq...)
+// huffCodeLengths writes into lengths (len(lengths) == len(freq)) the
+// code lengths for the given symbol frequencies (zero-frequency symbols
+// get length 0). Lengths exceeding maxCodeLen are avoided by flattening
+// the frequency distribution, in place in freq, and rebuilding.
+func huffCodeLengths(freq []int, lengths []byte) {
 	for {
-		buildLengths(f, lengths)
+		buildLengths(freq, lengths)
 		maxLen := byte(0)
 		for _, l := range lengths {
 			if l > maxLen {
@@ -26,13 +25,13 @@ func huffCodeLengths(freq []int) []byte {
 			}
 		}
 		if maxLen <= maxCodeLen {
-			return lengths
+			return
 		}
 		// Flatten: halving (and clamping at 1) shortens the deepest
 		// codes; a couple of iterations suffice in practice.
-		for i, v := range f {
+		for i, v := range freq {
 			if v > 0 {
-				f[i] = v/2 + 1
+				freq[i] = v/2 + 1
 			}
 		}
 	}
@@ -148,10 +147,10 @@ func buildLengths(freq []int, lengths []byte) {
 	s.assign(lengths, s.pop(), 0)
 }
 
-// canonicalCodes assigns canonical codes (shorter codes first, then by
-// symbol order) to the given lengths.
-func canonicalCodes(lengths []byte) []uint32 {
-	codes := make([]uint32, len(lengths))
+// canonicalCodes writes into codes (len(codes) >= len(lengths)) the
+// canonical codes for the given lengths: shorter codes first, then by
+// symbol order.
+func canonicalCodes(lengths []byte, codes []uint32) {
 	var countPerLen [maxCodeLen + 1]uint32
 	for _, l := range lengths {
 		if l > 0 {
@@ -171,17 +170,19 @@ func canonicalCodes(lengths []byte) []uint32 {
 			nextCode[l]++
 		}
 	}
-	return codes
 }
 
-// huffEncoder writes symbols with canonical codes.
+// huffEncoder writes symbols with the canonical codes of its lengths.
 type huffEncoder struct {
-	lengths []byte
-	codes   []uint32
+	lengths [alphabetLen]byte
+	codes   [alphabetLen]uint32
 }
 
-func newHuffEncoder(lengths []byte) *huffEncoder {
-	return &huffEncoder{lengths: lengths, codes: canonicalCodes(lengths)}
+// build sets the encoder's lengths and codes for freq, which it may
+// flatten (see huffCodeLengths).
+func (e *huffEncoder) build(freq []int) {
+	huffCodeLengths(freq, e.lengths[:])
+	canonicalCodes(e.lengths[:], e.codes[:])
 }
 
 func (e *huffEncoder) encode(w *bitstream.Writer, sym int) {

@@ -60,7 +60,7 @@ func TestZlibPooledMatchesFresh(t *testing.T) {
 		for round := 0; round < 2; round++ {
 			for i := range inputs {
 				data := inputs[(i*5+round)%len(inputs)]
-				got, want := z.Compress(data), freshZlib(t, effectiveLevel(level), data)
+				got, want := z.Compress(nil, data), freshZlib(t, effectiveLevel(level), data)
 				if !bytes.Equal(got, want) {
 					t.Fatalf("level %d, %d B input, round %d: pooled output differs from a fresh writer's (%d vs %d B)",
 						level, len(data), round, len(got), len(want))
@@ -93,7 +93,7 @@ func TestZlibPooledConcurrent(t *testing.T) {
 				for level, outs := range want {
 					for i := range inputs {
 						j := (i + g + iter) % len(inputs)
-						if got := (Zlib{Level: level}).Compress(inputs[j]); !bytes.Equal(got, outs[j]) {
+						if got := (Zlib{Level: level}).Compress(nil, inputs[j]); !bytes.Equal(got, outs[j]) {
 							t.Errorf("goroutine %d, level %d, %d B input: pooled output differs", g, level, len(inputs[j]))
 							return
 						}
@@ -113,12 +113,12 @@ func TestZlibSteadyStateAllocBytes(t *testing.T) {
 	}
 	z := Zlib{}
 	data := sensorPayload(256)
-	z.Compress(data) // warm the pool
+	z.Compress(nil, data) // warm the pool
 	const runs = 50
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		z.Compress(data)
+		z.Compress(nil, data)
 	}
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4096 {

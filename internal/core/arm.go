@@ -11,8 +11,8 @@ import (
 // off again. This file is the only code outside package netsim that sets
 // loss or a radio tracer (scripts/check.sh greps for others).
 func (r *Runner) arm(o *runOptions) {
-	if o.reliable != nil {
-		r.Net.EnableReliable(*o.reliable)
+	if o.reliable {
+		r.Net.EnableReliable(o.reliableCfg)
 	}
 	if o.lossRate > 0 {
 		r.Net.SetLossRate(o.lossRate, o.lossSeed)
@@ -30,7 +30,7 @@ func (r *Runner) arm(o *runOptions) {
 }
 
 func (r *Runner) disarm(o *runOptions) {
-	if o.reliable != nil {
+	if o.reliable {
 		r.Net.DisableReliable()
 	}
 	if o.lossRate > 0 {

@@ -115,19 +115,22 @@ func (c CompressedRep) PayloadBytes(p *plan, pl *jaPayload) int {
 
 // compressedBytes is the compressed size of the raw tuple stream. The
 // compressor needs real input bytes (unlike the quadtree, its output
-// size is not computable without running it), but the input image is
-// scratch: it is built in a pooled buffer and dropped after the call.
+// size is not computable without running it), but input and output are
+// scratch: the input image is built in a pooled buffer, the codec
+// appends its output to a second one beside it, and only the output's
+// length is kept.
 func (c CompressedRep) compressedBytes(p *plan, keys []zorder.Key, count int) int {
 	raw := rawBufPool.Get().(*rawBuf)
 	raw.b = appendRawKeyBytes(raw.b[:0], &raw.coords, p, keys, count)
-	n := len(c.Codec.Compress(raw.b))
+	raw.out = c.Codec.Compress(raw.out[:0], raw.b)
+	n := len(raw.out)
 	rawBufPool.Put(raw)
 	return n
 }
 
 // rawBuf is the scratch of one compressedBytes call.
 type rawBuf struct {
-	b      []byte
+	b, out []byte
 	coords []uint32
 }
 

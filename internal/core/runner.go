@@ -198,13 +198,36 @@ func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 // audit, recovery, rows — and lasts exactly as long as the execution
 // (see Runner.arm). Dead nodes, downed links, per-link loss and the
 // exhausted-link record are the network's state until its Reset.
-type RunOption func(*runOptions)
+//
+// An option is plain data, one kind with its arguments, so gathering a
+// call's options allocates nothing.
+type RunOption struct {
+	kind     optionKind
+	attempts int
+	lossRate float64
+	lossSeed int64
+	reliable netsim.ReliableConfig
+	rec      *trace.Recorder
+}
 
+type optionKind uint8
+
+const (
+	optAudited optionKind = iota + 1
+	optRecovery
+	optWithoutRows
+	optReliable
+	optLoss
+	optTraced
+)
+
+// runOptions is what a call's options ask for together.
 type runOptions struct {
 	attempts    int
 	lossRate    float64
 	lossSeed    int64
-	reliable    *netsim.ReliableConfig
+	reliable    bool
+	reliableCfg netsim.ReliableConfig
 	rec         *trace.Recorder
 	audit       bool
 	withoutRows bool
@@ -214,7 +237,7 @@ type runOptions struct {
 // reports what it finds in Result.Violations, for the caller to judge.
 // Without Traced the segment goes to a recorder of the runner's own,
 // emptied after every audit.
-func Audited() RunOption { return func(o *runOptions) { o.audit = true } }
+func Audited() RunOption { return RunOption{kind: optAudited} }
 
 // WithRecovery re-executes after routing-tree repair while failures leave
 // the result incomplete — the paper's error handling (§IV-F: "we rely
@@ -227,7 +250,7 @@ func WithRecovery(maxAttempts int) RunOption {
 	if maxAttempts <= 0 {
 		maxAttempts = 3
 	}
-	return func(o *runOptions) { o.attempts = maxAttempts }
+	return RunOption{kind: optRecovery, attempts: maxAttempts}
 }
 
 // WithoutRows runs a plain query (no aggregate, no GROUP BY) without
@@ -239,34 +262,46 @@ func WithRecovery(maxAttempts int) RunOption {
 // the row count, LIMIT applied, sizes it. An aggregate or grouped query
 // keeps its rows. Under Audited the option is ignored: the churn-safety
 // audit compares every result's rows with its oracle's.
-func WithoutRows() RunOption { return func(o *runOptions) { o.withoutRows = true } }
+func WithoutRows() RunOption { return RunOption{kind: optWithoutRows} }
 
 // WithReliable sends every unicast hop by hop reliably (ACKs, bounded
 // retransmissions, duplicate suppression; see netsim) and arms scoped
 // recovery: the base station re-requests only the missing subtrees,
 // each recovery round first repairing the tree (repair.go).
 func WithReliable(cfg netsim.ReliableConfig) RunOption {
-	return func(o *runOptions) { o.reliable = &cfg }
+	return RunOption{kind: optReliable, reliable: cfg}
 }
 
 // WithLoss loses each packet with probability rate, drawn from seed
 // (netsim.Network.SetLossRate); a link's own rate overrides it.
 func WithLoss(rate float64, seed int64) RunOption {
-	return func(o *runOptions) { o.lossRate, o.lossSeed = rate, seed }
+	return RunOption{kind: optLoss, lossRate: rate, lossSeed: seed}
 }
 
 // Traced journals the execution's radio events and protocol spans into
 // rec, which the caller owns: the runner writes it only meanwhile. A nil
 // rec journals nothing.
-func Traced(rec *trace.Recorder) RunOption { return func(o *runOptions) { o.rec = rec } }
+func Traced(rec *trace.Recorder) RunOption { return RunOption{kind: optTraced, rec: rec} }
 
+// gatherOptions folds a call's options in order: a later option of a
+// kind replaces an earlier one.
 func gatherOptions(opts []RunOption) runOptions {
-	if len(opts) == 0 {
-		return runOptions{attempts: 1} // o below escapes: options are calls
-	}
 	o := runOptions{attempts: 1}
-	for _, opt := range opts {
-		opt(&o)
+	for i := range opts {
+		switch opt := &opts[i]; opt.kind {
+		case optAudited:
+			o.audit = true
+		case optRecovery:
+			o.attempts = opt.attempts
+		case optWithoutRows:
+			o.withoutRows = true
+		case optReliable:
+			o.reliable, o.reliableCfg = true, opt.reliable
+		case optLoss:
+			o.lossRate, o.lossSeed = opt.lossRate, opt.lossSeed
+		case optTraced:
+			o.rec = opt.rec
+		}
 	}
 	return o
 }

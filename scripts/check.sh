@@ -228,15 +228,22 @@ go test -run '^$' -fuzz '^FuzzSizeBits$' -fuzztime 5s -fuzzminimizetime 0 ./inte
 # UnionAll equals a plain merge applied set by set.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 5s -fuzzminimizetime 0 ./internal/quadtree
 go test -run '^$' -fuzz '^FuzzUnionAll$' -fuzztime 5s -fuzzminimizetime 0 ./internal/quadtree
+# BWZ fuzz smoke: the counting-sort BWT equals the comparison-sort
+# reference and reports ties exactly on periodic blocks; Decompress never
+# panics, allocates no more than its input accounts for, and what it
+# accepts round-trips.
+go test -run '^$' -fuzz '^FuzzBWT$' -fuzztime 5s -fuzzminimizetime 0 ./internal/compress
+go test -run '^$' -fuzz '^FuzzBWZDecompress$' -fuzztime 5s -fuzzminimizetime 0 ./internal/compress
 # Layer benchmarks, one iteration each: they still run. Serving path
 # (frame codec, client round trip), then the simulator round's layers:
-# size-only quadtree costing beside Encode, pooled zlib, plan building
+# size-only quadtree costing beside Encode, pooled zlib, BWZ and its BWT,
+# E8's compressed representation over a 1 500-node image, plan building
 # on warm and cold snapshots, one whole SENS-Join round, a Treecut-heavy
 # round that is almost all phase A, one external round, and a round's
 # packet accounting (with its Reset) at 1 500 and 100 000 nodes.
 go test -run '^$' -bench 'Rows|ClientRoundTrip' -benchtime 1x -benchmem ./internal/proto ./pkg/client
-go test -run '^$' -bench 'SizeBits|Encode1500|ZlibCompress' -benchtime 1x -benchmem ./internal/quadtree ./internal/compress
-go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound|PhaseA|ExternalRound|CollectorCharge' -benchtime 1x -benchmem ./internal/core ./internal/stats
+go test -run '^$' -bench 'SizeBits|Encode1500|ZlibCompress|BWZ|BWT' -benchtime 1x -benchmem ./internal/quadtree ./internal/compress
+go test -short -run '^$' -bench 'BuildPlan|SENSJoinRound|PhaseA|ExternalRound|CollectorCharge|CompressedRep' -benchtime 1x -benchmem ./internal/core ./internal/stats
 # The event queue's share of a wave: every node of a 40-level tree gets a
 # deadline, at 1 500 and 100 000 nodes, on one heap and on two regions.
 go test -run '^$' -bench 'WaveSchedule' -benchtime 1x -benchmem ./internal/netsim
