@@ -27,7 +27,8 @@
 // EXPERIMENTS.md records the paper-vs-measured comparison.
 //
 // -serve starts a live observability server (see serve.go): Prometheus
-// /metrics, JSON /progress, expvar and /debug/pprof. -progress prints
+// /metrics, JSON /progress, /healthz, /debug/vars, /debug/pprof and /quit.
+// -progress prints
 // per-cell completion lines to stderr. Neither changes stdout by a byte.
 package main
 
@@ -74,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file")
 	audit := fs.Bool("audit", false, "self-audit every execution against its journal; violations fail the experiment")
 	traceFile := fs.String("trace", "", "instead of the suite, journal one calibrated SENS-Join run: JSONL to this file, Chrome trace alongside, breakdown to stdout")
-	serveAddr := fs.String("serve", "", "serve live observability on this address (e.g. :9137 or 127.0.0.1:0): /metrics, /progress, /debug/vars, /debug/pprof/")
+	serveAddr := fs.String("serve", "", "serve live observability on this address (e.g. :9137 or 127.0.0.1:0): /metrics, /progress, /healthz, /debug/vars, /debug/pprof/, /quit")
 	progress := fs.Bool("progress", false, "print per-cell sweep completion lines to stderr")
 	hold := fs.Bool("hold", false, "with -serve: keep serving after the suite finishes until GET /quit or interrupt")
 	loss := fs.String("loss", "", "L1: comma-separated packet loss rates (e.g. 0.05,0.10) to sweep with hop-by-hop reliable transport")
@@ -145,7 +146,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if obs, err = startServe(*serveAddr, cfg.Metrics, cfg.Progress, stderr); err != nil {
 			return exit(1, err)
 		}
-		defer obs.stop()
+		defer obs.Stop()
 	}
 
 	if *traceFile != "" {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
@@ -31,8 +32,9 @@ var suiteFamilies = []string{
 }
 
 // A served, held run exposes a valid exposition with every suite family,
-// its progress and a CPU profile, exits on /quit, and prints the same
-// tables as a plain run, byte for byte.
+// its progress, expvar's own variables (the registry is /metrics' alone)
+// and a CPU profile, exits on /quit, and prints the same tables as a
+// plain run, byte for byte.
 func TestServeKeepsTheTables(t *testing.T) {
 	args := []string{"-nodes", "400", "-only", "E1a,X6", "-audit"}
 	plain, msg, code := runCLI(args...)
@@ -69,6 +71,19 @@ func TestServeKeepsTheTables(t *testing.T) {
 	}
 	if p := get(t, base+"progress"); !strings.Contains(p, `"id": "E1a"`) {
 		t.Errorf("/progress does not list E1a:\n%s", p)
+	}
+	var vars map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(get(t, base+"debug/vars")), &vars); err != nil {
+		t.Fatalf("/debug/vars: %v", err)
+	}
+	if _, ok := vars["memstats"]; !ok {
+		t.Error("/debug/vars lacks memstats")
+	}
+	if _, ok := vars["sensjoin"]; ok {
+		t.Error("/debug/vars mirrors the registry, which /metrics serves")
+	}
+	if idx := get(t, base); !strings.HasPrefix(idx, "sensjoin experiments: ") {
+		t.Errorf("/ answers %q, not the suite's index", idx)
 	}
 	if len(get(t, base+"debug/pprof/profile?seconds=1")) == 0 {
 		t.Error("empty CPU profile")

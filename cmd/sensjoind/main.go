@@ -11,9 +11,10 @@
 //
 // -listen is the query protocol port (see PROTOCOL.md, pkg/client).
 // -http serves observability: /metrics (Prometheus), /healthz,
-// /debug/vars, /debug/pprof/ and the /debug/queries flight recorder
-// ("" disables it). -trace-sample sets the fraction of queries whose
-// full span tree is captured and served at /debug/queries?trace=<id>.
+// /debug/vars (expvar's memstats and cmdline), /debug/pprof/ and the
+// /debug/queries flight recorder ("" disables it). -trace-sample sets
+// the fraction of queries whose full span tree is captured and served at
+// /debug/queries?trace=<id>.
 //
 // SIGINT/SIGTERM drain the server gracefully (in-flight queries finish,
 // continuous queries end their epoch loops early) and exit 0.
@@ -105,8 +106,9 @@ func serve(listen, httpAddr string, cfg server.Config, stderr io.Writer) error {
 			srv.Close()
 			return err
 		}
-		metrics.PublishExpvar("sensjoind", reg)
-		obs = server.StartObsHTTP(ln, reg, srv, cfg.Logger)
+		mux := server.ObsMux(reg, "sensjoind: /metrics /healthz /debug/vars /debug/pprof/ /debug/queries")
+		srv.AttachDebug(mux)
+		obs = server.StartObsHTTP(ln, mux, cfg.Logger)
 		fmt.Fprintf(stderr, "sensjoind: observability on http://%s/ (metrics, pprof, debug/queries)\n", ln.Addr())
 	}
 

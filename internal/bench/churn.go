@@ -20,10 +20,10 @@ import (
 // mid-round repairs and their latency, and the transmission overhead
 // churn induces over the churn-free baseline.
 //
-// Rate-0 cells attach no injector at all, so their tables are
-// byte-identical to the seed experiments by construction; per-cell
-// churn seeds make every cell independent of execution order and the
-// -parallel worker count.
+// Rate-0 cells run without an injector, so their tables are
+// byte-identical to the seed experiments by construction. Per-cell
+// churn seeds, and pooled runners that come back as built, make every
+// cell independent of execution order and the -parallel worker count.
 
 // ChurnBenchConfig parameterizes the X10 experiment.
 type ChurnBenchConfig struct {
@@ -39,8 +39,11 @@ type ChurnBenchConfig struct {
 	Rates []float64
 	// Rounds is the number of query rounds per cell (default 20).
 	Rounds int
-	// Epoch is the churn epoch in simulated seconds; each round covers
-	// one epoch of churn (default 30).
+	// Epoch is the churn epoch in simulated seconds (default 30). Each
+	// round covers the ticks up to one epoch past the clock at its start,
+	// and every one of them fires inside the round; a round that
+	// overruns the epoch moves every later horizon with it (ROADMAP
+	// item 26).
 	Epoch float64
 	// Fraction is the calibrated result-fraction target (default 5%).
 	Fraction float64
@@ -130,11 +133,19 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 		}
 	}
 
+	// Cells lease their runners from one pool: reset undoes a cell's
+	// churn, its dead nodes and downed links and the tree it healed, so a
+	// cell cannot tell a runner another cell churned from a new one.
+	pool, err := core.NewRunnerPool(setupFor(cfg.Nodes, cfg.Seed, cfg.MaxPacket), max(cfg.Parallel, 1))
+	if err != nil {
+		return nil, err
+	}
 	run := func(s spec) (ChurnPoint, error) {
-		r, err := privateRunner(cfg.Nodes, cfg.Seed, cfg.MaxPacket)
+		r, err := pool.Get()
 		if err != nil {
 			return ChurnPoint{}, err
 		}
+		defer pool.Put(r)
 		opts := []core.RunOption{core.Audited()} // violations are counted, not fatal
 		transport := churnBestEffort
 		if s.reliable {
@@ -152,7 +163,8 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 			if s.reliable {
 				seed += 13
 			}
-			ch = r.AttachChurn(netsim.ChurnConfig{Seed: seed, Rate: s.rate, Epoch: cfg.Epoch})
+			ch = netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: seed, Rate: s.rate, Epoch: cfg.Epoch})
+			opts = append(opts, core.WithChurn(ch))
 		}
 		delta, _ := workload.Calibrate(r, preset, cfg.Fraction)
 		prep, err := r.Prepare(preset.Build(delta))
@@ -168,11 +180,11 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 		for round := 0; round < cfg.Rounds; round++ {
 			horizon := r.Sim.Now() + cfg.Epoch
 			if ch != nil {
-				// One epoch of churn per round period. Ticks the round's own
-				// event windows reach fire mid-round (between phases or
-				// inside the reliable drain); the rest fire in the idle tail
-				// below, so every leg sees the same churn process whether
-				// its rounds drain the heap or run bounded windows.
+				// Schedule the ticks up to one epoch past the clock. The
+				// round drains the coordinator queue, so every tick Cover
+				// scheduled fires inside the round (between phases or in
+				// the reliable drain), however long the round runs
+				// (ROADMAP item 26).
 				ch.Cover(horizon)
 			}
 			// Pre-round oracle: GroundTruth reflects aliveness at call
@@ -206,8 +218,8 @@ func RunChurnResilience(cfg ChurnBenchConfig) (*ChurnResult, error) {
 				}
 			}
 			if ch != nil {
-				// Idle tail: advance to the period boundary so churn ticks
-				// beyond the round's last event window still happen.
+				// Idle tail: no tick is left to fire; this only moves the
+				// clock to the horizon when the round ended before it.
 				r.Sim.RunUntil(horizon)
 			}
 		}

@@ -128,17 +128,17 @@ func setupFor(nodes int, seed int64, maxPacket int) core.SetupConfig {
 
 // privateRunner builds a runner no pool will see. It is the harness's
 // only door to core.NewRunner (scripts/check.sh greps for others), for
-// the callers that cannot lease: the experiment that attaches churn and
-// repairs trees, which a pool would drop on return anyway (X10), and the
-// artefact experiments that keep one runner for their whole run outside
-// any All call (X8, X9's oracle). Loss, reliable transport and a journal
-// are not a reason: they are an execution's options, gone when it ends.
+// the artefact experiments that keep one runner for their whole run
+// outside any All call (X8, X9's oracle). Loss, reliable transport,
+// churn and a journal are not a reason: they are an execution's options,
+// gone when it ends, and reset undoes the faults and the healed tree
+// they leave.
 func privateRunner(nodes int, seed int64, maxPacket int) (*core.Runner, error) {
 	return core.NewRunner(setupFor(nodes, seed, maxPacket))
 }
 
 // lease takes a runner for this configuration out of the call's pools;
-// done ends the lease. For every experiment that attaches no churn.
+// done ends the lease.
 func (c Config) lease() (r *core.Runner, done func(), err error) {
 	p, err := c.leases.pool(setupFor(c.Nodes, c.Seed, c.MaxPacket))
 	if err != nil {

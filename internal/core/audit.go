@@ -14,7 +14,7 @@ import (
 // a transmission), reconciliation (journal totals equal the stats
 // collector's, bit-exact), slot-schedule ordering (no parent transmits
 // before its children in the collection phases), reliable-transport
-// bookkeeping, churn safety when an injector is attached, and — for
+// bookkeeping, churn safety when the round runs WithChurn, and — for
 // filter-based rounds on loss-free runs — filter soundness (no suppressed
 // tuple contributes to the ground truth).
 type auditSegment struct {
@@ -26,7 +26,7 @@ type auditSegment struct {
 	// with (recovery traffic is not slot-audited).
 	tree *routing.Tree
 	// truths are the round's pre-round oracles of the churn-safety pass,
-	// one per execution, set when an injector is attached.
+	// one per execution, set when the round runs WithChurn.
 	truths []*Result
 }
 

@@ -114,10 +114,10 @@ func TestAuditedContinuousRoundsBounded(t *testing.T) {
 // -0 therefore stays clean; under == every NaN row failed it.
 func TestAuditedNonFiniteCellsClean(t *testing.T) {
 	r := testRunner(t, 100, 3)
-	r.AttachChurn(netsim.ChurnConfig{Rate: 0}) // gives the round its oracles
 	res, err := r.Run(`SELECT A.temp / (B.temp - B.temp), (B.temp - B.temp) / (B.temp - B.temp),
 		(B.temp - B.temp) * -1, -A.temp / (B.temp - B.temp), A.temp
-		FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 ONCE`, NewSENSJoin(), 0, Audited())
+		FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 ONCE`, NewSENSJoin(), 0,
+		WithChurn(netsim.NewChurn(r.Net, netsim.ChurnConfig{})), Audited()) // the churn gives the round its oracles
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"testing"
 
+	"sensjoin/internal/metrics"
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
+	"sensjoin/internal/trace"
 	"sensjoin/internal/zorder"
 )
 
@@ -241,12 +243,12 @@ func TestRecoveryReasonLoss(t *testing.T) {
 // subtrees.
 func TestChurnRoundsAuditClean(t *testing.T) {
 	r := testRunner(t, 150, 101)
-	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
+	ch := netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
 	complete := 0
 	const rounds = 6
 	for i := 0; i < rounds; i++ {
 		ch.Cover(r.Sim.Now() + 60)
-		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Audited())
+		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), WithChurn(ch), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +279,7 @@ func TestChurnRoundsAuditClean(t *testing.T) {
 // audit passes, as FuzzRoundIsExact's cluster lane assumes.
 func TestQueryGroupChurnAuditRuns(t *testing.T) {
 	r := testRunner(t, 150, 101)
-	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
+	ch := netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
 	ch.Cover(r.Sim.Now() + 60)
 	srcs := []string{qBand(0.5), qBand(0.6)}
 	truths := groundTruths(t, r, srcs, 0)
@@ -287,7 +289,7 @@ func TestQueryGroupChurnAuditRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := g.RunRound(r, 0, Audited())
+	results, err := g.RunRound(r, 0, WithChurn(ch), Audited())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +316,7 @@ func TestQueryGroupChurnAuditRuns(t *testing.T) {
 // carries the repairs its round made.
 func TestQueryGroupUnderChurnAndLoss(t *testing.T) {
 	r := testRunner(t, 150, 101)
-	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
+	ch := netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: 17, Rate: 0.01, Epoch: 10})
 	srcs := []string{qBand(0.5), qBand(0.6), qBand(0.7)}
 	g, err := clusterOf(r, srcs)
 	if err != nil {
@@ -326,7 +328,7 @@ func TestQueryGroupUnderChurnAndLoss(t *testing.T) {
 		at := float64(e) * 30
 		ch.Cover(r.Sim.Now() + 60)
 		truths := groundTruths(t, r, srcs, at)
-		results, err := g.RunRound(r, at, WithLoss(0.05, 7), WithReliable(netsim.ReliableConfig{}), Audited())
+		results, err := g.RunRound(r, at, WithLoss(0.05, 7), WithReliable(netsim.ReliableConfig{}), WithChurn(ch), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -376,12 +378,12 @@ func TestSoakChurn(t *testing.T) {
 	// Churn budget leans toward mobility (small DeathShare): moved nodes
 	// sever links mid-round but their data is recoverable over repaired
 	// paths, which is exactly the behaviour the soak wants to prove.
-	ch := r.AttachChurn(netsim.ChurnConfig{Seed: 29, Rate: 0.006, Epoch: 8, DeathShare: 0.05, Speed: 3})
+	ch := netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: 29, Rate: 0.006, Epoch: 8, DeathShare: 0.05, Speed: 3})
 	const rounds = 12
 	complete, repairs := 0, 0
 	for i := 0; i < rounds; i++ {
 		ch.Cover(r.Sim.Now() + 80)
-		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Audited())
+		res, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), WithChurn(ch), Audited())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,5 +405,50 @@ func TestSoakChurn(t *testing.T) {
 	}
 	if complete*2 < rounds {
 		t.Fatalf("completeness collapsed: %d/%d rounds complete", complete, rounds)
+	}
+}
+
+// WithChurn wires the caller's injector for one execution: each tick
+// that fires inside it counts in the runner's sensjoin_churn_*
+// instruments and journals its deaths, rejoins and moves in the
+// execution's recorder. A tick that fires between executions still
+// changes the network, but is neither counted there nor journaled.
+func TestWithChurnWiresOneExecution(t *testing.T) {
+	r := testRunner(t, 150, 101)
+	reg := metrics.New()
+	r.EnableMetrics(reg)
+	ticks := func() int64 { return reg.Snapshot()["sensjoin_churn_ticks_total"].(int64) }
+	ch := netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: 17, Rate: 0.05, Epoch: 10})
+	ch.Cover(r.Sim.Now() + 60)
+	rec := trace.New()
+	if _, err := r.Run(qBand(0.5), NewSENSJoin(), 0, WithChurn(ch), Traced(rec)); err != nil {
+		t.Fatal(err)
+	}
+	journaled := 0
+	for _, ev := range rec.Journal().Events {
+		switch ev.Kind {
+		case trace.KindChurnDeath, trace.KindChurnRejoin, trace.KindChurnMove:
+			journaled++
+		}
+	}
+	if ch.Ticks == 0 || ch.Deaths == 0 {
+		t.Fatalf("%d ticks, %d deaths inside the execution: the test exercised nothing", ch.Ticks, ch.Deaths)
+	}
+	if got := ticks(); got != int64(ch.Ticks) {
+		t.Fatalf("sensjoin_churn_ticks_total = %d, the execution fired %d ticks", got, ch.Ticks)
+	}
+	if want := ch.Deaths + ch.Rejoins + ch.Moves; journaled != want {
+		t.Fatalf("%d churn events journaled, the injector made %d", journaled, want)
+	}
+
+	inside, mark := ch.Ticks, rec.Mark()
+	ch.Cover(r.Sim.Now() + 60)
+	r.Sim.RunUntil(r.Sim.Now() + 60)
+	if ch.Ticks == inside {
+		t.Fatal("no tick fired between executions")
+	}
+	if got := ticks(); got != int64(inside) || rec.Mark() != mark || ch.OnEvent != nil {
+		t.Fatalf("between executions: ticks_total %d (want %d), %d events journaled, hook set: %t",
+			got, inside, rec.Mark()-mark, ch.OnEvent != nil)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"sensjoin/internal/field"
 	"sensjoin/internal/netsim"
 	"sensjoin/internal/routing"
 	"sensjoin/internal/topology"
@@ -180,7 +181,15 @@ func TestRebuildTreeSteersAroundExhaustedLinks(t *testing.T) {
 // Treecut behaviour is exactly predictable.
 func lineRunner(t *testing.T, n int) *Runner {
 	t.Helper()
-	return NewRunnerFromDeployment(topology.Line(n, 40, 50), netsim.RadioConfig{}, 5)
+	return runnerOn(topology.Line(n, 40, 50))
+}
+
+// runnerOn wraps a hand-built deployment (a line, a star, a fan), which
+// a SetupConfig cannot describe, with the default radio and the
+// environment of seed 5.
+func runnerOn(dep *topology.Deployment) *Runner {
+	return NewRunnerFromSetup(dep, field.StandardEnvironment(dep.Area, 5),
+		routing.BuildTree(dep.Neighbors, topology.BaseStation), SetupConfig{})
 }
 
 func TestTreecutOnLineTopology(t *testing.T) {

@@ -202,8 +202,9 @@ func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutc
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ch *netsim.Churn
 	if c.churn {
-		r.AttachChurn(netsim.ChurnConfig{Seed: c.seed, Rate: 0.01, Epoch: 30})
+		ch = netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: c.seed, Rate: 0.01, Epoch: 30})
 	}
 	var preps []*Prepared
 	for _, scale := range []float64{1, 1.25} {
@@ -238,11 +239,14 @@ func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutc
 	if c.loss {
 		opts = append(opts, WithLoss(0.05, c.seed))
 	}
+	if ch != nil {
+		opts = append(opts, WithChurn(ch))
+	}
 	for e := 0; e < c.epochs; e++ {
 		at := float64(e) * 30
 		horizon := r.Sim.Now() + 30
-		if r.churn != nil {
-			r.churn.Cover(horizon)
+		if ch != nil {
+			ch.Cover(horizon)
 		}
 		var truths []*Result
 		for _, p := range preps {
@@ -285,7 +289,7 @@ func (c fuzzRound) run(t *testing.T, shards int, withoutRows bool) (out fuzzOutc
 				t.Fatalf("shards=%d epoch %d member %d: incomplete without a reason", shards, e, j)
 			}
 			violations := res.Violations
-			if r.churn == nil {
+			if ch == nil {
 				violations = append(violations, trace.ChurnSafety(rec.JournalSince(mark), trace.ChurnVerdict{
 					Complete: res.Complete, OracleExact: exact, Reason: res.IncompleteReason,
 					MissingSubtrees: len(res.MissingSubtrees), Repairs: res.Repairs,

@@ -11,9 +11,10 @@ import "sensjoin/internal/metrics"
 // keeps one for the length of a bench.All or bench.Run* call.
 //
 // A lessee may run queries with any RunOption, read anything, set Member
-// and Env, enable metrics and break nodes and links. It must not write
-// into what the runner shares with others — Dep, Catalog, the cached
-// Environment and Tree — and must not use the runner after Put.
+// and Env, enable metrics, break nodes and links and heal the tree. It
+// must not write into what the runner shares with others — Dep, Catalog,
+// the cached Environment and Tree — and must not use the runner after
+// Put.
 type RunnerPool struct {
 	cfg  SetupConfig
 	free chan *Runner
@@ -54,7 +55,8 @@ func (p *RunnerPool) Get() (*Runner, error) {
 }
 
 // Put ends a lease. The runner is reset and kept for the next Get, or
-// dropped when it cannot be made equal to a new one or the pool is full.
+// dropped when it cannot be made equal to a new one (events are still
+// pending) or the pool is full.
 // A runner that may still be executing (an abandoned, timed-out run) must
 // not be put back at all.
 func (p *RunnerPool) Put(r *Runner) {
@@ -72,17 +74,20 @@ func (p *RunnerPool) Put(r *Runner) {
 // it managed to. The simulated clock and every sequence counter go back
 // to zero (so event times, tie order, message ids and with them
 // Result.ResponseTime to the last bit repeat), Stats is cleared in place,
-// Member, Env and the metrics wiring return to their defaults, and the
-// network forgets every fault (netsim.Network.Reset). An execution's
-// transport, loss and journal were disarmed when it ended. With events
-// still pending, churn attached or a rebuilt tree it reports false and
-// the runner must not be reused.
+// Member, Env and the metrics wiring return to their defaults, the
+// network forgets every fault (netsim.Network.Reset) and the routing tree
+// the runner was built with comes back, since a tree healed around those
+// faults (mid-round repair, RebuildTree) outlives them no more. An
+// execution's transport, loss, journal and churn wiring were disarmed
+// when it ended. With events still pending it reports false and the
+// runner must not be reused.
 func (r *Runner) reset() bool {
-	if r.Tree != r.tree0 || r.churn != nil || !r.Sim.Reset() {
+	if !r.Sim.Reset() {
 		return false
 	}
 	r.Net.Reset()
 	r.Stats.Reset()
+	r.setTree(r.tree0)
 	r.Env, r.Member = r.env0, nil
 	if r.reg != nil {
 		r.EnableMetrics(nil)

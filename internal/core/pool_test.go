@@ -51,8 +51,9 @@ func observe(t *testing.T, r *Runner, p *Prepared, m Method) observed {
 // after five), and so do the rows, the packet totals, the event count and
 // the whole journal, message ids included — also after the runner ran a
 // round under 5% loss with reliable transport and a lossy link, a traced
-// round and an audited one, and was left with a dead node and a downed
-// link.
+// round and an audited one, an audited reliable round under churn that
+// repaired its tree mid-round and a round that rebuilt it to recover, and
+// was left with a dead node, a downed link and the healed tree.
 func TestPooledRunnerRepeatsAFreshOne(t *testing.T) {
 	for _, cfg := range []SetupConfig{
 		{Nodes: 300, Seed: 7},
@@ -79,6 +80,10 @@ func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
 		t.Fatal(err)
 	}
 	other, err := fresh.Prepare(poolOther)
+	if err != nil {
+		t.Fatal(err)
+	}
+	band, err := fresh.Prepare(qBand(0.5)) // many rows, so a severed subtree is missed
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +114,33 @@ func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
 			t.Fatal(err)
 		}
 	}
+	// A tree edge severed mid-round makes the reliable transport give
+	// up, so the round's scoped recovery repairs the tree around it while
+	// churn kills, moves and revives nodes.
+	child, parent := failLink(used)
+	used.Sim.Schedule(used.Sim.Now()+0.5, func() { used.Net.LinkDown(child, parent) })
+	ch := netsim.NewChurn(used.Net, netsim.ChurnConfig{Seed: 1, Rate: 0.05, Epoch: 10})
+	ch.Cover(used.Sim.Now() + 60)
+	res, err := used.RunPrepared(band, m(), 8, WithReliable(netsim.ReliableConfig{}), WithChurn(ch), Audited())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Repairs == 0 || ch.Ticks == 0 || len(res.Violations) > 0 {
+		t.Fatalf("the churned round made %d repairs in %d ticks, %d violations: the warm-up healed nothing",
+			res.Repairs, ch.Ticks, len(res.Violations))
+	}
+	// Best effort over another severed edge leaves the first attempt
+	// incomplete, so WithRecovery rebuilds the tree and runs again.
+	used.Net.LinkDown(failLink(used))
+	if res, err = used.RunPrepared(band, m(), 9, WithRecovery(3)); err != nil {
+		t.Fatal(err)
+	}
+	if res.Attempts < 2 {
+		t.Fatalf("the recovering round took %d attempt(s): the warm-up rebuilt nothing", res.Attempts)
+	}
 	used.Net.KillNode(5)
 	used.Net.LinkDown(2, used.Dep.Neighbors[2][0])
-	if used.Sim.Now() == 0 || used.Stats.TotalTx() == 0 || used.Net.Retx == 0 {
+	if used.Sim.Now() == 0 || used.Stats.TotalTx() == 0 || used.Net.Retx == 0 || used.Tree == used.tree0 {
 		t.Fatal("the warm-up left no history to reset")
 	}
 	pool.Put(used)
@@ -170,40 +199,29 @@ func TestResetRestoresTheSwitches(t *testing.T) {
 	}
 }
 
-// A runner that cannot be made equal to a new one is never handed out
-// again: churn, pending events and a rebuilt tree leave marks that reset
-// does not undo.
+// A runner with events still pending cannot be made equal to a new one,
+// so it is never handed out again.
 func TestPoolDropsRunnersItCannotReset(t *testing.T) {
-	cfg := SetupConfig{Nodes: 150, Seed: 7}
-	for _, c := range []struct {
-		name  string
-		dirty func(r *Runner)
-	}{
-		{"churn", func(r *Runner) { r.AttachChurn(netsim.ChurnConfig{Seed: 1, Rate: 0.01}) }},
-		{"pending events", func(r *Runner) { r.Sim.Schedule(r.Sim.Now()+1, func() {}) }},
-		{"rebuilt tree", func(r *Runner) { r.RebuildTree() }},
-	} {
-		pool, err := NewRunnerPool(cfg, 2)
+	pool, err := NewRunnerPool(SetupConfig{Nodes: 150, Seed: 7}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := pool.Get()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(poolSrc, NewSENSJoin(), 0); err != nil {
+		t.Fatal(err)
+	}
+	r.Sim.Schedule(r.Sim.Now()+1, func() {})
+	pool.Put(r)
+	for i := 0; i < 3; i++ {
+		next, err := pool.Get()
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := pool.Get()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.Run(poolSrc, NewSENSJoin(), 0); err != nil {
-			t.Fatal(err)
-		}
-		c.dirty(r)
-		pool.Put(r)
-		for i := 0; i < 3; i++ {
-			next, err := pool.Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if next == r {
-				t.Errorf("%s: the runner was handed out again", c.name)
-			}
+		if next == r {
+			t.Error("a runner with a pending event was handed out again")
 		}
 	}
 }

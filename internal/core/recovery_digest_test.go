@@ -63,9 +63,9 @@ func TestRecoveryDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lane.arm(r)
+			ch := lane.arm(r)
 			rec := trace.New()
-			results, err := lane.run(r, lane.opts(Traced(rec))...)
+			results, err := lane.run(r, ch, append(lane.opts(Traced(rec)), WithChurn(ch))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestRecoveryDigests(t *testing.T) {
 		}
 	}
 
-	r := NewRunnerFromDeployment(topology.Line(12, 40, 50), netsim.RadioConfig{}, 5)
+	r := runnerOn(topology.Line(12, 40, 50))
 	rec := trace.New()
 	r.Net.SetLinkLossRate(1, 2, 1.0)
 	res, err := r.Run(qBand(10), NewSENSJoin(), 0, WithReliable(netsim.ReliableConfig{}), Traced(rec), Audited())

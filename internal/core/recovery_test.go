@@ -58,7 +58,7 @@ func TestReliableLossExactAndComplete(t *testing.T) {
 func TestFilterStandDownForcesSubtreeRecovery(t *testing.T) {
 	// 12-node chain: long enough that only the tail is Treecut and a real
 	// filter travels down through nodes 1..9.
-	r := NewRunnerFromDeployment(topology.Line(12, 40, 50), netsim.RadioConfig{}, 5)
+	r := runnerOn(topology.Line(12, 40, 50))
 	rec := trace.New()
 	// Jam the down-direction of the 1→2 tree edge only: phase A (child to
 	// parent) is untouched, the filter and every re-request give up.
@@ -254,7 +254,7 @@ func chainFan(relays, branches, length int) *topology.Deployment {
 // whose every node is a member. Branch b's nodes are 21+3b, 22+3b, 23+3b.
 func chainFanRound(t *testing.T) (*Runner, *Exec, *plan) {
 	t.Helper()
-	r := NewRunnerFromDeployment(chainFan(20, 4, 3), netsim.RadioConfig{}, 5)
+	r := runnerOn(chainFan(20, 4, 3))
 	r.Net.EnableReliable(netsim.ReliableConfig{})
 	x, err := execSQL(r, qBand(10), 0)
 	if err != nil {

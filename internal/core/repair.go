@@ -63,37 +63,3 @@ func exhaustedLinks(net *netsim.Network) func(a, b topology.NodeID) bool {
 		return bad[netsim.Link{From: a, To: b}] > 0 || bad[netsim.Link{From: b, To: a}] > 0
 	}
 }
-
-// AttachChurn wires a churn & mobility injector to this runner's
-// network and into the sensjoin_churn_* instrument family when metrics
-// are enabled; a tick that fires inside a traced execution is journaled
-// there. Call Cover on the returned
-// injector before each execution window. Churn ticks are coordinator
-// events (netsim.Sim.Schedule): they run with every region stopped, so a
-// sharded runner stays sharded and same-seed churn runs replay
-// bit-identically at any shard or worker count.
-func (r *Runner) AttachChurn(cfg netsim.ChurnConfig) *netsim.Churn {
-	ch := netsim.NewChurn(r.Net, cfg)
-	if r.reg != nil {
-		ch.SetMetrics(netsim.NewChurnMetrics(r.reg))
-	}
-	// The journal hook reads the running execution's recorder at event
-	// time; a tick between executions is journaled nowhere.
-	ch.OnEvent = func(ev netsim.ChurnEvent) {
-		if r.rec == nil {
-			return
-		}
-		var k trace.Kind
-		switch ev.Kind {
-		case netsim.ChurnDeath:
-			k = trace.KindChurnDeath
-		case netsim.ChurnRejoin:
-			k = trace.KindChurnRejoin
-		default:
-			k = trace.KindChurnMove
-		}
-		r.rec.Span(ev.At, k, ev.Node, -1, "", ev.Arg)
-	}
-	r.churn = ch
-	return ch
-}

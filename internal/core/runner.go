@@ -77,17 +77,14 @@ type Runner struct {
 	auditRec *trace.Recorder
 	// workers is SetupConfig.SetupWorkers, forwarded to each Exec.
 	workers int
-	// churn is the attached fault injector, nil without AttachChurn.
-	churn *netsim.Churn
-	// reg remembers the registry EnableMetrics wired, so features
-	// enabled later (AttachChurn) can register their instruments too.
+	// reg remembers the registry EnableMetrics wired, so an execution
+	// under WithChurn registers the injector's instruments there too.
 	reg *metrics.Registry
 	// scratch is the per-node run state and join-kernel storage every
 	// execution on this runner borrows (runstate.go).
 	scratch runScratch
 	// env0 and tree0 are the environment and routing tree the runner was
-	// built with: reset puts the first back and refuses to recycle a
-	// runner whose tree was rebuilt or repaired (pool.go).
+	// built with; reset puts both back (pool.go).
 	env0  *field.Environment
 	tree0 *routing.Tree
 }
@@ -166,13 +163,6 @@ func NewRunnerFromSetup(dep *topology.Deployment, env *field.Environment, tree *
 	return r
 }
 
-// NewRunnerFromDeployment wraps an existing deployment (tests use
-// hand-built topologies such as lines and stars).
-func NewRunnerFromDeployment(dep *topology.Deployment, radio netsim.RadioConfig, seed int64) *Runner {
-	return NewRunnerFromSetup(dep, field.StandardEnvironment(dep.Area, seed),
-		routing.BuildTree(dep.Neighbors, topology.BaseStation), SetupConfig{Radio: radio})
-}
-
 // A Runner has four query entry points and no others (pinned by
 // TestRunnerQuerySurface): Prepare analyses a query, Exec binds the
 // analysed query to this runner at one instant, RunPrepared executes it,
@@ -194,10 +184,11 @@ func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 }
 
 // RunOption adjusts one Run, RunPrepared or QueryGroup.RunRound call. It
-// is the one way to say how an execution runs — transport, loss, journal,
-// audit, recovery, rows — and lasts exactly as long as the execution
-// (see Runner.arm). Dead nodes, downed links, per-link loss and the
-// exhausted-link record are the network's state until its Reset.
+// is the one way to say how an execution runs — transport, loss, churn,
+// journal, audit, recovery, rows — and lasts exactly as long as the
+// execution (see Runner.arm). Dead nodes, downed links, per-link loss,
+// the exhausted-link record and a healed routing tree are the network's
+// state until the runner's reset.
 //
 // An option is plain data, one kind with its arguments, so gathering a
 // call's options allocates nothing.
@@ -208,6 +199,7 @@ type RunOption struct {
 	lossSeed int64
 	reliable netsim.ReliableConfig
 	rec      *trace.Recorder
+	churn    *netsim.Churn
 }
 
 type optionKind uint8
@@ -219,6 +211,7 @@ const (
 	optReliable
 	optLoss
 	optTraced
+	optChurn
 )
 
 // runOptions is what a call's options ask for together.
@@ -229,6 +222,7 @@ type runOptions struct {
 	reliable    bool
 	reliableCfg netsim.ReliableConfig
 	rec         *trace.Recorder
+	churn       *netsim.Churn
 	audit       bool
 	withoutRows bool
 }
@@ -283,6 +277,18 @@ func WithLoss(rate float64, seed int64) RunOption {
 // rec journals nothing.
 func Traced(rec *trace.Recorder) RunOption { return RunOption{kind: optTraced, rec: rec} }
 
+// WithChurn runs the execution under ch, a churn & mobility injector on
+// this runner's network (netsim.NewChurn) that the caller owns and
+// covers (Churn.Cover) before each execution window. Meanwhile a tick
+// is journaled in the execution's recorder and counted in the
+// sensjoin_churn_* instruments of the runner's metrics, and under
+// Audited every result is checked against a ground truth taken before
+// the round (the churn-safety pass). A nil ch churns nothing. Ticks are
+// coordinator events (netsim.Sim.Schedule): they run with every region
+// stopped, so a sharded runner stays sharded and same-seed churn runs
+// replay bit-identically at any shard or worker count.
+func WithChurn(ch *netsim.Churn) RunOption { return RunOption{kind: optChurn, churn: ch} }
+
 // gatherOptions folds a call's options in order: a later option of a
 // kind replaces an earlier one.
 func gatherOptions(opts []RunOption) runOptions {
@@ -301,6 +307,8 @@ func gatherOptions(opts []RunOption) runOptions {
 			o.lossRate, o.lossSeed = opt.lossRate, opt.lossSeed
 		case optTraced:
 			o.rec = opt.rec
+		case optChurn:
+			o.churn = opt.churn
 		}
 	}
 	return o
@@ -331,13 +339,14 @@ func (r *Runner) RunPrepared(p *Prepared, m Method, t float64, opts ...RunOption
 // attempts is the one attempt loop every execution passes through:
 // RunPrepared runs a lone query as a round of one, QueryGroup.RunRound
 // each cluster as a round of its members. round runs method m once per
-// prepared query at time t. The options' transport, loss and journal are
-// armed for the whole loop and disarmed when it ends. Each attempt
-// counts once in sensjoin_core_runs_total and, under Audited, is audited
-// with every result; while any result is incomplete and WithRecovery
-// allows, the tree is rebuilt and the round re-run. Every result carries
-// the attempt count and what the round's audits found. Under WithoutRows
-// every execution of an unaudited round builds no plain rows.
+// prepared query at time t. The options' transport, loss, journal and
+// churn wiring are armed for the whole loop and disarmed when it ends.
+// Each attempt counts once in sensjoin_core_runs_total and, under
+// Audited, is audited with every result; while any result is incomplete
+// and WithRecovery allows, the tree is rebuilt and the round re-run.
+// Every result carries the attempt count and what the round's audits
+// found. Under WithoutRows every execution of an unaudited round builds
+// no plain rows.
 func (r *Runner) attempts(ps []*Prepared, m Method, t float64, o runOptions,
 	round func(execs []*Exec) ([]*Result, error)) ([]*Result, error) {
 	r.arm(&o)
@@ -353,7 +362,7 @@ func (r *Runner) attempts(ps []*Prepared, m Method, t float64, o runOptions,
 			execs[j] = r.Exec(p, t)
 			execs[j].withoutRows = o.withoutRows && seg == nil // an audit compares rows
 		}
-		if seg != nil && r.churn != nil {
+		if seg != nil && o.churn != nil {
 			// The churn-safety oracles must be computed before the run:
 			// churn may kill members mid-round, and GroundTruth reflects
 			// aliveness at call time — the contract is "exact w.r.t. the
@@ -403,9 +412,6 @@ func (r *Runner) EnableMetrics(reg *metrics.Registry) {
 	r.Metrics = NewMetrics(reg)
 	r.treeDepth = reg.Gauge("sensjoin_routing_tree_depth", "routing tree depth (largest hop count)")
 	r.treeDepth.Set(int64(r.Tree.MaxDepth))
-	if r.churn != nil {
-		r.churn.SetMetrics(netsim.NewChurnMetrics(reg))
-	}
 }
 
 // RebuildTree re-forms the routing tree over the currently live links,

@@ -13,19 +13,20 @@ import (
 const shardTraceSrc = `SELECT A.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp - B.temp > 8.0 ONCE`
 
 // shardLane is one configuration the sharded engine must run exactly like
-// one region: arm breaks a new runner's network (per-link loss, churn);
-// opts are the options every execution runs with, in the lane's order,
-// given the option that journals it; run executes with them and returns
-// every result.
+// one region: arm breaks a new runner's network (per-link loss) and
+// returns the churn injector the lane runs under, nil for none; opts are
+// the options every execution runs with, in the lane's order, given the
+// option that journals it; run executes with them, covering epochs with
+// the injector, and returns every result.
 type shardLane struct {
 	name string
-	arm  func(r *Runner)
+	arm  func(r *Runner) *netsim.Churn
 	opts func(traced RunOption) []RunOption
-	run  func(r *Runner, opts ...RunOption) ([]*Result, error)
+	run  func(r *Runner, ch *netsim.Churn, opts ...RunOption) ([]*Result, error)
 }
 
-// noFault leaves a runner's network as built.
-func noFault(*Runner) {}
+// noFault leaves a runner's network as built and churns nothing.
+func noFault(*Runner) *netsim.Churn { return nil }
 
 // with returns the journal followed by opts.
 func with(opts ...RunOption) func(RunOption) []RunOption {
@@ -33,23 +34,23 @@ func with(opts ...RunOption) func(RunOption) []RunOption {
 }
 
 // once runs shardTraceSrc with m.
-func once(m Method) func(r *Runner, opts ...RunOption) ([]*Result, error) {
-	return func(r *Runner, opts ...RunOption) ([]*Result, error) {
+func once(m Method) func(r *Runner, ch *netsim.Churn, opts ...RunOption) ([]*Result, error) {
+	return func(r *Runner, _ *netsim.Churn, opts ...RunOption) ([]*Result, error) {
 		res, err := r.Run(shardTraceSrc, m, 0, opts...)
 		return []*Result{res}, err
 	}
 }
 
 // epochs runs shardTraceSrc with SENS-Join once per 30 s epoch, k times,
-// covering each epoch with the runner's churn (when attached) and idling
-// to its end, as the X10 harness does.
-func epochs(k int) func(r *Runner, opts ...RunOption) ([]*Result, error) {
-	return func(r *Runner, opts ...RunOption) ([]*Result, error) {
+// covering each epoch with the lane's churn (if any) and idling to its
+// end, as the X10 harness does.
+func epochs(k int) func(r *Runner, ch *netsim.Churn, opts ...RunOption) ([]*Result, error) {
+	return func(r *Runner, ch *netsim.Churn, opts ...RunOption) ([]*Result, error) {
 		var out []*Result
 		for e := 0; e < k; e++ {
 			horizon := r.Sim.Now() + 30
-			if r.churn != nil {
-				r.churn.Cover(horizon)
+			if ch != nil {
+				ch.Cover(horizon)
 			}
 			res, err := r.Run(shardTraceSrc, NewSENSJoin(), 0, opts...)
 			if err != nil {
@@ -65,23 +66,26 @@ func epochs(k int) func(r *Runner, opts ...RunOption) ([]*Result, error) {
 // faultLanes are loss, reliable transport and churn, alone and together.
 func faultLanes() []shardLane {
 	reliable := WithReliable(netsim.ReliableConfig{})
-	churn := func(r *Runner) { r.AttachChurn(netsim.ChurnConfig{Seed: 5, Rate: 0.01, Epoch: 30}) }
+	churn := func(r *Runner) *netsim.Churn {
+		return netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: 5, Rate: 0.01, Epoch: 30})
+	}
 	// A tree edge that drops every packet forces a give-up and scoped
 	// recovery; two more lose some.
-	linkLoss := func(r *Runner) {
+	linkLoss := func(r *Runner) *netsim.Churn {
 		child, parent := failLink(r)
 		r.Net.SetLinkLossRate(child, parent, 1)
 		r.Net.SetLinkLossRate(parent, child, 0.3)
 		r.Net.SetLinkLossRate(7, r.Tree.Parent[7], 0.5)
+		return nil
 	}
 	return []shardLane{
 		{"5% loss", noFault, with(WithLoss(0.05, 11)), once(NewSENSJoin())},
 		{"reliable, 5% loss", noFault, with(reliable, WithLoss(0.05, 12)), once(NewSENSJoin())},
 		{"reliable, per-link loss", linkLoss, with(reliable), once(NewSENSJoin())},
 		{"reliable, 1% churn, repair", churn, with(reliable), epochs(4)},
-		{"everything", func(r *Runner) {
+		{"everything", func(r *Runner) *netsim.Churn {
 			linkLoss(r)
-			churn(r)
+			return churn(r)
 		}, with(WithLoss(0.05, 13), reliable), epochs(4)},
 	}
 }
@@ -93,7 +97,7 @@ func shardLanes() []shardLane {
 		{"sens-join", noFault, with(), once(NewSENSJoin())},
 		{"external-join", noFault, with(), once(External{})},
 		{"mediated-join", noFault, with(), once(Mediated{})},
-		{"3-member group round", noFault, with(), func(r *Runner, opts ...RunOption) ([]*Result, error) {
+		{"3-member group round", noFault, with(), func(r *Runner, _ *netsim.Churn, opts ...RunOption) ([]*Result, error) {
 			g := NewQueryGroup(Options{})
 			for _, delta := range []float64{7, 7.5, 8} {
 				p, err := r.Prepare(qTempBand(delta))
@@ -109,7 +113,7 @@ func shardLanes() []shardLane {
 			}
 			return g.RunRound(r, 0, opts...)
 		}},
-		{"continuous sens-join", noFault, with(), func(r *Runner, opts ...RunOption) ([]*Result, error) {
+		{"continuous sens-join", noFault, with(), func(r *Runner, _ *netsim.Churn, opts ...RunOption) ([]*Result, error) {
 			cont := NewContinuousSENSJoin()
 			var out []*Result
 			for epoch := 0; epoch < 3; epoch++ {
@@ -134,22 +138,22 @@ func orderingLanes() []shardLane {
 	var lanes []shardLane
 	for _, o := range []struct {
 		name string
-		arm  func(*Runner)
+		arm  func(*Runner) *netsim.Churn
 		opts func(RunOption) []RunOption
 	}{
 		{"trace", noFault, with()},
 		{"reliable", noFault, with(reliable)},
 		{"loss", noFault, with(loss)},
-		{"link-loss", func(r *Runner) { r.Net.SetLinkLossRate(1, 2, 0.5) }, with()},
+		{"link-loss", func(r *Runner) *netsim.Churn { r.Net.SetLinkLossRate(1, 2, 0.5); return nil }, with()},
 		{"trace-then-reliable", noFault, with(reliable)},
 		{"reliable-then-trace", noFault, func(traced RunOption) []RunOption { return []RunOption{reliable, traced} }},
 		{"loss-then-trace-then-reliable", noFault, func(traced RunOption) []RunOption {
 			return []RunOption{loss, traced, reliable}
 		}},
-		{"netsim-reliable-direct", func(r *Runner) { r.Net.EnableReliable(netsim.ReliableConfig{}) }, with()},
+		{"netsim-reliable-direct", func(r *Runner) *netsim.Churn { r.Net.EnableReliable(netsim.ReliableConfig{}); return nil }, with()},
 		// The execution's journal replaces a tracer set on the network.
-		{"netsim-tracer-direct", func(r *Runner) { r.Net.SetTracer(func(netsim.TraceEvent) {}) }, with()},
-		{"netsim-linkloss-direct", func(r *Runner) { r.Net.SetLinkLossRate(3, 4, 1.0) }, with()},
+		{"netsim-tracer-direct", func(r *Runner) *netsim.Churn { r.Net.SetTracer(func(netsim.TraceEvent) {}); return nil }, with()},
+		{"netsim-linkloss-direct", func(r *Runner) *netsim.Churn { r.Net.SetLinkLossRate(3, 4, 1.0); return nil }, with()},
 	} {
 		lanes = append(lanes, shardLane{o.name, o.arm, o.opts, once(NewSENSJoin())})
 	}
@@ -164,9 +168,9 @@ func shardTraceRun(t *testing.T, shards int, lane shardLane) (journal []byte, ro
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane.arm(r)
+	ch := lane.arm(r)
 	rec := trace.New()
-	results, err := lane.run(r, lane.opts(Traced(rec))...)
+	results, err := lane.run(r, ch, append(lane.opts(Traced(rec)), WithChurn(ch))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +267,7 @@ func TestShardBindAfterFeatureFallsBack(t *testing.T) {
 // A sharded, traced execution must pass every audit pass, faults
 // included. Audited covers conservation, reconciliation, slot order,
 // reliability and filter soundness, and churn safety — sixth — wherever
-// churn is attached; without churn the pass runs here, on the merged
+// the lane churns; without churn the pass runs here, on the merged
 // journal, against the ground truth taken before the run.
 func TestShardTraceAuditsClean(t *testing.T) {
 	lanes := append([]shardLane{{"sens-join", noFault, with(), once(NewSENSJoin())}}, faultLanes()...)
@@ -274,10 +278,10 @@ func TestShardTraceAuditsClean(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lane.arm(r)
+				ch := lane.arm(r)
 				rec := trace.New()
 				var truth *Result
-				if r.churn == nil {
+				if ch == nil {
 					x, err := execSQL(r, shardTraceSrc, 0)
 					if err != nil {
 						t.Fatal(err)
@@ -286,7 +290,7 @@ func TestShardTraceAuditsClean(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				results, err := lane.run(r, append(lane.opts(Traced(rec)), Audited())...)
+				results, err := lane.run(r, ch, append(lane.opts(Traced(rec)), Audited(), WithChurn(ch))...)
 				if err != nil {
 					t.Fatal(err)
 				}

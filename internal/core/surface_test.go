@@ -36,8 +36,8 @@ func entryMethods(typ reflect.Type, markers ...reflect.Type) []string {
 // disarm" exists once because a Runner has exactly four ways in and a
 // QueryGroup two. Another way in is another copy of that sequence to keep
 // in step: add a RunOption instead. RunOption is also the one way to say
-// how an execution runs — its transport, loss, journal and audit — so the
-// Runner has no switch or field that says it between executions.
+// how an execution runs — its transport, loss, churn, journal and audit —
+// so the Runner has no switch or field that says it between executions.
 func TestRunnerQuerySurface(t *testing.T) {
 	var (
 		method   = reflect.TypeOf((*Method)(nil)).Elem()
@@ -64,6 +64,12 @@ func TestRunnerQuerySurface(t *testing.T) {
 		if _, ok := runner.Elem().FieldByName(name); ok {
 			t.Errorf("Runner has a %s field: an execution's journal and audit are its RunOptions", name)
 		}
+	}
+	if _, ok := runner.MethodByName("AttachChurn"); ok {
+		t.Error("Runner has an AttachChurn method: an execution's churn is its WithChurn option")
+	}
+	if _, ok := runner.Elem().FieldByName("churn"); ok {
+		t.Error("Runner has a churn field: an execution's churn is its WithChurn option")
 	}
 }
 

@@ -25,11 +25,12 @@ type rowlessRun struct {
 	err     error
 }
 
-// rowlessCondition arms a runner with faults and says which options every
+// rowlessCondition arms a runner with faults, returning the churn
+// injector it runs under (nil for none), and says which options every
 // round of the condition passes.
 type rowlessCondition struct {
 	name   string
-	arm    func(*Runner)
+	arm    func(*Runner) *netsim.Churn
 	opts   []RunOption
 	epochs int
 	// reexecutes says the first round must take a second attempt.
@@ -41,21 +42,22 @@ const rowlessSrc = "SELECT A.temp, B.hum FROM Sensors A, Sensors B WHERE A.temp 
 
 func rowlessConditions() []rowlessCondition {
 	return []rowlessCondition{
-		{name: "fault-free", arm: func(*Runner) {}, epochs: 1},
-		{name: "5% loss, reliable", arm: func(*Runner) {},
+		{name: "fault-free", arm: noFault, epochs: 1},
+		{name: "5% loss, reliable", arm: noFault,
 			opts: []RunOption{WithReliable(netsim.ReliableConfig{}), WithLoss(0.05, 11)}, epochs: 1},
 		// A severed tree edge makes the first attempt incomplete, so
 		// WithRecovery rebuilds the tree and re-executes.
-		{name: "churn, WithRecovery", arm: func(r *Runner) {
-			r.AttachChurn(netsim.ChurnConfig{Seed: 5, Rate: 0.02, Epoch: 30})
+		{name: "churn, WithRecovery", arm: func(r *Runner) *netsim.Churn {
+			ch := netsim.NewChurn(r.Net, netsim.ChurnConfig{Seed: 5, Rate: 0.02, Epoch: 30})
 			r.Net.LinkDown(failLink(r))
+			return ch
 		}, opts: []RunOption{WithRecovery(3)}, epochs: 3, reexecutes: true},
 	}
 }
 
 // rowlessTrace arms a fresh traced runner and runs round once per 30 s
-// epoch, covering each epoch with the runner's churn and idling to its
-// end.
+// epoch, covering each epoch with the condition's churn and idling to
+// its end.
 func rowlessTrace(t *testing.T, shards int, c rowlessCondition,
 	round func(r *Runner, at float64, opts ...RunOption) ([]*Result, error), opts ...RunOption) rowlessRun {
 	t.Helper()
@@ -63,15 +65,15 @@ func rowlessTrace(t *testing.T, shards int, c rowlessCondition,
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.arm(r)
+	ch := c.arm(r)
 	rec := trace.New()
 	var out rowlessRun
 	for e := 0; e < c.epochs; e++ {
 		horizon := r.Sim.Now() + 30
-		if r.churn != nil {
-			r.churn.Cover(horizon)
+		if ch != nil {
+			ch.Cover(horizon)
 		}
-		res, err := round(r, float64(e)*30, append(append([]RunOption{Traced(rec)}, c.opts...), opts...)...)
+		res, err := round(r, float64(e)*30, append(append([]RunOption{Traced(rec), WithChurn(ch)}, c.opts...), opts...)...)
 		if err != nil {
 			out.err = err
 			break
@@ -242,13 +244,13 @@ func TestWithoutRowsChangesOnlyRows(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.arm(r)
+			ch := c.arm(r)
 			built := 0
 			for e := 0; e < c.epochs; e++ {
 				at := float64(e) * 30
 				horizon := r.Sim.Now() + 30
-				if r.churn != nil {
-					r.churn.Cover(horizon)
+				if ch != nil {
+					ch.Cover(horizon)
 				}
 				x, err := execSQL(r, rowlessSrc, at)
 				if err != nil {
@@ -258,7 +260,7 @@ func TestWithoutRowsChangesOnlyRows(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := r.Run(rowlessSrc, NewSENSJoin(), at, append(c.opts, Audited(), WithoutRows())...)
+				res, err := r.Run(rowlessSrc, NewSENSJoin(), at, append(c.opts, WithChurn(ch), Audited(), WithoutRows())...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -122,8 +122,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Snapshot returns a flat map of every series to its current value —
-// histograms contribute _sum and _count entries. expvar.Func feeds on
-// it. Safe on a nil registry (returns an empty map).
+// histograms contribute _sum and _count entries. Safe on a nil registry
+// (returns an empty map).
 func (r *Registry) Snapshot() map[string]any {
 	out := map[string]any{}
 	if r == nil {

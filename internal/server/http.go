@@ -45,15 +45,10 @@ type ObsHTTP struct {
 	srv *http.Server
 }
 
-// StartObsHTTP serves the standard observability mux on ln with the
-// hardened server configuration. A non-nil s additionally serves its
-// flight recorder at /debug/queries.
-func StartObsHTTP(ln net.Listener, reg *metrics.Registry, s *Server, log *slog.Logger) *ObsHTTP {
-	mux := ObsMux(reg)
-	if s != nil {
-		s.AttachDebug(mux)
-	}
-	srv := Hardened(mux)
+// StartObsHTTP serves h, an observability mux (ObsMux and the caller's
+// own endpoints), on ln with the hardened server configuration.
+func StartObsHTTP(ln net.Listener, h http.Handler, log *slog.Logger) *ObsHTTP {
+	srv := Hardened(h)
 	ServeHTTP(srv, ln, log)
 	return &ObsHTTP{srv: srv}
 }
@@ -66,9 +61,10 @@ func (o *ObsHTTP) Stop() {
 	o.srv.Shutdown(ctx)
 }
 
-// ObsMux builds the standard observability mux: Prometheus exposition,
-// a health probe, expvar and pprof.
-func ObsMux(reg *metrics.Registry) *http.ServeMux {
+// ObsMux builds the standard observability mux: Prometheus exposition of
+// reg, a health probe, expvar's own variables (memstats, cmdline) and
+// pprof, with index, the caller's list of its endpoints, served at /.
+func ObsMux(reg *metrics.Registry, index string) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -90,7 +86,7 @@ func ObsMux(reg *metrics.Registry) *http.ServeMux {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "sensjoind: /metrics /healthz /debug/vars /debug/pprof/ /debug/queries")
+		fmt.Fprintln(w, index)
 	})
 	return mux
 }

@@ -107,7 +107,7 @@ func TestServerTraceEndToEnd(t *testing.T) {
 
 	// The span tree is non-empty, served over HTTP as JSONL, and every
 	// event — radio and span alike — carries the query's trace ID.
-	mux := ObsMux(reg)
+	mux := ObsMux(reg, "")
 	s.AttachDebug(mux)
 	hs := httptest.NewServer(mux)
 	defer hs.Close()

@@ -46,8 +46,11 @@ fi
 # key X8-X10 compared result tables by: a table comparison is a
 # tabledigest Digest or Diff. And the runner's trace and transport
 # switches and its strict audit field: an execution's transport, loss,
-# journal and audit are its run options.
-retired=$(grep -rnE 'EnableReliableTransport|EnableTrace|DisableTrace|AutoAudit|rowSetKey|promcheck|ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover|shippedByFlags' \
+# journal and audit are its run options. And the runner's churn switch
+# (an execution's churn is WithChurn), the expvar mirror of the registry
+# (/metrics serves it) and the hand-built-deployment constructor (a core
+# test helper now).
+retired=$(grep -rnE 'EnableReliableTransport|EnableTrace|DisableTrace|AutoAudit|rowSetKey|promcheck|ExecSQL|ExecPrepared|AuditRun\b|RunWithRecovery|NewExec|AuditRound|\.Logf\b|groupNode|groupTuple|onGroupFilter|sendGroupFilter|forwardGroupTuples|StreamUnion|StreamIntersect|StreamContains|sensjoin/internal/wire|slabRows|fallbackFromSharding|noteShardFallback|DisableSharding|shard_fallback|runClassic|bandjoin|detectBandCond|computeFilterBand|DisableBandIndex|semiMatches|bandEntry|runIndependent|acquireGroup|MaxRounds|DrainTimeout|EnableMidRoundRepair|RebuildTreeAvoidingFailures|fullsIn|\bkeySet\b|SetTrace\b|diffScratch|kindRecover|shippedByFlags|AttachChurn|PublishExpvar|NewRunnerFromDeployment' \
   --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . || true)
 if [ -n "$retired" ]; then
   echo "retired entry points are back in non-test Go:" >&2
@@ -93,10 +96,10 @@ if [ -n "$coord" ]; then
 fi
 # Runners are leased, not built: the daemon and the experiment suite get
 # theirs from a core.RunnerPool, and the harness's one door to a runner
-# of its own is bench.privateRunner (churn, the artefact experiments).
-# Loss, reliable transport and journals lease: they are an execution's
-# options, gone when it ends. A second construction site is a runner
-# nobody resets.
+# of its own is bench.privateRunner (the artefact experiments X8 and
+# X9's oracle). Loss, reliable transport, churn and journals lease: they
+# are an execution's options, gone when it ends. A second construction
+# site is a runner nobody resets.
 built=$(grep -rn 'core\.NewRunner(' --include='*.go' --exclude='*_test.go' internal/bench internal/server || true)
 case "$built" in
 internal/bench/experiments.go:*"return core.NewRunner(setupFor("*) [ "$(printf '%s\n' "$built" | wc -l)" -eq 1 ] ;;
