@@ -14,9 +14,12 @@ import (
 	"sensjoin/internal/trace"
 )
 
+// Both return rows at 300 nodes, seed 7, so the row comparisons below
+// compare something: poolSrc 2,194 at t = 0, where it is observed, and
+// poolOther between 59 and 3,059 at each warm-up time (0–7).
 const (
-	poolSrc   = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 6 ONCE"
-	poolOther = "SELECT A.hum, B.hum, A.temp FROM Sensors A, Sensors B WHERE A.hum - B.hum > 20 ONCE"
+	poolSrc   = "SELECT A.temp, B.temp FROM Sensors A, Sensors B WHERE A.temp - B.temp > 4 ONCE"
+	poolOther = "SELECT A.hum, B.hum, A.temp FROM Sensors A, Sensors B WHERE A.hum - B.hum > 9 ONCE"
 )
 
 // observed is everything a run lets its caller see.
@@ -88,6 +91,9 @@ func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
 		t.Fatal(err)
 	}
 	want := observe(t, fresh, prep, m())
+	if len(want.rows) == 0 {
+		t.Fatalf("%s: %q returned no rows", m().Name(), poolSrc)
+	}
 
 	pool, err := NewRunnerPool(cfg, 1)
 	if err != nil {
@@ -99,8 +105,12 @@ func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
 	}
 	for i := 0; i < 5; i++ {
 		for _, mm := range []Method{External{}, NewSENSJoin()} {
-			if _, err := used.RunPrepared(other, mm, float64(i)); err != nil {
+			res, err := used.RunPrepared(other, mm, float64(i))
+			if err != nil {
 				t.Fatal(err)
+			}
+			if len(res.Rows) == 0 {
+				t.Fatalf("%s: %q returned no rows", mm.Name(), poolOther)
 			}
 		}
 	}
@@ -110,8 +120,12 @@ func pooledRepeatsFresh(t *testing.T, cfg SetupConfig, m func() Method) {
 		{Traced(trace.New())},
 		{Audited()},
 	} {
-		if _, err := used.RunPrepared(other, NewSENSJoin(), float64(5+i), opts...); err != nil {
+		res, err := used.RunPrepared(other, NewSENSJoin(), float64(5+i), opts...)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if len(res.Rows) == 0 {
+			t.Fatalf("%q returned no rows under %d options", poolOther, len(opts))
 		}
 	}
 	// A tree edge severed mid-round makes the reliable transport give

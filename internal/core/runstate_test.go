@@ -345,9 +345,11 @@ type queueProbe struct {
 	peak int
 }
 
-func (q *queueProbe) OnRx(node netsim.NodeID, phase string, packets, bytes int) {
-	q.peak = max(q.peak, q.sim.Pending())
-	q.Accountant.OnRx(node, phase, packets, bytes)
+func (q *queueProbe) Charge(side netsim.Side, node netsim.NodeID, phase string, packets, bytes int) {
+	if side == netsim.SideRx {
+		q.peak = max(q.peak, q.sim.Pending())
+	}
+	q.Accountant.Charge(side, node, phase, packets, bytes)
 }
 
 // A wave's deadlines are one queue entry per tree level, so what a round

@@ -206,7 +206,7 @@ func TestShardFallbackCounterOnBind(t *testing.T) {
 		})
 		sim.Run()
 		return fmt.Sprintf("tx=%d rx=%d lost=%d retx=%d ack=%d dup=%d giveup=%d",
-			m.Tx.Value(), m.Rx.Value(), m.Lost.Value(), m.Retx.Value(), m.Ack.Value(), m.Dup.Value(), m.GiveUp.Value())
+			m.tx.Value(), m.rx.Value(), m.lost.Value(), m.retx.Value(), m.ack.Value(), m.dup.Value(), m.giveUp.Value())
 	}
 	want := counts(1)
 	for _, shards := range []int{2, 4} {

@@ -136,11 +136,12 @@ type countingAcct struct {
 	phase     string
 }
 
-func (a *countingAcct) OnTx(n netsim.NodeID, phase string, p, b int) {
-	a.txPackets += int64(p)
-	a.phase = phase
+func (a *countingAcct) Charge(side netsim.Side, n netsim.NodeID, phase string, p, b int) {
+	if side == netsim.SideTx {
+		a.txPackets += int64(p)
+		a.phase = phase
+	}
 }
-func (a *countingAcct) OnRx(n netsim.NodeID, phase string, p, b int) {}
 
 func TestProtocolHealedTreeMatchesBFS(t *testing.T) {
 	// After failures, the next round's tree must match BFS hop counts
@@ -193,7 +194,7 @@ func TestProtocolRebroadcastsBounded(t *testing.T) {
 	announced := map[netsim.NodeID][]int{}
 	p := NewProtocol(net, 10)
 	net.SetTracer(func(ev netsim.TraceEvent) {
-		if ev.Event == "tx" && ev.Phase == PhaseBeacon {
+		if ev.Event == netsim.ActTx && ev.Phase == PhaseBeacon {
 			announced[ev.Src] = append(announced[ev.Src], p.hops[ev.Src])
 		}
 	})

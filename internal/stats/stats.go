@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
 )
 
@@ -34,28 +35,18 @@ func (c *Counter) Add(packets, bytes int) {
 	c.Bytes += int64(bytes)
 }
 
-// What a collector counts per (node, phase).
-const (
-	sideTx = iota
-	sideRx
-	sideRetx
-	sideAck
-	numSides
-)
-
 // table is one immutable version of a collector's index: the interned
 // phase labels and, per side and label, a column of one Counter per node
 // (nil until first charged). Only the counters change once published.
 type table struct {
 	labels []string
-	cols   [numSides][][]Counter // cols[side][label][node]
+	cols   [netsim.SideAck + 1][][]Counter // cols[side][label][node]
 }
 
-// Collector implements netsim.Accountant (and its reliable-transport
-// extension netsim.ReliabilityAccountant): per-node, per-phase counters.
-// Retransmissions and ACKs are always also charged through OnTx — the
-// retx/ack counters break the reliability overhead out of the totals,
-// they never add to them.
+// Collector implements netsim.Accountant: per-node, per-phase counters,
+// one set per side. Retransmissions and ACKs are always also charged to
+// netsim.SideTx — the retx/ack sides break the reliability overhead out
+// of the totals, they never add to them.
 //
 // Layout: phase labels are interned to small integers and each (side,
 // label) owns a dense column of n counters, allocated on its first charge
@@ -63,9 +54,9 @@ type table struct {
 // does an indexed add: no allocation once the column exists.
 //
 // Concurrency: the sharded simulator charges from parallel region
-// workers — OnTx on the sender's, OnRx on the receiver's — and a node
-// belongs to one region, so concurrent charges hit different elements of
-// a column and need no lock. The workers do share the index: it is
+// workers — a transmission on the sender's, a reception on the
+// receiver's — and a node belongs to one region, so concurrent charges
+// hit different elements of a column and need no lock. The workers do share the index: it is
 // published through an atomic pointer and replaced, never edited, under
 // mu when a label or a column is new. A worker holding an older version
 // finds its column there (versions share columns) or takes the slow path
@@ -83,29 +74,8 @@ func NewCollector(n int) *Collector {
 	return c
 }
 
-// OnTx records a transmission by node.
-func (c *Collector) OnTx(node topology.NodeID, phase string, packets, bytes int) {
-	c.charge(sideTx, node, phase, packets, bytes)
-}
-
-// OnRx records a reception at node.
-func (c *Collector) OnRx(node topology.NodeID, phase string, packets, bytes int) {
-	c.charge(sideRx, node, phase, packets, bytes)
-}
-
-// OnRetx records a reliable-transport retransmission by node (also
-// charged through OnTx).
-func (c *Collector) OnRetx(node topology.NodeID, phase string, packets, bytes int) {
-	c.charge(sideRetx, node, phase, packets, bytes)
-}
-
-// OnAck records a link-layer acknowledgement transmitted by node (also
-// charged through OnTx).
-func (c *Collector) OnAck(node topology.NodeID, phase string, packets, bytes int) {
-	c.charge(sideAck, node, phase, packets, bytes)
-}
-
-func (c *Collector) charge(side int, node topology.NodeID, phase string, packets, bytes int) {
+// Charge adds packets and bytes to one side of node's counter for phase.
+func (c *Collector) Charge(side netsim.Side, node topology.NodeID, phase string, packets, bytes int) {
 	t := c.tab.Load()
 	for i, l := range t.labels {
 		if l == phase { // callers pass constants: mostly settled by pointer
@@ -119,9 +89,9 @@ func (c *Collector) charge(side int, node topology.NodeID, phase string, packets
 	c.column(side, phase)[node].Add(packets, bytes)
 }
 
-// column is charge's slow path: intern phase, allocate the column and
+// column is Charge's slow path: intern phase, allocate the column and
 // publish a new index version. Labels only append, so none can alias.
-func (c *Collector) column(side int, phase string) []Counter {
+func (c *Collector) column(side netsim.Side, phase string) []Counter {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	old := c.tab.Load()
@@ -177,7 +147,7 @@ func (c *Collector) N() int { return c.n }
 
 // selected returns one side's allocated columns whose label is among
 // phases (all when none given); repeated or unknown entries change nothing.
-func (c *Collector) selected(side int, phases []string) [][]Counter {
+func (c *Collector) selected(side netsim.Side, phases []string) [][]Counter {
 	t := c.tab.Load()
 	var cols [][]Counter
 	for i, l := range t.labels {
@@ -199,30 +169,30 @@ func sumNode(cols [][]Counter, node topology.NodeID) (p, b int64) {
 // NodeTx returns the transmitted (packets, bytes) of node over the given
 // phases (all phases when none given).
 func (c *Collector) NodeTx(node topology.NodeID, phases ...string) (int64, int64) {
-	return sumNode(c.selected(sideTx, phases), node)
+	return sumNode(c.selected(netsim.SideTx, phases), node)
 }
 
 // NodeRx returns the received (packets, bytes) of node over the given
 // phases.
 func (c *Collector) NodeRx(node topology.NodeID, phases ...string) (int64, int64) {
-	return sumNode(c.selected(sideRx, phases), node)
+	return sumNode(c.selected(netsim.SideRx, phases), node)
 }
 
 // TotalRetx sums retransmitted packets over all nodes for the given
 // phases — the reliability overhead already contained in TotalTx.
 func (c *Collector) TotalRetx(phases ...string) int64 {
-	p, _ := c.total(sideRetx, phases)
+	p, _ := c.total(netsim.SideRetx, phases)
 	return p
 }
 
 // TotalAck sums acknowledgement packets over all nodes for the given
 // phases — like TotalRetx, a breakdown of TotalTx, not an addition.
 func (c *Collector) TotalAck(phases ...string) int64 {
-	p, _ := c.total(sideAck, phases)
+	p, _ := c.total(netsim.SideAck, phases)
 	return p
 }
 
-func (c *Collector) total(side int, phases []string) (p, b int64) {
+func (c *Collector) total(side netsim.Side, phases []string) (p, b int64) {
 	for _, col := range c.selected(side, phases) {
 		for i := range col {
 			p += col[i].Packets
@@ -234,20 +204,20 @@ func (c *Collector) total(side int, phases []string) (p, b int64) {
 
 // TotalTx sums transmitted packets over all nodes for the given phases.
 func (c *Collector) TotalTx(phases ...string) int64 {
-	p, _ := c.total(sideTx, phases)
+	p, _ := c.total(netsim.SideTx, phases)
 	return p
 }
 
 // TotalTxBytes sums transmitted bytes over all nodes for the given phases.
 func (c *Collector) TotalTxBytes(phases ...string) int64 {
-	_, b := c.total(sideTx, phases)
+	_, b := c.total(netsim.SideTx, phases)
 	return b
 }
 
 // PerNodeTx returns transmitted packets per node for the given phases.
 func (c *Collector) PerNodeTx(phases ...string) []int64 {
 	out := make([]int64, c.n)
-	for _, col := range c.selected(sideTx, phases) {
+	for _, col := range c.selected(netsim.SideTx, phases) {
 		for i := range col {
 			out[i] += col[i].Packets
 		}
@@ -295,13 +265,17 @@ func (s Snapshot) N() int { return s.c.n }
 func (s Snapshot) Phases() []string { return s.c.Phases() }
 
 // Tx returns node's transmitted counter for one phase.
-func (s Snapshot) Tx(node topology.NodeID, phase string) Counter { return s.c.at(sideTx, node, phase) }
+func (s Snapshot) Tx(node topology.NodeID, phase string) Counter {
+	return s.c.at(netsim.SideTx, node, phase)
+}
 
 // Rx returns node's received counter for one phase.
-func (s Snapshot) Rx(node topology.NodeID, phase string) Counter { return s.c.at(sideRx, node, phase) }
+func (s Snapshot) Rx(node topology.NodeID, phase string) Counter {
+	return s.c.at(netsim.SideRx, node, phase)
+}
 
 // at returns one counter; zero for a label or column never charged.
-func (c *Collector) at(side int, node topology.NodeID, phase string) Counter {
+func (c *Collector) at(side netsim.Side, node topology.NodeID, phase string) Counter {
 	t := c.tab.Load()
 	for i, l := range t.labels {
 		if l == phase && t.cols[side][i] != nil {
@@ -341,7 +315,7 @@ func (m EnergyModel) energy(tx, rx [][]Counter, node topology.NodeID) float64 {
 
 // NodeEnergy returns the energy in Joules spent by node under m.
 func (c *Collector) NodeEnergy(m EnergyModel, node topology.NodeID, phases ...string) float64 {
-	return m.energy(c.selected(sideTx, phases), c.selected(sideRx, phases), node)
+	return m.energy(c.selected(netsim.SideTx, phases), c.selected(netsim.SideRx, phases), node)
 }
 
 // TotalEnergy returns the summed energy over all sensor nodes (the base
@@ -387,7 +361,7 @@ func LifetimeRounds(perRoundJ []float64, batteryJ float64) (rounds int, firstDea
 // PerNodeEnergy returns each node's energy in Joules under m for the
 // given phases.
 func (c *Collector) PerNodeEnergy(m EnergyModel, phases ...string) []float64 {
-	tx, rx := c.selected(sideTx, phases), c.selected(sideRx, phases)
+	tx, rx := c.selected(netsim.SideTx, phases), c.selected(netsim.SideRx, phases)
 	out := make([]float64, c.n)
 	for i := range out {
 		out[i] = m.energy(tx, rx, topology.NodeID(i))

@@ -9,15 +9,16 @@ import (
 	"sync"
 	"testing"
 
+	"sensjoin/internal/netsim"
 	"sensjoin/internal/topology"
 )
 
 func TestCountersAndFilters(t *testing.T) {
 	c := NewCollector(3)
-	c.OnTx(1, "collect", 2, 50)
-	c.OnTx(1, "filter", 1, 10)
-	c.OnTx(2, "collect", 3, 100)
-	c.OnRx(0, "collect", 5, 150)
+	c.Charge(netsim.SideTx, 1, "collect", 2, 50)
+	c.Charge(netsim.SideTx, 1, "filter", 1, 10)
+	c.Charge(netsim.SideTx, 2, "collect", 3, 100)
+	c.Charge(netsim.SideRx, 0, "collect", 5, 150)
 
 	if p, b := c.NodeTx(1); p != 3 || b != 60 {
 		t.Fatalf("NodeTx(1) = %d/%d, want 3/60", p, b)
@@ -41,8 +42,8 @@ func TestCountersAndFilters(t *testing.T) {
 
 func TestPhases(t *testing.T) {
 	c := NewCollector(2)
-	c.OnTx(0, "b", 1, 1)
-	c.OnTx(1, "a", 1, 1)
+	c.Charge(netsim.SideTx, 0, "b", 1, 1)
+	c.Charge(netsim.SideTx, 1, "a", 1, 1)
 	got := c.Phases()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("Phases = %v, want [a b]", got)
@@ -51,10 +52,10 @@ func TestPhases(t *testing.T) {
 
 func TestPerNodeAndMax(t *testing.T) {
 	c := NewCollector(4)
-	c.OnTx(0, "p", 100, 0) // base station: must be excluded from Max
-	c.OnTx(1, "p", 5, 0)
-	c.OnTx(2, "p", 9, 0)
-	c.OnTx(3, "p", 1, 0)
+	c.Charge(netsim.SideTx, 0, "p", 100, 0) // base station: must be excluded from Max
+	c.Charge(netsim.SideTx, 1, "p", 5, 0)
+	c.Charge(netsim.SideTx, 2, "p", 9, 0)
+	c.Charge(netsim.SideTx, 3, "p", 1, 0)
 	per := c.PerNodeTx()
 	if per[2] != 9 || per[0] != 100 {
 		t.Fatalf("PerNodeTx = %v", per)
@@ -67,7 +68,7 @@ func TestPerNodeAndMax(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := NewCollector(2)
-	c.OnTx(1, "p", 5, 10)
+	c.Charge(netsim.SideTx, 1, "p", 5, 10)
 	c.Reset()
 	if c.TotalTx() != 0 || len(c.Phases()) != 0 {
 		t.Fatal("Reset did not clear counters")
@@ -76,15 +77,15 @@ func TestReset(t *testing.T) {
 
 func TestEnergyModel(t *testing.T) {
 	c := NewCollector(3)
-	c.OnTx(1, "p", 2, 100)
-	c.OnRx(1, "p", 1, 40)
+	c.Charge(netsim.SideTx, 1, "p", 2, 100)
+	c.Charge(netsim.SideRx, 1, "p", 1, 40)
 	m := EnergyModel{TxPerPacketJ: 10, TxPerByteJ: 1, RxPerPacketJ: 5, RxPerByteJ: 0.5}
 	want := 2.0*10 + 100*1 + 1*5 + 40*0.5
 	if got := c.NodeEnergy(m, 1); got != want {
 		t.Fatalf("NodeEnergy = %g, want %g", got, want)
 	}
 	// Base station excluded from TotalEnergy.
-	c.OnTx(0, "p", 1000, 0)
+	c.Charge(netsim.SideTx, 0, "p", 1000, 0)
 	if got := c.TotalEnergy(m); got != want {
 		t.Fatalf("TotalEnergy = %g, want %g (base station excluded)", got, want)
 	}
@@ -96,7 +97,7 @@ func TestEnergyModel(t *testing.T) {
 
 func TestPhaseTable(t *testing.T) {
 	c := NewCollector(2)
-	c.OnTx(1, "collect", 2, 80)
+	c.Charge(netsim.SideTx, 1, "collect", 2, 80)
 	out := c.PhaseTable()
 	if !strings.Contains(out, "collect") || !strings.Contains(out, "2 packets") {
 		t.Fatalf("PhaseTable output unexpected:\n%s", out)
@@ -135,7 +136,7 @@ func TestLifetimeRounds(t *testing.T) {
 
 func TestPerNodeEnergy(t *testing.T) {
 	c := NewCollector(3)
-	c.OnTx(1, "p", 2, 100)
+	c.Charge(netsim.SideTx, 1, "p", 2, 100)
 	m := EnergyModel{TxPerPacketJ: 1, TxPerByteJ: 0.01}
 	e := c.PerNodeEnergy(m)
 	if len(e) != 3 {
@@ -169,10 +170,10 @@ func TestLoadByDescendantsOverflowBin(t *testing.T) {
 
 func TestSnapshotDeepCopy(t *testing.T) {
 	c := NewCollector(2)
-	c.OnTx(1, "p", 2, 20)
-	c.OnRx(1, "p", 1, 10)
+	c.Charge(netsim.SideTx, 1, "p", 2, 20)
+	c.Charge(netsim.SideRx, 1, "p", 1, 10)
 	s := c.Snapshot()
-	c.OnTx(1, "p", 5, 50) // must not leak into the snapshot
+	c.Charge(netsim.SideTx, 1, "p", 5, 50) // must not leak into the snapshot
 	if got := s.Tx(1, "p"); got.Packets != 2 || got.Bytes != 20 {
 		t.Fatalf("snapshot tx = %+v, want {2 20}", got)
 	}
@@ -265,8 +266,8 @@ func TestGini(t *testing.T) {
 
 // collectorReference is the map-based collector this package had before
 // the dense one — per node, per side, a lazily made map from label to
-// counter, thrown away by Reset — kept verbatim as the oracle of the
-// differential test below.
+// counter, thrown away by Reset — kept as the oracle of the differential
+// test below, its four charge methods folded into one Charge.
 type collectorReference struct {
 	n                 int
 	tx, rx, retx, ack []map[string]*Counter
@@ -282,20 +283,8 @@ func newCollectorReference(n int) *collectorReference {
 	}
 }
 
-func (c *collectorReference) OnTx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.tx, node, phase).Add(packets, bytes)
-}
-
-func (c *collectorReference) OnRx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.rx, node, phase).Add(packets, bytes)
-}
-
-func (c *collectorReference) OnRetx(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.retx, node, phase).Add(packets, bytes)
-}
-
-func (c *collectorReference) OnAck(node topology.NodeID, phase string, packets, bytes int) {
-	c.counter(c.ack, node, phase).Add(packets, bytes)
+func (c *collectorReference) Charge(side netsim.Side, node topology.NodeID, phase string, packets, bytes int) {
+	c.counter([...][]map[string]*Counter{c.tx, c.rx, c.retx, c.ack}[side], node, phase).Add(packets, bytes)
 }
 
 func (c *collectorReference) counter(side []map[string]*Counter, node topology.NodeID, phase string) *Counter {
@@ -478,10 +467,7 @@ func (s snapshotReference) Rx(node topology.NodeID, phase string) Counter { retu
 // trace.Reconcile reads of a snapshot (it cannot be called from here:
 // package trace imports this one).
 type accounting interface {
-	OnTx(topology.NodeID, string, int, int)
-	OnRx(topology.NodeID, string, int, int)
-	OnRetx(topology.NodeID, string, int, int)
-	OnAck(topology.NodeID, string, int, int)
+	Charge(netsim.Side, topology.NodeID, string, int, int)
 	Reset()
 	N() int
 	Phases() []string
@@ -586,18 +572,9 @@ func TestCollectorMatchesReference(t *testing.T) {
 			}
 			node := topology.NodeID(rng.Intn(n))
 			label := pool[rng.Intn(len(pool))]
-			side, packets, bytes := rng.Intn(4), 1+rng.Intn(5), rng.Intn(200)
+			side, packets, bytes := netsim.Side(rng.Intn(4)), 1+rng.Intn(5), rng.Intn(200)
 			for _, c := range []accounting{got, want} {
-				switch side {
-				case 0:
-					c.OnTx(node, label, packets, bytes)
-				case 1:
-					c.OnRx(node, label, packets, bytes)
-				case 2:
-					c.OnRetx(node, label, packets, bytes)
-				default:
-					c.OnAck(node, label, packets, bytes)
-				}
+				c.Charge(side, node, label, packets, bytes)
 			}
 		}
 		check("at the end")
@@ -610,7 +587,7 @@ func TestCollectorMatchesReference(t *testing.T) {
 func TestCollectorConcurrentCharge(t *testing.T) {
 	const workers, perWorker, rounds = 8, 16, 200
 	c := NewCollector(workers * perWorker)
-	c.OnTx(0, "known", 1, 1) // one label exists up front, three do not
+	c.Charge(netsim.SideTx, 0, "known", 1, 1) // one label exists up front, three do not
 	labels := []string{"known", "new-a", "new-b", "new-c"}
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -623,8 +600,8 @@ func TestCollectorConcurrentCharge(t *testing.T) {
 				for _, l := range labels {
 					for k := 0; k < perWorker; k++ {
 						node := topology.NodeID(w*perWorker + k)
-						c.OnTx(node, l, 1, 10)
-						c.OnRx(node, l, 2, 20)
+						c.Charge(netsim.SideTx, node, l, 1, 10)
+						c.Charge(netsim.SideRx, node, l, 2, 20)
 					}
 				}
 			}
@@ -658,10 +635,10 @@ func TestCollectorChargeAllocs(t *testing.T) {
 	labels := []string{"ja-collect", "filter-dissem", "final-collect"}
 	charge := func() {
 		for _, l := range labels {
-			c.OnTx(5, l, 1, 40)
-			c.OnRx(6, l, 1, 40)
-			c.OnRetx(5, l, 1, 40)
-			c.OnAck(6, l, 1, 3)
+			c.Charge(netsim.SideTx, 5, l, 1, 40)
+			c.Charge(netsim.SideRx, 6, l, 1, 40)
+			c.Charge(netsim.SideRetx, 5, l, 1, 40)
+			c.Charge(netsim.SideAck, 6, l, 1, 3)
 		}
 	}
 	charge()
@@ -686,8 +663,8 @@ func BenchmarkCollectorCharge(b *testing.B) {
 				c.Reset()
 				for _, l := range labels {
 					for node := 0; node < n; node++ {
-						c.OnTx(topology.NodeID(node), l, 1, 40)
-						c.OnRx(topology.NodeID(node), l, 1, 40)
+						c.Charge(netsim.SideTx, topology.NodeID(node), l, 1, 40)
+						c.Charge(netsim.SideRx, topology.NodeID(node), l, 1, 40)
 					}
 				}
 			}

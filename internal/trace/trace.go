@@ -220,30 +220,21 @@ func (r *Recorder) append(ev Event) {
 	r.events = append(r.events, ev)
 }
 
-// Radio returns a netsim tracer that appends radio events to the
+// radioKinds maps a radio record's action to its journal kind.
+var radioKinds = [...]Kind{
+	netsim.ActTx: KindTx, netsim.ActRx: KindRx, netsim.ActDrop: KindDrop,
+	netsim.ActLost: KindLost, netsim.ActGiveUp: KindGiveUp,
+}
+
+// Radio returns a netsim tracer that appends radio records to the
 // journal (nil for a nil recorder). Install it with Network.SetTracer.
 func (r *Recorder) Radio() netsim.Tracer {
 	if r == nil {
 		return nil
 	}
 	return func(ev netsim.TraceEvent) {
-		var k Kind
-		switch ev.Event {
-		case "tx":
-			k = KindTx
-		case "rx":
-			k = KindRx
-		case "drop":
-			k = KindDrop
-		case "lost":
-			k = KindLost
-		case "giveup":
-			k = KindGiveUp
-		default:
-			return
-		}
 		r.append(Event{
-			At: ev.At, Kind: k,
+			At: ev.At, Kind: radioKinds[ev.Event],
 			Node: ev.Src, Peer: ev.Dst, MsgID: ev.MsgID, Phase: ev.Phase,
 			Packets: ev.Packets, Bytes: ev.Bytes, Expect: ev.Expect,
 			Attempt: ev.Attempt, Logical: ev.Logical, Dup: ev.Dup, Ack: ev.Ack,

@@ -2,8 +2,11 @@ package client_test
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,9 +18,16 @@ import (
 // connection runs the handler for its 1-based connection ordinal, so a
 // test can script "crash on the first connection, behave on the
 // second". Handlers run after a successful handshake.
+//
+// A handler that hangs up early shows on the client only as EOF, so the
+// server notes the first error each connection's reads and writes met
+// (or the handshake it refused) and names them when the test fails.
 type fakeServer struct {
 	t  testing.TB
 	ln net.Listener
+
+	mu   sync.Mutex
+	ends map[int]error // connection ordinal → the first error it met
 }
 
 func newFakeServer(t testing.TB, handlers ...func(conn net.Conn)) *fakeServer {
@@ -26,18 +36,37 @@ func newFakeServer(t testing.TB, handlers ...func(conn net.Conn)) *fakeServer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &fakeServer{t: t, ln: ln}
-	t.Cleanup(func() { ln.Close() })
+	fs := &fakeServer{t: t, ln: ln, ends: map[int]error{}}
+	t.Cleanup(func() {
+		ln.Close()
+		if !t.Failed() {
+			return
+		}
+		fs.mu.Lock()
+		defer fs.mu.Unlock()
+		ordinals := make([]int, 0, len(fs.ends))
+		for i := range fs.ends {
+			ordinals = append(ordinals, i)
+		}
+		sort.Ints(ordinals)
+		for _, i := range ordinals {
+			t.Logf("fake server, connection %d: %v", i, fs.ends[i])
+		}
+	})
 	go func() {
 		for i := 0; ; i++ {
-			conn, err := ln.Accept()
+			raw, err := ln.Accept()
 			if err != nil {
 				return
 			}
+			conn := &notingConn{Conn: raw, fs: fs, ordinal: i + 1}
 			h := handlers[min(i, len(handlers)-1)]
 			go func() {
 				defer conn.Close()
 				kind, _, err := proto.ReadFrame(conn)
+				if err == nil && kind != proto.KindHello {
+					fs.note(conn.ordinal, fmt.Errorf("handshake: frame kind %d, want Hello", kind))
+				}
 				if err != nil || kind != proto.KindHello {
 					return
 				}
@@ -49,6 +78,38 @@ func newFakeServer(t testing.TB, handlers ...func(conn net.Conn)) *fakeServer {
 		}
 	}()
 	return fs
+}
+
+// note keeps the first error connection ordinal met.
+func (fs *fakeServer) note(ordinal int, err error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if _, ok := fs.ends[ordinal]; !ok {
+		fs.ends[ordinal] = err
+	}
+}
+
+// notingConn is a server-side connection that notes its I/O errors.
+type notingConn struct {
+	net.Conn
+	fs      *fakeServer
+	ordinal int
+}
+
+func (c *notingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		c.fs.note(c.ordinal, fmt.Errorf("read: %w", err))
+	}
+	return n, err
+}
+
+func (c *notingConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	if err != nil {
+		c.fs.note(c.ordinal, fmt.Errorf("write: %w", err))
+	}
+	return n, err
 }
 
 func (fs *fakeServer) addr() string { return fs.ln.Addr().String() }
