@@ -17,8 +17,8 @@ import (
 type ScaleConfig struct {
 	// Sizes lists the node counts to measure (e.g. 10k..1M).
 	Sizes []int
-	// Shards lists the simulator shard counts per size (1 = classic
-	// engine).
+	// Shards lists the simulator shard counts per size (1 = one
+	// region).
 	Shards []int
 	// Seed drives placement and field generation.
 	Seed int64

@@ -87,6 +87,8 @@ type Runner struct {
 	// built with; reset puts both back (pool.go).
 	env0  *field.Environment
 	tree0 *routing.Tree
+	// swapTree is setTree, bound once for the executions' onTreeSwap.
+	swapTree func(*routing.Tree)
 }
 
 // NewRunner builds a connected deployment, its environment, the standard
@@ -153,6 +155,7 @@ func NewRunnerFromSetup(dep *topology.Deployment, env *field.Environment, tree *
 		env0:    env,
 		tree0:   tree,
 	}
+	r.swapTree = r.setTree
 	if cfg.Shards > 1 {
 		// Lookahead: the air time of one empty packet, the minimum
 		// latency of any cross-node interaction.
@@ -179,7 +182,7 @@ func (r *Runner) Exec(p *Prepared, t float64) *Exec {
 		Query: p.query, Analysis: p.analysis, prog: p.prog, shape: p.shape, Time: t,
 		Trace: r.rec, Metrics: r.Metrics,
 		scratch: &r.scratch, Workers: r.workers,
-		onTreeSwap: r.setTree,
+		onTreeSwap: r.swapTree,
 	}
 }
 

@@ -30,12 +30,21 @@ import (
 // closeArenas): while events are still queued they may point into the
 // finished round's storage, so it is abandoned to them.
 //
-// Giving a slab back clears every element, and closing an arena clears
-// what it handed out, so an idle Runner (the daemon and the experiment
-// suite pool them) lets go of its last execution. The Runner owns the
-// storage rather than a sync.Pool because the suite allocates fast enough
-// that the collector empties a pool between two calls; Runners themselves
-// are pooled per deployment and reset on return (pool.go).
+// A SENS-Join round's own fixed state — the roundState, its per-member
+// slices, and its message handler, wave and deadline callbacks, methods
+// bound once when the state is made — is lent the same way and under the
+// same rule (borrowRound, giveBackRound), and the simulator reuses the
+// batch records it queues a wave's levels as (netsim's ScheduleNodes).
+// So a warm round allocates its execution, its plan and its answer, and
+// nothing for the schedule and the state that produce it.
+//
+// Giving a slab back clears every element, closing an arena clears what
+// it handed out, and giving the round state back clears it, so an idle
+// Runner (the daemon and the experiment suite pool them) lets go of its
+// last execution. The Runner owns the storage rather than a sync.Pool
+// because the suite allocates fast enough that the collector empties a
+// pool between two calls; Runners themselves are pooled per deployment
+// and reset on return (pool.go).
 
 // runScratch is the storage a Runner lends to its executions. A Runner
 // executes one query at a time, so there is no locking; an Exec made
@@ -48,6 +57,9 @@ type runScratch struct {
 	// arenas are the round arenas, one per simulator region, lent to a
 	// SENS-Join round by openArenas.
 	arenas []roundArena
+	// round is a SENS-Join round's own state (roundState), lent by
+	// borrowRound.
+	round *roundState
 
 	kernel kernelScratch
 	// results holds the storage of plain results handed back by Release.
@@ -85,6 +97,30 @@ func giveBack[T any](x *Exec, slab *[]T, s []T) {
 	}
 	clear(s)
 	*slab = s
+}
+
+// borrowRound lends the runner's SENS-Join round state, or makes one.
+// Like a slab it leaves the scratch until giveBackRound.
+func borrowRound(x *Exec) *roundState {
+	rs := x.run()
+	r := rs.round
+	rs.round = nil
+	if r == nil {
+		r = newRoundState()
+	}
+	return r
+}
+
+// giveBackRound clears r and returns it for the next round under
+// giveBack's rule. It matters beyond pointers here: a round's messages
+// name their round by carrying r, so a message still queued could pass
+// for the next round's if it got r back.
+func giveBackRound(x *Exec, r *roundState) {
+	if x.Sim.Pending() > 0 {
+		return
+	}
+	r.reset()
+	x.run().round = r
 }
 
 // roundArena is one region's storage for a SENS-Join round: typed bump

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -35,41 +36,85 @@ func collected(done <-chan struct{}) bool {
 
 // An idle Runner must not pin the execution it ran last (the daemon
 // pools idle runners; X7 holds one at 100k nodes): a handler left
-// installed would hold the finished run's node state, plan and Exec. The
-// run clears the network's handler and its borrowed slabs on the way
-// out, so the Exec is collected while the Runner lives on and the slabs
-// it keeps hold no inner slice.
+// installed would hold the finished run's node state, plan and Exec, and
+// so would a kept SENS-Join round state or simulator batch record that
+// was not cleared. The run clears the network's handler, its borrowed
+// slabs and its round state on the way out, and a batch record forgets
+// its nodes and callback when it runs, so the Execs are collected while
+// the Runner lives on — on one region and on two, for one query and for
+// a 3-member cluster's round — and the slabs it keeps hold no inner
+// slice.
 func TestRunnerReleasesFinishedRun(t *testing.T) {
-	for _, m := range []Method{NewSENSJoin(), External{}, SemiJoin{}, Mediated{}} {
-		r, err := NewRunner(SetupConfig{Nodes: 150, Seed: 42})
+	check := func(name string, shards int, run func(r *Runner) []*Exec) {
+		t.Helper()
+		r, err := NewRunner(SetupConfig{Nodes: 150, Seed: 42, Shards: shards, Private: shards > 1, SetupWorkers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		done := make(chan struct{})
 		func() {
-			x, err := execSQL(r, runStateSrc, 0)
-			if err != nil {
-				t.Fatal(err)
+			execs := run(r)
+			var wg sync.WaitGroup
+			wg.Add(len(execs))
+			for _, x := range execs {
+				runtime.SetFinalizer(x, func(*Exec) { wg.Done() })
 			}
-			runtime.SetFinalizer(x, func(*Exec) { close(done) })
-			if _, err := m.Run(x); err != nil {
-				t.Fatal(err)
-			}
+			go func() { wg.Wait(); close(done) }()
 		}()
 		if !collected(done) {
-			t.Errorf("%s: the finished execution is still reachable from its idle Runner", m.Name())
+			t.Errorf("%s: a finished execution is still reachable from its idle Runner", name)
 		}
 		for i, st := range r.scratch.sens[:cap(r.scratch.sens)] {
 			if st.cutFrom != nil || st.tail != nil {
-				t.Fatalf("%s: node %d of the idle sensNode slab still holds a slice", m.Name(), i)
+				t.Fatalf("%s: node %d of the idle sensNode slab still holds a slice", name, i)
 			}
 		}
 		for i, nd := range r.scratch.wave[:cap(r.scratch.wave)] {
 			if nd.children != nil {
-				t.Fatalf("%s: node %d of the idle wave slab still holds its children", m.Name(), i)
+				t.Fatalf("%s: node %d of the idle wave slab still holds its children", name, i)
+			}
+		}
+		if rs := r.scratch.round; rs != nil {
+			for _, x := range rs.execs[:cap(rs.execs)] {
+				if x != nil {
+					t.Fatalf("%s: the idle round state still lists an execution", name)
+				}
 			}
 		}
 		runtime.KeepAlive(r)
+	}
+	for _, shards := range []int{1, 2} {
+		for _, m := range []Method{NewSENSJoin(), External{}, SemiJoin{}, Mediated{}} {
+			check(fmt.Sprintf("%s, %d regions", m.Name(), shards), shards, func(r *Runner) []*Exec {
+				x, err := execSQL(r, runStateSrc, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(x); err != nil {
+					t.Fatal(err)
+				}
+				return []*Exec{x}
+			})
+		}
+		check(fmt.Sprintf("3-member round, %d regions", shards), shards, func(r *Runner) []*Exec {
+			execs := make([]*Exec, 3)
+			for j, delta := range []float64{7.5, 8, 8.5} {
+				src := strings.Replace(runStateSrc, "7.5", fmt.Sprint(delta), 1)
+				x, err := execSQL(r, src, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				execs[j] = x
+			}
+			res, err := NewSENSJoin().round(execs, nil)
+			if err != nil || len(res) != 3 {
+				t.Fatalf("3-member round: %d results, %v", len(res), err)
+			}
+			if r.scratch.round == nil {
+				t.Fatal("the runner did not keep the round state")
+			}
+			return execs
+		})
 	}
 }
 
@@ -183,7 +228,10 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 // payloads and filter messages from the runner's round arenas, so on a
 // warm runner what is left per node is the external join's share of the
 // radio: measured at 1500 nodes, SENS-Join fell from 2.0 allocations and
-// 129 bytes per node (every hop allocating) to 0.09 and 32. The same holds
+// 129 bytes per node (every hop allocating) to 0.09 and 32, and to 0.01
+// and 0.6 — nothing per node — once its wave entries and round state were
+// kept by the runner too, so its ceilings are the fixed slack below and a
+// margin of 0.03 allocations and 4 bytes per node. The same holds
 // on a sharded runner, where every region carves from its own arena, and
 // for a 3-member cluster, which also pays for the masks it sends. A
 // continuous epoch adds what crosses rounds: every forwarding node's new
@@ -198,7 +246,17 @@ func TestStaleEventCannotReachNextRun(t *testing.T) {
 // reference like every collection wave: at 1500 nodes, 2,078 bytes and
 // 21.3 allocations per node fell to 1,676 and 19.1 when its per-hop tuple
 // copies went. Most of what is left is reliable transport and repair.
+//
+// Every ceiling adds one fixed slack: what a warm round allocates whatever
+// the node count. Since the simulator's wave entries and the round's own
+// state are kept by the runner (batch records, borrowRound), that is the
+// execution, its plan and its answer: a warm SENS-Join round allocates 17
+// times and about 700 bytes at 150 nodes and 18 and 900 at 1500 (it was
+// 51 and 2,340 at 150), and up to 33 and 1,922 under the race detector,
+// which adds noise of its own. The slack is the race figures plus a
+// third: 40 allocations and 2,560 bytes.
 func TestRoundAllocsPerNode(t *testing.T) {
+	const slackAllocs, slackBytes = 40, 2560
 	for _, nodes := range []int{150, 1500} {
 		r, _ := planFixture(t, nodes)
 		prep, err := r.Prepare(runStateSrc)
@@ -271,8 +329,8 @@ func TestRoundAllocsPerNode(t *testing.T) {
 			perNode      float64 // allocations
 			bytesPerNode float64
 		}{
-			{"sens-join", r, on(r, prep, NewSENSJoin()), 0.15, 36},
-			{"sens-join, large result released", r, released, 0.15, 36},
+			{"sens-join", r, on(r, prep, NewSENSJoin()), 0.03, 4},
+			{"sens-join, large result released", r, released, 0.03, 4},
 			{"sens-join, 2 shards", sharded, on(sharded, prep, NewSENSJoin()), 0.5, 45},
 			{"external-join", r, on(r, prep, External{}), 1.1, 135},
 			{"external-join without rows", r, func() error {
@@ -302,11 +360,11 @@ func TestRoundAllocsPerNode(t *testing.T) {
 			run()
 			allocs := testing.AllocsPerRun(5, run)
 			bytes := bytesPerRun(5, run)
-			t.Logf("%s at %d nodes: %.2f allocs and %.1f bytes per node", c.name, nodes, allocs/float64(nodes), bytes/float64(nodes))
-			if limit := c.perNode*float64(nodes) + 100; allocs > limit {
+			t.Logf("%s at %d nodes: %.0f allocs and %.0f bytes per round, %.2f and %.1f per node", c.name, nodes, allocs, bytes, allocs/float64(nodes), bytes/float64(nodes))
+			if limit := c.perNode*float64(nodes) + slackAllocs; allocs > limit {
 				t.Errorf("%s at %d nodes: %.0f allocs/round, want <= %.0f", c.name, nodes, allocs, limit)
 			}
-			if limit := c.bytesPerNode*float64(nodes) + 8192; bytes > limit {
+			if limit := c.bytesPerNode*float64(nodes) + slackBytes; bytes > limit {
 				t.Errorf("%s at %d nodes: %.0f bytes/round, want <= %.0f", c.name, nodes, bytes, limit)
 			}
 		}
@@ -487,7 +545,7 @@ func TestContributorJoinWarmAllocatesNothing(t *testing.T) {
 // runner must repeat the first round exactly and agree with a one-region
 // runner. Run under -race.
 func TestShardedRoundsReuseRunState(t *testing.T) {
-	classic, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3})
+	single, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,9 +556,9 @@ func TestShardedRoundsReuseRunState(t *testing.T) {
 	firstRows := map[string][]Row{}
 	for round := 0; round < 3; round++ {
 		for _, m := range []Method{NewSENSJoin(), External{}} {
-			classic.Stats.Reset()
+			single.Stats.Reset()
 			sharded.Stats.Reset()
-			want, err := classic.Run(shardTraceSrc, m, 0)
+			want, err := single.Run(shardTraceSrc, m, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -519,20 +577,20 @@ func TestShardedRoundsReuseRunState(t *testing.T) {
 			} else if !rowsEqual(got.Rows, firstRows[m.Name()]) {
 				t.Fatalf("round %d %s: rows differ from the same runner's first round", round, m.Name())
 			}
-			sameNodeTx(t, fmt.Sprintf("round %d %s", round, m.Name()), classic, sharded)
+			sameNodeTx(t, fmt.Sprintf("round %d %s", round, m.Name()), single, sharded)
 		}
 	}
 }
 
 // sameNodeTx fails unless every node transmitted the same packets and
 // bytes on both runners since their collectors were last reset.
-func sameNodeTx(t *testing.T, what string, classic, sharded *Runner) {
+func sameNodeTx(t *testing.T, what string, single, sharded *Runner) {
 	t.Helper()
-	for id := 0; id < classic.Net.N(); id++ {
-		wp, wb := classic.Stats.NodeTx(topology.NodeID(id))
+	for id := 0; id < single.Net.N(); id++ {
+		wp, wb := single.Stats.NodeTx(topology.NodeID(id))
 		gp, gb := sharded.Stats.NodeTx(topology.NodeID(id))
 		if wp != gp || wb != gb {
-			t.Fatalf("%s: node %d tx %d/%d, classic %d/%d", what, id, gp, gb, wp, wb)
+			t.Fatalf("%s: node %d tx %d/%d, one region %d/%d", what, id, gp, gb, wp, wb)
 		}
 	}
 }
@@ -578,7 +636,7 @@ func TestShardedContinuousAndGroupRounds(t *testing.T) {
 			{"group", func(tm float64) ([]*Result, error) { return g.RunRound(r, tm) }},
 		}
 	}
-	classic, err := NewRunner(SetupConfig{Nodes: nodes, Seed: 3})
+	single, err := NewRunner(SetupConfig{Nodes: nodes, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,11 +644,11 @@ func TestShardedContinuousAndGroupRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLanes, gotLanes := lanesOn(classic), lanesOn(sharded)
+	wantLanes, gotLanes := lanesOn(single), lanesOn(sharded)
 	for epoch := 0; epoch < epochs; epoch++ {
 		tm := float64(epoch) * 30
 		for l := range wantLanes {
-			classic.Stats.Reset()
+			single.Stats.Reset()
 			sharded.Stats.Reset()
 			want, err := wantLanes[l].round(tm)
 			if err != nil {
@@ -606,14 +664,14 @@ func TestShardedContinuousAndGroupRounds(t *testing.T) {
 			what := fmt.Sprintf("epoch %d %s", epoch, wantLanes[l].name)
 			for q := range want {
 				if d := tabledigest.Diff(got[q].Table(), want[q].Table()); d != "" || got[q].ResponseTime != want[q].ResponseTime {
-					t.Fatalf("%s query %d: sharded result differs from classic: %q, response %g vs %g",
+					t.Fatalf("%s query %d: sharded result differs from one region: %q, response %g vs %g",
 						what, q, d, got[q].ResponseTime, want[q].ResponseTime)
 				}
 				if !want[q].Complete {
-					t.Fatalf("%s query %d: the lossless classic round is incomplete", what, q)
+					t.Fatalf("%s query %d: the lossless one-region round is incomplete", what, q)
 				}
 			}
-			sameNodeTx(t, what, classic, sharded)
+			sameNodeTx(t, what, single, sharded)
 		}
 		if epoch == 0 {
 			for i, a := range sharded.scratch.arenas {

@@ -226,6 +226,11 @@ func (s *SENSJoin) Run(x *Exec) (*Result, error) {
 // complete tuple travels once with the mask of the members that want it;
 // with m = 1 the union is the filter, there are no masks, no mask bytes
 // and no mask state — the round is the paper's protocol for one query.
+//
+// The state is the runner's, lent to one round at a time like its slabs
+// (borrowRound, runstate.go): its handler, wave and deadline callbacks
+// are methods bound once when it is made, so a warm round installs and
+// schedules them without allocating, and the round's end clears it.
 type roundState struct {
 	s *SENSJoin
 	o Options
@@ -244,6 +249,15 @@ type roundState struct {
 	// (runstate.go): everything the round carves per hop.
 	arenas []roundArena
 
+	// The schedule: the round's start, the phase-A end tA (the base
+	// station's step into phase B), the phase-C slot and end, and the
+	// caller's per-member hook at the final join.
+	start, tA, slotC, tEnd float64
+	joined                 func(j int, at float64, rows int)
+	// standDown lists the addressees of filter transfers that exhausted
+	// their retransmissions (onGiveUp).
+	standDown []topology.NodeID
+
 	// What the base station learns: the Treecut tuples of its first
 	// cutSenders senders, gathered at tA, and per member.
 	cut        []finalTuple
@@ -252,6 +266,45 @@ type roundState struct {
 	filters    [][]zorder.Key
 	got        [][]finalTuple // the tuples each member's table was joined from
 	results    []*Result
+
+	bound roundCallbacks
+}
+
+// roundCallbacks are a roundState's methods as the simulator and network
+// take them, bound once (newRoundState).
+type roundCallbacks struct {
+	handle             func(topology.NodeID, netsim.Message)
+	forwardA, forwardC func(topology.NodeID)
+	endA, startC, endC func()
+	giveUp             func(netsim.Message, int, float64)
+}
+
+// newRoundState makes a round state with its callbacks bound.
+func newRoundState() *roundState {
+	r := new(roundState)
+	r.bound = roundCallbacks{
+		handle:   r.handle,
+		forwardA: r.forwardA,
+		forwardC: r.forwardC,
+		endA:     r.endA,
+		startC:   r.startC,
+		endC:     r.endC,
+		giveUp:   r.onGiveUp,
+	}
+	return r
+}
+
+// reset clears what the round held, keeping the per-member slices'
+// storage and the bound callbacks, so an idle runner pins nothing of it.
+func (r *roundState) reset() {
+	clear(r.execs)
+	clear(r.plans)
+	clear(r.filters)
+	clear(r.got)
+	*r = roundState{
+		execs: r.execs[:0], plans: r.plans[:0], filters: r.filters[:0], got: r.got[:0],
+		standDown: r.standDown[:0], bound: r.bound,
+	}
 }
 
 // nodeMasks is a node's mask bookkeeping in a round of m > 1 queries,
@@ -297,19 +350,21 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	p := buildPlan(x)
 	defer p.release()
 	m := len(execs)
-	r := &roundState{
-		s: s, o: s.Options.withDefaults(), m: m, x: x, p: p, execs: execs,
-		plans: make([]*plan, m), filters: make([][]zorder.Key, m),
-		got: make([][]finalTuple, m), results: make([]*Result, m),
-	}
-	r.plans[0] = p
+	r := borrowRound(x)
+	defer giveBackRound(x, r)
+	r.s, r.o, r.m, r.x, r.p, r.joined = s, s.Options.withDefaults(), m, x, p, joined
+	r.execs = append(r.execs, execs...)
+	r.plans = append(r.plans, p)
 	for j := 1; j < m; j++ {
-		r.plans[j] = p.forExec(execs[j])
+		r.plans = append(r.plans, p.forExec(execs[j]))
 	}
+	r.filters, r.got = sized(r.filters, m), sized(r.got, m)
+	r.results = make([]*Result, m) // the caller's
 	tree := x.Tree
 	n := x.Net.N()
-	start := x.Sim.Now()
+	r.start = x.Sim.Now()
 	slotA, slotC := sensSlots(x, p, m)
+	r.slotC = slotC
 	if s.cont != nil {
 		s.cont = s.cont.ensure(n)
 	}
@@ -326,94 +381,27 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	r.arenas = openArenas(x)
 	defer closeArenas(x, r.arenas)
 
-	var standDown []topology.NodeID
-	defer recordStandDowns(x, &standDown)()
-
+	// Only reliable transport gives up; it reports give-ups
+	// single-threaded, between node events.
+	if x.Net.Reliable() {
+		x.Net.OnGiveUp(r.bound.giveUp)
+		defer x.Net.OnGiveUp(nil)
+	}
 	// Message handling is shared by all phases.
-	x.Net.SetHandler(func(id topology.NodeID, msg netsim.Message) {
-		st := &r.states[id]
-		if st.cut {
-			return // the node exited the query after Treecut
-		}
-		switch msg.Kind {
-		case kindFullTuples:
-			// As in phase C, the tuples stay put until read (gatherCut).
-			if msg.Payload == any(r) {
-				st.cutFrom = r.arena(id).ids.push(st.cutFrom, r.fanout(id), msg.Src)
-				st.cutBytes += msg.Size
-				st.cutTuples += r.states[msg.Src].cutTuples
-			}
-		case kindJoinAttrs:
-			pl := msg.Payload.(*jaPayload)
-			t := r.tail(id)
-			t.children = r.arena(id).reports.push(t.children, r.fanout(id), childReport{msg.Src, pl})
-			t.childNeedsFull = t.childNeedsFull || pl.needFull
-		case kindFilter:
-			// Filters travel down the tree: only the broadcast of
-			// this node's parent applies; broadcasts overheard from
-			// other neighbors concern their subtrees.
-			if msg.Src == x.Tree.Parent[id] {
-				r.onFilter(id, r.tail(id), msg.Src, msg.Payload.(*filterMsg))
-			}
-		case kindFinal:
-			// Nothing is copied from hop to hop: a relay notes who it heard
-			// from and the bytes they announced (and, with bitmaps on the
-			// wire, the tuple count the sender settled at its deadline).
-			if msg.Payload != any(r) {
-				return // not this round's
-			}
-			// The sender has a tail: it kept what it sent.
-			t := r.tail(id)
-			t.finalFrom = r.arena(id).ids.push(t.finalFrom, r.fanout(id), msg.Src)
-			t.finalBytes += msg.Size
-			t.finalTuples += r.states[msg.Src].tail.finalTuples
-		}
-	})
+	x.Net.SetHandler(r.bound.handle)
 	defer x.Net.SetHandler(nil)
 
 	// Phase A: Join-Attribute-Collection, leaves first (Fig. 2).
 	x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseJACollect, 0)
 	// A node's deadline depends on its depth alone: one queue entry per
 	// tree level, not one per node.
-	forwardA := func(id topology.NodeID) { r.forwardJoinAttrValues(id, &r.states[id]) }
 	for d := 1; d <= tree.MaxDepth; d++ {
-		x.Sim.ScheduleNodes(topology.BaseStation, tree.Level(d), start+float64(tree.MaxDepth-d)*slotA, forwardA)
+		x.Sim.ScheduleNodes(topology.BaseStation, tree.Level(d), r.start+float64(tree.MaxDepth-d)*slotA, r.bound.forwardA)
 	}
-
 	// The base station closes phase A, computes the filter and starts
 	// phase B (Fig. 3); phase C deadlines are derived afterwards.
-	tA := start + float64(tree.MaxDepth+1)*slotA
-	x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tA, func() {
-		x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
-		x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
-		filterBytes := r.disseminate()
-
-		// Phase C schedule: after the filter has fully propagated. tB is
-		// computed from tA, the statically known time of this event, not
-		// from a clock: inside a node event only the region's clock
-		// advances, and it reads exactly tA here.
-		slotB := x.Net.SlotFor(filterBytes + 32)
-		tB := tA + float64(tree.MaxDepth+1)*slotB
-		if x.Trace.Enabled() || x.Metrics != nil {
-			// Scheduled first so the phase boundary precedes the deepest
-			// nodes' phase-C transmissions at the same instant. Node-affine
-			// to the base station: this runs inside an event handler, where
-			// a sharded engine needs to know the executing region.
-			x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tB, func() {
-				x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFilterDissem, 0)
-				x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFinalCollect, 0)
-			})
-		}
-		forwardC := func(id topology.NodeID) { r.forwardCompleteTuples(id, r.states[id].tail) }
-		for d := 1; d <= tree.MaxDepth; d++ {
-			x.Sim.ScheduleNodes(topology.BaseStation, tree.Level(d), tB+float64(tree.MaxDepth-d)*slotC, forwardC)
-		}
-		tEnd := tB + float64(tree.MaxDepth+1)*slotC
-		x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tEnd, func() {
-			x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFinalCollect, 0)
-			r.joinMembers(tEnd, tEnd-start, joined)
-		})
-	})
+	r.tA = r.start + float64(tree.MaxDepth+1)*slotA
+	x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, r.tA, r.bound.endA)
 	x.Sim.Run()
 
 	// Fold the nodes' memory accounting into the report; the base
@@ -421,8 +409,106 @@ func (s *SENSJoin) round(execs []*Exec, joined func(j int, at float64, rows int)
 	for i := range r.states {
 		s.Memory.fold(&r.states[i])
 	}
-	r.settle(standDown, start)
+	r.settle()
 	return r.results, nil
+}
+
+// handle is the round's one message handler, shared by all phases.
+func (r *roundState) handle(id topology.NodeID, msg netsim.Message) {
+	st := &r.states[id]
+	if st.cut {
+		return // the node exited the query after Treecut
+	}
+	switch msg.Kind {
+	case kindFullTuples:
+		// As in phase C, the tuples stay put until read (gatherCut).
+		if msg.Payload == any(r) {
+			st.cutFrom = r.arena(id).ids.push(st.cutFrom, r.fanout(id), msg.Src)
+			st.cutBytes += msg.Size
+			st.cutTuples += r.states[msg.Src].cutTuples
+		}
+	case kindJoinAttrs:
+		pl := msg.Payload.(*jaPayload)
+		t := r.tail(id)
+		t.children = r.arena(id).reports.push(t.children, r.fanout(id), childReport{msg.Src, pl})
+		t.childNeedsFull = t.childNeedsFull || pl.needFull
+	case kindFilter:
+		// Filters travel down the tree: only the broadcast of this node's
+		// parent applies; broadcasts overheard from other neighbors concern
+		// their subtrees.
+		if msg.Src == r.x.Tree.Parent[id] {
+			r.onFilter(id, r.tail(id), msg.Src, msg.Payload.(*filterMsg))
+		}
+	case kindFinal:
+		// Nothing is copied from hop to hop: a relay notes who it heard
+		// from and the bytes they announced (and, with bitmaps on the
+		// wire, the tuple count the sender settled at its deadline).
+		if msg.Payload != any(r) {
+			return // not this round's
+		}
+		// The sender has a tail: it kept what it sent.
+		t := r.tail(id)
+		t.finalFrom = r.arena(id).ids.push(t.finalFrom, r.fanout(id), msg.Src)
+		t.finalBytes += msg.Size
+		t.finalTuples += r.states[msg.Src].tail.finalTuples
+	}
+}
+
+// forwardA is a node's phase-A deadline.
+func (r *roundState) forwardA(id topology.NodeID) { r.forwardJoinAttrValues(id, &r.states[id]) }
+
+// forwardC is a node's phase-C deadline.
+func (r *roundState) forwardC(id topology.NodeID) {
+	r.forwardCompleteTuples(id, r.states[id].tail)
+}
+
+// endA is the base station at tA: it closes phase A, disseminates the
+// filter (phase B) and schedules phase C after the filter has fully
+// propagated. tB is computed from tA, the statically known time of this
+// event, not from a clock: inside a node event only the region's clock
+// advances, and it reads exactly tA here.
+func (r *roundState) endA() {
+	x, tree := r.x, r.x.Tree
+	x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseJACollect, 0)
+	x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFilterDissem, 0)
+	filterBytes := r.disseminate()
+
+	slotB := x.Net.SlotFor(filterBytes + 32)
+	tB := r.tA + float64(tree.MaxDepth+1)*slotB
+	if x.Trace.Enabled() || x.Metrics != nil {
+		// Scheduled first so the phase boundary precedes the deepest
+		// nodes' phase-C transmissions at the same instant. Node-affine to
+		// the base station: this runs inside an event handler, where a
+		// sharded engine needs to know the executing region.
+		x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, tB, r.bound.startC)
+	}
+	for d := 1; d <= tree.MaxDepth; d++ {
+		x.Sim.ScheduleNodes(topology.BaseStation, tree.Level(d), tB+float64(tree.MaxDepth-d)*r.slotC, r.bound.forwardC)
+	}
+	r.tEnd = tB + float64(tree.MaxDepth+1)*r.slotC
+	x.Sim.ScheduleNode(topology.BaseStation, topology.BaseStation, r.tEnd, r.bound.endC)
+}
+
+// startC marks the phase boundary at tB for the journal and the metrics.
+func (r *roundState) startC() {
+	r.x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFilterDissem, 0)
+	r.x.span(trace.KindPhaseStart, topology.BaseStation, -1, PhaseFinalCollect, 0)
+}
+
+// endC is the base station at tEnd: phase C ends with the final join.
+func (r *roundState) endC() {
+	r.x.span(trace.KindPhaseEnd, topology.BaseStation, -1, PhaseFinalCollect, 0)
+	r.joinMembers(r.tEnd, r.tEnd-r.start, r.joined)
+}
+
+// onGiveUp records the addressee of every filter transfer that exhausts
+// its retransmissions: the subtree below it may run phase C without a
+// filter, so recovery re-collects it unconditionally.
+func (r *roundState) onGiveUp(m netsim.Message, attempts int, at float64) {
+	if m.Kind == kindFilter {
+		r.standDown = append(r.standDown, m.Dst)
+		r.x.spanAt(at, trace.KindStandDown, m.Dst, m.Src, PhaseFilterDissem, attempts)
+	}
 }
 
 // filterHook, when non-nil, computes the filters in place of
@@ -576,7 +662,7 @@ func (r *roundState) joinMembers(at, response float64, joined func(j int, at flo
 // reliable run. Without it an incomplete result is only annotated. The
 // round runs on r.x: its tree, repairs and repair latency are every
 // member's.
-func (r *roundState) settle(standDown []topology.NodeID, start float64) {
+func (r *roundState) settle() {
 	if !r.x.Net.Reliable() {
 		for j, res := range r.results {
 			if res != nil && !res.Complete {
@@ -604,29 +690,10 @@ func (r *roundState) settle(standDown []topology.NodeID, start float64) {
 			}
 		}
 	}
-	rounds, _ := runScopedRecovery(r.x, r.p, need, have, standDown, start)
+	rounds, _ := runScopedRecovery(r.x, r.p, need, have, r.standDown, r.start)
 	for j, xj := range r.execs {
-		finishReliable(r.x, xj, r.plans[j], r.results[j], have, missingFrom(needs[j], have), rounds, start)
+		finishReliable(r.x, xj, r.plans[j], r.results[j], have, missingFrom(needs[j], have), rounds, r.start)
 	}
-}
-
-// recordStandDowns appends to *standDown the addressee of every filter
-// transfer that exhausts its retransmissions: the subtree below it may run
-// phase C without a filter, so recovery re-collects it unconditionally.
-// Only reliable transport gives up, and it reports give-ups
-// single-threaded, between node events; the returned func ends the
-// recording.
-func recordStandDowns(x *Exec, standDown *[]topology.NodeID) (stop func()) {
-	if !x.Net.Reliable() {
-		return func() {}
-	}
-	x.Net.OnGiveUp(func(m netsim.Message, attempts int, at float64) {
-		if m.Kind == kindFilter {
-			*standDown = append(*standDown, m.Dst)
-			x.spanAt(at, trace.KindStandDown, m.Dst, m.Src, PhaseFilterDissem, attempts)
-		}
-	})
-	return func() { x.Net.OnGiveUp(nil) }
 }
 
 // sendFilter disseminates a filter message to the node's active

@@ -322,11 +322,11 @@ func TestShardTraceAuditsClean(t *testing.T) {
 // sharded run stays sharded, counts real traffic, and returns the rows of
 // one region.
 func TestShardMetricsStaysSharded(t *testing.T) {
-	classic, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3, Private: true, SetupWorkers: 1})
+	single, err := NewRunner(SetupConfig{Nodes: 300, Seed: 3, Private: true, SetupWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := classic.Run(shardTraceSrc, NewSENSJoin(), 0)
+	ref, err := single.Run(shardTraceSrc, NewSENSJoin(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,14 @@ type shardRegion struct {
 	inMu  sync.Mutex
 	inbox []event
 
+	// The batch records of ScheduleNodes (sim.go, batch): free holds
+	// this region's idle ones, spent the other regions' that ran here
+	// this window, returned home at the barrier. resident is the
+	// scratch of a ScheduleNodes call made from this region.
+	free     []*batch
+	spent    []*batch
+	resident []bool
+
 	// pad keeps concurrently written regions off each other's cache
 	// lines.
 	_ [64]byte
@@ -126,6 +134,7 @@ func (s *Sim) EnableSharding(regionOf []int32, shards int, lookahead Time, worke
 	s.regions = make([]shardRegion, shards)
 	for i := range s.regions {
 		s.regions[i].now = s.now
+		s.regions[i].resident = make([]bool, shards)
 	}
 	s.regionOf, s.lookahead, s.workers = regionOf, lookahead, workers
 	s.runnable = make([]int32, 0, shards)
@@ -260,7 +269,9 @@ func (r *shardRegion) runWindow(end, until Time) {
 	}
 }
 
-// mergeInboxes moves cross-region events into their destination heaps.
+// mergeInboxes moves cross-region events into their destination heaps,
+// and the batch records that ran away from home back to their home's
+// free list.
 // Their keys came with them, so the heap orders them exactly as if they
 // had been pushed directly: the merge order is immaterial. The
 // conservative window guarantees every handed-off event lies at or
@@ -277,5 +288,11 @@ func (s *Sim) mergeInboxes(end Time) {
 		}
 		clear(r.inbox)
 		r.inbox = r.inbox[:0]
+		for _, b := range r.spent {
+			home := &s.regions[b.home]
+			home.free = append(home.free, b)
+		}
+		clear(r.spent)
+		r.spent = r.spent[:0]
 	}
 }

@@ -235,41 +235,85 @@ func (s *Sim) ScheduleNode(from, to NodeID, t Time, fn func()) {
 // consecutive keys of from, so nothing can sort between them and one
 // entry in their place keeps every other event's relative order. ids must
 // stay unchanged until the batch ran.
+//
+// An entry is a batch record taken from the free list of from's region,
+// so a warm call allocates nothing (see batch).
 func (s *Sim) ScheduleNodes(from NodeID, ids []NodeID, t Time, fn func(NodeID)) {
 	if len(ids) == 0 {
 		return
 	}
 	key := s.nextKey(from)
+	home := s.region(from)
 	if s.regionOf == nil {
-		r := &s.regions[0]
-		s.push(from, 0, t, key, func() {
-			r.steps += int64(len(ids)) - 1 // the pop counted one
-			for _, id := range ids {
-				fn(id)
-			}
-		})
+		s.pushBatch(from, home, 0, ids, t, key, fn)
 		return
 	}
-	resident := make([]bool, len(s.regions))
+	// One entry per region, queued where its first id is met: entries of
+	// different regions never meet in one heap, so their order is free.
+	resident := s.regions[home].resident
+	clear(resident)
 	for _, id := range ids {
-		resident[s.regionOf[id]] = true
-	}
-	for ri, ok := range resident {
-		if !ok {
-			continue
+		if ri := s.regionOf[id]; !resident[ri] {
+			resident[ri] = true
+			s.pushBatch(from, home, ri, ids, t, key, fn)
 		}
-		ri := int32(ri)
-		r := &s.regions[ri]
-		s.push(from, ri, t, key, func() {
-			ran := int64(-1) // the pop counted one
-			for _, id := range ids {
-				if s.regionOf[id] == ri {
-					ran++
-					fn(id)
-				}
-			}
-			r.steps += ran
-		})
+	}
+}
+
+// batch is one queue entry of ScheduleNodes: region's share of a wave.
+// Its event is run, a method value bound once when the record is made, so
+// the queue entry stays the 24-byte closure event every other event is.
+//
+// Records are reused under one rule that needs no lock and keeps their
+// number bounded whether or not the simulator ever goes idle. A record
+// is taken from the free list of its home — the region of the node that
+// scheduled it, whose worker (or the coordinator) is the only one taking
+// from that list — and goes back to it only after its event ran: at once
+// when it ran on its home region, at the next window barrier through the
+// executing region's spent list when it ran on another. Running, it
+// clears ids and fn, so an idle simulator pins no caller's state.
+type batch struct {
+	s      *Sim
+	ids    []NodeID
+	fn     func(NodeID)
+	region int32 // whose ids it runs
+	home   int32 // whose free list it returns to
+	run    func()
+}
+
+// pushBatch queues region dst's share of ids as a record of home's.
+func (s *Sim) pushBatch(from NodeID, home, dst int32, ids []NodeID, t Time, key int64, fn func(NodeID)) {
+	h := &s.regions[home]
+	var b *batch
+	if n := len(h.free); n > 0 {
+		b = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		b = &batch{s: s, home: home}
+		b.run = b.exec
+	}
+	b.ids, b.fn, b.region = ids, fn, dst
+	s.push(from, dst, t, key, b.run)
+}
+
+// exec runs the batch's ids of its region on that region's worker and
+// hands the record back.
+func (b *batch) exec() {
+	s, ids, fn := b.s, b.ids, b.fn
+	b.ids, b.fn = nil, nil
+	r := &s.regions[b.region]
+	ran := int64(-1) // the pop counted one
+	for _, id := range ids {
+		if s.regionOf == nil || s.regionOf[id] == b.region {
+			ran++
+			fn(id)
+		}
+	}
+	r.steps += ran
+	if b.home == b.region {
+		r.free = append(r.free, b)
+	} else {
+		r.spent = append(r.spent, b)
 	}
 }
 

@@ -3,6 +3,7 @@ package netsim
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"sensjoin/internal/metrics"
 )
@@ -135,8 +136,9 @@ func TestEventLoopAllocs(t *testing.T) {
 	}
 }
 
-// A batch on one region is one closure: the per-call allocation pin of
-// ScheduleNodes.
+// A warm ScheduleNodes allocates nothing: its entries are batch records
+// taken from the scheduling region's free list, not a closure per call.
+// The queue entry stays a 24-byte closure event.
 func TestScheduleNodesAllocsOneRegion(t *testing.T) {
 	s := NewSim()
 	ids := []NodeID{1, 2, 3, 4}
@@ -147,8 +149,70 @@ func TestScheduleNodesAllocsOneRegion(t *testing.T) {
 		s.ScheduleNodes(0, ids, s.Now()+1, fn)
 		s.Run()
 	})
-	if allocs > 1 {
-		t.Fatalf("ScheduleNodes on one region: %.1f allocs per call, want <= 1", allocs)
+	if allocs != 0 {
+		t.Fatalf("ScheduleNodes on one region: %.1f allocs per call, want 0", allocs)
+	}
+	if size := unsafe.Sizeof(event{}); size != 24 {
+		t.Fatalf("event is %d bytes, want 24: a time, a key and a closure", size)
+	}
+}
+
+// On two regions a warm wave allocates nothing either, also when a node
+// event schedules a batch into the other region: the record that ran
+// away from home goes back to its home's free list at the barrier. And
+// the records do not accumulate — however many rounds run, the free
+// lists hold what one round used. One worker runs both regions: a
+// window's goroutines are the loop's cost, not ScheduleNodes' (the
+// parallel spelling is TestScheduleNodesMatchesPerNodeScheduling's).
+func TestScheduleNodesAllocsTwoRegions(t *testing.T) {
+	s := NewSim()
+	regionOf := []int32{0, 0, 1, 0, 1, 1}
+	s.EnableSharding(regionOf, 2, waveLookahead, 1)
+	wave := []NodeID{1, 2, 3, 4, 5} // both regions
+	away := []NodeID{4, 5}          // region 1 only
+	hits := make([]int, len(regionOf))
+	onAway := func(id NodeID) { hits[id]++ }
+	fn := func(id NodeID) {
+		hits[id]++
+		if id == 1 { // a region-0 node event schedules into region 1
+			s.ScheduleNodes(id, away, s.NodeNow(id)+2*waveLookahead, onAway)
+		}
+	}
+	round := func() {
+		s.ScheduleNodes(0, wave, s.Now()+1, fn)
+		s.Run()
+	}
+	round()
+	round()
+	records := func() (n int) {
+		for i := range s.regions {
+			r := &s.regions[i]
+			if len(r.spent) != 0 {
+				t.Fatalf("region %d holds %d spent records after a run", i, len(r.spent))
+			}
+			n += len(r.free)
+		}
+		return n
+	}
+	warm := records()
+	allocs := testing.AllocsPerRun(50, round)
+	if allocs != 0 {
+		t.Fatalf("ScheduleNodes on two regions: %.1f allocs per round, want 0", allocs)
+	}
+	if got := records(); got != warm {
+		t.Fatalf("the free lists hold %d records after 50 more rounds, %d before", got, warm)
+	}
+	// Two rounds above, AllocsPerRun's warm-up and 50: node 4 runs in the
+	// wave and in the batch node 1 schedules.
+	if hits[1] != 53 || hits[4] != 2*53 {
+		t.Fatalf("node 1 ran %d times, node 4 %d, want 53 and %d", hits[1], hits[4], 2*53)
+	}
+	for i := range s.regions {
+		for _, b := range s.regions[i].free {
+			if b.ids != nil || b.fn != nil {
+				t.Fatalf("an idle record of region %d still holds its ids or fn", i)
+			}
+		}
 	}
 }
 

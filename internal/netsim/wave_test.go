@@ -95,7 +95,7 @@ func waveRun(seed int64, shards int, batch bool) ([][]string, int64) {
 // regions.
 func TestScheduleNodesMatchesPerNodeScheduling(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		var classicSteps int64
+		var oneRegionSteps int64
 		for _, shards := range []int{1, 2, 4, 8} {
 			want, wantSteps := waveRun(seed, shards, false)
 			got, gotSteps := waveRun(seed, shards, true)
@@ -108,12 +108,12 @@ func TestScheduleNodesMatchesPerNodeScheduling(t *testing.T) {
 				}
 			}
 			if shards == 1 {
-				classicSteps = gotSteps
+				oneRegionSteps = gotSteps
 				if len(got[0]) < 60 {
 					t.Fatalf("seed %d: the program ran only %d handlers", seed, len(got[0]))
 				}
-			} else if gotSteps != classicSteps {
-				t.Fatalf("seed %d: %d steps at %d regions, %d on one", seed, gotSteps, shards, classicSteps)
+			} else if gotSteps != oneRegionSteps {
+				t.Fatalf("seed %d: %d steps at %d regions, %d on one", seed, gotSteps, shards, oneRegionSteps)
 			}
 		}
 	}
@@ -185,11 +185,7 @@ func TestScheduleNodesIsOneEntryAndManySteps(t *testing.T) {
 func BenchmarkWaveSchedule(b *testing.B) {
 	for _, n := range []int{1500, 100000} {
 		for _, shards := range []int{1, 2} {
-			name := fmt.Sprintf("n=%d/classic", n)
-			if shards > 1 {
-				name = fmt.Sprintf("n=%d/regions=%d", n, shards)
-			}
-			b.Run(name, func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/regions=%d", n, shards), func(b *testing.B) {
 				const depth = 40
 				sim := NewSim()
 				if shards > 1 {

@@ -13,15 +13,16 @@ import (
 // admission, prepared cache, leased runner, simulation, base-station join —
 // is pinned in bytes: the daemon's common query is an answer of a few
 // rows, and nothing on its path may allocate by the thousand rows (a
-// 4096-row result slab alone was 64 KB a column). Measured: about 6.1 KB
+// 4096-row result slab alone was 64 KB a column). Measured: about 4.65 KB
 // (the round carves what it sends from the runner's round arenas, sized
 // by the window's largest round so the four shapes' alternating demand
 // does not remake them, and fills its plan into the runner's node slab
 // and its join plans into the kernel scratch, the plan's shape comes
-// with the cached Prepared, the client reuses a finished stream's
-// channel, control frames are binary and the client decodes each once),
-// 8.1–8.2 KB under the race detector; the ceiling is the latter plus
-// 15%.
+// with the cached Prepared, the simulator's wave entries and the round's
+// own state are the runner's to reuse, the client reuses a finished
+// stream's channel, control frames are binary and the client decodes
+// each once), 6.6–6.8 KB under the race detector; the ceiling is the
+// latter plus 15%.
 func TestSmallQueryAllocBytes(t *testing.T) {
 	s, _ := startTestServer(t, Config{})
 	c, err := client.Dial(s.Addr().String())
@@ -54,7 +55,7 @@ func TestSmallQueryAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perQuery := (after.TotalAlloc - before.TotalAlloc) / n
 	t.Logf("%d bytes per query", perQuery)
-	const ceiling = 9450
+	const ceiling = 7820
 	if perQuery > ceiling {
 		t.Errorf("a small query allocates %d bytes, want under %d", perQuery, ceiling)
 	}

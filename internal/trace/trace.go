@@ -300,8 +300,8 @@ func (r *Recorder) Journal() *Journal { return r.JournalSince(0) }
 // Canonical order sorts the buffer's unsealed tail by the full event
 // record — simulated time major, then node, kind and every remaining
 // field — so a journal depends only on the multiset of events, never on
-// emission interleaving. That is what makes sharded-engine journals
-// byte-identical to the classic engine's for any shard count. Sorting
+// emission interleaving. That is what makes a run's journal
+// byte-identical at every region count of the simulator. Sorting
 // only the tail is sound because executions never rewind simulated
 // time past an already-cut journal.
 func (r *Recorder) JournalSince(mark int) *Journal {

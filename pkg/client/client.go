@@ -599,11 +599,18 @@ func (s *Stream) Next() (*Table, error) {
 			select {
 			case f = <-s.ch:
 			case <-s.w.done:
-				s.err = s.w.error()
-				if s.err == nil {
-					s.err = io.ErrUnexpectedEOF
+				// The read loop may have buffered the rest of the stream
+				// between the receive above and closing done: the close
+				// happens after those sends, so they are all visible here.
+				select {
+				case f = <-s.ch:
+				default:
+					s.err = s.w.error()
+					if s.err == nil {
+						s.err = io.ErrUnexpectedEOF
+					}
+					return nil, s.err
 				}
-				return nil, s.err
 			case <-expired:
 				return s.fail(&TimeoutError{After: s.timeout})
 			}

@@ -169,6 +169,60 @@ func TestStreamNonFiniteCells(t *testing.T) {
 	}
 }
 
+// A server that writes a whole epoch and hangs up at once leaves the
+// client a buffered stream and a dead connection at the same moment: the
+// read loop can queue the epoch's last frames and close the connection's
+// done channel between two receives of Next. Next must read every frame
+// that arrived before the death, so each query over a fresh connection
+// returns its table. Many clients run side by side on more threads than
+// there are CPUs, so that the operating system often preempts Next
+// between its two receives: before the fix this test failed about one run
+// in five under -race, one in twenty without.
+func TestStreamReadsThroughConnectionClose(t *testing.T) {
+	rows := sequence(streamFrames - 3) // one row a chunk: the epoch fills the stream's buffer
+	fs := newFakeServer(t, func(conn net.Conn) {
+		q, err := readQuery(conn)
+		if err != nil {
+			return
+		}
+		var epoch bytes.Buffer // one write: the frames arrive together
+		chunked(&epoch, q.ID, rows, 1, len(rows))
+		conn.Write(epoch.Bytes())
+	})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8 * runtime.NumCPU()))
+	const clients, queries = 32, 50
+	errs := make(chan error, clients)
+	for range clients {
+		go func() {
+			for i := range queries {
+				c, err := client.Dial(fs.addr())
+				if err != nil {
+					errs <- err
+					return
+				}
+				tb, err := c.Query(`SELECT ...`)
+				c.Close()
+				if err == nil && len(tb.Rows) != len(rows) {
+					err = fmt.Errorf("%d rows, want %d", len(tb.Rows), len(rows))
+				}
+				if err != nil {
+					errs <- fmt.Errorf("query %d: %w", i+1, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// streamFrames is the client's per-stream frame buffer (streamBuffer).
+const streamFrames = 32
+
 // A malformed Rows frame fails its own query with a decode error; the
 // demux loop keeps routing the connection's other queries.
 func TestStreamMalformedRows(t *testing.T) {
